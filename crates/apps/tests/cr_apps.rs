@@ -107,6 +107,59 @@ fn circuit_through_cr() {
     }
 }
 
+/// The accelerated shallow pass (interval tree, run-level repeats
+/// dropped by stamping) against the all-pairs oracle, on the partitions
+/// of Circuit's node region: the aliased ghost images there overlap in
+/// hundreds of runs per pair of pieces.
+#[test]
+fn circuit_ghost_shallow_pairs_match_naive() {
+    use regent_region::intersect::{shallow_intersections_naive, shallow_intersections_of};
+    use regent_region::PartitionId;
+    let cfg = circuit::CircuitConfig {
+        pieces: 8,
+        nodes_per_piece: 200,
+        wires_per_piece: 800,
+        cross_fraction: 0.3,
+        steps: 1,
+        substeps: 1,
+        seed: 7,
+    };
+    let g = circuit::generate_graph(&cfg);
+    let (prog, h) = circuit::circuit_program(cfg, &g);
+    let forest = &prog.forest;
+    let node_partitions: Vec<Vec<_>> = (0..forest.num_partitions() as u32)
+        .map(|p| forest.partition(PartitionId(p)))
+        .filter(|p| forest.root_of(p.parent) == h.nodes)
+        .map(|p| {
+            p.iter()
+                .map(|(c, r)| (c, forest.domain(r).clone()))
+                .collect()
+        })
+        .collect();
+    assert_eq!(node_partitions.len(), 2, "owned blocks and ghost images");
+    let mut multi_run_pairs = 0;
+    for src in &node_partitions {
+        for dst in &node_partitions {
+            let fast = shallow_intersections_of(src, dst);
+            assert_eq!(fast, shallow_intersections_naive(src, dst));
+            multi_run_pairs += fast
+                .iter()
+                .filter(|pair| {
+                    let of = |list: &[(DynPoint, regent_geometry::Domain)], c| {
+                        list.iter().find(|(k, _)| *k == c).unwrap().1.clone()
+                    };
+                    of(src, pair.src)
+                        .intersect(&of(dst, pair.dst))
+                        .rects()
+                        .len()
+                        > 1
+                })
+                .count();
+        }
+    }
+    assert!(multi_run_pairs > 0, "no pair exercised the repeat filter");
+}
+
 #[test]
 fn miniaero_through_cr() {
     let cfg = miniaero::MiniAeroConfig {

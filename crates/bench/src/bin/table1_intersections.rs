@@ -12,7 +12,10 @@
 //! depends on. Expect the same shape as the paper: shallow times grow
 //! roughly linearly in node count and stay in the hundreds of
 //! milliseconds; complete times are small and (for the per-shard
-//! phase) scale-independent.
+//! phase) scale-independent. The last timing column is not in the
+//! paper's table: it is the inspector's extra step of turning element
+//! sets into gather/scatter offsets, which grows with the elements
+//! exchanged rather than with the pieces.
 
 use regent_apps::{circuit, miniaero, pennant, stencil};
 use regent_cr::{control_replicate, CrOptions};
@@ -23,11 +26,12 @@ fn measure(name: &str, pieces: usize, build: impl FnOnce() -> regent_ir::Program
     let spmd = control_replicate(prog, &CrOptions::new(pieces)).expect("CR failed");
     let plan = build_exchange_plan(&spmd);
     println!(
-        "{:<10} {:>6}  {:>12.1}  {:>12.1}  {:>8}",
+        "{:<10} {:>6}  {:>12.1}  {:>12.1}  {:>12.1}  {:>8}",
         name,
         pieces,
         plan.setup.shallow_seconds * 1e3,
         plan.setup.complete_seconds * 1e3,
+        plan.setup.offsets_seconds * 1e3,
         plan.setup.num_pairs
     );
 }
@@ -43,8 +47,8 @@ fn main() {
         scales
     };
     println!(
-        "{:<10} {:>6}  {:>12}  {:>12}  {:>8}",
-        "App", "Nodes", "Shallow (ms)", "Complete (ms)", "Pairs"
+        "{:<10} {:>6}  {:>12}  {:>12}  {:>12}  {:>8}",
+        "App", "Nodes", "Shallow (ms)", "Complete (ms)", "Offsets (ms)", "Pairs"
     );
     for &n in &scales {
         measure("Circuit", n, || {

@@ -15,6 +15,8 @@
 //! * [`placement`] — copy placement optimization (§3.2).
 //! * [`spmd`] — the SPMD target form, including the intersection
 //!   declarations evaluated dynamically at startup (§3.3).
+//! * [`schedule`] — that evaluation: the exchange pairs and their
+//!   gather/scatter offsets, memoized per compiled program.
 //!
 //! Execution engines for the SPMD form live in `regent-runtime`; a
 //! discrete-event distributed machine model lives in `regent-machine`.
@@ -25,6 +27,7 @@ pub mod analysis;
 pub mod hybrid;
 pub mod placement;
 pub mod replicate;
+pub mod schedule;
 pub mod spmd;
 
 pub use analysis::{
@@ -33,6 +36,9 @@ pub use analysis::{
 pub use hybrid::{replicate_ranges, HybridProgram, Segment};
 pub use placement::{MembershipRemap, PlacementStats};
 pub use replicate::{control_replicate, control_replicate_traced, CrOptions, SyncMode};
+pub use schedule::{
+    build_exchange_plan, ExchangePlan, ExchangeSchedule, InstKey, PairPlan, SetupStats,
+};
 pub use spmd::{
     block_range, owner_of, CopyId, CopySource, CopyStmt, CrStats, DomainId, ForestOracle,
     IntersectDecl, IntersectId, LaunchId, SpmdArg, SpmdLaunch, SpmdProgram, SpmdStmt, TempDecl,

@@ -473,6 +473,7 @@ pub fn control_replicate_traced(
         intersects,
         body,
         stats,
+        schedule: Default::default(),
     })
 }
 

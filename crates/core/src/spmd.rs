@@ -11,9 +11,11 @@
 //! optional global-barrier mode reproduces the naive Fig. 4c scheme for
 //! ablation.
 
+use crate::schedule::{build_exchange_plan, ExchangeSchedule};
 use regent_ir::{ScalarExpr, ScalarId, TaskDecl, TaskId};
 use regent_region::{Color, FieldId, PartitionId, ReductionOp, RegionForest, RegionId};
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// Index into [`SpmdProgram::launch_domains`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -305,9 +307,33 @@ pub struct SpmdProgram {
     pub body: Vec<SpmdStmt>,
     /// Transform statistics.
     pub stats: CrStats,
+    /// The memoized exchange schedule ([`SpmdProgram::schedule`]).
+    pub(crate) schedule: Mutex<Option<Arc<ExchangeSchedule>>>,
 }
 
 impl SpmdProgram {
+    /// The program's exchange schedule: evaluated on first use, then
+    /// shared read-only by every shard of every run of every executor.
+    /// Also says whether this call had to build it.
+    ///
+    /// The schedule is a function of the forest, the launch domains,
+    /// the use/temp/intersection tables and `num_shards`. Only
+    /// `num_shards` is ever changed after compilation (failover shrinks
+    /// it in place), so it is the cache key: a schedule built for
+    /// another shard count is replaced.
+    pub fn schedule(&self) -> (Arc<ExchangeSchedule>, bool) {
+        let mut slot = self
+            .schedule
+            .lock()
+            .expect("an earlier schedule build panicked");
+        if let Some(hit) = slot.as_ref().filter(|s| s.num_shards == self.num_shards) {
+            return (Arc::clone(hit), false);
+        }
+        let built = Arc::new(build_exchange_plan(self));
+        *slot = Some(Arc::clone(&built));
+        (built, true)
+    }
+
     /// The task declaration for `t`.
     pub fn task(&self, t: TaskId) -> &TaskDecl {
         &self.tasks[t.0 as usize]

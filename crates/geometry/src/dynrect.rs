@@ -139,8 +139,16 @@ impl DynRect {
     }
 
     /// The 1-D interval `[lo, hi]`.
+    #[inline]
     pub fn span(lo: i64, hi: i64) -> Self {
-        DynRect::new(DynPoint::new(&[lo]), DynPoint::new(&[hi]))
+        if lo > hi {
+            return DynRect::empty(1);
+        }
+        DynRect {
+            dim: 1,
+            lo: [lo, 0, 0],
+            hi: [hi, 0, 0],
+        }
     }
 
     /// The 1-D interval `[0, n)`.

@@ -49,15 +49,22 @@ impl DomainIndexer {
     /// The dense offset of `p`, or `None` when `p` is outside the domain.
     #[inline]
     pub fn offset_of(&self, p: DynPoint) -> Option<u64> {
+        self.locate(p).map(|(i, k)| self.rects[i].1 + k)
+    }
+
+    /// The rectangle containing `p`, as its index and `p`'s row-major
+    /// position inside it.
+    #[inline]
+    fn locate(&self, p: DynPoint) -> Option<(usize, u64)> {
         // Rects are disjoint and sorted by lo; binary search for the last
         // rect whose lo <= p, then check a small neighborhood (rects
         // sorted by lo do not totally order containment in >1-D, so fall
         // back to scanning backwards).
         let idx = self.rects.partition_point(|(r, _)| r.lo() <= p);
         for i in (0..idx).rev() {
-            let (r, off) = self.rects[i];
+            let r = &self.rects[i].0;
             if let Some(k) = r.linearize(p) {
-                return Some(off + k);
+                return Some((i, k));
             }
             // In 1-D, once r.hi < p for the closest rect we can stop.
             if r.dim() == 1 {
@@ -65,6 +72,90 @@ impl DomainIndexer {
             }
         }
         None
+    }
+
+    /// Visits `elements` in canonical order (the order of
+    /// [`Domain::iter`]) as storage-contiguous runs, calling
+    /// `f(offset, len)` for each. One lookup per run, none per element:
+    /// 1-D domains are a two-pointer merge over the two sorted run
+    /// lists; multi-D domains look up each row of each rectangle,
+    /// trying the previous hit first.
+    ///
+    /// # Panics
+    /// If `elements` is not a subset of the indexed domain.
+    pub fn for_each_run(&self, elements: &Domain, mut f: impl FnMut(u64, u64)) {
+        let missing = |p: DynPoint| -> ! { panic!("element {p:?} outside the indexed domain") };
+        if elements.dim() == 1 {
+            let mut i = 0usize;
+            for e in elements.rects() {
+                let (mut lo, hi) = (e.lo().coord(0), e.hi().coord(0));
+                while lo <= hi {
+                    while self.rects.get(i).is_some_and(|(r, _)| r.hi().coord(0) < lo) {
+                        i += 1;
+                    }
+                    let (r, off) = match self.rects.get(i) {
+                        Some((r, off)) if r.lo().coord(0) <= lo => (r, *off),
+                        _ => missing(DynPoint::from(lo)),
+                    };
+                    let end = hi.min(r.hi().coord(0));
+                    f(off + (lo - r.lo().coord(0)) as u64, (end - lo + 1) as u64);
+                    lo = end + 1;
+                }
+            }
+            return;
+        }
+        let last = elements.dim() - 1;
+        let mut hint = 0usize;
+        for e in elements.rects() {
+            let hi = e.hi().coord(last);
+            let row_len = (hi - e.lo().coord(last) + 1) as u64;
+            for row in 0..e.volume() / row_len {
+                let mut p = e
+                    .delinearize(row * row_len)
+                    .expect("row start lies inside its rectangle");
+                loop {
+                    let again = self.rects.get(hint).and_then(|(r, _)| r.linearize(p));
+                    let start = match again {
+                        Some(k) => k,
+                        None => {
+                            let (i, k) = self.locate(p).unwrap_or_else(|| missing(p));
+                            hint = i;
+                            k
+                        }
+                    };
+                    let (r, off) = &self.rects[hint];
+                    let end = hi.min(r.hi().coord(last));
+                    f(off + start, (end - p.coord(last) + 1) as u64);
+                    if end == hi {
+                        break;
+                    }
+                    let mut c = [0i64; regent_geometry::MAX_DIM];
+                    c[..=last].copy_from_slice(p.coords());
+                    c[last] = end + 1;
+                    p = DynPoint::new(&c[..=last]);
+                }
+            }
+        }
+    }
+
+    /// The dense offsets of `elements` in canonical order — the
+    /// gather/scatter table of an exchange pair, equal to mapping
+    /// [`DomainIndexer::offset_of`] over `elements.iter()`.
+    ///
+    /// # Panics
+    /// If `elements` is not a subset of the indexed domain, or the
+    /// domain has more than `u32::MAX` elements.
+    pub fn offsets_of(&self, elements: &Domain) -> Vec<u32> {
+        assert!(
+            self.total <= u64::from(u32::MAX),
+            "domain of {} elements exceeds 32-bit offsets",
+            self.total
+        );
+        let mut out = Vec::with_capacity(elements.volume() as usize);
+        self.for_each_run(elements, |off, len| {
+            out.extend(off as u32..(off + len) as u32)
+        });
+        out
     }
 
     /// Iterates `(point, offset)` pairs in storage order.
@@ -448,30 +539,56 @@ impl Instance {
     }
 }
 
+/// The storage runs `(src offset, dst offset, len)` that cover
+/// `elements` in both instances, in canonical element order: each
+/// side's runs from [`DomainIndexer::for_each_run`], split wherever
+/// either side breaks.
+fn paired_runs(src: &Instance, dst: &Instance, elements: &Domain) -> Vec<(usize, usize, usize)> {
+    let mut src_runs = Vec::new();
+    src.indexer
+        .for_each_run(elements, |off, len| src_runs.push((off, len)));
+    let mut src_runs = src_runs.into_iter();
+    let (mut s_off, mut s_len) = (0u64, 0u64);
+    let mut out = Vec::new();
+    dst.indexer.for_each_run(elements, |mut d_off, mut d_len| {
+        while d_len > 0 {
+            if s_len == 0 {
+                (s_off, s_len) = src_runs
+                    .next()
+                    .expect("both sides cover the same number of elements");
+            }
+            let n = d_len.min(s_len);
+            out.push((s_off as usize, d_off as usize, n as usize));
+            s_off += n;
+            s_len -= n;
+            d_off += n;
+            d_len -= n;
+        }
+    });
+    out
+}
+
 /// Copies the values of `fields` for every element of `elements` from
 /// `src` to `dst` (the region assignment `dst ← src` of §3.1, restricted
 /// to a precomputed intersection per §3.3).
 ///
 /// `elements` must be a subset of both instance domains.
 pub fn copy_fields(src: &Instance, dst: &mut Instance, fields: &[FieldId], elements: &Domain) {
+    let runs = paired_runs(src, dst, elements);
     for &f in fields {
         dst.seals[f.0 as usize] = None;
-    }
-    for p in elements.iter() {
-        let so = src
-            .indexer
-            .offset_of(p)
-            .unwrap_or_else(|| panic!("copy source missing {p:?}")) as usize;
-        let do_ = dst
-            .indexer
-            .offset_of(p)
-            .unwrap_or_else(|| panic!("copy destination missing {p:?}")) as usize;
-        for &f in fields {
-            match (&src.columns[f.0 as usize], &mut dst.columns[f.0 as usize]) {
-                (ColumnData::F64(s), ColumnData::F64(d)) => d[do_] = s[so],
-                (ColumnData::I64(s), ColumnData::I64(d)) => d[do_] = s[so],
-                _ => panic!("field {f:?} type mismatch between instances"),
+        match (&src.columns[f.0 as usize], &mut dst.columns[f.0 as usize]) {
+            (ColumnData::F64(s), ColumnData::F64(d)) => {
+                for &(so, do_, n) in &runs {
+                    d[do_..do_ + n].copy_from_slice(&s[so..so + n]);
+                }
             }
+            (ColumnData::I64(s), ColumnData::I64(d)) => {
+                for &(so, do_, n) in &runs {
+                    d[do_..do_ + n].copy_from_slice(&s[so..so + n]);
+                }
+            }
+            _ => panic!("field {f:?} type mismatch between instances"),
         }
     }
 }
@@ -485,24 +602,25 @@ pub fn reduce_fields(
     elements: &Domain,
     op: ReductionOp,
 ) {
+    let runs = paired_runs(src, dst, elements);
     for &f in fields {
         dst.seals[f.0 as usize] = None;
-    }
-    for p in elements.iter() {
-        let so = src
-            .indexer
-            .offset_of(p)
-            .unwrap_or_else(|| panic!("reduce source missing {p:?}")) as usize;
-        let do_ =
-            dst.indexer
-                .offset_of(p)
-                .unwrap_or_else(|| panic!("reduce destination missing {p:?}")) as usize;
-        for &f in fields {
-            match (&src.columns[f.0 as usize], &mut dst.columns[f.0 as usize]) {
-                (ColumnData::F64(s), ColumnData::F64(d)) => d[do_] = op.fold(d[do_], s[so]),
-                (ColumnData::I64(s), ColumnData::I64(d)) => d[do_] = op.fold_i64(d[do_], s[so]),
-                _ => panic!("field {f:?} type mismatch between instances"),
+        match (&src.columns[f.0 as usize], &mut dst.columns[f.0 as usize]) {
+            (ColumnData::F64(s), ColumnData::F64(d)) => {
+                for &(so, do_, n) in &runs {
+                    for (d, &s) in d[do_..do_ + n].iter_mut().zip(&s[so..so + n]) {
+                        *d = op.fold(*d, s);
+                    }
+                }
             }
+            (ColumnData::I64(s), ColumnData::I64(d)) => {
+                for &(so, do_, n) in &runs {
+                    for (d, &s) in d[do_..do_ + n].iter_mut().zip(&s[so..so + n]) {
+                        *d = op.fold_i64(*d, s);
+                    }
+                }
+            }
+            _ => panic!("field {f:?} type mismatch between instances"),
         }
     }
 }

@@ -20,7 +20,6 @@ use crate::bvh::{Bvh, TaggedRect};
 use crate::forest::{Color, PartitionId, RegionForest};
 use crate::interval::{Interval, IntervalTree};
 use regent_geometry::Domain;
-use std::collections::HashSet;
 
 /// A pair of overlapping subregions found by the shallow pass:
 /// `src` is the color of the producing subregion, `dst` of the consuming
@@ -72,50 +71,9 @@ pub fn shallow_intersections_of(
     src: &[(Color, Domain)],
     dst: &[(Color, Domain)],
 ) -> Vec<OverlapPair> {
-    let dim = src
-        .iter()
-        .chain(dst)
-        .map(|(_, d)| d.dim())
-        .next()
-        .unwrap_or(1);
-    let mut pairs: HashSet<(usize, usize)> = HashSet::new();
-    if dim == 1 {
-        // Interval tree over every run of every src child.
-        let mut runs = Vec::new();
-        for (i, (_, dom)) in src.iter().enumerate() {
-            for r in dom.rects() {
-                runs.push(Interval::new(r.lo().coord(0), r.hi().coord(0), i as u32));
-            }
-        }
-        let tree = IntervalTree::build(runs);
-        for (j, (_, dom)) in dst.iter().enumerate() {
-            for r in dom.rects() {
-                tree.query(r.lo().coord(0), r.hi().coord(0), |iv| {
-                    pairs.insert((iv.id as usize, j));
-                });
-            }
-        }
-    } else {
-        // BVH over every rectangle of every src child.
-        let mut rects = Vec::new();
-        for (i, (_, dom)) in src.iter().enumerate() {
-            for r in dom.rects() {
-                rects.push(TaggedRect {
-                    rect: *r,
-                    id: i as u32,
-                });
-            }
-        }
-        let bvh = Bvh::build(rects);
-        for (j, (_, dom)) in dst.iter().enumerate() {
-            for r in dom.rects() {
-                bvh.query(r, |t| {
-                    pairs.insert((t.id as usize, j));
-                });
-            }
-        }
-    }
-    let mut out: Vec<OverlapPair> = pairs
+    let src_doms: Vec<&Domain> = src.iter().map(|(_, d)| d).collect();
+    let dst_doms: Vec<&Domain> = dst.iter().map(|(_, d)| d).collect();
+    let mut out: Vec<OverlapPair> = shallow_pairs(&src_doms, &dst_doms)
         .into_iter()
         .map(|(i, j)| OverlapPair {
             src: src[i].0,
@@ -124,6 +82,59 @@ pub fn shallow_intersections_of(
         .collect();
     out.sort_unstable();
     out
+}
+
+/// The shallow pass proper: every index pair `(i, j)` with `src[i]`
+/// overlapping `dst[j]`, sorted. Linear in the rectangle-level hits the
+/// acceleration structure reports: a pair of children usually overlaps
+/// in many runs, and the repeats are dropped by stamping each source
+/// with the last destination that hit it (destinations are visited one
+/// at a time), not by hashing.
+pub fn shallow_pairs(src: &[&Domain], dst: &[&Domain]) -> Vec<(usize, usize)> {
+    let dim = src.iter().chain(dst).map(|d| d.dim()).next().unwrap_or(1);
+    let mut last_hit_by = vec![usize::MAX; src.len()];
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let mut hit = |i: u32, j: usize| {
+        let stamp = &mut last_hit_by[i as usize];
+        if *stamp != j {
+            *stamp = j;
+            pairs.push((i as usize, j));
+        }
+    };
+    if dim == 1 {
+        // Interval tree over every run of every src child.
+        let mut runs = Vec::new();
+        for (i, dom) in src.iter().enumerate() {
+            for r in dom.rects() {
+                runs.push(Interval::new(r.lo().coord(0), r.hi().coord(0), i as u32));
+            }
+        }
+        let tree = IntervalTree::build(runs);
+        for (j, dom) in dst.iter().enumerate() {
+            for r in dom.rects() {
+                tree.query(r.lo().coord(0), r.hi().coord(0), |iv| hit(iv.id, j));
+            }
+        }
+    } else {
+        // BVH over every rectangle of every src child.
+        let mut rects = Vec::new();
+        for (i, dom) in src.iter().enumerate() {
+            for r in dom.rects() {
+                rects.push(TaggedRect {
+                    rect: *r,
+                    id: i as u32,
+                });
+            }
+        }
+        let bvh = Bvh::build(rects);
+        for (j, dom) in dst.iter().enumerate() {
+            for r in dom.rects() {
+                bvh.query(r, |t| hit(t.id, j));
+            }
+        }
+    }
+    pairs.sort_unstable();
+    pairs
 }
 
 /// Naive O(N²) shallow intersection — the unaccelerated baseline used by

@@ -1,4 +1,4 @@
-//! Centered interval tree over 1-D integer intervals.
+//! Augmented interval tree over 1-D integer intervals.
 //!
 //! §3.3: "For unstructured regions, an interval tree acceleration data
 //! structure makes this operation O(N log N)" — the shallow-intersection
@@ -30,127 +30,77 @@ impl Interval {
     }
 }
 
-/// A node of the centered interval tree.
-struct Node {
-    center: i64,
-    /// Intervals crossing `center`, sorted ascending by `lo`.
-    by_lo: Vec<Interval>,
-    /// The same intervals sorted descending by `hi`.
-    by_hi: Vec<Interval>,
-    left: Option<Box<Node>>,
-    right: Option<Box<Node>>,
-}
-
-/// Static centered interval tree: build once, query many times.
+/// Static augmented interval tree: build once, query many times.
 ///
-/// Build is O(n log n); a query reporting `k` hits is O(log n + k).
+/// The intervals are kept in one array sorted by `lo`, read as an
+/// implicit balanced search tree (the root of `[a, b)` is its middle
+/// element), and every node is augmented with the largest `hi` in its
+/// subtree. Build is a sort plus one bottom-up pass, with two
+/// allocations in total; a query reporting `k` hits is O(log n + k)
+/// for the disjoint-per-subregion runs the shallow pass stores.
 pub struct IntervalTree {
-    root: Option<Box<Node>>,
-    len: usize,
+    /// Sorted by `lo`.
+    intervals: Vec<Interval>,
+    /// `max_hi[m]`: largest `hi` in the subtree rooted at `m`.
+    max_hi: Vec<i64>,
 }
 
 impl IntervalTree {
     /// Builds the tree from a set of intervals.
-    pub fn build(intervals: Vec<Interval>) -> Self {
-        let len = intervals.len();
-        IntervalTree {
-            root: Self::build_node(intervals),
-            len,
-        }
+    pub fn build(mut intervals: Vec<Interval>) -> Self {
+        intervals.sort_unstable_by_key(|iv| iv.lo);
+        let mut max_hi = vec![i64::MIN; intervals.len()];
+        Self::augment(&intervals, &mut max_hi, 0, intervals.len());
+        IntervalTree { intervals, max_hi }
     }
 
-    fn build_node(mut intervals: Vec<Interval>) -> Option<Box<Node>> {
-        if intervals.is_empty() {
-            return None;
+    /// Fills `max_hi` for the subtree over `[a, b)`; returns its max.
+    fn augment(intervals: &[Interval], max_hi: &mut [i64], a: usize, b: usize) -> i64 {
+        if a >= b {
+            return i64::MIN;
         }
-        // Center on the median of interval midpoints for balance.
-        let mut mids: Vec<i64> = intervals
-            .iter()
-            .map(|iv| iv.lo + (iv.hi - iv.lo) / 2)
-            .collect();
-        let mid_idx = mids.len() / 2;
-        let (_, center, _) = mids.select_nth_unstable(mid_idx);
-        let center = *center;
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        let mut here = Vec::new();
-        for iv in intervals.drain(..) {
-            if iv.hi < center {
-                left.push(iv);
-            } else if iv.lo > center {
-                right.push(iv);
-            } else {
-                here.push(iv);
-            }
-        }
-        let mut by_lo = here.clone();
-        by_lo.sort_unstable_by_key(|iv| iv.lo);
-        let mut by_hi = here;
-        by_hi.sort_unstable_by_key(|iv| std::cmp::Reverse(iv.hi));
-        Some(Box::new(Node {
-            center,
-            by_lo,
-            by_hi,
-            left: Self::build_node(left),
-            right: Self::build_node(right),
-        }))
+        let m = a + (b - a) / 2;
+        let left = Self::augment(intervals, max_hi, a, m);
+        let right = Self::augment(intervals, max_hi, m + 1, b);
+        max_hi[m] = intervals[m].hi.max(left).max(right);
+        max_hi[m]
     }
 
     /// Number of stored intervals.
     pub fn len(&self) -> usize {
-        self.len
+        self.intervals.len()
     }
 
     /// True when the tree stores no intervals.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.intervals.is_empty()
     }
 
     /// Invokes `hit` for every stored interval overlapping `[lo, hi]`.
     pub fn query(&self, lo: i64, hi: i64, mut hit: impl FnMut(&Interval)) {
         assert!(lo <= hi, "empty query interval");
-        let mut stack: Vec<&Node> = Vec::new();
-        if let Some(ref root) = self.root {
-            stack.push(root);
+        self.visit(0, self.intervals.len(), lo, hi, &mut hit);
+    }
+
+    fn visit(&self, a: usize, b: usize, lo: i64, hi: i64, hit: &mut impl FnMut(&Interval)) {
+        if a >= b {
+            return;
         }
-        while let Some(node) = stack.pop() {
-            if hi < node.center {
-                // Query is entirely left of center: crossing intervals
-                // overlap iff their lo <= hi.
-                for iv in &node.by_lo {
-                    if iv.lo > hi {
-                        break;
-                    }
-                    hit(iv);
-                }
-                if let Some(ref l) = node.left {
-                    stack.push(l);
-                }
-            } else if lo > node.center {
-                // Entirely right of center: overlap iff hi >= lo.
-                for iv in &node.by_hi {
-                    if iv.hi < lo {
-                        break;
-                    }
-                    hit(iv);
-                }
-                if let Some(ref r) = node.right {
-                    stack.push(r);
-                }
-            } else {
-                // Query spans the center: every crossing interval hits.
-                for iv in &node.by_lo {
-                    debug_assert!(iv.overlaps(lo, hi));
-                    hit(iv);
-                }
-                if let Some(ref l) = node.left {
-                    stack.push(l);
-                }
-                if let Some(ref r) = node.right {
-                    stack.push(r);
-                }
-            }
+        let m = a + (b - a) / 2;
+        // Nothing in this subtree reaches up to the query.
+        if self.max_hi[m] < lo {
+            return;
         }
+        self.visit(a, m, lo, hi, hit);
+        // The root and everything right of it start past the query.
+        let root = &self.intervals[m];
+        if root.lo > hi {
+            return;
+        }
+        if root.overlaps(lo, hi) {
+            hit(root);
+        }
+        self.visit(m + 1, b, lo, hi, hit);
     }
 
     /// Collects the ids of all intervals overlapping `[lo, hi]`

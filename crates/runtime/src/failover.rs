@@ -31,8 +31,9 @@
 //! 4. **Resume.** The program is re-executed at `N−1` shards — the
 //!    compiled body is shard-agnostic (all placement flows through
 //!    `owned_colors` / `block_range` / `owner_of`), so mutating
-//!    `num_shards` re-plans the mesh, barrier, and exchange plan — and
-//!    the pre-seeded rescue slot fast-forwards every survivor to the
+//!    `num_shards` re-plans the mesh, the barrier, and (its cached
+//!    schedule being keyed on the shard count) the exchange — and the
+//!    pre-seeded rescue slot fast-forwards every survivor to the
 //!    checkpoint epoch. Results are **bit-identical** to an undisturbed
 //!    run: element-wise reductions flow through temporaries applied in
 //!    deterministic global order, and scalar collectives fold in shard

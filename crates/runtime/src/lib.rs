@@ -93,7 +93,9 @@ pub use metrics::{
     export_env as export_metrics_env, prom_escape, Counter, Hist, MetricsHandle, MetricsRegistry,
     Timer,
 };
-pub use plan::{build_exchange_plan, ExchangePlan, InstKey, PairPlan, SetupStats};
+pub use plan::{
+    build_exchange_plan, ExchangePlan, ExchangeSchedule, InstKey, PairPlan, SetupStats,
+};
 pub use pool::ChunkPool;
 pub use scrape::{fetch as fetch_metrics, start_env as start_scrape_env, ScrapeServer};
 

@@ -51,12 +51,11 @@ use crate::collective::{hang_timeout, DynamicCollective, ShardBarrier};
 use crate::launch_log::{batch_limit_from_env, replicas_from_env, LaunchLog, LogCursor};
 use crate::memo::launch_sig;
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
-use crate::plan::{build_exchange_plan, SetupStats};
-use crate::pool::ChunkPool;
+use crate::plan::{schedule_for_run, SetupStats};
 use crate::ring;
 use crate::spmd_exec::{
-    allocate_shard_data, finalize_into_store, panic_message, CopyMsg, PanicGuard, Resilience,
-    ResilienceOptions, ShardData, ShardExec, ShardStats,
+    finalize_into_store, panic_message, CopyMsg, PanicGuard, ResilienceOptions, ShardData,
+    ShardExec, ShardStats,
 };
 use regent_cr::spmd::{block_range, owner_of, ForestOracle};
 use regent_cr::{SpmdArg, SpmdLaunch, SpmdProgram, SpmdStmt};
@@ -64,7 +63,7 @@ use regent_geometry::DynPoint;
 use regent_ir::{Privilege, Store};
 use regent_region::RegionId;
 use regent_trace::{EventKind, OverlapOracle, TraceBuf, Tracer};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
@@ -112,7 +111,8 @@ pub struct LogRunResult {
     /// Final scalar environment (identical on all shards and the
     /// sequencer; shard 0's).
     pub env: Vec<f64>,
-    /// Dynamic intersection timings (Table 1).
+    /// Dynamic intersection sizes and timings (Table 1); the timings
+    /// are 0 when the exchange schedule was already built.
     pub setup: SetupStats,
     /// Aggregated execution statistics.
     pub stats: ShardStats,
@@ -185,7 +185,7 @@ fn execute_log_inner(
     tracer: &Arc<Tracer>,
     resilience: Option<&ResilienceOptions>,
 ) -> LogRunResult {
-    let plan = build_exchange_plan(spmd);
+    let (schedule, setup) = schedule_for_run(spmd);
     let ns = spmd.num_shards;
     let n_replicas = replicas_from_env(ns);
     let collective = DynamicCollective::new(ns);
@@ -242,7 +242,7 @@ fn execute_log_inner(
 
         let mut handles = Vec::with_capacity(ns);
         for (shard, (rx_row, tx_row)) in receivers.into_iter().zip(senders).enumerate() {
-            let plan = &plan;
+            let schedule = &*schedule;
             let collective = &collective;
             let barrier = &barrier;
             let store_ref: &Store = store;
@@ -259,37 +259,17 @@ fn execute_log_inner(
                 if pin {
                     ring::pin_thread_to_core(shard);
                 }
-                let mut data = allocate_shard_data(spmd, shard, store_ref);
-                if resilience.is_some_and(|o| o.integrity || o.plan.corrupt_rate > 0.0) {
-                    for inst in data.insts.values_mut() {
-                        inst.seal();
-                    }
-                }
-                let mut exec = ShardExec {
+                let mut exec = ShardExec::new(
                     spmd,
-                    plan,
+                    schedule,
                     shard,
-                    data,
-                    env: init_env.clone(),
-                    tx: tx_row,
-                    rx: rx_row,
-                    collective,
-                    barrier,
-                    stats: ShardStats::default(),
-                    local_queue: HashMap::new(),
-                    offset_cache: HashMap::new(),
-                    tb: tracer.buffer(&format!("shard-{shard}")),
-                    mx: metrics::global().handle(&format!("shard-{shard}")),
-                    launch_seq: 0,
-                    loop_depth: 0,
-                    copy_occurrence: HashMap::new(),
-                    collective_seq: 0,
-                    epoch: 0,
-                    replay_until: 0,
-                    resilience: resilience.map(Resilience::new),
-                    outer_loop_seq: 0,
-                    pool: ChunkPool::new(),
-                };
+                    store_ref,
+                    init_env.clone(),
+                    (tx_row, rx_row),
+                    (collective, barrier),
+                    &tracer,
+                    resilience,
+                );
                 let replica = owner_of(ns, n_replicas, shard) as u32;
                 let (block_start, _) = block_range(ns, n_replicas, replica as usize);
                 let mut analysis = (shard == block_start).then(|| ReplicaAnalysis {
@@ -366,7 +346,7 @@ fn execute_log_inner(
 
     LogRunResult {
         env: env0.unwrap_or(seq_env),
-        setup: plan.setup,
+        setup,
         stats: agg,
         per_shard,
         log: log_stats,

@@ -93,11 +93,14 @@ pub enum Counter {
     /// Membership epochs committed: each is one shard evicted and the
     /// mesh rebuilt one smaller.
     MembershipShrinks,
+    /// Exchange schedules built: a run that finds its program's
+    /// schedule already cached adds nothing here.
+    ScheduleBuilds,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 33;
+    pub const COUNT: usize = 34;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -134,6 +137,7 @@ impl Counter {
         Counter::FailoverAttempts,
         Counter::PeerDeaths,
         Counter::MembershipShrinks,
+        Counter::ScheduleBuilds,
     ];
 
     /// Stable snake_case name (used in exports).
@@ -172,6 +176,7 @@ impl Counter {
             Counter::FailoverAttempts => "failover_attempts",
             Counter::PeerDeaths => "peer_deaths",
             Counter::MembershipShrinks => "membership_shrinks",
+            Counter::ScheduleBuilds => "schedule_builds",
         }
     }
 
@@ -211,6 +216,7 @@ impl Counter {
             Counter::FailoverAttempts => "Executor attempts launched by the failover driver",
             Counter::PeerDeaths => "Shard deaths observed by the failover driver",
             Counter::MembershipShrinks => "Membership epochs committed (one eviction each)",
+            Counter::ScheduleBuilds => "Exchange schedules built (cache misses)",
         }
     }
 
@@ -254,11 +260,14 @@ pub enum Timer {
     /// Time reconstructing the dead shard's subregion instances onto
     /// the survivors from the last committed checkpoint.
     FailoverReconstructNs,
+    /// Time building an exchange schedule (the §3.3 inspector:
+    /// intersections plus gather/scatter offsets), per build.
+    ScheduleBuildNs,
 }
 
 impl Timer {
     /// Number of timers.
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 15;
 
     /// All timers, in declaration order.
     pub const ALL: [Timer; Timer::COUNT] = [
@@ -276,6 +285,7 @@ impl Timer {
         Timer::IntegrityNs,
         Timer::MttrNs,
         Timer::FailoverReconstructNs,
+        Timer::ScheduleBuildNs,
     ];
 
     /// Stable snake_case name (used in exports).
@@ -295,6 +305,7 @@ impl Timer {
             Timer::IntegrityNs => "integrity_ns",
             Timer::MttrNs => "mttr_ns",
             Timer::FailoverReconstructNs => "failover_reconstruct_ns",
+            Timer::ScheduleBuildNs => "schedule_build_ns",
         }
     }
 
@@ -315,6 +326,7 @@ impl Timer {
             Timer::IntegrityNs => "Time sealing, verifying, and checksumming instances (ns)",
             Timer::MttrNs => "Mean-time-to-repair per failover attempt (ns)",
             Timer::FailoverReconstructNs => "Time reconstructing dead-shard instances (ns)",
+            Timer::ScheduleBuildNs => "Time building an exchange schedule, per build (ns)",
         }
     }
 
@@ -1036,18 +1048,29 @@ mod tests {
         set.counters[Counter::JobsAdmitted.index()] = 1;
         set.timers[Timer::QueueWaitNs.index()].record(700); // bucket 9
         set.timers[Timer::QueueWaitNs.index()].record(1 << 62); // overflow bucket
+        set.counters[Counter::ScheduleBuilds.index()] = 1;
+        set.timers[Timer::ScheduleBuildNs.index()].record(3); // bucket 1
         registry.absorb("tenant-1/quote\"back\\slash", &set);
         let prom = registry.to_prometheus();
         let expected = "\
 # HELP regent_jobs_admitted_total Jobs admitted into a service shard pool
 # TYPE regent_jobs_admitted_total counter
 regent_jobs_admitted_total{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
+# HELP regent_schedule_builds_total Exchange schedules built (cache misses)
+# TYPE regent_schedule_builds_total counter
+regent_schedule_builds_total{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
 # HELP regent_queue_wait_ns Time a job waited in the service admission queue (ns)
 # TYPE regent_queue_wait_ns histogram
 regent_queue_wait_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"1024\"} 1
 regent_queue_wait_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"+Inf\"} 2
 regent_queue_wait_ns_sum{shard=\"tenant-1/quote\\\"back\\\\slash\"} 4611686018427388604
 regent_queue_wait_ns_count{shard=\"tenant-1/quote\\\"back\\\\slash\"} 2
+# HELP regent_schedule_build_ns Time building an exchange schedule, per build (ns)
+# TYPE regent_schedule_build_ns histogram
+regent_schedule_build_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"4\"} 1
+regent_schedule_build_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"+Inf\"} 1
+regent_schedule_build_ns_sum{shard=\"tenant-1/quote\\\"back\\\\slash\"} 3
+regent_schedule_build_ns_count{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
 ";
         assert_eq!(prom, expected);
         // Overflow samples must never appear under a finite le bound.

@@ -1,199 +1,36 @@
-//! The dynamic half of the copy intersection optimization (§3.3):
-//! evaluating a compiled [`SpmdProgram`]'s intersection declarations
-//! into concrete exchange pairs before shard execution begins.
-//!
-//! The computation runs in the two phases the paper describes: a
-//! *shallow* pass finds which pairs of subregions overlap at all (via
-//! the interval-tree / BVH structures of `regent-region`), then a
-//! *complete* pass computes the exact shared element sets for the
-//! surviving pairs only. Both phases are timed — these are the numbers
-//! Table 1 reports.
+//! The runtime's view of the exchange schedule (§3.3). The schedule
+//! itself — pairs, element sets, gather/scatter offsets — is built and
+//! memoized by `regent_cr::schedule`; this module re-exports its types
+//! and gives every SPMD-family executor one way to obtain it that also
+//! accounts for what the run paid.
 
-use regent_cr::{CopySource, SpmdProgram, UseBase};
-use regent_geometry::Domain;
-use regent_region::intersect::shallow_intersections_of;
-use regent_region::Color;
+use crate::metrics::{self, Counter, Timer};
+use regent_cr::SpmdProgram;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Identifies one physical instance held by some shard.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub enum InstKey {
-    /// Instance of use `u` for partition color `c`.
-    UsePart(u32, Color),
-    /// Shard-replicated whole-region instance of use `u` on `shard`.
-    UseWhole(u32, u32),
-    /// Reduction-temp instance of temp `t` for color `c`.
-    TempPart(u32, Color),
-    /// Whole-region reduction temp of temp `t` on `shard`.
-    TempWhole(u32, u32),
-}
+pub use regent_cr::schedule::{
+    build_exchange_plan, ExchangePlan, ExchangeSchedule, InstKey, PairPlan, SetupStats,
+};
 
-/// One concrete exchange: move `elements` of the copy's fields from the
-/// producer's instance to the consumer's.
-#[derive(Clone, Debug)]
-pub struct PairPlan {
-    /// Shard executing the send (owner of the source instance).
-    pub src_owner: usize,
-    /// Shard applying the data (owner of the destination instance).
-    pub dst_owner: usize,
-    /// Source instance.
-    pub src_key: InstKey,
-    /// Destination instance.
-    pub dst_key: InstKey,
-    /// Exact elements exchanged (non-empty).
-    pub elements: Domain,
-    /// Global ordering key: position of the source child in its launch
-    /// domain (applying pairs in this order reproduces the sequential
-    /// fold order for reductions).
-    pub order: usize,
-}
-
-/// Timings and sizes of the dynamic intersection computation (Table 1).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SetupStats {
-    /// Wall time of the shallow (which-pairs) phase, seconds.
-    pub shallow_seconds: f64,
-    /// Wall time of the complete (exact-elements) phase, seconds.
-    pub complete_seconds: f64,
-    /// Total surviving pairs across all intersection declarations.
-    pub num_pairs: usize,
-    /// Total elements across all pair element sets.
-    pub total_elements: u64,
-}
-
-/// The evaluated exchange plan: per-intersection pair lists, globally
-/// ordered.
-pub struct ExchangePlan {
-    /// Pair lists indexed by `IntersectId`.
-    pub pairs: Vec<Vec<PairPlan>>,
-    /// Timing/size statistics.
-    pub setup: SetupStats,
-}
-
-/// One child of a source/destination shape: `(owner shard, instance
-/// key, covered elements, global order)`.
-type ShapeChild = (usize, InstKey, Domain, usize);
-
-fn part_children(
-    spmd: &SpmdProgram,
-    part: regent_region::PartitionId,
-    domain: regent_cr::DomainId,
-    mk: impl Fn(Color) -> InstKey,
-) -> Vec<ShapeChild> {
-    let colors = &spmd.launch_domains[domain.0 as usize];
-    colors
-        .iter()
-        .enumerate()
-        .map(|(pos, &c)| {
-            let sub = spmd.forest.subregion(part, c);
-            (
-                spmd.owner_of_pos(domain, pos),
-                mk(c),
-                spmd.forest.domain(sub).clone(),
-                pos,
-            )
-        })
-        .collect()
-}
-
-fn whole_children(
-    spmd: &SpmdProgram,
-    region: regent_region::RegionId,
-    mk: impl Fn(u32) -> InstKey,
-) -> Vec<ShapeChild> {
-    let dom = spmd.forest.domain(region).clone();
-    (0..spmd.num_shards)
-        .map(|s| (s, mk(s as u32), dom.clone(), s))
-        .collect()
-}
-
-fn source_shape(spmd: &SpmdProgram, src: CopySource) -> Vec<ShapeChild> {
-    match src {
-        CopySource::Use(u) => {
-            let decl = &spmd.uses[u];
-            match decl.base {
-                UseBase::Part(p) => {
-                    part_children(spmd, p, decl.domain, |c| InstKey::UsePart(u as u32, c))
-                }
-                UseBase::Whole(r) => whole_children(spmd, r, |s| InstKey::UseWhole(u as u32, s)),
-            }
-        }
-        CopySource::Temp(t) => {
-            let decl = &spmd.temps[t.0 as usize];
-            match decl.base {
-                UseBase::Part(p) => {
-                    part_children(spmd, p, decl.domain, |c| InstKey::TempPart(t.0, c))
-                }
-                UseBase::Whole(r) => whole_children(spmd, r, |s| InstKey::TempWhole(t.0, s)),
-            }
-        }
-    }
-}
-
-fn dest_shape(spmd: &SpmdProgram, dst: usize) -> Vec<ShapeChild> {
-    let decl = &spmd.uses[dst];
-    match decl.base {
-        UseBase::Part(p) => {
-            part_children(spmd, p, decl.domain, |c| InstKey::UsePart(dst as u32, c))
-        }
-        UseBase::Whole(r) => whole_children(spmd, r, |s| InstKey::UseWhole(dst as u32, s)),
-    }
-}
-
-/// Evaluates every intersection declaration of the program.
-pub fn build_exchange_plan(spmd: &SpmdProgram) -> ExchangePlan {
-    let mut pairs: Vec<Vec<PairPlan>> = Vec::with_capacity(spmd.intersects.len());
-    let mut setup = SetupStats::default();
-    for decl in &spmd.intersects {
-        let src = source_shape(spmd, decl.src);
-        let dst = dest_shape(spmd, decl.dst);
-
-        // Shallow phase: which (src child, dst child) pairs overlap.
-        let t0 = Instant::now();
-        let shallow: Vec<(usize, usize)> = {
-            let src_list: Vec<(Color, Domain)> = src
-                .iter()
-                .enumerate()
-                .map(|(i, (_, _, d, _))| (Color::from(i as i64), d.clone()))
-                .collect();
-            let dst_list: Vec<(Color, Domain)> = dst
-                .iter()
-                .enumerate()
-                .map(|(j, (_, _, d, _))| (Color::from(j as i64), d.clone()))
-                .collect();
-            shallow_intersections_of(&src_list, &dst_list)
-                .into_iter()
-                .map(|p| (p.src.coord(0) as usize, p.dst.coord(0) as usize))
-                .collect()
+/// The schedule a run of `spmd` executes, and the [`SetupStats`] that
+/// run reports: the sizes always, the inspector timings only when this
+/// call built the schedule (0 when it was already cached). Builds are
+/// counted and timed on the always-on metrics registry.
+pub(crate) fn schedule_for_run(spmd: &SpmdProgram) -> (Arc<ExchangeSchedule>, SetupStats) {
+    let t0 = Instant::now();
+    let (schedule, built) = spmd.schedule();
+    let mut setup = schedule.setup;
+    if built {
+        let mut mx = metrics::global().handle("schedule");
+        mx.incr(Counter::ScheduleBuilds);
+        mx.record_ns(Timer::ScheduleBuildNs, t0.elapsed().as_nanos() as u64);
+    } else {
+        setup = SetupStats {
+            num_pairs: setup.num_pairs,
+            total_elements: setup.total_elements,
+            ..SetupStats::default()
         };
-        setup.shallow_seconds += t0.elapsed().as_secs_f64();
-
-        // Complete phase: exact element sets for surviving pairs.
-        let t1 = Instant::now();
-        let mut list: Vec<PairPlan> = shallow
-            .into_iter()
-            .map(|(i, j)| {
-                let (so, sk, sd, spos) = &src[i];
-                let (do_, dk, dd, _) = &dst[j];
-                PairPlan {
-                    src_owner: *so,
-                    dst_owner: *do_,
-                    src_key: *sk,
-                    dst_key: *dk,
-                    elements: sd.intersect(dd),
-                    order: *spos,
-                }
-            })
-            .filter(|p| !p.elements.is_empty())
-            .collect();
-        // Global deterministic order: source position, then destination
-        // key — this is the order consumers apply data in, which
-        // reproduces sequential fold order for reductions.
-        list.sort_by_key(|a| (a.order, a.dst_key));
-        setup.complete_seconds += t1.elapsed().as_secs_f64();
-        setup.num_pairs += list.len();
-        setup.total_elements += list.iter().map(|p| p.elements.volume()).sum::<u64>();
-        pairs.push(list);
     }
-    ExchangePlan { pairs, setup }
+    (schedule, setup)
 }

@@ -85,11 +85,13 @@ use crate::cancel::CancelToken;
 use crate::collective::{hang_timeout, DynamicCollective, FramedScalar, ShardBarrier};
 use crate::memo::MemoCache;
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
-use crate::plan::{build_exchange_plan, ExchangePlan, InstKey, PairPlan, SetupStats};
+use crate::plan::{schedule_for_run, ExchangeSchedule, InstKey, PairPlan, SetupStats};
 use crate::pool::{clone_insts_into, ChunkPool};
 use crate::ring::{self, CopyRx, CopyTx};
 use regent_cr::spmd::block_range;
-use regent_cr::{CopyId, CopyStmt, SpmdArg, SpmdLaunch, SpmdProgram, SpmdStmt, TempId, UseBase};
+use regent_cr::{
+    CopyId, CopySource, CopyStmt, SpmdArg, SpmdLaunch, SpmdProgram, SpmdStmt, TempId, UseBase,
+};
 use regent_fault::{message_key, DeathCause, FaultPlan, PeerDeath, RetryPolicy, SHARD_LOSS_PREFIX};
 use regent_geometry::{Domain, DynPoint};
 use regent_ir::{ArgSlot, Privilege, Store, TaskCtx};
@@ -392,7 +394,9 @@ impl DeathBoard {
 pub struct SpmdRunResult {
     /// Final scalar environment (identical on all shards; shard 0's).
     pub env: Vec<f64>,
-    /// Dynamic intersection timings (Table 1).
+    /// Dynamic intersection sizes and timings (Table 1). The timings
+    /// are what *this run* paid: 0 when the program's exchange
+    /// schedule was already built by an earlier run.
     pub setup: SetupStats,
     /// Aggregated execution statistics.
     pub stats: ShardStats,
@@ -489,7 +493,7 @@ fn execute_spmd_inner(
     tracer: &Arc<Tracer>,
     resilience: Option<&ResilienceOptions>,
 ) -> SpmdRunResult {
-    let plan = build_exchange_plan(spmd);
+    let (schedule, setup) = schedule_for_run(spmd);
     let ns = spmd.num_shards;
     let collective = DynamicCollective::new(ns);
     let barrier = ShardBarrier::new(ns);
@@ -517,7 +521,7 @@ fn execute_spmd_inner(
         // shard dies, its senders drop and every peer blocked on a
         // receive from it unwinds immediately instead of timing out.
         for (shard, (rx_row, tx_row)) in receivers.into_iter().zip(senders).enumerate() {
-            let plan = &plan;
+            let schedule = &*schedule;
             let collective = &collective;
             let barrier = &barrier;
             let store_ref: &Store = store;
@@ -538,43 +542,20 @@ fn execute_spmd_inner(
                 if pin {
                     ring::pin_thread_to_core(shard);
                 }
-                let mut data = allocate_shard_data(spmd, shard, store_ref);
-                if resilience.is_some_and(|o| o.integrity || o.plan.corrupt_rate > 0.0) {
-                    // Initial seal: from here on every instance is
-                    // verified at each epoch boundary.
-                    for inst in data.insts.values_mut() {
-                        inst.seal();
-                    }
-                }
-                let mut shard_exec = ShardExec {
+                let mut shard_exec = ShardExec::new(
                     spmd,
-                    plan,
+                    schedule,
                     shard,
-                    data,
-                    env: init_env.clone(),
-                    tx: tx_row,
-                    rx: rx_row,
-                    collective,
-                    barrier,
-                    stats: ShardStats::default(),
-                    local_queue: HashMap::new(),
-                    offset_cache: HashMap::new(),
-                    tb: tracer.buffer(&format!("shard-{shard}")),
-                    mx: metrics::global().handle(&format!("shard-{shard}")),
-                    launch_seq: 0,
-                    loop_depth: 0,
-                    copy_occurrence: HashMap::new(),
-                    collective_seq: 0,
-                    epoch: 0,
-                    replay_until: 0,
-                    resilience: resilience.map(|o| {
-                        let mut r = Resilience::new(o);
-                        r.resume = resume;
-                        r
-                    }),
-                    outer_loop_seq: 0,
-                    pool: ChunkPool::new(),
-                };
+                    store_ref,
+                    init_env.clone(),
+                    (tx_row, rx_row),
+                    (collective, barrier),
+                    &tracer,
+                    resilience,
+                );
+                if let Some(r) = shard_exec.resilience.as_mut() {
+                    r.resume = resume;
+                }
                 shard_exec.run_stmts(&spmd.body);
                 shard_exec.flush_pool_metrics();
                 shard_exec.tb.flush();
@@ -646,7 +627,7 @@ fn execute_spmd_inner(
 
     SpmdRunResult {
         env: env0.unwrap_or_default(),
-        setup: plan.setup,
+        setup,
         stats: agg,
         per_shard,
     }
@@ -776,7 +757,7 @@ pub(crate) struct Resilience {
 }
 
 impl Resilience {
-    pub(crate) fn new(opts: &ResilienceOptions) -> Resilience {
+    fn new(opts: &ResilienceOptions) -> Resilience {
         Resilience {
             schedule: opts
                 .plan
@@ -1004,7 +985,7 @@ impl ShardData {
 /// Allocates and initializes a shard's instances: one per owned
 /// partition color per use, one replica per whole-region use, and the
 /// reduction temporaries (§3.1 initialization + §4.3 temps).
-pub(crate) fn allocate_shard_data(spmd: &SpmdProgram, shard: usize, store: &Store) -> ShardData {
+fn allocate_shard_data(spmd: &SpmdProgram, shard: usize, store: &Store) -> ShardData {
     let mut insts = HashMap::new();
     for (u, decl) in spmd.uses.iter().enumerate() {
         if !decl.needs_instances() {
@@ -1063,7 +1044,9 @@ pub(crate) fn allocate_shard_data(spmd: &SpmdProgram, shard: usize, store: &Stor
 /// strategies.
 pub(crate) struct ShardExec<'a> {
     pub(crate) spmd: &'a SpmdProgram,
-    pub(crate) plan: &'a ExchangePlan,
+    /// The program's exchange schedule (pairs plus gather/scatter
+    /// offsets), shared read-only with every other shard and run.
+    pub(crate) schedule: &'a ExchangeSchedule,
     pub(crate) shard: usize,
     pub(crate) data: ShardData,
     pub(crate) env: Vec<f64>,
@@ -1072,13 +1055,6 @@ pub(crate) struct ShardExec<'a> {
     pub(crate) collective: &'a DynamicCollective,
     pub(crate) barrier: &'a ShardBarrier,
     pub(crate) stats: ShardStats,
-    /// Payloads for self-pairs (producer == consumer == this shard),
-    /// keyed by (copy id, pair seq). Self-pairs never leave the
-    /// shard's memory, so they are exempt from in-flight corruption.
-    pub(crate) local_queue: HashMap<(u32, u32), CopyMsg>,
-    /// Memoized element→storage-offset lists per (intersection, pair,
-    /// side): copies run every iteration, the offsets never change.
-    pub(crate) offset_cache: HashMap<(u32, u32, bool), std::sync::Arc<Vec<usize>>>,
     /// Event recorder for this shard's track.
     pub(crate) tb: TraceBuf,
     /// Always-on metrics recorder for this shard (merged into the
@@ -1117,6 +1093,54 @@ pub(crate) struct ShardExec<'a> {
 }
 
 impl<'a> ShardExec<'a> {
+    /// A shard's engine at the start of a run: instances allocated and
+    /// filled from `store` (sealed when the integrity layer is on),
+    /// every counter at zero.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        spmd: &'a SpmdProgram,
+        schedule: &'a ExchangeSchedule,
+        shard: usize,
+        store: &Store,
+        env: Vec<f64>,
+        (tx, rx): (Vec<CopyTx<CopyMsg>>, Vec<CopyRx<CopyMsg>>),
+        (collective, barrier): (&'a DynamicCollective, &'a ShardBarrier),
+        tracer: &Arc<Tracer>,
+        resilience: Option<&ResilienceOptions>,
+    ) -> Self {
+        let mut data = allocate_shard_data(spmd, shard, store);
+        if resilience.is_some_and(|o| o.integrity || o.plan.corrupt_rate > 0.0) {
+            // Initial seal: from here on every instance is verified at
+            // each epoch boundary.
+            for inst in data.insts.values_mut() {
+                inst.seal();
+            }
+        }
+        ShardExec {
+            spmd,
+            schedule,
+            shard,
+            data,
+            env,
+            tx,
+            rx,
+            collective,
+            barrier,
+            stats: ShardStats::default(),
+            tb: tracer.buffer(&format!("shard-{shard}")),
+            mx: metrics::global().handle(&format!("shard-{shard}")),
+            launch_seq: 0,
+            loop_depth: 0,
+            copy_occurrence: HashMap::new(),
+            collective_seq: 0,
+            epoch: 0,
+            replay_until: 0,
+            resilience: resilience.map(Resilience::new),
+            outer_loop_seq: 0,
+            pool: ChunkPool::new(),
+        }
+    }
+
     pub(crate) fn run_stmts(&mut self, stmts: &[SpmdStmt]) {
         for s in stmts {
             self.run_stmt(s);
@@ -1499,7 +1523,15 @@ impl<'a> ShardExec<'a> {
         if self.useful_work() {
             self.stats.copies_executed += 1;
         }
-        let pairs: &[PairPlan] = &self.plan.pairs[c.intersection.0 as usize];
+        // Same-shard pairs read their source at apply time, which is
+        // only equivalent to reading it at issue time because no pair
+        // of this statement writes an instance another pair reads.
+        assert!(
+            c.src != CopySource::Use(c.dst),
+            "copy {} has the same use as source and destination",
+            c.id.0
+        );
+        let pairs: &[PairPlan] = &self.schedule.pairs[c.intersection.0 as usize];
         let traced = self.tb.is_enabled();
         let integrity = self.integrity_on();
         let copy_fields_mask = if traced {
@@ -1514,21 +1546,16 @@ impl<'a> ShardExec<'a> {
             }
             let t0 = self.tb.now();
             let m0 = self.mx.start();
-            let offs = offsets_for(
-                &mut self.offset_cache,
-                &self.data,
-                c.intersection.0,
-                seq as u32,
-                true,
-                &p.src_key,
-                &p.elements,
-            );
-            let chunks = extract(
-                &mut self.pool,
-                &self.data.insts[&p.src_key],
-                &c.fields,
-                &offs,
-            );
+            // A pair that stays on this shard has nothing to stage: the
+            // consumer phase moves it instance to instance.
+            let chunks = (p.dst_owner != self.shard).then(|| {
+                extract(
+                    &mut self.pool,
+                    &self.data.insts[&p.src_key],
+                    &c.fields,
+                    &p.src_offsets,
+                )
+            });
             // The occurrence number is part of the corruption key, so
             // it must advance whenever the integrity layer is on, not
             // just when tracing.
@@ -1544,29 +1571,18 @@ impl<'a> ShardExec<'a> {
                         copy: c.id.0,
                         pair: seq as u32,
                         seq: occurrence,
-                        elements: p.elements.volume(),
+                        elements: p.src_offsets.len() as u64,
                         dst_shard: p.dst_owner as u32,
                     },
                 );
             }
-            if p.dst_owner == self.shard {
-                self.local_queue.insert(
-                    (c.id.0, seq as u32),
-                    CopyMsg {
-                        copy: c.id,
-                        pair_seq: seq as u32,
-                        attempt: 0,
-                        checksum: 0,
-                        chunks,
-                    },
-                );
-            } else {
+            if let Some(chunks) = chunks {
                 // Work counters count logical messages, not integrity
                 // retransmissions (those are visible through the
                 // corruption counters instead).
                 if self.useful_work() {
                     self.stats.messages_sent += 1;
-                    self.stats.elements_sent += p.elements.volume();
+                    self.stats.elements_sent += p.src_offsets.len() as u64;
                 }
                 if integrity {
                     self.send_framed(c.id, seq as u32, occurrence, p.dst_owner, chunks);
@@ -1608,16 +1624,7 @@ impl<'a> ShardExec<'a> {
             let t0 = self.tb.now();
             let m0 = self.mx.start();
             let chunks = if p.src_owner == self.shard {
-                self.local_queue
-                    .remove(&(c.id.0, seq as u32))
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "shard {}: missing local payload for copy {} pair {} \
-                             (copy protocol desynchronized)",
-                            self.shard, c.id.0, seq
-                        )
-                    })
-                    .chunks
+                None
             } else {
                 // Under the integrity protocol a logical payload may
                 // arrive as several frames: the producer's corruption
@@ -1698,25 +1705,39 @@ impl<'a> ShardExec<'a> {
                         attempts: bad_attempts,
                     });
                 }
-                msg.chunks
+                Some(msg.chunks)
             };
-            let offs = offsets_for(
-                &mut self.offset_cache,
-                &self.data,
-                c.intersection.0,
-                seq as u32,
-                false,
-                &p.dst_key,
-                &p.elements,
-            );
-            let dst = self.data.insts.get_mut(&p.dst_key).unwrap_or_else(|| {
+            let missing = |key: &InstKey| -> ! {
                 panic!(
-                    "shard {}: destination instance {:?} for copy {} pair {} missing \
-                     (exchange plan inconsistent with allocation)",
-                    self.shard, p.dst_key, c.id.0, seq
+                    "shard {}: instance {key:?} for copy {} pair {seq} missing \
+                     (exchange schedule inconsistent with allocation)",
+                    self.shard, c.id.0
                 )
-            });
-            apply(dst, &c.fields, &offs, &chunks, c.reduction);
+            };
+            let dst = match chunks {
+                Some(chunks) => {
+                    let dst = self
+                        .data
+                        .insts
+                        .get_mut(&p.dst_key)
+                        .unwrap_or_else(|| missing(&p.dst_key));
+                    apply(dst, &c.fields, &p.dst_offsets, &chunks, c.reduction);
+                    // The drained payload feeds the freelist the
+                    // producer side draws from — steady state
+                    // allocates nothing.
+                    recycle_chunks(&mut self.pool, chunks);
+                    dst
+                }
+                None => {
+                    // Source and destination are instances of different
+                    // uses (asserted above), so the keys are disjoint.
+                    let [src, dst] = self.data.insts.get_disjoint_mut([&p.src_key, &p.dst_key]);
+                    let src = src.unwrap_or_else(|| missing(&p.src_key));
+                    let dst = dst.unwrap_or_else(|| missing(&p.dst_key));
+                    apply_local(src, dst, &c.fields, p, c.reduction);
+                    dst
+                }
+            };
             if integrity {
                 // The applied data is verified; the written columns
                 // become authoritative again.
@@ -1724,9 +1745,6 @@ impl<'a> ShardExec<'a> {
                 dst.seal_fields(&c.fields);
                 self.mx.record_cpu_since(m0, Timer::IntegrityNs);
             }
-            // The drained payload feeds the freelist the producer side
-            // draws from — steady state allocates nothing.
-            recycle_chunks(&mut self.pool, chunks);
             self.mx.incr(Counter::CopiesApplied);
             self.mx.record_since(m0, Timer::CopyWaitNs);
             if traced {
@@ -2232,37 +2250,6 @@ impl<'a> ShardExec<'a> {
     }
 }
 
-/// Computes (and memoizes) the storage offsets of a pair's elements in
-/// the given shard-local instance. Copies execute every loop
-/// iteration; the offsets never change, so this is paid once.
-#[allow(clippy::too_many_arguments)]
-fn offsets_for(
-    cache: &mut HashMap<(u32, u32, bool), std::sync::Arc<Vec<usize>>>,
-    data: &ShardData,
-    intersection: u32,
-    seq: u32,
-    is_src: bool,
-    key: &InstKey,
-    elements: &Domain,
-) -> std::sync::Arc<Vec<usize>> {
-    if let Some(v) = cache.get(&(intersection, seq, is_src)) {
-        return std::sync::Arc::clone(v);
-    }
-    let inst = &data.insts[key];
-    let ix = inst.indexer();
-    let offsets: Vec<usize> = elements
-        .iter()
-        .map(|p| {
-            ix.offset_of(p).unwrap_or_else(|| {
-                panic!("pair element {p:?} outside instance {key:?} (exchange plan inconsistent)")
-            }) as usize
-        })
-        .collect();
-    let arc = std::sync::Arc::new(offsets);
-    cache.insert((intersection, seq, is_src), std::sync::Arc::clone(&arc));
-    arc
-}
-
 /// Extracts field payloads at precomputed offsets (canonical element
 /// order of the pair's intersection). Buffers come from the shard's
 /// [`ChunkPool`] so steady-state exchanges never hit the allocator.
@@ -2270,25 +2257,20 @@ fn extract(
     pool: &mut ChunkPool,
     inst: &Instance,
     fields: &[FieldId],
-    offsets: &[usize],
+    offsets: &[u32],
 ) -> Vec<Chunk> {
     fields
         .iter()
-        .map(|&f| {
-            // Column type probed via the instance accessors.
-            match column_kind(inst, f) {
-                Kind::F64 => {
-                    let col = inst.f64_col(f);
-                    let mut v = pool.take_f64(offsets.len());
-                    v.extend(offsets.iter().map(|&o| col[o]));
-                    Chunk::F64(v)
-                }
-                Kind::I64 => {
-                    let col = inst.i64_col(f);
-                    let mut v = pool.take_i64(offsets.len());
-                    v.extend(offsets.iter().map(|&o| col[o]));
-                    Chunk::I64(v)
-                }
+        .map(|&f| match inst.column(f) {
+            ColumnData::F64(col) => {
+                let mut v = pool.take_f64(offsets.len());
+                v.extend(offsets.iter().map(|&o| col[o as usize]));
+                Chunk::F64(v)
+            }
+            ColumnData::I64(col) => {
+                let mut v = pool.take_i64(offsets.len());
+                v.extend(offsets.iter().map(|&o| col[o as usize]));
+                Chunk::I64(v)
             }
         })
         .collect()
@@ -2330,58 +2312,72 @@ fn push_frame(
     }
 }
 
-enum Kind {
-    F64,
-    I64,
-}
-
-fn column_kind(inst: &Instance, f: FieldId) -> Kind {
-    match inst.column(f) {
-        ColumnData::F64(_) => Kind::F64,
-        ColumnData::I64(_) => Kind::I64,
-    }
-}
-
 /// Applies field payloads at precomputed offsets, either overwriting
 /// or folding (§4.3 reduction copies).
 fn apply(
     inst: &mut Instance,
     fields: &[FieldId],
-    offsets: &[usize],
+    offsets: &[u32],
     chunks: &[Chunk],
     reduction: Option<ReductionOp>,
 ) {
     for (&f, chunk) in fields.iter().zip(chunks) {
         match chunk {
             Chunk::F64(vals) => {
-                let col = inst.f64_col_mut(f);
-                match reduction {
-                    None => {
-                        for (&o, &v) in offsets.iter().zip(vals) {
-                            col[o] = v;
-                        }
-                    }
-                    Some(op) => {
-                        for (&o, &v) in offsets.iter().zip(vals) {
-                            col[o] = op.fold(col[o], v);
-                        }
-                    }
-                }
+                let fold = reduction.map(|op| move |a, b| op.fold(a, b));
+                scatter(inst.f64_col_mut(f), offsets, vals.iter().copied(), fold)
             }
             Chunk::I64(vals) => {
-                let col = inst.i64_col_mut(f);
-                match reduction {
-                    None => {
-                        for (&o, &v) in offsets.iter().zip(vals) {
-                            col[o] = v;
-                        }
-                    }
-                    Some(op) => {
-                        for (&o, &v) in offsets.iter().zip(vals) {
-                            col[o] = op.fold_i64(col[o], v);
-                        }
-                    }
-                }
+                let fold = reduction.map(|op| move |a, b| op.fold_i64(a, b));
+                scatter(inst.i64_col_mut(f), offsets, vals.iter().copied(), fold)
+            }
+        }
+    }
+}
+
+/// A same-shard pair: gathers from `src` and scatters into `dst` in one
+/// pass over the pair's offset tables, in the same element order and
+/// with the same per-element fold a staged payload would have seen.
+fn apply_local(
+    src: &Instance,
+    dst: &mut Instance,
+    fields: &[FieldId],
+    pair: &PairPlan,
+    reduction: Option<ReductionOp>,
+) {
+    let gather = pair.src_offsets.iter().map(|&o| o as usize);
+    for &f in fields {
+        match src.column(f) {
+            ColumnData::F64(from) => {
+                let fold = reduction.map(|op| move |a, b| op.fold(a, b));
+                let vals = gather.clone().map(|o| from[o]);
+                scatter(dst.f64_col_mut(f), &pair.dst_offsets, vals, fold)
+            }
+            ColumnData::I64(from) => {
+                let fold = reduction.map(|op| move |a, b| op.fold_i64(a, b));
+                let vals = gather.clone().map(|o| from[o]);
+                scatter(dst.i64_col_mut(f), &pair.dst_offsets, vals, fold)
+            }
+        }
+    }
+}
+
+/// Writes `vals` to `col` at `offsets`, through `fold` when given.
+fn scatter<T: Copy>(
+    col: &mut [T],
+    offsets: &[u32],
+    vals: impl Iterator<Item = T>,
+    fold: Option<impl Fn(T, T) -> T>,
+) {
+    match fold {
+        None => {
+            for (&o, v) in offsets.iter().zip(vals) {
+                col[o as usize] = v;
+            }
+        }
+        Some(fold) => {
+            for (&o, v) in offsets.iter().zip(vals) {
+                col[o as usize] = fold(col[o as usize], v);
             }
         }
     }

@@ -1,13 +1,36 @@
-//! Tests of the exchange-plan evaluation (§3.3): pair ownership,
-//! ordering, element exactness, and the scale-invariance property the
-//! paper relies on (O(1) intersections per region for halo patterns).
+//! Tests of the exchange-schedule evaluation (§3.3): pair ownership,
+//! ordering, element exactness, the scale-invariance property the
+//! paper relies on (O(1) intersections per region for halo patterns),
+//! and the memoization contract — built once per program and shard
+//! count, replayed by every later run.
 
-use regent_cr::{control_replicate, CrOptions};
+use regent_cr::{control_replicate, CrOptions, SpmdProgram};
 use regent_geometry::{Domain, DynPoint};
-use regent_ir::{expr::c, Program, ProgramBuilder, RegionArg, RegionParam, TaskDecl};
-use regent_region::{ops, FieldSpace, FieldType};
-use regent_runtime::{build_exchange_plan, InstKey};
-use std::sync::Arc;
+use regent_ir::{
+    expr::c, KernelFn, Program, ProgramBuilder, RegionArg, RegionParam, Store, TaskDecl,
+};
+use regent_region::{ops, FieldId, FieldSpace, FieldType};
+use regent_runtime::{build_exchange_plan, execute_spmd, metrics, Counter, InstKey};
+use std::sync::{Arc, Mutex};
+
+/// `out[p] ← out[p]/2 + (sum of `halo` over p-1, p, p+1 where held)/4 + 1`
+/// — a kernel whose result depends on every exchanged element.
+fn smooth(out: FieldId, halo: FieldId) -> KernelFn {
+    Arc::new(move |ctx| {
+        let (own, ghost) = (ctx.domain(0).clone(), ctx.domain(1).clone());
+        for p in own.iter() {
+            let mut acc = 0.0;
+            for d in -1..=1 {
+                let q = DynPoint::from(p.coord(0) + d);
+                if ghost.contains(q) {
+                    acc += ctx.read_f64(1, halo, q);
+                }
+            }
+            let v = ctx.read_f64(0, out, p);
+            ctx.write_f64(0, out, p, 0.5 * v + 0.25 * acc + 1.0);
+        }
+    })
+}
 
 /// Simple halo program: write blocks, read ±1 halos.
 fn halo_program(n: u64, parts: usize) -> Program {
@@ -27,7 +50,7 @@ fn halo_program(n: u64, parts: usize) -> Program {
         params: vec![RegionParam::read_write(&[x]), RegionParam::read(&[y])],
         num_scalar_args: 0,
         returns_value: false,
-        kernel: Arc::new(|_| {}),
+        kernel: smooth(x, y),
         cost_per_element: 1.0,
     });
     let rd = b.task(TaskDecl {
@@ -35,7 +58,7 @@ fn halo_program(n: u64, parts: usize) -> Program {
         params: vec![RegionParam::read_write(&[y]), RegionParam::read(&[x])],
         num_scalar_args: 0,
         returns_value: false,
-        kernel: Arc::new(|_| {}),
+        kernel: smooth(y, x),
         cost_per_element: 1.0,
     });
     let l = b.for_loop(c(2.0));
@@ -200,4 +223,101 @@ fn hierarchical_tree_shrinks_the_plan() {
         hier_plan.setup.total_elements,
         flat_plan.setup.total_elements
     );
+}
+
+/// A store for `prog` with `x[i] = i` and `y[i] = 2i + 1/2`.
+fn initial_store(prog: &Program) -> Store {
+    let mut store = Store::new(prog);
+    let root = prog.root_regions()[0];
+    let fields = prog.forest.fields(root);
+    let (x, y) = (fields.lookup("x").unwrap(), fields.lookup("y").unwrap());
+    let inst = store.instance_mut(prog, root);
+    for p in prog.forest.domain(root).iter() {
+        inst.write_f64(x, p, p.coord(0) as f64);
+        inst.write_f64(y, p, 2.0 * p.coord(0) as f64 + 0.5);
+    }
+    store
+}
+
+/// Runs `spmd` from `store`; returns the scalar environment and the
+/// checksum of the (only) root region's final contents.
+fn run(spmd: &SpmdProgram, mut store: Store) -> (Vec<f64>, u64) {
+    let result = execute_spmd(spmd, &mut store);
+    let root = regent_region::RegionId(0);
+    assert_eq!(spmd.forest.root_of(root), root);
+    (result.env, store.instance_in(&spmd.forest, root).checksum())
+}
+
+/// The tests below run executors, and one of them reads the global
+/// schedule-build counter around a run: they take turns.
+static EXECUTOR_TESTS: Mutex<()> = Mutex::new(());
+
+#[test]
+fn second_run_replays_the_schedule_bit_identically() {
+    let _turn = EXECUTOR_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let prog = halo_program(64, 8);
+    let (first_store, second_store) = (initial_store(&prog), initial_store(&prog));
+    let spmd = control_replicate(prog, &CrOptions::new(4)).unwrap();
+    let builds = || metrics::global().aggregate().get(Counter::ScheduleBuilds);
+
+    let before = builds();
+    let first = run(&spmd, first_store);
+    let between = builds();
+    let second = run(&spmd, second_store);
+    assert_eq!(
+        first, second,
+        "a replayed schedule must not change the result"
+    );
+    assert_eq!(builds() - between, 0, "the second run rebuilt the schedule");
+    if metrics::global().is_enabled() {
+        assert_eq!(between - before, 1, "the first run builds exactly once");
+    }
+    let (schedule, built) = spmd.schedule();
+    assert!(!built);
+    assert_eq!(schedule.num_shards, 4);
+}
+
+#[test]
+fn changing_num_shards_rebuilds_the_schedule() {
+    let _turn = EXECUTOR_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let prog = halo_program(64, 8);
+    let (wide_store, narrow_store) = (initial_store(&prog), initial_store(&prog));
+    let mut spmd = control_replicate(prog, &CrOptions::new(4)).unwrap();
+    let wide = run(&spmd, wide_store);
+    let (at4, _) = spmd.schedule();
+
+    // What failover does to a live program: shrink it in place.
+    spmd.num_shards = 2;
+    let narrow = run(&spmd, narrow_store);
+    let (at2, built) = spmd.schedule();
+    assert!(!built, "the run after the change already rebuilt");
+    assert!(!Arc::ptr_eq(&at4, &at2));
+    assert_eq!(at2.num_shards, 2);
+    assert_eq!(
+        wide, narrow,
+        "the result does not depend on the shard count"
+    );
+
+    // Same schedule, same result as a program compiled for 2 shards.
+    let prog = halo_program(64, 8);
+    let fresh_store = initial_store(&prog);
+    let fresh = control_replicate(prog, &CrOptions::new(2)).unwrap();
+    let fresh_plan = build_exchange_plan(&fresh);
+    assert_eq!(at2.pairs.len(), fresh_plan.pairs.len());
+    for (got, want) in at2
+        .pairs
+        .iter()
+        .flatten()
+        .zip(fresh_plan.pairs.iter().flatten())
+    {
+        assert_eq!(
+            (got.src_owner, got.dst_owner, got.src_key, got.dst_key),
+            (want.src_owner, want.dst_owner, want.src_key, want.dst_key)
+        );
+        assert_eq!(got.elements, want.elements);
+        assert_eq!(got.src_offsets, want.src_offsets);
+        assert_eq!(got.dst_offsets, want.dst_offsets);
+    }
+    assert_eq!(at2.setup.num_pairs, fresh_plan.setup.num_pairs);
+    assert_eq!(run(&fresh, fresh_store), narrow);
 }
