@@ -148,21 +148,40 @@ pub struct ArgSlot {
 }
 
 impl ArgSlot {
-    /// Creates a slot from a raw instance pointer.
+    /// Binds a region argument to a raw instance pointer. A mutating
+    /// privilege drops the seals of the declared fields here, once
+    /// ([`Instance::unseal_fields`]); the kernel's element writes then
+    /// leave the seals alone, so the binder is the only one who ever
+    /// stores to them.
     ///
     /// # Safety
     /// The caller must guarantee that `inst` outlives the [`TaskCtx`]
-    /// and that no other thread accesses the instance with a
-    /// conflicting privilege while the kernel runs. Multiple slots of
-    /// the *same* kernel may alias one instance (kernels are
-    /// single-threaded, and every access is mediated by `TaskCtx`
-    /// methods that never hold two references at once).
+    /// and that, from this call until the kernel returns, no other
+    /// thread accesses the instance's seals or accesses the declared
+    /// fields' elements with a conflicting privilege. Executors that
+    /// run kernels concurrently on one instance bind on a single
+    /// thread (the implicit executor's control thread binds at issue
+    /// time and moves the slot to a worker) and schedule at the
+    /// granularity of *declared fields*: two kernels writing different
+    /// fields of the same elements run unordered. That is sound only
+    /// because kernels cannot reach undeclared fields — `check_field`
+    /// panics on one under `debug_assertions`, which is how the test
+    /// suites run all four applications.
+    ///
+    /// Multiple slots of the *same* kernel may alias one instance
+    /// (kernels are single-threaded, and every access is mediated by
+    /// `TaskCtx` methods that never hold two references at once).
     pub unsafe fn new(
         domain: Domain,
         privilege: Privilege,
         fields: Vec<FieldId>,
         inst: *mut Instance,
     ) -> Self {
+        if privilege.mutates() {
+            // SAFETY: the caller vouches that `inst` is live and that no
+            // other thread is at its seals.
+            unsafe { (*inst).unseal_fields(&fields) };
+        }
         ArgSlot {
             domain,
             privilege,
@@ -182,6 +201,13 @@ impl ArgSlot {
         unsafe { &mut *self.inst }
     }
 }
+
+// SAFETY: `domain`, `privilege` and `fields` are plain owned data. `inst`
+// is the reason the impl is written out: a slot is the permission to
+// touch that instance under the contract of [`ArgSlot::new`], which is
+// stated across threads already; moving the slot to another thread
+// moves the permission, it does not duplicate it.
+unsafe impl Send for ArgSlot {}
 
 /// The execution context handed to a kernel: bound region arguments,
 /// scalar arguments, the launch point, and an optional scalar return.
@@ -277,14 +303,14 @@ impl<'a> TaskCtx<'a> {
     #[inline]
     pub fn write_f64(&mut self, arg: usize, field: FieldId, p: DynPoint, v: f64) {
         self.check_write(arg, field, p);
-        self.slots[arg].inst_mut().write_f64(field, p, v);
+        self.slots[arg].inst_mut().write_f64_bound(field, p, v);
     }
 
     /// Writes an i64 field element.
     #[inline]
     pub fn write_i64(&mut self, arg: usize, field: FieldId, p: DynPoint, v: i64) {
         self.check_write(arg, field, p);
-        self.slots[arg].inst_mut().write_i64(field, p, v);
+        self.slots[arg].inst_mut().write_i64_bound(field, p, v);
     }
 
     #[inline]
@@ -313,7 +339,7 @@ impl<'a> TaskCtx<'a> {
             Privilege::Reduce(op) => op,
             _ => panic!("reduce on region argument {arg} without reduce privilege"),
         };
-        self.slots[arg].inst_mut().reduce_f64(field, p, op, v);
+        self.slots[arg].inst_mut().reduce_f64_bound(field, p, op, v);
     }
 
     /// Sets the scalar return value.
@@ -384,7 +410,9 @@ mod tests {
         ctx.read_f64(0, x, DynPoint::from(0));
     }
 
+    // `check_point` / `check_field` are debug-mode checks.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "outside the domain")]
     fn subregion_domain_enforced() {
         let (mut inst, x) = make_instance();
@@ -399,6 +427,47 @@ mod tests {
         }];
         let mut ctx = TaskCtx::new(&mut slots, &[], DynPoint::from(0));
         ctx.write_f64(0, x, DynPoint::from(5), 1.0);
+    }
+
+    #[test]
+    fn binding_unseals_exactly_the_declared_fields_of_a_mutating_argument() {
+        let fields = FieldSpace::of(&[
+            ("x", FieldType::F64),
+            ("y", FieldType::F64),
+            ("n", FieldType::I64),
+        ]);
+        let ids: Vec<FieldId> = fields.iter().map(|(id, _)| id).collect();
+        let (x, y, n) = (ids[0], ids[1], ids[2]);
+        for privilege in [
+            Privilege::Read,
+            Privilege::ReadWrite,
+            Privilege::Reduce(ReductionOp::Add),
+        ] {
+            let mut inst = Instance::new(Domain::range(8), &fields);
+            inst.seal();
+            let mut slots =
+                vec![unsafe { ArgSlot::new(Domain::range(8), privilege, vec![x, n], &mut inst) }];
+            let unsealed_by_bind = privilege.mutates();
+            assert_eq!(inst.is_field_sealed(x), !unsealed_by_bind, "{privilege:?}");
+            assert_eq!(inst.is_field_sealed(n), !unsealed_by_bind, "{privilege:?}");
+            assert!(inst.is_field_sealed(y), "{privilege:?}: undeclared field");
+            // Element accesses leave the seals where the bind put them.
+            let mut ctx = TaskCtx::new(&mut slots, &[], DynPoint::from(0));
+            match privilege {
+                Privilege::Read => {
+                    ctx.read_f64(0, x, DynPoint::from(1));
+                }
+                Privilege::ReadWrite => {
+                    ctx.write_f64(0, x, DynPoint::from(1), 2.0);
+                    ctx.write_i64(0, n, DynPoint::from(1), 3);
+                }
+                Privilege::Reduce(_) => ctx.reduce_f64(0, x, DynPoint::from(1), 2.0),
+            }
+            assert!(inst.is_field_sealed(y), "{privilege:?}: undeclared field");
+            // The executor's re-seal point restores a verifiable seal.
+            inst.seal_fields(&[x, n]);
+            assert!(inst.seal_value().is_some() && inst.verify_seal());
+        }
     }
 
     #[test]

@@ -419,6 +419,11 @@ impl Instance {
         Some(h.finish())
     }
 
+    /// True when `field`'s column carries a seal.
+    pub fn is_field_sealed(&self, field: FieldId) -> bool {
+        self.seals[field.0 as usize].is_some()
+    }
+
     /// Verifies the seals against the current contents. Unsealed
     /// columns verify trivially; a sealed column fails only when its
     /// bits changed *without* going through the mutation API — i.e.
@@ -451,13 +456,54 @@ impl Instance {
         true
     }
 
-    /// Mutable f64 column for `field`.
-    pub fn f64_col_mut(&mut self, field: FieldId) -> &mut [f64] {
-        self.seals[field.0 as usize] = None;
+    /// Drops the seals of `fields` — bind-time invalidation. Whoever
+    /// binds a region argument with a mutating privilege calls this
+    /// **once** for the declared fields (`regent_ir::ArgSlot::new`
+    /// does), after which the kernel's element accesses go through the
+    /// `*_bound` methods below, which leave the seals alone. Hoisting
+    /// the invalidation out of the element loop removes a store per
+    /// element written, and — when several tasks share one instance,
+    /// as every task of the implicit executor does — keeps concurrent
+    /// writers of different elements from all storing to one seal slot.
+    pub fn unseal_fields(&mut self, fields: &[FieldId]) {
+        for &f in fields {
+            self.seals[f.0 as usize] = None;
+        }
+    }
+
+    /// The f64 column of `field`, seal untouched.
+    #[inline]
+    fn f64_col_raw(&mut self, field: FieldId) -> &mut [f64] {
         match &mut self.columns[field.0 as usize] {
             ColumnData::F64(v) => v,
             _ => panic!("field {field:?} is not F64"),
         }
+    }
+
+    /// The i64 column of `field`, seal untouched.
+    #[inline]
+    fn i64_col_raw(&mut self, field: FieldId) -> &mut [i64] {
+        match &mut self.columns[field.0 as usize] {
+            ColumnData::I64(v) => v,
+            _ => panic!("field {field:?} is not I64"),
+        }
+    }
+
+    /// The storage offset of `p`.
+    ///
+    /// # Panics
+    /// If `p` is outside the instance's domain.
+    #[inline]
+    fn offset(&self, p: DynPoint) -> usize {
+        self.indexer
+            .offset_of(p)
+            .unwrap_or_else(|| panic!("point {p:?} outside instance domain")) as usize
+    }
+
+    /// Mutable f64 column for `field`.
+    pub fn f64_col_mut(&mut self, field: FieldId) -> &mut [f64] {
+        self.seals[field.0 as usize] = None;
+        self.f64_col_raw(field)
     }
 
     /// Immutable i64 column for `field`.
@@ -471,50 +517,51 @@ impl Instance {
     /// Mutable i64 column for `field`.
     pub fn i64_col_mut(&mut self, field: FieldId) -> &mut [i64] {
         self.seals[field.0 as usize] = None;
-        match &mut self.columns[field.0 as usize] {
-            ColumnData::I64(v) => v,
-            _ => panic!("field {field:?} is not I64"),
-        }
+        self.i64_col_raw(field)
     }
 
     /// Point-wise f64 read.
     #[inline]
     pub fn read_f64(&self, field: FieldId, p: DynPoint) -> f64 {
-        let off = self
-            .indexer
-            .offset_of(p)
-            .unwrap_or_else(|| panic!("point {p:?} outside instance domain"));
-        self.f64_col(field)[off as usize]
+        let off = self.offset(p);
+        self.f64_col(field)[off]
     }
 
     /// Point-wise f64 write.
     #[inline]
     pub fn write_f64(&mut self, field: FieldId, p: DynPoint, v: f64) {
-        let off = self
-            .indexer
-            .offset_of(p)
-            .unwrap_or_else(|| panic!("point {p:?} outside instance domain"));
-        self.f64_col_mut(field)[off as usize] = v;
+        self.seals[field.0 as usize] = None;
+        self.write_f64_bound(field, p, v);
+    }
+
+    /// [`Instance::write_f64`] for a bound argument: the binder already
+    /// dropped the field's seal ([`Instance::unseal_fields`]).
+    #[inline]
+    pub fn write_f64_bound(&mut self, field: FieldId, p: DynPoint, v: f64) {
+        let off = self.offset(p);
+        self.f64_col_raw(field)[off] = v;
     }
 
     /// Point-wise i64 read.
     #[inline]
     pub fn read_i64(&self, field: FieldId, p: DynPoint) -> i64 {
-        let off = self
-            .indexer
-            .offset_of(p)
-            .unwrap_or_else(|| panic!("point {p:?} outside instance domain"));
-        self.i64_col(field)[off as usize]
+        let off = self.offset(p);
+        self.i64_col(field)[off]
     }
 
     /// Point-wise i64 write.
     #[inline]
     pub fn write_i64(&mut self, field: FieldId, p: DynPoint, v: i64) {
-        let off = self
-            .indexer
-            .offset_of(p)
-            .unwrap_or_else(|| panic!("point {p:?} outside instance domain"));
-        self.i64_col_mut(field)[off as usize] = v;
+        self.seals[field.0 as usize] = None;
+        self.write_i64_bound(field, p, v);
+    }
+
+    /// [`Instance::write_i64`] for a bound argument: the binder already
+    /// dropped the field's seal ([`Instance::unseal_fields`]).
+    #[inline]
+    pub fn write_i64_bound(&mut self, field: FieldId, p: DynPoint, v: i64) {
+        let off = self.offset(p);
+        self.i64_col_raw(field)[off] = v;
     }
 
     /// Fills one field's entire column with a constant (used to reset
@@ -530,11 +577,16 @@ impl Instance {
     /// Point-wise reduction fold into an f64 field.
     #[inline]
     pub fn reduce_f64(&mut self, field: FieldId, p: DynPoint, op: ReductionOp, v: f64) {
-        let off = self
-            .indexer
-            .offset_of(p)
-            .unwrap_or_else(|| panic!("point {p:?} outside instance domain"));
-        let cell = &mut self.f64_col_mut(field)[off as usize];
+        self.seals[field.0 as usize] = None;
+        self.reduce_f64_bound(field, p, op, v);
+    }
+
+    /// [`Instance::reduce_f64`] for a bound argument: the binder
+    /// already dropped the field's seal ([`Instance::unseal_fields`]).
+    #[inline]
+    pub fn reduce_f64_bound(&mut self, field: FieldId, p: DynPoint, op: ReductionOp, v: f64) {
+        let off = self.offset(p);
+        let cell = &mut self.f64_col_raw(field)[off];
         *cell = op.fold(*cell, v);
     }
 }
@@ -764,6 +816,19 @@ mod tests {
         inst.seal();
         reduce_fields(&other, &mut inst, &[x], &Domain::range(8), ReductionOp::Add);
         assert_eq!(inst.seal_value(), None);
+        // Bind-time invalidation: `unseal_fields` drops the named seals
+        // once, and the `*_bound` writes that follow touch none.
+        inst.seal();
+        inst.write_f64_bound(x, DynPoint::from(0), 4.0);
+        assert!(inst.is_field_sealed(x), "bound writes leave seals alone");
+        assert!(!inst.verify_seal(), "which is why the binder unseals first");
+        inst.unseal_fields(&[x]);
+        assert!(!inst.is_field_sealed(x) && inst.is_field_sealed(ptr));
+        inst.reduce_f64_bound(x, DynPoint::from(0), ReductionOp::Add, 1.0);
+        inst.write_i64_bound(ptr, DynPoint::from(0), 5);
+        assert_eq!(inst.read_f64(x, DynPoint::from(0)), 5.0);
+        assert_eq!(inst.read_i64(ptr, DynPoint::from(0)), 5);
+        assert!(inst.is_field_sealed(ptr));
         // Clones carry the seal (snapshots stay verified).
         inst.seal();
         let clone = inst.clone();

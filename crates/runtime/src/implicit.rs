@@ -6,10 +6,19 @@
 //! of in-flight tasks (the Legion model of §4.1: "Legion discovers
 //! parallelism between tasks by computing a dynamic dependence graph
 //! over the tasks in an executing program"), and hands ready tasks to a
-//! worker pool. Two tasks conflict when they touch possibly-overlapping
-//! regions with incompatible privileges; the analysis first consults
-//! the region tree (cheap, static) and falls back to exact domain
-//! overlap.
+//! worker pool. Two accesses conflict — and their tasks are ordered —
+//! only when all three hold: the privileges are incompatible, the
+//! declared field sets intersect, and the regions may alias. The first
+//! two are a compare and an `and` of two field masks (the masks the
+//! Spy validator reads from the trace, so executor and certifier apply
+//! one rule); the third is a lookup in the [`AliasTable`], which asks
+//! the region tree and the domains once per region pair.
+//!
+//! The window holds one record per access and stays small because a
+//! record is *retired* as soon as a later mutating access dominates it
+//! (same region or an ancestor, covering its fields): anything that
+//! would conflict with the retired record also conflicts with the
+//! dominating one, and the happens-before graph is transitive.
 //!
 //! This is precisely the architecture whose *per-task control overhead*
 //! grows with the machine: the control thread does O(N) analysis work
@@ -43,10 +52,14 @@
 use crate::mapper::{DefaultMapper, Mapper};
 use crate::memo::{self, EpochTemplate, MemoCache};
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
-use regent_geometry::{Domain, DynPoint};
-use regent_ir::{interp::resolve_arg, ArgSlot, Privilege, Program, Stmt, Store, TaskCtx, TaskId};
-use regent_region::{Instance, RegionId};
+use regent_geometry::DynPoint;
+use regent_ir::{
+    interp::resolve_arg, ArgSlot, IndexLaunch, Privilege, Program, RegionArg, RegionParam, Stmt,
+    Store, TaskCtx, TaskId,
+};
+use regent_region::{Disjointness, Instance, RegionForest, RegionId};
 use regent_trace::{fields_mask, EventKind, PrivCode, TraceBuf, Tracer};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -103,7 +116,8 @@ pub struct ImplicitStats {
     pub dependence_checks: u64,
     /// Dependence edges recorded.
     pub dependence_edges: u64,
-    /// Peak size of the in-flight task window.
+    /// Peak size of the analysis window, in records (one per region
+    /// access of a task that a later task may still have to follow).
     pub max_window: usize,
     /// Epochs captured as reusable memoization templates.
     pub memo_captures: u64,
@@ -117,22 +131,11 @@ pub struct ImplicitStats {
     pub memo_replayed_tasks: u64,
 }
 
-/// Raw instance pointer made sendable; exclusivity is guaranteed by the
-/// dependence analysis (conflicting tasks are ordered by edges).
-struct InstPtr(*mut Instance);
-unsafe impl Send for InstPtr {}
-unsafe impl Sync for InstPtr {}
-
-struct JobArg {
-    domain: Domain,
-    privilege: Privilege,
-    fields: Vec<regent_region::FieldId>,
-    inst: InstPtr,
-}
-
 struct Job {
     task: TaskId,
-    args: Vec<JobArg>,
+    /// The region arguments, bound by the control thread at issue time
+    /// and locked by the one worker that runs the job.
+    slots: Mutex<Vec<ArgSlot>>,
     scalars: Vec<f64>,
     point: DynPoint,
     /// Dynamic launch sequence number (trace identity).
@@ -201,17 +204,10 @@ fn run_job(
     mx: &mut MetricsHandle,
 ) {
     let decl = &tasks[job.task.0 as usize];
-    let mut slots: Vec<ArgSlot> = job
-        .args
-        .iter()
-        .map(|a| {
-            // SAFETY: the dependence graph orders all conflicting
-            // accesses; compatible concurrent accesses are read-read
-            // (or serialized reductions), so constructing aliasing
-            // slots here is race-free.
-            unsafe { ArgSlot::new(a.domain.clone(), a.privilege, a.fields.clone(), a.inst.0) }
-        })
-        .collect();
+    let mut slots = job
+        .slots
+        .lock()
+        .expect("only the worker running the job locks its slots");
     let mut ctx = TaskCtx::new(&mut slots, &job.scalars, job.point);
     let t0 = tb.now();
     let m0 = mx.start();
@@ -242,16 +238,174 @@ fn run_job(
     pool.complete_one();
 }
 
-/// A window record: a task's region accesses and its job handle.
-type WindowRecord = (Vec<(RegionId, Privilege)>, Arc<Job>);
-
-/// Control-thread state: the window of issued, possibly-incomplete
-/// tasks.
-struct Window {
-    records: Vec<WindowRecord>,
+/// One region access of a point task — what the dependence analysis
+/// compares.
+#[derive(Clone, Copy)]
+struct Access {
+    region: RegionId,
+    privilege: Privilege,
+    /// [`fields_mask`] of the declared fields: the value the trace's
+    /// `TaskAccess` event carries and the Spy validator intersects.
+    /// Field ids ≥ 64 wrap, which can only add conflicts.
+    fields: u64,
 }
 
-impl Window {
+impl Access {
+    /// The access a task makes to `region` through `param`.
+    fn new(region: RegionId, param: &RegionParam) -> Self {
+        Access {
+            region,
+            privilege: param.privilege,
+            fields: fields_mask(param.fields.iter().map(|f| f.0)),
+        }
+    }
+
+    /// The conflict rule: incompatible privileges **and** intersecting
+    /// field sets **and** possibly-aliasing regions, cheapest test
+    /// first.
+    #[inline]
+    fn conflicts_with(&self, later: &Access, alias: &mut AliasTable<'_>) -> bool {
+        needs_edge(self.privilege, later.privilege)
+            && self.fields & later.fields != 0
+            && alias.may_alias(self.region, later.region)
+    }
+
+    /// True when `self`, issued after `earlier`, makes `earlier`'s
+    /// window record redundant: `self` mutates (so, reductions being
+    /// serialized, it conflicts with every privilege), covers
+    /// `earlier`'s fields, and names the same region or an ancestor
+    /// (so it contains `earlier`'s elements). Whatever conflicts with
+    /// `earlier` from now on conflicts with `self` too, and `earlier`
+    /// already has its edge to `self`.
+    fn dominates(&self, earlier: &Access, forest: &RegionForest) -> bool {
+        self.privilege.mutates()
+            && earlier.fields & !self.fields == 0
+            && forest.is_ancestor_or_self(self.region, earlier.region)
+    }
+}
+
+/// "May these two regions share elements?", answered once per region
+/// pair.
+///
+/// The verdict — not provably disjoint in the region tree and the
+/// domains overlap — is a function of the forest alone. Computing it
+/// walks two ancestor chains and intersects two rectangle lists; the
+/// window scan asks it for the same few pairs every time step. So the
+/// first answer is kept in a dense triangular table over the regions
+/// compared so far and read back in O(1). The table borrows the forest,
+/// so it cannot outlive a forest version: creating a region or
+/// partition needs `&mut RegionForest`.
+struct AliasTable<'f> {
+    forest: &'f RegionForest,
+    /// `RegionId` → table row; `NO_SLOT` until the region is first
+    /// compared.
+    slot_of: Vec<u32>,
+    rows: u32,
+    /// Verdict of rows `i ≥ j` at `i (i + 1) / 2 + j`.
+    verdicts: Vec<Option<bool>>,
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+impl<'f> AliasTable<'f> {
+    fn new(forest: &'f RegionForest) -> Self {
+        AliasTable {
+            forest,
+            slot_of: vec![NO_SLOT; forest.num_regions()],
+            rows: 0,
+            verdicts: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn slot(&mut self, r: RegionId) -> u32 {
+        let slot = &mut self.slot_of[r.0 as usize];
+        if *slot == NO_SLOT {
+            *slot = self.rows;
+            self.rows += 1;
+            let n = self.rows as usize;
+            self.verdicts.resize(n * (n + 1) / 2, None);
+        }
+        *slot
+    }
+
+    #[inline]
+    fn may_alias(&mut self, a: RegionId, b: RegionId) -> bool {
+        let (sa, sb) = (self.slot(a) as usize, self.slot(b) as usize);
+        let (hi, lo) = (sa.max(sb), sa.min(sb));
+        let forest = self.forest;
+        *self.verdicts[hi * (hi + 1) / 2 + lo].get_or_insert_with(|| {
+            !forest.provably_disjoint(a, b) && forest.domain(a).overlaps(forest.domain(b))
+        })
+    }
+}
+
+/// Control-thread state: one record per access of every issued task
+/// that a later task might still have to be ordered after, in issue
+/// order (a task's records are adjacent).
+struct Window<'f> {
+    records: Vec<(Access, Arc<Job>)>,
+    alias: AliasTable<'f>,
+    /// [`launch_covers`] of every index launch issued so far, by
+    /// statement (the program does not move or change during a run).
+    covers: HashMap<*const IndexLaunch, Vec<Access>>,
+}
+
+/// The regions an index launch overwrites as a whole, as the accesses
+/// of one imaginary task: for every argument `p[i]` held with a
+/// mutating privilege, where `p` is a disjoint partition whose
+/// subregions tile their parent and the launch visits each of them,
+/// that privilege on the parent region. Together the point tasks
+/// dominate an older record under the parent just as a single task
+/// mutating the parent would ([`Access::dominates`]): whatever
+/// conflicts with the record later shares an element with it, that
+/// element lies in one subregion, and the point task of that subregion
+/// is ordered between the two. This is what retires reads made through
+/// an aliased partition (Stencil's halos, ghost nodes) once their
+/// region has been rewritten through the disjoint one.
+fn launch_covers(program: &Program, il: &IndexLaunch) -> Vec<Access> {
+    let forest = &program.forest;
+    let points: HashSet<&DynPoint> = il.launch_domain.iter().collect();
+    let params = &program.task(il.task).params;
+    let mut out = Vec::new();
+    for (arg, param) in il.args.iter().zip(params) {
+        let RegionArg::Part(p) = arg else { continue };
+        let part = forest.partition(*p);
+        if !param.privilege.mutates() || part.disjointness != Disjointness::Disjoint {
+            continue;
+        }
+        let visits_every_subregion =
+            points.len() == part.len() && part.iter().all(|(color, _)| points.contains(&color));
+        let tiled: u64 = part
+            .child_regions()
+            .map(|c| forest.domain(c).volume())
+            .sum();
+        if visits_every_subregion && tiled == forest.domain(part.parent).volume() {
+            out.push(Access::new(part.parent, param));
+        }
+    }
+    out
+}
+
+impl Window<'_> {
+    /// Retires the records older than index launch `il` (sequence
+    /// number `launch`) that its point tasks together dominate.
+    fn retire_covered(&mut self, program: &Program, il: &IndexLaunch, launch: u32) {
+        let covers = self
+            .covers
+            .entry(il as *const IndexLaunch)
+            .or_insert_with(|| launch_covers(program, il));
+        if covers.is_empty() {
+            return;
+        }
+        self.records.retain(|(prev, job)| {
+            job.launch >= launch || !covers.iter().any(|c| c.dominates(prev, &program.forest))
+        });
+    }
+
+    /// Drops the records of finished tasks. Not part of the steady
+    /// state — dominated records are retired as they are found — but a
+    /// program that never writes what it reads retires nothing.
     fn prune(&mut self) {
         self.records.retain(|(_, j)| !j.done.load(Ordering::SeqCst));
     }
@@ -302,7 +456,7 @@ struct EpochRec {
     jobs: Vec<Arc<Job>>,
     /// Job identity (`Arc` pointer) → epoch index, for recognizing
     /// intra-epoch predecessors during capture.
-    index_of: std::collections::HashMap<usize, u32>,
+    index_of: HashMap<usize, u32>,
     /// The template being replayed; `None` in capture mode or after a
     /// divergence.
     replay: Option<EpochTemplate>,
@@ -322,7 +476,13 @@ struct EpochRec {
 /// Opens a new epoch at an outermost-loop iteration boundary: closes
 /// the previous epoch, validates the template cache against the region
 /// forest, and decides between replay (fence + template) and capture.
-fn memo_begin_epoch(program: &Program, pool: &Pool, window: &mut Window, ctl: &mut Ctl, step: u64) {
+fn memo_begin_epoch(
+    program: &Program,
+    pool: &Pool,
+    window: &mut Window<'_>,
+    ctl: &mut Ctl,
+    step: u64,
+) {
     if ctl.memo.is_none() {
         return;
     }
@@ -362,7 +522,7 @@ fn memo_begin_epoch(program: &Program, pool: &Pool, window: &mut Window, ctl: &m
         sigs: Vec::new(),
         edges: Vec::new(),
         jobs: Vec::new(),
-        index_of: std::collections::HashMap::new(),
+        index_of: HashMap::new(),
         replay,
         cursor: 0,
         missed: false,
@@ -453,8 +613,10 @@ pub(crate) fn priv_code(p: Privilege) -> PrivCode {
     }
 }
 
-/// Do two privileges require an ordering edge when their regions
-/// overlap? Reductions are serialized (see module docs).
+/// Do two privileges require an ordering edge when their fields and
+/// regions overlap? Reductions are serialized (see module docs), so
+/// everything but read/read does — which is what lets any mutating
+/// access dominate ([`Access::dominates`]).
 fn needs_edge(a: Privilege, b: Privilege) -> bool {
     !matches!((a, b), (Privilege::Read, Privilege::Read))
 }
@@ -473,10 +635,9 @@ pub fn execute_implicit(
     // Cache raw pointers to every root instance (the map is not
     // mutated while workers run).
     let roots = program.root_regions();
-    let mut inst_ptrs: std::collections::HashMap<RegionId, InstPtr> =
-        std::collections::HashMap::new();
+    let mut inst_ptrs: HashMap<RegionId, *mut Instance> = HashMap::new();
     for r in roots {
-        inst_ptrs.insert(r, InstPtr(store.instance_mut(program, r) as *mut Instance));
+        inst_ptrs.insert(r, store.instance_mut(program, r) as *mut Instance);
     }
 
     let mut senders = Vec::with_capacity(opts.num_workers);
@@ -532,6 +693,8 @@ pub fn execute_implicit(
 
         let mut window = Window {
             records: Vec::new(),
+            alias: AliasTable::new(&program.forest),
+            covers: HashMap::new(),
         };
         let route = Route {
             mapper: Arc::clone(&opts.mapper),
@@ -576,10 +739,10 @@ fn exec_stmts(
     program: &Program,
     stmts: &[Stmt],
     env: &mut Vec<f64>,
-    inst_ptrs: &std::collections::HashMap<RegionId, InstPtr>,
+    inst_ptrs: &HashMap<RegionId, *mut Instance>,
     pool: &Pool,
     route: &Route,
-    window: &mut Window,
+    window: &mut Window<'_>,
     ctl: &mut Ctl,
 ) {
     for s in stmts {
@@ -608,6 +771,7 @@ fn exec_stmts(
                     );
                     launch_jobs.push(job);
                 }
+                window.retire_covered(program, il, launch_seq);
                 if let Some((var, op)) = il.reduce_result {
                     // Scalar reduction: wait for the launch, fold returns
                     // in launch order (§4.4).
@@ -713,28 +877,36 @@ fn issue_task(
     scalars: Vec<f64>,
     point: DynPoint,
     (launch, pos): (u32, u32),
-    inst_ptrs: &std::collections::HashMap<RegionId, InstPtr>,
+    inst_ptrs: &HashMap<RegionId, *mut Instance>,
     pool: &Pool,
     route: &Route,
-    window: &mut Window,
+    window: &mut Window<'_>,
     ctl: &mut Ctl,
 ) -> Arc<Job> {
     let decl = program.task(task);
-    let accesses: Vec<(RegionId, Privilege)> = regions
+    let forest = &program.forest;
+    let accesses: Vec<Access> = regions
         .iter()
         .zip(&decl.params)
-        .map(|(&r, p)| (r, p.privilege))
+        .map(|(&r, p)| Access::new(r, p))
         .collect();
-    let args: Vec<JobArg> = regions
+    let slots: Vec<ArgSlot> = regions
         .iter()
         .zip(&decl.params)
         .map(|(&r, p)| {
-            let root = program.forest.root_of(r);
-            JobArg {
-                domain: program.forest.domain(r).clone(),
-                privilege: p.privilege,
-                fields: p.fields.clone(),
-                inst: InstPtr(inst_ptrs[&root].0),
+            // SAFETY: the store outlives the worker scope, and the
+            // dependence graph orders every two accesses that conflict
+            // (privileges, declared fields, aliasing), so kernels that
+            // share a root instance concurrently touch different
+            // columns or different elements, or only read. Binding on
+            // this thread makes it the only one that stores to a seal.
+            unsafe {
+                ArgSlot::new(
+                    forest.domain(r).clone(),
+                    p.privilege,
+                    p.fields.clone(),
+                    inst_ptrs[&forest.root_of(r)],
+                )
             }
         })
         .collect();
@@ -748,14 +920,14 @@ fn issue_task(
         // One access event per region argument; the instance identity
         // is the root region (all implicit-executor tasks share root
         // instances).
-        for (&(r, p), param) in accesses.iter().zip(&decl.params) {
+        for a in &accesses {
             ctl.tb.instant(EventKind::TaskAccess {
                 launch,
                 pos,
-                region: r.0,
-                inst: program.forest.root_of(r).0 as u64,
-                fields: fields_mask(param.fields.iter().map(|f| f.0)),
-                privilege: priv_code(p),
+                region: a.region.0,
+                inst: forest.root_of(a.region).0 as u64,
+                fields: a.fields,
+                privilege: priv_code(a.privilege),
             });
         }
     }
@@ -770,7 +942,7 @@ fn issue_task(
     );
     let job = Arc::new(Job {
         task,
-        args,
+        slots: Mutex::new(slots),
         scalars,
         point,
         launch,
@@ -786,7 +958,11 @@ fn issue_task(
     // a structural signature; a predicted epoch replays template edges
     // instead of scanning the window.
     let sig = match &ctl.memo {
-        Some(m) if m.epoch.is_some() => Some(memo::launch_sig(task.0, &point, &accesses)),
+        Some(m) if m.epoch.is_some() => {
+            let reqs: Vec<(RegionId, Privilege)> =
+                accesses.iter().map(|a| (a.region, a.privilege)).collect();
+            Some(memo::launch_sig(task.0, &point, &reqs))
+        }
         _ => None,
     };
     let mut replayed = false;
@@ -845,40 +1021,26 @@ fn issue_task(
     }
 
     if !replayed {
-        // Dependence analysis (the per-task control overhead).
+        // Dependence analysis (the per-task control overhead): one pass
+        // over the window that finds the predecessors and retires the
+        // records this task dominates.
         let analysis_start = ctl.tb.now();
         let analysis_m0 = ctl.mx.start();
         let checks_before = ctl.stats.dependence_checks;
         let mut n_deps = 0usize;
         let mut epoch_preds: Vec<u32> = Vec::new();
-        for (prev_acc, prev_job) in &window.records {
-            let mut conflict = false;
-            for &(r1, p1) in prev_acc {
-                for &(r2, p2) in &accesses {
-                    ctl.stats.dependence_checks += 1;
-                    if !needs_edge(p1, p2) {
-                        continue;
-                    }
-                    if program.forest.root_of(r1) != program.forest.root_of(r2) {
-                        continue;
-                    }
-                    if program.forest.provably_disjoint(r1, r2) {
-                        continue;
-                    }
-                    if program
-                        .forest
-                        .domain(r1)
-                        .overlaps(program.forest.domain(r2))
-                    {
-                        conflict = true;
-                        break;
-                    }
-                }
-                if conflict {
-                    break;
-                }
-            }
-            if conflict {
+        let mut last_pred: *const Job = std::ptr::null();
+        let Window { records, alias, .. } = &mut *window;
+        records.retain(|(prev, prev_job)| {
+            let hit = accesses.iter().find(|next| {
+                ctl.stats.dependence_checks += 1;
+                prev.conflicts_with(next, alias)
+            });
+            let Some(next) = hit else { return true };
+            // One edge per predecessor task, however many of its
+            // accesses conflict (its records are adjacent).
+            if !std::ptr::eq(Arc::as_ptr(prev_job), last_pred) {
+                last_pred = Arc::as_ptr(prev_job);
                 // The edge is recorded even when the predecessor already
                 // finished: its completion happened-before this launch, so
                 // the ordering is real either way (the trace validator
@@ -890,11 +1052,9 @@ fn issue_task(
                     to_pos: pos,
                 });
                 // Intra-epoch conflicts feed the template being captured.
-                if let Some(m) = &ctl.memo {
-                    if let Some(ep) = &m.epoch {
-                        if let Some(&idx) = ep.index_of.get(&(Arc::as_ptr(prev_job) as usize)) {
-                            epoch_preds.push(idx);
-                        }
+                if let Some(ep) = ctl.memo.as_ref().and_then(|m| m.epoch.as_ref()) {
+                    if let Some(&idx) = ep.index_of.get(&(Arc::as_ptr(prev_job) as usize)) {
+                        epoch_preds.push(idx);
                     }
                 }
                 // Register the edge unless the predecessor already finished.
@@ -905,7 +1065,8 @@ fn issue_task(
                     n_deps += 1;
                 }
             }
-        }
+            !next.dominates(prev, forest)
+        });
         let checks = ctl.stats.dependence_checks - checks_before;
         ctl.tb.span_since(
             analysis_start,
@@ -930,7 +1091,9 @@ fn issue_task(
     if job.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
         pool.submit(Arc::clone(&job));
     }
-    window.records.push((accesses, Arc::clone(&job)));
+    window
+        .records
+        .extend(accesses.iter().map(|&a| (a, Arc::clone(&job))));
     ctl.stats.max_window = ctl.stats.max_window.max(window.records.len());
     // Record the launch in the open epoch (both modes), keeping `sigs`
     // parallel to the `edges` entry pushed above.
@@ -955,4 +1118,141 @@ fn issue_task(
         }
     }
     job
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use regent_geometry::Domain;
+    use regent_ir::{ProgramBuilder, TaskDecl};
+    use regent_region::{FieldId, FieldSpace, FieldType, ReductionOp};
+
+    /// Calls one single-argument task per entry of `params`, in order,
+    /// all on the same 8-element region of 66 fields, and returns the
+    /// dependence edges the analysis recorded as `(from, to)` call
+    /// indices together with the final contents of field 0. Edges are
+    /// logged whether or not the predecessor had already finished, so
+    /// the list is a function of the program alone.
+    fn edges_between(params: &[RegionParam]) -> (Vec<(u32, u32)>, Vec<f64>) {
+        let mut b = ProgramBuilder::new();
+        let mut fs = FieldSpace::new();
+        for i in 0..66 {
+            fs.add(&format!("f{i}"), FieldType::F64);
+        }
+        let region = b.forest.create_region(Domain::range(8), fs);
+        for (i, param) in params.iter().enumerate() {
+            let field = param.fields[0];
+            let task = b.task(TaskDecl {
+                name: format!("t{i}"),
+                params: vec![param.clone()],
+                num_scalar_args: 0,
+                returns_value: false,
+                kernel: Arc::new(move |ctx| {
+                    let dom = ctx.domain(0).clone();
+                    for p in dom.iter() {
+                        match ctx.privilege(0) {
+                            Privilege::Read => {
+                                ctx.read_f64(0, field, p);
+                            }
+                            Privilege::ReadWrite => ctx.write_f64(0, field, p, i as f64),
+                            // Not associative in floating point: the
+                            // result pins the fold order.
+                            Privilege::Reduce(_) => {
+                                ctx.reduce_f64(0, field, p, 0.1 * (i + 1) as f64)
+                            }
+                        }
+                    }
+                }),
+                cost_per_element: 1.0,
+            });
+            b.call(task, vec![region]);
+        }
+        let prog = b.build();
+        let mut store = Store::new(&prog);
+        let tracer = Tracer::enabled();
+        let opts = ImplicitOptions {
+            tracer: tracer.clone(),
+            ..ImplicitOptions::with_workers(2)
+        };
+        execute_implicit(&prog, &mut store, opts);
+        let edges = tracer
+            .take()
+            .tracks
+            .iter()
+            .flat_map(|t| &t.events)
+            .filter_map(|e| match e.kind {
+                EventKind::DepEdge {
+                    from_launch,
+                    to_launch,
+                    ..
+                } => Some((from_launch, to_launch)),
+                _ => None,
+            })
+            .collect();
+        let f0 = store.instance(&prog, region).f64_col(FieldId(0)).to_vec();
+        (edges, f0)
+    }
+
+    fn f(id: u32) -> [FieldId; 1] {
+        [FieldId(id)]
+    }
+
+    #[test]
+    fn disjoint_fields_of_one_region_are_independent() {
+        let (edges, _) = edges_between(&[
+            RegionParam::read_write(&f(0)),
+            RegionParam::read_write(&f(1)),
+        ]);
+        assert_eq!(edges, vec![]);
+    }
+
+    #[test]
+    fn a_shared_field_orders_writers_and_readers() {
+        let (edges, _) = edges_between(&[
+            RegionParam::read_write(&f(0)),
+            RegionParam::read_write(&[FieldId(1), FieldId(0)]),
+        ]);
+        assert_eq!(edges, vec![(0, 1)]);
+        // Read/read needs no edge; the writer that follows is ordered
+        // after both readers, and retires them.
+        let (edges, _) = edges_between(&[
+            RegionParam::read(&f(0)),
+            RegionParam::read(&f(0)),
+            RegionParam::read_write(&f(0)),
+            RegionParam::read(&f(0)),
+        ]);
+        assert_eq!(edges, vec![(0, 2), (1, 2), (2, 3)]);
+    }
+
+    #[test]
+    fn reductions_on_one_field_fold_in_program_order() {
+        let add = |id| RegionParam::reduce(ReductionOp::Add, &f(id));
+        let (edges, f0) = edges_between(&[add(0), add(0), add(0), add(1)]);
+        // Each reduction dominates the one before it, so the chain is
+        // 0 → 1 → 2 and nothing else; field 1 is independent.
+        assert_eq!(edges, vec![(0, 1), (1, 2)]);
+        assert_eq!(f0, vec![((0.0 + 0.1) + 0.2) + 0.1 * 3.0; 8]);
+    }
+
+    #[test]
+    fn wrapped_field_ids_only_add_edges() {
+        // Field 64 folds onto mask bit 0: it keeps its real conflicts…
+        let (edges, _) = edges_between(&[
+            RegionParam::read_write(&f(64)),
+            RegionParam::read_write(&f(64)),
+        ]);
+        assert_eq!(edges, vec![(0, 1)]);
+        // …gains a false one with field 0…
+        let (edges, _) = edges_between(&[
+            RegionParam::read_write(&f(0)),
+            RegionParam::read_write(&f(64)),
+        ]);
+        assert_eq!(edges, vec![(0, 1)]);
+        // …and stays independent of everything else.
+        let (edges, _) = edges_between(&[
+            RegionParam::read_write(&f(1)),
+            RegionParam::read_write(&f(64)),
+        ]);
+        assert_eq!(edges, vec![]);
+    }
 }

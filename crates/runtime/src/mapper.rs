@@ -18,15 +18,17 @@ pub trait Mapper: Send + Sync {
     fn map_task(&self, task: TaskId, point: DynPoint, num_workers: usize) -> usize;
 }
 
-/// The default mapper: spreads launch points round-robin by their
-/// first coordinate ("a typical strategy is to ... distribute the
-/// tasks ... among the processors", §4.2).
+/// The default mapper: spreads launch points round-robin by the sum of
+/// their coordinates ("a typical strategy is to ... distribute the
+/// tasks ... among the processors", §4.2) — a diagonal pattern, so a
+/// 1×N tiling spreads as well as an N×1 one.
 #[derive(Default, Clone, Copy, Debug)]
 pub struct DefaultMapper;
 
 impl Mapper for DefaultMapper {
     fn map_task(&self, _task: TaskId, point: DynPoint, num_workers: usize) -> usize {
-        (point.coord(0).rem_euclid(num_workers as i64)) as usize
+        let sum: i64 = point.coords().iter().sum();
+        sum.rem_euclid(num_workers as i64) as usize
     }
 }
 
@@ -66,6 +68,13 @@ mod tests {
         assert_eq!(assignments, vec![0, 1, 2, 3, 0, 1, 2, 3]);
         // Negative coordinates still map in range.
         assert!(m.map_task(TaskId(0), DynPoint::from(-3), 4) < 4);
+        // Every coordinate counts: a 1×N tiling does not pile onto
+        // worker 0, and a 2-D tiling alternates along both axes.
+        let row: Vec<usize> = (0..4)
+            .map(|j| m.map_task(TaskId(0), DynPoint::new(&[0, j]), 2))
+            .collect();
+        assert_eq!(row, vec![0, 1, 0, 1]);
+        assert_eq!(m.map_task(TaskId(0), DynPoint::new(&[1, 1]), 2), 0);
     }
 
     #[test]
