@@ -170,22 +170,28 @@ pub fn circuit_program(cfg: CircuitConfig, graph: &CircuitGraph) -> (Program, Ci
         kernel: Arc::new(move |ctx| {
             let dt = ctx.scalars[0];
             let dt_sub = dt / substeps as f64;
-            let dom = ctx.domain(0).clone();
-            for w in dom.iter() {
-                let a = ctx.read_i64(1, f_in, w);
-                let bn = ctx.read_i64(1, f_out, w);
-                let g = ctx.read_f64(1, f_cond, w);
-                let l = ctx.read_f64(1, f_ind, w);
-                let va = ctx.read_f64(2, f_voltage, DynPoint::from(a));
-                let vb = ctx.read_f64(2, f_voltage, DynPoint::from(bn));
-                // Inner RLC solve: L·di/dt = Δv − i/g, integrated
-                // explicitly over the substeps.
-                let dv = va - vb;
-                let mut i_now = ctx.read_f64(0, f_current, w);
-                for _ in 0..substeps {
-                    i_now += dt_sub * (dv - i_now / g) / l;
+            let current = ctx.f64_mut(0, f_current);
+            let (ends_in, ends_out) = (ctx.i64(1, f_in), ctx.i64(1, f_out));
+            let (cond, ind) = (ctx.f64(1, f_cond), ctx.f64(1, f_ind));
+            let voltage = ctx.f64(2, f_voltage);
+            for run in ctx.rows(0) {
+                let current = current.row(run);
+                let (ends_in, ends_out) = (ends_in.row(run), ends_out.row(run));
+                let (cond, ind) = (cond.row(run), ind.row(run));
+                for w in 0..run.len {
+                    let g = cond.get(w);
+                    let l = ind.get(w);
+                    let va = voltage.get1(ends_in.get(w));
+                    let vb = voltage.get1(ends_out.get(w));
+                    // Inner RLC solve: L·di/dt = Δv − i/g, integrated
+                    // explicitly over the substeps.
+                    let dv = va - vb;
+                    let mut i_now = current.get(w);
+                    for _ in 0..substeps {
+                        i_now += dt_sub * (dv - i_now / g) / l;
+                    }
+                    current.set(w, i_now);
                 }
-                ctx.write_f64(0, f_current, w, i_now);
             }
         }),
         cost_per_element: 3.0 + 2.0 * substeps as f64,
@@ -203,13 +209,17 @@ pub fn circuit_program(cfg: CircuitConfig, graph: &CircuitGraph) -> (Program, Ci
         returns_value: false,
         kernel: Arc::new(move |ctx| {
             let dt = ctx.scalars[0];
-            let dom = ctx.domain(0).clone();
-            for w in dom.iter() {
-                let a = ctx.read_i64(0, f_in, w);
-                let bn = ctx.read_i64(0, f_out, w);
-                let i = ctx.read_f64(0, f_current, w);
-                ctx.reduce_f64(1, f_charge, DynPoint::from(a), -dt * i);
-                ctx.reduce_f64(1, f_charge, DynPoint::from(bn), dt * i);
+            let (ends_in, ends_out) = (ctx.i64(0, f_in), ctx.i64(0, f_out));
+            let current = ctx.f64(0, f_current);
+            let charge = ctx.f64_reduce(1, f_charge);
+            for run in ctx.rows(0) {
+                let (ends_in, ends_out) = (ends_in.row(run), ends_out.row(run));
+                let current = current.row(run);
+                for w in 0..run.len {
+                    let i = current.get(w);
+                    charge.fold1(ends_in.get(w), -dt * i);
+                    charge.fold1(ends_out.get(w), dt * i);
+                }
             }
         }),
         cost_per_element: 2.0,
@@ -220,13 +230,15 @@ pub fn circuit_program(cfg: CircuitConfig, graph: &CircuitGraph) -> (Program, Ci
         num_scalar_args: 0,
         returns_value: false,
         kernel: Arc::new(move |ctx| {
-            let dom = ctx.domain(0).clone();
-            for p in dom.iter() {
-                let v = ctx.read_f64(0, f_voltage, p);
-                let q = ctx.read_f64(0, f_charge, p);
-                let cap = ctx.read_f64(0, f_cap, p);
-                ctx.write_f64(0, f_voltage, p, v + q / cap);
-                ctx.write_f64(0, f_charge, p, 0.0);
+            let voltage = ctx.f64_mut(0, f_voltage);
+            let charge = ctx.f64_mut(0, f_charge);
+            let cap = ctx.f64(0, f_cap);
+            for run in ctx.rows(0) {
+                let (voltage, charge, cap) = (voltage.row(run), charge.row(run), cap.row(run));
+                for p in 0..run.len {
+                    voltage.set(p, voltage.get(p) + charge.get(p) / cap.get(p));
+                    charge.set(p, 0.0);
+                }
             }
         }),
         cost_per_element: 2.0,

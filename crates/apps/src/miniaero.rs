@@ -227,21 +227,25 @@ pub fn miniaero_program(cfg: MiniAeroConfig, mesh: &AeroMesh) -> (Program, AeroH
         num_scalar_args: 0,
         returns_value: false,
         kernel: Arc::new(move |ctx| {
-            let dom = ctx.domain(0).clone();
-            for fp in dom.iter() {
-                let l = DynPoint::from(ctx.read_i64(0, f_left, fp));
-                let r = DynPoint::from(ctx.read_i64(0, f_right, fp));
-                let axis = ctx.read_i64(0, f_axis, fp) as usize;
-                let mut ul = [0.0; 5];
-                let mut ur = [0.0; 5];
-                for k in 0..5 {
-                    ul[k] = ctx.read_f64(1, state[k], l);
-                    ur[k] = ctx.read_f64(1, state[k], r);
-                }
-                let flux = rusanov_flux(ul, ur, axis);
-                for k in 0..5 {
-                    ctx.reduce_f64(2, resid[k], l, -flux[k]);
-                    ctx.reduce_f64(2, resid[k], r, flux[k]);
+            let (left, right) = (ctx.i64(0, f_left), ctx.i64(0, f_right));
+            let axis = ctx.i64(0, f_axis);
+            let state = state.map(|f| ctx.f64(1, f));
+            let resid = resid.map(|f| ctx.f64_reduce(2, f));
+            for run in ctx.rows(0) {
+                let (left, right, axis) = (left.row(run), right.row(run), axis.row(run));
+                for f in 0..run.len {
+                    let (l, r) = (left.get(f), right.get(f));
+                    let mut ul = [0.0; 5];
+                    let mut ur = [0.0; 5];
+                    for k in 0..5 {
+                        ul[k] = state[k].get1(l);
+                        ur[k] = state[k].get1(r);
+                    }
+                    let flux = rusanov_flux(ul, ur, axis.get(f) as usize);
+                    for k in 0..5 {
+                        resid[k].fold1(l, -flux[k]);
+                        resid[k].fold1(r, flux[k]);
+                    }
                 }
             }
         }),
@@ -261,11 +265,14 @@ pub fn miniaero_program(cfg: MiniAeroConfig, mesh: &AeroMesh) -> (Program, AeroH
         num_scalar_args: 0,
         returns_value: false,
         kernel: Arc::new(move |ctx| {
-            let dom = ctx.domain(0).clone();
-            for p in dom.iter() {
+            let state = state.map(|f| ctx.f64(0, f));
+            let saved = saved.map(|f| ctx.f64_mut(0, f));
+            for run in ctx.rows(0) {
                 for k in 0..5 {
-                    let u = ctx.read_f64(0, state[k], p);
-                    ctx.write_f64(0, saved[k], p, u);
+                    let (state, saved) = (state[k].row(run), saved[k].row(run));
+                    for p in 0..run.len {
+                        saved.set(p, state.get(p));
+                    }
                 }
             }
         }),
@@ -287,13 +294,17 @@ pub fn miniaero_program(cfg: MiniAeroConfig, mesh: &AeroMesh) -> (Program, AeroH
         returns_value: false,
         kernel: Arc::new(move |ctx| {
             let alpha_dt = ctx.scalars[0];
-            let dom = ctx.domain(0).clone();
-            for p in dom.iter() {
+            let state = state.map(|f| ctx.f64_mut(0, f));
+            let resid = resid.map(|f| ctx.f64_mut(0, f));
+            let saved = saved.map(|f| ctx.f64(0, f));
+            for run in ctx.rows(0) {
                 for k in 0..5 {
-                    let u0 = ctx.read_f64(0, saved[k], p);
-                    let r = ctx.read_f64(0, resid[k], p);
-                    ctx.write_f64(0, state[k], p, u0 + alpha_dt * r);
-                    ctx.write_f64(0, resid[k], p, 0.0);
+                    let (state, resid) = (state[k].row(run), resid[k].row(run));
+                    let saved = saved[k].row(run);
+                    for p in 0..run.len {
+                        state.set(p, saved.get(p) + alpha_dt * resid.get(p));
+                        resid.set(p, 0.0);
+                    }
                 }
             }
         }),

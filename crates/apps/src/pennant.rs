@@ -183,28 +183,34 @@ pub fn pennant_program(cfg: PennantConfig, mesh: &PennantMesh) -> (Program, Penn
         num_scalar_args: 0,
         returns_value: false,
         kernel: Arc::new(move |ctx| {
-            let dom = ctx.domain(0).clone();
-            for z in dom.iter() {
-                let mut xs = [0.0; 4];
-                let mut ys = [0.0; 4];
-                for k in 0..4 {
-                    let p = DynPoint::from(ctx.read_i64(1, f_zp[k], z));
-                    xs[k] = ctx.read_f64(2, f_px, p);
-                    ys[k] = ctx.read_f64(2, f_py, p);
+            let (zvol, zpres) = (ctx.f64_mut(0, f_zvol), ctx.f64_mut(0, f_zpres));
+            let corners = f_zp.map(|f| ctx.i64(1, f));
+            let (zm, ze) = (ctx.f64(1, f_zm), ctx.f64(1, f_ze));
+            let (px, py) = (ctx.f64(2, f_px), ctx.f64(2, f_py));
+            for run in ctx.rows(0) {
+                let (zvol, zpres) = (zvol.row(run), zpres.row(run));
+                let corners = corners.map(|v| v.row(run));
+                let (zm, ze) = (zm.row(run), ze.row(run));
+                for z in 0..run.len {
+                    let mut xs = [0.0; 4];
+                    let mut ys = [0.0; 4];
+                    for k in 0..4 {
+                        let p = corners[k].get(z);
+                        xs[k] = px.get1(p);
+                        ys[k] = py.get1(p);
+                    }
+                    // Shoelace area of the quad.
+                    let mut area = 0.0;
+                    for k in 0..4 {
+                        let k2 = (k + 1) % 4;
+                        area += xs[k] * ys[k2] - xs[k2] * ys[k];
+                    }
+                    area = 0.5 * area.abs().max(1e-12);
+                    let rho = zm.get(z) / area;
+                    let pres = (GAMMA - 1.0) * rho * ze.get(z);
+                    zvol.set(z, area);
+                    zpres.set(z, pres);
                 }
-                // Shoelace area of the quad.
-                let mut area = 0.0;
-                for k in 0..4 {
-                    let k2 = (k + 1) % 4;
-                    area += xs[k] * ys[k2] - xs[k2] * ys[k];
-                }
-                area = 0.5 * area.abs().max(1e-12);
-                let zm = ctx.read_f64(1, f_zm, z);
-                let ze = ctx.read_f64(1, f_ze, z);
-                let rho = zm / area;
-                let pres = (GAMMA - 1.0) * rho * ze;
-                ctx.write_f64(0, f_zvol, z, area);
-                ctx.write_f64(0, f_zpres, z, pres);
             }
         }),
         cost_per_element: 15.0,
@@ -224,28 +230,33 @@ pub fn pennant_program(cfg: PennantConfig, mesh: &PennantMesh) -> (Program, Penn
         num_scalar_args: 0,
         returns_value: false,
         kernel: Arc::new(move |ctx| {
-            let dom = ctx.domain(0).clone();
-            for z in dom.iter() {
-                let pres = ctx.read_f64(0, f_zpres, z);
-                let mut pts = [DynPoint::from(0); 4];
-                let mut xs = [0.0; 4];
-                let mut ys = [0.0; 4];
-                #[allow(clippy::needless_range_loop)]
-                // Lockstep fill of pts/xs/ys.
-                for k in 0..4 {
-                    pts[k] = DynPoint::from(ctx.read_i64(0, f_zp[k], z));
-                    xs[k] = ctx.read_f64(1, f_px, pts[k]);
-                    ys[k] = ctx.read_f64(1, f_py, pts[k]);
-                }
-                // Pressure force on each corner: p × the outward edge
-                // normal of the half-edges adjacent to the corner.
-                for (k, &pt) in pts.iter().enumerate() {
-                    let prev = (k + 3) % 4;
-                    let next = (k + 1) % 4;
-                    let nx = 0.5 * (ys[next] - ys[prev]);
-                    let ny = -0.5 * (xs[next] - xs[prev]);
-                    ctx.reduce_f64(2, f_fx, pt, pres * nx);
-                    ctx.reduce_f64(2, f_fy, pt, pres * ny);
+            let corners = f_zp.map(|f| ctx.i64(0, f));
+            let zpres = ctx.f64(0, f_zpres);
+            let (px, py) = (ctx.f64(1, f_px), ctx.f64(1, f_py));
+            let (fx, fy) = (ctx.f64_reduce(2, f_fx), ctx.f64_reduce(2, f_fy));
+            for run in ctx.rows(0) {
+                let corners = corners.map(|v| v.row(run));
+                let zpres = zpres.row(run);
+                for z in 0..run.len {
+                    let pres = zpres.get(z);
+                    let mut pts = [0; 4];
+                    let mut xs = [0.0; 4];
+                    let mut ys = [0.0; 4];
+                    for k in 0..4 {
+                        pts[k] = corners[k].get(z);
+                        xs[k] = px.get1(pts[k]);
+                        ys[k] = py.get1(pts[k]);
+                    }
+                    // Pressure force on each corner: p × the outward edge
+                    // normal of the half-edges adjacent to the corner.
+                    for (k, &pt) in pts.iter().enumerate() {
+                        let prev = (k + 3) % 4;
+                        let next = (k + 1) % 4;
+                        let nx = 0.5 * (ys[next] - ys[prev]);
+                        let ny = -0.5 * (xs[next] - xs[prev]);
+                        fx.fold1(pt, pres * nx);
+                        fy.fold1(pt, pres * ny);
+                    }
                 }
             }
         }),
@@ -262,19 +273,26 @@ pub fn pennant_program(cfg: PennantConfig, mesh: &PennantMesh) -> (Program, Penn
         returns_value: false,
         kernel: Arc::new(move |ctx| {
             let dt = ctx.scalars[0];
-            let dom = ctx.domain(0).clone();
-            for p in dom.iter() {
-                let m = ctx.read_f64(0, f_pm, p).max(1e-12);
-                let fx = ctx.read_f64(0, f_fx, p);
-                let fy = ctx.read_f64(0, f_fy, p);
-                let vx = ctx.read_f64(0, f_vx, p) + dt * fx / m;
-                let vy = ctx.read_f64(0, f_vy, p) + dt * fy / m;
-                ctx.write_f64(0, f_vx, p, vx);
-                ctx.write_f64(0, f_vy, p, vy);
-                ctx.write_f64(0, f_px, p, ctx.read_f64(0, f_px, p) + dt * vx);
-                ctx.write_f64(0, f_py, p, ctx.read_f64(0, f_py, p) + dt * vy);
-                ctx.write_f64(0, f_fx, p, 0.0);
-                ctx.write_f64(0, f_fy, p, 0.0);
+            let (px, py) = (ctx.f64_mut(0, f_px), ctx.f64_mut(0, f_py));
+            let (vx, vy) = (ctx.f64_mut(0, f_vx), ctx.f64_mut(0, f_vy));
+            let (fx, fy) = (ctx.f64_mut(0, f_fx), ctx.f64_mut(0, f_fy));
+            let pm = ctx.f64(0, f_pm);
+            for run in ctx.rows(0) {
+                let (px, py) = (px.row(run), py.row(run));
+                let (vx, vy) = (vx.row(run), vy.row(run));
+                let (fx, fy) = (fx.row(run), fy.row(run));
+                let pm = pm.row(run);
+                for p in 0..run.len {
+                    let m = pm.get(p).max(1e-12);
+                    let new_vx = vx.get(p) + dt * fx.get(p) / m;
+                    let new_vy = vy.get(p) + dt * fy.get(p) / m;
+                    vx.set(p, new_vx);
+                    vy.set(p, new_vy);
+                    px.set(p, px.get(p) + dt * new_vx);
+                    py.set(p, py.get(p) + dt * new_vy);
+                    fx.set(p, 0.0);
+                    fy.set(p, 0.0);
+                }
             }
         }),
         cost_per_element: 10.0,
@@ -288,16 +306,18 @@ pub fn pennant_program(cfg: PennantConfig, mesh: &PennantMesh) -> (Program, Penn
         num_scalar_args: 0,
         returns_value: true,
         kernel: Arc::new(move |ctx| {
-            let dom = ctx.domain(0).clone();
+            let (zvol, zpres, zm) = (ctx.f64(0, f_zvol), ctx.f64(0, f_zpres), ctx.f64(0, f_zm));
             let mut dt = dtmax;
-            for z in dom.iter() {
-                let vol = ctx.read_f64(0, f_zvol, z).max(1e-12);
-                let zm = ctx.read_f64(0, f_zm, z);
-                let pres = ctx.read_f64(0, f_zpres, z).max(1e-12);
-                let rho = zm / vol;
-                let cs = (GAMMA * pres / rho.max(1e-12)).sqrt();
-                let dx = vol.sqrt();
-                dt = dt.min(0.25 * dx / cs.max(1e-12));
+            for run in ctx.rows(0) {
+                let (zvol, zpres, zm) = (zvol.row(run), zpres.row(run), zm.row(run));
+                for z in 0..run.len {
+                    let vol = zvol.get(z).max(1e-12);
+                    let pres = zpres.get(z).max(1e-12);
+                    let rho = zm.get(z) / vol;
+                    let cs = (GAMMA * pres / rho.max(1e-12)).sqrt();
+                    let dx = vol.sqrt();
+                    dt = dt.min(0.25 * dx / cs.max(1e-12));
+                }
             }
             ctx.set_return(dt);
         }),

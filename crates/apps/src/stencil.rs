@@ -106,6 +106,7 @@ pub fn stencil_program(cfg: StencilConfig) -> (Program, StencilHandles) {
 
     let radius = cfg.radius;
     let n = cfg.n as i64;
+    let weights: Vec<f64> = (1..=radius).map(|k| star_weight(radius, k)).collect();
     let stencil_task = b.task(TaskDecl {
         name: "stencil".into(),
         params: vec![
@@ -115,24 +116,27 @@ pub fn stencil_program(cfg: StencilConfig) -> (Program, StencilHandles) {
         num_scalar_args: 0,
         returns_value: false,
         kernel: Arc::new(move |ctx| {
-            let tile = ctx.domain(0).bounds();
-            for i in tile.lo().coord(0)..=tile.hi().coord(0) {
-                for j in tile.lo().coord(1)..=tile.hi().coord(1) {
-                    // PRK skips the boundary ring of width `radius`.
-                    if i < radius || i >= n - radius || j < radius || j >= n - radius {
+            let out = ctx.f64_mut(0, f_out);
+            let vin = ctx.f64(1, f_in);
+            for run in ctx.rows(0) {
+                let (i, j0) = (run.start.coord(0), run.start.coord(1));
+                // PRK skips the boundary ring of width `radius`.
+                if i < radius || i >= n - radius {
+                    continue;
+                }
+                let out = out.row(run);
+                for (e, j) in (j0..j0 + run.len as i64).enumerate() {
+                    if j < radius || j >= n - radius {
                         continue;
                     }
                     let mut acc = 0.0;
-                    for k in 1..=radius {
-                        let w = star_weight(radius, k);
-                        acc += w * ctx.read_f64(1, f_in, DynPoint::new(&[i + k, j]));
-                        acc -= w * ctx.read_f64(1, f_in, DynPoint::new(&[i - k, j]));
-                        acc += w * ctx.read_f64(1, f_in, DynPoint::new(&[i, j + k]));
-                        acc -= w * ctx.read_f64(1, f_in, DynPoint::new(&[i, j - k]));
+                    for (k, &w) in (1..=radius).zip(&weights) {
+                        acc += w * vin.get2(i + k, j);
+                        acc -= w * vin.get2(i - k, j);
+                        acc += w * vin.get2(i, j + k);
+                        acc -= w * vin.get2(i, j - k);
                     }
-                    let p = DynPoint::new(&[i, j]);
-                    let old = ctx.read_f64(0, f_out, p);
-                    ctx.write_f64(0, f_out, p, old + acc);
+                    out.set(e, out.get(e) + acc);
                 }
             }
         }),
@@ -144,10 +148,12 @@ pub fn stencil_program(cfg: StencilConfig) -> (Program, StencilHandles) {
         num_scalar_args: 0,
         returns_value: false,
         kernel: Arc::new(move |ctx| {
-            let dom = ctx.domain(0).clone();
-            for p in dom.iter() {
-                let v = ctx.read_f64(0, f_in, p);
-                ctx.write_f64(0, f_in, p, v + 1.0);
+            let vin = ctx.f64_mut(0, f_in);
+            for run in ctx.rows(0) {
+                let vin = vin.row(run);
+                for e in 0..run.len {
+                    vin.set(e, vin.get(e) + 1.0);
+                }
             }
         }),
         cost_per_element: 1.0,

@@ -56,6 +56,12 @@ impl DynPoint {
         &self.coords[..self.dim as usize]
     }
 
+    /// All [`MAX_DIM`] coordinates, the inactive trailing ones zero.
+    #[inline]
+    pub fn padded(&self) -> [i64; MAX_DIM] {
+        self.coords
+    }
+
     /// Coordinate in dimension `d`.
     #[inline]
     pub fn coord(&self, d: usize) -> i64 {

@@ -266,17 +266,26 @@ pub fn execute_point_task(
 ) -> Option<f64> {
     let decl = program.task(task);
     debug_assert_eq!(regions.len(), decl.params.len());
-    let mut slots: Vec<ArgSlot> = Vec::with_capacity(regions.len());
-    for (idx, &r) in regions.iter().enumerate() {
-        let param = &decl.params[idx];
-        let domain = program.forest.domain(r).clone();
-        let inst: *mut Instance = store.instance_mut(program, r);
-        // SAFETY: the interpreter runs one kernel at a time on one
-        // thread; slots may alias the same root instance, which TaskCtx
-        // handles by never holding two live references at once.
-        slots.push(unsafe { ArgSlot::new(domain, param.privilege, param.fields.clone(), inst) });
-    }
-    let mut ctx = TaskCtx::new(&mut slots, scalar_args, point);
+    let slots: Vec<ArgSlot> = regions
+        .iter()
+        .zip(&decl.params)
+        .map(|(&r, param)| {
+            let inst: *mut Instance = store.instance_mut(program, r);
+            // SAFETY: the store outlives the kernel call; the
+            // interpreter runs one kernel at a time on one thread, and
+            // slots that alias the same root instance are what the
+            // `Cell`-style views of `TaskCtx` are for.
+            unsafe {
+                ArgSlot::new(
+                    program.forest.domain(r),
+                    param.privilege,
+                    &param.fields,
+                    inst,
+                )
+            }
+        })
+        .collect();
+    let mut ctx = TaskCtx::new(&slots, scalar_args, point);
     (decl.kernel)(&mut ctx);
     ctx.return_value
 }

@@ -6,11 +6,14 @@
 //! a region must conform to the privileges specified by the task", which
 //! is what lets control replication analyze programs at the granularity
 //! of task launches without looking inside task bodies. We enforce
-//! strictness dynamically: every kernel data access goes through
-//! [`TaskCtx`], which panics on a privilege violation.
+//! strictness dynamically: a kernel reaches data only through the field
+//! views its [`TaskCtx`] binds, and binding panics on a privilege
+//! violation or an undeclared field — in release builds too.
 
 use regent_geometry::{Domain, DynPoint};
-use regent_region::{FieldId, Instance, ReductionOp};
+use regent_region::{
+    Element, FieldId, FieldView, Instance, Read, ReadWrite, Reduce, ReductionOp, Rows,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -130,57 +133,61 @@ impl fmt::Debug for TaskDecl {
 
 /// One bound region argument inside a running task: the argument's
 /// domain, privilege, fields, and a raw handle to the backing instance.
+/// Domain and fields are borrowed — from the region forest and the
+/// [`TaskDecl`] — so binding a point task allocates nothing.
 ///
 /// The instance's domain may be a *superset* of the argument's domain
 /// (the shared-memory implementation of §3 backs every subregion with
 /// its root region's storage).
-pub struct ArgSlot {
+pub struct ArgSlot<'a> {
     /// The region argument's domain — the set of points the kernel may
     /// legally touch through this argument.
-    pub domain: Domain,
+    pub domain: &'a Domain,
     /// The privilege held.
     pub privilege: Privilege,
     /// The declared fields.
-    pub fields: Vec<FieldId>,
+    pub fields: &'a [FieldId],
     /// Raw pointer to the backing instance. The executor constructing
     /// the [`TaskCtx`] guarantees exclusivity for the kernel's duration.
     inst: *mut Instance,
 }
 
-impl ArgSlot {
+impl<'a> ArgSlot<'a> {
     /// Binds a region argument to a raw instance pointer. A mutating
     /// privilege drops the seals of the declared fields here, once
-    /// ([`Instance::unseal_fields`]); the kernel's element writes then
-    /// leave the seals alone, so the binder is the only one who ever
-    /// stores to them.
+    /// ([`Instance::unseal_fields_raw`]); the kernel's element accesses
+    /// go through field views, which never touch a seal, so the binder
+    /// is the only one who ever stores to them.
     ///
     /// # Safety
-    /// The caller must guarantee that `inst` outlives the [`TaskCtx`]
-    /// and that, from this call until the kernel returns, no other
-    /// thread accesses the instance's seals or accesses the declared
-    /// fields' elements with a conflicting privilege. Executors that
-    /// run kernels concurrently on one instance bind on a single
-    /// thread (the implicit executor's control thread binds at issue
-    /// time and moves the slot to a worker) and schedule at the
-    /// granularity of *declared fields*: two kernels writing different
-    /// fields of the same elements run unordered. That is sound only
-    /// because kernels cannot reach undeclared fields — `check_field`
-    /// panics on one under `debug_assertions`, which is how the test
-    /// suites run all four applications.
+    /// The caller must guarantee that `inst` outlives the [`TaskCtx`],
+    /// is not moved or reallocated meanwhile, and that `domain` lies
+    /// inside its domain; and that, from this call until the kernel
+    /// returns, no other thread accesses the instance's seals or
+    /// accesses the declared fields' elements with a conflicting
+    /// privilege. Executors that run kernels concurrently on one
+    /// instance bind on a single thread (the implicit executor's
+    /// control thread binds at issue time and moves the slot to a
+    /// worker) and schedule at the granularity of *declared fields*:
+    /// two kernels writing different fields of the same elements run
+    /// unordered. That is sound because kernels cannot reach undeclared
+    /// fields: every view a kernel obtains is checked against
+    /// `privilege` and `fields` when it is bound, in every build
+    /// profile.
     ///
-    /// Multiple slots of the *same* kernel may alias one instance
-    /// (kernels are single-threaded, and every access is mediated by
-    /// `TaskCtx` methods that never hold two references at once).
+    /// Multiple slots of the *same* kernel may alias one instance:
+    /// kernels are single-threaded, and views are `Cell`-style — they
+    /// never hold a `&` or `&mut` to an element across an access.
     pub unsafe fn new(
-        domain: Domain,
+        domain: &'a Domain,
         privilege: Privilege,
-        fields: Vec<FieldId>,
+        fields: &'a [FieldId],
         inst: *mut Instance,
     ) -> Self {
         if privilege.mutates() {
             // SAFETY: the caller vouches that `inst` is live and that no
             // other thread is at its seals.
-            unsafe { (*inst).unseal_fields(&fields) };
+            unsafe { Instance::unseal_fields_raw(inst, fields) };
         }
         ArgSlot {
             domain,
@@ -189,30 +196,28 @@ impl ArgSlot {
             inst,
         }
     }
-
-    #[inline]
-    fn inst(&self) -> &Instance {
-        unsafe { &*self.inst }
-    }
-
-    #[allow(clippy::mut_from_ref)]
-    #[inline]
-    fn inst_mut(&self) -> &mut Instance {
-        unsafe { &mut *self.inst }
-    }
 }
 
-// SAFETY: `domain`, `privilege` and `fields` are plain owned data. `inst`
-// is the reason the impl is written out: a slot is the permission to
-// touch that instance under the contract of [`ArgSlot::new`], which is
-// stated across threads already; moving the slot to another thread
-// moves the permission, it does not duplicate it.
-unsafe impl Send for ArgSlot {}
+// SAFETY: `domain`, `privilege` and `fields` are plain shared data.
+// `inst` is the reason the impl is written out: a slot is the
+// permission to touch that instance under the contract of
+// [`ArgSlot::new`], which is stated across threads already; moving the
+// slot to another thread moves the permission, it does not duplicate it.
+unsafe impl Send for ArgSlot<'_> {}
 
 /// The execution context handed to a kernel: bound region arguments,
 /// scalar arguments, the launch point, and an optional scalar return.
+///
+/// A kernel reaches its data by **binding each field once** —
+/// [`TaskCtx::f64`], [`TaskCtx::f64_mut`], [`TaskCtx::f64_reduce`],
+/// [`TaskCtx::i64`], [`TaskCtx::i64_mut`] — and indexing the returned
+/// [`FieldView`] in its loops; [`TaskCtx::rows`] walks an argument's
+/// domain as unit-stride runs. Binding checks the privilege, that the
+/// field was declared and the column's type; the views check only that
+/// an access stays inside the instance (and, in debug builds, inside
+/// the argument's domain).
 pub struct TaskCtx<'a> {
-    slots: &'a mut [ArgSlot],
+    slots: &'a [ArgSlot<'a>],
     /// Scalar arguments, in declaration order.
     pub scalars: &'a [f64],
     /// The point of this task in its index launch's launch domain
@@ -225,7 +230,7 @@ pub struct TaskCtx<'a> {
 impl<'a> TaskCtx<'a> {
     /// Assembles a context. Executors are responsible for the aliasing
     /// guarantees documented on [`ArgSlot::new`].
-    pub fn new(slots: &'a mut [ArgSlot], scalars: &'a [f64], launch_point: DynPoint) -> Self {
+    pub fn new(slots: &'a [ArgSlot<'a>], scalars: &'a [f64], launch_point: DynPoint) -> Self {
         TaskCtx {
             slots,
             scalars,
@@ -241,8 +246,8 @@ impl<'a> TaskCtx<'a> {
 
     /// The domain of region argument `arg` — the set of points the
     /// kernel iterates over or may access.
-    pub fn domain(&self, arg: usize) -> &Domain {
-        &self.slots[arg].domain
+    pub fn domain(&self, arg: usize) -> &'a Domain {
+        self.slots[arg].domain
     }
 
     /// The privilege held on argument `arg`.
@@ -250,96 +255,121 @@ impl<'a> TaskCtx<'a> {
         self.slots[arg].privilege
     }
 
-    fn check_point(&self, arg: usize, p: DynPoint) {
+    /// The domain of argument `arg` as the unit-stride runs of its
+    /// instance, in [`Domain::iter`] order; [`FieldView::row`] turns a
+    /// run into a slice of any field of the argument.
+    pub fn rows(&self, arg: usize) -> Rows<'a> {
         let slot = &self.slots[arg];
-        assert!(
-            slot.domain.contains(p),
-            "task accessed {p:?} outside the domain of region argument {arg}"
-        );
+        // SAFETY: the instance outlives the context (`ArgSlot::new`).
+        Rows::new(slot.domain, unsafe { Instance::indexer_raw(slot.inst) })
     }
 
-    fn check_field(&self, arg: usize, field: FieldId) {
+    /// Binds `field` of argument `arg` with `access`, the privilege
+    /// having been checked by the caller.
+    fn bind<T: Element, A: Copy>(
+        &self,
+        arg: usize,
+        field: FieldId,
+        access: A,
+    ) -> FieldView<'a, T, A> {
         let slot = &self.slots[arg];
         assert!(
             slot.fields.contains(&field),
             "task accessed undeclared field {field:?} of region argument {arg}"
         );
+        // SAFETY: the contract of `ArgSlot::new` — the instance is live
+        // and unmoved while the context is, `domain` lies inside it,
+        // and the executor orders every other thread's conflicting
+        // access to the declared fields, of which `field` is one.
+        unsafe { Instance::view_raw(slot.inst, field, slot.domain, access) }
     }
 
-    /// Reads an f64 field element.
-    ///
-    /// # Panics
-    /// On privilege violation (reduce-only argument), out-of-domain
-    /// point, or undeclared field.
-    #[inline]
-    pub fn read_f64(&self, arg: usize, field: FieldId, p: DynPoint) -> f64 {
-        self.check_read(arg, field, p);
-        self.slots[arg].inst().read_f64(field, p)
-    }
-
-    /// Reads an i64 field element.
-    #[inline]
-    pub fn read_i64(&self, arg: usize, field: FieldId, p: DynPoint) -> i64 {
-        self.check_read(arg, field, p);
-        self.slots[arg].inst().read_i64(field, p)
-    }
-
-    #[inline]
-    fn check_read(&self, arg: usize, field: FieldId, p: DynPoint) {
-        if cfg!(debug_assertions) {
-            self.check_point(arg, p);
-            self.check_field(arg, field);
-        }
+    fn bind_read<T: Element>(&self, arg: usize, field: FieldId) -> FieldView<'a, T, Read> {
         assert!(
             !matches!(self.slots[arg].privilege, Privilege::Reduce(_)),
             "read from reduce-only region argument {arg}"
         );
+        self.bind(arg, field, Read)
     }
 
-    /// Writes an f64 field element.
-    ///
-    /// # Panics
-    /// Unless the argument holds read-write privilege.
-    #[inline]
-    pub fn write_f64(&mut self, arg: usize, field: FieldId, p: DynPoint, v: f64) {
-        self.check_write(arg, field, p);
-        self.slots[arg].inst_mut().write_f64_bound(field, p, v);
-    }
-
-    /// Writes an i64 field element.
-    #[inline]
-    pub fn write_i64(&mut self, arg: usize, field: FieldId, p: DynPoint, v: i64) {
-        self.check_write(arg, field, p);
-        self.slots[arg].inst_mut().write_i64_bound(field, p, v);
-    }
-
-    #[inline]
-    fn check_write(&self, arg: usize, field: FieldId, p: DynPoint) {
-        if cfg!(debug_assertions) {
-            self.check_point(arg, p);
-            self.check_field(arg, field);
-        }
+    fn bind_write<T: Element>(&self, arg: usize, field: FieldId) -> FieldView<'a, T, ReadWrite> {
         assert!(
             matches!(self.slots[arg].privilege, Privilege::ReadWrite),
             "write to region argument {arg} without read-write privilege"
         );
+        self.bind(arg, field, ReadWrite)
     }
 
-    /// Applies the argument's declared reduction to an f64 element.
+    /// A read-only view of f64 field `field` of argument `arg`.
     ///
     /// # Panics
-    /// Unless the argument holds a reduce privilege.
+    /// If the argument is reduce-only, the field undeclared or not F64.
+    pub fn f64(&self, arg: usize, field: FieldId) -> FieldView<'a, f64, Read> {
+        self.bind_read(arg, field)
+    }
+
+    /// A read-only view of i64 field `field` of argument `arg`.
+    pub fn i64(&self, arg: usize, field: FieldId) -> FieldView<'a, i64, Read> {
+        self.bind_read(arg, field)
+    }
+
+    /// A read-write view of f64 field `field` of argument `arg`.
+    ///
+    /// # Panics
+    /// Unless the argument holds read-write privilege and declares the
+    /// field as F64.
+    pub fn f64_mut(&self, arg: usize, field: FieldId) -> FieldView<'a, f64, ReadWrite> {
+        self.bind_write(arg, field)
+    }
+
+    /// A read-write view of i64 field `field` of argument `arg`.
+    pub fn i64_mut(&self, arg: usize, field: FieldId) -> FieldView<'a, i64, ReadWrite> {
+        self.bind_write(arg, field)
+    }
+
+    /// A fold-only view of f64 field `field` of argument `arg`, folding
+    /// with the argument's declared reduction operator.
+    ///
+    /// # Panics
+    /// Unless the argument holds a reduce privilege and declares the
+    /// field as F64.
+    pub fn f64_reduce(&self, arg: usize, field: FieldId) -> FieldView<'a, f64, Reduce> {
+        let Privilege::Reduce(op) = self.slots[arg].privilege else {
+            panic!("reduce on region argument {arg} without reduce privilege")
+        };
+        self.bind(arg, field, Reduce(op))
+    }
+
+    /// Reads one f64 element: [`TaskCtx::f64`] bound for a single
+    /// access. Kernels bind once and index the view instead.
+    #[inline]
+    pub fn read_f64(&self, arg: usize, field: FieldId, p: DynPoint) -> f64 {
+        self.f64(arg, field).get(p)
+    }
+
+    /// Reads one i64 element ([`TaskCtx::i64`], bound per access).
+    #[inline]
+    pub fn read_i64(&self, arg: usize, field: FieldId, p: DynPoint) -> i64 {
+        self.i64(arg, field).get(p)
+    }
+
+    /// Writes one f64 element ([`TaskCtx::f64_mut`], bound per access).
+    #[inline]
+    pub fn write_f64(&mut self, arg: usize, field: FieldId, p: DynPoint, v: f64) {
+        self.f64_mut(arg, field).set(p, v)
+    }
+
+    /// Writes one i64 element ([`TaskCtx::i64_mut`], bound per access).
+    #[inline]
+    pub fn write_i64(&mut self, arg: usize, field: FieldId, p: DynPoint, v: i64) {
+        self.i64_mut(arg, field).set(p, v)
+    }
+
+    /// Folds `v` into one f64 element ([`TaskCtx::f64_reduce`], bound
+    /// per access).
     #[inline]
     pub fn reduce_f64(&mut self, arg: usize, field: FieldId, p: DynPoint, v: f64) {
-        if cfg!(debug_assertions) {
-            self.check_point(arg, p);
-            self.check_field(arg, field);
-        }
-        let op = match self.slots[arg].privilege {
-            Privilege::Reduce(op) => op,
-            _ => panic!("reduce on region argument {arg} without reduce privilege"),
-        };
-        self.slots[arg].inst_mut().reduce_f64_bound(field, p, op, v);
+        self.f64_reduce(arg, field).fold(p, v)
     }
 
     /// Sets the scalar return value.
@@ -359,73 +389,132 @@ mod tests {
         (Instance::new(Domain::range(8), &fields), x)
     }
 
+    /// One slot over `inst` — the single-argument binding most cases
+    /// below need.
+    fn slot<'a>(
+        domain: &'a Domain,
+        privilege: Privilege,
+        fields: &'a [FieldId],
+        inst: &mut Instance,
+    ) -> [ArgSlot<'a>; 1] {
+        // SAFETY: every caller keeps `inst` alive and otherwise unused
+        // while the slot is.
+        [unsafe { ArgSlot::new(domain, privilege, fields, inst) }]
+    }
+
     #[test]
     fn read_write_through_ctx() {
         let (mut inst, x) = make_instance();
-        let mut slots = vec![unsafe {
-            ArgSlot::new(
-                Domain::range(8),
-                Privilege::ReadWrite,
-                vec![x],
-                &mut inst as *mut _,
-            )
-        }];
-        let mut ctx = TaskCtx::new(&mut slots, &[], DynPoint::from(0));
+        let dom = Domain::range(8);
+        let declared = [x];
+        let slots = slot(&dom, Privilege::ReadWrite, &declared, &mut inst);
+        let mut ctx = TaskCtx::new(&slots, &[], DynPoint::from(0));
         ctx.write_f64(0, x, DynPoint::from(3), 1.5);
         assert_eq!(ctx.read_f64(0, x, DynPoint::from(3)), 1.5);
-        #[allow(clippy::drop_non_drop)] // end the borrow of `inst`
-        drop(ctx);
+        // The same access, bound once.
+        let xs = ctx.f64_mut(0, x);
+        xs.set1(4, xs.get1(3) + 1.0);
         assert_eq!(inst.read_f64(x, DynPoint::from(3)), 1.5);
+        assert_eq!(inst.read_f64(x, DynPoint::from(4)), 2.5);
     }
+
+    // The strictness checks below are made when a view is bound, in
+    // every build profile: `cargo test --release` runs them too.
 
     #[test]
     #[should_panic(expected = "without read-write privilege")]
     fn write_to_read_only_panics() {
         let (mut inst, x) = make_instance();
-        let mut slots = vec![unsafe {
-            ArgSlot::new(
-                Domain::range(8),
-                Privilege::Read,
-                vec![x],
-                &mut inst as *mut _,
-            )
-        }];
-        let mut ctx = TaskCtx::new(&mut slots, &[], DynPoint::from(0));
-        ctx.write_f64(0, x, DynPoint::from(0), 1.0);
+        let dom = Domain::range(8);
+        let declared = [x];
+        let slots = slot(&dom, Privilege::Read, &declared, &mut inst);
+        TaskCtx::new(&slots, &[], DynPoint::from(0)).f64_mut(0, x);
     }
 
     #[test]
     #[should_panic(expected = "read from reduce-only")]
     fn read_from_reduce_only_panics() {
         let (mut inst, x) = make_instance();
-        let mut slots = vec![unsafe {
-            ArgSlot::new(
-                Domain::range(8),
-                Privilege::Reduce(ReductionOp::Add),
-                vec![x],
-                &mut inst as *mut _,
-            )
-        }];
-        let ctx = TaskCtx::new(&mut slots, &[], DynPoint::from(0));
-        ctx.read_f64(0, x, DynPoint::from(0));
+        let dom = Domain::range(8);
+        let declared = [x];
+        let slots = slot(
+            &dom,
+            Privilege::Reduce(ReductionOp::Add),
+            &declared,
+            &mut inst,
+        );
+        TaskCtx::new(&slots, &[], DynPoint::from(0)).f64(0, x);
     }
 
-    // `check_point` / `check_field` are debug-mode checks.
+    #[test]
+    #[should_panic(expected = "without reduce privilege")]
+    fn reduce_through_read_write_panics() {
+        let (mut inst, x) = make_instance();
+        let dom = Domain::range(8);
+        let declared = [x];
+        let slots = slot(&dom, Privilege::ReadWrite, &declared, &mut inst);
+        TaskCtx::new(&slots, &[], DynPoint::from(0)).f64_reduce(0, x);
+    }
+
+    #[test]
+    #[should_panic(expected = "undeclared field")]
+    fn undeclared_field_panics() {
+        let fields = FieldSpace::of(&[("x", FieldType::F64), ("y", FieldType::F64)]);
+        let (x, y) = (fields.lookup("x").unwrap(), fields.lookup("y").unwrap());
+        let mut inst = Instance::new(Domain::range(8), &fields);
+        let dom = Domain::range(8);
+        let declared = [x];
+        let slots = slot(&dom, Privilege::ReadWrite, &declared, &mut inst);
+        // `y` exists in the instance, but the task did not declare it:
+        // another task may be writing it right now.
+        TaskCtx::new(&slots, &[], DynPoint::from(0)).f64(0, y);
+    }
+
+    #[test]
+    #[should_panic(expected = "undeclared field")]
+    fn undeclared_field_panics_through_the_per_access_wrappers() {
+        let fields = FieldSpace::of(&[("x", FieldType::F64), ("y", FieldType::F64)]);
+        let (x, y) = (fields.lookup("x").unwrap(), fields.lookup("y").unwrap());
+        let mut inst = Instance::new(Domain::range(8), &fields);
+        let dom = Domain::range(8);
+        let declared = [x];
+        let slots = slot(&dom, Privilege::ReadWrite, &declared, &mut inst);
+        TaskCtx::new(&slots, &[], DynPoint::from(0)).write_f64(0, y, DynPoint::from(0), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not I64")]
+    fn column_type_is_checked_at_bind() {
+        let (mut inst, x) = make_instance();
+        let dom = Domain::range(8);
+        let declared = [x];
+        let slots = slot(&dom, Privilege::Read, &declared, &mut inst);
+        TaskCtx::new(&slots, &[], DynPoint::from(0)).i64(0, x);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside instance domain")]
+    fn access_outside_the_instance_panics() {
+        let (mut inst, x) = make_instance();
+        let dom = Domain::range(8);
+        let declared = [x];
+        let slots = slot(&dom, Privilege::Read, &declared, &mut inst);
+        TaskCtx::new(&slots, &[], DynPoint::from(0))
+            .f64(0, x)
+            .get1(8);
+    }
+
+    // The per-element in-domain check is a debug-mode check.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "outside the domain")]
     fn subregion_domain_enforced() {
         let (mut inst, x) = make_instance();
         // Argument covers only [0,3] even though the instance covers [0,8).
-        let mut slots = vec![unsafe {
-            ArgSlot::new(
-                Domain::from_ids(0..4),
-                Privilege::ReadWrite,
-                vec![x],
-                &mut inst as *mut _,
-            )
-        }];
-        let mut ctx = TaskCtx::new(&mut slots, &[], DynPoint::from(0));
+        let dom = Domain::from_ids(0..4);
+        let declared = [x];
+        let slots = slot(&dom, Privilege::ReadWrite, &declared, &mut inst);
+        let mut ctx = TaskCtx::new(&slots, &[], DynPoint::from(0));
         ctx.write_f64(0, x, DynPoint::from(5), 1.0);
     }
 
@@ -438,6 +527,7 @@ mod tests {
         ]);
         let ids: Vec<FieldId> = fields.iter().map(|(id, _)| id).collect();
         let (x, y, n) = (ids[0], ids[1], ids[2]);
+        let dom = Domain::range(8);
         for privilege in [
             Privilege::Read,
             Privilege::ReadWrite,
@@ -445,23 +535,23 @@ mod tests {
         ] {
             let mut inst = Instance::new(Domain::range(8), &fields);
             inst.seal();
-            let mut slots =
-                vec![unsafe { ArgSlot::new(Domain::range(8), privilege, vec![x, n], &mut inst) }];
+            let declared = [x, n];
+            let slots = slot(&dom, privilege, &declared, &mut inst);
             let unsealed_by_bind = privilege.mutates();
             assert_eq!(inst.is_field_sealed(x), !unsealed_by_bind, "{privilege:?}");
             assert_eq!(inst.is_field_sealed(n), !unsealed_by_bind, "{privilege:?}");
             assert!(inst.is_field_sealed(y), "{privilege:?}: undeclared field");
             // Element accesses leave the seals where the bind put them.
-            let mut ctx = TaskCtx::new(&mut slots, &[], DynPoint::from(0));
+            let ctx = TaskCtx::new(&slots, &[], DynPoint::from(0));
             match privilege {
                 Privilege::Read => {
-                    ctx.read_f64(0, x, DynPoint::from(1));
+                    ctx.f64(0, x).get1(1);
                 }
                 Privilege::ReadWrite => {
-                    ctx.write_f64(0, x, DynPoint::from(1), 2.0);
-                    ctx.write_i64(0, n, DynPoint::from(1), 3);
+                    ctx.f64_mut(0, x).set1(1, 2.0);
+                    ctx.i64_mut(0, n).set1(1, 3);
                 }
-                Privilege::Reduce(_) => ctx.reduce_f64(0, x, DynPoint::from(1), 2.0),
+                Privilege::Reduce(_) => ctx.f64_reduce(0, x).fold1(1, 2.0),
             }
             assert!(inst.is_field_sealed(y), "{privilege:?}: undeclared field");
             // The executor's re-seal point restores a verifiable seal.
@@ -473,19 +563,17 @@ mod tests {
     #[test]
     fn reduce_folds() {
         let (mut inst, x) = make_instance();
-        let mut slots = vec![unsafe {
-            ArgSlot::new(
-                Domain::range(8),
-                Privilege::Reduce(ReductionOp::Add),
-                vec![x],
-                &mut inst as *mut _,
-            )
-        }];
-        let mut ctx = TaskCtx::new(&mut slots, &[], DynPoint::from(0));
+        let dom = Domain::range(8);
+        let declared = [x];
+        let slots = slot(
+            &dom,
+            Privilege::Reduce(ReductionOp::Add),
+            &declared,
+            &mut inst,
+        );
+        let mut ctx = TaskCtx::new(&slots, &[], DynPoint::from(0));
         ctx.reduce_f64(0, x, DynPoint::from(2), 4.0);
-        ctx.reduce_f64(0, x, DynPoint::from(2), 6.0);
-        #[allow(clippy::drop_non_drop)] // end the borrow of `inst`
-        drop(ctx);
+        ctx.f64_reduce(0, x).fold1(2, 6.0);
         assert_eq!(inst.read_f64(x, DynPoint::from(2)), 10.0);
     }
 
@@ -493,16 +581,27 @@ mod tests {
     fn aliased_slots_same_instance() {
         // Two arguments backed by the same instance (shared-memory
         // implementation of region semantics): write through one, read
-        // through the other.
+        // through the other, with both views live.
         let (mut inst, x) = make_instance();
         let p: *mut Instance = &mut inst;
-        let mut slots = vec![
-            unsafe { ArgSlot::new(Domain::from_ids(0..4), Privilege::ReadWrite, vec![x], p) },
-            unsafe { ArgSlot::new(Domain::from_ids(0..8), Privilege::Read, vec![x], p) },
+        let (lower, all) = (Domain::from_ids(0..4), Domain::from_ids(0..8));
+        let declared = [x];
+        let slots = [
+            unsafe { ArgSlot::new(&lower, Privilege::ReadWrite, &declared, p) },
+            unsafe { ArgSlot::new(&all, Privilege::Read, &declared, p) },
         ];
-        let mut ctx = TaskCtx::new(&mut slots, &[], DynPoint::from(0));
-        ctx.write_f64(0, x, DynPoint::from(1), 9.0);
-        assert_eq!(ctx.read_f64(1, x, DynPoint::from(1)), 9.0);
+        let ctx = TaskCtx::new(&slots, &[], DynPoint::from(0));
+        let (w, r) = (ctx.f64_mut(0, x), ctx.f64(1, x));
+        w.set1(1, 9.0);
+        assert_eq!(r.get1(1), 9.0);
+        w.set1(1, r.get1(1) + 1.0);
+        assert_eq!(r.get1(1), 10.0);
+        // Rows of the two arguments alias the same way.
+        let run = ctx.rows(0).next().unwrap();
+        assert_eq!((run.start, run.len), (DynPoint::from(0), 4));
+        let (wr, rr) = (w.row(run), r.row(run));
+        wr.set(2, 3.0);
+        assert_eq!(rr.get(2), 3.0);
     }
 
     #[test]

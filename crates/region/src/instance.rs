@@ -11,29 +11,190 @@
 
 use crate::checksum::StripedFnv;
 use crate::field::{FieldId, FieldSpace, FieldType};
-use regent_geometry::{Domain, DynPoint, DynRect};
+use crate::view::{Element, FieldView, Read};
+use regent_geometry::{Domain, DynPoint, DynRect, MAX_DIM};
+use std::cell::Cell;
+
+/// One rectangle of an indexed domain in affine form.
+///
+/// A point `p` of the rectangle sits at storage offset
+/// `base + ((c0 · extent[1]) + c1) · extent[2] + c2` with
+/// `c_d = p[d] − lo[d]`, and lies inside exactly when every
+/// `c_d < extent[d]` as unsigned numbers. Dimensions the domain does
+/// not have are stored as `lo = 0`, `extent = 1`, so the one formula
+/// serves 1-, 2- and 3-D and the narrower entry points simply leave
+/// the trailing terms out.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Block {
+    lo: [i64; MAX_DIM],
+    extent: [u64; MAX_DIM],
+    base: u64,
+}
+
+impl Block {
+    fn new(r: &DynRect, base: u64) -> Self {
+        // Both corners are zero in the dimensions `r` does not have,
+        // which yields exactly the `lo = 0`, `extent = 1` padding.
+        let (lo, hi) = (r.lo().padded(), r.hi().padded());
+        Block {
+            lo,
+            extent: std::array::from_fn(|d| (hi[d] - lo[d] + 1) as u64),
+            base,
+        }
+    }
+
+    /// Inclusive upper bound in dimension `d`.
+    fn hi(&self, d: usize) -> i64 {
+        self.lo[d] + self.extent[d] as i64 - 1
+    }
+
+    fn volume(&self) -> u64 {
+        self.extent.iter().product()
+    }
+
+    fn rect(&self, dim: usize) -> DynRect {
+        let hi: [i64; MAX_DIM] = std::array::from_fn(|d| self.hi(d));
+        DynRect::new(DynPoint::new(&self.lo[..dim]), DynPoint::new(&hi[..dim]))
+    }
+
+    /// `p[d] − lo[d]`, huge when `p[d] < lo[d]`.
+    #[inline]
+    fn rel(&self, d: usize, c: i64) -> u64 {
+        c.wrapping_sub(self.lo[d]) as u64
+    }
+
+    #[inline]
+    pub(crate) fn offset1(&self, i: i64) -> Option<u64> {
+        let a = self.rel(0, i);
+        (a < self.extent[0]).then(|| self.base + a)
+    }
+
+    #[inline]
+    pub(crate) fn offset2(&self, i: i64, j: i64) -> Option<u64> {
+        let (a, b) = (self.rel(0, i), self.rel(1, j));
+        (a < self.extent[0] && b < self.extent[1]).then(|| self.base + a * self.extent[1] + b)
+    }
+
+    #[inline]
+    pub(crate) fn offset3(&self, [i, j, k]: [i64; MAX_DIM]) -> Option<u64> {
+        let (a, b, c) = (self.rel(0, i), self.rel(1, j), self.rel(2, k));
+        (a < self.extent[0] && b < self.extent[1] && c < self.extent[2])
+            .then(|| self.base + (a * self.extent[1] + b) * self.extent[2] + c)
+    }
+}
+
+/// Finds the run of a sparse 1-D domain that holds an id: the sorted
+/// run starts in one flat array, searched by bisection — but only
+/// between the bounds a bucket table gives. The table cuts the domain's
+/// span into at most `2 · runs` equal power-of-two buckets and records,
+/// per bucket, how many runs start at or before its first id; an id's
+/// run then lies between its bucket's count and the next one's, usually
+/// one or two candidates. Random probes (the pointer chasing of an
+/// unstructured kernel) cost a couple of loads instead of a mispredicted
+/// branch per halving; the table's size is bounded by the number of
+/// runs, never by the span.
+#[derive(Clone, Debug, Default)]
+struct RunIndex {
+    /// `lo` of every run, ascending.
+    starts: Vec<i64>,
+    /// Bucket `b` covers the ids `starts[0] + (b << shift) ..` of width
+    /// `1 << shift`.
+    shift: u32,
+    /// `buckets[b]`: the number of runs that start at or before bucket
+    /// `b`'s first id; one entry past the last bucket holds them all.
+    buckets: Vec<u32>,
+}
+
+impl RunIndex {
+    fn new(blocks: &[Block]) -> Self {
+        let starts: Vec<i64> = blocks.iter().map(|b| b.lo[0]).collect();
+        let runs = u32::try_from(starts.len()).expect("run count fits 32 bits");
+        let (Some(&lo), Some(last)) = (starts.first(), blocks.last()) else {
+            return RunIndex::default();
+        };
+        let span = (last.hi(0) - lo) as u64 + 1;
+        let shift = (span / u64::from(runs)).max(1).ilog2();
+        let num_buckets = ((span - 1) >> shift) + 1;
+        let mut buckets = Vec::with_capacity(num_buckets as usize + 1);
+        let mut k = 0u32;
+        for b in 0..num_buckets {
+            let first = lo + (b << shift) as i64;
+            while k < runs && starts[k as usize] <= first {
+                k += 1;
+            }
+            buckets.push(k);
+        }
+        buckets.push(runs);
+        RunIndex {
+            starts,
+            shift,
+            buckets,
+        }
+    }
+
+    /// Index of the last run that starts at or before `i` — the only
+    /// one that can hold it (runs are disjoint and ascending).
+    #[inline]
+    fn find(&self, i: i64) -> Option<usize> {
+        let b = (i.wrapping_sub(*self.starts.first()?) as u64 >> self.shift) as usize;
+        // Ids before the first run wrap to a bucket far past the table.
+        let (&from, &to) = (self.buckets.get(b)?, self.buckets.get(b + 1)?);
+        let within = self.starts[from as usize..to as usize].partition_point(|&s| s <= i);
+        Some(from as usize + within - 1)
+    }
+}
 
 /// Maps points of a (possibly sparse) domain to dense storage offsets.
 ///
-/// Rectangles are stored in the domain's canonical order; each gets a
-/// contiguous block of offsets. Lookup binary-searches the rectangle
-/// list (sorted by `lo`), then linearizes within the rectangle.
+/// Rectangles are stored in the domain's canonical order, each as an
+/// affine `Block` over a contiguous range of offsets, so the mapping
+/// is a function of the domain alone. A single-rectangle domain — every
+/// root region and every structured tile — is pure arithmetic. A sparse
+/// 1-D domain (the image of an unstructured pointer field: hundreds of
+/// short runs) finds the run through its `RunIndex`; a
+/// multi-rectangle 2-/3-D domain (a halo: a handful of rectangles)
+/// tries them in order.
 #[derive(Clone, Debug)]
 pub struct DomainIndexer {
-    rects: Vec<(DynRect, u64)>,
+    dim: usize,
+    blocks: Vec<Block>,
+    /// The runs of a 1-D domain that has several; empty otherwise.
+    runs: RunIndex,
+    /// A block of greatest volume.
+    largest: Block,
     total: u64,
 }
 
 impl DomainIndexer {
     /// Builds an indexer for `domain`.
     pub fn new(domain: &Domain) -> Self {
-        let mut rects = Vec::with_capacity(domain.rects().len());
+        let mut blocks = Vec::with_capacity(domain.rects().len());
         let mut off = 0u64;
-        for &r in domain.rects() {
-            rects.push((r, off));
+        for r in domain.rects() {
+            blocks.push(Block::new(r, off));
             off += r.volume();
         }
-        DomainIndexer { rects, total: off }
+        let runs = if domain.dim() == 1 && blocks.len() > 1 {
+            RunIndex::new(&blocks)
+        } else {
+            RunIndex::default()
+        };
+        let largest = blocks
+            .iter()
+            .copied()
+            .max_by_key(Block::volume)
+            .unwrap_or(Block {
+                lo: [0; MAX_DIM],
+                extent: [0; MAX_DIM],
+                base: 0,
+            });
+        DomainIndexer {
+            dim: domain.dim(),
+            blocks,
+            runs,
+            largest,
+            total: off,
+        }
     }
 
     /// Number of indexed elements.
@@ -46,34 +207,51 @@ impl DomainIndexer {
         self.total == 0
     }
 
+    /// Dimensionality of the indexed domain.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The domain's largest rectangle (one that holds nothing when the
+    /// domain is empty): the only one of a dense domain, the bar of a
+    /// halo cross, the owned stretch of a ghost set — where most
+    /// accesses fall, so views try it before searching.
+    pub(crate) fn largest(&self) -> Block {
+        self.largest
+    }
+
     /// The dense offset of `p`, or `None` when `p` is outside the domain.
     #[inline]
     pub fn offset_of(&self, p: DynPoint) -> Option<u64> {
-        self.locate(p).map(|(i, k)| self.rects[i].1 + k)
-    }
-
-    /// The rectangle containing `p`, as its index and `p`'s row-major
-    /// position inside it.
-    #[inline]
-    fn locate(&self, p: DynPoint) -> Option<(usize, u64)> {
-        // Rects are disjoint and sorted by lo; binary search for the last
-        // rect whose lo <= p, then check a small neighborhood (rects
-        // sorted by lo do not totally order containment in >1-D, so fall
-        // back to scanning backwards).
-        let idx = self.rects.partition_point(|(r, _)| r.lo() <= p);
-        for i in (0..idx).rev() {
-            let r = &self.rects[i].0;
-            if let Some(k) = r.linearize(p) {
-                return Some((i, k));
-            }
-            // In 1-D, once r.hi < p for the closest rect we can stop.
-            if r.dim() == 1 {
-                break;
-            }
+        if p.dim() != self.dim {
+            return None;
         }
-        None
+        self.locate(p.padded()).map(|(_, off)| off)
     }
 
+    /// The block containing the (padded) point `c`, as its index and
+    /// the point's storage offset.
+    #[inline]
+    pub(crate) fn locate(&self, c: [i64; MAX_DIM]) -> Option<(usize, u64)> {
+        if self.dim == 1 && self.blocks.len() != 1 {
+            let i = self.runs.find(c[0])?;
+            return self.blocks[i].offset1(c[0]).map(|off| (i, off));
+        }
+        self.blocks
+            .iter()
+            .enumerate()
+            .find_map(|(i, b)| b.offset3(c).map(|off| (i, off)))
+    }
+
+    /// Storage offset of `c` and the number of elements from it to the
+    /// end of its row (the last dimension) inside its block: the
+    /// longest unit-stride run that starts at `c`.
+    #[inline]
+    pub(crate) fn locate_run(&self, c: [i64; MAX_DIM]) -> Option<(u64, u64)> {
+        let (i, off) = self.locate(c)?;
+        let last = self.dim - 1;
+        Some((off, (self.blocks[i].hi(last) - c[last] + 1) as u64))
+    }
     /// Visits `elements` in canonical order (the order of
     /// [`Domain::iter`]) as storage-contiguous runs, calling
     /// `f(offset, len)` for each. One lookup per run, none per element:
@@ -84,21 +262,26 @@ impl DomainIndexer {
     /// # Panics
     /// If `elements` is not a subset of the indexed domain.
     pub fn for_each_run(&self, elements: &Domain, mut f: impl FnMut(u64, u64)) {
-        let missing = |p: DynPoint| -> ! { panic!("element {p:?} outside the indexed domain") };
+        let missing = |c: [i64; MAX_DIM]| -> ! {
+            panic!(
+                "element {:?} outside the indexed domain",
+                DynPoint::new(&c[..elements.dim()])
+            )
+        };
         if elements.dim() == 1 {
             let mut i = 0usize;
             for e in elements.rects() {
                 let (mut lo, hi) = (e.lo().coord(0), e.hi().coord(0));
                 while lo <= hi {
-                    while self.rects.get(i).is_some_and(|(r, _)| r.hi().coord(0) < lo) {
+                    while self.blocks.get(i).is_some_and(|b| b.hi(0) < lo) {
                         i += 1;
                     }
-                    let (r, off) = match self.rects.get(i) {
-                        Some((r, off)) if r.lo().coord(0) <= lo => (r, *off),
-                        _ => missing(DynPoint::from(lo)),
+                    let b = match self.blocks.get(i) {
+                        Some(b) if b.lo[0] <= lo => b,
+                        _ => missing([lo, 0, 0]),
                     };
-                    let end = hi.min(r.hi().coord(0));
-                    f(off + (lo - r.lo().coord(0)) as u64, (end - lo + 1) as u64);
+                    let end = hi.min(b.hi(0));
+                    f(b.base + (lo - b.lo[0]) as u64, (end - lo + 1) as u64);
                     lo = end + 1;
                 }
             }
@@ -110,29 +293,23 @@ impl DomainIndexer {
             let hi = e.hi().coord(last);
             let row_len = (hi - e.lo().coord(last) + 1) as u64;
             for row in 0..e.volume() / row_len {
-                let mut p = e
+                let mut c = e
                     .delinearize(row * row_len)
-                    .expect("row start lies inside its rectangle");
+                    .expect("row start lies inside its rectangle")
+                    .padded();
                 loop {
-                    let again = self.rects.get(hint).and_then(|(r, _)| r.linearize(p));
-                    let start = match again {
-                        Some(k) => k,
-                        None => {
-                            let (i, k) = self.locate(p).unwrap_or_else(|| missing(p));
-                            hint = i;
-                            k
-                        }
-                    };
-                    let (r, off) = &self.rects[hint];
-                    let end = hi.min(r.hi().coord(last));
-                    f(off + start, (end - p.coord(last) + 1) as u64);
+                    let again = self.blocks.get(hint).and_then(|b| b.offset3(c));
+                    let start = again.unwrap_or_else(|| {
+                        let (i, off) = self.locate(c).unwrap_or_else(|| missing(c));
+                        hint = i;
+                        off
+                    });
+                    let end = hi.min(self.blocks[hint].hi(last));
+                    f(start, (end - c[last] + 1) as u64);
                     if end == hi {
                         break;
                     }
-                    let mut c = [0i64; regent_geometry::MAX_DIM];
-                    c[..=last].copy_from_slice(p.coords());
                     c[last] = end + 1;
-                    p = DynPoint::new(&c[..=last]);
                 }
             }
         }
@@ -160,8 +337,9 @@ impl DomainIndexer {
 
     /// Iterates `(point, offset)` pairs in storage order.
     pub fn iter(&self) -> impl Iterator<Item = (DynPoint, u64)> + '_ {
-        self.rects.iter().flat_map(|&(r, off)| {
-            (0..r.volume()).map(move |k| (r.delinearize(k).unwrap(), off + k))
+        self.blocks.iter().flat_map(|b| {
+            let r = b.rect(self.dim);
+            (0..b.volume()).map(move |k| (r.delinearize(k).unwrap(), b.base + k))
         })
     }
 }
@@ -459,34 +637,104 @@ impl Instance {
     /// Drops the seals of `fields` — bind-time invalidation. Whoever
     /// binds a region argument with a mutating privilege calls this
     /// **once** for the declared fields (`regent_ir::ArgSlot::new`
-    /// does), after which the kernel's element accesses go through the
-    /// `*_bound` methods below, which leave the seals alone. Hoisting
-    /// the invalidation out of the element loop removes a store per
-    /// element written, and — when several tasks share one instance,
-    /// as every task of the implicit executor does — keeps concurrent
-    /// writers of different elements from all storing to one seal slot.
+    /// does, through [`Instance::unseal_fields_raw`]); the kernel's
+    /// element accesses then go through [`FieldView`]s, which never
+    /// touch a seal. Hoisting the invalidation out of the element loop
+    /// removes a store per element written, and — when several tasks
+    /// share one instance, as every task of the implicit executor does —
+    /// keeps concurrent writers of different elements from all storing
+    /// to one seal slot.
     pub fn unseal_fields(&mut self, fields: &[FieldId]) {
+        // SAFETY: `self` is a live, exclusively borrowed instance.
+        unsafe { Self::unseal_fields_raw(self, fields) }
+    }
+
+    /// [`Instance::unseal_fields`] through a raw pointer, borrowing
+    /// only the seal table — never the columns or the indexer, which
+    /// the views of kernels already running on this instance read.
+    ///
+    /// # Safety
+    /// `this` must point to a live instance whose seals no other
+    /// thread accesses during the call.
+    pub unsafe fn unseal_fields_raw(this: *mut Instance, fields: &[FieldId]) {
+        // SAFETY: the caller vouches for `this` and for the seals.
+        let seals = unsafe { &mut (*this).seals };
         for &f in fields {
-            self.seals[f.0 as usize] = None;
+            seals[f.0 as usize] = None;
         }
     }
 
-    /// The f64 column of `field`, seal untouched.
-    #[inline]
-    fn f64_col_raw(&mut self, field: FieldId) -> &mut [f64] {
-        match &mut self.columns[field.0 as usize] {
-            ColumnData::F64(v) => v,
-            _ => panic!("field {field:?} is not F64"),
+    /// A read-only view of `field`'s column: bound once, then indexed
+    /// by coordinates without a per-element search (see [`FieldView`]).
+    ///
+    /// # Panics
+    /// If the field's column does not hold `T`.
+    pub fn view<T: Element>(&self, field: FieldId) -> FieldView<'_, T, Read> {
+        // SAFETY: the shared borrow of `self` outlives the view and
+        // rules out every safe mutation meanwhile; a `Read` view hands
+        // out no way to store.
+        unsafe {
+            Self::view_raw(
+                self as *const Instance as *mut Instance,
+                field,
+                &self.domain,
+                Read,
+            )
         }
     }
 
-    /// The i64 column of `field`, seal untouched.
-    #[inline]
-    fn i64_col_raw(&mut self, field: FieldId) -> &mut [i64] {
-        match &mut self.columns[field.0 as usize] {
-            ColumnData::I64(v) => v,
-            _ => panic!("field {field:?} is not I64"),
-        }
+    /// The indexer of the instance behind `this`, without borrowing
+    /// anything else of it (what [`Rows`](crate::view::Rows) needs to
+    /// walk a region argument).
+    ///
+    /// # Safety
+    /// `this` must point to an instance that stays live and unmoved
+    /// for `'a`.
+    pub unsafe fn indexer_raw<'a>(this: *const Instance) -> &'a DomainIndexer {
+        // SAFETY: live for `'a` (caller); the indexer is never mutated
+        // after construction.
+        unsafe { &(*this).indexer }
+    }
+
+    /// A view of `field`'s column holding `access`, confined (in debug
+    /// builds) to the points of `domain` — the executor-side binding of
+    /// one field of one region argument.
+    ///
+    /// # Safety
+    /// `this` must point to an instance that stays live and unmoved
+    /// for `'a`, and `domain` must be a subset of its domain. From this
+    /// call until the last use of the view (or of any [`Row`](crate::view::Row) taken
+    /// from it), no other thread may write an element of the column
+    /// that this view reads or writes, nor read one that it writes;
+    /// and nothing may reallocate the column or take a `&mut` to the
+    /// instance. Views of one thread may overlap freely: they are
+    /// `Cell`-style and never hold a reference across an access.
+    ///
+    /// # Panics
+    /// If the field's column does not hold `T`.
+    pub unsafe fn view_raw<'a, T: Element, A: Copy>(
+        this: *mut Instance,
+        field: FieldId,
+        domain: &'a Domain,
+        access: A,
+    ) -> FieldView<'a, T, A> {
+        // SAFETY: `this` is live for `'a` (caller). Only the indexer
+        // and the column table are borrowed, both shared: binding never
+        // forms a reference to the whole instance, so it coexists with
+        // `unseal_fields_raw` on another thread.
+        let (indexer, columns) = unsafe { (&(*this).indexer, &(*this).columns) };
+        let (ptr, len) = T::raw_column(&columns[field.0 as usize])
+            .unwrap_or_else(|| panic!("field {field:?} is not {}", T::NAME));
+        // SAFETY: `Cell<T>` has the layout of `T`, and `ptr`/`len` are
+        // the column's buffer, which lives as long as the instance and
+        // is not reallocated (caller). The `Vec` reaches that buffer
+        // through its own raw pointer, so the shared borrow of its
+        // header above says nothing about the elements; they are only
+        // ever touched through these cells, under the caller's
+        // guarantee that conflicting accesses from other threads are
+        // ordered elsewhere.
+        let cells = unsafe { std::slice::from_raw_parts(ptr as *const Cell<T>, len) };
+        FieldView::new(cells, indexer, domain, access)
     }
 
     /// The storage offset of `p`.
@@ -503,7 +751,10 @@ impl Instance {
     /// Mutable f64 column for `field`.
     pub fn f64_col_mut(&mut self, field: FieldId) -> &mut [f64] {
         self.seals[field.0 as usize] = None;
-        self.f64_col_raw(field)
+        match &mut self.columns[field.0 as usize] {
+            ColumnData::F64(v) => v,
+            _ => panic!("field {field:?} is not F64"),
+        }
     }
 
     /// Immutable i64 column for `field`.
@@ -517,7 +768,10 @@ impl Instance {
     /// Mutable i64 column for `field`.
     pub fn i64_col_mut(&mut self, field: FieldId) -> &mut [i64] {
         self.seals[field.0 as usize] = None;
-        self.i64_col_raw(field)
+        match &mut self.columns[field.0 as usize] {
+            ColumnData::I64(v) => v,
+            _ => panic!("field {field:?} is not I64"),
+        }
     }
 
     /// Point-wise f64 read.
@@ -530,16 +784,8 @@ impl Instance {
     /// Point-wise f64 write.
     #[inline]
     pub fn write_f64(&mut self, field: FieldId, p: DynPoint, v: f64) {
-        self.seals[field.0 as usize] = None;
-        self.write_f64_bound(field, p, v);
-    }
-
-    /// [`Instance::write_f64`] for a bound argument: the binder already
-    /// dropped the field's seal ([`Instance::unseal_fields`]).
-    #[inline]
-    pub fn write_f64_bound(&mut self, field: FieldId, p: DynPoint, v: f64) {
         let off = self.offset(p);
-        self.f64_col_raw(field)[off] = v;
+        self.f64_col_mut(field)[off] = v;
     }
 
     /// Point-wise i64 read.
@@ -552,16 +798,8 @@ impl Instance {
     /// Point-wise i64 write.
     #[inline]
     pub fn write_i64(&mut self, field: FieldId, p: DynPoint, v: i64) {
-        self.seals[field.0 as usize] = None;
-        self.write_i64_bound(field, p, v);
-    }
-
-    /// [`Instance::write_i64`] for a bound argument: the binder already
-    /// dropped the field's seal ([`Instance::unseal_fields`]).
-    #[inline]
-    pub fn write_i64_bound(&mut self, field: FieldId, p: DynPoint, v: i64) {
         let off = self.offset(p);
-        self.i64_col_raw(field)[off] = v;
+        self.i64_col_mut(field)[off] = v;
     }
 
     /// Fills one field's entire column with a constant (used to reset
@@ -577,16 +815,8 @@ impl Instance {
     /// Point-wise reduction fold into an f64 field.
     #[inline]
     pub fn reduce_f64(&mut self, field: FieldId, p: DynPoint, op: ReductionOp, v: f64) {
-        self.seals[field.0 as usize] = None;
-        self.reduce_f64_bound(field, p, op, v);
-    }
-
-    /// [`Instance::reduce_f64`] for a bound argument: the binder
-    /// already dropped the field's seal ([`Instance::unseal_fields`]).
-    #[inline]
-    pub fn reduce_f64_bound(&mut self, field: FieldId, p: DynPoint, op: ReductionOp, v: f64) {
         let off = self.offset(p);
-        let cell = &mut self.f64_col_raw(field)[off];
+        let cell = &mut self.f64_col_mut(field)[off];
         *cell = op.fold(*cell, v);
     }
 }
@@ -681,6 +911,7 @@ pub fn reduce_fields(
 mod tests {
     use super::*;
     use crate::field::FieldSpace;
+    use crate::view::ReadWrite;
 
     fn fs() -> FieldSpace {
         FieldSpace::of(&[("x", FieldType::F64), ("ptr", FieldType::I64)])
@@ -817,18 +1048,18 @@ mod tests {
         reduce_fields(&other, &mut inst, &[x], &Domain::range(8), ReductionOp::Add);
         assert_eq!(inst.seal_value(), None);
         // Bind-time invalidation: `unseal_fields` drops the named seals
-        // once, and the `*_bound` writes that follow touch none.
+        // once, and the view stores that follow touch none.
         inst.seal();
-        inst.write_f64_bound(x, DynPoint::from(0), 4.0);
-        assert!(inst.is_field_sealed(x), "bound writes leave seals alone");
+        let p: *mut Instance = &mut inst;
+        let dom = Domain::range(8);
+        // SAFETY: `inst` outlives the view and nothing else uses it
+        // while the view is live.
+        let xs = unsafe { Instance::view_raw::<f64, _>(p, x, &dom, ReadWrite) };
+        xs.set1(0, 4.0);
+        assert!(inst.is_field_sealed(x), "view stores leave seals alone");
         assert!(!inst.verify_seal(), "which is why the binder unseals first");
         inst.unseal_fields(&[x]);
         assert!(!inst.is_field_sealed(x) && inst.is_field_sealed(ptr));
-        inst.reduce_f64_bound(x, DynPoint::from(0), ReductionOp::Add, 1.0);
-        inst.write_i64_bound(ptr, DynPoint::from(0), 5);
-        assert_eq!(inst.read_f64(x, DynPoint::from(0)), 5.0);
-        assert_eq!(inst.read_i64(ptr, DynPoint::from(0)), 5);
-        assert!(inst.is_field_sealed(ptr));
         // Clones carry the seal (snapshots stay verified).
         inst.seal();
         let clone = inst.clone();

@@ -10,6 +10,9 @@
 //!   `preimage`, `by_color`, restriction and color-wise set operations,
 //!   with per-operator static disjointness classification.
 //! * [`field`] — field spaces (per-element payload schemas).
+//! * [`instance`] — physical instances (columnar storage of one
+//!   domain × one field space) and [`view`] — their fields bound once
+//!   and indexed at accessor speed, which is how kernels touch data.
 //! * [`hierarchy`] — the private/ghost hierarchical region trees of
 //!   §4.5.
 //! * [`intersect`] — dynamic shallow/complete region intersections
@@ -29,6 +32,7 @@ pub mod instance;
 pub mod intersect;
 pub mod interval;
 pub mod ops;
+pub mod view;
 
 pub use checksum::{fnv1a, fnv1a_mix, mul_fold, striped_fnv, MulFold, StripedFnv};
 pub use field::{FieldDef, FieldId, FieldSpace, FieldType};
@@ -36,6 +40,7 @@ pub use forest::{Color, Disjointness, PartitionId, RegionForest, RegionId};
 pub use hierarchy::{private_ghost_split, PrivateGhost};
 pub use instance::{copy_fields, reduce_fields, ColumnData, DomainIndexer, Instance, ReductionOp};
 pub use intersect::{CompleteIntersection, OverlapPair};
+pub use view::{Element, FieldView, Read, ReadWrite, Readable, Reduce, Row, Rows, Run};
 
 // Re-export the geometric vocabulary for downstream convenience.
 pub use regent_geometry::{Domain, DynPoint, DynRect};

@@ -131,11 +131,11 @@ pub struct ImplicitStats {
     pub memo_replayed_tasks: u64,
 }
 
-struct Job {
+struct Job<'p> {
     task: TaskId,
     /// The region arguments, bound by the control thread at issue time
     /// and locked by the one worker that runs the job.
-    slots: Mutex<Vec<ArgSlot>>,
+    slots: Mutex<Vec<ArgSlot<'p>>>,
     scalars: Vec<f64>,
     point: DynPoint,
     /// Dynamic launch sequence number (trace identity).
@@ -148,19 +148,19 @@ struct Job {
     /// Dependencies not yet satisfied; the job is ready at zero.
     remaining: AtomicUsize,
     /// Jobs to notify on completion. Guarded together with `done`.
-    dependents: Mutex<Vec<Arc<Job>>>,
+    dependents: Mutex<Vec<Arc<Job<'p>>>>,
     done: AtomicBool,
 }
 
-struct Pool {
+struct Pool<'p> {
     /// One ready queue per worker; the mapper picks the queue.
-    ready_tx: Vec<Sender<Option<Arc<Job>>>>,
+    ready_tx: Vec<Sender<Option<Arc<Job<'p>>>>>,
     outstanding: Mutex<usize>,
     drained: Condvar,
 }
 
-impl Pool {
-    fn submit(&self, job: Arc<Job>) {
+impl<'p> Pool<'p> {
+    fn submit(&self, job: Arc<Job<'p>>) {
         let w = job.worker;
         self.ready_tx[w].send(Some(job)).unwrap();
     }
@@ -196,19 +196,19 @@ impl Pool {
     }
 }
 
-fn run_job(
-    job: &Job,
+fn run_job<'p>(
+    job: &Job<'p>,
     tasks: &[regent_ir::TaskDecl],
-    pool: &Pool,
+    pool: &Pool<'p>,
     tb: &mut TraceBuf,
     mx: &mut MetricsHandle,
 ) {
     let decl = &tasks[job.task.0 as usize];
-    let mut slots = job
+    let slots = job
         .slots
         .lock()
         .expect("only the worker running the job locks its slots");
-    let mut ctx = TaskCtx::new(&mut slots, &job.scalars, job.point);
+    let mut ctx = TaskCtx::new(&slots, &job.scalars, job.point);
     let t0 = tb.now();
     let m0 = mx.start();
     (decl.kernel)(&mut ctx);
@@ -344,7 +344,7 @@ impl<'f> AliasTable<'f> {
 /// that a later task might still have to be ordered after, in issue
 /// order (a task's records are adjacent).
 struct Window<'f> {
-    records: Vec<(Access, Arc<Job>)>,
+    records: Vec<(Access, Arc<Job<'f>>)>,
     alias: AliasTable<'f>,
     /// [`launch_covers`] of every index launch issued so far, by
     /// statement (the program does not move or change during a run).
@@ -414,16 +414,16 @@ impl Window<'_> {
 /// Control-thread bookkeeping threaded through statement execution:
 /// statistics, the event recorder, the trace identity counters, and
 /// the memoization state.
-struct Ctl {
+struct Ctl<'p> {
     stats: ImplicitStats,
     tb: TraceBuf,
     mx: MetricsHandle,
     launch_seq: u32,
     loop_depth: u32,
-    memo: Option<MemoRt>,
+    memo: Option<MemoRt<'p>>,
 }
 
-impl Ctl {
+impl Ctl<'_> {
     /// Emits the drain marker after the pool quiesced (a full barrier
     /// in the happens-before graph).
     fn drained(&mut self) {
@@ -433,15 +433,15 @@ impl Ctl {
 
 /// Memoization runtime state: the shared template cache plus the epoch
 /// currently being recorded or replayed.
-struct MemoRt {
+struct MemoRt<'p> {
     cache: Arc<Mutex<MemoCache>>,
     /// Open while the control flow is inside an outermost-loop
     /// iteration.
-    epoch: Option<EpochRec>,
+    epoch: Option<EpochRec<'p>>,
 }
 
 /// Recording/replay state of one open epoch.
-struct EpochRec {
+struct EpochRec<'p> {
     /// Outermost-loop iteration number (trace identity).
     step: u64,
     /// Region-forest version the epoch runs against (stamped into any
@@ -453,7 +453,7 @@ struct EpochRec {
     /// payload. Kept parallel to `sigs` in both modes.
     edges: Vec<Vec<u32>>,
     /// Job handles by epoch index (replay edge targets).
-    jobs: Vec<Arc<Job>>,
+    jobs: Vec<Arc<Job<'p>>>,
     /// Job identity (`Arc` pointer) → epoch index, for recognizing
     /// intra-epoch predecessors during capture.
     index_of: HashMap<usize, u32>,
@@ -476,11 +476,11 @@ struct EpochRec {
 /// Opens a new epoch at an outermost-loop iteration boundary: closes
 /// the previous epoch, validates the template cache against the region
 /// forest, and decides between replay (fence + template) and capture.
-fn memo_begin_epoch(
-    program: &Program,
-    pool: &Pool,
-    window: &mut Window<'_>,
-    ctl: &mut Ctl,
+fn memo_begin_epoch<'p>(
+    program: &'p Program,
+    pool: &Pool<'p>,
+    window: &mut Window<'p>,
+    ctl: &mut Ctl<'p>,
     step: u64,
 ) {
     if ctl.memo.is_none() {
@@ -535,7 +535,7 @@ fn memo_begin_epoch(
 /// Closes the open epoch, if any: classifies it as a hit, miss, or
 /// capture, updates the template cache, and records the epoch's key as
 /// the replay prediction for the next epoch.
-fn memo_end_epoch(ctl: &mut Ctl) {
+fn memo_end_epoch(ctl: &mut Ctl<'_>) {
     let Some(m) = ctl.memo.as_mut() else { return };
     let Some(ep) = m.epoch.take() else { return };
     let key = memo::epoch_key(&ep.sigs);
@@ -735,15 +735,15 @@ struct Route {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn exec_stmts(
-    program: &Program,
-    stmts: &[Stmt],
+fn exec_stmts<'p>(
+    program: &'p Program,
+    stmts: &'p [Stmt],
     env: &mut Vec<f64>,
     inst_ptrs: &HashMap<RegionId, *mut Instance>,
-    pool: &Pool,
+    pool: &Pool<'p>,
     route: &Route,
-    window: &mut Window<'_>,
-    ctl: &mut Ctl,
+    window: &mut Window<'p>,
+    ctl: &mut Ctl<'p>,
 ) {
     for s in stmts {
         match s {
@@ -752,7 +752,7 @@ fn exec_stmts(
                 let scalar_args: Vec<f64> = il.scalar_args.iter().map(|e| e.eval(env)).collect();
                 let launch_seq = ctl.launch_seq;
                 ctl.launch_seq += 1;
-                let mut launch_jobs: Vec<Arc<Job>> = Vec::new();
+                let mut launch_jobs: Vec<Arc<Job<'p>>> = Vec::new();
                 for (pos, &i) in il.launch_domain.iter().enumerate() {
                     let regions: Vec<RegionId> =
                         il.args.iter().map(|a| resolve_arg(program, a, i)).collect();
@@ -870,19 +870,19 @@ fn exec_stmts(
 /// submission (deferred-execution style — the control thread never
 /// blocks on the task itself).
 #[allow(clippy::too_many_arguments)]
-fn issue_task(
-    program: &Program,
+fn issue_task<'p>(
+    program: &'p Program,
     task: TaskId,
     regions: &[RegionId],
     scalars: Vec<f64>,
     point: DynPoint,
     (launch, pos): (u32, u32),
     inst_ptrs: &HashMap<RegionId, *mut Instance>,
-    pool: &Pool,
+    pool: &Pool<'p>,
     route: &Route,
-    window: &mut Window<'_>,
-    ctl: &mut Ctl,
-) -> Arc<Job> {
+    window: &mut Window<'p>,
+    ctl: &mut Ctl<'p>,
+) -> Arc<Job<'p>> {
     let decl = program.task(task);
     let forest = &program.forest;
     let accesses: Vec<Access> = regions
@@ -894,17 +894,18 @@ fn issue_task(
         .iter()
         .zip(&decl.params)
         .map(|(&r, p)| {
-            // SAFETY: the store outlives the worker scope, and the
-            // dependence graph orders every two accesses that conflict
+            // SAFETY: the store outlives the worker scope and is not
+            // touched by anyone else during it, and the dependence
+            // graph orders every two accesses that conflict
             // (privileges, declared fields, aliasing), so kernels that
             // share a root instance concurrently touch different
             // columns or different elements, or only read. Binding on
             // this thread makes it the only one that stores to a seal.
             unsafe {
                 ArgSlot::new(
-                    forest.domain(r).clone(),
+                    forest.domain(r),
                     p.privilege,
-                    p.fields.clone(),
+                    &p.fields,
                     inst_ptrs[&forest.root_of(r)],
                 )
             }
@@ -958,11 +959,11 @@ fn issue_task(
     // a structural signature; a predicted epoch replays template edges
     // instead of scanning the window.
     let sig = match &ctl.memo {
-        Some(m) if m.epoch.is_some() => {
-            let reqs: Vec<(RegionId, Privilege)> =
-                accesses.iter().map(|a| (a.region, a.privilege)).collect();
-            Some(memo::launch_sig(task.0, &point, &reqs))
-        }
+        Some(m) if m.epoch.is_some() => Some(memo::launch_sig(
+            task.0,
+            &point,
+            accesses.iter().map(|a| (a.region, a.privilege)),
+        )),
         _ => None,
     };
     let mut replayed = false;

@@ -544,7 +544,7 @@ fn launch_record_sig(spmd: &SpmdProgram, l: &SpmdLaunch) -> u64 {
         .first()
         .copied()
         .unwrap_or_else(|| DynPoint::new(&[0]));
-    launch_sig(l.task.0, &point, &accesses)
+    launch_sig(l.task.0, &point, accesses)
 }
 
 /// Per-replica dependence-analysis state, held by the replica's leader

@@ -54,13 +54,17 @@ fn mix(h: u64, v: u64) -> u64 {
 /// point, and every region requirement (region identity + privilege).
 /// Two launches with equal signatures are interchangeable inputs to the
 /// dependence analysis on an unchanged region forest.
-pub fn launch_sig(task: u32, point: &DynPoint, accesses: &[(RegionId, Privilege)]) -> u64 {
+pub fn launch_sig(
+    task: u32,
+    point: &DynPoint,
+    accesses: impl IntoIterator<Item = (RegionId, Privilege)>,
+) -> u64 {
     let mut h = mix(FNV_OFFSET, task as u64);
     h = mix(h, point.dim() as u64);
     for &c in point.coords() {
         h = mix(h, c as u64);
     }
-    for &(r, p) in accesses {
+    for (r, p) in accesses {
         h = mix(h, r.0 as u64);
         let code = match p {
             Privilege::Read => 1u64,
@@ -252,20 +256,20 @@ mod tests {
     #[test]
     fn signatures_depend_on_every_requirement() {
         let pt = DynPoint::new(&[3]);
-        let base = launch_sig(1, &pt, &[acc(4, Privilege::Read)]);
-        assert_ne!(base, launch_sig(2, &pt, &[acc(4, Privilege::Read)]));
+        let base = launch_sig(1, &pt, [acc(4, Privilege::Read)]);
+        assert_ne!(base, launch_sig(2, &pt, [acc(4, Privilege::Read)]));
         assert_ne!(
             base,
-            launch_sig(1, &DynPoint::new(&[4]), &[acc(4, Privilege::Read)])
+            launch_sig(1, &DynPoint::new(&[4]), [acc(4, Privilege::Read)])
         );
-        assert_ne!(base, launch_sig(1, &pt, &[acc(5, Privilege::Read)]));
-        assert_ne!(base, launch_sig(1, &pt, &[acc(4, Privilege::ReadWrite)]));
+        assert_ne!(base, launch_sig(1, &pt, [acc(5, Privilege::Read)]));
+        assert_ne!(base, launch_sig(1, &pt, [acc(4, Privilege::ReadWrite)]));
         assert_ne!(
-            launch_sig(1, &pt, &[acc(4, Privilege::Reduce(ReductionOp::Add))]),
-            launch_sig(1, &pt, &[acc(4, Privilege::Reduce(ReductionOp::Min))])
+            launch_sig(1, &pt, [acc(4, Privilege::Reduce(ReductionOp::Add))]),
+            launch_sig(1, &pt, [acc(4, Privilege::Reduce(ReductionOp::Min))])
         );
         // Deterministic.
-        assert_eq!(base, launch_sig(1, &pt, &[acc(4, Privilege::Read)]));
+        assert_eq!(base, launch_sig(1, &pt, [acc(4, Privilege::Read)]));
     }
 
     #[test]

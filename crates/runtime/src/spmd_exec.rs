@@ -1398,12 +1398,11 @@ impl<'a> ShardExec<'a> {
                         privilege: crate::implicit::priv_code(param.privilege),
                     });
                 }
-                // SAFETY: shard-local instances; one kernel runs at a
-                // time on this thread; aliasing between slots is
-                // mediated by TaskCtx (never two live references).
-                slots.push(unsafe {
-                    ArgSlot::new(domain, param.privilege, param.fields.clone(), inst)
-                });
+                // SAFETY: shard-local instances that outlive the kernel
+                // call (the map is not touched until it returns); one
+                // kernel runs at a time on this thread; slots that
+                // alias are what `TaskCtx`'s `Cell`-style views are for.
+                slots.push(unsafe { ArgSlot::new(domain, param.privilege, &param.fields, inst) });
             }
             self.tb.instant(EventKind::TaskLaunch {
                 launch,
@@ -1411,7 +1410,7 @@ impl<'a> ShardExec<'a> {
                 task: l.task.0,
             });
             self.mx.incr(Counter::Launches);
-            let mut ctx = TaskCtx::new(&mut slots, &scalar_args, c);
+            let mut ctx = TaskCtx::new(&slots, &scalar_args, c);
             let t0 = self.tb.now();
             let m0 = self.mx.start();
             (decl.kernel)(&mut ctx);
@@ -1457,22 +1456,19 @@ impl<'a> ShardExec<'a> {
         }
     }
 
-    fn arg_key_domain(&self, a: &SpmdArg, c: DynPoint) -> (InstKey, Domain, RegionId) {
+    fn arg_key_domain(&self, a: &SpmdArg, c: DynPoint) -> (InstKey, &'a Domain, RegionId) {
+        let forest = &self.spmd.forest;
         match a {
             SpmdArg::Use(u) => {
                 let decl = &self.spmd.uses[*u];
                 match decl.base {
                     UseBase::Part(p) => {
-                        let sub = self.spmd.forest.subregion(p, c);
-                        (
-                            InstKey::UsePart(*u as u32, c),
-                            self.spmd.forest.domain(sub).clone(),
-                            sub,
-                        )
+                        let sub = forest.subregion(p, c);
+                        (InstKey::UsePart(*u as u32, c), forest.domain(sub), sub)
                     }
                     UseBase::Whole(r) => (
                         InstKey::UseWhole(*u as u32, self.shard as u32),
-                        self.spmd.forest.domain(r).clone(),
+                        forest.domain(r),
                         r,
                     ),
                 }
@@ -1481,16 +1477,12 @@ impl<'a> ShardExec<'a> {
                 let decl = &self.spmd.temps[t.0 as usize];
                 match decl.base {
                     UseBase::Part(p) => {
-                        let sub = self.spmd.forest.subregion(p, c);
-                        (
-                            InstKey::TempPart(t.0, c),
-                            self.spmd.forest.domain(sub).clone(),
-                            sub,
-                        )
+                        let sub = forest.subregion(p, c);
+                        (InstKey::TempPart(t.0, c), forest.domain(sub), sub)
                     }
                     UseBase::Whole(r) => (
                         InstKey::TempWhole(t.0, self.shard as u32),
-                        self.spmd.forest.domain(r).clone(),
+                        forest.domain(r),
                         r,
                     ),
                 }

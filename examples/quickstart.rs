@@ -103,11 +103,17 @@ fn build_program(
         params: vec![RegionParam::read_write(&[fb]), RegionParam::read(&[fa])],
         num_scalar_args: 0,
         returns_value: false,
+        // Kernels bind each field once — privilege, declared field and
+        // column type are checked here — and then index the views.
+        // Both arguments cover the same ids, so each unit-stride run of
+        // argument 0 is a plain slice of either field.
         kernel: Arc::new(move |ctx| {
-            let dom = ctx.domain(0).clone();
-            for p in dom.iter() {
-                let v = ctx.read_f64(1, fa, p);
-                ctx.write_f64(0, fb, p, 0.5 * v + 1.0);
+            let (out, vin) = (ctx.f64_mut(0, fb), ctx.f64(1, fa));
+            for run in ctx.rows(0) {
+                let (out, vin) = (out.row(run), vin.row(run));
+                for k in 0..run.len {
+                    out.set(k, 0.5 * vin.get(k) + 1.0);
+                }
             }
         }),
         cost_per_element: 1.0,
@@ -117,11 +123,16 @@ fn build_program(
         params: vec![RegionParam::read_write(&[fa]), RegionParam::read(&[fb])],
         num_scalar_args: 0,
         returns_value: false,
+        // Argument 1 is the image of `h`: a sparse set of ids, read by
+        // coordinate (`get1`) wherever `h` points.
         kernel: Arc::new(move |ctx| {
-            let dom = ctx.domain(0).clone();
-            for p in dom.iter() {
-                let v = ctx.read_f64(1, fb, DynPoint::from(h(p.coord(0))));
-                ctx.write_f64(0, fa, p, 0.9 * v);
+            let (out, vin) = (ctx.f64_mut(0, fa), ctx.f64(1, fb));
+            for run in ctx.rows(0) {
+                let out = out.row(run);
+                let first = run.start.coord(0);
+                for k in 0..run.len {
+                    out.set(k, 0.9 * vin.get1(h(first + k as i64)));
+                }
             }
         }),
         cost_per_element: 1.0,
