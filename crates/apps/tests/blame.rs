@@ -14,7 +14,7 @@
 use regent_apps::{circuit, miniaero, pennant, stencil};
 use regent_cr::{control_replicate, CrOptions};
 use regent_ir::{Program, Store};
-use regent_runtime::{execute_implicit, execute_log_traced, execute_spmd_traced, ImplicitOptions};
+use regent_runtime::{execute_implicit, run, Compiled, ImplicitOptions, RunOptions};
 use regent_trace::{blame_report, classify, Blame, BlameReport, EventKind, Phase, Trace, Tracer};
 
 /// One executor's observability record: the critical-path blame report
@@ -63,7 +63,11 @@ fn blame_both(build: impl Fn() -> (Program, Store)) -> (ExecRecord, ExecRecord) 
     let (prog, mut store) = build();
     let spmd = control_replicate(prog, &CrOptions::new(3)).unwrap();
     let tracer = Tracer::enabled();
-    execute_spmd_traced(&spmd, &mut store, &tracer);
+    run(
+        Compiled::Spmd(&spmd),
+        &mut store,
+        &RunOptions::traced(&tracer),
+    );
     let spmd_rec = record(&tracer.take(), "spmd");
     (implicit, spmd_rec)
 }
@@ -152,7 +156,11 @@ fn blame_log_amortizes_analysis_below_implicit() {
     let (prog, mut store) = build();
     let spmd = control_replicate(prog, &CrOptions::new(8)).unwrap();
     let tracer = Tracer::enabled();
-    let r = execute_log_traced(&spmd, &mut store, &tracer);
+    let r = run(
+        Compiled::Log(&spmd),
+        &mut store,
+        &RunOptions::traced(&tracer),
+    );
     assert!(r.log.batches > 0);
     let trace = tracer.take();
     let log_checks = dep_checks(&trace);

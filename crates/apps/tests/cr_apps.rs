@@ -16,7 +16,7 @@ use regent_cr::{control_replicate, CrOptions};
 use regent_geometry::DynPoint;
 use regent_ir::{interp, Program, Store};
 use regent_region::{FieldType, RegionForest, RegionId};
-use regent_runtime::execute_spmd;
+use regent_runtime::{run, Compiled, RunOptions};
 
 /// Compares all root regions of two executions.
 fn compare_stores(prog: &Program, seq: &Store, forest_cr: &RegionForest, cr: &Store, rel_tol: f64) {
@@ -67,7 +67,7 @@ fn stencil_through_cr_bit_exact() {
         let mut cr_store = Store::new(&prog2);
         stencil::init_stencil(&prog2, &mut cr_store, &h2);
         let spmd = control_replicate(prog2, &CrOptions::new(ns)).unwrap();
-        let result = execute_spmd(&spmd, &mut cr_store);
+        let result = run(Compiled::Spmd(&spmd), &mut cr_store, &RunOptions::default());
         assert_eq!(seq_env, result.env);
         compare_stores(&prog, &seq_store, &spmd.forest, &cr_store, 0.0);
         // Exactly one coherence copy per step: tiles → halo on the
@@ -99,7 +99,7 @@ fn circuit_through_cr() {
         let mut cr_store = Store::new(&prog2);
         circuit::init_circuit(&prog2, &mut cr_store, &h2, &g2);
         let spmd = control_replicate(prog2, &CrOptions::new(ns)).unwrap();
-        let result = execute_spmd(&spmd, &mut cr_store);
+        let result = run(Compiled::Spmd(&spmd), &mut cr_store, &RunOptions::default());
         compare_stores(&prog, &seq_store, &spmd.forest, &cr_store, 1e-12);
         if ns > 1 {
             assert!(result.stats.messages_sent > 0);
@@ -182,7 +182,7 @@ fn miniaero_through_cr() {
         let mut cr_store = Store::new(&prog2);
         miniaero::init_miniaero(&prog2, &mut cr_store, &h2, &cfg, &mesh2);
         let spmd = control_replicate(prog2, &CrOptions::new(ns)).unwrap();
-        execute_spmd(&spmd, &mut cr_store);
+        run(Compiled::Spmd(&spmd), &mut cr_store, &RunOptions::default());
         compare_stores(&prog, &seq_store, &spmd.forest, &cr_store, 1e-11);
     }
 }
@@ -209,7 +209,7 @@ fn pennant_through_cr() {
         let mut cr_store = Store::new(&prog2);
         pennant::init_pennant(&prog2, &mut cr_store, &h2, &cfg, &mesh2);
         let spmd = control_replicate(prog2, &CrOptions::new(ns)).unwrap();
-        let result = execute_spmd(&spmd, &mut cr_store);
+        let result = run(Compiled::Spmd(&spmd), &mut cr_store, &RunOptions::default());
         // The dynamically-computed dt sequence must agree (it controls
         // the While trip count); scalar collectives preserve fold
         // order, so the env matches exactly.
@@ -271,7 +271,7 @@ fn stencil_halo_traffic_scales_with_boundary() {
             let mut store = Store::new(&prog);
             stencil::init_stencil(&prog, &mut store, &h);
             let spmd = control_replicate(prog, &CrOptions::new(4)).unwrap();
-            let r = execute_spmd(&spmd, &mut store);
+            let r = run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default());
             r.stats.elements_sent
         })
         .collect();
@@ -305,7 +305,7 @@ fn circuit_equilibrium_preserved_under_cr() {
     };
     let before = total(&store, &prog.forest);
     let spmd = control_replicate(prog, &CrOptions::new(3)).unwrap();
-    execute_spmd(&spmd, &mut store);
+    run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default());
     let after = total(&store, &spmd.forest);
     assert!((before - after).abs() < 1e-9 * before.abs().max(1.0));
 }

@@ -21,16 +21,13 @@
 //! binary (the `env_opts.rs` idiom); the executors re-read the
 //! variables at every launch, which is what makes the toggling valid.
 
+mod common;
+
+use common::{compare_roots, mk_stencil, spmd_family_agrees};
 use regent_apps::{circuit, miniaero, pennant, stencil};
-use regent_cr::hybrid::{replicate_ranges, Segment};
-use regent_cr::{control_replicate, CrOptions, ForestOracle};
+use regent_cr::{control_replicate, CrOptions};
 use regent_ir::{interp, Program, Store};
-use regent_region::{FieldType, RegionForest, RegionId};
-use regent_runtime::{
-    execute_hybrid_traced, execute_log_traced, execute_spmd, execute_spmd_resilient,
-    execute_spmd_traced, FaultPlan, ResilienceOptions,
-};
-use regent_trace::{validate, Trace, Tracer};
+use regent_runtime::{run, Compiled, FaultPlan, ResilienceOptions, RunOptions};
 
 type AppFactory = Box<dyn Fn() -> (Program, Store)>;
 
@@ -115,160 +112,30 @@ fn apps() -> Vec<(&'static str, AppFactory, f64)> {
     ]
 }
 
-/// Compares every root region of two executions; `rel_tol == 0.0`
-/// demands bit-identical f64 contents.
-fn compare_roots(
-    label: &str,
-    roots: &[RegionId],
-    fa: &RegionForest,
-    sa: &Store,
-    fb: &RegionForest,
-    sb: &Store,
-    rel_tol: f64,
-) {
-    for &root in roots {
-        let ia = sa.instance_in(fa, root);
-        let ib = sb.instance_in(fb, root);
-        for (fid, def) in fa.fields(root).iter() {
-            for p in fa.domain(root).iter() {
-                match def.ty {
-                    FieldType::F64 => {
-                        let a = ia.read_f64(fid, p);
-                        let b = ib.read_f64(fid, p);
-                        if rel_tol == 0.0 {
-                            assert!(
-                                a.to_bits() == b.to_bits(),
-                                "{label}: field {:?} at {:?}: {a} vs {b}",
-                                def.name,
-                                p
-                            );
-                        } else {
-                            let scale = a.abs().max(b.abs()).max(1.0);
-                            assert!(
-                                (a - b).abs() <= rel_tol * scale,
-                                "{label}: field {:?} at {:?}: {a} vs {b}",
-                                def.name,
-                                p
-                            );
-                        }
-                    }
-                    FieldType::I64 => {
-                        assert_eq!(
-                            ia.read_i64(fid, p),
-                            ib.read_i64(fid, p),
-                            "{label}: field {:?} at {:?}",
-                            def.name,
-                            p
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Spy-certifies a trace against the forest's overlap oracle.
-fn certify(label: &str, forest: &RegionForest, trace: &Trace) {
-    let oracle = ForestOracle::new(forest);
-    let report = validate(trace, &oracle).unwrap_or_else(|e| panic!("{label}: corrupt log: {e}"));
-    assert!(
-        report.ok(),
-        "{label}: spy violations ({} certified):\n{:?}",
-        report.certified,
-        report.violations
-    );
-    assert!(report.certified > 0, "{label}: no dependences exercised");
-}
-
 /// One matrix cell: the app through SPMD, hybrid, and shared-log under
 /// the *current* environment, each certified and compared.
 fn run_cell(label: &str, mk: &dyn Fn() -> (Program, Store), ns: usize, tol: f64) {
     let (prog_seq, mut store_seq) = mk();
     let roots = prog_seq.root_regions();
     let (env_seq, _) = interp::run(&prog_seq, &mut store_seq);
-
-    // SPMD.
-    let (prog_cr, mut store_cr) = mk();
-    let spmd = control_replicate(prog_cr, &CrOptions::new(ns)).unwrap();
-    let tracer = Tracer::enabled();
-    let r = execute_spmd_traced(&spmd, &mut store_cr, &tracer);
-    assert_eq!(env_seq, r.env, "{label}/spmd: env diverged");
-    certify(&format!("{label}/spmd"), &spmd.forest, &tracer.take());
-    compare_roots(
-        &format!("{label}/spmd"),
-        &roots,
-        &prog_seq.forest,
-        &store_seq,
-        &spmd.forest,
-        &store_cr,
-        tol,
-    );
-
-    // Hybrid: bit-identical to the SPMD run.
-    let (prog_h, mut store_h) = mk();
-    let hybrid = replicate_ranges(prog_h, &CrOptions::new(ns)).unwrap();
-    let tracer = Tracer::enabled();
-    let rh = execute_hybrid_traced(&hybrid, &mut store_h, &tracer);
-    assert_eq!(r.env, rh.env, "{label}/hybrid: env diverged");
-    let seg_forest = hybrid
-        .segments
-        .iter()
-        .find_map(|s| match s {
-            Segment::Replicated(sp) => Some(&sp.forest),
-            Segment::Sequential(_) => None,
-        })
-        .unwrap();
-    certify(&format!("{label}/hybrid"), seg_forest, &tracer.take());
-    compare_roots(
-        &format!("{label}/hybrid"),
-        &roots,
-        &spmd.forest,
-        &store_cr,
-        &hybrid.base.forest,
-        &store_h,
-        0.0,
-    );
-
-    // Shared-log: bit-identical regions to the SPMD run, exact env.
-    let (prog_l, mut store_l) = mk();
-    let spmd_l = control_replicate(prog_l, &CrOptions::new(ns)).unwrap();
-    let tracer = Tracer::enabled();
-    let rl = execute_log_traced(&spmd_l, &mut store_l, &tracer);
-    assert_eq!(env_seq, rl.env, "{label}/log: env diverged");
-    certify(&format!("{label}/log"), &spmd_l.forest, &tracer.take());
-    compare_roots(
-        &format!("{label}/log-vs-spmd"),
-        &roots,
-        &spmd.forest,
-        &store_cr,
-        &spmd_l.forest,
-        &store_l,
-        0.0,
-    );
+    let reference = (&env_seq[..], &prog_seq.forest, &store_seq);
+    spmd_family_agrees(label, mk, ns, tol, reference, &roots);
 }
 
 /// Crash recovery and corruption retransmission on the current plane:
 /// both must be bit-identical to the plain SPMD run, with the fault
 /// machinery demonstrably exercised.
 fn run_resilience_cell(label: &str) {
-    let mk = || {
-        let cfg = stencil::StencilConfig {
-            n: 40,
-            ntx: 4,
-            nty: 2,
-            radius: 2,
-            steps: 5,
-        };
-        let (prog, h) = stencil::stencil_program(cfg);
-        let mut store = Store::new(&prog);
-        stencil::init_stencil(&prog, &mut store, &h);
-        (prog, store)
-    };
+    let mk = mk_stencil;
     let ns = 3;
     let (prog_a, mut store_a) = mk();
     let roots = prog_a.root_regions();
     let spmd_a = control_replicate(prog_a, &CrOptions::new(ns)).unwrap();
-    let plain = execute_spmd(&spmd_a, &mut store_a);
+    let plain = run(
+        Compiled::Spmd(&spmd_a),
+        &mut store_a,
+        &RunOptions::default(),
+    );
 
     // Crash + rollback: shard 1 dies at epoch 3, replays from the
     // last snapshot, and the result is bit-identical.
@@ -279,7 +146,11 @@ fn run_resilience_cell(label: &str) {
     };
     let (prog_b, mut store_b) = mk();
     let spmd_b = control_replicate(prog_b, &CrOptions::new(ns)).unwrap();
-    let recovered = execute_spmd_resilient(&spmd_b, &mut store_b, &crash_opts);
+    let recovered = run(
+        Compiled::Spmd(&spmd_b),
+        &mut store_b,
+        &RunOptions::default().with_resilience(crash_opts.clone()),
+    );
     assert_eq!(
         plain.env, recovered.env,
         "{label}: env diverged after recovery"
@@ -291,10 +162,8 @@ fn run_resilience_cell(label: &str) {
     compare_roots(
         &format!("{label}/crash"),
         &roots,
-        &spmd_a.forest,
-        &store_a,
-        &spmd_b.forest,
-        &store_b,
+        (&spmd_a.forest, &store_a),
+        (&spmd_b.forest, &store_b),
         0.0,
     );
 
@@ -307,7 +176,11 @@ fn run_resilience_cell(label: &str) {
     };
     let (prog_c, mut store_c) = mk();
     let spmd_c = control_replicate(prog_c, &CrOptions::new(ns)).unwrap();
-    let repaired = execute_spmd_resilient(&spmd_c, &mut store_c, &corrupt_opts);
+    let repaired = run(
+        Compiled::Spmd(&spmd_c),
+        &mut store_c,
+        &RunOptions::default().with_resilience(corrupt_opts.clone()),
+    );
     assert_eq!(
         plain.env, repaired.env,
         "{label}: env diverged under corruption"
@@ -326,10 +199,8 @@ fn run_resilience_cell(label: &str) {
     compare_roots(
         &format!("{label}/corruption"),
         &roots,
-        &spmd_a.forest,
-        &store_a,
-        &spmd_c.forest,
-        &store_c,
+        (&spmd_a.forest, &store_a),
+        (&spmd_c.forest, &store_c),
         0.0,
     );
 }
@@ -360,7 +231,11 @@ fn run_peer_death_cell(label: &str) {
             plan: FaultPlan::new(5).with_corrupt_rate(1.0),
             ..Default::default()
         };
-        execute_spmd_resilient(&spmd, &mut store, &opts);
+        run(
+            Compiled::Spmd(&spmd),
+            &mut store,
+            &RunOptions::default().with_resilience(opts.clone()),
+        );
     });
     let err = handle.join().expect_err("run should fail, not hang");
     let msg = err

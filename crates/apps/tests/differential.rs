@@ -24,81 +24,13 @@
 //! must order every overlapping-privilege pair — including the edges a
 //! memoized run *replays* instead of re-deriving.
 
+mod common;
+
+use common::{certify, compare_roots, spmd_family_agrees};
 use regent_apps::{circuit, miniaero, pennant, stencil};
-use regent_cr::hybrid::{replicate_ranges, Segment};
-use regent_cr::{control_replicate, CrOptions, ForestOracle};
 use regent_ir::{interp, Program, Store};
-use regent_region::{FieldType, RegionForest, RegionId};
-use regent_runtime::{
-    execute_hybrid_traced, execute_implicit, execute_log_traced, execute_spmd_traced,
-    ImplicitOptions, MemoCache,
-};
-use regent_trace::{memo_summary, validate, Trace, Tracer};
-
-/// Compares every root region of two executions. `rel_tol == 0.0`
-/// demands bit-identical f64 contents (NaN bit patterns included).
-fn compare_roots(
-    label: &str,
-    roots: &[RegionId],
-    fa: &RegionForest,
-    sa: &Store,
-    fb: &RegionForest,
-    sb: &Store,
-    rel_tol: f64,
-) {
-    for &root in roots {
-        let ia = sa.instance_in(fa, root);
-        let ib = sb.instance_in(fb, root);
-        for (fid, def) in fa.fields(root).iter() {
-            for p in fa.domain(root).iter() {
-                match def.ty {
-                    FieldType::F64 => {
-                        let a = ia.read_f64(fid, p);
-                        let b = ib.read_f64(fid, p);
-                        if rel_tol == 0.0 {
-                            assert!(
-                                a.to_bits() == b.to_bits(),
-                                "{label}: field {:?} at {:?}: {a} vs {b}",
-                                def.name,
-                                p
-                            );
-                        } else {
-                            let scale = a.abs().max(b.abs()).max(1.0);
-                            assert!(
-                                (a - b).abs() <= rel_tol * scale,
-                                "{label}: field {:?} at {:?}: {a} vs {b}",
-                                def.name,
-                                p
-                            );
-                        }
-                    }
-                    FieldType::I64 => {
-                        assert_eq!(
-                            ia.read_i64(fid, p),
-                            ib.read_i64(fid, p),
-                            "{label}: field {:?} at {:?}",
-                            def.name,
-                            p
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Spy-certifies a trace against the given forest's overlap oracle.
-fn certify(label: &str, forest: &RegionForest, trace: &Trace) {
-    let oracle = ForestOracle::new(forest);
-    let report = validate(trace, &oracle).unwrap_or_else(|e| panic!("{label}: corrupt log: {e}"));
-    assert!(
-        report.ok(),
-        "{label}: spy violations ({} certified):\n{:?}",
-        report.certified,
-        report.violations
-    );
-    assert!(report.certified > 0, "{label}: no dependences exercised");
-}
+use regent_runtime::{execute_implicit, ImplicitOptions, MemoCache};
+use regent_trace::{memo_summary, Tracer};
 
 /// Runs one program factory through all five executor paths and checks
 /// the full agreement matrix described in the module docs.
@@ -121,10 +53,8 @@ fn differential(name: &str, mk: &dyn Fn() -> (Program, Store), shard_counts: &[u
     compare_roots(
         &format!("{name}/implicit"),
         &roots,
-        &prog_seq.forest,
-        &store_seq,
-        &prog_imp.forest,
-        &store_imp,
+        (&prog_seq.forest, &store_seq),
+        (&prog_imp.forest, &store_imp),
         0.0,
     );
     certify(
@@ -154,106 +84,15 @@ fn differential(name: &str, mk: &dyn Fn() -> (Program, Store), shard_counts: &[u
     compare_roots(
         &format!("{name}/memo"),
         &roots,
-        &prog_imp.forest,
-        &store_imp,
-        &prog_memo.forest,
-        &store_memo,
+        (&prog_imp.forest, &store_imp),
+        (&prog_memo.forest, &store_memo),
         0.0,
     );
     certify(&format!("{name}/memo"), &prog_memo.forest, &tracer.take());
 
+    let reference = (&env_seq[..], &prog_seq.forest, &store_seq);
     for &ns in shard_counts {
-        // SPMD, traced: matches the reference under the app tolerance.
-        let (prog_cr, mut store_cr) = mk();
-        let spmd = control_replicate(prog_cr, &CrOptions::new(ns)).unwrap();
-        let tracer = Tracer::enabled();
-        let r = execute_spmd_traced(&spmd, &mut store_cr, &tracer);
-        assert_eq!(env_seq, r.env, "{name}/spmd ns={ns}: env diverged");
-        certify(
-            &format!("{name}/spmd ns={ns}"),
-            &spmd.forest,
-            &tracer.take(),
-        );
-        compare_roots(
-            &format!("{name}/spmd ns={ns}"),
-            &roots,
-            &prog_seq.forest,
-            &store_seq,
-            &spmd.forest,
-            &store_cr,
-            tol,
-        );
-
-        // Hybrid, traced: bit-identical to the SPMD run.
-        let (prog_h, mut store_h) = mk();
-        let hybrid = replicate_ranges(prog_h, &CrOptions::new(ns)).unwrap();
-        assert_eq!(
-            hybrid.num_replicated(),
-            1,
-            "{name}: app body should be one replicable range"
-        );
-        let tracer = Tracer::enabled();
-        let rh = execute_hybrid_traced(&hybrid, &mut store_h, &tracer);
-        assert_eq!(r.env, rh.env, "{name}/hybrid ns={ns}: env diverged");
-        let seg_forest = hybrid
-            .segments
-            .iter()
-            .find_map(|s| match s {
-                Segment::Replicated(sp) => Some(&sp.forest),
-                Segment::Sequential(_) => None,
-            })
-            .unwrap();
-        certify(
-            &format!("{name}/hybrid ns={ns}"),
-            seg_forest,
-            &tracer.take(),
-        );
-        compare_roots(
-            &format!("{name}/hybrid ns={ns}"),
-            &roots,
-            &spmd.forest,
-            &store_cr,
-            &hybrid.base.forest,
-            &store_h,
-            0.0,
-        );
-
-        // Shared-log, traced: same checksummed data plane as SPMD, so
-        // regions are bit-identical to the SPMD run; scalar feedback
-        // keeps the env exact vs the sequential reference.
-        let (prog_l, mut store_l) = mk();
-        let spmd_l = control_replicate(prog_l, &CrOptions::new(ns)).unwrap();
-        let tracer = Tracer::enabled();
-        let rl = execute_log_traced(&spmd_l, &mut store_l, &tracer);
-        assert_eq!(env_seq, rl.env, "{name}/log ns={ns}: env diverged");
-        assert!(
-            rl.log.batches > 0 && rl.log.appended_records > 0,
-            "{name}/log ns={ns}: log never combined ({:?})",
-            rl.log
-        );
-        certify(
-            &format!("{name}/log ns={ns}"),
-            &spmd_l.forest,
-            &tracer.take(),
-        );
-        compare_roots(
-            &format!("{name}/log-vs-spmd ns={ns}"),
-            &roots,
-            &spmd.forest,
-            &store_cr,
-            &spmd_l.forest,
-            &store_l,
-            0.0,
-        );
-        compare_roots(
-            &format!("{name}/log ns={ns}"),
-            &roots,
-            &prog_seq.forest,
-            &store_seq,
-            &spmd_l.forest,
-            &store_l,
-            tol,
-        );
+        spmd_family_agrees(name, mk, ns, tol, reference, &roots);
     }
 }
 

@@ -4,24 +4,27 @@
 //! subregion instances from the last coordinated checkpoint, and
 //! produce region contents and scalar environments *bit-identical* to
 //! an undisturbed run — with the recovered trace Spy-certified like any
-//! other. Also covers the loss-budget fail-stop (a double failure past
-//! `max_failovers` must quarantine cleanly, not hang), the shared-log
-//! executor's from-scratch failover, the hybrid executor's per-segment
-//! checkpoint remap, and seeded chaos schedules (the soak variant is
-//! `#[ignore]`d for the dedicated CI job).
+//! other. One body (`assert_fails_over`) serves the three SPMD-family
+//! strategies. Also covers the loss-budget fail-stop (a double failure
+//! past `max_failovers` must quarantine cleanly, not hang), the
+//! shared-log strategy's from-scratch failover, the hybrid per-segment
+//! checkpoint remap, what epoch a membership change records, and seeded
+//! chaos schedules (the soak variant is `#[ignore]`d for the dedicated
+//! CI job).
 
-use regent_apps::{circuit, miniaero, pennant, stencil};
-use regent_cr::hybrid::replicate_ranges;
-use regent_cr::{control_replicate, CrOptions, ForestOracle};
-use regent_ir::{Program, Store};
-use regent_region::{FieldType, RegionForest};
-use regent_runtime::{
-    classify_failure, execute_hybrid, execute_hybrid_failover_traced, execute_hybrid_resilient,
-    execute_log, execute_log_failover, execute_spmd, execute_spmd_failover_traced, DeathCause,
-    FailoverOptions, FailoverRunResult, FailureClass, FaultPlan, HybridRescue, ResilienceOptions,
-    FAILOVER_EXHAUSTED_PREFIX,
+mod common;
+
+use common::{
+    certify, compare_roots, count_events, forest, mk_circuit, mk_miniaero, mk_pennant, mk_stencil,
+    num_shards, trace_forest, Strategy,
 };
-use regent_trace::{validate, EventKind, Tracer};
+use regent_ir::{Program, Store};
+use regent_runtime::{
+    classify_failure, run, run_failover, DeathCause, Failover, FailoverOptions, FailureClass,
+    FaultPlan, Rescue, ResilienceOptions, RunOptions, RunResult, FAILOVER_EXHAUSTED_PREFIX,
+};
+use regent_trace::{EventKind, Tracer};
+use std::sync::Arc;
 
 /// Swallows the default stderr report for panics that are failover
 /// control flow here (shard losses, poison cascades, the expected
@@ -49,180 +52,97 @@ fn install_quiet_hook() {
     });
 }
 
-fn compare_root(
-    forest_a: &RegionForest,
-    store_a: &Store,
-    forest_b: &RegionForest,
-    store_b: &Store,
-    root: regent_region::RegionId,
-) {
-    let ia = store_a.instance_in(forest_a, root);
-    let ib = store_b.instance_in(forest_b, root);
-    for (fid, def) in forest_a.fields(root).iter() {
-        for pt in forest_a.domain(root).iter() {
-            match def.ty {
-                FieldType::F64 => {
-                    let a = ia.read_f64(fid, pt);
-                    let b = ib.read_f64(fid, pt);
-                    assert!(
-                        a.to_bits() == b.to_bits(),
-                        "field {:?} at {:?}: undisturbed={a} failover={b}",
-                        def.name,
-                        pt
-                    );
-                }
-                FieldType::I64 => {
-                    assert_eq!(
-                        ia.read_i64(fid, pt),
-                        ib.read_i64(fid, pt),
-                        "field {:?} at {:?}",
-                        def.name,
-                        pt
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Runs `mk`'s program undisturbed at `ns` shards and under the
-/// failover driver with `plan`'s losses, asserts bit-identical results,
-/// Spy-certifies the recovered trace, checks the failover track's
-/// structured events, and returns the failover result.
+/// Runs `mk`'s program under `strategy` undisturbed at `ns` shards and
+/// under [`run_failover`] with `plan`'s losses, asserts bit-identical
+/// results, Spy-certifies the recovered trace, checks the failover
+/// track's structured events, and returns the failover result and the
+/// undisturbed one.
 fn assert_fails_over(
+    strategy: Strategy,
     mk: &dyn Fn() -> (Program, Store),
     ns: usize,
     plan: FaultPlan,
     fo: &FailoverOptions,
-    expect_losses: usize,
-) -> FailoverRunResult {
+    expect_losses: Option<usize>,
+) -> (Failover, RunResult) {
     install_quiet_hook();
     let (prog_a, mut store_a) = mk();
     let roots = prog_a.root_regions();
-    let spmd_a = control_replicate(prog_a, &CrOptions::new(ns)).unwrap();
-    let plain = execute_spmd(&spmd_a, &mut store_a);
+    let a = strategy.compile(prog_a, ns);
+    let plain = run(a.as_ref(), &mut store_a, &RunOptions::default());
 
     let (prog_b, mut store_b) = mk();
-    let mut spmd_b = control_replicate(prog_b, &CrOptions::new(ns)).unwrap();
-    let opts = ResilienceOptions {
+    let mut b = strategy.compile(prog_b, ns);
+    let tracer = Tracer::enabled();
+    let opts = RunOptions::traced(&tracer).with_resilience(ResilienceOptions {
         checkpoint_interval: 2,
         plan,
         ..Default::default()
-    };
-    let tracer = Tracer::enabled();
-    let r = execute_spmd_failover_traced(&mut spmd_b, &mut store_b, &opts, fo, &tracer);
+    });
+    let r = run_failover(b.as_mut(), &mut store_b, &opts, fo);
     let trace = tracer.take();
 
-    assert_eq!(r.deaths.len(), expect_losses, "losses survived");
+    // Losses are opportunistic under a seeded chaos plan (a drawn kill
+    // epoch past the app's last boundary never fires); membership
+    // accounting is asserted either way.
+    let losses = r.deaths.len();
+    if let Some(expected) = expect_losses {
+        assert_eq!(losses, expected, "{strategy:?}: losses survived");
+    }
     assert_eq!(
         r.attempts as usize,
-        expect_losses + 1,
-        "one attempt per loss"
+        losses + 1,
+        "{strategy:?}: one attempt per loss"
     );
-    assert_eq!(r.final_shards, ns - expect_losses, "membership shrank");
-    assert_eq!(spmd_b.num_shards, r.final_shards);
+    assert_eq!(r.final_shards, ns - losses, "{strategy:?}: membership");
+    assert_eq!(num_shards(&b), r.final_shards);
 
     // Values: bit-identical env and regions despite the re-sharding.
-    assert_eq!(plain.env, r.run.env, "scalar env diverged across failover");
-    for &root in &roots {
-        compare_root(&spmd_a.forest, &store_a, &spmd_b.forest, &store_b, root);
-    }
+    assert_eq!(
+        plain.env, r.run.env,
+        "{strategy:?}: scalar env diverged across failover"
+    );
+    let label = format!("{strategy:?}: undisturbed vs failover");
+    let (here_a, here_b) = ((forest(&a), &store_a), (forest(&b), &store_b));
+    compare_roots(&label, &roots, here_a, here_b, 0.0);
 
     // Ordering: the Spy certifies the surviving attempt's trace.
-    let oracle = ForestOracle::new(&spmd_b.forest);
-    let report = validate(&trace, &oracle).expect("structurally valid recovered log");
-    assert!(
-        report.ok(),
-        "spy violations on failover trace:\n{:?}",
-        report.violations
+    certify(
+        &format!("{strategy:?}: failover trace"),
+        trace_forest(&b),
+        &trace,
     );
-    assert!(report.certified > 0, "no dependences were exercised");
 
     // The failover track records one structured death and one
-    // membership change per loss.
-    let fo_events = |pred: &dyn Fn(&EventKind) -> bool| {
-        trace
-            .tracks
-            .iter()
-            .flat_map(|t| &t.events)
-            .filter(|e| pred(&e.kind))
-            .count()
-    };
+    // membership change per loss, and every membership change names
+    // the checkpoint epoch the new membership resumes from: the epoch
+    // of the reconstruction that preceded it, 0 when nothing was
+    // reconstructed (no checkpoint committed, or — the log — no
+    // resumable slot).
     assert_eq!(
-        fo_events(&|k| matches!(k, EventKind::PeerDeath { .. })),
-        expect_losses,
-        "PeerDeath events"
+        count_events(&trace, |k| matches!(k, EventKind::PeerDeath { .. })),
+        losses,
+        "{strategy:?}: PeerDeath events"
     );
-    assert_eq!(
-        fo_events(&|k| matches!(k, EventKind::MembershipChange { .. })),
-        expect_losses,
-        "MembershipChange events"
-    );
-    r
-}
-
-fn mk_stencil() -> (Program, Store) {
-    let cfg = stencil::StencilConfig {
-        n: 40,
-        ntx: 4,
-        nty: 2,
-        radius: 2,
-        steps: 5,
-    };
-    let (prog, h) = stencil::stencil_program(cfg);
-    let mut store = Store::new(&prog);
-    stencil::init_stencil(&prog, &mut store, &h);
-    (prog, store)
-}
-
-fn mk_circuit() -> (Program, Store) {
-    let cfg = circuit::CircuitConfig {
-        pieces: 6,
-        nodes_per_piece: 30,
-        wires_per_piece: 90,
-        cross_fraction: 0.12,
-        steps: 4,
-        substeps: 3,
-        seed: 42,
-    };
-    let g = circuit::generate_graph(&cfg);
-    let (prog, h) = circuit::circuit_program(cfg, &g);
-    let mut store = Store::new(&prog);
-    circuit::init_circuit(&prog, &mut store, &h, &g);
-    (prog, store)
-}
-
-fn mk_miniaero() -> (Program, Store) {
-    let cfg = miniaero::MiniAeroConfig {
-        nx: 12,
-        ny: 4,
-        nz: 3,
-        pieces: 4,
-        steps: 4,
-        dt: 5e-4,
-    };
-    let mesh = miniaero::build_mesh(&cfg);
-    let (prog, h) = miniaero::miniaero_program(cfg, &mesh);
-    let mut store = Store::new(&prog);
-    miniaero::init_miniaero(&prog, &mut store, &h, &cfg, &mesh);
-    (prog, store)
-}
-
-fn mk_pennant() -> (Program, Store) {
-    let cfg = pennant::PennantConfig {
-        nzx: 10,
-        nzy: 5,
-        pieces: 3,
-        // dtmax well below tstop so the While loop runs at least four
-        // steps — the swept kill epochs must actually be reached.
-        tstop: 2e-2,
-        dtmax: 5e-3,
-    };
-    let mesh = pennant::build_mesh(&cfg);
-    let (prog, h) = pennant::pennant_program(cfg, &mesh);
-    let mut store = Store::new(&prog);
-    pennant::init_pennant(&prog, &mut store, &h, &cfg, &mesh);
-    (prog, store)
+    let mut changes = 0;
+    let mut reconstructed = 0;
+    let failover_track = trace.tracks.iter().filter(|t| t.name == "failover");
+    for event in failover_track.flat_map(|t| &t.events) {
+        match event.kind {
+            EventKind::FailoverReconstruct { epoch, .. } => {
+                assert_ne!(strategy, Strategy::Log, "the log has no resume path");
+                reconstructed = reconstructed.max(epoch);
+            }
+            EventKind::MembershipChange { epoch, .. } => {
+                assert_eq!(epoch, reconstructed, "{strategy:?}: resume epoch");
+                reconstructed = 0;
+                changes += 1;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(changes, losses, "{strategy:?}: MembershipChange events");
+    (r, plain)
 }
 
 /// Kill every shard at every checkpoint boundary: the differential
@@ -231,12 +151,13 @@ fn mk_pennant() -> (Program, Store) {
 fn kill_sweep(mk: &dyn Fn() -> (Program, Store), ns: usize, epochs: &[u64]) {
     for victim in 0..ns as u32 {
         for &epoch in epochs {
-            let r = assert_fails_over(
+            let (r, _) = assert_fails_over(
+                Strategy::Spmd,
                 mk,
                 ns,
                 FaultPlan::new(victim as u64).kill_shard(victim, epoch),
                 &FailoverOptions::default(),
-                1,
+                Some(1),
             );
             assert_eq!(r.deaths[0].shard, victim);
             assert!(
@@ -267,7 +188,9 @@ fn miniaero_failover_sweep() {
 fn pennant_failover_sweep() {
     // PENNANT's outer loop is a While driven by a Min-reduced dt: the
     // reconstructed survivors must re-derive the same trip decisions.
-    kill_sweep(&mk_pennant, 3, &[1, 2]);
+    // dtmax well below tstop so the loop runs at least four steps —
+    // the swept kill epochs must actually be reached.
+    kill_sweep(&|| mk_pennant(5e-3), 3, &[1, 2]);
 }
 
 #[test]
@@ -276,40 +199,68 @@ fn double_failure_within_budget_shrinks_twice() {
         max_failovers: 2,
         min_shards: 1,
     };
-    let r = assert_fails_over(
+    let (r, _) = assert_fails_over(
+        Strategy::Spmd,
         &mk_stencil,
         3,
         FaultPlan::new(5).kill_shard(0, 1).kill_shard(1, 3),
         &fo,
-        2,
+        Some(2),
     );
     assert_eq!(r.final_shards, 1, "3 shards minus two losses");
 }
 
+/// The diagnostic a stencil run at 3 shards under `plan` dies with:
+/// through [`run_failover`] when `fo` is given, plain [`run`] otherwise.
+fn stencil_diagnostic(strategy: Strategy, plan: FaultPlan, fo: Option<&FailoverOptions>) -> String {
+    install_quiet_hook();
+    let (prog, mut store) = mk_stencil();
+    let mut compiled = strategy.compile(prog, 3);
+    let opts = RunOptions::default().with_resilience(ResilienceOptions {
+        checkpoint_interval: 2,
+        plan,
+        ..Default::default()
+    });
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match fo {
+        Some(fo) => drop(run_failover(compiled.as_mut(), &mut store, &opts, fo)),
+        None => drop(run(compiled.as_ref(), &mut store, &opts)),
+    }))
+    .expect_err("the loss must fail the run");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_else(|| "non-string payload".into())
+}
+
+#[test]
+fn unrecovered_loss_surfaces_its_root_cause() {
+    // Shard 1 is killed with nothing to fail over; its neighbours die
+    // in their halo exchanges ("copy channel closed: ... shard 1
+    // died"), shard 0 first in scan order. Under every strategy the
+    // run must surface the kill itself — the message a supervisor
+    // classifies as transient and retries — not a victim's unwind,
+    // which reads as a permanent defect.
+    for strategy in Strategy::ALL {
+        let msg = stencil_diagnostic(strategy, FaultPlan::new(1).kill_shard(1, 2), None);
+        assert!(
+            msg.starts_with("shard 1 panicked: shard lost"),
+            "{strategy:?}: {msg}"
+        );
+        assert_eq!(
+            classify_failure(&msg),
+            FailureClass::Transient,
+            "{strategy:?}: {msg}"
+        );
+    }
+}
+
 #[test]
 fn budget_exhausted_fails_permanently_not_hangs() {
-    install_quiet_hook();
     // Two losses against the default budget of one: the second loss
     // must fail-stop with the structured exhaustion diagnostic — a
     // clean permanent failure the supervisor quarantines, never a hang.
-    let (prog, mut store) = mk_stencil();
-    let mut spmd = control_replicate(prog, &CrOptions::new(3)).unwrap();
-    let opts = ResilienceOptions {
-        checkpoint_interval: 2,
-        plan: FaultPlan::new(5).kill_shard(0, 1).kill_shard(1, 3),
-        ..Default::default()
-    };
-    let fo = FailoverOptions::default();
-    let payload = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_spmd_failover_traced(&mut spmd, &mut store, &opts, &fo, &Tracer::disabled())
-    })) {
-        Ok(_) => panic!("second loss must exhaust the budget"),
-        Err(p) => p,
-    };
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_else(|| "non-string payload".into());
+    let plan = FaultPlan::new(5).kill_shard(0, 1).kill_shard(1, 3);
+    let msg = stencil_diagnostic(Strategy::Spmd, plan, Some(&FailoverOptions::default()));
     assert!(
         msg.starts_with(FAILOVER_EXHAUSTED_PREFIX),
         "unexpected diagnostic: {msg}"
@@ -323,67 +274,36 @@ fn budget_exhausted_fails_permanently_not_hangs() {
 
 #[test]
 fn membership_floor_fails_permanently() {
-    install_quiet_hook();
     // A loss that would shrink below min_shards is refused even with
     // budget left.
-    let (prog, mut store) = mk_stencil();
-    let mut spmd = control_replicate(prog, &CrOptions::new(3)).unwrap();
-    let opts = ResilienceOptions {
-        checkpoint_interval: 2,
-        plan: FaultPlan::new(5).kill_shard(2, 2),
-        ..Default::default()
-    };
     let fo = FailoverOptions {
         max_failovers: 4,
         min_shards: 3,
     };
-    let payload = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_spmd_failover_traced(&mut spmd, &mut store, &opts, &fo, &Tracer::disabled())
-    })) {
-        Ok(_) => panic!("loss below the membership floor must fail"),
-        Err(p) => p,
-    };
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
+    let msg = stencil_diagnostic(
+        Strategy::Spmd,
+        FaultPlan::new(5).kill_shard(2, 2),
+        Some(&fo),
+    );
     assert!(msg.starts_with(FAILOVER_EXHAUSTED_PREFIX), "{msg}");
 }
 
 #[test]
 fn log_failover_retries_from_scratch() {
-    install_quiet_hook();
-    // The shared-log executor has no resume path (its sequencer cannot
+    // The shared-log strategy has no resume path (its sequencer cannot
     // re-derive consumed AllReduce feedback): a loss shrinks the
     // membership and re-executes from scratch. Proof: the surviving
     // attempt performs the *full* task count — the per-epoch task total
     // is the color count, independent of the shard count, so a resumed
     // run would report strictly fewer.
-    let (prog_a, mut store_a) = mk_stencil();
-    let roots = prog_a.root_regions();
-    let spmd_a = control_replicate(prog_a, &CrOptions::new(3)).unwrap();
-    let plain = execute_log(&spmd_a, &mut store_a);
-
-    let (prog_b, mut store_b) = mk_stencil();
-    let mut spmd_b = control_replicate(prog_b, &CrOptions::new(3)).unwrap();
-    let opts = ResilienceOptions {
-        checkpoint_interval: 2,
-        plan: FaultPlan::new(9).kill_shard(1, 2),
-        ..Default::default()
-    };
-    let r = execute_log_failover(
-        &mut spmd_b,
-        &mut store_b,
-        &opts,
+    let (r, plain) = assert_fails_over(
+        Strategy::Log,
+        &mk_stencil,
+        3,
+        FaultPlan::new(9).kill_shard(1, 2),
         &FailoverOptions::default(),
+        Some(1),
     );
-    assert_eq!(r.attempts, 2);
-    assert_eq!(r.final_shards, 2);
-    assert_eq!(r.deaths.len(), 1);
-    assert_eq!(plain.env, r.run.env, "scalar env diverged");
-    for &root in &roots {
-        compare_root(&spmd_a.forest, &store_a, &spmd_b.forest, &store_b, root);
-    }
     assert_eq!(
         r.run.stats.tasks_executed, plain.stats.tasks_executed,
         "log failover must re-execute the whole program from scratch"
@@ -392,194 +312,132 @@ fn log_failover_retries_from_scratch() {
 
 #[test]
 fn hybrid_failover_bit_identical() {
-    install_quiet_hook();
-    // The hybrid driver carries the shrunken membership across every
+    // The failover loop carries the shrunken membership across every
     // replicated segment and remaps each segment's committed checkpoint
     // individually.
-    let (prog_a, mut store_a) = mk_stencil();
-    let roots = prog_a.root_regions();
-    let hybrid_a = replicate_ranges(prog_a, &CrOptions::new(3)).unwrap();
-    let plain = execute_hybrid(&hybrid_a, &mut store_a);
-
-    let (prog_b, mut store_b) = mk_stencil();
-    let mut hybrid_b = replicate_ranges(prog_b, &CrOptions::new(3)).unwrap();
-    let opts = ResilienceOptions {
-        checkpoint_interval: 2,
-        plan: FaultPlan::new(11).kill_shard(1, 1),
-        ..Default::default()
-    };
-    let tracer = Tracer::enabled();
-    let r = execute_hybrid_failover_traced(
-        &mut hybrid_b,
-        &mut store_b,
-        &opts,
+    assert_fails_over(
+        Strategy::Hybrid,
+        &mk_stencil,
+        3,
+        FaultPlan::new(11).kill_shard(1, 1),
         &FailoverOptions::default(),
-        &tracer,
+        Some(1),
     );
-    let trace = tracer.take();
-    assert_eq!(r.attempts, 2);
-    assert_eq!(r.final_shards, 2);
-    assert_eq!(plain.env, r.run.env, "scalar env diverged");
-    for &root in &roots {
-        compare_root(
-            &hybrid_a.base.forest,
-            &store_a,
-            &hybrid_b.base.forest,
-            &store_b,
-            root,
-        );
-    }
-    let oracle = ForestOracle::new(&hybrid_b.base.forest);
-    let report = validate(&trace, &oracle).expect("structurally valid hybrid failover log");
-    assert!(report.ok(), "spy violations:\n{:?}", report.violations);
-    assert!(report.certified > 0);
 }
 
 #[test]
-fn hybrid_rescue_resumes_across_attempts() {
-    install_quiet_hook();
-    // Satellite proof for cross-attempt resume in the *supervisor's*
-    // classic retry path: a failed hybrid attempt leaves its committed
-    // per-segment checkpoints in the `HybridRescue`, and the retry
-    // fast-forwards from them instead of re-executing from scratch.
-    let (prog_a, mut store_a) = mk_stencil();
-    let roots = prog_a.root_regions();
-    let hybrid_a = replicate_ranges(prog_a, &CrOptions::new(3)).unwrap();
-    let plain = execute_hybrid(&hybrid_a, &mut store_a);
-
-    let rescue = HybridRescue::new();
-    // Attempt 1: the kill fires at epoch 2, after that boundary's
-    // checkpoint was offered, so the epoch-2 snapshot commits before
-    // the attempt dies.
-    let opts = ResilienceOptions {
-        checkpoint_interval: 1,
-        plan: FaultPlan::new(13).kill_shard(1, 2),
-        ..Default::default()
-    };
-    {
+fn membership_change_names_the_resume_epoch() {
+    // Checkpoints every 2 epochs, shard 1 killed at epoch 3: the
+    // epoch-2 checkpoint is the last one committed (every shard the
+    // victim exchanges with passed that boundary before the victim
+    // could reach the next), so SPMD and hybrid resume from epoch 2 —
+    // not from the kill epoch — and the log, which restarts, from 0.
+    for (strategy, resume_epoch) in [
+        (Strategy::Spmd, 2),
+        (Strategy::Hybrid, 2),
+        (Strategy::Log, 0),
+    ] {
+        let tracer = Tracer::enabled();
         let (prog, mut store) = mk_stencil();
-        let hybrid = replicate_ranges(prog, &CrOptions::new(3)).unwrap();
+        let mut compiled = strategy.compile(prog, 3);
+        let opts = RunOptions::traced(&tracer).with_resilience(ResilienceOptions {
+            checkpoint_interval: 2,
+            plan: FaultPlan::new(19).kill_shard(1, 3),
+            ..Default::default()
+        });
+        install_quiet_hook();
+        run_failover(
+            compiled.as_mut(),
+            &mut store,
+            &opts,
+            &FailoverOptions::default(),
+        );
+        let trace = tracer.take();
+        let epochs = |pick: &dyn Fn(&EventKind) -> Option<u64>| -> Vec<u64> {
+            let events = trace.tracks.iter().flat_map(|t| &t.events);
+            events.filter_map(|e| pick(&e.kind)).collect()
+        };
+        let changed = epochs(&|k| match *k {
+            EventKind::MembershipChange { epoch, .. } => Some(epoch),
+            _ => None,
+        });
+        let reconstructed = epochs(&|k| match *k {
+            EventKind::FailoverReconstruct { epoch, .. } => Some(epoch),
+            _ => None,
+        });
+        assert_eq!(changed, [resume_epoch], "{strategy:?}");
+        if strategy == Strategy::Log {
+            assert!(reconstructed.is_empty(), "the log has nothing to remap");
+        } else {
+            assert_eq!(reconstructed, changed, "{strategy:?}");
+        }
+    }
+}
+
+#[test]
+fn rescue_resumes_across_attempts() {
+    install_quiet_hook();
+    // Cross-attempt resume in the *supervisor's* classic retry path: a
+    // failed attempt leaves its committed per-segment checkpoints in
+    // the `Rescue`, and the retry fast-forwards from them instead of
+    // re-executing from scratch.
+    for strategy in [Strategy::Spmd, Strategy::Hybrid] {
+        let (prog_a, mut store_a) = mk_stencil();
+        let roots = prog_a.root_regions();
+        let a = strategy.compile(prog_a, 3);
+        let plain = run(a.as_ref(), &mut store_a, &RunOptions::default());
+
+        let rescue = Arc::new(Rescue::new());
+        // Attempt 1: the kill fires at epoch 2, after that boundary's
+        // checkpoint was offered, so the epoch-2 snapshot commits
+        // before the attempt dies.
+        let opts = RunOptions::default().with_resilience(ResilienceOptions {
+            checkpoint_interval: 1,
+            plan: FaultPlan::new(13).kill_shard(1, 2),
+            rescue: Some(Arc::clone(&rescue)),
+            ..Default::default()
+        });
+        {
+            let (prog, mut store) = mk_stencil();
+            let compiled = strategy.compile(prog, 3);
+            assert!(
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run(compiled.as_ref(), &mut store, &opts)
+                }))
+                .is_err(),
+                "{strategy:?}: the injected kill must fail attempt 1"
+            );
+        }
+        let resume_epoch = rescue
+            .checkpoint_epoch()
+            .expect("attempt 1 committed no checkpoint");
+        assert!(resume_epoch >= 2, "epoch-2 snapshot must have committed");
+
+        // Attempt 2: fresh program and store (sequential segments are
+        // not idempotent against a flushed store), same plan — the
+        // resume fast-forward skips the already-fired kill.
+        let (prog_b, mut store_b) = mk_stencil();
+        let b = strategy.compile(prog_b, 3);
+        let r2 = run(b.as_ref(), &mut store_b, &opts);
+
+        assert_eq!(plain.env, r2.env, "scalar env diverged across resume");
+        let (here_a, here_b) = ((forest(&a), &store_a), (forest(&b), &store_b));
+        compare_roots("undisturbed vs resumed", &roots, here_a, here_b, 0.0);
         assert!(
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                execute_hybrid_resilient(&hybrid, &mut store, &opts, Some(&rescue))
-            }))
-            .is_err(),
-            "the injected kill must fail attempt 1"
+            r2.stats.tasks_executed < plain.stats.tasks_executed,
+            "{strategy:?}: attempt 2 must fast-forward past committed epochs ({} vs {} tasks)",
+            r2.stats.tasks_executed,
+            plain.stats.tasks_executed
         );
     }
-    let resume_epoch = rescue
-        .max_checkpoint_epoch()
-        .expect("attempt 1 committed no checkpoint");
-    assert!(resume_epoch >= 2, "epoch-2 snapshot must have committed");
-
-    // Attempt 2: fresh program and store (sequential segments are not
-    // idempotent against a flushed store), same plan — the resume
-    // fast-forward skips the already-fired kill.
-    let (prog_b, mut store_b) = mk_stencil();
-    let hybrid_b = replicate_ranges(prog_b, &CrOptions::new(3)).unwrap();
-    let r2 = execute_hybrid_resilient(&hybrid_b, &mut store_b, &opts, Some(&rescue));
-
-    assert_eq!(plain.env, r2.env, "scalar env diverged across resume");
-    for &root in &roots {
-        compare_root(
-            &hybrid_a.base.forest,
-            &store_a,
-            &hybrid_b.base.forest,
-            &store_b,
-            root,
-        );
-    }
-    assert!(
-        r2.spmd_stats.tasks_executed < plain.spmd_stats.tasks_executed,
-        "attempt 2 must fast-forward past committed epochs ({} vs {} tasks)",
-        r2.spmd_stats.tasks_executed,
-        plain.spmd_stats.tasks_executed
-    );
 }
 
 /// One seeded chaos case: a randomized kill schedule against one
-/// strategy, asserting bit-identity with the undisturbed run. Losses
-/// are opportunistic (a drawn kill epoch past the app's last boundary
-/// never fires) — determinism and membership accounting are asserted
-/// either way.
-fn chaos_case(mk: &dyn Fn() -> (Program, Store), ns: usize, seed: u64, strategy: &str) {
-    install_quiet_hook();
+/// strategy, asserting bit-identity with the undisturbed run, a
+/// Spy-certified trace, and consistent membership accounting.
+fn chaos_case(mk: &dyn Fn() -> (Program, Store), ns: usize, seed: u64, strategy: Strategy) {
     let plan = FaultPlan::seeded_kill(seed, ns, 3);
-    let fo = FailoverOptions::default();
-    match strategy {
-        "spmd" => {
-            let (prog_a, mut store_a) = mk();
-            let roots = prog_a.root_regions();
-            let spmd_a = control_replicate(prog_a, &CrOptions::new(ns)).unwrap();
-            let plain = execute_spmd(&spmd_a, &mut store_a);
-            let (prog_b, mut store_b) = mk();
-            let mut spmd_b = control_replicate(prog_b, &CrOptions::new(ns)).unwrap();
-            let opts = ResilienceOptions {
-                checkpoint_interval: 2,
-                plan,
-                ..Default::default()
-            };
-            let tracer = Tracer::enabled();
-            let r = execute_spmd_failover_traced(&mut spmd_b, &mut store_b, &opts, &fo, &tracer);
-            assert_eq!(plain.env, r.run.env, "seed {seed}: env diverged");
-            assert_eq!(r.final_shards, ns - r.deaths.len());
-            for &root in &roots {
-                compare_root(&spmd_a.forest, &store_a, &spmd_b.forest, &store_b, root);
-            }
-            let report = validate(&tracer.take(), &ForestOracle::new(&spmd_b.forest))
-                .expect("structurally valid chaos log");
-            assert!(report.ok(), "seed {seed}: {:?}", report.violations);
-        }
-        "hybrid" => {
-            let (prog_a, mut store_a) = mk();
-            let roots = prog_a.root_regions();
-            let hybrid_a = replicate_ranges(prog_a, &CrOptions::new(ns)).unwrap();
-            let plain = execute_hybrid(&hybrid_a, &mut store_a);
-            let (prog_b, mut store_b) = mk();
-            let mut hybrid_b = replicate_ranges(prog_b, &CrOptions::new(ns)).unwrap();
-            let opts = ResilienceOptions {
-                checkpoint_interval: 2,
-                plan,
-                ..Default::default()
-            };
-            let r = execute_hybrid_failover_traced(
-                &mut hybrid_b,
-                &mut store_b,
-                &opts,
-                &fo,
-                &Tracer::disabled(),
-            );
-            assert_eq!(plain.env, r.run.env, "seed {seed}: env diverged");
-            for &root in &roots {
-                compare_root(
-                    &hybrid_a.base.forest,
-                    &store_a,
-                    &hybrid_b.base.forest,
-                    &store_b,
-                    root,
-                );
-            }
-        }
-        "log" => {
-            let (prog_a, mut store_a) = mk();
-            let roots = prog_a.root_regions();
-            let spmd_a = control_replicate(prog_a, &CrOptions::new(ns)).unwrap();
-            let plain = execute_log(&spmd_a, &mut store_a);
-            let (prog_b, mut store_b) = mk();
-            let mut spmd_b = control_replicate(prog_b, &CrOptions::new(ns)).unwrap();
-            let opts = ResilienceOptions {
-                checkpoint_interval: 2,
-                plan,
-                ..Default::default()
-            };
-            let r = execute_log_failover(&mut spmd_b, &mut store_b, &opts, &fo);
-            assert_eq!(plain.env, r.run.env, "seed {seed}: env diverged");
-            for &root in &roots {
-                compare_root(&spmd_a.forest, &store_a, &spmd_b.forest, &store_b, root);
-            }
-        }
-        other => panic!("unknown strategy {other}"),
-    }
+    assert_fails_over(strategy, mk, ns, plan, &FailoverOptions::default(), None);
 }
 
 #[test]
@@ -587,10 +445,10 @@ fn failover_chaos_smoke() {
     // The non-ignored slice of the soak: a couple of seeds per
     // strategy on the cheapest app.
     for seed in [3, 8] {
-        chaos_case(&mk_stencil, 3, seed, "spmd");
+        chaos_case(&mk_stencil, 3, seed, Strategy::Spmd);
     }
-    chaos_case(&mk_stencil, 3, 5, "hybrid");
-    chaos_case(&mk_stencil, 3, 5, "log");
+    chaos_case(&mk_stencil, 3, 5, Strategy::Hybrid);
+    chaos_case(&mk_stencil, 3, 5, Strategy::Log);
 }
 
 /// The chaos soak the CI `failover-soak` job runs: randomized kill
@@ -601,16 +459,17 @@ fn failover_chaos_smoke() {
 #[ignore = "chaos soak: run explicitly in the failover-soak CI job"]
 fn failover_chaos_soak() {
     type AppFactory<'a> = &'a dyn Fn() -> (Program, Store);
+    let pennant = || mk_pennant(5e-3);
     let apps: [(&str, AppFactory); 4] = [
         ("stencil", &mk_stencil),
         ("circuit", &mk_circuit),
         ("miniaero", &mk_miniaero),
-        ("pennant", &mk_pennant),
+        ("pennant", &pennant),
     ];
     for (name, mk) in apps {
-        for strategy in ["spmd", "hybrid", "log"] {
+        for strategy in Strategy::ALL {
             for seed in 0..4u64 {
-                eprintln!("soak: {name}/{strategy} seed {seed}");
+                eprintln!("soak: {name}/{strategy:?} seed {seed}");
                 chaos_case(mk, 3, seed, strategy);
             }
         }

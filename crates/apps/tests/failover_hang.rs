@@ -13,8 +13,8 @@ use regent_cr::{control_replicate, CrOptions};
 use regent_ir::Store;
 use regent_region::FieldType;
 use regent_runtime::{
-    classify_failure, execute_spmd, execute_spmd_failover, DeathCause, FailoverOptions,
-    FailureClass, FaultPlan, ResilienceOptions,
+    classify_failure, run, run_failover, Compiled, DeathCause, FailoverOptions, FailureClass,
+    FaultPlan, ResilienceOptions, RunOptions,
 };
 
 #[test]
@@ -57,7 +57,11 @@ fn stalled_shard_is_blamed_hung_and_evicted() {
     let (prog_a, mut store_a) = mk();
     let roots = prog_a.root_regions();
     let spmd_a = control_replicate(prog_a, &CrOptions::new(3)).unwrap();
-    let plain = execute_spmd(&spmd_a, &mut store_a);
+    let plain = run(
+        Compiled::Spmd(&spmd_a),
+        &mut store_a,
+        &RunOptions::default(),
+    );
 
     let (prog_b, mut store_b) = mk();
     let mut spmd_b = control_replicate(prog_b, &CrOptions::new(3)).unwrap();
@@ -69,10 +73,10 @@ fn stalled_shard_is_blamed_hung_and_evicted() {
         plan: FaultPlan::new(17).stall_shard(1, 2, 2_000),
         ..Default::default()
     };
-    let r = execute_spmd_failover(
-        &mut spmd_b,
+    let r = run_failover(
+        Compiled::Spmd(&mut spmd_b),
         &mut store_b,
-        &opts,
+        &RunOptions::default().with_resilience(opts.clone()),
         &FailoverOptions::default(),
     );
 

@@ -16,9 +16,7 @@ use regent_apps::{circuit, miniaero, pennant, stencil};
 use regent_cr::{control_replicate, CrOptions, ForestOracle, SpmdProgram};
 use regent_ir::{Program, Store};
 use regent_region::FieldType;
-use regent_runtime::{
-    execute_spmd, execute_spmd_resilient_traced, FaultPlan, ResilienceOptions, SpmdRunResult,
-};
+use regent_runtime::{run, Compiled, FaultPlan, ResilienceOptions, RunOptions, RunResult};
 use regent_trace::{integrity_summary, validate, Tracer};
 
 /// Runs `mk`'s program fault-free and under corruption (traced),
@@ -29,11 +27,15 @@ fn assert_survives_corruption(
     ns: usize,
     seed: u64,
     rate: f64,
-) -> SpmdRunResult {
+) -> RunResult {
     let (prog_a, mut store_a) = mk();
     let roots = prog_a.root_regions();
     let spmd_a = control_replicate(prog_a, &CrOptions::new(ns)).unwrap();
-    let plain = execute_spmd(&spmd_a, &mut store_a);
+    let plain = run(
+        Compiled::Spmd(&spmd_a),
+        &mut store_a,
+        &RunOptions::default(),
+    );
 
     let opts = ResilienceOptions {
         checkpoint_interval: 2,
@@ -43,7 +45,11 @@ fn assert_survives_corruption(
     let (prog_b, mut store_b) = mk();
     let spmd_b = control_replicate(prog_b, &CrOptions::new(ns)).unwrap();
     let tracer = Tracer::enabled();
-    let corrupted = execute_spmd_resilient_traced(&spmd_b, &mut store_b, &opts, &tracer);
+    let corrupted = run(
+        Compiled::Spmd(&spmd_b),
+        &mut store_b,
+        &RunOptions::traced(&tracer).with_resilience(opts.clone()),
+    );
     let trace = tracer.take();
 
     // Values: bit-identical env and regions; useful-work stats exclude

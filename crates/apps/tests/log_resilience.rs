@@ -8,118 +8,17 @@
 //! (the sequencer cannot re-derive skipped scalar feedback, so log
 //! jobs carry no rescue slot), and the retry is bit-identical too.
 
-use regent_apps::{circuit, pennant, stencil};
-use regent_cr::{control_replicate, CrOptions, ForestOracle, SpmdProgram};
-use regent_ir::{Program, Store};
-use regent_region::FieldType;
-use regent_runtime::{
-    classify_failure, execute_log, execute_log_resilient, execute_log_resilient_traced,
-    CancelToken, FailureClass, FaultPlan, LogRunResult, ResilienceOptions,
+mod common;
+
+use common::{
+    assert_recovers, certify, compare_roots, mk_circuit, mk_pennant, mk_stencil, Strategy::Log,
 };
-use regent_trace::{validate, EventKind, Tracer};
-
-/// Runs `mk`'s program through the log executor fault-free and
-/// resilient (traced), asserts bit-identical results, certifies the
-/// recovered trace, and returns the resilient result.
-fn assert_log_recovers(
-    mk: impl Fn() -> (Program, Store),
-    ns: usize,
-    opts: &ResilienceOptions,
-) -> LogRunResult {
-    let (prog_a, mut store_a) = mk();
-    let roots = prog_a.root_regions();
-    let spmd_a = control_replicate(prog_a, &CrOptions::new(ns)).unwrap();
-    let plain = execute_log(&spmd_a, &mut store_a);
-
-    let (prog_b, mut store_b) = mk();
-    let spmd_b = control_replicate(prog_b, &CrOptions::new(ns)).unwrap();
-    let tracer = Tracer::enabled();
-    let resilient = execute_log_resilient_traced(&spmd_b, &mut store_b, opts, &tracer);
-    let trace = tracer.take();
-
-    assert_eq!(
-        plain.env, resilient.env,
-        "scalar env diverged after log recovery"
-    );
-    // Useful-work stats exclude replays and must match the fault-free
-    // run; the log itself must have been exercised both times.
-    assert_eq!(plain.stats.tasks_executed, resilient.stats.tasks_executed);
-    assert_eq!(plain.stats.copies_executed, resilient.stats.copies_executed);
-    assert!(resilient.log.batches > 0 && resilient.log.appended_records > 0);
-    for &root in &roots {
-        compare_root(&spmd_a, &store_a, &spmd_b, &store_b, root);
-    }
-
-    let oracle = ForestOracle::new(&spmd_b.forest);
-    let report = validate(&trace, &oracle).expect("structurally valid recovered log trace");
-    assert!(
-        report.ok(),
-        "spy violations on recovered log trace:\n{:?}",
-        report.violations
-    );
-    assert!(report.certified > 0, "no dependences were exercised");
-
-    if opts.plan.has_crashes() && resilient.stats.restores > 0 {
-        let crashes = trace
-            .tracks
-            .iter()
-            .flat_map(|t| &t.events)
-            .filter(|e| matches!(e.kind, EventKind::ShardCrash { .. }))
-            .count();
-        assert!(crashes > 0, "crash never recorded in the log trace");
-    }
-    resilient
-}
-
-fn compare_root(
-    spmd_a: &SpmdProgram,
-    store_a: &Store,
-    spmd_b: &SpmdProgram,
-    store_b: &Store,
-    root: regent_region::RegionId,
-) {
-    let ia = store_a.instance_in(&spmd_a.forest, root);
-    let ib = store_b.instance_in(&spmd_b.forest, root);
-    for (fid, def) in spmd_a.forest.fields(root).iter() {
-        for pt in spmd_a.forest.domain(root).iter() {
-            match def.ty {
-                FieldType::F64 => {
-                    let a = ia.read_f64(fid, pt);
-                    let b = ib.read_f64(fid, pt);
-                    assert!(
-                        a.to_bits() == b.to_bits(),
-                        "field {:?} at {:?}: plain={a} recovered={b}",
-                        def.name,
-                        pt
-                    );
-                }
-                FieldType::I64 => {
-                    assert_eq!(
-                        ia.read_i64(fid, pt),
-                        ib.read_i64(fid, pt),
-                        "field {:?} at {:?}",
-                        def.name,
-                        pt
-                    );
-                }
-            }
-        }
-    }
-}
-
-fn stencil_mk() -> (Program, Store) {
-    let cfg = stencil::StencilConfig {
-        n: 40,
-        ntx: 4,
-        nty: 2,
-        radius: 2,
-        steps: 5,
-    };
-    let (prog, h) = stencil::stencil_program(cfg);
-    let mut store = Store::new(&prog);
-    stencil::init_stencil(&prog, &mut store, &h);
-    (prog, store)
-}
+use regent_cr::{control_replicate, CrOptions};
+use regent_runtime::{
+    classify_failure, run, CancelToken, Compiled, FailureClass, FaultPlan, ResilienceOptions,
+    RunOptions,
+};
+use regent_trace::Tracer;
 
 #[test]
 fn stencil_log_recovers_bit_identical() {
@@ -128,7 +27,7 @@ fn stencil_log_recovers_bit_identical() {
         plan: FaultPlan::new(7).crash_shard(1, 3),
         ..Default::default()
     };
-    let res = assert_log_recovers(stencil_mk, 3, &opts);
+    let res = assert_recovers(Log, mk_stencil, 3, &opts);
     assert!(
         res.stats.restores > 0,
         "the injected crash never rolled back"
@@ -137,28 +36,12 @@ fn stencil_log_recovers_bit_identical() {
 
 #[test]
 fn circuit_log_recovers_bit_identical() {
-    let mk = || {
-        let cfg = circuit::CircuitConfig {
-            pieces: 6,
-            nodes_per_piece: 30,
-            wires_per_piece: 90,
-            cross_fraction: 0.12,
-            steps: 4,
-            substeps: 3,
-            seed: 42,
-        };
-        let g = circuit::generate_graph(&cfg);
-        let (prog, h) = circuit::circuit_program(cfg, &g);
-        let mut store = Store::new(&prog);
-        circuit::init_circuit(&prog, &mut store, &h, &g);
-        (prog, store)
-    };
     let opts = ResilienceOptions {
         checkpoint_interval: 2,
         plan: FaultPlan::new(13).crash_shard(2, 3),
         ..Default::default()
     };
-    let res = assert_log_recovers(mk, 3, &opts);
+    let res = assert_recovers(Log, mk_circuit, 3, &opts);
     assert!(res.stats.restores > 0);
 }
 
@@ -167,26 +50,12 @@ fn pennant_log_recovers_bit_identical() {
     // While-loop app: the rollback must restore the sequencer's
     // replicated scalar state so the Min-reduced dt re-derives the
     // same trip decisions through the log.
-    let mk = || {
-        let cfg = pennant::PennantConfig {
-            nzx: 10,
-            nzy: 5,
-            pieces: 3,
-            tstop: 2e-2,
-            dtmax: 2e-2,
-        };
-        let mesh = pennant::build_mesh(&cfg);
-        let (prog, h) = pennant::pennant_program(cfg, &mesh);
-        let mut store = Store::new(&prog);
-        pennant::init_pennant(&prog, &mut store, &h, &cfg, &mesh);
-        (prog, store)
-    };
     let opts = ResilienceOptions {
         checkpoint_interval: 2,
         plan: FaultPlan::new(33).crash_shard(1, 2),
         ..Default::default()
     };
-    assert_log_recovers(mk, 3, &opts);
+    assert_recovers(Log, || mk_pennant(2e-2), 3, &opts);
 }
 
 #[test]
@@ -199,7 +68,7 @@ fn stencil_log_seeded_plans_recover() {
             plan: FaultPlan::seeded_crash(seed, 3, 4),
             ..Default::default()
         };
-        assert_log_recovers(stencil_mk, 3, &opts);
+        assert_recovers(Log, mk_stencil, 3, &opts);
     }
 }
 
@@ -211,12 +80,12 @@ fn log_transient_fault_then_scratch_retry_bit_identical() {
     // scratch and must be bit-identical to the fault-free run. This is
     // exactly the supervisor's retry path for log jobs, which carry no
     // rescue slot.
-    let (prog_a, mut store_a) = stencil_mk();
+    let (prog_a, mut store_a) = mk_stencil();
     let roots = prog_a.root_regions();
     let spmd_a = control_replicate(prog_a, &CrOptions::new(3)).unwrap();
-    let plain = execute_log(&spmd_a, &mut store_a);
+    let plain = run(Compiled::Log(&spmd_a), &mut store_a, &RunOptions::default());
 
-    let (prog_b, mut store_b) = stencil_mk();
+    let (prog_b, mut store_b) = mk_stencil();
     let spmd_b = control_replicate(prog_b, &CrOptions::new(3)).unwrap();
     let opts = ResilienceOptions {
         checkpoint_interval: 2,
@@ -224,7 +93,11 @@ fn log_transient_fault_then_scratch_retry_bit_identical() {
         ..Default::default()
     };
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_log_resilient(&spmd_b, &mut store_b, &opts);
+        run(
+            Compiled::Log(&spmd_b),
+            &mut store_b,
+            &RunOptions::default().with_resilience(opts.clone()),
+        );
     }))
     .expect_err("the injected transient must kill the run");
     let msg = err
@@ -239,23 +112,19 @@ fn log_transient_fault_then_scratch_retry_bit_identical() {
 
     // Scratch retry (fresh program, store, and clean options), traced
     // and certified like any healthy run.
-    let (prog_c, mut store_c) = stencil_mk();
+    let (prog_c, mut store_c) = mk_stencil();
     let spmd_c = control_replicate(prog_c, &CrOptions::new(3)).unwrap();
     let tracer = Tracer::enabled();
-    let retry = execute_log_resilient_traced(
-        &spmd_c,
+    let retry = run(
+        Compiled::Log(&spmd_c),
         &mut store_c,
-        &ResilienceOptions {
+        &RunOptions::traced(&tracer).with_resilience(ResilienceOptions {
             checkpoint_interval: 2,
             ..Default::default()
-        },
-        &tracer,
+        }),
     );
     assert_eq!(plain.env, retry.env, "scratch retry env diverged");
-    for &root in &roots {
-        compare_root(&spmd_a, &store_a, &spmd_c, &store_c, root);
-    }
-    let oracle = ForestOracle::new(&spmd_c.forest);
-    let report = validate(&tracer.take(), &oracle).expect("structurally valid retry trace");
-    assert!(report.ok(), "spy violations: {:?}", report.violations);
+    let (a, c) = ((&spmd_a.forest, &store_a), (&spmd_c.forest, &store_c));
+    compare_roots("plain vs scratch retry", &roots, a, c, 0.0);
+    certify("scratch retry", &spmd_c.forest, &tracer.take());
 }

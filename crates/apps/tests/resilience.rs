@@ -1,197 +1,52 @@
 //! Checkpoint–restart recovery on the evaluation applications: for
 //! every app, a resilient run with injected shard crashes must produce
 //! region contents and scalar environments *bit-identical* to the
-//! fault-free SPMD run (tolerance 0.0 — replay re-executes the exact
+//! fault-free run of the same strategy (tolerance 0.0 — replay re-executes the exact
 //! same kernels on the exact same snapshots), and the Spy validator
 //! must certify the recovered trace like any other: replayed work gets
 //! fresh trace identities, so the happens-before graph stays sound.
 
-use regent_apps::{circuit, miniaero, pennant, stencil};
-use regent_cr::{control_replicate, CrOptions, ForestOracle, SpmdProgram};
-use regent_ir::{Program, Store};
-use regent_region::FieldType;
-use regent_runtime::{
-    execute_spmd, execute_spmd_resilient_traced, FaultPlan, ResilienceOptions, SpmdRunResult,
-};
-use regent_trace::{validate, EventKind, Tracer};
+mod common;
 
-/// Runs `mk`'s program fault-free and resilient (traced), asserts
-/// bit-identical results, certifies the recovered trace, and returns
-/// the resilient result for extra assertions.
-fn assert_recovers(
-    mk: impl Fn() -> (Program, Store),
-    ns: usize,
-    opts: &ResilienceOptions,
-) -> SpmdRunResult {
-    let (prog_a, mut store_a) = mk();
-    let roots = prog_a.root_regions();
-    let spmd_a = control_replicate(prog_a, &CrOptions::new(ns)).unwrap();
-    let plain = execute_spmd(&spmd_a, &mut store_a);
-
-    let (prog_b, mut store_b) = mk();
-    let spmd_b = control_replicate(prog_b, &CrOptions::new(ns)).unwrap();
-    let tracer = Tracer::enabled();
-    let resilient = execute_spmd_resilient_traced(&spmd_b, &mut store_b, opts, &tracer);
-    let trace = tracer.take();
-
-    // Values: bit-identical env and regions; useful-work stats exclude
-    // replays and must also match the fault-free run.
-    assert_eq!(
-        plain.env, resilient.env,
-        "scalar env diverged after recovery"
-    );
-    assert_eq!(plain.stats.tasks_executed, resilient.stats.tasks_executed);
-    assert_eq!(plain.stats.copies_executed, resilient.stats.copies_executed);
-    assert_eq!(plain.stats.messages_sent, resilient.stats.messages_sent);
-    assert_eq!(plain.stats.collectives, resilient.stats.collectives);
-    for root in roots {
-        compare_root(&spmd_a, &store_a, &spmd_b, &store_b, root);
-    }
-
-    // Ordering: the Spy certifies the recovered trace.
-    let oracle = ForestOracle::new(&spmd_b.forest);
-    let report = validate(&trace, &oracle).expect("structurally valid recovered log");
-    assert!(
-        report.ok(),
-        "spy violations on recovered trace:\n{:?}",
-        report.violations
-    );
-    assert!(report.certified > 0, "no dependences were exercised");
-
-    // The recovery actually happened and left its marks in the trace.
-    if opts.plan.has_crashes() && resilient.per_shard[0].restores > 0 {
-        let crashes = trace
-            .tracks
-            .iter()
-            .flat_map(|t| &t.events)
-            .filter(|e| matches!(e.kind, EventKind::ShardCrash { .. }))
-            .count();
-        let restores = trace
-            .tracks
-            .iter()
-            .flat_map(|t| &t.events)
-            .filter(|e| matches!(e.kind, EventKind::CheckpointRestore { .. }))
-            .count();
-        assert!(crashes > 0, "crash never recorded");
-        assert_eq!(
-            restores as u64, resilient.stats.restores,
-            "every shard records each restore"
-        );
-    }
-    resilient
-}
-
-fn compare_root(
-    spmd_a: &SpmdProgram,
-    store_a: &Store,
-    spmd_b: &SpmdProgram,
-    store_b: &Store,
-    root: regent_region::RegionId,
-) {
-    let ia = store_a.instance_in(&spmd_a.forest, root);
-    let ib = store_b.instance_in(&spmd_b.forest, root);
-    for (fid, def) in spmd_a.forest.fields(root).iter() {
-        for pt in spmd_a.forest.domain(root).iter() {
-            match def.ty {
-                FieldType::F64 => {
-                    let a = ia.read_f64(fid, pt);
-                    let b = ib.read_f64(fid, pt);
-                    assert!(
-                        a.to_bits() == b.to_bits(),
-                        "field {:?} at {:?}: plain={a} recovered={b}",
-                        def.name,
-                        pt
-                    );
-                }
-                FieldType::I64 => {
-                    assert_eq!(
-                        ia.read_i64(fid, pt),
-                        ib.read_i64(fid, pt),
-                        "field {:?} at {:?}",
-                        def.name,
-                        pt
-                    );
-                }
-            }
-        }
-    }
-}
+use common::Strategy::{Hybrid, Spmd};
+use common::{assert_recovers, mk_circuit, mk_miniaero, mk_pennant, mk_stencil};
+use regent_apps::stencil;
+use regent_ir::Store;
+use regent_runtime::{FaultPlan, ResilienceOptions};
 
 #[test]
 fn stencil_recovers_bit_identical() {
-    let mk = || {
-        let cfg = stencil::StencilConfig {
-            n: 40,
-            ntx: 4,
-            nty: 2,
-            radius: 2,
-            steps: 5,
-        };
-        let (prog, h) = stencil::stencil_program(cfg);
-        let mut store = Store::new(&prog);
-        stencil::init_stencil(&prog, &mut store, &h);
-        (prog, store)
-    };
     let opts = ResilienceOptions {
         checkpoint_interval: 2,
         plan: FaultPlan::new(7).crash_shard(1, 3),
         ..Default::default()
     };
-    let res = assert_recovers(mk, 3, &opts);
-    assert_eq!(res.per_shard[0].restores, 1);
-    assert_eq!(res.per_shard[0].epochs_replayed, 1);
+    for strategy in [Spmd, Hybrid] {
+        let res = assert_recovers(strategy, mk_stencil, 3, &opts);
+        assert_eq!(res.per_shard[0].restores, 1, "{strategy:?}");
+        assert_eq!(res.per_shard[0].epochs_replayed, 1, "{strategy:?}");
+    }
 }
 
 #[test]
 fn circuit_recovers_bit_identical() {
-    let mk = || {
-        let cfg = circuit::CircuitConfig {
-            pieces: 6,
-            nodes_per_piece: 30,
-            wires_per_piece: 90,
-            cross_fraction: 0.12,
-            steps: 4,
-            substeps: 3,
-            seed: 42,
-        };
-        let g = circuit::generate_graph(&cfg);
-        let (prog, h) = circuit::circuit_program(cfg, &g);
-        let mut store = Store::new(&prog);
-        circuit::init_circuit(&prog, &mut store, &h, &g);
-        (prog, store)
-    };
     let opts = ResilienceOptions {
         checkpoint_interval: 2,
         plan: FaultPlan::new(13).crash_shard(2, 3),
         ..Default::default()
     };
-    let res = assert_recovers(mk, 3, &opts);
+    let res = assert_recovers(Spmd, mk_circuit, 3, &opts);
     assert!(res.per_shard[0].restores > 0);
 }
 
 #[test]
 fn miniaero_recovers_bit_identical() {
-    let mk = || {
-        let cfg = miniaero::MiniAeroConfig {
-            nx: 12,
-            ny: 4,
-            nz: 3,
-            pieces: 4,
-            steps: 4,
-            dt: 5e-4,
-        };
-        let mesh = miniaero::build_mesh(&cfg);
-        let (prog, h) = miniaero::miniaero_program(cfg, &mesh);
-        let mut store = Store::new(&prog);
-        miniaero::init_miniaero(&prog, &mut store, &h, &cfg, &mesh);
-        (prog, store)
-    };
     let opts = ResilienceOptions {
         checkpoint_interval: 2,
         plan: FaultPlan::new(21).crash_shard(0, 2),
         ..Default::default()
     };
-    let res = assert_recovers(mk, 3, &opts);
+    let res = assert_recovers(Spmd, mk_miniaero, 3, &opts);
     assert!(res.per_shard[0].restores > 0);
 }
 
@@ -200,26 +55,12 @@ fn pennant_recovers_bit_identical() {
     // PENNANT's outer loop is a While driven by a Min-reduced dt — the
     // rollback must restore the replicated scalar state so every shard
     // re-derives the same trip decisions.
-    let mk = || {
-        let cfg = pennant::PennantConfig {
-            nzx: 10,
-            nzy: 5,
-            pieces: 3,
-            tstop: 2e-2,
-            dtmax: 2e-2,
-        };
-        let mesh = pennant::build_mesh(&cfg);
-        let (prog, h) = pennant::pennant_program(cfg, &mesh);
-        let mut store = Store::new(&prog);
-        pennant::init_pennant(&prog, &mut store, &h, &cfg, &mesh);
-        (prog, store)
-    };
     let opts = ResilienceOptions {
         checkpoint_interval: 2,
         plan: FaultPlan::new(33).crash_shard(1, 2),
         ..Default::default()
     };
-    assert_recovers(mk, 3, &opts);
+    assert_recovers(Spmd, || mk_pennant(2e-2), 3, &opts);
 }
 
 #[test]
@@ -245,6 +86,6 @@ fn stencil_seeded_plan_recovers() {
             plan: FaultPlan::seeded_crash(seed, 4, 4),
             ..Default::default()
         };
-        assert_recovers(mk, 4, &opts);
+        assert_recovers(Spmd, mk, 4, &opts);
     }
 }

@@ -12,13 +12,13 @@
 use regent_apps::{circuit, miniaero, pennant, stencil};
 use regent_cr::{control_replicate, CrOptions, ForestOracle, SpmdProgram};
 use regent_ir::Store;
-use regent_runtime::execute_spmd_traced;
+use regent_runtime::{run, Compiled, RunOptions};
 use regent_trace::{validate, EventKind, SpyReport, Trace, Tracer};
 
 /// Runs an SPMD program with tracing and returns the recorded trace.
 fn traced_run(spmd: &SpmdProgram, store: &mut Store) -> Trace {
     let tracer = Tracer::enabled();
-    execute_spmd_traced(spmd, store, &tracer);
+    run(Compiled::Spmd(spmd), store, &RunOptions::traced(&tracer));
     tracer.take()
 }
 

@@ -2,7 +2,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use regent_apps::stencil::{init_stencil, stencil_program, StencilConfig};
 use regent_cr::{control_replicate, CrOptions};
 use regent_ir::{interp, Store};
-use regent_runtime::{execute_implicit, execute_spmd, ImplicitOptions};
+use regent_runtime::{Compiled, ImplicitOptions, RunOptions, execute_implicit, run};
 
 const CFG: StencilConfig = StencilConfig {
     n: 128,
@@ -35,7 +35,7 @@ fn bench_executors(c: &mut Criterion) {
             let mut store = Store::new(&prog);
             init_stencil(&prog, &mut store, &h);
             let spmd = control_replicate(prog, &CrOptions::new(4)).unwrap();
-            execute_spmd(&spmd, &mut store)
+            run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default())
         })
     });
 }

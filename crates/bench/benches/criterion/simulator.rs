@@ -1,6 +1,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use regent_apps::stencil::stencil_spec;
-use regent_machine::{simulate_cr, simulate_implicit, MachineConfig};
+use regent_machine::{simulate, MachineConfig, Model, SimOptions};
 
 fn bench_sim(c: &mut Criterion) {
     let mut g = c.benchmark_group("des");
@@ -9,10 +9,10 @@ fn bench_sim(c: &mut Criterion) {
         let machine = MachineConfig::piz_daint(nodes);
         let spec = stencil_spec(nodes, &machine);
         g.bench_with_input(BenchmarkId::new("cr", nodes), &nodes, |b, _| {
-            b.iter(|| simulate_cr(&machine, &spec, 3))
+            b.iter(|| simulate(Model::Cr, &machine, &spec, 3, &mut SimOptions::default()))
         });
         g.bench_with_input(BenchmarkId::new("implicit", nodes), &nodes, |b, _| {
-            b.iter(|| simulate_implicit(&machine, &spec, 3))
+            b.iter(|| simulate(Model::Implicit, &machine, &spec, 3, &mut SimOptions::default()))
         });
     }
     g.finish();

@@ -24,7 +24,7 @@ use regent_ir::Store;
 use regent_region::intersect::{shallow_intersections_naive, shallow_intersections_of};
 use regent_region::{ops, Color, Domain, FieldSpace, RegionForest};
 use regent_runtime::{
-    execute_implicit, execute_log_traced, execute_spmd_traced, metrics, ImplicitOptions, MemoCache,
+    execute_implicit, metrics, run, Compiled, ImplicitOptions, MemoCache, RunOptions,
 };
 use regent_trace::{
     blame_report, entries_to_json, memo_summary, merge_entries, parse_entries, BenchEntry, Tracer,
@@ -141,7 +141,11 @@ fn ablation_sync(entries: &mut Vec<BenchEntry>) {
         metrics::global().reset();
         let tracer = Tracer::enabled();
         let t0 = Instant::now();
-        let r = execute_spmd_traced(&spmd, &mut store, &tracer);
+        let r = run(
+            Compiled::Spmd(&spmd),
+            &mut store,
+            &RunOptions::traced(&tracer),
+        );
         let dt = t0.elapsed().as_secs_f64() * 1e3;
         println!(
             "  {label:<16} {dt:>8.1} ms  ({} msgs, {} elements)",
@@ -306,7 +310,11 @@ fn ablation_log(entries: &mut Vec<BenchEntry>) {
         let t0 = Instant::now();
         let mut e = real_entry("stencil-log", "n256", 8, executor, 0);
         let trace = if executor == "log" {
-            let r = execute_log_traced(&spmd, &mut store, &tracer);
+            let r = run(
+                Compiled::Log(&spmd),
+                &mut store,
+                &RunOptions::traced(&tracer),
+            );
             let dt = t0.elapsed().as_secs_f64() * 1e3;
             println!(
                 "  {label:<6} {dt:>8.1} ms  {} appends, {} combines -> {} batches \
@@ -319,7 +327,11 @@ fn ablation_log(entries: &mut Vec<BenchEntry>) {
             );
             tracer.take()
         } else {
-            let r = execute_spmd_traced(&spmd, &mut store, &tracer);
+            let r = run(
+                Compiled::Spmd(&spmd),
+                &mut store,
+                &RunOptions::traced(&tracer),
+            );
             let dt = t0.elapsed().as_secs_f64() * 1e3;
             println!(
                 "  {label:<6} {dt:>8.1} ms  ({} msgs, {} elements)",

@@ -73,7 +73,7 @@ use regent_cr::{control_replicate, CrOptions};
 use regent_ir::Store;
 use regent_region::{fnv1a, MulFold, StripedFnv};
 use regent_runtime::metrics::Timer;
-use regent_runtime::{execute_spmd, execute_spmd_resilient, ring, ChunkPool, ResilienceOptions};
+use regent_runtime::{ring, run, ChunkPool, Compiled, ResilienceOptions, RunOptions};
 use regent_trace::{
     check_entries, entries_to_json, merge_entries, parse_entries, BenchEntry, Blame,
 };
@@ -249,7 +249,7 @@ fn stencil_setup(steps: u64, ns: usize) -> (regent_cr::SpmdProgram, Store) {
 fn stencil_run(steps: u64, ns: usize) -> f64 {
     let (spmd, mut store) = stencil_setup(steps, ns);
     let t0 = Instant::now();
-    execute_spmd(&spmd, &mut store);
+    run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default());
     t0.elapsed().as_secs_f64()
 }
 
@@ -275,7 +275,11 @@ fn instrumented_run(steps: u64, ns: usize) -> (f64, f64) {
     let reg = regent_runtime::metrics::global();
     reg.reset();
     let c0 = regent_runtime::metrics::process_cpu_ns();
-    let res = execute_spmd_resilient(&spmd, &mut store, &opts);
+    let res = run(
+        Compiled::Spmd(&spmd),
+        &mut store,
+        &RunOptions::default().with_resilience(opts.clone()),
+    );
     let cpu = regent_runtime::metrics::process_cpu_ns().saturating_sub(c0) as f64 / 1e9;
     assert_eq!(res.stats.corruptions_detected, 0);
     let agg = reg.aggregate();

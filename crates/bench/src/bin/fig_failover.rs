@@ -26,8 +26,8 @@ use regent_apps::stencil;
 use regent_cr::{control_replicate, CrOptions};
 use regent_ir::Store;
 use regent_runtime::{
-    classify_failure, execute_spmd, execute_spmd_failover_traced, FailoverOptions, FailureClass,
-    FaultPlan, ResilienceOptions,
+    classify_failure, run, run_failover, Compiled, FailoverOptions, FailureClass, FaultPlan,
+    ResilienceOptions, RunOptions,
 };
 use regent_trace::{
     check_entries, entries_to_json, failover_summary, merge_entries, parse_entries, BenchEntry,
@@ -76,12 +76,11 @@ fn failover_run(steps: u64, ns: usize, kill_epoch: u64, plain_env: &[f64]) -> (f
     };
     let tracer = Tracer::enabled();
     let t0 = Instant::now();
-    let r = execute_spmd_failover_traced(
-        &mut spmd,
+    let r = run_failover(
+        Compiled::Spmd(&mut spmd),
         &mut store,
-        &opts,
+        &RunOptions::traced(&tracer).with_resilience(opts.clone()),
         &FailoverOptions::default(),
-        &tracer,
     );
     let wall = t0.elapsed().as_secs_f64();
     assert_eq!(
@@ -162,14 +161,14 @@ fn main() {
     let plain = {
         let (prog, mut store) = mk(steps);
         let spmd = control_replicate(prog, &CrOptions::new(NS)).unwrap();
-        execute_spmd(&spmd, &mut store)
+        run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default())
     };
     let mut plain_s = f64::INFINITY;
     for _ in 0..3 {
         let (prog, mut store) = mk(steps);
         let spmd = control_replicate(prog, &CrOptions::new(NS)).unwrap();
         let t0 = Instant::now();
-        let r = execute_spmd(&spmd, &mut store);
+        let r = run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default());
         plain_s = plain_s.min(t0.elapsed().as_secs_f64());
         assert_eq!(plain.env, r.env);
     }
@@ -245,7 +244,7 @@ fn main() {
         let plain_ns = {
             let (prog, mut store) = mk(steps);
             let spmd = control_replicate(prog, &CrOptions::new(ns)).unwrap();
-            execute_spmd(&spmd, &mut store)
+            run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default())
         };
         let (wall, recon_ns, insts) = failover_run(steps, ns, 2, &plain_ns.env);
         println!(

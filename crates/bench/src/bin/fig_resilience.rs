@@ -26,13 +26,10 @@ use regent_bench::parse_args;
 use regent_cr::{control_replicate, CrOptions};
 use regent_ir::Store;
 use regent_machine::{
-    format_resilience_table, simulate_cr, simulate_cr_faulted, simulate_cr_resilient, FaultPlan,
-    MachineConfig, ResilienceSpec, ScenarioResult,
+    format_resilience_table, simulate, FaultPlan, MachineConfig, Model, ResilienceSpec,
+    ScenarioResult, SimOptions,
 };
-use regent_runtime::{
-    execute_spmd, execute_spmd_resilient, execute_spmd_resilient_traced, ResilienceOptions,
-    SpmdRunResult,
-};
+use regent_runtime::{run, Compiled, ResilienceOptions, RunOptions, RunResult};
 use regent_trace::{integrity_summary, validate, Tracer};
 
 fn main() {
@@ -50,29 +47,43 @@ fn main() {
     corruption_study(nodes, steps, seed, rate);
 }
 
-/// Part 1: the machine-model sweep.
-fn simulator_sweep(nodes: usize, steps: u64) {
+/// Stencil on the simulated machine under CR, with `plan`'s faults and,
+/// given `resilience`, the crash + checkpoint–restart model.
+fn stencil_under_cr(
+    nodes: usize,
+    steps: u64,
+    plan: Option<&FaultPlan>,
+    resilience: Option<ResilienceSpec>,
+) -> ScenarioResult {
     let machine = MachineConfig::piz_daint(nodes);
     let spec = stencil_spec(nodes, &machine);
-    let baseline = simulate_cr(&machine, &spec, steps);
+    let mut opts = SimOptions {
+        plan,
+        resilience,
+        trace: None,
+    };
+    simulate(Model::Cr, &machine, &spec, steps, &mut opts)
+}
+
+/// Part 1: the machine-model sweep.
+fn simulator_sweep(nodes: usize, steps: u64) {
+    let baseline = stencil_under_cr(nodes, steps, None, None);
     let mut rows: Vec<(String, ScenarioResult)> = vec![("fault-free".into(), baseline)];
 
     for rate in [0.001, 0.01, 0.05] {
         let plan = FaultPlan::from_seed_rate(42, rate);
-        let mut tb = Tracer::disabled().buffer("sim");
         rows.push((
             format!("loss {:>5.1}%", rate * 100.0),
-            simulate_cr_faulted(&machine, &spec, steps, &plan, &mut tb),
+            stencil_under_cr(nodes, steps, Some(&plan), None),
         ));
     }
 
     // A transient 4× slowdown of node 0 for the middle third of the run.
     let window = baseline.makespan / 3.0;
     let slow = FaultPlan::new(42).slow_node(0, window, window, 4.0);
-    let mut tb = Tracer::disabled().buffer("sim");
     rows.push((
         "slowdown 4x".into(),
-        simulate_cr_faulted(&machine, &spec, steps, &slow, &mut tb),
+        stencil_under_cr(nodes, steps, Some(&slow), None),
     ));
 
     // A node crash mid-run, recovered from checkpoints every K steps
@@ -80,14 +91,14 @@ fn simulator_sweep(nodes: usize, steps: u64) {
     // crash step is odd so it never lands exactly on a checkpoint.
     let crash_step = (steps / 2) | 1;
     for k in [0u64, 1, 2, 4] {
+        let plan = FaultPlan::new(42).crash_shard(1, crash_step);
         let rspec = ResilienceSpec {
-            plan: FaultPlan::new(42).crash_shard(1, crash_step),
             ckpt_interval: k,
             ..ResilienceSpec::default()
         };
         rows.push((
             format!("crash @{crash_step} K={k}"),
-            simulate_cr_resilient(&machine, &spec, steps, &rspec),
+            stencil_under_cr(nodes, steps, Some(&plan), Some(rspec)),
         ));
     }
 
@@ -116,7 +127,7 @@ fn real_executor_recovery() {
     let (prog, mut store) = mk();
     let roots = prog.root_regions();
     let spmd = control_replicate(prog, &CrOptions::new(ns)).unwrap();
-    let plain = execute_spmd(&spmd, &mut store);
+    let plain = run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default());
 
     println!("=== Resilience: real SPMD executor (Stencil, {ns} shards, crash at epoch 3) ===");
     println!(
@@ -131,7 +142,11 @@ fn real_executor_recovery() {
         };
         let (prog_r, mut store_r) = mk();
         let spmd_r = control_replicate(prog_r, &CrOptions::new(ns)).unwrap();
-        let res = execute_spmd_resilient(&spmd_r, &mut store_r, &opts);
+        let res = run(
+            Compiled::Spmd(&spmd_r),
+            &mut store_r,
+            &RunOptions::default().with_resilience(opts.clone()),
+        );
         assert_eq!(plain.env, res.env, "recovered scalar env diverged");
         for &root in &roots {
             let ia = store.instance_in(&spmd.forest, root);
@@ -169,9 +184,7 @@ fn corruption_study(nodes: usize, steps: u64, seed: u64, rate: f64) {
     // 3a. Simulated detection/repair under a corruption-rate sweep:
     // every silent flip is caught by the receiver's checksum and
     // repaired by a backoff retransmission, at a makespan cost.
-    let machine = MachineConfig::piz_daint(nodes);
-    let spec = stencil_spec(nodes, &machine);
-    let baseline = simulate_cr(&machine, &spec, steps);
+    let baseline = stencil_under_cr(nodes, steps, None, None);
     println!("=== Integrity: Stencil on {nodes} nodes, {steps} steps (simulated, seed {seed}) ===");
     println!(
         "{:>12}  {:>9}  {:>9}  {:>9}  {:>10}  {:>10}",
@@ -179,8 +192,7 @@ fn corruption_study(nodes: usize, steps: u64, seed: u64, rate: f64) {
     );
     for r in [0.001, 0.01, 0.05] {
         let plan = FaultPlan::new(seed).with_corrupt_rate(r);
-        let mut tb = Tracer::disabled().buffer("sim");
-        let res = simulate_cr_faulted(&machine, &spec, steps, &plan, &mut tb);
+        let res = stencil_under_cr(nodes, steps, Some(&plan), None);
         let f = &res.faults;
         assert_eq!(
             f.corruptions_injected, f.corruptions_detected,
@@ -219,7 +231,7 @@ fn corruption_study(nodes: usize, steps: u64, seed: u64, rate: f64) {
     let (prog, mut store) = mk();
     let roots = prog.root_regions();
     let spmd = control_replicate(prog, &CrOptions::new(ns)).unwrap();
-    let plain = execute_spmd(&spmd, &mut store);
+    let plain = run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default());
 
     let opts = ResilienceOptions {
         checkpoint_interval: 2,
@@ -229,7 +241,11 @@ fn corruption_study(nodes: usize, steps: u64, seed: u64, rate: f64) {
     let (prog_c, mut store_c) = mk();
     let spmd_c = control_replicate(prog_c, &CrOptions::new(ns)).unwrap();
     let tracer = Tracer::enabled();
-    let res = execute_spmd_resilient_traced(&spmd_c, &mut store_c, &opts, &tracer);
+    let res = run(
+        Compiled::Spmd(&spmd_c),
+        &mut store_c,
+        &RunOptions::traced(&tracer).with_resilience(opts.clone()),
+    );
     let trace = tracer.take();
     assert_bit_identical(&plain, &spmd, &store, &spmd_c, &store_c, &res, &roots);
 
@@ -290,7 +306,11 @@ fn corruption_study(nodes: usize, steps: u64, seed: u64, rate: f64) {
                 let (prog, mut store) = mk();
                 let spmd = control_replicate(prog, &CrOptions::new(ns)).unwrap();
                 let t0 = std::time::Instant::now();
-                let res = execute_spmd_resilient(&spmd, &mut store, &opts);
+                let res = run(
+                    Compiled::Spmd(&spmd),
+                    &mut store,
+                    &RunOptions::default().with_resilience(opts.clone()),
+                );
                 let dt = t0.elapsed().as_secs_f64();
                 assert_eq!(res.stats.corruptions_detected, 0);
                 dt
@@ -316,12 +336,12 @@ fn corruption_study(nodes: usize, steps: u64, seed: u64, rate: f64) {
 /// fault-free one: scalar environment and every field of every root
 /// region.
 fn assert_bit_identical(
-    plain: &SpmdRunResult,
+    plain: &RunResult,
     spmd: &regent_cr::SpmdProgram,
     store: &Store,
     spmd_c: &regent_cr::SpmdProgram,
     store_c: &Store,
-    res: &SpmdRunResult,
+    res: &RunResult,
     roots: &[regent_region::RegionId],
 ) {
     assert_eq!(plain.env, res.env, "repaired scalar env diverged");

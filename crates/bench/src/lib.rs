@@ -24,9 +24,8 @@
 #![warn(missing_docs)]
 
 use regent_machine::{
-    parse_corrupt_spec, simulate_cr_faulted, simulate_implicit_faulted,
-    simulate_implicit_memo_faulted, simulate_log_faulted, simulate_mpi_faulted, FaultPlan,
-    FaultStats, MachineConfig, MpiVariant, ScalingSeries, TimestepSpec,
+    parse_corrupt_spec, simulate, FaultPlan, FaultStats, MachineConfig, Model, MpiVariant,
+    ScalingSeries, SimOptions, TimestepSpec,
 };
 use regent_trace::{
     check_entries, entries_to_json, export_chrome, mean_step_cost, merge_entries, parse_entries,
@@ -146,39 +145,31 @@ impl FigureRunner {
             let mut machine = MachineConfig::piz_daint(nodes);
             (self.machine_mod)(&mut machine);
             let spec = spec_of(nodes, &machine);
-            let mut tb = tracer.buffer(&format!("cr/n{nodes}"));
-            let r = simulate_cr_faulted(&machine, &spec, self.steps, &plan, &mut tb);
+            // One track per node count per traced model; the MPI
+            // references are never traced.
+            let run = |model: Model, track: Option<&str>| {
+                let mut tb = track.map(|t| tracer.buffer(&format!("{t}/n{nodes}")));
+                let mut opts = SimOptions {
+                    plan: Some(&plan),
+                    resilience: None,
+                    trace: tb.as_mut(),
+                };
+                simulate(model, &machine, &spec, self.steps, &mut opts)
+            };
+            let r = run(Model::Cr, Some("cr"));
             cr_faults.merge(&r.faults);
             cr.push(nodes, r);
-            tb.flush();
-            let mut tb = tracer.buffer(&format!("implicit/n{nodes}"));
-            let r = simulate_implicit_faulted(&machine, &spec, self.steps, &plan, &mut tb);
+            let r = run(Model::Implicit, Some("implicit"));
             nocr_faults.merge(&r.faults);
             nocr.push(nodes, r);
-            tb.flush();
             if let Some(memo) = memo.as_mut() {
-                let mut tb = tracer.buffer(&format!("implicit-memo/n{nodes}"));
-                memo.push(
-                    nodes,
-                    simulate_implicit_memo_faulted(&machine, &spec, self.steps, &plan, &mut tb),
-                );
-                tb.flush();
+                memo.push(nodes, run(Model::ImplicitMemo, Some("implicit-memo")));
             }
             if let Some(logs) = logs.as_mut() {
-                let mut tb = tracer.buffer(&format!("log/n{nodes}"));
-                logs.push(
-                    nodes,
-                    simulate_log_faulted(&machine, &spec, self.steps, &plan, &mut tb),
-                );
-                tb.flush();
+                logs.push(nodes, run(Model::Log, Some("log")));
             }
             for ((_, mk), series) in mpi_variants.iter().zip(&mut mpis) {
-                // MPI references are never traced (as before).
-                let mut tb = Tracer::disabled().buffer("mpi");
-                series.push(
-                    nodes,
-                    simulate_mpi_faulted(&machine, &spec, self.steps, mk(&machine), &plan, &mut tb),
-                );
+                series.push(nodes, run(Model::Mpi(mk(&machine)), None));
             }
         }
         let mut out = vec![cr, nocr];

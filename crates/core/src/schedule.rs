@@ -82,6 +82,18 @@ pub struct SetupStats {
     pub total_elements: u64,
 }
 
+impl SetupStats {
+    /// Accumulates another schedule's statistics into this one (a
+    /// hybrid program has one schedule per replicated segment).
+    pub fn merge(&mut self, o: &SetupStats) {
+        self.shallow_seconds += o.shallow_seconds;
+        self.complete_seconds += o.complete_seconds;
+        self.offsets_seconds += o.offsets_seconds;
+        self.num_pairs += o.num_pairs;
+        self.total_elements += o.total_elements;
+    }
+}
+
 /// The evaluated exchange schedule: per-intersection pair lists,
 /// globally ordered, each pair with its gather/scatter offsets.
 /// Immutable once built; shards, runs and executors share one copy.

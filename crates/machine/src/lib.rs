@@ -8,15 +8,17 @@
 //!   resources).
 //! * [`model`] — machine description (nodes, cores, network, runtime
 //!   cost parameters) and workload time-step specifications.
-//! * [`scenario`] — the three execution models of the evaluation:
-//!   Regent with CR, Regent without CR (single control thread), and
+//! * [`scenario`] — the execution models of the evaluation behind one
+//!   [`simulate`] call: Regent with CR, Regent without CR (single
+//!   control thread, optionally memoized), shared-log CR, and
 //!   hand-written MPI(+X) references.
 //! * [`metrics`] — weak-scaling series/efficiency reporting.
 //!
-//! The engine and every scenario have `*_traced` variants recording
-//! the simulated schedule as `SimTask` spans into a `regent-trace`
-//! buffer (virtual seconds × 1e9 → nanoseconds), so simulated runs can
-//! be profiled and exported exactly like real executor runs.
+//! The engine (`Sim::run_traced`) and every scenario
+//! ([`SimOptions::trace`]) can record the simulated schedule as
+//! `SimTask` spans into a `regent-trace` buffer (virtual seconds × 1e9
+//! → nanoseconds), so simulated runs can be profiled and exported
+//! exactly like real executor runs.
 
 #![warn(missing_docs)]
 
@@ -32,10 +34,5 @@ pub use metrics::{
 pub use model::{CopyEdge, MachineConfig, PhaseSpec, TimestepSpec};
 pub use regent_fault::{parse_corrupt_spec, FaultPlan, FaultStats, RetryPolicy};
 pub use scenario::{
-    sim_bench_entry, simulate_cr, simulate_cr_faulted, simulate_cr_resilient,
-    simulate_cr_resilient_traced, simulate_cr_traced, simulate_implicit, simulate_implicit_faulted,
-    simulate_implicit_memo, simulate_implicit_memo_faulted, simulate_implicit_memo_traced,
-    simulate_implicit_traced, simulate_log, simulate_log_faulted, simulate_log_traced,
-    simulate_mpi, simulate_mpi_faulted, simulate_mpi_traced, MpiVariant, ResilienceSpec,
-    ScenarioResult,
+    sim_bench_entry, simulate, Model, MpiVariant, ResilienceSpec, ScenarioResult, SimOptions,
 };

@@ -1,32 +1,32 @@
 //! Execution-model scenarios: build a discrete-event task graph for a
 //! workload under each of the paper's execution models and measure the
-//! simulated throughput.
+//! simulated throughput. One entry point, [`simulate`], takes the
+//! [`Model`]:
 //!
-//! * [`simulate_cr`] — Regent **with control replication**: every node
+//! * [`Model::Cr`] — Regent **with control replication**: every node
 //!   runs a long-lived shard that launches its own tasks (cheap,
 //!   §3.5), exchanges halos point-to-point (§3.4), and participates in
 //!   dynamic collectives (§4.4).
-//! * [`simulate_implicit`] — Regent **without control replication**: a
+//! * [`Model::Implicit`] — Regent **without control replication**: a
 //!   single control thread on node 0 pays the dynamic-analysis cost
 //!   for *every* task in the machine (§1's O(N) control overhead), with
 //!   deferred execution pipelining the launches.
-//! * [`simulate_implicit_memo`] — the same single control thread with
+//! * [`Model::ImplicitMemo`] — the same single control thread with
 //!   epoch-trace memoization: full analysis only on the first step
 //!   (template capture), replay cost on every later step. The control
 //!   thread stays serial, so this amortizes the O(N) analysis without
 //!   replicating control.
-//! * [`simulate_log`] — **shared-log control replication**: one
+//! * [`Model::Log`] — **shared-log control replication**: one
 //!   sequencer appends the control program to an operation log (cost
 //!   independent of machine size); per-node replica executors tail it,
 //!   paying dependence analysis once per replica per batch before
 //!   issuing their shard launches at CR cost.
-//! * [`simulate_mpi`] — hand-written SPMD references (MPI,
+//! * [`Model::Mpi`] — hand-written SPMD references (MPI,
 //!   MPI+OpenMP, MPI+Kokkos): no runtime overhead, all cores compute,
 //!   bulk-synchronous neighbor exchanges.
-
 //!
-//! Every scenario has a `*_traced` variant that tags each sim-task with
-//! its model-level meaning and records the simulated schedule into a
+//! With [`SimOptions::trace`] set, every sim-task is tagged with its
+//! model-level meaning and the simulated schedule is recorded into a
 //! [`TraceBuf`]. Per-step control cost extracted from such traces
 //! (`regent_trace::sim_control_cost_per_step`) is the simulator's
 //! evidence for the paper's O(N)-vs-O(1) control-overhead claim.
@@ -85,62 +85,96 @@ pub fn sim_bench_entry(
     })
 }
 
-fn finish(sim: Sim, spec: &TimestepSpec, steps: u64, tb: &mut TraceBuf) -> ScenarioResult {
+/// The execution model a [`simulate`] call builds its task graph for
+/// (see the module docs).
+#[derive(Clone, Copy, Debug)]
+pub enum Model {
+    /// Regent with control replication.
+    Cr,
+    /// Regent without control replication: one control thread.
+    Implicit,
+    /// [`Model::Implicit`] with epoch-trace memoization.
+    ImplicitMemo,
+    /// Shared-log control replication.
+    Log,
+    /// A hand-written bulk-synchronous SPMD reference.
+    Mpi(MpiVariant),
+}
+
+/// Options of one [`simulate`] call; the default is a fault-free,
+/// untraced run.
+#[derive(Default)]
+pub struct SimOptions<'a> {
+    /// The faults to inject. The loss / duplication / delay rates and
+    /// slowdown windows apply to the copy traffic and service times of
+    /// every model; crash events fire (at step boundaries) only under
+    /// `resilience` and are ignored otherwise.
+    pub plan: Option<&'a FaultPlan>,
+    /// The crash + checkpoint–restart model ([`Model::Cr`] only): every
+    /// `ckpt_interval` steps each shard snapshots its region slice; a
+    /// scheduled node crash remaps the dead node's shard onto the
+    /// least-loaded survivor (graceful degradation), pays a detection
+    /// timeout plus a checkpoint state transfer, and replays every step
+    /// since the last checkpoint.
+    pub resilience: Option<ResilienceSpec>,
+    /// Records the simulated schedule here. CR shards tag `Launch`
+    /// spans; the implicit models put every `Analysis` span on node 0 —
+    /// the single control thread, which is exactly what the per-step
+    /// control-cost profile shows growing with machine size — and, with
+    /// memoization, tag replayed steps `Launch`; the log model tags the
+    /// sequencer's append/combine spans [`SimKind::Log`] (phase
+    /// `log_control` under `sim_blame`), the replicas' first-step
+    /// analysis spans `Analysis`, and their steady-state consume spans
+    /// `Log`.
+    pub trace: Option<&'a mut TraceBuf>,
+}
+
+/// Simulates `steps` time steps of `spec` on `machine` under `model`.
+/// `goodput_per_node` counts only useful (non-replayed) work; `faults`
+/// reports message-level outcomes plus crashes, replays, and recovery
+/// time.
+pub fn simulate(
+    model: Model,
+    machine: &MachineConfig,
+    spec: &TimestepSpec,
+    steps: u64,
+    opts: &mut SimOptions<'_>,
+) -> ScenarioResult {
+    assert!(
+        opts.resilience.is_none() || matches!(model, Model::Cr),
+        "the crash + checkpoint model exists for Model::Cr only"
+    );
+    let mut faults = FaultStats::default();
+    let mut sim = match model {
+        Model::Cr => build_cr(machine, spec, steps, opts, &mut faults),
+        Model::Implicit => build_implicit(machine, spec, steps, false),
+        Model::ImplicitMemo => build_implicit(machine, spec, steps, true),
+        Model::Log => build_log(machine, spec, steps),
+        Model::Mpi(variant) => build_mpi(machine, spec, steps, variant),
+    };
+    if let Some(plan) = opts.plan.filter(|p| p.is_active()) {
+        sim.set_faults(plan.clone(), RetryPolicy::default());
+    }
     let graph_size = sim.num_tasks();
-    let res = sim.run_traced(tb);
-    let throughput = spec.elements_per_node as f64 * steps as f64 / res.makespan;
+    let res = match opts.trace.as_deref_mut() {
+        Some(tb) => sim.run_traced(tb),
+        None => sim.run_traced(&mut Tracer::disabled().buffer("sim")),
+    };
+    faults.merge(&res.faults);
+    let useful = spec.elements_per_node as f64 * steps as f64;
+    let executed = spec.elements_per_node as f64 * (steps + faults.epochs_replayed) as f64;
     ScenarioResult {
         makespan: res.makespan,
-        throughput_per_node: throughput,
-        goodput_per_node: throughput,
+        throughput_per_node: executed / res.makespan,
+        goodput_per_node: useful / res.makespan,
         graph_size,
-        faults: res.faults,
+        faults,
     }
 }
 
-/// Simulates Regent **with** control replication.
-pub fn simulate_cr(machine: &MachineConfig, spec: &TimestepSpec, steps: u64) -> ScenarioResult {
-    let tracer = Tracer::disabled();
-    simulate_cr_traced(machine, spec, steps, &mut tracer.buffer("sim"))
-}
-
-/// [`simulate_cr`] recording the simulated schedule into `tb`.
-pub fn simulate_cr_traced(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    tb: &mut TraceBuf,
-) -> ScenarioResult {
-    simulate_cr_faulted(machine, spec, steps, &FaultPlan::default(), tb)
-}
-
-/// [`simulate_cr_traced`] under message-level faults: the plan's loss /
-/// duplication / delay rates and slowdown windows apply to the copy
-/// traffic and service times (crash events are ignored here — use
-/// [`simulate_cr_resilient`] for the crash + checkpoint model).
-pub fn simulate_cr_faulted(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    plan: &FaultPlan,
-    tb: &mut TraceBuf,
-) -> ScenarioResult {
-    let mut b = CrBuilder::new(machine, spec);
-    for step in 0..steps {
-        b.step(step);
-    }
-    if plan.is_active() {
-        b.sim.set_faults(plan.clone(), RetryPolicy::default());
-    }
-    finish(b.sim, spec, steps, tb)
-}
-
-/// Fault + recovery configuration of [`simulate_cr_resilient`].
-#[derive(Clone, Debug)]
+/// Recovery configuration of [`SimOptions::resilience`].
+#[derive(Clone, Copy, Debug)]
 pub struct ResilienceSpec {
-    /// The faults to inject: crash events fire at step boundaries,
-    /// message rates apply throughout.
-    pub plan: FaultPlan,
     /// Checkpoint every K steps (0 = no checkpoints: a crash replays
     /// everything since step 0).
     pub ckpt_interval: u64,
@@ -162,7 +196,6 @@ pub struct ResilienceSpec {
 impl Default for ResilienceSpec {
     fn default() -> ResilienceSpec {
         ResilienceSpec {
-            plan: FaultPlan::default(),
             ckpt_interval: 0,
             detection_timeout_s: DEFAULT_DETECTION_TIMEOUT_S,
             reconstruct_s_per_element: RECONSTRUCT_S_PER_ELEMENT,
@@ -183,39 +216,24 @@ const RECONSTRUCT_S_PER_ELEMENT: f64 = 8.0e-9;
 /// fields snapshotted at a checkpoint boundary).
 const CKPT_BYTES_PER_ELEMENT: f64 = 8.0;
 
-/// Simulates CR under the full fault model with checkpoint–restart:
-/// every `ckpt_interval` steps each shard snapshots its region slice;
-/// a scheduled node crash remaps the dead node's shard onto the
-/// least-loaded survivor (graceful degradation), pays a detection
-/// timeout plus a checkpoint state transfer, and replays every step
-/// since the last checkpoint. `goodput_per_node` counts only useful
-/// (non-replayed) work; `faults` reports crashes, replays, and
-/// recovery time.
-pub fn simulate_cr_resilient(
+/// The CR task graph. Without [`SimOptions::resilience`] no checkpoint
+/// is taken and no crash fires, so the graph is the plain one.
+fn build_cr(
     machine: &MachineConfig,
     spec: &TimestepSpec,
     steps: u64,
-    rspec: &ResilienceSpec,
-) -> ScenarioResult {
-    let tracer = Tracer::disabled();
-    simulate_cr_resilient_traced(machine, spec, steps, rspec, &mut tracer.buffer("sim"))
-}
-
-/// [`simulate_cr_resilient`] recording the simulated schedule into `tb`.
-pub fn simulate_cr_resilient_traced(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    rspec: &ResilienceSpec,
-    tb: &mut TraceBuf,
-) -> ScenarioResult {
+    opts: &SimOptions<'_>,
+    faults: &mut FaultStats,
+) -> Sim {
     let mut b = CrBuilder::new(machine, spec);
+    let rspec = opts.resilience.unwrap_or_default();
     b.detection_timeout_s = rspec.detection_timeout_s;
     b.reconstruct_s_per_element = rspec.reconstruct_s_per_element;
-    let crashes = rspec.plan.crash_schedule();
+    let crashes = match (opts.resilience, opts.plan) {
+        (Some(_), Some(plan)) => plan.crash_schedule(),
+        _ => Vec::new(),
+    };
     let mut ci = 0;
-    let mut fstats = FaultStats::default();
-    let mut replayed = 0u64;
     let mut last_ckpt = 0u64;
     for step in 0..steps {
         if rspec.ckpt_interval > 0 && step % rspec.ckpt_interval == 0 {
@@ -229,32 +247,17 @@ pub fn simulate_cr_resilient_traced(
             let (node, _) = crashes[ci];
             ci += 1;
             if b.crash(node as usize, step) {
-                fstats.crashes += 1;
+                faults.crashes += 1;
                 for s in last_ckpt..step {
                     b.step(s);
-                    replayed += 1;
+                    faults.epochs_replayed += 1;
                 }
             }
         }
         b.step(step);
     }
-    fstats.epochs_replayed = replayed;
-    fstats.recovery_time_s = b.recovery_time_s;
-    if rspec.plan.is_active() {
-        b.sim.set_faults(rspec.plan.clone(), RetryPolicy::default());
-    }
-    let graph_size = b.sim.num_tasks();
-    let res = b.sim.run_traced(tb);
-    fstats.merge(&res.faults);
-    let useful = spec.elements_per_node as f64 * steps as f64;
-    let executed = spec.elements_per_node as f64 * (steps + replayed) as f64;
-    ScenarioResult {
-        makespan: res.makespan,
-        throughput_per_node: executed / res.makespan,
-        goodput_per_node: useful / res.makespan,
-        graph_size,
-        faults: fstats,
-    }
+    faults.recovery_time_s = b.recovery_time_s;
+    b.sim
 }
 
 /// Task-graph builder for the CR execution model. One long-lived shard
@@ -469,89 +472,14 @@ impl<'a> CrBuilder<'a> {
     }
 }
 
-/// Simulates Regent **without** control replication: one control
-/// thread launches every task in the machine.
-pub fn simulate_implicit(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-) -> ScenarioResult {
-    let tracer = Tracer::disabled();
-    simulate_implicit_traced(machine, spec, steps, &mut tracer.buffer("sim"))
-}
-
-/// [`simulate_implicit`] recording the simulated schedule into `tb`.
-/// The dynamic-analysis spans all land on node 0 — the single control
-/// thread — which is exactly what the per-step control-cost profile
-/// shows growing with machine size.
-pub fn simulate_implicit_traced(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    tb: &mut TraceBuf,
-) -> ScenarioResult {
-    simulate_implicit_faulted(machine, spec, steps, &FaultPlan::default(), tb)
-}
-
-/// [`simulate_implicit_traced`] under message-level faults (loss /
-/// duplication / delay rates and slowdown windows).
-pub fn simulate_implicit_faulted(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    plan: &FaultPlan,
-    tb: &mut TraceBuf,
-) -> ScenarioResult {
-    simulate_implicit_model(machine, spec, steps, plan, false, tb)
-}
-
-/// Simulates Regent without control replication but **with epoch-trace
-/// memoization**: the control thread pays full dynamic analysis only
-/// for the first time step (template capture); every later step replays
-/// the captured schedule at a per-task cost equal to a CR shard's
-/// launch cost. The control thread remains a single serial resource —
-/// memoization amortizes the analysis, it does not replicate control.
-pub fn simulate_implicit_memo(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-) -> ScenarioResult {
-    let tracer = Tracer::disabled();
-    simulate_implicit_memo_traced(machine, spec, steps, &mut tracer.buffer("sim"))
-}
-
-/// [`simulate_implicit_memo`] recording the simulated schedule into
-/// `tb`: step 0's per-task spans are tagged `Analysis`, the replayed
-/// steps' spans `Launch`, so the per-step control-cost profile shows
-/// the amortization curve.
-pub fn simulate_implicit_memo_traced(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    tb: &mut TraceBuf,
-) -> ScenarioResult {
-    simulate_implicit_memo_faulted(machine, spec, steps, &FaultPlan::default(), tb)
-}
-
-/// [`simulate_implicit_memo_traced`] under message-level faults.
-pub fn simulate_implicit_memo_faulted(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    plan: &FaultPlan,
-    tb: &mut TraceBuf,
-) -> ScenarioResult {
-    simulate_implicit_model(machine, spec, steps, plan, true, tb)
-}
-
-fn simulate_implicit_model(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    plan: &FaultPlan,
-    memo: bool,
-    tb: &mut TraceBuf,
-) -> ScenarioResult {
+/// The single-control-thread task graph: one control thread launches
+/// every task in the machine. With `memo`, the control thread pays full
+/// dynamic analysis only for the first time step (template capture);
+/// every later step replays the captured schedule at a per-task cost
+/// equal to a CR shard's launch cost. The control thread remains a
+/// single serial resource — memoization amortizes the analysis, it
+/// does not replicate control.
+fn build_implicit(machine: &MachineConfig, spec: &TimestepSpec, steps: u64, memo: bool) -> Sim {
     let n = spec.num_nodes;
     let mut sim = Sim::new();
     let compute: Vec<ResourceId> = (0..n)
@@ -649,46 +577,17 @@ fn simulate_implicit_model(
             inbound = new_inbound;
         }
     }
-    if plan.is_active() {
-        sim.set_faults(plan.clone(), RetryPolicy::default());
-    }
-    finish(sim, spec, steps, tb)
+    sim
 }
 
-/// Simulates **shared-log control replication** (`log_exec`): a single
-/// sequencer runs the control program once and appends one launch
-/// record per index launch to a flat-combining operation log — cost
-/// independent of the machine size — while per-node replica executors
-/// tail the log, pay dependence analysis **once per replica per batch**
-/// (only the first step derives fresh signature pairs; later steps are
-/// dedup hits), and then issue their own shard launches at CR cost.
-pub fn simulate_log(machine: &MachineConfig, spec: &TimestepSpec, steps: u64) -> ScenarioResult {
-    let tracer = Tracer::disabled();
-    simulate_log_traced(machine, spec, steps, &mut tracer.buffer("sim"))
-}
-
-/// [`simulate_log`] recording the simulated schedule into `tb`: the
-/// sequencer's append/combine spans are tagged [`SimKind::Log`] (phase
-/// `log_control` under `sim_blame`), the replicas' first-step analysis
-/// spans `Analysis`, and their steady-state consume spans `Log`.
-pub fn simulate_log_traced(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    tb: &mut TraceBuf,
-) -> ScenarioResult {
-    simulate_log_faulted(machine, spec, steps, &FaultPlan::default(), tb)
-}
-
-/// [`simulate_log_traced`] under message-level faults (loss /
-/// duplication / delay rates and slowdown windows).
-pub fn simulate_log_faulted(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    plan: &FaultPlan,
-    tb: &mut TraceBuf,
-) -> ScenarioResult {
+/// The shared-log (`log_exec`) task graph: a single sequencer runs the
+/// control program once and appends one launch record per index launch
+/// to a flat-combining operation log — cost independent of the machine
+/// size — while per-node replica executors tail the log, pay
+/// dependence analysis **once per replica per batch** (only the first
+/// step derives fresh signature pairs; later steps are dedup hits), and
+/// then issue their own shard launches at CR cost.
+fn build_log(machine: &MachineConfig, spec: &TimestepSpec, steps: u64) -> Sim {
     let n = spec.num_nodes;
     let mut sim = Sim::new();
     let compute: Vec<ResourceId> = (0..n)
@@ -800,10 +699,7 @@ pub fn simulate_log_faulted(
             inbound = new_inbound;
         }
     }
-    if plan.is_active() {
-        sim.set_faults(plan.clone(), RetryPolicy::default());
-    }
-    finish(sim, spec, steps, tb)
+    sim
 }
 
 /// Configuration of a hand-written SPMD reference.
@@ -846,38 +742,8 @@ impl MpiVariant {
     }
 }
 
-/// Simulates a hand-written bulk-synchronous SPMD reference.
-pub fn simulate_mpi(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    variant: MpiVariant,
-) -> ScenarioResult {
-    let tracer = Tracer::disabled();
-    simulate_mpi_traced(machine, spec, steps, variant, &mut tracer.buffer("sim"))
-}
-
-/// [`simulate_mpi`] recording the simulated schedule into `tb`.
-pub fn simulate_mpi_traced(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    variant: MpiVariant,
-    tb: &mut TraceBuf,
-) -> ScenarioResult {
-    simulate_mpi_faulted(machine, spec, steps, variant, &FaultPlan::default(), tb)
-}
-
-/// [`simulate_mpi_traced`] under message-level faults (loss /
-/// duplication / delay rates and slowdown windows).
-pub fn simulate_mpi_faulted(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    variant: MpiVariant,
-    plan: &FaultPlan,
-    tb: &mut TraceBuf,
-) -> ScenarioResult {
+/// The task graph of a hand-written bulk-synchronous SPMD reference.
+fn build_mpi(machine: &MachineConfig, spec: &TimestepSpec, steps: u64, variant: MpiVariant) -> Sim {
     let n = spec.num_nodes;
     let mut sim = Sim::new();
     let compute: Vec<ResourceId> = (0..n)
@@ -954,16 +820,43 @@ pub fn simulate_mpi_faulted(
             prev_barrier = barrier_next;
         }
     }
-    if plan.is_active() {
-        sim.set_faults(plan.clone(), RetryPolicy::default());
-    }
-    finish(sim, spec, steps, tb)
+    sim
+}
+
+#[cfg(test)]
+fn run_plain(
+    model: Model,
+    machine: &MachineConfig,
+    spec: &TimestepSpec,
+    steps: u64,
+) -> ScenarioResult {
+    simulate(model, machine, spec, steps, &mut SimOptions::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{CopyEdge, PhaseSpec};
+
+    /// CR under `plan`; with `ckpt`, under the crash + checkpoint
+    /// model checkpointing every that many steps.
+    fn faulted(
+        machine: &MachineConfig,
+        spec: &TimestepSpec,
+        steps: u64,
+        plan: &FaultPlan,
+        ckpt: Option<u64>,
+    ) -> ScenarioResult {
+        let mut opts = SimOptions {
+            plan: Some(plan),
+            resilience: ckpt.map(|ckpt_interval| ResilienceSpec {
+                ckpt_interval,
+                ..ResilienceSpec::default()
+            }),
+            trace: None,
+        };
+        simulate(Model::Cr, machine, spec, steps, &mut opts)
+    }
 
     /// A stencil-like spec: ring exchange of 1 MB, one ~3 ms task per
     /// Regent compute core (11 on a 12-core node — tiling to the
@@ -1010,13 +903,13 @@ mod tests {
         let s64 = ring_spec(64);
         let steps = 5;
 
-        let cr1 = simulate_cr(&machine1, &s1, steps);
-        let cr64 = simulate_cr(&machine64, &s64, steps);
+        let cr1 = run_plain(Model::Cr, &machine1, &s1, steps);
+        let cr64 = run_plain(Model::Cr, &machine64, &s64, steps);
         let eff_cr = cr64.throughput_per_node / cr1.throughput_per_node;
         assert!(eff_cr > 0.9, "CR efficiency at 64 nodes: {eff_cr}");
 
-        let im1 = simulate_implicit(&machine1, &s1, steps);
-        let im64 = simulate_implicit(&machine64, &s64, steps);
+        let im1 = run_plain(Model::Implicit, &machine1, &s1, steps);
+        let im64 = run_plain(Model::Implicit, &machine64, &s64, steps);
         let eff_im = im64.throughput_per_node / im1.throughput_per_node;
         assert!(
             eff_im < 0.5,
@@ -1032,8 +925,8 @@ mod tests {
         let machine = MachineConfig::piz_daint(64);
         let spec = ring_spec(64);
         let steps = 5;
-        let plain = simulate_implicit(&machine, &spec, steps);
-        let memo = simulate_implicit_memo(&machine, &spec, steps);
+        let plain = run_plain(Model::Implicit, &machine, &spec, steps);
+        let memo = run_plain(Model::ImplicitMemo, &machine, &spec, steps);
         // Replayed steps skip the O(N) analysis: memoization must beat
         // the plain implicit run at scale, but a single serial control
         // thread still launches every task, so it cannot beat CR.
@@ -1043,13 +936,19 @@ mod tests {
             memo.makespan,
             plain.makespan
         );
-        let cr = simulate_cr(&machine, &spec, steps);
+        let cr = run_plain(Model::Cr, &machine, &spec, steps);
         assert!(memo.makespan >= cr.makespan * 0.99);
 
         // The traced profile shows the amortization curve: step 0 pays
         // the analysis cost, steady-state steps read far cheaper.
         let tracer = Tracer::enabled();
-        simulate_implicit_memo_traced(&machine, &spec, steps, &mut tracer.buffer("sim"));
+        let mut tb = tracer.buffer("sim");
+        let mut opts = SimOptions {
+            trace: Some(&mut tb),
+            ..SimOptions::default()
+        };
+        simulate(Model::ImplicitMemo, &machine, &spec, steps, &mut opts);
+        drop(tb);
         let trace = tracer.take();
         let per_step = regent_trace::sim_control_cost_per_step(&trace, "sim");
         assert_eq!(per_step.len(), steps as usize);
@@ -1067,14 +966,14 @@ mod tests {
         let machine1 = MachineConfig::piz_daint(1);
         let machine64 = MachineConfig::piz_daint(64);
         let steps = 5;
-        let l1 = simulate_log(&machine1, &ring_spec(1), steps);
-        let l64 = simulate_log(&machine64, &ring_spec(64), steps);
+        let l1 = run_plain(Model::Log, &machine1, &ring_spec(1), steps);
+        let l64 = run_plain(Model::Log, &machine64, &ring_spec(64), steps);
         // The sequencer appends one record per index launch — cost
         // independent of N — and replicas analyze once per batch, so
         // the model weak-scales like CR, not like implicit.
         let eff = l64.throughput_per_node / l1.throughput_per_node;
         assert!(eff > 0.9, "log efficiency at 64 nodes: {eff}");
-        let cr64 = simulate_cr(&machine64, &ring_spec(64), steps);
+        let cr64 = run_plain(Model::Cr, &machine64, &ring_spec(64), steps);
         assert!(
             l64.makespan >= cr64.makespan * 0.99,
             "the log path adds sequencer latency, it cannot beat CR: {} vs {}",
@@ -1085,7 +984,13 @@ mod tests {
         // The traced schedule blames sequencer time on `log_control`
         // and keeps per-replica analysis to the first step only.
         let tracer = Tracer::enabled();
-        simulate_log_traced(&machine64, &ring_spec(64), steps, &mut tracer.buffer("sim"));
+        let mut tb = tracer.buffer("sim");
+        let mut opts = SimOptions {
+            trace: Some(&mut tb),
+            ..SimOptions::default()
+        };
+        simulate(Model::Log, &machine64, &ring_spec(64), steps, &mut opts);
+        drop(tb);
         let trace = tracer.take();
         let (_, blame) = regent_trace::sim_blame(&trace, "sim").unwrap();
         assert!(blame.get(regent_trace::Phase::LogControl) > 0);
@@ -1104,8 +1009,13 @@ mod tests {
     fn mpi_comparable_to_cr() {
         let machine = MachineConfig::piz_daint(64);
         let spec = ring_spec(64);
-        let cr = simulate_cr(&machine, &spec, 5);
-        let mpi = simulate_mpi(&machine, &spec, 5, MpiVariant::rank_per_core(&machine));
+        let cr = run_plain(Model::Cr, &machine, &spec, 5);
+        let mpi = run_plain(
+            Model::Mpi(MpiVariant::rank_per_core(&machine)),
+            &machine,
+            &spec,
+            5,
+        );
         // MPI uses all 12 cores (no dedicated runtime core): somewhat
         // faster per node, same order of magnitude.
         let ratio = mpi.throughput_per_node / cr.throughput_per_node;
@@ -1120,8 +1030,8 @@ mod tests {
         spec_big.phases[0].collective = true;
         let m2 = MachineConfig::piz_daint(2);
         let m256 = MachineConfig::piz_daint(256);
-        let a = simulate_cr(&m2, &spec_small, 3);
-        let b = simulate_cr(&m256, &spec_big, 3);
+        let a = run_plain(Model::Cr, &m2, &spec_small, 3);
+        let b = run_plain(Model::Cr, &m256, &spec_big, 3);
         // Efficiency stays high but strictly below 1 due to collective
         // latency.
         let eff = b.throughput_per_node / a.throughput_per_node;
@@ -1132,8 +1042,8 @@ mod tests {
     fn deterministic() {
         let machine = MachineConfig::piz_daint(16);
         let spec = ring_spec(16);
-        let a = simulate_cr(&machine, &spec, 3);
-        let b = simulate_cr(&machine, &spec, 3);
+        let a = run_plain(Model::Cr, &machine, &spec, 3);
+        let b = run_plain(Model::Cr, &machine, &spec, 3);
         assert_eq!(a.makespan, b.makespan);
     }
 
@@ -1141,14 +1051,13 @@ mod tests {
     fn message_loss_slows_cr_down() {
         let machine = MachineConfig::piz_daint(16);
         let spec = ring_spec(16);
-        let tracer = Tracer::disabled();
-        let clean = simulate_cr(&machine, &spec, 3);
-        let lossy = simulate_cr_faulted(
+        let clean = run_plain(Model::Cr, &machine, &spec, 3);
+        let lossy = faulted(
             &machine,
             &spec,
             3,
             &FaultPlan::from_seed_rate(42, 0.2),
-            &mut tracer.buffer("sim"),
+            None,
         );
         assert!(lossy.faults.messages_lost > 0);
         assert!(
@@ -1165,13 +1074,9 @@ mod tests {
         let machine = MachineConfig::piz_daint(8);
         let spec = ring_spec(8);
         let steps = 8;
-        let clean = simulate_cr(&machine, &spec, steps);
-        let rspec = ResilienceSpec {
-            plan: FaultPlan::new(1).crash_shard(3, 4),
-            ckpt_interval: 2,
-            ..ResilienceSpec::default()
-        };
-        let crashed = simulate_cr_resilient(&machine, &spec, steps, &rspec);
+        let clean = run_plain(Model::Cr, &machine, &spec, steps);
+        let plan = FaultPlan::new(1).crash_shard(3, 4);
+        let crashed = faulted(&machine, &spec, steps, &plan, Some(2));
         assert_eq!(crashed.faults.crashes, 1);
         // Crash at step 4 with checkpoints at 0/2/4 (the step-4
         // checkpoint lands before the crash fires): nothing to replay
@@ -1186,12 +1091,8 @@ mod tests {
         assert_eq!(crashed.goodput_per_node, crashed.throughput_per_node);
 
         // With the crash *between* checkpoints, the lost step replays.
-        let rspec = ResilienceSpec {
-            plan: FaultPlan::new(1).crash_shard(3, 3),
-            ckpt_interval: 2,
-            ..ResilienceSpec::default()
-        };
-        let replayed = simulate_cr_resilient(&machine, &spec, steps, &rspec);
+        let plan = FaultPlan::new(1).crash_shard(3, 3);
+        let replayed = faulted(&machine, &spec, steps, &plan, Some(2));
         assert_eq!(replayed.faults.epochs_replayed, 1);
         assert!(
             replayed.goodput_per_node < replayed.throughput_per_node,
@@ -1204,18 +1105,7 @@ mod tests {
         let machine = MachineConfig::piz_daint(4);
         let spec = ring_spec(4);
         let plan = FaultPlan::new(9).crash_shard(1, 7);
-        let run = |k| {
-            simulate_cr_resilient(
-                &machine,
-                &spec,
-                8,
-                &ResilienceSpec {
-                    plan: plan.clone(),
-                    ckpt_interval: k,
-                    ..ResilienceSpec::default()
-                },
-            )
-        };
+        let run = |k| faulted(&machine, &spec, 8, &plan, Some(k));
         let tight = run(1);
         let loose = run(0); // no checkpoints: replay everything
         assert_eq!(tight.faults.epochs_replayed, 0);
@@ -1227,19 +1117,10 @@ mod tests {
     fn resilient_without_faults_matches_plain_cr() {
         let machine = MachineConfig::piz_daint(8);
         let spec = ring_spec(8);
-        let plain = simulate_cr(&machine, &spec, 4);
-        let resilient = simulate_cr_resilient(
-            &machine,
-            &spec,
-            4,
-            &ResilienceSpec {
-                plan: FaultPlan::default(),
-                ckpt_interval: 0,
-                ..ResilienceSpec::default()
-            },
-        );
-        assert_eq!(plain.makespan, resilient.makespan);
-        assert_eq!(plain.goodput_per_node, resilient.goodput_per_node);
+        let clean = run_plain(Model::Cr, &machine, &spec, 4);
+        let resilient = faulted(&machine, &spec, 4, &FaultPlan::default(), Some(0));
+        assert_eq!(clean.makespan, resilient.makespan);
+        assert_eq!(clean.goodput_per_node, resilient.goodput_per_node);
     }
 
     #[test]
@@ -1248,15 +1129,9 @@ mod tests {
         // step, so a single straggler stretches the makespan.
         let machine = MachineConfig::piz_daint(8);
         let spec = ring_spec(8);
-        let tracer = Tracer::disabled();
-        let clean = simulate_cr(&machine, &spec, 3);
-        let slowed = simulate_cr_faulted(
-            &machine,
-            &spec,
-            3,
-            &FaultPlan::new(0).slow_node(2, 0.0, 1e9, 2.0),
-            &mut tracer.buffer("sim"),
-        );
+        let clean = run_plain(Model::Cr, &machine, &spec, 3);
+        let slow = FaultPlan::new(0).slow_node(2, 0.0, 1e9, 2.0);
+        let slowed = faulted(&machine, &spec, 3, &slow, None);
         assert!(slowed.makespan > 1.5 * clean.makespan);
     }
 }
@@ -1302,8 +1177,8 @@ mod collective_tests {
         // Make the collective grotesquely slow so the difference is
         // unambiguous.
         machine.network_latency = 2e-4;
-        let free = simulate_cr(&machine, &spec(64, false), 5);
-        let gated = simulate_cr(&machine, &spec(64, true), 5);
+        let free = run_plain(Model::Cr, &machine, &spec(64, false), 5);
+        let gated = run_plain(Model::Cr, &machine, &spec(64, true), 5);
         assert!(
             free.makespan < gated.makespan,
             "overlap should beat gating: {} vs {}",
@@ -1348,13 +1223,23 @@ mod collective_tests {
         let mut machine = MachineConfig::piz_daint(128);
         machine.noise_fraction = 0.05;
         let spec = mk_spec(128);
-        let cr = simulate_cr(&machine, &spec, 5);
-        let mpi = simulate_mpi(&machine, &spec, 5, MpiVariant::rank_per_core(&machine));
+        let cr = run_plain(Model::Cr, &machine, &spec, 5);
+        let mpi = run_plain(
+            Model::Mpi(MpiVariant::rank_per_core(&machine)),
+            &machine,
+            &spec,
+            5,
+        );
         // Compare slowdowns against the noise-free baselines.
         let mut quiet = machine.clone();
         quiet.noise_fraction = 0.0;
-        let cr0 = simulate_cr(&quiet, &spec, 5);
-        let mpi0 = simulate_mpi(&quiet, &spec, 5, MpiVariant::rank_per_core(&quiet));
+        let cr0 = run_plain(Model::Cr, &quiet, &spec, 5);
+        let mpi0 = run_plain(
+            Model::Mpi(MpiVariant::rank_per_core(&quiet)),
+            &quiet,
+            &spec,
+            5,
+        );
         let cr_loss = cr.makespan / cr0.makespan;
         let mpi_loss = mpi.makespan / mpi0.makespan;
         assert!(

@@ -6,8 +6,8 @@
 
 use regent_fault::{FaultPlan, RetryPolicy};
 use regent_machine::{
-    simulate_cr_resilient, simulate_implicit, MachineConfig, PhaseSpec, ResilienceSpec, Sim,
-    SimResult, TimestepSpec,
+    simulate, MachineConfig, Model, PhaseSpec, ResilienceSpec, Sim, SimOptions, SimResult,
+    TimestepSpec,
 };
 use regent_trace::SimKind;
 
@@ -139,18 +139,34 @@ fn resilient_scenario_is_deterministic() {
             consumes_collective: false,
         }],
     };
-    let rspec = ResilienceSpec {
-        plan: FaultPlan::new(5).crash_shard(2, 3).with_loss_rate(0.1),
-        ckpt_interval: 2,
-        ..ResilienceSpec::default()
+    let plan = FaultPlan::new(5).crash_shard(2, 3).with_loss_rate(0.1);
+    let resilient = || {
+        let mut opts = SimOptions {
+            plan: Some(&plan),
+            resilience: Some(ResilienceSpec {
+                ckpt_interval: 2,
+                ..ResilienceSpec::default()
+            }),
+            trace: None,
+        };
+        simulate(Model::Cr, &machine, &spec, 6, &mut opts)
     };
-    let a = simulate_cr_resilient(&machine, &spec, 6, &rspec);
-    let b = simulate_cr_resilient(&machine, &spec, 6, &rspec);
+    let a = resilient();
+    let b = resilient();
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.goodput_per_node, b.goodput_per_node);
     assert_eq!(a.faults, b.faults);
     // And the implicit model stays deterministic too.
-    let c = simulate_implicit(&machine, &spec, 3);
-    let d = simulate_implicit(&machine, &spec, 3);
+    let implicit = || {
+        simulate(
+            Model::Implicit,
+            &machine,
+            &spec,
+            3,
+            &mut SimOptions::default(),
+        )
+    };
+    let c = implicit();
+    let d = implicit();
     assert_eq!(c.makespan, d.makespan);
 }

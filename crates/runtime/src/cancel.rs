@@ -162,7 +162,7 @@ mod tests {
         t.cancel("tenant evicted");
         assert!(t.is_cancelled());
         let err = std::panic::catch_unwind(|| t.check_boundary(1, 3)).unwrap_err();
-        let msg = crate::spmd_exec::panic_message(&*err);
+        let msg = crate::team::panic_message(&*err);
         assert!(msg.contains("tenant evicted"), "{msg}");
         assert_eq!(classify_failure(&msg), FailureClass::Cancelled);
     }
@@ -173,7 +173,7 @@ mod tests {
         t.cancel("first");
         t.cancel("second");
         let err = std::panic::catch_unwind(|| t.check_boundary(0, 0)).unwrap_err();
-        let msg = crate::spmd_exec::panic_message(&*err);
+        let msg = crate::team::panic_message(&*err);
         assert!(msg.contains("first"), "{msg}");
     }
 
@@ -182,7 +182,7 @@ mod tests {
         let t = CancelToken::with_deadline(Duration::ZERO);
         assert!(t.is_cancelled());
         let err = std::panic::catch_unwind(|| t.check_boundary(2, 7)).unwrap_err();
-        let msg = crate::spmd_exec::panic_message(&*err);
+        let msg = crate::team::panic_message(&*err);
         assert_eq!(classify_failure(&msg), FailureClass::Cancelled);
     }
 
@@ -192,7 +192,7 @@ mod tests {
         t.check_boundary(0, 3);
         t.check_boundary(0, 5);
         let err = std::panic::catch_unwind(|| t.check_boundary(0, 4)).unwrap_err();
-        let msg = crate::spmd_exec::panic_message(&*err);
+        let msg = crate::team::panic_message(&*err);
         assert_eq!(classify_failure(&msg), FailureClass::Transient);
     }
 }

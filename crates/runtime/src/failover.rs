@@ -3,12 +3,13 @@
 //!
 //! The in-run resilience machinery (`spmd_exec`'s coordinated
 //! replicated rollback) recovers from faults every shard *survives*.
-//! This module recovers from faults that take a shard's **thread**
+//! This module — one loop, [`run_failover`], for every SPMD-family
+//! strategy — recovers from faults that take a shard's **thread**
 //! down — an injected membership kill ([`regent_fault::FaultEvent::ShardKill`]),
 //! a genuine panic, or a hang past the [`crate::collective::hang_timeout`]
 //! deadline. The protocol, phase by phase:
 //!
-//! 1. **Detection.** The dying shard's [`crate::spmd_exec::PanicGuard`]
+//! 1. **Detection.** The dying shard's panic guard (`crate::team`)
 //!    poisons the shared barrier and collective with a structured
 //!    [`PeerDeath`] cause, and its senders drop (sealing its SPSC
 //!    rings), so every survivor unwinds promptly — blocked waiters see
@@ -16,11 +17,11 @@
 //!    stalled-but-alive peer is caught by the bounded `recv_timeout`,
 //!    which blames the *producer* on the shared [`DeathBoard`].
 //! 2. **Agreement.** Control flow is replicated, so no election is
-//!    needed: the failover driver (this module) catches the attempt's
-//!    unwind, reads the board's first entry as the root cause, and the
-//!    last *committed* [`RescueSlot`] checkpoint — by construction a
-//!    consistent cut every shard offered identically — is the agreed
-//!    resume point.
+//!    needed: the failover loop catches the attempt's unwind, reads
+//!    the board's first entry as the root cause, and the last
+//!    *committed* checkpoint of each replicated segment's rescue slot —
+//!    by construction a consistent cut every shard offered identically
+//!    — is the agreed resume point.
 //! 3. **Reconstruction.** The committed checkpoint holds every shard's
 //!    instances, including the victim's. [`remap_resume_state`]
 //!    redistributes them onto the shrunken membership: partition
@@ -47,29 +48,26 @@
 //! Spy validator ignores — so a recovered run's trace certifies like
 //! any other.
 //!
-//! The shared-log executor also fails over ([`execute_log_failover`])
-//! but re-executes from scratch at the shrunken membership: its
-//! sequencer cannot re-derive `AllReduce` feedback it already
-//! consumed, so log jobs have no resume path (the same reason the
-//! supervisor never gives them a rescue slot). The hybrid executor
-//! ([`execute_hybrid_failover`]) carries the shrunken membership
-//! across *all* its replicated segments and remaps each segment's
-//! committed checkpoint individually.
+//! The loop sees every program as a list of replicated segments, each
+//! with at most one committed rescue slot: an `SpmdProgram` is one
+//! segment; a hybrid program carries the shrunken membership across
+//! *all* its replicated segments and remaps each segment's committed
+//! checkpoint individually; the shared-log strategy is one segment
+//! with *no* resumable slot (its sequencer cannot re-derive `AllReduce`
+//! feedback it already consumed), so it re-executes from scratch at the
+//! shrunken membership.
 //!
 //! Enable via [`FailoverOptions::from_env`]: `REGENT_FAILOVER=1` turns
-//! the drivers on, `REGENT_FAILOVER_MAX=<n>` bounds the membership
+//! failover on, `REGENT_FAILOVER_MAX=<n>` bounds the membership
 //! changes (default 1); a loss beyond the budget (or below one shard)
 //! fail-stops with [`FAILOVER_EXHAUSTED_PREFIX`], which
 //! [`regent_fault::classify_failure`] maps to a permanent failure.
 
-use crate::hybrid_exec::{execute_hybrid_resilient_traced, HybridRescue, HybridRunResult};
-use crate::log_exec::{execute_log_resilient_traced, LogRunResult};
 use crate::metrics::{self, Counter, Timer};
 use crate::plan::InstKey;
-use crate::spmd_exec::{
-    execute_spmd_resilient_traced, panic_message, DeathBoard, RescueSlot, ResilienceOptions,
-    ResumeState, SpmdRunResult,
-};
+use crate::run::{run_ctx, Compiled, RunCtx, RunOptions, RunResult};
+use crate::spmd_exec::{DeathBoard, RescueSlot, ResumeState};
+use crate::team::panic_message;
 use regent_cr::hybrid::{HybridProgram, Segment};
 use regent_cr::{MembershipRemap, SpmdProgram, UseBase};
 use regent_fault::{
@@ -84,7 +82,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// Configuration of the failover drivers.
+/// Configuration of [`run_failover`].
 #[derive(Clone, Copy, Debug)]
 pub struct FailoverOptions {
     /// Maximum membership changes (shard losses survived) before the
@@ -108,54 +106,29 @@ impl FailoverOptions {
     /// `REGENT_FAILOVER` is set to anything but `0`, with the loss
     /// budget from `REGENT_FAILOVER_MAX` (default 1).
     pub fn from_env() -> Option<FailoverOptions> {
-        if !failover_enabled() {
-            return None;
-        }
-        let max_failovers = std::env::var("REGENT_FAILOVER_MAX")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
+        let var = |name| std::env::var(name).ok();
+        FailoverOptions::parse(
+            var("REGENT_FAILOVER").as_deref(),
+            var("REGENT_FAILOVER_MAX").as_deref(),
+        )
+    }
+
+    /// [`FailoverOptions::from_env`] on explicit values of
+    /// `REGENT_FAILOVER` and `REGENT_FAILOVER_MAX` (`None` = unset; an
+    /// unparsable budget falls back to the default of 1).
+    fn parse(enabled: Option<&str>, max: Option<&str>) -> Option<FailoverOptions> {
+        enabled.filter(|v| !v.is_empty() && *v != "0")?;
         Some(FailoverOptions {
-            max_failovers,
+            max_failovers: max.and_then(|v| v.parse().ok()).unwrap_or(1),
             min_shards: 1,
         })
     }
 }
 
-/// True when `REGENT_FAILOVER` enables the failover drivers (any value
-/// but `0` / empty).
-pub fn failover_enabled() -> bool {
-    std::env::var("REGENT_FAILOVER").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Result of a failover-supervised SPMD execution.
-pub struct FailoverRunResult {
+/// Result of a failover-supervised execution.
+pub struct Failover {
     /// The successful attempt's run result.
-    pub run: SpmdRunResult,
-    /// Executor attempts launched (1 ⇒ nothing died).
-    pub attempts: u32,
-    /// Shards in the final membership.
-    pub final_shards: usize,
-    /// Root-cause deaths survived, in order.
-    pub deaths: Vec<PeerDeath>,
-}
-
-/// Result of a failover-supervised shared-log execution.
-pub struct LogFailoverRunResult {
-    /// The successful attempt's run result.
-    pub run: LogRunResult,
-    /// Executor attempts launched (1 ⇒ nothing died).
-    pub attempts: u32,
-    /// Shards in the final membership.
-    pub final_shards: usize,
-    /// Root-cause deaths survived, in order.
-    pub deaths: Vec<PeerDeath>,
-}
-
-/// Result of a failover-supervised hybrid execution.
-pub struct HybridFailoverRunResult {
-    /// The successful attempt's run result.
-    pub run: HybridRunResult,
+    pub run: RunResult,
     /// Executor attempts launched (1 ⇒ nothing died).
     pub attempts: u32,
     /// Shards in the final membership.
@@ -393,38 +366,66 @@ fn note_failover_flight(death: EventKind, membership: EventKind) {
     f.dump_env("failover", Some(&metrics::global().to_json()));
 }
 
-/// Executes a control-replicated program with live shard failover (see
-/// the module docs): shard losses up to the budget shrink the
-/// membership and resume from the last committed checkpoint instead of
-/// failing the run. `spmd.num_shards` is left at the final membership.
-pub fn execute_spmd_failover(
-    spmd: &mut SpmdProgram,
-    store: &mut Store,
-    opts: &ResilienceOptions,
-    fo: &FailoverOptions,
-) -> FailoverRunResult {
-    execute_spmd_failover_traced(spmd, store, opts, fo, &Tracer::disabled())
+impl Compiled<&mut SpmdProgram, &mut HybridProgram> {
+    fn shared(&self) -> Compiled<&SpmdProgram, &HybridProgram> {
+        match self {
+            Compiled::Spmd(spmd) => Compiled::Spmd(spmd),
+            Compiled::Log(spmd) => Compiled::Log(spmd),
+            Compiled::Hybrid(hybrid) => Compiled::Hybrid(hybrid),
+        }
+    }
+
+    /// The program's replicated segments in rescue-slot order: the
+    /// program itself for the whole-program strategies.
+    fn replicated_mut(&mut self) -> Vec<&mut SpmdProgram> {
+        match self {
+            Compiled::Spmd(spmd) | Compiled::Log(spmd) => vec![spmd],
+            Compiled::Hybrid(hybrid) => hybrid
+                .segments
+                .iter_mut()
+                .filter_map(|seg| match seg {
+                    Segment::Replicated(spmd) => Some(spmd),
+                    Segment::Sequential(_) => None,
+                })
+                .collect(),
+        }
+    }
 }
 
-/// [`execute_spmd_failover`] recording events into `tracer`: the
-/// successful attempt's shard tracks plus `PeerDeath` /
-/// `MembershipChange` / `FailoverReconstruct` events on the `failover`
-/// track.
-pub fn execute_spmd_failover_traced(
-    spmd: &mut SpmdProgram,
+/// [`run`](crate::run) with live shard failover (see the module docs):
+/// shard losses up to the budget shrink the membership — of **every**
+/// replicated segment, since a dead thread stays dead for the rest of
+/// the job — and resume each segment from its last committed
+/// checkpoint instead of failing the run, so already-completed segments
+/// fast-forward through their tails. The log strategy has no resumable
+/// slot and re-executes from scratch at the shrunken membership. Every
+/// replicated segment's `num_shards` is left at the final membership.
+///
+/// With an enabled tracer the caller sees the successful attempt's
+/// tracks plus `PeerDeath` / `FailoverReconstruct` / `MembershipChange`
+/// events on the `failover` track.
+pub fn run_failover(
+    mut compiled: Compiled<&mut SpmdProgram, &mut HybridProgram>,
     store: &mut Store,
-    opts: &ResilienceOptions,
+    opts: &RunOptions,
     fo: &FailoverOptions,
-    tracer: &Arc<Tracer>,
-) -> FailoverRunResult {
+) -> Failover {
     let board = Arc::new(DeathBoard::new());
-    let mut opts = opts.clone();
-    opts.board = Some(Arc::clone(&board));
-    if opts.rescue.is_none() {
-        opts.rescue = Some(Arc::new(RescueSlot::new(spmd.num_shards)));
-    }
+    let mut res = opts.resilience.clone().unwrap_or_default();
+    res.board = Some(Arc::clone(&board));
+    let rescue = match compiled {
+        // No resume path: offering snapshots into a slot nobody can
+        // resume from would be pure checkpoint overhead.
+        Compiled::Log(_) => None,
+        _ => Some(res.rescue.take().unwrap_or_default()),
+    };
+    res.rescue = rescue.clone();
+    let mut membership = compiled
+        .replicated_mut()
+        .first()
+        .map_or(1, |spmd| spmd.num_shards);
     let mut mx = metrics::global().handle("failover");
-    let mut fb = tracer.buffer("failover");
+    let mut fb = opts.tracer.buffer("failover");
     let mut deaths: Vec<PeerDeath> = Vec::new();
     let mut attempts = 0u32;
     loop {
@@ -434,316 +435,91 @@ pub fn execute_spmd_failover_traced(
         // Each attempt records into a private tracer: a failed
         // attempt's trace is discarded wholesale (dropped), so the
         // caller only ever sees a certifiable successful execution.
-        let inner = if tracer.is_enabled() {
+        let inner = if opts.tracer.is_enabled() {
             Tracer::enabled()
         } else {
             Tracer::disabled()
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute_spmd_resilient_traced(spmd, store, &opts, &inner)
-        }));
-        match outcome {
-            Ok(run) => {
-                tracer.absorb(inner.take());
-                return FailoverRunResult {
-                    run,
-                    attempts,
-                    final_shards: spmd.num_shards,
-                    deaths,
-                };
-            }
-            Err(payload) => {
-                let m0 = mx.start();
-                let loss = match catch_loss(&board, payload) {
-                    Ok(loss) => loss,
-                    Err(payload) => resume_unwind(payload),
-                };
-                mx.incr(Counter::PeerDeaths);
-                deaths.push(loss.death);
-                let remap = plan_shrink(&loss, spmd.num_shards, fo, deaths.len() as u32);
-                let (code, kill_epoch) = cause_code(loss.death.cause);
-                let death_event = EventKind::PeerDeath {
-                    shard: loss.death.shard,
-                    cause: code,
-                    epoch: kill_epoch,
-                };
-                fb.instant(death_event);
-                // Agreement: the last committed checkpoint (a
-                // consistent cut every shard offered identically) is
-                // the resume point; with none committed, the shrunken
-                // membership re-executes from scratch — still
-                // bit-identical, by determinism.
-                let committed = opts
-                    .rescue
-                    .as_ref()
-                    .expect("failover always installs a rescue slot")
-                    .resume_state();
-                let resume_epoch = committed.as_ref().map_or(0, |c| c.epoch);
-                spmd.num_shards = remap.new_shards;
-                let slot = match committed {
-                    Some(rs) => {
-                        let r0 = mx.start();
-                        let t0 = fb.now();
-                        let (remapped, insts) = remap_resume_state(&rs, spmd, &remap);
-                        mx.record_since(r0, Timer::FailoverReconstructNs);
-                        fb.span_since(
-                            t0,
-                            EventKind::FailoverReconstruct {
-                                to_shards: remap.new_shards as u32,
-                                insts,
-                                epoch: rs.epoch,
-                            },
-                        );
-                        RescueSlot::with_committed(remap.new_shards, Arc::new(remapped))
-                    }
-                    None => RescueSlot::new(remap.new_shards),
-                };
-                let membership_event = EventKind::MembershipChange {
-                    from_shards: remap.old_shards as u32,
-                    to_shards: remap.new_shards as u32,
-                    dead_shard: loss.death.shard,
-                    epoch: resume_epoch,
-                };
-                fb.instant(membership_event);
-                note_failover_flight(death_event, membership_event);
-                opts.rescue = Some(Arc::new(slot));
-                let fired = match loss.death.cause {
-                    DeathCause::Killed { epoch } => Some((loss.death.shard, epoch)),
-                    _ => None,
-                };
-                opts.plan = renumber_plan(&opts.plan, &remap, fired);
-                mx.incr(Counter::MembershipShrinks);
-                mx.record_since(m0, Timer::MttrNs);
-            }
-        }
-    }
-}
-
-/// Executes a program under the shared-log strategy with live shard
-/// failover. Losses shrink the membership like the SPMD driver, but
-/// each surviving attempt re-executes **from scratch**: the sequencer
-/// cannot re-derive `AllReduce` feedback it already consumed, so log
-/// runs have no checkpoint-resume path (see
-/// [`crate::spmd_exec::ResilienceOptions::rescue`]).
-pub fn execute_log_failover(
-    spmd: &mut SpmdProgram,
-    store: &mut Store,
-    opts: &ResilienceOptions,
-    fo: &FailoverOptions,
-) -> LogFailoverRunResult {
-    execute_log_failover_traced(spmd, store, opts, fo, &Tracer::disabled())
-}
-
-/// [`execute_log_failover`] recording events into `tracer`.
-pub fn execute_log_failover_traced(
-    spmd: &mut SpmdProgram,
-    store: &mut Store,
-    opts: &ResilienceOptions,
-    fo: &FailoverOptions,
-    tracer: &Arc<Tracer>,
-) -> LogFailoverRunResult {
-    let board = Arc::new(DeathBoard::new());
-    let mut opts = opts.clone();
-    opts.board = Some(Arc::clone(&board));
-    // No resume path: offering snapshots into a slot nobody can resume
-    // from would be pure checkpoint overhead.
-    opts.rescue = None;
-    let mut mx = metrics::global().handle("failover");
-    let mut fb = tracer.buffer("failover");
-    let mut deaths: Vec<PeerDeath> = Vec::new();
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        board.clear();
-        mx.incr(Counter::FailoverAttempts);
-        let inner = if tracer.is_enabled() {
-            Tracer::enabled()
-        } else {
-            Tracer::disabled()
+        let ctx = RunCtx {
+            tracer: &inner,
+            initial_env: opts.initial_env.as_deref(),
+            resilience: Some(&res),
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute_log_resilient_traced(spmd, store, &opts, &inner)
-        }));
-        match outcome {
-            Ok(run) => {
-                tracer.absorb(inner.take());
-                return LogFailoverRunResult {
-                    run,
-                    attempts,
-                    final_shards: spmd.num_shards,
-                    deaths,
-                };
-            }
-            Err(payload) => {
-                let m0 = mx.start();
-                let loss = match catch_loss(&board, payload) {
-                    Ok(loss) => loss,
-                    Err(payload) => resume_unwind(payload),
-                };
-                mx.incr(Counter::PeerDeaths);
-                deaths.push(loss.death);
-                let remap = plan_shrink(&loss, spmd.num_shards, fo, deaths.len() as u32);
-                let (code, kill_epoch) = cause_code(loss.death.cause);
-                let death_event = EventKind::PeerDeath {
-                    shard: loss.death.shard,
-                    cause: code,
-                    epoch: kill_epoch,
-                };
-                fb.instant(death_event);
-                spmd.num_shards = remap.new_shards;
-                let membership_event = EventKind::MembershipChange {
-                    from_shards: remap.old_shards as u32,
-                    to_shards: remap.new_shards as u32,
-                    dead_shard: loss.death.shard,
-                    epoch: 0,
-                };
-                fb.instant(membership_event);
-                note_failover_flight(death_event, membership_event);
-                let fired = match loss.death.cause {
-                    DeathCause::Killed { epoch } => Some((loss.death.shard, epoch)),
-                    _ => None,
-                };
-                opts.plan = renumber_plan(&opts.plan, &remap, fired);
-                mx.incr(Counter::MembershipShrinks);
-                mx.record_since(m0, Timer::MttrNs);
-            }
-        }
-    }
-}
-
-/// Executes a hybrid program with live shard failover: the shrunken
-/// membership is applied to **every** replicated segment (a dead
-/// thread stays dead for the rest of the job), and each segment's
-/// committed checkpoint is remapped individually, so already-completed
-/// segments fast-forward through their tails instead of recomputing.
-pub fn execute_hybrid_failover(
-    hybrid: &mut HybridProgram,
-    store: &mut Store,
-    opts: &ResilienceOptions,
-    fo: &FailoverOptions,
-) -> HybridFailoverRunResult {
-    execute_hybrid_failover_traced(hybrid, store, opts, fo, &Tracer::disabled())
-}
-
-/// [`execute_hybrid_failover`] recording events into `tracer`.
-pub fn execute_hybrid_failover_traced(
-    hybrid: &mut HybridProgram,
-    store: &mut Store,
-    opts: &ResilienceOptions,
-    fo: &FailoverOptions,
-    tracer: &Arc<Tracer>,
-) -> HybridFailoverRunResult {
-    let board = Arc::new(DeathBoard::new());
-    let mut opts = opts.clone();
-    opts.board = Some(Arc::clone(&board));
-    opts.rescue = None; // per-segment slots live in the HybridRescue
-    let rescue = HybridRescue::new();
-    let mut mx = metrics::global().handle("failover");
-    let mut fb = tracer.buffer("failover");
-    let mut deaths: Vec<PeerDeath> = Vec::new();
-    let mut attempts = 0u32;
-    let mut membership = hybrid
-        .segments
-        .iter()
-        .find_map(|s| match s {
-            Segment::Replicated(spmd) => Some(spmd.num_shards),
-            Segment::Sequential(_) => None,
-        })
-        .unwrap_or(1);
-    loop {
-        attempts += 1;
-        board.clear();
-        mx.incr(Counter::FailoverAttempts);
-        for seg in hybrid.segments.iter_mut() {
-            if let Segment::Replicated(spmd) = seg {
-                spmd.num_shards = membership;
-            }
-        }
-        let inner = if tracer.is_enabled() {
-            Tracer::enabled()
-        } else {
-            Tracer::disabled()
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute_hybrid_resilient_traced(hybrid, store, &opts, Some(&rescue), &inner)
-        }));
-        match outcome {
-            Ok(run) => {
-                tracer.absorb(inner.take());
-                return HybridFailoverRunResult {
-                    run,
-                    attempts,
-                    final_shards: membership,
-                    deaths,
-                };
-            }
-            Err(payload) => {
-                let m0 = mx.start();
-                let loss = match catch_loss(&board, payload) {
-                    Ok(loss) => loss,
-                    Err(payload) => resume_unwind(payload),
-                };
-                mx.incr(Counter::PeerDeaths);
-                deaths.push(loss.death);
-                let remap = plan_shrink(&loss, membership, fo, deaths.len() as u32);
-                let (code, kill_epoch) = cause_code(loss.death.cause);
-                let death_event = EventKind::PeerDeath {
-                    shard: loss.death.shard,
-                    cause: code,
-                    epoch: kill_epoch,
-                };
-                fb.instant(death_event);
-                membership = remap.new_shards;
-                // Remap every replicated segment's committed
-                // checkpoint onto the survivors; empty slots (segments
-                // the failed attempt never reached) simply reset.
-                let mut seg_idx = 0usize;
-                for seg in hybrid.segments.iter_mut() {
-                    let Segment::Replicated(spmd) = seg else {
-                        continue;
+        let payload =
+            match catch_unwind(AssertUnwindSafe(|| run_ctx(compiled.shared(), store, ctx))) {
+                Ok(run) => {
+                    opts.tracer.absorb(inner.take());
+                    return Failover {
+                        run,
+                        attempts,
+                        final_shards: membership,
+                        deaths,
                     };
-                    spmd.num_shards = membership;
-                    let committed = rescue
-                        .existing_slot(seg_idx)
-                        .and_then(|slot| slot.resume_state());
-                    let slot = match committed {
-                        Some(rs) => {
-                            let r0 = mx.start();
-                            let t0 = fb.now();
-                            let (remapped, insts) = remap_resume_state(&rs, spmd, &remap);
-                            mx.record_since(r0, Timer::FailoverReconstructNs);
-                            fb.span_since(
-                                t0,
-                                EventKind::FailoverReconstruct {
-                                    to_shards: remap.new_shards as u32,
-                                    insts,
-                                    epoch: rs.epoch,
-                                },
-                            );
-                            RescueSlot::with_committed(membership, Arc::new(remapped))
-                        }
-                        None => RescueSlot::new(membership),
-                    };
-                    rescue.replace_slot(seg_idx, Arc::new(slot));
-                    seg_idx += 1;
                 }
-                let membership_event = EventKind::MembershipChange {
-                    from_shards: remap.old_shards as u32,
-                    to_shards: remap.new_shards as u32,
-                    dead_shard: loss.death.shard,
-                    epoch: kill_epoch,
-                };
-                fb.instant(membership_event);
-                note_failover_flight(death_event, membership_event);
-                let fired = match loss.death.cause {
-                    DeathCause::Killed { epoch } => Some((loss.death.shard, epoch)),
-                    _ => None,
-                };
-                opts.plan = renumber_plan(&opts.plan, &remap, fired);
-                mx.incr(Counter::MembershipShrinks);
-                mx.record_since(m0, Timer::MttrNs);
-            }
+                Err(payload) => payload,
+            };
+        let m0 = mx.start();
+        let loss = match catch_loss(&board, payload) {
+            Ok(loss) => loss,
+            Err(payload) => resume_unwind(payload),
+        };
+        mx.incr(Counter::PeerDeaths);
+        deaths.push(loss.death);
+        let remap = plan_shrink(&loss, membership, fo, deaths.len() as u32);
+        let (code, kill_epoch) = cause_code(loss.death.cause);
+        let death_event = EventKind::PeerDeath {
+            shard: loss.death.shard,
+            cause: code,
+            epoch: kill_epoch,
+        };
+        fb.instant(death_event);
+        membership = remap.new_shards;
+        // Agreement: each segment's last committed checkpoint (a
+        // consistent cut every shard offered identically) is its resume
+        // point, remapped onto the survivors; a segment with none
+        // committed (the failed attempt never reached it, or the
+        // strategy has no slot) re-executes from scratch at the
+        // shrunken membership — still bit-identical, by determinism.
+        let mut resume_epoch = 0;
+        for (idx, spmd) in compiled.replicated_mut().into_iter().enumerate() {
+            spmd.num_shards = membership;
+            let Some(rescue) = &rescue else { continue };
+            let slot = match rescue.committed(idx) {
+                Some(rs) => {
+                    let r0 = mx.start();
+                    let t0 = fb.now();
+                    let (remapped, insts) = remap_resume_state(&rs, spmd, &remap);
+                    mx.record_since(r0, Timer::FailoverReconstructNs);
+                    fb.span_since(
+                        t0,
+                        EventKind::FailoverReconstruct {
+                            to_shards: remap.new_shards as u32,
+                            insts,
+                            epoch: rs.epoch,
+                        },
+                    );
+                    resume_epoch = resume_epoch.max(rs.epoch);
+                    RescueSlot::with_committed(membership, Arc::new(remapped))
+                }
+                None => RescueSlot::new(membership),
+            };
+            rescue.replace_slot(idx, slot);
         }
+        let membership_event = EventKind::MembershipChange {
+            from_shards: remap.old_shards as u32,
+            to_shards: remap.new_shards as u32,
+            dead_shard: loss.death.shard,
+            epoch: resume_epoch,
+        };
+        fb.instant(membership_event);
+        note_failover_flight(death_event, membership_event);
+        let fired = match loss.death.cause {
+            DeathCause::Killed { epoch } => Some((loss.death.shard, epoch)),
+            _ => None,
+        };
+        res.plan = renumber_plan(&res.plan, &remap, fired);
+        mx.incr(Counter::MembershipShrinks);
+        mx.record_since(m0, Timer::MttrNs);
     }
 }
 
@@ -782,8 +558,21 @@ mod tests {
 
     #[test]
     fn failover_env_parsing() {
-        // Not exported in this process: from_env is None.
-        assert!(FailoverOptions::from_env().is_none() || failover_enabled());
+        let max = |enabled, max| FailoverOptions::parse(enabled, max).map(|o| o.max_failovers);
+        for off in [None, Some(""), Some("0")] {
+            assert_eq!(max(off, Some("3")), None, "REGENT_FAILOVER={off:?}");
+        }
+        assert_eq!(max(Some("1"), None), Some(1));
+        assert_eq!(max(Some("yes"), Some("3")), Some(3));
+        assert_eq!(
+            max(Some("1"), Some("lots")),
+            Some(1),
+            "bad budget = default"
+        );
+        assert_eq!(
+            FailoverOptions::parse(Some("1"), None).unwrap().min_shards,
+            1
+        );
         let d = FailoverOptions::default();
         assert_eq!(d.max_failovers, 1);
         assert_eq!(d.min_shards, 1);

@@ -1,34 +1,28 @@
 //! Executor for hybrid programs (§2.2's range-local application of
 //! control replication): sequential segments run through the reference
-//! interpreter, replicated segments through the SPMD executor, with the
-//! root store and the scalar environment threading through all of them.
+//! interpreter, replicated segments through the shard-team driver, with
+//! the root store and the scalar environment threading through all of
+//! them.
 //!
 //! Every replicated segment re-initializes its shard instances from the
 //! store and flushes written partitions back at its end — exactly the
 //! initialization/finalization copies of §3.1 placed at the range
-//! boundaries.
+//! boundaries — and is one ordinary team run: same data plane, same
+//! resilience options, its own rescue slot (keyed by segment index,
+//! because resume tokens and epochs are segment-local coordinates).
 //!
-//! The traced entry point records a `Pass` span per segment on a
-//! `hybrid` control track, bracketing the shard tracks the replicated
-//! segments produce.
-//!
-//! Replicated segments inherit the SPMD executor's data plane
-//! wholesale: each segment's shards exchange over the SPSC ring mesh
-//! (or the legacy channel mesh under `REGENT_DATA_PLANE=channel`) and
-//! pin under `REGENT_PIN_CORES`, with per-segment meshes constructed
-//! inside [`execute_spmd_with_env_traced`].
+//! A traced run records a `Pass` span per segment on a `hybrid` control
+//! track, bracketing the shard tracks the replicated segments produce.
 
 use crate::metrics::{self, Counter};
-use crate::spmd_exec::{
-    execute_spmd_with_env_resilient_traced, execute_spmd_with_env_traced, RescueSlot,
-    ResilienceOptions, ShardStats,
-};
+use crate::run::{RunCtx, RunResult};
+use crate::spmd_exec::{run_spmd, ShardStats};
 use regent_cr::hybrid::{HybridProgram, Segment};
 use regent_ir::{interp, Store};
-use regent_trace::{EventKind, Tracer};
-use std::sync::{Arc, Mutex};
+use regent_trace::EventKind;
 
-/// Result of a hybrid execution.
+/// A hybrid [`RunResult`] in the shape the benchmark adapter reads
+/// (returned only by the adapter forwarder for hybrid programs).
 pub struct HybridRunResult {
     /// Final scalar environment.
     pub env: Vec<f64>,
@@ -40,181 +34,69 @@ pub struct HybridRunResult {
     pub replicated_segments: usize,
 }
 
-/// Cross-attempt checkpoint slots for a hybrid job: one [`RescueSlot`]
-/// per replicated segment, keyed by segment index. A supervisor hands
-/// the same `HybridRescue` to every retry of a job, so each replicated
-/// segment resumes from its own last committed checkpoint instead of
-/// recomputing from scratch — the hybrid analogue of the single-slot
-/// SPMD rescue. (Sequential segments re-run through the interpreter;
-/// they are cheap and deterministic, so re-deriving their scalars is
-/// free of risk.)
-#[derive(Debug, Default)]
-pub struct HybridRescue {
-    slots: Mutex<Vec<Option<Arc<RescueSlot>>>>,
-}
-
-impl HybridRescue {
-    /// An empty rescue container.
-    pub fn new() -> HybridRescue {
-        HybridRescue::default()
-    }
-
-    /// The slot for replicated segment `idx`, created on first use for
-    /// a `num_shards`-strong membership.
-    pub fn slot(&self, idx: usize, num_shards: usize) -> Arc<RescueSlot> {
-        let mut g = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        if g.len() <= idx {
-            g.resize_with(idx + 1, || None);
+impl From<RunResult> for HybridRunResult {
+    fn from(r: RunResult) -> HybridRunResult {
+        HybridRunResult {
+            env: r.env,
+            spmd_stats: r.stats,
+            sequential_tasks: r.sequential_tasks,
+            replicated_segments: r.replicated_segments,
         }
-        g[idx]
-            .get_or_insert_with(|| Arc::new(RescueSlot::new(num_shards)))
-            .clone()
-    }
-
-    /// Replaces the slot for replicated segment `idx` (used by the
-    /// failover driver after remapping a segment's checkpoint onto a
-    /// shrunken membership).
-    pub fn replace_slot(&self, idx: usize, slot: Arc<RescueSlot>) {
-        let mut g = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        if g.len() <= idx {
-            g.resize_with(idx + 1, || None);
-        }
-        g[idx] = Some(slot);
-    }
-
-    /// The current slot for replicated segment `idx`, if one exists.
-    pub fn existing_slot(&self, idx: usize) -> Option<Arc<RescueSlot>> {
-        self.slots
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(idx)
-            .cloned()
-            .flatten()
-    }
-
-    /// Highest committed checkpoint epoch across all segments — a
-    /// cheap "has anything committed" probe for tests and supervisors.
-    pub fn max_checkpoint_epoch(&self) -> Option<u64> {
-        self.slots
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .flatten()
-            .filter_map(|s| s.checkpoint_epoch())
-            .max()
     }
 }
 
-/// Executes a hybrid program end to end.
-pub fn execute_hybrid(hybrid: &HybridProgram, store: &mut Store) -> HybridRunResult {
-    execute_hybrid_traced(hybrid, store, &Tracer::disabled())
-}
-
-/// Executes a hybrid program with checkpoint–restart threaded through
-/// its replicated segments: each gets `opts` (fault plan, integrity,
-/// cancellation) plus its own cross-attempt [`RescueSlot`] from
-/// `rescue` — so a retried hybrid job fast-forwards every replicated
-/// segment to its last committed checkpoint, exactly like a retried
-/// SPMD job (the shared-log executor, by contrast, retries from
-/// scratch: its sequencer cannot re-derive consumed `AllReduce`
-/// feedback).
-pub fn execute_hybrid_resilient(
-    hybrid: &HybridProgram,
-    store: &mut Store,
-    opts: &ResilienceOptions,
-    rescue: Option<&HybridRescue>,
-) -> HybridRunResult {
-    execute_hybrid_resilient_traced(hybrid, store, opts, rescue, &Tracer::disabled())
-}
-
-/// [`execute_hybrid_resilient`] recording events into `tracer`.
-pub fn execute_hybrid_resilient_traced(
-    hybrid: &HybridProgram,
-    store: &mut Store,
-    opts: &ResilienceOptions,
-    rescue: Option<&HybridRescue>,
-    tracer: &Arc<Tracer>,
-) -> HybridRunResult {
-    execute_hybrid_inner(hybrid, store, Some((opts, rescue)), tracer)
-}
-
-/// [`execute_hybrid`] recording events into `tracer`: a `Pass` span per
-/// segment on the `hybrid` track, plus the usual shard tracks from each
-/// replicated segment.
-pub fn execute_hybrid_traced(
-    hybrid: &HybridProgram,
-    store: &mut Store,
-    tracer: &Arc<Tracer>,
-) -> HybridRunResult {
-    execute_hybrid_inner(hybrid, store, None, tracer)
-}
-
-fn execute_hybrid_inner(
-    hybrid: &HybridProgram,
-    store: &mut Store,
-    resilience: Option<(&ResilienceOptions, Option<&HybridRescue>)>,
-    tracer: &Arc<Tracer>,
-) -> HybridRunResult {
-    let mut tb = tracer.buffer("hybrid");
+/// The segment loop: a `Pass` span per segment on the `hybrid` track,
+/// plus the usual shard tracks from each replicated segment.
+pub(crate) fn run_hybrid(hybrid: &HybridProgram, store: &mut Store, ctx: RunCtx<'_>) -> RunResult {
+    let mut tb = ctx.tracer.buffer("hybrid");
     let mut mx = metrics::global().handle("hybrid");
-    let mut env: Vec<f64> = hybrid.base.scalars.iter().map(|s| s.init).collect();
-    let mut spmd_stats = ShardStats::default();
-    let mut sequential_tasks = 0;
-    let mut replicated_segments = 0;
+    let mut run = RunResult {
+        env: ctx.initial_env(&hybrid.base.scalars),
+        ..RunResult::default()
+    };
     for segment in &hybrid.segments {
+        let t0 = tb.now();
         match segment {
             Segment::Sequential(stmts) => {
-                let t0 = tb.now();
-                let stats = interp::run_stmts_in(&hybrid.base, store, stmts, &mut env);
+                let stats = interp::run_stmts_in(&hybrid.base, store, stmts, &mut run.env);
                 tb.span_since(
                     t0,
                     EventKind::Pass {
                         name: "segment-sequential",
                     },
                 );
-                sequential_tasks += stats.tasks_executed;
+                run.sequential_tasks += stats.tasks_executed;
                 mx.add(Counter::SequentialTasks, stats.tasks_executed);
             }
             Segment::Replicated(spmd) => {
-                let t0 = tb.now();
-                let r = match resilience {
-                    Some((opts, rescue)) => {
-                        // Each replicated segment gets its own rescue
-                        // slot, keyed by segment index: resume tokens
-                        // and epochs are segment-local coordinates.
-                        let mut seg_opts = opts.clone();
-                        seg_opts.rescue =
-                            rescue.map(|hr| hr.slot(replicated_segments, spmd.num_shards));
-                        execute_spmd_with_env_resilient_traced(
-                            spmd,
-                            store,
-                            env.clone(),
-                            &seg_opts,
-                            tracer,
-                        )
-                    }
-                    None => execute_spmd_with_env_traced(spmd, store, env.clone(), tracer),
+                let seg_ctx = RunCtx {
+                    initial_env: Some(&run.env),
+                    ..ctx
                 };
+                let r = run_spmd(spmd, store, seg_ctx, run.replicated_segments);
                 tb.span_since(
                     t0,
                     EventKind::Pass {
                         name: "segment-replicated",
                     },
                 );
-                env = r.env;
-                spmd_stats.merge_from(&r.stats);
+                run.env = r.env;
+                run.stats.merge(&r.stats);
+                run.setup.merge(&r.setup);
+                if run.per_shard.len() < r.per_shard.len() {
+                    run.per_shard
+                        .resize(r.per_shard.len(), ShardStats::default());
+                }
+                for (total, shard) in run.per_shard.iter_mut().zip(&r.per_shard) {
+                    total.merge(shard);
+                }
                 mx.incr(Counter::ReplicatedSegments);
-                replicated_segments += 1;
+                run.replicated_segments += 1;
             }
         }
     }
     tb.flush();
     drop(mx);
     metrics::export_env();
-    HybridRunResult {
-        env,
-        spmd_stats,
-        sequential_tasks,
-        replicated_segments,
-    }
+    run
 }

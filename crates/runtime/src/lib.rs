@@ -7,10 +7,17 @@
 //!   single control thread performing dynamic dependence analysis over
 //!   a worker pool. This is the "Regent w/o CR" baseline whose control
 //!   overhead grows with the machine.
-//! * [`spmd_exec`] — the multithreaded SPMD executor for
-//!   control-replicated programs: one thread per shard, distributed
-//!   per-shard instances, consumer-applied copy messages as
-//!   point-to-point synchronization (§3.4).
+//! * [`run()`] / [`run_failover`] — the SPMD family's two entry points:
+//!   a [`Compiled`] program (control replication, range-local hybrid,
+//!   or shared-log) runs on one shard-team driver (`team`: one thread
+//!   per shard) and, with live failover, inside one membership-shrinking
+//!   loop ([`failover`]).
+//! * [`spmd_exec`] — the per-shard engine every strategy drives:
+//!   distributed per-shard instances, consumer-applied copy messages as
+//!   point-to-point synchronization (§3.4), checkpoint–restart and the
+//!   integrity layer.
+//! * [`hybrid_exec`] — range-local control replication (§2.2): a loop
+//!   over segments, each replicated one a team run.
 //! * [`plan`] — the dynamic intersection evaluation (§3.3) with the
 //!   shallow/complete timings of Table 1.
 //! * [`collective`] — the scalar dynamic collective (§4.4) and a
@@ -39,15 +46,16 @@
 //!   restores the legacy mpsc mesh), pooled payload buffers, and
 //!   core pinning behind `REGENT_PIN_CORES`.
 //!
-//! Both executors are tested to produce results bit-identical to the
+//! Every executor is tested to produce results bit-identical to the
 //! sequential reference interpreter in `regent-ir`.
 //!
-//! Every executor has a `*_traced` variant accepting a
-//! [`regent_trace::Tracer`]: the implicit executor records its control
-//! thread (launches, dependence-analysis spans, conflict edges, drains)
-//! and its workers (task runs), the SPMD executor records one track per
-//! shard (runs, accesses, copy issues/applies, collective generations).
-//! The plain entry points pass a disabled tracer and record nothing.
+//! Tracing is an option, not an entry point: [`ImplicitOptions::tracer`]
+//! and [`RunOptions::tracer`] take a [`regent_trace::Tracer`]. The
+//! implicit executor records its control thread (launches,
+//! dependence-analysis spans, conflict edges, drains) and its workers
+//! (task runs); the SPMD family records one track per shard (runs,
+//! accesses, copy issues/applies, collective generations). The default
+//! is a disabled tracer, which records nothing.
 
 #![warn(missing_docs)]
 
@@ -65,28 +73,19 @@ pub mod metrics;
 pub mod plan;
 pub mod pool;
 pub mod ring;
+pub mod run;
 pub mod scrape;
 pub mod spmd_exec;
+mod team;
 
 pub use cancel::CancelToken;
 pub use collective::{hang_timeout, DynamicCollective, FramedScalar, ShardBarrier};
-pub use failover::{
-    execute_hybrid_failover, execute_hybrid_failover_traced, execute_log_failover,
-    execute_log_failover_traced, execute_spmd_failover, execute_spmd_failover_traced,
-    failover_enabled, FailoverOptions, FailoverRunResult, HybridFailoverRunResult,
-    LogFailoverRunResult,
-};
-pub use hybrid_exec::{
-    execute_hybrid, execute_hybrid_resilient, execute_hybrid_resilient_traced,
-    execute_hybrid_traced, HybridRescue, HybridRunResult,
-};
+pub use failover::{run_failover, Failover, FailoverOptions};
+pub use hybrid_exec::HybridRunResult;
 pub use implicit::{execute_implicit, ImplicitOptions, ImplicitStats};
 pub use launch_log::{batch_limit_from_env, replicas_from_env, Batch, LaunchLog, LogCursor};
 pub use live::{live, BurnRates, LivePlane, SlidingCount, SlidingHist, SloConfig};
-pub use log_exec::{
-    execute_log, execute_log_resilient, execute_log_resilient_traced, execute_log_traced,
-    LogRunResult, LogStats,
-};
+pub use log_exec::LogStats;
 pub use mapper::{DefaultMapper, Mapper, SingleWorkerMapper, TaskKindMapper};
 pub use memo::{epoch_key, launch_sig, EpochTemplate, MemoCache, MemoStats};
 pub use metrics::{
@@ -97,6 +96,10 @@ pub use plan::{
     build_exchange_plan, ExchangePlan, ExchangeSchedule, InstKey, PairPlan, SetupStats,
 };
 pub use pool::ChunkPool;
+pub use run::{
+    execute_hybrid_traced, execute_log_traced, execute_spmd_resilient_traced, execute_spmd_traced,
+    run, Compiled, RunOptions, RunResult,
+};
 pub use scrape::{fetch as fetch_metrics, start_env as start_scrape_env, ScrapeServer};
 
 pub use ring::{
@@ -108,8 +111,4 @@ pub use regent_fault::{
     classify_failure, DeathCause, FailureClass, FaultPlan, PeerDeath, RetryBackoff, RetryPolicy,
     CANCEL_PREFIX, FAILOVER_EXHAUSTED_PREFIX, SHARD_LOSS_PREFIX, TRANSIENT_PREFIX,
 };
-pub use spmd_exec::{
-    execute_spmd, execute_spmd_resilient, execute_spmd_resilient_traced, execute_spmd_traced,
-    execute_spmd_with_env, execute_spmd_with_env_resilient_traced, execute_spmd_with_env_traced,
-    DeathBoard, RescueSlot, ResilienceOptions, ShardStats, SpmdRunResult,
-};
+pub use spmd_exec::{DeathBoard, Rescue, ResilienceOptions, ShardStats};

@@ -8,7 +8,9 @@
 //! records (launches carry their [`launch_sig`] structural signature).
 //! The sequencer hands records to the log's flat combiner
 //! ([`LaunchLog::combine`]) once per epoch segment; per-shard executor
-//! threads tail the log with a lock-free [`LogCursor`] and drive the
+//! threads — spawned by the same shard-team driver as every other
+//! strategy (`crate::team`), with the sequencer as its auxiliary
+//! thread — tail the log with a lock-free [`LogCursor`] and drive the
 //! *same* `ShardExec` engine as `spmd_exec`, one record at a time —
 //! so exchanges, collectives, the integrity layer, and
 //! checkpoint–rollback behave identically under both strategies, and
@@ -47,25 +49,23 @@
 //! cursor — the log itself is immutable, which is what makes replay
 //! trivially consistent.
 
-use crate::collective::{hang_timeout, DynamicCollective, ShardBarrier};
+use crate::collective::hang_timeout;
 use crate::launch_log::{batch_limit_from_env, replicas_from_env, LaunchLog, LogCursor};
 use crate::memo::launch_sig;
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
-use crate::plan::{schedule_for_run, SetupStats};
-use crate::ring;
-use crate::spmd_exec::{
-    finalize_into_store, panic_message, CopyMsg, PanicGuard, ResilienceOptions, ShardData,
-    ShardExec, ShardStats,
-};
+use crate::run::{RunCtx, RunResult};
+use crate::spmd_exec::ShardExec;
+use crate::team::run_team;
 use regent_cr::spmd::{block_range, owner_of, ForestOracle};
 use regent_cr::{SpmdArg, SpmdLaunch, SpmdProgram, SpmdStmt};
 use regent_geometry::DynPoint;
 use regent_ir::{Privilege, Store};
 use regent_region::RegionId;
-use regent_trace::{EventKind, OverlapOracle, TraceBuf, Tracer};
+use regent_trace::{EventKind, OverlapOracle, TraceBuf};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Capacity of the shard-0 → sequencer scalar-feedback channel. The
@@ -91,7 +91,7 @@ pub(crate) struct LogRecord<'a> {
 }
 
 /// Shared-log execution statistics, reported beside the per-shard
-/// [`ShardStats`].
+/// [`crate::ShardStats`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LogStats {
     /// Records the sequencer appended (producer-side submissions).
@@ -106,68 +106,6 @@ pub struct LogStats {
     pub max_cursor_lag: u64,
 }
 
-/// Result of a shared-log execution.
-pub struct LogRunResult {
-    /// Final scalar environment (identical on all shards and the
-    /// sequencer; shard 0's).
-    pub env: Vec<f64>,
-    /// Dynamic intersection sizes and timings (Table 1); the timings
-    /// are 0 when the exchange schedule was already built.
-    pub setup: SetupStats,
-    /// Aggregated execution statistics.
-    pub stats: ShardStats,
-    /// Per-shard statistics.
-    pub per_shard: Vec<ShardStats>,
-    /// Launch-log statistics.
-    pub log: LogStats,
-}
-
-/// Executes a control-replicated program through the shared launch
-/// log (see the module docs).
-pub fn execute_log(spmd: &SpmdProgram, store: &mut Store) -> LogRunResult {
-    execute_log_traced(spmd, store, &Tracer::disabled())
-}
-
-/// [`execute_log`] recording events into `tracer`: shard `s` records
-/// on track `shard-s`, the sequencer on track `log-seq`.
-pub fn execute_log_traced(
-    spmd: &SpmdProgram,
-    store: &mut Store,
-    tracer: &Arc<Tracer>,
-) -> LogRunResult {
-    let env: Vec<f64> = spmd.scalars.iter().map(|s| s.init).collect();
-    // CI fault smoke: REGENT_FAULT_SEED / REGENT_CORRUPT upgrade every
-    // plain run to a resilient one, exactly like the SPMD executor.
-    let env_opts = ResilienceOptions::from_env(spmd.num_shards);
-    execute_log_inner(spmd, store, env, tracer, env_opts.as_ref())
-}
-
-/// Executes through the shared log under an explicit fault plan with
-/// epoch-based checkpoint–restart (the log-cursor variant of
-/// `execute_spmd_resilient`).
-pub fn execute_log_resilient(
-    spmd: &SpmdProgram,
-    store: &mut Store,
-    opts: &ResilienceOptions,
-) -> LogRunResult {
-    execute_log_resilient_traced(spmd, store, opts, &Tracer::disabled())
-}
-
-/// [`execute_log_resilient`] recording events into `tracer`.
-pub fn execute_log_resilient_traced(
-    spmd: &SpmdProgram,
-    store: &mut Store,
-    opts: &ResilienceOptions,
-    tracer: &Arc<Tracer>,
-) -> LogRunResult {
-    let env: Vec<f64> = spmd.scalars.iter().map(|s| s.init).collect();
-    execute_log_inner(spmd, store, env, tracer, Some(opts))
-}
-
-/// A shard thread's return value: final scalar environment, execution
-/// stats, region data, and the maximum log-cursor lag it observed.
-type ShardOutcome = (Vec<f64>, ShardStats, ShardData, u64);
-
 /// Seals the log when dropped, so consumers wake (with `None`) even
 /// when the sequencer unwinds mid-program.
 struct SealOnDrop<'l, T>(&'l LaunchLog<T>);
@@ -178,179 +116,70 @@ impl<T> Drop for SealOnDrop<'_, T> {
     }
 }
 
-fn execute_log_inner(
-    spmd: &SpmdProgram,
-    store: &mut Store,
-    initial_env: Vec<f64>,
-    tracer: &Arc<Tracer>,
-    resilience: Option<&ResilienceOptions>,
-) -> LogRunResult {
-    let (schedule, setup) = schedule_for_run(spmd);
+/// The log-cursor control source: the team's auxiliary thread is the
+/// sequencer (track `log-seq`), and every shard tails the launch log
+/// instead of walking the body. The run has no resumable rescue slot:
+/// the sequencer cannot re-derive `AllReduce` feedback it already
+/// consumed.
+pub(crate) fn run_log(spmd: &SpmdProgram, store: &mut Store, ctx: RunCtx<'_>) -> RunResult {
     let ns = spmd.num_shards;
     let n_replicas = replicas_from_env(ns);
-    let collective = DynamicCollective::new(ns);
-    let barrier = ShardBarrier::new(ns);
-
-    // Mesh of rings between shards — identical to the SPMD
-    // executor: each shard owns its sender row, so a dead shard
-    // disconnects its peers instead of hanging them.
-    let (senders, receivers) =
-        ring::copy_mesh::<CopyMsg>(ns, ring::data_plane_from_env(), ring::ring_cap_from_env());
-    let pin = ring::pin_cores_enabled();
-
     let log: LaunchLog<LogRecord<'_>> = LaunchLog::new(1, batch_limit_from_env());
     let (fb_tx, fb_rx) = sync_channel::<f64>(FEEDBACK_BOUND);
-    let mut fb_slot = Some(fb_tx);
-
-    let mut results: Vec<Option<ShardOutcome>> = (0..ns).map(|_| None).collect();
+    // Only shard 0 holds the feedback sender, so its death disconnects
+    // the sequencer instead of leaving it to time out.
+    let fb_slot = Mutex::new(Some(fb_tx));
+    let max_lag = AtomicU64::new(0);
     let mut seq_result: Option<(Vec<f64>, LogStats)> = None;
 
-    std::thread::scope(|scope| {
-        let log = &log;
-        let seq_handle = {
-            let collective = &collective;
-            let barrier = &barrier;
-            let init_env = initial_env.clone();
-            let tracer = Arc::clone(tracer);
-            scope.spawn(move || {
-                // Poison the shared primitives if the sequencer
-                // unwinds, and always seal the log so consumers end.
-                // The sequencer is not a shard, so it never self-blames
-                // on a death board.
-                let _guard = PanicGuard {
-                    barrier,
-                    collective,
-                    shard: u32::MAX,
-                    board: None,
-                };
-                let _seal = SealOnDrop(log);
-                let seq = Sequencer {
-                    spmd,
-                    log,
-                    feedback: fb_rx,
-                    env: init_env,
-                    epoch: 0,
-                    loop_depth: 0,
-                    pending_step: None,
-                    tb: tracer.buffer("log-seq"),
-                    mx: metrics::global().handle("log-seq"),
-                    stats: LogStats::default(),
-                };
-                seq.run()
-            })
-        };
-
-        let mut handles = Vec::with_capacity(ns);
-        for (shard, (rx_row, tx_row)) in receivers.into_iter().zip(senders).enumerate() {
-            let schedule = &*schedule;
-            let collective = &collective;
-            let barrier = &barrier;
-            let store_ref: &Store = store;
-            let init_env = &initial_env;
-            let tracer = Arc::clone(tracer);
-            let fb = if shard == 0 { fb_slot.take() } else { None };
-            handles.push(scope.spawn(move || {
-                let _guard = PanicGuard {
-                    barrier,
-                    collective,
-                    shard: shard as u32,
-                    board: resilience.and_then(|o| o.board.clone()),
-                };
-                if pin {
-                    ring::pin_thread_to_core(shard);
-                }
-                let mut exec = ShardExec::new(
-                    spmd,
-                    schedule,
-                    shard,
-                    store_ref,
-                    init_env.clone(),
-                    (tx_row, rx_row),
-                    (collective, barrier),
-                    &tracer,
-                    resilience,
-                );
-                let replica = owner_of(ns, n_replicas, shard) as u32;
-                let (block_start, _) = block_range(ns, n_replicas, replica as usize);
-                let mut analysis = (shard == block_start).then(|| ReplicaAnalysis {
-                    oracle: ForestOracle::new(&spmd.forest),
-                    seen_pairs: HashSet::new(),
-                });
-                let max_lag = run_shard_driver(&mut exec, log, replica, analysis.as_mut(), fb);
-                exec.flush_pool_metrics();
-                exec.tb.flush();
-                (exec.env, exec.stats, exec.data, max_lag)
-            }));
+    let sequencer = {
+        let (log, seq_result) = (&log, &mut seq_result);
+        move || {
+            // Always seal the log so consumers end.
+            let _seal = SealOnDrop(log);
+            let seq = Sequencer {
+                spmd,
+                log,
+                feedback: fb_rx,
+                env: ctx.initial_env(&spmd.scalars),
+                epoch: 0,
+                loop_depth: 0,
+                pending_step: None,
+                tb: ctx.tracer.buffer("log-seq"),
+                mx: metrics::global().handle("log-seq"),
+                stats: LogStats::default(),
+            };
+            *seq_result = Some(seq.run());
         }
-        // Join everything before reporting failures (avoids a
-        // double panic while the scope holds unjoined handles).
-        let mut failures: Vec<(String, String)> = Vec::new();
-        for (shard, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(r) => results[shard] = Some(r),
-                Err(e) => failures.push((format!("shard {shard}"), panic_message(&*e))),
-            }
-        }
-        match seq_handle.join() {
-            Ok(r) => seq_result = Some(r),
-            Err(e) => failures.push(("sequencer".to_string(), panic_message(&*e))),
-        }
-        // Prefer the root cause over secondary "poisoned" unwinds —
-        // that is the message a supervisor classifies.
-        if let Some((who, msg)) = failures
-            .iter()
-            .find(|(_, m)| !m.contains("poisoned"))
-            .or(failures.first())
-        {
-            panic!(
-                "{who} panicked: {msg}{}",
-                if failures.len() > 1 {
-                    format!(" ({} threads failed in total)", failures.len())
-                } else {
-                    String::new()
-                }
-            );
-        }
-    });
-
-    let (seq_env, mut log_stats) = seq_result.expect("sequencer result missing after clean join");
-    log_stats.replicas = n_replicas as u32;
-
-    let mut per_shard = Vec::with_capacity(ns);
-    let mut env0: Option<Vec<f64>> = None;
-    let mut agg = ShardStats::default();
-    let mut datas = Vec::with_capacity(ns);
-    for r in results.into_iter() {
-        let (env, stats, data, max_lag) =
-            r.expect("shard result missing despite all threads joining cleanly");
-        if let Some(ref e0) = env0 {
-            debug_assert_eq!(
-                e0, &env,
-                "scalar environments diverged across shards (log replication bug)"
-            );
+    };
+    let tail = |exec: &mut ShardExec<'_>| {
+        let fb = if exec.shard == 0 {
+            fb_slot.lock().expect("feedback slot poisoned").take()
         } else {
-            env0 = Some(env);
-        }
-        log_stats.max_cursor_lag = log_stats.max_cursor_lag.max(max_lag);
-        agg.merge_from(&stats);
-        per_shard.push(stats);
-        datas.push(data);
-    }
+            None
+        };
+        let replica = owner_of(ns, n_replicas, exec.shard) as u32;
+        let (block_start, _) = block_range(ns, n_replicas, replica as usize);
+        let mut analysis = (exec.shard == block_start).then(|| ReplicaAnalysis {
+            oracle: ForestOracle::new(&spmd.forest),
+            seen_pairs: HashSet::new(),
+        });
+        let lag = run_shard_driver(exec, &log, replica, analysis.as_mut(), fb);
+        max_lag.fetch_max(lag, Ordering::Relaxed);
+    };
+    let mut run = run_team(spmd, store, ctx, None, tail, Some(("sequencer", sequencer)));
+
+    let (seq_env, log_stats) = seq_result.expect("sequencer result missing after clean join");
     debug_assert_eq!(
-        env0.as_deref(),
-        Some(seq_env.as_slice()),
+        run.env, seq_env,
         "sequencer environment diverged from the shards (feedback protocol bug)"
     );
-    finalize_into_store(spmd, store, &datas);
-    metrics::export_env();
-
-    LogRunResult {
-        env: env0.unwrap_or(seq_env),
-        setup,
-        stats: agg,
-        per_shard,
-        log: log_stats,
-    }
+    run.log = LogStats {
+        replicas: n_replicas as u32,
+        max_cursor_lag: max_lag.into_inner(),
+        ..log_stats
+    };
+    run
 }
 
 /// The control program's single runner: walks the compiled body once,

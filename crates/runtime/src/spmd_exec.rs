@@ -1,6 +1,7 @@
-//! Multithreaded executor for control-replicated programs.
+//! The per-shard execution engine for control-replicated programs.
 //!
-//! Each shard of the [`SpmdProgram`] runs on its own OS thread with its
+//! Each shard of the [`SpmdProgram`] runs on its own OS thread (spawned
+//! by the shard-team driver, `crate::team`) with its
 //! own *distributed-memory* storage: one instance per owned subregion
 //! per use, plus reduction temporaries (§3, §4.3). Shards communicate
 //! only through copy messages and the scalar collective — there is no
@@ -16,7 +17,7 @@
 //! data arrives. The naive global-barrier mode (Fig. 4c) adds
 //! [`ShardBarrier`] waits around every copy.
 //!
-//! With an enabled [`Tracer`] (the `*_traced` entry points) every shard
+//! With an enabled [`Tracer`] ([`crate::RunOptions::tracer`]) every shard
 //! records its runs, accesses, copy issues/applies, and collective
 //! generations on its own track — enough for the `regent-trace` Spy
 //! validator to reconstruct the execution's happens-before graph and
@@ -24,8 +25,8 @@
 //!
 //! ## Resilience (checkpoint–restart)
 //!
-//! [`execute_spmd_resilient`] runs the same program under a
-//! deterministic [`FaultPlan`]: every shard snapshots its instances
+//! With [`crate::RunOptions::resilience`] set, the same program runs
+//! under a deterministic [`FaultPlan`]: every shard snapshots its instances
 //! and scalar environment at epoch boundaries (an *epoch* is one
 //! outermost-loop iteration), and when the plan schedules a shard
 //! crash, all shards roll back to the last snapshot together and
@@ -85,9 +86,11 @@ use crate::cancel::CancelToken;
 use crate::collective::{hang_timeout, DynamicCollective, FramedScalar, ShardBarrier};
 use crate::memo::MemoCache;
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
-use crate::plan::{schedule_for_run, ExchangeSchedule, InstKey, PairPlan, SetupStats};
+use crate::plan::{ExchangeSchedule, InstKey, PairPlan};
 use crate::pool::{clone_insts_into, ChunkPool};
 use crate::ring::{self, CopyRx, CopyTx};
+use crate::run::{RunCtx, RunResult};
+use crate::team::run_team;
 use regent_cr::spmd::block_range;
 use regent_cr::{
     CopyId, CopySource, CopyStmt, SpmdArg, SpmdLaunch, SpmdProgram, SpmdStmt, TempId, UseBase,
@@ -232,11 +235,7 @@ pub struct ShardStats {
 
 impl ShardStats {
     /// Accumulates another stats record into this one.
-    pub fn merge_from(&mut self, o: &ShardStats) {
-        self.merge(o);
-    }
-
-    fn merge(&mut self, o: &ShardStats) {
+    pub fn merge(&mut self, o: &ShardStats) {
         self.tasks_executed += o.tasks_executed;
         self.copies_executed += o.copies_executed;
         self.messages_sent += o.messages_sent;
@@ -280,14 +279,15 @@ pub struct ResilienceOptions {
     /// supervisor cancels, injected transient faults). `None` for
     /// unsupervised runs.
     pub cancel: Option<CancelToken>,
-    /// Supervisor-provided cross-attempt checkpoint slot: boundary
-    /// snapshots are offered into it, and a fresh run with a committed
-    /// checkpoint fast-forwards to it instead of starting from scratch
-    /// — this is what makes a retried job resume from the last
-    /// checkpoint. SPMD executor only (the shared-log sequencer cannot
-    /// re-derive skipped `AllReduce` feedback, so log jobs retry from
-    /// scratch).
-    pub rescue: Option<Arc<RescueSlot>>,
+    /// Supervisor-provided cross-attempt checkpoints: boundary
+    /// snapshots are offered into the run's slot (one per replicated
+    /// segment), and a fresh run with a committed checkpoint
+    /// fast-forwards to it instead of starting from scratch — this is
+    /// what makes a retried job resume from the last checkpoint. The
+    /// shared-log strategy has no resumable slot (its sequencer cannot
+    /// re-derive skipped `AllReduce` feedback), so log runs neither
+    /// offer nor resume: they retry from scratch.
+    pub rescue: Option<Arc<Rescue>>,
     /// Shared death board for failover-aware runs: the first thread to
     /// die records a structured [`PeerDeath`] here, so the failover
     /// driver learns *which* shard was lost and *why* without parsing
@@ -332,9 +332,9 @@ impl ResilienceOptions {
 /// failover driver reads it after catching the attempt's panic to learn
 /// the root cause without parsing diagnostics: kill and hang causes are
 /// recorded *before* the poison cascade starts, and a panicking shard's
-/// [`PanicGuard`] records itself only when the board is still empty —
-/// so the first entry is always the root cause, never a secondary
-/// unwind.
+/// panic guard (`crate::team`) records itself only when the board is
+/// still empty — so the first entry is always the root cause, never a
+/// secondary unwind.
 #[derive(Debug, Default)]
 pub struct DeathBoard {
     deaths: Mutex<Vec<PeerDeath>>,
@@ -390,322 +390,24 @@ impl DeathBoard {
     }
 }
 
-/// Result of an SPMD execution.
-pub struct SpmdRunResult {
-    /// Final scalar environment (identical on all shards; shard 0's).
-    pub env: Vec<f64>,
-    /// Dynamic intersection sizes and timings (Table 1). The timings
-    /// are what *this run* paid: 0 when the program's exchange
-    /// schedule was already built by an earlier run.
-    pub setup: SetupStats,
-    /// Aggregated execution statistics.
-    pub stats: ShardStats,
-    /// Per-shard statistics.
-    pub per_shard: Vec<ShardStats>,
-}
-
-/// Executes a control-replicated program against `store` (which holds
-/// the initial region contents and receives the final ones).
-pub fn execute_spmd(spmd: &SpmdProgram, store: &mut Store) -> SpmdRunResult {
-    execute_spmd_traced(spmd, store, &Tracer::disabled())
-}
-
-/// [`execute_spmd`] recording events into `tracer` (shard `s` records
-/// on track `shard-s`).
-pub fn execute_spmd_traced(
+/// The replicated-walk control source (§3.5): every shard executes the
+/// whole replicated body. `slot` is the rescue slot the run offers
+/// checkpoints into and resumes from — 0 for a whole-program run, the
+/// segment index for a replicated segment of a hybrid program.
+pub(crate) fn run_spmd(
     spmd: &SpmdProgram,
     store: &mut Store,
-    tracer: &Arc<Tracer>,
-) -> SpmdRunResult {
-    let env: Vec<f64> = spmd.scalars.iter().map(|s| s.init).collect();
-    execute_spmd_with_env_traced(spmd, store, env, tracer)
-}
-
-/// [`execute_spmd`] with an explicit initial scalar environment —
-/// needed by the hybrid range-local driver (§2.2), where scalars
-/// computed before a replicated range flow into it.
-pub fn execute_spmd_with_env(
-    spmd: &SpmdProgram,
-    store: &mut Store,
-    initial_env: Vec<f64>,
-) -> SpmdRunResult {
-    execute_spmd_with_env_traced(spmd, store, initial_env, &Tracer::disabled())
-}
-
-/// [`execute_spmd_with_env`] recording events into `tracer`.
-pub fn execute_spmd_with_env_traced(
-    spmd: &SpmdProgram,
-    store: &mut Store,
-    initial_env: Vec<f64>,
-    tracer: &Arc<Tracer>,
-) -> SpmdRunResult {
-    // CI fault smoke: REGENT_FAULT_SEED upgrades every plain run to a
-    // resilient one with a seeded crash; results stay bit-identical.
-    let env_opts = ResilienceOptions::from_env(spmd.num_shards);
-    execute_spmd_inner(spmd, store, initial_env, tracer, env_opts.as_ref())
-}
-
-/// Executes a control-replicated program under a deterministic fault
-/// plan with epoch-based checkpoint–restart (see the module docs).
-/// Region contents and scalars come out bit-identical to a fault-free
-/// run; `stats` additionally reports checkpoints, restores, and
-/// replayed epochs.
-pub fn execute_spmd_resilient(
-    spmd: &SpmdProgram,
-    store: &mut Store,
-    opts: &ResilienceOptions,
-) -> SpmdRunResult {
-    execute_spmd_resilient_traced(spmd, store, opts, &Tracer::disabled())
-}
-
-/// [`execute_spmd_resilient`] recording events into `tracer` —
-/// including `CheckpointSave`, `ShardCrash`, and `CheckpointRestore`
-/// marks on each shard's track.
-pub fn execute_spmd_resilient_traced(
-    spmd: &SpmdProgram,
-    store: &mut Store,
-    opts: &ResilienceOptions,
-    tracer: &Arc<Tracer>,
-) -> SpmdRunResult {
-    let env: Vec<f64> = spmd.scalars.iter().map(|s| s.init).collect();
-    execute_spmd_inner(spmd, store, env, tracer, Some(opts))
-}
-
-/// [`execute_spmd_resilient_traced`] with an explicit initial scalar
-/// environment — the resilient analogue of
-/// [`execute_spmd_with_env_traced`], used by the hybrid executor to
-/// thread checkpoint–restart (and per-segment rescue slots) through
-/// its replicated segments.
-pub fn execute_spmd_with_env_resilient_traced(
-    spmd: &SpmdProgram,
-    store: &mut Store,
-    initial_env: Vec<f64>,
-    opts: &ResilienceOptions,
-    tracer: &Arc<Tracer>,
-) -> SpmdRunResult {
-    execute_spmd_inner(spmd, store, initial_env, tracer, Some(opts))
-}
-
-fn execute_spmd_inner(
-    spmd: &SpmdProgram,
-    store: &mut Store,
-    initial_env: Vec<f64>,
-    tracer: &Arc<Tracer>,
-    resilience: Option<&ResilienceOptions>,
-) -> SpmdRunResult {
-    let (schedule, setup) = schedule_for_run(spmd);
-    let ns = spmd.num_shards;
-    let collective = DynamicCollective::new(ns);
-    let barrier = ShardBarrier::new(ns);
-
-    // Exchange mesh: senders[src][dst] paired with receivers[dst][src],
-    // SPSC rings by default (`REGENT_DATA_PLANE=channel` restores the
-    // legacy mpsc mesh — see the `ring` module docs).
-    let (senders, receivers) =
-        ring::copy_mesh::<CopyMsg>(ns, ring::data_plane_from_env(), ring::ring_cap_from_env());
-    let pin = ring::pin_cores_enabled();
-
-    let mut results: Vec<Option<(Vec<f64>, ShardStats, ShardData)>> =
-        (0..ns).map(|_| None).collect();
-
-    // Resolve a committed rescue checkpoint once, on the driver
-    // thread, so every shard makes the same resume decision even if
-    // new offers land while shards are spawning.
-    let resume: Option<Arc<ResumeState>> = resilience
-        .and_then(|o| o.rescue.as_ref())
-        .and_then(|s| s.resume_state());
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ns);
-        // Each shard takes ownership of exactly its sender row: when a
-        // shard dies, its senders drop and every peer blocked on a
-        // receive from it unwinds immediately instead of timing out.
-        for (shard, (rx_row, tx_row)) in receivers.into_iter().zip(senders).enumerate() {
-            let schedule = &*schedule;
-            let collective = &collective;
-            let barrier = &barrier;
-            let store_ref: &Store = store;
-            let init_env = &initial_env;
-            let tracer = Arc::clone(tracer);
-            let resume = resume.clone();
-            handles.push(scope.spawn(move || {
-                // If this shard panics (e.g. a kernel bug), poison the
-                // shared primitives on the way out so peers blocked in
-                // a barrier or collective unwind with a diagnostic
-                // rather than deadlocking.
-                let _guard = PanicGuard {
-                    barrier,
-                    collective,
-                    shard: shard as u32,
-                    board: resilience.and_then(|o| o.board.clone()),
-                };
-                if pin {
-                    ring::pin_thread_to_core(shard);
-                }
-                let mut shard_exec = ShardExec::new(
-                    spmd,
-                    schedule,
-                    shard,
-                    store_ref,
-                    init_env.clone(),
-                    (tx_row, rx_row),
-                    (collective, barrier),
-                    &tracer,
-                    resilience,
-                );
-                if let Some(r) = shard_exec.resilience.as_mut() {
-                    r.resume = resume;
-                }
-                shard_exec.run_stmts(&spmd.body);
-                shard_exec.flush_pool_metrics();
-                shard_exec.tb.flush();
-                (shard_exec.env, shard_exec.stats, shard_exec.data)
-            }));
-        }
-        // Join every shard before reporting a failure: panicking while
-        // the scope still holds unjoined (also-panicking) handles would
-        // double-panic and abort the process.
-        let mut failures: Vec<(usize, String)> = Vec::new();
-        for (shard, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(r) => results[shard] = Some(r),
-                Err(e) => failures.push((shard, panic_message(&*e))),
-            }
-        }
-        // Report the root cause: "poisoned", "copy channel closed",
-        // and "likely deadlock" unwinds are secondary diagnostics (the
-        // victim of another shard's death noticing its peer is gone),
-        // so prefer the first failure that isn't one — that is the
-        // message a supervisor classifies.
-        let secondary = |m: &str| {
-            m.contains("poisoned")
-                || m.contains("copy channel closed")
-                || m.contains("likely deadlock")
-        };
-        if let Some((shard, msg)) = failures
-            .iter()
-            .find(|(_, m)| !secondary(m))
-            .or(failures.first())
-        {
-            panic!(
-                "shard {shard} panicked: {msg}{}",
-                if failures.len() > 1 {
-                    format!(" ({} shards failed in total)", failures.len())
-                } else {
-                    String::new()
-                }
-            );
-        }
-    });
-
-    // Finalization (§3.1): flush written partitions back to the root
-    // store. All instances covering an element agree at this point, so
-    // the flush order is immaterial; iterate deterministically anyway.
-    let mut per_shard = Vec::with_capacity(ns);
-    let mut env0: Option<Vec<f64>> = None;
-    let mut agg = ShardStats::default();
-    let mut datas = Vec::with_capacity(ns);
-    for r in results.into_iter() {
-        let (env, stats, data) =
-            r.expect("shard result missing despite all threads joining cleanly");
-        if let Some(ref e0) = env0 {
-            debug_assert_eq!(
-                e0, &env,
-                "scalar environments diverged across shards (replication bug)"
-            );
-        } else {
-            env0 = Some(env);
-        }
-        agg.merge(&stats);
-        per_shard.push(stats);
-        datas.push(data);
-    }
-    finalize_into_store(spmd, store, &datas);
-
-    // Every shard handle merged when its thread finished above.
-    metrics::export_env();
-
-    SpmdRunResult {
-        env: env0.unwrap_or_default(),
-        setup,
-        stats: agg,
-        per_shard,
-    }
-}
-
-/// Finalization (§3.1): flush every written partition instance back to
-/// the root store. All instances covering an element agree at this
-/// point, so the flush order is immaterial; iterate deterministically
-/// anyway. Shared by the SPMD and shared-log executors.
-pub(crate) fn finalize_into_store(spmd: &SpmdProgram, store: &mut Store, datas: &[ShardData]) {
-    for data in datas {
-        for (key, inst) in data.iter_sorted() {
-            if let InstKey::UsePart(u, _) = key {
-                let decl = &spmd.uses[*u as usize];
-                if decl.writes {
-                    let region = regent_cr::analysis::base_region(&spmd.forest, decl.base);
-                    let root_inst = store.instance_mut_in(&spmd.forest, region);
-                    copy_fields(inst, root_inst, &decl.fields, inst.domain());
-                }
-            }
-        }
-    }
-}
-
-/// Poisons the shared synchronization primitives when a shard thread
-/// unwinds, so surviving shards fail fast with a diagnostic instead of
-/// waiting forever on an arrival that will never come. With a
-/// [`DeathBoard`] attached, the guard also records the unwinding shard
-/// as the root cause — but only when the board is still empty, so a
-/// kill or hang recorded before the cascade is never displaced by a
-/// secondary unwind — and forwards the root cause into the poison so
-/// waiters unwind with blame.
-pub(crate) struct PanicGuard<'a> {
-    pub(crate) barrier: &'a ShardBarrier,
-    pub(crate) collective: &'a DynamicCollective,
-    /// The unwinding thread's shard id (used only for self-blame).
-    pub(crate) shard: u32,
-    pub(crate) board: Option<Arc<DeathBoard>>,
-}
-
-impl Drop for PanicGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            match &self.board {
-                Some(board) => {
-                    if board.is_empty() {
-                        board.record(PeerDeath {
-                            shard: self.shard,
-                            cause: DeathCause::Panicked,
-                        });
-                    }
-                    match board.first() {
-                        Some(cause) => {
-                            self.barrier.poison_with(cause);
-                            self.collective.poison_with(cause);
-                        }
-                        None => {
-                            self.barrier.poison();
-                            self.collective.poison();
-                        }
-                    }
-                }
-                None => {
-                    self.barrier.poison();
-                    self.collective.poison();
-                }
-            }
-        }
-    }
-}
-
-/// Renders a panic payload (`&str` or `String`) for the aggregated
-/// shard-failure diagnostic.
-pub(crate) fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    e.downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| e.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "<non-string panic payload>".to_string())
+    ctx: RunCtx<'_>,
+    slot: usize,
+) -> RunResult {
+    run_team(
+        spmd,
+        store,
+        ctx,
+        Some(slot),
+        |exec| exec.run_stmts(&spmd.body),
+        None::<(&str, fn())>,
+    )
 }
 
 /// Per-shard checkpoint–restart and integrity state for a resilient
@@ -747,8 +449,9 @@ pub(crate) struct Resilience {
     /// Cooperative cancellation token, checked at every boundary.
     cancel: Option<CancelToken>,
     /// Cross-attempt checkpoint slot boundary snapshots are offered
-    /// into.
-    rescue: Option<Arc<RescueSlot>>,
+    /// into; resolved from [`ResilienceOptions::rescue`] by the team
+    /// driver, like `resume`.
+    pub(crate) rescue: Option<Arc<RescueSlot>>,
     /// Committed checkpoint this run fast-forwards to at the first
     /// boundary of its matching outermost loop; taken from the rescue
     /// slot on the driver thread before the shards spawn, so every
@@ -789,7 +492,7 @@ impl Resilience {
             corrupt_handled: 0,
             memo: opts.memo.clone(),
             cancel: opts.cancel.clone(),
-            rescue: opts.rescue.clone(),
+            rescue: None,
             resume: None,
         }
     }
@@ -833,7 +536,7 @@ pub(crate) struct ResumeState {
     pub(crate) parts: Vec<HashMap<InstKey, Instance>>,
 }
 
-/// A supervisor-provided slot that carries checkpoint state *across
+/// One replicated segment's slot of a [`Rescue`]: carries checkpoint state *across
 /// executor invocations*: each shard offers its epoch-boundary
 /// snapshot into the slot, and once every shard has offered the same
 /// `(epoch, token)` the set commits atomically. A later run handed the
@@ -845,7 +548,7 @@ pub(crate) struct ResumeState {
 /// Torn offers (shards at different epochs when the run died) simply
 /// never commit; the retry then starts from scratch, which is always
 /// correct because execution is deterministic.
-pub struct RescueSlot {
+pub(crate) struct RescueSlot {
     inner: Mutex<RescueInner>,
 }
 
@@ -866,7 +569,7 @@ impl std::fmt::Debug for RescueSlot {
 
 impl RescueSlot {
     /// An empty slot for a job running on `num_shards` shards.
-    pub fn new(num_shards: usize) -> RescueSlot {
+    pub(crate) fn new(num_shards: usize) -> RescueSlot {
         RescueSlot {
             inner: Mutex::new(RescueInner {
                 pending: (0..num_shards).map(|_| None).collect(),
@@ -893,9 +596,18 @@ impl RescueSlot {
         }
     }
 
+    /// The membership this slot collects offers from.
+    fn num_shards(&self) -> usize {
+        self.inner
+            .lock()
+            .expect("rescue slot poisoned")
+            .pending
+            .len()
+    }
+
     /// Epoch of the committed checkpoint, if any — what a retry will
     /// resume from.
-    pub fn checkpoint_epoch(&self) -> Option<u64> {
+    pub(crate) fn checkpoint_epoch(&self) -> Option<u64> {
         self.inner
             .lock()
             .expect("rescue slot poisoned")
@@ -958,6 +670,72 @@ impl RescueSlot {
                 parts,
             }));
         }
+    }
+}
+
+/// Cross-attempt checkpoints of one job: one slot (`RescueSlot`) per
+/// replicated segment, keyed by segment index (a whole-program SPMD run
+/// is segment 0). A supervisor hands the same `Rescue` to every retry
+/// of a job through [`ResilienceOptions::rescue`], so each replicated
+/// segment resumes from its own last committed checkpoint instead of
+/// recomputing from scratch. (Sequential segments of a hybrid program
+/// re-run through the interpreter; they are cheap and deterministic, so
+/// re-deriving their scalars is free of risk.)
+#[derive(Debug, Default)]
+pub struct Rescue {
+    slots: Mutex<Vec<Option<Arc<RescueSlot>>>>,
+}
+
+impl Rescue {
+    /// An empty rescue container.
+    pub fn new() -> Rescue {
+        Rescue::default()
+    }
+
+    /// The slot for replicated segment `idx` of a `num_shards`-strong
+    /// membership, created on first use. A slot left by a run at a
+    /// different membership is replaced by an empty one: its
+    /// checkpoint has one part per shard of *that* run, and starting
+    /// from scratch is always correct.
+    pub(crate) fn slot(&self, idx: usize, num_shards: usize) -> Arc<RescueSlot> {
+        let mut g = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        if g.len() <= idx {
+            g.resize_with(idx + 1, || None);
+        }
+        match &g[idx] {
+            Some(slot) if slot.num_shards() == num_shards => slot.clone(),
+            _ => g[idx].insert(Arc::new(RescueSlot::new(num_shards))).clone(),
+        }
+    }
+
+    /// Replaces the slot for replicated segment `idx` (used by the
+    /// failover loop after remapping a segment's checkpoint onto a
+    /// shrunken membership).
+    pub(crate) fn replace_slot(&self, idx: usize, slot: RescueSlot) {
+        let mut g = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        if g.len() <= idx {
+            g.resize_with(idx + 1, || None);
+        }
+        g[idx] = Some(Arc::new(slot));
+    }
+
+    /// The committed checkpoint of replicated segment `idx`, if any.
+    pub(crate) fn committed(&self, idx: usize) -> Option<Arc<ResumeState>> {
+        let g = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        g.get(idx)?.as_ref()?.resume_state()
+    }
+
+    /// Highest committed checkpoint epoch across all segments — what a
+    /// retry will resume from, and a cheap "has anything committed"
+    /// probe for tests and supervisors.
+    pub fn checkpoint_epoch(&self) -> Option<u64> {
+        self.slots
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .flatten()
+            .filter_map(|s| s.checkpoint_epoch())
+            .max()
     }
 }
 
@@ -2372,5 +2150,26 @@ fn scatter<T: Copy>(
                 col[o as usize] = fold(col[o as usize], v);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rescue_slot_follows_the_membership() {
+        let rescue = Rescue::new();
+        let three = rescue.slot(0, 3);
+        assert!(
+            Arc::ptr_eq(&three, &rescue.slot(0, 3)),
+            "same run, same slot"
+        );
+        // A run at another membership must not see the 3-shard slot:
+        // resuming would index its per-shard parts out of bounds.
+        let two = rescue.slot(0, 2);
+        assert_eq!(two.num_shards(), 2);
+        assert!(!Arc::ptr_eq(&three, &two));
+        assert!(Arc::ptr_eq(&two, &rescue.slot(0, 2)));
     }
 }

@@ -12,7 +12,7 @@ use regent_ir::{
     interp, Privilege, Program, ProgramBuilder, RegionArg, RegionParam, Store, TaskDecl,
 };
 use regent_region::{ops, FieldSpace, FieldType, ReductionOp, RegionId};
-use regent_runtime::{execute_implicit, execute_spmd, ImplicitOptions};
+use regent_runtime::{execute_implicit, run, Compiled, ImplicitOptions, RunOptions};
 use std::sync::Arc;
 
 /// Runs `program` sequentially and control-replicated with `ns` shards,
@@ -22,7 +22,7 @@ fn assert_equivalent(
     mk: impl Fn() -> (Program, Box<dyn Fn(&Program, &mut Store)>),
     ns: usize,
     opts_mod: impl Fn(&mut CrOptions),
-) -> regent_runtime::SpmdRunResult {
+) -> regent_runtime::RunResult {
     // Sequential reference.
     let (prog_seq, init) = mk();
     let mut store_seq = Store::new(&prog_seq);
@@ -37,7 +37,7 @@ fn assert_equivalent(
     opts_mod(&mut opts);
     let forest_snapshot_roots = prog_cr.root_regions();
     let spmd = control_replicate(prog_cr, &opts).expect("control replication failed");
-    let result = execute_spmd(&spmd, &mut store_cr);
+    let result = run(Compiled::Spmd(&spmd), &mut store_cr, &RunOptions::default());
 
     assert_eq!(env_seq, result.env, "scalar env mismatch (ns={ns})");
     for root in forest_snapshot_roots {

@@ -17,8 +17,8 @@ use regent_ir::{
 };
 use regent_region::{ops, FieldSpace, FieldType, RegionId};
 use regent_runtime::{
-    execute_implicit, execute_spmd_resilient, FaultPlan, ImplicitOptions, MemoCache,
-    ResilienceOptions,
+    execute_implicit, run, Compiled, FaultPlan, ImplicitOptions, MemoCache, ResilienceOptions,
+    RunOptions,
 };
 use regent_trace::{memo_summary, EventKind, Tracer};
 use std::sync::Arc;
@@ -358,7 +358,11 @@ fn memoized_implicit_matches_fault_seeded_spmd_recovery() {
             plan: FaultPlan::seeded_crash(seed, parts, 4),
             ..Default::default()
         };
-        let r = execute_spmd_resilient(&spmd, &mut store, &opts);
+        let r = run(
+            Compiled::Spmd(&spmd),
+            &mut store,
+            &RunOptions::default().with_resilience(opts.clone()),
+        );
         assert_eq!(env_memo, r.env, "seed={seed}");
         // Roots live in both forests with identical domains; compare
         // against the memoized implicit store bit-for-bit.

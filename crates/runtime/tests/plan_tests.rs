@@ -10,7 +10,7 @@ use regent_ir::{
     expr::c, KernelFn, Program, ProgramBuilder, RegionArg, RegionParam, Store, TaskDecl,
 };
 use regent_region::{ops, FieldId, FieldSpace, FieldType};
-use regent_runtime::{build_exchange_plan, execute_spmd, metrics, Counter, InstKey};
+use regent_runtime::{build_exchange_plan, metrics, run, Compiled, Counter, InstKey, RunOptions};
 use std::sync::{Arc, Mutex};
 
 /// `out[p] ← out[p]/2 + (sum of `halo` over p-1, p, p+1 where held)/4 + 1`
@@ -241,8 +241,8 @@ fn initial_store(prog: &Program) -> Store {
 
 /// Runs `spmd` from `store`; returns the scalar environment and the
 /// checksum of the (only) root region's final contents.
-fn run(spmd: &SpmdProgram, mut store: Store) -> (Vec<f64>, u64) {
-    let result = execute_spmd(spmd, &mut store);
+fn run_digest(spmd: &SpmdProgram, mut store: Store) -> (Vec<f64>, u64) {
+    let result = run(Compiled::Spmd(spmd), &mut store, &RunOptions::default());
     let root = regent_region::RegionId(0);
     assert_eq!(spmd.forest.root_of(root), root);
     (result.env, store.instance_in(&spmd.forest, root).checksum())
@@ -261,9 +261,9 @@ fn second_run_replays_the_schedule_bit_identically() {
     let builds = || metrics::global().aggregate().get(Counter::ScheduleBuilds);
 
     let before = builds();
-    let first = run(&spmd, first_store);
+    let first = run_digest(&spmd, first_store);
     let between = builds();
-    let second = run(&spmd, second_store);
+    let second = run_digest(&spmd, second_store);
     assert_eq!(
         first, second,
         "a replayed schedule must not change the result"
@@ -283,12 +283,12 @@ fn changing_num_shards_rebuilds_the_schedule() {
     let prog = halo_program(64, 8);
     let (wide_store, narrow_store) = (initial_store(&prog), initial_store(&prog));
     let mut spmd = control_replicate(prog, &CrOptions::new(4)).unwrap();
-    let wide = run(&spmd, wide_store);
+    let wide = run_digest(&spmd, wide_store);
     let (at4, _) = spmd.schedule();
 
     // What failover does to a live program: shrink it in place.
     spmd.num_shards = 2;
-    let narrow = run(&spmd, narrow_store);
+    let narrow = run_digest(&spmd, narrow_store);
     let (at2, built) = spmd.schedule();
     assert!(!built, "the run after the change already rebuilt");
     assert!(!Arc::ptr_eq(&at4, &at2));
@@ -319,5 +319,5 @@ fn changing_num_shards_rebuilds_the_schedule() {
         assert_eq!(got.dst_offsets, want.dst_offsets);
     }
     assert_eq!(at2.setup.num_pairs, fresh_plan.setup.num_pairs);
-    assert_eq!(run(&fresh, fresh_store), narrow);
+    assert_eq!(run_digest(&fresh, fresh_store), narrow);
 }

@@ -13,8 +13,7 @@ use regent_ir::{
 };
 use regent_region::{ops, FieldSpace, FieldType, ReductionOp, RegionId};
 use regent_runtime::{
-    execute_spmd, execute_spmd_resilient, execute_spmd_resilient_traced, EpochTemplate, MemoCache,
-    ResilienceOptions, SpmdRunResult,
+    run, Compiled, EpochTemplate, MemoCache, ResilienceOptions, RunOptions, RunResult,
 };
 use regent_trace::{integrity_summary, validate, Tracer};
 use std::sync::Arc;
@@ -139,19 +138,27 @@ fn assert_recovery_bit_identical(
     mk: impl Fn() -> (Program, InitFn),
     ns: usize,
     opts: &ResilienceOptions,
-) -> (SpmdRunResult, SpmdRunResult) {
+) -> (RunResult, RunResult) {
     let (prog_a, init) = mk();
     let mut store_a = Store::new(&prog_a);
     init(&prog_a, &mut store_a);
     let roots = prog_a.root_regions();
     let spmd_a = control_replicate(prog_a, &CrOptions::new(ns)).unwrap();
-    let plain = execute_spmd(&spmd_a, &mut store_a);
+    let plain = run(
+        Compiled::Spmd(&spmd_a),
+        &mut store_a,
+        &RunOptions::default(),
+    );
 
     let (prog_b, init) = mk();
     let mut store_b = Store::new(&prog_b);
     init(&prog_b, &mut store_b);
     let spmd_b = control_replicate(prog_b, &CrOptions::new(ns)).unwrap();
-    let resilient = execute_spmd_resilient(&spmd_b, &mut store_b, opts);
+    let resilient = run(
+        Compiled::Spmd(&spmd_b),
+        &mut store_b,
+        &RunOptions::default().with_resilience(opts.clone()),
+    );
 
     assert_eq!(plain.env, resilient.env, "scalar env diverged (ns={ns})");
     // Useful-work stats exclude replays, so they too must match the
@@ -348,7 +355,7 @@ fn panicking_shard_fails_fast_with_diagnostic() {
         let mut store = Store::new(&prog);
         store.fill_f64(&prog, RegionId(0), x, |pt| pt.coord(0) as f64);
         let spmd = control_replicate(prog, &CrOptions::new(parts)).unwrap();
-        execute_spmd(&spmd, &mut store);
+        run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default());
     });
     let err = handle.join().expect_err("run should fail, not hang");
     let msg = err
@@ -500,7 +507,11 @@ fn corruption_trace_is_coherent_and_spy_certified() {
         ..Default::default()
     };
     let tracer = Tracer::enabled();
-    let res = execute_spmd_resilient_traced(&spmd, &mut store, &opts, &tracer);
+    let res = run(
+        Compiled::Spmd(&spmd),
+        &mut store,
+        &RunOptions::traced(&tracer).with_resilience(opts.clone()),
+    );
     let trace = tracer.take();
 
     let s = integrity_summary(&trace);

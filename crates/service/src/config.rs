@@ -112,8 +112,7 @@ impl ServiceConfig {
             shard_cap: env_u64("REGENT_SERVE_SHARDS", base.shard_cap as u64).max(1) as usize,
             degrade_after: env_u64("REGENT_SERVE_DEGRADE", 0) as u32,
             fault_seed: FaultPlan::seed_from_env(),
-            failover: regent_runtime::failover_enabled()
-                .then(|| env_u64("REGENT_FAILOVER_MAX", 1) as u32),
+            failover: regent_runtime::FailoverOptions::from_env().map(|o| o.max_failovers),
             ..base
         }
     }

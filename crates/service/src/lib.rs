@@ -40,10 +40,11 @@
 //!   job ends [`JobOutcome::Cancelled`]. The deadline is fixed at
 //!   admission, so retries spend the *same* budget, not a fresh one.
 //! * **Transient** (injected fault, likely-deadlock diagnostics) — the
-//!   job is retried with seeded exponential backoff. SPMD jobs hand a
-//!   shared [`RescueSlot`](regent_runtime::RescueSlot) to every
-//!   attempt, so a retry fast-forwards to the last committed
-//!   checkpoint instead of recomputing from scratch.
+//!   job is retried with seeded exponential backoff. Every attempt of
+//!   a job is handed the same [`Rescue`](regent_runtime::Rescue), so an
+//!   SPMD or hybrid retry fast-forwards to the last committed
+//!   checkpoint instead of recomputing from scratch (the log strategy
+//!   has no resumable slot and restarts).
 //! * **Permanent** (a genuine bug) — the job is quarantined
 //!   ([`JobOutcome::Quarantined`]) and the worker that ran it recycles
 //!   itself: it spawns a replacement thread and exits, so any state a

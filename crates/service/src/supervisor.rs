@@ -44,11 +44,9 @@ use regent_region::{FieldType, RegionForest, RegionId};
 use regent_runtime::live::live;
 use regent_runtime::metrics::{self, Counter, Timer};
 use regent_runtime::{
-    classify_failure, execute_hybrid_failover_traced, execute_hybrid_resilient_traced,
-    execute_implicit, execute_log_failover_traced, execute_log_resilient_traced,
-    execute_spmd_failover_traced, execute_spmd_resilient_traced, CancelToken, FailoverOptions,
-    FailureClass, FaultPlan, HybridRescue, ImplicitOptions, MemoCache, RescueSlot,
-    ResilienceOptions, CANCEL_PREFIX,
+    classify_failure, execute_implicit, run, run_failover, CancelToken, Compiled, FailoverOptions,
+    FailureClass, FaultPlan, ImplicitOptions, MemoCache, Rescue, ResilienceOptions, RunOptions,
+    CANCEL_PREFIX,
 };
 use regent_trace::flight::flight;
 use regent_trace::{export_native, EventKind, Trace, TraceBuf, Tracer};
@@ -508,14 +506,12 @@ fn run_supervised(
             h.is_multiple_of(4).then(|| 1 + ((h >> 8) % 3))
         })
     });
-    // The rescue slots are shared across attempts so a retry resumes
-    // from the last committed checkpoint: one slot for SPMD jobs, one
-    // slot per replicated segment for hybrid jobs. The shared-log
-    // executor retries from scratch — its sequencer cannot re-derive
-    // consumed `AllReduce` feedback.
-    let rescue = matches!(spec.strategy, Strategy::Spmd).then(|| Arc::new(RescueSlot::new(shards)));
-    let hybrid_rescue =
-        matches!(spec.strategy, Strategy::Hybrid).then(|| Arc::new(HybridRescue::new()));
+    // The rescue is shared across attempts so a retry resumes from the
+    // last committed checkpoint of every replicated segment (one for
+    // SPMD jobs). The shared-log strategy has no resumable slot and
+    // retries from scratch — its sequencer cannot re-derive consumed
+    // `AllReduce` feedback.
+    let rescue = Arc::new(Rescue::new());
     // Live failover: survive shard deaths inside an attempt by
     // shrinking membership instead of burning a supervisor retry.
     let failover = cfg.failover.map(|max_failovers| FailoverOptions {
@@ -560,8 +556,7 @@ fn run_supervised(
                 shards,
                 &token,
                 transient,
-                rescue.as_ref(),
-                hybrid_rescue.as_deref(),
+                &rescue,
                 failover.as_ref(),
                 memo,
                 &job_tracer,
@@ -644,8 +639,7 @@ fn run_once(
     shards: usize,
     token: &CancelToken,
     transient: Option<u64>,
-    rescue: Option<&Arc<RescueSlot>>,
-    hybrid_rescue: Option<&HybridRescue>,
+    rescue: &Arc<Rescue>,
     failover: Option<&FailoverOptions>,
     memo: &Arc<Mutex<MemoCache>>,
     tracer: &Arc<Tracer>,
@@ -666,36 +660,25 @@ fn run_once(
             plan.events.extend(kills.events);
         }
     }
-    match spec.strategy {
+    let mut compiled = match spec.strategy {
         Strategy::Sequential | Strategy::Implicit | Strategy::MemoImplicit => {
             // These executors have no epoch-boundary hook: surface the
             // injected transient (and any already-fired deadline) at
             // the attempt boundary. Deadline granularity is therefore
             // the whole attempt for these strategies.
             token.check_boundary(0, transient.unwrap_or(u64::MAX));
-            match spec.strategy {
-                Strategy::Sequential => {
-                    let (env, _) = interp::run(&prog, &mut store);
-                    let digest = digest_store(&prog.forest, &store, &roots, &env);
-                    (env, digest, shards)
+            let env = if matches!(spec.strategy, Strategy::Sequential) {
+                interp::run(&prog, &mut store).0
+            } else {
+                let mut opts = ImplicitOptions::with_workers(shards);
+                if matches!(spec.strategy, Strategy::MemoImplicit) {
+                    opts = opts.with_memo(Arc::clone(memo));
                 }
-                Strategy::Implicit => {
-                    let mut opts = ImplicitOptions::with_workers(shards);
-                    opts.tracer = Arc::clone(tracer);
-                    let (env, _) = execute_implicit(&prog, &mut store, opts);
-                    let digest = digest_store(&prog.forest, &store, &roots, &env);
-                    (env, digest, shards)
-                }
-                Strategy::MemoImplicit => {
-                    let mut opts =
-                        ImplicitOptions::with_workers(shards).with_memo(Arc::clone(memo));
-                    opts.tracer = Arc::clone(tracer);
-                    let (env, _) = execute_implicit(&prog, &mut store, opts);
-                    let digest = digest_store(&prog.forest, &store, &roots, &env);
-                    (env, digest, shards)
-                }
-                _ => unreachable!(),
-            }
+                opts.tracer = Arc::clone(tracer);
+                execute_implicit(&prog, &mut store, opts).0
+            };
+            let digest = digest_store(&prog.forest, &store, &roots, &env);
+            return (env, digest, shards);
         }
         Strategy::Hybrid => {
             // Sequential segments have no epoch-boundary hook, so the
@@ -703,70 +686,38 @@ fn run_once(
             // boundary; replicated segments check the token (and the
             // deadline) at their own epoch boundaries.
             token.check_boundary(0, transient.unwrap_or(u64::MAX));
-            let mut hybrid =
-                replicate_ranges(prog, &CrOptions::new(shards)).expect("replicate_ranges");
-            let opts = ResilienceOptions {
-                checkpoint_interval: cfg.checkpoint_interval,
-                plan,
-                cancel: Some(token.clone()),
-                ..ResilienceOptions::default()
-            };
-            if let Some(fo) = failover {
-                let r = execute_hybrid_failover_traced(&mut hybrid, &mut store, &opts, fo, tracer);
-                let digest = digest_store(&hybrid.base.forest, &store, &roots, &r.run.env);
-                (r.run.env, digest, r.final_shards)
+            let hybrid = replicate_ranges(prog, &CrOptions::new(shards));
+            Compiled::Hybrid(hybrid.expect("replicate_ranges"))
+        }
+        Strategy::Spmd | Strategy::Log => {
+            let spmd = control_replicate(prog, &CrOptions::new(shards)).expect("control_replicate");
+            if matches!(spec.strategy, Strategy::Log) {
+                Compiled::Log(spmd)
             } else {
-                let r = execute_hybrid_resilient_traced(
-                    &hybrid,
-                    &mut store,
-                    &opts,
-                    hybrid_rescue,
-                    tracer,
-                );
-                let digest = digest_store(&hybrid.base.forest, &store, &roots, &r.env);
-                (r.env, digest, shards)
+                Compiled::Spmd(spmd)
             }
         }
-        Strategy::Spmd => {
-            let mut spmd =
-                control_replicate(prog, &CrOptions::new(shards)).expect("control_replicate");
-            let opts = ResilienceOptions {
-                checkpoint_interval: cfg.checkpoint_interval,
-                plan,
-                cancel: Some(token.clone()),
-                rescue: rescue.map(Arc::clone),
-                ..ResilienceOptions::default()
-            };
-            if let Some(fo) = failover {
-                let r = execute_spmd_failover_traced(&mut spmd, &mut store, &opts, fo, tracer);
-                let digest = digest_store(&spmd.forest, &store, &roots, &r.run.env);
-                (r.run.env, digest, r.final_shards)
-            } else {
-                let r = execute_spmd_resilient_traced(&spmd, &mut store, &opts, tracer);
-                let digest = digest_store(&spmd.forest, &store, &roots, &r.env);
-                (r.env, digest, shards)
-            }
+    };
+    let opts = RunOptions::traced(tracer).with_resilience(ResilienceOptions {
+        checkpoint_interval: cfg.checkpoint_interval,
+        plan,
+        cancel: Some(token.clone()),
+        rescue: Some(Arc::clone(rescue)),
+        ..ResilienceOptions::default()
+    });
+    let (r, final_shards) = match failover {
+        Some(fo) => {
+            let r = run_failover(compiled.as_mut(), &mut store, &opts, fo);
+            (r.run, r.final_shards)
         }
-        Strategy::Log => {
-            let mut spmd =
-                control_replicate(prog, &CrOptions::new(shards)).expect("control_replicate");
-            let opts = ResilienceOptions {
-                checkpoint_interval: cfg.checkpoint_interval,
-                plan,
-                cancel: Some(token.clone()),
-                ..ResilienceOptions::default()
-            };
-            if let Some(fo) = failover {
-                let r = execute_log_failover_traced(&mut spmd, &mut store, &opts, fo, tracer);
-                let digest = digest_store(&spmd.forest, &store, &roots, &r.run.env);
-                (r.run.env, digest, r.final_shards)
-            } else {
-                let r = execute_log_resilient_traced(&spmd, &mut store, &opts, tracer);
-                let digest = digest_store(&spmd.forest, &store, &roots, &r.env);
-                (r.env, digest, shards)
-            }
-        }
-    }
+        None => (run(compiled.as_ref(), &mut store, &opts), shards),
+    };
+    let forest = match &compiled {
+        Compiled::Spmd(spmd) | Compiled::Log(spmd) => &spmd.forest,
+        Compiled::Hybrid(hybrid) => &hybrid.base.forest,
+    };
+    let digest = digest_store(forest, &store, &roots, &r.env);
+    (r.env, digest, final_shards)
 }
 
 /// Order-dependent digest over the scalar environment and every root

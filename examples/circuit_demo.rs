@@ -13,7 +13,7 @@ use control_replication::apps::circuit::{
 };
 use control_replication::cr::{control_replicate, CrOptions};
 use control_replication::ir::{interp, Store};
-use control_replication::runtime::execute_spmd;
+use control_replication::runtime::{run, Compiled, RunOptions};
 
 fn main() {
     let pieces: usize = std::env::args()
@@ -71,7 +71,7 @@ fn main() {
     );
     let spmd = control_replicate(prog_c, &CrOptions::new(4)).expect("CR");
     for round in 1..=4 {
-        let r = execute_spmd(&spmd, &mut store);
+        let r = run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default());
         println!(
             "round {round}: spread {:.4}  ({} msgs, {} elements exchanged)",
             spread(&store, &spmd.forest, &h_c),
@@ -85,7 +85,7 @@ fn main() {
         let mut s2 = Store::new(&prog2);
         init_circuit(&prog2, &mut s2, &h2, &graph);
         let spmd2 = control_replicate(prog2, &CrOptions::new(4)).unwrap();
-        execute_spmd(&spmd2, &mut s2);
+        run(Compiled::Spmd(&spmd2), &mut s2, &RunOptions::default());
         spread(&s2, &spmd2.forest, &h2)
     };
     assert!(

@@ -16,7 +16,7 @@ use control_replication::ir::{
     interp, ProgramBuilder, RegionArg, RegionParam, Store, TaskDecl,
 };
 use control_replication::region::{ops, FieldSpace, FieldType, RegionId};
-use control_replication::runtime::execute_hybrid;
+use control_replication::runtime::{run, Compiled, RunOptions};
 use std::sync::Arc;
 
 const N: u64 = 4096;
@@ -121,12 +121,16 @@ fn main() {
             }
         }
     }
-    let result = execute_hybrid(&hybrid, &mut store);
+    let result = run(
+        Compiled::Hybrid(&hybrid),
+        &mut store,
+        &RunOptions::default(),
+    );
     println!(
         "ran {} replicated segments ({} SPMD tasks, {} msgs) and {} sequential task(s)",
         result.replicated_segments,
-        result.spmd_stats.tasks_executed,
-        result.spmd_stats.messages_sent,
+        result.stats.tasks_executed,
+        result.stats.messages_sent,
         result.sequential_tasks
     );
     assert_eq!(seq_env, result.env);

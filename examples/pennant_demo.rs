@@ -12,7 +12,7 @@ use control_replication::apps::pennant::{
 };
 use control_replication::cr::{control_replicate, CrOptions};
 use control_replication::ir::{interp, Store};
-use control_replication::runtime::execute_spmd;
+use control_replication::runtime::{run, Compiled, RunOptions};
 
 fn main() {
     let cfg = PennantConfig {
@@ -44,7 +44,7 @@ fn main() {
     let mut crs = Store::new(&prog_c);
     init_pennant(&prog_c, &mut crs, &h_c, &cfg, &mesh2);
     let spmd = control_replicate(prog_c, &CrOptions::new(4)).expect("CR");
-    let r = execute_spmd(&spmd, &mut crs);
+    let r = run(Compiled::Spmd(&spmd), &mut crs, &RunOptions::default());
     println!(
         "CR SPMD   : final t = {:.5}, final dt = {:.5} ({} collectives, {} msgs)",
         r.env[0], r.env[1], r.stats.collectives, r.stats.messages_sent

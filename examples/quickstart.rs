@@ -16,7 +16,7 @@ use control_replication::ir::{
     expr::c, interp, ProgramBuilder, RegionArg, RegionParam, Store, TaskDecl,
 };
 use control_replication::region::{ops, FieldSpace, FieldType, RegionId};
-use control_replication::runtime::execute_spmd;
+use control_replication::runtime::{run, Compiled, RunOptions};
 use std::sync::Arc;
 
 const N: u64 = 1 << 16; // elements per region
@@ -51,7 +51,7 @@ fn main() {
         spmd.stats.copies_inserted, spmd.stats.pairs_proven_disjoint,
     );
     let t1 = std::time::Instant::now();
-    let result = execute_spmd(&spmd, &mut cr_store);
+    let result = run(Compiled::Spmd(&spmd), &mut cr_store, &RunOptions::default());
     let t_cr = t1.elapsed();
     println!(
         "  shallow intersections: {:.2} ms, complete: {:.2} ms, {} exchange pairs",

@@ -16,7 +16,7 @@ use control_replication::apps::stencil::{
 use control_replication::cr::{control_replicate, CrOptions, ForestOracle};
 use control_replication::geometry::DynPoint;
 use control_replication::ir::{interp, Store};
-use control_replication::runtime::{execute_implicit, execute_spmd_traced, ImplicitOptions};
+use control_replication::runtime::{execute_implicit, run, Compiled, ImplicitOptions, RunOptions};
 use control_replication::trace::{ascii_timeline, validate, Tracer};
 use std::time::Instant;
 
@@ -70,7 +70,11 @@ fn main() {
     let spmd = control_replicate(prog_c, &CrOptions::new(4)).expect("CR");
     let tracer = Tracer::enabled();
     let t = Instant::now();
-    let r = execute_spmd_traced(&spmd, &mut crs, &tracer);
+    let r = run(
+        Compiled::Spmd(&spmd),
+        &mut crs,
+        &RunOptions::traced(&tracer),
+    );
     println!(
         "CR SPMD (4 sh)  : {:>8.1} ms  ({} tasks, {} msgs, {} halo elements)",
         t.elapsed().as_secs_f64() * 1e3,

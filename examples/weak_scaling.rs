@@ -10,7 +10,7 @@
 
 use control_replication::apps::{circuit, miniaero, pennant, stencil};
 use control_replication::machine::{
-    format_table, node_counts_to, simulate_cr, simulate_implicit, MachineConfig, ScalingSeries,
+    format_table, node_counts_to, simulate, MachineConfig, Model, ScalingSeries, SimOptions,
     TimestepSpec,
 };
 
@@ -56,8 +56,9 @@ fn main() {
         if crossover.is_none() && control_per_step > compute_per_step {
             crossover = Some(nodes);
         }
-        cr.push(nodes, simulate_cr(&machine, &spec, steps));
-        nocr.push(nodes, simulate_implicit(&machine, &spec, steps));
+        let run = |model| simulate(model, &machine, &spec, steps, &mut SimOptions::default());
+        cr.push(nodes, run(Model::Cr));
+        nocr.push(nodes, run(Model::Implicit));
     }
     println!("=== {app}: weak scaling (throughput per node) ===");
     println!("{}", format_table(&[cr.clone(), nocr.clone()]));

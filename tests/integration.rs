@@ -9,7 +9,7 @@ use control_replication::ir::{
     RegionParam, Store, TaskDecl,
 };
 use control_replication::region::{ops, FieldSpace, FieldType, RegionId};
-use control_replication::runtime::execute_spmd;
+use control_replication::runtime::{run, Compiled, RunOptions};
 use std::sync::Arc;
 
 /// A ring-shift program: every step, task i reads its right neighbour's
@@ -89,7 +89,7 @@ fn projected_arguments_normalize_and_replicate() {
         crs.fill_f64(&prog2, RegionId(0), cur2, |p| (p.coord(0) % 5) as f64);
         // control_replicate normalizes projections internally (§2.2).
         let spmd = control_replicate(prog2, &CrOptions::new(ns)).unwrap();
-        execute_spmd(&spmd, &mut crs);
+        run(Compiled::Spmd(&spmd), &mut crs, &RunOptions::default());
         let a = seq.instance(&prog, RegionId(0));
         let b = crs.instance_in(&spmd.forest, RegionId(0));
         for p in prog.forest.domain(RegionId(0)).iter() {
@@ -258,7 +258,7 @@ fn whole_region_read_argument_is_broadcast() {
         let mut crs = Store::new(&prog2);
         crs.fill_f64(&prog2, RegionId(0), x, |p| p.coord(0) as f64);
         let spmd = control_replicate(prog2, &CrOptions::new(ns)).unwrap();
-        execute_spmd(&spmd, &mut crs);
+        run(Compiled::Spmd(&spmd), &mut crs, &RunOptions::default());
         let a = seq.instance(&prog, RegionId(0));
         let bb = crs.instance_in(&spmd.forest, RegionId(0));
         for q in prog.forest.domain(RegionId(0)).iter() {
@@ -277,7 +277,6 @@ fn hybrid_range_local_replication_matches_sequential() {
     // scalar threading through all segments.
     use control_replication::cr::replicate_ranges;
     use control_replication::ir::expr::var;
-    use control_replication::runtime::execute_hybrid;
 
     let build = || {
         let mut b = ProgramBuilder::new();
@@ -347,7 +346,11 @@ fn hybrid_range_local_replication_matches_sequential() {
         store.fill_f64(&prog2, RegionId(0), x2, |q| (q.coord(0) % 7) as f64 - 3.0);
         let hybrid = replicate_ranges(prog2, &CrOptions::new(ns)).unwrap();
         assert_eq!(hybrid.num_replicated(), 2);
-        let result = execute_hybrid(&hybrid, &mut store);
+        let result = run(
+            Compiled::Hybrid(&hybrid),
+            &mut store,
+            &RunOptions::default(),
+        );
         assert_eq!(seq_env, result.env, "ns={ns}");
         assert_eq!(result.replicated_segments, 2);
         assert!(result.sequential_tasks >= 1);

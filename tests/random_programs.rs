@@ -22,6 +22,7 @@ use control_replication::ir::{
     expr::c, interp, Privilege, Program, ProgramBuilder, RegionArg, RegionParam, Store, TaskDecl,
 };
 use control_replication::region::{ops, FieldSpace, FieldType, ReductionOp, RegionId};
+use control_replication::runtime::{run, Compiled, RunOptions};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -231,7 +232,7 @@ proptest! {
         opts.optimize_placement = p.optimize_placement;
         opts.skip_disjoint_pairs = p.skip_disjoint;
         let spmd = control_replicate(prog2, &opts).expect("transform must succeed");
-        let result = control_replication::runtime::execute_spmd(&spmd, &mut crs);
+        let result = run(Compiled::Spmd(&spmd), &mut crs, &RunOptions::default());
         prop_assert_eq!(seq_env.clone(), result.env);
 
         // The implicitly parallel executor must agree as well (it
