@@ -6,21 +6,27 @@
 //!   broadcast to all shards." Fold order is shard-index order, which —
 //!   combined with block ownership — reproduces the sequential fold
 //!   order bit-for-bit.
-//! * [`ShardBarrier`] — a reusable lock-free barrier for the naive
-//!   synchronization mode (Fig. 4c): atomic arrival counter plus a
-//!   published generation word, with backoff parking instead of a
-//!   mutex/condvar rendezvous.
+//! * [`ShardBarrier`] — a reusable barrier for the naive
+//!   synchronization mode (Fig. 4c).
+//!
+//! Both are one lock-free rendezvous (`Rendezvous`): an arrival counter
+//! and a published generation word, with early arrivers waiting through
+//! the runtime's one wait primitive (`crate::wait`: spin briefly, then
+//! park) and the last arriver — or whoever poisons the rendezvous —
+//! waking them. The collective adds one padded contribution slot per
+//! shard and a result word around it.
 //!
 //! Both primitives expose their *generation* numbers (`*_counted`
 //! variants) so callers can record synchronization events the trace
 //! validator can correlate across shard event logs.
 
-use crate::ring::{Backoff, CachePadded};
+use crate::ring::CachePadded;
+use crate::wait::Waiters;
 use regent_fault::PeerDeath;
 use regent_region::{fnv1a, ReductionOp};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Duration;
 
 /// A checksum-framed collective contribution: the scalar's bit pattern
 /// plus an FNV-1a checksum computed by the producer *before* the value
@@ -75,22 +81,6 @@ pub fn hang_timeout() -> Duration {
     })
 }
 
-struct CollectiveState {
-    generation: u64,
-    arrived: usize,
-    /// Per-shard contributions for the current generation (folded in
-    /// shard order when complete, for determinism).
-    contributions: Vec<Option<f64>>,
-    result: f64,
-    /// Set when a participant died: every current and future waiter
-    /// unwinds with a diagnostic instead of blocking forever.
-    poisoned: bool,
-    /// Structured root cause of the poisoning, when known. First writer
-    /// wins: secondary failures cascading through the poison never
-    /// overwrite the original death.
-    cause: Option<PeerDeath>,
-}
-
 /// Renders a poison cause as a diagnostic suffix (`"" ` when unknown).
 fn cause_suffix(cause: &Option<PeerDeath>) -> String {
     match cause {
@@ -99,55 +89,184 @@ fn cause_suffix(cause: &Option<PeerDeath>) -> String {
     }
 }
 
-/// A reusable all-reduce over `n` participants.
-pub struct DynamicCollective {
+/// How a wait at a [`Rendezvous`] ended without the generation
+/// advancing.
+enum Stuck {
+    /// A participant died; the rendezvous will never complete.
+    Poisoned,
+    /// The hang timeout ran out.
+    TimedOut,
+}
+
+/// The reusable `n`-party rendezvous under [`ShardBarrier`] and
+/// [`DynamicCollective`].
+///
+/// Arrival is one `fetch_add` on a padded counter and the round is
+/// published through a generation word, so the per-round cost is two
+/// cache-line transfers; early arrivers wait on `waiters`, bounded by
+/// [`hang_timeout`].
+///
+/// Ordering argument: each arrival's `AcqRel` `fetch_add` reads the
+/// previous arrival's, so the last arriver happens-after every
+/// participant's pre-arrival writes; it then `Release`-stores the next
+/// generation, which every waiter `Acquire`-loads — making all
+/// pre-arrival writes, and whatever the last arriver wrote before
+/// releasing, visible to all post-rendezvous reads. The `arrived`
+/// counter is reset *before* the generation is published, and waiters
+/// never touch `arrived` while waiting, so re-entrant arrivals for the
+/// next round (which must first observe the new generation) always see
+/// the reset.
+///
+/// No wake-up is lost: the releaser publishes the generation and then
+/// calls [`Waiters::wake`], a waiter registers and then re-polls the
+/// generation (see `crate::wait`); `poison` does the same with the
+/// poison flag, so parked waiters unwind at once.
+struct Rendezvous {
     n: usize,
-    state: Mutex<CollectiveState>,
-    cv: Condvar,
+    generation: CachePadded<AtomicU64>,
+    arrived: CachePadded<AtomicUsize>,
+    poisoned: AtomicBool,
+    /// Structured root cause, written (once) before the `poisoned`
+    /// flag's release store so any waiter that observes the flag also
+    /// observes the cause. Off the hot path: only touched on death.
+    cause: Mutex<Option<PeerDeath>>,
+    waiters: Waiters,
+}
+
+impl Rendezvous {
+    fn new(n: usize) -> Self {
+        assert!(n > 0);
+        Rendezvous {
+            n,
+            generation: CachePadded(AtomicU64::new(0)),
+            arrived: CachePadded(AtomicUsize::new(0)),
+            poisoned: AtomicBool::new(false),
+            cause: Mutex::new(None),
+            waiters: Waiters::default(),
+        }
+    }
+
+    /// Marks the rendezvous dead and wakes every waiter. The first
+    /// recorded cause wins: secondary failures cascading through the
+    /// poison never overwrite the original death.
+    fn poison(&self, death: Option<PeerDeath>) {
+        if let Some(death) = death {
+            let mut c = self.cause.lock().unwrap_or_else(|e| e.into_inner());
+            if c.is_none() {
+                *c = Some(death);
+            }
+        }
+        self.poisoned.store(true, Ordering::Release);
+        self.waiters.wake();
+    }
+
+    fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
+    }
+
+    fn poisoned_by(&self) -> Option<PeerDeath> {
+        *self.cause.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The round an arrival now would belong to. Safe to read before
+    /// arriving: the generation cannot advance until all `n`
+    /// participants (including the caller) have arrived.
+    fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    /// Arrivals of the current round so far (for diagnostics).
+    fn arrived(&self) -> usize {
+        self.arrived.load(Ordering::Relaxed)
+    }
+
+    /// Arrives at round `my_gen`. The last arriver runs `complete`
+    /// (which sees every participant's pre-arrival writes), releases
+    /// the round and wakes the others; everyone else waits for that.
+    fn arrive(&self, my_gen: u64, complete: impl FnOnce()) -> Result<(), Stuck> {
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            complete();
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.store(my_gen + 1, Ordering::Release);
+            self.waiters.wake();
+            return Ok(());
+        }
+        self.waiters
+            .wait(hang_timeout(), || {
+                if self.generation.load(Ordering::Acquire) != my_gen {
+                    Some(Ok(()))
+                } else if self.is_poisoned() {
+                    Some(Err(Stuck::Poisoned))
+                } else {
+                    None
+                }
+            })
+            .unwrap_or(Err(Stuck::TimedOut))
+    }
+}
+
+/// One shard's contribution to the current round, on its own cache
+/// line so concurrent contributors never false-share.
+#[derive(Default)]
+struct Contribution {
+    /// The contributed scalar's `f64::to_bits` pattern.
+    bits: AtomicU64,
+    /// Round the slot was last filled for, plus one (0 = never): what
+    /// the double-contribution check reads.
+    filled: AtomicU64,
+}
+
+/// A reusable all-reduce over `n` participants.
+///
+/// Lock-free: shard `s` stores its value into slot `s` and arrives at
+/// the rendezvous; the last arriver folds slots `0..n` **in shard
+/// order** — the same left fold, over the same operands in the same
+/// order, whichever shard happens to arrive last, which is why the
+/// result is bit-identical under every arrival order — stores the
+/// result word, and releases the round.
+///
+/// Why the words are never torn or reused early: a slot store precedes
+/// its owner's arrival, and the last arriver's `fetch_add` acquires
+/// every earlier one, so the fold reads this round's `n` values. The
+/// result store precedes the generation's `Release` store, which every
+/// waiter `Acquire`-loads before reading the result. Round `g + 1`
+/// cannot complete — and overwrite the result or any slot the fold of
+/// round `g` still needed — before every participant has *left* round
+/// `g`, because each of them has to arrive again first.
+pub struct DynamicCollective {
+    round: Rendezvous,
+    slots: Box<[CachePadded<Contribution>]>,
+    /// Fold of the last completed round (`f64::to_bits`).
+    result: AtomicU64,
 }
 
 impl DynamicCollective {
     /// Creates a collective for `n` participants.
     pub fn new(n: usize) -> Self {
-        assert!(n > 0);
         DynamicCollective {
-            n,
-            state: Mutex::new(CollectiveState {
-                generation: 0,
-                arrived: 0,
-                contributions: vec![None; n],
-                result: 0.0,
-                poisoned: false,
-                cause: None,
-            }),
-            cv: Condvar::new(),
+            round: Rendezvous::new(n),
+            slots: (0..n).map(|_| CachePadded::default()).collect(),
+            result: AtomicU64::new(0),
         }
     }
 
     /// Marks the collective dead — called when a participating shard
-    /// panics so the survivors unwind instead of waiting forever on a
-    /// contribution that will never arrive.
+    /// panics so the survivors, parked ones included, unwind instead of
+    /// waiting forever on a contribution that will never arrive.
     pub fn poison(&self) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.poisoned = true;
-        self.cv.notify_all();
+        self.round.poison(None);
     }
 
     /// Like [`DynamicCollective::poison`], recording the structured
     /// root cause so survivors unwind with blame instead of a generic
     /// diagnostic. The first recorded cause wins.
     pub fn poison_with(&self, death: PeerDeath) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.poisoned = true;
-        if st.cause.is_none() {
-            st.cause = Some(death);
-        }
-        self.cv.notify_all();
+        self.round.poison(Some(death));
     }
 
     /// The structured cause of poisoning, when one was recorded.
     pub fn poisoned_by(&self) -> Option<PeerDeath> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).cause
+        self.round.poisoned_by()
     }
 
     /// Contributes `value` for `shard` and blocks until every
@@ -160,52 +279,41 @@ impl DynamicCollective {
     /// Like [`DynamicCollective::reduce`], also returning the
     /// generation number this contribution belonged to.
     pub fn reduce_counted(&self, shard: usize, value: f64, op: ReductionOp) -> (f64, u64) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st.poisoned {
+        if self.round.is_poisoned() {
             panic!(
                 "dynamic collective poisoned: a participating shard died{} (shard {shard} unwinding)",
-                cause_suffix(&st.cause)
+                cause_suffix(&self.round.poisoned_by())
             );
         }
-        let my_gen = st.generation;
-        debug_assert!(st.contributions[shard].is_none(), "double contribution");
-        st.contributions[shard] = Some(value);
-        st.arrived += 1;
-        if st.arrived == self.n {
-            // Last arriver folds in deterministic shard order and
-            // advances the generation.
-            let mut acc = st.contributions[0].take().unwrap();
-            for s in 1..self.n {
-                acc = op.fold(acc, st.contributions[s].take().unwrap());
-            }
-            st.result = acc;
-            st.arrived = 0;
-            st.generation += 1;
-            self.cv.notify_all();
-            return (acc, my_gen);
+        let my_gen = self.round.generation();
+        let slot = &self.slots[shard];
+        debug_assert_ne!(
+            slot.filled.swap(my_gen + 1, Ordering::Relaxed),
+            my_gen + 1,
+            "double contribution"
+        );
+        slot.bits.store(value.to_bits(), Ordering::Relaxed);
+        let fold = || {
+            let value =
+                |s: &CachePadded<Contribution>| f64::from_bits(s.bits.load(Ordering::Relaxed));
+            let acc = self.slots[1..]
+                .iter()
+                .fold(value(&self.slots[0]), |acc, s| op.fold(acc, value(s)));
+            self.result.store(acc.to_bits(), Ordering::Relaxed);
+        };
+        match self.round.arrive(my_gen, fold) {
+            Ok(()) => (f64::from_bits(self.result.load(Ordering::Relaxed)), my_gen),
+            Err(Stuck::Poisoned) => panic!(
+                "dynamic collective poisoned: a participating shard died{} (shard {shard} unwinding at generation {my_gen})",
+                cause_suffix(&self.round.poisoned_by())
+            ),
+            Err(Stuck::TimedOut) => panic!(
+                "likely deadlock: shard {shard} waited {:?} on collective generation {my_gen} ({}/{} contributions arrived)",
+                hang_timeout(),
+                self.round.arrived(),
+                self.round.n
+            ),
         }
-        while st.generation == my_gen {
-            let (guard, timeout) = self
-                .cv
-                .wait_timeout(st, hang_timeout())
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
-            if st.poisoned {
-                panic!(
-                    "dynamic collective poisoned: a participating shard died{} (shard {shard} unwinding at generation {my_gen})",
-                    cause_suffix(&st.cause)
-                );
-            }
-            if timeout.timed_out() && st.generation == my_gen {
-                panic!(
-                    "likely deadlock: shard {shard} waited {:?} on collective generation {my_gen} ({}/{} contributions arrived)",
-                    hang_timeout(),
-                    st.arrived,
-                    self.n
-                );
-            }
-        }
-        (st.result, my_gen)
     }
 
     /// Checksum-verified contribution: `make_frame(attempt)` produces
@@ -244,71 +352,40 @@ impl DynamicCollective {
     }
 }
 
-/// A reusable barrier over `n` participants.
-///
-/// Lock-free: arrival is one `fetch_add` on a padded counter and the
-/// epoch is published through a generation word, so the per-round cost
-/// is two cache-line transfers instead of a mutex/condvar rendezvous.
-/// Waiters park with [`Backoff`] (spin → yield → micro-sleep) bounded
-/// by [`hang_timeout`], and a poisoned flag preserves the unwinding
-/// diagnostics of the lock-based barrier it replaced.
-///
-/// Ordering argument: each arrival's `AcqRel` `fetch_add` reads the
-/// previous arrival's, so the last arriver happens-after every
-/// participant's pre-barrier writes; it then `Release`-stores the next
-/// generation, which every waiter `Acquire`-loads — making all
-/// pre-barrier writes visible to all post-barrier reads, transitively.
-/// The `arrived` counter is reset *before* the generation is
-/// published, and waiters never touch `arrived` while parked, so
-/// re-entrant arrivals for the next round (which must first observe
-/// the new generation) always see the reset.
+/// A reusable barrier over `n` participants: the bare rendezvous (see
+/// `Rendezvous` for the protocol and its ordering argument). Early
+/// arrivers spin briefly and then park, bounded by [`hang_timeout`];
+/// poisoning wakes them and preserves the unwinding diagnostics of the
+/// lock-based barrier this one replaced.
 pub struct ShardBarrier {
-    n: usize,
-    generation: CachePadded<AtomicU64>,
-    arrived: CachePadded<AtomicUsize>,
-    poisoned: AtomicBool,
-    /// Structured root cause, written (once) before the `poisoned`
-    /// flag's release store so any waiter that observes the flag also
-    /// observes the cause. Off the hot path: only touched on death.
-    cause: Mutex<Option<PeerDeath>>,
+    round: Rendezvous,
 }
 
 impl ShardBarrier {
     /// Creates a barrier for `n` participants.
     pub fn new(n: usize) -> Self {
-        assert!(n > 0);
         ShardBarrier {
-            n,
-            generation: CachePadded(AtomicU64::new(0)),
-            arrived: CachePadded(AtomicUsize::new(0)),
-            poisoned: AtomicBool::new(false),
-            cause: Mutex::new(None),
+            round: Rendezvous::new(n),
         }
     }
 
     /// Marks the barrier dead — called when a participating shard
-    /// panics so the survivors unwind with a diagnostic instead of
-    /// waiting forever for an arrival that will never come. Parked
-    /// waiters poll the flag, so no wakeup broadcast is needed.
+    /// panics so the survivors, parked ones included, unwind with a
+    /// diagnostic instead of waiting forever for an arrival that will
+    /// never come.
     pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
+        self.round.poison(None);
     }
 
     /// Like [`ShardBarrier::poison`], recording the structured root
     /// cause (first writer wins) so waiters unwind with blame.
     pub fn poison_with(&self, death: PeerDeath) {
-        {
-            let mut c = self.cause.lock().unwrap_or_else(|e| e.into_inner());
-            if c.is_none() {
-                *c = Some(death);
-            }
-        }
-        self.poisoned.store(true, Ordering::Release);
+        self.round.poison(Some(death));
     }
 
     /// The structured cause of poisoning, when one was recorded.
     pub fn poisoned_by(&self) -> Option<PeerDeath> {
-        *self.cause.lock().unwrap_or_else(|e| e.into_inner())
+        self.round.poisoned_by()
     }
 
     /// Blocks until all `n` participants have arrived.
@@ -319,45 +396,31 @@ impl ShardBarrier {
     /// Like [`ShardBarrier::wait`], returning the generation number
     /// this arrival belonged to.
     pub fn wait_counted(&self) -> u64 {
-        if self.poisoned.load(Ordering::Acquire) {
+        if self.round.is_poisoned() {
             panic!(
                 "shard barrier poisoned: a participating shard died{}",
-                cause_suffix(&self.poisoned_by())
+                cause_suffix(&self.round.poisoned_by())
             );
         }
-        if self.n == 1 {
+        if self.round.n == 1 {
             // Single-shard fast path: there is nobody to rendezvous
             // with — advance the generation and keep going.
-            return self.generation.fetch_add(1, Ordering::Relaxed);
+            return self.round.generation.fetch_add(1, Ordering::Relaxed);
         }
-        // Safe to read before arriving: the generation cannot advance
-        // until all `n` participants (including us) have arrived.
-        let my_gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation.store(my_gen + 1, Ordering::Release);
-            return my_gen;
+        let my_gen = self.round.generation();
+        match self.round.arrive(my_gen, || ()) {
+            Ok(()) => my_gen,
+            Err(Stuck::Poisoned) => panic!(
+                "shard barrier poisoned: a participating shard died{} (unwinding at generation {my_gen})",
+                cause_suffix(&self.round.poisoned_by())
+            ),
+            Err(Stuck::TimedOut) => panic!(
+                "likely deadlock: waited {:?} at barrier generation {my_gen} ({}/{} arrived)",
+                hang_timeout(),
+                self.round.arrived(),
+                self.round.n
+            ),
         }
-        let deadline = Instant::now() + hang_timeout();
-        let mut backoff = Backoff::new();
-        while self.generation.load(Ordering::Acquire) == my_gen {
-            if self.poisoned.load(Ordering::Acquire) {
-                panic!(
-                    "shard barrier poisoned: a participating shard died{} (unwinding at generation {my_gen})",
-                    cause_suffix(&self.poisoned_by())
-                );
-            }
-            if Instant::now() >= deadline {
-                panic!(
-                    "likely deadlock: waited {:?} at barrier generation {my_gen} ({}/{} arrived)",
-                    hang_timeout(),
-                    self.arrived.load(Ordering::Relaxed),
-                    self.n
-                );
-            }
-            backoff.snooze();
-        }
-        my_gen
     }
 }
 
@@ -378,6 +441,52 @@ mod tests {
             .collect();
         for h in handles {
             assert_eq!(h.join().unwrap(), 36.0);
+        }
+
+        // Contributions whose sum depends on the association: the left
+        // fold in shard order is 2.0, and e.g. (1e16 + -1e16) + (1 + 1)
+        // or any order that adds a 1.0 to 1e16 first is not. Every one
+        // of the 24 arrival orders — so every choice of last arriver,
+        // the shard that folds — must give the shard-order bits, and
+        // the generations must count 0, 1, 2, …
+        let vals = [1e16, -1e16, 1.0, 1.0];
+        let expect = vals[1..].iter().fold(vals[0], |a, &v| a + v);
+        assert_eq!(expect, 2.0);
+        assert_ne!((vals[0] + vals[2]) + (vals[1] + vals[3]), expect);
+        let c = DynamicCollective::new(4);
+        let mut generation = 0;
+        let mut order = [0usize, 1, 2, 3];
+        permutations(&mut order, 0, &mut |order| {
+            std::thread::scope(|scope| {
+                for (turn, &shard) in order.iter().enumerate() {
+                    let c = &c;
+                    scope.spawn(move || {
+                        // Arrive `turn`-th: wait until `turn` shards
+                        // are in (test-only peek at the counter).
+                        while c.round.arrived() != turn {
+                            std::hint::spin_loop();
+                        }
+                        let (sum, g) = c.reduce_counted(shard, vals[shard], ReductionOp::Add);
+                        assert_eq!(sum.to_bits(), expect.to_bits(), "arrival order {order:?}");
+                        assert_eq!(g, generation, "arrival order {order:?}");
+                    });
+                }
+            });
+            generation += 1;
+        });
+        assert_eq!(generation, 24);
+    }
+
+    /// Calls `f` with every permutation of `items[k..]` (Heap-free
+    /// recursive swap enumeration; order is irrelevant here).
+    fn permutations(items: &mut [usize; 4], k: usize, f: &mut impl FnMut(&[usize; 4])) {
+        if k == items.len() {
+            return f(items);
+        }
+        for i in k..items.len() {
+            items.swap(k, i);
+            permutations(items, k + 1, f);
+            items.swap(k, i);
         }
     }
 

@@ -27,15 +27,18 @@
 //! ## Consumption
 //!
 //! Consumers tail the log with a [`LogCursor`]: the published-batch
-//! count is a plain atomic, so lag polling is lock-free; the blocking
-//! [`LaunchLog::wait`] takes the log mutex only when the cursor has
-//! caught up. Batches are immutable once published (`Arc`-shared), so
-//! a cursor can be rewound — which is exactly how the shared-log
-//! executor replays after a rollback.
+//! count is a plain atomic, so lag polling is lock-free, and a cursor
+//! that has caught up blocks in [`LaunchLog::wait`] on that count
+//! through the runtime's one wait primitive (`crate::wait`), woken by
+//! the combiner's publish and by `seal`; the log mutex is taken only
+//! to fetch a batch. Batches are immutable once published
+//! (`Arc`-shared), so a cursor can be rewound — which is exactly how
+//! the shared-log executor replays after a rollback.
 
 use crate::collective::hang_timeout;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use crate::wait::Waiters;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// One published batch of log records. Immutable after publication.
 #[derive(Debug)]
@@ -56,11 +59,6 @@ pub struct Batch<T> {
     pub records: Vec<T>,
 }
 
-struct LogInner<T> {
-    batches: Vec<Arc<Batch<T>>>,
-    sealed: bool,
-}
-
 /// The shared launch log. See the module docs for the protocol.
 pub struct LaunchLog<T> {
     /// Per-producer publication slots.
@@ -68,11 +66,14 @@ pub struct LaunchLog<T> {
     /// Combiner exclusion: at most one thread drains the slots and
     /// appends at a time.
     combine: Mutex<()>,
-    inner: Mutex<LogInner<T>>,
-    cv: Condvar,
+    batches: Mutex<Vec<Arc<Batch<T>>>>,
     /// Published batch count, readable without the log mutex (the
     /// lock-free side of the consumer cursor).
     published: AtomicUsize,
+    /// Set by [`LaunchLog::seal`]: no further batch will be published.
+    sealed: AtomicBool,
+    /// Consumers blocked past the end of the log.
+    waiters: Waiters,
     /// Maximum records per published batch (`usize::MAX` ⇒ unlimited).
     max_batch: usize,
 }
@@ -88,12 +89,10 @@ impl<T> LaunchLog<T> {
         LaunchLog {
             slots: (0..producers).map(|_| Mutex::new(Vec::new())).collect(),
             combine: Mutex::new(()),
-            inner: Mutex::new(LogInner {
-                batches: Vec::new(),
-                sealed: false,
-            }),
-            cv: Condvar::new(),
+            batches: Mutex::new(Vec::new()),
             published: AtomicUsize::new(0),
+            sealed: AtomicBool::new(false),
+            waiters: Waiters::default(),
             max_batch: if max_batch == 0 {
                 usize::MAX
             } else {
@@ -146,14 +145,14 @@ impl<T> LaunchLog<T> {
         if n == 0 && step.is_none() {
             return 0;
         }
-        let mut inner = self.inner.lock().expect("launch-log lock poisoned");
-        assert!(!inner.sealed, "combine on a sealed launch log");
+        let mut batches = self.batches.lock().expect("launch-log lock poisoned");
+        assert!(!self.is_sealed(), "combine on a sealed launch log");
         let mut step = step;
         loop {
             let take = drained.len().min(self.max_batch);
             let rest = drained.split_off(take);
-            let index = inner.batches.len();
-            inner.batches.push(Arc::new(Batch {
+            let index = batches.len();
+            batches.push(Arc::new(Batch {
                 index,
                 epoch,
                 step: step.take(),
@@ -165,8 +164,9 @@ impl<T> LaunchLog<T> {
                 break;
             }
         }
-        self.published.store(inner.batches.len(), Ordering::Release);
-        self.cv.notify_all();
+        self.published.store(batches.len(), Ordering::Release);
+        drop(batches);
+        self.waiters.wake();
         n
     }
 
@@ -177,8 +177,8 @@ impl<T> LaunchLog<T> {
 
     /// The batch at `index` if already published (non-blocking).
     pub fn get(&self, index: usize) -> Option<Arc<Batch<T>>> {
-        let inner = self.inner.lock().expect("launch-log lock poisoned");
-        inner.batches.get(index).map(Arc::clone)
+        let batches = self.batches.lock().expect("launch-log lock poisoned");
+        batches.get(index).map(Arc::clone)
     }
 
     /// Blocks until the batch at `index` is published and returns it,
@@ -186,40 +186,32 @@ impl<T> LaunchLog<T> {
     /// Panics (a likely-deadlock diagnostic) after the global hang
     /// timeout, like every other blocking wait in the runtime.
     pub fn wait(&self, index: usize) -> Option<Arc<Batch<T>>> {
-        let mut inner = self.inner.lock().expect("launch-log lock poisoned");
-        loop {
-            if let Some(b) = inner.batches.get(index) {
-                return Some(Arc::clone(b));
-            }
-            if inner.sealed {
-                return None;
-            }
-            let (guard, timeout) = self
-                .cv
-                .wait_timeout(inner, hang_timeout())
-                .expect("launch-log lock poisoned");
-            inner = guard;
-            if timeout.timed_out() && inner.batches.get(index).is_none() && !inner.sealed {
-                panic!(
-                    "likely deadlock: log consumer waited {:?} for batch {index} \
-                     (sequencer stalled or died without sealing)",
-                    hang_timeout()
-                );
-            }
+        let settled = self.waiters.wait(hang_timeout(), || {
+            (self.published() > index || self.is_sealed()).then_some(())
+        });
+        if settled.is_none() {
+            panic!(
+                "likely deadlock: log consumer waited {:?} for batch {index} \
+                 (sequencer stalled or died without sealing)",
+                hang_timeout()
+            );
         }
+        // Published, or sealed short of `index`: the list is the
+        // authority either way (a seal follows its thread's last
+        // combine, so a batch published before the seal is in it).
+        self.get(index)
     }
 
     /// Seals the log: no further batches will be published, and every
     /// consumer blocked past the end wakes with `None`. Idempotent.
     pub fn seal(&self) {
-        let mut inner = self.inner.lock().expect("launch-log lock poisoned");
-        inner.sealed = true;
-        self.cv.notify_all();
+        self.sealed.store(true, Ordering::Release);
+        self.waiters.wake();
     }
 
     /// Whether the log is sealed.
     pub fn is_sealed(&self) -> bool {
-        self.inner.lock().expect("launch-log lock poisoned").sealed
+        self.sealed.load(Ordering::Acquire)
     }
 }
 

@@ -77,6 +77,7 @@ pub mod run;
 pub mod scrape;
 pub mod spmd_exec;
 mod team;
+mod wait;
 
 pub use cancel::CancelToken;
 pub use collective::{hang_timeout, DynamicCollective, FramedScalar, ShardBarrier};
@@ -104,7 +105,7 @@ pub use scrape::{fetch as fetch_metrics, start_env as start_scrape_env, ScrapeSe
 
 pub use ring::{
     copy_mesh, data_plane_from_env, pin_cores_enabled, pin_thread_to_core, ring, ring_cap_from_env,
-    Backoff, CachePadded, CopyRx, CopyTx, DataPlane, RingReceiver, RingSender, SendError,
+    CachePadded, CopyRx, CopyTx, DataPlane, RingReceiver, RingSender, SendError,
 };
 
 pub use regent_fault::{

@@ -35,10 +35,12 @@
 //! produced by `AllReduce` collectives exist only on the shards, so
 //! the sequencer publishes its pending segment (the shards cannot
 //! reach the collective otherwise), then blocks on a feedback channel
-//! from the designated shard 0, which sends each folded value exactly
-//! once (replays after a rollback are suppressed by the useful-work
-//! gate). The fold is bit-identical on every shard, so feeding the
-//! sequencer from shard 0 preserves replication.
+//! (a small SPSC [`ring`](mod@crate::ring), so both ends wait like
+//! every other SPMD-family thread) from the designated shard 0, which
+//! sends each folded value exactly once (replays after a rollback are
+//! suppressed by the useful-work gate). The fold is bit-identical on
+//! every shard, so feeding the sequencer from shard 0 preserves
+//! replication.
 //!
 //! ## Rollback
 //!
@@ -53,6 +55,7 @@ use crate::collective::hang_timeout;
 use crate::launch_log::{batch_limit_from_env, replicas_from_env, LaunchLog, LogCursor};
 use crate::memo::launch_sig;
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
+use crate::ring::{ring, RingReceiver, RingSender, SendError};
 use crate::run::{RunCtx, RunResult};
 use crate::spmd_exec::ShardExec;
 use crate::team::run_team;
@@ -64,9 +67,7 @@ use regent_region::RegionId;
 use regent_trace::{EventKind, OverlapOracle, TraceBuf};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Capacity of the shard-0 → sequencer scalar-feedback channel. The
 /// protocol sends exactly one folded value per `AllReduce` and the
@@ -76,6 +77,7 @@ use std::time::Instant;
 /// A full channel therefore means the sequencer has stopped consuming
 /// — the sender gives it one hang-timeout to drain, then declares a
 /// likely deadlock instead of blocking forever on an unbounded queue.
+/// A power of two: it is the feedback ring's capacity.
 const FEEDBACK_BOUND: usize = 4;
 
 /// One operation in the launch log: a leaf statement of the compiled
@@ -125,7 +127,7 @@ pub(crate) fn run_log(spmd: &SpmdProgram, store: &mut Store, ctx: RunCtx<'_>) ->
     let ns = spmd.num_shards;
     let n_replicas = replicas_from_env(ns);
     let log: LaunchLog<LogRecord<'_>> = LaunchLog::new(1, batch_limit_from_env());
-    let (fb_tx, fb_rx) = sync_channel::<f64>(FEEDBACK_BOUND);
+    let (fb_tx, fb_rx) = ring::<f64>(FEEDBACK_BOUND);
     // Only shard 0 holds the feedback sender, so its death disconnects
     // the sequencer instead of leaving it to time out.
     let fb_slot = Mutex::new(Some(fb_tx));
@@ -189,7 +191,7 @@ pub(crate) fn run_log(spmd: &SpmdProgram, store: &mut Store, ctx: RunCtx<'_>) ->
 struct Sequencer<'a, 'l> {
     spmd: &'a SpmdProgram,
     log: &'l LaunchLog<LogRecord<'a>>,
-    feedback: Receiver<f64>,
+    feedback: RingReceiver<f64>,
     env: Vec<f64>,
     epoch: u64,
     loop_depth: u32,
@@ -447,32 +449,20 @@ fn analyze_batch(
 }
 
 /// Sends one folded `AllReduce` value to the sequencer over the
-/// bounded feedback channel, giving a stalled sequencer one hang
-/// timeout to drain the backlog before declaring a likely deadlock
-/// (`std` sync channels have no `send_timeout`, so this polls
-/// `try_send` against a deadline).
-fn send_feedback(fb: &SyncSender<f64>, var: u32, value: f64) {
-    let deadline = Instant::now() + hang_timeout();
-    let mut v = value;
-    loop {
-        match fb.try_send(v) {
-            Ok(()) => return,
-            Err(TrySendError::Disconnected(_)) => {
-                panic!("sequencer died before the run finished (feedback channel disconnected)")
-            }
-            Err(TrySendError::Full(back)) => {
-                if Instant::now() >= deadline {
-                    panic!(
-                        "likely deadlock: shard 0 waited {:?} to feed back AllReduce scalar {} — \
-                         feedback channel full ({FEEDBACK_BOUND} pending), sequencer stalled",
-                        hang_timeout(),
-                        var
-                    );
-                }
-                v = back;
-                std::thread::yield_now();
-            }
+/// bounded feedback ring, giving a stalled sequencer one hang timeout
+/// to drain the backlog before declaring a likely deadlock.
+fn send_feedback(fb: &mut RingSender<f64>, var: u32, value: f64) {
+    match fb.send(value) {
+        Ok(_) => {}
+        Err(SendError::Closed(_)) => {
+            panic!("sequencer died before the run finished (feedback channel disconnected)")
         }
+        Err(SendError::Full(_)) => panic!(
+            "likely deadlock: shard 0 waited {:?} to feed back AllReduce scalar {} — \
+             feedback channel full ({FEEDBACK_BOUND} pending), sequencer stalled",
+            hang_timeout(),
+            var
+        ),
     }
 }
 
@@ -483,7 +473,7 @@ fn run_shard_driver(
     log: &LaunchLog<LogRecord<'_>>,
     replica: u32,
     mut analysis: Option<&mut ReplicaAnalysis<'_>>,
-    fb: Option<SyncSender<f64>>,
+    mut fb: Option<RingSender<f64>>,
 ) -> u64 {
     let mut cursor = LogCursor::new();
     let mut max_lag = 0u64;
@@ -518,7 +508,7 @@ fn run_shard_driver(
         }
         for rec in &batch.records {
             exec.run_stmt(rec.stmt);
-            if let (Some(fb), SpmdStmt::AllReduce { var, .. }) = (&fb, rec.stmt) {
+            if let (Some(fb), SpmdStmt::AllReduce { var, .. }) = (&mut fb, rec.stmt) {
                 // Designated feedback shard: return the folded value
                 // to the sequencer — once per logical collective (the
                 // useful-work gate suppresses post-rollback replays).

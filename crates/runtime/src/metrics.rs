@@ -96,11 +96,15 @@ pub enum Counter {
     /// Exchange schedules built: a run that finds its program's
     /// schedule already cached adds nothing here.
     ScheduleBuilds,
+    /// Instance columns rehashed at a write-completion point (launch
+    /// completion, the end of a copy statement, reduction-temp reset)
+    /// by the integrity layer.
+    ColumnSeals,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 34;
+    pub const COUNT: usize = 35;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -138,6 +142,7 @@ impl Counter {
         Counter::PeerDeaths,
         Counter::MembershipShrinks,
         Counter::ScheduleBuilds,
+        Counter::ColumnSeals,
     ];
 
     /// Stable snake_case name (used in exports).
@@ -177,6 +182,7 @@ impl Counter {
             Counter::PeerDeaths => "peer_deaths",
             Counter::MembershipShrinks => "membership_shrinks",
             Counter::ScheduleBuilds => "schedule_builds",
+            Counter::ColumnSeals => "column_seals",
         }
     }
 
@@ -217,6 +223,7 @@ impl Counter {
             Counter::PeerDeaths => "Shard deaths observed by the failover driver",
             Counter::MembershipShrinks => "Membership epochs committed (one eviction each)",
             Counter::ScheduleBuilds => "Exchange schedules built (cache misses)",
+            Counter::ColumnSeals => "Instance columns rehashed at write-completion points",
         }
     }
 

@@ -27,10 +27,22 @@
 //!   one per message. The executors flush before entering a consumer
 //!   phase (and `push` self-flushes when the ring fills or the batch
 //!   bound is hit), so a peer never waits on an unpublished frame.
-//! * **Parking** — waits spin briefly, then yield, then sleep in short
-//!   slices ([`Backoff`]); every blocking wait is bounded by
-//!   [`crate::collective::hang_timeout`] exactly like the channel path
-//!   (`REGENT_HANG_TIMEOUT_MS`).
+//! * **Parking** — a consumer on an empty ring and a producer on a
+//!   full one wait through the runtime's one wait primitive
+//!   (`crate::wait`): poll for a few microseconds, then register and
+//!   park on std's futex-backed parker. Each half wakes the other:
+//!   [`RingSender::flush`] and the sender's drop wake the consumer,
+//!   the consumer's pops and its drop wake a producer parked on a full
+//!   ring. No wake-up is lost: the waker does *store `tail` (or
+//!   `head`) → `SeqCst` fence → if the peer is registered, `unpark`*,
+//!   the waiter *register → `SeqCst` fence → re-poll*, and the two
+//!   fences are totally ordered, so either the waker sees the
+//!   registration or the waiter sees the publication. That fence is
+//!   what a `flush` and a pop cost beyond the Lamport queue when nobody
+//!   is parked — one per published batch and one per message taken;
+//!   [`RingSender::push`] stays fence-free. Every blocking wait stays
+//!   bounded by [`crate::collective::hang_timeout`] exactly like the
+//!   channel path (`REGENT_HANG_TIMEOUT_MS`).
 //! * **Disconnect semantics** — dropping the sender (including during a
 //!   panic unwind) flushes pending slots and seals the ring: the
 //!   consumer drains what was published, then sees `Disconnected` —
@@ -47,9 +59,10 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::collective::hang_timeout;
+use crate::wait::Waiters;
 
 /// Pads (and aligns) a value to a cache line so two adjacent atomics
 /// never share one — the producer hammers `tail`, the consumer `head`,
@@ -72,37 +85,6 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
     }
 }
 
-/// Exponential backoff for lock-free waits: spin with a hint first
-/// (the common case is nanoseconds), then yield the timeslice, then
-/// sleep in short slices so an oversubscribed machine still makes
-/// progress. Deliberately futex-free: the workspace has no libc
-/// dependency, and the hang-timeout bound keeps the worst case finite.
-#[derive(Debug, Default)]
-pub struct Backoff {
-    step: u32,
-}
-
-impl Backoff {
-    /// A fresh (fully spinning) backoff.
-    pub fn new() -> Self {
-        Backoff { step: 0 }
-    }
-
-    /// Waits a little longer than the previous call.
-    pub fn snooze(&mut self) {
-        if self.step < 7 {
-            for _ in 0..(1u32 << self.step) {
-                std::hint::spin_loop();
-            }
-        } else if self.step < 12 {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        self.step = self.step.saturating_add(1);
-    }
-}
-
 /// The shared core of one SPSC ring.
 struct RingCore<T> {
     /// `capacity - 1`; capacity is a power of two.
@@ -117,6 +99,12 @@ struct RingCore<T> {
     tx_alive: AtomicBool,
     /// Cleared when the receiver drops.
     rx_alive: AtomicBool,
+    /// The consumer, parked on an empty ring: woken by `flush` and by
+    /// the sender's drop.
+    rx_waiters: Waiters,
+    /// The producer, parked on a full ring: woken by the consumer's
+    /// pops and by the receiver's drop.
+    tx_waiters: Waiters,
 }
 
 // SAFETY: the sender and receiver halves hand `T`s across threads
@@ -183,20 +171,18 @@ impl<T: Send> RingSender<T> {
                 // then wait for a slot.
                 self.flush();
                 stalled = true;
-                let deadline = Instant::now() + hang_timeout();
-                let mut b = Backoff::new();
-                loop {
-                    if !self.core.rx_alive.load(Ordering::Acquire) {
-                        return Err(SendError::Closed(v));
+                let (core, local_tail) = (&*self.core, self.local_tail);
+                let freed = core.tx_waiters.wait(hang_timeout(), || {
+                    if !core.rx_alive.load(Ordering::Acquire) {
+                        return Some(None);
                     }
-                    self.cached_head = self.core.head.load(Ordering::Acquire);
-                    if self.local_tail - self.cached_head < cap {
-                        break;
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(SendError::Full(v));
-                    }
-                    b.snooze();
+                    let head = core.head.load(Ordering::Acquire);
+                    (local_tail - head < cap).then_some(Some(head))
+                });
+                match freed {
+                    Some(Some(head)) => self.cached_head = head,
+                    Some(None) => return Err(SendError::Closed(v)),
+                    None => return Err(SendError::Full(v)),
                 }
             }
         }
@@ -208,11 +194,13 @@ impl<T: Send> RingSender<T> {
         Ok(stalled)
     }
 
-    /// Publishes every pending push with a single `Release` store.
+    /// Publishes every pending push with a single `Release` store,
+    /// then wakes the consumer if it is parked.
     pub fn flush(&mut self) {
         if self.local_tail != self.published {
             self.core.tail.0.store(self.local_tail, Ordering::Release);
             self.published = self.local_tail;
+            self.core.rx_waiters.wake();
         }
     }
 
@@ -236,6 +224,8 @@ impl<T> Drop for RingSender<T> {
             self.core.tail.0.store(self.local_tail, Ordering::Release);
         }
         self.core.tx_alive.store(false, Ordering::Release);
+        // A parked consumer learns of the death now.
+        self.core.rx_waiters.wake();
     }
 }
 
@@ -251,18 +241,7 @@ pub struct RingReceiver<T> {
 impl<T: Send> RingReceiver<T> {
     /// Takes the next published element, if any.
     pub fn try_recv(&mut self) -> Option<T> {
-        if self.local_head == self.cached_tail {
-            self.cached_tail = self.core.tail.0.load(Ordering::Acquire);
-            if self.local_head == self.cached_tail {
-                return None;
-            }
-        }
-        let v = unsafe {
-            (*self.core.slots[self.local_head & self.core.mask].get()).assume_init_read()
-        };
-        self.local_head += 1;
-        self.core.head.0.store(self.local_head, Ordering::Release);
-        Some(v)
+        pop(&self.core, &mut self.local_head, &mut self.cached_tail)
     }
 
     /// Blocks for the next element, up to `timeout`. Mirrors
@@ -273,28 +252,55 @@ impl<T: Send> RingReceiver<T> {
         if let Some(v) = self.try_recv() {
             return Ok(v);
         }
-        let deadline = Instant::now() + timeout;
-        let mut b = Backoff::new();
-        loop {
-            if let Some(v) = self.try_recv() {
-                return Ok(v);
-            }
-            if !self.core.tx_alive.load(Ordering::Acquire) {
-                // The sender's final publish happened-before the seal
-                // we just observed; one more look drains it.
-                return self.try_recv().ok_or(RecvTimeoutError::Disconnected);
-            }
-            if Instant::now() >= deadline {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            b.snooze();
+        let RingReceiver {
+            core,
+            local_head,
+            cached_tail,
+        } = self;
+        let core: &RingCore<T> = core;
+        core.rx_waiters
+            .wait(timeout, || {
+                if let Some(v) = pop(core, local_head, cached_tail) {
+                    return Some(Ok(v));
+                }
+                if !core.tx_alive.load(Ordering::Acquire) {
+                    // The sender's final publish happened-before the
+                    // seal we just observed; one more look drains it.
+                    return Some(
+                        pop(core, local_head, cached_tail).ok_or(RecvTimeoutError::Disconnected),
+                    );
+                }
+                None
+            })
+            .unwrap_or(Err(RecvTimeoutError::Timeout))
+    }
+}
+
+/// The consumer's pop, over the receiver's fields one by one so that a
+/// wait can poll it while borrowing the core for its waiter set.
+fn pop<T>(core: &RingCore<T>, local_head: &mut usize, cached_tail: &mut usize) -> Option<T> {
+    if *local_head == *cached_tail {
+        *cached_tail = core.tail.0.load(Ordering::Acquire);
+        if *local_head == *cached_tail {
+            return None;
         }
     }
+    // SAFETY: `[head, tail)` is published and only this (the one)
+    // consumer reads it; the `Acquire` load of `tail` above makes the
+    // producer's slot write visible, and the slot is not reused until
+    // the `Release` store of `head` below.
+    let v = unsafe { (*core.slots[*local_head & core.mask].get()).assume_init_read() };
+    *local_head += 1;
+    core.head.0.store(*local_head, Ordering::Release);
+    core.tx_waiters.wake();
+    Some(v)
 }
 
 impl<T> Drop for RingReceiver<T> {
     fn drop(&mut self) {
         self.core.rx_alive.store(false, Ordering::Release);
+        // A producer parked on a full ring fails its send now.
+        self.core.tx_waiters.wake();
         // Undelivered elements are dropped by `RingCore::drop` once
         // the sender's Arc is gone too.
     }
@@ -315,6 +321,8 @@ pub fn ring<T: Send>(capacity: usize) -> (RingSender<T>, RingReceiver<T>) {
         tail: CachePadded(AtomicUsize::new(0)),
         tx_alive: AtomicBool::new(true),
         rx_alive: AtomicBool::new(true),
+        rx_waiters: Waiters::default(),
+        tx_waiters: Waiters::default(),
     });
     (
         RingSender {

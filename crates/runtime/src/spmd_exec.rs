@@ -775,17 +775,16 @@ fn allocate_shard_data(spmd: &SpmdProgram, shard: usize, store: &Store) -> Shard
         match decl.base {
             UseBase::Part(p) => {
                 for &c in spmd.owned_colors(decl.domain, shard) {
-                    let sub = spmd.forest.subregion(p, c);
-                    let dom = spmd.forest.domain(sub).clone();
+                    let dom = spmd.forest.domain(spmd.forest.subregion(p, c));
                     let mut inst = Instance::new(dom.clone(), fields_space);
-                    copy_fields(root_inst, &mut inst, &decl.fields, &dom);
+                    copy_fields(root_inst, &mut inst, &decl.fields, dom);
                     insts.insert(InstKey::UsePart(u as u32, c), inst);
                 }
             }
             UseBase::Whole(r) => {
-                let dom = spmd.forest.domain(r).clone();
+                let dom = spmd.forest.domain(r);
                 let mut inst = Instance::new(dom.clone(), fields_space);
-                copy_fields(root_inst, &mut inst, &decl.fields, &dom);
+                copy_fields(root_inst, &mut inst, &decl.fields, dom);
                 insts.insert(InstKey::UseWhole(u as u32, shard as u32), inst);
             }
         }
@@ -868,6 +867,38 @@ pub(crate) struct ShardExec<'a> {
     /// message buffers back, producers draw from it instead of
     /// allocating (halo traffic is symmetric, so the two balance).
     pub(crate) pool: ChunkPool,
+    /// Per-statement scratch, cleared and reused so the steady state
+    /// allocates nothing per launch or copy (never read across
+    /// statements).
+    scratch: Scratch<'a>,
+}
+
+/// See [`ShardExec::scratch`].
+#[derive(Default)]
+struct Scratch<'a> {
+    /// A launch's evaluated scalar arguments.
+    scalar_args: Vec<f64>,
+    /// One point task's bound arguments; emptied as soon as the kernel
+    /// returns, so no instance pointer outlives its call.
+    slots: Vec<ArgSlot<'a>>,
+    /// Instances a launch held with a mutating privilege, with the
+    /// declared fields to re-seal once it completes.
+    reseal: Vec<(InstKey, &'a [FieldId])>,
+    /// Destination instances a copy statement applied into, re-sealed
+    /// once after its last pair.
+    applied: Vec<InstKey>,
+    /// A copy statement's outbound payloads under the integrity
+    /// protocol, staged so one bracket checksums them all.
+    outbox: Vec<Outbound>,
+}
+
+/// One staged outbound payload (see [`Scratch::outbox`]).
+struct Outbound {
+    pair_seq: u32,
+    occurrence: u32,
+    dst: usize,
+    checksum: u64,
+    chunks: Vec<Chunk>,
 }
 
 impl<'a> ShardExec<'a> {
@@ -916,6 +947,7 @@ impl<'a> ShardExec<'a> {
             resilience: resilience.map(Resilience::new),
             outer_loop_seq: 0,
             pool: ChunkPool::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -1034,31 +1066,27 @@ impl<'a> ShardExec<'a> {
 
     fn reset_temp(&mut self, t: TempId) {
         let decl = &self.spmd.temps[t.0 as usize];
-        let keys: Vec<InstKey> = match decl.base {
-            UseBase::Part(_) => self
-                .spmd
-                .owned_colors(decl.domain, self.shard)
-                .iter()
-                .map(|&c| InstKey::TempPart(t.0, c))
-                .collect(),
-            UseBase::Whole(_) => vec![InstKey::TempWhole(t.0, self.shard as u32)],
+        let shard = self.shard;
+        let keys = temp_keys(self.spmd, t, shard);
+        let missing = |k: InstKey| -> ! {
+            panic!("shard {shard}: reduction temporary {k:?} missing (allocation out of sync)")
         };
-        let integrity = self.integrity_on();
-        for k in keys {
-            let inst = self.data.insts.get_mut(&k).unwrap_or_else(|| {
-                panic!(
-                    "shard {}: reduction temporary {k:?} missing (allocation out of sync)",
-                    self.shard
-                )
-            });
+        for k in keys.clone() {
+            let inst = self.data.insts.get_mut(&k).unwrap_or_else(|| missing(k));
             for &f in &decl.fields {
                 inst.fill_field(f, decl.op);
             }
-            if integrity {
-                let m0 = self.mx.start_cpu();
+        }
+        if self.integrity_on() {
+            let m0 = self.mx.start_cpu();
+            let mut sealed = 0;
+            for k in keys {
+                let inst = self.data.insts.get_mut(&k).unwrap_or_else(|| missing(k));
                 inst.seal_fields(&decl.fields);
-                self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+                sealed += decl.fields.len() as u64;
             }
+            self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+            self.mx.add(Counter::ColumnSeals, sealed);
         }
     }
 
@@ -1125,40 +1153,40 @@ impl<'a> ShardExec<'a> {
     }
 
     fn run_launch(&mut self, l: &SpmdLaunch) {
-        let decl = self.spmd.task(l.task);
+        let spmd = self.spmd;
+        let decl = spmd.task(l.task);
         let launch = self.launch_seq;
         self.launch_seq += 1;
-        let scalar_args: Vec<f64> = l.scalar_args.iter().map(|e| e.eval(&self.env)).collect();
-        let owned: Vec<DynPoint> = self.spmd.owned_colors(l.domain, self.shard).to_vec();
+        self.scratch.scalar_args.clear();
+        self.scratch
+            .scalar_args
+            .extend(l.scalar_args.iter().map(|e| e.eval(&self.env)));
+        let owned = spmd.owned_colors(l.domain, self.shard);
         // This shard's points start at the block offset within the
         // launch domain — the cross-shard `pos` identity.
-        let domain_len = self.spmd.launch_domains[l.domain.0 as usize].len();
-        let (block_start, _) = block_range(domain_len, self.spmd.num_shards, self.shard);
+        let domain_len = spmd.launch_domains[l.domain.0 as usize].len();
+        let (block_start, _) = block_range(domain_len, spmd.num_shards, self.shard);
         let integrity = self.integrity_on();
         // Instances held with a mutating privilege: the written fields
         // are re-sealed once the launch completes (task completion
         // makes their contents the new checksummed truth). Only the
         // declared fields are rehashed — untouched columns keep their
         // still-valid seals.
-        let mut reseal: Vec<(InstKey, Vec<FieldId>)> = Vec::new();
+        self.scratch.reseal.clear();
         let mut reduced: Option<f64> = None;
-        for (local_idx, c) in owned.into_iter().enumerate() {
+        for (local_idx, &c) in owned.iter().enumerate() {
             let pos = (block_start + local_idx) as u32;
             // Resolve argument instances and domains.
-            let mut slots: Vec<ArgSlot> = Vec::with_capacity(l.args.len());
             for (idx, a) in l.args.iter().enumerate() {
                 let param = &decl.params[idx];
                 let (key, domain, region) = self.arg_key_domain(a, c);
                 if integrity && !matches!(param.privilege, Privilege::Read) {
-                    match reseal.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, fs)) => {
-                            for f in &param.fields {
-                                if !fs.contains(f) {
-                                    fs.push(*f);
-                                }
-                            }
-                        }
-                        None => reseal.push((key, param.fields.clone())),
+                    // An instance reached through two arguments is
+                    // listed once per distinct field list (disjoint, or
+                    // the launch would alias a write).
+                    let entry = (key, &param.fields[..]);
+                    if !self.scratch.reseal.contains(&entry) {
+                        self.scratch.reseal.push(entry);
                     }
                 }
                 let inst: *mut Instance = self
@@ -1177,10 +1205,13 @@ impl<'a> ShardExec<'a> {
                     });
                 }
                 // SAFETY: shard-local instances that outlive the kernel
-                // call (the map is not touched until it returns); one
-                // kernel runs at a time on this thread; slots that
-                // alias are what `TaskCtx`'s `Cell`-style views are for.
-                slots.push(unsafe { ArgSlot::new(domain, param.privilege, &param.fields, inst) });
+                // call (the map is not touched until it returns, and
+                // the slots are dropped right after it); one kernel
+                // runs at a time on this thread; slots that alias are
+                // what `TaskCtx`'s `Cell`-style views are for.
+                self.scratch
+                    .slots
+                    .push(unsafe { ArgSlot::new(domain, param.privilege, &param.fields, inst) });
             }
             self.tb.instant(EventKind::TaskLaunch {
                 launch,
@@ -1188,10 +1219,12 @@ impl<'a> ShardExec<'a> {
                 task: l.task.0,
             });
             self.mx.incr(Counter::Launches);
-            let mut ctx = TaskCtx::new(&slots, &scalar_args, c);
+            let mut ctx = TaskCtx::new(&self.scratch.slots, &self.scratch.scalar_args, c);
             let t0 = self.tb.now();
             let m0 = self.mx.start();
             (decl.kernel)(&mut ctx);
+            let returned = ctx.return_value;
+            self.scratch.slots.clear();
             self.mx.incr(Counter::TaskRuns);
             self.mx.record_since(m0, Timer::TaskRunNs);
             self.tb.span_since(
@@ -1206,25 +1239,26 @@ impl<'a> ShardExec<'a> {
                 self.stats.tasks_executed += 1;
             }
             if let Some((_, op)) = l.reduce_result {
-                let v = ctx
-                    .return_value
-                    .unwrap_or_else(|| panic!("task {} returned no value", decl.name));
+                let v = returned.unwrap_or_else(|| panic!("task {} returned no value", decl.name));
                 reduced = Some(match reduced {
                     None => v,
                     Some(acc) => op.fold(acc, v),
                 });
             }
         }
-        if !reseal.is_empty() {
+        if !self.scratch.reseal.is_empty() {
             let m0 = self.mx.start_cpu();
-            for (key, fields) in reseal {
+            let mut sealed = 0;
+            for &(key, fields) in &self.scratch.reseal {
                 self.data
                     .insts
                     .get_mut(&key)
                     .expect("resealing an instance the launch just accessed")
-                    .seal_fields(&fields);
+                    .seal_fields(fields);
+                sealed += fields.len() as u64;
             }
             self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+            self.mx.add(Counter::ColumnSeals, sealed);
         }
         if let Some((var, op)) = l.reduce_result {
             // Local partial; the AllReduce emitted right after this
@@ -1355,7 +1389,13 @@ impl<'a> ShardExec<'a> {
                     self.stats.elements_sent += p.src_offsets.len() as u64;
                 }
                 if integrity {
-                    self.send_framed(c.id, seq as u32, occurrence, p.dst_owner, chunks);
+                    self.scratch.outbox.push(Outbound {
+                        pair_seq: seq as u32,
+                        occurrence,
+                        dst: p.dst_owner,
+                        checksum: 0,
+                        chunks,
+                    });
                 } else {
                     let stalled = push_frame(
                         &mut self.tx[p.dst_owner],
@@ -1378,6 +1418,22 @@ impl<'a> ShardExec<'a> {
             }
             self.mx.incr(Counter::CopiesIssued);
             self.mx.record_since(m0, Timer::CopyIssueNs);
+        }
+        if !self.scratch.outbox.is_empty() {
+            // The statement's frames are checksummed together: the
+            // integrity timer reads the thread CPU clock, a system call
+            // at each end of a bracket, so it brackets the phase and
+            // not each frame.
+            let m0 = self.mx.start_cpu();
+            for out in &mut self.scratch.outbox {
+                out.checksum = chunks_checksum(&out.chunks);
+            }
+            self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+            let mut outbox = std::mem::take(&mut self.scratch.outbox);
+            for out in outbox.drain(..) {
+                self.send_framed(c.id, out);
+            }
+            self.scratch.outbox = outbox;
         }
         // Publish every batched frame before blocking in the consumer
         // phase: a peer must never wait on a written-but-unpublished
@@ -1484,7 +1540,7 @@ impl<'a> ShardExec<'a> {
                     self.shard, c.id.0
                 )
             };
-            let dst = match chunks {
+            match chunks {
                 Some(chunks) => {
                     let dst = self
                         .data
@@ -1496,7 +1552,6 @@ impl<'a> ShardExec<'a> {
                     // producer side draws from — steady state
                     // allocates nothing.
                     recycle_chunks(&mut self.pool, chunks);
-                    dst
                 }
                 None => {
                     // Source and destination are instances of different
@@ -1505,15 +1560,10 @@ impl<'a> ShardExec<'a> {
                     let src = src.unwrap_or_else(|| missing(&p.src_key));
                     let dst = dst.unwrap_or_else(|| missing(&p.dst_key));
                     apply_local(src, dst, &c.fields, p, c.reduction);
-                    dst
                 }
-            };
+            }
             if integrity {
-                // The applied data is verified; the written columns
-                // become authoritative again.
-                let m0 = self.mx.start_cpu();
-                dst.seal_fields(&c.fields);
-                self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+                self.scratch.applied.push(p.dst_key);
             }
             self.mx.incr(Counter::CopiesApplied);
             self.mx.record_since(m0, Timer::CopyWaitNs);
@@ -1535,6 +1585,25 @@ impl<'a> ShardExec<'a> {
                 );
             }
         }
+        if !self.scratch.applied.is_empty() {
+            // The applied data is verified; the written columns become
+            // authoritative again. Seals are only read at epoch
+            // boundaries, so each destination is rehashed once, after
+            // the statement's last pair, however many pairs wrote it.
+            self.scratch.applied.sort_unstable();
+            self.scratch.applied.dedup();
+            let sealed = (self.scratch.applied.len() * c.fields.len()) as u64;
+            let m0 = self.mx.start_cpu();
+            for key in self.scratch.applied.drain(..) {
+                self.data
+                    .insts
+                    .get_mut(&key)
+                    .expect("resealing an instance a pair was just applied to")
+                    .seal_fields(&c.fields);
+            }
+            self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+            self.mx.add(Counter::ColumnSeals, sealed);
+        }
     }
 
     /// Sends one logical exchange payload under the integrity
@@ -1543,17 +1612,14 @@ impl<'a> ShardExec<'a> {
     /// (sender-proactive retransmission — the corruption predicate is
     /// pure and shared, so no acknowledgement channel exists; the
     /// consumer receives until a frame verifies).
-    fn send_framed(
-        &mut self,
-        copy: CopyId,
-        seq: u32,
-        occurrence: u32,
-        dst: usize,
-        chunks: Vec<Chunk>,
-    ) {
-        let m0 = self.mx.start_cpu();
-        let checksum = chunks_checksum(&chunks);
-        self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+    fn send_framed(&mut self, copy: CopyId, out: Outbound) {
+        let Outbound {
+            pair_seq: seq,
+            occurrence,
+            dst,
+            checksum,
+            chunks,
+        } = out;
         let r = self
             .resilience
             .as_ref()
@@ -2018,6 +2084,24 @@ impl<'a> ShardExec<'a> {
         *e += 1;
         v
     }
+}
+
+/// Keys of reduction temporary `t`'s instances on `shard`: one per
+/// owned color, or the shard's replica of a whole-region temporary.
+fn temp_keys(
+    spmd: &SpmdProgram,
+    t: TempId,
+    shard: usize,
+) -> impl Iterator<Item = InstKey> + Clone + '_ {
+    let decl = &spmd.temps[t.0 as usize];
+    let (colors, whole) = match decl.base {
+        UseBase::Part(_) => (spmd.owned_colors(decl.domain, shard), None),
+        UseBase::Whole(_) => (&[][..], Some(InstKey::TempWhole(t.0, shard as u32))),
+    };
+    colors
+        .iter()
+        .map(move |&c| InstKey::TempPart(t.0, c))
+        .chain(whole)
 }
 
 /// Extracts field payloads at precomputed offsets (canonical element
