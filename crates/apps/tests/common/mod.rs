@@ -48,7 +48,7 @@ pub fn forest(compiled: &Owned) -> &RegionForest {
 
 /// The program the shards of `compiled` run: for a hybrid program, its
 /// (single, in the apps) replicated segment.
-fn replicated(compiled: &Owned) -> &SpmdProgram {
+pub fn replicated(compiled: &Owned) -> &SpmdProgram {
     match compiled {
         Compiled::Spmd(spmd) | Compiled::Log(spmd) => spmd,
         Compiled::Hybrid(hybrid) => hybrid

@@ -17,6 +17,9 @@
 //!   declarations evaluated dynamically at startup (§3.3).
 //! * [`schedule`] — that evaluation: the exchange pairs and their
 //!   gather/scatter offsets, memoized per compiled program.
+//! * [`image`] — a shard's instances, mapped once per compiled program:
+//!   the slot layout, the instances kept between runs, and the run
+//!   lists that fill them from the store and flush them back.
 //!
 //! Execution engines for the SPMD form live in `regent-runtime`; a
 //! discrete-event distributed machine model lives in `regent-machine`.
@@ -25,6 +28,7 @@
 
 pub mod analysis;
 pub mod hybrid;
+pub mod image;
 pub mod placement;
 pub mod replicate;
 pub mod schedule;
@@ -34,6 +38,7 @@ pub use analysis::{
     bases_provably_disjoint, collect_accesses, find_replicable_ranges, CrError, ReplicableRange,
 };
 pub use hybrid::{replicate_ranges, HybridProgram, Segment};
+pub use image::{shard_layouts, ShardImage, ShardLayout, SlotInfo};
 pub use placement::{MembershipRemap, PlacementStats};
 pub use replicate::{control_replicate, control_replicate_traced, CrOptions, SyncMode};
 pub use schedule::{

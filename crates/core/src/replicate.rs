@@ -474,6 +474,7 @@ pub fn control_replicate_traced(
         body,
         stats,
         schedule: Default::default(),
+        images: Default::default(),
     })
 }
 

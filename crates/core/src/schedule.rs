@@ -14,9 +14,13 @@
 //! here depends only on the region forest, the launch domains and the
 //! shard count, none of which change between runs, so
 //! [`SpmdProgram::schedule`] builds the schedule on first use and every
-//! later run — of any executor — replays it.
+//! later run — of any executor — replays it. The schedule also fixes
+//! each shard's [`ShardLayout`] — which instances it holds, in which
+//! slot — and names every pair's instances by slot, so an executor
+//! indexes where it used to hash.
 
-use crate::spmd::{CopySource, DomainId, SpmdProgram, UseBase};
+use crate::image::{shard_layouts, ShardLayout};
+use crate::spmd::{block_range, CopySource, DomainId, SpmdArg, SpmdProgram, UseBase};
 use regent_geometry::Domain;
 use regent_region::intersect::shallow_pairs;
 use regent_region::{Color, DomainIndexer, PartitionId, RegionId};
@@ -49,6 +53,10 @@ pub struct PairPlan {
     pub src_key: InstKey,
     /// Destination instance.
     pub dst_key: InstKey,
+    /// Slot of the source instance in `src_owner`'s [`ShardLayout`].
+    pub src_slot: u32,
+    /// Slot of the destination instance in `dst_owner`'s layout.
+    pub dst_slot: u32,
     /// Exact elements exchanged (non-empty).
     pub elements: Domain,
     /// Storage offsets of `elements`, in canonical element order, in
@@ -102,6 +110,9 @@ pub struct ExchangeSchedule {
     pub num_shards: usize,
     /// Pair lists indexed by `IntersectId`.
     pub pairs: Vec<Vec<PairPlan>>,
+    /// Every shard's instance layout, with the pairs of each
+    /// intersection it produces and consumes.
+    pub layouts: Vec<ShardLayout>,
     /// Timing/size statistics of the build.
     pub setup: SetupStats,
 }
@@ -114,6 +125,10 @@ pub type ExchangePlan = ExchangeSchedule;
 struct ShapeChild<'a> {
     owner: usize,
     key: InstKey,
+    /// The shape as a launch argument and the child's position in its
+    /// owner's block: what the owner's layout turns into a slot.
+    arg: SpmdArg,
+    local: usize,
     region: RegionId,
     domain: &'a Domain,
     /// Position in the launch domain (or the shard, for whole-region
@@ -123,18 +138,23 @@ struct ShapeChild<'a> {
 
 fn part_children(
     spmd: &SpmdProgram,
+    arg: SpmdArg,
     part: PartitionId,
     domain: DomainId,
     mk: impl Fn(Color) -> InstKey,
 ) -> Vec<ShapeChild<'_>> {
-    spmd.launch_domains[domain.0 as usize]
+    let colors = &spmd.launch_domains[domain.0 as usize];
+    colors
         .iter()
         .enumerate()
         .map(|(pos, &c)| {
             let region = spmd.forest.subregion(part, c);
+            let owner = spmd.owner_of_pos(domain, pos);
             ShapeChild {
-                owner: spmd.owner_of_pos(domain, pos),
+                owner,
                 key: mk(c),
+                arg,
+                local: pos - block_range(colors.len(), spmd.num_shards, owner).0,
                 region,
                 domain: spmd.forest.domain(region),
                 order: pos,
@@ -145,6 +165,7 @@ fn part_children(
 
 fn whole_children(
     spmd: &SpmdProgram,
+    arg: SpmdArg,
     region: RegionId,
     mk: impl Fn(u32) -> InstKey,
 ) -> Vec<ShapeChild<'_>> {
@@ -153,6 +174,8 @@ fn whole_children(
         .map(|s| ShapeChild {
             owner: s,
             key: mk(s as u32),
+            arg,
+            local: 0,
             region,
             domain,
             order: s,
@@ -165,11 +188,12 @@ fn source_shape(spmd: &SpmdProgram, src: CopySource) -> Vec<ShapeChild<'_>> {
         CopySource::Use(u) => use_shape(spmd, u),
         CopySource::Temp(t) => {
             let decl = &spmd.temps[t.0 as usize];
+            let arg = SpmdArg::Temp(t);
             match decl.base {
                 UseBase::Part(p) => {
-                    part_children(spmd, p, decl.domain, |c| InstKey::TempPart(t.0, c))
+                    part_children(spmd, arg, p, decl.domain, |c| InstKey::TempPart(t.0, c))
                 }
-                UseBase::Whole(r) => whole_children(spmd, r, |s| InstKey::TempWhole(t.0, s)),
+                UseBase::Whole(r) => whole_children(spmd, arg, r, |s| InstKey::TempWhole(t.0, s)),
             }
         }
     }
@@ -177,9 +201,12 @@ fn source_shape(spmd: &SpmdProgram, src: CopySource) -> Vec<ShapeChild<'_>> {
 
 fn use_shape(spmd: &SpmdProgram, u: usize) -> Vec<ShapeChild<'_>> {
     let decl = &spmd.uses[u];
+    let arg = SpmdArg::Use(u);
     match decl.base {
-        UseBase::Part(p) => part_children(spmd, p, decl.domain, |c| InstKey::UsePart(u as u32, c)),
-        UseBase::Whole(r) => whole_children(spmd, r, |s| InstKey::UseWhole(u as u32, s)),
+        UseBase::Part(p) => {
+            part_children(spmd, arg, p, decl.domain, |c| InstKey::UsePart(u as u32, c))
+        }
+        UseBase::Whole(r) => whole_children(spmd, arg, r, |s| InstKey::UseWhole(u as u32, s)),
     }
 }
 
@@ -189,6 +216,7 @@ fn use_shape(spmd: &SpmdProgram, u: usize) -> Vec<ShapeChild<'_>> {
 pub fn build_exchange_plan(spmd: &SpmdProgram) -> ExchangeSchedule {
     let mut pairs: Vec<Vec<PairPlan>> = Vec::with_capacity(spmd.intersects.len());
     let mut setup = SetupStats::default();
+    let mut layouts = shard_layouts(spmd);
     // An instance's layout depends on its region's domain alone, so
     // one indexer serves every pair, on either side, of every
     // intersection that region takes part in.
@@ -230,6 +258,8 @@ pub fn build_exchange_plan(spmd: &SpmdProgram) -> ExchangeSchedule {
                 dst_owner: d.owner,
                 src_key: s.key,
                 dst_key: d.key,
+                src_slot: layouts[s.owner].arg_slot(&s.arg, s.local) as u32,
+                dst_slot: layouts[d.owner].arg_slot(&d.arg, d.local) as u32,
                 src_offsets: offsets(s),
                 dst_offsets: offsets(d),
                 elements,
@@ -243,11 +273,22 @@ pub fn build_exchange_plan(spmd: &SpmdProgram) -> ExchangeSchedule {
         setup.offsets_seconds += t2.elapsed().as_secs_f64();
         setup.num_pairs += list.len();
         setup.total_elements += list.iter().map(|p| p.src_offsets.len() as u64).sum::<u64>();
+        // Each shard's share of the list, so it never scans the rest.
+        let ix = pairs.len();
+        for layout in &mut layouts {
+            layout.produces.push(Vec::new());
+            layout.consumes.push(Vec::new());
+        }
+        for (seq, p) in list.iter().enumerate() {
+            layouts[p.src_owner].produces[ix].push(seq as u32);
+            layouts[p.dst_owner].consumes[ix].push(seq as u32);
+        }
         pairs.push(list);
     }
     ExchangeSchedule {
         num_shards: spmd.num_shards,
         pairs,
+        layouts,
         setup,
     }
 }

@@ -11,6 +11,7 @@
 //! optional global-barrier mode reproduces the naive Fig. 4c scheme for
 //! ablation.
 
+use crate::image::ImagePool;
 use crate::schedule::{build_exchange_plan, ExchangeSchedule};
 use regent_ir::{ScalarExpr, ScalarId, TaskDecl, TaskId};
 use regent_region::{Color, FieldId, PartitionId, ReductionOp, RegionForest, RegionId};
@@ -309,6 +310,10 @@ pub struct SpmdProgram {
     pub stats: CrStats,
     /// The memoized exchange schedule ([`SpmdProgram::schedule`]).
     pub(crate) schedule: Mutex<Option<Arc<ExchangeSchedule>>>,
+    /// The shard images idle between runs ([`SpmdProgram::take_image`]),
+    /// under the schedule's rule: built on first use, keyed on
+    /// `num_shards`, dropped with the program.
+    pub(crate) images: ImagePool,
 }
 
 impl SpmdProgram {

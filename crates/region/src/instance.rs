@@ -14,6 +14,7 @@ use crate::field::{FieldId, FieldSpace, FieldType};
 use crate::view::{Element, FieldView, Read};
 use regent_geometry::{Domain, DynPoint, DynRect, MAX_DIM};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// One rectangle of an indexed domain in affine form.
 ///
@@ -83,6 +84,22 @@ impl Block {
     }
 }
 
+/// A [`RunIndex`] keeps its direct table while the domain's span is at
+/// most this many times its element count. It is a bound on memory,
+/// not a tuning point for speed: swept over ratios 2…256 at 1000
+/// elements (EXPERIMENTS.md "Shard images"), a random probe costs
+/// 2.8–3.0 ns through the table at *every* ratio against 6.7–10.9 ns
+/// through the buckets, since a probe touches one cache line of the
+/// table however long it is. What grows is the table: 4 bytes per id
+/// of span, so at 8 it costs 32 bytes per element stored — about what
+/// the element's own columns cost (8–40 bytes) — and at 64 eight times
+/// that. Circuit's ghost sets sit at ≈4.2 (≈950 nodes over ≈4000 ids:
+/// 16 KB of table each).
+const DIRECT_SPAN_PER_ELEMENT: u64 = 8;
+
+/// An id that no run holds, in [`RunIndex::direct`].
+const HOLE: u32 = u32::MAX;
+
 /// Finds the run of a sparse 1-D domain that holds an id: the sorted
 /// run starts in one flat array, searched by bisection — but only
 /// between the bounds a bucket table gives. The table cuts the domain's
@@ -93,6 +110,11 @@ impl Block {
 /// unstructured kernel) cost a couple of loads instead of a mispredicted
 /// branch per halving; the table's size is bounded by the number of
 /// runs, never by the span.
+///
+/// A domain that is not too sparse ([`DIRECT_SPAN_PER_ELEMENT`]) also
+/// gets a direct id → storage-offset table over its span, which
+/// answers "where is this id" — all an element access asks — in one
+/// load.
 #[derive(Clone, Debug, Default)]
 struct RunIndex {
     /// `lo` of every run, ascending.
@@ -103,6 +125,9 @@ struct RunIndex {
     /// `buckets[b]`: the number of runs that start at or before bucket
     /// `b`'s first id; one entry past the last bucket holds them all.
     buckets: Vec<u32>,
+    /// `direct[i − starts[0]]`: the storage offset of id `i`, or
+    /// [`HOLE`]. Empty when the span is too wide for it.
+    direct: Vec<u32>,
 }
 
 impl RunIndex {
@@ -125,11 +150,35 @@ impl RunIndex {
             buckets.push(k);
         }
         buckets.push(runs);
+        let len: u64 = blocks.iter().map(|b| b.extent[0]).sum();
+        let mut direct = Vec::new();
+        if span <= DIRECT_SPAN_PER_ELEMENT * len && len < u64::from(HOLE) {
+            direct.resize(span as usize, HOLE);
+            for b in blocks {
+                let at = (b.lo[0] - lo) as usize;
+                let offsets = b.base as u32..(b.base + b.extent[0]) as u32;
+                for (slot, off) in direct[at..].iter_mut().zip(offsets) {
+                    *slot = off;
+                }
+            }
+        }
         RunIndex {
             starts,
             shift,
             buckets,
+            direct,
         }
+    }
+
+    /// The storage offset of id `i` by the direct table, which must
+    /// exist (`direct` is not empty): `None` when no run holds `i`.
+    #[inline]
+    fn direct(&self, i: i64) -> Option<u64> {
+        // Ids before the first run wrap far past the table.
+        let slot = *self
+            .direct
+            .get(i.wrapping_sub(self.starts[0]) as u64 as usize)?;
+        (slot != HOLE).then_some(u64::from(slot))
     }
 
     /// Index of the last run that starts at or before `i` — the only
@@ -226,7 +275,22 @@ impl DomainIndexer {
         if p.dim() != self.dim {
             return None;
         }
-        self.locate(p.padded()).map(|(_, off)| off)
+        self.locate_offset(p.padded())
+    }
+
+    /// The storage offset of the (padded) point `c`: what
+    /// [`DomainIndexer::locate`] finds, without naming the block — so a
+    /// sparse 1-D domain answers from its direct table when it has one.
+    /// Called from the views' out-of-line path only: consulting the
+    /// table in the inlined accessors grew every `get1` site and slowed
+    /// the dense kernels (EXPERIMENTS.md "Shard images").
+    #[inline]
+    pub(crate) fn locate_offset(&self, c: [i64; MAX_DIM]) -> Option<u64> {
+        // Only a sparse 1-D domain has runs, let alone a table.
+        if !self.runs.direct.is_empty() {
+            return self.runs.direct(c[0]);
+        }
+        self.locate(c).map(|(_, off)| off)
     }
 
     /// The block containing the (padded) point `c`, as its index and
@@ -360,6 +424,19 @@ impl ColumnData {
             FieldType::I64 => ColumnData::I64(vec![0; len]),
         }
     }
+
+    /// Number of elements stored.
+    pub fn len(&self) -> usize {
+        match self {
+            ColumnData::F64(v) => v.len(),
+            ColumnData::I64(v) => v.len(),
+        }
+    }
+
+    /// True when the column stores no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// Reduction operators usable with reduce privileges (§4.3) and scalar
@@ -420,6 +497,12 @@ impl ReductionOp {
     }
 }
 
+#[derive(Debug)]
+struct Shape {
+    domain: Domain,
+    indexer: DomainIndexer,
+}
+
 /// Concrete storage for one domain × one field space.
 ///
 /// Instances optionally carry an FNV-1a **seal**: a checksum of every
@@ -431,8 +514,11 @@ impl ReductionOp {
 /// trivially, so the checksum machinery costs nothing unless enabled.
 #[derive(Clone, Debug)]
 pub struct Instance {
-    domain: Domain,
-    indexer: DomainIndexer,
+    /// The covered domain and its point→offset indexer: fixed at
+    /// construction and shared by every clone (a snapshot copies
+    /// contents, not layout — for a sparse domain the layout is the
+    /// larger of the two).
+    shape: Arc<Shape>,
     columns: Vec<ColumnData>,
     /// One seal per column. Kernels and copies usually write a single
     /// field of a multi-field instance, so per-column seals let the
@@ -445,16 +531,43 @@ pub struct Instance {
 impl Instance {
     /// Allocates a zero-initialized instance covering `domain`.
     pub fn new(domain: Domain, fields: &FieldSpace) -> Self {
+        Self::build(domain, fields, |_| true)
+    }
+
+    /// Allocates a zero-initialized instance covering `domain` that
+    /// stores only the columns of `stored`. Every other field of the
+    /// field space keeps its place in the column table — field ids
+    /// index it as before, and checksums, seals and clones walk it as
+    /// before — but holds no elements. A shard's instance of a use is
+    /// built this way from the fields the use declares; a kernel cannot
+    /// reach the others (binding an undeclared field fails first).
+    pub fn with_fields(domain: Domain, fields: &FieldSpace, stored: &[FieldId]) -> Self {
+        Self::build(domain, fields, |f| stored.contains(&f))
+    }
+
+    /// A zero-initialized instance over the same domain as `self` that
+    /// **shares its layout** (domain and indexer are not built a second
+    /// time) and stores only the columns of `stored` — how a shard's
+    /// image gives a ghost instance and the reduction temporary over the
+    /// same subregion one indexer between them.
+    pub fn sibling(&self, fields: &FieldSpace, stored: &[FieldId]) -> Self {
+        Self::over(Arc::clone(&self.shape), fields, |f| stored.contains(&f))
+    }
+
+    fn build(domain: Domain, fields: &FieldSpace, stored: impl Fn(FieldId) -> bool) -> Self {
         let indexer = DomainIndexer::new(&domain);
-        let len = indexer.len() as usize;
+        Self::over(Arc::new(Shape { domain, indexer }), fields, stored)
+    }
+
+    fn over(shape: Arc<Shape>, fields: &FieldSpace, stored: impl Fn(FieldId) -> bool) -> Self {
+        let len = shape.indexer.len() as usize;
         let columns: Vec<ColumnData> = fields
             .iter()
-            .map(|(_, def)| ColumnData::zeros(def.ty, len))
+            .map(|(f, def)| ColumnData::zeros(def.ty, if stored(f) { len } else { 0 }))
             .collect();
         let seals = vec![None; columns.len()];
         Instance {
-            domain,
-            indexer,
+            shape,
             columns,
             seals,
         }
@@ -475,22 +588,22 @@ impl Instance {
 
     /// The covered domain.
     pub fn domain(&self) -> &Domain {
-        &self.domain
+        &self.shape.domain
     }
 
     /// The point→offset indexer.
     pub fn indexer(&self) -> &DomainIndexer {
-        &self.indexer
+        &self.shape.indexer
     }
 
     /// Number of elements.
     pub fn len(&self) -> u64 {
-        self.indexer.len()
+        self.shape.indexer.len()
     }
 
     /// True when the instance covers no elements.
     pub fn is_empty(&self) -> bool {
-        self.indexer.is_empty()
+        self.shape.indexer.is_empty()
     }
 
     /// Raw column access (type-erased).
@@ -552,7 +665,7 @@ impl Instance {
             *self = src.clone();
             return;
         }
-        debug_assert_eq!(self.indexer.len(), src.indexer.len(), "shape drifted");
+        debug_assert_eq!(self.len(), src.len(), "shape drifted");
         for (d, s) in self.columns.iter_mut().zip(&src.columns) {
             match (d, s) {
                 (ColumnData::F64(d), ColumnData::F64(s)) => d.clone_from(s),
@@ -619,19 +732,33 @@ impl Instance {
     /// looks for). Returns `false` when the instance has no storage to
     /// corrupt.
     pub fn corrupt_bit_silently(&mut self, entropy: u64) -> bool {
-        let len = self.indexer.len() as usize;
-        let ncols = self.columns.len();
-        if len == 0 || ncols == 0 {
+        // Drawn among the elements actually stored: a column may hold
+        // none (`Instance::with_fields`).
+        let stored: u64 = self.columns.iter().map(|c| c.len() as u64).sum();
+        if stored == 0 {
             return false;
         }
-        let slot = (entropy % (len as u64 * ncols as u64)) as usize;
-        let (c, i) = (slot / len, slot % len);
+        let mut i = (entropy % stored) as usize;
         let bit = ((entropy >> 40) % 64) as u32;
-        match &mut self.columns[c] {
-            ColumnData::F64(v) => v[i] = f64::from_bits(v[i].to_bits() ^ (1u64 << bit)),
-            ColumnData::I64(v) => v[i] ^= 1i64 << bit,
+        for col in &mut self.columns {
+            if i >= col.len() {
+                i -= col.len();
+                continue;
+            }
+            match col {
+                ColumnData::F64(v) => v[i] = f64::from_bits(v[i].to_bits() ^ (1u64 << bit)),
+                ColumnData::I64(v) => v[i] ^= 1i64 << bit,
+            }
+            return true;
         }
-        true
+        unreachable!("element drawn within the stored total")
+    }
+
+    /// Drops every seal: the instance is about to be refilled from
+    /// outside the integrity layer's write-completion points (a shard
+    /// image starting its next run).
+    pub fn clear_seals(&mut self) {
+        self.seals.fill(None);
     }
 
     /// Drops the seals of `fields` — bind-time invalidation. Whoever
@@ -677,7 +804,7 @@ impl Instance {
             Self::view_raw(
                 self as *const Instance as *mut Instance,
                 field,
-                &self.domain,
+                &self.shape.domain,
                 Read,
             )
         }
@@ -691,9 +818,10 @@ impl Instance {
     /// `this` must point to an instance that stays live and unmoved
     /// for `'a`.
     pub unsafe fn indexer_raw<'a>(this: *const Instance) -> &'a DomainIndexer {
-        // SAFETY: live for `'a` (caller); the indexer is never mutated
+        // SAFETY: live for `'a` (caller); the shape is never mutated
         // after construction.
-        unsafe { &(*this).indexer }
+        let shape = unsafe { &(*this).shape };
+        &shape.indexer
     }
 
     /// A view of `field`'s column holding `access`, confined (in debug
@@ -718,11 +846,12 @@ impl Instance {
         domain: &'a Domain,
         access: A,
     ) -> FieldView<'a, T, A> {
-        // SAFETY: `this` is live for `'a` (caller). Only the indexer
+        // SAFETY: `this` is live for `'a` (caller). Only the shape
         // and the column table are borrowed, both shared: binding never
         // forms a reference to the whole instance, so it coexists with
         // `unseal_fields_raw` on another thread.
-        let (indexer, columns) = unsafe { (&(*this).indexer, &(*this).columns) };
+        let (shape, columns) = unsafe { (&(*this).shape, &(*this).columns) };
+        let indexer = &shape.indexer;
         let (ptr, len) = T::raw_column(&columns[field.0 as usize])
             .unwrap_or_else(|| panic!("field {field:?} is not {}", T::NAME));
         // SAFETY: `Cell<T>` has the layout of `T`, and `ptr`/`len` are
@@ -743,7 +872,8 @@ impl Instance {
     /// If `p` is outside the instance's domain.
     #[inline]
     fn offset(&self, p: DynPoint) -> usize {
-        self.indexer
+        self.shape
+            .indexer
             .offset_of(p)
             .unwrap_or_else(|| panic!("point {p:?} outside instance domain")) as usize
     }
@@ -821,33 +951,95 @@ impl Instance {
     }
 }
 
-/// The storage runs `(src offset, dst offset, len)` that cover
-/// `elements` in both instances, in canonical element order: each
-/// side's runs from [`DomainIndexer::for_each_run`], split wherever
-/// either side breaks.
-fn paired_runs(src: &Instance, dst: &Instance, elements: &Domain) -> Vec<(usize, usize, usize)> {
-    let mut src_runs = Vec::new();
-    src.indexer
-        .for_each_run(elements, |off, len| src_runs.push((off, len)));
-    let mut src_runs = src_runs.into_iter();
-    let (mut s_off, mut s_len) = (0u64, 0u64);
-    let mut out = Vec::new();
-    dst.indexer.for_each_run(elements, |mut d_off, mut d_len| {
-        while d_len > 0 {
-            if s_len == 0 {
-                (s_off, s_len) = src_runs
-                    .next()
-                    .expect("both sides cover the same number of elements");
+/// The storage runs `(src offset, dst offset, len)` that cover a set of
+/// elements in a source and a destination instance, in canonical
+/// element order: each side's runs from
+/// [`DomainIndexer::for_each_run`], split wherever either side breaks
+/// and joined again wherever both continue.
+///
+/// An instance's layout is a function of its domain alone, so a run
+/// list holds for every pair of instances over the two domains it was
+/// computed for — a caller that copies the same elements between the
+/// same shapes again and again (a shard image filled from the store at
+/// every run) computes it once.
+#[derive(Clone, Debug, Default)]
+pub struct CopyRuns {
+    runs: Vec<(usize, usize, usize)>,
+}
+
+impl CopyRuns {
+    /// The runs of `elements` from an instance laid out by `src` to one
+    /// laid out by `dst`.
+    ///
+    /// # Panics
+    /// If `elements` is not a subset of both indexed domains.
+    pub fn new(src: &DomainIndexer, dst: &DomainIndexer, elements: &Domain) -> Self {
+        let mut src_runs = Vec::new();
+        src.for_each_run(elements, |off, len| src_runs.push((off, len)));
+        let mut src_runs = src_runs.into_iter();
+        let (mut s_off, mut s_len) = (0u64, 0u64);
+        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+        dst.for_each_run(elements, |mut d_off, mut d_len| {
+            while d_len > 0 {
+                if s_len == 0 {
+                    (s_off, s_len) = src_runs
+                        .next()
+                        .expect("both sides cover the same number of elements");
+                }
+                let n = d_len.min(s_len);
+                let (so, do_, n_) = (s_off as usize, d_off as usize, n as usize);
+                match runs.last_mut() {
+                    Some((ps, pd, pn)) if *ps + *pn == so && *pd + *pn == do_ => *pn += n_,
+                    _ => runs.push((so, do_, n_)),
+                }
+                s_off += n;
+                s_len -= n;
+                d_off += n;
+                d_len -= n;
             }
-            let n = d_len.min(s_len);
-            out.push((s_off as usize, d_off as usize, n as usize));
-            s_off += n;
-            s_len -= n;
-            d_off += n;
-            d_len -= n;
+        });
+        CopyRuns { runs }
+    }
+
+    /// Copies `fields` over the runs from `src` to `dst`
+    /// ([`copy_fields`] with the run list already in hand).
+    ///
+    /// # Panics
+    /// If the instances are not laid out as the indexers the runs were
+    /// computed for (a run leaves a column), or a field's type differs
+    /// between them.
+    pub fn copy(&self, src: &Instance, dst: &mut Instance, fields: &[FieldId]) {
+        self.apply(src, dst, fields, false)
+    }
+
+    /// The same runs the other way: copies `fields` from an instance
+    /// laid out as the *destination* side into one laid out as the
+    /// *source* side.
+    pub fn copy_back(&self, dst_side: &Instance, src_side: &mut Instance, fields: &[FieldId]) {
+        self.apply(dst_side, src_side, fields, true)
+    }
+
+    fn apply(&self, from: &Instance, to: &mut Instance, fields: &[FieldId], back: bool) {
+        fn move_runs<T: Copy>(
+            runs: &[(usize, usize, usize)],
+            from: &[T],
+            to: &mut [T],
+            back: bool,
+        ) {
+            for &(s, d, n) in runs {
+                let (f, t) = if back { (d, s) } else { (s, d) };
+                to[t..t + n].copy_from_slice(&from[f..f + n]);
+            }
         }
-    });
-    out
+        for &f in fields {
+            to.seals[f.0 as usize] = None;
+            match (&from.columns[f.0 as usize], &mut to.columns[f.0 as usize]) {
+                (ColumnData::F64(s), ColumnData::F64(d)) => move_runs(&self.runs, s, d, back),
+                (ColumnData::I64(s), ColumnData::I64(d)) => move_runs(&self.runs, s, d, back),
+                _ => panic!("field {f:?} type mismatch between instances"),
+            }
+        }
+    }
 }
 
 /// Copies the values of `fields` for every element of `elements` from
@@ -856,23 +1048,7 @@ fn paired_runs(src: &Instance, dst: &Instance, elements: &Domain) -> Vec<(usize,
 ///
 /// `elements` must be a subset of both instance domains.
 pub fn copy_fields(src: &Instance, dst: &mut Instance, fields: &[FieldId], elements: &Domain) {
-    let runs = paired_runs(src, dst, elements);
-    for &f in fields {
-        dst.seals[f.0 as usize] = None;
-        match (&src.columns[f.0 as usize], &mut dst.columns[f.0 as usize]) {
-            (ColumnData::F64(s), ColumnData::F64(d)) => {
-                for &(so, do_, n) in &runs {
-                    d[do_..do_ + n].copy_from_slice(&s[so..so + n]);
-                }
-            }
-            (ColumnData::I64(s), ColumnData::I64(d)) => {
-                for &(so, do_, n) in &runs {
-                    d[do_..do_ + n].copy_from_slice(&s[so..so + n]);
-                }
-            }
-            _ => panic!("field {f:?} type mismatch between instances"),
-        }
-    }
+    CopyRuns::new(src.indexer(), dst.indexer(), elements).copy(src, dst, fields)
 }
 
 /// Reduction copy (§4.3): folds the values of `fields` from `src` into
@@ -884,7 +1060,7 @@ pub fn reduce_fields(
     elements: &Domain,
     op: ReductionOp,
 ) {
-    let runs = paired_runs(src, dst, elements);
+    let runs = CopyRuns::new(src.indexer(), dst.indexer(), elements).runs;
     for &f in fields {
         dst.seals[f.0 as usize] = None;
         match (&src.columns[f.0 as usize], &mut dst.columns[f.0 as usize]) {
@@ -1089,6 +1265,86 @@ mod tests {
         assert!(!empty.corrupt_bit_silently(42));
         empty.seal();
         assert!(empty.verify_seal());
+    }
+
+    /// SplitMix64 step.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn direct_table_and_bisection_agree_inside_and_outside() {
+        let mut rng = 0xd1_4ec7u64;
+        let (mut with_table, mut without) = (0, 0);
+        for round in 0..120u64 {
+            // Densities from 1 id in 40 (far sparser than the table's
+            // bound) to 1 in 2, over spans of a few hundred ids that do
+            // not start at zero.
+            let keep_one_in = [40, 16, 9, 6, 3, 2][round as usize % 6];
+            let lo = (next(&mut rng) % 1000) as i64 - 500;
+            let span = 50 + (next(&mut rng) % 400) as i64;
+            let mut ids: Vec<i64> = (lo..lo + span)
+                .filter(|_| next(&mut rng).is_multiple_of(keep_one_in))
+                .collect();
+            ids.extend([lo, lo + span - 1]);
+            let dom = Domain::from_ids(ids);
+            let ix = DomainIndexer::new(&dom);
+            if dom.rects().len() < 2 {
+                continue;
+            }
+            if ix.runs.direct.is_empty() {
+                without += 1;
+            } else {
+                with_table += 1;
+                assert_eq!(ix.runs.direct.len() as i64, span);
+            }
+            for i in lo - 70..lo + span + 70 {
+                let bisected = ix.locate([i, 0, 0]).map(|(_, off)| off);
+                assert_eq!(ix.locate_offset([i, 0, 0]), bisected, "id {i} of {dom:?}");
+                assert_eq!(bisected.is_some(), dom.contains(DynPoint::from(i)));
+            }
+            for i in [i64::MIN, i64::MIN + 1, -1 << 40, 1 << 40, i64::MAX] {
+                assert_eq!(ix.locate_offset([i, 0, 0]), None, "far id {i}");
+            }
+        }
+        assert!(with_table > 40 && without > 15, "{with_table} / {without}");
+    }
+
+    #[test]
+    fn corruption_draws_among_stored_columns() {
+        let fields = fs();
+        let x = fields.lookup("x").unwrap();
+        let ptr = fields.lookup("ptr").unwrap();
+        // Only `ptr` (the second column) stores anything.
+        let mut inst = Instance::with_fields(Domain::range(16), &fields, &[ptr]);
+        assert_eq!((inst.column(x).len(), inst.column(ptr).len()), (0, 16));
+        inst.seal();
+        assert!(inst.verify_seal());
+        let clean = inst.checksum();
+        for entropy in [0u64, 15, 16, 31, 0x1234_5678_9abc_def0, u64::MAX] {
+            let mut victim = inst.clone();
+            assert!(victim.corrupt_bit_silently(entropy), "entropy {entropy:#x}");
+            assert!(!victim.verify_seal(), "entropy {entropy:#x} undetected");
+            assert_ne!(victim.checksum(), clean);
+            // Snapshot and restore keep the subset shape.
+            let mut restored = victim.clone();
+            restored.clone_contents_from(&inst);
+            assert!(restored.verify_seal());
+            assert_eq!(restored.checksum(), clean);
+        }
+        // Nothing stored at all: nothing to corrupt.
+        let mut none = Instance::with_fields(Domain::range(16), &fields, &[]);
+        assert!(!none.corrupt_bit_silently(7));
+        // A sibling shares the layout but not the contents.
+        let mut sib = inst.sibling(&fields, &[x]);
+        assert_eq!((sib.column(x).len(), sib.column(ptr).len()), (16, 0));
+        sib.write_f64(x, DynPoint::from(5), 2.0);
+        assert_eq!(sib.read_f64(x, DynPoint::from(5)), 2.0);
+        assert_eq!(inst.checksum(), clean);
     }
 
     #[test]

@@ -38,7 +38,9 @@ pub use checksum::{fnv1a, fnv1a_mix, mul_fold, striped_fnv, MulFold, StripedFnv}
 pub use field::{FieldDef, FieldId, FieldSpace, FieldType};
 pub use forest::{Color, Disjointness, PartitionId, RegionForest, RegionId};
 pub use hierarchy::{private_ghost_split, PrivateGhost};
-pub use instance::{copy_fields, reduce_fields, ColumnData, DomainIndexer, Instance, ReductionOp};
+pub use instance::{
+    copy_fields, reduce_fields, ColumnData, CopyRuns, DomainIndexer, Instance, ReductionOp,
+};
 pub use intersect::{CompleteIntersection, OverlapPair};
 pub use view::{Element, FieldView, Read, ReadWrite, Readable, Reduce, Row, Rows, Run};
 

@@ -167,8 +167,8 @@ impl<'a, T: Element, A: Copy> FieldView<'a, T, A> {
     #[inline(never)]
     fn at_general(&self, dim: usize, c: [i64; MAX_DIM]) -> usize {
         assert!(dim == self.dim, "{dim}-D access to a {}-D region", self.dim);
-        match self.indexer.locate(c) {
-            Some((_, off)) => self.in_domain(c, off),
+        match self.indexer.locate_offset(c) {
+            Some(off) => self.in_domain(c, off),
             None => outside_instance(dim, c),
         }
     }

@@ -1,12 +1,14 @@
 //! The run-wise paths of the data plane against their per-point
 //! definitions, on seeded random inputs: `DomainIndexer::offsets_of`
-//! must equal mapping `offset_of` over the elements, and
+//! must equal mapping `offset_of` over the elements,
 //! `copy_fields` / `reduce_fields` (which walk rectangle runs) must
-//! leave exactly what a point-by-point read/write loop leaves.
+//! leave exactly what a point-by-point read/write loop leaves, and a
+//! memoized `CopyRuns` must copy what `copy_fields` copies — into
+//! instances it was not computed from, in both directions.
 
 use regent_geometry::{Domain, DynPoint, DynRect};
 use regent_region::{
-    copy_fields, reduce_fields, DomainIndexer, FieldId, FieldSpace, FieldType, Instance,
+    copy_fields, reduce_fields, CopyRuns, DomainIndexer, FieldId, FieldSpace, FieldType, Instance,
     ReductionOp,
 };
 
@@ -185,4 +187,50 @@ fn run_wise_reduce_equals_per_point_fold() {
             "{op:?} over {elements:?}"
         );
     }
+}
+
+/// What a shard image does at every run: the run list of a whole
+/// subregion, computed once from the two layouts, then applied to
+/// *other* instances over the same two domains — root to subregion
+/// (fill) and back (flush) — must move exactly what `copy_fields`
+/// moves. The subregion instance stores one field only.
+#[test]
+fn memoized_runs_copy_what_copy_fields_copies_both_ways() {
+    let (fs, v, k) = fields();
+    let mut rng = 0x1a9e_5eedu64;
+    let mut multi_run = 0;
+    for (root_dom, b) in cases() {
+        let sub_dom = root_dom.intersect(&b);
+        let runs = CopyRuns::new(
+            &DomainIndexer::new(&root_dom),
+            &DomainIndexer::new(&sub_dom),
+            &sub_dom,
+        );
+        // Several rectangles, or several rows of one, are several runs
+        // in the root's storage.
+        multi_run += usize::from(sub_dom.rects().len() > 1 || sub_dom.dim() == 2);
+        for _ in 0..2 {
+            // Fill: root → subregion instance.
+            let root = filled(&root_dom, &fs, v, k, &mut rng);
+            let mut expected = Instance::new(sub_dom.clone(), &fs);
+            copy_fields(&root, &mut expected, &[k], &sub_dom);
+            let mut got = Instance::with_fields(sub_dom.clone(), &fs, &[k]);
+            runs.copy(&root, &mut got, &[k]);
+            assert_eq!(got.column(k), expected.column(k), "fill {sub_dom:?}");
+            assert!(got.column(v).is_empty());
+
+            // Flush: subregion instance → another root.
+            let before = filled(&root_dom, &fs, v, k, &mut rng);
+            let mut expected = before.clone();
+            copy_fields(&got, &mut expected, &[k], &sub_dom);
+            let mut back = before.clone();
+            runs.copy_back(&got, &mut back, &[k]);
+            assert_eq!(back.column(k), expected.column(k), "flush {sub_dom:?}");
+            assert_eq!(back.column(v), before.column(v), "flush touched v");
+        }
+    }
+    assert!(
+        multi_run > 40,
+        "most cases must need several runs: {multi_run}"
+    );
 }

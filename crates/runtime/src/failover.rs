@@ -69,7 +69,7 @@ use crate::run::{run_ctx, Compiled, RunCtx, RunOptions, RunResult};
 use crate::spmd_exec::{DeathBoard, RescueSlot, ResumeState};
 use crate::team::panic_message;
 use regent_cr::hybrid::{HybridProgram, Segment};
-use regent_cr::{MembershipRemap, SpmdProgram, UseBase};
+use regent_cr::{shard_layouts, MembershipRemap, ShardLayout, SlotInfo, SpmdProgram};
 use regent_fault::{
     classify_failure, DeathCause, FailureClass, FaultEvent, FaultPlan, PeerDeath,
     FAILOVER_EXHAUSTED_PREFIX,
@@ -197,11 +197,12 @@ fn renumber_plan(
 }
 
 /// Survivor-side reconstruction: redistributes a committed checkpoint
-/// onto the shrunken membership. `spmd` must already carry the *new*
-/// `num_shards` — the new per-shard key sets are derived through the
-/// same `owned_colors` walk `allocate_shard_data` uses, so the
-/// reconstructed parts are exactly what a native `N−1` checkpoint
-/// would contain:
+/// onto the shrunken membership. `old` holds the layouts the checkpoint
+/// was taken under; `spmd` must already carry the *new* `num_shards`,
+/// so its layouts ([`shard_layouts`], the walk the image builder
+/// follows) say which instance each survivor holds in which slot — the
+/// reconstructed parts are exactly what a native `N−1` checkpoint would
+/// contain. Instances are looked up by key here and nowhere else:
 ///
 /// * partition instances (`UsePart` / `TempPart`) keep their color key
 ///   and move to the color's new block owner;
@@ -217,67 +218,37 @@ fn renumber_plan(
 /// instances placed.
 pub(crate) fn remap_resume_state(
     rs: &ResumeState,
+    old: &[ShardLayout],
     spmd: &SpmdProgram,
     remap: &MembershipRemap,
 ) -> (ResumeState, u32) {
     debug_assert_eq!(spmd.num_shards, remap.new_shards);
     debug_assert_eq!(rs.parts.len(), remap.old_shards);
-    let mut merged: HashMap<&InstKey, &Instance> = HashMap::new();
-    for part in &rs.parts {
-        for (k, v) in part {
-            merged.insert(k, v);
-        }
-    }
-    let fetch = |key: &InstKey| -> Instance {
-        (*merged
-            .get(key)
-            .unwrap_or_else(|| panic!("checkpoint missing instance {key:?} during failover remap")))
-        .clone()
-    };
-    let mut parts: Vec<HashMap<InstKey, Instance>> = Vec::with_capacity(remap.new_shards);
+    let merged: HashMap<InstKey, &Instance> = old
+        .iter()
+        .zip(&rs.parts)
+        .flat_map(|(layout, part)| layout.slots.iter().map(|info| info.key).zip(part))
+        .collect();
     let mut insts = 0u32;
-    for s in 0..remap.new_shards {
-        let old = remap.old_id(s);
-        let mut map = HashMap::new();
-        for (u, decl) in spmd.uses.iter().enumerate() {
-            if !decl.needs_instances() {
-                continue;
-            }
-            match decl.base {
-                UseBase::Part(_) => {
-                    for &c in spmd.owned_colors(decl.domain, s) {
-                        let key = InstKey::UsePart(u as u32, c);
-                        let inst = fetch(&key);
-                        map.insert(key, inst);
-                        insts += 1;
-                    }
-                }
-                UseBase::Whole(_) => {
-                    let inst = fetch(&InstKey::UseWhole(u as u32, old as u32));
-                    map.insert(InstKey::UseWhole(u as u32, s as u32), inst);
-                    insts += 1;
-                }
-            }
-        }
-        for (t, decl) in spmd.temps.iter().enumerate() {
-            match decl.base {
-                UseBase::Part(_) => {
-                    for &c in spmd.owned_colors(decl.domain, s) {
-                        let key = InstKey::TempPart(t as u32, c);
-                        let inst = fetch(&key);
-                        map.insert(key, inst);
-                        insts += 1;
-                    }
-                }
-                UseBase::Whole(_) => {
-                    let inst = fetch(&InstKey::TempWhole(t as u32, old as u32));
-                    map.insert(InstKey::TempWhole(t as u32, s as u32), inst);
-                    insts += 1;
-                }
-            }
-        }
-        parts.push(map);
-    }
+    let parts: Vec<Vec<Instance>> = shard_layouts(spmd)
+        .iter()
+        .map(|layout| {
+            insts += layout.slots.len() as u32;
+            let fetch = |info: &SlotInfo| -> Instance {
+                let old_shard = |s: u32| remap.old_id(s as usize) as u32;
+                let key = match info.key {
+                    InstKey::UseWhole(u, s) => InstKey::UseWhole(u, old_shard(s)),
+                    InstKey::TempWhole(t, s) => InstKey::TempWhole(t, old_shard(s)),
+                    part => part,
+                };
+                let inst = merged.get(&key).unwrap_or_else(|| {
+                    panic!("checkpoint missing instance {key:?} during failover remap")
+                });
+                (*inst).clone()
+            };
+            layout.slots.iter().map(fetch).collect()
+        })
+        .collect();
     (
         ResumeState {
             epoch: rs.epoch,
@@ -482,13 +453,17 @@ pub fn run_failover(
         // shrunken membership — still bit-identical, by determinism.
         let mut resume_epoch = 0;
         for (idx, spmd) in compiled.replicated_mut().into_iter().enumerate() {
+            let committed = rescue.as_ref().and_then(|r| r.committed(idx));
+            // The layouts the checkpoint was taken under, while the
+            // program still carries that membership.
+            let old_layouts = committed.as_ref().map(|_| shard_layouts(spmd));
             spmd.num_shards = membership;
             let Some(rescue) = &rescue else { continue };
-            let slot = match rescue.committed(idx) {
-                Some(rs) => {
+            let slot = match committed.zip(old_layouts) {
+                Some((rs, old_layouts)) => {
                     let r0 = mx.start();
                     let t0 = fb.now();
-                    let (remapped, insts) = remap_resume_state(&rs, spmd, &remap);
+                    let (remapped, insts) = remap_resume_state(&rs, &old_layouts, spmd, &remap);
                     mx.record_since(r0, Timer::FailoverReconstructNs);
                     fb.span_since(
                         t0,

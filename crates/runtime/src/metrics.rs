@@ -100,11 +100,17 @@ pub enum Counter {
     /// completion, the end of a copy statement, reduction-temp reset)
     /// by the integrity layer.
     ColumnSeals,
+    /// Shard images built: once per shard per compiled program (and
+    /// again after a shard-count change, or when two runs of one
+    /// program overlap).
+    ImageBuilds,
+    /// Runs of a shard that took an image an earlier run left.
+    ImageReuses,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 35;
+    pub const COUNT: usize = 37;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -143,6 +149,8 @@ impl Counter {
         Counter::MembershipShrinks,
         Counter::ScheduleBuilds,
         Counter::ColumnSeals,
+        Counter::ImageBuilds,
+        Counter::ImageReuses,
     ];
 
     /// Stable snake_case name (used in exports).
@@ -183,6 +191,8 @@ impl Counter {
             Counter::MembershipShrinks => "membership_shrinks",
             Counter::ScheduleBuilds => "schedule_builds",
             Counter::ColumnSeals => "column_seals",
+            Counter::ImageBuilds => "image_builds",
+            Counter::ImageReuses => "image_reuses",
         }
     }
 
@@ -224,6 +234,8 @@ impl Counter {
             Counter::MembershipShrinks => "Membership epochs committed (one eviction each)",
             Counter::ScheduleBuilds => "Exchange schedules built (cache misses)",
             Counter::ColumnSeals => "Instance columns rehashed at write-completion points",
+            Counter::ImageBuilds => "Shard images built (instances allocated, run lists computed)",
+            Counter::ImageReuses => "Shard runs that reused the program's image",
         }
     }
 
@@ -270,11 +282,18 @@ pub enum Timer {
     /// Time building an exchange schedule (the §3.3 inspector:
     /// intersections plus gather/scatter offsets), per build.
     ScheduleBuildNs,
+    /// Time filling a shard's image from the store at the start of a
+    /// run (seals dropped, declared columns copied in, temporaries
+    /// identity-filled), per shard per run.
+    ImageFillNs,
+    /// Time flushing a shard's written partition instances back into
+    /// the store at the end of a run, per shard per run.
+    ImageFlushNs,
 }
 
 impl Timer {
     /// Number of timers.
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 17;
 
     /// All timers, in declaration order.
     pub const ALL: [Timer; Timer::COUNT] = [
@@ -293,6 +312,8 @@ impl Timer {
         Timer::MttrNs,
         Timer::FailoverReconstructNs,
         Timer::ScheduleBuildNs,
+        Timer::ImageFillNs,
+        Timer::ImageFlushNs,
     ];
 
     /// Stable snake_case name (used in exports).
@@ -313,6 +334,8 @@ impl Timer {
             Timer::MttrNs => "mttr_ns",
             Timer::FailoverReconstructNs => "failover_reconstruct_ns",
             Timer::ScheduleBuildNs => "schedule_build_ns",
+            Timer::ImageFillNs => "image_fill_ns",
+            Timer::ImageFlushNs => "image_flush_ns",
         }
     }
 
@@ -334,6 +357,8 @@ impl Timer {
             Timer::MttrNs => "Mean-time-to-repair per failover attempt (ns)",
             Timer::FailoverReconstructNs => "Time reconstructing dead-shard instances (ns)",
             Timer::ScheduleBuildNs => "Time building an exchange schedule, per build (ns)",
+            Timer::ImageFillNs => "Time filling a shard image from the store, per shard run (ns)",
+            Timer::ImageFlushNs => "Time flushing a shard image into the store, per shard run (ns)",
         }
     }
 
@@ -1044,8 +1069,8 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_is_spec_compliant() {
-        // Golden-output check for one counter family and one histogram
-        // family. Uses a private registry so parallel tests touching
+        // Golden-output check for the counter and histogram families of
+        // the service queue, the exchange schedule and the shard images. Uses a private registry so parallel tests touching
         // the global one cannot perturb the golden text.
         let registry = MetricsRegistry {
             enabled: true,
@@ -1057,6 +1082,10 @@ mod tests {
         set.timers[Timer::QueueWaitNs.index()].record(1 << 62); // overflow bucket
         set.counters[Counter::ScheduleBuilds.index()] = 1;
         set.timers[Timer::ScheduleBuildNs.index()].record(3); // bucket 1
+        set.counters[Counter::ImageBuilds.index()] = 2;
+        set.counters[Counter::ImageReuses.index()] = 6;
+        set.timers[Timer::ImageFillNs.index()].record(5); // bucket 2
+        set.timers[Timer::ImageFlushNs.index()].record(9); // bucket 3
         registry.absorb("tenant-1/quote\"back\\slash", &set);
         let prom = registry.to_prometheus();
         let expected = "\
@@ -1066,6 +1095,12 @@ regent_jobs_admitted_total{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
 # HELP regent_schedule_builds_total Exchange schedules built (cache misses)
 # TYPE regent_schedule_builds_total counter
 regent_schedule_builds_total{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
+# HELP regent_image_builds_total Shard images built (instances allocated, run lists computed)
+# TYPE regent_image_builds_total counter
+regent_image_builds_total{shard=\"tenant-1/quote\\\"back\\\\slash\"} 2
+# HELP regent_image_reuses_total Shard runs that reused the program's image
+# TYPE regent_image_reuses_total counter
+regent_image_reuses_total{shard=\"tenant-1/quote\\\"back\\\\slash\"} 6
 # HELP regent_queue_wait_ns Time a job waited in the service admission queue (ns)
 # TYPE regent_queue_wait_ns histogram
 regent_queue_wait_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"1024\"} 1
@@ -1078,6 +1113,18 @@ regent_schedule_build_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"4
 regent_schedule_build_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"+Inf\"} 1
 regent_schedule_build_ns_sum{shard=\"tenant-1/quote\\\"back\\\\slash\"} 3
 regent_schedule_build_ns_count{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
+# HELP regent_image_fill_ns Time filling a shard image from the store, per shard run (ns)
+# TYPE regent_image_fill_ns histogram
+regent_image_fill_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"8\"} 1
+regent_image_fill_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"+Inf\"} 1
+regent_image_fill_ns_sum{shard=\"tenant-1/quote\\\"back\\\\slash\"} 5
+regent_image_fill_ns_count{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
+# HELP regent_image_flush_ns Time flushing a shard image into the store, per shard run (ns)
+# TYPE regent_image_flush_ns histogram
+regent_image_flush_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"16\"} 1
+regent_image_flush_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"+Inf\"} 1
+regent_image_flush_ns_sum{shard=\"tenant-1/quote\\\"back\\\\slash\"} 9
+regent_image_flush_ns_count{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
 ";
         assert_eq!(prom, expected);
         // Overflow samples must never appear under a finite le bound.

@@ -1,7 +1,7 @@
 //! Buffer pooling for the exchange data plane.
 //!
 //! Every copy message used to carry freshly allocated `Vec`s and every
-//! checkpoint boundary cloned the whole instance map; in steady state
+//! checkpoint boundary cloned every instance of the shard; in steady state
 //! both allocate the same shapes over and over. [`ChunkPool`] is a
 //! per-shard freelist (shard threads are single-threaded, so no locks)
 //! the consumer side feeds with drained payload buffers and the
@@ -22,9 +22,7 @@
 //! bit-identical to a fresh allocation path by construction (the
 //! `ring_props` suite pins this).
 
-use crate::plan::InstKey;
 use regent_region::Instance;
-use std::collections::HashMap;
 
 /// Bound on retained buffers per element kind: enough for every
 /// in-flight pair of a wide mesh, small enough that a pathological
@@ -107,26 +105,16 @@ impl ChunkPool {
 }
 
 /// Clones `src` into `dst` reusing `dst`'s existing allocations: the
-/// per-key instances are `clone_contents_from`'d in place. Contract:
-/// when a key exists in both maps, the two instances have the same
-/// shape (the executors' key sets and instance shapes are static per
-/// shard). Stale keys are handled defensively by falling back to a
-/// fresh clone of the whole map.
-pub(crate) fn clone_insts_into(
-    src: &HashMap<InstKey, Instance>,
-    dst: &mut HashMap<InstKey, Instance>,
-) {
+/// instances are `clone_contents_from`'d in place, slot by slot.
+/// Contract: both are one shard's instances by slot of its layout, so
+/// instances at the same index have the same shape; a `dst` of another
+/// length (the first snapshot) is replaced by a fresh clone.
+pub(crate) fn clone_insts_into(src: &[Instance], dst: &mut Vec<Instance>) {
     if dst.len() != src.len() {
-        dst.clear();
-        dst.extend(src.iter().map(|(k, v)| (*k, v.clone())));
+        *dst = src.to_vec();
         return;
     }
-    for (k, v) in src {
-        match dst.get_mut(k) {
-            Some(d) => d.clone_contents_from(v),
-            None => {
-                dst.insert(*k, v.clone());
-            }
-        }
+    for (d, s) in dst.iter_mut().zip(src) {
+        d.clone_contents_from(s);
     }
 }

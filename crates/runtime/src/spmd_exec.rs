@@ -8,6 +8,13 @@
 //! shared mutable region data, which is exactly the paper's
 //! distributed-memory implementation of region semantics.
 //!
+//! That storage is the program's *shard image* (`regent_cr::image`):
+//! mapped once per compiled program, taken at the start of a run,
+//! refilled from the store, and handed back by the team driver after a
+//! clean join. Nothing here allocates an instance or looks one up by
+//! key — launches, copies, re-seals, checkpoints and rollbacks index the
+//! image by the slot numbers the exchange schedule fixed.
+//!
 //! Synchronization follows the consumer-applied protocol of §3.4:
 //! copies "are issued by the producer of the data", and the consumer
 //! blocks on the matching receive at its own copy point. The receive
@@ -93,13 +100,13 @@ use crate::run::{RunCtx, RunResult};
 use crate::team::run_team;
 use regent_cr::spmd::block_range;
 use regent_cr::{
-    CopyId, CopySource, CopyStmt, SpmdArg, SpmdLaunch, SpmdProgram, SpmdStmt, TempId, UseBase,
+    CopyId, CopySource, CopyStmt, ShardImage, ShardLayout, SpmdLaunch, SpmdProgram, SpmdStmt,
+    TempId,
 };
 use regent_fault::{message_key, DeathCause, FaultPlan, PeerDeath, RetryPolicy, SHARD_LOSS_PREFIX};
-use regent_geometry::{Domain, DynPoint};
 use regent_ir::{ArgSlot, Privilege, Store, TaskCtx};
 use regent_region::checksum::StripedFnv;
-use regent_region::{copy_fields, ColumnData, FieldId, Instance, ReductionOp, RegionId};
+use regent_region::{ColumnData, FieldId, Instance, ReductionOp};
 use regent_trace::{fields_mask, CorruptSite, EventKind, TraceBuf, Tracer};
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -508,7 +515,8 @@ impl Resilience {
 struct Snapshot {
     token: u64,
     epoch: u64,
-    insts: HashMap<InstKey, Instance>,
+    /// The shard's instances, by slot of its layout.
+    insts: Vec<Instance>,
     env: Vec<f64>,
 }
 
@@ -519,7 +527,7 @@ struct PendingPart {
     token: u64,
     loop_seq: u64,
     env: Vec<f64>,
-    insts: HashMap<InstKey, Instance>,
+    insts: Vec<Instance>,
 }
 
 /// A complete, consistent cross-attempt checkpoint: every shard's
@@ -533,7 +541,8 @@ pub(crate) struct ResumeState {
     /// in a different loop.
     pub(crate) loop_seq: u64,
     pub(crate) env: Vec<f64>,
-    pub(crate) parts: Vec<HashMap<InstKey, Instance>>,
+    /// Per shard, its instances by slot of its layout.
+    pub(crate) parts: Vec<Vec<Instance>>,
 }
 
 /// One replicated segment's slot of a [`Rescue`]: carries checkpoint state *across
@@ -637,7 +646,7 @@ impl RescueSlot {
         token: u64,
         loop_seq: u64,
         env: &[f64],
-        insts: &HashMap<InstKey, Instance>,
+        insts: &[Instance],
     ) {
         let mut g = self.inner.lock().expect("rescue slot poisoned");
         assert!(shard < g.pending.len(), "rescue offer from unknown shard");
@@ -646,7 +655,7 @@ impl RescueSlot {
             token,
             loop_seq,
             env: env.to_vec(),
-            insts: insts.clone(),
+            insts: insts.to_vec(),
         });
         let complete = g.pending.iter().all(|p| {
             p.as_ref()
@@ -660,8 +669,7 @@ impl RescueSlot {
                 .collect();
             // The scalar environment is replicated; commit shard 0's.
             let env = taken[0].env.clone();
-            let parts: Vec<HashMap<InstKey, Instance>> =
-                taken.into_iter().map(|q| q.insts).collect();
+            let parts: Vec<Vec<Instance>> = taken.into_iter().map(|q| q.insts).collect();
             g.committed = Some(Arc::new(ResumeState {
                 epoch,
                 token,
@@ -747,70 +755,6 @@ pub(crate) fn inst_hash(key: &InstKey) -> u64 {
     h.finish()
 }
 
-/// Shard-local storage.
-pub(crate) struct ShardData {
-    pub(crate) insts: HashMap<InstKey, Instance>,
-}
-
-impl ShardData {
-    pub(crate) fn iter_sorted(&self) -> impl Iterator<Item = (&InstKey, &Instance)> {
-        let mut keys: Vec<&InstKey> = self.insts.keys().collect();
-        keys.sort();
-        keys.into_iter().map(move |k| (k, &self.insts[k]))
-    }
-}
-
-/// Allocates and initializes a shard's instances: one per owned
-/// partition color per use, one replica per whole-region use, and the
-/// reduction temporaries (§3.1 initialization + §4.3 temps).
-fn allocate_shard_data(spmd: &SpmdProgram, shard: usize, store: &Store) -> ShardData {
-    let mut insts = HashMap::new();
-    for (u, decl) in spmd.uses.iter().enumerate() {
-        if !decl.needs_instances() {
-            continue;
-        }
-        let region = regent_cr::analysis::base_region(&spmd.forest, decl.base);
-        let fields_space = spmd.forest.fields(region);
-        let root_inst = store.instance_in(&spmd.forest, region);
-        match decl.base {
-            UseBase::Part(p) => {
-                for &c in spmd.owned_colors(decl.domain, shard) {
-                    let dom = spmd.forest.domain(spmd.forest.subregion(p, c));
-                    let mut inst = Instance::new(dom.clone(), fields_space);
-                    copy_fields(root_inst, &mut inst, &decl.fields, dom);
-                    insts.insert(InstKey::UsePart(u as u32, c), inst);
-                }
-            }
-            UseBase::Whole(r) => {
-                let dom = spmd.forest.domain(r);
-                let mut inst = Instance::new(dom.clone(), fields_space);
-                copy_fields(root_inst, &mut inst, &decl.fields, dom);
-                insts.insert(InstKey::UseWhole(u as u32, shard as u32), inst);
-            }
-        }
-    }
-    for (t, decl) in spmd.temps.iter().enumerate() {
-        let region = regent_cr::analysis::base_region(&spmd.forest, decl.base);
-        let fields_space = spmd.forest.fields(region);
-        match decl.base {
-            UseBase::Part(p) => {
-                for &c in spmd.owned_colors(decl.domain, shard) {
-                    let sub = spmd.forest.subregion(p, c);
-                    let dom = spmd.forest.domain(sub).clone();
-                    let inst = Instance::new_reduction(dom, fields_space, decl.op);
-                    insts.insert(InstKey::TempPart(t as u32, c), inst);
-                }
-            }
-            UseBase::Whole(r) => {
-                let dom = spmd.forest.domain(r).clone();
-                let inst = Instance::new_reduction(dom, fields_space, decl.op);
-                insts.insert(InstKey::TempWhole(t as u32, shard as u32), inst);
-            }
-        }
-    }
-    ShardData { insts }
-}
-
 /// The per-shard execution engine: shard-local storage, the exchange
 /// channels, trace/metrics recorders, and the resilience state. The
 /// SPMD executor drives it through [`ShardExec::run_stmts`] (every
@@ -824,8 +768,13 @@ pub(crate) struct ShardExec<'a> {
     /// The program's exchange schedule (pairs plus gather/scatter
     /// offsets), shared read-only with every other shard and run.
     pub(crate) schedule: &'a ExchangeSchedule,
+    /// This shard's slice of the schedule: its instance slots and the
+    /// pairs it produces and consumes.
+    layout: &'a ShardLayout,
     pub(crate) shard: usize,
-    pub(crate) data: ShardData,
+    /// The shard's instances, by slot: the program's image of this
+    /// shard, taken for the run and handed back by the team driver.
+    pub(crate) data: ShardImage,
     pub(crate) env: Vec<f64>,
     pub(crate) tx: Vec<CopyTx<CopyMsg>>,
     pub(crate) rx: Vec<CopyRx<CopyMsg>>,
@@ -883,10 +832,10 @@ struct Scratch<'a> {
     slots: Vec<ArgSlot<'a>>,
     /// Instances a launch held with a mutating privilege, with the
     /// declared fields to re-seal once it completes.
-    reseal: Vec<(InstKey, &'a [FieldId])>,
-    /// Destination instances a copy statement applied into, re-sealed
-    /// once after its last pair.
-    applied: Vec<InstKey>,
+    reseal: Vec<(usize, &'a [FieldId])>,
+    /// Destination instances (slots) a copy statement applied into,
+    /// re-sealed once after its last pair.
+    applied: Vec<u32>,
     /// A copy statement's outbound payloads under the integrity
     /// protocol, staged so one bracket checksums them all.
     outbox: Vec<Outbound>,
@@ -902,9 +851,9 @@ struct Outbound {
 }
 
 impl<'a> ShardExec<'a> {
-    /// A shard's engine at the start of a run: instances allocated and
-    /// filled from `store` (sealed when the integrity layer is on),
-    /// every counter at zero.
+    /// A shard's engine at the start of a run: the program's image of
+    /// the shard taken (built on the first run) and filled from `store`
+    /// (sealed when the integrity layer is on), every counter at zero.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         spmd: &'a SpmdProgram,
@@ -917,17 +866,28 @@ impl<'a> ShardExec<'a> {
         tracer: &Arc<Tracer>,
         resilience: Option<&ResilienceOptions>,
     ) -> Self {
-        let mut data = allocate_shard_data(spmd, shard, store);
+        let mut mx = metrics::global().handle(&format!("shard-{shard}"));
+        let layout = &schedule.layouts[shard];
+        let (mut data, built) = spmd.take_image(layout, shard);
+        mx.incr(if built {
+            Counter::ImageBuilds
+        } else {
+            Counter::ImageReuses
+        });
+        let m0 = mx.start();
+        data.fill(spmd, layout, store);
+        mx.record_since(m0, Timer::ImageFillNs);
         if resilience.is_some_and(|o| o.integrity || o.plan.corrupt_rate > 0.0) {
             // Initial seal: from here on every instance is verified at
             // each epoch boundary.
-            for inst in data.insts.values_mut() {
+            for inst in &mut data.insts {
                 inst.seal();
             }
         }
         ShardExec {
             spmd,
             schedule,
+            layout,
             shard,
             data,
             env,
@@ -937,7 +897,7 @@ impl<'a> ShardExec<'a> {
             barrier,
             stats: ShardStats::default(),
             tb: tracer.buffer(&format!("shard-{shard}")),
-            mx: metrics::global().handle(&format!("shard-{shard}")),
+            mx,
             launch_seq: 0,
             loop_depth: 0,
             copy_occurrence: HashMap::new(),
@@ -1066,24 +1026,17 @@ impl<'a> ShardExec<'a> {
 
     fn reset_temp(&mut self, t: TempId) {
         let decl = &self.spmd.temps[t.0 as usize];
-        let shard = self.shard;
-        let keys = temp_keys(self.spmd, t, shard);
-        let missing = |k: InstKey| -> ! {
-            panic!("shard {shard}: reduction temporary {k:?} missing (allocation out of sync)")
-        };
-        for k in keys.clone() {
-            let inst = self.data.insts.get_mut(&k).unwrap_or_else(|| missing(k));
+        let slots = self.layout.temp_slots(t);
+        for inst in &mut self.data.insts[slots.clone()] {
             for &f in &decl.fields {
                 inst.fill_field(f, decl.op);
             }
         }
         if self.integrity_on() {
             let m0 = self.mx.start_cpu();
-            let mut sealed = 0;
-            for k in keys {
-                let inst = self.data.insts.get_mut(&k).unwrap_or_else(|| missing(k));
+            let sealed = (slots.len() * decl.fields.len()) as u64;
+            for inst in &mut self.data.insts[slots] {
                 inst.seal_fields(&decl.fields);
-                sealed += decl.fields.len() as u64;
             }
             self.mx.record_cpu_since(m0, Timer::IntegrityNs);
             self.mx.add(Counter::ColumnSeals, sealed);
@@ -1176,36 +1129,35 @@ impl<'a> ShardExec<'a> {
         let mut reduced: Option<f64> = None;
         for (local_idx, &c) in owned.iter().enumerate() {
             let pos = (block_start + local_idx) as u32;
-            // Resolve argument instances and domains.
+            // Resolve argument instances and domains: the layout
+            // turns (argument, owned point) into a slot by arithmetic.
             for (idx, a) in l.args.iter().enumerate() {
                 let param = &decl.params[idx];
-                let (key, domain, region) = self.arg_key_domain(a, c);
+                let slot = self.layout.arg_slot(a, local_idx);
+                let info = &self.layout.slots[slot];
+                let domain = spmd.forest.domain(info.region);
                 if integrity && !matches!(param.privilege, Privilege::Read) {
                     // An instance reached through two arguments is
                     // listed once per distinct field list (disjoint, or
                     // the launch would alias a write).
-                    let entry = (key, &param.fields[..]);
+                    let entry = (slot, &param.fields[..]);
                     if !self.scratch.reseal.contains(&entry) {
                         self.scratch.reseal.push(entry);
                     }
                 }
-                let inst: *mut Instance = self
-                    .data
-                    .insts
-                    .get_mut(&key)
-                    .unwrap_or_else(|| panic!("shard {} missing instance {key:?}", self.shard));
+                let inst: *mut Instance = &mut self.data.insts[slot];
                 if self.tb.is_enabled() {
                     self.tb.instant(EventKind::TaskAccess {
                         launch,
                         pos,
-                        region: region.0,
-                        inst: inst_hash(&key),
+                        region: info.region.0,
+                        inst: inst_hash(&info.key),
                         fields: fields_mask(param.fields.iter().map(|f| f.0)),
                         privilege: crate::implicit::priv_code(param.privilege),
                     });
                 }
                 // SAFETY: shard-local instances that outlive the kernel
-                // call (the map is not touched until it returns, and
+                // call (the image is not touched until it returns, and
                 // the slots are dropped right after it); one kernel
                 // runs at a time on this thread; slots that alias are
                 // what `TaskCtx`'s `Cell`-style views are for.
@@ -1249,12 +1201,8 @@ impl<'a> ShardExec<'a> {
         if !self.scratch.reseal.is_empty() {
             let m0 = self.mx.start_cpu();
             let mut sealed = 0;
-            for &(key, fields) in &self.scratch.reseal {
-                self.data
-                    .insts
-                    .get_mut(&key)
-                    .expect("resealing an instance the launch just accessed")
-                    .seal_fields(fields);
+            for &(slot, fields) in &self.scratch.reseal {
+                self.data.insts[slot].seal_fields(fields);
                 sealed += fields.len() as u64;
             }
             self.mx.record_cpu_since(m0, Timer::IntegrityNs);
@@ -1265,61 +1213,6 @@ impl<'a> ShardExec<'a> {
             // launch folds across shards. Shards owning no points
             // contribute the identity.
             self.env[var.0 as usize] = reduced.unwrap_or_else(|| op.identity());
-        }
-    }
-
-    fn arg_key_domain(&self, a: &SpmdArg, c: DynPoint) -> (InstKey, &'a Domain, RegionId) {
-        let forest = &self.spmd.forest;
-        match a {
-            SpmdArg::Use(u) => {
-                let decl = &self.spmd.uses[*u];
-                match decl.base {
-                    UseBase::Part(p) => {
-                        let sub = forest.subregion(p, c);
-                        (InstKey::UsePart(*u as u32, c), forest.domain(sub), sub)
-                    }
-                    UseBase::Whole(r) => (
-                        InstKey::UseWhole(*u as u32, self.shard as u32),
-                        forest.domain(r),
-                        r,
-                    ),
-                }
-            }
-            SpmdArg::Temp(t) => {
-                let decl = &self.spmd.temps[t.0 as usize];
-                match decl.base {
-                    UseBase::Part(p) => {
-                        let sub = forest.subregion(p, c);
-                        (InstKey::TempPart(t.0, c), forest.domain(sub), sub)
-                    }
-                    UseBase::Whole(r) => (
-                        InstKey::TempWhole(t.0, self.shard as u32),
-                        forest.domain(r),
-                        r,
-                    ),
-                }
-            }
-        }
-    }
-
-    /// The logical region a copy pair's destination key covers.
-    fn key_region(&self, key: &InstKey) -> RegionId {
-        match *key {
-            InstKey::UsePart(u, c) => match self.spmd.uses[u as usize].base {
-                UseBase::Part(p) => self.spmd.forest.subregion(p, c),
-                UseBase::Whole(r) => r,
-            },
-            InstKey::UseWhole(u, _) => {
-                regent_cr::analysis::base_region(&self.spmd.forest, self.spmd.uses[u as usize].base)
-            }
-            InstKey::TempPart(t, c) => match self.spmd.temps[t as usize].base {
-                UseBase::Part(p) => self.spmd.forest.subregion(p, c),
-                UseBase::Whole(r) => r,
-            },
-            InstKey::TempWhole(t, _) => regent_cr::analysis::base_region(
-                &self.spmd.forest,
-                self.spmd.temps[t as usize].base,
-            ),
         }
     }
 
@@ -1335,7 +1228,9 @@ impl<'a> ShardExec<'a> {
             "copy {} has the same use as source and destination",
             c.id.0
         );
-        let pairs: &[PairPlan] = &self.schedule.pairs[c.intersection.0 as usize];
+        let ix = c.intersection.0 as usize;
+        let pairs: &[PairPlan] = &self.schedule.pairs[ix];
+        let layout = self.layout;
         let traced = self.tb.is_enabled();
         let integrity = self.integrity_on();
         let copy_fields_mask = if traced {
@@ -1344,10 +1239,8 @@ impl<'a> ShardExec<'a> {
             0
         };
         // Producer phase (§3.4: copies are issued by the producer).
-        for (seq, p) in pairs.iter().enumerate() {
-            if p.src_owner != self.shard {
-                continue;
-            }
+        for &seq in &layout.produces[ix] {
+            let (seq, p) = (seq as usize, &pairs[seq as usize]);
             let t0 = self.tb.now();
             let m0 = self.mx.start();
             // A pair that stays on this shard has nothing to stage: the
@@ -1355,7 +1248,7 @@ impl<'a> ShardExec<'a> {
             let chunks = (p.dst_owner != self.shard).then(|| {
                 extract(
                     &mut self.pool,
-                    &self.data.insts[&p.src_key],
+                    &self.data.insts[p.src_slot as usize],
                     &c.fields,
                     &p.src_offsets,
                 )
@@ -1443,10 +1336,8 @@ impl<'a> ShardExec<'a> {
         }
         // Consumer phase: apply in the global deterministic order (the
         // receive is the point-to-point synchronization).
-        for (seq, p) in pairs.iter().enumerate() {
-            if p.dst_owner != self.shard {
-                continue;
-            }
+        for &seq in &layout.consumes[ix] {
+            let (seq, p) = (seq as usize, &pairs[seq as usize]);
             let t0 = self.tb.now();
             let m0 = self.mx.start();
             let chunks = if p.src_owner == self.shard {
@@ -1533,20 +1424,9 @@ impl<'a> ShardExec<'a> {
                 }
                 Some(msg.chunks)
             };
-            let missing = |key: &InstKey| -> ! {
-                panic!(
-                    "shard {}: instance {key:?} for copy {} pair {seq} missing \
-                     (exchange schedule inconsistent with allocation)",
-                    self.shard, c.id.0
-                )
-            };
             match chunks {
                 Some(chunks) => {
-                    let dst = self
-                        .data
-                        .insts
-                        .get_mut(&p.dst_key)
-                        .unwrap_or_else(|| missing(&p.dst_key));
+                    let dst = &mut self.data.insts[p.dst_slot as usize];
                     apply(dst, &c.fields, &p.dst_offsets, &chunks, c.reduction);
                     // The drained payload feeds the freelist the
                     // producer side draws from — steady state
@@ -1555,15 +1435,17 @@ impl<'a> ShardExec<'a> {
                 }
                 None => {
                     // Source and destination are instances of different
-                    // uses (asserted above), so the keys are disjoint.
-                    let [src, dst] = self.data.insts.get_disjoint_mut([&p.src_key, &p.dst_key]);
-                    let src = src.unwrap_or_else(|| missing(&p.src_key));
-                    let dst = dst.unwrap_or_else(|| missing(&p.dst_key));
+                    // uses (asserted above), so the slots differ.
+                    let [src, dst] = self
+                        .data
+                        .insts
+                        .get_disjoint_mut([p.src_slot as usize, p.dst_slot as usize])
+                        .expect("a same-shard pair copies between two instances");
                     apply_local(src, dst, &c.fields, p, c.reduction);
                 }
             }
             if integrity {
-                self.scratch.applied.push(p.dst_key);
+                self.scratch.applied.push(p.dst_slot);
             }
             self.mx.incr(Counter::CopiesApplied);
             self.mx.record_since(m0, Timer::CopyWaitNs);
@@ -1577,7 +1459,7 @@ impl<'a> ShardExec<'a> {
                         copy: c.id.0,
                         pair: seq as u32,
                         seq: occurrence,
-                        region: self.key_region(&p.dst_key).0,
+                        region: layout.slots[p.dst_slot as usize].region.0,
                         inst: inst_hash(&p.dst_key),
                         fields: copy_fields_mask,
                         reduce: c.reduction.is_some(),
@@ -1594,12 +1476,8 @@ impl<'a> ShardExec<'a> {
             self.scratch.applied.dedup();
             let sealed = (self.scratch.applied.len() * c.fields.len()) as u64;
             let m0 = self.mx.start_cpu();
-            for key in self.scratch.applied.drain(..) {
-                self.data
-                    .insts
-                    .get_mut(&key)
-                    .expect("resealing an instance a pair was just applied to")
-                    .seal_fields(&c.fields);
+            for slot in self.scratch.applied.drain(..) {
+                self.data.insts[slot as usize].seal_fields(&c.fields);
             }
             self.mx.record_cpu_since(m0, Timer::IntegrityNs);
             self.mx.add(Counter::ColumnSeals, sealed);
@@ -1948,7 +1826,9 @@ impl<'a> ShardExec<'a> {
     /// *not* suppressed: this run only executes (and only counts) the
     /// epochs after the checkpoint.
     fn install_resume(&mut self, rs: &ResumeState) -> u64 {
-        self.data.insts = rs.parts[self.shard].clone();
+        // A checkpoint part is laid out by the same slots as the image
+        // (failover's remap rebuilds it for a shrunken membership).
+        clone_insts_into(&rs.parts[self.shard], &mut self.data.insts);
         self.env = rs.env.clone();
         self.epoch = rs.epoch;
         let r = self.resilience.as_mut().unwrap();
@@ -2028,12 +1908,13 @@ impl<'a> ShardExec<'a> {
     /// the fault plan did not predict — that is genuine memory
     /// corruption or a missed re-seal, and either must fail-stop.
     fn verify_clean(&self) {
-        for (key, inst) in self.data.insts.iter() {
+        for (inst, info) in self.data.insts.iter().zip(&self.layout.slots) {
             assert!(
                 inst.verify_seal(),
-                "shard {}: instance {key:?} failed seal verification with no corruption \
+                "shard {}: instance {:?} failed seal verification with no corruption \
                  scheduled (memory fault or missed re-seal)",
-                self.shard
+                self.shard,
+                info.key
             );
         }
     }
@@ -2041,11 +1922,7 @@ impl<'a> ShardExec<'a> {
     /// Number of resident instances whose seal no longer matches their
     /// contents.
     fn count_seal_mismatches(&self) -> u64 {
-        self.data
-            .insts
-            .values()
-            .filter(|i| !i.verify_seal())
-            .count() as u64
+        self.data.insts.iter().filter(|i| !i.verify_seal()).count() as u64
     }
 
     /// Flips one bit in one entropy-selected resident instance without
@@ -2053,24 +1930,10 @@ impl<'a> ShardExec<'a> {
     /// sweep must catch. Returns `false` when the shard holds no
     /// corruptible (non-empty) instance.
     fn inject_resident(&mut self, entropy: u64) -> bool {
-        let mut keys: Vec<InstKey> = self.data.insts.keys().copied().collect();
-        keys.sort();
-        if keys.is_empty() {
-            return false;
-        }
-        let start = (entropy % keys.len() as u64) as usize;
-        for i in 0..keys.len() {
-            let key = keys[(start + i) % keys.len()];
-            let inst = self
-                .data
-                .insts
-                .get_mut(&key)
-                .expect("key enumerated from the same map");
-            if inst.corrupt_bit_silently(entropy) {
-                return true;
-            }
-        }
-        false
+        let insts = &mut self.data.insts;
+        let n = insts.len();
+        let start = (entropy % n.max(1) as u64) as usize;
+        (0..n).any(|i| insts[(start + i) % n].corrupt_bit_silently(entropy))
     }
 
     /// Next dynamic occurrence number of a (copy, pair) on one side.
@@ -2084,24 +1947,6 @@ impl<'a> ShardExec<'a> {
         *e += 1;
         v
     }
-}
-
-/// Keys of reduction temporary `t`'s instances on `shard`: one per
-/// owned color, or the shard's replica of a whole-region temporary.
-fn temp_keys(
-    spmd: &SpmdProgram,
-    t: TempId,
-    shard: usize,
-) -> impl Iterator<Item = InstKey> + Clone + '_ {
-    let decl = &spmd.temps[t.0 as usize];
-    let (colors, whole) = match decl.base {
-        UseBase::Part(_) => (spmd.owned_colors(decl.domain, shard), None),
-        UseBase::Whole(_) => (&[][..], Some(InstKey::TempWhole(t.0, shard as u32))),
-    };
-    colors
-        .iter()
-        .map(move |&c| InstKey::TempPart(t.0, c))
-        .chain(whole)
 }
 
 /// Extracts field payloads at precomputed offsets (canonical element

@@ -9,7 +9,8 @@
 //! reads the per-run environment, spawns, pins and guards one thread
 //! per shard, joins them, picks the root-cause failure, checks that the
 //! replicated scalar environments agree, flushes written partitions
-//! back into the store and exports the metrics. A strategy hands it a
+//! back into the store, hands the shard images back to the program and
+//! exports the metrics. A strategy hands it a
 //! **control source**: the per-shard `body` (the replicated walk of
 //! `spmd.body`, or the tail of a launch-log cursor) plus at most one
 //! auxiliary thread (the log sequencer). Range-local replication (§2.2)
@@ -17,15 +18,14 @@
 //! segment.
 
 use crate::collective::{DynamicCollective, ShardBarrier};
-use crate::metrics;
-use crate::plan::{schedule_for_run, InstKey};
+use crate::metrics::{self, Timer};
+use crate::plan::schedule_for_run;
 use crate::ring;
 use crate::run::{RunCtx, RunResult};
-use crate::spmd_exec::{CopyMsg, DeathBoard, ResilienceOptions, ShardData, ShardExec, ShardStats};
-use regent_cr::SpmdProgram;
+use crate::spmd_exec::{CopyMsg, DeathBoard, ResilienceOptions, ShardExec, ShardStats};
+use regent_cr::{ShardImage, SpmdProgram};
 use regent_fault::{DeathCause, PeerDeath};
 use regent_ir::Store;
-use regent_region::copy_fields;
 use std::sync::Arc;
 
 /// Whether a thread's panic message is the victim of another thread's
@@ -98,7 +98,7 @@ pub(crate) fn run_team(
     let rescue = slot.and_then(|i| Some(resilience?.rescue.as_ref()?.slot(i, ns)));
     let resume = rescue.as_ref().and_then(|s| s.resume_state());
 
-    let mut results: Vec<Option<(Vec<f64>, ShardStats, ShardData)>> =
+    let mut results: Vec<Option<(Vec<f64>, ShardStats, ShardImage)>> =
         (0..ns).map(|_| None).collect();
 
     std::thread::scope(|scope| {
@@ -200,9 +200,14 @@ pub(crate) fn run_team(
         replicated_segments: 1,
         ..RunResult::default()
     };
-    let mut datas = Vec::with_capacity(ns);
+    // Finalization (§3.1), on this thread — the store is never shared
+    // mutably: every written partition instance goes back to the root
+    // store along its memoized run list. Only now, after a clean join,
+    // do the images return to the program for its next run; a team
+    // that unwound above dropped them with its threads.
+    let mut mx = metrics::global().handle("image");
     for (shard, r) in results.into_iter().enumerate() {
-        let (env, stats, data) =
+        let (env, stats, image) =
             r.expect("shard result missing despite all threads joining cleanly");
         if shard == 0 {
             run.env = env;
@@ -214,32 +219,17 @@ pub(crate) fn run_team(
         }
         run.stats.merge(&stats);
         run.per_shard.push(stats);
-        datas.push(data);
+        let m0 = mx.start();
+        image.flush(spmd, &schedule.layouts[shard], store);
+        mx.record_since(m0, Timer::ImageFlushNs);
+        spmd.put_image(shard, image);
     }
-    finalize_into_store(spmd, store, &datas);
+    // Merge the flush timer before the export below reads the registry.
+    drop(mx);
 
     // Every shard handle merged when its thread finished above.
     metrics::export_env();
     run
-}
-
-/// Finalization (§3.1): flush every written partition instance back to
-/// the root store. All instances covering an element agree at this
-/// point, so the flush order is immaterial; iterate deterministically
-/// anyway.
-fn finalize_into_store(spmd: &SpmdProgram, store: &mut Store, datas: &[ShardData]) {
-    for data in datas {
-        for (key, inst) in data.iter_sorted() {
-            if let InstKey::UsePart(u, _) = key {
-                let decl = &spmd.uses[*u as usize];
-                if decl.writes {
-                    let region = regent_cr::analysis::base_region(&spmd.forest, decl.base);
-                    let root_inst = store.instance_mut_in(&spmd.forest, region);
-                    copy_fields(inst, root_inst, &decl.fields, inst.domain());
-                }
-            }
-        }
-    }
 }
 
 /// Poisons the shared synchronization primitives when a team thread
