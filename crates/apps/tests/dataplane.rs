@@ -1,33 +1,51 @@
 //! Data-plane differential matrix: every evaluation application must
-//! produce identical results no matter which transport carries the
-//! shard exchanges and whether shard threads are pinned.
+//! produce identical results over the exchange rings whether or not
+//! shard threads are pinned, and however many frames one copy statement
+//! addresses to one peer.
 //!
-//! The matrix: {SPSC ring (default), legacy mpsc channel} ×
-//! {`REGENT_PIN_CORES` off, on} × {stencil, circuit, MiniAero,
-//! PENNANT} × {SPMD, hybrid, shared-log}. Each cell is compared
-//! against the sequential reference (bit-exact for stencil, app
-//! tolerance elsewhere — the same contracts as `differential.rs`) and
-//! Spy-certified from its trace.
+//! The matrix: {`REGENT_PIN_CORES` off, on} × {stencil, circuit,
+//! MiniAero, PENNANT} × {SPMD, hybrid, shared-log}. Each cell is
+//! compared against the sequential reference (bit-exact for stencil,
+//! app tolerance elsewhere — the same contracts as `differential.rs`)
+//! and Spy-certified from its trace.
 //!
-//! On top of the matrix, the resilience protocols are regressed on
-//! both planes: checkpointed crash recovery and corruption
-//! retransmission must stay bit-identical, and an unrecoverable
-//! mid-exchange shard death must unwind its peers *promptly* (ring
-//! seals / barrier poisoning, not the hang timeout) with the same
-//! diagnostics the channel plane produced.
+//! On top of the matrix, the resilience protocols are regressed over
+//! the rings: checkpointed crash recovery and corruption retransmission
+//! must stay bit-identical, and an unrecoverable mid-exchange shard
+//! death must unwind its peers *promptly* (ring seals / barrier
+//! poisoning, not the hang timeout) with the pinned diagnostics.
 //!
-//! `REGENT_DATA_PLANE` and `REGENT_PIN_CORES` are process-global, so
-//! the whole matrix lives in ONE sequential `#[test]` in its own
-//! binary (the `env_opts.rs` idiom); the executors re-read the
-//! variables at every launch, which is what makes the toggling valid.
+//! A ring's capacity is derived from the exchange schedule, so no copy
+//! statement may be too large for it: `wide_statement_completes` runs a
+//! Stencil whose one copy statement addresses 320 frames to the peer
+//! shard in each direction — more than the fixed 256-slot rings of
+//! earlier versions held, where both producers parked on a full ring
+//! and the run died with "likely deadlock".
+//!
+//! `REGENT_PIN_CORES` and `REGENT_HANG_TIMEOUT_MS` are process-global
+//! (the latter cached on first use), so both tests pin the same 5 s
+//! timeout before anything runs and take turns behind one lock; the
+//! executors re-read `REGENT_PIN_CORES` at every launch, which is what
+//! makes the toggling valid.
 
 mod common;
 
-use common::{compare_roots, mk_stencil, spmd_family_agrees};
+use common::{compare_roots, forest, mk_stencil, spmd_family_agrees, Strategy};
 use regent_apps::{circuit, miniaero, pennant, stencil};
 use regent_cr::{control_replicate, CrOptions};
 use regent_ir::{interp, Program, Store};
 use regent_runtime::{run, Compiled, FaultPlan, ResilienceOptions, RunOptions};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests of this binary and pins the hang timeout they
+/// run under: nothing here may come near it, and 5 s (against the
+/// default 30) keeps a regression from stalling the suite.
+fn env_turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    let turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var("REGENT_HANG_TIMEOUT_MS", "5000");
+    turn
+}
 
 type AppFactory = Box<dyn Fn() -> (Program, Store)>;
 
@@ -122,8 +140,8 @@ fn run_cell(label: &str, mk: &dyn Fn() -> (Program, Store), ns: usize, tol: f64)
     spmd_family_agrees(label, mk, ns, tol, reference, &roots);
 }
 
-/// Crash recovery and corruption retransmission on the current plane:
-/// both must be bit-identical to the plain SPMD run, with the fault
+/// Crash recovery and corruption retransmission over the rings: both
+/// must be bit-identical to the plain SPMD run, with the fault
 /// machinery demonstrably exercised.
 fn run_resilience_cell(label: &str) {
     let mk = mk_stencil;
@@ -208,8 +226,7 @@ fn run_resilience_cell(label: &str) {
 /// A shard that dies unrecoverably mid-exchange (its retry budget
 /// exhausts while producing) must take the whole run down *promptly*:
 /// peers unwind through sealed rings / the poisoned barrier, not the
-/// 30 s hang timeout, and the combined diagnostic names the root
-/// cause. Identical contract on both planes.
+/// hang timeout, and the combined diagnostic names the root cause.
 fn run_peer_death_cell(label: &str) {
     let t0 = std::time::Instant::now();
     let handle = std::thread::spawn(|| {
@@ -257,23 +274,92 @@ fn run_peer_death_cell(label: &str) {
 /// One sequential matrix (see module docs for why one `#[test]`).
 #[test]
 fn data_plane_matrix() {
+    let _turn = env_turn();
     let ns = 3;
-    for plane in ["ring", "channel"] {
-        for pin in ["0", "1"] {
-            std::env::set_var("REGENT_DATA_PLANE", plane);
-            std::env::set_var("REGENT_PIN_CORES", pin);
-            let label = format!("plane={plane} pin={pin}");
-            for (name, mk, tol) in &apps() {
-                run_cell(&format!("{name} {label}"), mk, ns, *tol);
-            }
-            // The fault protocols ride the same transport; regress
-            // them per plane (pinning is orthogonal — once is enough).
-            if pin == "0" {
-                run_resilience_cell(&label);
-                run_peer_death_cell(&label);
-            }
+    for pin in ["0", "1"] {
+        std::env::set_var("REGENT_PIN_CORES", pin);
+        let label = format!("pin={pin}");
+        for (name, mk, tol) in &apps() {
+            run_cell(&format!("{name} {label}"), mk, ns, *tol);
         }
     }
-    std::env::remove_var("REGENT_DATA_PLANE");
     std::env::remove_var("REGENT_PIN_CORES");
+    // The fault protocols ride the same transport (pinning is
+    // orthogonal — once is enough).
+    run_resilience_cell("resilience");
+    run_peer_death_cell("peer death");
+}
+
+/// Stencil cut into 2 × 320 tiles on 2 shards: shard 0 owns one column
+/// of tiles, shard 1 the other, so the one copy statement of a step
+/// addresses 320 frames to the peer in each direction — and, with
+/// corruption injected, up to a retry budget's worth of frames per
+/// message. Every strategy must finish well inside the hang timeout,
+/// bit-identical to the interpreter.
+#[test]
+fn wide_statement_completes() {
+    let _turn = env_turn();
+    let mk = || {
+        let cfg = stencil::StencilConfig {
+            n: 640,
+            ntx: 2,
+            nty: 320,
+            radius: 2,
+            steps: 2,
+        };
+        let (prog, h) = stencil::stencil_program(cfg);
+        let mut store = Store::new(&prog);
+        stencil::init_stencil(&prog, &mut store, &h);
+        (prog, store)
+    };
+    let (prog_seq, mut store_seq) = mk();
+    let roots = prog_seq.root_regions();
+    let (env_seq, _) = interp::run(&prog_seq, &mut store_seq);
+
+    let corrupting = ResilienceOptions {
+        checkpoint_interval: 2,
+        plan: FaultPlan::new(3).with_corrupt_rate(0.2),
+        integrity: true,
+        ..Default::default()
+    };
+    for strategy in Strategy::ALL {
+        for resilience in [None, Some(&corrupting)] {
+            let kind = if resilience.is_some() {
+                "corrupting"
+            } else {
+                "plain"
+            };
+            let label = format!("2x320 {strategy:?} {kind}");
+            let (prog, mut store) = mk();
+            let compiled = strategy.compile(prog, 2);
+            let opts = match resilience {
+                Some(r) => RunOptions::default().with_resilience(r.clone()),
+                None => RunOptions::default(),
+            };
+            let r = run(compiled.as_ref(), &mut store, &opts);
+            assert_eq!(env_seq, r.env, "{label}: env diverged");
+            assert!(
+                r.stats.messages_sent >= 2 * 2 * 320,
+                "{label}: the statement should carry 320 frames each way, every step ({:?})",
+                r.stats.messages_sent
+            );
+            if resilience.is_some() {
+                assert!(
+                    r.stats.corruptions_detected >= 1,
+                    "{label}: seed injected nothing"
+                );
+                assert_eq!(
+                    r.stats.corruptions_injected, r.stats.corruptions_detected,
+                    "{label}: a silent flip escaped the checksums"
+                );
+            }
+            compare_roots(
+                &label,
+                &roots,
+                (&prog_seq.forest, &store_seq),
+                (forest(&compiled), &store),
+                0.0,
+            );
+        }
+    }
 }

@@ -18,8 +18,6 @@
 //! O(N)-vs-O(1) control-overhead claim, read directly off the trace —
 //! and the whole trace is written as Chrome `trace_event` JSON
 //! loadable in `chrome://tracing` / Perfetto.
-//!
-//! Criterion micro-benchmarks live in `benches/`.
 
 #![warn(missing_docs)]
 

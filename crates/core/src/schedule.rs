@@ -17,7 +17,11 @@
 //! later run — of any executor — replays it. The schedule also fixes
 //! each shard's [`ShardLayout`] — which instances it holds, in which
 //! slot — and names every pair's instances by slot, so an executor
-//! indexes where it used to hash.
+//! indexes where it used to hash. And it sizes the transport: how many
+//! frames one shard can address to another inside one copy statement is
+//! a property of the pair lists ([`ExchangeSchedule::frame_bound`]),
+//! so the capacity of the ring between them is derived
+//! ([`ExchangeSchedule::ring_slots`]), not configured.
 
 use crate::image::{shard_layouts, ShardLayout};
 use crate::spmd::{block_range, CopySource, DomainId, SpmdArg, SpmdProgram, UseBase};
@@ -113,8 +117,47 @@ pub struct ExchangeSchedule {
     /// Every shard's instance layout, with the pairs of each
     /// intersection it produces and consumes.
     pub layouts: Vec<ShardLayout>,
+    /// Per ordered shard pair `(src, dst)` that exchanges at all: the
+    /// most cross-shard pairs any one intersection — one copy
+    /// statement — sends `src → dst`. Sparse (halo patterns give a
+    /// shard O(1) peers, Table 1 builds schedules for 1024 shards);
+    /// same-shard pairs are applied locally and never counted.
+    frame_bounds: HashMap<(usize, usize), usize>,
     /// Timing/size statistics of the build.
     pub setup: SetupStats,
+}
+
+/// How many copy statements' worth of frames a ring holds. One is what
+/// progress needs: the shard at the earliest dynamic copy statement
+/// pushes only into rings whose consumers have finished every earlier
+/// consumer phase, so those rings hold frames of that statement alone,
+/// its producer phase completes and flushes, and every other shard is
+/// waiting on, or ahead of, a shard that can move. The second lets a
+/// shard that has consumed its peer's frames and gone on to produce the
+/// next statement push without parking behind a peer still draining the
+/// previous one; with exchange in both directions a shard cannot get
+/// further ahead than that (its next consumer phase needs the peer's
+/// next frames). Measured at 1 and 2 in EXPERIMENTS.md "One transport".
+const STATEMENTS_IN_FLIGHT: usize = 2;
+
+impl ExchangeSchedule {
+    /// The most frames one copy statement makes `src` address to `dst`
+    /// when every message is sent once; 0 on the diagonal and for
+    /// shards that never exchange.
+    pub fn frame_bound(&self, src: usize, dst: usize) -> usize {
+        self.frame_bounds.get(&(src, dst)).copied().unwrap_or(0)
+    }
+
+    /// Slots of the exchange ring `src → dst` — the one place that size
+    /// is chosen. `transmissions` is how many frames one logical message
+    /// can become: 1, or the retry budget when the run's fault plan can
+    /// corrupt a payload (the producer sends every corrupted attempt
+    /// ahead of the clean one). The ring constructor rounds up to a
+    /// power of two and to its 2-slot minimum, which is all the
+    /// diagonal and pairs that never communicate get.
+    pub fn ring_slots(&self, src: usize, dst: usize, transmissions: usize) -> usize {
+        STATEMENTS_IN_FLIGHT * self.frame_bound(src, dst) * transmissions
+    }
 }
 
 /// What [`build_exchange_plan`] returns, under the name its direct
@@ -217,6 +260,7 @@ pub fn build_exchange_plan(spmd: &SpmdProgram) -> ExchangeSchedule {
     let mut pairs: Vec<Vec<PairPlan>> = Vec::with_capacity(spmd.intersects.len());
     let mut setup = SetupStats::default();
     let mut layouts = shard_layouts(spmd);
+    let mut frame_bounds: HashMap<(usize, usize), usize> = HashMap::new();
     // An instance's layout depends on its region's domain alone, so
     // one indexer serves every pair, on either side, of every
     // intersection that region takes part in.
@@ -279,9 +323,17 @@ pub fn build_exchange_plan(spmd: &SpmdProgram) -> ExchangeSchedule {
             layout.produces.push(Vec::new());
             layout.consumes.push(Vec::new());
         }
+        let mut frames: HashMap<(usize, usize), usize> = HashMap::new();
         for (seq, p) in list.iter().enumerate() {
             layouts[p.src_owner].produces[ix].push(seq as u32);
             layouts[p.dst_owner].consumes[ix].push(seq as u32);
+            if p.src_owner != p.dst_owner {
+                *frames.entry((p.src_owner, p.dst_owner)).or_default() += 1;
+            }
+        }
+        for (link, n) in frames {
+            let bound = frame_bounds.entry(link).or_default();
+            *bound = (*bound).max(n);
         }
         pairs.push(list);
     }
@@ -289,6 +341,7 @@ pub fn build_exchange_plan(spmd: &SpmdProgram) -> ExchangeSchedule {
         num_shards: spmd.num_shards,
         pairs,
         layouts,
+        frame_bounds,
         setup,
     }
 }

@@ -1,6 +1,5 @@
-//! Checksums over 64-bit words: FNV-1a — scalar and the 4-lane
-//! striped [`StripedFnv`] the integrity layer's seals and frames use
-//! — plus the multiply-fold [`MulFold`] benchmarked alternative.
+//! Checksums over 64-bit words: the 4-lane striped FNV-1a
+//! ([`StripedFnv`]) the integrity layer's seals and frames use.
 //!
 //! The integrity layer frames every physical instance and every SPMD
 //! exchange payload with a checksum so that silent bit flips are caught
@@ -16,15 +15,11 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds one 64-bit word into a running FNV-1a hash.
+/// Folds one 64-bit word into a running FNV-1a hash: the step every
+/// lane of [`StripedFnv`] takes.
 #[inline]
-pub fn fnv1a_mix(h: u64, word: u64) -> u64 {
+fn fnv1a_mix(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(FNV_PRIME)
-}
-
-/// FNV-1a hash of a word stream.
-pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    words.into_iter().fold(FNV_OFFSET, fnv1a_mix)
 }
 
 /// Number of independent FNV lanes in [`StripedFnv`].
@@ -45,8 +40,8 @@ const LANES: usize = 4;
 /// models: a single flipped bit lands in exactly one lane, changing
 /// that lane's state and therefore the finished digest; word count and
 /// lane position keep length and order sensitivity. The digest is
-/// *different* from plain [`fnv1a`] over the same words — both sides
-/// of every frame/seal use the same function, and nothing persists
+/// *different* from plain FNV-1a over the same words — both sides of
+/// every frame/seal use the same function, and nothing persists
 /// checksums across versions, so the change is invisible outside this
 /// crate.
 ///
@@ -167,204 +162,6 @@ impl Default for StripedFnv {
     }
 }
 
-/// First multiply key: ⌊2⁶⁴/φ⌋, odd.
-const MF_K1: u64 = 0x9e37_79b9_7f4a_7c15;
-/// Second multiply key (odd, unrelated to `MF_K1`).
-const MF_K2: u64 = 0xd1b5_4a32_d192_ed03;
-/// Number of independent accumulator lanes in [`MulFold`].
-const MF_LANES: usize = 2;
-
-/// Folds the 128-bit product of two keyed words into 64 bits — one
-/// widening multiply covers *two* data words.
-#[inline]
-fn mum(x: u64, y: u64) -> u64 {
-    let p = (x as u128).wrapping_mul(y as u128);
-    (p as u64) ^ ((p >> 64) as u64)
-}
-
-/// One chain link: the accumulator rotates (cheap, order- and
-/// position-sensitive) while the multiply stays *off* the dependency
-/// chain, so the multiplies of successive links pipeline freely. The
-/// direct `^ a ^ b` terms keep both words visible even in the
-/// astronomically unlikely event one keyed factor is zero (a zero
-/// factor would otherwise mask its partner's bits).
-#[inline]
-fn mf_link(l: u64, a: u64, b: u64) -> u64 {
-    l.rotate_left(23) ^ mum(a ^ MF_K1, b ^ MF_K2) ^ a ^ b
-}
-
-/// A multiply-fold hasher for bulk checksums — the scalar-codegen
-/// alternative to [`StripedFnv`], benchmarked against it in
-/// `fig_dataplane` but **not** what the integrity layer ships with.
-///
-/// The idea: [`StripedFnv`] pipelines FNV's xor-multiply chain across
-/// four lanes but still spends one 64-bit multiply *per word*.
-/// `MulFold` spends one *widening* multiply per **pair** of words and
-/// keeps the multiply off the serial chain entirely (the accumulator
-/// chain is a rotate-xor), so wherever both compile to scalar code it
-/// wins — measured ~2.5× over scalar FNV and ~1.7× over the striped
-/// lanes in the benchmark's hot loop. The catch, and the reason the
-/// seal/frame paths stayed on [`StripedFnv`]: the striped lanes are
-/// four *independent* xor-multiply recurrences, which LLVM
-/// auto-vectorizes in the instance-seal path, while `MulFold`'s
-/// 64×64→128 widening product has no SIMD equivalent and pins it to
-/// scalar code everywhere. In situ, the vectorized stripes hash a
-/// column ~1.6× faster than this hasher does. Keep `MulFold` in mind
-/// for targets without wide 64-bit SIMD multiplies; measure, don't
-/// assume.
-///
-/// Detection strength for the faults the integrity layer models: a
-/// single flipped bit changes its keyed factor, which changes the
-/// full 128-bit product and therefore the folded link whp; the direct
-/// xor terms guarantee a flip is never masked by a zero factor; lane
-/// assignment and the rotating accumulator keep order sensitivity,
-/// and the finish fold includes the word count for length
-/// sensitivity. Like [`StripedFnv`], both sides of every frame/seal
-/// use the same function and nothing persists digests across
-/// versions.
-///
-/// The digest is a pure function of the word sequence: mixing word by
-/// word with [`MulFold::mix`] or in bulk with the slice helpers
-/// produces identical state.
-#[derive(Clone, Copy, Debug)]
-pub struct MulFold {
-    lanes: [u64; MF_LANES],
-    /// The first word of a half-complete pair (valid when `count` is
-    /// odd).
-    pend: u64,
-    count: u64,
-}
-
-impl MulFold {
-    /// A fresh hasher with distinct per-lane seeds.
-    pub fn new() -> Self {
-        let mut lanes = [0u64; MF_LANES];
-        for (i, l) in lanes.iter_mut().enumerate() {
-            *l = fnv1a_mix(FNV_OFFSET, i as u64);
-        }
-        MulFold {
-            lanes,
-            pend: 0,
-            count: 0,
-        }
-    }
-
-    /// Lane index of the pair the next complete pair belongs to.
-    #[inline]
-    fn lane(&self) -> usize {
-        ((self.count / 2) % MF_LANES as u64) as usize
-    }
-
-    /// Folds one word: buffered until its pair partner arrives.
-    #[inline]
-    pub fn mix(&mut self, word: u64) {
-        if self.count.is_multiple_of(2) {
-            self.pend = word;
-        } else {
-            let lane = self.lane();
-            self.lanes[lane] = mf_link(self.lanes[lane], self.pend, word);
-        }
-        self.count += 1;
-    }
-
-    /// Bulk-folds a `u64` slice, one link per pair, two independent
-    /// lanes per iteration.
-    #[inline]
-    pub fn mix_words(&mut self, words: &[u64]) {
-        let mut i = 0;
-        // Align to a full lane cycle (2 lanes × 2 words) so bulk and
-        // word-by-word mixing produce identical state.
-        while !self.count.is_multiple_of(2 * MF_LANES as u64) && i < words.len() {
-            self.mix(words[i]);
-            i += 1;
-        }
-        let rest = &words[i..];
-        let mut chunks = rest.chunks_exact(2 * MF_LANES);
-        let [mut l0, mut l1] = self.lanes;
-        for c in &mut chunks {
-            l0 = mf_link(l0, c[0], c[1]);
-            l1 = mf_link(l1, c[2], c[3]);
-        }
-        self.lanes = [l0, l1];
-        self.count += (rest.len() - chunks.remainder().len()) as u64;
-        for &w in chunks.remainder() {
-            self.mix(w);
-        }
-    }
-
-    /// Bulk-folds an `f64` slice by bit pattern.
-    #[inline]
-    pub fn mix_f64s(&mut self, vals: &[f64]) {
-        let mut i = 0;
-        while !self.count.is_multiple_of(2 * MF_LANES as u64) && i < vals.len() {
-            self.mix(vals[i].to_bits());
-            i += 1;
-        }
-        let rest = &vals[i..];
-        let mut chunks = rest.chunks_exact(2 * MF_LANES);
-        let [mut l0, mut l1] = self.lanes;
-        for c in &mut chunks {
-            l0 = mf_link(l0, c[0].to_bits(), c[1].to_bits());
-            l1 = mf_link(l1, c[2].to_bits(), c[3].to_bits());
-        }
-        self.lanes = [l0, l1];
-        self.count += (rest.len() - chunks.remainder().len()) as u64;
-        for &v in chunks.remainder() {
-            self.mix(v.to_bits());
-        }
-    }
-
-    /// Bulk-folds an `i64` slice by bit pattern.
-    #[inline]
-    pub fn mix_i64s(&mut self, vals: &[i64]) {
-        let mut i = 0;
-        while !self.count.is_multiple_of(2 * MF_LANES as u64) && i < vals.len() {
-            self.mix(vals[i] as u64);
-            i += 1;
-        }
-        let rest = &vals[i..];
-        let mut chunks = rest.chunks_exact(2 * MF_LANES);
-        let [mut l0, mut l1] = self.lanes;
-        for c in &mut chunks {
-            l0 = mf_link(l0, c[0] as u64, c[1] as u64);
-            l1 = mf_link(l1, c[2] as u64, c[3] as u64);
-        }
-        self.lanes = [l0, l1];
-        self.count += (rest.len() - chunks.remainder().len()) as u64;
-        for &v in chunks.remainder() {
-            self.mix(v as u64);
-        }
-    }
-
-    /// Folds lanes, a trailing unpaired word, and the word count into
-    /// the final digest.
-    pub fn finish(&self) -> u64 {
-        let mut h = fnv1a_mix(FNV_OFFSET, self.count);
-        for l in self.lanes {
-            h = fnv1a_mix(h, l);
-        }
-        if self.count % 2 == 1 {
-            h = fnv1a_mix(h, self.pend);
-        }
-        h
-    }
-}
-
-impl Default for MulFold {
-    fn default() -> Self {
-        MulFold::new()
-    }
-}
-
-/// [`MulFold`] digest of a word stream.
-pub fn mul_fold(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = MulFold::new();
-    for w in words {
-        h.mix(w);
-    }
-    h.finish()
-}
-
 /// [`StripedFnv`] digest of a word stream.
 pub fn striped_fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = StripedFnv::new();
@@ -377,6 +174,11 @@ pub fn striped_fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scalar chain one lane runs.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(FNV_OFFSET, fnv1a_mix)
+    }
 
     #[test]
     fn deterministic_and_sensitive() {
@@ -450,84 +252,6 @@ mod tests {
                 let mut w = base.clone();
                 w[i] ^= 1u64 << bit;
                 assert_ne!(d, striped_fnv(w), "flip word {i} bit {bit} undetected");
-            }
-        }
-    }
-
-    #[test]
-    fn mul_fold_granularity_invariance() {
-        // Word-by-word, bulk, and mixed-granularity mixing must all
-        // produce the same digest — including splits that leave a
-        // half-complete pair buffered.
-        let words: Vec<u64> = (0..23u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
-        let floats: Vec<f64> = words.iter().map(|&w| f64::from_bits(w | 1)).collect();
-        let ints: Vec<i64> = words.iter().map(|&w| w as i64).collect();
-
-        let bulk = {
-            let mut h = MulFold::new();
-            h.mix_words(&words);
-            h.finish()
-        };
-        assert_eq!(bulk, mul_fold(words.iter().copied()));
-        for split in [1, 2, 3, 4, 5, 7] {
-            let h = {
-                let mut h = MulFold::new();
-                h.mix_words(&words[..split]);
-                h.mix_words(&words[split..]);
-                h.finish()
-            };
-            assert_eq!(bulk, h, "split at {split} changed the digest");
-        }
-        let mixed = {
-            let mut h = MulFold::new();
-            h.mix(words[0]);
-            h.mix_words(&words[1..8]);
-            h.mix(words[8]);
-            h.mix_words(&words[9..]);
-            h.finish()
-        };
-        assert_eq!(bulk, mixed, "granularity changed the digest");
-
-        let f_bulk = {
-            let mut h = MulFold::new();
-            h.mix_f64s(&floats);
-            h.finish()
-        };
-        assert_eq!(f_bulk, mul_fold(floats.iter().map(|v| v.to_bits())));
-        let i_bulk = {
-            let mut h = MulFold::new();
-            h.mix_i64s(&ints);
-            h.finish()
-        };
-        assert_eq!(i_bulk, mul_fold(ints.iter().map(|&v| v as u64)));
-    }
-
-    #[test]
-    fn mul_fold_is_order_length_and_bit_sensitive() {
-        let base: Vec<u64> = (0..9u64).collect();
-        let d = mul_fold(base.iter().copied());
-        assert_eq!(d, mul_fold(base.iter().copied()), "deterministic");
-        let mut in_pair = base.clone();
-        in_pair.swap(0, 1); // within one pair
-        assert_ne!(d, mul_fold(in_pair.iter().copied()), "pair order matters");
-        let mut same_lane = base.clone();
-        same_lane.swap(0, 4); // same lane (stride 4), different link
-        assert_ne!(d, mul_fold(same_lane.iter().copied()), "link order matters");
-        let mut cross = base.clone();
-        cross.swap(0, 2); // different lanes
-        assert_ne!(d, mul_fold(cross.iter().copied()), "lane identity matters");
-        assert_ne!(
-            d,
-            mul_fold(base.iter().copied().chain([0u64])),
-            "length matters"
-        );
-        // Every word position (paired and the trailing unpaired one),
-        // every representative bit.
-        for i in 0..base.len() {
-            for bit in 0..64u32 {
-                let mut w = base.clone();
-                w[i] ^= 1u64 << bit;
-                assert_ne!(d, mul_fold(w), "flip word {i} bit {bit} undetected");
             }
         }
     }

@@ -626,9 +626,7 @@ impl Instance {
     /// type/length header). Seals over megabytes of data are the
     /// steady-state cost of the integrity layer, so this uses the
     /// 4-lane [`StripedFnv`]: its independent xor-multiply lanes
-    /// auto-vectorize on this path, which measures faster in situ
-    /// than the multiply-fold alternative (see
-    /// `regent_region::checksum::MulFold` for the comparison).
+    /// auto-vectorize on this path.
     fn column_checksum(col: &ColumnData) -> u64 {
         let mut h = StripedFnv::new();
         match col {

@@ -18,8 +18,8 @@
 //! * [`intersect`] — dynamic shallow/complete region intersections
 //!   (§3.3), accelerated by an [`interval`] tree (unstructured) and a
 //!   [`bvh`] (structured).
-//! * [`checksum`] — FNV-1a hashing used by the integrity layer to seal
-//!   instances and frame exchange payloads.
+//! * [`checksum`] — the striped FNV-1a hasher the integrity layer
+//!   seals instances and frames exchange payloads with.
 
 #![warn(missing_docs)]
 
@@ -34,7 +34,7 @@ pub mod interval;
 pub mod ops;
 pub mod view;
 
-pub use checksum::{fnv1a, fnv1a_mix, mul_fold, striped_fnv, MulFold, StripedFnv};
+pub use checksum::{striped_fnv, StripedFnv};
 pub use field::{FieldDef, FieldId, FieldSpace, FieldType};
 pub use forest::{Color, Disjointness, PartitionId, RegionForest, RegionId};
 pub use hierarchy::{private_ghost_split, PrivateGhost};

@@ -23,21 +23,22 @@
 use crate::ring::CachePadded;
 use crate::wait::Waiters;
 use regent_fault::PeerDeath;
-use regent_region::{fnv1a, ReductionOp};
+use regent_region::{striped_fnv, ReductionOp};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 /// A checksum-framed collective contribution: the scalar's bit pattern
-/// plus an FNV-1a checksum computed by the producer *before* the value
-/// entered the (corruptible) transport. The integrity layer verifies
-/// the frame on acceptance into the collective, so a silently flipped
-/// contribution never reaches the fold.
+/// plus a checksum — the integrity layer's one hasher,
+/// [`regent_region::StripedFnv`] — computed by the producer *before*
+/// the value entered the (corruptible) transport. The integrity layer
+/// verifies the frame on acceptance into the collective, so a silently
+/// flipped contribution never reaches the fold.
 #[derive(Clone, Copy, Debug)]
 pub struct FramedScalar {
     /// The contribution's `f64::to_bits` pattern.
     pub bits: u64,
-    /// FNV-1a checksum of `bits` at production time.
+    /// Checksum of `bits` at production time.
     pub checksum: u64,
 }
 
@@ -47,13 +48,13 @@ impl FramedScalar {
         let bits = value.to_bits();
         FramedScalar {
             bits,
-            checksum: fnv1a([bits]),
+            checksum: striped_fnv([bits]),
         }
     }
 
     /// True when the payload still matches its checksum.
     pub fn verify(&self) -> bool {
-        fnv1a([self.bits]) == self.checksum
+        striped_fnv([self.bits]) == self.checksum
     }
 
     /// The carried scalar.

@@ -42,9 +42,9 @@
 //!   (`REGENT_METRICS_ADDR=<host:port>`).
 //! * [`mod@ring`] / [`pool`] — the lock-free data plane: bounded SPSC
 //!   rings with batched publication carrying the exchange messages
-//!   (one ring per ordered shard pair; `REGENT_DATA_PLANE=channel`
-//!   restores the legacy mpsc mesh), pooled payload buffers, and
-//!   core pinning behind `REGENT_PIN_CORES`.
+//!   (one ring per ordered shard pair, its capacity derived from the
+//!   exchange schedule), pooled payload buffers, and core pinning
+//!   behind `REGENT_PIN_CORES`.
 //!
 //! Every executor is tested to produce results bit-identical to the
 //! sequential reference interpreter in `regent-ir`.
@@ -104,8 +104,8 @@ pub use run::{
 pub use scrape::{fetch as fetch_metrics, start_env as start_scrape_env, ScrapeServer};
 
 pub use ring::{
-    copy_mesh, data_plane_from_env, pin_cores_enabled, pin_thread_to_core, ring, ring_cap_from_env,
-    CachePadded, CopyRx, CopyTx, DataPlane, RingReceiver, RingSender, SendError,
+    copy_mesh, pin_cores_enabled, pin_thread_to_core, ring, CachePadded, RingReceiver, RingSender,
+    SendError,
 };
 
 pub use regent_fault::{

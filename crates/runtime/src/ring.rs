@@ -1,10 +1,10 @@
 //! Lock-free shard data plane: bounded SPSC rings with batched
-//! publication, the transport abstraction the executors exchange
-//! [`crate::spmd_exec`] copy messages over, and core pinning.
+//! publication — the one transport the executors exchange
+//! [`crate::spmd_exec`] copy messages over — and core pinning.
 //!
 //! The SPMD executors connect every ordered shard pair with exactly one
-//! producer and one consumer, so the natural transport is a
-//! single-producer single-consumer ring:
+//! producer and one consumer, so the transport is a single-producer
+//! single-consumer ring:
 //!
 //! * **Layout** — a power-of-two slot array indexed by free-running
 //!   `head` (consumer) and `tail` (producer) counters, each on its own
@@ -40,24 +40,28 @@
 //!   registration or the waiter sees the publication. That fence is
 //!   what a `flush` and a pop cost beyond the Lamport queue when nobody
 //!   is parked — one per published batch and one per message taken;
-//!   [`RingSender::push`] stays fence-free. Every blocking wait stays
-//!   bounded by [`crate::collective::hang_timeout`] exactly like the
-//!   channel path (`REGENT_HANG_TIMEOUT_MS`).
+//!   [`RingSender::push`] stays fence-free. Every blocking wait is
+//!   bounded by [`crate::collective::hang_timeout`]
+//!   (`REGENT_HANG_TIMEOUT_MS`).
 //! * **Disconnect semantics** — dropping the sender (including during a
 //!   panic unwind) flushes pending slots and seals the ring: the
-//!   consumer drains what was published, then sees `Disconnected` —
-//!   the same drop-based peer-death unwinding `std::sync::mpsc` gave
-//!   the executors. Dropping the receiver makes further sends fail.
-//!
-//! [`CopyTx`]/[`CopyRx`] wrap a ring or a legacy `std::sync::mpsc`
-//! channel behind one interface; `REGENT_DATA_PLANE=channel` restores
-//! the channel mesh (the ring is the default), which is what the
-//! `fig_dataplane` benchmark compares against.
+//!   consumer drains what was published, then sees `Disconnected`, so a
+//!   shard's death unwinds its peers. Dropping the receiver makes
+//!   further sends fail.
+//! * **Capacity** — a ring is as large as its caller says. The exchange
+//!   mesh ([`copy_mesh`]) is sized per ordered shard pair from the
+//!   compiled program's exchange schedule
+//!   (`ExchangeSchedule::ring_slots`): enough slots for every frame one
+//!   copy statement can address to that peer, so a producer phase never
+//!   waits on a consumer that has not reached its consumer phase. A
+//!   ring that stays full for the whole hang timeout therefore means
+//!   that derivation is wrong (or the consumer is stuck), and is
+//!   reported as a likely deadlock.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -204,8 +208,8 @@ impl<T: Send> RingSender<T> {
         }
     }
 
-    /// [`RingSender::push`] + [`RingSender::flush`]: `mpsc`-style
-    /// immediate send.
+    /// [`RingSender::push`] + [`RingSender::flush`]: an immediate,
+    /// published send.
     pub fn send(&mut self, v: T) -> Result<bool, SendError<T>> {
         let r = self.push(v);
         self.flush();
@@ -244,10 +248,10 @@ impl<T: Send> RingReceiver<T> {
         pop(&self.core, &mut self.local_head, &mut self.cached_tail)
     }
 
-    /// Blocks for the next element, up to `timeout`. Mirrors
-    /// `mpsc::Receiver::recv_timeout`, including `Disconnected` once
-    /// the sender dropped *and* the ring is drained (the sender's drop
-    /// publishes before sealing, so no message is ever lost).
+    /// Blocks for the next element, up to `timeout`: `Timeout` when
+    /// nothing was published in time, `Disconnected` once the sender
+    /// dropped *and* the ring is drained (the sender's drop publishes
+    /// before sealing, so no message is ever lost).
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         if let Some(v) = self.try_recv() {
             return Ok(v);
@@ -339,50 +343,6 @@ pub fn ring<T: Send>(capacity: usize) -> (RingSender<T>, RingReceiver<T>) {
     )
 }
 
-/// Which transport the exchange mesh uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DataPlane {
-    /// Lock-free SPSC rings (the default).
-    Ring,
-    /// The legacy `std::sync::mpsc` channel mesh
-    /// (`REGENT_DATA_PLANE=channel`), kept as the baseline the
-    /// `fig_dataplane` benchmark and the dual-plane tests compare
-    /// against.
-    Channel,
-}
-
-/// Reads `REGENT_DATA_PLANE` (default [`DataPlane::Ring`]; `channel`
-/// or `chan`, case-insensitive, selects the legacy mesh). Parsed per
-/// executor launch — once per run, not per message — so tests can
-/// toggle it.
-pub fn data_plane_from_env() -> DataPlane {
-    match std::env::var("REGENT_DATA_PLANE") {
-        Ok(v)
-            if v.trim().eq_ignore_ascii_case("channel")
-                || v.trim().eq_ignore_ascii_case("chan") =>
-        {
-            DataPlane::Channel
-        }
-        _ => DataPlane::Ring,
-    }
-}
-
-/// Per-pair ring capacity in messages: `REGENT_RING_CAP`, default 256,
-/// clamped to at least 2 and rounded up to a power of two. The
-/// capacity must exceed the frames one producer can address to one
-/// peer inside a single copy statement (a handful per pair, plus
-/// bounded retransmissions), or producers back-pressure against
-/// consumers that have not reached their consumer phase yet — the
-/// hang timeout turns that misconfiguration into a diagnostic instead
-/// of a silent hang.
-pub fn ring_cap_from_env() -> usize {
-    std::env::var("REGENT_RING_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&c| c >= 2)
-        .unwrap_or(256)
-}
-
 /// Whether `REGENT_PIN_CORES` asks for shard-thread core pinning
 /// (`1`/`true`/`on`/`yes`, case-insensitive).
 pub fn pin_cores_enabled() -> bool {
@@ -457,111 +417,28 @@ fn pin_syscall(_cpu: usize) -> bool {
     false
 }
 
-/// Sender half of the exchange transport: a ring or a legacy channel.
-pub enum CopyTx<T> {
-    /// Lock-free SPSC ring.
-    Ring(RingSender<T>),
-    /// `std::sync::mpsc` channel (legacy plane).
-    Channel(Sender<T>),
-}
-
-impl<T: Send> CopyTx<T> {
-    /// Enqueues `v`, possibly without publishing it yet (ring plane);
-    /// returns whether the transport momentarily back-pressured.
-    pub fn push(&mut self, v: T) -> Result<bool, SendError<T>> {
-        match self {
-            CopyTx::Ring(s) => s.push(v),
-            CopyTx::Channel(s) => s
-                .send(v)
-                .map(|()| false)
-                .map_err(|e| SendError::Closed(e.0)),
-        }
-    }
-
-    /// Makes every pending push visible to the consumer.
-    pub fn flush(&mut self) {
-        if let CopyTx::Ring(s) = self {
-            s.flush();
-        }
-    }
-
-    /// Immediate (published) send.
-    pub fn send(&mut self, v: T) -> Result<bool, SendError<T>> {
-        match self {
-            CopyTx::Ring(s) => s.send(v),
-            CopyTx::Channel(s) => s
-                .send(v)
-                .map(|()| false)
-                .map_err(|e| SendError::Closed(e.0)),
-        }
-    }
-}
-
-/// Receiver half of the exchange transport.
-pub enum CopyRx<T> {
-    /// Lock-free SPSC ring.
-    Ring(RingReceiver<T>),
-    /// `std::sync::mpsc` channel (legacy plane).
-    Channel(Receiver<T>),
-}
-
-impl<T: Send> CopyRx<T> {
-    /// Blocks for the next message up to `timeout`, with
-    /// `mpsc::recv_timeout` semantics on both planes.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        match self {
-            CopyRx::Ring(r) => r.recv_timeout(timeout),
-            CopyRx::Channel(r) => r.recv_timeout(timeout),
-        }
-    }
-
-    /// Takes the next message if one is already available.
-    pub fn try_recv(&mut self) -> Option<T> {
-        match self {
-            CopyRx::Ring(r) => r.try_recv(),
-            CopyRx::Channel(r) => r.try_recv().ok(),
-        }
-    }
-}
-
-/// Builds the full exchange mesh for `ns` shards on the chosen plane:
+/// Builds the full exchange mesh for `ns` shards:
 /// `senders[src][dst]` paired with `receivers[dst][src]`, one
-/// independent SPSC link per ordered pair. Each shard thread takes
+/// independent SPSC ring per ordered pair, holding `capacity(src, dst)`
+/// messages (rounded as [`ring`] rounds). Each shard thread takes
 /// ownership of its sender row, so a dying shard seals every link it
 /// produces into and its peers unwind instead of hanging.
 #[allow(clippy::type_complexity)]
 pub fn copy_mesh<T: Send>(
     ns: usize,
-    plane: DataPlane,
-    cap: usize,
-) -> (Vec<Vec<CopyTx<T>>>, Vec<Vec<CopyRx<T>>>) {
-    let mut senders: Vec<Vec<CopyTx<T>>> = (0..ns).map(|_| Vec::with_capacity(ns)).collect();
-    let mut rx_rows: Vec<Vec<Option<CopyRx<T>>>> =
-        (0..ns).map(|_| (0..ns).map(|_| None).collect()).collect();
+    capacity: impl Fn(usize, usize) -> usize,
+) -> (Vec<Vec<RingSender<T>>>, Vec<Vec<RingReceiver<T>>>) {
+    let mut senders: Vec<Vec<RingSender<T>>> = (0..ns).map(|_| Vec::with_capacity(ns)).collect();
+    let mut receivers: Vec<Vec<RingReceiver<T>>> =
+        (0..ns).map(|_| Vec::with_capacity(ns)).collect();
+    // Source-major, so each receiver row fills in source order.
     for (src, row) in senders.iter_mut().enumerate() {
-        for slot in rx_rows.iter_mut() {
-            let (tx, rx) = match plane {
-                DataPlane::Ring => {
-                    let (tx, rx) = ring::<T>(cap);
-                    (CopyTx::Ring(tx), CopyRx::Ring(rx))
-                }
-                DataPlane::Channel => {
-                    let (tx, rx) = channel::<T>();
-                    (CopyTx::Channel(tx), CopyRx::Channel(rx))
-                }
-            };
+        for (dst, rx_row) in receivers.iter_mut().enumerate() {
+            let (tx, rx) = ring::<T>(capacity(src, dst));
             row.push(tx);
-            slot[src] = Some(rx);
+            rx_row.push(rx);
         }
     }
-    let receivers = rx_rows
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|o| o.expect("mesh construction left a receiver slot empty"))
-                .collect()
-        })
-        .collect();
     (senders, receivers)
 }
 

@@ -95,7 +95,7 @@ use crate::memo::MemoCache;
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
 use crate::plan::{ExchangeSchedule, InstKey, PairPlan};
 use crate::pool::{clone_insts_into, ChunkPool};
-use crate::ring::{self, CopyRx, CopyTx};
+use crate::ring::{RingReceiver, RingSender, SendError};
 use crate::run::{RunCtx, RunResult};
 use crate::team::run_team;
 use regent_cr::spmd::block_range;
@@ -148,8 +148,7 @@ pub(crate) struct CopyMsg {
 /// raw element bits. Uses the 4-lane [`StripedFnv`] — frame hashing
 /// runs once on the producer and once on the consumer of every
 /// message, and the striped lanes auto-vectorize here, measuring
-/// faster in situ than both the scalar FNV chain they replaced and
-/// the multiply-fold alternative benchmarked in `fig_dataplane`.
+/// faster in situ than the scalar FNV chain they replaced.
 fn chunks_checksum(chunks: &[Chunk]) -> u64 {
     let mut h = StripedFnv::new();
     for ch in chunks {
@@ -417,6 +416,14 @@ pub(crate) fn run_spmd(
     )
 }
 
+/// Transmissions one logical exchange payload or collective frame may
+/// take under the integrity protocol ([`RetryPolicy::max_attempts`]):
+/// what a producer stops at, and what the team driver sizes the
+/// exchange rings for when the fault plan can corrupt a payload.
+pub(crate) fn retry_budget() -> u32 {
+    RetryPolicy::default().max_attempts
+}
+
 /// Per-shard checkpoint–restart and integrity state for a resilient
 /// run.
 pub(crate) struct Resilience {
@@ -444,8 +451,7 @@ pub(crate) struct Resilience {
     plan: FaultPlan,
     /// Whether seals, framing, and verification sweeps are active.
     integrity: bool,
-    /// Retransmission budget per logical payload
-    /// ([`RetryPolicy::max_attempts`]).
+    /// Retransmission budget per logical payload ([`retry_budget`]).
     retry_max: u32,
     /// Epochs below this already had their scheduled resident
     /// corruption handled — keeps the event from re-firing during the
@@ -495,7 +501,7 @@ impl Resilience {
             snapshot: None,
             plan: opts.plan.clone(),
             integrity: opts.integrity || opts.plan.corrupt_rate > 0.0,
-            retry_max: RetryPolicy::default().max_attempts,
+            retry_max: retry_budget(),
             corrupt_handled: 0,
             memo: opts.memo.clone(),
             cancel: opts.cancel.clone(),
@@ -776,8 +782,9 @@ pub(crate) struct ShardExec<'a> {
     /// shard, taken for the run and handed back by the team driver.
     pub(crate) data: ShardImage,
     pub(crate) env: Vec<f64>,
-    pub(crate) tx: Vec<CopyTx<CopyMsg>>,
-    pub(crate) rx: Vec<CopyRx<CopyMsg>>,
+    /// This shard's ends of the exchange mesh, by peer shard.
+    pub(crate) tx: Vec<RingSender<CopyMsg>>,
+    pub(crate) rx: Vec<RingReceiver<CopyMsg>>,
     pub(crate) collective: &'a DynamicCollective,
     pub(crate) barrier: &'a ShardBarrier,
     pub(crate) stats: ShardStats,
@@ -861,7 +868,7 @@ impl<'a> ShardExec<'a> {
         shard: usize,
         store: &Store,
         env: Vec<f64>,
-        (tx, rx): (Vec<CopyTx<CopyMsg>>, Vec<CopyRx<CopyMsg>>),
+        (tx, rx): (Vec<RingSender<CopyMsg>>, Vec<RingReceiver<CopyMsg>>),
         (collective, barrier): (&'a DynamicCollective, &'a ShardBarrier),
         tracer: &Arc<Tracer>,
         resilience: Option<&ResilienceOptions>,
@@ -1992,7 +1999,7 @@ fn recycle_chunks(pool: &mut ChunkPool, chunks: Vec<Chunk>) {
 /// producer, a ring that stays full past the hang timeout is reported
 /// as a likely deadlock. Returns whether the push had to wait.
 fn push_frame(
-    tx: &mut CopyTx<CopyMsg>,
+    tx: &mut RingSender<CopyMsg>,
     msg: CopyMsg,
     shard: usize,
     dst: usize,
@@ -2001,10 +2008,10 @@ fn push_frame(
 ) -> bool {
     match tx.push(msg) {
         Ok(stalled) => stalled,
-        Err(ring::SendError::Closed(_)) => panic!(
+        Err(SendError::Closed(_)) => panic!(
             "copy channel closed: consumer shard {dst} died before receiving copy {copy} pair {seq} from shard {shard}"
         ),
-        Err(ring::SendError::Full(_)) => panic!(
+        Err(SendError::Full(_)) => panic!(
             "likely deadlock: shard {shard} ring to shard {dst} stayed full for {:?} sending copy {copy} pair {seq}",
             crate::collective::hang_timeout()
         ),

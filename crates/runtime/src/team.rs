@@ -5,7 +5,8 @@
 //! same statements against its own instances (§3.5, §4) — so the
 //! executors of this crate differ only in *where the statements come
 //! from*. [`run_team`] owns everything else: it obtains the exchange
-//! schedule, builds the collective, the barrier and the exchange mesh,
+//! schedule, builds the collective, the barrier and the exchange mesh
+//! (one SPSC ring per ordered shard pair, sized by the schedule),
 //! reads the per-run environment, spawns, pins and guards one thread
 //! per shard, joins them, picks the root-cause failure, checks that the
 //! replicated scalar environments agree, flushes written partitions
@@ -22,7 +23,9 @@ use crate::metrics::{self, Timer};
 use crate::plan::schedule_for_run;
 use crate::ring;
 use crate::run::{RunCtx, RunResult};
-use crate::spmd_exec::{CopyMsg, DeathBoard, ResilienceOptions, ShardExec, ShardStats};
+use crate::spmd_exec::{
+    retry_budget, CopyMsg, DeathBoard, ResilienceOptions, ShardExec, ShardStats,
+};
 use regent_cr::{ShardImage, SpmdProgram};
 use regent_fault::{DeathCause, PeerDeath};
 use regent_ir::Store;
@@ -63,14 +66,10 @@ pub(crate) fn run_team(
     let barrier = ShardBarrier::new(ns);
 
     // The per-run environment, read here and nowhere else in the SPMD
-    // family. Exchange mesh: senders[src][dst] paired with
-    // receivers[dst][src], SPSC rings by default
-    // (`REGENT_DATA_PLANE=channel` restores the legacy mpsc mesh — see
-    // the `ring` module docs). CI fault smoke: `REGENT_FAULT_SEED` /
-    // `REGENT_CORRUPT` upgrade every run that names no resilience
-    // options of its own to a resilient one; results stay bit-identical.
-    let (senders, receivers) =
-        ring::copy_mesh::<CopyMsg>(ns, ring::data_plane_from_env(), ring::ring_cap_from_env());
+    // family: `REGENT_PIN_CORES`, and the CI fault smoke —
+    // `REGENT_FAULT_SEED` / `REGENT_CORRUPT` upgrade every run that
+    // names no resilience options of its own to a resilient one;
+    // results stay bit-identical.
     let pin = ring::pin_cores_enabled();
     let env_opts;
     let resilience = match ctx.resilience {
@@ -80,6 +79,17 @@ pub(crate) fn run_team(
             env_opts.as_ref()
         }
     };
+
+    // Exchange mesh: senders[src][dst] paired with receivers[dst][src],
+    // each ring as large as the schedule says one copy statement needs.
+    // A plan that can corrupt a payload makes one logical message up to
+    // the retry budget's worth of frames (`ShardExec::send_framed`).
+    let transmissions = match resilience {
+        Some(o) if o.plan.corrupt_rate > 0.0 => retry_budget() as usize,
+        _ => 1,
+    };
+    let (senders, receivers) =
+        ring::copy_mesh::<CopyMsg>(ns, |src, dst| schedule.ring_slots(src, dst, transmissions));
 
     // Borrowed when the caller named one (a hybrid segment's, every
     // time): each shard copies it once either way.

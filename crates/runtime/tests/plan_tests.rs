@@ -1,8 +1,9 @@
 //! Tests of the exchange-schedule evaluation (§3.3): pair ownership,
 //! ordering, element exactness, the scale-invariance property the
 //! paper relies on (O(1) intersections per region for halo patterns),
-//! and the memoization contract — built once per program and shard
-//! count, replayed by every later run.
+//! the per-pair frame bound that sizes the exchange rings, and the
+//! memoization contract — built once per program and shard count,
+//! replayed by every later run.
 
 use regent_cr::{control_replicate, CrOptions, SpmdProgram};
 use regent_geometry::{Domain, DynPoint};
@@ -34,17 +35,20 @@ fn smooth(out: FieldId, halo: FieldId) -> KernelFn {
 
 /// Simple halo program: write blocks, read ±1 halos.
 fn halo_program(n: u64, parts: usize) -> Program {
+    ghost_program(n, parts, |x, sink| {
+        sink.extend([x - 1, x, x + 1].map(DynPoint::from))
+    })
+}
+
+/// Write blocks, read the ghost set `reach` maps each owned point to.
+fn ghost_program(n: u64, parts: usize, mut reach: impl FnMut(i64, &mut Vec<DynPoint>)) -> Program {
     let mut b = ProgramBuilder::new();
     let fs = FieldSpace::of(&[("x", FieldType::F64), ("y", FieldType::F64)]);
     let x = fs.lookup("x").unwrap();
     let y = fs.lookup("y").unwrap();
     let r = b.forest.create_region(Domain::range(n), fs);
     let p = ops::block(&mut b.forest, r, parts);
-    let q = ops::image(&mut b.forest, r, p, |pt, sink| {
-        sink.push(DynPoint::from(pt.coord(0) - 1));
-        sink.push(DynPoint::from(pt.coord(0)));
-        sink.push(DynPoint::from(pt.coord(0) + 1));
-    });
+    let q = ops::image(&mut b.forest, r, p, |pt, sink| reach(pt.coord(0), sink));
     let w = b.task(TaskDecl {
         name: "w".into(),
         params: vec![RegionParam::read_write(&[x]), RegionParam::read(&[y])],
@@ -127,6 +131,114 @@ fn exchange_elements_are_exact_boundaries() {
         }
     }
     assert!(cross > 0, "expected cross-shard boundary exchanges");
+}
+
+/// The frame bound of every ordered shard pair, counted the slow way:
+/// per intersection (one copy statement each), the cross-shard pairs
+/// `src → dst`; then the largest over intersections.
+fn assert_frame_bounds(label: &str, spmd: &SpmdProgram) {
+    let (schedule, _) = spmd.schedule();
+    let ns = spmd.num_shards;
+    assert_eq!(schedule.num_shards, ns, "{label}");
+    let mut any = 0;
+    for src in 0..ns {
+        for dst in 0..ns {
+            let want = schedule
+                .pairs
+                .iter()
+                .map(|list| {
+                    list.iter()
+                        .filter(|p| src != dst && (p.src_owner, p.dst_owner) == (src, dst))
+                        .count()
+                })
+                .max()
+                .unwrap_or(0);
+            assert_eq!(
+                schedule.frame_bound(src, dst),
+                want,
+                "{label}: {src} -> {dst} at {ns} shards"
+            );
+            // A ring holds at least one statement's frames, each sent
+            // up to `t` times.
+            for t in [1, 3] {
+                assert!(schedule.ring_slots(src, dst, t) >= want * t, "{label}");
+            }
+            any += want;
+        }
+        assert_eq!(schedule.frame_bound(src, src), 0, "{label}: diagonal");
+    }
+    assert!(any > 0, "{label}: expected cross-shard exchange");
+}
+
+#[test]
+fn frame_bound_is_the_largest_statement() {
+    use regent_apps::{circuit, miniaero, pennant, rng::SplitMix64, stencil};
+    let stencil = stencil::stencil_program(stencil::StencilConfig {
+        n: 40,
+        ntx: 4,
+        nty: 4,
+        radius: 2,
+        steps: 1,
+    })
+    .0;
+    let circuit = {
+        let cfg = circuit::CircuitConfig {
+            pieces: 8,
+            nodes_per_piece: 30,
+            wires_per_piece: 90,
+            cross_fraction: 0.2,
+            steps: 1,
+            substeps: 1,
+            seed: 42,
+        };
+        let g = circuit::generate_graph(&cfg);
+        circuit::circuit_program(cfg, &g).0
+    };
+    let miniaero = {
+        let cfg = miniaero::MiniAeroConfig {
+            nx: 16,
+            ny: 4,
+            nz: 3,
+            pieces: 8,
+            steps: 1,
+            dt: 5e-4,
+        };
+        let mesh = miniaero::build_mesh(&cfg);
+        miniaero::miniaero_program(cfg, &mesh).0
+    };
+    let pennant = {
+        let cfg = pennant::PennantConfig {
+            nzx: 12,
+            nzy: 6,
+            pieces: 6,
+            tstop: 2e-2,
+            dtmax: 2e-2,
+        };
+        let mesh = pennant::build_mesh(&cfg);
+        pennant::pennant_program(cfg, &mesh).0
+    };
+    // A seeded random ghost set: every owned point reaches itself and
+    // three points anywhere in the region, so most shard pairs exchange
+    // and their pair counts differ.
+    let mut rng = SplitMix64::new(0x5eed);
+    let random = ghost_program(96, 12, |x, sink| {
+        sink.push(DynPoint::from(x));
+        sink.extend((0..3).map(|_| DynPoint::from(rng.gen_range(96) as i64)));
+    });
+    for (label, prog) in [
+        ("stencil", stencil),
+        ("circuit", circuit),
+        ("miniaero", miniaero),
+        ("pennant", pennant),
+        ("random", random),
+    ] {
+        let mut spmd = control_replicate(prog, &CrOptions::new(4)).unwrap();
+        assert_frame_bounds(label, &spmd);
+        // What failover does to a live program: shrink it in place. The
+        // next schedule, and its bounds, are for three shards.
+        spmd.num_shards = 3;
+        assert_frame_bounds(label, &spmd);
+    }
 }
 
 #[test]

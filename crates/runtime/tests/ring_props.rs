@@ -132,15 +132,19 @@ fn receiver_drop_fails_producer_send() {
     }
 }
 
-/// The executor mesh: every ordered shard pair gets its own ring, so
-/// traffic on one pair can neither reorder nor leak into another.
-/// Three shards send distinct tagged streams to each other
-/// concurrently; every receiver sees exactly its own stream, in order.
+/// The executor mesh: every ordered shard pair gets its own ring of its
+/// own capacity, so traffic on one pair can neither reorder nor leak
+/// into another — nor can back-pressure. The capacities are
+/// deliberately uneven (2, 4 or 16 slots by pair) and every stream is
+/// far longer than any of them, so full rings and parked producers
+/// coexist with flowing neighbours throughout. Three shards send
+/// distinct tagged streams to each other concurrently; every receiver
+/// sees exactly its own stream, in order.
 fn mesh_pairs_are_isolated_fifo() {
-    use regent_runtime::{copy_mesh, DataPlane};
+    use regent_runtime::copy_mesh;
     const PER_PAIR: u64 = 2_000;
     let ns = 3;
-    let (senders, receivers) = copy_mesh::<u64>(ns, DataPlane::Ring, 16);
+    let (senders, receivers) = copy_mesh::<u64>(ns, |src, dst| [2, 4, 16][(src + 2 * dst) % 3]);
     std::thread::scope(|scope| {
         for (src, row) in senders.into_iter().enumerate() {
             scope.spawn(move || {
@@ -156,6 +160,9 @@ fn mesh_pairs_are_isolated_fifo() {
         }
         for (dst, row) in receivers.into_iter().enumerate() {
             scope.spawn(move || {
+                // Source by source: while source 0's streams drain,
+                // every ring out of sources 1 and 2 sits full with its
+                // producer parked.
                 let mut row = row;
                 for (src, rx) in row.iter_mut().enumerate() {
                     for i in 0..PER_PAIR {
