@@ -205,8 +205,8 @@ pub fn count_events(trace: &Trace, pred: impl Fn(&EventKind) -> bool) -> usize {
         .count()
 }
 
-/// One app through SPMD, hybrid and shared-log at `ns` shards, each
-/// traced and Spy-certified: SPMD matches the sequential `reference`
+/// One app through SPMD, hybrid and shared-log at `ns` shards under
+/// `opts` (whose tracer is replaced), each traced and Spy-certified: SPMD matches the sequential `reference`
 /// (its env exactly, its regions under `tol`); hybrid — the apps'
 /// bodies are a single replicable range, so both paths execute the
 /// identical sharded schedule — matches the SPMD run bit for bit; the
@@ -219,12 +219,17 @@ pub fn spmd_family_agrees(
     tol: f64,
     (env_seq, forest_seq, store_seq): (&[f64], &RegionForest, &Store),
     roots: &[RegionId],
+    opts: &RunOptions,
 ) {
     let cell = |strategy: Strategy| {
         let (prog, mut store) = mk();
         let compiled = strategy.compile(prog, ns);
         let tracer = Tracer::enabled();
-        let r = run(compiled.as_ref(), &mut store, &RunOptions::traced(&tracer));
+        let traced = RunOptions {
+            tracer: tracer.clone(),
+            ..opts.clone()
+        };
+        let r = run(compiled.as_ref(), &mut store, &traced);
         let label = format!("{label}/{strategy:?} ns={ns}");
         certify(&label, trace_forest(&compiled), &tracer.take());
         (label, compiled, store, r)

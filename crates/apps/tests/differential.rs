@@ -29,7 +29,7 @@ mod common;
 use common::{certify, compare_roots, spmd_family_agrees};
 use regent_apps::{circuit, miniaero, pennant, stencil};
 use regent_ir::{interp, Program, Store};
-use regent_runtime::{execute_implicit, ImplicitOptions, MemoCache};
+use regent_runtime::{execute_implicit, ImplicitOptions, MemoCache, RunOptions};
 use regent_trace::{memo_summary, Tracer};
 
 /// Runs one program factory through all five executor paths and checks
@@ -92,7 +92,7 @@ fn differential(name: &str, mk: &dyn Fn() -> (Program, Store), shard_counts: &[u
 
     let reference = (&env_seq[..], &prog_seq.forest, &store_seq);
     for &ns in shard_counts {
-        spmd_family_agrees(name, mk, ns, tol, reference, &roots);
+        spmd_family_agrees(name, mk, ns, tol, reference, &roots, &RunOptions::default());
     }
 }
 

@@ -8,8 +8,10 @@
 //! strategies. Also covers the loss-budget fail-stop (a double failure
 //! past `max_failovers` must quarantine cleanly, not hang), the
 //! shared-log strategy's from-scratch failover, the hybrid per-segment
-//! checkpoint remap, what epoch a membership change records, and seeded
-//! chaos schedules (the soak variant is `#[ignore]`d for the dedicated
+//! checkpoint remap, what epoch a membership change records,
+//! hang-detection failover (a stalled shard is blamed and evicted under
+//! a 500 ms `RunOptions::hang_timeout` while the other tests of this
+//! binary run concurrently at the default), and seeded chaos schedules (the soak variant is `#[ignore]`d for the dedicated
 //! CI job).
 
 mod common;
@@ -25,6 +27,7 @@ use regent_runtime::{
 };
 use regent_trace::{EventKind, Tracer};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Swallows the default stderr report for panics that are failover
 /// control flow here (shard losses, poison cascades, the expected
@@ -435,6 +438,72 @@ fn rescue_resumes_across_attempts() {
 /// One seeded chaos case: a randomized kill schedule against one
 /// strategy, asserting bit-identity with the undisturbed run, a
 /// Spy-certified trace, and consistent membership accounting.
+/// A shard that *stalls* (no panic, no exit — it just stops producing)
+/// past the run's hang timeout must be blamed `Hung` by the peers
+/// waiting on its messages, evicted from the membership, and the run
+/// completed bit-identically by the survivors. The timeout is the
+/// run's own: a second team in the same process, at the same time,
+/// under the same stall but the default timeout, waits the stall out.
+#[test]
+fn stalled_shard_is_blamed_hung_and_evicted() {
+    install_quiet_hook();
+    let (prog_a, mut store_a) = mk_stencil();
+    let roots = prog_a.root_regions();
+    let a = Strategy::Spmd.compile(prog_a, 3);
+    let plain = run(a.as_ref(), &mut store_a, &RunOptions::default());
+
+    let (prog_b, mut store_b) = mk_stencil();
+    let mut b = Strategy::Spmd.compile(prog_b, 3);
+    // Stall shard 1 for 4x the hang timeout at the epoch-2 boundary:
+    // its peers' bounded waits expire first and blame it on the death
+    // board; the woken victim then dies on the poisoned collectives.
+    let patient = RunOptions::default().with_resilience(ResilienceOptions {
+        checkpoint_interval: 2,
+        plan: FaultPlan::new(17).stall_shard(1, 2, 2_000),
+        ..Default::default()
+    });
+    assert!(patient.hang_timeout > Duration::from_millis(2_000));
+    let opts = RunOptions {
+        hang_timeout: Duration::from_millis(500),
+        ..patient.clone()
+    };
+    let (prog_c, mut store_c) = mk_stencil();
+    let c = Strategy::Spmd.compile(prog_c, 3);
+    let (r, waited_out) = std::thread::scope(|scope| {
+        let patient = scope.spawn(|| run(c.as_ref(), &mut store_c, &patient));
+        let r = run_failover(b.as_mut(), &mut store_b, &opts, &FailoverOptions::default());
+        (
+            r,
+            patient
+                .join()
+                .expect("a stall inside the timeout is no failure"),
+        )
+    });
+    assert_eq!(plain.env, waited_out.env, "the patient team diverged");
+    assert_eq!(
+        waited_out.per_shard.len(),
+        3,
+        "the patient team lost nobody"
+    );
+
+    assert_eq!(r.attempts, 2, "the stall must cost exactly one attempt");
+    assert_eq!(
+        r.final_shards, 2,
+        "the hung shard must leave the membership"
+    );
+    assert_eq!(r.deaths.len(), 1);
+    assert_eq!(r.deaths[0].shard, 1, "blame must land on the stalled shard");
+    assert_eq!(
+        r.deaths[0].cause,
+        DeathCause::Hung,
+        "a stall is a hang, not a kill or panic"
+    );
+
+    assert_eq!(plain.env, r.run.env, "scalar env diverged after eviction");
+    let (here_a, here_b) = ((forest(&a), &store_a), (forest(&b), &store_b));
+    compare_roots("undisturbed vs evicted", &roots, here_a, here_b, 0.0);
+}
+
 fn chaos_case(mk: &dyn Fn() -> (Program, Store), ns: usize, seed: u64, strategy: Strategy) {
     let plan = FaultPlan::seeded_kill(seed, ns, 3);
     assert_fails_over(strategy, mk, ns, plan, &FailoverOptions::default(), None);

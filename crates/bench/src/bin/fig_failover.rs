@@ -26,8 +26,8 @@ use regent_apps::stencil;
 use regent_cr::{control_replicate, CrOptions};
 use regent_ir::Store;
 use regent_runtime::{
-    classify_failure, run, run_failover, Compiled, FailoverOptions, FailureClass, FaultPlan,
-    ResilienceOptions, RunOptions,
+    classify_failure, panic_message, run, run_failover, Compiled, FailoverOptions, FailureClass,
+    FaultPlan, ResilienceOptions, RunOptions,
 };
 use regent_trace::{
     check_entries, entries_to_json, failover_summary, merge_entries, parse_entries, BenchEntry,
@@ -138,18 +138,11 @@ fn main() {
     // poison cascades off stderr so CI logs stay readable.
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let expected = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| info.payload().downcast_ref::<&str>().copied())
-            .is_some_and(|m| {
-                // Root causes classify Transient; the survivors'
-                // collateral unwinds (sealed rings) carry the
-                // copy-channel diagnostic.
-                classify_failure(m) != FailureClass::Permanent
-                    || m.starts_with("copy channel closed")
-            });
+        // Root causes classify Transient; the survivors' collateral
+        // unwinds (sealed rings) carry the copy-channel diagnostic.
+        let m = panic_message(info.payload());
+        let expected =
+            classify_failure(&m) != FailureClass::Permanent || m.starts_with("copy channel closed");
         if !expected {
             prev(info);
         }

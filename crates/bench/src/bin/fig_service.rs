@@ -228,7 +228,8 @@ fn main() {
     // and SLO burn rates mid-run. Held until the end of `main` so the
     // post-sweep self-scrape below can check the live estimator
     // against the artifact.
-    let scrape = regent_runtime::start_scrape_env();
+    let scrape =
+        regent_runtime::start_scrape_at(regent_runtime::config::process().metrics_addr.as_deref());
     if let Some(server) = &scrape {
         println!(
             "metrics: live scrape endpoint on http://{}/metrics",

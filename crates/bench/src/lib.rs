@@ -409,7 +409,8 @@ pub fn run_figure(
     // Live telemetry: figure binaries serve the scrape endpoint too,
     // so setting REGENT_METRICS_ADDR makes any sweep observable
     // mid-run (held until the figure finishes).
-    let _scrape = regent_runtime::start_scrape_env();
+    let _scrape =
+        regent_runtime::start_scrape_at(regent_runtime::config::process().metrics_addr.as_deref());
     let (series, trace) = runner.run_collecting(spec_of, mpi_variants);
     print_figure(title, &series, runner.max_nodes);
     if let Some(path) = &runner.trace_path {

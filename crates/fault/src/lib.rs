@@ -139,7 +139,7 @@ impl RetryPolicy {
 
 /// A deterministic fault plan: scheduled events plus seeded
 /// probabilistic message faults.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed for every probabilistic decision.
     pub seed: u64,
@@ -256,21 +256,6 @@ impl FaultPlan {
         FaultPlan::new(seed).kill_shard(shard, epoch)
     }
 
-    /// Reads `REGENT_FAULT_SEED` from the environment: `Some(seed)`
-    /// when set to a valid integer, `None` otherwise. Consumers use the
-    /// seed to derive an injection plan so that plain test runs
-    /// exercise the recovery paths in CI.
-    pub fn seed_from_env() -> Option<u64> {
-        parse_seed(&std::env::var("REGENT_FAULT_SEED").ok()?)
-    }
-
-    /// Reads `REGENT_CORRUPT` (format `<seed>,<rate>`) from the
-    /// environment. Any malformed or out-of-range value falls back to
-    /// `None` — corruption injection is never half-enabled.
-    pub fn corrupt_from_env() -> Option<(u64, f64)> {
-        parse_corrupt_spec(&std::env::var("REGENT_CORRUPT").ok()?)
-    }
-
     /// True when the plan can do anything at all.
     pub fn is_active(&self) -> bool {
         !self.events.is_empty()
@@ -307,20 +292,6 @@ impl FaultPlan {
             .collect();
         v.sort_by_key(|&(s, e)| (e, s));
         v
-    }
-
-    /// Reads the kill-schedule environment: `REGENT_KILL` (explicit
-    /// `<shard>@<epoch>[,<shard>@<epoch>...]` schedule) takes
-    /// precedence over `REGENT_KILL_SEED` (a seeded single kill drawn
-    /// by [`FaultPlan::seeded_kill`] for `num_shards` shards with kill
-    /// epochs in `1..=4`). Returns `None` when neither is set or the
-    /// value is malformed — kill injection is never half-enabled.
-    pub fn kills_from_env(num_shards: usize) -> Option<FaultPlan> {
-        if let Ok(spec) = std::env::var("REGENT_KILL") {
-            return parse_kill_spec(&spec);
-        }
-        let seed = parse_seed(&std::env::var("REGENT_KILL_SEED").ok()?)?;
-        Some(FaultPlan::seeded_kill(seed, num_shards, 4))
     }
 
     /// All stall events `(shard, epoch, ms)`, sorted by epoch then
@@ -598,7 +569,7 @@ impl std::fmt::Display for PeerDeath {
 pub const SHARD_LOSS_PREFIX: &str = "shard lost";
 
 /// Diagnostic prefix emitted when live failover gives up: the run lost
-/// more shards than `REGENT_FAILOVER_MAX` allows (or membership hit
+/// more shards than its `max_failovers` budget allows (or membership hit
 /// the floor). Classified [`FailureClass::Permanent`] — retrying the
 /// same plan would lose the same shards again.
 pub const FAILOVER_EXHAUSTED_PREFIX: &str = "failover budget exhausted";

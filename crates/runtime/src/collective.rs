@@ -13,13 +13,17 @@
 //! and a published generation word, with early arrivers waiting through
 //! the runtime's one wait primitive (`crate::wait`: spin briefly, then
 //! park) and the last arriver — or whoever poisons the rendezvous —
-//! waking them. The collective adds one padded contribution slot per
-//! shard and a result word around it.
+//! waking them. A wait is bounded by the hang timeout the primitive was
+//! built with (`with_timeout`; `new` takes the process's), after which
+//! it panics with a "likely deadlock" diagnostic instead of hanging.
+//! The collective adds one padded contribution slot per shard and a
+//! result word around it.
 //!
 //! Both primitives expose their *generation* numbers (`*_counted`
 //! variants) so callers can record synchronization events the trace
 //! validator can correlate across shard event logs.
 
+use crate::config;
 use crate::ring::CachePadded;
 use crate::wait::Waiters;
 use regent_fault::PeerDeath;
@@ -63,25 +67,6 @@ impl FramedScalar {
     }
 }
 
-/// How long a blocking wait (barrier, collective, copy receive) may
-/// stall before the executor declares a likely deadlock and panics
-/// with a diagnostic instead of hanging a CI job for hours. Override
-/// with `REGENT_HANG_TIMEOUT_MS`.
-///
-/// The variable is parsed once per process and cached: this sits on
-/// every `recv_timeout` of the hot exchange paths, and a `getenv` +
-/// parse per message is measurable there.
-pub fn hang_timeout() -> Duration {
-    static CACHED: std::sync::OnceLock<Duration> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        let ms = std::env::var("REGENT_HANG_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30_000u64);
-        Duration::from_millis(ms)
-    })
-}
-
 /// Renders a poison cause as a diagnostic suffix (`"" ` when unknown).
 fn cause_suffix(cause: &Option<PeerDeath>) -> String {
     match cause {
@@ -105,7 +90,7 @@ enum Stuck {
 /// Arrival is one `fetch_add` on a padded counter and the round is
 /// published through a generation word, so the per-round cost is two
 /// cache-line transfers; early arrivers wait on `waiters`, bounded by
-/// [`hang_timeout`].
+/// `timeout`.
 ///
 /// Ordering argument: each arrival's `AcqRel` `fetch_add` reads the
 /// previous arrival's, so the last arriver happens-after every
@@ -132,13 +117,16 @@ struct Rendezvous {
     /// observes the cause. Off the hot path: only touched on death.
     cause: Mutex<Option<PeerDeath>>,
     waiters: Waiters,
+    /// How long an early arriver waits before giving up.
+    timeout: Duration,
 }
 
 impl Rendezvous {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, timeout: Duration) -> Self {
         assert!(n > 0);
         Rendezvous {
             n,
+            timeout,
             generation: CachePadded(AtomicU64::new(0)),
             arrived: CachePadded(AtomicUsize::new(0)),
             poisoned: AtomicBool::new(false),
@@ -193,7 +181,7 @@ impl Rendezvous {
             return Ok(());
         }
         self.waiters
-            .wait(hang_timeout(), || {
+            .wait(self.timeout, || {
                 if self.generation.load(Ordering::Acquire) != my_gen {
                     Some(Ok(()))
                 } else if self.is_poisoned() {
@@ -242,10 +230,17 @@ pub struct DynamicCollective {
 }
 
 impl DynamicCollective {
-    /// Creates a collective for `n` participants.
+    /// Creates a collective for `n` participants whose waits give up
+    /// after the process's hang timeout.
     pub fn new(n: usize) -> Self {
+        DynamicCollective::with_timeout(n, config::process().hang_timeout)
+    }
+
+    /// Creates a collective for `n` participants whose waits give up
+    /// after `timeout`.
+    pub fn with_timeout(n: usize, timeout: Duration) -> Self {
         DynamicCollective {
-            round: Rendezvous::new(n),
+            round: Rendezvous::new(n, timeout),
             slots: (0..n).map(|_| CachePadded::default()).collect(),
             result: AtomicU64::new(0),
         }
@@ -310,7 +305,7 @@ impl DynamicCollective {
             ),
             Err(Stuck::TimedOut) => panic!(
                 "likely deadlock: shard {shard} waited {:?} on collective generation {my_gen} ({}/{} contributions arrived)",
-                hang_timeout(),
+                self.round.timeout,
                 self.round.arrived(),
                 self.round.n
             ),
@@ -355,7 +350,7 @@ impl DynamicCollective {
 
 /// A reusable barrier over `n` participants: the bare rendezvous (see
 /// `Rendezvous` for the protocol and its ordering argument). Early
-/// arrivers spin briefly and then park, bounded by [`hang_timeout`];
+/// arrivers spin briefly and then park, bounded by the hang timeout;
 /// poisoning wakes them and preserves the unwinding diagnostics of the
 /// lock-based barrier this one replaced.
 pub struct ShardBarrier {
@@ -363,10 +358,17 @@ pub struct ShardBarrier {
 }
 
 impl ShardBarrier {
-    /// Creates a barrier for `n` participants.
+    /// Creates a barrier for `n` participants whose waits give up
+    /// after the process's hang timeout.
     pub fn new(n: usize) -> Self {
+        ShardBarrier::with_timeout(n, config::process().hang_timeout)
+    }
+
+    /// Creates a barrier for `n` participants whose waits give up after
+    /// `timeout`.
+    pub fn with_timeout(n: usize, timeout: Duration) -> Self {
         ShardBarrier {
-            round: Rendezvous::new(n),
+            round: Rendezvous::new(n, timeout),
         }
     }
 
@@ -417,7 +419,7 @@ impl ShardBarrier {
             ),
             Err(Stuck::TimedOut) => panic!(
                 "likely deadlock: waited {:?} at barrier generation {my_gen} ({}/{} arrived)",
-                hang_timeout(),
+                self.round.timeout,
                 self.round.arrived(),
                 self.round.n
             ),
@@ -428,6 +430,7 @@ impl ShardBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::team::panic_message;
     use std::sync::Arc;
 
     #[test]
@@ -556,7 +559,7 @@ mod tests {
             })
         }))
         .expect_err("all-corrupt frames must fail the run");
-        let msg = panic_msg(err);
+        let msg = panic_message(&*err);
         assert!(msg.contains("unrecoverable collective corruption"), "{msg}");
     }
 
@@ -565,13 +568,6 @@ mod tests {
         let c = DynamicCollective::new(1);
         assert_eq!(c.reduce(0, 5.0, ReductionOp::Min), 5.0);
         assert_eq!(c.reduce(0, -2.0, ReductionOp::Min), -2.0);
-    }
-
-    fn panic_msg(err: Box<dyn std::any::Any + Send>) -> String {
-        err.downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .expect("panic payload should be a message")
     }
 
     #[test]
@@ -587,7 +583,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         b.poison();
         for h in waiters {
-            let msg = panic_msg(h.join().expect_err("waiter should unwind"));
+            let msg = panic_message(&*h.join().expect_err("waiter should unwind"));
             assert!(msg.contains("poisoned"), "diagnostic: {msg}");
         }
         // Late arrivals also unwind immediately.
@@ -612,7 +608,7 @@ mod tests {
             shard: 0,
             cause: DeathCause::Panicked,
         });
-        let msg = panic_msg(waiter.join().expect_err("waiter should unwind"));
+        let msg = panic_message(&*waiter.join().expect_err("waiter should unwind"));
         assert!(msg.contains("poisoned"), "diagnostic: {msg}");
         assert!(msg.contains("shard 1 killed at epoch 3"), "blame: {msg}");
         assert_eq!(b.poisoned_by().unwrap().shard, 1);
@@ -625,7 +621,7 @@ mod tests {
             shard: 1,
             cause: DeathCause::Hung,
         });
-        let msg = panic_msg(waiter.join().expect_err("waiter should unwind"));
+        let msg = panic_message(&*waiter.join().expect_err("waiter should unwind"));
         assert!(msg.contains("poisoned"), "diagnostic: {msg}");
         assert!(msg.contains("shard 1 hung"), "blame: {msg}");
     }
@@ -637,7 +633,7 @@ mod tests {
         let waiter = std::thread::spawn(move || c2.reduce(0, 1.0, ReductionOp::Add));
         std::thread::sleep(std::time::Duration::from_millis(20));
         c.poison();
-        let msg = panic_msg(waiter.join().expect_err("waiter should unwind"));
+        let msg = panic_message(&*waiter.join().expect_err("waiter should unwind"));
         assert!(msg.contains("poisoned"), "diagnostic: {msg}");
     }
 
@@ -683,8 +679,8 @@ mod tests {
         assert_eq!(b.wait_counted(), 1001);
         // Poison still unwinds late arrivals, fast path or not.
         b.poison();
-        let msg = panic_msg(
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.wait()))
+        let msg = panic_message(
+            &*std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.wait()))
                 .expect_err("poisoned barrier should unwind"),
         );
         assert!(msg.contains("poisoned"), "diagnostic: {msg}");

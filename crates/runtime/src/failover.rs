@@ -6,8 +6,8 @@
 //! This module — one loop, [`run_failover`], for every SPMD-family
 //! strategy — recovers from faults that take a shard's **thread**
 //! down — an injected membership kill ([`regent_fault::FaultEvent::ShardKill`]),
-//! a genuine panic, or a hang past the [`crate::collective::hang_timeout`]
-//! deadline. The protocol, phase by phase:
+//! a genuine panic, or a hang past the run's
+//! [`hang_timeout`](RunOptions::hang_timeout). The protocol, phase by phase:
 //!
 //! 1. **Detection.** The dying shard's panic guard (`crate::team`)
 //!    poisons the shared barrier and collective with a structured
@@ -57,13 +57,13 @@
 //! feedback it already consumed), so it re-executes from scratch at the
 //! shrunken membership.
 //!
-//! Enable via [`FailoverOptions::from_env`]: `REGENT_FAILOVER=1` turns
-//! failover on, `REGENT_FAILOVER_MAX=<n>` bounds the membership
-//! changes (default 1); a loss beyond the budget (or below one shard)
-//! fail-stops with [`FAILOVER_EXHAUSTED_PREFIX`], which
+//! [`FailoverOptions::max_failovers`] bounds the membership changes
+//! (default 1; `regent-serve` takes the default when the process's
+//! `REGENT_FAILOVER` is on); a loss beyond the budget (or below one
+//! shard) fail-stops with [`FAILOVER_EXHAUSTED_PREFIX`], which
 //! [`regent_fault::classify_failure`] maps to a permanent failure.
 
-use crate::metrics::{self, Counter, Timer};
+use crate::metrics::{self, flight, Counter, Timer};
 use crate::plan::InstKey;
 use crate::run::{run_ctx, Compiled, RunCtx, RunOptions, RunResult};
 use crate::spmd_exec::{DeathBoard, RescueSlot, ResumeState};
@@ -76,7 +76,6 @@ use regent_fault::{
 };
 use regent_ir::Store;
 use regent_region::Instance;
-use regent_trace::flight::flight;
 use regent_trace::{EventKind, Tracer};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -98,30 +97,6 @@ impl Default for FailoverOptions {
             max_failovers: 1,
             min_shards: 1,
         }
-    }
-}
-
-impl FailoverOptions {
-    /// Builds options from the environment: `Some` when
-    /// `REGENT_FAILOVER` is set to anything but `0`, with the loss
-    /// budget from `REGENT_FAILOVER_MAX` (default 1).
-    pub fn from_env() -> Option<FailoverOptions> {
-        let var = |name| std::env::var(name).ok();
-        FailoverOptions::parse(
-            var("REGENT_FAILOVER").as_deref(),
-            var("REGENT_FAILOVER_MAX").as_deref(),
-        )
-    }
-
-    /// [`FailoverOptions::from_env`] on explicit values of
-    /// `REGENT_FAILOVER` and `REGENT_FAILOVER_MAX` (`None` = unset; an
-    /// unparsable budget falls back to the default of 1).
-    fn parse(enabled: Option<&str>, max: Option<&str>) -> Option<FailoverOptions> {
-        enabled.filter(|v| !v.is_empty() && *v != "0")?;
-        Some(FailoverOptions {
-            max_failovers: max.and_then(|v| v.parse().ok()).unwrap_or(1),
-            min_shards: 1,
-        })
     }
 }
 
@@ -309,7 +284,7 @@ fn plan_shrink(
                 name: "failover_exhausted",
             },
         );
-        flight().dump_env("failover-exhausted", Some(&metrics::global().to_json()));
+        flight().dump("failover-exhausted", Some(&metrics::global().to_json()));
         panic!(
             "{FAILOVER_EXHAUSTED_PREFIX}: cannot survive loss {losses} ({}) with budget {} and \
              membership floor {} at {num_shards} shards: {}",
@@ -334,7 +309,7 @@ fn note_failover_flight(death: EventKind, membership: EventKind) {
     }
     f.note("failover", death);
     f.note("failover", membership);
-    f.dump_env("failover", Some(&metrics::global().to_json()));
+    f.dump("failover", Some(&metrics::global().to_json()));
 }
 
 impl Compiled<&mut SpmdProgram, &mut HybridProgram> {
@@ -391,6 +366,7 @@ pub fn run_failover(
         _ => Some(res.rescue.take().unwrap_or_default()),
     };
     res.rescue = rescue.clone();
+    let base = opts.ctx();
     let mut membership = compiled
         .replicated_mut()
         .first()
@@ -413,8 +389,8 @@ pub fn run_failover(
         };
         let ctx = RunCtx {
             tracer: &inner,
-            initial_env: opts.initial_env.as_deref(),
             resilience: Some(&res),
+            ..base
         };
         let payload =
             match catch_unwind(AssertUnwindSafe(|| run_ctx(compiled.shared(), store, ctx))) {
@@ -529,27 +505,5 @@ mod tests {
         let out = renumber_plan(&plan, &remap, None);
         assert!(out.kill_schedule().is_empty());
         assert!(out.crash_schedule().is_empty());
-    }
-
-    #[test]
-    fn failover_env_parsing() {
-        let max = |enabled, max| FailoverOptions::parse(enabled, max).map(|o| o.max_failovers);
-        for off in [None, Some(""), Some("0")] {
-            assert_eq!(max(off, Some("3")), None, "REGENT_FAILOVER={off:?}");
-        }
-        assert_eq!(max(Some("1"), None), Some(1));
-        assert_eq!(max(Some("yes"), Some("3")), Some(3));
-        assert_eq!(
-            max(Some("1"), Some("lots")),
-            Some(1),
-            "bad budget = default"
-        );
-        assert_eq!(
-            FailoverOptions::parse(Some("1"), None).unwrap().min_shards,
-            1
-        );
-        let d = FailoverOptions::default();
-        assert_eq!(d.max_failovers, 1);
-        assert_eq!(d.min_shards, 1);
     }
 }

@@ -97,6 +97,6 @@ pub(crate) fn run_hybrid(hybrid: &HybridProgram, store: &mut Store, ctx: RunCtx<
     }
     tb.flush();
     drop(mx);
-    metrics::export_env();
+    metrics::global().export();
     run
 }

@@ -49,6 +49,7 @@
 //! full analysis mid-epoch, so memoization never changes results —
 //! executions stay bit-identical to the interpreter.
 
+use crate::config;
 use crate::mapper::{DefaultMapper, Mapper};
 use crate::memo::{self, EpochTemplate, MemoCache};
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
@@ -63,6 +64,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// Options for the implicit executor.
 #[derive(Clone)]
@@ -78,17 +80,23 @@ pub struct ImplicitOptions {
     /// ([`MemoCache::shared`]) across executions to replay from the
     /// very first epoch of a re-run.
     pub memo: Option<Arc<Mutex<MemoCache>>>,
+    /// How long the control thread waits for the worker pool to drain
+    /// before it panics with a "likely deadlock" diagnostic (and the
+    /// cadence at which a starved worker re-polls its queue).
+    pub hang_timeout: Duration,
 }
 
 impl ImplicitOptions {
     /// `num_workers` workers with the default round-robin mapper,
-    /// tracing off, and memoization off.
+    /// tracing off, memoization off, and the process's hang timeout
+    /// ([`config::process`]).
     pub fn with_workers(num_workers: usize) -> Self {
         ImplicitOptions {
             num_workers,
             mapper: Arc::new(DefaultMapper),
             tracer: Tracer::disabled(),
             memo: None,
+            hang_timeout: config::process().hang_timeout,
         }
     }
 
@@ -157,6 +165,7 @@ struct Pool<'p> {
     ready_tx: Vec<Sender<Option<Arc<Job<'p>>>>>,
     outstanding: Mutex<usize>,
     drained: Condvar,
+    hang_timeout: Duration,
 }
 
 impl<'p> Pool<'p> {
@@ -180,15 +189,12 @@ impl<'p> Pool<'p> {
     fn wait_drained(&self) {
         let mut n = self.outstanding.lock().unwrap();
         while *n > 0 {
-            let (guard, timeout) = self
-                .drained
-                .wait_timeout(n, crate::collective::hang_timeout())
-                .unwrap();
+            let (guard, timeout) = self.drained.wait_timeout(n, self.hang_timeout).unwrap();
             n = guard;
             if timeout.timed_out() && *n > 0 {
                 panic!(
                     "likely deadlock: control thread waited {:?} for the worker pool to drain ({} tasks still outstanding)",
-                    crate::collective::hang_timeout(),
+                    self.hang_timeout,
                     *n
                 );
             }
@@ -651,6 +657,7 @@ pub fn execute_implicit(
         ready_tx: senders,
         outstanding: Mutex::new(0),
         drained: Condvar::new(),
+        hang_timeout: opts.hang_timeout,
     };
 
     let mut ctl = Ctl {
@@ -681,7 +688,7 @@ pub fn execute_implicit(
                 // thread dumps at a known cadence rather than parking
                 // forever in an unbounded recv().
                 loop {
-                    match rx.recv_timeout(crate::collective::hang_timeout()) {
+                    match rx.recv_timeout(pool.hang_timeout) {
                         Ok(Some(job)) => run_job(&job, tasks, pool, &mut tb, &mut mx),
                         Ok(None) => break,
                         Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
@@ -724,7 +731,7 @@ pub fn execute_implicit(
     // Dropping `ctl` merges the control thread's metrics into the
     // global registry before the export below reads it.
     drop(ctl);
-    metrics::export_env();
+    metrics::global().export();
     (env, stats)
 }
 

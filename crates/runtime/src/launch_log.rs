@@ -21,8 +21,8 @@
 //! an outermost-loop iteration carries `step = Some(it)` — the marker
 //! consumers use for checkpoint/rollback boundaries and `StepBegin`
 //! trace events. A combine may split its drained records into several
-//! batches when a [`LaunchLog::new`] record limit (`REGENT_LOG_BATCH`)
-//! is set; only the first split carries the step marker.
+//! batches when a [`LaunchLog::new`] record limit is set; only the
+//! first split carries the step marker.
 //!
 //! ## Consumption
 //!
@@ -35,10 +35,10 @@
 //! (`Arc`-shared), so a cursor can be rewound — which is exactly how
 //! the shared-log executor replays after a rollback.
 
-use crate::collective::hang_timeout;
 use crate::wait::Waiters;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// One published batch of log records. Immutable after publication.
 #[derive(Debug)]
@@ -76,12 +76,15 @@ pub struct LaunchLog<T> {
     waiters: Waiters,
     /// Maximum records per published batch (`usize::MAX` ⇒ unlimited).
     max_batch: usize,
+    /// How long a consumer waits for a batch before giving up.
+    hang_timeout: Duration,
 }
 
 impl<T> LaunchLog<T> {
-    /// A log with `producers` publication slots and at most `max_batch`
-    /// records per published batch (0 is treated as unlimited).
-    pub fn new(producers: usize, max_batch: usize) -> LaunchLog<T> {
+    /// A log with `producers` publication slots, at most `max_batch`
+    /// records per published batch (0 is treated as unlimited), and
+    /// consumers that give up on a batch after `hang_timeout`.
+    pub fn new(producers: usize, max_batch: usize, hang_timeout: Duration) -> LaunchLog<T> {
         assert!(
             producers > 0,
             "a launch log needs at least one producer slot"
@@ -98,6 +101,7 @@ impl<T> LaunchLog<T> {
             } else {
                 max_batch
             },
+            hang_timeout,
         }
     }
 
@@ -183,17 +187,17 @@ impl<T> LaunchLog<T> {
 
     /// Blocks until the batch at `index` is published and returns it,
     /// or returns `None` once the log is sealed with fewer batches.
-    /// Panics (a likely-deadlock diagnostic) after the global hang
+    /// Panics (a likely-deadlock diagnostic) after the log's hang
     /// timeout, like every other blocking wait in the runtime.
     pub fn wait(&self, index: usize) -> Option<Arc<Batch<T>>> {
-        let settled = self.waiters.wait(hang_timeout(), || {
+        let settled = self.waiters.wait(self.hang_timeout, || {
             (self.published() > index || self.is_sealed()).then_some(())
         });
         if settled.is_none() {
             panic!(
                 "likely deadlock: log consumer waited {:?} for batch {index} \
                  (sequencer stalled or died without sealing)",
-                hang_timeout()
+                self.hang_timeout
             );
         }
         // Published, or sealed short of `index`: the list is the
@@ -249,39 +253,17 @@ impl LogCursor {
     }
 }
 
-/// Replica count for the shared-log executor: `REGENT_LOG_REPLICAS`,
-/// clamped to `[1, num_shards]`; default `min(2, num_shards)` — two
-/// simulated NUMA domains unless the run is single-shard.
-pub fn replicas_from_env(num_shards: usize) -> usize {
-    let default = 2.min(num_shards.max(1));
-    match std::env::var("REGENT_LOG_REPLICAS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n.min(num_shards.max(1)),
-            _ => default,
-        },
-        Err(_) => default,
-    }
-}
-
-/// Per-batch record limit for the shared-log executor:
-/// `REGENT_LOG_BATCH` (0 or unset ⇒ unlimited — one batch per epoch
-/// segment).
-pub fn batch_limit_from_env() -> usize {
-    match std::env::var("REGENT_LOG_BATCH") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(0),
-        Err(_) => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
+    const WAIT: Duration = Duration::from_secs(30);
+
     #[test]
     fn combine_publishes_in_slot_then_submission_order() {
-        let log: LaunchLog<u32> = LaunchLog::new(3, 0);
+        let log: LaunchLog<u32> = LaunchLog::new(3, 0, WAIT);
         log.submit(2, 20);
         log.submit(0, 1);
         log.submit(2, 21);
@@ -297,7 +279,7 @@ mod tests {
 
     #[test]
     fn batch_limit_splits_with_step_on_first_only() {
-        let log: LaunchLog<u32> = LaunchLog::new(1, 2);
+        let log: LaunchLog<u32> = LaunchLog::new(1, 2, WAIT);
         for i in 0..5 {
             log.submit(0, i);
         }
@@ -320,7 +302,7 @@ mod tests {
 
     #[test]
     fn empty_combine_publishes_only_boundary_batches() {
-        let log: LaunchLog<u32> = LaunchLog::new(1, 0);
+        let log: LaunchLog<u32> = LaunchLog::new(1, 0, WAIT);
         assert_eq!(log.combine(0, None), 0);
         assert_eq!(log.published(), 0, "empty non-boundary combine is a no-op");
         assert_eq!(log.combine(4, Some(4)), 0);
@@ -333,7 +315,7 @@ mod tests {
 
     #[test]
     fn cursor_lag_accounting() {
-        let log: LaunchLog<u32> = LaunchLog::new(1, 1);
+        let log: LaunchLog<u32> = LaunchLog::new(1, 1, WAIT);
         let mut cursor = LogCursor::new();
         assert_eq!(cursor.lag(&log), 0);
         for i in 0..3 {
@@ -349,7 +331,7 @@ mod tests {
 
     #[test]
     fn sealed_log_drains_then_ends() {
-        let log: LaunchLog<u32> = LaunchLog::new(1, 0);
+        let log: LaunchLog<u32> = LaunchLog::new(1, 0, WAIT);
         log.submit(0, 9);
         log.combine(0, None);
         log.seal();
@@ -364,7 +346,7 @@ mod tests {
         // The combiner must never block on a lagging consumer: the log
         // is unbounded, so a slow tail only grows the cursor lag.
         const ROUNDS: u32 = 50;
-        let log: LaunchLog<u32> = LaunchLog::new(2, 0);
+        let log: LaunchLog<u32> = LaunchLog::new(2, 0, WAIT);
         let done = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let consumer = scope.spawn(|| {
@@ -397,7 +379,7 @@ mod tests {
 
     #[test]
     fn wait_blocks_until_published() {
-        let log: LaunchLog<u32> = LaunchLog::new(1, 0);
+        let log: LaunchLog<u32> = LaunchLog::new(1, 0, WAIT);
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| log.wait(0).map(|b| b.records.clone()));
             std::thread::sleep(Duration::from_millis(5));
@@ -405,14 +387,5 @@ mod tests {
             log.combine(0, None);
             assert_eq!(waiter.join().unwrap(), Some(vec![42]));
         });
-    }
-
-    #[test]
-    fn env_var_parsing() {
-        // Defaults (the vars are not set in the test environment).
-        assert_eq!(replicas_from_env(1), 1);
-        assert_eq!(replicas_from_env(2), 2);
-        assert_eq!(replicas_from_env(8), 2);
-        assert_eq!(batch_limit_from_env(), 0);
     }
 }

@@ -35,7 +35,7 @@
 //! * [`metrics`] — always-on per-shard counters and latency histograms
 //!   (launches, copies, waits, memo hits, retransmits), aggregated at
 //!   executor shutdown and exported via `REGENT_METRICS=<path>` as
-//!   JSON plus Prometheus text.
+//!   JSON.
 //! * [`live`] / [`scrape`] — the live telemetry plane: sliding-window
 //!   latency/goodput series with SLO burn-rate gauges, served mid-run
 //!   from a dependency-free HTTP scrape endpoint
@@ -44,7 +44,11 @@
 //!   rings with batched publication carrying the exchange messages
 //!   (one ring per ordered shard pair, its capacity derived from the
 //!   exchange schedule), pooled payload buffers, and core pinning
-//!   behind `REGENT_PIN_CORES`.
+//!   behind [`RunOptions::pin_cores`].
+//! * [`config`] — the process environment: every `REGENT_*` variable
+//!   is parsed once, there, into a typed [`EnvConfig`] that supplies
+//!   the defaults of the options structs and configures the telemetry
+//!   singletons; no executor reads the environment.
 //!
 //! Every executor is tested to produce results bit-identical to the
 //! sequential reference interpreter in `regent-ir`.
@@ -61,6 +65,7 @@
 
 pub mod cancel;
 pub mod collective;
+pub mod config;
 pub mod failover;
 pub mod hybrid_exec;
 pub mod implicit;
@@ -80,19 +85,17 @@ mod team;
 mod wait;
 
 pub use cancel::CancelToken;
-pub use collective::{hang_timeout, DynamicCollective, FramedScalar, ShardBarrier};
+pub use collective::{DynamicCollective, FramedScalar, ShardBarrier};
+pub use config::{EnvConfig, Smoke};
 pub use failover::{run_failover, Failover, FailoverOptions};
 pub use hybrid_exec::HybridRunResult;
 pub use implicit::{execute_implicit, ImplicitOptions, ImplicitStats};
-pub use launch_log::{batch_limit_from_env, replicas_from_env, Batch, LaunchLog, LogCursor};
+pub use launch_log::{Batch, LaunchLog, LogCursor};
 pub use live::{live, BurnRates, LivePlane, SlidingCount, SlidingHist, SloConfig};
 pub use log_exec::LogStats;
 pub use mapper::{DefaultMapper, Mapper, SingleWorkerMapper, TaskKindMapper};
 pub use memo::{epoch_key, launch_sig, EpochTemplate, MemoCache, MemoStats};
-pub use metrics::{
-    export_env as export_metrics_env, prom_escape, Counter, Hist, MetricsHandle, MetricsRegistry,
-    Timer,
-};
+pub use metrics::{flight, prom_escape, Counter, Hist, MetricsHandle, MetricsRegistry, Timer};
 pub use plan::{
     build_exchange_plan, ExchangePlan, ExchangeSchedule, InstKey, PairPlan, SetupStats,
 };
@@ -101,11 +104,10 @@ pub use run::{
     execute_hybrid_traced, execute_log_traced, execute_spmd_resilient_traced, execute_spmd_traced,
     run, Compiled, RunOptions, RunResult,
 };
-pub use scrape::{fetch as fetch_metrics, start_env as start_scrape_env, ScrapeServer};
+pub use scrape::{fetch as fetch_metrics, start_at as start_scrape_at, ScrapeServer};
 
 pub use ring::{
-    copy_mesh, pin_cores_enabled, pin_thread_to_core, ring, CachePadded, RingReceiver, RingSender,
-    SendError,
+    copy_mesh, ring, ring_with_timeout, CachePadded, RingReceiver, RingSender, SendError,
 };
 
 pub use regent_fault::{
@@ -113,3 +115,4 @@ pub use regent_fault::{
     CANCEL_PREFIX, FAILOVER_EXHAUSTED_PREFIX, SHARD_LOSS_PREFIX, TRANSIENT_PREFIX,
 };
 pub use spmd_exec::{DeathBoard, Rescue, ResilienceOptions, ShardStats};
+pub use team::panic_message;

@@ -10,12 +10,12 @@
 //! supervisor, and burn-rate accounting against two budgets:
 //!
 //! * **p99 burn** — the fraction of jobs in the window slower than the
-//!   target p99 (`REGENT_SLO_P99_MS`, default 2000), divided by the
-//!   1% that budget tolerates. Burn 1.0 = exactly on budget; 10.0 =
+//!   target p99 (`SLO_P99_TARGET_MS`, 2000), divided by the 1% that
+//!   budget tolerates. Burn 1.0 = exactly on budget; 10.0 =
 //!   burning a month of error budget in three days.
 //! * **shed burn** — the fraction of arrivals rejected by admission
-//!   control, divided by the shed budget (`REGENT_SLO_SHED_PCT`,
-//!   default 5, i.e. 5% of arrivals may be shed before alarm).
+//!   control, divided by the shed budget (`SLO_SHED_BUDGET`: 5% of
+//!   arrivals may be shed before alarm).
 //!
 //! Everything here is exported as Prometheus *gauges* (they describe a
 //! window, not a monotone total) by [`LivePlane::to_prometheus`], which
@@ -27,7 +27,10 @@
 //!
 //! Kill switch: `REGENT_METRICS_OFF` disables the live plane along
 //! with the registry, the scrape endpoint, and the flight recorder.
+//! Both variables are fixed when [`live`] first runs
+//! ([`crate::config::process`]).
 
+use crate::config;
 use crate::metrics::{prom_escape, Hist};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -131,7 +134,13 @@ impl SlidingCount {
     }
 }
 
-/// SLO configuration (see the module docs for the env variables).
+/// The global plane's target p99 job latency, milliseconds.
+const SLO_P99_TARGET_MS: f64 = 2000.0;
+
+/// The global plane's tolerated shed fraction of arrivals.
+const SLO_SHED_BUDGET: f64 = 0.05;
+
+/// SLO configuration of a [`LivePlane`].
 #[derive(Clone, Copy, Debug)]
 pub struct SloConfig {
     /// Target p99 job latency, milliseconds.
@@ -140,25 +149,6 @@ pub struct SloConfig {
     pub shed_budget: f64,
     /// Sliding window span, nanoseconds.
     pub window_ns: u64,
-}
-
-impl SloConfig {
-    /// Reads `REGENT_SLO_P99_MS` / `REGENT_SLO_SHED_PCT` /
-    /// `REGENT_SLO_WINDOW_SECS`, with defaults 2000 ms / 5% / 30 s.
-    pub fn from_env() -> Self {
-        let f = |k: &str, d: f64| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.trim().parse::<f64>().ok())
-                .filter(|v| *v > 0.0)
-                .unwrap_or(d)
-        };
-        SloConfig {
-            p99_target_ms: f("REGENT_SLO_P99_MS", 2000.0),
-            shed_budget: f("REGENT_SLO_SHED_PCT", 5.0) / 100.0,
-            window_ns: (f("REGENT_SLO_WINDOW_SECS", 30.0) * 1e9) as u64,
-        }
-    }
 }
 
 /// Current burn rates over the sliding window (see the module docs).
@@ -195,14 +185,20 @@ pub struct LivePlane {
     state: Mutex<LiveState>,
 }
 
-/// The global live plane. Enabled unless `REGENT_METRICS_OFF` is set;
-/// configured from the `REGENT_SLO_*` variables at first use.
+/// The global live plane: recording unless the process turned
+/// telemetry off, over the process's SLO window, against the two
+/// budget constants.
 pub fn live() -> &'static LivePlane {
     static PLANE: OnceLock<LivePlane> = OnceLock::new();
     PLANE.get_or_init(|| {
+        let env = config::process();
         LivePlane::with_config(
-            std::env::var_os("REGENT_METRICS_OFF").is_none(),
-            SloConfig::from_env(),
+            env.telemetry,
+            SloConfig {
+                p99_target_ms: SLO_P99_TARGET_MS,
+                shed_budget: SLO_SHED_BUDGET,
+                window_ns: env.slo_window.as_nanos() as u64,
+            },
         )
     })
 }
@@ -228,11 +224,6 @@ impl LivePlane {
     /// Is the plane recording?
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The active SLO configuration.
-    pub fn config(&self) -> SloConfig {
-        self.cfg
     }
 
     fn now_ns(&self) -> u64 {

@@ -18,8 +18,9 @@
 //!
 //! ## Replica topology
 //!
-//! Shards are grouped into *replicas* (one per simulated NUMA domain;
-//! `REGENT_LOG_REPLICAS`, default 2): each replica's leader shard runs
+//! Shards are grouped into *replicas* (one per simulated NUMA domain:
+//! `REPLICAS`, or one when the run is single-shard): each replica's
+//! leader shard runs
 //! dependence analysis **once per replica per batch** — pairwise
 //! overlap checks between the batch's launch records at the
 //! use/partition granularity, deduplicated by signature pair — instead
@@ -51,11 +52,10 @@
 //! cursor — the log itself is immutable, which is what makes replay
 //! trivially consistent.
 
-use crate::collective::hang_timeout;
-use crate::launch_log::{batch_limit_from_env, replicas_from_env, LaunchLog, LogCursor};
+use crate::launch_log::{LaunchLog, LogCursor};
 use crate::memo::launch_sig;
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
-use crate::ring::{ring, RingReceiver, RingSender, SendError};
+use crate::ring::{ring_with_timeout, RingReceiver, RingSender, SendError};
 use crate::run::{RunCtx, RunResult};
 use crate::spmd_exec::ShardExec;
 use crate::team::run_team;
@@ -68,6 +68,7 @@ use regent_trace::{EventKind, OverlapOracle, TraceBuf};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Capacity of the shard-0 → sequencer scalar-feedback channel. The
 /// protocol sends exactly one folded value per `AllReduce` and the
@@ -79,6 +80,12 @@ use std::sync::Mutex;
 /// likely deadlock instead of blocking forever on an unbounded queue.
 /// A power of two: it is the feedback ring's capacity.
 const FEEDBACK_BOUND: usize = 4;
+
+/// Executor replicas (simulated NUMA domains), shards permitting.
+const REPLICAS: usize = 2;
+
+/// No record limit ([`LaunchLog::new`]): one batch per epoch segment.
+const UNLIMITED_BATCH: usize = 0;
 
 /// One operation in the launch log: a leaf statement of the compiled
 /// body plus, for launches, the [`launch_sig`] structural signature
@@ -125,9 +132,9 @@ impl<T> Drop for SealOnDrop<'_, T> {
 /// consumed.
 pub(crate) fn run_log(spmd: &SpmdProgram, store: &mut Store, ctx: RunCtx<'_>) -> RunResult {
     let ns = spmd.num_shards;
-    let n_replicas = replicas_from_env(ns);
-    let log: LaunchLog<LogRecord<'_>> = LaunchLog::new(1, batch_limit_from_env());
-    let (fb_tx, fb_rx) = ring::<f64>(FEEDBACK_BOUND);
+    let n_replicas = REPLICAS.min(ns.max(1));
+    let log: LaunchLog<LogRecord<'_>> = LaunchLog::new(1, UNLIMITED_BATCH, ctx.hang_timeout);
+    let (fb_tx, fb_rx) = ring_with_timeout::<f64>(FEEDBACK_BOUND, ctx.hang_timeout);
     // Only shard 0 holds the feedback sender, so its death disconnects
     // the sequencer instead of leaving it to time out.
     let fb_slot = Mutex::new(Some(fb_tx));
@@ -143,6 +150,7 @@ pub(crate) fn run_log(spmd: &SpmdProgram, store: &mut Store, ctx: RunCtx<'_>) ->
                 spmd,
                 log,
                 feedback: fb_rx,
+                hang_timeout: ctx.hang_timeout,
                 env: ctx.initial_env(&spmd.scalars),
                 epoch: 0,
                 loop_depth: 0,
@@ -192,6 +200,7 @@ struct Sequencer<'a, 'l> {
     spmd: &'a SpmdProgram,
     log: &'l LaunchLog<LogRecord<'a>>,
     feedback: RingReceiver<f64>,
+    hang_timeout: Duration,
     env: Vec<f64>,
     epoch: u64,
     loop_depth: u32,
@@ -239,17 +248,14 @@ impl<'a> Sequencer<'a, '_> {
                     // collective otherwise — then block for shard 0's
                     // feedback of the folded value.
                     self.flush();
-                    let folded = self
-                        .feedback
-                        .recv_timeout(hang_timeout())
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "likely deadlock: sequencer waited {:?} for AllReduce feedback on \
+                    let timeout = self.hang_timeout;
+                    let folded = self.feedback.recv_timeout(timeout).unwrap_or_else(|e| {
+                        panic!(
+                            "likely deadlock: sequencer waited {timeout:?} for AllReduce feedback on \
                              scalar {} ({e:?}) — shard 0 stalled or died",
-                                hang_timeout(),
-                                var.0
-                            )
-                        });
+                            var.0
+                        )
+                    });
                     self.env[var.0 as usize] = folded;
                 }
                 SpmdStmt::For { count, body } => {
@@ -460,8 +466,7 @@ fn send_feedback(fb: &mut RingSender<f64>, var: u32, value: f64) {
         Err(SendError::Full(_)) => panic!(
             "likely deadlock: shard 0 waited {:?} to feed back AllReduce scalar {} — \
              feedback channel full ({FEEDBACK_BOUND} pending), sequencer stalled",
-            hang_timeout(),
-            var
+            fb.timeout, var
         ),
     }
 }

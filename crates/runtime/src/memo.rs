@@ -197,24 +197,6 @@ impl MemoCache {
         }
     }
 
-    /// Invalidates the cache after a corruption repair rolled region
-    /// state back to an earlier epoch. Captured templates embed
-    /// `capture_checks` and edge structure derived from epochs whose
-    /// effects were just undone; dropping everything is a deliberate
-    /// over-approximation of "templates whose captured epochs touched
-    /// the repaired region" — safe (replay falls back to analysis and
-    /// recaptures) and cheap at the frequency corruptions occur.
-    /// Returns the number of templates dropped.
-    pub fn invalidate_for_repair(&mut self) -> usize {
-        let dropped = self.templates.len();
-        self.templates.clear();
-        self.predicted = None;
-        if dropped > 0 {
-            self.stats.invalidations += 1;
-        }
-        dropped
-    }
-
     /// The template for `key`, if cached.
     pub fn get(&self, key: u64) -> Option<&EpochTemplate> {
         self.templates.get(&key)

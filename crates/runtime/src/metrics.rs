@@ -8,15 +8,20 @@
 //! to stay on in every run. Each executor thread owns a
 //! [`MetricsHandle`] (no locks on the hot path); handles merge into the
 //! process-global [`MetricsRegistry`] when dropped, and the executors
-//! call [`export_env`] at shutdown: setting `REGENT_METRICS=<path>`
-//! writes the aggregated registry as JSON to `<path>` and as
-//! Prometheus-style text to `<path>.prom`. Setting `REGENT_METRICS_OFF`
+//! export it at shutdown: with `REGENT_METRICS=<path>` in the process
+//! environment the aggregated registry is written to `<path>` as JSON
+//! (the document flight dumps attach too; Prometheus text is the
+//! scrape endpoint's job, [`crate::scrape`]). `REGENT_METRICS_OFF`
 //! disables collection entirely (the A/B switch the overhead
-//! measurement in EXPERIMENTS.md uses).
+//! measurement in EXPERIMENTS.md uses). Both are fixed when [`global`]
+//! first runs ([`crate::config::process`]).
 
+use crate::config;
 use regent_trace::json::escape_into;
+use regent_trace::FlightRecorder;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -586,16 +591,32 @@ fn wall_fallback_ns() -> u64 {
 /// [`MetricsHandle`]s; dropped handles merge here under their label.
 pub struct MetricsRegistry {
     enabled: bool,
+    /// Where [`MetricsRegistry::export`] writes, if anywhere.
+    file: Option<PathBuf>,
     store: Mutex<BTreeMap<String, MetricSet>>,
 }
 
-/// The global registry. Collection is enabled unless the
-/// `REGENT_METRICS_OFF` environment variable is set (to anything).
+/// The global registry: collecting unless the process turned telemetry
+/// off, exporting to the process's metrics file.
 pub fn global() -> &'static MetricsRegistry {
     static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(|| MetricsRegistry {
-        enabled: std::env::var_os("REGENT_METRICS_OFF").is_none(),
-        store: Mutex::new(BTreeMap::new()),
+    REGISTRY.get_or_init(|| {
+        let env = config::process();
+        MetricsRegistry {
+            enabled: env.telemetry,
+            file: env.metrics_file.clone(),
+            store: Mutex::new(BTreeMap::new()),
+        }
+    })
+}
+
+/// The global flight recorder (`regent_trace::flight`): recording
+/// unless the process turned telemetry off, dumping into the process's
+/// flight directory.
+pub fn flight() -> &'static FlightRecorder {
+    regent_trace::flight::global(|| {
+        let env = config::process();
+        (env.telemetry, env.flight_dir.clone())
     })
 }
 
@@ -603,6 +624,19 @@ impl MetricsRegistry {
     /// Is collection on?
     pub fn is_enabled(&self) -> bool {
         self.enabled
+    }
+
+    /// Writes the registry as JSON to the file it was built with.
+    /// Called by every executor at shutdown; without a file (or with
+    /// collection off) this is a no-op. Write failures are reported to
+    /// stderr, never fatal.
+    pub(crate) fn export(&self) {
+        let Some(path) = self.file.as_ref().filter(|_| self.enabled) else {
+            return;
+        };
+        if let Err(e) = std::fs::write(path, self.to_json()) {
+            eprintln!("REGENT_METRICS: cannot write {}: {e}", path.display());
+        }
     }
 
     /// A private recording handle for one thread, merged back under
@@ -929,33 +963,6 @@ impl Drop for MetricsHandle {
     }
 }
 
-/// Writes the global registry to the path named by the
-/// `REGENT_METRICS` environment variable — JSON at `<path>`,
-/// Prometheus text at `<path>.prom`. Called by every executor at
-/// shutdown; a missing variable (or disabled collection) makes this a
-/// no-op. Write failures are reported to stderr, never fatal.
-pub fn export_env() {
-    let registry = global();
-    if !registry.is_enabled() {
-        return;
-    }
-    let Some(path) = std::env::var_os("REGENT_METRICS") else {
-        return;
-    };
-    let path = std::path::PathBuf::from(path);
-    if let Err(e) = std::fs::write(&path, registry.to_json()) {
-        eprintln!("REGENT_METRICS: cannot write {}: {e}", path.display());
-    }
-    let mut prom = path.as_os_str().to_owned();
-    prom.push(".prom");
-    if let Err(e) = std::fs::write(&prom, registry.to_prometheus()) {
-        eprintln!(
-            "REGENT_METRICS: cannot write {}: {e}",
-            prom.to_string_lossy()
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1026,6 +1033,29 @@ mod tests {
         assert!(registry.aggregate().is_empty());
     }
 
+    /// `REGENT_METRICS=<path>` means one file, JSON; no `.prom` twin.
+    #[test]
+    fn export_writes_the_json_document_only() {
+        let path = std::env::temp_dir().join(format!("regent-metrics-{}.json", std::process::id()));
+        let registry = MetricsRegistry {
+            enabled: true,
+            file: Some(path.clone()),
+            store: Mutex::new(BTreeMap::new()),
+        };
+        let mut set = MetricSet::default();
+        set.counters[Counter::TaskRuns.index()] = 3;
+        registry.absorb("shard-0", &set);
+        registry.export();
+        let text = std::fs::read_to_string(&path).expect("export wrote the file");
+        let doc = regent_trace::json::parse(&text).expect("metrics JSON must parse");
+        let total = doc.get("total").unwrap().get("counters").unwrap();
+        assert_eq!(total.get("task_runs").unwrap().as_num(), Some(3.0));
+        let mut twin = path.clone().into_os_string();
+        twin.push(".prom");
+        assert!(!std::path::Path::new(&twin).exists());
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn flush_publishes_midlife_and_never_double_counts() {
         let registry = global();
@@ -1074,6 +1104,7 @@ mod tests {
         // the global one cannot perturb the golden text.
         let registry = MetricsRegistry {
             enabled: true,
+            file: None,
             store: Mutex::new(BTreeMap::new()),
         };
         let mut set = MetricSet::default();

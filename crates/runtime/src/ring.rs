@@ -41,8 +41,8 @@
 //!   what a `flush` and a pop cost beyond the Lamport queue when nobody
 //!   is parked — one per published batch and one per message taken;
 //!   [`RingSender::push`] stays fence-free. Every blocking wait is
-//!   bounded by [`crate::collective::hang_timeout`]
-//!   (`REGENT_HANG_TIMEOUT_MS`).
+//!   bounded: a receive by the timeout its caller passes, a full-ring
+//!   push by the one the ring was built with ([`ring_with_timeout`]).
 //! * **Disconnect semantics** — dropping the sender (including during a
 //!   panic unwind) flushes pending slots and seals the ring: the
 //!   consumer drains what was published, then sees `Disconnected`, so a
@@ -65,7 +65,7 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::collective::hang_timeout;
+use crate::config;
 use crate::wait::Waiters;
 
 /// Pads (and aligns) a value to a cache line so two adjacent atomics
@@ -150,6 +150,9 @@ pub struct RingSender<T> {
     /// Last observed consumer position (refreshed only when the ring
     /// looks full, keeping the hot path load-free).
     cached_head: usize,
+    /// How long a push waits on a full ring before it returns
+    /// [`SendError::Full`].
+    pub(crate) timeout: Duration,
 }
 
 /// Publish at least every this many pushes even without an explicit
@@ -176,7 +179,7 @@ impl<T: Send> RingSender<T> {
                 self.flush();
                 stalled = true;
                 let (core, local_tail) = (&*self.core, self.local_tail);
-                let freed = core.tx_waiters.wait(hang_timeout(), || {
+                let freed = core.tx_waiters.wait(self.timeout, || {
                     if !core.rx_alive.load(Ordering::Acquire) {
                         return Some(None);
                     }
@@ -311,8 +314,17 @@ impl<T> Drop for RingReceiver<T> {
 }
 
 /// Creates a bounded SPSC ring holding up to `capacity` elements
-/// (rounded up to a power of two, minimum 2).
+/// (rounded up to a power of two, minimum 2) whose full-ring waits give
+/// up after the process's hang timeout.
 pub fn ring<T: Send>(capacity: usize) -> (RingSender<T>, RingReceiver<T>) {
+    ring_with_timeout(capacity, config::process().hang_timeout)
+}
+
+/// [`ring`] whose full-ring waits give up after `timeout`.
+pub fn ring_with_timeout<T: Send>(
+    capacity: usize,
+    timeout: Duration,
+) -> (RingSender<T>, RingReceiver<T>) {
     let cap = capacity.max(2).next_power_of_two();
     let slots = (0..cap)
         .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
@@ -334,6 +346,7 @@ pub fn ring<T: Send>(capacity: usize) -> (RingSender<T>, RingReceiver<T>) {
             local_tail: 0,
             published: 0,
             cached_head: 0,
+            timeout,
         },
         RingReceiver {
             core,
@@ -343,24 +356,12 @@ pub fn ring<T: Send>(capacity: usize) -> (RingSender<T>, RingReceiver<T>) {
     )
 }
 
-/// Whether `REGENT_PIN_CORES` asks for shard-thread core pinning
-/// (`1`/`true`/`on`/`yes`, case-insensitive).
-pub fn pin_cores_enabled() -> bool {
-    std::env::var("REGENT_PIN_CORES").is_ok_and(|v| {
-        let v = v.trim();
-        v == "1"
-            || v.eq_ignore_ascii_case("true")
-            || v.eq_ignore_ascii_case("on")
-            || v.eq_ignore_ascii_case("yes")
-    })
-}
-
 /// Pins the calling thread to `core` (modulo the machine's available
 /// parallelism). Returns whether the affinity call succeeded; on
 /// non-Linux targets (or unsupported architectures) this is a no-op
 /// returning `false`. Implemented as a raw `sched_setaffinity`
 /// syscall: the workspace links no libc crate.
-pub fn pin_thread_to_core(core: usize) -> bool {
+pub(crate) fn pin_thread_to_core(core: usize) -> bool {
     let ncpu = std::thread::available_parallelism()
         .map(usize::from)
         .unwrap_or(1);
@@ -420,13 +421,15 @@ fn pin_syscall(_cpu: usize) -> bool {
 /// Builds the full exchange mesh for `ns` shards:
 /// `senders[src][dst]` paired with `receivers[dst][src]`, one
 /// independent SPSC ring per ordered pair, holding `capacity(src, dst)`
-/// messages (rounded as [`ring`] rounds). Each shard thread takes
-/// ownership of its sender row, so a dying shard seals every link it
-/// produces into and its peers unwind instead of hanging.
+/// messages (rounded as [`ring`] rounds) and giving up on a full ring
+/// after `timeout`. Each shard thread takes ownership of its sender
+/// row, so a dying shard seals every link it produces into and its
+/// peers unwind instead of hanging.
 #[allow(clippy::type_complexity)]
 pub fn copy_mesh<T: Send>(
     ns: usize,
     capacity: impl Fn(usize, usize) -> usize,
+    timeout: Duration,
 ) -> (Vec<Vec<RingSender<T>>>, Vec<Vec<RingReceiver<T>>>) {
     let mut senders: Vec<Vec<RingSender<T>>> = (0..ns).map(|_| Vec::with_capacity(ns)).collect();
     let mut receivers: Vec<Vec<RingReceiver<T>>> =
@@ -434,7 +437,7 @@ pub fn copy_mesh<T: Send>(
     // Source-major, so each receiver row fills in source order.
     for (src, row) in senders.iter_mut().enumerate() {
         for (dst, rx_row) in receivers.iter_mut().enumerate() {
-            let (tx, rx) = ring::<T>(capacity(src, dst));
+            let (tx, rx) = ring_with_timeout::<T>(capacity(src, dst), timeout);
             row.push(tx);
             rx_row.push(rx);
         }

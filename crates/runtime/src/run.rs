@@ -4,6 +4,7 @@
 //! (`run_failover`, the membership-shrinking wrapper, lives in
 //! [`crate::failover`].)
 
+use crate::config::{self, Smoke};
 use crate::hybrid_exec::{run_hybrid, HybridRunResult};
 use crate::log_exec::{run_log, LogStats};
 use crate::plan::SetupStats;
@@ -13,6 +14,7 @@ use regent_cr::SpmdProgram;
 use regent_ir::Store;
 use regent_trace::Tracer;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A compiled program tagged with the control source that drives its
 /// shards. `S` and `H` are the two compiled forms, owned or borrowed:
@@ -56,7 +58,9 @@ impl<S, H> Compiled<S, H> {
 
 /// Options of one SPMD-family run. `RunOptions::default()` is a plain
 /// run: tracing off, declared initial scalars, no resilience (unless
-/// `REGENT_FAULT_SEED` / `REGENT_CORRUPT` arm the CI smoke upgrade).
+/// `REGENT_FAULT_SEED` / `REGENT_CORRUPT` arm the CI smoke upgrade),
+/// and the process's hang timeout and pinning
+/// ([`config::process`]) — a run that wants others sets the field.
 #[derive(Clone)]
 pub struct RunOptions {
     /// Event recorder: shard `s` records on track `shard-s`, the log
@@ -69,14 +73,22 @@ pub struct RunOptions {
     /// Fault plan, checkpoint cadence, integrity layer, cancellation
     /// and cross-attempt rescue; `None` for a plain run.
     pub resilience: Option<ResilienceOptions>,
+    /// How long a blocking wait of this run's team may stall before it
+    /// panics with a "likely deadlock" diagnostic.
+    pub hang_timeout: Duration,
+    /// Pin shard thread `s` to core `s` (modulo the machine's).
+    pub pin_cores: bool,
 }
 
 impl Default for RunOptions {
     fn default() -> RunOptions {
+        let env = config::process();
         RunOptions {
             tracer: Tracer::disabled(),
             initial_env: None,
             resilience: None,
+            hang_timeout: env.hang_timeout,
+            pin_cores: env.pin_cores,
         }
     }
 }
@@ -101,6 +113,9 @@ impl RunOptions {
             tracer: &self.tracer,
             initial_env: self.initial_env.as_deref(),
             resilience: self.resilience.as_ref(),
+            hang_timeout: self.hang_timeout,
+            pin_cores: self.pin_cores,
+            smoke: config::process().smoke.as_ref(),
         }
     }
 }
@@ -113,6 +128,10 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) tracer: &'a Arc<Tracer>,
     pub(crate) initial_env: Option<&'a [f64]>,
     pub(crate) resilience: Option<&'a ResilienceOptions>,
+    pub(crate) hang_timeout: Duration,
+    pub(crate) pin_cores: bool,
+    /// The CI fault smoke a run without `resilience` is upgraded by.
+    pub(crate) smoke: Option<&'a Smoke>,
 }
 
 impl RunCtx<'_> {
@@ -180,14 +199,6 @@ pub(crate) fn run_ctx(
 // go when the adapter calls `run`. Nothing inside the workspace uses
 // them (CI's `surface` step checks).
 
-fn traced(tracer: &Arc<Tracer>) -> RunCtx<'_> {
-    RunCtx {
-        tracer,
-        initial_env: None,
-        resilience: None,
-    }
-}
-
 /// Benchmark adapter: `run(Compiled::Spmd(spmd), ..)` recording into
 /// `tracer`.
 pub fn execute_spmd_traced(
@@ -195,7 +206,7 @@ pub fn execute_spmd_traced(
     store: &mut Store,
     tracer: &Arc<Tracer>,
 ) -> RunResult {
-    run_spmd(spmd, store, traced(tracer), 0)
+    run_spmd(spmd, store, RunOptions::traced(tracer).ctx(), 0)
 }
 
 /// Benchmark adapter: `run(Compiled::Spmd(spmd), ..)` under `opts`,
@@ -206,9 +217,10 @@ pub fn execute_spmd_resilient_traced(
     opts: &ResilienceOptions,
     tracer: &Arc<Tracer>,
 ) -> RunResult {
+    let plain = RunOptions::traced(tracer);
     let ctx = RunCtx {
         resilience: Some(opts),
-        ..traced(tracer)
+        ..plain.ctx()
     };
     run_spmd(spmd, store, ctx, 0)
 }
@@ -220,7 +232,7 @@ pub fn execute_log_traced(
     store: &mut Store,
     tracer: &Arc<Tracer>,
 ) -> RunResult {
-    run_log(spmd, store, traced(tracer))
+    run_log(spmd, store, RunOptions::traced(tracer).ctx())
 }
 
 /// Benchmark adapter: `run(Compiled::Hybrid(hybrid), ..)` recording
@@ -230,5 +242,5 @@ pub fn execute_hybrid_traced(
     store: &mut Store,
     tracer: &Arc<Tracer>,
 ) -> HybridRunResult {
-    run_hybrid(hybrid, store, traced(tracer)).into()
+    run_hybrid(hybrid, store, RunOptions::traced(tracer).ctx()).into()
 }

@@ -14,10 +14,11 @@
 //! ([`LivePlane::to_prometheus`](crate::live::LivePlane::to_prometheus)),
 //! so one scrape carries both lifetime totals and the now-view.
 //!
-//! Enable with `REGENT_METRICS_ADDR=<host:port>` (port `0` picks a
-//! free port; [`ScrapeServer::local_addr`] reports it). The kill
-//! switch `REGENT_METRICS_OFF` disables the endpoint along with the
-//! registry, the live plane, and the flight recorder.
+//! A binary enables it by handing [`start_at`] the process's
+//! `REGENT_METRICS_ADDR=<host:port>` (port `0` picks a free port;
+//! [`ScrapeServer::local_addr`] reports it). The kill switch
+//! `REGENT_METRICS_OFF` disables the endpoint along with the registry,
+//! the live plane, and the flight recorder.
 
 use crate::live::live;
 use crate::metrics::global;
@@ -35,16 +36,14 @@ pub struct ScrapeServer {
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Starts the scrape server if `REGENT_METRICS_ADDR` is set and
-/// telemetry is not killed by `REGENT_METRICS_OFF`. Bind errors are
-/// reported to stderr and swallowed — an unreachable metrics port
-/// must not take the service down with it.
-pub fn start_env() -> Option<ScrapeServer> {
-    let addr = std::env::var("REGENT_METRICS_ADDR").ok()?;
-    if std::env::var_os("REGENT_METRICS_OFF").is_some() {
-        return None;
-    }
-    match start(&addr) {
+/// Starts the scrape server on `addr` if there is one (a binary passes
+/// its [`config::process`](crate::config::process)`().metrics_addr`)
+/// and telemetry is on. Bind errors are reported to stderr and
+/// swallowed — an unreachable metrics port must not take the service
+/// down with it.
+pub fn start_at(addr: Option<&str>) -> Option<ScrapeServer> {
+    let addr = addr.filter(|_| global().is_enabled())?;
+    match start(addr) {
         Ok(server) => Some(server),
         Err(e) => {
             eprintln!("scrape endpoint: cannot bind {addr}: {e}");
@@ -55,7 +54,7 @@ pub fn start_env() -> Option<ScrapeServer> {
 
 /// Binds `addr` and serves scrapes on a background thread until the
 /// returned handle is dropped.
-pub fn start(addr: &str) -> std::io::Result<ScrapeServer> {
+fn start(addr: &str) -> std::io::Result<ScrapeServer> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));

@@ -77,11 +77,9 @@
 //! * **Resident instances** — no peer holds a redundant copy of a
 //!   shard's owned data, so the checkpoint is the redundancy: a seal
 //!   mismatch found by the epoch-boundary verification sweep escalates
-//!   to the coordinated rollback above (and invalidates any cached
-//!   epoch templates, whose captured schedules came from the undone
-//!   epochs). The decision is replicated — every shard evaluates the
-//!   same `FaultPlan::resident_corruption` predicate — so recovery
-//!   stays coordination-free.
+//!   to the coordinated rollback above. The decision is replicated —
+//!   every shard evaluates the same `FaultPlan::resident_corruption`
+//!   predicate — so recovery stays coordination-free.
 //!
 //! Detection, repair, and escalation are visible as `CorruptDetected`
 //! / `CorruptRepaired` / `CorruptEscalated` trace events, summarized
@@ -90,8 +88,7 @@
 //! bit-identical to a fault-free run.
 
 use crate::cancel::CancelToken;
-use crate::collective::{hang_timeout, DynamicCollective, FramedScalar, ShardBarrier};
-use crate::memo::MemoCache;
+use crate::collective::{DynamicCollective, FramedScalar, ShardBarrier};
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
 use crate::plan::{ExchangeSchedule, InstKey, PairPlan};
 use crate::pool::{clone_insts_into, ChunkPool};
@@ -112,6 +109,7 @@ use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// [`message_key`] domain tag for exchange payload corruption ("EXCH").
 const EXCHANGE_TAG: u64 = 0x4558_4348;
@@ -275,11 +273,6 @@ pub struct ResilienceOptions {
     /// measure the layer's fault-free overhead. A nonzero corruption
     /// rate enables integrity regardless of this flag.
     pub integrity: bool,
-    /// Epoch-memoization cache to invalidate when corruption repair
-    /// rolls region state back (captured templates embed schedule
-    /// state from the undone epochs); see
-    /// [`MemoCache::invalidate_for_repair`].
-    pub memo: Option<Arc<Mutex<MemoCache>>>,
     /// Cooperative cancellation token for supervised runs, checked by
     /// every shard at every epoch boundary (deadline budgets, explicit
     /// supervisor cancels, injected transient faults). `None` for
@@ -299,39 +292,6 @@ pub struct ResilienceOptions {
     /// driver learns *which* shard was lost and *why* without parsing
     /// panic strings. `None` for plain runs.
     pub board: Option<Arc<DeathBoard>>,
-}
-
-impl ResilienceOptions {
-    /// Builds options from the environment. `REGENT_FAULT_SEED` yields
-    /// a seeded single-crash plan; `REGENT_CORRUPT=<seed>,<rate>`
-    /// additionally (or on its own) arms silent-data-corruption
-    /// injection with the integrity layer. These are the CI
-    /// fault/corruption-smoke hooks — because recovery is
-    /// bit-identical, the entire test suite must still pass with
-    /// either variable exported.
-    pub fn from_env(num_shards: usize) -> Option<ResilienceOptions> {
-        let fault_seed = FaultPlan::seed_from_env();
-        let corrupt = FaultPlan::corrupt_from_env();
-        if fault_seed.is_none() && corrupt.is_none() {
-            return None;
-        }
-        let mut plan = match fault_seed {
-            Some(seed) => FaultPlan::seeded_crash(seed, num_shards, 4),
-            None => FaultPlan::new(corrupt.expect("one of the two is set").0),
-        };
-        if let Some((_, rate)) = corrupt {
-            plan = plan.with_corrupt_rate(rate);
-        }
-        Some(ResilienceOptions {
-            checkpoint_interval: 2,
-            plan,
-            integrity: corrupt.is_some(),
-            memo: None,
-            cancel: None,
-            rescue: None,
-            board: None,
-        })
-    }
 }
 
 /// A shared record of shard deaths within one executor attempt. The
@@ -457,8 +417,6 @@ pub(crate) struct Resilience {
     /// corruption handled — keeps the event from re-firing during the
     /// very replay it triggered.
     corrupt_handled: u64,
-    /// Memo-template cache to invalidate on corruption escalation.
-    memo: Option<Arc<Mutex<MemoCache>>>,
     /// Cooperative cancellation token, checked at every boundary.
     cancel: Option<CancelToken>,
     /// Cross-attempt checkpoint slot boundary snapshots are offered
@@ -503,7 +461,6 @@ impl Resilience {
             integrity: opts.integrity || opts.plan.corrupt_rate > 0.0,
             retry_max: retry_budget(),
             corrupt_handled: 0,
-            memo: opts.memo.clone(),
             cancel: opts.cancel.clone(),
             rescue: None,
             resume: None,
@@ -787,6 +744,9 @@ pub(crate) struct ShardExec<'a> {
     pub(crate) rx: Vec<RingReceiver<CopyMsg>>,
     pub(crate) collective: &'a DynamicCollective,
     pub(crate) barrier: &'a ShardBarrier,
+    /// How long a receive from a peer may stall before the peer is
+    /// blamed as hung.
+    hang_timeout: Duration,
     pub(crate) stats: ShardStats,
     /// Event recorder for this shard's track.
     pub(crate) tb: TraceBuf,
@@ -872,6 +832,7 @@ impl<'a> ShardExec<'a> {
         (collective, barrier): (&'a DynamicCollective, &'a ShardBarrier),
         tracer: &Arc<Tracer>,
         resilience: Option<&ResilienceOptions>,
+        hang_timeout: Duration,
     ) -> Self {
         let mut mx = metrics::global().handle(&format!("shard-{shard}"));
         let layout = &schedule.layouts[shard];
@@ -902,6 +863,7 @@ impl<'a> ShardExec<'a> {
             rx,
             collective,
             barrier,
+            hang_timeout,
             stats: ShardStats::default(),
             tb: tracer.buffer(&format!("shard-{shard}")),
             mx,
@@ -1357,7 +1319,7 @@ impl<'a> ShardExec<'a> {
                 // corrupted — keep receiving until one verifies.
                 let mut bad_attempts = 0u32;
                 let msg = loop {
-                    let msg = match self.rx[p.src_owner].recv_timeout(hang_timeout()) {
+                    let msg = match self.rx[p.src_owner].recv_timeout(self.hang_timeout) {
                         Ok(m) => m,
                         Err(RecvTimeoutError::Timeout) => {
                             // The producer stopped making progress:
@@ -1375,7 +1337,7 @@ impl<'a> ShardExec<'a> {
                             panic!(
                                 "likely deadlock: shard {} waited {:?} on copy {} pair {} from shard {}",
                                 self.shard,
-                                hang_timeout(),
+                                self.hang_timeout,
                                 c.id.0,
                                 seq,
                                 p.src_owner
@@ -1808,13 +1770,6 @@ impl<'a> ShardExec<'a> {
                     epoch,
                 });
             }
-            // Cached epoch templates were captured from schedules the
-            // rollback is about to undo.
-            if let Some(memo) = self.resilience.as_ref().unwrap().memo.clone() {
-                memo.lock()
-                    .expect("memo cache lock poisoned")
-                    .invalidate_for_repair();
-            }
         } else {
             let m0 = self.mx.start_cpu();
             self.verify_clean();
@@ -2013,7 +1968,7 @@ fn push_frame(
         ),
         Err(SendError::Full(_)) => panic!(
             "likely deadlock: shard {shard} ring to shard {dst} stayed full for {:?} sending copy {copy} pair {seq}",
-            crate::collective::hang_timeout()
+            tx.timeout
         ),
     }
 }

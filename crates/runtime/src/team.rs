@@ -6,12 +6,14 @@
 //! executors of this crate differ only in *where the statements come
 //! from*. [`run_team`] owns everything else: it obtains the exchange
 //! schedule, builds the collective, the barrier and the exchange mesh
-//! (one SPSC ring per ordered shard pair, sized by the schedule),
-//! reads the per-run environment, spawns, pins and guards one thread
-//! per shard, joins them, picks the root-cause failure, checks that the
-//! replicated scalar environments agree, flushes written partitions
-//! back into the store, hands the shard images back to the program and
-//! exports the metrics. A strategy hands it a
+//! (one SPSC ring per ordered shard pair, sized by the schedule) with
+//! the run's hang timeout, spawns, pins (when the run says so) and
+//! guards one thread per shard, joins them, picks the root-cause
+//! failure, checks that the replicated scalar environments agree,
+//! flushes written partitions back into the store, hands the shard
+//! images back to the program and exports the metrics. How it does all
+//! that is in its [`RunCtx`] — values its caller fixed, none looked up
+//! from the process environment here or below. A strategy hands it a
 //! **control source**: the per-shard `body` (the replicated walk of
 //! `spmd.body`, or the tail of a launch-log cursor) plus at most one
 //! auxiliary thread (the log sequencer). Range-local replication (§2.2)
@@ -23,9 +25,7 @@ use crate::metrics::{self, Timer};
 use crate::plan::schedule_for_run;
 use crate::ring;
 use crate::run::{RunCtx, RunResult};
-use crate::spmd_exec::{
-    retry_budget, CopyMsg, DeathBoard, ResilienceOptions, ShardExec, ShardStats,
-};
+use crate::spmd_exec::{retry_budget, CopyMsg, DeathBoard, ShardExec, ShardStats};
 use regent_cr::{ShardImage, SpmdProgram};
 use regent_fault::{DeathCause, PeerDeath};
 use regent_ir::Store;
@@ -62,23 +62,15 @@ pub(crate) fn run_team(
 ) -> RunResult {
     let (schedule, setup) = schedule_for_run(spmd);
     let ns = spmd.num_shards;
-    let collective = DynamicCollective::new(ns);
-    let barrier = ShardBarrier::new(ns);
+    let collective = DynamicCollective::with_timeout(ns, ctx.hang_timeout);
+    let barrier = ShardBarrier::with_timeout(ns, ctx.hang_timeout);
 
-    // The per-run environment, read here and nowhere else in the SPMD
-    // family: `REGENT_PIN_CORES`, and the CI fault smoke —
-    // `REGENT_FAULT_SEED` / `REGENT_CORRUPT` upgrade every run that
-    // names no resilience options of its own to a resilient one;
-    // results stay bit-identical.
-    let pin = ring::pin_cores_enabled();
-    let env_opts;
-    let resilience = match ctx.resilience {
-        Some(opts) => Some(opts),
-        None => {
-            env_opts = ResilienceOptions::from_env(ns);
-            env_opts.as_ref()
-        }
-    };
+    // The CI fault smoke upgrades every run that names no resilience
+    // options of its own to a resilient one; results stay
+    // bit-identical.
+    let smoke_opts = ctx.smoke.filter(|_| ctx.resilience.is_none());
+    let smoke_opts = smoke_opts.map(|smoke| smoke.options(ns));
+    let resilience = ctx.resilience.or(smoke_opts.as_ref());
 
     // Exchange mesh: senders[src][dst] paired with receivers[dst][src],
     // each ring as large as the schedule says one copy statement needs.
@@ -88,8 +80,11 @@ pub(crate) fn run_team(
         Some(o) if o.plan.corrupt_rate > 0.0 => retry_budget() as usize,
         _ => 1,
     };
-    let (senders, receivers) =
-        ring::copy_mesh::<CopyMsg>(ns, |src, dst| schedule.ring_slots(src, dst, transmissions));
+    let (senders, receivers) = ring::copy_mesh::<CopyMsg>(
+        ns,
+        |src, dst| schedule.ring_slots(src, dst, transmissions),
+        ctx.hang_timeout,
+    );
 
     // Borrowed when the caller named one (a hybrid segment's, every
     // time): each shard copies it once either way.
@@ -147,7 +142,7 @@ pub(crate) fn run_team(
                     shard: shard as u32,
                     board: resilience.and_then(|o| o.board.clone()),
                 };
-                if pin {
+                if ctx.pin_cores {
                     ring::pin_thread_to_core(shard);
                 }
                 let mut exec = ShardExec::new(
@@ -160,6 +155,7 @@ pub(crate) fn run_team(
                     (collective, barrier),
                     tracer,
                     resilience,
+                    ctx.hang_timeout,
                 );
                 if let Some(r) = exec.resilience.as_mut() {
                     r.rescue = rescue;
@@ -238,7 +234,7 @@ pub(crate) fn run_team(
     drop(mx);
 
     // Every shard handle merged when its thread finished above.
-    metrics::export_env();
+    metrics::global().export();
     run
 }
 
@@ -289,9 +285,9 @@ impl Drop for PanicGuard<'_> {
     }
 }
 
-/// Renders a panic payload (`&str` or `String`) for the aggregated
-/// team-failure diagnostic.
-pub(crate) fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
+/// Renders a panic payload: the message of a `panic!` (`&str` or
+/// `String`), which is what every diagnostic of this workspace is.
+pub fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
     e.downcast_ref::<&str>()
         .map(|s| s.to_string())
         .or_else(|| e.downcast_ref::<String>().cloned())

@@ -33,8 +33,8 @@
 //!
 //! ## What still bounds a wait
 //!
-//! Every caller passes a timeout (`REGENT_HANG_TIMEOUT_MS` through
-//! [`crate::collective::hang_timeout`]) and turns `None` into its own
+//! Every caller passes a timeout (the hang timeout the waiting object
+//! was built with — in a team, the run's) and turns `None` into its own
 //! "likely deadlock" diagnostic; peer death reaches a parked thread as
 //! a wake-up (ring halves wake their peer when dropped, `poison`
 //! wakes every barrier and collective waiter).

@@ -13,6 +13,10 @@
 
 use proptest::prelude::*;
 use regent_runtime::{LaunchLog, LogCursor};
+use std::time::Duration;
+
+/// Nothing here waits on an unpublished batch.
+const HANG_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Drains everything published so far (the log must be sealed).
 fn drain(log: &LaunchLog<u32>) -> Vec<Vec<u32>> {
@@ -34,7 +38,7 @@ proptest! {
         ops in prop::collection::vec((0u32..1000, any::<bool>()), 0..60),
         max_batch in 1usize..8,
     ) {
-        let log = LaunchLog::new(1, max_batch);
+        let log = LaunchLog::new(1, max_batch, HANG_TIMEOUT);
         let mut epoch = 0u64;
         for (op, combine_here) in &ops {
             log.submit(0, *op);
@@ -72,7 +76,7 @@ proptest! {
             1..6,
         ),
     ) {
-        let log = LaunchLog::new(producers, usize::MAX);
+        let log = LaunchLog::new(producers, usize::MAX, HANG_TIMEOUT);
         let mut expected: Vec<u32> = Vec::new();
         for (epoch, round) in rounds.iter().enumerate() {
             let mut per: Vec<Vec<u32>> = vec![Vec::new(); producers];
@@ -97,7 +101,7 @@ proptest! {
     fn rewind_replays_the_identical_suffix(
         ops in prop::collection::vec((0u32..1000, any::<bool>()), 1..40),
     ) {
-        let log = LaunchLog::new(1, 4);
+        let log = LaunchLog::new(1, 4, HANG_TIMEOUT);
         for (epoch, (op, combine_here)) in ops.iter().enumerate() {
             log.submit(0, *op);
             if *combine_here {

@@ -12,9 +12,7 @@ use regent_ir::{
     Program, ProgramBuilder, RegionArg, RegionParam, Store, TaskDecl,
 };
 use regent_region::{ops, FieldSpace, FieldType, ReductionOp, RegionId};
-use regent_runtime::{
-    run, Compiled, EpochTemplate, MemoCache, ResilienceOptions, RunOptions, RunResult,
-};
+use regent_runtime::{run, Compiled, ResilienceOptions, RunOptions, RunResult};
 use regent_trace::{integrity_summary, validate, Tracer};
 use std::sync::Arc;
 
@@ -528,35 +526,4 @@ fn corruption_trace_is_coherent_and_spy_certified() {
         report.violations
     );
     assert!(report.certified > 0, "no dependences were exercised");
-}
-
-#[test]
-fn escalation_invalidates_memo_cache() {
-    // A resident-corruption rollback undoes epochs whose schedules may
-    // be captured as memo templates; the escalation must drop them.
-    let memo = MemoCache::shared();
-    {
-        let mut m = memo.lock().unwrap();
-        m.validate_forest(1);
-        m.insert(EpochTemplate {
-            key: 9,
-            launch_sigs: vec![9],
-            edges: vec![vec![]],
-            forest_version: 1,
-            capture_checks: 0,
-        });
-        assert!(!m.is_empty());
-    }
-    let opts = ResilienceOptions {
-        checkpoint_interval: 2,
-        plan: FaultPlan::new(11).with_corrupt_rate(0.25),
-        memo: Some(Arc::clone(&memo)),
-        ..Default::default()
-    };
-    let (_, res) = assert_recovery_bit_identical(|| stencil_program(64, 8, 6), 4, &opts);
-    assert_eq!(res.stats.corruptions_escalated, 1);
-    assert!(
-        memo.lock().unwrap().is_empty(),
-        "escalation must invalidate cached epoch templates"
-    );
 }

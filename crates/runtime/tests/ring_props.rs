@@ -5,27 +5,23 @@
 //! The deterministic half runs on every `cargo test`: wrap-around FIFO
 //! under a two-thread stress, full/empty boundary behavior, seal-on-
 //! panic drains, mesh pair isolation, and pool recycle-vs-fresh bit
-//! identity. Every blocking wait in these scenarios is bounded by
-//! `REGENT_HANG_TIMEOUT_MS`, which the battery pins to a small value —
-//! environment variables are process-global and the timeout is cached
-//! on first use, so the whole battery lives in ONE sequential `#[test]`
-//! in its own binary (the same idiom as `env_opts.rs`).
+//! identity. The scenarios that wait on a full ring build theirs with
+//! a small hang timeout ([`HANG_TIMEOUT`]).
 //!
 //! The property half (model-based interleavings against a `VecDeque`
 //! reference) is gated behind the `proptest-tests` cargo feature like
 //! the other property suites: proptest is not part of the offline
 //! dependency set.
 
-use regent_runtime::{ring, ChunkPool, SendError};
+use regent_runtime::{ring, ring_with_timeout, ChunkPool, SendError};
 use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
-/// One sequential battery (see module docs for why one `#[test]`).
+/// How long a push may wait on a full ring in these scenarios.
+const HANG_TIMEOUT: Duration = Duration::from_millis(2000);
+
 #[test]
 fn ring_battery() {
-    // Cached on first hang_timeout() call; every full-ring wait and
-    // the stress bound below derive from it.
-    std::env::set_var("REGENT_HANG_TIMEOUT_MS", "2000");
     fifo_through_wraparound_two_threads();
     full_ring_returns_payload_after_timeout();
     empty_ring_times_out_then_delivers();
@@ -68,7 +64,7 @@ fn fifo_through_wraparound_two_threads() {
 /// then the next push waits one hang timeout and hands the payload
 /// back as `SendError::Full` instead of losing it.
 fn full_ring_returns_payload_after_timeout() {
-    let (mut tx, _rx) = ring::<u64>(2);
+    let (mut tx, _rx) = ring_with_timeout::<u64>(2, HANG_TIMEOUT);
     tx.send(1).unwrap();
     tx.send(2).unwrap();
     match tx.send(3) {
@@ -144,7 +140,8 @@ fn mesh_pairs_are_isolated_fifo() {
     use regent_runtime::copy_mesh;
     const PER_PAIR: u64 = 2_000;
     let ns = 3;
-    let (senders, receivers) = copy_mesh::<u64>(ns, |src, dst| [2, 4, 16][(src + 2 * dst) % 3]);
+    let (senders, receivers) =
+        copy_mesh::<u64>(ns, |src, dst| [2, 4, 16][(src + 2 * dst) % 3], HANG_TIMEOUT);
     std::thread::scope(|scope| {
         for (src, row) in senders.into_iter().enumerate() {
             scope.spawn(move || {

@@ -1,12 +1,9 @@
-//! Every blocking wait of the SPMD family gives up after
-//! `REGENT_HANG_TIMEOUT_MS` with its "likely deadlock" diagnostic —
-//! parked or not. The timeout is cached on first use and the
-//! environment is process-global, so the scenarios share ONE
-//! sequential `#[test]` in a binary of their own (the idiom of
-//! `env_opts.rs` and `ring_props.rs`).
+//! Every blocking wait of the SPMD family gives up after the hang
+//! timeout it was built with, with its "likely deadlock" diagnostic —
+//! parked or not.
 
 use regent_region::ReductionOp;
-use regent_runtime::{hang_timeout, ring, DynamicCollective, LaunchLog, SendError, ShardBarrier};
+use regent_runtime::{ring_with_timeout, DynamicCollective, LaunchLog, SendError, ShardBarrier};
 use std::sync::mpsc::RecvTimeoutError;
 use std::time::{Duration, Instant};
 
@@ -35,31 +32,30 @@ fn deadlock_text(what: &str, wait: impl FnOnce()) -> String {
 
 #[test]
 fn waits_give_up_at_the_hang_timeout() {
-    std::env::set_var("REGENT_HANG_TIMEOUT_MS", "200");
-    assert_eq!(hang_timeout(), Duration::from_millis(200));
+    let hang_timeout = Duration::from_millis(200);
 
     // The exchange receive returns `Timeout` (the executor turns it
     // into "likely deadlock: shard … waited … on copy …" and blames
-    // the producer; `apps/tests/failover_hang.rs` pins that text).
-    let (_tx, mut rx) = ring::<u64>(4);
-    let got = gives_up_on_time("ring receive", || rx.recv_timeout(hang_timeout()));
+    // the producer; `apps/tests/failover.rs` covers that path).
+    let (_tx, mut rx) = ring_with_timeout::<u64>(4, hang_timeout);
+    let got = gives_up_on_time("ring receive", || rx.recv_timeout(hang_timeout));
     assert_eq!(got, Err(RecvTimeoutError::Timeout));
 
     // A ring that stays full hands the payload back as `Full`.
-    let (mut tx, _rx) = ring::<u64>(2);
+    let (mut tx, _rx) = ring_with_timeout::<u64>(2, hang_timeout);
     tx.send(1).unwrap();
     tx.send(2).unwrap();
     let got = gives_up_on_time("full-ring send", || tx.send(3));
     assert!(matches!(got, Err(SendError::Full(3))), "{got:?}");
 
-    let b = ShardBarrier::new(2);
+    let b = ShardBarrier::with_timeout(2, hang_timeout);
     let msg = deadlock_text("barrier", || b.wait());
     assert_eq!(
         msg,
         "likely deadlock: waited 200ms at barrier generation 0 (1/2 arrived)"
     );
 
-    let c = DynamicCollective::new(2);
+    let c = DynamicCollective::with_timeout(2, hang_timeout);
     let msg = deadlock_text("collective", || {
         c.reduce(0, 1.0, ReductionOp::Add);
     });
@@ -69,7 +65,7 @@ fn waits_give_up_at_the_hang_timeout() {
          (1/2 contributions arrived)"
     );
 
-    let log: LaunchLog<u32> = LaunchLog::new(1, 0);
+    let log: LaunchLog<u32> = LaunchLog::new(1, 0, hang_timeout);
     let msg = deadlock_text("log cursor", || {
         log.wait(0);
     });

@@ -1,8 +1,10 @@
-//! Service tuning knobs, each with a `REGENT_SERVE_*` environment
-//! override so deployments (and the CI soak job) can reshape the
-//! service without recompiling.
+//! Service tuning knobs. [`ServiceConfig::from_env`] takes the ones a
+//! deployment (or the CI soak job) reshapes without recompiling from
+//! the process's parsed environment (`regent_runtime::config`); the
+//! rest are fields.
 
 use regent_fault::{FaultPlan, RetryBackoff};
+use regent_runtime::FailoverOptions;
 use regent_trace::Tracer;
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,15 +24,14 @@ pub struct ServiceConfig {
     /// (`REGENT_SERVE_SHED_BUDGET`, default 256 cost units).
     pub shed_budget: u64,
     /// Per-job wall-clock deadline measured from *admission* and
-    /// spanning all retry attempts (`REGENT_SERVE_DEADLINE_MS`,
-    /// default none; `0` also means none).
+    /// spanning all retry attempts (default none).
     pub deadline: Option<Duration>,
     /// Retry schedule for transient failures; delays are seeded
     /// per-(job, attempt) so reruns are reproducible.
     pub retry: RetryBackoff,
-    /// Initial per-tenant shard allocation cap
-    /// (`REGENT_SERVE_SHARDS`, default 4). A job asking for more
-    /// shards than its tenant's current cap runs at the cap.
+    /// Initial per-tenant shard allocation cap (default 4). A job
+    /// asking for more shards than its tenant's current cap runs at
+    /// the cap.
     pub shard_cap: usize,
     /// Sheds a tenant absorbs before its shard cap is halved, floor 1
     /// (`REGENT_SERVE_DEGRADE`, default 0 = degradation off).
@@ -44,10 +45,14 @@ pub struct ServiceConfig {
     /// Live shard failover: `Some(max)` routes SPMD/log/hybrid jobs
     /// through the elastic-membership drivers, surviving up to `max`
     /// shard losses per job by shrinking membership and reconstructing
-    /// survivors from the last checkpoint (`REGENT_FAILOVER` enables,
-    /// `REGENT_FAILOVER_MAX` sets the budget, default 1). `None` keeps
-    /// the classic fail-stop executors.
+    /// survivors from the last checkpoint (`REGENT_FAILOVER` enables
+    /// it with a budget of 1). `None` keeps the classic fail-stop
+    /// executors.
     pub failover: Option<u32>,
+    /// Shard-kill schedule added to every failover-routed job
+    /// (`REGENT_KILL`), so deployments can drive chaos soaks through
+    /// the service. Ignored without [`failover`](Self::failover).
+    pub kills: Option<FaultPlan>,
     /// Trace sink for `Job*` supervisor events and executor spans.
     /// Use [`Tracer::disabled`] when no trace is wanted.
     pub tracer: Arc<Tracer>,
@@ -65,13 +70,6 @@ pub struct ServiceConfig {
     pub trace_dir: Option<std::path::PathBuf>,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
 impl ServiceConfig {
     /// Defaults suitable for tests: small pool, generous budgets, no
     /// deadline, no fault injection, tracing off.
@@ -87,32 +85,33 @@ impl ServiceConfig {
             fault_seed: None,
             checkpoint_interval: 2,
             failover: None,
+            kills: None,
             tracer: Tracer::disabled(),
             trace_jobs: false,
             trace_dir: None,
         }
     }
 
-    /// Reads every `REGENT_SERVE_*` knob (and `REGENT_FAULT_SEED`,
-    /// `REGENT_FAILOVER`, `REGENT_FAILOVER_MAX`)
-    /// from the environment on top of [`ServiceConfig::new`].
+    /// [`ServiceConfig::new`] with what the process environment
+    /// names on top: the five `REGENT_SERVE_*` knobs,
+    /// `REGENT_FAULT_SEED`, `REGENT_FAILOVER` and `REGENT_KILL`.
     pub fn from_env() -> ServiceConfig {
+        let env = regent_runtime::config::process();
         let base = ServiceConfig::new();
-        let deadline_ms = env_u64("REGENT_SERVE_DEADLINE_MS", 0);
-        let trace_dir = std::env::var_os("REGENT_SERVE_TRACE_DIR")
-            .filter(|v| !v.is_empty())
-            .map(std::path::PathBuf::from);
         ServiceConfig {
-            trace_jobs: trace_dir.is_some(),
-            trace_dir,
-            workers: env_u64("REGENT_SERVE_WORKERS", base.workers as u64).max(1) as usize,
-            queue_depth: env_u64("REGENT_SERVE_QUEUE", base.queue_depth as u64) as usize,
-            shed_budget: env_u64("REGENT_SERVE_SHED_BUDGET", base.shed_budget),
-            deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
-            shard_cap: env_u64("REGENT_SERVE_SHARDS", base.shard_cap as u64).max(1) as usize,
-            degrade_after: env_u64("REGENT_SERVE_DEGRADE", 0) as u32,
-            fault_seed: FaultPlan::seed_from_env(),
-            failover: regent_runtime::FailoverOptions::from_env().map(|o| o.max_failovers),
+            trace_jobs: env.serve_trace_dir.is_some(),
+            trace_dir: env.serve_trace_dir.clone(),
+            workers: env
+                .serve_workers
+                .map_or(base.workers, |n| n.max(1) as usize),
+            queue_depth: env.serve_queue.map_or(base.queue_depth, |n| n as usize),
+            shed_budget: env.serve_shed_budget.unwrap_or(base.shed_budget),
+            degrade_after: env.serve_degrade.map_or(base.degrade_after, |n| n as u32),
+            fault_seed: env.smoke.and_then(|smoke| smoke.fault_seed),
+            failover: env
+                .failover
+                .then(|| FailoverOptions::default().max_failovers),
+            kills: env.kills.clone(),
             ..base
         }
     }

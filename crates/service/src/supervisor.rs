@@ -31,7 +31,7 @@
 //! Completions and sheds additionally feed the live telemetry plane
 //! ([`regent_runtime::live`]) for sliding-window latency/goodput
 //! gauges, and job milestones are noted on the always-on flight
-//! recorder ([`regent_trace::flight`]) so a Permanent failure dumps a
+//! recorder ([`regent_runtime::flight`]) so a Permanent failure dumps a
 //! certifiable black box even on otherwise untraced runs.
 
 use crate::config::ServiceConfig;
@@ -42,13 +42,12 @@ use regent_fault::splitmix64;
 use regent_ir::{interp, Store};
 use regent_region::{FieldType, RegionForest, RegionId};
 use regent_runtime::live::live;
-use regent_runtime::metrics::{self, Counter, Timer};
+use regent_runtime::metrics::{self, flight, Counter, Timer};
 use regent_runtime::{
-    classify_failure, execute_implicit, run, run_failover, CancelToken, Compiled, FailoverOptions,
-    FailureClass, FaultPlan, ImplicitOptions, MemoCache, Rescue, ResilienceOptions, RunOptions,
-    CANCEL_PREFIX,
+    classify_failure, execute_implicit, panic_message, run, run_failover, CancelToken, Compiled,
+    FailoverOptions, FailureClass, FaultPlan, ImplicitOptions, MemoCache, Rescue,
+    ResilienceOptions, RunOptions, CANCEL_PREFIX,
 };
-use regent_trace::flight::flight;
 use regent_trace::{export_native, EventKind, Trace, TraceBuf, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -156,15 +155,11 @@ fn install_quiet_hook() {
     HOOK.get_or_init(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let expected = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .is_some_and(|m| classify_failure(m) != FailureClass::Permanent);
+            let expected =
+                classify_failure(&panic_message(info.payload())) != FailureClass::Permanent;
             if !expected {
                 flight().note("flight", EventKind::Mark { name: "panic" });
-                flight().dump_env("panic", Some(&metrics::global().to_json()));
+                flight().dump("panic", Some(&metrics::global().to_json()));
                 prev(info);
             }
         }));
@@ -456,7 +451,7 @@ fn worker_loop(st: Arc<State>, n: u64) {
                         name: "job_quarantined",
                     },
                 );
-                flight().dump_env("job-quarantined", Some(&metrics::global().to_json()));
+                flight().dump("job-quarantined", Some(&metrics::global().to_json()));
             }
         }
         deliver(&job.shared, outcome);
@@ -648,17 +643,15 @@ fn run_once(
     let roots = prog.root_regions();
     // In-run seeded crash schedule (recovered by checkpoints inside
     // the executor — distinct from the supervisor-level transient,
-    // which kills the whole attempt). Under live failover, shard-kill
-    // schedules from `REGENT_KILL` / `REGENT_KILL_SEED` ride along so
-    // deployments can drive chaos soaks through the service.
+    // which kills the whole attempt). Under live failover the
+    // configured shard-kill schedule rides along so deployments can
+    // drive chaos soaks through the service.
     let mut plan = cfg
         .fault_seed
         .map(|s| FaultPlan::seeded_crash(splitmix64(s ^ job_id), shards, 4))
         .unwrap_or_default();
-    if failover.is_some() {
-        if let Some(kills) = FaultPlan::kills_from_env(shards) {
-            plan.events.extend(kills.events);
-        }
+    if let (Some(_), Some(kills)) = (failover, &cfg.kills) {
+        plan.events.extend(&kills.events);
     }
     let mut compiled = match spec.strategy {
         Strategy::Sequential | Strategy::Implicit | Strategy::MemoImplicit => {
@@ -742,16 +735,4 @@ pub fn digest_store(forest: &RegionForest, store: &Store, roots: &[RegionId], en
         }
     }
     h
-}
-
-/// Best-effort panic-payload message extraction (the executor stack
-/// panics with `String` diagnostics; `&str` covers bare `panic!`s).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else {
-        "opaque panic payload".to_string()
-    }
 }

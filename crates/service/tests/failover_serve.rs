@@ -1,15 +1,13 @@
 //! End-to-end shard failover through the service: with
-//! `cfg.failover` armed and a kill schedule in `REGENT_KILL`, a
+//! `cfg.failover` armed and a kill schedule in `cfg.kills`, a
 //! supervised job whose shard dies mid-run completes on the surviving
 //! membership with a digest bit-identical to the sequential reference
 //! — the loss is absorbed inside one supervised attempt, invisible to
 //! admission, retry accounting, and the caller except for the reported
 //! shard count.
-//!
-//! Own test binary: `REGENT_KILL` is process-global and would leak
-//! into the classic service tests.
 
 use regent_ir::interp;
+use regent_runtime::FaultPlan;
 use regent_serve::{digest_store, jobs, JobOutcome, JobSpec, Service, ServiceConfig, Strategy};
 
 fn solo_digest(factory: &regent_serve::ProgramFactory) -> u64 {
@@ -22,11 +20,10 @@ fn solo_digest(factory: &regent_serve::ProgramFactory) -> u64 {
 #[test]
 fn killed_shard_jobs_complete_on_survivors() {
     // Kill shard 1 at the epoch-2 boundary of every failover-routed
-    // job in this process.
-    std::env::set_var("REGENT_KILL", "1@2");
-
+    // job of this service (what `REGENT_KILL=1@2` configures).
     let cfg = ServiceConfig {
         failover: Some(1),
+        kills: Some(FaultPlan::default().kill_shard(1, 2)),
         ..ServiceConfig::new()
     };
     let svc = Service::start(cfg);

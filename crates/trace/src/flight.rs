@@ -6,12 +6,13 @@
 //! checkpoint restores, corruption escalations — into one bounded
 //! process-global ring, cheaply enough to stay armed in production.
 //! When something dies (a Permanent panic, a failover, a
-//! `FAILOVER_EXHAUSTED` fail-stop), the last `REGENT_FLIGHT_EVENTS`
+//! `FAILOVER_EXHAUSTED` fail-stop), the last 1 024 (`FLIGHT_EVENTS`)
 //! milestones plus a caller-supplied state snapshot (metrics JSON,
-//! membership) are dumped to `REGENT_FLIGHT_DIR` as a native trace
-//! document — importable by `regent-prof` and certifiable like any
-//! other trace, so every crash leaves a post-mortem artifact even when
-//! the run was otherwise untraced.
+//! membership) are dumped to the recorder's dump directory
+//! (`REGENT_FLIGHT_DIR`) as a native trace document — importable by
+//! `regent-prof` and certifiable like any other trace, so every crash
+//! leaves a post-mortem artifact even when the run was otherwise
+//! untraced.
 //!
 //! The ring intentionally forgets: old milestones are evicted in
 //! recording order and the dump reports how many. Eviction is *not*
@@ -19,22 +20,25 @@
 //! recorded window is complete over its own span); the `flightEvicted`
 //! key in the dump carries the forgotten count instead.
 //!
-//! Kill switch: setting `REGENT_METRICS_OFF` disables the flight
-//! recorder along with the metrics registry and the scrape endpoint —
-//! one variable turns off every always-on telemetry path.
+//! This crate never reads the environment: whoever owns the process's
+//! configuration installs the global recorder ([`global`]) with the
+//! two values it needs — whether telemetry is on (`REGENT_METRICS_OFF`
+//! turns the recorder off along with the metrics registry and the
+//! scrape endpoint) and where dumps go. `regent_runtime::flight` is
+//! that owner for the executors and `regent-serve`.
 
 use crate::event::{Event, EventKind};
 use crate::json::escape_into;
 use crate::serial::tracks_json;
 use crate::tracer::{Trace, Track};
 use std::collections::VecDeque;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Default ring capacity (events), overridable via
-/// `REGENT_FLIGHT_EVENTS` (`0` disables recording).
-pub const DEFAULT_FLIGHT_EVENTS: usize = 1024;
+/// Ring capacity (events): what a post-mortem gets to see.
+const FLIGHT_EVENTS: usize = 1024;
 
 /// One recorded milestone: the event plus the track name it would have
 /// been recorded under in a full trace.
@@ -48,35 +52,40 @@ struct Milestone {
 pub struct FlightRecorder {
     enabled: bool,
     capacity: usize,
+    /// Where [`FlightRecorder::dump`] writes; `None` keeps the black
+    /// box in memory only.
+    dump_dir: Option<PathBuf>,
     epoch: Instant,
     ring: Mutex<VecDeque<Milestone>>,
     evicted: AtomicU64,
     dumps: AtomicU64,
 }
 
-/// The global recorder. Armed unless `REGENT_METRICS_OFF` is set or
-/// `REGENT_FLIGHT_EVENTS=0`; capacity from `REGENT_FLIGHT_EVENTS`
-/// (default [`DEFAULT_FLIGHT_EVENTS`]).
-pub fn flight() -> &'static FlightRecorder {
+/// The global recorder, built from the first caller's `config` —
+/// whether it records, and where it dumps — and fixed from then on.
+pub fn global(config: impl FnOnce() -> (bool, Option<PathBuf>)) -> &'static FlightRecorder {
     static REC: OnceLock<FlightRecorder> = OnceLock::new();
     REC.get_or_init(|| {
-        let capacity = std::env::var("REGENT_FLIGHT_EVENTS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_FLIGHT_EVENTS);
-        let enabled = capacity > 0 && std::env::var_os("REGENT_METRICS_OFF").is_none();
+        let (enabled, dump_dir) = config();
+        FlightRecorder::new(enabled, dump_dir)
+    })
+}
+
+impl FlightRecorder {
+    /// A recorder of [`FLIGHT_EVENTS`] milestones that records when
+    /// `enabled` and dumps into `dump_dir`.
+    fn new(enabled: bool, dump_dir: Option<PathBuf>) -> FlightRecorder {
         FlightRecorder {
             enabled,
-            capacity: capacity.max(1),
+            capacity: FLIGHT_EVENTS,
+            dump_dir,
             epoch: Instant::now(),
             ring: Mutex::new(VecDeque::new()),
             evicted: AtomicU64::new(0),
             dumps: AtomicU64::new(0),
         }
-    })
-}
+    }
 
-impl FlightRecorder {
     /// Whether milestones are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -139,13 +148,6 @@ impl FlightRecorder {
         Trace { tracks }
     }
 
-    /// Clears the ring (tests).
-    pub fn reset(&self) {
-        self.ring.lock().expect("flight ring poisoned").clear();
-        self.evicted.store(0, Ordering::Relaxed);
-        self.dumps.store(0, Ordering::Relaxed);
-    }
-
     /// Serializes the black box as a native trace document with flight
     /// sidecar keys: `reason` (why the dump happened) and `state` (a
     /// caller-supplied JSON value — metrics snapshot, membership —
@@ -167,20 +169,15 @@ impl FlightRecorder {
         out
     }
 
-    /// Dumps the black box into `dir` as
-    /// `flight-<reason>-<seq>.trace.json` and returns the path.
-    /// Creates `dir` if needed; failures are reported to stderr, never
-    /// fatal (the flight recorder must not turn a crash into a worse
-    /// crash). Returns `None` when disabled or on write failure.
-    pub fn dump(
-        &self,
-        dir: &std::path::Path,
-        reason: &str,
-        state_json: Option<&str>,
-    ) -> Option<std::path::PathBuf> {
-        if !self.enabled {
-            return None;
-        }
+    /// Dumps the black box into the directory the recorder was built
+    /// with as `flight-<reason>-<seq>.trace.json` and returns the path.
+    /// Creates the directory if needed; failures are reported to
+    /// stderr, never fatal (the flight recorder must not turn a crash
+    /// into a worse crash). Returns `None` when disabled, without a
+    /// directory (deployments opt into on-disk artifacts explicitly) or
+    /// on write failure.
+    pub fn dump(&self, reason: &str, state_json: Option<&str>) -> Option<PathBuf> {
+        let dir = self.dump_dir.as_deref().filter(|_| self.enabled)?;
         let seq = self.dumps.fetch_add(1, Ordering::Relaxed);
         let slug: String = reason
             .chars()
@@ -200,14 +197,6 @@ impl FlightRecorder {
             }
         }
     }
-
-    /// [`FlightRecorder::dump`] into the directory named by
-    /// `REGENT_FLIGHT_DIR`; a missing variable makes this a no-op
-    /// (deployments opt into on-disk artifacts explicitly).
-    pub fn dump_env(&self, reason: &str, state_json: Option<&str>) -> Option<std::path::PathBuf> {
-        let dir = std::env::var_os("REGENT_FLIGHT_DIR")?;
-        self.dump(std::path::Path::new(&dir), reason, state_json)
-    }
 }
 
 #[cfg(test)]
@@ -217,12 +206,8 @@ mod tests {
 
     fn fresh(capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            enabled: true,
             capacity,
-            epoch: Instant::now(),
-            ring: Mutex::new(VecDeque::new()),
-            evicted: AtomicU64::new(0),
-            dumps: AtomicU64::new(0),
+            ..FlightRecorder::new(true, None)
         }
     }
 
@@ -294,25 +279,22 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        let rec = FlightRecorder {
-            enabled: false,
-            ..fresh(8)
-        };
+        let rec = FlightRecorder::new(false, Some("/nonexistent".into()));
         rec.note("flight", EventKind::Mark { name: "m" });
         assert!(rec.is_empty());
-        assert!(rec
-            .dump(std::path::Path::new("/nonexistent"), "x", None)
-            .is_none());
+        assert!(rec.dump("x", None).is_none());
     }
 
     #[test]
     fn dump_writes_a_file() {
+        let dir = std::env::temp_dir().join(format!("regent-flight-test-{}", std::process::id()));
+        // No directory, no artifact; with one, the dump lands in it.
         let rec = fresh(8);
         rec.note("flight", EventKind::Mark { name: "m" });
-        let dir = std::env::temp_dir().join(format!("regent-flight-test-{}", std::process::id()));
-        let path = rec
-            .dump(&dir, "unit test / dump", None)
-            .expect("dump succeeds");
+        assert!(rec.dump("unit test / dump", None).is_none());
+        let rec = FlightRecorder::new(true, Some(dir.clone()));
+        rec.note("flight", EventKind::Mark { name: "m" });
+        let path = rec.dump("unit test / dump", None).expect("dump succeeds");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(import_trace(&text).is_ok());
         assert!(path

@@ -65,7 +65,7 @@ pub use critical::{
     blame_report, classify, imbalance_report, sim_blame, Blame, BlameReport, ImbalanceReport, Phase,
 };
 pub use event::{fields_mask, CorruptSite, Event, EventKind, PrivCode, SimKind};
-pub use flight::{flight, FlightRecorder, DEFAULT_FLIGHT_EVENTS};
+pub use flight::FlightRecorder;
 pub use graph::{build_graph, EventGraph};
 pub use prof::{
     control_cost_per_step, failover_summary, integrity_summary, mean_step_cost, memo_summary,

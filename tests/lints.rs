@@ -1,7 +1,7 @@
 //! Source lints: rules about what the tree may contain, checked by
 //! reading the sources. Each rule guards a deletion — a ladder of entry
-//! points, a polling wait, a per-run allocation, a second transport —
-//! against growing back, including in the feature-gated files no
+//! points, a polling wait, a per-run allocation, a second transport, a
+//! read of the environment below the edge — against growing back, including in the feature-gated files no
 //! offline build compiles and in the docs.
 //!
 //! "Non-test part" of a file means everything before its first
@@ -269,6 +269,95 @@ fn one_plane() {
                     "SyncSender",
                     "Receiver",
                 ])
+        }),
+    );
+}
+
+/// The environment is read in one file, `crates/runtime/src/config.rs`,
+/// and its parse (`config::process`) is consulted only where a
+/// top-level object is constructed: the executors, the waits and the
+/// supervisor take values. Fails when a library file names `std::env`
+/// (binaries are edges; `std::env::args` is no configuration), when a
+/// file that runs shards or jobs consults the process configuration,
+/// when a test goes back to flipping the process environment, or when a
+/// deleted variable or reader is named anywhere, CI included.
+#[test]
+fn env_at_the_edge() {
+    let names_env = |line: &str| {
+        (line.contains("std::env") || line.contains("env::var")) && !line.contains("std::env::args")
+    };
+    let library: Vec<String> = scan(&["crates"], true, names_env)
+        .into_iter()
+        .filter(|h| {
+            let file = h.split(':').next().expect("scan hits start with the path");
+            file.contains("/src/")
+                && !file.starts_with("crates/bench/src/bin/")
+                && file != "crates/runtime/src/config.rs"
+        })
+        .collect();
+    assert_none("the environment is read outside config.rs", library);
+
+    let below = [
+        "team",
+        "spmd_exec",
+        "log_exec",
+        "hybrid_exec",
+        "launch_log",
+        "wait",
+        "pool",
+        "failover",
+    ];
+    let mut consults = runtime_hits(&below, |line| line.contains("config::"));
+    consults.extend(scan(&["crates/service/src/supervisor.rs"], true, |line| {
+        line.contains("config::process")
+    }));
+    assert_none(
+        "the process configuration is consulted below the edge",
+        consults,
+    );
+
+    assert_none(
+        "a test flips the process environment",
+        hits(&["crates", "tests"], |line| {
+            line.contains("set_var") || line.contains("remove_var")
+        })
+        .into_iter()
+        .filter(|h| h.starts_with("tests/") || h.contains("/tests/"))
+        .collect(),
+    );
+
+    const GONE: [&str; 18] = [
+        "REGENT_KILL_SEED",
+        "REGENT_FAILOVER_MAX",
+        "REGENT_LOG_REPLICAS",
+        "REGENT_LOG_BATCH",
+        "REGENT_FLIGHT_EVENTS",
+        "REGENT_SLO_P99_MS",
+        "REGENT_SLO_SHED_PCT",
+        "REGENT_SERVE_DEADLINE_MS",
+        "REGENT_SERVE_SHARDS",
+        "pin_cores_enabled",
+        "replicas_from_env",
+        "batch_limit_from_env",
+        "seed_from_env",
+        "corrupt_from_env",
+        "kills_from_env",
+        "dump_env",
+        "export_env",
+        "start_env",
+    ];
+    let mut trees = TREE.to_vec();
+    trees.push(".github");
+    // The global timeout was a function; `hang_timeout` lives on as
+    // the name of the field that replaced it.
+    let calls_hang_timeout = |line: &str| {
+        line.match_indices("hang_timeout(")
+            .any(|(at, _)| !line[..at].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_'))
+    };
+    assert_none(
+        "a deleted variable or environment reader is back",
+        hits(&trees, |line| {
+            GONE.iter().any(|name| line.contains(name)) || calls_hang_timeout(line)
         }),
     );
 }
