@@ -334,9 +334,9 @@ fn main() {
     }
 
     if let (Some(path), Some(trace)) = (&trace_path, &last_trace) {
-        // Native trace of the highest load level, for `regent-prof`'s
+        // Trace of the highest load level, for `regent-prof`'s
         // per-tenant service summary and queue-wait blame row.
-        std::fs::write(path, regent_trace::export_native(trace))
+        std::fs::write(path, regent_trace::export_chrome(trace))
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("trace: {path}");
     }

@@ -1,9 +1,12 @@
-//! `regent-prof` — the post-mortem profiler for native trace files.
+//! `regent-prof` — the post-mortem profiler for trace files.
 //!
-//! Loads a trace written by `--trace` (real executor runs or simulated
-//! schedules alike) and prints, in order: the per-track utilization
-//! profile, the critical-path blame table (per-phase, per-track,
-//! per-epoch), the load-imbalance report, and the certification status.
+//! Loads a trace file — written by `--trace` (real executor runs or
+//! simulated schedules alike), a `regent-serve` job dump or a
+//! flight-recorder dump, all one Chrome `trace_event` document whose
+//! `regentTracks` sidecar it reads — and prints, in order: the
+//! per-track utilization profile, the critical-path blame table
+//! (per-phase, per-track, per-epoch), the load-imbalance report, and
+//! the certification status.
 //! Certification is *structural*: the happens-before graph must be
 //! acyclic, the integrity-event record coherent, and no events lost to
 //! ring wrap-around — a trace failing any of these cannot support
@@ -32,40 +35,10 @@ use regent_trace::{
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Short stable label for a span kind, used as the flame-stack leaf.
+/// Short stable label for a span kind, used as the flame-stack leaf:
+/// the kind's wire tag, split by sim kind for simulated tasks.
 fn kind_label(kind: &EventKind) -> &'static str {
     match kind {
-        EventKind::TaskLaunch { .. } => "task_launch",
-        EventKind::TaskRun { .. } => "task_run",
-        EventKind::TaskAccess { .. } => "task_access",
-        EventKind::DepAnalysis { .. } => "dep_analysis",
-        EventKind::DepEdge { .. } => "dep_edge",
-        EventKind::Drain => "drain",
-        EventKind::CopyIssue { .. } => "copy_issue",
-        EventKind::CopyApply { .. } => "copy_apply",
-        EventKind::BarrierArrive { .. } => "barrier_arrive",
-        EventKind::BarrierLeave { .. } => "barrier_leave",
-        EventKind::CollectiveArrive { .. } => "collective_arrive",
-        EventKind::CollectiveLeave { .. } => "collective_leave",
-        EventKind::StepBegin { .. } => "step_begin",
-        EventKind::CheckpointSave { .. } => "checkpoint_save",
-        EventKind::CheckpointRestore { .. } => "checkpoint_restore",
-        EventKind::ShardCrash { .. } => "shard_crash",
-        EventKind::PeerDeath { .. } => "peer_death",
-        EventKind::MembershipChange { .. } => "membership_change",
-        EventKind::FailoverReconstruct { .. } => "failover_reconstruct",
-        EventKind::CorruptDetected { .. } => "corrupt_detected",
-        EventKind::CorruptRepaired { .. } => "corrupt_repaired",
-        EventKind::CorruptEscalated { .. } => "corrupt_escalated",
-        EventKind::MemoCapture { .. } => "memo_capture",
-        EventKind::MemoHit { .. } => "memo_hit",
-        EventKind::MemoMiss { .. } => "memo_miss",
-        EventKind::MemoInvalidate { .. } => "memo_invalidate",
-        EventKind::MemoReplay { .. } => "memo_replay",
-        EventKind::Pass { .. } => "pass",
-        EventKind::LogAppend { .. } => "log_append",
-        EventKind::LogCombine { .. } => "log_combine",
-        EventKind::LogConsume { .. } => "log_consume",
         EventKind::SimTask { kind, .. } => match kind {
             SimKind::Analysis => "sim_analysis",
             SimKind::Compute => "sim_compute",
@@ -75,12 +48,7 @@ fn kind_label(kind: &EventKind) -> &'static str {
             SimKind::Log => "sim_log",
             SimKind::Other => "sim_other",
         },
-        EventKind::JobAdmit { .. } => "job_admit",
-        EventKind::JobShed { .. } => "job_shed",
-        EventKind::JobRetry { .. } => "job_retry",
-        EventKind::JobDegrade { .. } => "job_degrade",
-        EventKind::Counter { .. } => "counter",
-        EventKind::Mark { .. } => "mark",
+        k => k.tag(),
     }
 }
 

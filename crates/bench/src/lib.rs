@@ -647,5 +647,11 @@ mod tests {
         let json = export_chrome(&trace);
         let v = regent_trace::json::parse(&json).unwrap();
         assert!(!v.get("traceEvents").unwrap().as_arr().unwrap().is_empty());
+        // ...and reads back event for event, so the evidence is the same.
+        let back = regent_trace::import_trace(&json).unwrap();
+        assert_eq!(back.tracks.len(), trace.tracks.len());
+        for (a, b) in trace.tracks.iter().zip(&back.tracks) {
+            assert_eq!((&a.name, &a.events), (&b.name, &b.events));
+        }
     }
 }

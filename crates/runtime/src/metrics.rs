@@ -967,6 +967,17 @@ impl Drop for MetricsHandle {
 mod tests {
     use super::*;
 
+    /// A collecting registry of the test's own: tests that clear or
+    /// count a registry never touch `global()`, which the executors
+    /// under other tests of this binary record into concurrently.
+    fn private_registry() -> &'static MetricsRegistry {
+        Box::leak(Box::new(MetricsRegistry {
+            enabled: true,
+            file: None,
+            store: Mutex::new(BTreeMap::new()),
+        }))
+    }
+
     #[test]
     fn hist_buckets_and_means() {
         let mut h = Hist::default();
@@ -989,11 +1000,7 @@ mod tests {
 
     #[test]
     fn handles_merge_into_registry_and_export() {
-        let registry = global();
-        if !registry.is_enabled() {
-            return; // REGENT_METRICS_OFF set for this test process
-        }
-        registry.reset();
+        let registry = private_registry();
         {
             let mut h = registry.handle("test-shard-0");
             h.incr(Counter::Launches);
@@ -1058,12 +1065,7 @@ mod tests {
 
     #[test]
     fn flush_publishes_midlife_and_never_double_counts() {
-        let registry = global();
-        if !registry.is_enabled() {
-            return; // REGENT_METRICS_OFF set for this test process
-        }
-        // Unique label: no reset(), so this cannot race other tests
-        // that share the global registry.
+        let registry = private_registry();
         let label = "test-flush-worker";
         let mut h = registry.handle(label);
         h.add(Counter::JobsAdmitted, 2);
@@ -1172,8 +1174,7 @@ regent_image_flush_ns_count{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
     fn disabled_handle_records_nothing() {
         // A handle constructed with collection off must not touch the
         // clock or the store.
-        let registry = global();
-        registry.reset();
+        let registry = private_registry();
         let mut h = MetricsHandle {
             enabled: false,
             label: "off".into(),

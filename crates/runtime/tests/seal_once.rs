@@ -1,7 +1,8 @@
 //! The integrity layer re-seals what a copy statement wrote once per
 //! destination instance, after the statement's last pair — not once
 //! per pair. Counted through the always-on metrics registry, which is
-//! process-global: this binary holds the one test that reads it.
+//! process-global: this binary holds the one test that reads it, and it
+//! counts what its run adds rather than clearing the registry.
 
 use regent_cr::{control_replicate, CrOptions};
 use regent_geometry::{Domain, DynPoint};
@@ -75,8 +76,10 @@ fn a_copy_statement_hashes_each_destination_column_once() {
     store.fill_f64(&prog, RegionId(0), x, |pt| ((pt.coord(0) * 7) % 11) as f64);
     let spmd = control_replicate(prog, &CrOptions::new(2)).unwrap();
 
+    // The registry is process-global and never cleared: count what
+    // this run adds to it.
     let registry = metrics::global();
-    registry.reset();
+    let before = registry.aggregate();
     let guarded = ResilienceOptions {
         integrity: true,
         ..Default::default()
@@ -86,10 +89,11 @@ fn a_copy_statement_hashes_each_destination_column_once() {
         &mut store,
         &RunOptions::default().with_resilience(guarded),
     );
-    let m = registry.aggregate();
+    let after = registry.aggregate();
+    let added = |c: Counter| after.get(c) - before.get(c);
 
     let copies = res.stats.copies_executed / 2; // each shard counts each statement
-    let pairs_applied = m.get(Counter::CopiesApplied);
+    let pairs_applied = added(Counter::CopiesApplied);
     assert!(
         pairs_applied >= 2 * PARTS as u64 * copies,
         "every halo instance takes two pairs per statement \
@@ -100,7 +104,7 @@ fn a_copy_statement_hashes_each_destination_column_once() {
     // the PARTS halo instances — once each, though two pairs wrote it.
     let launches = 2 * PARTS as u64 * STEPS;
     assert_eq!(
-        m.get(Counter::ColumnSeals),
+        added(Counter::ColumnSeals),
         launches + PARTS as u64 * copies,
         "{copies} copy statements, {pairs_applied} pairs applied"
     );
@@ -108,7 +112,7 @@ fn a_copy_statement_hashes_each_destination_column_once() {
     // consumer phase on each shard, one per producer phase that framed
     // something, one per verified frame, and the boundary sweeps:
     // far fewer than one per pair and per frame end.
-    let brackets = m.timer(Timer::IntegrityNs).count;
+    let brackets = after.timer(Timer::IntegrityNs).count - before.timer(Timer::IntegrityNs).count;
     assert!(
         brackets <= 2 * (2 * STEPS + 2 * copies) + res.stats.messages_sent + 2 * (STEPS + 1),
         "{brackets} integrity brackets"

@@ -8,13 +8,16 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::time::{Duration, Instant};
 
 /// Runs `wait`, which must give up, and checks it did so no earlier
-/// than the timeout and no later than twice it.
+/// than the 200 ms timeout it was built with and well before the 30 s
+/// default. The ceiling is 2 s, not a tight bound: a loaded host may
+/// oversleep a park by hundreds of milliseconds, and what the test must
+/// catch is a wait that ignored its timeout and used the default.
 fn gives_up_on_time<R>(what: &str, wait: impl FnOnce() -> R) -> R {
     let t0 = Instant::now();
     let r = wait();
     let took = t0.elapsed();
     assert!(
-        (Duration::from_millis(200)..Duration::from_millis(400)).contains(&took),
+        (Duration::from_millis(200)..Duration::from_secs(2)).contains(&took),
         "{what} gave up after {took:?}, hang timeout 200 ms"
     );
     r

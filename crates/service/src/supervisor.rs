@@ -48,7 +48,7 @@ use regent_runtime::{
     FailoverOptions, FailureClass, FaultPlan, ImplicitOptions, MemoCache, Rescue,
     ResilienceOptions, RunOptions, CANCEL_PREFIX,
 };
-use regent_trace::{export_native, EventKind, Trace, TraceBuf, Tracer};
+use regent_trace::{export_chrome, EventKind, Trace, TraceBuf, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -615,7 +615,7 @@ fn dump_job_trace(cfg: &ServiceConfig, spec: &JobSpec, job_id: u64, trace: &Trac
         spec.strategy.label()
     ));
     if let Err(e) =
-        std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, export_native(trace)))
+        std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, export_chrome(trace)))
     {
         eprintln!("regent-serve: cannot write {}: {e}", path.display());
     }
@@ -661,6 +661,11 @@ fn run_once(
             // the whole attempt for these strategies.
             token.check_boundary(0, transient.unwrap_or(u64::MAX));
             let env = if matches!(spec.strategy, Strategy::Sequential) {
+                // The interpreter records nothing: say so, so that the
+                // job's trace is not an empty document.
+                tracer.buffer("sequential").instant(EventKind::Mark {
+                    name: "interpreter run (untraced)",
+                });
                 interp::run(&prog, &mut store).0
             } else {
                 let mut opts = ImplicitOptions::with_workers(shards);

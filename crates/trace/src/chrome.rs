@@ -1,23 +1,31 @@
-//! Chrome `trace_event` JSON exporter (hand-rolled, no serde).
+//! The trace file: a Chrome `trace_event` document (hand-rolled, no
+//! serde) that also carries the lossless execution record.
 //!
 //! The output is the "JSON Object Format" understood by
 //! `chrome://tracing` and Perfetto: a `traceEvents` array of complete
 //! (`"ph":"X"`), instant (`"ph":"i"`), counter (`"ph":"C"`), and
 //! metadata (`"ph":"M"`) events. Timestamps are microseconds; each
 //! track becomes one thread (`tid`) named via `thread_name` metadata.
+//! Beside it, under `regentTracks`, sits the sidecar
+//! [`crate::serial`] writes and [`crate::import_trace`] reads back, so
+//! every trace file the system writes — `--trace`, a `regent-serve` job
+//! dump, a flight-recorder dump — is both Perfetto-loadable and
+//! certifiable by `regent-prof`.
 
-use crate::event::{Event, EventKind, PrivCode, SimKind};
+use crate::event::{Event, EventKind};
 use crate::json::escape_into;
+use crate::serial::{write_tracks, Wire};
 use crate::tracer::Trace;
 use std::fmt::Write as _;
 
-/// Exports a trace as Chrome trace-event JSON. SPMD copy send→recv
-/// pairs additionally get flow events (`"ph":"s"`/`"ph":"f"`) so
-/// Perfetto draws arrows between shard tracks, and the full lossless
-/// event log is embedded under a sibling `regentTracks` key (see
-/// [`crate::serial`]) so the same file can be re-analyzed offline.
+/// Exports a trace as the trace document: Chrome trace-event JSON whose
+/// display events carry their kind's fields as `args`, plus flow events
+/// (`"ph":"s"`/`"ph":"f"`) between SPMD copy send→recv pairs so
+/// Perfetto draws arrows between shard tracks, plus the lossless event
+/// log under a sibling `regentTracks` key so the same file can be
+/// re-analyzed offline. Every string in it is JSON-escaped.
 pub fn export_chrome(trace: &Trace) -> String {
-    let mut out = String::with_capacity(64 * 1024 + trace.num_events() * 96);
+    let mut out = String::with_capacity(64 * 1024 + trace.num_events() * 160);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
     for (tid, track) in trace.tracks.iter().enumerate() {
@@ -36,7 +44,7 @@ pub fn export_chrome(trace: &Trace) -> String {
     }
     write_copy_flows(&mut out, trace, &mut first);
     out.push_str("],\"displayTimeUnit\":\"ms\",\"regentTracks\":");
-    out.push_str(&crate::serial::tracks_json(trace));
+    write_tracks(&mut out, trace);
     out.push('}');
     out
 }
@@ -113,57 +121,34 @@ fn us(ns: u64) -> f64 {
 }
 
 fn write_event(out: &mut String, tid: usize, e: &Event) {
+    let ts = us(e.ts);
     if let EventKind::Counter { name, value } = e.kind {
-        let v = if value.is_finite() { value } else { 0.0 };
+        out.push_str("{\"ph\":\"C\",\"name\":\"");
+        escape_into(out, name);
         write!(
             out,
-            "{{\"ph\":\"C\",\"name\":\"{name}\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"args\":{{\"value\":{v}}}}}",
-            us(e.ts)
+            "\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"args\":{{\"value\":"
         )
         .unwrap();
+        value.put(out);
+        out.push_str("}}");
         return;
     }
-    let name = kind_name(&e.kind);
-    let args = kind_args(&e.kind);
+    let ph = if e.dur > 0 { "X" } else { "i" };
+    write!(out, "{{\"ph\":\"{ph}\",\"name\":\"").unwrap();
+    escape_into(out, &kind_name(&e.kind));
+    write!(out, "\",\"pid\":0,\"tid\":{tid},\"ts\":{ts}").unwrap();
     if e.dur > 0 {
-        write!(
-            out,
-            "{{\"ph\":\"X\",\"name\":\"{name}\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
-            us(e.ts),
-            us(e.dur)
-        )
-        .unwrap();
+        write!(out, ",\"dur\":{}", us(e.dur)).unwrap();
     } else {
-        write!(
-            out,
-            "{{\"ph\":\"i\",\"name\":\"{name}\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"s\":\"t\",\"args\":{{{args}}}}}",
-            us(e.ts)
-        )
-        .unwrap();
+        out.push_str(",\"s\":\"t\"");
     }
+    out.push_str(",\"args\":{");
+    e.kind.write_wire(out);
+    out.push_str("}}");
 }
 
-fn priv_str(p: PrivCode) -> &'static str {
-    match p {
-        PrivCode::Read => "read",
-        PrivCode::Write => "readwrite",
-        PrivCode::Reduce(_) => "reduce",
-    }
-}
-
-/// Short display name for a sim task kind.
-pub fn sim_kind_name(k: SimKind) -> &'static str {
-    match k {
-        SimKind::Launch => "launch",
-        SimKind::Analysis => "analysis",
-        SimKind::Compute => "compute",
-        SimKind::Copy => "copy",
-        SimKind::Collective => "collective",
-        SimKind::Log => "log",
-        SimKind::Other => "sim",
-    }
-}
-
+/// The display title of an event.
 fn kind_name(k: &EventKind) -> String {
     match k {
         EventKind::TaskLaunch { launch, pos, .. } => format!("launch L{launch}[{pos}]"),
@@ -171,7 +156,7 @@ fn kind_name(k: &EventKind) -> String {
         EventKind::TaskAccess { launch, pos, .. } => format!("access L{launch}[{pos}]"),
         EventKind::DepAnalysis { launch, pos, .. } => format!("analyze L{launch}[{pos}]"),
         EventKind::DepEdge { .. } => "dep edge".into(),
-        EventKind::Drain => "drain".into(),
+        EventKind::Drain => "pool drain".into(),
         EventKind::CopyIssue { copy, pair, .. } => format!("copy {copy}.{pair} send"),
         EventKind::CopyApply { copy, pair, .. } => format!("copy {copy}.{pair} apply"),
         EventKind::BarrierArrive { .. } => "barrier arrive".into(),
@@ -233,80 +218,9 @@ fn kind_name(k: &EventKind) -> String {
             to_shards,
         } => format!("degrade t{tenant} {from_shards}->{to_shards}"),
         EventKind::Pass { name } => format!("pass {name}"),
-        EventKind::SimTask { kind, step, .. } => {
-            format!("{} s{step}", sim_kind_name(*kind))
-        }
+        EventKind::SimTask { kind, step, .. } => format!("{kind:?} s{step}"),
         EventKind::Counter { name, .. } => (*name).to_string(),
         EventKind::Mark { name } => (*name).to_string(),
-    }
-}
-
-fn kind_args(k: &EventKind) -> String {
-    match k {
-        EventKind::TaskLaunch { task, .. } | EventKind::TaskRun { task, .. } => {
-            format!("\"task\":{task}")
-        }
-        EventKind::TaskAccess {
-            region,
-            inst,
-            fields,
-            privilege,
-            ..
-        } => format!(
-            "\"region\":{region},\"inst\":{inst},\"fields\":{fields},\"privilege\":\"{}\"",
-            priv_str(*privilege)
-        ),
-        EventKind::DepAnalysis { checks, .. } => format!("\"checks\":{checks}"),
-        EventKind::DepEdge {
-            from_launch,
-            from_pos,
-            to_launch,
-            to_pos,
-        } => format!("\"from\":\"L{from_launch}[{from_pos}]\",\"to\":\"L{to_launch}[{to_pos}]\""),
-        EventKind::CopyIssue {
-            seq,
-            elements,
-            dst_shard,
-            ..
-        } => format!("\"seq\":{seq},\"elements\":{elements},\"dst\":{dst_shard}"),
-        EventKind::CopyApply {
-            seq,
-            region,
-            inst,
-            reduce,
-            ..
-        } => format!("\"seq\":{seq},\"region\":{region},\"inst\":{inst},\"reduce\":{reduce}"),
-        EventKind::BarrierArrive { generation }
-        | EventKind::BarrierLeave { generation }
-        | EventKind::CollectiveArrive { generation }
-        | EventKind::CollectiveLeave { generation } => format!("\"generation\":{generation}"),
-        EventKind::SimTask { node, step, .. } => format!("\"node\":{node},\"step\":{step}"),
-        EventKind::LogAppend {
-            epoch,
-            batch,
-            records,
-        } => {
-            format!("\"epoch\":{epoch},\"batch\":{batch},\"records\":{records}")
-        }
-        EventKind::LogCombine { batch, records } => {
-            format!("\"batch\":{batch},\"records\":{records}")
-        }
-        EventKind::LogConsume {
-            replica,
-            batch,
-            records,
-            lag,
-        } => format!("\"replica\":{replica},\"batch\":{batch},\"records\":{records},\"lag\":{lag}"),
-        EventKind::MemoCapture { key, tasks, .. } | EventKind::MemoHit { key, tasks, .. } => {
-            format!("\"key\":{key},\"tasks\":{tasks}")
-        }
-        EventKind::JobAdmit { tenant, queued, .. } | EventKind::JobShed { tenant, queued, .. } => {
-            format!("\"tenant\":{tenant},\"queued\":{queued}")
-        }
-        EventKind::JobRetry {
-            tenant, attempt, ..
-        } => format!("\"tenant\":{tenant},\"attempt\":{attempt}"),
-        _ => String::new(),
     }
 }
 
@@ -408,5 +322,29 @@ mod tests {
         assert_eq!(finish.get("tid").unwrap().as_num(), Some(1.0));
         assert_eq!(finish.get("bp").unwrap().as_str(), Some("e"));
         assert_eq!(start.get("name").unwrap().as_str(), Some("copy 3.1"));
+    }
+
+    #[test]
+    fn hostile_names_are_escaped() {
+        let name = crate::serial::intern("say \"hi\" \\ back\nslash\u{7}");
+        let tracer = Tracer::enabled();
+        let mut b = tracer.buffer("control");
+        b.push(0, 0, EventKind::Mark { name });
+        b.push(1, 2, EventKind::Pass { name });
+        b.push(3, 0, EventKind::Counter { name, value: 1.5 });
+        drop(b);
+        let trace = tracer.take();
+        let out = export_chrome(&trace);
+        let v = json::parse(&out).expect("exporter output must parse");
+        let titles: Vec<&str> = v.get("traceEvents").unwrap().as_arr().unwrap()[1..]
+            .iter()
+            .map(|e| e.get("name").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(
+            titles,
+            [name.to_string(), format!("pass {name}"), name.into()]
+        );
+        let back = crate::import_trace(&out).unwrap();
+        assert_eq!(back.tracks[0].events, trace.tracks[0].events);
     }
 }

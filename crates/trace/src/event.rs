@@ -3,7 +3,8 @@
 //!
 //! Events are `Copy` and contain no owned data — names are `&'static
 //! str`, identities are small integers — so recording one is a ring
-//! write with no allocation.
+//! write with no allocation. Each kind is stated once, in the
+//! `event_kinds!` table below, which also fixes its wire form.
 //!
 //! ## Identity conventions
 //!
@@ -83,11 +84,63 @@ pub enum SimKind {
     Other,
 }
 
-/// One structured event.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum EventKind {
+/// States each event kind once — variant, wire tag, fields in wire
+/// order, docs — and derives from that one statement the enum, its
+/// [`EventKind::tag`], and the wire form the trace file's sidecar and
+/// the Chrome `args` share ([`crate::serial`]). Adding a kind is an
+/// entry here plus a display title in [`crate::chrome`].
+macro_rules! event_kinds {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident = $tag:literal $({
+            $( $(#[$field_doc:meta])* $field:ident: $ty:ty ),* $(,)?
+        })?
+    ),* $(,)?) => {
+        /// One structured event.
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        pub enum EventKind {
+            $( $(#[$doc])* $name $({ $( $(#[$field_doc])* $field: $ty ),* })?, )*
+        }
+
+        impl EventKind {
+            /// The kind's wire tag (`"k"` in the trace file), snake_case.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $( EventKind::$name { .. } => $tag, )*
+                }
+            }
+
+            /// Writes `"k":"<tag>"` and then `,"<field>":<value>` per
+            /// field, in table order: the body of a JSON object.
+            pub(crate) fn write_wire(&self, out: &mut String) {
+                match *self {
+                    $( EventKind::$name $({ $($field),* })? => {
+                        out.push_str(concat!("\"k\":\"", $tag, "\""));
+                        $($(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            crate::serial::Wire::put(&$field, out);
+                        )*)?
+                    } )*
+                }
+            }
+
+            /// Reads back what [`EventKind::write_wire`] wrote.
+            pub(crate) fn read_wire(o: &crate::serial::Obj) -> Result<EventKind, String> {
+                let tag = o.get("k").and_then(crate::json::Value::as_str);
+                match tag.ok_or("event without a kind")? {
+                    $( $tag => Ok(EventKind::$name $({ $(
+                        $field: crate::serial::take(o, $tag, stringify!($field))?,
+                    )* })?), )*
+                    other => Err(format!("unknown event kind {other:?}")),
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// Control thread (or shard) issued a task.
-    TaskLaunch {
+    TaskLaunch = "task_launch" {
         /// Dynamic launch sequence number.
         launch: u32,
         /// Position in the launch domain.
@@ -97,7 +150,7 @@ pub enum EventKind {
     },
     /// A worker (or shard) executed the task's kernel; the span covers
     /// the kernel run.
-    TaskRun {
+    TaskRun = "task_run" {
         /// Dynamic launch sequence number.
         launch: u32,
         /// Position in the launch domain.
@@ -107,7 +160,7 @@ pub enum EventKind {
     },
     /// One region access of task `(launch, pos)` (emitted adjacent to
     /// its launch or run event).
-    TaskAccess {
+    TaskAccess = "task_access" {
         /// Dynamic launch sequence number of the accessing task.
         launch: u32,
         /// Position of the accessing task in its launch domain.
@@ -124,7 +177,7 @@ pub enum EventKind {
     /// Dynamic dependence analysis performed by the implicit executor's
     /// control thread for one task — the per-task cost that grows with
     /// the in-flight window (§1, §4.1).
-    DepAnalysis {
+    DepAnalysis = "dep_analysis" {
         /// Dynamic launch sequence number of the analyzed task.
         launch: u32,
         /// Position of the analyzed task.
@@ -134,7 +187,7 @@ pub enum EventKind {
     },
     /// A dependence edge the control thread recorded (or observed
     /// already satisfied) between two tasks.
-    DepEdge {
+    DepEdge = "dep_edge" {
         /// Launch sequence of the predecessor task.
         from_launch: u32,
         /// Position of the predecessor task.
@@ -147,12 +200,12 @@ pub enum EventKind {
     /// The control thread drained the worker pool (waited for all
     /// outstanding tasks): everything launched before this point
     /// happened-before everything after it.
-    Drain,
+    Drain = "drain",
     /// Producer side of a copy pair: extract + send. `seq` counts
     /// dynamic occurrences of the same (copy, pair), matching the
     /// consumer's count — that pairing *is* the point-to-point
     /// synchronization of §3.4.
-    CopyIssue {
+    CopyIssue = "copy_issue" {
         /// Static copy statement id.
         copy: u32,
         /// Pair index within the copy's intersection.
@@ -166,7 +219,7 @@ pub enum EventKind {
     },
     /// Consumer side of a copy pair: blocking receive + apply. The
     /// span covers the wait, so copy stalls are visible in profiles.
-    CopyApply {
+    CopyApply = "copy_apply" {
         /// Static copy statement id.
         copy: u32,
         /// Pair index within the copy's intersection.
@@ -183,48 +236,48 @@ pub enum EventKind {
         reduce: bool,
     },
     /// Arrived at a barrier generation.
-    BarrierArrive {
+    BarrierArrive = "barrier_arrive" {
         /// Barrier generation number.
         generation: u64,
     },
     /// Released from a barrier generation.
-    BarrierLeave {
+    BarrierLeave = "barrier_leave" {
         /// Barrier generation number.
         generation: u64,
     },
     /// Contributed to a dynamic collective generation (§4.4).
-    CollectiveArrive {
+    CollectiveArrive = "collective_arrive" {
         /// Collective generation number.
         generation: u64,
     },
     /// Received a dynamic collective's folded result.
-    CollectiveLeave {
+    CollectiveLeave = "collective_leave" {
         /// Collective generation number.
         generation: u64,
     },
     /// An outermost-loop iteration began on this track (the timestep
     /// boundary the per-step cost analysis groups by).
-    StepBegin {
+    StepBegin = "step_begin" {
         /// Zero-based timestep number.
         step: u64,
     },
     /// A shard snapshotted its region instances for checkpoint–restart
     /// (span covers the state clone).
-    CheckpointSave {
+    CheckpointSave = "checkpoint_save" {
         /// Epoch (outermost-loop iteration) the snapshot captures the
         /// start of.
         epoch: u64,
     },
     /// A shard rolled back to its latest snapshot after an injected
     /// failure (span covers the state restore).
-    CheckpointRestore {
+    CheckpointRestore = "checkpoint_restore" {
         /// Epoch the shard was in when the rollback triggered.
         epoch: u64,
         /// Epoch execution resumes from (the snapshot's epoch).
         to_epoch: u64,
     },
     /// An injected shard failure fired (instant).
-    ShardCrash {
+    ShardCrash = "shard_crash" {
         /// The shard the fault plan killed.
         shard: u32,
         /// Epoch at whose start the crash was injected.
@@ -236,7 +289,7 @@ pub enum EventKind {
     /// this marks a *membership* loss the failover machinery responds
     /// to. `cause` uses the [`crate::prof`] convention: 0 = killed,
     /// 1 = panicked, 2 = hung.
-    PeerDeath {
+    PeerDeath = "peer_death" {
         /// The shard that died.
         shard: u32,
         /// Cause code (0 killed / 1 panicked / 2 hung).
@@ -247,7 +300,7 @@ pub enum EventKind {
     },
     /// The elastic membership changed: survivors agreed on a shrunken
     /// shard count and a new membership epoch (instant, driver track).
-    MembershipChange {
+    MembershipChange = "membership_change" {
         /// Shards before the change.
         from_shards: u32,
         /// Shards after the change.
@@ -260,7 +313,7 @@ pub enum EventKind {
     /// Survivor-side reconstruction of a lost shard's state: the last
     /// coordinated checkpoint was remapped onto the shrunken membership
     /// (span covers the redistribution; driver track).
-    FailoverReconstruct {
+    FailoverReconstruct = "failover_reconstruct" {
         /// Shards in the new membership.
         to_shards: u32,
         /// Instances redistributed across the survivors.
@@ -273,7 +326,7 @@ pub enum EventKind {
     /// `(id, sub)` is the (copy, pair) / (scalar var, occurrence)
     /// identity of the corrupted payload; for
     /// [`CorruptSite::Resident`] sites `(id, sub)` is unused (0).
-    CorruptDetected {
+    CorruptDetected = "corrupt_detected" {
         /// Where the corruption was caught.
         site: CorruptSite,
         /// Payload identity (see above).
@@ -287,7 +340,7 @@ pub enum EventKind {
     /// arrived by retransmission without disturbing peer shards. Always
     /// follows one or more matching [`EventKind::CorruptDetected`]
     /// events on the same track.
-    CorruptRepaired {
+    CorruptRepaired = "corrupt_repaired" {
         /// Where the corruption had been caught.
         site: CorruptSite,
         /// Payload identity (matches the detection event).
@@ -302,7 +355,7 @@ pub enum EventKind {
     /// restores its latest snapshot (the subsequent
     /// [`EventKind::CheckpointRestore`] spans) and memoized templates
     /// are invalidated.
-    CorruptEscalated {
+    CorruptEscalated = "corrupt_escalated" {
         /// The shard whose resident instance was corrupted.
         shard: u32,
         /// Epoch during which the corruption occurred.
@@ -311,7 +364,7 @@ pub enum EventKind {
     /// The implicit executor captured an epoch's dependence analysis as
     /// a reusable template (trace memoization). Emitted at the epoch
     /// boundary where the template was stored.
-    MemoCapture {
+    MemoCapture = "memo_capture" {
         /// Epoch (outermost-loop iteration) the template was captured
         /// from.
         epoch: u64,
@@ -323,7 +376,7 @@ pub enum EventKind {
     },
     /// A whole epoch replayed from a memoized template: every launch
     /// matched the template and no dependence analysis ran.
-    MemoHit {
+    MemoHit = "memo_hit" {
         /// Epoch that replayed.
         epoch: u64,
         /// Cache key of the replayed template.
@@ -334,7 +387,7 @@ pub enum EventKind {
     /// A replay attempt aborted: the epoch's launch sequence diverged
     /// from the predicted template and the executor fell back to full
     /// dependence analysis for the remainder of the epoch.
-    MemoMiss {
+    MemoMiss = "memo_miss" {
         /// Epoch in which the divergence was observed.
         epoch: u64,
         /// Launch index (within the epoch) where the template stopped
@@ -344,14 +397,14 @@ pub enum EventKind {
     /// The template cache was invalidated: the region forest's version
     /// changed since capture (a partition or region was created), so
     /// every memoized schedule went stale.
-    MemoInvalidate {
+    MemoInvalidate = "memo_invalidate" {
         /// Templates dropped from the cache.
         templates: u32,
     },
     /// One task's dependence bookkeeping replayed from a memoized
     /// template instead of analyzed (span covers the edge replay) — the
     /// memo-path counterpart of [`EventKind::DepAnalysis`].
-    MemoReplay {
+    MemoReplay = "memo_replay" {
         /// Dynamic launch sequence number of the replayed task.
         launch: u32,
         /// Position of the replayed task.
@@ -361,7 +414,7 @@ pub enum EventKind {
     /// to the operation log (instant; paired with the
     /// [`EventKind::LogCombine`] span covering the combiner round that
     /// published it).
-    LogAppend {
+    LogAppend = "log_append" {
         /// Epoch (outermost-loop iteration) the records belong to.
         epoch: u64,
         /// Log index of the first batch the segment was published as.
@@ -371,7 +424,7 @@ pub enum EventKind {
     },
     /// The flat combiner ran: drained the producer slots and published
     /// one or more batches (span covers the combining round).
-    LogCombine {
+    LogCombine = "log_combine" {
         /// Log index of the first batch published by this round.
         batch: u32,
         /// Records combined across the published batches.
@@ -379,7 +432,7 @@ pub enum EventKind {
     },
     /// A replica leader consumed one log batch: advanced its read
     /// cursor and ran the once-per-replica dependence analysis.
-    LogConsume {
+    LogConsume = "log_consume" {
         /// Consuming replica id.
         replica: u32,
         /// Log index of the consumed batch.
@@ -391,12 +444,12 @@ pub enum EventKind {
         lag: u32,
     },
     /// A compiler pass of the CR pipeline (span).
-    Pass {
+    Pass = "pass" {
         /// Pass name.
         name: &'static str,
     },
     /// A simulated task's service interval, in *virtual* time.
-    SimTask {
+    SimTask = "sim_task" {
         /// What the simulated work represents.
         kind: SimKind,
         /// Node the serving resource belongs to.
@@ -407,7 +460,7 @@ pub enum EventKind {
     /// The service supervisor admitted a job into a shard pool. The
     /// span covers the time the job spent waiting in the admission
     /// queue (queue-wait blame), ending when a worker picked it up.
-    JobAdmit {
+    JobAdmit = "job_admit" {
         /// Service-assigned job sequence number.
         job: u64,
         /// Tenant the job belongs to.
@@ -418,7 +471,7 @@ pub enum EventKind {
     /// Admission control rejected a job: projected queue cost exceeded
     /// the shed budget and the job was turned away with `Overloaded`
     /// (instant).
-    JobShed {
+    JobShed = "job_shed" {
         /// Service-assigned job sequence number.
         job: u64,
         /// Tenant the job belongs to.
@@ -429,7 +482,7 @@ pub enum EventKind {
     /// A transiently failed job was re-queued for another attempt after
     /// seeded exponential backoff (instant; fires once per retry, so
     /// `attempt` counts from 1).
-    JobRetry {
+    JobRetry = "job_retry" {
         /// Service-assigned job sequence number.
         job: u64,
         /// Tenant the job belongs to.
@@ -439,7 +492,7 @@ pub enum EventKind {
     },
     /// Graceful degradation resized a tenant's shard allocation under
     /// sustained pressure (instant).
-    JobDegrade {
+    JobDegrade = "job_degrade" {
         /// Tenant whose allocation changed.
         tenant: u32,
         /// Shards allocated before the change.
@@ -448,14 +501,14 @@ pub enum EventKind {
         to_shards: u32,
     },
     /// A named scalar sample.
-    Counter {
+    Counter = "counter" {
         /// Counter name.
         name: &'static str,
         /// Sampled value.
         value: f64,
     },
     /// A named instant marker.
-    Mark {
+    Mark = "mark" {
         /// Marker name.
         name: &'static str,
     },

@@ -9,10 +9,11 @@
 //! `FAILOVER_EXHAUSTED` fail-stop), the last 1 024 (`FLIGHT_EVENTS`)
 //! milestones plus a caller-supplied state snapshot (metrics JSON,
 //! membership) are dumped to the recorder's dump directory
-//! (`REGENT_FLIGHT_DIR`) as a native trace document — importable by
-//! `regent-prof` and certifiable like any other trace, so every crash
-//! leaves a post-mortem artifact even when the run was otherwise
-//! untraced.
+//! (`REGENT_FLIGHT_DIR`) as the one trace document every trace file is
+//! ([`export_chrome`]: Perfetto-loadable, importable by `regent-prof`
+//! and certifiable like any other trace) plus three `flight*` keys, so
+//! every crash leaves a post-mortem artifact even when the run was
+//! otherwise untraced.
 //!
 //! The ring intentionally forgets: old milestones are evicted in
 //! recording order and the dump reports how many. Eviction is *not*
@@ -27,11 +28,12 @@
 //! scrape endpoint) and where dumps go. `regent_runtime::flight` is
 //! that owner for the executors and `regent-serve`.
 
+use crate::chrome::export_chrome;
 use crate::event::{Event, EventKind};
 use crate::json::escape_into;
-use crate::serial::tracks_json;
 use crate::tracer::{Trace, Track};
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -148,24 +150,25 @@ impl FlightRecorder {
         Trace { tracks }
     }
 
-    /// Serializes the black box as a native trace document with flight
-    /// sidecar keys: `reason` (why the dump happened) and `state` (a
-    /// caller-supplied JSON value — metrics snapshot, membership —
-    /// or `null`). `regent-prof` imports it like any written trace.
+    /// Serializes the black box as the trace document
+    /// ([`export_chrome`]) plus three flight keys: `flightReason` (why
+    /// the dump happened), `flightEvicted` and `flightState` (a
+    /// caller-supplied JSON value — metrics snapshot, membership — or
+    /// `null`). Perfetto opens it and `regent-prof` imports it like any
+    /// written trace.
     pub fn to_document(&self, reason: &str, state_json: Option<&str>) -> String {
-        let trace = self.snapshot();
-        let mut out = String::from("{\"regentTrace\":1,\"flightReason\":\"");
+        let mut out = export_chrome(&self.snapshot());
+        let closing = out.pop(); // the flight keys extend the document
+        debug_assert_eq!(closing, Some('}'));
+        out.push_str(",\"flightReason\":\"");
         escape_into(&mut out, reason);
-        out.push_str("\",\"flightEvicted\":");
-        out.push_str(&self.evicted().to_string());
-        out.push_str(",\"flightState\":");
-        match state_json {
-            Some(s) if !s.is_empty() => out.push_str(s),
-            _ => out.push_str("null"),
-        }
-        out.push_str(",\"tracks\":");
-        out.push_str(&tracks_json(&trace));
-        out.push('}');
+        let state = state_json.filter(|s| !s.is_empty()).unwrap_or("null");
+        write!(
+            out,
+            "\",\"flightEvicted\":{},\"flightState\":{state}}}",
+            self.evicted()
+        )
+        .unwrap();
         out
     }
 
@@ -269,9 +272,16 @@ mod tests {
             },
         );
         let doc = rec.to_document("peer death: shard 1", Some("{\"jobs\":3}"));
-        let back = import_trace(&doc).expect("flight document is a valid native trace");
+        let back = import_trace(&doc).expect("flight document is a valid trace");
         assert_eq!(back.tracks.len(), 1);
         assert_eq!(back.tracks[0].name, "failover");
+        let parsed = crate::json::parse(&doc).expect("flight document parses");
+        let display = parsed.get("traceEvents").and_then(|v| v.as_arr());
+        assert!(!display.expect("a Chrome document").is_empty());
+        assert_eq!(
+            parsed.get("flightEvicted").and_then(|v| v.as_num()),
+            Some(0.0)
+        );
         // Sidecar keys survive as plain JSON (spot-check the raw text).
         assert!(doc.contains("\"flightReason\":\"peer death: shard 1\""));
         assert!(doc.contains("\"flightState\":{\"jobs\":3}"));

@@ -14,16 +14,19 @@
 //!   dependence implied by the tasks' privileges (§2.1) was actually
 //!   ordered — an independent correctness oracle beside bit-identical
 //!   region equivalence.
-//! * [`chrome`] — a hand-rolled (no serde) Chrome `trace_event` JSON
-//!   exporter, loadable in `chrome://tracing` / Perfetto, plus an
+//! * [`chrome`] — the one trace file format: a hand-rolled (no serde)
+//!   Chrome `trace_event` document, loadable in `chrome://tracing` /
+//!   Perfetto, carrying the lossless `regentTracks` sidecar; plus an
 //!   [`ascii`] timeline for terminals. [`json`] is the matching
 //!   minimal parser used to round-trip-check exports.
 //! * [`critical`] — critical-path *blame* attribution: decomposes the
 //!   longest dependence chain by phase (analysis / copy / waits /
 //!   exec), per track and per epoch, plus a load-imbalance report.
-//! * [`serial`] — lossless trace (de)serialization; [`export_chrome`]
-//!   embeds it so one trace file is both Perfetto-loadable and
-//!   re-analyzable by the `regent-prof` CLI.
+//! * [`serial`] — the sidecar's wire form, derived from the
+//!   [`event`] table, and [`import_trace`], which reads a trace file
+//!   back for the `regent-prof` CLI; [`export_chrome`] embeds the
+//!   sidecar, so every trace file (`--trace`, job dumps, flight dumps)
+//!   is both Perfetto-loadable and re-analyzable.
 //! * [`artifact`] — the machine-readable bench-result schema
 //!   (`BENCH_*.json`) with baseline regression checking.
 //!
@@ -72,6 +75,6 @@ pub use prof::{
     sim_control_cost_per_step, FailoverSummary, IntegritySummary, MemoSummary, ProfReport,
 };
 pub use ring::Ring;
-pub use serial::{export_native, import_trace};
+pub use serial::import_trace;
 pub use spy::{validate, AllOverlap, OverlapOracle, SpyReport, Violation};
 pub use tracer::{Trace, TraceBuf, Tracer, Track};

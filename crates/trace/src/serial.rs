@@ -1,19 +1,15 @@
-//! Lossless trace (de)serialization: the native sidecar that makes a
-//! written trace file loadable by offline tooling (`regent-prof`).
+//! The trace file's lossless half: the `regentTracks` sidecar
+//! [`export_chrome`](crate::export_chrome) embeds beside its display
+//! events, and [`import_trace`], which reads it back for offline
+//! tooling (`regent-prof`).
 //!
-//! The Chrome exporter renders events for *display* — names are
-//! flattened to strings and most identity fields are dropped — so a
-//! Chrome file alone cannot be re-analyzed.
-//! [`export_chrome`](crate::export_chrome) therefore embeds the output
-//! of
-//! [`tracks_json`] under a sibling top-level `regentTracks` key: one
-//! file is both Perfetto-loadable and a complete execution record.
-//! [`import_trace`] accepts either that embedded form or the standalone
-//! native document written by [`export_native`].
-//!
-//! `u64` fields that can exceed 2^53 (instance hashes, field masks,
-//! memo keys) are encoded as decimal *strings* so they survive the
-//! JSON number round-trip exactly.
+//! An event is `{"ts":…,"dur":…,"k":"<tag>","<field>":<value>,…}`: the
+//! tag and fields the `event_kinds!` table in [`crate::event`] states
+//! for its kind, each value in its type's `Wire` form. A `u64` at or
+//! above 2^53 (instance hashes, field masks, memo keys, job ids) is
+//! written as a decimal *string* so it survives the JSON number
+//! round-trip exactly, and the reader refuses any value its field's
+//! type cannot hold instead of converting it.
 
 use crate::event::{CorruptSite, Event, EventKind, PrivCode, SimKind};
 use crate::json::{escape_into, parse, Value};
@@ -21,6 +17,9 @@ use crate::tracer::{Trace, Track};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
+
+/// A parsed JSON object.
+pub(crate) type Obj = BTreeMap<String, Value>;
 
 /// Interns `s`, returning a `&'static str` with the same contents.
 /// Used when importing events whose schema carries static names
@@ -37,763 +36,476 @@ pub fn intern(s: &str) -> &'static str {
     leaked
 }
 
-/// Serializes the tracks as a JSON array value (no surrounding
-/// document): `[{"name":…,"dropped":…,"events":[…]},…]`.
-pub fn tracks_json(trace: &Trace) -> String {
-    let mut out = String::with_capacity(trace.num_events() * 64 + 256);
+/// How a field type is written into a trace file and read back.
+pub(crate) trait Wire: Sized {
+    /// Appends the value as JSON.
+    fn put(&self, out: &mut String);
+    /// Reads a value [`Wire::put`] wrote; `Err` says why `v` is not one.
+    fn get(v: &Value) -> Result<Self, String>;
+}
+
+/// Integers below 2^53 are exact as JSON numbers.
+const EXACT: u64 = 1 << 53;
+
+/// `v` as an integer in `0..=max`, if it is one.
+fn integer(v: &Value, max: u64) -> Result<u64, String> {
+    match *v {
+        Value::Num(n) if n.fract() == 0.0 && (0.0..=max as f64).contains(&n) => Ok(n as u64),
+        _ => Err(format!("{v:?} is not an integer in 0..={max}")),
+    }
+}
+
+fn put_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+fn get_str(v: &Value) -> Result<&str, String> {
+    v.as_str().ok_or_else(|| format!("{v:?} is not a string"))
+}
+
+impl Wire for u32 {
+    fn put(&self, out: &mut String) {
+        write!(out, "{self}").unwrap();
+    }
+    fn get(v: &Value) -> Result<u32, String> {
+        integer(v, u32::MAX.into()).map(|n| n as u32)
+    }
+}
+
+impl Wire for u64 {
+    fn put(&self, out: &mut String) {
+        if *self < EXACT {
+            write!(out, "{self}")
+        } else {
+            write!(out, "\"{self}\"")
+        }
+        .unwrap();
+    }
+    fn get(v: &Value) -> Result<u64, String> {
+        match v {
+            Value::Str(s) if !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()) => {
+                s.parse().map_err(|_| format!("{s:?} overflows a u64"))
+            }
+            Value::Str(s) => Err(format!("{s:?} is not a decimal u64")),
+            _ => integer(v, EXACT - 1),
+        }
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut String) {
+        write!(out, "{self}").unwrap();
+    }
+    fn get(v: &Value) -> Result<bool, String> {
+        match *v {
+            Value::Bool(b) => Ok(b),
+            _ => Err(format!("{v:?} is not a boolean")),
+        }
+    }
+}
+
+impl Wire for f64 {
+    /// JSON has no spelling for a non-finite value; it is written as 0.
+    fn put(&self, out: &mut String) {
+        let v = if self.is_finite() { *self } else { 0.0 };
+        write!(out, "{v}").unwrap();
+    }
+    fn get(v: &Value) -> Result<f64, String> {
+        v.as_num().ok_or_else(|| format!("{v:?} is not a number"))
+    }
+}
+
+impl Wire for &'static str {
+    fn put(&self, out: &mut String) {
+        put_str(out, self);
+    }
+    fn get(v: &Value) -> Result<&'static str, String> {
+        get_str(v).map(intern)
+    }
+}
+
+impl Wire for PrivCode {
+    fn put(&self, out: &mut String) {
+        match self {
+            PrivCode::Read => put_str(out, "read"),
+            PrivCode::Write => put_str(out, "write"),
+            PrivCode::Reduce(op) => write!(out, "\"reduce:{op}\"").unwrap(),
+        }
+    }
+    fn get(v: &Value) -> Result<PrivCode, String> {
+        match get_str(v)? {
+            "read" => Ok(PrivCode::Read),
+            "write" => Ok(PrivCode::Write),
+            s => s
+                .strip_prefix("reduce:")
+                .and_then(|op| op.parse().ok())
+                .map(PrivCode::Reduce)
+                .ok_or_else(|| format!("unknown privilege {s:?}")),
+        }
+    }
+}
+
+const SITES: [(CorruptSite, &str); 3] = [
+    (CorruptSite::Exchange, "exchange"),
+    (CorruptSite::Resident, "resident"),
+    (CorruptSite::Collective, "collective"),
+];
+
+const SIM_KINDS: [(SimKind, &str); 7] = [
+    (SimKind::Launch, "launch"),
+    (SimKind::Analysis, "analysis"),
+    (SimKind::Compute, "compute"),
+    (SimKind::Copy, "copy"),
+    (SimKind::Collective, "collective"),
+    (SimKind::Log, "log"),
+    (SimKind::Other, "other"),
+];
+
+fn put_name<T: PartialEq>(out: &mut String, names: &[(T, &str)], v: &T) {
+    let (_, name) = names
+        .iter()
+        .find(|(t, _)| t == v)
+        .expect("every variant is named");
+    put_str(out, name);
+}
+
+fn get_name<T: Copy>(v: &Value, names: &[(T, &str)]) -> Result<T, String> {
+    let s = get_str(v)?;
+    names
+        .iter()
+        .find(|(_, name)| *name == s)
+        .map(|&(t, _)| t)
+        .ok_or_else(|| format!("unknown name {s:?}"))
+}
+
+impl Wire for CorruptSite {
+    fn put(&self, out: &mut String) {
+        put_name(out, &SITES, self);
+    }
+    fn get(v: &Value) -> Result<CorruptSite, String> {
+        get_name(v, &SITES)
+    }
+}
+
+impl Wire for SimKind {
+    fn put(&self, out: &mut String) {
+        put_name(out, &SIM_KINDS, self);
+    }
+    fn get(v: &Value) -> Result<SimKind, String> {
+        get_name(v, &SIM_KINDS)
+    }
+}
+
+/// Writes the sidecar: `[{"name":…,"dropped":…,"events":[…]},…]`.
+pub(crate) fn write_tracks(out: &mut String, trace: &Trace) {
     out.push('[');
     for (ti, track) in trace.tracks.iter().enumerate() {
         if ti > 0 {
             out.push(',');
         }
-        out.push_str("{\"name\":\"");
-        escape_into(&mut out, &track.name);
-        write!(out, "\",\"dropped\":{},\"events\":[", track.dropped).unwrap();
+        out.push_str("{\"name\":");
+        put_str(out, &track.name);
+        out.push_str(",\"dropped\":");
+        track.dropped.put(out);
+        out.push_str(",\"events\":[");
         for (ei, e) in track.events.iter().enumerate() {
             if ei > 0 {
                 out.push(',');
             }
-            write_event(&mut out, e);
+            out.push_str("{\"ts\":");
+            e.ts.put(out);
+            out.push_str(",\"dur\":");
+            e.dur.put(out);
+            out.push(',');
+            e.kind.write_wire(out);
+            out.push('}');
         }
         out.push_str("]}");
     }
     out.push(']');
-    out
 }
 
-/// Serializes `trace` as a standalone native document:
-/// `{"regentTrace":1,"tracks":[…]}`.
-pub fn export_native(trace: &Trace) -> String {
-    format!("{{\"regentTrace\":1,\"tracks\":{}}}", tracks_json(trace))
+/// `o[key]` as a `T`; an error names the field and `kind`, the event
+/// kind (or `track`) the object is.
+pub(crate) fn take<T: Wire>(o: &Obj, kind: &str, key: &str) -> Result<T, String> {
+    let v = o
+        .get(key)
+        .ok_or_else(|| format!("{kind}: missing field {key:?}"))?;
+    T::get(v).map_err(|e| format!("{kind}.{key}: {e}"))
 }
 
-fn site_str(s: CorruptSite) -> &'static str {
-    match s {
-        CorruptSite::Exchange => "exchange",
-        CorruptSite::Resident => "resident",
-        CorruptSite::Collective => "collective",
-    }
-}
-
-fn sim_str(k: SimKind) -> &'static str {
-    match k {
-        SimKind::Launch => "launch",
-        SimKind::Analysis => "analysis",
-        SimKind::Compute => "compute",
-        SimKind::Copy => "copy",
-        SimKind::Collective => "collective",
-        SimKind::Log => "log",
-        SimKind::Other => "other",
-    }
-}
-
-fn priv_str(p: PrivCode) -> String {
-    match p {
-        PrivCode::Read => "read".into(),
-        PrivCode::Write => "write".into(),
-        PrivCode::Reduce(op) => format!("reduce:{op}"),
-    }
-}
-
-fn write_event(out: &mut String, e: &Event) {
-    write!(out, "{{\"ts\":{},\"dur\":{},\"k\":", e.ts, e.dur).unwrap();
-    match e.kind {
-        EventKind::TaskLaunch { launch, pos, task } => {
-            write!(
-                out,
-                "\"task_launch\",\"launch\":{launch},\"pos\":{pos},\"task\":{task}"
-            )
-        }
-        EventKind::TaskRun { launch, pos, task } => {
-            write!(
-                out,
-                "\"task_run\",\"launch\":{launch},\"pos\":{pos},\"task\":{task}"
-            )
-        }
-        EventKind::TaskAccess {
-            launch,
-            pos,
-            region,
-            inst,
-            fields,
-            privilege,
-        } => write!(
-            out,
-            "\"task_access\",\"launch\":{launch},\"pos\":{pos},\"region\":{region},\
-             \"inst\":\"{inst}\",\"fields\":\"{fields}\",\"priv\":\"{}\"",
-            priv_str(privilege)
-        ),
-        EventKind::DepAnalysis {
-            launch,
-            pos,
-            checks,
-        } => {
-            write!(
-                out,
-                "\"dep_analysis\",\"launch\":{launch},\"pos\":{pos},\"checks\":{checks}"
-            )
-        }
-        EventKind::DepEdge {
-            from_launch,
-            from_pos,
-            to_launch,
-            to_pos,
-        } => write!(
-            out,
-            "\"dep_edge\",\"from_launch\":{from_launch},\"from_pos\":{from_pos},\
-             \"to_launch\":{to_launch},\"to_pos\":{to_pos}"
-        ),
-        EventKind::Drain => write!(out, "\"drain\""),
-        EventKind::CopyIssue {
-            copy,
-            pair,
-            seq,
-            elements,
-            dst_shard,
-        } => write!(
-            out,
-            "\"copy_issue\",\"copy\":{copy},\"pair\":{pair},\"seq\":{seq},\
-             \"elements\":{elements},\"dst_shard\":{dst_shard}"
-        ),
-        EventKind::CopyApply {
-            copy,
-            pair,
-            seq,
-            region,
-            inst,
-            fields,
-            reduce,
-        } => write!(
-            out,
-            "\"copy_apply\",\"copy\":{copy},\"pair\":{pair},\"seq\":{seq},\"region\":{region},\
-             \"inst\":\"{inst}\",\"fields\":\"{fields}\",\"reduce\":{reduce}"
-        ),
-        EventKind::BarrierArrive { generation } => {
-            write!(out, "\"barrier_arrive\",\"generation\":{generation}")
-        }
-        EventKind::BarrierLeave { generation } => {
-            write!(out, "\"barrier_leave\",\"generation\":{generation}")
-        }
-        EventKind::CollectiveArrive { generation } => {
-            write!(out, "\"collective_arrive\",\"generation\":{generation}")
-        }
-        EventKind::CollectiveLeave { generation } => {
-            write!(out, "\"collective_leave\",\"generation\":{generation}")
-        }
-        EventKind::StepBegin { step } => write!(out, "\"step_begin\",\"step\":{step}"),
-        EventKind::CheckpointSave { epoch } => {
-            write!(out, "\"checkpoint_save\",\"epoch\":{epoch}")
-        }
-        EventKind::CheckpointRestore { epoch, to_epoch } => {
-            write!(
-                out,
-                "\"checkpoint_restore\",\"epoch\":{epoch},\"to_epoch\":{to_epoch}"
-            )
-        }
-        EventKind::ShardCrash { shard, epoch } => {
-            write!(out, "\"shard_crash\",\"shard\":{shard},\"epoch\":{epoch}")
-        }
-        EventKind::PeerDeath {
-            shard,
-            cause,
-            epoch,
-        } => write!(
-            out,
-            "\"peer_death\",\"shard\":{shard},\"cause\":{cause},\"epoch\":{epoch}"
-        ),
-        EventKind::MembershipChange {
-            from_shards,
-            to_shards,
-            dead_shard,
-            epoch,
-        } => write!(
-            out,
-            "\"membership_change\",\"from_shards\":{from_shards},\"to_shards\":{to_shards},\
-             \"dead_shard\":{dead_shard},\"epoch\":{epoch}"
-        ),
-        EventKind::FailoverReconstruct {
-            to_shards,
-            insts,
-            epoch,
-        } => write!(
-            out,
-            "\"failover_reconstruct\",\"to_shards\":{to_shards},\"insts\":{insts},\
-             \"epoch\":{epoch}"
-        ),
-        EventKind::CorruptDetected {
-            site,
-            id,
-            sub,
-            epoch,
-        } => write!(
-            out,
-            "\"corrupt_detected\",\"site\":\"{}\",\"id\":{id},\"sub\":{sub},\"epoch\":{epoch}",
-            site_str(site)
-        ),
-        EventKind::CorruptRepaired {
-            site,
-            id,
-            sub,
-            attempts,
-        } => write!(
-            out,
-            "\"corrupt_repaired\",\"site\":\"{}\",\"id\":{id},\"sub\":{sub},\
-             \"attempts\":{attempts}",
-            site_str(site)
-        ),
-        EventKind::CorruptEscalated { shard, epoch } => {
-            write!(
-                out,
-                "\"corrupt_escalated\",\"shard\":{shard},\"epoch\":{epoch}"
-            )
-        }
-        EventKind::MemoCapture { epoch, key, tasks } => {
-            write!(
-                out,
-                "\"memo_capture\",\"epoch\":{epoch},\"key\":\"{key}\",\"tasks\":{tasks}"
-            )
-        }
-        EventKind::MemoHit { epoch, key, tasks } => {
-            write!(
-                out,
-                "\"memo_hit\",\"epoch\":{epoch},\"key\":\"{key}\",\"tasks\":{tasks}"
-            )
-        }
-        EventKind::MemoMiss { epoch, at } => {
-            write!(out, "\"memo_miss\",\"epoch\":{epoch},\"at\":{at}")
-        }
-        EventKind::MemoInvalidate { templates } => {
-            write!(out, "\"memo_invalidate\",\"templates\":{templates}")
-        }
-        EventKind::MemoReplay { launch, pos } => {
-            write!(out, "\"memo_replay\",\"launch\":{launch},\"pos\":{pos}")
-        }
-        EventKind::LogAppend {
-            epoch,
-            batch,
-            records,
-        } => write!(
-            out,
-            "\"log_append\",\"epoch\":{epoch},\"batch\":{batch},\"records\":{records}"
-        ),
-        EventKind::LogCombine { batch, records } => {
-            write!(
-                out,
-                "\"log_combine\",\"batch\":{batch},\"records\":{records}"
-            )
-        }
-        EventKind::LogConsume {
-            replica,
-            batch,
-            records,
-            lag,
-        } => write!(
-            out,
-            "\"log_consume\",\"replica\":{replica},\"batch\":{batch},\
-             \"records\":{records},\"lag\":{lag}"
-        ),
-        EventKind::JobAdmit {
-            job,
-            tenant,
-            queued,
-        } => {
-            write!(
-                out,
-                "\"job_admit\",\"job\":\"{job}\",\"tenant\":{tenant},\"queued\":{queued}"
-            )
-        }
-        EventKind::JobShed {
-            job,
-            tenant,
-            queued,
-        } => {
-            write!(
-                out,
-                "\"job_shed\",\"job\":\"{job}\",\"tenant\":{tenant},\"queued\":{queued}"
-            )
-        }
-        EventKind::JobRetry {
-            job,
-            tenant,
-            attempt,
-        } => {
-            write!(
-                out,
-                "\"job_retry\",\"job\":\"{job}\",\"tenant\":{tenant},\"attempt\":{attempt}"
-            )
-        }
-        EventKind::JobDegrade {
-            tenant,
-            from_shards,
-            to_shards,
-        } => write!(
-            out,
-            "\"job_degrade\",\"tenant\":{tenant},\"from_shards\":{from_shards},\
-             \"to_shards\":{to_shards}"
-        ),
-        EventKind::Pass { name } => {
-            out.push_str("\"pass\",\"name\":\"");
-            escape_into(out, name);
-            out.push('"');
-            Ok(())
-        }
-        EventKind::SimTask { kind, node, step } => write!(
-            out,
-            "\"sim_task\",\"kind\":\"{}\",\"node\":{node},\"step\":{step}",
-            sim_str(kind)
-        ),
-        EventKind::Counter { name, value } => {
-            out.push_str("\"counter\",\"name\":\"");
-            escape_into(out, name);
-            let v = if value.is_finite() { value } else { 0.0 };
-            write!(out, "\",\"value\":{v}")
-        }
-        EventKind::Mark { name } => {
-            out.push_str("\"mark\",\"name\":\"");
-            escape_into(out, name);
-            out.push('"');
-            Ok(())
-        }
-    }
-    .unwrap();
-    out.push('}');
-}
-
-fn get_u64(o: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
-    match o.get(key) {
-        Some(Value::Num(n)) => Ok(*n as u64),
-        // Large u64s are serialized as decimal strings (see module docs).
-        Some(Value::Str(s)) => s
-            .parse::<u64>()
-            .map_err(|_| format!("bad u64 field {key:?}")),
-        _ => Err(format!("missing numeric field {key:?}")),
-    }
-}
-
-fn get_u32(o: &BTreeMap<String, Value>, key: &str) -> Result<u32, String> {
-    Ok(get_u64(o, key)? as u32)
-}
-
-fn get_str<'a>(o: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a str, String> {
-    o.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-fn parse_site(s: &str) -> Result<CorruptSite, String> {
-    match s {
-        "exchange" => Ok(CorruptSite::Exchange),
-        "resident" => Ok(CorruptSite::Resident),
-        "collective" => Ok(CorruptSite::Collective),
-        _ => Err(format!("unknown corruption site {s:?}")),
-    }
-}
-
-fn parse_sim(s: &str) -> Result<SimKind, String> {
-    match s {
-        "launch" => Ok(SimKind::Launch),
-        "analysis" => Ok(SimKind::Analysis),
-        "compute" => Ok(SimKind::Compute),
-        "copy" => Ok(SimKind::Copy),
-        "collective" => Ok(SimKind::Collective),
-        "log" => Ok(SimKind::Log),
-        "other" => Ok(SimKind::Other),
-        _ => Err(format!("unknown sim kind {s:?}")),
-    }
-}
-
-fn parse_priv(s: &str) -> Result<PrivCode, String> {
-    if s == "read" {
-        Ok(PrivCode::Read)
-    } else if s == "write" {
-        Ok(PrivCode::Write)
-    } else if let Some(op) = s.strip_prefix("reduce:") {
-        op.parse::<u8>()
-            .map(PrivCode::Reduce)
-            .map_err(|_| format!("bad reduce operator in {s:?}"))
-    } else {
-        Err(format!("unknown privilege {s:?}"))
-    }
-}
-
-fn parse_event(v: &Value) -> Result<Event, String> {
+fn read_event(v: &Value) -> Result<Event, String> {
     let o = v.as_obj().ok_or("event is not an object")?;
-    let ts = get_u64(o, "ts")?;
-    let dur = get_u64(o, "dur")?;
-    let kind = match get_str(o, "k")? {
-        "task_launch" => EventKind::TaskLaunch {
-            launch: get_u32(o, "launch")?,
-            pos: get_u32(o, "pos")?,
-            task: get_u32(o, "task")?,
-        },
-        "task_run" => EventKind::TaskRun {
-            launch: get_u32(o, "launch")?,
-            pos: get_u32(o, "pos")?,
-            task: get_u32(o, "task")?,
-        },
-        "task_access" => EventKind::TaskAccess {
-            launch: get_u32(o, "launch")?,
-            pos: get_u32(o, "pos")?,
-            region: get_u32(o, "region")?,
-            inst: get_u64(o, "inst")?,
-            fields: get_u64(o, "fields")?,
-            privilege: parse_priv(get_str(o, "priv")?)?,
-        },
-        "dep_analysis" => EventKind::DepAnalysis {
-            launch: get_u32(o, "launch")?,
-            pos: get_u32(o, "pos")?,
-            checks: get_u32(o, "checks")?,
-        },
-        "dep_edge" => EventKind::DepEdge {
-            from_launch: get_u32(o, "from_launch")?,
-            from_pos: get_u32(o, "from_pos")?,
-            to_launch: get_u32(o, "to_launch")?,
-            to_pos: get_u32(o, "to_pos")?,
-        },
-        "drain" => EventKind::Drain,
-        "copy_issue" => EventKind::CopyIssue {
-            copy: get_u32(o, "copy")?,
-            pair: get_u32(o, "pair")?,
-            seq: get_u32(o, "seq")?,
-            elements: get_u64(o, "elements")?,
-            dst_shard: get_u32(o, "dst_shard")?,
-        },
-        "copy_apply" => EventKind::CopyApply {
-            copy: get_u32(o, "copy")?,
-            pair: get_u32(o, "pair")?,
-            seq: get_u32(o, "seq")?,
-            region: get_u32(o, "region")?,
-            inst: get_u64(o, "inst")?,
-            fields: get_u64(o, "fields")?,
-            reduce: matches!(o.get("reduce"), Some(Value::Bool(true))),
-        },
-        "barrier_arrive" => EventKind::BarrierArrive {
-            generation: get_u64(o, "generation")?,
-        },
-        "barrier_leave" => EventKind::BarrierLeave {
-            generation: get_u64(o, "generation")?,
-        },
-        "collective_arrive" => EventKind::CollectiveArrive {
-            generation: get_u64(o, "generation")?,
-        },
-        "collective_leave" => EventKind::CollectiveLeave {
-            generation: get_u64(o, "generation")?,
-        },
-        "step_begin" => EventKind::StepBegin {
-            step: get_u64(o, "step")?,
-        },
-        "checkpoint_save" => EventKind::CheckpointSave {
-            epoch: get_u64(o, "epoch")?,
-        },
-        "checkpoint_restore" => EventKind::CheckpointRestore {
-            epoch: get_u64(o, "epoch")?,
-            to_epoch: get_u64(o, "to_epoch")?,
-        },
-        "shard_crash" => EventKind::ShardCrash {
-            shard: get_u32(o, "shard")?,
-            epoch: get_u64(o, "epoch")?,
-        },
-        "peer_death" => EventKind::PeerDeath {
-            shard: get_u32(o, "shard")?,
-            cause: get_u32(o, "cause")?,
-            epoch: get_u64(o, "epoch")?,
-        },
-        "membership_change" => EventKind::MembershipChange {
-            from_shards: get_u32(o, "from_shards")?,
-            to_shards: get_u32(o, "to_shards")?,
-            dead_shard: get_u32(o, "dead_shard")?,
-            epoch: get_u64(o, "epoch")?,
-        },
-        "failover_reconstruct" => EventKind::FailoverReconstruct {
-            to_shards: get_u32(o, "to_shards")?,
-            insts: get_u32(o, "insts")?,
-            epoch: get_u64(o, "epoch")?,
-        },
-        "corrupt_detected" => EventKind::CorruptDetected {
-            site: parse_site(get_str(o, "site")?)?,
-            id: get_u32(o, "id")?,
-            sub: get_u32(o, "sub")?,
-            epoch: get_u64(o, "epoch")?,
-        },
-        "corrupt_repaired" => EventKind::CorruptRepaired {
-            site: parse_site(get_str(o, "site")?)?,
-            id: get_u32(o, "id")?,
-            sub: get_u32(o, "sub")?,
-            attempts: get_u32(o, "attempts")?,
-        },
-        "corrupt_escalated" => EventKind::CorruptEscalated {
-            shard: get_u32(o, "shard")?,
-            epoch: get_u64(o, "epoch")?,
-        },
-        "memo_capture" => EventKind::MemoCapture {
-            epoch: get_u64(o, "epoch")?,
-            key: get_u64(o, "key")?,
-            tasks: get_u32(o, "tasks")?,
-        },
-        "memo_hit" => EventKind::MemoHit {
-            epoch: get_u64(o, "epoch")?,
-            key: get_u64(o, "key")?,
-            tasks: get_u32(o, "tasks")?,
-        },
-        "memo_miss" => EventKind::MemoMiss {
-            epoch: get_u64(o, "epoch")?,
-            at: get_u32(o, "at")?,
-        },
-        "memo_invalidate" => EventKind::MemoInvalidate {
-            templates: get_u32(o, "templates")?,
-        },
-        "memo_replay" => EventKind::MemoReplay {
-            launch: get_u32(o, "launch")?,
-            pos: get_u32(o, "pos")?,
-        },
-        "log_append" => EventKind::LogAppend {
-            epoch: get_u64(o, "epoch")?,
-            batch: get_u32(o, "batch")?,
-            records: get_u32(o, "records")?,
-        },
-        "log_combine" => EventKind::LogCombine {
-            batch: get_u32(o, "batch")?,
-            records: get_u32(o, "records")?,
-        },
-        "log_consume" => EventKind::LogConsume {
-            replica: get_u32(o, "replica")?,
-            batch: get_u32(o, "batch")?,
-            records: get_u32(o, "records")?,
-            lag: get_u32(o, "lag")?,
-        },
-        "job_admit" => EventKind::JobAdmit {
-            job: get_u64(o, "job")?,
-            tenant: get_u32(o, "tenant")?,
-            queued: get_u32(o, "queued")?,
-        },
-        "job_shed" => EventKind::JobShed {
-            job: get_u64(o, "job")?,
-            tenant: get_u32(o, "tenant")?,
-            queued: get_u32(o, "queued")?,
-        },
-        "job_retry" => EventKind::JobRetry {
-            job: get_u64(o, "job")?,
-            tenant: get_u32(o, "tenant")?,
-            attempt: get_u32(o, "attempt")?,
-        },
-        "job_degrade" => EventKind::JobDegrade {
-            tenant: get_u32(o, "tenant")?,
-            from_shards: get_u32(o, "from_shards")?,
-            to_shards: get_u32(o, "to_shards")?,
-        },
-        "pass" => EventKind::Pass {
-            name: intern(get_str(o, "name")?),
-        },
-        "sim_task" => EventKind::SimTask {
-            kind: parse_sim(get_str(o, "kind")?)?,
-            node: get_u32(o, "node")?,
-            step: get_u32(o, "step")?,
-        },
-        "counter" => EventKind::Counter {
-            name: intern(get_str(o, "name")?),
-            value: o
-                .get("value")
-                .and_then(Value::as_num)
-                .ok_or("counter without a value")?,
-        },
-        "mark" => EventKind::Mark {
-            name: intern(get_str(o, "name")?),
-        },
-        other => return Err(format!("unknown event kind {other:?}")),
-    };
-    Ok(Event { ts, dur, kind })
+    let kind = EventKind::read_wire(o)?;
+    Ok(Event {
+        ts: take(o, kind.tag(), "ts")?,
+        dur: take(o, kind.tag(), "dur")?,
+        kind,
+    })
 }
 
-fn parse_tracks(v: &Value) -> Result<Trace, String> {
-    let arr = v.as_arr().ok_or("regentTracks is not an array")?;
-    let mut tracks = Vec::with_capacity(arr.len());
-    for t in arr {
-        let o = t.as_obj().ok_or("track is not an object")?;
-        let name = get_str(o, "name")?.to_string();
-        let dropped = get_u64(o, "dropped")?;
-        let events = o
-            .get("events")
-            .and_then(Value::as_arr)
+fn read_track(v: &Value) -> Result<Track, String> {
+    let o = v.as_obj().ok_or("track is not an object")?;
+    let name = o.get("name").and_then(Value::as_str);
+    let events = o.get("events").and_then(Value::as_arr);
+    Ok(Track {
+        name: name.ok_or("track without a name")?.to_string(),
+        events: events
             .ok_or("track without an events array")?
             .iter()
-            .map(parse_event)
-            .collect::<Result<Vec<_>, _>>()?;
-        tracks.push(Track {
-            name,
-            events,
-            dropped,
-        });
-    }
-    Ok(Trace { tracks })
+            .map(read_event)
+            .collect::<Result<_, _>>()?,
+        dropped: take(o, "track", "dropped")?,
+    })
 }
 
-/// Parses a trace file: either a native document
-/// (`{"regentTrace":1,"tracks":[…]}`) or a Chrome `trace_event`
-/// document carrying the embedded `regentTracks` sidecar. A plain
-/// Chrome file without the sidecar is rejected with an explanation
-/// (its events are lossy display records, not an execution log).
+/// Parses a trace file: the `regentTracks` sidecar of a document
+/// written by [`export_chrome`](crate::export_chrome). A plain Chrome
+/// file without the sidecar is rejected with an explanation (its events
+/// are lossy display records, not an execution log).
 pub fn import_trace(text: &str) -> Result<Trace, String> {
     let doc = parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    if let Some(tracks) = doc.get("regentTracks") {
-        return parse_tracks(tracks);
-    }
-    if doc.get("regentTrace").is_some() {
-        let tracks = doc.get("tracks").ok_or("native document without tracks")?;
-        return parse_tracks(tracks);
-    }
-    Err(
+    let tracks = doc.get("regentTracks").ok_or(
         "no regentTracks key: this file is not a regent trace (a bare Chrome trace_event \
-         file cannot be re-analyzed; re-export it with --trace from this repo's tools)"
-            .to_string(),
-    )
+         file cannot be re-analyzed; re-export it with --trace from this repo's tools)",
+    )?;
+    let tracks = tracks.as_arr().ok_or("regentTracks is not an array")?;
+    Ok(Trace {
+        tracks: tracks.iter().map(read_track).collect::<Result<_, _>>()?,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export_chrome;
     use crate::tracer::Tracer;
 
-    fn sample_trace() -> Trace {
-        let tracer = Tracer::enabled();
-        let mut b = tracer.buffer("shard-0");
-        b.push(
-            0,
-            10,
-            EventKind::TaskRun {
+    /// One event of every kind, in table order, with edge values:
+    /// `u64::MAX` in `inst`, `fields`, `key` and `job`, 2^53 ± 1, and
+    /// names JSON must escape. The `match` is exhaustive, so a kind
+    /// added to the table does not compile until it is listed here.
+    fn every_kind() -> Vec<EventKind> {
+        use EventKind::*;
+        let all = vec![
+            TaskLaunch {
                 launch: 1,
                 pos: 2,
                 task: 3,
             },
-        );
-        b.push(
-            0,
-            0,
-            EventKind::TaskAccess {
+            TaskRun {
+                launch: 1,
+                pos: 2,
+                task: u32::MAX,
+            },
+            TaskAccess {
                 launch: 1,
                 pos: 2,
                 region: 4,
-                inst: u64::MAX - 7, // exercises the >2^53 string path
-                fields: 1u64 << 63,
+                inst: u64::MAX,
+                fields: u64::MAX,
                 privilege: PrivCode::Reduce(2),
             },
-        );
-        b.push(
-            12,
-            0,
-            EventKind::MemoHit {
-                epoch: 3,
-                key: 0xdead_beef_dead_beef,
-                tasks: 9,
+            DepAnalysis {
+                launch: 1,
+                pos: 2,
+                checks: 7,
             },
-        );
-        b.push(14, 2, EventKind::MemoReplay { launch: 5, pos: 0 });
-        b.push(20, 1, EventKind::Pass { name: "lower" });
-        b.push(
-            22,
-            0,
-            EventKind::Counter {
-                name: "q",
-                value: -2.5,
+            DepEdge {
+                from_launch: 1,
+                from_pos: 2,
+                to_launch: 3,
+                to_pos: 4,
             },
-        );
-        b.push(
-            23,
-            4,
-            EventKind::SimTask {
-                kind: SimKind::Analysis,
-                node: 7,
-                step: 2,
+            Drain,
+            CopyIssue {
+                copy: 3,
+                pair: 1,
+                seq: 0,
+                elements: EXACT - 1,
+                dst_shard: 1,
             },
-        );
-        b.push(
-            30,
-            0,
-            EventKind::CorruptDetected {
-                site: CorruptSite::Collective,
-                id: 1,
-                sub: 2,
-                epoch: 5,
+            CopyApply {
+                copy: 3,
+                pair: 1,
+                seq: 0,
+                region: 4,
+                inst: u64::MAX,
+                fields: u64::MAX,
+                reduce: true,
             },
-        );
-        b.push(
-            32,
-            6,
-            EventKind::JobAdmit {
-                job: u64::MAX - 3, // exercises the >2^53 string path
-                tenant: 2,
-                queued: 5,
+            BarrierArrive { generation: EXACT },
+            BarrierLeave {
+                generation: EXACT + 1,
             },
-        );
-        b.push(
-            40,
-            0,
-            EventKind::JobRetry {
-                job: 7,
-                tenant: 2,
-                attempt: 1,
+            CollectiveArrive { generation: 6 },
+            CollectiveLeave { generation: 7 },
+            StepBegin { step: 8 },
+            CheckpointSave { epoch: 9 },
+            CheckpointRestore {
+                epoch: 10,
+                to_epoch: 8,
             },
-        );
-        b.push(
-            41,
-            0,
-            EventKind::JobDegrade {
-                tenant: 2,
-                from_shards: 4,
-                to_shards: 2,
-            },
-        );
-        b.push(
-            42,
-            0,
-            EventKind::PeerDeath {
+            ShardCrash { shard: 3, epoch: 2 },
+            PeerDeath {
                 shard: 3,
-                cause: 0,
+                cause: 2,
                 epoch: 2,
             },
-        );
-        b.push(
-            43,
-            0,
-            EventKind::MembershipChange {
+            MembershipChange {
                 from_shards: 4,
                 to_shards: 3,
                 dead_shard: 3,
                 epoch: 2,
             },
-        );
-        b.push(
-            44,
-            7,
-            EventKind::FailoverReconstruct {
+            FailoverReconstruct {
                 to_shards: 3,
                 insts: 12,
                 epoch: 2,
             },
-        );
-        drop(b);
-        let mut b = tracer.buffer("shard-1 \"x\"");
-        b.push(
-            2,
-            3,
-            EventKind::CopyApply {
-                copy: 1,
-                pair: 2,
-                seq: 3,
-                region: 4,
-                inst: 0xffff_ffff_ffff_fff0,
-                fields: 0b101,
-                reduce: true,
+            CorruptDetected {
+                site: CorruptSite::Collective,
+                id: 1,
+                sub: 2,
+                epoch: 5,
             },
+            CorruptRepaired {
+                site: CorruptSite::Exchange,
+                id: 1,
+                sub: 2,
+                attempts: 3,
+            },
+            CorruptEscalated { shard: 1, epoch: 5 },
+            MemoCapture {
+                epoch: 3,
+                key: u64::MAX,
+                tasks: 9,
+            },
+            MemoHit {
+                epoch: 4,
+                key: 0xdead_beef_dead_beef,
+                tasks: 9,
+            },
+            MemoMiss { epoch: 5, at: 2 },
+            MemoInvalidate { templates: 3 },
+            MemoReplay { launch: 5, pos: 0 },
+            LogAppend {
+                epoch: 1,
+                batch: 2,
+                records: 3,
+            },
+            LogCombine {
+                batch: 2,
+                records: 3,
+            },
+            LogConsume {
+                replica: 1,
+                batch: 2,
+                records: 3,
+                lag: 1,
+            },
+            Pass {
+                name: "lower \"cr\"",
+            },
+            SimTask {
+                kind: SimKind::Other,
+                node: 7,
+                step: 2,
+            },
+            JobAdmit {
+                job: u64::MAX,
+                tenant: 2,
+                queued: 5,
+            },
+            JobShed {
+                job: u64::MAX - 1,
+                tenant: 2,
+                queued: 6,
+            },
+            JobRetry {
+                job: 7,
+                tenant: 2,
+                attempt: 1,
+            },
+            JobDegrade {
+                tenant: 2,
+                from_shards: 4,
+                to_shards: 2,
+            },
+            Counter {
+                name: "q\\depth",
+                value: -2.5,
+            },
+            Mark { name: "m\n\u{1}" },
+        ];
+        let order = |k: &EventKind| match k {
+            TaskLaunch { .. } => 0,
+            TaskRun { .. } => 1,
+            TaskAccess { .. } => 2,
+            DepAnalysis { .. } => 3,
+            DepEdge { .. } => 4,
+            Drain => 5,
+            CopyIssue { .. } => 6,
+            CopyApply { .. } => 7,
+            BarrierArrive { .. } => 8,
+            BarrierLeave { .. } => 9,
+            CollectiveArrive { .. } => 10,
+            CollectiveLeave { .. } => 11,
+            StepBegin { .. } => 12,
+            CheckpointSave { .. } => 13,
+            CheckpointRestore { .. } => 14,
+            ShardCrash { .. } => 15,
+            PeerDeath { .. } => 16,
+            MembershipChange { .. } => 17,
+            FailoverReconstruct { .. } => 18,
+            CorruptDetected { .. } => 19,
+            CorruptRepaired { .. } => 20,
+            CorruptEscalated { .. } => 21,
+            MemoCapture { .. } => 22,
+            MemoHit { .. } => 23,
+            MemoMiss { .. } => 24,
+            MemoInvalidate { .. } => 25,
+            MemoReplay { .. } => 26,
+            LogAppend { .. } => 27,
+            LogCombine { .. } => 28,
+            LogConsume { .. } => 29,
+            Pass { .. } => 30,
+            SimTask { .. } => 31,
+            JobAdmit { .. } => 32,
+            JobShed { .. } => 33,
+            JobRetry { .. } => 34,
+            JobDegrade { .. } => 35,
+            Counter { .. } => 36,
+            Mark { .. } => 37,
+        };
+        assert!(
+            all.iter().map(order).eq(0..all.len()),
+            "one event per kind, in table order"
         );
-        drop(b);
-        tracer.take()
+        all
+    }
+
+    /// Every kind, alternating between two tracks (so the copy issue
+    /// and its apply land on different ones and get a flow arrow), the
+    /// second with a hostile name and `u64::MAX` drops.
+    fn sample_trace() -> Trace {
+        let tracer = Tracer::enabled();
+        let mut tracks = [tracer.buffer("shard-0"), tracer.buffer("shard-1 \"x\"\n\\")];
+        for (i, kind) in every_kind().into_iter().enumerate() {
+            tracks[i % 2].push(10 * i as u64, i as u64 % 3, kind);
+        }
+        drop(tracks);
+        let mut trace = tracer.take();
+        trace.tracks[1].dropped = u64::MAX;
+        trace
     }
 
     #[test]
-    fn native_roundtrip_is_lossless() {
+    fn every_kind_roundtrips_losslessly() {
         let trace = sample_trace();
-        let text = export_native(&trace);
-        let back = import_trace(&text).unwrap();
+        let back = import_trace(&export_chrome(&trace)).unwrap();
         assert_eq!(back.tracks.len(), trace.tracks.len());
         for (a, b) in trace.tracks.iter().zip(back.tracks.iter()) {
             assert_eq!(a.name, b.name);
@@ -803,9 +515,38 @@ mod tests {
     }
 
     #[test]
+    fn chrome_events_are_one_per_track_event_and_flow_end() {
+        let trace = sample_trace();
+        let doc = parse(&export_chrome(&trace)).expect("the document parses");
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let phase = |ph: &str| {
+            events
+                .iter()
+                .filter(|e| e.get("ph").and_then(Value::as_str) == Some(ph))
+                .count()
+        };
+        assert_eq!(phase("M"), trace.tracks.len());
+        assert_eq!(phase("X") + phase("i") + phase("C"), trace.num_events());
+        assert_eq!((phase("s"), phase("f")), (1, 1), "one matched copy");
+        assert_eq!(events.len(), trace.tracks.len() + trace.num_events() + 2);
+        // The display args are the table's fields, in their wire form.
+        let access = events
+            .iter()
+            .find(|e| e.get("name").and_then(Value::as_str) == Some("access L1[2]"))
+            .expect("the access event");
+        let args = access.get("args").unwrap();
+        assert_eq!(args.get("k").unwrap().as_str(), Some("task_access"));
+        assert_eq!(
+            args.get("inst").unwrap().as_str(),
+            Some("18446744073709551615")
+        );
+        assert_eq!(args.get("privilege").unwrap().as_str(), Some("reduce:2"));
+    }
+
+    #[test]
     fn chrome_export_embeds_importable_tracks() {
         let trace = sample_trace();
-        let chrome = crate::export_chrome(&trace);
+        let chrome = export_chrome(&trace);
         let back = import_trace(&chrome).unwrap();
         assert_eq!(back.tracks[0].events, trace.tracks[0].events);
     }
@@ -814,7 +555,7 @@ mod tests {
     fn dropped_counts_survive() {
         let mut trace = sample_trace();
         trace.tracks[0].dropped = 41;
-        let back = import_trace(&export_native(&trace)).unwrap();
+        let back = import_trace(&export_chrome(&trace)).unwrap();
         assert_eq!(back.tracks[0].dropped, 41);
     }
 
@@ -822,6 +563,70 @@ mod tests {
     fn bare_chrome_and_garbage_are_rejected() {
         assert!(import_trace("{\"traceEvents\":[]}").is_err());
         assert!(import_trace("not json").is_err());
+    }
+
+    #[test]
+    fn named_values_roundtrip() {
+        fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
+            let mut out = String::new();
+            v.put(&mut out);
+            assert_eq!(T::get(&parse(&out).unwrap()), Ok(v), "{out}");
+        }
+        SITES.iter().for_each(|&(site, _)| roundtrip(site));
+        SIM_KINDS.iter().for_each(|&(kind, _)| roundtrip(kind));
+        for p in [PrivCode::Read, PrivCode::Write, PrivCode::Reduce(255)] {
+            roundtrip(p);
+        }
+    }
+
+    /// Numbers a field's type cannot hold are refused, naming the
+    /// field and the event kind; nothing is converted with `as`.
+    #[test]
+    fn unrepresentable_numbers_are_rejected() {
+        let doc = |dropped: &str, event: &str| {
+            format!(
+                "{{\"regentTracks\":[{{\"name\":\"t\",\"dropped\":{dropped},\"events\":[{event}]}}]}}"
+            )
+        };
+        let launch = |launch: &str, pos: &str, ts: &str| {
+            format!(
+                "{{\"ts\":{ts},\"dur\":0,\"k\":\"task_launch\",\"launch\":{launch},\"pos\":{pos},\
+                 \"task\":0}}"
+            )
+        };
+        let barrier = |generation: &str| {
+            format!("{{\"ts\":0,\"dur\":0,\"k\":\"barrier_arrive\",\"generation\":{generation}}}")
+        };
+        let ok = [
+            doc("0", &launch("4294967295", "0", "9007199254740991")),
+            doc(
+                "\"18446744073709551615\"",
+                &barrier("\"18446744073709551615\""),
+            ),
+        ];
+        for text in &ok {
+            assert!(import_trace(text).is_ok(), "{text}");
+        }
+        let refused = [
+            (
+                doc("0", &launch("4294967296", "0", "0")),
+                "task_launch.launch",
+            ),
+            (doc("0", &launch("0", "-1", "0")), "task_launch.pos"),
+            (doc("0", &launch("0", "0", "1.5")), "task_launch.ts"),
+            (doc("-3", &barrier("0")), "track.dropped"),
+            (doc("0", &barrier("1e300")), "barrier_arrive.generation"),
+            (doc("0", &barrier("\"12x\"")), "barrier_arrive.generation"),
+            (
+                doc("0", &barrier("9007199254740992")),
+                "barrier_arrive.generation",
+            ),
+            (doc("0", &launch("1e300", "0", "0")), "task_launch.launch"),
+        ];
+        for (text, field) in &refused {
+            let err = import_trace(text).expect_err(text);
+            assert!(err.starts_with(field), "{text}: {err}");
+        }
     }
 
     #[test]

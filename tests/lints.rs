@@ -361,3 +361,72 @@ fn env_at_the_edge() {
         }),
     );
 }
+
+/// Every trace file is one document — Chrome `trace_event` with the
+/// `regentTracks` sidecar — and each event kind's wire form is stated
+/// once, in the `event_kinds!` table of `crates/trace/src/event.rs`.
+/// Fails when the native format or a second writer comes back (by name,
+/// CI and docs included; `regentTrace` is matched as a whole word, so
+/// the `regentTracks` key does not count), when a wire tag is spelled
+/// anywhere else in the non-test part of `crates/trace/src`, or when a
+/// second non-test function writes a `traceEvents` document.
+#[test]
+fn one_trace_document() {
+    const GONE: [&str; 4] = [
+        "export_native",
+        "tracks_json",
+        "sim_kind_name",
+        "regentTrace",
+    ];
+    let mut trees = TREE.to_vec();
+    trees.push(".github");
+    assert_none(
+        "a deleted trace format or writer is back",
+        hits(&trees, |line| words(line).any(|w| GONE.contains(&w))),
+    );
+
+    // The table's entries read `Variant = "tag" {` (or `Variant =
+    // "tag",` without fields).
+    let table = fs::read_to_string(root().join("crates/trace/src/event.rs")).expect("event.rs");
+    let tags: Vec<String> = table
+        .lines()
+        .filter_map(|line| {
+            let (variant, rest) = line.trim().split_once(" = \"")?;
+            let tag = rest.split_once('"')?.0;
+            let variant_like = variant.starts_with(|c: char| c.is_ascii_uppercase())
+                && variant.chars().all(|c| c.is_ascii_alphanumeric());
+            variant_like.then(|| format!("\"{tag}\""))
+        })
+        .collect();
+    assert!(
+        tags.len() >= 38,
+        "the event table's entries were not found: {tags:?}"
+    );
+    // Blame phases are another namespace that shares two names
+    // (`Phase::DepAnalysis` is `"dep_analysis"` in bench artifacts).
+    for tag in &tags {
+        let found = scan(&["crates/trace/src"], true, |line| {
+            line.contains(tag.as_str()) && !line.contains("Phase::")
+        });
+        assert!(
+            found.len() == 1,
+            "wire tag {tag} is not stated exactly once:\n{}",
+            found.join("\n")
+        );
+    }
+
+    let writes: Vec<String> = scan(&["crates", "src", "examples"], true, |line| {
+        line.contains("traceEvents") && !line.trim_start().starts_with("//")
+    })
+    .into_iter()
+    .filter(|h| {
+        let file = h.split(':').next().expect("scan hits start with the path");
+        file.ends_with(".rs") && !file.contains("/tests/")
+    })
+    .collect();
+    assert!(
+        writes.len() == 1 && writes[0].starts_with("crates/trace/src/chrome.rs:"),
+        "the trace document is written by one function, `export_chrome`:\n{}",
+        writes.join("\n")
+    );
+}
