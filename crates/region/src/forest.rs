@@ -10,11 +10,17 @@
 //! partition through different children, the regions cannot overlap.
 //! This is the static test the control-replication compiler relies on to
 //! avoid inserting copies between non-interfering partitions (§3.1).
+//!
+//! The runtime's question is the weaker one, "may these two regions
+//! share elements": not provably disjoint, and the domains overlap.
+//! [`RegionForest::aliases`] answers it for one region against all the
+//! others at once, and keeps the answer until the forest changes.
 
 use crate::field::FieldSpace;
 use regent_geometry::{Domain, DynPoint};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a logical region in a [`RegionForest`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -126,6 +132,10 @@ pub struct RegionForest {
     /// the epoch-trace memoizer in `regent-runtime` — compare versions
     /// to detect that a cached analysis went stale.
     version: u64,
+    /// [`RegionForest::aliases`] of each region, filled on first query
+    /// and emptied by every structural change. The outer cell stays
+    /// empty until a query, so building a forest pays nothing for it.
+    alias_lists: OnceLock<Vec<OnceLock<Box<[RegionId]>>>>,
 }
 
 impl RegionForest {
@@ -149,6 +159,7 @@ impl RegionForest {
         self.field_spaces.push(fields);
         self.root_fs.insert(id, fs_idx);
         self.version += 1;
+        self.alias_lists.take();
         id
     }
 
@@ -202,6 +213,7 @@ impl RegionForest {
         });
         self.regions[parent.0 as usize].partitions.push(pid);
         self.version += 1;
+        self.alias_lists.take();
         pid
     }
 
@@ -251,15 +263,13 @@ impl RegionForest {
         self.partitions.len()
     }
 
-    /// The chain of `(partition, color)` links from `r` up to its root
-    /// (nearest first).
-    fn ancestry(&self, mut r: RegionId) -> Vec<(PartitionId, Color, RegionId)> {
-        let mut out = Vec::new();
-        while let Some((p, c)) = self.regions[r.0 as usize].parent {
-            out.push((p, c, r));
-            r = self.partitions[p.0 as usize].parent;
-        }
-        out
+    /// The partition holding the non-root region `r`, and that
+    /// partition's parent region.
+    fn parent_link(&self, r: RegionId) -> (PartitionId, RegionId) {
+        let (p, _) = self.regions[r.0 as usize]
+            .parent
+            .expect("only a tree root has no parent, and no caller climbs past it");
+        (p, self.partitions[p.0 as usize].parent)
     }
 
     /// The static disjointness test of §2.3: returns `true` only when the
@@ -275,32 +285,92 @@ impl RegionForest {
         if a == b {
             return false;
         }
-        if self.regions[a.0 as usize].root != self.regions[b.0 as usize].root {
+        let (na, nb) = (&self.regions[a.0 as usize], &self.regions[b.0 as usize]);
+        if na.root != nb.root {
             // Different trees never share elements.
             return true;
         }
-        // Paths from root down to each region: reverse ancestry.
-        let mut pa = self.ancestry(a);
-        let mut pb = self.ancestry(b);
-        pa.reverse();
-        pb.reverse();
-        // Find the first divergence.
-        let mut i = 0;
-        while i < pa.len() && i < pb.len() && pa[i].2 == pb[i].2 {
-            i += 1;
+        // Lift the deeper region to the other's depth; landing on the
+        // other means one contains the other.
+        let (mut a, mut b) = (a, b);
+        for _ in nb.depth..na.depth {
+            a = self.parent_link(a).1;
         }
-        if i >= pa.len() || i >= pb.len() {
-            // One region is an ancestor of the other (or equal): overlap.
+        for _ in na.depth..nb.depth {
+            b = self.parent_link(b).1;
+        }
+        if a == b {
             return false;
         }
-        let (p1, c1, _) = pa[i];
-        let (p2, c2, _) = pb[i];
-        if p1 == p2 && c1 != c2 {
-            return self.partitions[p1.0 as usize].disjointness == Disjointness::Disjoint;
+        // Climb in step to the two children of the least common
+        // ancestor. Distinct regions of one tree at equal depth are
+        // both below its root, so neither climb runs out.
+        loop {
+            let ((pa, ua), (pb, ub)) = (self.parent_link(a), self.parent_link(b));
+            if ua == ub {
+                // One partition means two colors (`a != b`); two
+                // partitions of one region prove nothing statically.
+                return pa == pb
+                    && self.partitions[pa.0 as usize].disjointness == Disjointness::Disjoint;
+            }
+            (a, b) = (ua, ub);
         }
-        // Divergence through different partitions of the same region:
-        // nothing is proven statically.
-        false
+    }
+
+    /// The regions that may share elements with `r`: every `s` with
+    /// `!provably_disjoint(r, s)` whose domain overlaps `r`'s, `r`
+    /// itself included unless its domain is empty. Sorted by id.
+    ///
+    /// Computed once per region and forest version by one walk of `r`'s
+    /// tree, then kept: creating a region or partition forgets every
+    /// list, and a clone carries the lists it has. The walk skips a
+    /// subtree whose domain misses `r`'s (a subregion lies inside its
+    /// parent), and under a disjoint partition on `r`'s own path enters
+    /// only `r`'s branch (the other branches are provably disjoint).
+    pub fn aliases(&self, r: RegionId) -> &[RegionId] {
+        let lists = self
+            .alias_lists
+            .get_or_init(|| (0..self.regions.len()).map(|_| OnceLock::new()).collect());
+        lists[r.0 as usize].get_or_init(|| {
+            // `r`'s path from the root, as the child taken below each
+            // ancestor.
+            let node = &self.regions[r.0 as usize];
+            let mut path = vec![r; node.depth as usize];
+            let mut cur = r;
+            for step in path.iter_mut().rev() {
+                *step = cur;
+                cur = self.parent_link(cur).1;
+            }
+            let mut out = Vec::new();
+            self.alias_walk(&node.domain, node.root, &path, &mut out);
+            out.sort_unstable();
+            out.into_boxed_slice()
+        })
+    }
+
+    /// Adds `s` and its descendants that overlap `dom` and are not
+    /// provably disjoint from the queried region to `out`. `path` is the
+    /// rest of the queried region's path below `s` when `s` is one of its
+    /// ancestors, and empty otherwise.
+    fn alias_walk(&self, dom: &Domain, s: RegionId, path: &[RegionId], out: &mut Vec<RegionId>) {
+        let node = &self.regions[s.0 as usize];
+        if !node.domain.overlaps(dom) {
+            return;
+        }
+        out.push(s);
+        let next = path.first().map(|&c| (self.parent_link(c).0, c));
+        for &p in &node.partitions {
+            let part = &self.partitions[p.0 as usize];
+            let on_path = next.filter(|&(q, _)| q == p).map(|(_, child)| child);
+            for c in part.child_regions() {
+                match on_path {
+                    Some(child) if c == child => self.alias_walk(dom, c, &path[1..], out),
+                    // A sibling of the queried region's own branch.
+                    Some(_) if part.disjointness == Disjointness::Disjoint => {}
+                    _ => self.alias_walk(dom, c, &[], out),
+                }
+            }
+        }
     }
 
     /// Exact dynamic disjointness: compares the actual domains. Used by

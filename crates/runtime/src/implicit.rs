@@ -8,17 +8,24 @@
 //! over the tasks in an executing program"), and hands ready tasks to a
 //! worker pool. Two accesses conflict — and their tasks are ordered —
 //! only when all three hold: the privileges are incompatible, the
-//! declared field sets intersect, and the regions may alias. The first
-//! two are a compare and an `and` of two field masks (the masks the
+//! declared field sets intersect, and the regions may alias. The third
+//! is the forest's: the window keeps its records by region, and a new
+//! access visits only the records on the regions
+//! [`RegionForest::aliases`] lists for its own (kept by the program's
+//! forest from one run to the next). Each of those records then costs a
+//! compare of privileges and an `and` of two field masks (the masks the
 //! Spy validator reads from the trace, so executor and certifier apply
-//! one rule); the third is a lookup in the [`AliasTable`], which asks
-//! the region tree and the domains once per region pair.
+//! one rule).
 //!
 //! The window holds one record per access and stays small because a
 //! record is *retired* as soon as a later mutating access dominates it
 //! (same region or an ancestor, covering its fields): anything that
 //! would conflict with the retired record also conflicts with the
 //! dominating one, and the happens-before graph is transitive.
+//!
+//! Each worker has a ready queue; a worker with nothing to run, and the
+//! control thread waiting for the pool to drain, block in the runtime's
+//! one wait primitive (`wait.rs`: spin briefly, then park).
 //!
 //! This is precisely the architecture whose *per-task control overhead*
 //! grows with the machine: the control thread does O(N) analysis work
@@ -53,6 +60,7 @@ use crate::config;
 use crate::mapper::{DefaultMapper, Mapper};
 use crate::memo::{self, EpochTemplate, MemoCache};
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
+use crate::wait::Waiters;
 use regent_geometry::DynPoint;
 use regent_ir::{
     interp::resolve_arg, ArgSlot, IndexLaunch, Privilege, Program, RegionArg, RegionParam, Stmt,
@@ -60,10 +68,9 @@ use regent_ir::{
 };
 use regent_region::{Disjointness, Instance, RegionForest, RegionId};
 use regent_trace::{fields_mask, EventKind, PrivCode, TraceBuf, Tracer};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Options for the implicit executor.
@@ -81,8 +88,7 @@ pub struct ImplicitOptions {
     /// very first epoch of a re-run.
     pub memo: Option<Arc<Mutex<MemoCache>>>,
     /// How long the control thread waits for the worker pool to drain
-    /// before it panics with a "likely deadlock" diagnostic (and the
-    /// cadence at which a starved worker re-polls its queue).
+    /// before it panics with a "likely deadlock" diagnostic.
     pub hang_timeout: Duration,
 }
 
@@ -118,8 +124,9 @@ impl Default for ImplicitOptions {
 pub struct ImplicitStats {
     /// Point tasks launched.
     pub tasks_launched: u64,
-    /// Pairwise dependence checks performed by the control thread —
-    /// the dynamic-analysis work that makes single-control-thread
+    /// Window records the control thread compared with a new access
+    /// on a region that may alias theirs (privileges and field masks)
+    /// — the dynamic-analysis work that makes single-control-thread
     /// execution stop scaling (§1).
     pub dependence_checks: u64,
     /// Dependence edges recorded.
@@ -160,45 +167,121 @@ struct Job<'p> {
     done: AtomicBool,
 }
 
+/// One worker's ready jobs.
+#[derive(Default)]
+struct ReadyQueue<'p> {
+    jobs: Mutex<VecDeque<Arc<Job<'p>>>>,
+    /// `jobs.len()`, stored under the lock after every change, so the
+    /// worker polls an empty queue without taking the lock.
+    len: AtomicUsize,
+    /// The worker, when it has parked on an empty queue.
+    waiters: Waiters,
+}
+
 struct Pool<'p> {
     /// One ready queue per worker; the mapper picks the queue.
-    ready_tx: Vec<Sender<Option<Arc<Job<'p>>>>>,
-    outstanding: Mutex<usize>,
-    drained: Condvar,
+    ready: Vec<ReadyQueue<'p>>,
+    /// Jobs issued and not yet run: the drain waits for zero.
+    outstanding: AtomicUsize,
+    /// The control thread, when it has parked in a drain.
+    drained: Waiters,
+    /// Set when the control thread is done issuing (or unwinding):
+    /// workers exit instead of waiting for more.
+    closed: AtomicBool,
     hang_timeout: Duration,
 }
 
 impl<'p> Pool<'p> {
+    fn new(workers: usize, hang_timeout: Duration) -> Self {
+        Pool {
+            ready: (0..workers).map(|_| ReadyQueue::default()).collect(),
+            outstanding: AtomicUsize::new(0),
+            drained: Waiters::default(),
+            closed: AtomicBool::new(false),
+            hang_timeout,
+        }
+    }
+
     fn submit(&self, job: Arc<Job<'p>>) {
-        let w = job.worker;
-        self.ready_tx[w].send(Some(job)).unwrap();
+        let q = &self.ready[job.worker];
+        {
+            let mut jobs = q
+                .jobs
+                .lock()
+                .expect("no thread panics holding a ready queue");
+            jobs.push_back(job);
+            q.len.store(jobs.len(), Ordering::Release);
+        }
+        q.waiters.wake();
+    }
+
+    /// Blocks until `worker` has a job, or returns `None` once the pool
+    /// is closed. A worker waits with no deadline: the control thread's
+    /// drain is what times out, and closing the pool (which unwinding
+    /// does too) is what ends an idle worker.
+    fn next(&self, worker: usize) -> Option<Arc<Job<'p>>> {
+        let q = &self.ready[worker];
+        q.waiters
+            .wait(Duration::MAX, || {
+                if self.closed.load(Ordering::Acquire) {
+                    return Some(None);
+                }
+                if q.len.load(Ordering::Acquire) == 0 {
+                    return None;
+                }
+                let mut jobs = q
+                    .jobs
+                    .lock()
+                    .expect("no thread panics holding a ready queue");
+                let job = jobs.pop_front();
+                q.len.store(jobs.len(), Ordering::Release);
+                job.map(Some)
+            })
+            .flatten()
+    }
+
+    /// Ends every worker's wait for more jobs.
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        for q in &self.ready {
+            q.waiters.wake();
+        }
     }
 
     fn complete_one(&self) {
-        let mut n = self.outstanding.lock().unwrap();
-        *n -= 1;
-        if *n == 0 {
-            self.drained.notify_all();
+        // Release: the drain's Acquire load of zero then sees everything
+        // the finished kernels wrote.
+        if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.drained.wake();
         }
     }
 
     fn register(&self) {
-        *self.outstanding.lock().unwrap() += 1;
+        // Publishes nothing: only the count itself is read.
+        self.outstanding.fetch_add(1, Ordering::Relaxed);
     }
 
     fn wait_drained(&self) {
-        let mut n = self.outstanding.lock().unwrap();
-        while *n > 0 {
-            let (guard, timeout) = self.drained.wait_timeout(n, self.hang_timeout).unwrap();
-            n = guard;
-            if timeout.timed_out() && *n > 0 {
-                panic!(
-                    "likely deadlock: control thread waited {:?} for the worker pool to drain ({} tasks still outstanding)",
-                    self.hang_timeout,
-                    *n
-                );
-            }
+        let drained = self.drained.wait(self.hang_timeout, || {
+            (self.outstanding.load(Ordering::Acquire) == 0).then_some(())
+        });
+        if drained.is_none() {
+            panic!(
+                "likely deadlock: control thread waited {:?} for the worker pool to drain ({} tasks still outstanding)",
+                self.hang_timeout,
+                self.outstanding.load(Ordering::Acquire)
+            );
         }
+    }
+}
+
+/// Closes the pool when dropped, so the workers exit whether the
+/// control thread returns or unwinds.
+struct CloseOnDrop<'a, 'p>(&'a Pool<'p>);
+
+impl Drop for CloseOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -266,14 +349,12 @@ impl Access {
         }
     }
 
-    /// The conflict rule: incompatible privileges **and** intersecting
-    /// field sets **and** possibly-aliasing regions, cheapest test
-    /// first.
+    /// The conflict rule for two accesses to regions that may alias
+    /// ([`RegionForest::aliases`]): incompatible privileges **and**
+    /// intersecting field sets.
     #[inline]
-    fn conflicts_with(&self, later: &Access, alias: &mut AliasTable<'_>) -> bool {
-        needs_edge(self.privilege, later.privilege)
-            && self.fields & later.fields != 0
-            && alias.may_alias(self.region, later.region)
+    fn conflicts_with(&self, later: &Access) -> bool {
+        needs_edge(self.privilege, later.privilege) && self.fields & later.fields != 0
     }
 
     /// True when `self`, issued after `earlier`, makes `earlier`'s
@@ -290,68 +371,25 @@ impl Access {
     }
 }
 
-/// "May these two regions share elements?", answered once per region
-/// pair.
-///
-/// The verdict — not provably disjoint in the region tree and the
-/// domains overlap — is a function of the forest alone. Computing it
-/// walks two ancestor chains and intersects two rectangle lists; the
-/// window scan asks it for the same few pairs every time step. So the
-/// first answer is kept in a dense triangular table over the regions
-/// compared so far and read back in O(1). The table borrows the forest,
-/// so it cannot outlive a forest version: creating a region or
-/// partition needs `&mut RegionForest`.
-struct AliasTable<'f> {
-    forest: &'f RegionForest,
-    /// `RegionId` → table row; `NO_SLOT` until the region is first
-    /// compared.
-    slot_of: Vec<u32>,
-    rows: u32,
-    /// Verdict of rows `i ≥ j` at `i (i + 1) / 2 + j`.
-    verdicts: Vec<Option<bool>>,
+/// An access of an issued task that a later task might still have to
+/// be ordered after.
+struct Record<'p> {
+    access: Access,
+    job: Arc<Job<'p>>,
+    /// The number of the last analysis that found this record in
+    /// conflict: that analysis's first conflicting access decided it.
+    decided: u64,
 }
 
-const NO_SLOT: u32 = u32::MAX;
-
-impl<'f> AliasTable<'f> {
-    fn new(forest: &'f RegionForest) -> Self {
-        AliasTable {
-            forest,
-            slot_of: vec![NO_SLOT; forest.num_regions()],
-            rows: 0,
-            verdicts: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn slot(&mut self, r: RegionId) -> u32 {
-        let slot = &mut self.slot_of[r.0 as usize];
-        if *slot == NO_SLOT {
-            *slot = self.rows;
-            self.rows += 1;
-            let n = self.rows as usize;
-            self.verdicts.resize(n * (n + 1) / 2, None);
-        }
-        *slot
-    }
-
-    #[inline]
-    fn may_alias(&mut self, a: RegionId, b: RegionId) -> bool {
-        let (sa, sb) = (self.slot(a) as usize, self.slot(b) as usize);
-        let (hi, lo) = (sa.max(sb), sa.min(sb));
-        let forest = self.forest;
-        *self.verdicts[hi * (hi + 1) / 2 + lo].get_or_insert_with(|| {
-            !forest.provably_disjoint(a, b) && forest.domain(a).overlaps(forest.domain(b))
-        })
-    }
-}
-
-/// Control-thread state: one record per access of every issued task
-/// that a later task might still have to be ordered after, in issue
-/// order (a task's records are adjacent).
-struct Window<'f> {
-    records: Vec<(Access, Arc<Job<'f>>)>,
-    alias: AliasTable<'f>,
+/// Control-thread state: the records, kept by the region of their
+/// access, each bucket in issue order.
+struct Window<'p> {
+    by_region: Vec<Vec<Record<'p>>>,
+    /// Records in all buckets.
+    len: usize,
+    /// Analyses run so far; the running one's number stamps the records
+    /// it decides.
+    analyses: u64,
     /// [`launch_covers`] of every index launch issued so far, by
     /// statement (the program does not move or change during a run).
     covers: HashMap<*const IndexLaunch, Vec<Access>>,
@@ -393,27 +431,102 @@ fn launch_covers(program: &Program, il: &IndexLaunch) -> Vec<Access> {
     out
 }
 
-impl Window<'_> {
+impl<'p> Window<'p> {
+    fn new(forest: &RegionForest) -> Self {
+        Window {
+            by_region: (0..forest.num_regions()).map(|_| Vec::new()).collect(),
+            len: 0,
+            analyses: 0,
+            covers: HashMap::new(),
+        }
+    }
+
+    fn push(&mut self, access: Access, job: &Arc<Job<'p>>) {
+        self.by_region[access.region.0 as usize].push(Record {
+            access,
+            job: Arc::clone(job),
+            decided: 0,
+        });
+        self.len += 1;
+    }
+
+    /// Keeps the records for which `keep` holds, in every bucket.
+    fn retain(&mut self, mut keep: impl FnMut(&Record<'p>) -> bool) {
+        for bucket in self.by_region.iter_mut().filter(|b| !b.is_empty()) {
+            let before = bucket.len();
+            bucket.retain(&mut keep);
+            self.len -= before - bucket.len();
+        }
+    }
+
+    fn clear(&mut self) {
+        self.retain(|_| false);
+    }
+
     /// Retires the records older than index launch `il` (sequence
     /// number `launch`) that its point tasks together dominate.
     fn retire_covered(&mut self, program: &Program, il: &IndexLaunch, launch: u32) {
-        let covers = self
-            .covers
+        let mut all = std::mem::take(&mut self.covers);
+        let covers = all
             .entry(il as *const IndexLaunch)
             .or_insert_with(|| launch_covers(program, il));
-        if covers.is_empty() {
-            return;
+        if !covers.is_empty() {
+            self.retain(|rec| {
+                rec.job.launch >= launch
+                    || !covers
+                        .iter()
+                        .any(|c| c.dominates(&rec.access, &program.forest))
+            });
         }
-        self.records.retain(|(prev, job)| {
-            job.launch >= launch || !covers.iter().any(|c| c.dominates(prev, &program.forest))
-        });
+        self.covers = all;
     }
 
     /// Drops the records of finished tasks. Not part of the steady
     /// state — dominated records are retired as they are found — but a
     /// program that never writes what it reads retires nothing.
     fn prune(&mut self) {
-        self.records.retain(|(_, j)| !j.done.load(Ordering::SeqCst));
+        self.retain(|rec| !rec.job.done.load(Ordering::SeqCst));
+    }
+
+    /// The dependence analysis of one task with `accesses`: returns its
+    /// predecessors in issue order, one per task, and retires every
+    /// record one of them dominates. A record is decided by the first of
+    /// `accesses`, in argument order, that conflicts with it, as when
+    /// every record met every access in turn; the buckets visited for an
+    /// access are those of [`RegionForest::aliases`] of its region.
+    /// Adds the records compared to `checks`.
+    fn analyse(
+        &mut self,
+        forest: &RegionForest,
+        accesses: &[Access],
+        checks: &mut u64,
+    ) -> Vec<Arc<Job<'p>>> {
+        self.analyses += 1;
+        let stamp = self.analyses;
+        let mut preds: Vec<Arc<Job<'p>>> = Vec::new();
+        for next in accesses {
+            for &s in forest.aliases(next.region) {
+                let bucket = &mut self.by_region[s.0 as usize];
+                let before = bucket.len();
+                bucket.retain_mut(|rec| {
+                    if rec.decided == stamp {
+                        return true;
+                    }
+                    *checks += 1;
+                    if !rec.access.conflicts_with(next) {
+                        return true;
+                    }
+                    rec.decided = stamp;
+                    preds.push(Arc::clone(&rec.job));
+                    !next.dominates(&rec.access, forest)
+                });
+                self.len -= before - bucket.len();
+            }
+        }
+        // Launch and position order is issue order.
+        preds.sort_unstable_by_key(|j| (j.launch, j.pos));
+        preds.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        preds
     }
 }
 
@@ -473,7 +586,7 @@ struct EpochRec<'p> {
     /// The window overflowed mid-epoch and was pruned; the recorded
     /// edges may be incomplete, so no template may be stored.
     poisoned: bool,
-    /// Pairwise dependence checks paid inside this epoch.
+    /// Dependence checks paid inside this epoch.
     checks: u64,
     /// Tasks issued via replay in this epoch.
     replayed: u64,
@@ -519,7 +632,7 @@ fn memo_begin_epoch<'p>(
         // epoch needs, so no cross-epoch analysis is required.
         pool.wait_drained();
         ctl.drained();
-        window.records.clear();
+        window.clear();
     }
     let m = ctl.memo.as_mut().unwrap();
     m.epoch = Some(EpochRec {
@@ -646,19 +759,7 @@ pub fn execute_implicit(
         inst_ptrs.insert(r, store.instance_mut(program, r) as *mut Instance);
     }
 
-    let mut senders = Vec::with_capacity(opts.num_workers);
-    let mut receivers = Vec::with_capacity(opts.num_workers);
-    for _ in 0..opts.num_workers {
-        let (tx, rx) = channel::<Option<Arc<Job>>>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let pool = Pool {
-        ready_tx: senders,
-        outstanding: Mutex::new(0),
-        drained: Condvar::new(),
-        hang_timeout: opts.hang_timeout,
-    };
+    let pool = Pool::new(opts.num_workers, opts.hang_timeout);
 
     let mut ctl = Ctl {
         stats: ImplicitStats::default(),
@@ -673,36 +774,21 @@ pub fn execute_implicit(
     };
 
     std::thread::scope(|scope| {
-        for (w, rx) in receivers.into_iter().enumerate() {
+        let _close = CloseOnDrop(&pool);
+        for w in 0..opts.num_workers {
             let pool = &pool;
             let tasks = &program.tasks;
             let tracer = Arc::clone(&opts.tracer);
             scope.spawn(move || {
                 let mut tb = tracer.buffer(&format!("worker-{w}"));
                 let mut mx = metrics::global().handle(&format!("worker-{w}"));
-                // Bounded waits: a worker starved past the hang
-                // timeout keeps polling (the control thread may just
-                // be slow), but a disconnected channel or poison pill
-                // ends the loop. The timeout exists so a worker stuck
-                // on a job someone else deadlocked behind surfaces in
-                // thread dumps at a known cadence rather than parking
-                // forever in an unbounded recv().
-                loop {
-                    match rx.recv_timeout(pool.hang_timeout) {
-                        Ok(Some(job)) => run_job(&job, tasks, pool, &mut tb, &mut mx),
-                        Ok(None) => break,
-                        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-                        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-                    }
+                while let Some(job) = pool.next(w) {
+                    run_job(&job, tasks, pool, &mut tb, &mut mx);
                 }
             });
         }
 
-        let mut window = Window {
-            records: Vec::new(),
-            alias: AliasTable::new(&program.forest),
-            covers: HashMap::new(),
-        };
+        let mut window = Window::new(&program.forest);
         let route = Route {
             mapper: Arc::clone(&opts.mapper),
             num_workers: opts.num_workers,
@@ -720,10 +806,6 @@ pub fn execute_implicit(
         memo_end_epoch(&mut ctl);
         pool.wait_drained();
         ctl.drained();
-        // Poison pills: one per worker so every thread exits recv().
-        for tx in &pool.ready_tx {
-            tx.send(None).unwrap();
-        }
     });
 
     ctl.tb.flush();
@@ -797,7 +879,7 @@ fn exec_stmts<'p>(
                         });
                     }
                     env[var.0 as usize] = acc.unwrap_or_else(|| op.identity());
-                    window.records.clear();
+                    window.clear();
                 }
             }
             Stmt::SingleLaunch(sl) => {
@@ -823,7 +905,7 @@ fn exec_stmts<'p>(
                     env[var.0 as usize] = job.ret.lock().unwrap().unwrap_or_else(|| {
                         panic!("task {} returned no value", program.task(sl.task).name)
                     });
-                    window.records.clear();
+                    window.clear();
                 }
             }
             Stmt::For { count, body } => {
@@ -1029,53 +1111,40 @@ fn issue_task<'p>(
     }
 
     if !replayed {
-        // Dependence analysis (the per-task control overhead): one pass
-        // over the window that finds the predecessors and retires the
-        // records this task dominates.
+        // Dependence analysis (the per-task control overhead): finds the
+        // predecessors in the window and retires the records this task
+        // dominates.
         let analysis_start = ctl.tb.now();
         let analysis_m0 = ctl.mx.start();
-        let checks_before = ctl.stats.dependence_checks;
+        let mut checks = 0u64;
         let mut n_deps = 0usize;
         let mut epoch_preds: Vec<u32> = Vec::new();
-        let mut last_pred: *const Job = std::ptr::null();
-        let Window { records, alias, .. } = &mut *window;
-        records.retain(|(prev, prev_job)| {
-            let hit = accesses.iter().find(|next| {
-                ctl.stats.dependence_checks += 1;
-                prev.conflicts_with(next, alias)
+        for prev_job in window.analyse(forest, &accesses, &mut checks) {
+            // The edge is recorded even when the predecessor already
+            // finished: its completion happened-before this launch, so
+            // the ordering is real either way (the trace validator
+            // relies on it).
+            ctl.tb.instant(EventKind::DepEdge {
+                from_launch: prev_job.launch,
+                from_pos: prev_job.pos,
+                to_launch: launch,
+                to_pos: pos,
             });
-            let Some(next) = hit else { return true };
-            // One edge per predecessor task, however many of its
-            // accesses conflict (its records are adjacent).
-            if !std::ptr::eq(Arc::as_ptr(prev_job), last_pred) {
-                last_pred = Arc::as_ptr(prev_job);
-                // The edge is recorded even when the predecessor already
-                // finished: its completion happened-before this launch, so
-                // the ordering is real either way (the trace validator
-                // relies on it).
-                ctl.tb.instant(EventKind::DepEdge {
-                    from_launch: prev_job.launch,
-                    from_pos: prev_job.pos,
-                    to_launch: launch,
-                    to_pos: pos,
-                });
-                // Intra-epoch conflicts feed the template being captured.
-                if let Some(ep) = ctl.memo.as_ref().and_then(|m| m.epoch.as_ref()) {
-                    if let Some(&idx) = ep.index_of.get(&(Arc::as_ptr(prev_job) as usize)) {
-                        epoch_preds.push(idx);
-                    }
-                }
-                // Register the edge unless the predecessor already finished.
-                let mut deps = prev_job.dependents.lock().unwrap();
-                if !prev_job.done.load(Ordering::SeqCst) {
-                    job.remaining.fetch_add(1, Ordering::SeqCst);
-                    deps.push(Arc::clone(&job));
-                    n_deps += 1;
+            // Intra-epoch conflicts feed the template being captured.
+            if let Some(ep) = ctl.memo.as_ref().and_then(|m| m.epoch.as_ref()) {
+                if let Some(&idx) = ep.index_of.get(&(Arc::as_ptr(&prev_job) as usize)) {
+                    epoch_preds.push(idx);
                 }
             }
-            !next.dominates(prev, forest)
-        });
-        let checks = ctl.stats.dependence_checks - checks_before;
+            // Register the edge unless the predecessor already finished.
+            let mut deps = prev_job.dependents.lock().unwrap();
+            if !prev_job.done.load(Ordering::SeqCst) {
+                job.remaining.fetch_add(1, Ordering::SeqCst);
+                deps.push(Arc::clone(&job));
+                n_deps += 1;
+            }
+        }
+        ctl.stats.dependence_checks += checks;
         ctl.tb.span_since(
             analysis_start,
             EventKind::DepAnalysis {
@@ -1099,10 +1168,10 @@ fn issue_task<'p>(
     if job.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
         pool.submit(Arc::clone(&job));
     }
-    window
-        .records
-        .extend(accesses.iter().map(|&a| (a, Arc::clone(&job))));
-    ctl.stats.max_window = ctl.stats.max_window.max(window.records.len());
+    for &a in &accesses {
+        window.push(a, &job);
+    }
+    ctl.stats.max_window = ctl.stats.max_window.max(window.len);
     // Record the launch in the open epoch (both modes), keeping `sigs`
     // parallel to the `edges` entry pushed above.
     if let Some(sig) = sig {
@@ -1112,10 +1181,10 @@ fn issue_task<'p>(
         ep.sigs.push(sig);
         ep.jobs.push(Arc::clone(&job));
     }
-    if window.records.len() > 4096 {
+    if window.len > 4096 {
         if sig.is_none() {
             window.prune();
-        } else if window.records.len() > 65536 {
+        } else if window.len > 65536 {
             // Pruning mid-epoch can drop a completed intra-epoch
             // predecessor and leave the captured template missing an
             // edge, so while an epoch is open the window only shrinks
@@ -1131,9 +1200,20 @@ fn issue_task<'p>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regent_geometry::Domain;
+    use regent_geometry::{Domain, DynRect};
     use regent_ir::{ProgramBuilder, TaskDecl};
     use regent_region::{FieldId, FieldSpace, FieldType, ReductionOp};
+
+    // The regions `edges_on` calls name, by index: the root `[0, 7]`,
+    // the halves of a disjoint partition, three subregions of an aliased
+    // one, and the empty child of a third.
+    const ROOT: usize = 0;
+    const LEFT: usize = 1; // [0, 3]
+    const RIGHT: usize = 2; // [4, 7]
+    const MID: usize = 3; // [2, 5], aliased with HIGH
+    const HIGH: usize = 4; // [4, 7]
+    const LOW: usize = 5; // [0, 1], in MID and HIGH's partition, overlapping neither
+    const EMPTY: usize = 6;
 
     /// Calls one single-argument task per entry of `params`, in order,
     /// all on the same 8-element region of 66 fields, and returns the
@@ -1142,13 +1222,37 @@ mod tests {
     /// logged whether or not the predecessor had already finished, so
     /// the list is a function of the program alone.
     fn edges_between(params: &[RegionParam]) -> (Vec<(u32, u32)>, Vec<f64>) {
+        let calls: Vec<(usize, RegionParam)> = params.iter().map(|p| (ROOT, p.clone())).collect();
+        edges_on(&calls)
+    }
+
+    /// [`edges_between`] with each call on the region its index names.
+    fn edges_on(calls: &[(usize, RegionParam)]) -> (Vec<(u32, u32)>, Vec<f64>) {
         let mut b = ProgramBuilder::new();
         let mut fs = FieldSpace::new();
         for i in 0..66 {
             fs.add(&format!("f{i}"), FieldType::F64);
         }
         let region = b.forest.create_region(Domain::range(8), fs);
-        for (i, param) in params.iter().enumerate() {
+        let span = |lo, hi| Domain::from_rect(DynRect::span(lo, hi));
+        let mut regions = vec![region];
+        for (disjointness, doms) in [
+            (Disjointness::Disjoint, vec![span(0, 3), span(4, 7)]),
+            (
+                Disjointness::Aliased,
+                vec![span(2, 5), span(4, 7), span(0, 1)],
+            ),
+            (Disjointness::Disjoint, vec![Domain::empty(1), span(0, 7)]),
+        ] {
+            let colored = doms
+                .into_iter()
+                .enumerate()
+                .map(|(c, d)| (DynPoint::from(c as i64), d))
+                .collect();
+            let p = b.forest.create_partition(region, disjointness, colored);
+            regions.extend(b.forest.partition(p).child_regions());
+        }
+        for (i, (at, param)) in calls.iter().enumerate() {
             let field = param.fields[0];
             let task = b.task(TaskDecl {
                 name: format!("t{i}"),
@@ -1173,7 +1277,7 @@ mod tests {
                 }),
                 cost_per_element: 1.0,
             });
-            b.call(task, vec![region]);
+            b.call(task, vec![regions[*at]]);
         }
         let prog = b.build();
         let mut store = Store::new(&prog);
@@ -1262,5 +1366,68 @@ mod tests {
             RegionParam::read_write(&f(64)),
         ]);
         assert_eq!(edges, vec![]);
+    }
+
+    // Older records in three positions relative to the new access, each
+    // pinned to the edges the pairwise window scan recorded before the
+    // window was indexed by region.
+
+    #[test]
+    fn an_older_record_on_an_ancestor() {
+        let (rd, rw) = (RegionParam::read(&f(0)), RegionParam::read_write(&f(0)));
+        let (edges, _) = edges_on(&[
+            (ROOT, rd.clone()),
+            (LEFT, rw.clone()),
+            (RIGHT, rw.clone()),
+            (ROOT, rd.clone()),
+            (ROOT, rw),
+            (LEFT, rd),
+        ]);
+        // The halves are provably disjoint; a half's write does not
+        // retire the root's read, the root's write retires everything.
+        assert_eq!(
+            edges,
+            vec![
+                (0, 1),
+                (0, 2),
+                (1, 3),
+                (2, 3),
+                (0, 4),
+                (1, 4),
+                (2, 4),
+                (3, 4),
+                (4, 5)
+            ]
+        );
+    }
+
+    #[test]
+    fn an_older_record_on_an_aliased_sibling() {
+        let (rd, rw) = (RegionParam::read(&f(0)), RegionParam::read_write(&f(0)));
+        let (edges, _) = edges_on(&[
+            (MID, rw.clone()),
+            (HIGH, rd.clone()),
+            (LOW, rw.clone()),
+            (HIGH, rw),
+            (MID, rd.clone()),
+            (LOW, rd),
+        ]);
+        // MID and HIGH share [4, 5]; LOW shares an aliased partition
+        // with both and elements with neither.
+        assert_eq!(edges, vec![(0, 1), (0, 3), (1, 3), (0, 4), (3, 4), (2, 5)]);
+    }
+
+    #[test]
+    fn an_older_record_on_an_empty_subregion() {
+        let (rd, rw) = (RegionParam::read(&f(0)), RegionParam::read_write(&f(0)));
+        let (edges, _) = edges_on(&[
+            (EMPTY, rw.clone()),
+            (ROOT, rw.clone()),
+            (EMPTY, rd.clone()),
+            (LEFT, rd),
+            (EMPTY, rw),
+        ]);
+        // An empty region aliases nothing, itself included.
+        assert_eq!(edges, vec![(1, 3)]);
     }
 }

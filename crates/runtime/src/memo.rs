@@ -101,8 +101,8 @@ pub struct EpochTemplate {
     pub edges: Vec<Vec<u32>>,
     /// Region-forest version the analysis was captured against.
     pub forest_version: u64,
-    /// Pairwise dependence checks the capture paid — the cost a replay
-    /// of this template avoids.
+    /// Dependence checks ([`crate::ImplicitStats::dependence_checks`])
+    /// the capture paid — the cost a replay of this template avoids.
     pub capture_checks: u64,
 }
 

@@ -40,7 +40,8 @@ pub enum Counter {
     BarrierWaits,
     /// Dynamic-collective waits entered (§4.4).
     CollectiveWaits,
-    /// Pairwise region dependence checks performed.
+    /// Window records the implicit executor compared with an access on
+    /// a region that may alias theirs.
     DepChecks,
     /// Epochs fully replayed from a memoized template.
     MemoHits,
@@ -210,7 +211,9 @@ impl Counter {
             Counter::CopiesApplied => "Copy messages received and applied (consumer side)",
             Counter::BarrierWaits => "Barrier waits entered",
             Counter::CollectiveWaits => "Dynamic-collective waits entered",
-            Counter::DepChecks => "Pairwise region dependence checks performed",
+            Counter::DepChecks => {
+                "Window records compared with an access on a possibly-aliasing region"
+            }
             Counter::MemoHits => "Epochs fully replayed from a memoized template",
             Counter::MemoMisses => "Replay attempts that diverged back to analysis",
             Counter::MemoCaptures => "Epoch templates captured",

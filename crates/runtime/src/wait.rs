@@ -5,10 +5,11 @@
 //! wait as a deferred event. Here a blocked thread *waits*, and this
 //! module is the only place that decides how: a consumer on an empty
 //! exchange ring, a producer on a full one, a barrier or collective
-//! participant ahead of its peers, a log cursor ahead of the sequencer
-//! and the sequencer waiting for scalar feedback all go through
-//! [`Waiters::wait`], and whoever makes such a condition true announces
-//! it with [`Waiters::wake`].
+//! participant ahead of its peers, a log cursor ahead of the sequencer,
+//! the sequencer waiting for scalar feedback, and — in the implicit
+//! executor — a worker with an empty ready queue and the control thread
+//! draining the pool all go through [`Waiters::wait`], and whoever makes
+//! such a condition true announces it with [`Waiters::wake`].
 //!
 //! * **Waiting** — poll the caller's condition [`SPIN_POLLS`] times
 //!   (the common wait is a few microseconds: the peer is already on its

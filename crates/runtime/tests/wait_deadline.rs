@@ -1,10 +1,16 @@
-//! Every blocking wait of the SPMD family gives up after the hang
-//! timeout it was built with, with its "likely deadlock" diagnostic —
-//! parked or not.
+//! Every blocking wait of the SPMD family, and the implicit executor's
+//! drain, gives up after the hang timeout it was built with, with its
+//! "likely deadlock" diagnostic — parked or not.
 
-use regent_region::ReductionOp;
-use regent_runtime::{ring_with_timeout, DynamicCollective, LaunchLog, SendError, ShardBarrier};
+use regent_geometry::Domain;
+use regent_ir::{ProgramBuilder, RegionParam, Store, TaskDecl};
+use regent_region::{FieldSpace, FieldType, ReductionOp};
+use regent_runtime::{
+    execute_implicit, ring_with_timeout, DynamicCollective, ImplicitOptions, LaunchLog, SendError,
+    ShardBarrier,
+};
 use std::sync::mpsc::RecvTimeoutError;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Runs `wait`, which must give up, and checks it did so no earlier
@@ -75,5 +81,39 @@ fn waits_give_up_at_the_hang_timeout() {
     assert!(
         msg.starts_with("likely deadlock: log consumer waited 200ms for batch 0"),
         "{msg}"
+    );
+}
+
+/// A kernel that blocks past the hang timeout: the control thread's
+/// drain gives up at the timeout, and the run unwinds once the kernel
+/// returns (the worker pool is joined, not abandoned).
+#[test]
+fn the_implicit_drain_gives_up_at_the_hang_timeout() {
+    let mut b = ProgramBuilder::new();
+    let fs = FieldSpace::of(&[("x", FieldType::F64)]);
+    let x = fs.lookup("x").expect("declared above");
+    let r = b.forest.create_region(Domain::range(4), fs);
+    let nap = b.task(TaskDecl {
+        name: "nap".into(),
+        params: vec![RegionParam::read(&[x])],
+        num_scalar_args: 0,
+        returns_value: false,
+        kernel: Arc::new(|_| std::thread::sleep(Duration::from_millis(600))),
+        cost_per_element: 1.0,
+    });
+    b.call(nap, vec![r]);
+    let prog = b.build();
+    let mut store = Store::new(&prog);
+    let opts = ImplicitOptions {
+        hang_timeout: Duration::from_millis(200),
+        ..ImplicitOptions::with_workers(2)
+    };
+    let msg = deadlock_text("implicit drain", || {
+        execute_implicit(&prog, &mut store, opts);
+    });
+    assert_eq!(
+        msg,
+        "likely deadlock: control thread waited 200ms for the worker pool to drain \
+         (1 tasks still outstanding)"
     );
 }

@@ -1,8 +1,9 @@
-//! The wait primitive under the exchange ring, the barrier and the
-//! collective (`regent_runtime`'s private `wait` module), exercised
-//! through the public types it sits under: waits that block must still
-//! deliver every message in order, notice a dead peer at once, and —
-//! the point of parking — use no CPU while blocked.
+//! The wait primitive under the exchange ring, the barrier, the
+//! collective and the implicit executor's worker pool
+//! (`regent_runtime`'s private `wait` module), exercised through the
+//! public types it sits under: waits that block must still deliver
+//! every message in order, notice a dead peer at once, and — the point
+//! of parking — use no CPU while blocked.
 //!
 //! Scenarios that read a clock hold `SERIAL`, so the other tests of
 //! this binary (cargo runs them on parallel threads) cannot stretch
@@ -10,11 +11,17 @@
 //! (`wait_deadline.rs`): the hang timeout is cached on first use.
 
 use regent_fault::{splitmix64, DeathCause, PeerDeath};
-use regent_region::ReductionOp;
+use regent_geometry::Domain;
+use regent_ir::{ProgramBuilder, RegionParam, Store, TaskDecl};
+use regent_region::{FieldSpace, FieldType, ReductionOp};
 use regent_runtime::metrics::thread_cpu_ns;
-use regent_runtime::{ring, DynamicCollective, RingReceiver, RingSender, ShardBarrier};
+use regent_runtime::{
+    execute_implicit, ring, DynamicCollective, ImplicitOptions, RingReceiver, RingSender,
+    ShardBarrier, TaskKindMapper,
+};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -309,5 +316,61 @@ fn blocked_waits_use_no_cpu() {
             &|| assert_eq!(c.reduce(0, 1.0, ReductionOp::Add), 3.0),
             &|| assert_eq!(c.reduce(1, 2.0, ReductionOp::Add), 3.0),
         ),
+    );
+}
+
+/// (d) for the implicit executor's pool: while one worker runs a 200 ms
+/// kernel, the other worker (idle) and the control thread (draining)
+/// together spend under 20 ms of CPU. The second worker's only task
+/// reads what the long one writes, so it runs last and reports what its
+/// thread spent waiting.
+#[test]
+fn an_idle_worker_and_a_draining_control_thread_use_no_cpu() {
+    let _serial = serial();
+    const BUDGET_NS: u64 = 20_000_000;
+    let mut b = ProgramBuilder::new();
+    let fs = FieldSpace::of(&[("x", FieldType::F64)]);
+    let x = fs.lookup("x").expect("declared above");
+    let r = b.forest.create_region(Domain::range(4), fs);
+    let idle_cpu_ns = Arc::new(AtomicU64::new(u64::MAX));
+    let reported = Arc::clone(&idle_cpu_ns);
+    let mut task = |name: &str, param: RegionParam, kernel: regent_ir::KernelFn| {
+        b.task(TaskDecl {
+            name: name.into(),
+            params: vec![param],
+            num_scalar_args: 0,
+            returns_value: false,
+            kernel,
+            cost_per_element: 1.0,
+        })
+    };
+    // `TaskKindMapper` puts task 0 on worker 0 and task 1 on worker 1.
+    let long = task(
+        "long",
+        RegionParam::read_write(&[x]),
+        Arc::new(|_| std::thread::sleep(Duration::from_millis(200))),
+    );
+    let after = task(
+        "after",
+        RegionParam::read(&[x]),
+        Arc::new(move |_| reported.store(thread_cpu_ns(), Ordering::SeqCst)),
+    );
+    b.call(long, vec![r]);
+    b.call(after, vec![r]);
+    let prog = b.build();
+    let mut store = Store::new(&prog);
+    let opts = ImplicitOptions {
+        mapper: Arc::new(TaskKindMapper),
+        ..ImplicitOptions::with_workers(2)
+    };
+    let c0 = thread_cpu_ns();
+    execute_implicit(&prog, &mut store, opts);
+    let control_ns = thread_cpu_ns() - c0;
+    let idle_ns = idle_cpu_ns.load(Ordering::SeqCst);
+    assert!(
+        control_ns.saturating_add(idle_ns) < BUDGET_NS,
+        "control thread {} µs + idle worker {} µs of CPU over a 200 ms kernel — a wait is polling",
+        control_ns / 1_000,
+        idle_ns / 1_000
     );
 }

@@ -180,10 +180,10 @@ fn surface() {
     assert_none("adapter forwarders used inside the workspace", forwarders);
 }
 
-/// A blocked SPMD-family thread waits through `runtime/src/wait.rs`
-/// (spin briefly, then park) and nowhere else. Fails when a sleep or
-/// yield loop, or the old `Backoff`, comes back into the non-test part
-/// of the files that wait.
+/// A blocked SPMD-family thread, implicit worker or draining control
+/// thread waits through `runtime/src/wait.rs` (spin briefly, then park)
+/// and nowhere else. Fails when a sleep or yield loop, or the old
+/// `Backoff`, comes back into the non-test part of the files that wait.
 #[test]
 fn no_polling() {
     let waits = [
@@ -193,6 +193,7 @@ fn no_polling() {
         "log_exec",
         "launch_log",
         "team",
+        "implicit",
     ];
     assert_none(
         "a polling wait is back",
@@ -231,8 +232,8 @@ fn mapped_once() {
 /// Fails when the channel plane, its selector, the capacity knob, the
 /// second hasher, or the binaries and budgets that only compared them
 /// are named anywhere, CI included, or when a `std::sync::mpsc` channel
-/// comes back into the non-test part of the files that run shards
-/// (`implicit.rs` still feeds its workers through channels).
+/// comes back into the non-test part of the files that run shards or
+/// implicit workers.
 #[test]
 fn one_plane() {
     const GONE: [&str; 12] = [
@@ -256,7 +257,14 @@ fn one_plane() {
         hits(&trees, |line| GONE.iter().any(|name| line.contains(name))),
     );
 
-    let shards = ["ring", "team", "spmd_exec", "log_exec", "hybrid_exec"];
+    let shards = [
+        "ring",
+        "team",
+        "spmd_exec",
+        "log_exec",
+        "hybrid_exec",
+        "implicit",
+    ];
     assert_none(
         "a channel is back under the shards",
         runtime_hits(&shards, |line| {
