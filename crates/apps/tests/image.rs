@@ -3,6 +3,8 @@
 //! image — results, seals, an injected and repaired bit flip, a larger
 //! membership — the next run of the same program must not see. Every
 //! check is against runs of freshly compiled programs, bit for bit.
+//! Circuit's ghost sets, at the size the benchmark runs, are checked for
+//! the layout their instances get: over their span, holes included.
 
 mod common;
 
@@ -10,12 +12,15 @@ use common::{
     compare_roots, forest, mk_circuit, mk_miniaero, mk_pennant, mk_stencil, num_shards, replicated,
     Owned, Strategy,
 };
-use regent_cr::ShardImage;
-use regent_ir::{Program, Store};
-use regent_region::{ColumnData, FieldType, RegionForest};
+use regent_apps::circuit;
+use regent_apps::rng::SplitMix64;
+use regent_cr::{InstKey, ShardImage};
+use regent_ir::{interp, Program, Store};
+use regent_region::{ColumnData, FieldType, Instance, RegionForest};
 use regent_runtime::{
     run, run_failover, FailoverOptions, FaultPlan, ResilienceOptions, RunOptions,
 };
+use std::collections::HashSet;
 
 type Mk = fn() -> (Program, Store);
 
@@ -262,4 +267,180 @@ fn a_membership_shrink_drops_the_images_and_stays_bit_identical() {
             compare_roots(&label, &roots, a, (forest(&one), &again), 0.0);
         }
     }
+}
+
+/// Circuit at the benchmark's `circuit_sparse` size: 8 pieces × 500
+/// nodes × 2 000 wires, 30 % of them crossing pieces, graph seed 1.
+fn mk_circuit_sparse() -> (Program, Store) {
+    let cfg = circuit::CircuitConfig {
+        pieces: 8,
+        nodes_per_piece: 500,
+        wires_per_piece: 2000,
+        cross_fraction: 0.3,
+        steps: 3,
+        substeps: 1,
+        seed: 1,
+    };
+    let g = circuit::generate_graph(&cfg);
+    let (prog, h) = circuit::circuit_program(cfg, &g);
+    let mut store = Store::new(&prog);
+    circuit::init_circuit(&prog, &mut store, &h, &g);
+    (prog, store)
+}
+
+/// Where the instances of `compiled`'s images live: one address per
+/// slot, stable while an image is reused and new when one is built.
+fn image_addresses(compiled: &Owned) -> Vec<usize> {
+    let mut out = Vec::new();
+    inspect_images(compiled, |_, image| {
+        out.extend(
+            image
+                .insts
+                .iter()
+                .map(|i| std::ptr::from_ref(i.indexer()) as usize),
+        );
+    });
+    out
+}
+
+/// On 2 shards, every ghost set and every reduction temporary over one
+/// (the instances whose domain has several runs) stores its span, holes
+/// included, while counting its elements; the images are built by the
+/// first run and reused by the next; and spmd, hybrid, log and — with
+/// corruption injected — guarded runs agree with the interpreter.
+#[test]
+fn circuit_ghost_sets_are_laid_out_over_their_span() {
+    let (prog, mut reference) = mk_circuit_sparse();
+    let roots = prog.root_regions();
+    let (env_seq, _) = interp::run(&prog, &mut reference);
+    let seq = (&prog.forest, &reference);
+    for strategy in Strategy::ALL {
+        let label = format!("circuit_sparse/{strategy:?}");
+        let (one, mut store) = compiled(mk_circuit_sparse, strategy, 2, false);
+        let r = run(one.as_ref(), &mut store, &RunOptions::default());
+        assert_eq!(r.env, env_seq, "{label}: env");
+        compare_roots(&label, &roots, seq, (forest(&one), &store), 1e-12);
+
+        let spmd = replicated(&one);
+        let (schedule, _) = spmd.schedule();
+        let (mut uses, mut temps) = (HashSet::new(), HashSet::new());
+        inspect_images(&one, |shard, image| {
+            for (inst, info) in image.insts.iter().zip(&schedule.layouts[shard].slots) {
+                let domain = spmd.forest.domain(info.region);
+                if domain.rects().len() < 2 {
+                    continue;
+                }
+                assert_eq!(inst.len(), domain.volume(), "{label}: {:?}", info.key);
+                let span = domain.bounds().volume();
+                assert_eq!(
+                    inst.indexer().storage_len(),
+                    span,
+                    "{label}: {:?}",
+                    info.key
+                );
+                let kind = match info.key {
+                    InstKey::UsePart(..) => &mut uses,
+                    InstKey::TempPart(..) => &mut temps,
+                    key => panic!("{label}: {key:?} has a sparse domain"),
+                };
+                kind.insert(info.region);
+            }
+        });
+        assert_eq!(
+            (uses.len(), temps.len()),
+            (8, 8),
+            "{label}: every ghost set"
+        );
+        assert_eq!(uses, temps, "{label}: temporaries over the ghost sets");
+
+        let built = image_addresses(&one);
+        let (_, mut again) = compiled(mk_circuit_sparse, strategy, 2, false);
+        let r = run(one.as_ref(), &mut again, &RunOptions::default());
+        assert_eq!(image_addresses(&one), built, "{label}: images rebuilt");
+        assert_eq!(r.env, env_seq, "{label}: second env");
+        compare_roots(&label, &roots, seq, (forest(&one), &again), 1e-12);
+
+        if strategy == Strategy::Spmd {
+            let guarded = RunOptions::default().with_resilience(ResilienceOptions {
+                checkpoint_interval: 2,
+                plan: FaultPlan::new(3).with_corrupt_rate(0.2),
+                integrity: true,
+                ..Default::default()
+            });
+            let (_, mut third) = compiled(mk_circuit_sparse, strategy, 2, false);
+            let r = run(one.as_ref(), &mut third, &guarded);
+            let st = &r.stats;
+            assert!(st.corruptions_detected > 0, "{label}: nothing injected");
+            assert_eq!(st.corruptions_injected, st.corruptions_detected, "{label}");
+            assert_eq!(r.env, env_seq, "{label}: guarded env");
+            compare_roots(&label, &roots, seq, (forest(&one), &third), 1e-12);
+        }
+    }
+}
+
+/// A silent bit flip lands on an element, never on a hole of a span
+/// layout (a flip there would break a seal over data nothing reads):
+/// 10 000 draws on the sparsest of Circuit's ghost instances.
+#[test]
+fn faults_land_on_ghost_elements_not_holes() {
+    let (prog, store) = mk_circuit_sparse();
+    let spmd = regent_cr::control_replicate(prog, &regent_cr::CrOptions::new(2)).unwrap();
+    let (schedule, _) = spmd.schedule();
+    let layout = &schedule.layouts[0];
+    let mut image = ShardImage::build(&spmd, layout);
+    image.fill(&spmd, layout, &store);
+    let stored = |i: &Instance| i.indexer().storage_len() as f64 / i.len().max(1) as f64;
+    let (ghost, info) = image
+        .insts
+        .iter()
+        .zip(&layout.slots)
+        .filter(|(_, info)| matches!(info.key, InstKey::UsePart(..)))
+        .max_by(|a, b| stored(a.0).total_cmp(&stored(b.0)))
+        .unwrap();
+    assert!(stored(ghost) > 2.0, "a ghost set with many holes");
+    let members: HashSet<usize> = ghost
+        .indexer()
+        .iter()
+        .map(|(_, off)| off as usize)
+        .collect();
+    let fields: Vec<_> = spmd
+        .forest
+        .fields(info.region)
+        .iter()
+        .map(|(f, _)| f)
+        .collect();
+    let bits = |inst: &Instance| -> Vec<Vec<u64>> {
+        fields
+            .iter()
+            .map(|&f| column_bits(inst.column(f)))
+            .collect()
+    };
+    let clean = bits(ghost);
+    let mut victim = ghost.clone();
+    let mut rng = SplitMix64::new(0x0f1a_b5ee);
+    let mut hit = HashSet::new();
+    for _ in 0..10_000 {
+        let entropy = rng.next_u64();
+        assert!(victim.corrupt_bit_silently(entropy));
+        let now = bits(&victim);
+        let changed: Vec<(usize, usize)> = (0..clean.len())
+            .flat_map(|f| {
+                let (a, b) = (&clean[f], &now[f]);
+                (0..a.len())
+                    .filter(move |&k| a[k] != b[k])
+                    .map(move |k| (f, k))
+            })
+            .collect();
+        assert_eq!(changed.len(), 1, "one slot flipped");
+        let (_, slot) = changed[0];
+        assert!(members.contains(&slot), "a flip landed on hole {slot}");
+        hit.insert(slot);
+        // The same draw flips the same bit back.
+        assert!(victim.corrupt_bit_silently(entropy));
+        assert!(bits(&victim) == clean);
+    }
+    assert!(
+        hit.len() * 2 > members.len(),
+        "draws spread over the elements"
+    );
 }

@@ -203,8 +203,7 @@ impl ShardImage {
         // so the fill runs need no store to be computed against.
         let mut roots: HashMap<RegionId, DomainIndexer> = HashMap::new();
         // Instances over one subregion (a ghost use and the temporary
-        // reduced into it) share one layout: for a sparse domain the
-        // indexer is larger than the columns.
+        // reduced into it) share one layout, which is built once.
         let mut first_over: HashMap<RegionId, usize> = HashMap::new();
         let mut insts: Vec<Instance> = Vec::with_capacity(layout.slots.len());
         let mut fills = Vec::new();

@@ -84,37 +84,40 @@ impl Block {
     }
 }
 
-/// A [`RunIndex`] keeps its direct table while the domain's span is at
-/// most this many times its element count. It is a bound on memory,
-/// not a tuning point for speed: swept over ratios 2…256 at 1000
-/// elements (EXPERIMENTS.md "Shard images"), a random probe costs
-/// 2.8–3.0 ns through the table at *every* ratio against 6.7–10.9 ns
-/// through the buckets, since a probe touches one cache line of the
-/// table however long it is. What grows is the table: 4 bytes per id
-/// of span, so at 8 it costs 32 bytes per element stored — about what
-/// the element's own columns cost (8–40 bytes) — and at 64 eight times
-/// that. Circuit's ghost sets sit at ≈4.2 (≈950 nodes over ≈4000 ids:
-/// 16 KB of table each).
-const DIRECT_SPAN_PER_ELEMENT: u64 = 8;
+/// A 1-D domain of several runs is laid out over its **span** — one
+/// storage slot per id from its first to its last, holes included —
+/// while the span is at most this many times its element count; a
+/// sparser one is packed, run after run. It bounds the span layout's
+/// memory: every column of such an instance stores up to this many
+/// slots per element (8 bytes each), and the membership bitmap one bit
+/// per slot. Circuit's ghost sets at graph seed 1 — 926–978 nodes in
+/// 241–266 runs — span ≈1 500 ids (pieces 1–6) and ≈4 000 (pieces 0
+/// and 7), 1.6–4.2 slots per element (EXPERIMENTS.md "Ghost sets over
+/// their span").
+const MAX_SLOTS_PER_ELEMENT: u64 = 8;
 
-/// An id that no run holds, in [`RunIndex::direct`].
-const HOLE: u32 = u32::MAX;
+/// Whether storage slot `off` holds an element, by the membership
+/// bitmap `members` of a span layout. Every slot does when the bitmap
+/// is empty (any other layout), which the test short-circuits on; a
+/// span layout's bitmap covers every slot, so a lookup past it cannot
+/// happen.
+#[inline(always)]
+pub(crate) fn holds(members: &[u64], off: u64) -> bool {
+    members
+        .get((off >> 6) as usize)
+        .is_none_or(|word| word >> (off & 63) & 1 != 0)
+}
 
-/// Finds the run of a sparse 1-D domain that holds an id: the sorted
-/// run starts in one flat array, searched by bisection — but only
-/// between the bounds a bucket table gives. The table cuts the domain's
-/// span into at most `2 · runs` equal power-of-two buckets and records,
-/// per bucket, how many runs start at or before its first id; an id's
-/// run then lies between its bucket's count and the next one's, usually
-/// one or two candidates. Random probes (the pointer chasing of an
-/// unstructured kernel) cost a couple of loads instead of a mispredicted
-/// branch per halving; the table's size is bounded by the number of
-/// runs, never by the span.
-///
-/// A domain that is not too sparse ([`DIRECT_SPAN_PER_ELEMENT`]) also
-/// gets a direct id → storage-offset table over its span, which
-/// answers "where is this id" — all an element access asks — in one
-/// load.
+/// Finds the run of a packed sparse 1-D domain that holds an id: the
+/// sorted run starts in one flat array, searched by bisection — but
+/// only between the bounds a bucket table gives. The table cuts the
+/// domain's span into at most `2 · runs` equal power-of-two buckets and
+/// records, per bucket, how many runs start at or before its first id;
+/// an id's run then lies between its bucket's count and the next one's,
+/// usually one or two candidates. Random probes (the pointer chasing of
+/// an unstructured kernel) cost a couple of loads instead of a
+/// mispredicted branch per halving; the table's size is bounded by the
+/// number of runs, never by the span.
 #[derive(Clone, Debug, Default)]
 struct RunIndex {
     /// `lo` of every run, ascending.
@@ -125,9 +128,6 @@ struct RunIndex {
     /// `buckets[b]`: the number of runs that start at or before bucket
     /// `b`'s first id; one entry past the last bucket holds them all.
     buckets: Vec<u32>,
-    /// `direct[i − starts[0]]`: the storage offset of id `i`, or
-    /// [`HOLE`]. Empty when the span is too wide for it.
-    direct: Vec<u32>,
 }
 
 impl RunIndex {
@@ -150,35 +150,11 @@ impl RunIndex {
             buckets.push(k);
         }
         buckets.push(runs);
-        let len: u64 = blocks.iter().map(|b| b.extent[0]).sum();
-        let mut direct = Vec::new();
-        if span <= DIRECT_SPAN_PER_ELEMENT * len && len < u64::from(HOLE) {
-            direct.resize(span as usize, HOLE);
-            for b in blocks {
-                let at = (b.lo[0] - lo) as usize;
-                let offsets = b.base as u32..(b.base + b.extent[0]) as u32;
-                for (slot, off) in direct[at..].iter_mut().zip(offsets) {
-                    *slot = off;
-                }
-            }
-        }
         RunIndex {
             starts,
             shift,
             buckets,
-            direct,
         }
-    }
-
-    /// The storage offset of id `i` by the direct table, which must
-    /// exist (`direct` is not empty): `None` when no run holds `i`.
-    #[inline]
-    fn direct(&self, i: i64) -> Option<u64> {
-        // Ids before the first run wrap far past the table.
-        let slot = *self
-            .direct
-            .get(i.wrapping_sub(self.starts[0]) as u64 as usize)?;
-        (slot != HOLE).then_some(u64::from(slot))
     }
 
     /// Index of the last run that starts at or before `i` — the only
@@ -193,33 +169,72 @@ impl RunIndex {
     }
 }
 
-/// Maps points of a (possibly sparse) domain to dense storage offsets.
+/// Maps points of a (possibly sparse) domain to storage offsets.
 ///
-/// Rectangles are stored in the domain's canonical order, each as an
-/// affine `Block` over a contiguous range of offsets, so the mapping
-/// is a function of the domain alone. A single-rectangle domain — every
-/// root region and every structured tile — is pure arithmetic. A sparse
-/// 1-D domain (the image of an unstructured pointer field: hundreds of
-/// short runs) finds the run through its `RunIndex`; a
+/// The layout is a function of the domain alone. Rectangles are stored
+/// in the domain's canonical order, each as an affine `Block` over a
+/// contiguous range of offsets: a single-rectangle domain — every root
+/// region and every structured tile — is pure arithmetic, and a
 /// multi-rectangle 2-/3-D domain (a halo: a handful of rectangles)
-/// tries them in order.
+/// tries them in order. A sparse 1-D domain (the image of an
+/// unstructured pointer field: hundreds of short runs) is laid out
+/// over its span — one `Block` from its first id to its last, so an
+/// id's offset is `id − first` — with a membership bitmap marking the
+/// slots that hold elements, unless that would store more than 8
+/// slots per element (`MAX_SLOTS_PER_ELEMENT`); then its runs are
+/// packed and found through a `RunIndex`.
 #[derive(Clone, Debug)]
 pub struct DomainIndexer {
     dim: usize,
     blocks: Vec<Block>,
-    /// The runs of a 1-D domain that has several; empty otherwise.
+    /// The runs of a packed 1-D domain that has several; empty
+    /// otherwise.
     runs: RunIndex,
+    /// A span layout's membership bitmap: bit `off` is set when storage
+    /// slot `off` holds an element. Empty for every other layout, whose
+    /// slots all do.
+    members: Vec<u64>,
     /// A block of greatest volume.
     largest: Block,
+    /// Number of elements.
     total: u64,
+    /// Number of storage slots: `total`, or a span layout's span.
+    slots: u64,
 }
 
 impl DomainIndexer {
     /// Builds an indexer for `domain`.
     pub fn new(domain: &Domain) -> Self {
-        let mut blocks = Vec::with_capacity(domain.rects().len());
+        let rects = domain.rects();
+        let total = domain.volume();
+        let span = match (rects.first(), rects.last()) {
+            (Some(first), Some(last)) if domain.dim() == 1 && rects.len() > 1 => {
+                Some(DynRect::span(first.lo().coord(0), last.hi().coord(0)))
+            }
+            _ => None,
+        };
+        if let Some(span) = span.filter(|s| s.volume() <= MAX_SLOTS_PER_ELEMENT * total) {
+            let first = span.lo().coord(0);
+            let mut members = vec![0u64; span.volume().div_ceil(64) as usize];
+            for r in rects {
+                for off in (r.lo().coord(0) - first) as u64..=(r.hi().coord(0) - first) as u64 {
+                    members[(off >> 6) as usize] |= 1 << (off & 63);
+                }
+            }
+            let block = Block::new(&span, 0);
+            return DomainIndexer {
+                dim: 1,
+                blocks: vec![block],
+                runs: RunIndex::default(),
+                members,
+                largest: block,
+                total,
+                slots: span.volume(),
+            };
+        }
+        let mut blocks = Vec::with_capacity(rects.len());
         let mut off = 0u64;
-        for r in domain.rects() {
+        for r in rects {
             blocks.push(Block::new(r, off));
             off += r.volume();
         }
@@ -241,8 +256,10 @@ impl DomainIndexer {
             dim: domain.dim(),
             blocks,
             runs,
+            members: Vec::new(),
             largest,
-            total: off,
+            total,
+            slots: total,
         }
     }
 
@@ -256,6 +273,13 @@ impl DomainIndexer {
         self.total == 0
     }
 
+    /// Number of storage slots a column of this layout holds: the
+    /// element count, or — for a sparse 1-D domain laid out over its
+    /// span — the span, holes included.
+    pub fn storage_len(&self) -> u64 {
+        self.slots
+    }
+
     /// Dimensionality of the indexed domain.
     pub fn dim(&self) -> usize {
         self.dim
@@ -263,65 +287,84 @@ impl DomainIndexer {
 
     /// The domain's largest rectangle (one that holds nothing when the
     /// domain is empty): the only one of a dense domain, the bar of a
-    /// halo cross, the owned stretch of a ghost set — where most
+    /// halo cross, the whole span of a span layout — where most
     /// accesses fall, so views try it before searching.
     pub(crate) fn largest(&self) -> Block {
         self.largest
     }
 
-    /// The dense offset of `p`, or `None` when `p` is outside the domain.
+    /// The membership bitmap of a span layout; empty for every other
+    /// layout (see [`holds`]).
+    pub(crate) fn members(&self) -> &[u64] {
+        &self.members
+    }
+
+    /// The storage offset of `p`, or `None` when `p` is outside the
+    /// domain.
     #[inline]
     pub fn offset_of(&self, p: DynPoint) -> Option<u64> {
         if p.dim() != self.dim {
             return None;
         }
-        self.locate_offset(p.padded())
-    }
-
-    /// The storage offset of the (padded) point `c`: what
-    /// [`DomainIndexer::locate`] finds, without naming the block — so a
-    /// sparse 1-D domain answers from its direct table when it has one.
-    /// Called from the views' out-of-line path only: consulting the
-    /// table in the inlined accessors grew every `get1` site and slowed
-    /// the dense kernels (EXPERIMENTS.md "Shard images").
-    #[inline]
-    pub(crate) fn locate_offset(&self, c: [i64; MAX_DIM]) -> Option<u64> {
-        // Only a sparse 1-D domain has runs, let alone a table.
-        if !self.runs.direct.is_empty() {
-            return self.runs.direct(c[0]);
-        }
-        self.locate(c).map(|(_, off)| off)
+        self.locate(p.padded()).map(|(_, off)| off)
     }
 
     /// The block containing the (padded) point `c`, as its index and
-    /// the point's storage offset.
+    /// the point's storage offset; `None` when `c` is outside the
+    /// domain, a hole of a span layout included.
     #[inline]
     pub(crate) fn locate(&self, c: [i64; MAX_DIM]) -> Option<(usize, u64)> {
         if self.dim == 1 && self.blocks.len() != 1 {
             let i = self.runs.find(c[0])?;
             return self.blocks[i].offset1(c[0]).map(|off| (i, off));
         }
-        self.blocks
+        let (i, off) = self
+            .blocks
             .iter()
             .enumerate()
-            .find_map(|(i, b)| b.offset3(c).map(|off| (i, off)))
+            .find_map(|(i, b)| b.offset3(c).map(|off| (i, off)))?;
+        holds(&self.members, off).then_some((i, off))
+    }
+
+    /// How many consecutive storage slots from `off` on hold elements:
+    /// a span layout's next hole, found a word of the bitmap at a time;
+    /// unbounded for every other layout.
+    fn members_from(&self, off: u64) -> u64 {
+        if self.members.is_empty() {
+            return u64::MAX;
+        }
+        let mut w = (off >> 6) as usize;
+        // The holes of word `w` at or after `off`, as set bits; the
+        // bitmap's padding past the last slot reads as holes.
+        let mut holes = !self.members[w] & (u64::MAX << (off & 63));
+        while holes == 0 {
+            w += 1;
+            let Some(&word) = self.members.get(w) else {
+                return self.slots - off;
+            };
+            holes = !word;
+        }
+        ((w as u64) << 6 | u64::from(holes.trailing_zeros())) - off
     }
 
     /// Storage offset of `c` and the number of elements from it to the
-    /// end of its row (the last dimension) inside its block: the
-    /// longest unit-stride run that starts at `c`.
+    /// end of its row (the last dimension) inside its block, up to the
+    /// next hole: the longest unit-stride run that starts at `c`.
     #[inline]
     pub(crate) fn locate_run(&self, c: [i64; MAX_DIM]) -> Option<(u64, u64)> {
         let (i, off) = self.locate(c)?;
         let last = self.dim - 1;
-        Some((off, (self.blocks[i].hi(last) - c[last] + 1) as u64))
+        let room = (self.blocks[i].hi(last) - c[last] + 1) as u64;
+        Some((off, room.min(self.members_from(off))))
     }
+
     /// Visits `elements` in canonical order (the order of
     /// [`Domain::iter`]) as storage-contiguous runs, calling
     /// `f(offset, len)` for each. One lookup per run, none per element:
     /// 1-D domains are a two-pointer merge over the two sorted run
-    /// lists; multi-D domains look up each row of each rectangle,
-    /// trying the previous hit first.
+    /// lists (a span layout's one block checked against its bitmap);
+    /// multi-D domains look up each row of each rectangle, trying the
+    /// previous hit first.
     ///
     /// # Panics
     /// If `elements` is not a subset of the indexed domain.
@@ -344,9 +387,13 @@ impl DomainIndexer {
                         Some(b) if b.lo[0] <= lo => b,
                         _ => missing([lo, 0, 0]),
                     };
-                    let end = hi.min(b.hi(0));
-                    f(b.base + (lo - b.lo[0]) as u64, (end - lo + 1) as u64);
-                    lo = end + 1;
+                    let off = b.base + (lo - b.lo[0]) as u64;
+                    let len = ((hi.min(b.hi(0)) - lo + 1) as u64).min(self.members_from(off));
+                    if len == 0 {
+                        missing([lo, 0, 0]);
+                    }
+                    f(off, len);
+                    lo += len as i64;
                 }
             }
             return;
@@ -379,18 +426,18 @@ impl DomainIndexer {
         }
     }
 
-    /// The dense offsets of `elements` in canonical order — the
+    /// The storage offsets of `elements` in canonical order — the
     /// gather/scatter table of an exchange pair, equal to mapping
     /// [`DomainIndexer::offset_of`] over `elements.iter()`.
     ///
     /// # Panics
     /// If `elements` is not a subset of the indexed domain, or the
-    /// domain has more than `u32::MAX` elements.
+    /// layout stores more than `u32::MAX` slots.
     pub fn offsets_of(&self, elements: &Domain) -> Vec<u32> {
         assert!(
-            self.total <= u64::from(u32::MAX),
-            "domain of {} elements exceeds 32-bit offsets",
-            self.total
+            self.slots <= u64::from(u32::MAX),
+            "layout of {} slots exceeds 32-bit offsets",
+            self.slots
         );
         let mut out = Vec::with_capacity(elements.volume() as usize);
         self.for_each_run(elements, |off, len| {
@@ -401,10 +448,24 @@ impl DomainIndexer {
 
     /// Iterates `(point, offset)` pairs in storage order.
     pub fn iter(&self) -> impl Iterator<Item = (DynPoint, u64)> + '_ {
-        self.blocks.iter().flat_map(|b| {
-            let r = b.rect(self.dim);
-            (0..b.volume()).map(move |k| (r.delinearize(k).unwrap(), b.base + k))
-        })
+        self.blocks
+            .iter()
+            .flat_map(|b| {
+                let r = b.rect(self.dim);
+                (0..b.volume()).map(move |k| (r.delinearize(k).unwrap(), b.base + k))
+            })
+            .filter(|&(_, off)| holds(&self.members, off))
+    }
+
+    /// The storage offset of the `k`-th element in storage order.
+    fn nth_offset(&self, k: u64) -> u64 {
+        if self.members.is_empty() {
+            return k;
+        }
+        (0..self.slots)
+            .filter(|&off| holds(&self.members, off))
+            .nth(k as usize)
+            .expect("element index within the domain")
     }
 }
 
@@ -425,7 +486,9 @@ impl ColumnData {
         }
     }
 
-    /// Number of elements stored.
+    /// Number of storage slots: the instance's elements, plus the holes
+    /// of a span layout ([`DomainIndexer::storage_len`]); 0 for a
+    /// column the instance does not store.
     pub fn len(&self) -> usize {
         match self {
             ColumnData::F64(v) => v.len(),
@@ -433,7 +496,7 @@ impl ColumnData {
         }
     }
 
-    /// True when the column stores no elements.
+    /// True when the column stores nothing.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -516,8 +579,7 @@ struct Shape {
 pub struct Instance {
     /// The covered domain and its point→offset indexer: fixed at
     /// construction and shared by every clone (a snapshot copies
-    /// contents, not layout — for a sparse domain the layout is the
-    /// larger of the two).
+    /// contents, not layout).
     shape: Arc<Shape>,
     columns: Vec<ColumnData>,
     /// One seal per column. Kernels and copies usually write a single
@@ -560,7 +622,7 @@ impl Instance {
     }
 
     fn over(shape: Arc<Shape>, fields: &FieldSpace, stored: impl Fn(FieldId) -> bool) -> Self {
-        let len = shape.indexer.len() as usize;
+        let len = shape.indexer.storage_len() as usize;
         let columns: Vec<ColumnData> = fields
             .iter()
             .map(|(f, def)| ColumnData::zeros(def.ty, if stored(f) { len } else { 0 }))
@@ -731,25 +793,28 @@ impl Instance {
     /// corrupt.
     pub fn corrupt_bit_silently(&mut self, entropy: u64) -> bool {
         // Drawn among the elements actually stored: a column may hold
-        // none (`Instance::with_fields`).
-        let stored: u64 = self.columns.iter().map(|c| c.len() as u64).sum();
+        // none (`Instance::with_fields`), and a span layout's holes are
+        // data that nothing reads.
+        let per_column = self.len();
+        let columns = self.columns.iter().filter(|c| !c.is_empty()).count() as u64;
+        let stored = columns * per_column;
         if stored == 0 {
             return false;
         }
-        let mut i = (entropy % stored) as usize;
+        let draw = entropy % stored;
+        let i = self.shape.indexer.nth_offset(draw % per_column) as usize;
         let bit = ((entropy >> 40) % 64) as u32;
-        for col in &mut self.columns {
-            if i >= col.len() {
-                i -= col.len();
-                continue;
-            }
-            match col {
-                ColumnData::F64(v) => v[i] = f64::from_bits(v[i].to_bits() ^ (1u64 << bit)),
-                ColumnData::I64(v) => v[i] ^= 1i64 << bit,
-            }
-            return true;
+        let col = self
+            .columns
+            .iter_mut()
+            .filter(|c| !c.is_empty())
+            .nth((draw / per_column) as usize)
+            .expect("column drawn among the stored ones");
+        match col {
+            ColumnData::F64(v) => v[i] = f64::from_bits(v[i].to_bits() ^ (1u64 << bit)),
+            ColumnData::I64(v) => v[i] ^= 1i64 << bit,
         }
-        unreachable!("element drawn within the stored total")
+        true
     }
 
     /// Drops every seal: the instance is about to be refilled from
@@ -1103,18 +1168,29 @@ mod tests {
 
     #[test]
     fn indexer_sparse() {
+        // 6 elements over a span of 20 ids: laid out over the span, an
+        // id's offset is its distance from the first.
         let d = Domain::from_ids([2, 3, 4, 10, 20, 21]);
         let ix = DomainIndexer::new(&d);
-        assert_eq!(ix.len(), 6);
+        assert_eq!((ix.len(), ix.storage_len()), (6, 20));
         assert_eq!(ix.offset_of(DynPoint::from(2)), Some(0));
         assert_eq!(ix.offset_of(DynPoint::from(4)), Some(2));
-        assert_eq!(ix.offset_of(DynPoint::from(10)), Some(3));
-        assert_eq!(ix.offset_of(DynPoint::from(21)), Some(5));
+        assert_eq!(ix.offset_of(DynPoint::from(10)), Some(8));
+        assert_eq!(ix.offset_of(DynPoint::from(21)), Some(19));
         assert_eq!(ix.offset_of(DynPoint::from(5)), None);
-        // Iter order matches offsets.
+        assert_eq!(ix.offset_of(DynPoint::from(1)), None);
+        // Iter visits the elements only, in storage order.
+        let offsets: Vec<u64> = ix.iter().map(|(_, off)| off).collect();
+        assert_eq!(offsets, [0, 1, 2, 8, 18, 19]);
         for (p, off) in ix.iter() {
             assert_eq!(ix.offset_of(p), Some(off));
         }
+        // 3 elements over 101 ids is past the bound: packed, run after run.
+        let d = Domain::from_ids([0, 1, 100]);
+        let ix = DomainIndexer::new(&d);
+        assert_eq!((ix.len(), ix.storage_len()), (3, 3));
+        assert_eq!(ix.offset_of(DynPoint::from(100)), Some(2));
+        assert_eq!(ix.offset_of(DynPoint::from(50)), None);
     }
 
     #[test]
@@ -1275,13 +1351,13 @@ mod tests {
     }
 
     #[test]
-    fn direct_table_and_bisection_agree_inside_and_outside() {
+    fn span_layout_and_bisection_agree_inside_and_outside() {
         let mut rng = 0xd1_4ec7u64;
-        let (mut with_table, mut without) = (0, 0);
+        let (mut over_span, mut packed) = (0, 0);
         for round in 0..120u64 {
-            // Densities from 1 id in 40 (far sparser than the table's
-            // bound) to 1 in 2, over spans of a few hundred ids that do
-            // not start at zero.
+            // Densities from 1 id in 40 (far sparser than the span
+            // layout's bound) to 1 in 2, over spans of a few hundred ids
+            // that do not start at zero.
             let keep_one_in = [40, 16, 9, 6, 3, 2][round as usize % 6];
             let lo = (next(&mut rng) % 1000) as i64 - 500;
             let span = 50 + (next(&mut rng) % 400) as i64;
@@ -1294,22 +1370,69 @@ mod tests {
             if dom.rects().len() < 2 {
                 continue;
             }
-            if ix.runs.direct.is_empty() {
-                without += 1;
+            let spanned = span as u64 <= MAX_SLOTS_PER_ELEMENT * dom.volume();
+            assert_eq!(!ix.members.is_empty(), spanned, "{dom:?}");
+            if spanned {
+                over_span += 1;
+                assert_eq!(ix.storage_len() as i64, span);
             } else {
-                with_table += 1;
-                assert_eq!(ix.runs.direct.len() as i64, span);
+                packed += 1;
+                assert_eq!(ix.storage_len(), dom.volume());
+            }
+            // The reference: the run holding `i`, by bisection of the
+            // run list, and the rank of `i` among the elements.
+            let rects = dom.rects();
+            let mut rank = 0u64;
+            let mut expected = std::collections::HashMap::new();
+            for r in rects {
+                for id in r.lo().coord(0)..=r.hi().coord(0) {
+                    expected.insert(id, (rank, r.hi().coord(0) - id + 1));
+                    rank += 1;
+                }
             }
             for i in lo - 70..lo + span + 70 {
-                let bisected = ix.locate([i, 0, 0]).map(|(_, off)| off);
-                assert_eq!(ix.locate_offset([i, 0, 0]), bisected, "id {i} of {dom:?}");
-                assert_eq!(bisected.is_some(), dom.contains(DynPoint::from(i)));
+                let want = expected.get(&i).map(|&(rank, left)| {
+                    let off = if spanned { (i - lo) as u64 } else { rank };
+                    (off, left as u64)
+                });
+                assert_eq!(ix.locate_run([i, 0, 0]), want, "id {i} of {dom:?}");
+                assert_eq!(want.is_some(), dom.contains(DynPoint::from(i)));
             }
             for i in [i64::MIN, i64::MIN + 1, -1 << 40, 1 << 40, i64::MAX] {
-                assert_eq!(ix.locate_offset([i, 0, 0]), None, "far id {i}");
+                assert_eq!(ix.locate([i, 0, 0]), None, "far id {i}");
+            }
+            for k in 0..dom.volume() {
+                let off = ix.nth_offset(k);
+                assert_eq!(ix.iter().nth(k as usize).map(|(_, o)| o), Some(off));
             }
         }
-        assert!(with_table > 40 && without > 15, "{with_table} / {without}");
+        assert!(over_span > 40 && packed > 15, "{over_span} / {packed}");
+    }
+
+    #[test]
+    fn corruption_lands_on_elements_not_holes() {
+        let fields = fs();
+        let x = fields.lookup("x").unwrap();
+        // 4 elements over a span of 9 ids, one column stored.
+        let dom = Domain::from_ids([10, 11, 15, 18]);
+        let mut inst = Instance::with_fields(dom.clone(), &fields, &[x]);
+        assert_eq!((inst.len(), inst.column(x).len()), (4, 9));
+        inst.seal();
+        let mut hit = [0u32; 9];
+        let mut rng = 0xf1_1b5u64;
+        for _ in 0..2000 {
+            let entropy = next(&mut rng);
+            let mut victim = inst.clone();
+            assert!(victim.corrupt_bit_silently(entropy));
+            assert!(!victim.verify_seal());
+            let col = victim.f64_col(x);
+            let flipped: Vec<usize> = (0..9).filter(|&k| col[k].to_bits() != 0).collect();
+            assert_eq!(flipped.len(), 1, "one bit of one slot");
+            hit[flipped[0]] += 1;
+        }
+        let holes = [2, 3, 4, 6, 7];
+        assert!(holes.iter().all(|&h| hit[h] == 0), "{hit:?}");
+        assert!([0, 1, 5, 8].iter().all(|&e| hit[e] > 350), "{hit:?}");
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! pays, per element, for what never changes during the task: which
 //! column the field is, what type it holds, how the instance lays its
 //! domain out. A [`FieldView`] resolves those once. What is left per
-//! access is the affine arithmetic of one rectangle (or, for a sparse
-//! domain, one search of a flat array) and a bounds-checked load or
-//! store. Loops over unit-stride storage skip even that: [`Rows`] cuts
+//! access is the affine arithmetic of one rectangle — for a sparse 1-D
+//! domain laid out over its span, that and one membership bit — and a
+//! bounds-checked load or store. Loops over unit-stride storage skip
+//! even that: [`Rows`] cuts
 //! a domain into [`Run`]s and [`FieldView::row`] turns a run into a
 //! [`Row`], a plain slice of cells.
 //!
@@ -22,7 +23,7 @@
 //! fixed by its access type — [`Read`], [`ReadWrite`] or [`Reduce`] —
 //! chosen when it is bound.
 
-use crate::instance::{Block, ColumnData, DomainIndexer, ReductionOp};
+use crate::instance::{holds, Block, ColumnData, DomainIndexer, ReductionOp};
 use regent_geometry::{Domain, DynPoint, DynRect, MAX_DIM};
 use std::cell::Cell;
 
@@ -107,6 +108,10 @@ pub struct FieldView<'a, T, A> {
     /// keeps its bounds in registers across a kernel's loop instead of
     /// reloading them after every store. Every access tries it inline.
     hot: Block,
+    /// The membership bitmap of a span layout, by value beside `hot`:
+    /// an offset of `hot` is an element only if its bit is set. Empty
+    /// (every offset is) for every other layout.
+    members: &'a [u64],
     indexer: &'a DomainIndexer,
     domain: &'a Domain,
 }
@@ -122,6 +127,7 @@ impl<'a, T: Element, A: Copy> FieldView<'a, T, A> {
             column: Row { cells, access },
             dim: indexer.dim(),
             hot: indexer.largest(),
+            members: indexer.members(),
             indexer,
             domain,
         }
@@ -130,13 +136,16 @@ impl<'a, T: Element, A: Copy> FieldView<'a, T, A> {
     // The three coordinate forms share one shape: a point of the largest
     // rectangle — any point, when the instance has just one — costs a
     // few inlined instructions on values the view carries; everything
-    // else (another rectangle, a point outside, the wrong
-    // dimensionality) goes out of line.
+    // else (another rectangle, a point outside, a hole of a span layout,
+    // the wrong dimensionality) goes out of line. Only a 1-D layout has
+    // holes, so only `at1` tests membership.
 
     #[inline(always)]
     fn at1(&self, i: i64) -> usize {
         match self.hot.offset1(i) {
-            Some(off) if self.dim == 1 => self.in_domain([i, 0, 0], off),
+            Some(off) if self.dim == 1 && holds(self.members, off) => {
+                self.in_domain([i, 0, 0], off)
+            }
             _ => self.at_general(1, [i, 0, 0]),
         }
     }
@@ -167,8 +176,8 @@ impl<'a, T: Element, A: Copy> FieldView<'a, T, A> {
     #[inline(never)]
     fn at_general(&self, dim: usize, c: [i64; MAX_DIM]) -> usize {
         assert!(dim == self.dim, "{dim}-D access to a {}-D region", self.dim);
-        match self.indexer.locate_offset(c) {
-            Some(off) => self.in_domain(c, off),
+        match self.indexer.locate(c) {
+            Some((_, off)) => self.in_domain(c, off),
             None => outside_instance(dim, c),
         }
     }
@@ -195,7 +204,8 @@ impl<'a, T: Element, A: Copy> FieldView<'a, T, A> {
     ///
     /// # Panics
     /// If the run leaves the instance or is not contiguous in its
-    /// storage (it crosses rectangles of the instance's domain), and —
+    /// storage (it crosses rectangles of the instance's domain, or a
+    /// hole of a span layout), and —
     /// in debug builds — if it leaves the domain the view was bound to.
     pub fn row(&self, run: Run) -> Row<'a, T, A> {
         let c = run.start.padded();
@@ -365,7 +375,8 @@ impl Row<'_, f64, Reduce> {
 /// The elements of a domain in canonical order ([`Domain::iter`]), cut
 /// into the [`Run`]s that are contiguous in an instance's storage: each
 /// row of each rectangle, split where it crosses rectangles of the
-/// instance's own domain. Every element is visited exactly once.
+/// instance's own domain or holes of its span layout. Every element is
+/// visited exactly once.
 ///
 /// # Panics
 /// The iterator panics when the domain is not a subset of the

@@ -1,17 +1,22 @@
 //! Field views against the per-point `Instance` methods they replace in
 //! kernels, on seeded inputs of every layout the indexer specializes:
 //! dense 1-/2-/3-D (one rectangle, pure arithmetic), sparse 1-D with
-//! hundreds of runs (the bucketed run search), and the multi-rectangle
-//! 2-D cross of a Stencil halo. `get`/`set`/`fold` must address exactly
-//! the element `read_f64`/`write_f64`/`reduce_f64` address, `Rows` must
-//! visit a domain once in `Domain::iter` order, accesses outside the
-//! instance must panic in every build profile, and views of one
-//! instance must alias the way region arguments do.
+//! hundreds of runs — laid out over its span with a membership bitmap,
+//! or, past 8 ids of span per element, packed and found by the bucketed
+//! run search — and the multi-rectangle 2-D cross of a Stencil halo.
+//! `get`/`set`/`fold` must address exactly the element
+//! `read_f64`/`write_f64`/`reduce_f64` address, `Rows` must visit a
+//! domain once in `Domain::iter` order, accesses outside the instance —
+//! a hole of a span layout included — must panic in every build
+//! profile, and views of one instance must alias the way region
+//! arguments do.
 
 use regent_geometry::{Domain, DynPoint, DynRect};
 use regent_region::{
-    FieldId, FieldSpace, FieldType, FieldView, Instance, Read, ReadWrite, Reduce, ReductionOp, Rows,
+    DomainIndexer, FieldId, FieldSpace, FieldType, FieldView, Instance, Read, ReadWrite, Reduce,
+    ReductionOp, Rows, Run,
 };
+use std::collections::HashSet;
 
 /// SplitMix64 step.
 fn next(state: &mut u64) -> u64 {
@@ -258,6 +263,182 @@ fn aliased_views_of_one_instance() {
     assert_eq!(inst.read_f64(a, DynPoint::new(&[5, 6])), 9.0);
 }
 
+/// Span ÷ element count of the sparse 1-D cases, and whether the
+/// indexer lays such a domain out over its span (at most 8 ids of span
+/// per element) or packs it.
+const RATIOS: [(f64, bool); 6] = [
+    (1.1, true),
+    (2.0, true),
+    (4.0, true),
+    (8.0, true),
+    (9.0, false),
+    (64.0, false),
+];
+
+/// A sparse 1-D domain of `n` ids whose span is `ratio · n` ids, not
+/// starting at zero: both ends of the span and `n − 2` ids drawn between
+/// them without replacement.
+fn at_ratio(rng: &mut u64, n: usize, ratio: f64) -> Domain {
+    let span = (n as f64 * ratio).round() as i64;
+    let mut inner: Vec<i64> = (1..span - 1).collect();
+    for k in 0..n - 2 {
+        let j = k + (next(rng) % (inner.len() - k) as u64) as usize;
+        inner.swap(k, j);
+    }
+    let ids = inner[..n - 2].iter().copied().chain([0, span - 1]);
+    let dom = Domain::from_ids(ids.map(|i| i - 777));
+    assert_eq!(dom.volume(), n as u64);
+    dom
+}
+
+/// The sparse cases, one per ratio, each checked to have the layout its
+/// ratio calls for.
+fn sparse_cases() -> Vec<(f64, Domain)> {
+    let mut rng = 0x5eed_0027u64;
+    RATIOS
+        .iter()
+        .map(|&(ratio, spanned)| {
+            let dom = at_ratio(&mut rng, 300, ratio);
+            let span = (dom.bounds().volume(), dom.volume());
+            let ix = DomainIndexer::new(&dom);
+            assert!(dom.rects().len() > 20, "{ratio}: several runs");
+            assert_eq!(ix.len(), dom.volume(), "{ratio}");
+            let want = if spanned { span.0 } else { span.1 };
+            assert_eq!(ix.storage_len(), want, "{ratio}: layout");
+            (ratio, dom)
+        })
+        .collect()
+}
+
+#[test]
+fn sparse_layouts_address_what_the_point_methods_address() {
+    let (fs, a, b, n) = fields();
+    let mut rng = 0x5eed_2700u64;
+    for (ratio, dom) in sparse_cases() {
+        let mut by_point = Instance::new(dom.clone(), &fs);
+        let mut by_view = Instance::new(dom.clone(), &fs);
+        assert_eq!(by_view.len(), dom.volume(), "{ratio}: len counts elements");
+        let ids: Vec<i64> = dom.iter().map(|p| p.coord(0)).collect();
+        let raw: *mut Instance = &mut by_view;
+        // SAFETY: `by_view` outlives the views and is used through
+        // nothing else while they are live; one thread.
+        let (va, vb, vn) = unsafe {
+            (
+                Instance::view_raw::<f64, _>(raw, a, &dom, ReadWrite),
+                Instance::view_raw::<f64, _>(raw, b, &dom, Reduce(ReductionOp::Add)),
+                Instance::view_raw::<i64, _>(raw, n, &dom, ReadWrite),
+            )
+        };
+        for _ in 0..8 * ids.len() {
+            let i = ids[(next(&mut rng) % ids.len() as u64) as usize];
+            let p = DynPoint::from(i);
+            let x = (next(&mut rng) % 1000) as f64 / 8.0;
+            match next(&mut rng) % 3 {
+                0 => {
+                    by_point.write_f64(a, p, x);
+                    va.set1(i, x);
+                }
+                1 => {
+                    by_point.reduce_f64(b, p, ReductionOp::Add, x);
+                    vb.fold1(i, x);
+                }
+                _ => {
+                    by_point.write_i64(n, p, x as i64);
+                    vn.set1(i, x as i64);
+                }
+            }
+            assert_eq!(va.get1(i), by_point.read_f64(a, p), "{ratio}: {i}");
+            assert_eq!(vn.get1(i), by_point.read_i64(n, p), "{ratio}: {i}");
+        }
+        assert_eq!(by_view.checksum(), by_point.checksum(), "{ratio}");
+        let rb = by_view.view::<f64>(b);
+        for &i in &ids {
+            assert_eq!(
+                rb.get1(i),
+                by_point.read_f64(b, DynPoint::from(i)),
+                "{ratio}"
+            );
+        }
+    }
+}
+
+#[test]
+fn sparse_offsets_are_distinct_and_only_on_members() {
+    let mut rng = 0x5eed_2701u64;
+    for (ratio, dom) in sparse_cases() {
+        let ix = DomainIndexer::new(&dom);
+        let bounds = dom.bounds();
+        let (lo, hi) = (bounds.lo().coord(0), bounds.hi().coord(0));
+        let mut seen = HashSet::new();
+        for i in lo - 70..=hi + 70 {
+            let off = ix.offset_of(DynPoint::from(i));
+            assert_eq!(
+                off.is_some(),
+                dom.contains(DynPoint::from(i)),
+                "{ratio}: {i}"
+            );
+            if let Some(off) = off {
+                assert!(off < ix.storage_len(), "{ratio}: {i} at {off}");
+                assert!(seen.insert(off), "{ratio}: {i} shares offset {off}");
+            }
+        }
+        assert_eq!(seen.len() as u64, dom.volume(), "{ratio}");
+        // The run-wise walks against `offset_of`, over the whole domain
+        // and over a random subset of it.
+        let subset = Domain::from_ids(
+            dom.iter()
+                .map(|p| p.coord(0))
+                .filter(|_| next(&mut rng).is_multiple_of(2)),
+        );
+        for elements in [&dom, &subset] {
+            let per_point: Vec<u32> = elements
+                .iter()
+                .map(|p| ix.offset_of(p).unwrap() as u32)
+                .collect();
+            assert_eq!(ix.offsets_of(elements), per_point, "{ratio}");
+            let mut walked = Vec::new();
+            ix.for_each_run(elements, |off, len| {
+                assert!(len > 0, "{ratio}: empty run");
+                walked.extend(off as u32..(off + len) as u32);
+            });
+            assert_eq!(walked, per_point, "{ratio}");
+        }
+        assert!(subset.volume() > 50 && subset.volume() < dom.volume());
+    }
+}
+
+#[test]
+fn sparse_rows_split_at_every_hole() {
+    let (fs, a, ..) = fields();
+    for (ratio, dom) in sparse_cases() {
+        let mut inst = Instance::new(dom.clone(), &fs);
+        for (k, p) in dom.iter().enumerate() {
+            inst.write_f64(a, p, k as f64);
+        }
+        // The domain's runs are maximal, so each is bounded by holes (or
+        // the span's ends): rows are exactly the runs.
+        let rows: Vec<Run> = Rows::new(&dom, inst.indexer()).collect();
+        let runs: Vec<Run> = dom
+            .rects()
+            .iter()
+            .map(|r| Run {
+                start: r.lo(),
+                len: r.volume() as usize,
+            })
+            .collect();
+        assert_eq!(rows, runs, "{ratio}");
+        let view = inst.view::<f64>(a);
+        let mut k = 0.0;
+        for run in rows {
+            let row = view.row(run);
+            for e in 0..run.len {
+                assert_eq!(row.get(e), k, "{ratio}: {run:?}");
+                k += 1.0;
+            }
+        }
+    }
+}
+
 // Outside the instance: a panic in every build profile, from every
 // layout's lookup.
 
@@ -293,6 +474,41 @@ fn halo_corner_access_panics() {
     let inst = Instance::new(stencil_halo(16, 31, 2), &fs);
     // Inside the bounding box, in none of the three rectangles.
     inst.view::<f64>(a).get2(15, 15);
+}
+
+/// 6 ids over a span of 10, laid out over the span: 3, 4, 7 and 8 are
+/// storage slots that hold no element.
+fn with_holes() -> Instance {
+    let (fs, ..) = fields();
+    let inst = Instance::new(Domain::from_ids([0, 1, 2, 5, 6, 9]), &fs);
+    assert_eq!((inst.len(), inst.indexer().storage_len()), (6, 10));
+    inst
+}
+
+#[test]
+#[should_panic(expected = "outside instance domain")]
+fn span_layout_get_in_a_hole_panics() {
+    let (_, a, ..) = fields();
+    with_holes().view::<f64>(a).get1(3);
+}
+
+#[test]
+#[should_panic(expected = "not contiguous")]
+fn span_layout_row_across_a_hole_panics() {
+    let (_, a, ..) = fields();
+    let run = Run {
+        start: DynPoint::from(1),
+        len: 3,
+    };
+    with_holes().view::<f64>(a).row(run);
+}
+
+#[test]
+#[should_panic(expected = "outside the indexed domain")]
+fn span_layout_for_each_run_over_a_hole_panics() {
+    let inst = with_holes();
+    inst.indexer()
+        .for_each_run(&Domain::from_ids([5, 6, 7]), |_, _| {});
 }
 
 #[test]
