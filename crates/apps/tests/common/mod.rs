@@ -272,6 +272,76 @@ pub fn assert_recovers(
     ns: usize,
     opts: &ResilienceOptions,
 ) -> RunResult {
+    recovers(strategy, mk, ns, opts).0
+}
+
+/// [`assert_recovers`] for a fault the run meets before its first copied
+/// snapshot, so every shard rolls back to the fill and refills its image
+/// from the store: also checks the recovered run against the sequential
+/// interpreter (regions under `tol`, 0.0 for bit for bit; the env
+/// exactly), that it restored at least once, that it took as many
+/// checkpoints as a fault-free run at the same interval, and — under the
+/// integrity layer — that it left a seal on every column of its images,
+/// so the refill resealed all it refilled.
+pub fn assert_refill_recovers(
+    strategy: Strategy,
+    mk: impl Fn() -> (Program, Store),
+    ns: usize,
+    tol: f64,
+    opts: &ResilienceOptions,
+) -> RunResult {
+    let (seq, mut reference) = mk();
+    let roots = seq.root_regions();
+    let (env_seq, _) = regent_ir::interp::run(&seq, &mut reference);
+
+    let (prog, mut store) = mk();
+    let fault_free = run(
+        strategy.compile(prog, ns).as_ref(),
+        &mut store,
+        &RunOptions::default().with_resilience(ResilienceOptions {
+            checkpoint_interval: opts.checkpoint_interval,
+            ..Default::default()
+        }),
+    );
+
+    let (res, compiled, store) = recovers(strategy, mk, ns, opts);
+    assert!(res.stats.restores >= 1, "no rollback happened");
+    assert_eq!(
+        res.stats.checkpoints, fault_free.stats.checkpoints,
+        "a rollback to the fill changed the checkpoint count"
+    );
+    assert_eq!(env_seq, res.env, "env diverged from the interpreter");
+    compare_roots(
+        "interpreter vs recovered",
+        &roots,
+        (&seq.forest, &reference),
+        (forest(&compiled), &store),
+        tol,
+    );
+    if opts.integrity || opts.plan.corrupt_rate > 0.0 {
+        let spmd = replicated(&compiled);
+        let (schedule, _) = spmd.schedule();
+        for (shard, layout) in schedule.layouts.iter().enumerate() {
+            let (image, built) = spmd.take_image(layout, shard);
+            assert!(!built, "shard {shard} had no idle image");
+            assert!(
+                image.insts.iter().all(|i| i.seal_value().is_some()),
+                "shard {shard} holds an unsealed column"
+            );
+            spmd.put_image(shard, image);
+        }
+    }
+    res
+}
+
+/// The body of [`assert_recovers`], which also hands back the recovered
+/// program and its store.
+pub fn recovers(
+    strategy: Strategy,
+    mk: impl Fn() -> (Program, Store),
+    ns: usize,
+    opts: &ResilienceOptions,
+) -> (RunResult, Owned, Store) {
     let (prog_a, mut store_a) = mk();
     let roots = prog_a.root_regions();
     let a = strategy.compile(prog_a, ns);
@@ -314,5 +384,5 @@ pub fn assert_recovers(
             "every shard records each restore"
         );
     }
-    resilient
+    (resilient, b, store_b)
 }

@@ -225,6 +225,51 @@ fn nothing_of_a_guarded_run_survives_into_the_next() {
     }
 }
 
+/// A guarded run that rolls back to the fill (a crash before its first
+/// copied snapshot) and then a plain run of the same compiled program
+/// both equal a fresh program's plain run bit for bit; in between, the
+/// idle images carry a seal on every column, so the refill resealed all
+/// it refilled.
+#[test]
+fn refill_then_a_plain_run_is_bit_identical() {
+    for (app, mk) in apps() {
+        for strategy in Strategy::ALL {
+            let label = format!("{app}/{strategy:?}");
+            let roots = mk().0.root_regions();
+            let (fresh, mut want) = compiled(mk, strategy, 3, false);
+            let rf = run(fresh.as_ref(), &mut want, &RunOptions::default());
+            let reference = (forest(&fresh), &want);
+
+            let (one, mut first) = compiled(mk, strategy, 3, false);
+            let guarded = RunOptions::default().with_resilience(ResilienceOptions {
+                checkpoint_interval: 4,
+                plan: FaultPlan::new(2).crash_shard(1, 2),
+                integrity: true,
+                ..Default::default()
+            });
+            let r1 = run(one.as_ref(), &mut first, &guarded);
+            assert_eq!(
+                r1.per_shard[0].epochs_replayed, 2,
+                "{label}: rolled back to epoch 0"
+            );
+            assert_eq!(rf.env, r1.env, "{label}: guarded env");
+            let here = forest(&one);
+            compare_roots(&label, &roots, reference, (here, &first), 0.0);
+            inspect_images(&one, |shard, image| {
+                assert!(
+                    image.insts.iter().all(|i| i.seal_value().is_some()),
+                    "{label}: shard {shard} holds an unsealed column"
+                );
+            });
+
+            let (_, mut second) = compiled(mk, strategy, 3, false);
+            let r2 = run(one.as_ref(), &mut second, &RunOptions::default());
+            assert_eq!(rf.env, r2.env, "{label}: plain env");
+            compare_roots(&label, &roots, reference, (here, &second), 0.0);
+        }
+    }
+}
+
 /// (d, second half) `run_failover` shrinking 4 → 3 shards drops the
 /// images built for 4, and the attempt at 3 is bit-identical to an
 /// undisturbed run.

@@ -11,7 +11,8 @@
 mod common;
 
 use common::{
-    assert_recovers, certify, compare_roots, mk_circuit, mk_pennant, mk_stencil, Strategy::Log,
+    assert_recovers, assert_refill_recovers, certify, compare_roots, mk_circuit, mk_pennant,
+    mk_stencil, Strategy::Log,
 };
 use regent_cr::{control_replicate, CrOptions};
 use regent_runtime::{
@@ -56,6 +57,25 @@ fn pennant_log_recovers_bit_identical() {
         ..Default::default()
     };
     assert_recovers(Log, || mk_pennant(2e-2), 3, &opts);
+}
+
+#[test]
+fn refill_recovers_under_the_log() {
+    // Checkpoints every 4 epochs and a crash before epoch 4: the log's
+    // consumers rewind to the epoch-0 boundary batch, whose snapshot is
+    // the fill, and refill (and reseal) their images from the store.
+    for (mk, tol) in [(mk_stencil as fn() -> _, 0.0), (mk_circuit, 1e-12)] {
+        for epoch in 1..=3 {
+            let opts = ResilienceOptions {
+                checkpoint_interval: 4,
+                plan: FaultPlan::new(epoch).crash_shard(2, epoch),
+                integrity: true,
+                ..Default::default()
+            };
+            let res = assert_refill_recovers(Log, mk, 3, tol, &opts);
+            assert_eq!(res.per_shard[0].epochs_replayed, epoch);
+        }
+    }
 }
 
 #[test]

@@ -514,10 +514,10 @@ impl MetricSet {
 
 /// Nanoseconds of CPU time consumed by the calling thread
 /// (`CLOCK_THREAD_CPUTIME_ID`). Unlike a wall clock, time spent
-/// descheduled does not accumulate, so a probe bracketing a short
-/// section does not blow up when a preemption lands inside it — the
-/// right clock for sub-millisecond instrumented sections on a busy
-/// machine. Falls back to the wall clock where the raw syscall is
+/// descheduled does not accumulate — what a test of a blocked thread's
+/// CPU use needs. Each read is a system call, about eight times the
+/// cost of the monotonic clock the timers read, so no per-statement
+/// path reads it. Falls back to the wall clock where the raw syscall is
 /// unavailable.
 pub fn thread_cpu_ns() -> u64 {
     clock_ns(3) // CLOCK_THREAD_CPUTIME_ID
@@ -914,27 +914,6 @@ impl MetricsHandle {
     pub fn record_since(&mut self, t0: u64, t: Timer) {
         if self.enabled {
             let now = self.epoch.elapsed().as_nanos() as u64;
-            self.set.timers[t.index()].record(now.saturating_sub(t0));
-        }
-    }
-
-    /// An opaque thread-CPU-time start stamp for
-    /// [`MetricsHandle::record_cpu_since`] (0 — no clock read — when
-    /// disabled). Use for short sections whose measurement must not
-    /// absorb a preemption gap; see [`thread_cpu_ns`].
-    pub fn start_cpu(&self) -> u64 {
-        if self.enabled {
-            thread_cpu_ns()
-        } else {
-            0
-        }
-    }
-
-    /// Records the thread-CPU time since `t0` (from
-    /// [`MetricsHandle::start_cpu`]) into `t`.
-    pub fn record_cpu_since(&mut self, t0: u64, t: Timer) {
-        if self.enabled {
-            let now = thread_cpu_ns();
             self.set.timers[t.index()].record(now.saturating_sub(t0));
         }
     }

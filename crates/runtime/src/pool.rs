@@ -1,12 +1,14 @@
 //! Buffer pooling for the exchange data plane.
 //!
-//! Every copy message used to carry freshly allocated `Vec`s and every
-//! checkpoint boundary cloned every instance of the shard; in steady state
-//! both allocate the same shapes over and over. [`ChunkPool`] is a
-//! per-shard freelist (shard threads are single-threaded, so no locks)
-//! the consumer side feeds with drained payload buffers and the
-//! producer side draws from; the snapshot helpers reuse the previous
-//! snapshot's allocations via `Instance::clone_contents_from`.
+//! Exchange payloads and checkpoint copies have the same shapes every
+//! epoch. [`ChunkPool`] is a per-shard freelist (shard threads are
+//! single-threaded, so no locks) the consumer side feeds with drained
+//! payload buffers and the producer side draws from.
+//! `clone_insts_into` copies instances into a previous copy's
+//! allocations via `Instance::clone_contents_from`. It does so only
+//! within a run: a snapshot taken before anything wrote the image is
+//! the fill and copies nothing, so the first copied snapshot of a run
+//! allocates.
 //!
 //! Lifecycle of a pooled payload buffer:
 //!
@@ -108,7 +110,7 @@ impl ChunkPool {
 /// instances are `clone_contents_from`'d in place, slot by slot.
 /// Contract: both are one shard's instances by slot of its layout, so
 /// instances at the same index have the same shape; a `dst` of another
-/// length (the first snapshot) is replaced by a fresh clone.
+/// length (a run's first copied snapshot) is replaced by a fresh clone.
 pub(crate) fn clone_insts_into(src: &[Instance], dst: &mut Vec<Instance>) {
     if dst.len() != src.len() {
         *dst = src.to_vec();

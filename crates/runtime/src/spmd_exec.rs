@@ -50,6 +50,14 @@
 //! work gets fresh identities and the Spy validator certifies the
 //! recovered trace like any other.
 //!
+//! The fill is the first checkpoint. A run fills its shard's image
+//! from the store and flushes it back only after every shard joined
+//! (§3.1), so until the first launch, copy or temporary reset the store
+//! holds exactly what the image holds. A snapshot taken in that state
+//! copies no instance: it names the store, and a rollback to it refills
+//! the image along its memoized fill runs (resealing it under the
+//! integrity layer). Every other snapshot copies the instances.
+//!
 //! ## Integrity (silent-data-corruption detection and repair)
 //!
 //! With [`ResilienceOptions::integrity`] (or any nonzero
@@ -470,14 +478,21 @@ impl Resilience {
 
 /// An epoch-boundary snapshot: everything a shard must restore to
 /// deterministically replay from that boundary. Trace identities and
-/// statistics are deliberately excluded (see the module docs).
+/// statistics are deliberately excluded (see the module docs). A
+/// snapshot taken before anything wrote the image is the fill itself
+/// and copies no instance (`from_fill`); the others copy every one.
 ///
 /// `token` is the executor's resume position — the outermost-loop
 /// iteration for the SPMD executor, the log batch index for the
 /// shared-log executor.
+#[derive(Default)]
 struct Snapshot {
     token: u64,
     epoch: u64,
+    /// The instances are the run's fill: nothing had written the image
+    /// since it was filled, so the store holds them and `insts` only
+    /// keeps allocations for the next copied snapshot.
+    from_fill: bool,
     /// The shard's instances, by slot of its layout.
     insts: Vec<Instance>,
     env: Vec<f64>,
@@ -738,6 +753,13 @@ pub(crate) struct ShardExec<'a> {
     /// The shard's instances, by slot: the program's image of this
     /// shard, taken for the run and handed back by the team driver.
     pub(crate) data: ShardImage,
+    /// The store the image was filled from. Nothing writes it while
+    /// the shards run (the team driver flushes after the join).
+    store: &'a Store,
+    /// Nothing has written the image since it was filled from `store`
+    /// (cleared by every launch, copy and temporary reset, and by a
+    /// rescue resume).
+    as_filled: bool,
     pub(crate) env: Vec<f64>,
     /// This shard's ends of the exchange mesh, by peer shard.
     pub(crate) tx: Vec<RingSender<CopyMsg>>,
@@ -826,7 +848,7 @@ impl<'a> ShardExec<'a> {
         spmd: &'a SpmdProgram,
         schedule: &'a ExchangeSchedule,
         shard: usize,
-        store: &Store,
+        store: &'a Store,
         env: Vec<f64>,
         (tx, rx): (Vec<RingSender<CopyMsg>>, Vec<RingReceiver<CopyMsg>>),
         (collective, barrier): (&'a DynamicCollective, &'a ShardBarrier),
@@ -836,28 +858,20 @@ impl<'a> ShardExec<'a> {
     ) -> Self {
         let mut mx = metrics::global().handle(&format!("shard-{shard}"));
         let layout = &schedule.layouts[shard];
-        let (mut data, built) = spmd.take_image(layout, shard);
+        let (data, built) = spmd.take_image(layout, shard);
         mx.incr(if built {
             Counter::ImageBuilds
         } else {
             Counter::ImageReuses
         });
-        let m0 = mx.start();
-        data.fill(spmd, layout, store);
-        mx.record_since(m0, Timer::ImageFillNs);
-        if resilience.is_some_and(|o| o.integrity || o.plan.corrupt_rate > 0.0) {
-            // Initial seal: from here on every instance is verified at
-            // each epoch boundary.
-            for inst in &mut data.insts {
-                inst.seal();
-            }
-        }
-        ShardExec {
+        let mut exec = ShardExec {
             spmd,
             schedule,
             layout,
             shard,
             data,
+            store,
+            as_filled: true,
             env,
             tx,
             rx,
@@ -877,6 +891,25 @@ impl<'a> ShardExec<'a> {
             outer_loop_seq: 0,
             pool: ChunkPool::new(),
             scratch: Scratch::default(),
+        };
+        let m0 = exec.mx.start();
+        exec.data.fill(spmd, layout, store);
+        exec.mx.record_since(m0, Timer::ImageFillNs);
+        // Initial seal: from here on every instance is verified at each
+        // epoch boundary.
+        exec.seal_image();
+        exec
+    }
+
+    /// Seals every instance when the integrity layer is on — after a
+    /// fill, which leaves every column unsealed.
+    fn seal_image(&mut self) {
+        if self.integrity_on() {
+            let m0 = self.mx.start();
+            for inst in &mut self.data.insts {
+                inst.seal();
+            }
+            self.mx.record_since(m0, Timer::IntegrityNs);
         }
     }
 
@@ -891,6 +924,12 @@ impl<'a> ShardExec<'a> {
     /// only leaf statements here (its sequencer unrolls control flow
     /// into the log).
     pub(crate) fn run_stmt(&mut self, s: &SpmdStmt) {
+        if matches!(
+            s,
+            SpmdStmt::Launch(_) | SpmdStmt::Copy(_) | SpmdStmt::ResetTemp(_)
+        ) {
+            self.as_filled = false;
+        }
         match s {
             SpmdStmt::Launch(l) => self.run_launch(l),
             SpmdStmt::Copy(c) => self.run_copy(c),
@@ -1002,12 +1041,12 @@ impl<'a> ShardExec<'a> {
             }
         }
         if self.integrity_on() {
-            let m0 = self.mx.start_cpu();
+            let m0 = self.mx.start();
             let sealed = (slots.len() * decl.fields.len()) as u64;
             for inst in &mut self.data.insts[slots] {
                 inst.seal_fields(&decl.fields);
             }
-            self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+            self.mx.record_since(m0, Timer::IntegrityNs);
             self.mx.add(Counter::ColumnSeals, sealed);
         }
     }
@@ -1168,13 +1207,13 @@ impl<'a> ShardExec<'a> {
             }
         }
         if !self.scratch.reseal.is_empty() {
-            let m0 = self.mx.start_cpu();
+            let m0 = self.mx.start();
             let mut sealed = 0;
             for &(slot, fields) in &self.scratch.reseal {
                 self.data.insts[slot].seal_fields(fields);
                 sealed += fields.len() as u64;
             }
-            self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+            self.mx.record_since(m0, Timer::IntegrityNs);
             self.mx.add(Counter::ColumnSeals, sealed);
         }
         if let Some((var, op)) = l.reduce_result {
@@ -1282,15 +1321,12 @@ impl<'a> ShardExec<'a> {
             self.mx.record_since(m0, Timer::CopyIssueNs);
         }
         if !self.scratch.outbox.is_empty() {
-            // The statement's frames are checksummed together: the
-            // integrity timer reads the thread CPU clock, a system call
-            // at each end of a bracket, so it brackets the phase and
-            // not each frame.
-            let m0 = self.mx.start_cpu();
+            // The statement's frames are checksummed under one bracket.
+            let m0 = self.mx.start();
             for out in &mut self.scratch.outbox {
                 out.checksum = chunks_checksum(&out.chunks);
             }
-            self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+            self.mx.record_since(m0, Timer::IntegrityNs);
             let mut outbox = std::mem::take(&mut self.scratch.outbox);
             for out in outbox.drain(..) {
                 self.send_framed(c.id, out);
@@ -1351,9 +1387,9 @@ impl<'a> ShardExec<'a> {
                     debug_assert_eq!(msg.copy, c.id, "copy protocol out of sync");
                     debug_assert_eq!(msg.pair_seq, seq as u32, "pair order out of sync");
                     let frame_ok = if integrity {
-                        let m0 = self.mx.start_cpu();
+                        let m0 = self.mx.start();
                         let ok = chunks_checksum(&msg.chunks) == msg.checksum;
-                        self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+                        self.mx.record_since(m0, Timer::IntegrityNs);
                         ok
                     } else {
                         true
@@ -1444,11 +1480,11 @@ impl<'a> ShardExec<'a> {
             self.scratch.applied.sort_unstable();
             self.scratch.applied.dedup();
             let sealed = (self.scratch.applied.len() * c.fields.len()) as u64;
-            let m0 = self.mx.start_cpu();
+            let m0 = self.mx.start();
             for slot in self.scratch.applied.drain(..) {
                 self.data.insts[slot as usize].seal_fields(&c.fields);
             }
-            self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+            self.mx.record_since(m0, Timer::IntegrityNs);
             self.mx.add(Counter::ColumnSeals, sealed);
         }
     }
@@ -1615,24 +1651,24 @@ impl<'a> ShardExec<'a> {
         if due {
             let t0 = self.tb.now();
             let m0 = self.mx.start();
-            // Reuse the previous snapshot's allocations: the instance
-            // shapes are static per shard, so in steady state a
-            // checkpoint copies bits without touching the allocator.
-            let snap = match self.resilience.as_mut().unwrap().snapshot.take() {
-                Some(mut s) => {
-                    s.token = token;
-                    s.epoch = epoch;
-                    clone_insts_into(&self.data.insts, &mut s.insts);
-                    s.env.clone_from(&self.env);
-                    s
-                }
-                None => Snapshot {
-                    token,
-                    epoch,
-                    insts: self.data.insts.clone(),
-                    env: self.env.clone(),
-                },
-            };
+            let mut snap = self
+                .resilience
+                .as_mut()
+                .unwrap()
+                .snapshot
+                .take()
+                .unwrap_or_default();
+            snap.token = token;
+            snap.epoch = epoch;
+            snap.from_fill = self.as_filled;
+            if !snap.from_fill {
+                // Reuse the previous copy's allocations: the instance
+                // shapes are static per shard, so from a run's second
+                // copy on a checkpoint copies bits without touching the
+                // allocator.
+                clone_insts_into(&self.data.insts, &mut snap.insts);
+            }
+            snap.env.clone_from(&self.env);
             self.resilience.as_mut().unwrap().snapshot = Some(snap);
             self.stats.checkpoints += 1;
             self.mx.incr(Counter::Checkpoints);
@@ -1737,9 +1773,9 @@ impl<'a> ShardExec<'a> {
             // rate-0 cost by the checkpoint interval.
             let sweep_due = first || (r.interval > 0 && epoch.is_multiple_of(r.interval));
             if sweep_due {
-                let m0 = self.mx.start_cpu();
+                let m0 = self.mx.start();
                 self.verify_clean();
-                self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+                self.mx.record_since(m0, Timer::IntegrityNs);
             }
             return None;
         };
@@ -1771,9 +1807,9 @@ impl<'a> ShardExec<'a> {
                 });
             }
         } else {
-            let m0 = self.mx.start_cpu();
+            let m0 = self.mx.start();
             self.verify_clean();
-            self.mx.record_cpu_since(m0, Timer::IntegrityNs);
+            self.mx.record_since(m0, Timer::IntegrityNs);
         }
         Some(self.rollback(epoch))
     }
@@ -1791,12 +1827,14 @@ impl<'a> ShardExec<'a> {
         // A checkpoint part is laid out by the same slots as the image
         // (failover's remap rebuilds it for a shrunken membership).
         clone_insts_into(&rs.parts[self.shard], &mut self.data.insts);
+        self.as_filled = false;
         self.env = rs.env.clone();
         self.epoch = rs.epoch;
         let r = self.resilience.as_mut().unwrap();
         r.snapshot = Some(Snapshot {
             token: rs.token,
             epoch: rs.epoch,
+            from_fill: false,
             insts: rs.parts[self.shard].clone(),
             env: rs.env.clone(),
         });
@@ -1828,10 +1866,11 @@ impl<'a> ShardExec<'a> {
         rs.token
     }
 
-    /// Coordinated rollback to the live snapshot: restores instances,
-    /// scalars, and the epoch counter, suppresses useful-work stats
-    /// for the replayed range, and returns the resume token the
-    /// snapshot stored (loop iteration or log batch index).
+    /// Coordinated rollback to the live snapshot: restores instances
+    /// (refilled from the store when the snapshot is the fill, copied
+    /// back otherwise), scalars, and the epoch counter, suppresses
+    /// useful-work stats for the replayed range, and returns the resume
+    /// token the snapshot stored (loop iteration or log batch index).
     fn rollback(&mut self, epoch: u64) -> u64 {
         // Take the snapshot out so the live state can be restored in
         // place (no intermediate full clone), then put it back — it
@@ -1846,7 +1885,13 @@ impl<'a> ShardExec<'a> {
         let (snap_token, snap_epoch) = (snap.token, snap.epoch);
         let t0 = self.tb.now();
         let m0 = self.mx.start();
-        clone_insts_into(&snap.insts, &mut self.data.insts);
+        if snap.from_fill {
+            self.data.fill(self.spmd, self.layout, self.store);
+            self.seal_image();
+            self.as_filled = true;
+        } else {
+            clone_insts_into(&snap.insts, &mut self.data.insts);
+        }
         self.env.clone_from(&snap.env);
         self.resilience.as_mut().unwrap().snapshot = Some(snap);
         self.epoch = snap_epoch;

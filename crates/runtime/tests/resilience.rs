@@ -21,6 +21,13 @@ type InitFn = Box<dyn Fn(&Program, &mut Store)>;
 /// A halo-exchange stencil over a For loop: cross-shard copies every
 /// iteration, so a rollback must re-drive the message protocol too.
 fn stencil_program(n: u64, parts: usize, steps: u64) -> (Program, InitFn) {
+    stencil_shaped(n, parts, false, &[steps])
+}
+
+/// [`stencil_program`] with one outer loop per entry of `loops` (its
+/// trip count) and, when `scale_first`, a launch that rescales `x`
+/// before the first loop.
+fn stencil_shaped(n: u64, parts: usize, scale_first: bool, loops: &[u64]) -> (Program, InitFn) {
     let mut b = ProgramBuilder::new();
     let fs = FieldSpace::of(&[("x", FieldType::F64), ("y", FieldType::F64)]);
     let x = fs.lookup("x").unwrap();
@@ -62,18 +69,37 @@ fn stencil_program(n: u64, parts: usize, steps: u64) -> (Program, InitFn) {
         }),
         cost_per_element: 1.0,
     });
-    let l = b.for_loop(c(steps as f64));
-    b.index_launch(
-        sweep,
-        parts as u64,
-        vec![RegionArg::Part(p), RegionArg::Part(halo)],
-    );
-    b.index_launch(
-        commit,
-        parts as u64,
-        vec![RegionArg::Part(p), RegionArg::Part(p)],
-    );
-    b.end(l);
+    if scale_first {
+        let scale = b.task(TaskDecl {
+            name: "scale".into(),
+            params: vec![RegionParam::read_write(&[x])],
+            num_scalar_args: 0,
+            returns_value: false,
+            kernel: Arc::new(move |ctx| {
+                let dom = ctx.domain(0).clone();
+                for pt in dom.iter() {
+                    let v = ctx.read_f64(0, x, pt);
+                    ctx.write_f64(0, x, pt, 2.0 * v + 1.0);
+                }
+            }),
+            cost_per_element: 1.0,
+        });
+        b.index_launch(scale, parts as u64, vec![RegionArg::Part(p)]);
+    }
+    for &steps in loops {
+        let l = b.for_loop(c(steps as f64));
+        b.index_launch(
+            sweep,
+            parts as u64,
+            vec![RegionArg::Part(p), RegionArg::Part(halo)],
+        );
+        b.index_launch(
+            commit,
+            parts as u64,
+            vec![RegionArg::Part(p), RegionArg::Part(p)],
+        );
+        b.end(l);
+    }
     let prog = b.build();
     let init: InitFn = Box::new(move |prog, store| {
         store.fill_f64(prog, RegionId(0), x, |pt| ((pt.coord(0) * 7) % 11) as f64);
@@ -223,6 +249,44 @@ fn crash_recovery_without_periodic_checkpoints_replays_from_start() {
     assert_eq!(per.checkpoints, 1);
     assert_eq!(per.restores, 1);
     assert_eq!(per.epochs_replayed, 4);
+}
+
+/// A launch before the outer loop writes the image, so the loop's
+/// first snapshot copies it instead of naming the fill: a crash before
+/// the next snapshot must restore the rescaled state, not refill the
+/// store's.
+#[test]
+fn refill_is_not_taken_after_a_launch_before_the_loop() {
+    for epoch in 1..=3 {
+        let opts = ResilienceOptions {
+            checkpoint_interval: 4,
+            plan: FaultPlan::new(epoch).crash_shard(1, epoch),
+            ..Default::default()
+        };
+        let mk = || stencil_shaped(48, 6, true, &[6]);
+        let (_, res) = assert_recovery_bit_identical(mk, 3, &opts);
+        assert_eq!(res.per_shard[0].epochs_replayed, epoch);
+    }
+}
+
+/// The second outer loop's first snapshot copies what the first loop
+/// computed: a crash inside the second loop rolls back to it, not to
+/// the fill.
+#[test]
+fn refill_is_not_taken_at_a_second_outer_loop() {
+    // Loop one runs epochs 0–1, loop two epochs 2–5 (snapshots at 2
+    // and 4).
+    for epoch in [3, 5] {
+        let opts = ResilienceOptions {
+            checkpoint_interval: 4,
+            plan: FaultPlan::new(epoch).crash_shard(2, epoch),
+            ..Default::default()
+        };
+        let mk = || stencil_shaped(48, 6, false, &[2, 4]);
+        let (_, res) = assert_recovery_bit_identical(mk, 3, &opts);
+        assert_eq!(res.per_shard[0].restores, 1);
+        assert_eq!(res.per_shard[0].epochs_replayed, 1);
+    }
 }
 
 #[test]

@@ -370,6 +370,31 @@ fn env_at_the_edge() {
     );
 }
 
+/// Timers read the monotonic clock. The thread CPU clock is a system
+/// call per read, so only `runtime/src/metrics.rs`, which defines it,
+/// names `thread_cpu_ns` under `crates/*/src`, and the timer methods
+/// that read it on every bracket are gone from the tree. Fails when a
+/// syscall clock creeps back into a per-statement path.
+#[test]
+fn one_clock() {
+    let cpu_clock: Vec<String> = scan(&["crates"], false, |line| {
+        words(line).any(|w| w == "thread_cpu_ns")
+    })
+    .into_iter()
+    .filter(|h| h.contains("/src/") && !h.starts_with("crates/runtime/src/metrics.rs:"))
+    .collect();
+    assert_none("the thread CPU clock is read outside metrics.rs", cpu_clock);
+
+    let mut trees = TREE.to_vec();
+    trees.push(".github");
+    assert_none(
+        "a CPU-clock timer method is back",
+        hits(&trees, |line| {
+            words(line).any(|w| w == "start_cpu" || w == "record_cpu_since")
+        }),
+    );
+}
+
 /// Every trace file is one document — Chrome `trace_event` with the
 /// `regentTracks` sidecar — and each event kind's wire form is stated
 /// once, in the `event_kinds!` table of `crates/trace/src/event.rs`.
