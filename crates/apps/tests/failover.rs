@@ -8,7 +8,9 @@
 //! strategies. Also covers the loss-budget fail-stop (a double failure
 //! past `max_failovers` must quarantine cleanly, not hang), the
 //! shared-log strategy's from-scratch failover, the hybrid per-segment
-//! checkpoint remap, what epoch a membership change records,
+//! checkpoint remap, what epoch a membership change records, how many
+//! instances a failover rebuilds (16 for fig_failover's Stencil at
+//! every kill epoch and shard count),
 //! hang-detection failover (a stalled shard is blamed and evicted under
 //! a 500 ms `RunOptions::hang_timeout` while the other tests of this
 //! binary run concurrently at the default), and seeded chaos schedules (the soak variant is `#[ignore]`d for the dedicated
@@ -18,14 +20,16 @@ mod common;
 
 use common::{
     certify, compare_roots, count_events, forest, mk_circuit, mk_miniaero, mk_pennant, mk_stencil,
-    num_shards, trace_forest, Strategy,
+    num_shards, replicated, trace_forest, Strategy,
 };
+use regent_apps::stencil;
+use regent_cr::shard_layouts;
 use regent_ir::{Program, Store};
 use regent_runtime::{
     classify_failure, run, run_failover, DeathCause, Failover, FailoverOptions, FailureClass,
     FaultPlan, Rescue, ResilienceOptions, RunOptions, RunResult, FAILOVER_EXHAUSTED_PREFIX,
 };
-use regent_trace::{EventKind, Tracer};
+use regent_trace::{failover_summary, EventKind, Tracer};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -375,6 +379,89 @@ fn membership_change_names_the_resume_epoch() {
             assert_eq!(reconstructed, changed, "{strategy:?}");
         }
     }
+}
+
+/// fig_failover's run: Stencil n = 40 on 4×2 tiles, 6 steps.
+fn mk_fig_failover() -> (Program, Store) {
+    let cfg = stencil::StencilConfig {
+        n: 40,
+        ntx: 4,
+        nty: 2,
+        radius: 2,
+        steps: 6,
+    };
+    let (prog, h) = stencil::stencil_program(cfg);
+    let mut store = Store::new(&prog);
+    stencil::init_stencil(&prog, &mut store, &h);
+    (prog, store)
+}
+
+/// Kills shard 1 of fig_failover's run on `ns` shards at `kill_epoch`,
+/// checkpointing every 2 epochs, and checks the survivors' result
+/// bit-identical to the undisturbed run and the instances the failover
+/// rebuilt. The whole committed checkpoint moves onto the survivors'
+/// layouts, so the count is fixed by the partitioning: 16 at every kill
+/// epoch and every shard count.
+fn assert_rebuilds_16_instances(ns: usize, kill_epoch: u64) {
+    install_quiet_hook();
+    let label = format!("{ns} shards, shard 1 killed at epoch {kill_epoch}");
+    let (prog_a, mut store_a) = mk_fig_failover();
+    let roots = prog_a.root_regions();
+    let a = Strategy::Spmd.compile(prog_a, ns);
+    let plain = run(a.as_ref(), &mut store_a, &RunOptions::default());
+
+    let (prog_b, mut store_b) = mk_fig_failover();
+    let mut b = Strategy::Spmd.compile(prog_b, ns);
+    let tracer = Tracer::enabled();
+    let opts = RunOptions::traced(&tracer).with_resilience(ResilienceOptions {
+        checkpoint_interval: 2,
+        plan: FaultPlan::new(42).kill_shard(1, kill_epoch),
+        ..Default::default()
+    });
+    let r = run_failover(b.as_mut(), &mut store_b, &opts, &FailoverOptions::default());
+    assert_eq!(r.final_shards, ns - 1, "{label}: membership");
+    assert_eq!(plain.env, r.run.env, "{label}: scalar env diverged");
+    let (here_a, here_b) = ((forest(&a), &store_a), (forest(&b), &store_b));
+    compare_roots(&label, &roots, here_a, here_b, 0.0);
+
+    let summary = failover_summary(&tracer.take());
+    assert!(summary.coherent(), "{label}: incoherent failover record");
+    assert_eq!(summary.insts_rebuilt, 16, "{label}: instances rebuilt");
+    let held: usize = shard_layouts(replicated(&b))
+        .iter()
+        .map(|layout| layout.slots.len())
+        .sum();
+    assert_eq!(held, 16, "{label}: instances the survivors' layouts hold");
+}
+
+#[test]
+fn failover_rebuilds_16_instances_kill_at_epoch_1() {
+    assert_rebuilds_16_instances(3, 1);
+}
+
+#[test]
+fn failover_rebuilds_16_instances_kill_at_epoch_2() {
+    assert_rebuilds_16_instances(3, 2);
+}
+
+#[test]
+fn failover_rebuilds_16_instances_kill_at_epoch_4() {
+    assert_rebuilds_16_instances(3, 4);
+}
+
+#[test]
+fn failover_rebuilds_16_instances_on_2_shards() {
+    assert_rebuilds_16_instances(2, 2);
+}
+
+#[test]
+fn failover_rebuilds_16_instances_on_4_shards() {
+    assert_rebuilds_16_instances(4, 2);
+}
+
+#[test]
+fn failover_rebuilds_16_instances_on_8_shards() {
+    assert_rebuilds_16_instances(8, 2);
 }
 
 #[test]

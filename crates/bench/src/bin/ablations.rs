@@ -14,8 +14,8 @@
 //!    stencil with and without template capture/replay — dependence
 //!    checks, per-epoch analysis cost, and the steady-state hit rate.
 //! 7. **Shared-log execution**: real stencil execution through the
-//!    flat-combining operation-log executor vs plain SPMD — sequencer
-//!    appends/combines, combined-batch sizes, cursor lag, and the
+//!    operation-log executor vs plain SPMD — sequencer appends and
+//!    publications, batch sizes, cursor lag, and the
 //!    per-replica amortized dependence analysis.
 
 use regent_apps::{circuit, stencil};
@@ -26,9 +26,7 @@ use regent_region::{ops, Color, Domain, FieldSpace, RegionForest};
 use regent_runtime::{
     execute_implicit, metrics, run, Compiled, ImplicitOptions, MemoCache, RunOptions,
 };
-use regent_trace::{
-    blame_report, entries_to_json, memo_summary, merge_entries, parse_entries, BenchEntry, Tracer,
-};
+use regent_trace::{blame_report, memo_summary, merge_into_file, BenchEntry, Tracer};
 use std::time::Instant;
 
 fn ablation_intersections() {
@@ -371,15 +369,8 @@ fn main() {
     ablation_memo(&mut entries);
     ablation_log(&mut entries);
     if let Some(path) = json {
-        let merged = match std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|t| parse_entries(&t).ok())
-        {
-            Some(base) => merge_entries(base, entries),
-            None => entries,
-        };
-        std::fs::write(&path, entries_to_json(&merged))
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("bench artifact: {} entries -> {path}", merged.len());
+        let n =
+            merge_into_file(&path, entries).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        println!("bench artifact: {n} entries -> {path}");
     }
 }

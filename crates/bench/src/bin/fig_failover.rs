@@ -16,11 +16,14 @@
 //! the DES crash-remap model (`regent-machine::scenario`) derives
 //! from these measurements.
 //!
-//! The `--check` gate (the `BENCH_PR9.json` model) mixes **budget**
-//! entries — measured times against generous ceilings, so any healthy
-//! run passes but a hang or pathological regression trips — and
-//! **exact** entries: the instances-rebuilt counts are deterministic
-//! functions of the partitioning and are gated at tolerance 0.
+//! Every run is asserted bit-identical to the undisturbed one. The
+//! rebuilt-instance counts are exact assertions in
+//! `crates/apps/tests/failover.rs` (16 at every kill epoch and shard
+//! count); the times depend on the host and are reported, not gated.
+//!
+//! ```text
+//! fig_failover [--steps 6]
+//! ```
 
 use regent_apps::stencil;
 use regent_cr::{control_replicate, CrOptions};
@@ -29,10 +32,7 @@ use regent_runtime::{
     classify_failure, panic_message, run, run_failover, Compiled, FailoverOptions, FailureClass,
     FaultPlan, ResilienceOptions, RunOptions,
 };
-use regent_trace::{
-    check_entries, entries_to_json, failover_summary, merge_entries, parse_entries, BenchEntry,
-    Blame, Tracer,
-};
+use regent_trace::{failover_summary, Tracer};
 use std::time::Instant;
 
 const NS: usize = 3;
@@ -49,19 +49,6 @@ fn mk(steps: u64) -> (regent_ir::Program, Store) {
     let mut store = Store::new(&prog);
     stencil::init_stencil(&prog, &mut store, &h);
     (prog, store)
-}
-
-fn entry(executor: String, shards: usize, wall_ns: u64, metrics: Vec<(String, f64)>) -> BenchEntry {
-    BenchEntry {
-        app: "failover".to_string(),
-        size: "stencil40".to_string(),
-        shards: shards as u32,
-        executor,
-        wall_ns,
-        critical_path_ns: wall_ns,
-        blame: Blame::default(),
-        metrics,
-    }
 }
 
 /// One failover run: returns (wall seconds, reconstruct ns, instances
@@ -99,40 +86,11 @@ fn failover_run(steps: u64, ns: usize, kill_epoch: u64, plain_env: &[f64]) -> (f
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut steps: u64 = 6;
-    let mut json: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut check_tol: f64 = 0.0;
-    let need = |i: usize| -> String {
-        args.get(i)
-            .unwrap_or_else(|| panic!("missing value after {}", args[i - 1]))
-            .clone()
+    let steps: u64 = match args.as_slice() {
+        [] => 6,
+        [flag, n] if flag == "--steps" => n.parse().expect("--steps takes a count"),
+        _ => panic!("unexpected arguments {args:?} (usage: fig_failover [--steps N])"),
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--steps" => {
-                steps = need(i + 1).parse().expect("--steps takes a count");
-                i += 2;
-            }
-            "--json" => {
-                json = Some(need(i + 1));
-                i += 2;
-            }
-            "--check" => {
-                check = Some(need(i + 1));
-                i += 2;
-            }
-            "--check-tol" => {
-                check_tol = need(i + 1).parse().expect("--check-tol takes a number");
-                i += 2;
-            }
-            other => panic!(
-                "unknown argument {other} (usage: fig_failover [--steps N] [--json p] \
-                 [--check p] [--check-tol pct])"
-            ),
-        }
-    }
 
     // The injected losses unwind shard threads by design; keep their
     // poison cascades off stderr so CI logs stay readable.
@@ -147,8 +105,6 @@ fn main() {
             prev(info);
         }
     }));
-
-    let mut entries = Vec::new();
 
     // Undisturbed baseline, best of 3.
     let plain = {
@@ -196,31 +152,16 @@ fn main() {
         // The failover cost: everything between the kill and the run
         // being whole again — detection, agreement, reconstruction,
         // and replay from the last committed boundary.
-        let mttr_ns = ((wall - plain_s).max(0.0) * 1e9) as u64 + 1;
+        let failover_ms = (wall - plain_s).max(0.0) * 1e3;
         println!(
             "{:>10}  {:>12.2}  {:>14.2}  {:>14.1}  {:>6}  {:>13}",
             kill_epoch,
             wall * 1e3,
-            mttr_ns as f64 / 1e6,
+            failover_ms,
             recon_ns as f64 / 1e3,
             insts,
             "yes"
         );
-        entries.push(entry(
-            format!("mttr-k{kill_epoch}"),
-            NS,
-            mttr_ns,
-            vec![
-                ("mttr_ms".into(), mttr_ns as f64 / 1e6),
-                ("reconstruct_us".into(), recon_ns as f64 / 1e3),
-            ],
-        ));
-        entries.push(entry(
-            format!("recon-insts-k{kill_epoch}"),
-            NS,
-            insts,
-            vec![("insts_rebuilt".into(), insts as f64)],
-        ));
     }
     println!();
 
@@ -250,12 +191,6 @@ fn main() {
         if insts > 0 {
             recon_per_inst.push(recon_ns as f64 / insts as f64);
         }
-        entries.push(entry(
-            format!("recon-insts-n{ns}"),
-            ns,
-            insts,
-            vec![("insts_rebuilt".into(), insts as f64)],
-        ));
     }
     println!();
 
@@ -280,46 +215,4 @@ fn main() {
          and dominates it by design"
     );
     println!();
-
-    if let Some(path) = &json {
-        let merged = match std::fs::read_to_string(path)
-            .ok()
-            .and_then(|t| parse_entries(&t).ok())
-        {
-            Some(base) => merge_entries(base, entries.clone()),
-            None => entries.clone(),
-        };
-        std::fs::write(path, entries_to_json(&merged))
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("bench artifact: {} entries -> {path}", merged.len());
-    }
-    if let Some(path) = &check {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let baseline = parse_entries(&text).unwrap_or_else(|e| panic!("baseline {path}: {e}"));
-        match check_entries(&entries, &baseline, check_tol) {
-            Ok(notes) => {
-                for n in &notes {
-                    println!("check: {n}");
-                }
-                println!(
-                    "check: {} entr{} within {}% of {path}",
-                    entries.len(),
-                    if entries.len() == 1 { "y" } else { "ies" },
-                    check_tol
-                );
-            }
-            Err(regressions) => {
-                for r in &regressions {
-                    eprintln!("check: {r}");
-                }
-                eprintln!(
-                    "check: {} regression(s) against {path} (tolerance {}%)",
-                    regressions.len(),
-                    check_tol
-                );
-                std::process::exit(1);
-            }
-        }
-    }
 }

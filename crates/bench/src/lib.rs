@@ -26,8 +26,8 @@ use regent_machine::{
     ScalingSeries, SimOptions, TimestepSpec,
 };
 use regent_trace::{
-    check_entries, entries_to_json, export_chrome, mean_step_cost, merge_entries, parse_entries,
-    sim_control_cost_per_step, BenchEntry, Trace, Tracer,
+    export_chrome, mean_step_cost, merge_into_file, sim_control_cost_per_step, BenchEntry, Trace,
+    Tracer,
 };
 
 /// Constructor of a reference-code configuration for a given machine.
@@ -69,14 +69,8 @@ pub struct FigureRunner {
     /// When set (`--json <path>`), write the figure's results as
     /// machine-readable [`BenchEntry`] records (merging into an
     /// existing artifact file, so several figure binaries accumulate
-    /// into one `BENCH_*.json`).
+    /// into one).
     pub json: Option<String>,
-    /// When set (`--check <baseline>`), compare the fresh results
-    /// against the baseline artifact and exit nonzero on any wall-time
-    /// or critical-path regression beyond `check_tol` percent.
-    pub check: Option<String>,
-    /// Regression tolerance for `--check`, percent (`--check-tol`).
-    pub check_tol: f64,
 }
 
 impl Default for FigureRunner {
@@ -91,8 +85,6 @@ impl Default for FigureRunner {
             memo: false,
             log: false,
             json: None,
-            check: None,
-            check_tol: 10.0,
         }
     }
 }
@@ -118,8 +110,8 @@ impl FigureRunner {
         mpi_variants: &[(&str, VariantFn)],
     ) -> (Vec<ScalingSeries>, Trace) {
         // Bench artifacts are derived from the recorded schedules, so
-        // --json/--check need the tracer on just like --trace.
-        let tracer = if self.trace_path.is_some() || self.json.is_some() || self.check.is_some() {
+        // --json needs the tracer on just like --trace.
+        let tracer = if self.trace_path.is_some() || self.json.is_some() {
             Tracer::enabled()
         } else {
             Tracer::disabled()
@@ -201,9 +193,9 @@ impl FigureRunner {
     /// Builds the machine-readable artifact entries for `app` from the
     /// recorded simulator trace: one [`BenchEntry`] per node count per
     /// executor model (`spmd` from the CR tracks, `implicit`, and
-    /// `implicit-memo` when `--memo` recorded it). The simulator is
-    /// deterministic, so these entries are bit-stable — a checked-in
-    /// artifact can be `--check`ed exactly.
+    /// `implicit-memo` / `log` when `--memo` / `--log` recorded them).
+    /// The simulator is deterministic, so these entries are bit-stable:
+    /// `tests/sim_golden.rs` compares them with `BENCH_PR6.json` exactly.
     pub fn bench_entries(&self, app: &str, trace: &Trace) -> Vec<BenchEntry> {
         let size = format!("steps{}", self.steps);
         let mut entries = Vec::new();
@@ -229,61 +221,20 @@ impl FigureRunner {
         entries
     }
 
-    /// Handles `--json` (write or merge the artifact file) and
-    /// `--check` (compare against a baseline artifact, exiting nonzero
-    /// on a regression beyond `check_tol` percent).
+    /// Handles `--json`: merges the artifact entries for `app` into the
+    /// file, so several figure binaries accumulate into one.
     pub fn emit_artifacts(&self, app: &str, trace: &Trace) {
-        if self.json.is_none() && self.check.is_none() {
+        let Some(path) = &self.json else {
             return;
-        }
+        };
         let entries = self.bench_entries(app, trace);
         assert!(
             !entries.is_empty(),
-            "--json/--check produced no entries (no recorded sim tracks)"
+            "--json produced no entries (no recorded sim tracks)"
         );
-        if let Some(path) = &self.json {
-            // Accumulate: other figure binaries may already have
-            // written their entries into the same artifact.
-            let merged = match std::fs::read_to_string(path)
-                .ok()
-                .and_then(|t| parse_entries(&t).ok())
-            {
-                Some(base) => merge_entries(base, entries.clone()),
-                None => entries.clone(),
-            };
-            std::fs::write(path, entries_to_json(&merged))
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            println!("bench artifact: {} entries -> {path}", merged.len());
-        }
-        if let Some(path) = &self.check {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-            let baseline = parse_entries(&text).unwrap_or_else(|e| panic!("baseline {path}: {e}"));
-            match check_entries(&entries, &baseline, self.check_tol) {
-                Ok(notes) => {
-                    for n in &notes {
-                        println!("check: {n}");
-                    }
-                    println!(
-                        "check: {} entr{} within {}% of {path}",
-                        entries.len(),
-                        if entries.len() == 1 { "y" } else { "ies" },
-                        self.check_tol
-                    );
-                }
-                Err(regressions) => {
-                    for r in &regressions {
-                        eprintln!("REGRESSION: {r}");
-                    }
-                    eprintln!(
-                        "check: {} regression(s) against {path} (tolerance {}%)",
-                        regressions.len(),
-                        self.check_tol
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
+        let n =
+            merge_into_file(path, entries).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        println!("bench artifact: {n} entries -> {path}");
     }
 
     /// The effective fault plan: the `--faults` loss plan (if any) with
@@ -396,9 +347,8 @@ pub fn print_figure(title: &str, series: &[ScalingSeries], max_nodes: usize) {
 }
 
 /// Runs a figure end to end: sweep, table, and — when `--trace` was
-/// given — the control-cost table and the Chrome JSON file; `--json` /
-/// `--check` additionally write and verify the machine-readable
-/// artifact entries for `app`.
+/// given — the control-cost table and the Chrome JSON file; `--json`
+/// additionally writes the machine-readable artifact entries for `app`.
 pub fn run_figure(
     title: &str,
     app: &str,
@@ -426,9 +376,8 @@ pub fn run_figure(
 /// corruption detected by checksums and repaired by retransmission,
 /// with a summary printed after the figure), `--memo` (add the
 /// memoized-implicit ablation series), `--log` (add the shared-log
-/// control-replication series), `--json <path>` (write/merge
-/// machine-readable bench entries), `--check <baseline>` (fail on
-/// regressions beyond the tolerance), and `--check-tol <pct>`.
+/// control-replication series), and `--json <path>` (write/merge
+/// machine-readable bench entries).
 pub fn parse_args() -> FigureRunner {
     let mut runner = FigureRunner::default();
     let args: Vec<String> = std::env::args().collect();
@@ -457,18 +406,6 @@ pub fn parse_args() -> FigureRunner {
             }
             "--json" => {
                 runner.json = Some(args.get(i + 1).expect("--json <path>").clone());
-                i += 2;
-            }
-            "--check" => {
-                runner.check = Some(args.get(i + 1).expect("--check <baseline>").clone());
-                i += 2;
-            }
-            "--check-tol" => {
-                runner.check_tol = args
-                    .get(i + 1)
-                    .expect("--check-tol <pct>")
-                    .parse()
-                    .expect("--check-tol takes a percentage");
                 i += 2;
             }
             "--faults" => {

@@ -28,7 +28,7 @@
 //!   changes.
 //! * [`launch_log`] / [`log_exec`] — shared-log control replication: a
 //!   single sequencer runs the control program once, appending leaf
-//!   statements to an epoch-segmented flat-combining operation log;
+//!   statements to an epoch-segmented operation log;
 //!   per-shard executors tail the log with lock-free cursors and
 //!   replica leaders amortize dependence analysis to once per replica
 //!   per batch.

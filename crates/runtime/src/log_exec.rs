@@ -1,13 +1,12 @@
-//! Shared-log control replication: the flat-combining operation-log
-//! executor.
+//! Shared-log control replication: the operation-log executor.
 //!
 //! The SPMD executor makes every shard re-execute the whole control
 //! program. Here the control program runs **once**, on a single
 //! *sequencer* thread, which unrolls the replicated control flow into
 //! an append-only, epoch-segmented [`LaunchLog`] of leaf-statement
 //! records (launches carry their [`launch_sig`] structural signature).
-//! The sequencer hands records to the log's flat combiner
-//! ([`LaunchLog::combine`]) once per epoch segment; per-shard executor
+//! The sequencer publishes the records of each epoch segment as one
+//! batch ([`LaunchLog::publish`]); per-shard executor
 //! threads — spawned by the same shard-team driver as every other
 //! strategy (`crate::team`), with the sequencer as its auxiliary
 //! thread — tail the log with a lock-free [`LogCursor`] and drive the
@@ -84,9 +83,6 @@ const FEEDBACK_BOUND: usize = 4;
 /// Executor replicas (simulated NUMA domains), shards permitting.
 const REPLICAS: usize = 2;
 
-/// No record limit ([`LaunchLog::new`]): one batch per epoch segment.
-const UNLIMITED_BATCH: usize = 0;
-
 /// One operation in the launch log: a leaf statement of the compiled
 /// body plus, for launches, the [`launch_sig`] structural signature
 /// replica leaders use to amortize dependence analysis.
@@ -103,9 +99,9 @@ pub(crate) struct LogRecord<'a> {
 /// [`crate::ShardStats`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LogStats {
-    /// Records the sequencer appended (producer-side submissions).
+    /// Records the sequencer appended.
     pub appended_records: u64,
-    /// Flat-combining rounds the sequencer ran.
+    /// Publications the sequencer made (one batch each).
     pub combines: u64,
     /// Batches published to the log.
     pub batches: u64,
@@ -133,7 +129,7 @@ impl<T> Drop for SealOnDrop<'_, T> {
 pub(crate) fn run_log(spmd: &SpmdProgram, store: &mut Store, ctx: RunCtx<'_>) -> RunResult {
     let ns = spmd.num_shards;
     let n_replicas = REPLICAS.min(ns.max(1));
-    let log: LaunchLog<LogRecord<'_>> = LaunchLog::new(1, UNLIMITED_BATCH, ctx.hang_timeout);
+    let log: LaunchLog<LogRecord<'_>> = LaunchLog::new(ctx.hang_timeout);
     let (fb_tx, fb_rx) = ring_with_timeout::<f64>(FEEDBACK_BOUND, ctx.hang_timeout);
     // Only shard 0 holds the feedback sender, so its death disconnects
     // the sequencer instead of leaving it to time out.
@@ -149,6 +145,7 @@ pub(crate) fn run_log(spmd: &SpmdProgram, store: &mut Store, ctx: RunCtx<'_>) ->
             let seq = Sequencer {
                 spmd,
                 log,
+                pending: Vec::new(),
                 feedback: fb_rx,
                 hang_timeout: ctx.hang_timeout,
                 env: ctx.initial_env(&spmd.scalars),
@@ -199,6 +196,8 @@ pub(crate) fn run_log(spmd: &SpmdProgram, store: &mut Store, ctx: RunCtx<'_>) ->
 struct Sequencer<'a, 'l> {
     spmd: &'a SpmdProgram,
     log: &'l LaunchLog<LogRecord<'a>>,
+    /// Records appended since the last publication, in program order.
+    pending: Vec<LogRecord<'a>>,
     feedback: RingReceiver<f64>,
     hang_timeout: Duration,
     env: Vec<f64>,
@@ -308,28 +307,28 @@ impl<'a> Sequencer<'a, '_> {
     }
 
     fn submit(&mut self, stmt: &'a SpmdStmt, sig: u64) {
-        self.log.submit(0, LogRecord { stmt, sig });
+        self.pending.push(LogRecord { stmt, sig });
         self.stats.appended_records += 1;
         self.mx.incr(Counter::LogAppends);
     }
 
-    /// Runs the flat combiner over the sequencer's pending submissions
-    /// (a no-op when nothing is pending and no boundary marker is
-    /// due).
+    /// Publishes the pending records as one batch (a no-op when nothing
+    /// is pending and no boundary marker is due).
     fn flush(&mut self) {
         let step = self.pending_step.take();
-        if self.log.pending(0) == 0 && step.is_none() {
+        if self.pending.is_empty() && step.is_none() {
             return;
         }
         let t0 = self.tb.now();
         let m0 = self.mx.start();
         let first = self.log.published();
-        let n = self.log.combine(self.epoch, step);
-        let published = self.log.published() - first;
+        let n = self.pending.len();
+        self.log
+            .publish(self.epoch, step, std::mem::take(&mut self.pending));
         self.stats.combines += 1;
-        self.stats.batches += published as u64;
+        self.stats.batches += 1;
         self.mx.add(Counter::LogCombinedRecords, n as u64);
-        self.mx.add(Counter::LogCombinedBatches, published as u64);
+        self.mx.incr(Counter::LogCombinedBatches);
         self.mx.record_since(m0, Timer::LogCombineNs);
         if self.tb.is_enabled() {
             self.tb.push(

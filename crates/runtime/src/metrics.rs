@@ -63,9 +63,9 @@ pub enum Counter {
     ReplicatedSegments,
     /// Records appended to the shared launch log (sequencer side).
     LogAppends,
-    /// Batches published by the flat combiner.
+    /// Batches the shared-log sequencer published.
     LogCombinedBatches,
-    /// Records combined into published batches.
+    /// Records in the batches the sequencer published.
     LogCombinedRecords,
     /// Sum of per-batch consumer cursor lags (replica leaders).
     LogCursorLag,
@@ -248,7 +248,7 @@ impl Counter {
     }
 
     fn index(self) -> usize {
-        Counter::ALL.iter().position(|c| *c == self).unwrap()
+        self as usize
     }
 }
 
@@ -271,7 +271,7 @@ pub enum Timer {
     CheckpointNs,
     /// Checkpoint restore time.
     RestoreNs,
-    /// Flat-combining round time (sequencer side).
+    /// Time the shared-log sequencer takes to publish one batch.
     LogCombineNs,
     /// Per-replica per-batch dependence-analysis time.
     LogAnalysisNs,
@@ -371,7 +371,7 @@ impl Timer {
     }
 
     fn index(self) -> usize {
-        Timer::ALL.iter().position(|t| *t == self).unwrap()
+        self as usize
     }
 }
 
@@ -1169,5 +1169,17 @@ regent_image_flush_ns_count{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
         h.record_since(0, Timer::TaskRunNs);
         drop(h);
         assert!(!registry.per_label().iter().any(|(label, _)| label == "off"));
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        assert_eq!(Counter::ALL.len(), Counter::COUNT);
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
+        }
+        assert_eq!(Timer::ALL.len(), Timer::COUNT);
+        for (i, t) in Timer::ALL.into_iter().enumerate() {
+            assert_eq!(t.index(), i, "{t:?}");
+        }
     }
 }

@@ -74,7 +74,7 @@ fn waits_give_up_at_the_hang_timeout() {
          (1/2 contributions arrived)"
     );
 
-    let log: LaunchLog<u32> = LaunchLog::new(1, 0, hang_timeout);
+    let log: LaunchLog<u32> = LaunchLog::new(hang_timeout);
     let msg = deadlock_text("log cursor", || {
         log.wait(0);
     });

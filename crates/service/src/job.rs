@@ -20,7 +20,7 @@ pub enum Strategy {
     Spmd,
     /// Hybrid range-replicated executor.
     Hybrid,
-    /// Shared-log (flat-combining) executor.
+    /// Shared-log executor.
     Log,
 }
 

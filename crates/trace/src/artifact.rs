@@ -1,15 +1,14 @@
 //! Machine-readable bench artifacts: a stable JSON schema for
-//! benchmark results (`BENCH_PR5.json` and successors), so perf
-//! regressions are caught mechanically instead of by eyeballing
-//! figures.
+//! benchmark results.
 //!
 //! A document is `{"benchSchema":1,"entries":[…]}`; each entry is keyed
 //! by `(app, size, shards, executor)` and carries the measured wall
 //! time, the critical-path length, the per-phase blame vector
-//! ([`crate::critical`]), and a flat metrics snapshot. [`merge`]
-//! lets several figure binaries accumulate into one file; [`check`]
-//! compares a fresh run against a checked-in baseline and reports
-//! regressions beyond a tolerance.
+//! ([`crate::critical`]), and a flat metrics snapshot.
+//! [`merge_into_file`] lets several binaries accumulate into one file.
+//! The simulator's entries are deterministic: `BENCH_PR6.json` holds
+//! them, and `crates/bench/tests/sim_golden.rs` compares a fresh run
+//! with it field for field.
 
 use crate::critical::{Blame, Phase};
 use crate::json::{escape_into, parse, Value};
@@ -50,7 +49,7 @@ impl BenchEntry {
 }
 
 /// Serializes `entries` as a versioned artifact document.
-pub fn entries_to_json(entries: &[BenchEntry]) -> String {
+fn entries_to_json(entries: &[BenchEntry]) -> String {
     let mut out = String::from("{\"benchSchema\":1,\"entries\":[\n");
     for (i, e) in entries.iter().enumerate() {
         if i > 0 {
@@ -142,7 +141,7 @@ fn parse_entry(v: &Value) -> Result<BenchEntry, String> {
     })
 }
 
-/// Parses an artifact document produced by [`entries_to_json`].
+/// Parses an artifact document written by [`merge_into_file`].
 pub fn parse_entries(text: &str) -> Result<Vec<BenchEntry>, String> {
     let doc = parse(text).map_err(|e| format!("artifact is not valid JSON: {e}"))?;
     match doc.get("benchSchema").and_then(Value::as_num) {
@@ -157,10 +156,24 @@ pub fn parse_entries(text: &str) -> Result<Vec<BenchEntry>, String> {
         .collect()
 }
 
+/// Merges `fresh` into the artifact at `path` and writes it back:
+/// an entry whose key is already there replaces it, new keys are
+/// appended in `fresh` order. A missing or unreadable file counts as
+/// empty. Returns the number of entries written.
+pub fn merge_into_file(path: &str, fresh: Vec<BenchEntry>) -> std::io::Result<usize> {
+    let base = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| parse_entries(&text).ok())
+        .unwrap_or_default();
+    let merged = merge(base, fresh);
+    std::fs::write(path, entries_to_json(&merged))?;
+    Ok(merged.len())
+}
+
 /// Merges `fresh` into `base`: entries with the same key are replaced,
-/// new keys appended. Returns the merged list (stable order: base
-/// order, then new keys in `fresh` order).
-pub fn merge(base: Vec<BenchEntry>, fresh: Vec<BenchEntry>) -> Vec<BenchEntry> {
+/// new keys appended (stable order: base order, then new keys in
+/// `fresh` order).
+fn merge(base: Vec<BenchEntry>, fresh: Vec<BenchEntry>) -> Vec<BenchEntry> {
     let mut out = base;
     for e in fresh {
         match out.iter_mut().find(|b| b.key() == e.key()) {
@@ -169,51 +182,6 @@ pub fn merge(base: Vec<BenchEntry>, fresh: Vec<BenchEntry>) -> Vec<BenchEntry> {
         }
     }
     out
-}
-
-/// Compares `current` against `baseline`: any entry whose `wall_ns` or
-/// `critical_path_ns` exceeds the baseline's by more than `tol_pct`
-/// percent is a regression. Keys missing from the baseline are noted
-/// but never fail. Returns `Ok(notes)` or `Err(regressions)`.
-pub fn check(
-    current: &[BenchEntry],
-    baseline: &[BenchEntry],
-    tol_pct: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut notes = Vec::new();
-    let mut regressions = Vec::new();
-    for c in current {
-        let Some(b) = baseline.iter().find(|b| b.key() == c.key()) else {
-            notes.push(format!(
-                "{}/{}/n{}/{}: no baseline entry (new measurement)",
-                c.app, c.size, c.shards, c.executor
-            ));
-            continue;
-        };
-        for (what, cur, base) in [
-            ("wall_ns", c.wall_ns, b.wall_ns),
-            ("critical_path_ns", c.critical_path_ns, b.critical_path_ns),
-        ] {
-            let limit = base as f64 * (1.0 + tol_pct / 100.0);
-            if cur as f64 > limit {
-                regressions.push(format!(
-                    "{}/{}/n{}/{}: {what} regressed {} -> {} (+{:.1}%, tolerance {tol_pct}%)",
-                    c.app,
-                    c.size,
-                    c.shards,
-                    c.executor,
-                    base,
-                    cur,
-                    (cur as f64 / base as f64 - 1.0) * 100.0
-                ));
-            }
-        }
-    }
-    if regressions.is_empty() {
-        Ok(notes)
-    } else {
-        Err(regressions)
-    }
 }
 
 #[cfg(test)]
@@ -261,22 +229,6 @@ mod tests {
         assert_eq!(merged.len(), 3);
         assert_eq!(merged[0].wall_ns, 150);
         assert_eq!(merged[2].app, "pennant");
-    }
-
-    #[test]
-    fn check_flags_regressions_and_tolerates_noise() {
-        let baseline = vec![entry("stencil", 4, "spmd", 1000)];
-        // +5% under a 10% tolerance: fine.
-        let ok = vec![entry("stencil", 4, "spmd", 1050)];
-        assert!(check(&ok, &baseline, 10.0).is_ok());
-        // +50%: regression.
-        let bad = vec![entry("stencil", 4, "spmd", 1500)];
-        let errs = check(&bad, &baseline, 10.0).unwrap_err();
-        assert!(errs[0].contains("wall_ns regressed"), "{errs:?}");
-        // Unknown key: a note, not a failure.
-        let new = vec![entry("miniaero", 4, "spmd", 1)];
-        let notes = check(&new, &baseline, 10.0).unwrap();
-        assert_eq!(notes.len(), 1);
     }
 
     #[test]

@@ -412,8 +412,7 @@ event_kinds! {
     },
     /// The shared-log sequencer appended a segment of launch records
     /// to the operation log (instant; paired with the
-    /// [`EventKind::LogCombine`] span covering the combiner round that
-    /// published it).
+    /// [`EventKind::LogCombine`] span covering its publication).
     LogAppend = "log_append" {
         /// Epoch (outermost-loop iteration) the records belong to.
         epoch: u64,
@@ -422,12 +421,12 @@ event_kinds! {
         /// Records appended in this segment.
         records: u32,
     },
-    /// The flat combiner ran: drained the producer slots and published
-    /// one or more batches (span covers the combining round).
+    /// The sequencer published its pending records as one batch (span
+    /// covers the publication).
     LogCombine = "log_combine" {
-        /// Log index of the first batch published by this round.
+        /// Log index of the published batch.
         batch: u32,
-        /// Records combined across the published batches.
+        /// Records in it.
         records: u32,
     },
     /// A replica leader consumed one log batch: advanced its read

@@ -27,8 +27,8 @@
 //!   back for the `regent-prof` CLI; [`export_chrome`] embeds the
 //!   sidecar, so every trace file (`--trace`, job dumps, flight dumps)
 //!   is both Perfetto-loadable and re-analyzable.
-//! * [`artifact`] — the machine-readable bench-result schema
-//!   (`BENCH_*.json`) with baseline regression checking.
+//! * [`artifact`] — the machine-readable bench-result schema the
+//!   figure binaries' `--json` merges into.
 //!
 //! ## Recording model
 //!
@@ -59,9 +59,7 @@ pub mod serial;
 pub mod spy;
 pub mod tracer;
 
-pub use artifact::{
-    check as check_entries, entries_to_json, merge as merge_entries, parse_entries, BenchEntry,
-};
+pub use artifact::{merge_into_file, parse_entries, BenchEntry};
 pub use ascii::ascii_timeline;
 pub use chrome::export_chrome;
 pub use critical::{

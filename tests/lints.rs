@@ -230,13 +230,20 @@ fn mapped_once() {
 /// Shards exchange over one transport — the SPSC ring mesh, sized by
 /// the exchange schedule — and the integrity layer has one hasher.
 /// Fails when the channel plane, its selector, the capacity knob, the
-/// second hasher, or the binaries and budgets that only compared them
-/// are named anywhere, CI included, or when a `std::sync::mpsc` channel
-/// comes back into the non-test part of the files that run shards or
-/// implicit workers.
+/// second hasher, the binaries and budgets that only compared them, a
+/// deleted bench baseline, its `--check` gate or the launch log's
+/// combiner field are named anywhere, CI included, or when a
+/// `std::sync::mpsc` channel comes back into the non-test part of the
+/// files that run shards or implicit workers.
 #[test]
 fn one_plane() {
-    const GONE: [&str; 12] = [
+    const GONE: [&str; 18] = [
+        "BENCH_PR5",
+        "BENCH_PR7",
+        "BENCH_PR9",
+        "check_entries",
+        "--check-tol",
+        "combined_from",
         "DataPlane",
         "CopyTx",
         "CopyRx",
