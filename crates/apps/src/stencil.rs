@@ -118,23 +118,32 @@ pub fn stencil_program(cfg: StencilConfig) -> (Program, StencilHandles) {
         kernel: Arc::new(move |ctx| {
             let out = ctx.f64_mut(0, f_out);
             let vin = ctx.f64(1, f_in);
+            let r = radius as usize;
+            // Rows `i + k` and `i − k` of `in` under a row of `out`, for
+            // k = 1 ..= radius.
+            let mut arms = Vec::with_capacity(r);
             for run in ctx.rows(0) {
                 let (i, j0) = (run.start.coord(0), run.start.coord(1));
                 // PRK skips the boundary ring of width `radius`.
-                if i < radius || i >= n - radius {
+                let (lo, hi) = (j0.max(radius), (j0 + run.len as i64).min(n - radius));
+                if i < radius || i >= n - radius || lo >= hi {
                     continue;
                 }
-                let out = out.row(run);
-                for (e, j) in (j0..j0 + run.len as i64).enumerate() {
-                    if j < radius || j >= n - radius {
-                        continue;
-                    }
+                let len = (hi - lo) as usize;
+                let out = out.row2(i, lo, len);
+                // Row `i` itself, widened by the radius on both sides.
+                let mid = vin.row2(i, lo - radius, len + 2 * r);
+                arms.clear();
+                arms.extend(
+                    (1..=radius).map(|k| (vin.row2(i + k, lo, len), vin.row2(i - k, lo, len))),
+                );
+                for e in 0..len {
                     let mut acc = 0.0;
-                    for (k, &w) in (1..=radius).zip(&weights) {
-                        acc += w * vin.get2(i + k, j);
-                        acc -= w * vin.get2(i - k, j);
-                        acc += w * vin.get2(i, j + k);
-                        acc -= w * vin.get2(i, j - k);
+                    for (k, (&w, (below, above))) in (1..).zip(weights.iter().zip(&arms)) {
+                        acc += w * below.get(e);
+                        acc -= w * above.get(e);
+                        acc += w * mid.get(e + r + k);
+                        acc -= w * mid.get(e + r - k);
                     }
                     out.set(e, out.get(e) + acc);
                 }

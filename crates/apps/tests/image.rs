@@ -3,8 +3,9 @@
 //! image — results, seals, an injected and repaired bit flip, a larger
 //! membership — the next run of the same program must not see. Every
 //! check is against runs of freshly compiled programs, bit for bit.
-//! Circuit's ghost sets, at the size the benchmark runs, are checked for
-//! the layout their instances get: over their span, holes included.
+//! Circuit's ghost sets and Stencil's halos, at the sizes the benchmark
+//! runs, are checked for the layout their instances get: over their
+//! bounding box, holes included.
 
 mod common;
 
@@ -12,8 +13,8 @@ use common::{
     compare_roots, forest, mk_circuit, mk_miniaero, mk_pennant, mk_stencil, num_shards, replicated,
     Owned, Strategy,
 };
-use regent_apps::circuit;
 use regent_apps::rng::SplitMix64;
+use regent_apps::{circuit, stencil};
 use regent_cr::{InstKey, ShardImage};
 use regent_ir::{interp, Program, Store};
 use regent_region::{ColumnData, FieldType, Instance, RegionForest};
@@ -488,4 +489,92 @@ fn faults_land_on_ghost_elements_not_holes() {
         hit.len() * 2 > members.len(),
         "draws spread over the elements"
     );
+}
+
+/// Stencil at the benchmark's `stencil_fine` size: a 128² grid in 8×8
+/// tiles, radius 2.
+fn mk_stencil_fine() -> (Program, Store) {
+    let cfg = stencil::StencilConfig {
+        n: 128,
+        ntx: 8,
+        nty: 8,
+        radius: 2,
+        steps: 4,
+    };
+    let (prog, h) = stencil::stencil_program(cfg);
+    let mut store = Store::new(&prog);
+    stencil::init_stencil(&prog, &mut store, &h);
+    (prog, store)
+}
+
+/// On 2 shards, every halo instance (the instances whose domain has
+/// several rectangles: a cross, or two arms of one at a grid corner)
+/// stores its bounding box while counting its elements; the images are
+/// built by the first run and reused by the next; and spmd, hybrid, log
+/// and — with corruption injected — guarded runs equal the interpreter
+/// bit for bit.
+#[test]
+fn stencil_halos_are_laid_out_over_their_bounding_box() {
+    let (prog, mut reference) = mk_stencil_fine();
+    let roots = prog.root_regions();
+    let (env_seq, _) = interp::run(&prog, &mut reference);
+    let seq = (&prog.forest, &reference);
+    for strategy in Strategy::ALL {
+        let label = format!("stencil_fine/{strategy:?}");
+        let (one, mut store) = compiled(mk_stencil_fine, strategy, 2, false);
+        let r = run(one.as_ref(), &mut store, &RunOptions::default());
+        assert_eq!(r.env, env_seq, "{label}: env");
+        compare_roots(&label, &roots, seq, (forest(&one), &store), 0.0);
+
+        let spmd = replicated(&one);
+        let (schedule, _) = spmd.schedule();
+        let mut halos = HashSet::new();
+        inspect_images(&one, |shard, image| {
+            for (inst, info) in image.insts.iter().zip(&schedule.layouts[shard].slots) {
+                let domain = spmd.forest.domain(info.region);
+                if domain.rects().len() < 2 {
+                    continue;
+                }
+                assert!(
+                    matches!(info.key, InstKey::UsePart(..)),
+                    "{label}: {:?} has a multi-rectangle domain",
+                    info.key
+                );
+                assert_eq!(inst.len(), domain.volume(), "{label}: {:?}", info.key);
+                let bounds = domain.bounds().volume();
+                assert_eq!(
+                    inst.indexer().storage_len(),
+                    bounds,
+                    "{label}: {:?}",
+                    info.key
+                );
+                assert!(bounds <= domain.volume() * 11 / 10, "{label}: a cross");
+                assert!(halos.insert(info.region), "{label}: one instance a halo");
+            }
+        });
+        assert_eq!(halos.len(), 64, "{label}: every halo");
+
+        let built = image_addresses(&one);
+        let (_, mut again) = compiled(mk_stencil_fine, strategy, 2, false);
+        let r = run(one.as_ref(), &mut again, &RunOptions::default());
+        assert_eq!(image_addresses(&one), built, "{label}: images rebuilt");
+        assert_eq!(r.env, env_seq, "{label}: second env");
+        compare_roots(&label, &roots, seq, (forest(&one), &again), 0.0);
+
+        if strategy == Strategy::Spmd {
+            let guarded = RunOptions::default().with_resilience(ResilienceOptions {
+                checkpoint_interval: 2,
+                plan: FaultPlan::new(3).with_corrupt_rate(0.2),
+                integrity: true,
+                ..Default::default()
+            });
+            let (_, mut third) = compiled(mk_stencil_fine, strategy, 2, false);
+            let r = run(one.as_ref(), &mut third, &guarded);
+            let st = &r.stats;
+            assert!(st.corruptions_detected > 0, "{label}: nothing injected");
+            assert_eq!(st.corruptions_injected, st.corruptions_detected, "{label}");
+            assert_eq!(r.env, env_seq, "{label}: guarded env");
+            compare_roots(&label, &roots, seq, (forest(&one), &third), 0.0);
+        }
+    }
 }

@@ -53,6 +53,13 @@ impl Block {
         self.extent.iter().product()
     }
 
+    /// The number of points from coordinate `c` to the block's end in
+    /// dimension `d`, `c` lying inside the block.
+    #[inline]
+    pub(crate) fn room(&self, d: usize, c: i64) -> u64 {
+        self.extent[d] - self.rel(d, c)
+    }
+
     fn rect(&self, dim: usize) -> DynRect {
         let hi: [i64; MAX_DIM] = std::array::from_fn(|d| self.hi(d));
         DynRect::new(DynPoint::new(&self.lo[..dim]), DynPoint::new(&hi[..dim]))
@@ -84,28 +91,69 @@ impl Block {
     }
 }
 
-/// A 1-D domain of several runs is laid out over its **span** — one
-/// storage slot per id from its first to its last, holes included —
-/// while the span is at most this many times its element count; a
-/// sparser one is packed, run after run. It bounds the span layout's
-/// memory: every column of such an instance stores up to this many
-/// slots per element (8 bytes each), and the membership bitmap one bit
-/// per slot. Circuit's ghost sets at graph seed 1 — 926–978 nodes in
-/// 241–266 runs — span ≈1 500 ids (pieces 1–6) and ≈4 000 (pieces 0
-/// and 7), 1.6–4.2 slots per element (EXPERIMENTS.md "Ghost sets over
-/// their span").
+/// A domain of several rectangles is laid out over its **bounding box**
+/// — one storage slot per point of the box, holes included — while the
+/// box holds at most this many slots per element; a sparser one is
+/// packed, rectangle after rectangle. It bounds the layout's memory:
+/// every column of such an instance stores up to this many slots per
+/// element (8 bytes each), and the membership bitmap one bit per slot.
+/// Circuit's ghost sets at graph seed 1 — 926–978 nodes in 241–266
+/// runs — span ≈1 500 ids (pieces 1–6) and ≈4 000 (pieces 0 and 7),
+/// 1.6–4.2 slots per element (EXPERIMENTS.md "Ghost sets over their
+/// span"); an interior halo of `stencil_fine` — a 16×16 tile widened by
+/// 2 along each axis, 384 elements in 3 rectangles — has a 20×20 box,
+/// 1.04 slots per element.
 const MAX_SLOTS_PER_ELEMENT: u64 = 8;
 
 /// Whether storage slot `off` holds an element, by the membership
-/// bitmap `members` of a span layout. Every slot does when the bitmap
-/// is empty (any other layout), which the test short-circuits on; a
-/// span layout's bitmap covers every slot, so a lookup past it cannot
-/// happen.
+/// bitmap `members` of a bounding-box layout. Every slot does when the
+/// bitmap is empty (any other layout), which the test short-circuits
+/// on; a bounding-box layout's bitmap covers every slot, so a lookup
+/// past it cannot happen.
 #[inline(always)]
 pub(crate) fn holds(members: &[u64], off: u64) -> bool {
     members
         .get((off >> 6) as usize)
         .is_none_or(|word| word >> (off & 63) & 1 != 0)
+}
+
+/// How many of the `max` storage slots from `off` on hold elements
+/// before the first hole, by the membership bitmap `members` of a
+/// bounding-box layout, found a word of the bitmap at a time; `max`
+/// when the bitmap is empty (every other layout). `off` is a slot of
+/// the layout.
+#[inline]
+pub(crate) fn members_from(members: &[u64], off: u64, max: u64) -> u64 {
+    if members.is_empty() {
+        return max;
+    }
+    let end = off.saturating_add(max);
+    let mut w = (off >> 6) as usize;
+    // The holes of word `w` at or after `off`, as set bits; the
+    // bitmap's padding past the last slot reads as holes.
+    let mut holes = !members[w] & (u64::MAX << (off & 63));
+    while holes == 0 {
+        w += 1;
+        let Some(&word) = members.get(w).filter(|_| (w as u64) << 6 < end) else {
+            return max.min(((w as u64) << 6) - off);
+        };
+        holes = !word;
+    }
+    (((w as u64) << 6 | u64::from(holes.trailing_zeros())) - off).min(max)
+}
+
+/// The rows of `r` — its runs along the last dimension, in row-major
+/// order — as each row's first point (padded) and length.
+fn rows_of(r: &DynRect) -> impl Iterator<Item = ([i64; MAX_DIM], u64)> + '_ {
+    let last = r.dim() - 1;
+    let len = (r.hi().coord(last) - r.lo().coord(last) + 1) as u64;
+    (0..r.volume() / len).map(move |row| {
+        let start = r.delinearize(row * len);
+        (
+            start.expect("row start lies inside its rectangle").padded(),
+            len,
+        )
+    })
 }
 
 /// Finds the run of a packed sparse 1-D domain that holds an id: the
@@ -171,18 +219,18 @@ impl RunIndex {
 
 /// Maps points of a (possibly sparse) domain to storage offsets.
 ///
-/// The layout is a function of the domain alone. Rectangles are stored
-/// in the domain's canonical order, each as an affine `Block` over a
-/// contiguous range of offsets: a single-rectangle domain — every root
-/// region and every structured tile — is pure arithmetic, and a
-/// multi-rectangle 2-/3-D domain (a halo: a handful of rectangles)
-/// tries them in order. A sparse 1-D domain (the image of an
-/// unstructured pointer field: hundreds of short runs) is laid out
-/// over its span — one `Block` from its first id to its last, so an
-/// id's offset is `id − first` — with a membership bitmap marking the
-/// slots that hold elements, unless that would store more than 8
-/// slots per element (`MAX_SLOTS_PER_ELEMENT`); then its runs are
-/// packed and found through a `RunIndex`.
+/// The layout is a function of the domain alone, with one rule for
+/// every dimensionality. A single-rectangle domain — every root region
+/// and every structured tile — is one affine `Block`: pure arithmetic.
+/// A domain of several rectangles — a halo cross, the image of an
+/// unstructured pointer field (hundreds of short runs) — is laid out
+/// over its bounding box: one `Block` over the box, so a point's offset
+/// is the dense one, and a membership bitmap marking the slots that
+/// hold elements, unless that would store more than 8 slots per
+/// element (`MAX_SLOTS_PER_ELEMENT`). Then its rectangles are packed,
+/// each a `Block` over a contiguous range of offsets in the domain's
+/// canonical order: a 2-/3-D domain tries them in order, a 1-D one
+/// finds its run through a `RunIndex`.
 #[derive(Clone, Debug)]
 pub struct DomainIndexer {
     dim: usize,
@@ -190,15 +238,16 @@ pub struct DomainIndexer {
     /// The runs of a packed 1-D domain that has several; empty
     /// otherwise.
     runs: RunIndex,
-    /// A span layout's membership bitmap: bit `off` is set when storage
-    /// slot `off` holds an element. Empty for every other layout, whose
-    /// slots all do.
+    /// A bounding-box layout's membership bitmap: bit `off` is set when
+    /// storage slot `off` holds an element. Empty for every other
+    /// layout, whose slots all do.
     members: Vec<u64>,
     /// A block of greatest volume.
     largest: Block,
     /// Number of elements.
     total: u64,
-    /// Number of storage slots: `total`, or a span layout's span.
+    /// Number of storage slots: `total`, or the volume of a
+    /// bounding-box layout's box.
     slots: u64,
 }
 
@@ -207,29 +256,26 @@ impl DomainIndexer {
     pub fn new(domain: &Domain) -> Self {
         let rects = domain.rects();
         let total = domain.volume();
-        let span = match (rects.first(), rects.last()) {
-            (Some(first), Some(last)) if domain.dim() == 1 && rects.len() > 1 => {
-                Some(DynRect::span(first.lo().coord(0), last.hi().coord(0)))
-            }
-            _ => None,
-        };
-        if let Some(span) = span.filter(|s| s.volume() <= MAX_SLOTS_PER_ELEMENT * total) {
-            let first = span.lo().coord(0);
-            let mut members = vec![0u64; span.volume().div_ceil(64) as usize];
-            for r in rects {
-                for off in (r.lo().coord(0) - first) as u64..=(r.hi().coord(0) - first) as u64 {
+        let bounds = domain.bounds();
+        if rects.len() > 1 && bounds.volume() <= MAX_SLOTS_PER_ELEMENT * total {
+            let block = Block::new(&bounds, 0);
+            let mut members = vec![0u64; bounds.volume().div_ceil(64) as usize];
+            for (start, len) in rects.iter().flat_map(rows_of) {
+                let off = block
+                    .offset3(start)
+                    .expect("a rectangle lies in its bounds");
+                for off in off..off + len {
                     members[(off >> 6) as usize] |= 1 << (off & 63);
                 }
             }
-            let block = Block::new(&span, 0);
             return DomainIndexer {
-                dim: 1,
+                dim: domain.dim(),
                 blocks: vec![block],
                 runs: RunIndex::default(),
                 members,
                 largest: block,
                 total,
-                slots: span.volume(),
+                slots: bounds.volume(),
             };
         }
         let mut blocks = Vec::with_capacity(rects.len());
@@ -274,8 +320,8 @@ impl DomainIndexer {
     }
 
     /// Number of storage slots a column of this layout holds: the
-    /// element count, or — for a sparse 1-D domain laid out over its
-    /// span — the span, holes included.
+    /// element count, or — for a domain laid out over its bounding box
+    /// — the box's volume, holes included.
     pub fn storage_len(&self) -> u64 {
         self.slots
     }
@@ -286,15 +332,15 @@ impl DomainIndexer {
     }
 
     /// The domain's largest rectangle (one that holds nothing when the
-    /// domain is empty): the only one of a dense domain, the bar of a
-    /// halo cross, the whole span of a span layout — where most
-    /// accesses fall, so views try it before searching.
+    /// domain is empty): the only one of a dense domain, the whole box
+    /// of a bounding-box layout, the largest rectangle of a packed one —
+    /// where most accesses fall, so views try it before searching.
     pub(crate) fn largest(&self) -> Block {
         self.largest
     }
 
-    /// The membership bitmap of a span layout; empty for every other
-    /// layout (see [`holds`]).
+    /// The membership bitmap of a bounding-box layout; empty for every
+    /// other layout (see [`holds`]).
     pub(crate) fn members(&self) -> &[u64] {
         &self.members
     }
@@ -311,7 +357,7 @@ impl DomainIndexer {
 
     /// The block containing the (padded) point `c`, as its index and
     /// the point's storage offset; `None` when `c` is outside the
-    /// domain, a hole of a span layout included.
+    /// domain, a hole of a bounding-box layout included.
     #[inline]
     pub(crate) fn locate(&self, c: [i64; MAX_DIM]) -> Option<(usize, u64)> {
         if self.dim == 1 && self.blocks.len() != 1 {
@@ -326,27 +372,6 @@ impl DomainIndexer {
         holds(&self.members, off).then_some((i, off))
     }
 
-    /// How many consecutive storage slots from `off` on hold elements:
-    /// a span layout's next hole, found a word of the bitmap at a time;
-    /// unbounded for every other layout.
-    fn members_from(&self, off: u64) -> u64 {
-        if self.members.is_empty() {
-            return u64::MAX;
-        }
-        let mut w = (off >> 6) as usize;
-        // The holes of word `w` at or after `off`, as set bits; the
-        // bitmap's padding past the last slot reads as holes.
-        let mut holes = !self.members[w] & (u64::MAX << (off & 63));
-        while holes == 0 {
-            w += 1;
-            let Some(&word) = self.members.get(w) else {
-                return self.slots - off;
-            };
-            holes = !word;
-        }
-        ((w as u64) << 6 | u64::from(holes.trailing_zeros())) - off
-    }
-
     /// Storage offset of `c` and the number of elements from it to the
     /// end of its row (the last dimension) inside its block, up to the
     /// next hole: the longest unit-stride run that starts at `c`.
@@ -355,16 +380,16 @@ impl DomainIndexer {
         let (i, off) = self.locate(c)?;
         let last = self.dim - 1;
         let room = (self.blocks[i].hi(last) - c[last] + 1) as u64;
-        Some((off, room.min(self.members_from(off))))
+        Some((off, members_from(&self.members, off, room)))
     }
 
     /// Visits `elements` in canonical order (the order of
     /// [`Domain::iter`]) as storage-contiguous runs, calling
     /// `f(offset, len)` for each. One lookup per run, none per element:
     /// 1-D domains are a two-pointer merge over the two sorted run
-    /// lists (a span layout's one block checked against its bitmap);
-    /// multi-D domains look up each row of each rectangle, trying the
-    /// previous hit first.
+    /// lists; multi-D domains look up each row of each rectangle,
+    /// trying the previous hit first. A run ends where its row, its
+    /// block or — in a bounding-box layout — the members end.
     ///
     /// # Panics
     /// If `elements` is not a subset of the indexed domain.
@@ -388,7 +413,8 @@ impl DomainIndexer {
                         _ => missing([lo, 0, 0]),
                     };
                     let off = b.base + (lo - b.lo[0]) as u64;
-                    let len = ((hi.min(b.hi(0)) - lo + 1) as u64).min(self.members_from(off));
+                    let room = (hi.min(b.hi(0)) - lo + 1) as u64;
+                    let len = members_from(&self.members, off, room);
                     if len == 0 {
                         missing([lo, 0, 0]);
                     }
@@ -400,28 +426,22 @@ impl DomainIndexer {
         }
         let last = elements.dim() - 1;
         let mut hint = 0usize;
-        for e in elements.rects() {
-            let hi = e.hi().coord(last);
-            let row_len = (hi - e.lo().coord(last) + 1) as u64;
-            for row in 0..e.volume() / row_len {
-                let mut c = e
-                    .delinearize(row * row_len)
-                    .expect("row start lies inside its rectangle")
-                    .padded();
-                loop {
-                    let again = self.blocks.get(hint).and_then(|b| b.offset3(c));
-                    let start = again.unwrap_or_else(|| {
-                        let (i, off) = self.locate(c).unwrap_or_else(|| missing(c));
-                        hint = i;
-                        off
-                    });
-                    let end = hi.min(self.blocks[hint].hi(last));
-                    f(start, (end - c[last] + 1) as u64);
-                    if end == hi {
-                        break;
-                    }
-                    c[last] = end + 1;
+        for (mut c, row_len) in elements.rects().iter().flat_map(rows_of) {
+            let hi = c[last] + row_len as i64 - 1;
+            while c[last] <= hi {
+                let again = self.blocks.get(hint).and_then(|b| b.offset3(c));
+                let start = again.unwrap_or_else(|| {
+                    let (i, off) = self.locate(c).unwrap_or_else(|| missing(c));
+                    hint = i;
+                    off
+                });
+                let room = (hi.min(self.blocks[hint].hi(last)) - c[last] + 1) as u64;
+                let len = members_from(&self.members, start, room);
+                if len == 0 {
+                    missing(c);
                 }
+                f(start, len);
+                c[last] += len as i64;
             }
         }
     }
@@ -1433,6 +1453,44 @@ mod tests {
         let holes = [2, 3, 4, 6, 7];
         assert!(holes.iter().all(|&h| hit[h] == 0), "{hit:?}");
         assert!([0, 1, 5, 8].iter().all(|&e| hit[e] > 350), "{hit:?}");
+    }
+
+    #[test]
+    fn corruption_lands_on_cross_members_not_corners() {
+        let fields = fs();
+        let x = fields.lookup("x").unwrap();
+        // The radius-1 cross of the tile [1, 2]²: 12 elements in the box
+        // [0, 3]², whose 4 corners are holes.
+        let rect =
+            |lo: [i64; 2], hi: [i64; 2]| DynRect::new(DynPoint::new(&lo), DynPoint::new(&hi));
+        let dom = Domain::from_rects([rect([0, 1], [3, 2]), rect([1, 0], [2, 3])]);
+        let mut inst = Instance::with_fields(dom.clone(), &fields, &[x]);
+        assert_eq!((inst.len(), inst.column(x).len()), (12, 16));
+        inst.seal();
+        let mut hit = [0u32; 16];
+        let mut rng = 0xc0_4e55u64;
+        for _ in 0..2000 {
+            let entropy = next(&mut rng);
+            let mut victim = inst.clone();
+            assert!(victim.corrupt_bit_silently(entropy));
+            assert!(!victim.verify_seal());
+            let col = victim.f64_col(x);
+            let flipped: Vec<usize> = (0..16).filter(|&k| col[k].to_bits() != 0).collect();
+            assert_eq!(flipped.len(), 1, "one bit of one slot");
+            hit[flipped[0]] += 1;
+        }
+        let corners = [0, 3, 12, 15];
+        assert!(corners.iter().all(|&c| hit[c] == 0), "{hit:?}");
+        let members = (0..16).filter(|k| !corners.contains(k));
+        assert!(members.clone().all(|m| hit[m] > 100), "{hit:?}");
+        // Every member slot is the offset of one element.
+        let offsets: Vec<usize> = dom
+            .iter()
+            .map(|p| inst.indexer().offset_of(p).unwrap() as usize)
+            .collect();
+        let mut sorted = offsets.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, members.collect::<Vec<_>>());
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! pays, per element, for what never changes during the task: which
 //! column the field is, what type it holds, how the instance lays its
 //! domain out. A [`FieldView`] resolves those once. What is left per
-//! access is the affine arithmetic of one rectangle — for a sparse 1-D
-//! domain laid out over its span, that and one membership bit — and a
-//! bounds-checked load or store. Loops over unit-stride storage skip
-//! even that: [`Rows`] cuts
-//! a domain into [`Run`]s and [`FieldView::row`] turns a run into a
-//! [`Row`], a plain slice of cells.
+//! access is the affine arithmetic of one rectangle — for a domain of
+//! several rectangles laid out over its bounding box (a halo cross, a
+//! ghost set), that and one membership bit — and a bounds-checked load
+//! or store. Loops over unit-stride storage skip even that: [`Rows`]
+//! cuts a domain into [`Run`]s and [`FieldView::row`] (or
+//! [`FieldView::row2`], by coordinates) turns a run into a [`Row`], a
+//! plain slice of cells, with the same inline arithmetic once per row
+//! and the membership bits tested a word at a time.
 //!
 //! Views are **`Cell`-style**. They hold `&[Cell<T>]`, never `&[T]` or
 //! `&mut [T]`, so any number of views — of one column or of several,
@@ -23,7 +25,7 @@
 //! fixed by its access type — [`Read`], [`ReadWrite`] or [`Reduce`] —
 //! chosen when it is bound.
 
-use crate::instance::{holds, Block, ColumnData, DomainIndexer, ReductionOp};
+use crate::instance::{holds, members_from, Block, ColumnData, DomainIndexer, ReductionOp};
 use regent_geometry::{Domain, DynPoint, DynRect, MAX_DIM};
 use std::cell::Cell;
 
@@ -108,9 +110,9 @@ pub struct FieldView<'a, T, A> {
     /// keeps its bounds in registers across a kernel's loop instead of
     /// reloading them after every store. Every access tries it inline.
     hot: Block,
-    /// The membership bitmap of a span layout, by value beside `hot`:
-    /// an offset of `hot` is an element only if its bit is set. Empty
-    /// (every offset is) for every other layout.
+    /// The membership bitmap of a bounding-box layout, by value beside
+    /// `hot`: an offset of `hot` is an element only if its bit is set.
+    /// Empty (every offset is) for every other layout.
     members: &'a [u64],
     indexer: &'a DomainIndexer,
     domain: &'a Domain,
@@ -134,11 +136,11 @@ impl<'a, T: Element, A: Copy> FieldView<'a, T, A> {
     }
 
     // The three coordinate forms share one shape: a point of the largest
-    // rectangle — any point, when the instance has just one — costs a
-    // few inlined instructions on values the view carries; everything
-    // else (another rectangle, a point outside, a hole of a span layout,
-    // the wrong dimensionality) goes out of line. Only a 1-D layout has
-    // holes, so only `at1` tests membership.
+    // rectangle — any point, when the instance has just one or is laid
+    // out over its bounding box — costs a few inlined instructions on
+    // values the view carries, and one membership bit; everything else
+    // (another rectangle, a point outside, a hole of a bounding-box
+    // layout, the wrong dimensionality) goes out of line.
 
     #[inline(always)]
     fn at1(&self, i: i64) -> usize {
@@ -153,7 +155,9 @@ impl<'a, T: Element, A: Copy> FieldView<'a, T, A> {
     #[inline(always)]
     fn at2(&self, i: i64, j: i64) -> usize {
         match self.hot.offset2(i, j) {
-            Some(off) if self.dim == 2 => self.in_domain([i, j, 0], off),
+            Some(off) if self.dim == 2 && holds(self.members, off) => {
+                self.in_domain([i, j, 0], off)
+            }
             _ => self.at_general(2, [i, j, 0]),
         }
     }
@@ -161,7 +165,9 @@ impl<'a, T: Element, A: Copy> FieldView<'a, T, A> {
     #[inline(always)]
     fn at3(&self, i: i64, j: i64, k: i64) -> usize {
         match self.hot.offset3([i, j, k]) {
-            Some(off) if self.dim == 3 => self.in_domain([i, j, k], off),
+            Some(off) if self.dim == 3 && holds(self.members, off) => {
+                self.in_domain([i, j, k], off)
+            }
             _ => self.at_general(3, [i, j, k]),
         }
     }
@@ -204,29 +210,65 @@ impl<'a, T: Element, A: Copy> FieldView<'a, T, A> {
     ///
     /// # Panics
     /// If the run leaves the instance or is not contiguous in its
-    /// storage (it crosses rectangles of the instance's domain, or a
-    /// hole of a span layout), and —
-    /// in debug builds — if it leaves the domain the view was bound to.
+    /// storage (it crosses rectangles of a packed domain, or a hole of a
+    /// bounding-box layout), and — in debug builds — if it leaves the
+    /// domain the view was bound to.
+    #[inline(always)]
     pub fn row(&self, run: Run) -> Row<'a, T, A> {
-        let c = run.start.padded();
-        let dim = run.start.dim();
+        self.row_at(run.start.dim(), run.start.padded(), run.len)
+    }
+
+    /// The `len` elements `(i, j)`, `(i, j + 1)`, … as one slice of
+    /// cells: [`FieldView::row`] by coordinates, with the same panics.
+    #[inline(always)]
+    pub fn row2(&self, i: i64, j: i64, len: usize) -> Row<'a, T, A> {
+        self.row_at(2, [i, j, 0], len)
+    }
+
+    /// The row of `len` elements from the `dim`-dimensional point `c`:
+    /// inline when it lies in the largest rectangle and — in a
+    /// bounding-box layout — every slot of it holds an element,
+    /// otherwise by the indexer's general lookup.
+    #[inline(always)]
+    fn row_at(&self, dim: usize, c: [i64; MAX_DIM], len: usize) -> Row<'a, T, A> {
+        match self.hot.offset3(c) {
+            Some(off)
+                if dim == self.dim
+                    && len as u64 <= self.hot.room(dim - 1, c[dim - 1])
+                    && members_from(self.members, off, len as u64) == len as u64 =>
+            {
+                self.row_from(c, off, len)
+            }
+            _ => self.row_general(dim, c, len),
+        }
+    }
+
+    #[inline(never)]
+    fn row_general(&self, dim: usize, c: [i64; MAX_DIM], len: usize) -> Row<'a, T, A> {
         assert!(dim == self.dim, "{dim}-D run in a {}-D region", self.dim);
         let Some((off, room)) = self.indexer.locate_run(c) else {
             outside_instance(dim, c)
         };
-        let off = self.in_domain(c, off);
         assert!(
-            run.len as u64 <= room,
-            "a run of {} elements from {:?} is not contiguous in the instance ({room} are)",
-            run.len,
-            run.start
+            len as u64 <= room,
+            "a run of {len} elements from {:?} is not contiguous in the instance ({room} are)",
+            DynPoint::new(&c[..dim])
         );
-        if cfg!(debug_assertions) && run.len > 0 {
+        self.row_from(c, off, len)
+    }
+
+    /// The row of `len` elements at `off`, the offset found for `c` —
+    /// whose first and last points, in debug builds, must also lie in
+    /// the domain the view was bound to.
+    #[inline(always)]
+    fn row_from(&self, c: [i64; MAX_DIM], off: u64, len: usize) -> Row<'a, T, A> {
+        let off = self.in_domain(c, off);
+        if cfg!(debug_assertions) && len > 0 {
             let mut end = c;
-            end[dim - 1] += run.len as i64 - 1;
+            end[self.dim - 1] += len as i64 - 1;
             self.check_domain(end);
         }
-        self.column.slice(off, run.len)
+        self.column.slice(off, len)
     }
 }
 
@@ -375,8 +417,8 @@ impl Row<'_, f64, Reduce> {
 /// The elements of a domain in canonical order ([`Domain::iter`]), cut
 /// into the [`Run`]s that are contiguous in an instance's storage: each
 /// row of each rectangle, split where it crosses rectangles of the
-/// instance's own domain or holes of its span layout. Every element is
-/// visited exactly once.
+/// instance's own domain or holes of its bounding-box layout. Every
+/// element is visited exactly once.
 ///
 /// # Panics
 /// The iterator panics when the domain is not a subset of the

@@ -82,24 +82,54 @@ fn offsets_of_equals_per_point_offset_of() {
     assert!(nonempty > 60, "the cases must mostly overlap: {nonempty}");
 }
 
-#[test]
-fn a_row_may_cross_rectangles_of_the_indexed_domain() {
-    let rect = |lo: [i64; 2], hi: [i64; 2]| DynRect::new(DynPoint::new(&lo), DynPoint::new(&hi));
-    // Two rectangles that do not merge; the strip below has rows
-    // (fixed x, y = 0..=5) that start in the first and end in the
-    // second.
-    let dom = Domain::from_rects([rect([0, 0], [3, 2]), rect([0, 3], [1, 5])]);
-    assert_eq!(dom.rects().len(), 2);
-    let strip = Domain::from_rect(rect([0, 0], [1, 5]));
-    let ix = DomainIndexer::new(&dom);
-    let per_point: Vec<u32> = strip
+fn rect(lo: [i64; 2], hi: [i64; 2]) -> DynRect {
+    DynRect::new(DynPoint::new(&lo), DynPoint::new(&hi))
+}
+
+/// The runs of `elements` in `ix`, checked against per-point
+/// `offset_of`.
+fn runs_of(ix: &DomainIndexer, elements: &Domain) -> Vec<(u64, u64)> {
+    let per_point: Vec<u32> = elements
         .iter()
         .map(|p| ix.offset_of(p).unwrap() as u32)
         .collect();
-    assert_eq!(ix.offsets_of(&strip), per_point);
+    assert_eq!(ix.offsets_of(elements), per_point);
     let mut runs = Vec::new();
-    ix.for_each_run(&strip, |off, len| runs.push((off, len)));
-    assert_eq!(runs, [(0, 3), (12, 3), (3, 3), (15, 3)]);
+    ix.for_each_run(elements, |off, len| runs.push((off, len)));
+    runs
+}
+
+#[test]
+fn a_row_may_cross_rectangles_of_the_indexed_domain() {
+    // Two rectangles that do not merge, and a third far away, so that
+    // the bounding box holds more than 8 slots per element and the
+    // rectangles are packed; the strip below has rows (fixed x,
+    // y = 0..=5) that start in the first and end in the second.
+    let dom = Domain::from_rects([
+        rect([0, 0], [3, 2]),
+        rect([0, 3], [1, 5]),
+        rect([40, 40], [40, 40]),
+    ]);
+    assert_eq!(dom.rects().len(), 3);
+    let ix = DomainIndexer::new(&dom);
+    assert_eq!(ix.storage_len(), dom.volume(), "packed");
+    let strip = Domain::from_rect(rect([0, 0], [1, 5]));
+    assert_eq!(runs_of(&ix, &strip), [(0, 3), (12, 3), (3, 3), (15, 3)]);
+}
+
+#[test]
+fn a_row_of_a_bounding_box_layout_is_one_run() {
+    // The first two rectangles alone: 18 elements in a 4×6 box, laid
+    // out over it, where each strip row is one run.
+    let dom = Domain::from_rects([rect([0, 0], [3, 2]), rect([0, 3], [1, 5])]);
+    assert_eq!(dom.rects().len(), 2);
+    let ix = DomainIndexer::new(&dom);
+    assert_eq!((ix.len(), ix.storage_len()), (18, 24));
+    let strip = Domain::from_rect(rect([0, 0], [1, 5]));
+    assert_eq!(runs_of(&ix, &strip), [(0, 6), (6, 6)]);
+    // Rows 2 and 3 end at the box's holes.
+    let lower = Domain::from_rect(rect([2, 0], [3, 2]));
+    assert_eq!(runs_of(&ix, &lower), [(12, 3), (18, 3)]);
 }
 
 #[test]

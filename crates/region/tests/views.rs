@@ -1,13 +1,15 @@
 //! Field views against the per-point `Instance` methods they replace in
 //! kernels, on seeded inputs of every layout the indexer specializes:
-//! dense 1-/2-/3-D (one rectangle, pure arithmetic), sparse 1-D with
-//! hundreds of runs — laid out over its span with a membership bitmap,
-//! or, past 8 ids of span per element, packed and found by the bucketed
-//! run search — and the multi-rectangle 2-D cross of a Stencil halo.
+//! dense 1-/2-/3-D (one rectangle, pure arithmetic), domains of several
+//! rectangles laid out over their bounding box with a membership bitmap
+//! — sparse 1-D sets with hundreds of runs, and the 2-D and 3-D crosses
+//! of Stencil-style halos, clipped at grid edges and corners — and, past
+//! 8 slots of box per element, packed domains: sparse 1-D sets found by
+//! the bucketed run search, and a cross of long, thin arms.
 //! `get`/`set`/`fold` must address exactly the element
 //! `read_f64`/`write_f64`/`reduce_f64` address, `Rows` must visit a
 //! domain once in `Domain::iter` order, accesses outside the instance —
-//! a hole of a span layout included — must panic in every build
+//! a hole of a bounding-box layout included — must panic in every build
 //! profile, and views of one instance must alias the way region
 //! arguments do.
 
@@ -196,27 +198,35 @@ fn rows_visit_each_element_once_in_canonical_order() {
     }
 }
 
-#[test]
-fn rows_of_a_subregion_split_where_the_instance_does() {
-    // The instance is the halo cross; the argument is a strip across
-    // its three rectangles, whose rows are contiguous in the strip but
-    // not in the instance.
+/// A cross of long, thin arms — a 2×2 tile widened by 16 along each
+/// axis — whose bounding box (34², 1 156 slots) is more than 8 times
+/// its 132 elements, so its three rectangles are packed one after the
+/// other.
+fn thin_cross() -> Domain {
+    let dom = stencil_halo(0, 1, 16);
+    assert_eq!(dom.rects().len(), 3);
+    assert!(dom.bounds().volume() > 8 * dom.volume());
+    assert_eq!(
+        DomainIndexer::new(&dom).storage_len(),
+        dom.volume(),
+        "packed"
+    );
+    dom
+}
+
+/// Rows of `strip` through a view of an instance over `dom` whose every
+/// element holds `100·i + j`: their lengths, each checked element by
+/// element against `strip.iter()`.
+fn strip_rows(dom: &Domain, strip: &Domain) -> Vec<usize> {
     let (fs, a, ..) = fields();
-    let halo = stencil_halo(16, 31, 2);
-    let strip = Domain::from_rect(rect(&[20, 14], &[21, 33]));
-    let mut inst = Instance::new(halo.clone(), &fs);
-    for p in halo.iter() {
+    let mut inst = Instance::new(dom.clone(), &fs);
+    for p in dom.iter() {
         inst.write_f64(a, p, (p.coord(0) * 100 + p.coord(1)) as f64);
     }
     let view = inst.view::<f64>(a);
-    let runs: Vec<_> = Rows::new(&strip, inst.indexer()).collect();
-    assert_eq!(
-        runs.iter().map(|r| r.len).collect::<Vec<_>>(),
-        [2, 16, 2, 2, 16, 2],
-        "each strip row crosses the left arm, the bar and the right arm"
-    );
+    let runs: Vec<_> = Rows::new(strip, inst.indexer()).collect();
     let mut expected = strip.iter();
-    for run in runs {
+    for &run in &runs {
         let row = view.row(run);
         for e in 0..run.len {
             let p = expected.next().unwrap();
@@ -224,6 +234,30 @@ fn rows_of_a_subregion_split_where_the_instance_does() {
         }
     }
     assert!(expected.next().is_none());
+    runs.iter().map(|r| r.len).collect()
+}
+
+#[test]
+fn rows_of_a_subregion_split_where_the_instance_does() {
+    // The instance is a packed cross; the argument is a strip across
+    // its three rectangles, whose rows are contiguous in the strip but
+    // not in the instance.
+    let strip = Domain::from_rect(rect(&[0, -16], &[1, 17]));
+    assert_eq!(
+        strip_rows(&thin_cross(), &strip),
+        [16, 2, 16, 16, 2, 16],
+        "each strip row crosses the left arm, the bar and the right arm"
+    );
+}
+
+#[test]
+fn rows_of_a_subregion_are_whole_in_a_bounding_box_layout() {
+    // The same strip across a halo cross laid out over its box: each of
+    // its rows is one run of the instance.
+    let halo = stencil_halo(16, 31, 2);
+    assert_eq!(DomainIndexer::new(&halo).storage_len(), 20 * 20);
+    let strip = Domain::from_rect(rect(&[20, 14], &[21, 33]));
+    assert_eq!(strip_rows(&halo, &strip), [20, 20]);
 }
 
 #[test]
@@ -523,12 +557,21 @@ fn wrong_dimensionality_panics() {
 #[should_panic(expected = "not contiguous")]
 fn a_row_across_rectangles_panics() {
     let (fs, a, ..) = fields();
-    let inst = Instance::new(stencil_halo(16, 31, 2), &fs);
-    let run = regent_region::Run {
-        start: DynPoint::new(&[20, 14]),
-        len: 20,
+    let inst = Instance::new(thin_cross(), &fs);
+    let run = Run {
+        start: DynPoint::new(&[0, -16]),
+        len: 34,
     };
     inst.view::<f64>(a).row(run);
+}
+
+#[test]
+#[should_panic(expected = "not contiguous")]
+fn a_row_into_a_corner_hole_panics() {
+    let (fs, a, ..) = fields();
+    let inst = Instance::new(stencil_halo(16, 31, 2), &fs);
+    // Row 14 is the upper arm, columns 16..=31; column 32 is a corner.
+    inst.view::<f64>(a).row2(14, 16, 17);
 }
 
 #[test]
@@ -551,4 +594,231 @@ fn access_outside_the_bound_domain_panics_in_debug_builds() {
     // SAFETY: `inst` outlives the view and nothing else uses it.
     let v = unsafe { Instance::view_raw::<f64, _>(&mut inst, a, &sub, Read) };
     v.get1(9);
+}
+
+/// A cross-shaped halo as Stencil builds one: the tile `[lo, hi]`
+/// widened by `r` along each axis in turn, no corners, clipped to the
+/// grid `[0, n)` in every dimension.
+fn clipped_cross(lo: &[i64], hi: &[i64], r: i64, n: i64) -> Domain {
+    let dim = lo.len();
+    let grid = rect(&vec![0; dim], &vec![n - 1; dim]);
+    Domain::from_rects((0..dim).map(|d| {
+        let (mut a, mut b) = (lo.to_vec(), hi.to_vec());
+        a[d] -= r;
+        b[d] += r;
+        rect(&a, &b).intersection(&grid)
+    }))
+}
+
+/// 2-D crosses of radius 1–3 around a tile inside a 24² grid, on its
+/// edges and in two of its corners, and one 3-D cross; each is checked
+/// to be laid out over its bounding box.
+fn crosses() -> Vec<(String, Domain)> {
+    let mut out = Vec::new();
+    for r in 1..=3 {
+        for (place, lo, hi) in [
+            ("interior", [8, 8], [15, 15]),
+            ("top edge", [0, 8], [7, 15]),
+            ("right edge", [8, 16], [15, 23]),
+            ("corner", [16, 16], [23, 23]),
+            ("origin corner", [0, 0], [4, 6]),
+        ] {
+            out.push((format!("r{r} {place}"), clipped_cross(&lo, &hi, r, 24)));
+        }
+    }
+    out.push((
+        "3-D r2".into(),
+        clipped_cross(&[2, 2, 2], &[5, 5, 5], 2, 10),
+    ));
+    for (name, dom) in &out {
+        let ix = DomainIndexer::new(dom);
+        assert!(dom.rects().len() > 1, "{name}");
+        assert_eq!(ix.len(), dom.volume(), "{name}");
+        assert_eq!(ix.storage_len(), dom.bounds().volume(), "{name}: box");
+        assert!(ix.storage_len() > ix.len(), "{name}: holes");
+    }
+    out
+}
+
+/// `dom`'s bounding box grown by one in every direction.
+fn around(dom: &Domain) -> Domain {
+    let b = dom.bounds();
+    let (lo, hi) = (b.lo(), b.hi());
+    let lo: Vec<i64> = lo.coords().iter().map(|c| c - 1).collect();
+    let hi: Vec<i64> = hi.coords().iter().map(|c| c + 1).collect();
+    Domain::from_rect(rect(&lo, &hi))
+}
+
+#[test]
+fn crosses_index_what_per_point_lookups_index() {
+    let (fs, a, ..) = fields();
+    let mut rng = 0x5eed_3300u64;
+    for (name, dom) in crosses() {
+        let mut inst = Instance::new(dom.clone(), &fs);
+        for (k, p) in dom.iter().enumerate() {
+            inst.write_f64(a, p, k as f64);
+        }
+        let ix = inst.indexer();
+        let mut seen = HashSet::new();
+        for p in around(&dom).iter() {
+            let off = ix.offset_of(p);
+            assert_eq!(off.is_some(), dom.contains(p), "{name}: {p:?}");
+            if let Some(off) = off {
+                assert!(off < ix.storage_len(), "{name}: {p:?} at {off}");
+                assert!(seen.insert(off), "{name}: {p:?} shares offset {off}");
+            }
+        }
+        assert_eq!(seen.len() as u64, dom.volume(), "{name}");
+        // The whole cross, its widest rectangle, and a random subset.
+        let widest = *dom.rects().iter().max_by_key(|r| r.volume()).unwrap();
+        let subset = Domain::from_rects(
+            dom.iter()
+                .filter(|_| next(&mut rng).is_multiple_of(3))
+                .map(|p| DynRect::new(p, p)),
+        );
+        let view = inst.view::<f64>(a);
+        for elements in [&dom, &Domain::from_rect(widest), &subset] {
+            let per_point: Vec<u32> = elements
+                .iter()
+                .map(|p| ix.offset_of(p).unwrap() as u32)
+                .collect();
+            assert_eq!(ix.offsets_of(elements), per_point, "{name}");
+            let mut walked = Vec::new();
+            ix.for_each_run(elements, |off, len| {
+                assert!(len > 0, "{name}: empty run");
+                walked.extend(off as u32..(off + len) as u32);
+            });
+            assert_eq!(walked, per_point, "{name}");
+            // Rows, and the row of each, against the point lookups.
+            let mut points = elements.iter();
+            for run in Rows::new(elements, ix) {
+                let row = view.row(run);
+                let by_coords = match *run.start.coords() {
+                    [i, j] => Some(view.row2(i, j, run.len)),
+                    _ => None,
+                };
+                for e in 0..run.len {
+                    let p = points.next().expect("no more runs than elements");
+                    let want = inst.read_f64(a, p);
+                    assert_eq!(row.get(e), want, "{name}: {run:?} element {e}");
+                    if let Some(r2) = by_coords {
+                        assert_eq!(r2.get(e), want, "{name}: row2 of {run:?}");
+                    }
+                }
+            }
+            assert!(points.next().is_none(), "{name}: every element");
+        }
+        assert!(subset.volume() > 10 && subset.volume() < dom.volume());
+    }
+}
+
+#[test]
+fn cross_views_address_what_the_point_methods_address() {
+    let (fs, a, b, n) = fields();
+    let mut rng = 0x5eed_3301u64;
+    for (name, dom) in crosses() {
+        let mut by_point = Instance::new(dom.clone(), &fs);
+        let mut by_view = Instance::new(dom.clone(), &fs);
+        let points: Vec<DynPoint> = dom.iter().collect();
+        let raw: *mut Instance = &mut by_view;
+        // SAFETY: `by_view` outlives the views and is used through
+        // nothing else while they are live; one thread.
+        let (va, vb, vn) = unsafe {
+            (
+                Instance::view_raw::<f64, _>(raw, a, &dom, ReadWrite),
+                Instance::view_raw::<f64, _>(raw, b, &dom, Reduce(ReductionOp::Add)),
+                Instance::view_raw::<i64, _>(raw, n, &dom, ReadWrite),
+            )
+        };
+        for _ in 0..4 * points.len() {
+            let p = points[(next(&mut rng) % points.len() as u64) as usize];
+            let x = (next(&mut rng) % 1000) as f64 / 8.0;
+            match next(&mut rng) % 3 {
+                0 => {
+                    by_point.write_f64(a, p, x);
+                    set_by_coords(&va, p, x);
+                }
+                1 => {
+                    by_point.reduce_f64(b, p, ReductionOp::Add, x);
+                    fold_by_coords(&vb, p, x);
+                }
+                _ => {
+                    by_point.write_i64(n, p, x as i64);
+                    vn.set(p, x as i64);
+                }
+            }
+            assert_eq!(get_both(&va, p), by_point.read_f64(a, p), "{name} {p:?}");
+            assert_eq!(vn.get(p), by_point.read_i64(n, p), "{name} {p:?}");
+        }
+        assert_eq!(by_view.checksum(), by_point.checksum(), "{name}");
+        let rb = by_view.view::<f64>(b);
+        for &p in &points {
+            assert_eq!(get_both(&rb, p), by_point.read_f64(b, p), "{name} {p:?}");
+        }
+    }
+}
+
+// A corner of a cross lies in its bounding box and holds no element:
+// a panic in every build profile, through every accessor.
+
+/// The radius-1 cross of the tile `[8, 15]²`, laid out over `[7, 16]²`.
+fn cross_with_corners() -> Instance {
+    let (fs, ..) = fields();
+    let inst = Instance::new(clipped_cross(&[8, 8], &[15, 15], 1, 24), &fs);
+    assert_eq!((inst.len(), inst.indexer().storage_len()), (96, 100));
+    inst
+}
+
+#[test]
+#[should_panic(expected = "outside instance domain")]
+fn cross_corner_get2_panics() {
+    let (_, a, ..) = fields();
+    cross_with_corners().view::<f64>(a).get2(7, 7);
+}
+
+#[test]
+#[should_panic(expected = "outside instance domain")]
+fn cross_corner_set2_panics() {
+    let (_, a, ..) = fields();
+    let mut inst = cross_with_corners();
+    let dom = inst.domain().clone();
+    // SAFETY: `inst` outlives the view and nothing else uses it.
+    let v = unsafe { Instance::view_raw::<f64, _>(&mut inst, a, &dom, ReadWrite) };
+    v.set2(16, 16, 1.0);
+}
+
+#[test]
+#[should_panic(expected = "outside instance domain")]
+fn cross_corner_fold2_panics() {
+    let (_, _, b, _) = fields();
+    let mut inst = cross_with_corners();
+    let dom = inst.domain().clone();
+    // SAFETY: `inst` outlives the view and nothing else uses it.
+    let v = unsafe { Instance::view_raw::<f64, _>(&mut inst, b, &dom, Reduce(ReductionOp::Add)) };
+    v.fold2(7, 16, 1.0);
+}
+
+#[test]
+#[should_panic(expected = "outside instance domain")]
+fn cross_3d_corner_get3_panics() {
+    let (fs, a, ..) = fields();
+    let inst = Instance::new(clipped_cross(&[2, 2, 2], &[5, 5, 5], 2, 10), &fs);
+    // Inside the box [0, 7]³, outside the tile in two dimensions.
+    inst.view::<f64>(a).get3(0, 0, 3);
+}
+
+#[test]
+#[should_panic(expected = "outside instance domain")]
+fn cross_corner_row_panics() {
+    let (_, a, ..) = fields();
+    cross_with_corners().view::<f64>(a).row2(16, 7, 1);
+}
+
+#[test]
+#[should_panic(expected = "outside the indexed domain")]
+fn cross_corner_for_each_run_panics() {
+    let inst = cross_with_corners();
+    // Row 7 from the upper arm (columns 8..=15) into the corner at 16.
+    let elements = Domain::from_rect(rect(&[7, 14], &[7, 16]));
+    inst.indexer().for_each_run(&elements, |_, _| {});
 }
