@@ -8,7 +8,8 @@
 //! strategies. Also covers the loss-budget fail-stop (a double failure
 //! past `max_failovers` must quarantine cleanly, not hang), the
 //! shared-log strategy's from-scratch failover, the hybrid per-segment
-//! checkpoint remap, what epoch a membership change records, how many
+//! checkpoint remap, a retry that resumes from the committed checkpoint
+//! and then rolls back to it, what epoch a membership change records, how many
 //! instances a failover rebuilds (16 for fig_failover's Stencil at
 //! every kill epoch and shard count),
 //! hang-detection failover (a stalled shard is blamed and evicted under
@@ -464,6 +465,58 @@ fn failover_rebuilds_16_instances_on_8_shards() {
     assert_rebuilds_16_instances(8, 2);
 }
 
+/// Runs Stencil under `strategy` undisturbed, then twice under `opts`
+/// (which must hold a rescue and a plan whose kill fails the first
+/// attempt), and returns the undisturbed run, the epoch the first
+/// attempt committed, and the second attempt — after checking that it
+/// is bit-identical to the undisturbed run.
+fn resume_after_a_killed_attempt(
+    strategy: Strategy,
+    opts: &RunOptions,
+) -> (RunResult, u64, RunResult) {
+    let rescue = opts
+        .resilience
+        .as_ref()
+        .and_then(|r| r.rescue.clone())
+        .expect("a supervised run");
+    let (prog_a, mut store_a) = mk_stencil();
+    let roots = prog_a.root_regions();
+    let a = strategy.compile(prog_a, 3);
+    let plain = run(a.as_ref(), &mut store_a, &RunOptions::default());
+    {
+        let (prog, mut store) = mk_stencil();
+        let compiled = strategy.compile(prog, 3);
+        assert!(
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run(compiled.as_ref(), &mut store, opts)
+            }))
+            .is_err(),
+            "{strategy:?}: the injected kill must fail attempt 1"
+        );
+    }
+    let resume_epoch = rescue
+        .checkpoint_epoch()
+        .expect("attempt 1 committed no checkpoint");
+
+    // Attempt 2: fresh program and store (sequential segments are not
+    // idempotent against a flushed store), same plan — the resume
+    // fast-forward skips the already-fired kill.
+    let (prog_b, mut store_b) = mk_stencil();
+    let b = strategy.compile(prog_b, 3);
+    let r2 = run(b.as_ref(), &mut store_b, opts);
+
+    assert_eq!(plain.env, r2.env, "scalar env diverged across resume");
+    let (here_a, here_b) = ((forest(&a), &store_a), (forest(&b), &store_b));
+    compare_roots("undisturbed vs resumed", &roots, here_a, here_b, 0.0);
+    assert!(
+        r2.stats.tasks_executed < plain.stats.tasks_executed,
+        "{strategy:?}: attempt 2 must fast-forward past committed epochs ({} vs {} tasks)",
+        r2.stats.tasks_executed,
+        plain.stats.tasks_executed
+    );
+    (plain, resume_epoch, r2)
+}
+
 #[test]
 fn rescue_resumes_across_attempts() {
     install_quiet_hook();
@@ -472,53 +525,43 @@ fn rescue_resumes_across_attempts() {
     // the `Rescue`, and the retry fast-forwards from them instead of
     // re-executing from scratch.
     for strategy in [Strategy::Spmd, Strategy::Hybrid] {
-        let (prog_a, mut store_a) = mk_stencil();
-        let roots = prog_a.root_regions();
-        let a = strategy.compile(prog_a, 3);
-        let plain = run(a.as_ref(), &mut store_a, &RunOptions::default());
-
-        let rescue = Arc::new(Rescue::new());
-        // Attempt 1: the kill fires at epoch 2, after that boundary's
-        // checkpoint was offered, so the epoch-2 snapshot commits
-        // before the attempt dies.
+        // The kill fires at epoch 2, after that boundary's checkpoint
+        // was offered, so the epoch-2 checkpoint commits before the
+        // attempt dies.
         let opts = RunOptions::default().with_resilience(ResilienceOptions {
             checkpoint_interval: 1,
             plan: FaultPlan::new(13).kill_shard(1, 2),
-            rescue: Some(Arc::clone(&rescue)),
+            rescue: Some(Arc::new(Rescue::new())),
             ..Default::default()
         });
-        {
-            let (prog, mut store) = mk_stencil();
-            let compiled = strategy.compile(prog, 3);
-            assert!(
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run(compiled.as_ref(), &mut store, &opts)
-                }))
-                .is_err(),
-                "{strategy:?}: the injected kill must fail attempt 1"
-            );
-        }
-        let resume_epoch = rescue
-            .checkpoint_epoch()
-            .expect("attempt 1 committed no checkpoint");
+        let (_, resume_epoch, _) = resume_after_a_killed_attempt(strategy, &opts);
         assert!(resume_epoch >= 2, "epoch-2 snapshot must have committed");
+    }
+}
 
-        // Attempt 2: fresh program and store (sequential segments are
-        // not idempotent against a flushed store), same plan — the
-        // resume fast-forward skips the already-fired kill.
-        let (prog_b, mut store_b) = mk_stencil();
-        let b = strategy.compile(prog_b, 3);
-        let r2 = run(b.as_ref(), &mut store_b, &opts);
-
-        assert_eq!(plain.env, r2.env, "scalar env diverged across resume");
-        let (here_a, here_b) = ((forest(&a), &store_a), (forest(&b), &store_b));
-        compare_roots("undisturbed vs resumed", &roots, here_a, here_b, 0.0);
-        assert!(
-            r2.stats.tasks_executed < plain.stats.tasks_executed,
-            "{strategy:?}: attempt 2 must fast-forward past committed epochs ({} vs {} tasks)",
-            r2.stats.tasks_executed,
-            plain.stats.tasks_executed
-        );
+#[test]
+fn resume_then_rollback_is_bit_identical() {
+    install_quiet_hook();
+    // A resumed attempt keeps the committed part it installed as its
+    // rollback target. Checkpoints every 2 epochs: attempt 1 commits
+    // epoch 2 and dies there; attempt 2 resumes at epoch 2, whose
+    // checkpoint is then already live, and its crash at epoch 3 rolls
+    // every shard back to the installed part. Its one checkpoint of its
+    // own is epoch 4's.
+    for strategy in [Strategy::Spmd, Strategy::Hybrid] {
+        let opts = RunOptions::default().with_resilience(ResilienceOptions {
+            checkpoint_interval: 2,
+            plan: FaultPlan::new(13).kill_shard(1, 2).crash_shard(0, 3),
+            rescue: Some(Arc::new(Rescue::new())),
+            ..Default::default()
+        });
+        let (_, resume_epoch, r2) = resume_after_a_killed_attempt(strategy, &opts);
+        assert_eq!(resume_epoch, 2, "{strategy:?}");
+        for (shard, s) in r2.per_shard.iter().enumerate() {
+            assert_eq!(s.restores, 1, "{strategy:?}: shard {shard}");
+            assert_eq!(s.epochs_replayed, 1, "{strategy:?}: shard {shard}");
+            assert_eq!(s.checkpoints, 1, "{strategy:?}: shard {shard}");
+        }
     }
 }
 

@@ -15,11 +15,24 @@ use regent_ir::Store;
 use regent_runtime::{run, Compiled, RunOptions};
 use regent_trace::{validate, EventKind, SpyReport, Trace, Tracer};
 
-/// Runs an SPMD program with tracing and returns the recorded trace.
+/// Runs an SPMD program with tracing and returns the recorded trace,
+/// after checking that every instance id it records (the `inst` of task
+/// accesses and copy applies) names an instance of one shard: the Spy
+/// reads two accesses with one id as one piece of memory.
 fn traced_run(spmd: &SpmdProgram, store: &mut Store) -> Trace {
     let tracer = Tracer::enabled();
     run(Compiled::Spmd(spmd), store, &RunOptions::traced(&tracer));
-    tracer.take()
+    let trace = tracer.take();
+    let mut owner = std::collections::HashMap::new();
+    for track in &trace.tracks {
+        for e in &track.events {
+            if let EventKind::TaskAccess { inst, .. } | EventKind::CopyApply { inst, .. } = e.kind {
+                let first = owner.entry(inst).or_insert(&track.name);
+                assert_eq!(*first, &track.name, "instance id {inst:#x} on two shards");
+            }
+        }
+    }
+    trace
 }
 
 fn certify(spmd: &SpmdProgram, trace: &Trace) -> SpyReport {

@@ -1,14 +1,14 @@
 //! Cooperative job cancellation for supervised executor runs.
 //!
 //! A [`CancelToken`] is handed to an executor through
-//! [`ResilienceOptions::cancel`](crate::spmd_exec::ResilienceOptions)
-//! and checked at every epoch boundary ([`ShardExec::boundary`] — the
+//! [`ResilienceOptions::cancel`](crate::ResilienceOptions)
+//! and checked at every epoch boundary (`resilience::boundary` — the
 //! same choke point the checkpoint/crash/integrity machinery runs
 //! through, shared by the SPMD and shared-log executors). Cancellation
 //! is therefore *cooperative*: a job stops at the next epoch boundary,
 //! never mid-exchange, so the shared synchronization primitives are in
-//! a quiescent state when the shard unwinds and the [`PanicGuard`]
-//! poison path tears the remaining shards down cleanly.
+//! a quiescent state when the shard unwinds and the team's panic guard
+//! (`crate::team`) poison path tears the remaining shards down cleanly.
 //!
 //! The unwind carries a structured message prefix
 //! ([`CANCEL_PREFIX`] / [`TRANSIENT_PREFIX`]) that
@@ -16,9 +16,6 @@
 //! [`FailureClass`](regent_fault::FailureClass), which is how the
 //! service supervisor distinguishes a deadline-cancelled job from an
 //! injected transient fault (retry) or a genuine bug (quarantine).
-//!
-//! [`ShardExec::boundary`]: crate::spmd_exec
-//! [`PanicGuard`]: crate::spmd_exec
 
 use regent_fault::{CANCEL_PREFIX, TRANSIENT_PREFIX};
 use std::sync::atomic::{AtomicBool, Ordering};

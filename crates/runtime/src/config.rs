@@ -20,7 +20,7 @@
 //! `<seed>,<rate>` and kill schedules go through `regent-fault`'s pure
 //! parsers; a path or address is any non-empty string.
 
-use crate::spmd_exec::ResilienceOptions;
+use crate::resilience::ResilienceOptions;
 use regent_fault::{parse_corrupt_spec, parse_kill_spec, parse_seed, FaultPlan};
 use std::path::PathBuf;
 use std::sync::OnceLock;

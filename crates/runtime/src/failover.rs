@@ -1,7 +1,7 @@
 //! Live shard failover: elastic membership with survivor-side
 //! reconstruction.
 //!
-//! The in-run resilience machinery (`spmd_exec`'s coordinated
+//! The in-run resilience machinery (`resilience`'s coordinated
 //! replicated rollback) recovers from faults every shard *survives*.
 //! This module — one loop, [`run_failover`], for every SPMD-family
 //! strategy — recovers from faults that take a shard's **thread**
@@ -23,7 +23,7 @@
 //!    by construction a consistent cut every shard offered identically
 //!    — is the agreed resume point.
 //! 3. **Reconstruction.** The committed checkpoint holds every shard's
-//!    instances, including the victim's. [`remap_resume_state`]
+//!    instances, including the victim's. `remap_resume_state`
 //!    redistributes them onto the shrunken membership: partition
 //!    instances move to each color's new block owner, whole-region
 //!    replicas and reduction temporaries are cloned from a survivor
@@ -65,8 +65,8 @@
 
 use crate::metrics::{self, flight, Counter, Timer};
 use crate::plan::InstKey;
+use crate::resilience::{Checkpoint, DeathBoard, RescueSlot};
 use crate::run::{run_ctx, Compiled, RunCtx, RunOptions, RunResult};
-use crate::spmd_exec::{DeathBoard, RescueSlot, ResumeState};
 use crate::team::panic_message;
 use regent_cr::hybrid::{HybridProgram, Segment};
 use regent_cr::{shard_layouts, MembershipRemap, ShardLayout, SlotInfo, SpmdProgram};
@@ -189,23 +189,30 @@ fn renumber_plan(
 ///   cloned contents are never read before being reset.
 ///
 /// Scalars, epoch, and resume token are membership-independent and
-/// carry over unchanged. Returns the remapped state and the number of
-/// instances placed.
+/// carry over unchanged. Returns one checkpoint per survivor and the
+/// number of instances placed.
 pub(crate) fn remap_resume_state(
-    rs: &ResumeState,
+    parts: &[Checkpoint],
     old: &[ShardLayout],
     spmd: &SpmdProgram,
     remap: &MembershipRemap,
-) -> (ResumeState, u32) {
+) -> (Vec<Checkpoint>, u32) {
     debug_assert_eq!(spmd.num_shards, remap.new_shards);
-    debug_assert_eq!(rs.parts.len(), remap.old_shards);
+    debug_assert_eq!(parts.len(), remap.old_shards);
     let merged: HashMap<InstKey, &Instance> = old
         .iter()
-        .zip(&rs.parts)
-        .flat_map(|(layout, part)| layout.slots.iter().map(|info| info.key).zip(part))
+        .zip(parts)
+        .flat_map(|(layout, part)| {
+            layout
+                .slots
+                .iter()
+                .map(|info| info.key)
+                .zip(part.instances())
+        })
         .collect();
+    let at = &parts[0];
     let mut insts = 0u32;
-    let parts: Vec<Vec<Instance>> = shard_layouts(spmd)
+    let remapped = shard_layouts(spmd)
         .iter()
         .map(|layout| {
             insts += layout.slots.len() as u32;
@@ -221,19 +228,14 @@ pub(crate) fn remap_resume_state(
                 });
                 (*inst).clone()
             };
-            layout.slots.iter().map(fetch).collect()
+            Checkpoint {
+                insts: Some(Arc::new(layout.slots.iter().map(fetch).collect())),
+                env: at.env.clone(),
+                ..*at
+            }
         })
         .collect();
-    (
-        ResumeState {
-            epoch: rs.epoch,
-            token: rs.token,
-            loop_seq: rs.loop_seq,
-            env: rs.env.clone(),
-            parts,
-        },
-        insts,
-    )
+    (remapped, insts)
 }
 
 /// One caught attempt failure, classified: either the loss to fail
@@ -436,23 +438,23 @@ pub fn run_failover(
             spmd.num_shards = membership;
             let Some(rescue) = &rescue else { continue };
             let slot = match committed.zip(old_layouts) {
-                Some((rs, old_layouts)) => {
+                Some((parts, old_layouts)) => {
                     let r0 = mx.start();
                     let t0 = fb.now();
-                    let (remapped, insts) = remap_resume_state(&rs, &old_layouts, spmd, &remap);
+                    let (remapped, insts) = remap_resume_state(&parts, &old_layouts, spmd, &remap);
                     mx.record_since(r0, Timer::FailoverReconstructNs);
                     fb.span_since(
                         t0,
                         EventKind::FailoverReconstruct {
                             to_shards: remap.new_shards as u32,
                             insts,
-                            epoch: rs.epoch,
+                            epoch: parts[0].epoch,
                         },
                     );
-                    resume_epoch = resume_epoch.max(rs.epoch);
-                    RescueSlot::with_committed(membership, Arc::new(remapped))
+                    resume_epoch = resume_epoch.max(parts[0].epoch);
+                    RescueSlot::new(membership, Some(remapped.into()))
                 }
-                None => RescueSlot::new(membership),
+                None => RescueSlot::new(membership, None),
             };
             rescue.replace_slot(idx, slot);
         }

@@ -14,8 +14,13 @@
 //!   loop ([`failover`]).
 //! * [`spmd_exec`] — the per-shard engine every strategy drives:
 //!   distributed per-shard instances, consumer-applied copy messages as
-//!   point-to-point synchronization (§3.4), checkpoint–restart and the
-//!   integrity layer.
+//!   point-to-point synchronization (§3.4), and the integrity layer's
+//!   seals and framed exchanges.
+//! * `resilience` — the epoch-boundary protocol that engine runs
+//!   through: one `Checkpoint` per shard and boundary serves in-run
+//!   rollback, the supervisor's [`Rescue`] offer, a retry's resume and
+//!   the failover remap; plus the integrity sweep and the injected
+//!   kills, stalls and crashes of [`ResilienceOptions`].
 //! * [`hybrid_exec`] — range-local control replication (§2.2): a loop
 //!   over segments, each replicated one a team run.
 //! * [`plan`] — the dynamic intersection evaluation (§3.3) with the
@@ -77,6 +82,7 @@ pub mod memo;
 pub mod metrics;
 pub mod plan;
 pub mod pool;
+mod resilience;
 pub mod ring;
 pub mod run;
 pub mod scrape;
@@ -114,5 +120,6 @@ pub use regent_fault::{
     classify_failure, DeathCause, FailureClass, FaultPlan, PeerDeath, RetryBackoff, RetryPolicy,
     CANCEL_PREFIX, FAILOVER_EXHAUSTED_PREFIX, SHARD_LOSS_PREFIX, TRANSIENT_PREFIX,
 };
-pub use spmd_exec::{DeathBoard, Rescue, ResilienceOptions, ShardStats};
+pub use resilience::{DeathBoard, Rescue, ResilienceOptions};
+pub use spmd_exec::ShardStats;
 pub use team::panic_message;

@@ -45,8 +45,8 @@
 //! ## Rollback
 //!
 //! Epoch-boundary batches (`step = Some(it)`) drive the same
-//! snapshot/crash/integrity machinery as the SPMD executor
-//! (`ShardExec::boundary`); the snapshot's resume token is the
+//! checkpoint/crash/integrity machinery as the SPMD executor
+//! (`resilience::boundary`); the checkpoint's resume token is the
 //! boundary batch's log index, and a rollback simply rewinds the read
 //! cursor — the log itself is immutable, which is what makes replay
 //! trivially consistent.
@@ -54,6 +54,7 @@
 use crate::launch_log::{LaunchLog, LogCursor};
 use crate::memo::launch_sig;
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
+use crate::resilience::boundary;
 use crate::ring::{ring_with_timeout, RingReceiver, RingSender, SendError};
 use crate::run::{RunCtx, RunResult};
 use crate::spmd_exec::ShardExec;
@@ -490,7 +491,7 @@ fn run_shard_driver(
         if let Some(it) = batch.step {
             // Epoch boundary: snapshot / crash / integrity sweep, with
             // the boundary batch's log index as the resume token.
-            if let Some(token) = exec.boundary(it == 0, batch.index as u64) {
+            if let Some(token) = boundary(exec, it == 0, batch.index as u64) {
                 cursor.rewind(token as usize);
                 continue;
             }

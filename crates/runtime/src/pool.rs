@@ -6,8 +6,9 @@
 //! payload buffers and the producer side draws from.
 //! `clone_insts_into` copies instances into a previous copy's
 //! allocations via `Instance::clone_contents_from`. It does so only
-//! within a run: a snapshot taken before anything wrote the image is
-//! the fill and copies nothing, so the first copied snapshot of a run
+//! within a run, and only while no rescue slot shares the previous
+//! checkpoint: a checkpoint taken before anything wrote the image is
+//! the fill and copies nothing, so the first copied checkpoint of a run
 //! allocates.
 //!
 //! Lifecycle of a pooled payload buffer:
@@ -110,7 +111,7 @@ impl ChunkPool {
 /// instances are `clone_contents_from`'d in place, slot by slot.
 /// Contract: both are one shard's instances by slot of its layout, so
 /// instances at the same index have the same shape; a `dst` of another
-/// length (a run's first copied snapshot) is replaced by a fresh clone.
+/// length (a run's first copied checkpoint) is replaced by a fresh clone.
 pub(crate) fn clone_insts_into(src: &[Instance], dst: &mut Vec<Instance>) {
     if dst.len() != src.len() {
         *dst = src.to_vec();

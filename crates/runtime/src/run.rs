@@ -8,7 +8,8 @@ use crate::config::{self, Smoke};
 use crate::hybrid_exec::{run_hybrid, HybridRunResult};
 use crate::log_exec::{run_log, LogStats};
 use crate::plan::SetupStats;
-use crate::spmd_exec::{run_spmd, ResilienceOptions, ShardStats};
+use crate::resilience::ResilienceOptions;
+use crate::spmd_exec::{run_spmd, ShardStats};
 use regent_cr::hybrid::HybridProgram;
 use regent_cr::SpmdProgram;
 use regent_ir::Store;

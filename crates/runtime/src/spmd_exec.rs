@@ -30,76 +30,17 @@
 //! validator to reconstruct the execution's happens-before graph and
 //! certify every cross-shard dependence.
 //!
-//! ## Resilience (checkpoint–restart)
-//!
-//! With [`crate::RunOptions::resilience`] set, the same program runs
-//! under a deterministic [`FaultPlan`]: every shard snapshots its instances
-//! and scalar environment at epoch boundaries (an *epoch* is one
-//! outermost-loop iteration), and when the plan schedules a shard
-//! crash, all shards roll back to the last snapshot together and
-//! replay. This is *coordinated replicated rollback*: because control
-//! flow is replicated and the fault plan is shared, every shard
-//! independently reaches the same crash decision at the same epoch, so
-//! no recovery messages are needed — exactly the property that makes
-//! control-replicated programs cheap to checkpoint. Channels are
-//! provably empty at epoch boundaries (each copy's sends are consumed
-//! by the matching receives within the same iteration on both sides),
-//! so replay re-sends and re-receives in lockstep. Recovered results
-//! are bit-identical to a fault-free run; trace identities
-//! (`launch_seq`, copy occurrences) are *not* rolled back, so replayed
-//! work gets fresh identities and the Spy validator certifies the
-//! recovered trace like any other.
-//!
-//! The fill is the first checkpoint. A run fills its shard's image
-//! from the store and flushes it back only after every shard joined
-//! (§3.1), so until the first launch, copy or temporary reset the store
-//! holds exactly what the image holds. A snapshot taken in that state
-//! copies no instance: it names the store, and a rollback to it refills
-//! the image along its memoized fill runs (resealing it under the
-//! integrity layer). Every other snapshot copies the instances.
-//!
-//! ## Integrity (silent-data-corruption detection and repair)
-//!
-//! With [`ResilienceOptions::integrity`] (or any nonzero
-//! `FaultPlan::corrupt_rate`) the executor becomes end-to-end
-//! checksummed. Every physical instance carries an FNV-1a *seal*,
-//! established after allocation and re-established at each point where
-//! the protocol makes its contents authoritative: task completion (for
-//! every argument held with a mutating privilege), copy application,
-//! and reduction-temp reset. Every exchange payload travels as a
-//! checksummed frame and every collective contribution as a
-//! [`FramedScalar`]; both are verified *on receipt*, before the data
-//! can contaminate the fold or the destination instance.
-//!
-//! Repair is localized when redundancy exists and escalates when it
-//! does not:
-//!
-//! * **Exchange / collective frames** — the producer still holds the
-//!   clean payload, so the consumer simply keeps receiving until a
-//!   frame verifies. Because the corruption predicate is pure and
-//!   seeded (`FaultPlan::payload_corruption`), the producer *knows*
-//!   which transmissions arrive corrupted and proactively retransmits
-//!   — no acknowledgement channel is needed. Retransmissions are
-//!   bounded by [`RetryPolicy::max_attempts`]; exhaustion is
-//!   unrecoverable and fail-stops the run.
-//! * **Resident instances** — no peer holds a redundant copy of a
-//!   shard's owned data, so the checkpoint is the redundancy: a seal
-//!   mismatch found by the epoch-boundary verification sweep escalates
-//!   to the coordinated rollback above. The decision is replicated —
-//!   every shard evaluates the same `FaultPlan::resident_corruption`
-//!   predicate — so recovery stays coordination-free.
-//!
-//! Detection, repair, and escalation are visible as `CorruptDetected`
-//! / `CorruptRepaired` / `CorruptEscalated` trace events, summarized
-//! by `regent_trace::integrity_summary` and certified by the Spy
-//! validator's unrepaired-corruption check. Recovered results remain
-//! bit-identical to a fault-free run.
+//! Checkpoint–restart, rescue and the integrity layer's epoch-boundary
+//! sweep run through `crate::resilience`, whose boundary protocol
+//! borrows this engine; the integrity work done per statement — seals
+//! after launches, copies and temporary resets, framed exchanges and
+//! collectives — stays here, with the statements.
 
-use crate::cancel::CancelToken;
 use crate::collective::{DynamicCollective, FramedScalar, ShardBarrier};
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
-use crate::plan::{ExchangeSchedule, InstKey, PairPlan};
-use crate::pool::{clone_insts_into, ChunkPool};
+use crate::plan::{ExchangeSchedule, PairPlan};
+use crate::pool::ChunkPool;
+use crate::resilience::{boundary, Resilience, ResilienceOptions};
 use crate::ring::{RingReceiver, RingSender, SendError};
 use crate::run::{RunCtx, RunResult};
 use crate::team::run_team;
@@ -108,15 +49,14 @@ use regent_cr::{
     CopyId, CopySource, CopyStmt, ShardImage, ShardLayout, SpmdLaunch, SpmdProgram, SpmdStmt,
     TempId,
 };
-use regent_fault::{message_key, DeathCause, FaultPlan, PeerDeath, RetryPolicy, SHARD_LOSS_PREFIX};
+use regent_fault::{message_key, DeathCause, PeerDeath};
 use regent_ir::{ArgSlot, Privilege, Store, TaskCtx};
 use regent_region::checksum::StripedFnv;
 use regent_region::{ColumnData, FieldId, Instance, ReductionOp};
 use regent_trace::{fields_mask, CorruptSite, EventKind, TraceBuf, Tracer};
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::mpsc::RecvTimeoutError;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// [`message_key`] domain tag for exchange payload corruption ("EXCH").
@@ -263,107 +203,6 @@ impl ShardStats {
     }
 }
 
-/// Configuration of a resilient SPMD run: a deterministic fault plan
-/// (only its shard-crash events apply to the real executor — loss and
-/// slowdown are machine-model concerns) plus the checkpoint cadence.
-#[derive(Clone, Debug, Default)]
-pub struct ResilienceOptions {
-    /// Take a snapshot every `checkpoint_interval` epochs (0 ⇒ only
-    /// the mandatory epoch-0 snapshot, so every crash replays from the
-    /// start of the loop).
-    pub checkpoint_interval: u64,
-    /// The seeded fault plan; crashes fire at its scheduled epochs and
-    /// its `corrupt_rate` drives silent-data-corruption injection.
-    pub plan: FaultPlan,
-    /// Forces the integrity layer (instance seals, framed exchanges
-    /// and collectives, epoch-boundary verification sweeps) on even
-    /// when `plan.corrupt_rate` is zero — the configuration used to
-    /// measure the layer's fault-free overhead. A nonzero corruption
-    /// rate enables integrity regardless of this flag.
-    pub integrity: bool,
-    /// Cooperative cancellation token for supervised runs, checked by
-    /// every shard at every epoch boundary (deadline budgets, explicit
-    /// supervisor cancels, injected transient faults). `None` for
-    /// unsupervised runs.
-    pub cancel: Option<CancelToken>,
-    /// Supervisor-provided cross-attempt checkpoints: boundary
-    /// snapshots are offered into the run's slot (one per replicated
-    /// segment), and a fresh run with a committed checkpoint
-    /// fast-forwards to it instead of starting from scratch — this is
-    /// what makes a retried job resume from the last checkpoint. The
-    /// shared-log strategy has no resumable slot (its sequencer cannot
-    /// re-derive skipped `AllReduce` feedback), so log runs neither
-    /// offer nor resume: they retry from scratch.
-    pub rescue: Option<Arc<Rescue>>,
-    /// Shared death board for failover-aware runs: the first thread to
-    /// die records a structured [`PeerDeath`] here, so the failover
-    /// driver learns *which* shard was lost and *why* without parsing
-    /// panic strings. `None` for plain runs.
-    pub board: Option<Arc<DeathBoard>>,
-}
-
-/// A shared record of shard deaths within one executor attempt. The
-/// failover driver reads it after catching the attempt's panic to learn
-/// the root cause without parsing diagnostics: kill and hang causes are
-/// recorded *before* the poison cascade starts, and a panicking shard's
-/// panic guard (`crate::team`) records itself only when the board is
-/// still empty — so the first entry is always the root cause, never a
-/// secondary unwind.
-#[derive(Debug, Default)]
-pub struct DeathBoard {
-    deaths: Mutex<Vec<PeerDeath>>,
-}
-
-impl DeathBoard {
-    /// An empty board.
-    pub fn new() -> DeathBoard {
-        DeathBoard::default()
-    }
-
-    /// Records a death. At most one entry per shard is kept (a shard
-    /// dies once; later reports for the same shard are echoes).
-    pub fn record(&self, death: PeerDeath) {
-        let mut g = self.deaths.lock().unwrap_or_else(|e| e.into_inner());
-        if g.iter().all(|d| d.shard != death.shard) {
-            g.push(death);
-        }
-    }
-
-    /// The first recorded death — the root cause of the attempt's
-    /// failure.
-    pub fn first(&self) -> Option<PeerDeath> {
-        self.deaths
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .first()
-            .copied()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.deaths
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_empty()
-    }
-
-    /// All recorded deaths, in recording order.
-    pub fn snapshot(&self) -> Vec<PeerDeath> {
-        self.deaths
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// Clears the board for the next attempt.
-    pub fn clear(&self) {
-        self.deaths
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-    }
-}
-
 /// The replicated-walk control source (§3.5): every shard executes the
 /// whole replicated body. `slot` is the rescue slot the run offers
 /// checkpoints into and resumes from — 0 for a whole-program run, the
@@ -384,363 +223,14 @@ pub(crate) fn run_spmd(
     )
 }
 
-/// Transmissions one logical exchange payload or collective frame may
-/// take under the integrity protocol ([`RetryPolicy::max_attempts`]):
-/// what a producer stops at, and what the team driver sizes the
-/// exchange rings for when the fault plan can corrupt a payload.
-pub(crate) fn retry_budget() -> u32 {
-    RetryPolicy::default().max_attempts
-}
-
-/// Per-shard checkpoint–restart and integrity state for a resilient
-/// run.
-pub(crate) struct Resilience {
-    /// Crash schedule as (epoch, shard), sorted; `cursor` advances once
-    /// per event so each injected crash fires exactly once.
-    schedule: Vec<(u64, u32)>,
-    cursor: usize,
-    /// Kill schedule as (epoch, shard), sorted: unlike a crash (which
-    /// the run survives via coordinated rollback), a kill takes the
-    /// victim's *thread* down — only the failover driver can recover,
-    /// by shrinking the membership and re-running the survivors.
-    kills: Vec<(u64, u32)>,
-    kill_cursor: usize,
-    /// Stall schedule as (epoch, shard, ms), sorted: the victim sleeps
-    /// past the hang timeout but never panics on its own — its
-    /// consumers detect the hang and blame it on the death board.
-    stalls: Vec<(u64, u32, u64)>,
-    stall_cursor: usize,
-    /// Shared death board for failover-aware runs.
-    board: Option<Arc<DeathBoard>>,
-    interval: u64,
-    snapshot: Option<Snapshot>,
-    /// The fault plan; its corruption predicates are consulted per
-    /// exchange payload, per collective frame, and per epoch.
-    plan: FaultPlan,
-    /// Whether seals, framing, and verification sweeps are active.
-    integrity: bool,
-    /// Retransmission budget per logical payload ([`retry_budget`]).
-    retry_max: u32,
-    /// Epochs below this already had their scheduled resident
-    /// corruption handled — keeps the event from re-firing during the
-    /// very replay it triggered.
-    corrupt_handled: u64,
-    /// Cooperative cancellation token, checked at every boundary.
-    cancel: Option<CancelToken>,
-    /// Cross-attempt checkpoint slot boundary snapshots are offered
-    /// into; resolved from [`ResilienceOptions::rescue`] by the team
-    /// driver, like `resume`.
-    pub(crate) rescue: Option<Arc<RescueSlot>>,
-    /// Committed checkpoint this run fast-forwards to at the first
-    /// boundary of its matching outermost loop; taken from the rescue
-    /// slot on the driver thread before the shards spawn, so every
-    /// shard resumes (or doesn't) identically.
-    pub(crate) resume: Option<Arc<ResumeState>>,
-}
-
-impl Resilience {
-    fn new(opts: &ResilienceOptions) -> Resilience {
-        Resilience {
-            schedule: opts
-                .plan
-                .crash_schedule()
-                .into_iter()
-                .map(|(shard, epoch)| (epoch, shard))
-                .collect(),
-            cursor: 0,
-            kills: opts
-                .plan
-                .kill_schedule()
-                .into_iter()
-                .map(|(shard, epoch)| (epoch, shard))
-                .collect(),
-            kill_cursor: 0,
-            stalls: opts
-                .plan
-                .stall_schedule()
-                .into_iter()
-                .map(|(shard, epoch, ms)| (epoch, shard, ms))
-                .collect(),
-            stall_cursor: 0,
-            board: opts.board.clone(),
-            interval: opts.checkpoint_interval,
-            snapshot: None,
-            plan: opts.plan.clone(),
-            integrity: opts.integrity || opts.plan.corrupt_rate > 0.0,
-            retry_max: retry_budget(),
-            corrupt_handled: 0,
-            cancel: opts.cancel.clone(),
-            rescue: None,
-            resume: None,
-        }
-    }
-}
-
-/// An epoch-boundary snapshot: everything a shard must restore to
-/// deterministically replay from that boundary. Trace identities and
-/// statistics are deliberately excluded (see the module docs). A
-/// snapshot taken before anything wrote the image is the fill itself
-/// and copies no instance (`from_fill`); the others copy every one.
-///
-/// `token` is the executor's resume position — the outermost-loop
-/// iteration for the SPMD executor, the log batch index for the
-/// shared-log executor.
-#[derive(Default)]
-struct Snapshot {
-    token: u64,
-    epoch: u64,
-    /// The instances are the run's fill: nothing had written the image
-    /// since it was filled, so the store holds them and `insts` only
-    /// keeps allocations for the next copied snapshot.
-    from_fill: bool,
-    /// The shard's instances, by slot of its layout.
-    insts: Vec<Instance>,
-    env: Vec<f64>,
-}
-
-/// One shard's boundary offer into a [`RescueSlot`]: its snapshot plus
-/// the coordinates every shard must agree on before the set commits.
-struct PendingPart {
-    epoch: u64,
-    token: u64,
-    loop_seq: u64,
-    env: Vec<f64>,
-    insts: Vec<Instance>,
-}
-
-/// A complete, consistent cross-attempt checkpoint: every shard's
-/// instances plus the replicated scalar environment and resume
-/// position, all captured at the same epoch boundary.
-pub(crate) struct ResumeState {
-    pub(crate) epoch: u64,
-    pub(crate) token: u64,
-    /// Which outermost loop (1-based entry order) the resume token
-    /// indexes into — a token is an iteration number and means nothing
-    /// in a different loop.
-    pub(crate) loop_seq: u64,
-    pub(crate) env: Vec<f64>,
-    /// Per shard, its instances by slot of its layout.
-    pub(crate) parts: Vec<Vec<Instance>>,
-}
-
-/// One replicated segment's slot of a [`Rescue`]: carries checkpoint state *across
-/// executor invocations*: each shard offers its epoch-boundary
-/// snapshot into the slot, and once every shard has offered the same
-/// `(epoch, token)` the set commits atomically. A later run handed the
-/// same slot (a retry after a transient failure) fast-forwards every
-/// shard to the committed checkpoint instead of recomputing from
-/// scratch — in-run rollback handles faults the run survives, the
-/// rescue slot handles faults it does not.
-///
-/// Torn offers (shards at different epochs when the run died) simply
-/// never commit; the retry then starts from scratch, which is always
-/// correct because execution is deterministic.
-pub(crate) struct RescueSlot {
-    inner: Mutex<RescueInner>,
-}
-
-struct RescueInner {
-    pending: Vec<Option<PendingPart>>,
-    committed: Option<Arc<ResumeState>>,
-}
-
-impl std::fmt::Debug for RescueSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let g = self.inner.lock().expect("rescue slot poisoned");
-        f.debug_struct("RescueSlot")
-            .field("shards", &g.pending.len())
-            .field("committed_epoch", &g.committed.as_ref().map(|c| c.epoch))
-            .finish()
-    }
-}
-
-impl RescueSlot {
-    /// An empty slot for a job running on `num_shards` shards.
-    pub(crate) fn new(num_shards: usize) -> RescueSlot {
-        RescueSlot {
-            inner: Mutex::new(RescueInner {
-                pending: (0..num_shards).map(|_| None).collect(),
-                committed: None,
-            }),
-        }
-    }
-
-    /// A slot for `num_shards` shards pre-seeded with a committed
-    /// checkpoint — used by the failover driver after remapping a dead
-    /// shard's state onto the survivors: the next attempt resumes from
-    /// the remapped checkpoint as if it had been committed natively.
-    pub(crate) fn with_committed(num_shards: usize, committed: Arc<ResumeState>) -> RescueSlot {
-        assert_eq!(
-            committed.parts.len(),
-            num_shards,
-            "pre-seeded checkpoint must match the slot's membership"
-        );
-        RescueSlot {
-            inner: Mutex::new(RescueInner {
-                pending: (0..num_shards).map(|_| None).collect(),
-                committed: Some(committed),
-            }),
-        }
-    }
-
-    /// The membership this slot collects offers from.
-    fn num_shards(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("rescue slot poisoned")
-            .pending
-            .len()
-    }
-
-    /// Epoch of the committed checkpoint, if any — what a retry will
-    /// resume from.
-    pub(crate) fn checkpoint_epoch(&self) -> Option<u64> {
-        self.inner
-            .lock()
-            .expect("rescue slot poisoned")
-            .committed
-            .as_ref()
-            .map(|c| c.epoch)
-    }
-
-    /// The committed checkpoint for a fresh attempt to resume from
-    /// (leaves it in place — a later attempt may need it again).
-    pub(crate) fn resume_state(&self) -> Option<Arc<ResumeState>> {
-        self.inner
-            .lock()
-            .expect("rescue slot poisoned")
-            .committed
-            .clone()
-    }
-
-    /// One shard's boundary snapshot offer; commits the set when every
-    /// shard has offered the same `(epoch, token)`. Mixing offers from
-    /// different attempts is benign: state at a given epoch is
-    /// bit-identical across attempts by determinism.
-    fn offer(
-        &self,
-        shard: usize,
-        epoch: u64,
-        token: u64,
-        loop_seq: u64,
-        env: &[f64],
-        insts: &[Instance],
-    ) {
-        let mut g = self.inner.lock().expect("rescue slot poisoned");
-        assert!(shard < g.pending.len(), "rescue offer from unknown shard");
-        g.pending[shard] = Some(PendingPart {
-            epoch,
-            token,
-            loop_seq,
-            env: env.to_vec(),
-            insts: insts.to_vec(),
-        });
-        let complete = g.pending.iter().all(|p| {
-            p.as_ref()
-                .is_some_and(|q| q.epoch == epoch && q.token == token && q.loop_seq == loop_seq)
-        });
-        if complete {
-            let taken: Vec<PendingPart> = g
-                .pending
-                .iter_mut()
-                .map(|p| p.take().expect("completeness checked above"))
-                .collect();
-            // The scalar environment is replicated; commit shard 0's.
-            let env = taken[0].env.clone();
-            let parts: Vec<Vec<Instance>> = taken.into_iter().map(|q| q.insts).collect();
-            g.committed = Some(Arc::new(ResumeState {
-                epoch,
-                token,
-                loop_seq,
-                env,
-                parts,
-            }));
-        }
-    }
-}
-
-/// Cross-attempt checkpoints of one job: one slot (`RescueSlot`) per
-/// replicated segment, keyed by segment index (a whole-program SPMD run
-/// is segment 0). A supervisor hands the same `Rescue` to every retry
-/// of a job through [`ResilienceOptions::rescue`], so each replicated
-/// segment resumes from its own last committed checkpoint instead of
-/// recomputing from scratch. (Sequential segments of a hybrid program
-/// re-run through the interpreter; they are cheap and deterministic, so
-/// re-deriving their scalars is free of risk.)
-#[derive(Debug, Default)]
-pub struct Rescue {
-    slots: Mutex<Vec<Option<Arc<RescueSlot>>>>,
-}
-
-impl Rescue {
-    /// An empty rescue container.
-    pub fn new() -> Rescue {
-        Rescue::default()
-    }
-
-    /// The slot for replicated segment `idx` of a `num_shards`-strong
-    /// membership, created on first use. A slot left by a run at a
-    /// different membership is replaced by an empty one: its
-    /// checkpoint has one part per shard of *that* run, and starting
-    /// from scratch is always correct.
-    pub(crate) fn slot(&self, idx: usize, num_shards: usize) -> Arc<RescueSlot> {
-        let mut g = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        if g.len() <= idx {
-            g.resize_with(idx + 1, || None);
-        }
-        match &g[idx] {
-            Some(slot) if slot.num_shards() == num_shards => slot.clone(),
-            _ => g[idx].insert(Arc::new(RescueSlot::new(num_shards))).clone(),
-        }
-    }
-
-    /// Replaces the slot for replicated segment `idx` (used by the
-    /// failover loop after remapping a segment's checkpoint onto a
-    /// shrunken membership).
-    pub(crate) fn replace_slot(&self, idx: usize, slot: RescueSlot) {
-        let mut g = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        if g.len() <= idx {
-            g.resize_with(idx + 1, || None);
-        }
-        g[idx] = Some(Arc::new(slot));
-    }
-
-    /// The committed checkpoint of replicated segment `idx`, if any.
-    pub(crate) fn committed(&self, idx: usize) -> Option<Arc<ResumeState>> {
-        let g = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        g.get(idx)?.as_ref()?.resume_state()
-    }
-
-    /// Highest committed checkpoint epoch across all segments — what a
-    /// retry will resume from, and a cheap "has anything committed"
-    /// probe for tests and supervisors.
-    pub fn checkpoint_epoch(&self) -> Option<u64> {
-        self.slots
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .flatten()
-            .filter_map(|s| s.checkpoint_epoch())
-            .max()
-    }
-}
-
-/// Stable identity hash of a shard-local physical instance (the `inst`
-/// field of trace events).
-pub(crate) fn inst_hash(key: &InstKey) -> u64 {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
-
 /// The per-shard execution engine: shard-local storage, the exchange
-/// channels, trace/metrics recorders, and the resilience state. The
-/// SPMD executor drives it through [`ShardExec::run_stmts`] (every
-/// shard re-executes the whole control program); the shared-log
-/// executor (`log_exec`) drives the *same* engine one leaf statement
-/// at a time through [`ShardExec::run_stmt`], so exchanges,
-/// collectives, integrity, and rollback behave identically under both
-/// strategies.
+/// channels, trace/metrics recorders, and the resilience state
+/// ([`Resilience`]). The SPMD executor drives it through
+/// [`ShardExec::run_stmts`] (every shard re-executes the whole control
+/// program); the shared-log executor (`log_exec`) drives the *same*
+/// engine one leaf statement at a time through [`ShardExec::run_stmt`],
+/// so exchanges, collectives, integrity, and rollback behave
+/// identically under both strategies.
 pub(crate) struct ShardExec<'a> {
     pub(crate) spmd: &'a SpmdProgram,
     /// The program's exchange schedule (pairs plus gather/scatter
@@ -748,18 +238,18 @@ pub(crate) struct ShardExec<'a> {
     pub(crate) schedule: &'a ExchangeSchedule,
     /// This shard's slice of the schedule: its instance slots and the
     /// pairs it produces and consumes.
-    layout: &'a ShardLayout,
+    pub(crate) layout: &'a ShardLayout,
     pub(crate) shard: usize,
     /// The shard's instances, by slot: the program's image of this
     /// shard, taken for the run and handed back by the team driver.
     pub(crate) data: ShardImage,
     /// The store the image was filled from. Nothing writes it while
     /// the shards run (the team driver flushes after the join).
-    store: &'a Store,
+    pub(crate) store: &'a Store,
     /// Nothing has written the image since it was filled from `store`
     /// (cleared by every launch, copy and temporary reset, and by a
     /// rescue resume).
-    as_filled: bool,
+    pub(crate) as_filled: bool,
     pub(crate) env: Vec<f64>,
     /// This shard's ends of the exchange mesh, by peer shard.
     pub(crate) tx: Vec<RingSender<CopyMsg>>,
@@ -796,7 +286,9 @@ pub(crate) struct ShardExec<'a> {
     /// run reports the *same* stats as a fault-free run (the replayed
     /// volume is visible through `epochs_replayed` instead).
     pub(crate) replay_until: u64,
-    /// Checkpoint–restart state; `None` for plain (non-resilient) runs.
+    /// Checkpoint–restart state; `None` for plain (non-resilient) runs,
+    /// and taken out while its boundary protocol borrows this engine
+    /// (`resilience::boundary`).
     pub(crate) resilience: Option<Resilience>,
     /// 1-based count of outermost (`loop_depth == 0`) loops entered —
     /// the namespace a rescue resume token's iteration number lives in.
@@ -897,20 +389,20 @@ impl<'a> ShardExec<'a> {
         exec.mx.record_since(m0, Timer::ImageFillNs);
         // Initial seal: from here on every instance is verified at each
         // epoch boundary.
-        exec.seal_image();
+        if exec.integrity_on() {
+            exec.seal_image();
+        }
         exec
     }
 
-    /// Seals every instance when the integrity layer is on — after a
-    /// fill, which leaves every column unsealed.
-    fn seal_image(&mut self) {
-        if self.integrity_on() {
-            let m0 = self.mx.start();
-            for inst in &mut self.data.insts {
-                inst.seal();
-            }
-            self.mx.record_since(m0, Timer::IntegrityNs);
+    /// Seals every instance — after a fill, which leaves every column
+    /// unsealed.
+    pub(crate) fn seal_image(&mut self) {
+        let m0 = self.mx.start();
+        for inst in &mut self.data.insts {
+            inst.seal();
         }
+        self.mx.record_since(m0, Timer::IntegrityNs);
     }
 
     pub(crate) fn run_stmts(&mut self, stmts: &[SpmdStmt]) {
@@ -964,48 +456,10 @@ impl<'a> ShardExec<'a> {
             }
             SpmdStmt::For { count, body } => {
                 let n = count.eval(&self.env).max(0.0) as u64;
-                if self.loop_depth == 0 {
-                    self.outer_loop_seq += 1;
-                }
-                let mut it = 0u64;
-                while it < n {
-                    if self.loop_depth == 0 {
-                        if let Some(restored_it) = self.epoch_boundary(it) {
-                            it = restored_it;
-                            continue;
-                        }
-                        self.tb.instant(EventKind::StepBegin { step: it });
-                    }
-                    self.loop_depth += 1;
-                    self.run_stmts(body);
-                    self.loop_depth -= 1;
-                    if self.loop_depth == 0 {
-                        self.epoch += 1;
-                    }
-                    it += 1;
-                }
+                self.run_loop(body, |_, it| it < n);
             }
             SpmdStmt::While { cond, body } => {
-                if self.loop_depth == 0 {
-                    self.outer_loop_seq += 1;
-                }
-                let mut it = 0u64;
-                while cond.eval(&self.env) != 0.0 {
-                    if self.loop_depth == 0 {
-                        if let Some(restored_it) = self.epoch_boundary(it) {
-                            it = restored_it;
-                            continue;
-                        }
-                        self.tb.instant(EventKind::StepBegin { step: it });
-                    }
-                    self.loop_depth += 1;
-                    self.run_stmts(body);
-                    self.loop_depth -= 1;
-                    if self.loop_depth == 0 {
-                        self.epoch += 1;
-                    }
-                    it += 1;
-                }
+                self.run_loop(body, |env, _| cond.eval(env) != 0.0);
             }
             SpmdStmt::If {
                 cond,
@@ -1029,6 +483,34 @@ impl<'a> ShardExec<'a> {
                     self.tb.instant(EventKind::BarrierLeave { generation });
                 }
             }
+        }
+    }
+
+    /// Runs `body` while `more(env, it)` holds. An outermost loop's
+    /// iterations are epochs: each opens with the resilience boundary,
+    /// which may resume or roll back to another iteration, and closes by
+    /// advancing the epoch counter.
+    fn run_loop(&mut self, body: &[SpmdStmt], more: impl Fn(&[f64], u64) -> bool) {
+        let outer = self.loop_depth == 0;
+        if outer {
+            self.outer_loop_seq += 1;
+        }
+        let mut it = 0u64;
+        while more(&self.env, it) {
+            if outer {
+                if let Some(restored) = boundary(self, it == 0, it) {
+                    it = restored;
+                    continue;
+                }
+                self.tb.instant(EventKind::StepBegin { step: it });
+            }
+            self.loop_depth += 1;
+            self.run_stmts(body);
+            self.loop_depth -= 1;
+            if outer {
+                self.epoch += 1;
+            }
+            it += 1;
         }
     }
 
@@ -1159,7 +641,7 @@ impl<'a> ShardExec<'a> {
                         launch,
                         pos,
                         region: info.region.0,
-                        inst: inst_hash(&info.key),
+                        inst: inst_id(self.shard, slot),
                         fields: fields_mask(param.fields.iter().map(|f| f.0)),
                         privilege: crate::implicit::priv_code(param.privilege),
                     });
@@ -1465,7 +947,7 @@ impl<'a> ShardExec<'a> {
                         pair: seq as u32,
                         seq: occurrence,
                         region: layout.slots[p.dst_slot as usize].region.0,
-                        inst: inst_hash(&p.dst_key),
+                        inst: inst_id(self.shard, p.dst_slot as usize),
                         fields: copy_fields_mask,
                         reduce: c.reduction.is_some(),
                     },
@@ -1584,365 +1066,6 @@ impl<'a> ShardExec<'a> {
         self.epoch >= self.replay_until
     }
 
-    /// Epoch boundary of a resilient run, called at the top of every
-    /// outermost-loop iteration. See [`ShardExec::boundary`].
-    fn epoch_boundary(&mut self, it: u64) -> Option<u64> {
-        self.boundary(it == 0, it)
-    }
-
-    /// Epoch boundary of a resilient run: takes a snapshot when one is
-    /// due, then fires a scheduled crash by rolling back to the last
-    /// snapshot. `first` marks the first boundary of an outermost loop
-    /// (forces a fresh snapshot so a rollback never crosses loop
-    /// boundaries); `token` is the executor's resume position stored in
-    /// the snapshot — the loop iteration for the SPMD executor, the log
-    /// batch index for the shared-log executor. Returns
-    /// `Some(restored_token)` when a rollback happened — the caller
-    /// resumes from that position; `None` otherwise (including for
-    /// plain runs). Every shard makes the same decision at the same
-    /// epoch (replicated control flow / a replicated log + shared
-    /// plan), which is what keeps the recovery coordination-free.
-    pub(crate) fn boundary(&mut self, first: bool, token: u64) -> Option<u64> {
-        self.resilience.as_ref()?;
-        // Cooperative cancellation: supervised jobs stop at epoch
-        // boundaries (never mid-exchange), unwinding with a structured
-        // diagnostic the supervisor classifies. Every shard fires at
-        // the same replicated epoch for deterministic causes; the
-        // wall-clock deadline may fire on one shard first, whose
-        // PanicGuard then poisons the rest.
-        if let Some(tok) = self.resilience.as_ref().unwrap().cancel.clone() {
-            tok.check_boundary(self.shard, self.epoch);
-        }
-        // Cross-attempt rescue resume: at the first boundary of the
-        // outermost loop the committed checkpoint belongs to, install
-        // its state and fast-forward to its iteration. The decision was
-        // resolved once on the driver thread, so all shards agree.
-        if first
-            && self
-                .resilience
-                .as_ref()
-                .unwrap()
-                .resume
-                .as_ref()
-                .is_some_and(|rs| rs.loop_seq == self.outer_loop_seq)
-        {
-            let rs = self
-                .resilience
-                .as_mut()
-                .unwrap()
-                .resume
-                .take()
-                .expect("checked above");
-            return Some(self.install_resume(&rs));
-        }
-        // Integrity sweep first: inject and detect resident corruption
-        // *before* the snapshot logic, so a snapshot can never capture
-        // corrupted state.
-        if let Some(restored) = self.integrity_boundary(first) {
-            return Some(restored);
-        }
-        let epoch = self.epoch;
-        let r = self.resilience.as_ref().unwrap();
-        // Snapshot at the first epoch of each loop and every `interval`
-        // epochs after — but not twice at the same epoch (a rollback
-        // lands us back on a boundary whose snapshot is already live).
-        let due = (first || (r.interval > 0 && epoch.is_multiple_of(r.interval)))
-            && r.snapshot.as_ref().is_none_or(|s| s.epoch != epoch);
-        if due {
-            let t0 = self.tb.now();
-            let m0 = self.mx.start();
-            let mut snap = self
-                .resilience
-                .as_mut()
-                .unwrap()
-                .snapshot
-                .take()
-                .unwrap_or_default();
-            snap.token = token;
-            snap.epoch = epoch;
-            snap.from_fill = self.as_filled;
-            if !snap.from_fill {
-                // Reuse the previous copy's allocations: the instance
-                // shapes are static per shard, so from a run's second
-                // copy on a checkpoint copies bits without touching the
-                // allocator.
-                clone_insts_into(&self.data.insts, &mut snap.insts);
-            }
-            snap.env.clone_from(&self.env);
-            self.resilience.as_mut().unwrap().snapshot = Some(snap);
-            self.stats.checkpoints += 1;
-            self.mx.incr(Counter::Checkpoints);
-            self.mx.record_since(m0, Timer::CheckpointNs);
-            self.tb.span_since(t0, EventKind::CheckpointSave { epoch });
-            // Offer the snapshot into the supervisor's rescue slot so
-            // a retry after an unrecoverable failure resumes here.
-            if let Some(slot) = self.resilience.as_ref().unwrap().rescue.clone() {
-                slot.offer(
-                    self.shard,
-                    epoch,
-                    token,
-                    self.outer_loop_seq,
-                    &self.env,
-                    &self.data.insts,
-                );
-            }
-        }
-        // Injected shard kill: fires *after* the snapshot/rescue offer
-        // (so the kill-epoch checkpoint can commit) and *before* the
-        // survivable crash schedule. Every shard advances the cursor
-        // (the schedule is replicated); only the victim dies. The
-        // survivors then unwind through the poison cascade, and the
-        // failover driver reconstructs the victim's state at N-1.
-        {
-            let r = self.resilience.as_mut().unwrap();
-            if let Some(&(e, victim)) = r.kills.get(r.kill_cursor) {
-                if e == epoch {
-                    r.kill_cursor += 1;
-                    if victim as usize == self.shard {
-                        let death = PeerDeath {
-                            shard: victim,
-                            cause: DeathCause::Killed { epoch },
-                        };
-                        if let Some(board) = &r.board {
-                            board.record(death);
-                        }
-                        panic!("{SHARD_LOSS_PREFIX}: {death}");
-                    }
-                }
-            }
-        }
-        // Injected shard stall: the victim sleeps past the hang timeout
-        // and then continues — it never panics on its own. Its
-        // consumers' bounded receives time out, blame the producer as
-        // hung on the death board, and unwind; the woken victim then
-        // dies on the poisoned barrier or sealed rings.
-        {
-            let r = self.resilience.as_mut().unwrap();
-            if let Some(&(e, victim, ms)) = r.stalls.get(r.stall_cursor) {
-                if e == epoch {
-                    r.stall_cursor += 1;
-                    if victim as usize == self.shard {
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }
-                }
-            }
-        }
-        let r = self.resilience.as_mut().unwrap();
-        let crashed_shard = match r.schedule.get(r.cursor) {
-            Some(&(e, s)) if e == epoch => Some(s),
-            _ => None,
-        }?;
-        r.cursor += 1;
-        if crashed_shard as usize == self.shard {
-            self.tb.instant(EventKind::ShardCrash {
-                shard: crashed_shard,
-                epoch,
-            });
-        }
-        Some(self.rollback(epoch))
-    }
-
-    /// Integrity work at an epoch boundary: inject any scheduled
-    /// resident corruption, sweep every instance seal, and escalate a
-    /// detected resident corruption to a coordinated rollback.
-    /// Localized repair is impossible for resident state — no peer
-    /// holds a redundant copy — so the checkpoint *is* the redundancy.
-    /// Returns `Some(restored_token)` when the boundary rolled back.
-    fn integrity_boundary(&mut self, first: bool) -> Option<u64> {
-        let r = self.resilience.as_ref()?;
-        if !r.integrity {
-            return None;
-        }
-        let epoch = self.epoch;
-        // Resident corruption only fires past the first boundary of a
-        // loop: `!first` guarantees the live snapshot belongs to the
-        // current loop, so the restored resume token is valid here.
-        let decision = if !first && epoch >= r.corrupt_handled {
-            r.plan.resident_corruption(epoch, self.spmd.num_shards)
-        } else {
-            None
-        };
-        let Some((victim, entropy)) = decision else {
-            // Steady-state sweep — the measurable cost of the
-            // integrity layer at corruption rate 0. The sweep runs on
-            // snapshot-due boundaries only: the property it protects
-            // is that a snapshot never captures corrupted state, and
-            // sweeping the epochs in between buys no additional
-            // guarantee (scheduled faults verify on their own epoch in
-            // the injection branch below) — it only multiplies the
-            // rate-0 cost by the checkpoint interval.
-            let sweep_due = first || (r.interval > 0 && epoch.is_multiple_of(r.interval));
-            if sweep_due {
-                let m0 = self.mx.start();
-                self.verify_clean();
-                self.mx.record_since(m0, Timer::IntegrityNs);
-            }
-            return None;
-        };
-        // Every shard reaches this decision independently (pure shared
-        // predicate), so the rollback needs no recovery messages.
-        self.resilience.as_mut().unwrap().corrupt_handled = epoch + 1;
-        if victim as usize == self.shard {
-            let injected = self.inject_resident(entropy);
-            let detected = self.count_seal_mismatches();
-            assert_eq!(
-                detected,
-                u64::from(injected),
-                "shard {}: resident corruption escaped seal verification",
-                self.shard
-            );
-            if injected {
-                self.stats.corruptions_injected += 1;
-                self.stats.corruptions_detected += 1;
-                self.tb.instant(EventKind::CorruptDetected {
-                    site: CorruptSite::Resident,
-                    id: 0,
-                    sub: 0,
-                    epoch,
-                });
-                self.stats.corruptions_escalated += 1;
-                self.tb.instant(EventKind::CorruptEscalated {
-                    shard: victim,
-                    epoch,
-                });
-            }
-        } else {
-            let m0 = self.mx.start();
-            self.verify_clean();
-            self.mx.record_since(m0, Timer::IntegrityNs);
-        }
-        Some(self.rollback(epoch))
-    }
-
-    /// Installs a committed rescue checkpoint at the start of a fresh
-    /// attempt: region instances, scalar environment, and epoch jump
-    /// to the checkpoint, the installed state becomes the live
-    /// snapshot (so later in-run rollbacks restore to it), and fault
-    /// events from epochs at or before the checkpoint are skipped —
-    /// they already fired in the attempt that produced it. Returns the
-    /// resume token the caller fast-forwards to. Work counters are
-    /// *not* suppressed: this run only executes (and only counts) the
-    /// epochs after the checkpoint.
-    fn install_resume(&mut self, rs: &ResumeState) -> u64 {
-        // A checkpoint part is laid out by the same slots as the image
-        // (failover's remap rebuilds it for a shrunken membership).
-        clone_insts_into(&rs.parts[self.shard], &mut self.data.insts);
-        self.as_filled = false;
-        self.env = rs.env.clone();
-        self.epoch = rs.epoch;
-        let r = self.resilience.as_mut().unwrap();
-        r.snapshot = Some(Snapshot {
-            token: rs.token,
-            epoch: rs.epoch,
-            from_fill: false,
-            insts: rs.parts[self.shard].clone(),
-            env: rs.env.clone(),
-        });
-        while r
-            .schedule
-            .get(r.cursor)
-            .is_some_and(|&(e, _)| e <= rs.epoch)
-        {
-            r.cursor += 1;
-        }
-        while r
-            .kills
-            .get(r.kill_cursor)
-            .is_some_and(|&(e, _)| e <= rs.epoch)
-        {
-            r.kill_cursor += 1;
-        }
-        while r
-            .stalls
-            .get(r.stall_cursor)
-            .is_some_and(|&(e, _, _)| e <= rs.epoch)
-        {
-            r.stall_cursor += 1;
-        }
-        r.corrupt_handled = r.corrupt_handled.max(rs.epoch + 1);
-        self.tb.instant(EventKind::Mark {
-            name: "rescue-resume",
-        });
-        rs.token
-    }
-
-    /// Coordinated rollback to the live snapshot: restores instances
-    /// (refilled from the store when the snapshot is the fill, copied
-    /// back otherwise), scalars, and the epoch counter, suppresses
-    /// useful-work stats for the replayed range, and returns the resume
-    /// token the snapshot stored (loop iteration or log batch index).
-    fn rollback(&mut self, epoch: u64) -> u64 {
-        // Take the snapshot out so the live state can be restored in
-        // place (no intermediate full clone), then put it back — it
-        // stays the rollback target until the next checkpoint.
-        let snap = self
-            .resilience
-            .as_mut()
-            .unwrap()
-            .snapshot
-            .take()
-            .expect("rollback before any snapshot (epoch 0 always checkpoints)");
-        let (snap_token, snap_epoch) = (snap.token, snap.epoch);
-        let t0 = self.tb.now();
-        let m0 = self.mx.start();
-        if snap.from_fill {
-            self.data.fill(self.spmd, self.layout, self.store);
-            self.seal_image();
-            self.as_filled = true;
-        } else {
-            clone_insts_into(&snap.insts, &mut self.data.insts);
-        }
-        self.env.clone_from(&snap.env);
-        self.resilience.as_mut().unwrap().snapshot = Some(snap);
-        self.epoch = snap_epoch;
-        // Everything below the rolled-back epoch was already counted.
-        self.replay_until = self.replay_until.max(epoch);
-        self.stats.restores += 1;
-        self.stats.epochs_replayed += epoch - snap_epoch;
-        self.mx.incr(Counter::Restores);
-        self.mx.record_since(m0, Timer::RestoreNs);
-        self.tb.span_since(
-            t0,
-            EventKind::CheckpointRestore {
-                epoch,
-                to_epoch: snap_epoch,
-            },
-        );
-        snap_token
-    }
-
-    /// Verifies every resident instance seal, panicking on a mismatch
-    /// the fault plan did not predict — that is genuine memory
-    /// corruption or a missed re-seal, and either must fail-stop.
-    fn verify_clean(&self) {
-        for (inst, info) in self.data.insts.iter().zip(&self.layout.slots) {
-            assert!(
-                inst.verify_seal(),
-                "shard {}: instance {:?} failed seal verification with no corruption \
-                 scheduled (memory fault or missed re-seal)",
-                self.shard,
-                info.key
-            );
-        }
-    }
-
-    /// Number of resident instances whose seal no longer matches their
-    /// contents.
-    fn count_seal_mismatches(&self) -> u64 {
-        self.data.insts.iter().filter(|i| !i.verify_seal()).count() as u64
-    }
-
-    /// Flips one bit in one entropy-selected resident instance without
-    /// touching its seal — the silent corruption the verification
-    /// sweep must catch. Returns `false` when the shard holds no
-    /// corruptible (non-empty) instance.
-    fn inject_resident(&mut self, entropy: u64) -> bool {
-        let insts = &mut self.data.insts;
-        let n = insts.len();
-        let start = (entropy % n.max(1) as u64) as usize;
-        (0..n).any(|i| insts[(start + i) % n].corrupt_bit_silently(entropy))
-    }
-
     /// Next dynamic occurrence number of a (copy, pair) on one side.
     /// Producer and consumer sides count independently but identically
     /// (replicated control flow), which is what matches a `CopyIssue`
@@ -1954,6 +1077,12 @@ impl<'a> ShardExec<'a> {
         *e += 1;
         v
     }
+}
+
+/// Identity of a shard's physical instance in trace events (their
+/// `inst` field): the shard and the instance's slot in its image.
+fn inst_id(shard: usize, slot: usize) -> u64 {
+    ((shard as u64) << 32) | slot as u64
 }
 
 /// Extracts field payloads at precomputed offsets (canonical element
@@ -2086,26 +1215,5 @@ fn scatter<T: Copy>(
                 col[o as usize] = fold(col[o as usize], v);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rescue_slot_follows_the_membership() {
-        let rescue = Rescue::new();
-        let three = rescue.slot(0, 3);
-        assert!(
-            Arc::ptr_eq(&three, &rescue.slot(0, 3)),
-            "same run, same slot"
-        );
-        // A run at another membership must not see the 3-shard slot:
-        // resuming would index its per-shard parts out of bounds.
-        let two = rescue.slot(0, 2);
-        assert_eq!(two.num_shards(), 2);
-        assert!(!Arc::ptr_eq(&three, &two));
-        assert!(Arc::ptr_eq(&two, &rescue.slot(0, 2)));
     }
 }

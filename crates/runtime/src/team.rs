@@ -23,9 +23,10 @@
 use crate::collective::{DynamicCollective, ShardBarrier};
 use crate::metrics::{self, Timer};
 use crate::plan::schedule_for_run;
+use crate::resilience::{retry_budget, DeathBoard};
 use crate::ring;
 use crate::run::{RunCtx, RunResult};
-use crate::spmd_exec::{retry_budget, CopyMsg, DeathBoard, ShardExec, ShardStats};
+use crate::spmd_exec::{CopyMsg, ShardExec, ShardStats};
 use regent_cr::{ShardImage, SpmdProgram};
 use regent_fault::{DeathCause, PeerDeath};
 use regent_ir::Store;
@@ -101,7 +102,7 @@ pub(crate) fn run_team(
     // driver thread, so every shard makes the same resume decision even
     // if new offers land while shards are spawning.
     let rescue = slot.and_then(|i| Some(resilience?.rescue.as_ref()?.slot(i, ns)));
-    let resume = rescue.as_ref().and_then(|s| s.resume_state());
+    let resume = rescue.as_ref().and_then(|s| s.committed());
 
     let mut results: Vec<Option<(Vec<f64>, ShardStats, ShardImage)>> =
         (0..ns).map(|_| None).collect();

@@ -15,10 +15,11 @@
 //!   the Spy validator correlate tasks across shard-local event logs.
 //! * `pos` — the task's position in its launch domain (0 for single
 //!   launches).
-//! * `inst` — a hash identifying the *physical instance* accessed.
-//!   Shared-memory executors hash the root region; the distributed
-//!   SPMD executor hashes the shard-local instance key. Two accesses
-//!   with equal `inst` touch the same memory.
+//! * `inst` — an id of the *physical instance* accessed.
+//!   Shared-memory executors use the root region; the distributed
+//!   SPMD executor packs the shard and the instance's slot in that
+//!   shard's image (`shard << 32 | slot`). Two accesses with equal
+//!   `inst` touch the same memory.
 //! * `fields` — a bitmask of field ids (bit `id % 64`); two accesses
 //!   can only conflict if their masks intersect.
 
@@ -167,7 +168,7 @@ event_kinds! {
         pos: u32,
         /// Logical region accessed.
         region: u32,
-        /// Physical instance identity hash.
+        /// Physical instance id.
         inst: u64,
         /// Field bitmask (see module docs).
         fields: u64,
@@ -228,7 +229,7 @@ event_kinds! {
         seq: u32,
         /// Destination logical region written.
         region: u32,
-        /// Destination physical instance hash.
+        /// Destination physical instance id.
         inst: u64,
         /// Field bitmask of the copied fields.
         fields: u64,

@@ -6,10 +6,10 @@
 //! An event is `{"ts":…,"dur":…,"k":"<tag>","<field>":<value>,…}`: the
 //! tag and fields the `event_kinds!` table in [`crate::event`] states
 //! for its kind, each value in its type's `Wire` form. A `u64` at or
-//! above 2^53 (instance hashes, field masks, memo keys, job ids) is
-//! written as a decimal *string* so it survives the JSON number
-//! round-trip exactly, and the reader refuses any value its field's
-//! type cannot hold instead of converting it.
+//! above 2^53 (field masks, memo keys, job ids) is written as a decimal
+//! *string* so it survives the JSON number round-trip exactly, and the
+//! reader refuses any value its field's type cannot hold instead of
+//! converting it.
 
 use crate::event::{CorruptSite, Event, EventKind, PrivCode, SimKind};
 use crate::json::{escape_into, parse, Value};

@@ -132,7 +132,7 @@ fn surface() {
         hits(&["crates/machine/src"], |l| l.contains("pub fn simulate_")),
     );
 
-    const DELETED: [&str; 25] = [
+    const DELETED: [&str; 29] = [
         "execute_spmd",
         "execute_spmd_with_env",
         "execute_spmd_with_env_traced",
@@ -158,6 +158,10 @@ fn surface() {
         "HybridRescue",
         "failover_enabled",
         "merge_from",
+        "PendingPart",
+        "ResumeState",
+        "inst_hash",
+        "DefaultHasher",
     ];
     let deleted = |line: &str| {
         words(line).any(|w| {
@@ -212,7 +216,7 @@ fn no_polling() {
 /// the files that run shards.
 #[test]
 fn mapped_once() {
-    let shards = ["spmd_exec", "team", "log_exec", "hybrid_exec"];
+    let shards = ["spmd_exec", "resilience", "team", "log_exec", "hybrid_exec"];
     assert_none(
         "an executor builds or hashes instances again",
         runtime_hits(&shards, |line| {
@@ -315,6 +319,7 @@ fn env_at_the_edge() {
     let below = [
         "team",
         "spmd_exec",
+        "resilience",
         "log_exec",
         "hybrid_exec",
         "launch_log",
