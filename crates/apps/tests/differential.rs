@@ -14,8 +14,9 @@
 //!   run bit-for-bit: the apps' bodies are a single replicable range,
 //!   so both paths execute the identical sharded schedule;
 //! * **log** (shared-log control replication) — a single sequencer
-//!   appends the control program to a flat-combining launch log and
-//!   per-shard executors tail it; the data plane is the SPMD one, so
+//!   appends the control program to the launch log, one batch
+//!   published by the sequencer per segment, and per-shard executors
+//!   tail it; the data plane is the SPMD one, so
 //!   regions must match the SPMD run bit-for-bit and the env must
 //!   match the sequential reference exactly.
 //!

@@ -33,6 +33,30 @@ use regent_trace::{
 /// Constructor of a reference-code configuration for a given machine.
 pub type VariantFn = fn(&MachineConfig) -> MpiVariant;
 
+/// The simulated Regent models of a figure, in run and series order:
+/// the model, its series label, the track prefix of its recorded
+/// schedules, its artifact executor and its control-cost column. CR and
+/// implicit always run; memoized implicit and the log join under
+/// `--memo` / `--log`. The MPI references follow them, untraced.
+const MODELS: [(Model, &str, &str, &str, &str); 4] = [
+    (Model::Cr, "Regent (with CR)", "cr", "spmd", "with CR"),
+    (
+        Model::Implicit,
+        "Regent (w/o CR)",
+        "implicit",
+        "implicit",
+        "w/o CR",
+    ),
+    (
+        Model::ImplicitMemo,
+        "Regent (w/o CR, memo)",
+        "implicit-memo",
+        "implicit-memo",
+        "memo",
+    ),
+    (Model::Log, "Regent (log)", "log", "log", "log"),
+];
+
 /// Builds the standard series comparison of the figures (CR, no-CR,
 /// and the MPI reference variants) for one application.
 pub struct FigureRunner {
@@ -116,21 +140,27 @@ impl FigureRunner {
         } else {
             Tracer::disabled()
         };
-        let mut cr = ScalingSeries::new("Regent (with CR)");
-        let mut nocr = ScalingSeries::new("Regent (w/o CR)");
-        let mut memo = self
-            .memo
-            .then(|| ScalingSeries::new("Regent (w/o CR, memo)"));
-        let mut logs = self.log.then(|| ScalingSeries::new("Regent (log)"));
-        let mut mpis: Vec<ScalingSeries> = mpi_variants
+        let models: Vec<_> = MODELS
             .iter()
-            .map(|(label, _)| ScalingSeries::new(label))
+            .filter(|(model, ..)| match model {
+                Model::ImplicitMemo => self.memo,
+                Model::Log => self.log,
+                _ => true,
+            })
+            .collect();
+        let mut series: Vec<ScalingSeries> = models
+            .iter()
+            .map(|(_, label, ..)| ScalingSeries::new(label))
+            .chain(
+                mpi_variants
+                    .iter()
+                    .map(|(label, _)| ScalingSeries::new(label)),
+            )
             .collect();
         let plan = self.plan();
         // Aggregated fault outcome per model, for the corruption
         // summary printed under `--corrupt`.
-        let mut cr_faults = FaultStats::default();
-        let mut nocr_faults = FaultStats::default();
+        let mut faults = vec![FaultStats::default(); models.len()];
         for nodes in regent_machine::node_counts_to(self.max_nodes) {
             let mut machine = MachineConfig::piz_daint(nodes);
             (self.machine_mod)(&mut machine);
@@ -146,33 +176,20 @@ impl FigureRunner {
                 };
                 simulate(model, &machine, &spec, self.steps, &mut opts)
             };
-            let r = run(Model::Cr, Some("cr"));
-            cr_faults.merge(&r.faults);
-            cr.push(nodes, r);
-            let r = run(Model::Implicit, Some("implicit"));
-            nocr_faults.merge(&r.faults);
-            nocr.push(nodes, r);
-            if let Some(memo) = memo.as_mut() {
-                memo.push(nodes, run(Model::ImplicitMemo, Some("implicit-memo")));
+            for (i, &&(model, _, track, ..)) in models.iter().enumerate() {
+                let r = run(model, Some(track));
+                faults[i].merge(&r.faults);
+                series[i].push(nodes, r);
             }
-            if let Some(logs) = logs.as_mut() {
-                logs.push(nodes, run(Model::Log, Some("log")));
-            }
-            for ((_, mk), series) in mpi_variants.iter().zip(&mut mpis) {
-                series.push(nodes, run(Model::Mpi(mk(&machine)), None));
+            for ((_, mk), s) in mpi_variants.iter().zip(&mut series[models.len()..]) {
+                s.push(nodes, run(Model::Mpi(mk(&machine)), None));
             }
         }
-        let mut out = vec![cr, nocr];
-        out.extend(memo);
-        out.extend(logs);
-        out.extend(mpis);
-        regent_machine::trace_series(&out, &tracer);
+        regent_machine::trace_series(&series, &tracer);
         if let Some((seed, rate)) = self.corrupt {
+            // The summary covers the paper's two series, CR and implicit.
             println!("--- corruption summary (seed {seed}, rate {rate}) ---");
-            for (label, f) in [
-                ("Regent (with CR)", &cr_faults),
-                ("Regent (w/o CR)", &nocr_faults),
-            ] {
+            for (&&(_, label, ..), f) in models.iter().zip(&faults).take(2) {
                 println!(
                     "{label:>20}: injected {} detected {} repaired {} escalated {}",
                     f.corruptions_injected,
@@ -187,7 +204,7 @@ impl FigureRunner {
             }
             println!();
         }
-        (out, tracer.take())
+        (series, tracer.take())
     }
 
     /// Builds the machine-readable artifact entries for `app` from the
@@ -200,19 +217,14 @@ impl FigureRunner {
         let size = format!("steps{}", self.steps);
         let mut entries = Vec::new();
         for nodes in regent_machine::node_counts_to(self.max_nodes) {
-            for (prefix, executor) in [
-                ("cr", "spmd"),
-                ("implicit", "implicit"),
-                ("implicit-memo", "implicit-memo"),
-                ("log", "log"),
-            ] {
+            for &(_, _, track, executor, _) in &MODELS {
                 if let Some(e) = regent_machine::sim_bench_entry(
                     app,
                     &size,
                     nodes as u32,
                     executor,
                     trace,
-                    &format!("{prefix}/n{nodes}"),
+                    &format!("{track}/n{nodes}"),
                 ) {
                     entries.push(e);
                 }
@@ -254,57 +266,34 @@ impl FigureRunner {
 }
 
 /// Per-step control cost of each execution model, per node count —
-/// extracted from the recorded simulator trace. The implicit column
-/// grows with the machine (O(N) dynamic analysis on one control
-/// thread); the CR column stays flat (O(1) per-shard launches, §3.5).
-pub fn control_cost_table(trace: &Trace, max_nodes: usize, steps: u64) -> String {
+/// extracted from the recorded simulator trace, one column per model
+/// whose tracks were recorded. The implicit column grows with the
+/// machine (O(N) dynamic analysis on one control thread); the CR column
+/// stays flat (O(1) per-shard launches, §3.5).
+pub fn control_cost_table(trace: &Trace, max_nodes: usize) -> String {
     use std::fmt::Write;
-    let mut out = String::new();
-    // The memo / log columns appear whenever their tracks were recorded.
-    let has_memo = regent_machine::node_counts_to(max_nodes)
-        .into_iter()
-        .any(|n| trace.track(&format!("implicit-memo/n{n}")).is_some());
-    let has_log = regent_machine::node_counts_to(max_nodes)
-        .into_iter()
-        .any(|n| trace.track(&format!("log/n{n}")).is_some());
-    write!(
-        out,
-        "{:>6}  {:>22}  {:>22}",
-        "nodes", "w/o CR ctl µs/step", "with CR ctl µs/step"
-    )
-    .unwrap();
-    if has_memo {
-        write!(out, "  {:>22}", "memo ctl µs/step").unwrap();
-    }
-    if has_log {
-        write!(out, "  {:>22}", "log ctl µs/step").unwrap();
+    let counts = regent_machine::node_counts_to(max_nodes);
+    let columns: Vec<_> = MODELS
+        .iter()
+        .filter(|(_, _, track, ..)| {
+            counts
+                .iter()
+                .any(|n| trace.track(&format!("{track}/n{n}")).is_some())
+        })
+        .collect();
+    let mut out = format!("{:>6}", "nodes");
+    for (.., column) in &columns {
+        write!(out, "  {:>22}", format!("{column} ctl µs/step")).unwrap();
     }
     writeln!(out).unwrap();
-    let _ = steps;
-    for nodes in regent_machine::node_counts_to(max_nodes) {
-        let imp = mean_step_cost(&sim_control_cost_per_step(
-            trace,
-            &format!("implicit/n{nodes}"),
-        ));
-        let cr = mean_step_cost(&sim_control_cost_per_step(trace, &format!("cr/n{nodes}")));
-        write!(
-            out,
-            "{:>6}  {:>22.1}  {:>22.1}",
-            nodes,
-            imp / 1000.0,
-            cr / 1000.0
-        )
-        .unwrap();
-        if has_memo {
-            let memo = mean_step_cost(&sim_control_cost_per_step(
+    for nodes in counts {
+        write!(out, "{nodes:>6}").unwrap();
+        for (_, _, track, ..) in &columns {
+            let cost = mean_step_cost(&sim_control_cost_per_step(
                 trace,
-                &format!("implicit-memo/n{nodes}"),
+                &format!("{track}/n{nodes}"),
             ));
-            write!(out, "  {:>22.1}", memo / 1000.0).unwrap();
-        }
-        if has_log {
-            let log = mean_step_cost(&sim_control_cost_per_step(trace, &format!("log/n{nodes}")));
-            write!(out, "  {:>22.1}", log / 1000.0).unwrap();
+            write!(out, "  {:>22.1}", cost / 1000.0).unwrap();
         }
         writeln!(out).unwrap();
     }
@@ -313,9 +302,9 @@ pub fn control_cost_table(trace: &Trace, max_nodes: usize, steps: u64) -> String
 
 /// Writes the trace as Chrome `trace_event` JSON at `path` (validating
 /// the output parses) and prints the control-cost evidence.
-pub fn write_trace(trace: &Trace, path: &str, max_nodes: usize, steps: u64) {
+pub fn write_trace(trace: &Trace, path: &str, max_nodes: usize) {
     println!("--- per-timestep control cost (from simulated trace) ---");
-    print!("{}", control_cost_table(trace, max_nodes, steps));
+    print!("{}", control_cost_table(trace, max_nodes));
     println!();
     let json = export_chrome(trace);
     regent_trace::json::parse(&json).expect("exported trace is not valid JSON");
@@ -364,13 +353,13 @@ pub fn run_figure(
     let (series, trace) = runner.run_collecting(spec_of, mpi_variants);
     print_figure(title, &series, runner.max_nodes);
     if let Some(path) = &runner.trace_path {
-        write_trace(&trace, path, runner.max_nodes, runner.steps);
+        write_trace(&trace, path, runner.max_nodes);
     }
     runner.emit_artifacts(app, &trace);
 }
 
-/// Shared CLI handling: `--max-nodes N`, `--steps S`, `--trace <path>`
-/// (write a Chrome trace of the simulated schedules),
+/// Shared CLI handling: `--max-nodes N`, `--steps S` (at least 1),
+/// `--trace <path>` (write a Chrome trace of the simulated schedules),
 /// `--faults <seed>,<rate>` (run every model under seeded message loss
 /// at the given rate), `--corrupt <seed>,<rate>` (silent payload
 /// corruption detected by checksums and repaired by retransmission,
@@ -385,11 +374,14 @@ pub fn parse_args() -> FigureRunner {
     while i < args.len() {
         match args[i].as_str() {
             "--max-nodes" => {
-                runner.max_nodes = args[i + 1].parse().expect("--max-nodes N");
+                let n = args.get(i + 1).expect("--max-nodes N");
+                runner.max_nodes = n.parse().expect("--max-nodes N");
                 i += 2;
             }
             "--steps" => {
-                runner.steps = args[i + 1].parse().expect("--steps S");
+                let steps = args.get(i + 1).expect("--steps S");
+                runner.steps = steps.parse().expect("--steps S");
+                assert!(runner.steps > 0, "--steps S must be at least 1");
                 i += 2;
             }
             "--trace" => {
@@ -483,7 +475,7 @@ mod tests {
             memo < imp / 2.0,
             "memo control cost {memo} vs implicit {imp}"
         );
-        assert!(control_cost_table(&trace, 32, 4).contains("memo ctl µs/step"));
+        assert!(control_cost_table(&trace, 32).contains("memo ctl µs/step"));
     }
 
     #[test]
@@ -513,7 +505,7 @@ mod tests {
         // The artifact entries carry the strategy and the table the column.
         let entries = runner.bench_entries("stencil", &trace);
         assert!(entries.iter().any(|e| e.executor == "log"));
-        assert!(control_cost_table(&trace, 32, 3).contains("log ctl µs/step"));
+        assert!(control_cost_table(&trace, 32).contains("log ctl µs/step"));
     }
 
     #[test]

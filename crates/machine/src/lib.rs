@@ -11,7 +11,9 @@
 //! * [`scenario`] — the execution models of the evaluation behind one
 //!   [`simulate`] call: Regent with CR, Regent without CR (single
 //!   control thread, optionally memoized), shared-log CR, and
-//!   hand-written MPI(+X) references.
+//!   hand-written MPI(+X) references. All of them build one task graph
+//!   and differ only in their issue rule: who issues a point task, at
+//!   what cost, and what the collective gates.
 //! * [`metrics`] — weak-scaling series/efficiency reporting.
 //!
 //! The engine (`Sim::run_traced`) and every scenario

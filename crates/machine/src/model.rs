@@ -49,15 +49,12 @@ pub struct MachineConfig {
 }
 
 /// Deterministic noise multiplier for a task identified by `key`:
-/// `1 + fraction × Exp(1)` via a splitmix64 hash.
+/// `1 + fraction × Exp(1)` via [`regent_fault::splitmix64`].
 pub fn noise_multiplier(fraction: f64, key: u64) -> f64 {
     if fraction == 0.0 {
         return 1.0;
     }
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = regent_fault::splitmix64(key);
     // Uniform in (0,1], then exponential tail.
     let u = ((z >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
     1.0 + fraction * (-u.ln())

@@ -25,6 +25,16 @@
 //!   MPI+OpenMP, MPI+Kokkos): no runtime overhead, all cores compute,
 //!   bulk-synchronous neighbor exchanges.
 //!
+//! Every model builds the same task graph: per node and phase the point
+//! tasks on the node's compute cores, the phase's copies on the source
+//! nodes' NICs, and the collective. In the paper the only difference
+//! between the models is who issues a point task and at what cost, and
+//! so it is here: each model contributes one *issue rule* (the launch,
+//! analysis or log ops in front of each point task, and what the
+//! collective gates), and the MPI references add their per-core compute
+//! chunks and per-rank blocking messages. The per-model costs are
+//! [`MachineConfig`] fields, read by those rules alone.
+//!
 //! With [`SimOptions::trace`] set, every sim-task is tagged with its
 //! model-level meaning and the simulated schedule is recorded into a
 //! [`TraceBuf`]. Per-step control cost extracted from such traces
@@ -32,7 +42,7 @@
 //! evidence for the paper's O(N)-vs-O(1) control-overhead claim.
 
 use crate::des::{ResourceId, Sim, SimTaskId};
-use crate::model::{noise_multiplier, MachineConfig, TimestepSpec};
+use crate::model::{noise_multiplier, MachineConfig, PhaseSpec, TimestepSpec};
 use regent_fault::{FaultPlan, FaultStats, RetryPolicy};
 use regent_trace::{SimKind, TraceBuf, Tracer};
 
@@ -122,7 +132,7 @@ pub struct SimOptions<'a> {
     /// the single control thread, which is exactly what the per-step
     /// control-cost profile shows growing with machine size — and, with
     /// memoization, tag replayed steps `Launch`; the log model tags the
-    /// sequencer's append/combine spans [`SimKind::Log`] (phase
+    /// sequencer's append spans [`SimKind::Log`] (phase
     /// `log_control` under `sim_blame`), the replicas' first-step
     /// analysis spans `Analysis`, and their steady-state consume spans
     /// `Log`.
@@ -145,13 +155,36 @@ pub fn simulate(
         "the crash + checkpoint model exists for Model::Cr only"
     );
     let mut faults = FaultStats::default();
-    let mut sim = match model {
-        Model::Cr => build_cr(machine, spec, steps, opts, &mut faults),
-        Model::Implicit => build_implicit(machine, spec, steps, false),
-        Model::ImplicitMemo => build_implicit(machine, spec, steps, true),
-        Model::Log => build_log(machine, spec, steps),
-        Model::Mpi(variant) => build_mpi(machine, spec, steps, variant),
-    };
+    let rspec = opts.resilience.unwrap_or_default();
+    let mut crashes = match (opts.resilience, opts.plan) {
+        (Some(_), Some(plan)) => plan.crash_schedule(),
+        _ => Vec::new(),
+    }
+    .into_iter()
+    .peekable();
+    let mut graph = TaskGraph::new(model, machine, spec);
+    let mut last_ckpt = 0u64;
+    for step in 0..steps {
+        if rspec.ckpt_interval > 0 && step % rspec.ckpt_interval == 0 {
+            graph.checkpoint(step);
+            last_ckpt = step;
+        }
+        // Crashes scheduled for this step boundary: all work since the
+        // last checkpoint is lost and must be replayed on the remapped
+        // shard assignment.
+        while let Some((node, _)) = crashes.next_if(|&(_, at)| at == step) {
+            if let Some(recovery) = graph.crash(node as usize, step, &rspec) {
+                faults.crashes += 1;
+                faults.recovery_time_s += recovery;
+                for s in last_ckpt..step {
+                    graph.step(s);
+                    faults.epochs_replayed += 1;
+                }
+            }
+        }
+        graph.step(step);
+    }
+    let mut sim = graph.sim;
     if let Some(plan) = opts.plan.filter(|p| p.is_active()) {
         sim.set_faults(plan.clone(), RetryPolicy::default());
     }
@@ -216,492 +249,6 @@ const RECONSTRUCT_S_PER_ELEMENT: f64 = 8.0e-9;
 /// fields snapshotted at a checkpoint boundary).
 const CKPT_BYTES_PER_ELEMENT: f64 = 8.0;
 
-/// The CR task graph. Without [`SimOptions::resilience`] no checkpoint
-/// is taken and no crash fires, so the graph is the plain one.
-fn build_cr(
-    machine: &MachineConfig,
-    spec: &TimestepSpec,
-    steps: u64,
-    opts: &SimOptions<'_>,
-    faults: &mut FaultStats,
-) -> Sim {
-    let mut b = CrBuilder::new(machine, spec);
-    let rspec = opts.resilience.unwrap_or_default();
-    b.detection_timeout_s = rspec.detection_timeout_s;
-    b.reconstruct_s_per_element = rspec.reconstruct_s_per_element;
-    let crashes = match (opts.resilience, opts.plan) {
-        (Some(_), Some(plan)) => plan.crash_schedule(),
-        _ => Vec::new(),
-    };
-    let mut ci = 0;
-    let mut last_ckpt = 0u64;
-    for step in 0..steps {
-        if rspec.ckpt_interval > 0 && step % rspec.ckpt_interval == 0 {
-            b.checkpoint(step);
-            last_ckpt = step;
-        }
-        // Crashes scheduled for this step boundary: all work since the
-        // last checkpoint is lost and must be replayed on the remapped
-        // shard assignment.
-        while ci < crashes.len() && crashes[ci].1 == step {
-            let (node, _) = crashes[ci];
-            ci += 1;
-            if b.crash(node as usize, step) {
-                faults.crashes += 1;
-                for s in last_ckpt..step {
-                    b.step(s);
-                    faults.epochs_replayed += 1;
-                }
-            }
-        }
-        b.step(step);
-    }
-    faults.recovery_time_s = b.recovery_time_s;
-    b.sim
-}
-
-/// Task-graph builder for the CR execution model. One long-lived shard
-/// per *slot*; `owner[slot]` is the physical node currently hosting it
-/// — identity until [`CrBuilder::crash`] remaps a dead node's slot
-/// onto a survivor.
-struct CrBuilder<'a> {
-    sim: Sim,
-    machine: &'a MachineConfig,
-    spec: &'a TimestepSpec,
-    compute: Vec<ResourceId>,
-    control: Vec<ResourceId>,
-    nic: Vec<ResourceId>,
-    owner: Vec<usize>,
-    alive: Vec<bool>,
-    /// Per slot: the tail of the shard's serial launch chain.
-    last_launch: Vec<Option<SimTaskId>>,
-    /// Tasks of the previous phase per slot, and copies inbound per slot.
-    prev_tasks: Vec<Vec<SimTaskId>>,
-    inbound: Vec<Vec<SimTaskId>>,
-    /// A collective that gates the next consuming phase (if any).
-    pending_collective: Option<SimTaskId>,
-    /// A recovery gate every slot's next launch must wait behind.
-    gate: Option<SimTaskId>,
-    noise_key: u64,
-    /// Accumulated detection + state-transfer time, virtual seconds.
-    recovery_time_s: f64,
-    /// Calibrated recovery costs (see [`ResilienceSpec`]).
-    detection_timeout_s: f64,
-    reconstruct_s_per_element: f64,
-}
-
-impl<'a> CrBuilder<'a> {
-    fn new(machine: &'a MachineConfig, spec: &'a TimestepSpec) -> Self {
-        let n = spec.num_nodes;
-        let mut sim = Sim::new();
-        let compute: Vec<ResourceId> = (0..n)
-            .map(|_| sim.add_resource(machine.regent_compute_cores()))
-            .collect();
-        let control: Vec<ResourceId> = (0..n).map(|_| sim.add_resource(1)).collect();
-        let nic: Vec<ResourceId> = (0..n).map(|_| sim.add_resource(1)).collect();
-        CrBuilder {
-            sim,
-            machine,
-            spec,
-            compute,
-            control,
-            nic,
-            owner: (0..n).collect(),
-            alive: vec![true; n],
-            last_launch: vec![None; n],
-            prev_tasks: vec![Vec::new(); n],
-            inbound: vec![Vec::new(); n],
-            pending_collective: None,
-            gate: None,
-            noise_key: 0,
-            recovery_time_s: 0.0,
-            detection_timeout_s: DEFAULT_DETECTION_TIMEOUT_S,
-            reconstruct_s_per_element: RECONSTRUCT_S_PER_ELEMENT,
-        }
-    }
-
-    /// Emits one time step: per slot, the launch chain + point tasks,
-    /// then the point-to-point exchanges and any dynamic collective.
-    fn step(&mut self, step: u64) {
-        let n = self.spec.num_nodes;
-        let machine = self.machine;
-        for phase in &self.spec.phases {
-            let mut cur_tasks: Vec<Vec<SimTaskId>> = vec![Vec::new(); n];
-            for (slot, slot_tasks) in cur_tasks.iter_mut().enumerate() {
-                let node = self.owner[slot];
-                for _ in 0..phase.tasks_per_node {
-                    // The shard's launch op (serial per shard, cheap).
-                    // Deferred execution: collectives never block the
-                    // shard's control flow (§3.4).
-                    let op = self
-                        .sim
-                        .add_task(self.control[node], machine.shard_launch_time);
-                    self.sim.tag(op, SimKind::Launch, node as u32, step as u32);
-                    if let Some(prev) = self.last_launch[slot] {
-                        self.sim.add_dep(prev, op);
-                    }
-                    if let Some(g) = self.gate {
-                        self.sim.add_dep(g, op);
-                    }
-                    self.last_launch[slot] = Some(op);
-                    // The point task (OS noise stretches the duration).
-                    self.noise_key += 1;
-                    let dur = phase.task_compute_s
-                        * noise_multiplier(machine.noise_fraction, self.noise_key);
-                    let t = self.sim.add_task(self.compute[node], dur);
-                    self.sim.tag(t, SimKind::Compute, node as u32, step as u32);
-                    self.sim.add_dep(op, t);
-                    for &p in &self.prev_tasks[slot] {
-                        self.sim.add_dep(p, t);
-                    }
-                    for &c in &self.inbound[slot] {
-                        self.sim.add_dep(c, t);
-                    }
-                    // Only the phase that actually reads the reduced
-                    // scalar waits for the collective — every other
-                    // phase overlaps its latency.
-                    if phase.consumes_collective {
-                        if let Some(c) = self.pending_collective {
-                            self.sim.add_dep(c, t);
-                        }
-                    }
-                    slot_tasks.push(t);
-                }
-            }
-            // Point-to-point exchanges (§3.4): producers send after
-            // their phase tasks; only the destination slot waits.
-            let mut new_inbound: Vec<Vec<SimTaskId>> = vec![Vec::new(); n];
-            for e in &phase.copies {
-                let src = self.owner[e.src as usize];
-                let c = self.sim.add_task_delayed(
-                    self.nic[src],
-                    machine.message_overhead + e.bytes / machine.network_bandwidth,
-                    machine.network_latency,
-                );
-                self.sim.tag(c, SimKind::Copy, src as u32, step as u32);
-                for &t in &cur_tasks[e.src as usize] {
-                    self.sim.add_dep(t, c);
-                }
-                new_inbound[e.dst as usize].push(c);
-            }
-            // Dynamic collective (§4.4): the result stays pending until
-            // a consuming phase picks it up.
-            if phase.collective {
-                let root = self.control[self.owner[0]];
-                let j = self
-                    .sim
-                    .add_task_delayed(root, 0.0, machine.collective_latency(n));
-                self.sim
-                    .tag(j, SimKind::Collective, self.owner[0] as u32, step as u32);
-                for tasks in &cur_tasks {
-                    for &t in tasks {
-                        self.sim.add_dep(t, j);
-                    }
-                }
-                self.pending_collective = Some(j);
-            }
-            self.prev_tasks = cur_tasks;
-            self.inbound = new_inbound;
-        }
-        self.gate = None;
-    }
-
-    /// Bytes each shard snapshots at a checkpoint boundary.
-    fn ckpt_bytes(&self) -> f64 {
-        self.spec.elements_per_node as f64 * CKPT_BYTES_PER_ELEMENT
-    }
-
-    /// Emits a coordinated checkpoint: each shard streams its region
-    /// slice out through its NIC; the shard's next step waits on it.
-    fn checkpoint(&mut self, step: u64) {
-        let dur = self.ckpt_bytes() / self.machine.network_bandwidth;
-        for slot in 0..self.spec.num_nodes {
-            let node = self.owner[slot];
-            let c = self.sim.add_task(self.nic[node], dur);
-            self.sim.tag(c, SimKind::Other, node as u32, step as u32);
-            for &p in &self.prev_tasks[slot] {
-                self.sim.add_dep(p, c);
-            }
-            if let Some(l) = self.last_launch[slot] {
-                self.sim.add_dep(l, c);
-            }
-            self.inbound[slot].push(c);
-        }
-    }
-
-    /// Kills `node` at the start of `step`: its slots remap onto the
-    /// least-loaded survivor, and a recovery gate (detection timeout +
-    /// checkpoint state transfer) blocks all subsequent launches.
-    /// Returns false when the node is out of range, already dead, or
-    /// the last one standing.
-    fn crash(&mut self, node: usize, step: u64) -> bool {
-        let n = self.spec.num_nodes;
-        if node >= n || !self.alive[node] || self.alive.iter().filter(|a| **a).count() <= 1 {
-            return false;
-        }
-        self.alive[node] = false;
-        let survivor = (0..n)
-            .filter(|&i| self.alive[i])
-            .min_by_key(|&i| self.owner.iter().filter(|&&o| o == i).count())
-            .expect("at least one survivor");
-        for o in self.owner.iter_mut().filter(|o| **o == node) {
-            *o = survivor;
-        }
-        // Detection (point-to-point waits time out) + the survivor
-        // pulling the dead shard's checkpoint slice over the network +
-        // rebuilding the remapped instances from it (the real
-        // executor's FailoverReconstruct span, per element).
-        let elements = self.ckpt_bytes() / CKPT_BYTES_PER_ELEMENT;
-        let recovery = self.detection_timeout_s
-            + self.ckpt_bytes() / self.machine.network_bandwidth
-            + elements * self.reconstruct_s_per_element;
-        self.recovery_time_s += recovery;
-        let g = self.sim.add_task(self.control[survivor], recovery);
-        self.sim
-            .tag(g, SimKind::Other, survivor as u32, step as u32);
-        for slot in 0..n {
-            if let Some(l) = self.last_launch[slot] {
-                self.sim.add_dep(l, g);
-            }
-            for &p in &self.prev_tasks[slot] {
-                self.sim.add_dep(p, g);
-            }
-        }
-        self.gate = Some(g);
-        true
-    }
-}
-
-/// The single-control-thread task graph: one control thread launches
-/// every task in the machine. With `memo`, the control thread pays full
-/// dynamic analysis only for the first time step (template capture);
-/// every later step replays the captured schedule at a per-task cost
-/// equal to a CR shard's launch cost. The control thread remains a
-/// single serial resource — memoization amortizes the analysis, it
-/// does not replicate control.
-fn build_implicit(machine: &MachineConfig, spec: &TimestepSpec, steps: u64, memo: bool) -> Sim {
-    let n = spec.num_nodes;
-    let mut sim = Sim::new();
-    let compute: Vec<ResourceId> = (0..n)
-        .map(|_| sim.add_resource(machine.regent_compute_cores()))
-        .collect();
-    let control = sim.add_resource(1); // the single control thread
-    let nic: Vec<ResourceId> = (0..n).map(|_| sim.add_resource(1)).collect();
-
-    let mut last_launch: Option<SimTaskId> = None;
-    let mut prev_tasks: Vec<Vec<SimTaskId>> = vec![Vec::new(); n];
-    let mut inbound: Vec<Vec<SimTaskId>> = vec![Vec::new(); n];
-    let mut pending_collective: Option<SimTaskId> = None;
-
-    let mut noise_key = 0u64;
-    for step in 0..steps {
-        for phase in &spec.phases {
-            let mut cur_tasks: Vec<Vec<SimTaskId>> = vec![Vec::new(); n];
-            for node in 0..n {
-                for _ in 0..phase.tasks_per_node {
-                    // O(N) per-step work on the control thread: every
-                    // point task pays the dynamic-analysis cost there,
-                    // then ships to its node (deferred execution — the
-                    // control thread does not wait for the task). The
-                    // cost grows with the in-flight window (one step's
-                    // tasks across the whole machine). With
-                    // memoization, only step 0 pays it (template
-                    // capture); replayed steps issue each task at a
-                    // shard-launch cost.
-                    let in_flight = n as f64 * phase.tasks_per_node as f64;
-                    let op = if memo && step > 0 {
-                        let op = sim.add_task_delayed(
-                            control,
-                            machine.shard_launch_time,
-                            machine.network_latency,
-                        );
-                        sim.tag(op, SimKind::Launch, 0, step as u32);
-                        op
-                    } else {
-                        let analysis = machine.task_analysis_time
-                            + machine.task_analysis_window_cost * in_flight;
-                        let op = sim.add_task_delayed(control, analysis, machine.network_latency);
-                        // Analysis happens on the control thread (node 0).
-                        sim.tag(op, SimKind::Analysis, 0, step as u32);
-                        op
-                    };
-                    if let Some(prev) = last_launch {
-                        sim.add_dep(prev, op);
-                    }
-                    if let Some(c) = pending_collective {
-                        sim.add_dep(c, op);
-                    }
-                    last_launch = Some(op);
-                    noise_key += 1;
-                    let dur =
-                        phase.task_compute_s * noise_multiplier(machine.noise_fraction, noise_key);
-                    let t = sim.add_task(compute[node], dur);
-                    sim.tag(t, SimKind::Compute, node as u32, step as u32);
-                    sim.add_dep(op, t);
-                    for &p in &prev_tasks[node] {
-                        sim.add_dep(p, t);
-                    }
-                    for &c in &inbound[node] {
-                        sim.add_dep(c, t);
-                    }
-                    cur_tasks[node].push(t);
-                }
-            }
-            let mut new_inbound: Vec<Vec<SimTaskId>> = vec![Vec::new(); n];
-            for e in &phase.copies {
-                let c = sim.add_task_delayed(
-                    nic[e.src as usize],
-                    machine.message_overhead + e.bytes / machine.network_bandwidth,
-                    machine.network_latency,
-                );
-                sim.tag(c, SimKind::Copy, e.src, step as u32);
-                for &t in &cur_tasks[e.src as usize] {
-                    sim.add_dep(t, c);
-                }
-                new_inbound[e.dst as usize].push(c);
-            }
-            pending_collective = if phase.collective {
-                // The control thread blocks on the reduced scalar.
-                let j = sim.add_task_delayed(control, 0.0, machine.collective_latency(n));
-                sim.tag(j, SimKind::Collective, 0, step as u32);
-                for tasks in &cur_tasks {
-                    for &t in tasks {
-                        sim.add_dep(t, j);
-                    }
-                }
-                Some(j)
-            } else {
-                None
-            };
-            prev_tasks = cur_tasks;
-            inbound = new_inbound;
-        }
-    }
-    sim
-}
-
-/// The shared-log (`log_exec`) task graph: a single sequencer runs the
-/// control program once and appends one launch record per index launch
-/// to a flat-combining operation log — cost independent of the machine
-/// size — while per-node replica executors tail the log, pay
-/// dependence analysis **once per replica per batch** (only the first
-/// step derives fresh signature pairs; later steps are dedup hits), and
-/// then issue their own shard launches at CR cost.
-fn build_log(machine: &MachineConfig, spec: &TimestepSpec, steps: u64) -> Sim {
-    let n = spec.num_nodes;
-    let mut sim = Sim::new();
-    let compute: Vec<ResourceId> = (0..n)
-        .map(|_| sim.add_resource(machine.regent_compute_cores()))
-        .collect();
-    // The sequencer: one serial resource appending to the shared log.
-    let seq = sim.add_resource(1);
-    let control: Vec<ResourceId> = (0..n).map(|_| sim.add_resource(1)).collect();
-    let nic: Vec<ResourceId> = (0..n).map(|_| sim.add_resource(1)).collect();
-
-    let mut last_seq: Option<SimTaskId> = None;
-    let mut last_launch: Vec<Option<SimTaskId>> = vec![None; n];
-    let mut prev_tasks: Vec<Vec<SimTaskId>> = vec![Vec::new(); n];
-    let mut inbound: Vec<Vec<SimTaskId>> = vec![Vec::new(); n];
-    let mut pending_collective: Option<SimTaskId> = None;
-
-    let mut noise_key = 0u64;
-    for step in 0..steps {
-        for phase in &spec.phases {
-            // The sequencer appends one record per *index launch* and
-            // publishes the combined batch — O(tasks_per_node) work,
-            // independent of the machine size (the whole point of
-            // running the control program exactly once).
-            let combine = machine.shard_launch_time * (phase.tasks_per_node as f64 + 1.0);
-            let seq_op = sim.add_task_delayed(seq, combine, machine.network_latency);
-            sim.tag(seq_op, SimKind::Log, 0, step as u32);
-            if let Some(prev) = last_seq {
-                sim.add_dep(prev, seq_op);
-            }
-            last_seq = Some(seq_op);
-
-            let mut cur_tasks: Vec<Vec<SimTaskId>> = vec![Vec::new(); n];
-            for (node, node_tasks) in cur_tasks.iter_mut().enumerate() {
-                // The replica leader consumes the batch: full analysis
-                // only the first time a signature pair is seen (step
-                // 0), a cheap dedup-hit consume after — once per
-                // replica per batch, not per task.
-                let batch_op = if step == 0 {
-                    let analysis = machine.task_analysis_time * phase.tasks_per_node as f64;
-                    let op = sim.add_task(control[node], analysis);
-                    sim.tag(op, SimKind::Analysis, node as u32, step as u32);
-                    op
-                } else {
-                    let op = sim.add_task(control[node], machine.shard_launch_time);
-                    sim.tag(op, SimKind::Log, node as u32, step as u32);
-                    op
-                };
-                sim.add_dep(seq_op, batch_op);
-                if let Some(prev) = last_launch[node] {
-                    sim.add_dep(prev, batch_op);
-                }
-                last_launch[node] = Some(batch_op);
-                for _ in 0..phase.tasks_per_node {
-                    // The shard's own launch, exactly as under CR.
-                    let op = sim.add_task(control[node], machine.shard_launch_time);
-                    sim.tag(op, SimKind::Launch, node as u32, step as u32);
-                    if let Some(prev) = last_launch[node] {
-                        sim.add_dep(prev, op);
-                    }
-                    last_launch[node] = Some(op);
-                    noise_key += 1;
-                    let dur =
-                        phase.task_compute_s * noise_multiplier(machine.noise_fraction, noise_key);
-                    let t = sim.add_task(compute[node], dur);
-                    sim.tag(t, SimKind::Compute, node as u32, step as u32);
-                    sim.add_dep(op, t);
-                    for &p in &prev_tasks[node] {
-                        sim.add_dep(p, t);
-                    }
-                    for &c in &inbound[node] {
-                        sim.add_dep(c, t);
-                    }
-                    if phase.consumes_collective {
-                        if let Some(c) = pending_collective {
-                            sim.add_dep(c, t);
-                        }
-                    }
-                    node_tasks.push(t);
-                }
-            }
-            let mut new_inbound: Vec<Vec<SimTaskId>> = vec![Vec::new(); n];
-            for e in &phase.copies {
-                let c = sim.add_task_delayed(
-                    nic[e.src as usize],
-                    machine.message_overhead + e.bytes / machine.network_bandwidth,
-                    machine.network_latency,
-                );
-                sim.tag(c, SimKind::Copy, e.src, step as u32);
-                for &t in &cur_tasks[e.src as usize] {
-                    sim.add_dep(t, c);
-                }
-                new_inbound[e.dst as usize].push(c);
-            }
-            if phase.collective {
-                // The sequencer blocks on the reduced scalar (shard 0
-                // feeds the fold back), so the collective gates the
-                // *next combine*, not the shards' control flow.
-                let j = sim.add_task_delayed(control[0], 0.0, machine.collective_latency(n));
-                sim.tag(j, SimKind::Collective, 0, step as u32);
-                for tasks in &cur_tasks {
-                    for &t in tasks {
-                        sim.add_dep(t, j);
-                    }
-                }
-                pending_collective = Some(j);
-                last_seq = Some(j);
-            }
-            prev_tasks = cur_tasks;
-            inbound = new_inbound;
-        }
-    }
-    sim
-}
-
 /// Configuration of a hand-written SPMD reference.
 #[derive(Clone, Copy, Debug)]
 pub struct MpiVariant {
@@ -742,85 +289,373 @@ impl MpiVariant {
     }
 }
 
-/// The task graph of a hand-written bulk-synchronous SPMD reference.
-fn build_mpi(machine: &MachineConfig, spec: &TimestepSpec, steps: u64, variant: MpiVariant) -> Sim {
-    let n = spec.num_nodes;
-    let mut sim = Sim::new();
-    let compute: Vec<ResourceId> = (0..n)
-        .map(|_| sim.add_resource(machine.cores_per_node))
-        .collect();
-    let nic: Vec<ResourceId> = (0..n).map(|_| sim.add_resource(1)).collect();
+/// The task graph of one [`simulate`] call, shared by every model (see
+/// the module docs). The issue rules are [`TaskGraph::issue`], the
+/// log's [`TaskGraph::append`] and [`TaskGraph::consume`], and the
+/// collective gates chosen in [`TaskGraph::phase`]. `owner[slot]` is
+/// the node hosting a slot: the identity, until a CR
+/// [`TaskGraph::crash`] remaps a dead node's slot onto a survivor.
+struct TaskGraph<'a> {
+    sim: Sim,
+    model: Model,
+    machine: &'a MachineConfig,
+    spec: &'a TimestepSpec,
+    compute: Vec<ResourceId>,
+    /// Issue resources: one per node (CR, log), the single control
+    /// thread (implicit), none (MPI).
+    control: Vec<ResourceId>,
+    /// The log's sequencer, and the op its next append waits behind.
+    sequencer: Option<ResourceId>,
+    last_seq: Option<SimTaskId>,
+    nic: Vec<ResourceId>,
+    owner: Vec<usize>,
+    /// Per issue lane (a slot; under implicit, the control thread): the
+    /// tail of its serial issue chain.
+    last_launch: Vec<Option<SimTaskId>>,
+    /// Tasks of the previous phase per slot, and copies inbound per slot.
+    prev_tasks: Vec<Vec<SimTaskId>>,
+    inbound: Vec<Vec<SimTaskId>>,
+    /// The latest collective, until the issue rule has consumed it.
+    pending_collective: Option<SimTaskId>,
+    /// A CR recovery gate every slot's next launch must wait behind.
+    gate: Option<SimTaskId>,
+    noise_key: u64,
+}
 
-    let mut prev_barrier: Vec<Vec<SimTaskId>> = vec![Vec::new(); n];
-    let mut pending_collective: Option<SimTaskId> = None;
-
-    let mut noise_key = 0u64;
-    for step in 0..steps {
-        for phase in &spec.phases {
-            // Per node: total phase work split evenly over the cores.
-            let total =
-                phase.tasks_per_node as f64 * phase.task_compute_s * variant.compute_multiplier;
-            let chunks = machine.cores_per_node;
-            let chunk_t = total / chunks as f64 + variant.sync_cost;
-            let mut cur_tasks: Vec<Vec<SimTaskId>> = vec![Vec::new(); n];
-            for node in 0..n {
-                for _ in 0..chunks {
-                    noise_key += 1;
-                    let dur = chunk_t
-                        * noise_multiplier(machine.noise_fraction * variant.noise_scale, noise_key);
-                    let t = sim.add_task(compute[node], dur);
-                    sim.tag(t, SimKind::Compute, node as u32, step as u32);
-                    for &p in &prev_barrier[node] {
-                        sim.add_dep(p, t);
-                    }
-                    if let Some(c) = pending_collective {
-                        sim.add_dep(c, t);
-                    }
-                    cur_tasks[node].push(t);
-                }
-            }
-            // Bulk-synchronous exchange: with R ranks per node, each
-            // logical neighbor volume is split into R messages (each
-            // rank exchanges its own slice), multiplying the
-            // per-message overhead term.
-            let r = variant.ranks_per_node.max(1);
-            let mut barrier_next: Vec<Vec<SimTaskId>> = vec![Vec::new(); n];
-            for e in &phase.copies {
-                for _ in 0..r {
-                    let c = sim.add_task_delayed(
-                        nic[e.src as usize],
-                        machine.message_overhead + e.bytes / r as f64 / machine.network_bandwidth,
-                        machine.network_latency,
-                    );
-                    sim.tag(c, SimKind::Copy, e.src, step as u32);
-                    for &t in &cur_tasks[e.src as usize] {
-                        sim.add_dep(t, c);
-                    }
-                    // Blocking exchange: both ends wait.
-                    barrier_next[e.dst as usize].push(c);
-                    barrier_next[e.src as usize].push(c);
-                }
-            }
-            pending_collective = if phase.collective {
-                let j =
-                    sim.add_task_delayed(nic[0], 0.0, machine.collective_latency(n * r as usize));
-                sim.tag(j, SimKind::Collective, 0, step as u32);
-                for tasks in &cur_tasks {
-                    for &t in tasks {
-                        sim.add_dep(t, j);
-                    }
-                }
-                Some(j)
-            } else {
-                None
-            };
-            for node in 0..n {
-                barrier_next[node].extend(cur_tasks[node].iter().copied());
-            }
-            prev_barrier = barrier_next;
+impl<'a> TaskGraph<'a> {
+    fn new(model: Model, machine: &'a MachineConfig, spec: &'a TimestepSpec) -> Self {
+        let n = spec.num_nodes;
+        let mut sim = Sim::new();
+        // The MPI references compute on every core; Legion keeps one
+        // for the runtime.
+        let cores = match model {
+            Model::Mpi(_) => machine.cores_per_node,
+            _ => machine.regent_compute_cores(),
+        };
+        let compute = (0..n).map(|_| sim.add_resource(cores)).collect();
+        let sequencer = matches!(model, Model::Log).then(|| sim.add_resource(1));
+        let lanes = match model {
+            Model::Cr | Model::Log => n,
+            Model::Implicit | Model::ImplicitMemo => 1,
+            Model::Mpi(_) => 0,
+        };
+        let control = (0..lanes).map(|_| sim.add_resource(1)).collect();
+        let nic = (0..n).map(|_| sim.add_resource(1)).collect();
+        TaskGraph {
+            sim,
+            model,
+            machine,
+            spec,
+            compute,
+            control,
+            sequencer,
+            last_seq: None,
+            nic,
+            owner: (0..n).collect(),
+            last_launch: vec![None; lanes],
+            prev_tasks: vec![Vec::new(); n],
+            inbound: vec![Vec::new(); n],
+            pending_collective: None,
+            gate: None,
+            noise_key: 0,
         }
     }
-    sim
+
+    /// Emits one time step, phase by phase.
+    fn step(&mut self, step: u64) {
+        let spec = self.spec;
+        for phase in &spec.phases {
+            self.phase(phase, step);
+        }
+        self.gate = None;
+    }
+
+    /// Emits one phase: per slot, the issue rule's ops and the point
+    /// tasks (OS noise stretches their durations), then the exchange
+    /// and the collective.
+    fn phase(&mut self, phase: &PhaseSpec, step: u64) {
+        let m = self.machine;
+        // The collective gates the next issue op (implicit: the control
+        // thread blocks on the reduced scalar), the whole next phase
+        // (MPI's bulk-synchronous all-reduce), or only the phases that
+        // read it (CR and the log: deferred execution overlaps its
+        // latency everywhere else, §3.4).
+        let (issue_gate, compute_gate) = match self.model {
+            Model::Implicit | Model::ImplicitMemo => (self.pending_collective.take(), None),
+            Model::Mpi(_) => (None, self.pending_collective.take()),
+            Model::Cr | Model::Log => (
+                self.gate,
+                self.pending_collective
+                    .filter(|_| phase.consumes_collective),
+            ),
+        };
+        // MPI splits each node's phase work evenly over its cores, and
+        // its threaded variants amplify the noise.
+        let (count, work, noise) = match self.model {
+            Model::Mpi(v) => {
+                let total =
+                    phase.tasks_per_node as f64 * phase.task_compute_s * v.compute_multiplier;
+                let chunks = m.cores_per_node;
+                (
+                    chunks,
+                    total / chunks as f64 + v.sync_cost,
+                    m.noise_fraction * v.noise_scale,
+                )
+            }
+            _ => (phase.tasks_per_node, phase.task_compute_s, m.noise_fraction),
+        };
+        let batch = self.append(phase, step);
+        let mut cur: Vec<Vec<SimTaskId>> = vec![Vec::new(); self.owner.len()];
+        for (slot, tasks) in cur.iter_mut().enumerate() {
+            let node = self.owner[slot];
+            if let Some(batch) = batch {
+                self.consume(batch, phase, node, step);
+            }
+            for _ in 0..count {
+                let op = self.issue(phase, slot, step, issue_gate);
+                self.noise_key += 1;
+                let dur = work * noise_multiplier(noise, self.noise_key);
+                let t = self.sim.add_task(self.compute[node], dur);
+                self.sim.tag(t, SimKind::Compute, node as u32, step as u32);
+                if let Some(op) = op {
+                    self.sim.add_dep(op, t);
+                }
+                for &p in self.prev_tasks[slot]
+                    .iter()
+                    .chain(&self.inbound[slot])
+                    .chain(&compute_gate)
+                {
+                    self.sim.add_dep(p, t);
+                }
+                tasks.push(t);
+            }
+        }
+        self.exchange(phase, step, &cur);
+        if phase.collective {
+            self.collective(step, &cur);
+        }
+        self.prev_tasks = cur;
+    }
+
+    /// The issue rule: the op issuing one point task of `slot`, chained
+    /// behind its lane's previous op and `gate`. CR and the log launch
+    /// on the slot's own control resource at shard-launch cost (§3.5).
+    /// Implicit runs dynamic analysis for every task in the machine on
+    /// the one control thread (node 0), at a cost growing with the
+    /// in-flight window (§1), and ships the op to its node; memoized,
+    /// only step 0 pays it (template capture) and later steps replay
+    /// each task at shard-launch cost. MPI issues nothing.
+    fn issue(
+        &mut self,
+        phase: &PhaseSpec,
+        slot: usize,
+        step: u64,
+        gate: Option<SimTaskId>,
+    ) -> Option<SimTaskId> {
+        let m = self.machine;
+        let (lane, op) = match self.model {
+            Model::Mpi(_) => return None,
+            Model::Cr | Model::Log => {
+                let node = self.owner[slot];
+                let op = self.sim.add_task(self.control[node], m.shard_launch_time);
+                self.sim.tag(op, SimKind::Launch, node as u32, step as u32);
+                (slot, op)
+            }
+            Model::Implicit | Model::ImplicitMemo => {
+                let in_flight = self.owner.len() as f64 * phase.tasks_per_node as f64;
+                let (cost, kind) = if matches!(self.model, Model::ImplicitMemo) && step > 0 {
+                    (m.shard_launch_time, SimKind::Launch)
+                } else {
+                    let analysis = m.task_analysis_time + m.task_analysis_window_cost * in_flight;
+                    (analysis, SimKind::Analysis)
+                };
+                let op = self
+                    .sim
+                    .add_task_delayed(self.control[0], cost, m.network_latency);
+                self.sim.tag(op, kind, 0, step as u32);
+                (0, op)
+            }
+        };
+        self.chain(lane, op, gate);
+        Some(op)
+    }
+
+    /// Appends `op` to `lane`'s serial issue chain, behind `gate`.
+    fn chain(&mut self, lane: usize, op: SimTaskId, gate: Option<SimTaskId>) {
+        if let Some(prev) = self.last_launch[lane] {
+            self.sim.add_dep(prev, op);
+        }
+        if let Some(g) = gate {
+            self.sim.add_dep(g, op);
+        }
+        self.last_launch[lane] = Some(op);
+    }
+
+    /// The log's sequencer op for a phase: it runs the control program
+    /// once, appending one record per index launch and publishing the
+    /// batch — O(tasks_per_node) work, independent of the machine size.
+    /// `None` for every other model.
+    fn append(&mut self, phase: &PhaseSpec, step: u64) -> Option<SimTaskId> {
+        let seq = self.sequencer?;
+        let m = self.machine;
+        let combine = m.shard_launch_time * (phase.tasks_per_node as f64 + 1.0);
+        let op = self.sim.add_task_delayed(seq, combine, m.network_latency);
+        self.sim.tag(op, SimKind::Log, 0, step as u32);
+        if let Some(prev) = self.last_seq {
+            self.sim.add_dep(prev, op);
+        }
+        self.last_seq = Some(op);
+        Some(op)
+    }
+
+    /// A log replica consuming `batch` ahead of its shard launches:
+    /// full dependence analysis only the first time a signature pair is
+    /// seen (step 0), a cheap dedup-hit consume after — once per replica
+    /// per batch, not per task.
+    fn consume(&mut self, batch: SimTaskId, phase: &PhaseSpec, node: usize, step: u64) {
+        let m = self.machine;
+        let (cost, kind) = if step == 0 {
+            (
+                m.task_analysis_time * phase.tasks_per_node as f64,
+                SimKind::Analysis,
+            )
+        } else {
+            (m.shard_launch_time, SimKind::Log)
+        };
+        let op = self.sim.add_task(self.control[node], cost);
+        self.sim.tag(op, kind, node as u32, step as u32);
+        self.sim.add_dep(batch, op);
+        self.chain(node, op, None);
+    }
+
+    /// MPI ranks per node: each logical exchange volume is split into
+    /// one message per rank, and every rank joins the collective. One
+    /// for the Regent models.
+    fn ranks(&self) -> u32 {
+        match self.model {
+            Model::Mpi(v) => v.ranks_per_node.max(1),
+            _ => 1,
+        }
+    }
+
+    /// Point-to-point exchanges (§3.4): each copy leaves the source
+    /// node's NIC after the source slot's phase tasks, and only the
+    /// destination slot waits — except under MPI, whose blocking
+    /// exchange holds both ends.
+    fn exchange(&mut self, phase: &PhaseSpec, step: u64, cur: &[Vec<SimTaskId>]) {
+        let m = self.machine;
+        let ranks = self.ranks();
+        let mut inbound: Vec<Vec<SimTaskId>> = vec![Vec::new(); self.owner.len()];
+        for e in &phase.copies {
+            let src = self.owner[e.src as usize];
+            for _ in 0..ranks {
+                let c = self.sim.add_task_delayed(
+                    self.nic[src],
+                    m.message_overhead + e.bytes / ranks as f64 / m.network_bandwidth,
+                    m.network_latency,
+                );
+                self.sim.tag(c, SimKind::Copy, src as u32, step as u32);
+                for &t in &cur[e.src as usize] {
+                    self.sim.add_dep(t, c);
+                }
+                inbound[e.dst as usize].push(c);
+                if matches!(self.model, Model::Mpi(_)) {
+                    inbound[e.src as usize].push(c);
+                }
+            }
+        }
+        self.inbound = inbound;
+    }
+
+    /// The dynamic collective (§4.4) over every point task of the
+    /// phase, on the root slot's control resource (MPI: its NIC). It
+    /// stays pending until the issue rule consumes it; the log's
+    /// sequencer blocks on it too (shard 0 feeds the fold back).
+    fn collective(&mut self, step: u64, cur: &[Vec<SimTaskId>]) {
+        let root = self.owner[0];
+        let resource = match self.model {
+            Model::Mpi(_) => self.nic[root],
+            _ => self.control[root],
+        };
+        let participants = self.owner.len() * self.ranks() as usize;
+        let j =
+            self.sim
+                .add_task_delayed(resource, 0.0, self.machine.collective_latency(participants));
+        self.sim
+            .tag(j, SimKind::Collective, root as u32, step as u32);
+        for &t in cur.iter().flatten() {
+            self.sim.add_dep(t, j);
+        }
+        self.pending_collective = Some(j);
+        if self.sequencer.is_some() {
+            self.last_seq = Some(j);
+        }
+    }
+
+    /// Bytes each shard snapshots at a checkpoint boundary.
+    fn ckpt_bytes(&self) -> f64 {
+        self.spec.elements_per_node as f64 * CKPT_BYTES_PER_ELEMENT
+    }
+
+    /// Emits a coordinated CR checkpoint: each shard streams its region
+    /// slice out through its NIC; the shard's next step waits on it.
+    fn checkpoint(&mut self, step: u64) {
+        let dur = self.ckpt_bytes() / self.machine.network_bandwidth;
+        for slot in 0..self.owner.len() {
+            let node = self.owner[slot];
+            let c = self.sim.add_task(self.nic[node], dur);
+            self.sim.tag(c, SimKind::Other, node as u32, step as u32);
+            for &p in &self.prev_tasks[slot] {
+                self.sim.add_dep(p, c);
+            }
+            if let Some(l) = self.last_launch[slot] {
+                self.sim.add_dep(l, c);
+            }
+            self.inbound[slot].push(c);
+        }
+    }
+
+    /// Kills `node` at the start of `step` under CR: its slots remap
+    /// onto the least-loaded survivor, and a recovery gate (detection
+    /// timeout + checkpoint state transfer + rebuild, costed by
+    /// `rspec`) blocks all subsequent launches. A node is alive while
+    /// it hosts a slot. Returns the recovery time, or `None` when the
+    /// node is out of range, already dead, or the last one standing.
+    fn crash(&mut self, node: usize, step: u64, rspec: &ResilienceSpec) -> Option<f64> {
+        let n = self.owner.len();
+        let alive = |i: usize| self.owner.contains(&i);
+        if node >= n || !alive(node) || (0..n).filter(|&i| alive(i)).count() <= 1 {
+            return None;
+        }
+        let survivor = (0..n)
+            .filter(|&i| i != node && alive(i))
+            .min_by_key(|&i| self.owner.iter().filter(|&&o| o == i).count())
+            .expect("at least one survivor");
+        for o in self.owner.iter_mut().filter(|o| **o == node) {
+            *o = survivor;
+        }
+        // Detection (point-to-point waits time out) + the survivor
+        // pulling the dead shard's checkpoint slice over the network +
+        // rebuilding the remapped instances from it (the real
+        // executor's FailoverReconstruct span, per element).
+        let elements = self.ckpt_bytes() / CKPT_BYTES_PER_ELEMENT;
+        let recovery = rspec.detection_timeout_s
+            + self.ckpt_bytes() / self.machine.network_bandwidth
+            + elements * rspec.reconstruct_s_per_element;
+        let g = self.sim.add_task(self.control[survivor], recovery);
+        self.sim
+            .tag(g, SimKind::Other, survivor as u32, step as u32);
+        for slot in 0..n {
+            if let Some(l) = self.last_launch[slot] {
+                self.sim.add_dep(l, g);
+            }
+            for &p in &self.prev_tasks[slot] {
+                self.sim.add_dep(p, g);
+            }
+        }
+        self.gate = Some(g);
+        Some(recovery)
+    }
 }
 
 #[cfg(test)]

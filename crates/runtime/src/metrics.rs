@@ -224,7 +224,7 @@ impl Counter {
             Counter::SequentialTasks => "Point tasks executed sequentially (hybrid segments)",
             Counter::ReplicatedSegments => "Replicated segments executed (hybrid programs)",
             Counter::LogAppends => "Records appended to the shared launch log",
-            Counter::LogCombinedBatches => "Batches published by the flat combiner",
+            Counter::LogCombinedBatches => "Batches published by the sequencer",
             Counter::LogCombinedRecords => "Records combined into published batches",
             Counter::LogCursorLag => "Sum of per-batch consumer cursor lags",
             Counter::LogAnalyses => "Per-replica per-batch dependence analyses run",
@@ -358,7 +358,7 @@ impl Timer {
             Timer::CollectiveWaitNs => "Time blocked in a dynamic collective (ns)",
             Timer::CheckpointNs => "Checkpoint snapshot time (ns)",
             Timer::RestoreNs => "Checkpoint restore time (ns)",
-            Timer::LogCombineNs => "Flat-combining round time, sequencer side (ns)",
+            Timer::LogCombineNs => "Time the sequencer spends publishing a batch (ns)",
             Timer::LogAnalysisNs => "Per-replica per-batch dependence-analysis time (ns)",
             Timer::QueueWaitNs => "Time a job waited in the service admission queue (ns)",
             Timer::IntegrityNs => "Time sealing, verifying, and checksumming instances (ns)",
