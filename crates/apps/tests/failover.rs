@@ -9,7 +9,9 @@
 //! past `max_failovers` must quarantine cleanly, not hang), the
 //! shared-log strategy's from-scratch failover, the hybrid per-segment
 //! checkpoint remap, a retry that resumes from the committed checkpoint
-//! and then rolls back to it, what epoch a membership change records, how many
+//! and then rolls back to it, a passed deadline cancelling at the first
+//! boundary, the death/membership pair a shrink leaves on the flight
+//! recorder, what epoch a membership change records, how many
 //! instances a failover rebuilds (16 for fig_failover's Stencil at
 //! every kill epoch and shard count),
 //! hang-detection failover (a stalled shard is blamed and evicted under
@@ -27,12 +29,13 @@ use regent_apps::stencil;
 use regent_cr::shard_layouts;
 use regent_ir::{Program, Store};
 use regent_runtime::{
-    classify_failure, run, run_failover, DeathCause, Failover, FailoverOptions, FailureClass,
-    FaultPlan, Rescue, ResilienceOptions, RunOptions, RunResult, FAILOVER_EXHAUSTED_PREFIX,
+    classify_failure, flight, panic_message, run, run_failover, CancelToken, DeathCause, Failover,
+    FailoverOptions, FailureClass, FaultPlan, Rescue, ResilienceOptions, RunOptions, RunResult,
+    FAILOVER_EXHAUSTED_PREFIX,
 };
 use regent_trace::{failover_summary, EventKind, Tracer};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Swallows the default stderr report for panics that are failover
 /// control flow here (shard losses, poison cascades, the expected
@@ -296,6 +299,40 @@ fn membership_floor_fails_permanently() {
     assert!(msg.starts_with(FAILOVER_EXHAUSTED_PREFIX), "{msg}");
 }
 
+/// A supervised run whose deadline has already passed stops at its
+/// first epoch boundary: every shard checks the token there, so SPMD and
+/// hybrid unwind long before the hang timeout, with a diagnostic that
+/// classifies as a cancellation — neither retried nor quarantined.
+#[test]
+fn passed_deadline_cancels_at_the_first_boundary() {
+    install_quiet_hook();
+    for strategy in [Strategy::Spmd, Strategy::Hybrid] {
+        let (prog, mut store) = mk_stencil();
+        let compiled = strategy.compile(prog, 3);
+        let opts = RunOptions::default().with_resilience(ResilienceOptions {
+            cancel: Some(CancelToken::with_deadline(Duration::ZERO)),
+            ..Default::default()
+        });
+        let t0 = Instant::now();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run(compiled.as_ref(), &mut store, &opts)
+        }))
+        .expect_err("a passed deadline must cancel the run");
+        let elapsed = t0.elapsed();
+        let msg = panic_message(payload.as_ref());
+        assert_eq!(
+            classify_failure(&msg),
+            FailureClass::Cancelled,
+            "{strategy:?}: {msg}"
+        );
+        assert!(msg.contains("deadline"), "{strategy:?}: {msg}");
+        assert!(
+            elapsed < opts.hang_timeout / 10,
+            "{strategy:?}: cancelling took {elapsed:?}"
+        );
+    }
+}
+
 #[test]
 fn log_failover_retries_from_scratch() {
     // The shared-log strategy has no resume path (its sequencer cannot
@@ -380,6 +417,60 @@ fn membership_change_names_the_resume_epoch() {
             assert_eq!(reconstructed, changed, "{strategy:?}");
         }
     }
+}
+
+/// A committed shrink leaves its post-mortem on the flight recorder,
+/// untraced: the process-global black box holds the victim's
+/// `PeerDeath` and, after it, the `MembershipChange` that evicted it.
+/// Other tests of this binary fail over concurrently, so the pair is
+/// found by its fields, not by position.
+#[test]
+fn failover_leaves_death_then_membership_on_the_flight_recorder() {
+    install_quiet_hook();
+    let recorder = flight();
+    if !recorder.is_enabled() {
+        return; // REGENT_METRICS_OFF: the recorder is off by design.
+    }
+    let (prog, mut store) = mk_stencil();
+    let mut compiled = Strategy::Spmd.compile(prog, 4);
+    let opts = RunOptions::default().with_resilience(ResilienceOptions {
+        checkpoint_interval: 2,
+        plan: FaultPlan::new(23).kill_shard(3, 3),
+        ..Default::default()
+    });
+    let r = run_failover(
+        compiled.as_mut(),
+        &mut store,
+        &opts,
+        &FailoverOptions::default(),
+    );
+    assert_eq!(r.final_shards, 3);
+
+    let snapshot = recorder.snapshot();
+    let events: Vec<EventKind> = snapshot
+        .tracks
+        .iter()
+        .filter(|t| t.name == "failover")
+        .flat_map(|t| t.events.iter().map(|e| e.kind))
+        .collect();
+    let death = events
+        .iter()
+        .position(
+            |k| matches!(*k, EventKind::PeerDeath { shard, epoch, .. } if (shard, epoch) == (3, 3)),
+        )
+        .expect("no PeerDeath for shard 3 at epoch 3 on the flight recorder");
+    assert!(
+        events[death..].iter().any(|k| matches!(
+            *k,
+            EventKind::MembershipChange {
+                from_shards: 4,
+                to_shards: 3,
+                dead_shard: 3,
+                ..
+            }
+        )),
+        "no MembershipChange evicting shard 3 after its death: {events:?}"
+    );
 }
 
 /// fig_failover's run: Stencil n = 40 on 4×2 tiles, 6 steps.

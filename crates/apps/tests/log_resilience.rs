@@ -95,7 +95,7 @@ fn stencil_log_seeded_plans_recover() {
 #[test]
 fn log_transient_fault_then_scratch_retry_bit_identical() {
     // A transient fault (injected through the cancel token's epoch
-    // hook — the service supervisor's mechanism) kills the whole log
+    // hook — a supervisor's mechanism) kills the whole log
     // run with a TRANSIENT-classified unwind; the retry starts from
     // scratch and must be bit-identical to the fault-free run. This is
     // exactly the supervisor's retry path for log jobs, which carry no

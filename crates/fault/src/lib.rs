@@ -85,7 +85,7 @@ pub enum FaultEvent {
         start: f64,
         /// Window length, virtual seconds.
         duration: f64,
-        /// Service-time multiplier (> 1 slows the node down).
+        /// Multiplier on service time (> 1 slows the node down).
         factor: f64,
     },
 }
@@ -272,13 +272,6 @@ impl FaultPlan {
             .any(|e| matches!(e, FaultEvent::ShardCrash { .. }))
     }
 
-    /// True when the plan schedules at least one shard kill.
-    pub fn has_kills(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::ShardKill { .. }))
-    }
-
     /// All kill events `(shard, epoch)`, sorted by epoch then shard —
     /// the deterministic order consumers process them in.
     pub fn kill_schedule(&self) -> Vec<(u32, u64)> {
@@ -427,21 +420,6 @@ pub fn parse_corrupt_spec(s: &str) -> Option<(u64, f64)> {
     let seed = parse_seed(seed)?;
     let rate: f64 = rate.trim().parse().ok()?;
     (rate.is_finite() && (0.0..=1.0).contains(&rate)).then_some((seed, rate))
-}
-
-/// Parses a `REGENT_KILL` kill schedule: a comma-separated list of
-/// `<shard>@<epoch>` entries. Rejects (returns `None`) on empty
-/// specs, missing `@`, or malformed components — a malformed schedule
-/// disables injection rather than killing the wrong shard.
-pub fn parse_kill_spec(s: &str) -> Option<FaultPlan> {
-    let mut plan = FaultPlan::default();
-    for entry in s.split(',') {
-        let (shard, epoch) = entry.split_once('@')?;
-        let shard: u32 = shard.trim().parse().ok()?;
-        let epoch: u64 = epoch.trim().parse().ok()?;
-        plan = plan.kill_shard(shard, epoch);
-    }
-    plan.has_kills().then_some(plan)
 }
 
 /// Stable identity of a simulated or real message, for
@@ -628,55 +606,6 @@ pub fn classify_failure(msg: &str) -> FailureClass {
     }
 }
 
-/// Seeded exponential backoff with deterministic jitter for
-/// supervisor-level job retries. Unlike [`RetryPolicy`] (the
-/// message-retransmit policy of the simulated transport), this is
-/// wall-clock milliseconds, and the jitter is derived from
-/// `(seed, job, attempt)` so a replayed serving run backs off
-/// identically.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryBackoff {
-    /// Base delay before the first retry, milliseconds.
-    pub base_ms: u64,
-    /// Multiplier applied per failed attempt.
-    pub multiplier: f64,
-    /// Upper bound on any single delay, milliseconds.
-    pub cap_ms: u64,
-    /// Attempts after which the job is declared permanently failed.
-    pub max_attempts: u32,
-}
-
-impl Default for RetryBackoff {
-    fn default() -> Self {
-        RetryBackoff {
-            base_ms: 10,
-            multiplier: 2.0,
-            cap_ms: 2_000,
-            max_attempts: 3,
-        }
-    }
-}
-
-impl RetryBackoff {
-    /// Delay before retrying failed attempt `attempt` (zero-based) of
-    /// `job`, in milliseconds: `min(cap, base × multiplier^attempt)`
-    /// plus up to 50% seeded jitter (full-jitter on the top half, the
-    /// standard thundering-herd mitigation).
-    pub fn delay_ms(&self, seed: u64, job: u64, attempt: u32) -> u64 {
-        let raw = self.base_ms as f64 * self.multiplier.powi(attempt.min(63) as i32);
-        let capped = raw.min(self.cap_ms as f64);
-        let h = splitmix64(seed ^ splitmix64(job ^ splitmix64(0x4241_434B ^ attempt as u64)));
-        let jitter = unit_f64(h); // [0, 1)
-        (capped * (0.5 + 0.5 * jitter)) as u64
-    }
-
-    /// Whether attempt `attempt` (zero-based, counting the first run
-    /// as 0) may be followed by another try.
-    pub fn may_retry(&self, attempt: u32) -> bool {
-        attempt + 1 < self.max_attempts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,8 +658,11 @@ mod tests {
             .kill_shard(2, 1);
         assert_eq!(p.kill_schedule(), vec![(2, 1), (0, 9), (3, 9)]);
         assert_eq!(p.crash_schedule(), vec![(1, 2)]);
-        assert!(p.has_kills() && p.has_crashes() && p.is_active());
-        assert!(!FaultPlan::new(0).crash_shard(1, 2).has_kills());
+        assert!(p.has_crashes() && p.is_active());
+        assert!(FaultPlan::new(0)
+            .crash_shard(1, 2)
+            .kill_schedule()
+            .is_empty());
     }
 
     #[test]
@@ -749,17 +681,6 @@ mod tests {
                 != FaultPlan::seeded_crash(s, 4, 4).crash_schedule()
         });
         assert!(diverges, "kill and crash draws are not salted apart");
-    }
-
-    #[test]
-    fn parse_kill_spec_edge_cases() {
-        let p = parse_kill_spec("1@2").expect("valid spec");
-        assert_eq!(p.kill_schedule(), vec![(1, 2)]);
-        let p = parse_kill_spec(" 2@1 , 0@3 ").expect("valid multi spec");
-        assert_eq!(p.kill_schedule(), vec![(2, 1), (0, 3)]);
-        for bad in ["", "@", "1@", "@2", "1", "a@2", "1@b", "1@2,", "1@2;0@3"] {
-            assert!(parse_kill_spec(bad).is_none(), "{bad:?} should be rejected");
-        }
     }
 
     #[test]
@@ -784,31 +705,6 @@ mod tests {
             classify_failure(&format!("{SHARD_LOSS_PREFIX}: {d}")),
             FailureClass::Transient
         );
-    }
-
-    #[test]
-    fn backoff_is_deterministic_capped_and_jittered() {
-        let b = RetryBackoff::default();
-        // Deterministic per (seed, job, attempt).
-        assert_eq!(b.delay_ms(1, 7, 0), b.delay_ms(1, 7, 0));
-        // Jitter separates jobs.
-        let spread = (0..64u64).map(|j| b.delay_ms(1, j, 2)).collect::<Vec<_>>();
-        assert!(spread.iter().any(|&d| d != spread[0]));
-        // Every delay stays within [base/2, cap] for its attempt.
-        for attempt in 0..16 {
-            for job in 0..32u64 {
-                let d = b.delay_ms(9, job, attempt);
-                assert!(d <= b.cap_ms, "delay {d} above cap");
-                let nominal =
-                    (b.base_ms as f64 * b.multiplier.powi(attempt as i32)).min(b.cap_ms as f64);
-                assert!(
-                    d as f64 >= nominal * 0.5 - 1.0,
-                    "delay {d} below jitter floor"
-                );
-            }
-        }
-        // Attempt budget: first run is attempt 0.
-        assert!(b.may_retry(0) && b.may_retry(1) && !b.may_retry(2));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct ResourceId(pub u32);
 /// A unit of simulated work.
 #[derive(Clone, Debug)]
 pub struct SimTask {
-    /// Service time on the resource, in seconds.
+    /// Time the task occupies the resource (its service), in seconds.
     pub duration: f64,
     /// The resource that must serve this task.
     pub resource: ResourceId,
@@ -431,7 +431,7 @@ impl Sim {
     }
 }
 
-/// Service time of `tid` starting at `now`: the base duration
+/// How long `tid` occupies its resource starting at `now`: the base duration
 /// stretched by any slowdown window covering the node at that moment.
 fn effective_duration(
     tasks: &[SimTask],

@@ -1,11 +1,11 @@
-//! Cooperative job cancellation for supervised executor runs.
+//! Cooperative cancellation of supervised executor runs.
 //!
 //! A [`CancelToken`] is handed to an executor through
 //! [`ResilienceOptions::cancel`](crate::ResilienceOptions)
 //! and checked at every epoch boundary (`resilience::boundary` — the
 //! same choke point the checkpoint/crash/integrity machinery runs
 //! through, shared by the SPMD and shared-log executors). Cancellation
-//! is therefore *cooperative*: a job stops at the next epoch boundary,
+//! is therefore *cooperative*: a run stops at the next epoch boundary,
 //! never mid-exchange, so the shared synchronization primitives are in
 //! a quiescent state when the shard unwinds and the team's panic guard
 //! (`crate::team`) poison path tears the remaining shards down cleanly.
@@ -13,9 +13,9 @@
 //! The unwind carries a structured message prefix
 //! ([`CANCEL_PREFIX`] / [`TRANSIENT_PREFIX`]) that
 //! `regent_fault::classify_failure` maps back to a
-//! [`FailureClass`](regent_fault::FailureClass), which is how the
-//! service supervisor distinguishes a deadline-cancelled job from an
-//! injected transient fault (retry) or a genuine bug (quarantine).
+//! [`FailureClass`](regent_fault::FailureClass), which is how a caller
+//! tells a deadline-cancelled run from an injected transient fault
+//! (retry) or a genuine bug (give up).
 
 use regent_fault::{CANCEL_PREFIX, TRANSIENT_PREFIX};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -74,28 +74,11 @@ impl CancelToken {
 
     /// A token that injects a transient fault at the start of `epoch`:
     /// every shard unwinds with a [`TRANSIENT_PREFIX`] diagnostic the
-    /// supervisor classifies as retryable.
+    /// caller classifies as retryable.
     pub fn with_transient_at(epoch: u64) -> CancelToken {
         CancelToken {
             inner: Arc::new(Inner {
                 transient_at: Some(epoch),
-                ..Inner::default()
-            }),
-        }
-    }
-
-    /// A token combining an optional wall-clock budget with an
-    /// optional injected transient epoch — what the service supervisor
-    /// builds per attempt (the deadline spans attempts, the injection
-    /// fires on the first one only).
-    pub fn with_budget_and_transient(
-        budget: Option<Duration>,
-        transient_epoch: Option<u64>,
-    ) -> CancelToken {
-        CancelToken {
-            inner: Arc::new(Inner {
-                deadline: budget.map(|b| Instant::now() + b),
-                transient_at: transient_epoch,
                 ..Inner::default()
             }),
         }

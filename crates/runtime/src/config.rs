@@ -8,20 +8,20 @@
 //! *constructed* — the defaults of [`RunOptions`](crate::RunOptions) and
 //! [`ImplicitOptions`](crate::ImplicitOptions), the untimed constructors
 //! of the ring, the barrier and the collective, the telemetry
-//! singletons, `ServiceConfig::from_env`, and the load in
-//! `RunOptions::ctx` that hands the CI smoke to the team driver;
-//! everything below takes values. Setting a variable after the first
-//! use therefore has no effect: pass the field.
+//! singletons, and the load in `RunOptions::ctx` that hands the CI
+//! smoke to the team driver; everything below takes values. Setting a
+//! variable after the first use therefore has no effect: pass the
+//! field.
 //!
 //! A malformed value is the default, never a panic. Booleans
-//! (`REGENT_PIN_CORES`, `REGENT_FAILOVER`, `REGENT_METRICS_OFF`) share
-//! one grammar: `1` / `true` / `on` / `yes` (any case) is on; unset,
-//! empty, `0` / `false` / `off` / `no` and garbage are off. Integers,
-//! `<seed>,<rate>` and kill schedules go through `regent-fault`'s pure
-//! parsers; a path or address is any non-empty string.
+//! (`REGENT_PIN_CORES`, `REGENT_METRICS_OFF`) share one grammar: `1` /
+//! `true` / `on` / `yes` (any case) is on; unset, empty, `0` / `false`
+//! / `off` / `no` and garbage are off. Integers and `<seed>,<rate>` go
+//! through `regent-fault`'s pure parsers; a path is any non-empty
+//! string.
 
 use crate::resilience::ResilienceOptions;
-use regent_fault::{parse_corrupt_spec, parse_kill_spec, parse_seed, FaultPlan};
+use regent_fault::{parse_corrupt_spec, parse_seed, FaultPlan};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -66,50 +66,26 @@ pub struct EnvConfig {
     pub pin_cores: bool,
     /// `REGENT_FAULT_SEED` / `REGENT_CORRUPT`, when either parses.
     pub smoke: Option<Smoke>,
-    /// `REGENT_KILL=<shard>@<epoch>[,…]`: kills `regent-serve` adds to
-    /// every failover-routed job.
-    pub kills: Option<FaultPlan>,
-    /// `REGENT_FAILOVER`: `regent-serve` jobs run under live failover.
-    pub failover: bool,
     /// `REGENT_METRICS`: file the registry is written to after a run.
     pub metrics_file: Option<PathBuf>,
-    /// `REGENT_METRICS_ADDR=<host:port>` of the scrape endpoint.
-    pub metrics_addr: Option<String>,
-    /// `REGENT_METRICS_OFF` is *not* on: registry, live plane, scrape
-    /// endpoint and flight recorder all record.
+    /// `REGENT_METRICS_OFF` is *not* on: registry and flight recorder
+    /// both record.
     pub telemetry: bool,
     /// `REGENT_FLIGHT_DIR`: where the flight recorder dumps.
     pub flight_dir: Option<PathBuf>,
-    /// `REGENT_SLO_WINDOW_SECS` (default 30): the live plane's window.
-    pub slo_window: Duration,
-    /// `REGENT_SERVE_WORKERS`.
-    pub serve_workers: Option<u64>,
-    /// `REGENT_SERVE_QUEUE`.
-    pub serve_queue: Option<u64>,
-    /// `REGENT_SERVE_SHED_BUDGET`.
-    pub serve_shed_budget: Option<u64>,
-    /// `REGENT_SERVE_DEGRADE`.
-    pub serve_degrade: Option<u64>,
-    /// `REGENT_SERVE_TRACE_DIR`.
-    pub serve_trace_dir: Option<PathBuf>,
 }
 
 impl EnvConfig {
     /// Parses the environment `get` presents (`None` = unset).
     pub(crate) fn parse(get: impl Fn(&str) -> Option<String>) -> EnvConfig {
-        let text = |name: &str| get(name).filter(|v| !v.is_empty());
         let int = |name: &str| get(name).and_then(|v| parse_seed(&v));
         let on = |name: &str| {
             let v = get(name).unwrap_or_default();
             ["1", "true", "on", "yes"].contains(&v.trim().to_ascii_lowercase().as_str())
         };
-        let path = |name: &str| text(name).map(PathBuf::from);
+        let path = |name: &str| get(name).filter(|v| !v.is_empty()).map(PathBuf::from);
         let fault_seed = int("REGENT_FAULT_SEED");
         let corrupt = get("REGENT_CORRUPT").and_then(|v| parse_corrupt_spec(&v));
-        let slo_window = get("REGENT_SLO_WINDOW_SECS")
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|secs| *secs > 0.0)
-            .and_then(|secs| Duration::try_from_secs_f64(secs).ok());
         EnvConfig {
             hang_timeout: Duration::from_millis(int("REGENT_HANG_TIMEOUT_MS").unwrap_or(30_000)),
             pin_cores: on("REGENT_PIN_CORES"),
@@ -117,18 +93,9 @@ impl EnvConfig {
                 fault_seed,
                 corrupt,
             }),
-            kills: get("REGENT_KILL").and_then(|v| parse_kill_spec(&v)),
-            failover: on("REGENT_FAILOVER"),
             metrics_file: path("REGENT_METRICS"),
-            metrics_addr: text("REGENT_METRICS_ADDR"),
             telemetry: !on("REGENT_METRICS_OFF"),
             flight_dir: path("REGENT_FLIGHT_DIR"),
-            slo_window: slo_window.unwrap_or(Duration::from_secs(30)),
-            serve_workers: int("REGENT_SERVE_WORKERS"),
-            serve_queue: int("REGENT_SERVE_QUEUE"),
-            serve_shed_budget: int("REGENT_SERVE_SHED_BUDGET"),
-            serve_degrade: int("REGENT_SERVE_DEGRADE"),
-            serve_trace_dir: path("REGENT_SERVE_TRACE_DIR"),
         }
     }
 }
@@ -155,43 +122,25 @@ mod tests {
     fn unset_environment_is_the_defaults() {
         let c = parse(&[]);
         assert_eq!(c.hang_timeout, Duration::from_secs(30));
-        assert_eq!(c.slo_window, Duration::from_secs(30));
-        assert!(!c.pin_cores && !c.failover && c.telemetry);
+        assert!(!c.pin_cores && c.telemetry);
         assert_eq!(c.smoke, None);
-        assert_eq!(c.kills, None);
-        assert_eq!(
-            (&c.metrics_file, &c.metrics_addr, &c.flight_dir),
-            (&None, &None, &None)
-        );
-        assert_eq!(
-            (c.serve_workers, c.serve_queue, c.serve_shed_budget),
-            (None, None, None)
-        );
-        assert_eq!((c.serve_degrade, &c.serve_trace_dir), (None, &None));
+        assert_eq!((&c.metrics_file, &c.flight_dir), (&None, &None));
     }
 
-    /// One boolean grammar for all three booleans.
+    /// One boolean grammar for both booleans.
     #[test]
     fn booleans_share_one_grammar() {
         let flags = |v: &str| {
-            let c = parse(&[
-                ("REGENT_PIN_CORES", v),
-                ("REGENT_FAILOVER", v),
-                ("REGENT_METRICS_OFF", v),
-            ]);
-            (c.pin_cores, c.failover, !c.telemetry)
+            let c = parse(&[("REGENT_PIN_CORES", v), ("REGENT_METRICS_OFF", v)]);
+            (c.pin_cores, !c.telemetry)
         };
         for on in ["1", "true", "on", "yes", "TRUE", "On", " yes "] {
-            assert_eq!(flags(on), (true, true, true), "{on:?} is on");
+            assert_eq!(flags(on), (true, true), "{on:?} is on");
         }
         for off in ["", "0", "false", "off", "no", "2", "enable", "y"] {
-            assert_eq!(flags(off), (false, false, false), "{off:?} is off");
+            assert_eq!(flags(off), (false, false), "{off:?} is off");
         }
-        // On is all `REGENT_FAILOVER` says: the budget is the default's.
-        let d = crate::FailoverOptions::default();
-        assert_eq!((d.max_failovers, d.min_shards), (1, 1));
-        // The two spellings that used to mean the opposite.
-        assert!(!parse(&[("REGENT_FAILOVER", "false")]).failover);
+        // The spelling that used to mean the opposite.
         assert!(parse(&[("REGENT_METRICS_OFF", "0")]).telemetry);
     }
 
@@ -258,43 +207,19 @@ mod tests {
     fn numbers_paths_and_schedules() {
         let c = parse(&[
             ("REGENT_HANG_TIMEOUT_MS", " 200 "),
-            ("REGENT_SLO_WINDOW_SECS", "0.5"),
-            ("REGENT_KILL", "1@2,0@4"),
             ("REGENT_METRICS", "m.json"),
-            ("REGENT_METRICS_ADDR", "127.0.0.1:0"),
             ("REGENT_FLIGHT_DIR", "dumps"),
-            ("REGENT_SERVE_WORKERS", "3"),
-            ("REGENT_SERVE_QUEUE", "0"),
-            ("REGENT_SERVE_SHED_BUDGET", "48"),
-            ("REGENT_SERVE_DEGRADE", "4"),
-            ("REGENT_SERVE_TRACE_DIR", "traces"),
         ]);
         assert_eq!(c.hang_timeout, Duration::from_millis(200));
-        assert_eq!(c.slo_window, Duration::from_millis(500));
-        assert_eq!(c.kills.unwrap().kill_schedule(), vec![(1, 2), (0, 4)]);
         assert_eq!(c.metrics_file, Some(PathBuf::from("m.json")));
-        assert_eq!(c.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(c.flight_dir, Some(PathBuf::from("dumps")));
-        assert_eq!(
-            (c.serve_workers, c.serve_queue, c.serve_shed_budget),
-            (Some(3), Some(0), Some(48))
-        );
-        assert_eq!(c.serve_degrade, Some(4));
-        assert_eq!(c.serve_trace_dir, Some(PathBuf::from("traces")));
 
-        // Malformed numbers, schedules and empty paths are the defaults.
+        // Malformed numbers and empty paths are the defaults.
         let c = parse(&[
             ("REGENT_HANG_TIMEOUT_MS", "soon"),
-            ("REGENT_SLO_WINDOW_SECS", "-1"),
-            ("REGENT_KILL", "1@"),
             ("REGENT_METRICS", ""),
-            ("REGENT_SERVE_WORKERS", "-2"),
-            ("REGENT_SERVE_TRACE_DIR", ""),
+            ("REGENT_FLIGHT_DIR", ""),
         ]);
         assert_eq!(c, parse(&[]));
-        for window in ["NaN", "inf", "1e400", "0"] {
-            let c = parse(&[("REGENT_SLO_WINDOW_SECS", window)]);
-            assert_eq!(c.slo_window, Duration::from_secs(30), "{window:?}");
-        }
     }
 }

@@ -58,8 +58,7 @@
 //! shrunken membership.
 //!
 //! [`FailoverOptions::max_failovers`] bounds the membership changes
-//! (default 1; `regent-serve` takes the default when the process's
-//! `REGENT_FAILOVER` is on); a loss beyond the budget (or below one
+//! (default 1); a loss beyond the budget (or below one
 //! shard) fail-stops with [`FAILOVER_EXHAUSTED_PREFIX`], which
 //! [`regent_fault::classify_failure`] maps to a permanent failure.
 

@@ -41,10 +41,6 @@
 //!   (launches, copies, waits, memo hits, retransmits), aggregated at
 //!   executor shutdown and exported via `REGENT_METRICS=<path>` as
 //!   JSON.
-//! * [`live`] / [`scrape`] — the live telemetry plane: sliding-window
-//!   latency/goodput series with SLO burn-rate gauges, served mid-run
-//!   from a dependency-free HTTP scrape endpoint
-//!   (`REGENT_METRICS_ADDR=<host:port>`).
 //! * [`mod@ring`] / [`pool`] — the lock-free data plane: bounded SPSC
 //!   rings with batched publication carrying the exchange messages
 //!   (one ring per ordered shard pair, its capacity derived from the
@@ -75,7 +71,6 @@ pub mod failover;
 pub mod hybrid_exec;
 pub mod implicit;
 pub mod launch_log;
-pub mod live;
 pub mod log_exec;
 pub mod mapper;
 pub mod memo;
@@ -85,7 +80,6 @@ pub mod pool;
 mod resilience;
 pub mod ring;
 pub mod run;
-pub mod scrape;
 pub mod spmd_exec;
 mod team;
 mod wait;
@@ -97,11 +91,10 @@ pub use failover::{run_failover, Failover, FailoverOptions};
 pub use hybrid_exec::HybridRunResult;
 pub use implicit::{execute_implicit, ImplicitOptions, ImplicitStats};
 pub use launch_log::{Batch, LaunchLog, LogCursor};
-pub use live::{live, BurnRates, LivePlane, SlidingCount, SlidingHist, SloConfig};
 pub use log_exec::LogStats;
 pub use mapper::{DefaultMapper, Mapper, SingleWorkerMapper, TaskKindMapper};
 pub use memo::{epoch_key, launch_sig, EpochTemplate, MemoCache, MemoStats};
-pub use metrics::{flight, prom_escape, Counter, Hist, MetricsHandle, MetricsRegistry, Timer};
+pub use metrics::{flight, Counter, Hist, MetricsHandle, MetricsRegistry, Timer};
 pub use plan::{
     build_exchange_plan, ExchangePlan, ExchangeSchedule, InstKey, PairPlan, SetupStats,
 };
@@ -110,15 +103,14 @@ pub use run::{
     execute_hybrid_traced, execute_log_traced, execute_spmd_resilient_traced, execute_spmd_traced,
     run, Compiled, RunOptions, RunResult,
 };
-pub use scrape::{fetch as fetch_metrics, start_at as start_scrape_at, ScrapeServer};
 
 pub use ring::{
     copy_mesh, ring, ring_with_timeout, CachePadded, RingReceiver, RingSender, SendError,
 };
 
 pub use regent_fault::{
-    classify_failure, DeathCause, FailureClass, FaultPlan, PeerDeath, RetryBackoff, RetryPolicy,
-    CANCEL_PREFIX, FAILOVER_EXHAUSTED_PREFIX, SHARD_LOSS_PREFIX, TRANSIENT_PREFIX,
+    classify_failure, DeathCause, FailureClass, FaultPlan, PeerDeath, RetryPolicy, CANCEL_PREFIX,
+    FAILOVER_EXHAUSTED_PREFIX, SHARD_LOSS_PREFIX, TRANSIENT_PREFIX,
 };
 pub use resilience::{DeathBoard, Rescue, ResilienceOptions};
 pub use spmd_exec::ShardStats;

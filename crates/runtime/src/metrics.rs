@@ -10,8 +10,7 @@
 //! process-global [`MetricsRegistry`] when dropped, and the executors
 //! export it at shutdown: with `REGENT_METRICS=<path>` in the process
 //! environment the aggregated registry is written to `<path>` as JSON
-//! (the document flight dumps attach too; Prometheus text is the
-//! scrape endpoint's job, [`crate::scrape`]). `REGENT_METRICS_OFF`
+//! (the document flight dumps attach too). `REGENT_METRICS_OFF`
 //! disables collection entirely (the A/B switch the overhead
 //! measurement in EXPERIMENTS.md uses). Both are fixed when [`global`]
 //! first runs ([`crate::config::process`]).
@@ -71,18 +70,6 @@ pub enum Counter {
     LogCursorLag,
     /// Per-replica per-batch dependence analyses run.
     LogAnalyses,
-    /// Jobs admitted into a service shard pool.
-    JobsAdmitted,
-    /// Jobs rejected by admission control (`Overloaded`).
-    JobsShed,
-    /// Job retry attempts after transient failures.
-    JobsRetried,
-    /// Tenant shard-allocation reductions under sustained pressure.
-    JobsDegraded,
-    /// Jobs that ran to completion under supervision.
-    JobsCompleted,
-    /// Jobs quarantined after a permanent (non-retryable) failure.
-    JobsQuarantined,
     /// Exchange payload buffers served from the shard's freelist.
     PoolReuses,
     /// Exchange payload buffers that had to be freshly allocated.
@@ -116,7 +103,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 37;
+    pub const COUNT: usize = 31;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -141,12 +128,6 @@ impl Counter {
         Counter::LogCombinedRecords,
         Counter::LogCursorLag,
         Counter::LogAnalyses,
-        Counter::JobsAdmitted,
-        Counter::JobsShed,
-        Counter::JobsRetried,
-        Counter::JobsDegraded,
-        Counter::JobsCompleted,
-        Counter::JobsQuarantined,
         Counter::PoolReuses,
         Counter::PoolAllocs,
         Counter::RingStalls,
@@ -183,12 +164,6 @@ impl Counter {
             Counter::LogCombinedRecords => "log_combined_records",
             Counter::LogCursorLag => "log_cursor_lag",
             Counter::LogAnalyses => "log_analyses",
-            Counter::JobsAdmitted => "jobs_admitted",
-            Counter::JobsShed => "jobs_shed",
-            Counter::JobsRetried => "jobs_retried",
-            Counter::JobsDegraded => "jobs_degraded",
-            Counter::JobsCompleted => "jobs_completed",
-            Counter::JobsQuarantined => "jobs_quarantined",
             Counter::PoolReuses => "pool_reuses",
             Counter::PoolAllocs => "pool_allocs",
             Counter::RingStalls => "ring_stalls",
@@ -199,51 +174,6 @@ impl Counter {
             Counter::ColumnSeals => "column_seals",
             Counter::ImageBuilds => "image_builds",
             Counter::ImageReuses => "image_reuses",
-        }
-    }
-
-    /// One-line description, emitted as the Prometheus `# HELP` text.
-    pub fn help(self) -> &'static str {
-        match self {
-            Counter::Launches => "Task launches issued (control thread or shard)",
-            Counter::TaskRuns => "Point-task kernels executed",
-            Counter::CopiesIssued => "Copy messages extracted and sent (producer side)",
-            Counter::CopiesApplied => "Copy messages received and applied (consumer side)",
-            Counter::BarrierWaits => "Barrier waits entered",
-            Counter::CollectiveWaits => "Dynamic-collective waits entered",
-            Counter::DepChecks => {
-                "Window records compared with an access on a possibly-aliasing region"
-            }
-            Counter::MemoHits => "Epochs fully replayed from a memoized template",
-            Counter::MemoMisses => "Replay attempts that diverged back to analysis",
-            Counter::MemoCaptures => "Epoch templates captured",
-            Counter::MemoReplayedTasks => "Point tasks whose dependence bookkeeping was replayed",
-            Counter::Retransmits => "Corrupted or lost deliveries absorbed by retransmission",
-            Counter::Checkpoints => "Checkpoint snapshots taken",
-            Counter::Restores => "Checkpoint rollbacks performed",
-            Counter::SequentialTasks => "Point tasks executed sequentially (hybrid segments)",
-            Counter::ReplicatedSegments => "Replicated segments executed (hybrid programs)",
-            Counter::LogAppends => "Records appended to the shared launch log",
-            Counter::LogCombinedBatches => "Batches published by the sequencer",
-            Counter::LogCombinedRecords => "Records combined into published batches",
-            Counter::LogCursorLag => "Sum of per-batch consumer cursor lags",
-            Counter::LogAnalyses => "Per-replica per-batch dependence analyses run",
-            Counter::JobsAdmitted => "Jobs admitted into a service shard pool",
-            Counter::JobsShed => "Jobs rejected by admission control",
-            Counter::JobsRetried => "Job retry attempts after transient failures",
-            Counter::JobsDegraded => "Tenant shard-allocation reductions under pressure",
-            Counter::JobsCompleted => "Jobs that ran to completion under supervision",
-            Counter::JobsQuarantined => "Jobs quarantined after a permanent failure",
-            Counter::PoolReuses => "Exchange payload buffers served from the freelist",
-            Counter::PoolAllocs => "Exchange payload buffers freshly allocated",
-            Counter::RingStalls => "Ring sends stalled on back-pressure",
-            Counter::FailoverAttempts => "Executor attempts launched by the failover driver",
-            Counter::PeerDeaths => "Shard deaths observed by the failover driver",
-            Counter::MembershipShrinks => "Membership epochs committed (one eviction each)",
-            Counter::ScheduleBuilds => "Exchange schedules built (cache misses)",
-            Counter::ColumnSeals => "Instance columns rehashed at write-completion points",
-            Counter::ImageBuilds => "Shard images built (instances allocated, run lists computed)",
-            Counter::ImageReuses => "Shard runs that reused the program's image",
         }
     }
 
@@ -275,8 +205,6 @@ pub enum Timer {
     LogCombineNs,
     /// Per-replica per-batch dependence-analysis time.
     LogAnalysisNs,
-    /// Time a supervised job waited in the service admission queue.
-    QueueWaitNs,
     /// Time spent in the integrity layer: sealing instance columns,
     /// verifying seals at epoch boundaries, and checksumming exchange frames.
     IntegrityNs,
@@ -301,7 +229,7 @@ pub enum Timer {
 
 impl Timer {
     /// Number of timers.
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 16;
 
     /// All timers, in declaration order.
     pub const ALL: [Timer; Timer::COUNT] = [
@@ -315,7 +243,6 @@ impl Timer {
         Timer::RestoreNs,
         Timer::LogCombineNs,
         Timer::LogAnalysisNs,
-        Timer::QueueWaitNs,
         Timer::IntegrityNs,
         Timer::MttrNs,
         Timer::FailoverReconstructNs,
@@ -337,36 +264,12 @@ impl Timer {
             Timer::RestoreNs => "restore_ns",
             Timer::LogCombineNs => "log_combine_ns",
             Timer::LogAnalysisNs => "log_analysis_ns",
-            Timer::QueueWaitNs => "queue_wait_ns",
             Timer::IntegrityNs => "integrity_ns",
             Timer::MttrNs => "mttr_ns",
             Timer::FailoverReconstructNs => "failover_reconstruct_ns",
             Timer::ScheduleBuildNs => "schedule_build_ns",
             Timer::ImageFillNs => "image_fill_ns",
             Timer::ImageFlushNs => "image_flush_ns",
-        }
-    }
-
-    /// One-line description, emitted as the Prometheus `# HELP` text.
-    pub fn help(self) -> &'static str {
-        match self {
-            Timer::TaskRunNs => "Kernel execution time per point task (ns)",
-            Timer::DepAnalysisNs => "Dependence-analysis time per task (ns)",
-            Timer::CopyIssueNs => "Producer-side copy time: extract + send (ns)",
-            Timer::CopyWaitNs => "Consumer-side copy time: receive + apply (ns)",
-            Timer::BarrierWaitNs => "Time blocked at a barrier (ns)",
-            Timer::CollectiveWaitNs => "Time blocked in a dynamic collective (ns)",
-            Timer::CheckpointNs => "Checkpoint snapshot time (ns)",
-            Timer::RestoreNs => "Checkpoint restore time (ns)",
-            Timer::LogCombineNs => "Time the sequencer spends publishing a batch (ns)",
-            Timer::LogAnalysisNs => "Per-replica per-batch dependence-analysis time (ns)",
-            Timer::QueueWaitNs => "Time a job waited in the service admission queue (ns)",
-            Timer::IntegrityNs => "Time sealing, verifying, and checksumming instances (ns)",
-            Timer::MttrNs => "Mean-time-to-repair per failover attempt (ns)",
-            Timer::FailoverReconstructNs => "Time reconstructing dead-shard instances (ns)",
-            Timer::ScheduleBuildNs => "Time building an exchange schedule, per build (ns)",
-            Timer::ImageFillNs => "Time filling a shard image from the store, per shard run (ns)",
-            Timer::ImageFlushNs => "Time flushing a shard image into the store, per shard run (ns)",
         }
     }
 
@@ -382,9 +285,7 @@ pub const HIST_BUCKETS: usize = 40;
 /// A log2-bucket latency histogram: bucket `i` counts samples in
 /// `[2^i, 2^(i+1))` nanoseconds (bucket 0 also absorbs 0 ns samples).
 /// The terminal bucket is an *overflow* bucket: samples at or above
-/// `2^(HIST_BUCKETS-1)` ns saturate into it, and exposition reports
-/// them only under `le="+Inf"` — never under a finite bound they may
-/// exceed.
+/// `2^(HIST_BUCKETS-1)` ns saturate into it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Hist {
     /// Sample counts per log2 bucket.
@@ -434,36 +335,6 @@ impl Hist {
         } else {
             self.sum_ns as f64 / self.count as f64
         }
-    }
-
-    /// Estimated `q`-quantile (`0.0..=1.0`) in nanoseconds, linearly
-    /// interpolated within the landing log2 bucket. Returns 0 when
-    /// empty. A quantile landing in the overflow bucket is reported as
-    /// that bucket's lower bound (the histogram records no upper bound
-    /// there), so tail estimates saturate rather than fabricate.
-    pub fn quantile_ns(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = q.clamp(0.0, 1.0) * self.count as f64;
-        let mut cum = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let prev = cum as f64;
-            cum += n;
-            if (cum as f64) >= rank {
-                let lo = if i == 0 { 0.0 } else { (1u128 << i) as f64 };
-                if i == HIST_BUCKETS - 1 {
-                    return lo;
-                }
-                let hi = (1u128 << (i + 1)) as f64;
-                let frac = ((rank - prev) / n as f64).clamp(0.0, 1.0);
-                return lo + (hi - lo) * frac;
-            }
-        }
-        (1u128 << (HIST_BUCKETS - 1)) as f64
     }
 }
 
@@ -770,105 +641,6 @@ impl MetricsRegistry {
         out.push('}');
         out
     }
-
-    /// Serializes the registry as Prometheus text exposition:
-    /// `# HELP`/`# TYPE` metadata per family, escaped label values,
-    /// cumulative `le` buckets with the overflow bucket reported only
-    /// under `+Inf`, one series per label.
-    pub fn to_prometheus(&self) -> String {
-        let labels = self.per_label();
-        let mut out = String::new();
-        for c in Counter::ALL {
-            if labels.iter().all(|(_, s)| s.get(c) == 0) {
-                continue;
-            }
-            writeln!(out, "# HELP regent_{}_total {}", c.name(), c.help()).unwrap();
-            writeln!(out, "# TYPE regent_{}_total counter", c.name()).unwrap();
-            for (label, set) in &labels {
-                let v = set.get(c);
-                if v > 0 {
-                    writeln!(
-                        out,
-                        "regent_{}_total{{shard=\"{}\"}} {v}",
-                        c.name(),
-                        prom_escape(label)
-                    )
-                    .unwrap();
-                }
-            }
-        }
-        for t in Timer::ALL {
-            if labels.iter().all(|(_, s)| s.timer(t).count == 0) {
-                continue;
-            }
-            writeln!(out, "# HELP regent_{} {}", t.name(), t.help()).unwrap();
-            writeln!(out, "# TYPE regent_{} histogram", t.name()).unwrap();
-            for (label, set) in &labels {
-                let h = set.timer(t);
-                if h.count == 0 {
-                    continue;
-                }
-                let label = prom_escape(label);
-                let mut cum = 0u64;
-                for (i, &n) in h.buckets.iter().enumerate() {
-                    if n == 0 {
-                        continue;
-                    }
-                    cum += n;
-                    // The terminal bucket is the overflow bucket: its
-                    // samples may exceed 2^HIST_BUCKETS, so they are
-                    // reported only under the +Inf bound below.
-                    if i == HIST_BUCKETS - 1 {
-                        break;
-                    }
-                    writeln!(
-                        out,
-                        "regent_{}_bucket{{shard=\"{label}\",le=\"{}\"}} {cum}",
-                        t.name(),
-                        1u128 << (i + 1)
-                    )
-                    .unwrap();
-                }
-                writeln!(
-                    out,
-                    "regent_{}_bucket{{shard=\"{label}\",le=\"+Inf\"}} {}",
-                    t.name(),
-                    h.count
-                )
-                .unwrap();
-                writeln!(
-                    out,
-                    "regent_{}_sum{{shard=\"{label}\"}} {}",
-                    t.name(),
-                    h.sum_ns
-                )
-                .unwrap();
-                writeln!(
-                    out,
-                    "regent_{}_count{{shard=\"{label}\"}} {}",
-                    t.name(),
-                    h.count
-                )
-                .unwrap();
-            }
-        }
-        out
-    }
-}
-
-/// Escapes a Prometheus label value: backslash, double quote, and
-/// newline per the text-exposition spec.
-pub fn prom_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One thread's private recording handle (see [`MetricsRegistry`]).
@@ -922,17 +694,6 @@ impl MetricsHandle {
     pub fn record_ns(&mut self, t: Timer, ns: u64) {
         if self.enabled {
             self.set.timers[t.index()].record(ns);
-        }
-    }
-
-    /// Merges the buffered set into the registry now and resets the
-    /// buffer. Long-lived handles (service worker threads) call this
-    /// at job boundaries so mid-run scrapes see fresh counters; the
-    /// implicit merge on drop only covers handles that die promptly.
-    pub fn flush(&mut self) {
-        if self.enabled {
-            self.registry.absorb(&self.label, &self.set);
-            *self.set = MetricSet::default();
         }
     }
 }
@@ -1011,11 +772,6 @@ mod tests {
                 .as_num(),
             Some(2.0)
         );
-        let prom = registry.to_prometheus();
-        assert!(prom.contains("regent_launches_total{shard=\"test-shard-0\"} 1"));
-        assert!(prom.contains("regent_task_run_ns_bucket"));
-        assert!(prom.contains("le=\"+Inf\""));
-
         let flat = registry.snapshot_flat();
         assert!(flat.iter().any(|(n, v)| n == "launches" && *v == 2.0));
         registry.reset();
@@ -1043,113 +799,6 @@ mod tests {
         twin.push(".prom");
         assert!(!std::path::Path::new(&twin).exists());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn flush_publishes_midlife_and_never_double_counts() {
-        let registry = private_registry();
-        let label = "test-flush-worker";
-        let mut h = registry.handle(label);
-        h.add(Counter::JobsAdmitted, 2);
-        h.flush();
-        let mid = |reg: &MetricsRegistry| {
-            reg.per_label()
-                .into_iter()
-                .find(|(l, _)| l == label)
-                .map(|(_, s)| s.get(Counter::JobsAdmitted))
-                .unwrap_or(0)
-        };
-        // Visible to a scrape while the handle is still alive...
-        assert_eq!(mid(registry), 2);
-        h.incr(Counter::JobsAdmitted);
-        drop(h); // ...and the drop-merge only adds the post-flush tail.
-        assert_eq!(mid(registry), 3);
-    }
-
-    #[test]
-    fn hist_quantiles_interpolate_and_saturate() {
-        let mut h = Hist::default();
-        for _ in 0..99 {
-            h.record(1000); // bucket 9: [512, 1024)
-        }
-        h.record(1 << 62); // overflow bucket
-        let p50 = h.quantile_ns(0.5);
-        assert!((512.0..1024.0).contains(&p50), "p50 = {p50}");
-        // The tail quantile lands in the overflow bucket and must
-        // saturate at its lower bound, not invent an upper bound.
-        assert_eq!(h.quantile_ns(0.999), (1u128 << (HIST_BUCKETS - 1)) as f64);
-        assert_eq!(Hist::default().quantile_ns(0.5), 0.0);
-    }
-
-    #[test]
-    fn prometheus_exposition_is_spec_compliant() {
-        // Golden-output check for the counter and histogram families of
-        // the service queue, the exchange schedule and the shard images. Uses a private registry so parallel tests touching
-        // the global one cannot perturb the golden text.
-        let registry = MetricsRegistry {
-            enabled: true,
-            file: None,
-            store: Mutex::new(BTreeMap::new()),
-        };
-        let mut set = MetricSet::default();
-        set.counters[Counter::JobsAdmitted.index()] = 1;
-        set.timers[Timer::QueueWaitNs.index()].record(700); // bucket 9
-        set.timers[Timer::QueueWaitNs.index()].record(1 << 62); // overflow bucket
-        set.counters[Counter::ScheduleBuilds.index()] = 1;
-        set.timers[Timer::ScheduleBuildNs.index()].record(3); // bucket 1
-        set.counters[Counter::ImageBuilds.index()] = 2;
-        set.counters[Counter::ImageReuses.index()] = 6;
-        set.timers[Timer::ImageFillNs.index()].record(5); // bucket 2
-        set.timers[Timer::ImageFlushNs.index()].record(9); // bucket 3
-        registry.absorb("tenant-1/quote\"back\\slash", &set);
-        let prom = registry.to_prometheus();
-        let expected = "\
-# HELP regent_jobs_admitted_total Jobs admitted into a service shard pool
-# TYPE regent_jobs_admitted_total counter
-regent_jobs_admitted_total{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
-# HELP regent_schedule_builds_total Exchange schedules built (cache misses)
-# TYPE regent_schedule_builds_total counter
-regent_schedule_builds_total{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
-# HELP regent_image_builds_total Shard images built (instances allocated, run lists computed)
-# TYPE regent_image_builds_total counter
-regent_image_builds_total{shard=\"tenant-1/quote\\\"back\\\\slash\"} 2
-# HELP regent_image_reuses_total Shard runs that reused the program's image
-# TYPE regent_image_reuses_total counter
-regent_image_reuses_total{shard=\"tenant-1/quote\\\"back\\\\slash\"} 6
-# HELP regent_queue_wait_ns Time a job waited in the service admission queue (ns)
-# TYPE regent_queue_wait_ns histogram
-regent_queue_wait_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"1024\"} 1
-regent_queue_wait_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"+Inf\"} 2
-regent_queue_wait_ns_sum{shard=\"tenant-1/quote\\\"back\\\\slash\"} 4611686018427388604
-regent_queue_wait_ns_count{shard=\"tenant-1/quote\\\"back\\\\slash\"} 2
-# HELP regent_schedule_build_ns Time building an exchange schedule, per build (ns)
-# TYPE regent_schedule_build_ns histogram
-regent_schedule_build_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"4\"} 1
-regent_schedule_build_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"+Inf\"} 1
-regent_schedule_build_ns_sum{shard=\"tenant-1/quote\\\"back\\\\slash\"} 3
-regent_schedule_build_ns_count{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
-# HELP regent_image_fill_ns Time filling a shard image from the store, per shard run (ns)
-# TYPE regent_image_fill_ns histogram
-regent_image_fill_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"8\"} 1
-regent_image_fill_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"+Inf\"} 1
-regent_image_fill_ns_sum{shard=\"tenant-1/quote\\\"back\\\\slash\"} 5
-regent_image_fill_ns_count{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
-# HELP regent_image_flush_ns Time flushing a shard image into the store, per shard run (ns)
-# TYPE regent_image_flush_ns histogram
-regent_image_flush_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"16\"} 1
-regent_image_flush_ns_bucket{shard=\"tenant-1/quote\\\"back\\\\slash\",le=\"+Inf\"} 1
-regent_image_flush_ns_sum{shard=\"tenant-1/quote\\\"back\\\\slash\"} 9
-regent_image_flush_ns_count{shard=\"tenant-1/quote\\\"back\\\\slash\"} 1
-";
-        assert_eq!(prom, expected);
-        // Overflow samples must never appear under a finite le bound.
-        assert!(!prom.contains(&format!("le=\"{}\"", 1u128 << HIST_BUCKETS)));
-    }
-
-    #[test]
-    fn prom_escape_handles_specials() {
-        assert_eq!(prom_escape("plain"), "plain");
-        assert_eq!(prom_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

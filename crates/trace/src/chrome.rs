@@ -8,9 +8,8 @@
 //! track becomes one thread (`tid`) named via `thread_name` metadata.
 //! Beside it, under `regentTracks`, sits the sidecar
 //! [`crate::serial`] writes and [`crate::import_trace`] reads back, so
-//! every trace file the system writes — `--trace`, a `regent-serve` job
-//! dump, a flight-recorder dump — is both Perfetto-loadable and
-//! certifiable by `regent-prof`.
+//! every trace file the system writes — `--trace` or a flight-recorder
+//! dump — is both Perfetto-loadable and certifiable by `regent-prof`.
 
 use crate::event::{Event, EventKind};
 use crate::json::escape_into;
@@ -209,14 +208,6 @@ fn kind_name(k: &EventKind) -> String {
         EventKind::LogAppend { epoch, records, .. } => format!("log append e{epoch} ({records})"),
         EventKind::LogCombine { batch, records } => format!("log combine b{batch} ({records})"),
         EventKind::LogConsume { replica, batch, .. } => format!("log consume r{replica} b{batch}"),
-        EventKind::JobAdmit { job, tenant, .. } => format!("job {job} admit (t{tenant})"),
-        EventKind::JobShed { job, tenant, .. } => format!("job {job} shed (t{tenant})"),
-        EventKind::JobRetry { job, attempt, .. } => format!("job {job} retry #{attempt}"),
-        EventKind::JobDegrade {
-            tenant,
-            from_shards,
-            to_shards,
-        } => format!("degrade t{tenant} {from_shards}->{to_shards}"),
         EventKind::Pass { name } => format!("pass {name}"),
         EventKind::SimTask { kind, step, .. } => format!("{kind:?} s{step}"),
         EventKind::Counter { name, .. } => (*name).to_string(),

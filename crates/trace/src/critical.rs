@@ -50,16 +50,13 @@ pub enum Phase {
     /// Shared-log control work: sequencer appends/combines and replica
     /// batch consumption (`log_exec`).
     LogControl,
-    /// Time a supervised job spent in the service admission queue
-    /// before a shard pool picked it up (`regent-serve`).
-    QueueWait,
     /// Everything else on the path (launches, drains, checkpoints).
     Other,
 }
 
 impl Phase {
     /// Number of phases (length of a [`Blame`] vector).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// All phases, in display order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -70,7 +67,6 @@ impl Phase {
         Phase::CollectiveWait,
         Phase::Exec,
         Phase::LogControl,
-        Phase::QueueWait,
         Phase::Other,
     ];
 
@@ -84,7 +80,6 @@ impl Phase {
             Phase::CollectiveWait => "collective_wait",
             Phase::Exec => "exec",
             Phase::LogControl => "log_control",
-            Phase::QueueWait => "queue_wait",
             Phase::Other => "other",
         }
     }
@@ -210,7 +205,6 @@ pub fn classify(kind: &EventKind) -> Phase {
         EventKind::LogAppend { .. }
         | EventKind::LogCombine { .. }
         | EventKind::LogConsume { .. } => Phase::LogControl,
-        EventKind::JobAdmit { .. } => Phase::QueueWait,
         _ => Phase::Other,
     }
 }

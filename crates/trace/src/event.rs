@@ -457,49 +457,6 @@ event_kinds! {
         /// Timestep the task belongs to.
         step: u32,
     },
-    /// The service supervisor admitted a job into a shard pool. The
-    /// span covers the time the job spent waiting in the admission
-    /// queue (queue-wait blame), ending when a worker picked it up.
-    JobAdmit = "job_admit" {
-        /// Service-assigned job sequence number.
-        job: u64,
-        /// Tenant the job belongs to.
-        tenant: u32,
-        /// Queue depth observed at admission (including this job).
-        queued: u32,
-    },
-    /// Admission control rejected a job: projected queue cost exceeded
-    /// the shed budget and the job was turned away with `Overloaded`
-    /// (instant).
-    JobShed = "job_shed" {
-        /// Service-assigned job sequence number.
-        job: u64,
-        /// Tenant the job belongs to.
-        tenant: u32,
-        /// Queue depth observed at rejection.
-        queued: u32,
-    },
-    /// A transiently failed job was re-queued for another attempt after
-    /// seeded exponential backoff (instant; fires once per retry, so
-    /// `attempt` counts from 1).
-    JobRetry = "job_retry" {
-        /// Service-assigned job sequence number.
-        job: u64,
-        /// Tenant the job belongs to.
-        tenant: u32,
-        /// Attempt number this retry begins (first retry = 1).
-        attempt: u32,
-    },
-    /// Graceful degradation resized a tenant's shard allocation under
-    /// sustained pressure (instant).
-    JobDegrade = "job_degrade" {
-        /// Tenant whose allocation changed.
-        tenant: u32,
-        /// Shards allocated before the change.
-        from_shards: u32,
-        /// Shards allocated after the change.
-        to_shards: u32,
-    },
     /// A named scalar sample.
     Counter = "counter" {
         /// Counter name.

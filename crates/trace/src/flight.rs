@@ -2,17 +2,16 @@
 //!
 //! Tracing ([`Tracer`](crate::Tracer)) records *everything* and is
 //! therefore opt-in; the flight recorder records only *milestones* —
-//! job lifecycle transitions, peer deaths, membership changes,
-//! checkpoint restores, corruption escalations — into one bounded
-//! process-global ring, cheaply enough to stay armed in production.
-//! When something dies (a Permanent panic, a failover, a
+//! the failover driver's peer deaths, membership changes and
+//! fail-stops — into one bounded process-global ring, cheaply enough to
+//! stay armed in every run. When something dies (a failover, a
 //! `FAILOVER_EXHAUSTED` fail-stop), the last 1 024 (`FLIGHT_EVENTS`)
 //! milestones plus a caller-supplied state snapshot (metrics JSON,
 //! membership) are dumped to the recorder's dump directory
 //! (`REGENT_FLIGHT_DIR`) as the one trace document every trace file is
 //! ([`export_chrome`]: Perfetto-loadable, importable by `regent-prof`
 //! and certifiable like any other trace) plus three `flight*` keys, so
-//! every crash leaves a post-mortem artifact even when the run was
+//! every failover leaves a post-mortem artifact even when the run was
 //! otherwise untraced.
 //!
 //! The ring intentionally forgets: old milestones are evicted in
@@ -24,9 +23,8 @@
 //! This crate never reads the environment: whoever owns the process's
 //! configuration installs the global recorder ([`global`]) with the
 //! two values it needs — whether telemetry is on (`REGENT_METRICS_OFF`
-//! turns the recorder off along with the metrics registry and the
-//! scrape endpoint) and where dumps go. `regent_runtime::flight` is
-//! that owner for the executors and `regent-serve`.
+//! turns the recorder off along with the metrics registry) and where
+//! dumps go. `regent_runtime::flight` is that owner for the executors.
 
 use crate::chrome::export_chrome;
 use crate::event::{Event, EventKind};

@@ -25,7 +25,7 @@
 //! * [`serial`] — the sidecar's wire form, derived from the
 //!   [`event`] table, and [`import_trace`], which reads a trace file
 //!   back for the `regent-prof` CLI; [`export_chrome`] embeds the
-//!   sidecar, so every trace file (`--trace`, job dumps, flight dumps)
+//!   sidecar, so every trace file (`--trace`, flight dumps)
 //!   is both Perfetto-loadable and re-analyzable.
 //! * [`artifact`] — the machine-readable bench-result schema the
 //!   figure binaries' `--json` merges into.

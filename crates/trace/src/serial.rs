@@ -6,7 +6,7 @@
 //! An event is `{"ts":…,"dur":…,"k":"<tag>","<field>":<value>,…}`: the
 //! tag and fields the `event_kinds!` table in [`crate::event`] states
 //! for its kind, each value in its type's `Wire` form. A `u64` at or
-//! above 2^53 (field masks, memo keys, job ids) is written as a decimal
+//! above 2^53 (field masks, memo keys, instance ids) is written as a decimal
 //! *string* so it survives the JSON number round-trip exactly, and the
 //! reader refuses any value its field's type cannot hold instead of
 //! converting it.
@@ -284,7 +284,7 @@ mod tests {
     use crate::tracer::Tracer;
 
     /// One event of every kind, in table order, with edge values:
-    /// `u64::MAX` in `inst`, `fields`, `key` and `job`, 2^53 ± 1, and
+    /// `u64::MAX` in `inst`, `fields` and `key`, 2^53 ± 1, and
     /// names JSON must escape. The `match` is exhaustive, so a kind
     /// added to the table does not compile until it is listed here.
     fn every_kind() -> Vec<EventKind> {
@@ -414,26 +414,6 @@ mod tests {
                 node: 7,
                 step: 2,
             },
-            JobAdmit {
-                job: u64::MAX,
-                tenant: 2,
-                queued: 5,
-            },
-            JobShed {
-                job: u64::MAX - 1,
-                tenant: 2,
-                queued: 6,
-            },
-            JobRetry {
-                job: 7,
-                tenant: 2,
-                attempt: 1,
-            },
-            JobDegrade {
-                tenant: 2,
-                from_shards: 4,
-                to_shards: 2,
-            },
             Counter {
                 name: "q\\depth",
                 value: -2.5,
@@ -473,12 +453,8 @@ mod tests {
             LogConsume { .. } => 29,
             Pass { .. } => 30,
             SimTask { .. } => 31,
-            JobAdmit { .. } => 32,
-            JobShed { .. } => 33,
-            JobRetry { .. } => 34,
-            JobDegrade { .. } => 35,
-            Counter { .. } => 36,
-            Mark { .. } => 37,
+            Counter { .. } => 32,
+            Mark { .. } => 33,
         };
         assert!(
             all.iter().map(order).eq(0..all.len()),
