@@ -132,8 +132,10 @@ fn run_bomb() -> String {
     panic_message(payload.as_ref())
 }
 
-#[test]
-fn concurrent_runs_stay_isolated() {
+/// Runs every case alone, then all of them at once beside the panicking
+/// run; returns the solo fingerprints, the concurrent ones and the
+/// panicking run's diagnostic.
+fn solo_and_beside_bomb() -> (Vec<Fingerprint>, Vec<Fingerprint>, String) {
     let solo: Vec<Fingerprint> = CASES.into_iter().map(run_case).collect();
     let (together, bomb) = std::thread::scope(|s| {
         let runs: Vec<_> = CASES
@@ -147,18 +149,35 @@ fn concurrent_runs_stay_isolated() {
             .collect();
         (together, bomb.join().expect("the bomb's failure is caught"))
     });
+    (solo, together, bomb)
+}
 
+/// The panicking run fails on its own as a permanent defect, and every
+/// run beside it leaves the store and environment of its solo run.
+#[test]
+fn panicking_run_leaves_neighbours_bit_identical() {
+    let (solo, together, bomb) = solo_and_beside_bomb();
     assert!(bomb.contains("kernel bug: boom"), "{bomb}");
     assert_eq!(classify_failure(&bomb), FailureClass::Permanent, "{bomb}");
+    for ((label, ..), (a, b)) in CASES.iter().zip(solo.iter().zip(&together)) {
+        assert!(
+            a.contents == b.contents,
+            "{label}: the results differ from the solo run's"
+        );
+    }
+}
+
+/// Every concurrent run's private trace Spy-certifies against its own
+/// forest, blames its own critical path and holds the tasks and
+/// conflicting pairs of its solo run.
+#[test]
+fn concurrent_runs_certify_private_traces() {
+    let (solo, together, _) = solo_and_beside_bomb();
     for ((label, ..), (a, b)) in CASES.iter().zip(solo.iter().zip(&together)) {
         assert_eq!(
             (a.tasks, a.pairs),
             (b.tasks, b.pairs),
             "{label}: the trace differs from the solo run's"
-        );
-        assert!(
-            a.contents == b.contents,
-            "{label}: the results differ from the solo run's"
         );
     }
 }
