@@ -1,10 +1,9 @@
 //! Data-plane differential matrix: every evaluation application must
-//! produce identical results over the exchange rings whether or not
-//! shard threads are pinned, and however many frames one copy statement
-//! addresses to one peer.
+//! produce identical results over the exchange rings, however many
+//! frames one copy statement addresses to one peer.
 //!
-//! The matrix: {`RunOptions::pin_cores` off, on} × {stencil, circuit,
-//! MiniAero, PENNANT} × {SPMD, hybrid, shared-log}. Each cell is
+//! The matrix: {stencil, circuit, MiniAero, PENNANT} × {SPMD, hybrid,
+//! shared-log}. Each cell is
 //! compared against the sequential reference (bit-exact for stencil,
 //! app tolerance elsewhere — the same contracts as `differential.rs`)
 //! and Spy-certified from its trace.
@@ -22,12 +21,11 @@
 //! earlier versions held, where both producers parked on a full ring
 //! and the run died with "likely deadlock".
 //!
-//! Pinning and the hang timeout are options of a run, so nothing here
-//! touches the environment: `pinned_and_unpinned_teams_share_a_process`
-//! runs one program pinned and unpinned on two threads at once, and
-//! every run is under a 5 s timeout (against the default 30) that
-//! keeps a regression from stalling the suite — nothing here may come
-//! near it.
+//! The hang timeout is an option of a run, so nothing here touches the
+//! environment: every run is under a 5 s timeout (against the default
+//! 30) that keeps a regression from stalling the suite — nothing here
+//! may come near it. (Shards always run on pinned resident members;
+//! `team.rs` checks two concurrent teams' threads and CPUs.)
 
 mod common;
 
@@ -36,15 +34,12 @@ use regent_apps::{circuit, miniaero, pennant, stencil};
 use regent_cr::{control_replicate, CrOptions};
 use regent_ir::{interp, Program, Store};
 use regent_runtime::{run, Compiled, FaultPlan, ResilienceOptions, RunOptions};
-use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// A plain run of this suite: pinned or not, under its 5 s timeout.
-fn opts(pin_cores: bool) -> RunOptions {
+/// A plain run of this suite, under its 5 s timeout.
+fn opts() -> RunOptions {
     RunOptions {
         hang_timeout: Duration::from_secs(5),
-        pin_cores,
         ..RunOptions::default()
     }
 }
@@ -132,14 +127,14 @@ fn apps() -> Vec<(&'static str, AppFactory, f64)> {
     ]
 }
 
-/// One matrix cell: the app through SPMD, hybrid, and shared-log,
-/// pinned or not, each certified and compared.
-fn run_cell(label: &str, mk: &dyn Fn() -> (Program, Store), ns: usize, tol: f64, pin: bool) {
+/// One matrix cell: the app through SPMD, hybrid, and shared-log, each
+/// certified and compared.
+fn run_cell(label: &str, mk: &dyn Fn() -> (Program, Store), ns: usize, tol: f64) {
     let (prog_seq, mut store_seq) = mk();
     let roots = prog_seq.root_regions();
     let (env_seq, _) = interp::run(&prog_seq, &mut store_seq);
     let reference = (&env_seq[..], &prog_seq.forest, &store_seq);
-    spmd_family_agrees(label, mk, ns, tol, reference, &roots, &opts(pin));
+    spmd_family_agrees(label, mk, ns, tol, reference, &roots, &opts());
 }
 
 /// Crash recovery and corruption retransmission over the rings: both
@@ -151,7 +146,7 @@ fn run_resilience_cell(label: &str) {
     let (prog_a, mut store_a) = mk();
     let roots = prog_a.root_regions();
     let spmd_a = control_replicate(prog_a, &CrOptions::new(ns)).unwrap();
-    let plain = run(Compiled::Spmd(&spmd_a), &mut store_a, &opts(false));
+    let plain = run(Compiled::Spmd(&spmd_a), &mut store_a, &opts());
 
     // Crash + rollback: shard 1 dies at epoch 3, replays from the
     // last snapshot, and the result is bit-identical.
@@ -165,7 +160,7 @@ fn run_resilience_cell(label: &str) {
     let recovered = run(
         Compiled::Spmd(&spmd_b),
         &mut store_b,
-        &opts(false).with_resilience(crash_opts.clone()),
+        &opts().with_resilience(crash_opts.clone()),
     );
     assert_eq!(
         plain.env, recovered.env,
@@ -195,7 +190,7 @@ fn run_resilience_cell(label: &str) {
     let repaired = run(
         Compiled::Spmd(&spmd_c),
         &mut store_c,
-        &opts(false).with_resilience(corrupt_opts.clone()),
+        &opts().with_resilience(corrupt_opts.clone()),
     );
     assert_eq!(
         plain.env, repaired.env,
@@ -249,7 +244,7 @@ fn run_peer_death_cell(label: &str) {
         run(
             Compiled::Spmd(&spmd),
             &mut store,
-            &opts(false).with_resilience(doomed),
+            &opts().with_resilience(doomed),
         );
     });
     let err = handle.join().expect_err("run should fail, not hang");
@@ -272,88 +267,12 @@ fn run_peer_death_cell(label: &str) {
 #[test]
 fn data_plane_matrix() {
     let ns = 3;
-    for pin in [false, true] {
-        for (name, mk, tol) in &apps() {
-            run_cell(&format!("{name} pin={pin}"), mk, ns, *tol, pin);
-        }
+    for (name, mk, tol) in &apps() {
+        run_cell(name, mk, ns, *tol);
     }
-    // The fault protocols ride the same transport (pinning is
-    // orthogonal — once is enough).
+    // The fault protocols ride the same transport.
     run_resilience_cell("resilience");
     run_peer_death_cell("peer death");
-}
-
-/// The CPUs the calling thread may run on, as the kernel lists them
-/// (`None` where there is no `/proc`, and no pinning either).
-fn cpus_allowed() -> Option<String> {
-    let status = std::fs::read_to_string("/proc/thread-self/status").ok()?;
-    let list = status
-        .lines()
-        .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))?;
-    Some(list.trim().to_string())
-}
-
-/// Pinning is a property of a run, not of the process: the same program
-/// runs pinned on one thread and unpinned on another at the same time.
-/// Every task records the CPUs its shard thread may run on, so each
-/// team is seen to sit where its own options put it — one CPU per
-/// pinned shard, the inherited set for unpinned ones — and both results
-/// are bit-identical to the interpreter's.
-#[test]
-fn pinned_and_unpinned_teams_share_a_process() {
-    let ns = 2;
-    let (prog_seq, mut store_seq) = mk_stencil();
-    let roots = prog_seq.root_regions();
-    let (env_seq, _) = interp::run(&prog_seq, &mut store_seq);
-    let cell = |pin: bool| {
-        let (mut prog, store) = mk_stencil();
-        let seen = Arc::new(Mutex::new(BTreeSet::new()));
-        for task in &mut prog.tasks {
-            let (kernel, seen) = (Arc::clone(&task.kernel), Arc::clone(&seen));
-            task.kernel = Arc::new(move |ctx| {
-                seen.lock().unwrap().extend(cpus_allowed());
-                kernel(ctx)
-            });
-        }
-        (Strategy::Spmd.compile(prog, ns), store, opts(pin), seen)
-    };
-    let (pinned, mut store_p, opts_p, seen_p) = cell(true);
-    let (unpinned, mut store_u, opts_u, seen_u) = cell(false);
-    let start = std::sync::Barrier::new(2);
-    let (rp, ru) = std::thread::scope(|scope| {
-        let p = scope.spawn(|| {
-            start.wait();
-            run(pinned.as_ref(), &mut store_p, &opts_p)
-        });
-        start.wait();
-        let ru = run(unpinned.as_ref(), &mut store_u, &opts_u);
-        (p.join().expect("pinned team"), ru)
-    });
-    for (label, compiled, store, r) in [
-        ("pinned", &pinned, &store_p, &rp),
-        ("unpinned", &unpinned, &store_u, &ru),
-    ] {
-        assert_eq!(env_seq, r.env, "{label}: env diverged");
-        compare_roots(
-            label,
-            &roots,
-            (&prog_seq.forest, &store_seq),
-            (forest(compiled), store),
-            0.0,
-        );
-    }
-    if let Some(inherited) = cpus_allowed() {
-        let (seen_p, seen_u) = (seen_p.lock().unwrap(), seen_u.lock().unwrap());
-        assert!(
-            seen_p.iter().all(|cpus| cpus.parse::<usize>().is_ok()),
-            "a pinned shard may run on more than one CPU: {seen_p:?}"
-        );
-        assert_eq!(
-            *seen_u,
-            BTreeSet::from([inherited]),
-            "an unpinned shard was pinned"
-        );
-    }
 }
 
 /// Stencil cut into 2 × 320 tiles on 2 shards: shard 0 owns one column
@@ -398,8 +317,8 @@ fn wide_statement_completes() {
             let (prog, mut store) = mk();
             let compiled = strategy.compile(prog, 2);
             let opts = match resilience {
-                Some(r) => opts(false).with_resilience(r.clone()),
-                None => opts(false),
+                Some(r) => opts().with_resilience(r.clone()),
+                None => opts(),
             };
             let r = run(compiled.as_ref(), &mut store, &opts);
             assert_eq!(env_seq, r.env, "{label}: env diverged");

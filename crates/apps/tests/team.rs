@@ -17,8 +17,8 @@ use regent_geometry::DynPoint;
 use regent_ir::{Program, Store, TaskId};
 use regent_region::{FieldType, RegionForest};
 use regent_runtime::{
-    execute_implicit, panic_message, run, run_failover, FailoverOptions, FaultPlan,
-    ImplicitOptions, Mapper, ResilienceOptions, RunOptions,
+    execute_implicit, metrics, panic_message, run, run_failover, Counter, FailoverOptions,
+    FaultPlan, ImplicitOptions, Mapper, ResilienceOptions, RunOptions,
 };
 use std::collections::{BTreeSet, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -96,6 +96,14 @@ fn hook_kernels(prog: &mut Program, hook: Arc<dyn Fn() + Send + Sync>) {
             kernel(ctx)
         });
     }
+}
+
+/// Team members spawned so far in this process (0 when telemetry is
+/// off, where nothing is counted).
+fn members_spawned() -> u64 {
+    metrics::global()
+        .aggregate()
+        .get(Counter::TeamMembersSpawned)
 }
 
 #[test]
@@ -299,6 +307,11 @@ fn concurrent_runs_match_their_solo_runs() {
     );
     for (label, seen) in [("first", &seen_a), ("second", &seen_b)] {
         assert_eq!(seen.threads.len(), ns, "{label}: one thread a shard");
+        assert!(
+            seen.cpus.iter().all(|cpus| cpus.parse::<usize>().is_ok()),
+            "{label}: a shard may run on more than one CPU: {:?}",
+            seen.cpus
+        );
     }
 }
 
@@ -355,4 +368,26 @@ fn an_implicit_run_unwinds_past_a_bad_mapper() {
     assert!(msg.contains("mapper chose worker 2 of 2"), "{msg}");
 
     assert_eq!(implicit(None), first);
+}
+
+/// Members outlive runs: after the first of 100 sequential runs, no run
+/// spawns one.
+#[test]
+fn sequential_runs_spawn_no_member_after_the_first() {
+    let _turn = turn();
+    let compiled = stencil_at(3);
+    let first = plain(&compiled, &RunOptions::default());
+    let spawned = members_spawned();
+    for round in 1..100 {
+        assert_eq!(
+            plain(&compiled, &RunOptions::default()),
+            first,
+            "round {round}"
+        );
+    }
+    assert_eq!(
+        members_spawned(),
+        spawned,
+        "a sequential run spawned a member"
+    );
 }

@@ -13,10 +13,10 @@
 //! variable after the first use therefore has no effect: pass the
 //! field.
 //!
-//! A malformed value is the default, never a panic. Booleans
-//! (`REGENT_PIN_CORES`, `REGENT_METRICS_OFF`) share one grammar: `1` /
-//! `true` / `on` / `yes` (any case) is on; unset, empty, `0` / `false`
-//! / `off` / `no` and garbage are off. Integers and `<seed>,<rate>` go
+//! A malformed value is the default, never a panic. A boolean
+//! (`REGENT_METRICS_OFF`) is on for `1` / `true` / `on` / `yes` (any
+//! case); unset, empty, `0` / `false` / `off` / `no` and garbage are
+//! off. Integers and `<seed>,<rate>` go
 //! through `regent-fault`'s pure parsers; a path is any non-empty
 //! string.
 
@@ -62,8 +62,6 @@ pub struct EnvConfig {
     /// `REGENT_HANG_TIMEOUT_MS` (default 30 s): how long a blocking wait
     /// may stall before it panics with a "likely deadlock" diagnostic.
     pub hang_timeout: Duration,
-    /// `REGENT_PIN_CORES`: pin shard thread `s` to core `s`.
-    pub pin_cores: bool,
     /// `REGENT_FAULT_SEED` / `REGENT_CORRUPT`, when either parses.
     pub smoke: Option<Smoke>,
     /// `REGENT_METRICS`: file the registry is written to after a run.
@@ -88,7 +86,6 @@ impl EnvConfig {
         let corrupt = get("REGENT_CORRUPT").and_then(|v| parse_corrupt_spec(&v));
         EnvConfig {
             hang_timeout: Duration::from_millis(int("REGENT_HANG_TIMEOUT_MS").unwrap_or(30_000)),
-            pin_cores: on("REGENT_PIN_CORES"),
             smoke: (fault_seed.is_some() || corrupt.is_some()).then_some(Smoke {
                 fault_seed,
                 corrupt,
@@ -122,23 +119,20 @@ mod tests {
     fn unset_environment_is_the_defaults() {
         let c = parse(&[]);
         assert_eq!(c.hang_timeout, Duration::from_secs(30));
-        assert!(!c.pin_cores && c.telemetry);
+        assert!(c.telemetry);
         assert_eq!(c.smoke, None);
         assert_eq!((&c.metrics_file, &c.flight_dir), (&None, &None));
     }
 
-    /// One boolean grammar for both booleans.
+    /// The boolean grammar.
     #[test]
     fn booleans_share_one_grammar() {
-        let flags = |v: &str| {
-            let c = parse(&[("REGENT_PIN_CORES", v), ("REGENT_METRICS_OFF", v)]);
-            (c.pin_cores, !c.telemetry)
-        };
+        let off = |v: &str| !parse(&[("REGENT_METRICS_OFF", v)]).telemetry;
         for on in ["1", "true", "on", "yes", "TRUE", "On", " yes "] {
-            assert_eq!(flags(on), (true, true), "{on:?} is on");
+            assert!(off(on), "{on:?} is on");
         }
-        for off in ["", "0", "false", "off", "no", "2", "enable", "y"] {
-            assert_eq!(flags(off), (false, false), "{off:?} is off");
+        for no in ["", "0", "false", "off", "no", "2", "enable", "y"] {
+            assert!(!off(no), "{no:?} is off");
         }
         // The spelling that used to mean the opposite.
         assert!(parse(&[("REGENT_METRICS_OFF", "0")]).telemetry);

@@ -23,6 +23,8 @@
 //! would conflict with the retired record also conflicts with the
 //! dominating one, and the happens-before graph is transitive.
 //!
+//! The calling thread is the control thread; the workers are resident
+//! team members (`team.rs`), taken for the run and returned after it.
 //! Each worker has a ready queue; a worker with nothing to run, and the
 //! control thread waiting for the pool to drain, block in the runtime's
 //! one wait primitive (`wait.rs`: spin briefly, then park).
@@ -60,6 +62,7 @@ use crate::config;
 use crate::mapper::{DefaultMapper, Mapper};
 use crate::memo::{self, EpochTemplate, MemoCache};
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
+use crate::team::{on_members, TeamJob};
 use crate::wait::Waiters;
 use regent_geometry::DynPoint;
 use regent_ir::{
@@ -275,7 +278,7 @@ impl<'p> Pool<'p> {
     }
 }
 
-/// Closes the pool when dropped, so the workers exit whether the
+/// Closes the pool when dropped, so the workers' jobs end whether the
 /// control thread returns or unwinds.
 struct CloseOnDrop<'a, 'p>(&'a Pool<'p>);
 
@@ -773,21 +776,25 @@ pub fn execute_implicit(
         }),
     };
 
-    std::thread::scope(|scope| {
-        let _close = CloseOnDrop(&pool);
-        for w in 0..opts.num_workers {
-            let pool = &pool;
-            let tasks = &program.tasks;
+    // The workers run on resident members; this thread stays the
+    // control thread.
+    let (pool_ref, tasks) = (&pool, &program.tasks);
+    let workers: Vec<TeamJob<'_>> = (0..opts.num_workers)
+        .map(|w| {
             let tracer = Arc::clone(&opts.tracer);
-            scope.spawn(move || {
+            Box::new(move || {
                 let mut tb = tracer.buffer(&format!("worker-{w}"));
                 let mut mx = metrics::global().handle(&format!("worker-{w}"));
-                while let Some(job) = pool.next(w) {
-                    run_job(&job, tasks, pool, &mut tb, &mut mx);
+                while let Some(job) = pool_ref.next(w) {
+                    run_job(&job, tasks, pool_ref, &mut tb, &mut mx);
                 }
-            });
-        }
-
+            }) as TeamJob<'_>
+        })
+        .collect();
+    let ((), joined) = on_members(workers, || {
+        // Closing the pool on the way out — also when the control
+        // thread unwinds — is what ends the workers' waits.
+        let _close = CloseOnDrop(&pool);
         let mut window = Window::new(&program.forest);
         let route = Route {
             mapper: Arc::clone(&opts.mapper),
@@ -807,6 +814,10 @@ pub fn execute_implicit(
         pool.wait_drained();
         ctl.drained();
     });
+    joined.record(&mut ctl.mx);
+    if let Some((w, msg)) = joined.failures.first() {
+        panic!("worker {w} panicked: {msg}");
+    }
 
     ctl.tb.flush();
     let stats = ctl.stats;
@@ -983,8 +994,8 @@ fn issue_task<'p>(
         .iter()
         .zip(&decl.params)
         .map(|(&r, p)| {
-            // SAFETY: the store outlives the worker scope and is not
-            // touched by anyone else during it, and the dependence
+            // SAFETY: the store outlives the workers' jobs and is not
+            // touched by anyone else while they run, and the dependence
             // graph orders every two accesses that conflict
             // (privileges, declared fields, aliasing), so kernels that
             // share a root instance concurrently touch different

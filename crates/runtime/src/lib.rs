@@ -9,8 +9,8 @@
 //!   overhead grows with the machine.
 //! * [`run()`] / [`run_failover`] — the SPMD family's two entry points:
 //!   a [`Compiled`] program (control replication, range-local hybrid,
-//!   or shared-log) runs on one shard-team driver (`team`: one thread
-//!   per shard) and, with live failover, inside one membership-shrinking
+//!   or shared-log) runs on one shard-team driver (`team`: one job per
+//!   shard on resident, pinned member threads) and, with live failover, inside one membership-shrinking
 //!   loop ([`failover`]).
 //! * [`spmd_exec`] — the per-shard engine every strategy drives:
 //!   distributed per-shard instances, consumer-applied copy messages as
@@ -44,8 +44,8 @@
 //! * [`mod@ring`] / [`pool`] — the lock-free data plane: bounded SPSC
 //!   rings with batched publication carrying the exchange messages
 //!   (one ring per ordered shard pair, its capacity derived from the
-//!   exchange schedule), pooled payload buffers, and core pinning
-//!   behind [`RunOptions::pin_cores`].
+//!   exchange schedule), pooled payload buffers, and the pinning of
+//!   the team's resident members.
 //! * [`config`] — the process environment: every `REGENT_*` variable
 //!   is parsed once, there, into a typed [`EnvConfig`] that supplies
 //!   the defaults of the options structs and configures the telemetry

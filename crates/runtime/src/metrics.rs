@@ -99,11 +99,15 @@ pub enum Counter {
     ImageBuilds,
     /// Runs of a shard that took an image an earlier run left.
     ImageReuses,
+    /// Resident team members spawned: a run adds to it only when too
+    /// few members are idle (the first run, concurrent runs, or more
+    /// shards or workers than any earlier run).
+    TeamMembersSpawned,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 31;
+    pub const COUNT: usize = 32;
 
     /// All counters, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -138,6 +142,7 @@ impl Counter {
         Counter::ColumnSeals,
         Counter::ImageBuilds,
         Counter::ImageReuses,
+        Counter::TeamMembersSpawned,
     ];
 
     /// Stable snake_case name (used in exports).
@@ -174,6 +179,7 @@ impl Counter {
             Counter::ColumnSeals => "column_seals",
             Counter::ImageBuilds => "image_builds",
             Counter::ImageReuses => "image_reuses",
+            Counter::TeamMembersSpawned => "team_members_spawned",
         }
     }
 
@@ -225,11 +231,18 @@ pub enum Timer {
     /// Time flushing a shard's written partition instances back into
     /// the store at the end of a run, per shard per run.
     ImageFlushNs,
+    /// Time from a job's post to its resident member's first
+    /// instruction, per member per run (shards, the log sequencer,
+    /// implicit workers).
+    TeamWakeNs,
+    /// Time from a run's last job finishing to the caller's wait for
+    /// it returning, per run.
+    TeamJoinNs,
 }
 
 impl Timer {
     /// Number of timers.
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 18;
 
     /// All timers, in declaration order.
     pub const ALL: [Timer; Timer::COUNT] = [
@@ -249,6 +262,8 @@ impl Timer {
         Timer::ScheduleBuildNs,
         Timer::ImageFillNs,
         Timer::ImageFlushNs,
+        Timer::TeamWakeNs,
+        Timer::TeamJoinNs,
     ];
 
     /// Stable snake_case name (used in exports).
@@ -270,6 +285,8 @@ impl Timer {
             Timer::ScheduleBuildNs => "schedule_build_ns",
             Timer::ImageFillNs => "image_fill_ns",
             Timer::ImageFlushNs => "image_flush_ns",
+            Timer::TeamWakeNs => "team_wake_ns",
+            Timer::TeamJoinNs => "team_join_ns",
         }
     }
 

@@ -356,66 +356,88 @@ pub fn ring_with_timeout<T: Send>(
     )
 }
 
-/// Pins the calling thread to `core` (modulo the machine's available
-/// parallelism). Returns whether the affinity call succeeded; on
-/// non-Linux targets (or unsupported architectures) this is a no-op
-/// returning `false`. Implemented as a raw `sched_setaffinity`
-/// syscall: the workspace links no libc crate.
-pub(crate) fn pin_thread_to_core(core: usize) -> bool {
-    let ncpu = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
-    let cpu = core % ncpu.max(1);
-    pin_syscall(cpu)
+/// Pins the calling thread to the `k`-th CPU (modulo their number) of
+/// the affinity mask it has now, as `sched_getaffinity` reports it —
+/// so member `k` of a process confined to CPUs {4, 6} lands on 4 or 6,
+/// never on a CPU outside the mask. Returns whether both affinity calls
+/// succeeded; on non-Linux targets (or unsupported architectures) this
+/// is a no-op returning `false`. Implemented as raw syscalls: the
+/// workspace links no libc crate.
+pub(crate) fn pin_thread_to_core(k: usize) -> bool {
+    let mut mask = [0u64; 16]; // 1024-CPU mask
+    if affinity_syscall(false, &mut mask) <= 0 {
+        return false;
+    }
+    let Some(cpu) = nth_cpu(&mask, k) else {
+        return false;
+    };
+    let mut one = [0u64; 16];
+    one[cpu / 64] = 1u64 << (cpu % 64);
+    affinity_syscall(true, &mut one) == 0
 }
 
+/// The CPU at position `k`, modulo their number, among the CPUs set in
+/// `mask`; `None` for an empty mask.
+fn nth_cpu(mask: &[u64], k: usize) -> Option<usize> {
+    let count: usize = mask.iter().map(|w| w.count_ones() as usize).sum();
+    if count == 0 {
+        return None;
+    }
+    (0..mask.len() * 64)
+        .filter(|&cpu| (mask[cpu / 64] >> (cpu % 64)) & 1 == 1)
+        .nth(k % count)
+}
+
+/// `sched_setaffinity(0, sizeof mask, mask)` when `set`, else
+/// `sched_getaffinity` into `mask`, for the calling thread. Returns the
+/// raw result: the bytes written by a get, 0 after a set, a negative
+/// errno on failure.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn pin_syscall(cpu: usize) -> bool {
-    let mut mask = [0u64; 16]; // 1024-CPU mask
-    mask[cpu / 64] = 1u64 << (cpu % 64);
+fn affinity_syscall(set: bool, mask: &mut [u64; 16]) -> isize {
+    // __NR_sched_setaffinity / __NR_sched_getaffinity
+    let nr: isize = if set { 203 } else { 204 };
     let ret: isize;
-    // SAFETY: sched_setaffinity(0, sizeof mask, &mask) reads `mask`
-    // only for the duration of the call.
+    // SAFETY: sched_{set,get}affinity(0, sizeof mask, &mask) reads or
+    // writes `mask` only, and only for the duration of the call.
     unsafe {
         std::arch::asm!(
             "syscall",
-            inlateout("rax") 203isize => ret, // __NR_sched_setaffinity
+            inlateout("rax") nr => ret,
             in("rdi") 0usize,
-            in("rsi") std::mem::size_of_val(&mask),
-            in("rdx") mask.as_ptr(),
+            in("rsi") std::mem::size_of_val(mask),
+            in("rdx") mask.as_mut_ptr(),
             lateout("rcx") _,
             lateout("r11") _,
             options(nostack),
         );
     }
-    ret == 0
+    ret
 }
 
 #[cfg(all(target_os = "linux", target_arch = "aarch64"))]
-fn pin_syscall(cpu: usize) -> bool {
-    let mut mask = [0u64; 16];
-    mask[cpu / 64] = 1u64 << (cpu % 64);
+fn affinity_syscall(set: bool, mask: &mut [u64; 16]) -> isize {
+    let nr: usize = if set { 122 } else { 123 };
     let ret: isize;
     // SAFETY: as above; aarch64 passes the syscall number in x8.
     unsafe {
         std::arch::asm!(
             "svc #0",
             inlateout("x0") 0usize => ret,
-            in("x1") std::mem::size_of_val(&mask),
-            in("x2") mask.as_ptr(),
-            in("x8") 122usize, // __NR_sched_setaffinity
+            in("x1") std::mem::size_of_val(mask),
+            in("x2") mask.as_mut_ptr(),
+            in("x8") nr,
             options(nostack),
         );
     }
-    ret == 0
+    ret
 }
 
 #[cfg(not(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
-fn pin_syscall(_cpu: usize) -> bool {
-    false
+fn affinity_syscall(_set: bool, _mask: &mut [u64; 16]) -> isize {
+    -1
 }
 
 /// Builds the full exchange mesh for `ns` shards:
@@ -448,6 +470,47 @@ pub fn copy_mesh<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Positions count within the mask, not from CPU 0: a mask of CPUs
+    /// {2, 5, 70} puts member 0 on 2, 1 on 5, 2 on 70 and wraps.
+    #[test]
+    fn nth_cpu_counts_within_the_mask() {
+        let mut mask = [0u64; 16];
+        for cpu in [2, 5, 70] {
+            mask[cpu / 64] |= 1 << (cpu % 64);
+        }
+        let picked: Vec<_> = (0..5).map(|k| nth_cpu(&mask, k)).collect();
+        assert_eq!(picked, [Some(2), Some(5), Some(70), Some(2), Some(5)]);
+        assert_eq!(nth_cpu(&[0u64; 16], 0), None);
+    }
+
+    /// A pinned thread may run on exactly one CPU, and that CPU is in
+    /// the mask it had before.
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn pinning_stays_inside_the_affinity_mask() {
+        std::thread::spawn(|| {
+            let mut before = [0u64; 16];
+            assert!(affinity_syscall(false, &mut before) > 0);
+            let allowed: u32 = before.iter().map(|w| w.count_ones()).sum();
+            for k in 0..allowed as usize + 1 {
+                assert!(pin_thread_to_core(k), "pinning to position {k} failed");
+                let mut after = [0u64; 16];
+                assert!(affinity_syscall(false, &mut after) > 0);
+                let cpu = nth_cpu(&before, k).unwrap();
+                assert_eq!(after.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
+                assert_eq!((after[cpu / 64] >> (cpu % 64)) & 1, 1, "not on CPU {cpu}");
+                // Widen again, so the next position is chosen from the
+                // original mask.
+                assert_eq!(affinity_syscall(true, &mut before.clone()), 0);
+            }
+        })
+        .join()
+        .unwrap();
+    }
 
     #[test]
     fn fifo_through_wraparound() {

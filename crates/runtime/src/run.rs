@@ -60,8 +60,9 @@ impl<S, H> Compiled<S, H> {
 /// Options of one SPMD-family run. `RunOptions::default()` is a plain
 /// run: tracing off, declared initial scalars, no resilience (unless
 /// `REGENT_FAULT_SEED` / `REGENT_CORRUPT` arm the CI smoke upgrade),
-/// and the process's hang timeout and pinning
-/// ([`config::process`]) — a run that wants others sets the field.
+/// and the process's hang timeout ([`config::process`]) — a run that
+/// wants another sets the field. Shards always run on the team's
+/// resident members, each pinned to one CPU.
 #[derive(Clone)]
 pub struct RunOptions {
     /// Event recorder: shard `s` records on track `shard-s`, the log
@@ -77,8 +78,6 @@ pub struct RunOptions {
     /// How long a blocking wait of this run's team may stall before it
     /// panics with a "likely deadlock" diagnostic.
     pub hang_timeout: Duration,
-    /// Pin shard thread `s` to core `s` (modulo the machine's).
-    pub pin_cores: bool,
 }
 
 impl Default for RunOptions {
@@ -89,7 +88,6 @@ impl Default for RunOptions {
             initial_env: None,
             resilience: None,
             hang_timeout: env.hang_timeout,
-            pin_cores: env.pin_cores,
         }
     }
 }
@@ -115,7 +113,6 @@ impl RunOptions {
             initial_env: self.initial_env.as_deref(),
             resilience: self.resilience.as_ref(),
             hang_timeout: self.hang_timeout,
-            pin_cores: self.pin_cores,
             smoke: config::process().smoke.as_ref(),
         }
     }
@@ -130,7 +127,6 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) initial_env: Option<&'a [f64]>,
     pub(crate) resilience: Option<&'a ResilienceOptions>,
     pub(crate) hang_timeout: Duration,
-    pub(crate) pin_cores: bool,
     /// The CI fault smoke a run without `resilience` is upgraded by.
     pub(crate) smoke: Option<&'a Smoke>,
 }

@@ -263,7 +263,7 @@ pub(crate) struct ShardExec<'a> {
     /// Event recorder for this shard's track.
     pub(crate) tb: TraceBuf,
     /// Always-on metrics recorder for this shard (merged into the
-    /// global registry when the shard thread finishes).
+    /// global registry when the shard's job finishes).
     pub(crate) mx: MetricsHandle,
     /// Dynamic launch sequence number. Control flow is replicated, so
     /// every shard assigns the same number to the same logical launch —

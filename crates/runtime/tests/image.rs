@@ -128,7 +128,8 @@ fn panic_text(e: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// The pool's accounting over plain runs: built once per shard, reused
-/// by every later run, filled and flushed once per shard per run.
+/// by every later run, filled and flushed once per shard per run — and
+/// the team's: one member wake-up per shard per run, one join per run.
 #[test]
 fn images_are_built_once_and_reused() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -138,12 +139,15 @@ fn images_are_built_once_and_reused() {
     let (builds, reuses) = (counter(Counter::ImageBuilds), counter(Counter::ImageReuses));
     let timers = || {
         let all = metrics::global().aggregate();
-        (
-            all.timer(Timer::ImageFillNs).count,
-            all.timer(Timer::ImageFlushNs).count,
-        )
+        [
+            Timer::ImageFillNs,
+            Timer::ImageFlushNs,
+            Timer::TeamWakeNs,
+            Timer::TeamJoinNs,
+        ]
+        .map(|t| all.timer(t).count)
     };
-    let (fills, flushes) = timers();
+    let before = timers();
     let first = digest(&spmd, program(&mode).1);
     assert_eq!(spmd.idle_images(), SHARDS);
     for _ in 0..3 {
@@ -153,9 +157,13 @@ fn images_are_built_once_and_reused() {
     if metrics::global().is_enabled() {
         assert_eq!(counter(Counter::ImageBuilds) - builds, SHARDS as u64);
         assert_eq!(counter(Counter::ImageReuses) - reuses, 3 * SHARDS as u64);
-        let (fills_now, flushes_now) = timers();
-        assert_eq!(fills_now - fills, 4 * SHARDS as u64);
-        assert_eq!(flushes_now - flushes, 4 * SHARDS as u64);
+        let after = timers();
+        let runs = 4;
+        let [fills, flushes, wakes, joins] = [0, 1, 2, 3].map(|i| after[i] - before[i]);
+        assert_eq!(fills, runs * SHARDS as u64);
+        assert_eq!(flushes, runs * SHARDS as u64);
+        assert_eq!(wakes, runs * SHARDS as u64);
+        assert_eq!(joins, runs);
     }
 }
 

@@ -200,9 +200,10 @@ fn surface() {
     assert_none("adapter forwarders used inside the workspace", forwarders);
 }
 
-/// A blocked SPMD-family thread, implicit worker or draining control
-/// thread waits through `runtime/src/wait.rs` (spin briefly, then park)
-/// and nowhere else. Fails when a sleep or yield loop, or the old
+/// A blocked SPMD-family thread, implicit worker, draining control
+/// thread or idle team member (the member loop and the caller's join,
+/// both in `team.rs`) waits through `runtime/src/wait.rs` (spin
+/// briefly, then park) and nowhere else. Fails when a sleep or yield loop, or the old
 /// `Backoff`, comes back into the non-test part of the files that wait.
 #[test]
 fn no_polling() {
@@ -222,6 +223,27 @@ fn no_polling() {
                 .iter()
                 .any(|p| line.contains(p))
         }),
+    );
+}
+
+/// Shards, the log sequencer and implicit workers run on the resident
+/// members of `runtime/src/team.rs`, the one place the runtime creates
+/// threads. Fails when `thread::scope`, `thread::spawn` or
+/// `thread::Builder` appears in the non-test part of any other
+/// `crates/runtime/src` file.
+#[test]
+fn one_team() {
+    let found = scan(&["crates/runtime/src"], true, |line| {
+        ["thread::scope", "thread::spawn", "thread::Builder"]
+            .iter()
+            .any(|p| line.contains(p))
+    });
+    assert_none(
+        "a thread is created outside the team",
+        found
+            .into_iter()
+            .filter(|h| !h.starts_with("crates/runtime/src/team.rs:"))
+            .collect(),
     );
 }
 
@@ -358,7 +380,7 @@ fn env_at_the_edge() {
         .collect(),
     );
 
-    const GONE: [&str; 27] = [
+    const GONE: [&str; 28] = [
         "REGENT_KILL_SEED",
         "REGENT_FAILOVER_MAX",
         "REGENT_LOG_REPLICAS",
@@ -377,7 +399,10 @@ fn env_at_the_edge() {
         "REGENT_METRICS_ADDR",
         "REGENT_KILL",
         "REGENT_FAILOVER",
-        "pin_cores_enabled",
+        "REGENT_PIN_CORES",
+        // `RunOptions::pin_cores`, `EnvConfig::pin_cores` and the older
+        // `pin_cores_enabled` reader.
+        "pin_cores",
         "replicas_from_env",
         "batch_limit_from_env",
         "seed_from_env",
