@@ -133,8 +133,7 @@ pub(crate) fn run_team(
     let mut results: Vec<Option<(Vec<f64>, ShardStats, ShardImage)>> =
         (0..ns).map(|_| None).collect();
 
-    let (schedule_ref, collective_ref, barrier_ref, body) =
-        (&*schedule, &collective, &barrier, &body);
+    let (schedule, collective, barrier, body) = (&*schedule, &collective, &barrier, &body);
     let store_ref: &Store = store;
     let mut jobs: Vec<TeamJob<'_>> = Vec::with_capacity(ns + 1);
     // Each shard takes ownership of exactly its sender row: when a
@@ -149,19 +148,19 @@ pub(crate) fn run_team(
             // barrier or collective unwind with a diagnostic rather
             // than deadlocking.
             let _guard = PanicGuard {
-                barrier: barrier_ref,
-                collective: collective_ref,
+                barrier,
+                collective,
                 shard: shard as u32,
                 board: resilience.and_then(|o| o.board.clone()),
             };
             let mut exec = ShardExec::new(
                 spmd,
-                schedule_ref,
+                schedule,
                 shard,
                 store_ref,
                 initial_env.to_vec(),
                 (tx_row, rx_row),
-                (collective_ref, barrier_ref),
+                (collective, barrier),
                 ctx.tracer,
                 resilience,
                 ctx.hang_timeout,
@@ -182,8 +181,8 @@ pub(crate) fn run_team(
             // unwinds. It is not a shard, so it never self-blames on a
             // death board.
             let _guard = PanicGuard {
-                barrier: barrier_ref,
-                collective: collective_ref,
+                barrier,
+                collective,
                 shard: u32::MAX,
                 board: None,
             };
