@@ -15,7 +15,7 @@
 //! "The input for this problem was a randomly generated sparse graph
 //! with 100k edges and 25k vertices per compute node."
 
-use crate::rng::SplitMix64;
+use regent_fault::SplitMix64;
 use regent_geometry::{Domain, DynPoint};
 use regent_ir::{expr::c, Privilege, Program, ProgramBuilder, RegionArg, RegionParam, TaskDecl};
 use regent_machine::{CopyEdge, MachineConfig, PhaseSpec, TimestepSpec};

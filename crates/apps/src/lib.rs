@@ -24,5 +24,4 @@
 pub mod circuit;
 pub mod miniaero;
 pub mod pennant;
-pub mod rng;
 pub mod stencil;

@@ -13,9 +13,9 @@ use common::{
     compare_roots, forest, mk_circuit, mk_miniaero, mk_pennant, mk_stencil, num_shards, replicated,
     Owned, Strategy,
 };
-use regent_apps::rng::SplitMix64;
 use regent_apps::{circuit, stencil};
 use regent_cr::{InstKey, ShardImage};
+use regent_fault::SplitMix64;
 use regent_ir::{interp, Program, Store};
 use regent_region::{ColumnData, FieldType, Instance, RegionForest};
 use regent_runtime::{

@@ -26,6 +26,9 @@
 //! * **[`FaultStats`]** — what actually happened (losses, retries,
 //!   crashes, corruptions, replayed epochs), accumulated by the
 //!   consumers and surfaced in `SimResult` / bench output.
+//! * **[`SplitMix64`]** — the workspace's one seeded stream, on the
+//!   same mix as the fault hashes: Circuit's random graphs and the
+//!   test suites' random inputs are drawn from it.
 //!
 //! Determinism is the whole point: the test suites assert that a run
 //! under an active fault plan is reproducible (same seed ⇒ same
@@ -483,9 +486,12 @@ impl FaultStats {
     }
 }
 
+/// The Weyl increment of [`splitmix64`] and [`SplitMix64`].
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64 — the workspace's standard dependency-free mixer.
 pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = z.wrapping_add(GOLDEN);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -494,6 +500,56 @@ pub fn splitmix64(mut z: u64) -> u64 {
 /// Uniform in `[0, 1)` from a hash.
 fn unit_f64(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// The SplitMix64 stream (Steele, Lea & Flood 2014): a Weyl sequence
+/// through the [`splitmix64`] mix. It generates every seeded input in
+/// the workspace — Circuit graphs and the test suites' random cases —
+/// with no external crate, and the sequence is fixed forever, so
+/// generated inputs are stable across toolchains and platforms.
+#[derive(Clone, Debug)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// Creates a generator from a seed. Equal seeds give equal
+    /// sequences.
+    pub fn new(seed: u64) -> Self {
+        SplitMix64 { state: seed }
+    }
+
+    /// Next raw 64-bit output.
+    pub fn next_u64(&mut self) -> u64 {
+        let z = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN);
+        z
+    }
+
+    /// Uniform draw from `[0, 1)` with 53 bits of precision.
+    pub fn next_f64(&mut self) -> f64 {
+        unit_f64(self.next_u64())
+    }
+
+    /// Uniform integer from `[0, bound)` (`bound > 0`). Uses Lemire's
+    /// multiply-then-check rejection, so the draw is exactly uniform.
+    pub fn gen_range(&mut self, bound: u64) -> u64 {
+        assert!(bound > 0, "gen_range bound must be positive");
+        loop {
+            let x = self.next_u64();
+            let m = (x as u128) * (bound as u128);
+            let lo = m as u64;
+            if lo >= bound || lo >= (bound.wrapping_neg() % bound) {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    /// Bernoulli draw: `true` with probability `p` (clamped to
+    /// `[0, 1]`).
+    pub fn gen_bool(&mut self, p: f64) -> bool {
+        self.next_f64() < p
+    }
 }
 
 /// Why a shard left the membership. Carried through barrier poisoning
@@ -969,5 +1025,51 @@ mod tests {
         assert_eq!(a.messages_lost, 5);
         assert_eq!(a.retries, 2);
         assert_eq!(a.total_backoff_s, 0.5);
+    }
+
+    #[test]
+    fn matches_reference_vectors() {
+        // Reference sequence for seed 1234567 from the canonical C
+        // implementation (Vigna, prng.di.unimi.it/splitmix64.c).
+        let mut r = SplitMix64::new(1234567);
+        assert_eq!(r.next_u64(), 6457827717110365317);
+        assert_eq!(r.next_u64(), 3203168211198807973);
+        assert_eq!(r.next_u64(), 9817491932198370423);
+    }
+
+    #[test]
+    fn deterministic_across_instances() {
+        let mut a = SplitMix64::new(42);
+        let mut b = SplitMix64::new(42);
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn range_is_in_bounds_and_covers() {
+        let mut r = SplitMix64::new(7);
+        let mut seen = [false; 10];
+        for _ in 0..1000 {
+            let v = r.gen_range(10) as usize;
+            assert!(v < 10);
+            seen[v] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "all residues reached");
+    }
+
+    #[test]
+    fn f64_in_unit_interval_and_bool_frequency() {
+        let mut r = SplitMix64::new(99);
+        let mut hits = 0u32;
+        for _ in 0..10_000 {
+            let f = r.next_f64();
+            assert!((0.0..1.0).contains(&f));
+            if r.gen_bool(0.25) {
+                hits += 1;
+            }
+        }
+        // 4 sigma around 2500 for n=10k, p=.25 is about ±173.
+        assert!((2300..=2700).contains(&hits), "hits = {hits}");
     }
 }

@@ -1171,6 +1171,7 @@ mod tests {
     use super::*;
     use crate::field::FieldSpace;
     use crate::view::ReadWrite;
+    use regent_fault::SplitMix64;
 
     fn fs() -> FieldSpace {
         FieldSpace::of(&[("x", FieldType::F64), ("ptr", FieldType::I64)])
@@ -1361,28 +1362,19 @@ mod tests {
         assert!(empty.verify_seal());
     }
 
-    /// SplitMix64 step.
-    fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     #[test]
     fn span_layout_and_bisection_agree_inside_and_outside() {
-        let mut rng = 0xd1_4ec7u64;
+        let mut rng = SplitMix64::new(0xd1_4ec7);
         let (mut over_span, mut packed) = (0, 0);
         for round in 0..120u64 {
             // Densities from 1 id in 40 (far sparser than the span
             // layout's bound) to 1 in 2, over spans of a few hundred ids
             // that do not start at zero.
             let keep_one_in = [40, 16, 9, 6, 3, 2][round as usize % 6];
-            let lo = (next(&mut rng) % 1000) as i64 - 500;
-            let span = 50 + (next(&mut rng) % 400) as i64;
+            let lo = (rng.next_u64() % 1000) as i64 - 500;
+            let span = 50 + (rng.next_u64() % 400) as i64;
             let mut ids: Vec<i64> = (lo..lo + span)
-                .filter(|_| next(&mut rng).is_multiple_of(keep_one_in))
+                .filter(|_| rng.next_u64().is_multiple_of(keep_one_in))
                 .collect();
             ids.extend([lo, lo + span - 1]);
             let dom = Domain::from_ids(ids);
@@ -1439,9 +1431,9 @@ mod tests {
         assert_eq!((inst.len(), inst.column(x).len()), (4, 9));
         inst.seal();
         let mut hit = [0u32; 9];
-        let mut rng = 0xf1_1b5u64;
+        let mut rng = SplitMix64::new(0xf1_1b5);
         for _ in 0..2000 {
-            let entropy = next(&mut rng);
+            let entropy = rng.next_u64();
             let mut victim = inst.clone();
             assert!(victim.corrupt_bit_silently(entropy));
             assert!(!victim.verify_seal());
@@ -1468,9 +1460,9 @@ mod tests {
         assert_eq!((inst.len(), inst.column(x).len()), (12, 16));
         inst.seal();
         let mut hit = [0u32; 16];
-        let mut rng = 0xc0_4e55u64;
+        let mut rng = SplitMix64::new(0xc0_4e55);
         for _ in 0..2000 {
-            let entropy = next(&mut rng);
+            let entropy = rng.next_u64();
             let mut victim = inst.clone();
             assert!(victim.corrupt_bit_silently(entropy));
             assert!(!victim.verify_seal());

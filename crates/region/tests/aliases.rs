@@ -5,8 +5,8 @@
 //! nested disjoint and aliased partitions, empty subregions) and on the
 //! forests of the four evaluation apps.
 
-use regent_apps::rng::SplitMix64;
 use regent_apps::{circuit, miniaero, pennant, stencil};
+use regent_fault::SplitMix64;
 use regent_geometry::{Domain, DynPoint, DynRect};
 use regent_region::{Color, Disjointness, FieldSpace, PartitionId, RegionForest, RegionId};
 

@@ -6,35 +6,30 @@
 //! memoized `CopyRuns` must copy what `copy_fields` copies — into
 //! instances it was not computed from, in both directions.
 
+use regent_fault::SplitMix64;
 use regent_geometry::{Domain, DynPoint, DynRect};
 use regent_region::{
     copy_fields, reduce_fields, CopyRuns, DomainIndexer, FieldId, FieldSpace, FieldType, Instance,
     ReductionOp,
 };
 
-/// SplitMix64 step.
-fn next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A sparse 1-D id set: each id of `[0, span)` kept with probability
 /// `keep`/8, so runs of every length from 1 up occur.
-fn sparse_ids(rng: &mut u64, span: i64, keep: u64) -> Domain {
-    Domain::from_ids((0..span).filter(|_| next(rng) % 8 < keep))
+fn sparse_ids(rng: &mut SplitMix64, span: i64, keep: u64) -> Domain {
+    Domain::from_ids((0..span).filter(|_| rng.next_u64() % 8 < keep))
 }
 
 /// A union of a few random (possibly overlapping) 2-D rectangles, so
 /// the normalized domain has several rectangles of differing row
 /// lengths.
-fn multi_rect_2d(rng: &mut u64) -> Domain {
-    let n = 1 + next(rng) % 5;
+fn multi_rect_2d(rng: &mut SplitMix64) -> Domain {
+    let n = 1 + rng.next_u64() % 5;
     Domain::from_rects((0..n).map(|_| {
-        let (x, y) = ((next(rng) % 24) as i64, (next(rng) % 24) as i64);
-        let (w, h) = ((1 + next(rng) % 9) as i64, (1 + next(rng) % 9) as i64);
+        let (x, y) = ((rng.next_u64() % 24) as i64, (rng.next_u64() % 24) as i64);
+        let (w, h) = (
+            (1 + rng.next_u64() % 9) as i64,
+            (1 + rng.next_u64() % 9) as i64,
+        );
         DynRect::new(
             DynPoint::new(&[x, y]),
             DynPoint::new(&[x + w - 1, y + h - 1]),
@@ -45,7 +40,7 @@ fn multi_rect_2d(rng: &mut u64) -> Domain {
 /// `(src domain, dst domain)` cases: sparse 1-D sets of several
 /// densities, then multi-rectangle 2-D domains.
 fn cases() -> Vec<(Domain, Domain)> {
-    let mut rng = 0x5eed_0012u64;
+    let mut rng = SplitMix64::new(0x5eed_0012);
     let mut out = Vec::new();
     for round in 0..40 {
         let keep = 1 + round % 7;
@@ -147,11 +142,11 @@ fn fields() -> (FieldSpace, FieldId, FieldId) {
 
 /// An instance over `dom` with every cell of both fields set from the
 /// generator.
-fn filled(dom: &Domain, fs: &FieldSpace, v: FieldId, k: FieldId, rng: &mut u64) -> Instance {
+fn filled(dom: &Domain, fs: &FieldSpace, v: FieldId, k: FieldId, rng: &mut SplitMix64) -> Instance {
     let mut inst = Instance::new(dom.clone(), fs);
     for p in dom.iter() {
-        inst.write_f64(v, p, (next(rng) % 1000) as f64 / 8.0);
-        inst.write_i64(k, p, (next(rng) % 1000) as i64 - 500);
+        inst.write_f64(v, p, (rng.next_u64() % 1000) as f64 / 8.0);
+        inst.write_i64(k, p, (rng.next_u64() % 1000) as i64 - 500);
     }
     inst
 }
@@ -159,7 +154,7 @@ fn filled(dom: &Domain, fs: &FieldSpace, v: FieldId, k: FieldId, rng: &mut u64) 
 #[test]
 fn run_wise_copy_equals_per_point_copy() {
     let (fs, v, k) = fields();
-    let mut rng = 0x00c0_b1e5u64;
+    let mut rng = SplitMix64::new(0x00c0_b1e5);
     for (a, b) in cases() {
         let elements = a.intersect(&b);
         let src = filled(&a, &fs, v, k, &mut rng);
@@ -186,7 +181,7 @@ fn run_wise_copy_equals_per_point_copy() {
 #[test]
 fn run_wise_reduce_equals_per_point_fold() {
     let (fs, v, k) = fields();
-    let mut rng = 0xf01d_u64;
+    let mut rng = SplitMix64::new(0xf01d);
     for (i, (a, b)) in cases().into_iter().enumerate() {
         let op = [
             ReductionOp::Add,
@@ -227,7 +222,7 @@ fn run_wise_reduce_equals_per_point_fold() {
 #[test]
 fn memoized_runs_copy_what_copy_fields_copies_both_ways() {
     let (fs, v, k) = fields();
-    let mut rng = 0x1a9e_5eedu64;
+    let mut rng = SplitMix64::new(0x1a9e_5eed);
     let mut multi_run = 0;
     for (root_dom, b) in cases() {
         let sub_dom = root_dom.intersect(&b);

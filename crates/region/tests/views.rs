@@ -13,21 +13,13 @@
 //! profile, and views of one instance must alias the way region
 //! arguments do.
 
+use regent_fault::SplitMix64;
 use regent_geometry::{Domain, DynPoint, DynRect};
 use regent_region::{
     DomainIndexer, FieldId, FieldSpace, FieldType, FieldView, Instance, Read, ReadWrite, Reduce,
     ReductionOp, Rows, Run,
 };
 use std::collections::HashSet;
-
-/// SplitMix64 step.
-fn next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 fn rect(lo: &[i64], hi: &[i64]) -> DynRect {
     DynRect::new(DynPoint::new(lo), DynPoint::new(hi))
@@ -44,9 +36,9 @@ fn stencil_halo(lo: i64, hi: i64, r: i64) -> Domain {
 
 /// Every layout, each with the name the failure messages print.
 fn layouts() -> Vec<(&'static str, Domain)> {
-    let mut rng = 0x5eed_0014u64;
-    let sparse = |rng: &mut u64, span: i64, keep: u64| {
-        Domain::from_ids((0..span).filter(|_| next(rng) % 8 < keep))
+    let mut rng = SplitMix64::new(0x5eed_0014);
+    let sparse = |rng: &mut SplitMix64, span: i64, keep: u64| {
+        Domain::from_ids((0..span).filter(|_| rng.next_u64() % 8 < keep))
     };
     let out = vec![
         ("dense 1-D", Domain::from_rect(DynRect::span(-7, 90))),
@@ -114,7 +106,7 @@ fn fold_by_coords(v: &FieldView<'_, f64, Reduce>, p: DynPoint, x: f64) {
 #[test]
 fn views_address_the_elements_the_point_methods_address() {
     let (fs, a, b, n) = fields();
-    let mut rng = 0x5eed_1400u64;
+    let mut rng = SplitMix64::new(0x5eed_1400);
     for (name, dom) in layouts() {
         // `by_point` is driven through the per-point methods, `by_view`
         // through views, with the same values in the same order.
@@ -132,9 +124,9 @@ fn views_address_the_elements_the_point_methods_address() {
             )
         };
         for _ in 0..4 * points.len() {
-            let p = points[(next(&mut rng) % points.len() as u64) as usize];
-            let x = (next(&mut rng) % 1000) as f64 / 8.0;
-            match next(&mut rng) % 4 {
+            let p = points[(rng.next_u64() % points.len() as u64) as usize];
+            let x = (rng.next_u64() % 1000) as f64 / 8.0;
+            match rng.next_u64() % 4 {
                 0 => {
                     by_point.write_f64(a, p, x);
                     set_by_coords(&va, p, x);
@@ -145,7 +137,7 @@ fn views_address_the_elements_the_point_methods_address() {
                 }
                 2 => {
                     by_point.reduce_f64(b, p, ReductionOp::Add, x);
-                    if next(&mut rng).is_multiple_of(2) {
+                    if rng.next_u64().is_multiple_of(2) {
                         fold_by_coords(&vb, p, x);
                     } else {
                         vb.fold(p, x);
@@ -312,11 +304,11 @@ const RATIOS: [(f64, bool); 6] = [
 /// A sparse 1-D domain of `n` ids whose span is `ratio · n` ids, not
 /// starting at zero: both ends of the span and `n − 2` ids drawn between
 /// them without replacement.
-fn at_ratio(rng: &mut u64, n: usize, ratio: f64) -> Domain {
+fn at_ratio(rng: &mut SplitMix64, n: usize, ratio: f64) -> Domain {
     let span = (n as f64 * ratio).round() as i64;
     let mut inner: Vec<i64> = (1..span - 1).collect();
     for k in 0..n - 2 {
-        let j = k + (next(rng) % (inner.len() - k) as u64) as usize;
+        let j = k + (rng.next_u64() % (inner.len() - k) as u64) as usize;
         inner.swap(k, j);
     }
     let ids = inner[..n - 2].iter().copied().chain([0, span - 1]);
@@ -328,7 +320,7 @@ fn at_ratio(rng: &mut u64, n: usize, ratio: f64) -> Domain {
 /// The sparse cases, one per ratio, each checked to have the layout its
 /// ratio calls for.
 fn sparse_cases() -> Vec<(f64, Domain)> {
-    let mut rng = 0x5eed_0027u64;
+    let mut rng = SplitMix64::new(0x5eed_0027);
     RATIOS
         .iter()
         .map(|&(ratio, spanned)| {
@@ -347,7 +339,7 @@ fn sparse_cases() -> Vec<(f64, Domain)> {
 #[test]
 fn sparse_layouts_address_what_the_point_methods_address() {
     let (fs, a, b, n) = fields();
-    let mut rng = 0x5eed_2700u64;
+    let mut rng = SplitMix64::new(0x5eed_2700);
     for (ratio, dom) in sparse_cases() {
         let mut by_point = Instance::new(dom.clone(), &fs);
         let mut by_view = Instance::new(dom.clone(), &fs);
@@ -364,10 +356,10 @@ fn sparse_layouts_address_what_the_point_methods_address() {
             )
         };
         for _ in 0..8 * ids.len() {
-            let i = ids[(next(&mut rng) % ids.len() as u64) as usize];
+            let i = ids[(rng.next_u64() % ids.len() as u64) as usize];
             let p = DynPoint::from(i);
-            let x = (next(&mut rng) % 1000) as f64 / 8.0;
-            match next(&mut rng) % 3 {
+            let x = (rng.next_u64() % 1000) as f64 / 8.0;
+            match rng.next_u64() % 3 {
                 0 => {
                     by_point.write_f64(a, p, x);
                     va.set1(i, x);
@@ -398,7 +390,7 @@ fn sparse_layouts_address_what_the_point_methods_address() {
 
 #[test]
 fn sparse_offsets_are_distinct_and_only_on_members() {
-    let mut rng = 0x5eed_2701u64;
+    let mut rng = SplitMix64::new(0x5eed_2701);
     for (ratio, dom) in sparse_cases() {
         let ix = DomainIndexer::new(&dom);
         let bounds = dom.bounds();
@@ -422,7 +414,7 @@ fn sparse_offsets_are_distinct_and_only_on_members() {
         let subset = Domain::from_ids(
             dom.iter()
                 .map(|p| p.coord(0))
-                .filter(|_| next(&mut rng).is_multiple_of(2)),
+                .filter(|_| rng.next_u64().is_multiple_of(2)),
         );
         for elements in [&dom, &subset] {
             let per_point: Vec<u32> = elements
@@ -652,7 +644,7 @@ fn around(dom: &Domain) -> Domain {
 #[test]
 fn crosses_index_what_per_point_lookups_index() {
     let (fs, a, ..) = fields();
-    let mut rng = 0x5eed_3300u64;
+    let mut rng = SplitMix64::new(0x5eed_3300);
     for (name, dom) in crosses() {
         let mut inst = Instance::new(dom.clone(), &fs);
         for (k, p) in dom.iter().enumerate() {
@@ -673,7 +665,7 @@ fn crosses_index_what_per_point_lookups_index() {
         let widest = *dom.rects().iter().max_by_key(|r| r.volume()).unwrap();
         let subset = Domain::from_rects(
             dom.iter()
-                .filter(|_| next(&mut rng).is_multiple_of(3))
+                .filter(|_| rng.next_u64().is_multiple_of(3))
                 .map(|p| DynRect::new(p, p)),
         );
         let view = inst.view::<f64>(a);
@@ -715,7 +707,7 @@ fn crosses_index_what_per_point_lookups_index() {
 #[test]
 fn cross_views_address_what_the_point_methods_address() {
     let (fs, a, b, n) = fields();
-    let mut rng = 0x5eed_3301u64;
+    let mut rng = SplitMix64::new(0x5eed_3301);
     for (name, dom) in crosses() {
         let mut by_point = Instance::new(dom.clone(), &fs);
         let mut by_view = Instance::new(dom.clone(), &fs);
@@ -731,9 +723,9 @@ fn cross_views_address_what_the_point_methods_address() {
             )
         };
         for _ in 0..4 * points.len() {
-            let p = points[(next(&mut rng) % points.len() as u64) as usize];
-            let x = (next(&mut rng) % 1000) as f64 / 8.0;
-            match next(&mut rng) % 3 {
+            let p = points[(rng.next_u64() % points.len() as u64) as usize];
+            let x = (rng.next_u64() % 1000) as f64 / 8.0;
+            match rng.next_u64() % 3 {
                 0 => {
                     by_point.write_f64(a, p, x);
                     set_by_coords(&va, p, x);

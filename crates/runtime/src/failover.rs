@@ -339,7 +339,7 @@ impl Compiled<&mut SpmdProgram, &mut HybridProgram> {
     }
 }
 
-/// [`run`](crate::run) with live shard failover (see the module docs):
+/// [`run`](crate::run()) with live shard failover (see the module docs):
 /// shard losses up to the budget shrink the membership — of **every**
 /// replicated segment, since a dead thread stays dead for the rest of
 /// the job — and resume each segment from its last committed

@@ -172,7 +172,8 @@ fn assert_frame_bounds(label: &str, spmd: &SpmdProgram) {
 
 #[test]
 fn frame_bound_is_the_largest_statement() {
-    use regent_apps::{circuit, miniaero, pennant, rng::SplitMix64, stencil};
+    use regent_apps::{circuit, miniaero, pennant, stencil};
+    use regent_fault::SplitMix64;
     let stencil = stencil::stencil_program(stencil::StencilConfig {
         n: 40,
         ntx: 4,

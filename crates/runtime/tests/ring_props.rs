@@ -2,16 +2,17 @@
 //! ([`regent_runtime::ring`]) and the buffer pool
 //! ([`regent_runtime::ChunkPool`]).
 //!
-//! The deterministic half runs on every `cargo test`: wrap-around FIFO
-//! under a two-thread stress, full/empty boundary behavior, seal-on-
-//! panic drains, mesh pair isolation, and pool recycle-vs-fresh bit
-//! identity. The scenarios that wait on a full ring build theirs with
+//! The deterministic half: wrap-around FIFO under a two-thread stress,
+//! full/empty boundary behavior, seal-on-panic drains, mesh pair
+//! isolation, and pool recycle-vs-fresh bit identity. The scenarios that wait on a full ring build theirs with
 //! a small hang timeout ([`HANG_TIMEOUT`]).
 //!
 //! The property half (model-based interleavings against a `VecDeque`
-//! reference) is gated behind the `proptest-tests` cargo feature like
-//! the other property suites: proptest is not part of the offline
-//! dependency set.
+//! reference) draws its cases from the seeded runner in
+//! `tests/support/prop.rs`, like the other property suites.
+
+#[path = "../../../tests/support/prop.rs"]
+mod prop;
 
 use regent_runtime::{ring, ring_with_timeout, ChunkPool, SendError};
 use std::sync::mpsc::RecvTimeoutError;
@@ -221,111 +222,134 @@ fn pool_recycle_is_bit_identical_to_fresh() {
     assert_eq!(bi, fresh_ints, "i64 recycle is identical");
 }
 
-/// Model-based interleavings against a `VecDeque` reference, gated
-/// like every other property suite (proptest is not in the offline
-/// dependency set).
-#[cfg(feature = "proptest-tests")]
+/// Model-based interleavings against a `VecDeque` reference, on cases
+/// from the seeded runner in `tests/support/prop.rs`.
 mod props {
-    use proptest::prelude::*;
+    use super::prop::{self, Gen};
     use regent_runtime::ring;
     use std::collections::VecDeque;
     use std::time::Duration;
 
-    #[derive(Clone, Debug)]
+    /// Cases drawn per property.
+    const CASES: u64 = 256;
+
+    /// Seeds of past failures, replayed by every property first.
+    const REGRESSIONS: &[u64] = &[];
+
+    #[derive(Clone, Copy, Debug)]
     enum Op {
         Push(u32),
         Flush,
         Recv,
     }
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            3 => (0u32..10_000).prop_map(Op::Push),
-            1 => Just(Op::Flush),
-            3 => Just(Op::Recv),
-        ]
+    /// Push, flush and receive, weighted 3 : 1 : 3.
+    fn op(g: &mut Gen) -> Op {
+        match g.pick(&[0, 0, 0, 1, 2, 2, 2]) {
+            0 => Op::Push(g.range(0u32..10_000)),
+            1 => Op::Flush,
+            _ => Op::Recv,
+        }
     }
 
-    proptest! {
-        /// Arbitrary push/flush/recv schedules against a tiny ring:
-        /// the ring must agree with a capacity-bounded VecDeque model
-        /// at every step — published items drain FIFO, unflushed
-        /// pushes stay invisible, and wrap-around never loses or
-        /// duplicates a slot. Pushes that would overfill the model are
-        /// rewritten to receives so the test never sits out a
-        /// hang-timeout wait.
-        #[test]
-        fn ring_matches_vecdeque_model(
-            ops in prop::collection::vec(op_strategy(), 0..200),
-            cap_pow in 1u32..4, // capacity 2, 4, 8: wrap constantly
-        ) {
-            let cap = 1usize << cap_pow;
-            let (mut tx, mut rx) = ring::<u32>(cap);
-            let mut published: VecDeque<u32> = VecDeque::new();
-            let mut pending: VecDeque<u32> = VecDeque::new();
-            // Auto-flush bound of the implementation (see ring.rs).
-            const AUTO_FLUSH: usize = 32;
-            for op in ops {
-                let op = match op {
-                    // A push into a full ring would block for the hang
-                    // timeout; the model downgrades it to a receive.
-                    Op::Push(_) if published.len() + pending.len() == cap => Op::Recv,
-                    other => other,
-                };
-                match op {
-                    Op::Push(v) => {
-                        prop_assert!(tx.push(v).is_ok());
-                        pending.push_back(v);
-                        if pending.len() >= AUTO_FLUSH {
+    /// The ring's auto-flush bound, observed rather than restated: the
+    /// number of unflushed pushes after which a push becomes visible
+    /// on its own, in a ring too large to fill.
+    fn auto_flush_bound() -> usize {
+        let (mut tx, mut rx) = ring::<u32>(1024);
+        (1..=1024)
+            .find(|&n| {
+                tx.push(n as u32).expect("consumer alive");
+                rx.try_recv().is_some()
+            })
+            .expect("a ring publishes before its capacity is reached")
+    }
+
+    /// Arbitrary push/flush/recv schedules against a tiny ring: the
+    /// ring must agree with a capacity-bounded VecDeque model at every
+    /// step — published items drain FIFO, unflushed pushes stay
+    /// invisible, and wrap-around never loses or duplicates a slot.
+    /// Pushes that would overfill the model are rewritten to receives
+    /// so the test never sits out a hang-timeout wait.
+    #[test]
+    fn ring_matches_vecdeque_model() {
+        let auto_flush = auto_flush_bound();
+        prop::check(
+            "ring_matches_vecdeque_model",
+            CASES,
+            REGRESSIONS,
+            // Capacity 2, 4 or 8: wrap constantly.
+            |g| (g.vec(0..200, op), g.range(1u32..4)),
+            |&(ref ops, cap_pow)| {
+                let cap = 1usize << cap_pow;
+                let (mut tx, mut rx) = ring::<u32>(cap);
+                let mut published: VecDeque<u32> = VecDeque::new();
+                let mut pending: VecDeque<u32> = VecDeque::new();
+                for &op in ops {
+                    let op = match op {
+                        // A push into a full ring would block for the
+                        // hang timeout; the model downgrades it to a
+                        // receive.
+                        Op::Push(_) if published.len() + pending.len() == cap => Op::Recv,
+                        other => other,
+                    };
+                    match op {
+                        Op::Push(v) => {
+                            assert!(tx.push(v).is_ok());
+                            pending.push_back(v);
+                            if pending.len() >= auto_flush {
+                                published.append(&mut pending);
+                            }
+                        }
+                        Op::Flush => {
+                            tx.flush();
                             published.append(&mut pending);
                         }
-                    }
-                    Op::Flush => {
-                        tx.flush();
-                        published.append(&mut pending);
-                    }
-                    Op::Recv => {
-                        let expect = published.pop_front();
-                        let got = rx.try_recv();
-                        prop_assert_eq!(got, expect, "ring diverged from model");
+                        Op::Recv => {
+                            let expect = published.pop_front();
+                            let got = rx.try_recv();
+                            assert_eq!(got, expect, "ring diverged from model");
+                        }
                     }
                 }
-            }
-            // Drain: everything ever pushed must come out, in order.
-            tx.flush();
-            published.append(&mut pending);
-            while let Some(expect) = published.pop_front() {
-                prop_assert_eq!(rx.try_recv(), Some(expect));
-            }
-            prop_assert!(rx.try_recv().is_none());
-        }
+                // Drain: everything ever pushed must come out, in order.
+                tx.flush();
+                published.append(&mut pending);
+                while let Some(expect) = published.pop_front() {
+                    assert_eq!(rx.try_recv(), Some(expect));
+                }
+                assert!(rx.try_recv().is_none());
+            },
+        );
+    }
 
-        /// Seal-on-drop at an arbitrary published/pending split: the
-        /// consumer drains exactly the pushed prefix (drop publishes
-        /// the pending suffix) and then observes Disconnected.
-        #[test]
-        fn sender_drop_always_drains_then_disconnects(
-            n_published in 0usize..6,
-            n_pending in 0usize..6,
-        ) {
-            let (mut tx, mut rx) = ring::<u32>(16);
-            for i in 0..n_published {
-                tx.send(i as u32).unwrap();
-            }
-            for i in 0..n_pending {
-                tx.push((n_published + i) as u32).unwrap();
-            }
-            drop(tx);
-            for i in 0..(n_published + n_pending) {
-                prop_assert_eq!(
+    /// Seal-on-drop at an arbitrary published/pending split: the
+    /// consumer drains exactly the pushed prefix (drop publishes the
+    /// pending suffix) and then observes Disconnected.
+    #[test]
+    fn sender_drop_always_drains_then_disconnects() {
+        prop::check(
+            "sender_drop_always_drains_then_disconnects",
+            CASES,
+            REGRESSIONS,
+            |g| (g.range(0usize..6), g.range(0usize..6)),
+            |&(n_published, n_pending)| {
+                let (mut tx, mut rx) = ring::<u32>(16);
+                for i in 0..n_published {
+                    tx.send(i as u32).unwrap();
+                }
+                for i in 0..n_pending {
+                    tx.push((n_published + i) as u32).unwrap();
+                }
+                drop(tx);
+                for i in 0..(n_published + n_pending) {
+                    assert_eq!(rx.recv_timeout(Duration::from_millis(500)), Ok(i as u32));
+                }
+                assert!(matches!(
                     rx.recv_timeout(Duration::from_millis(500)),
-                    Ok(i as u32)
-                );
-            }
-            prop_assert!(matches!(
-                rx.recv_timeout(Duration::from_millis(500)),
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected)
-            ));
-        }
+                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected)
+                ));
+            },
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! Source lints: rules about what the tree may contain, checked by
 //! reading the sources. Each rule guards a deletion — a ladder of entry
 //! points, a polling wait, a per-run allocation, a second transport, a
-//! read of the environment below the edge — against growing back, including in the feature-gated files no
-//! offline build compiles and in the docs.
+//! read of the environment below the edge, an external test crate —
+//! against growing back, in the docs too.
 //!
 //! "Non-test part" of a file means everything before its first
 //! `#[cfg(test)]`.
@@ -521,6 +521,33 @@ fn one_trace_document() {
         "the trace document is written by one function, `export_chrome`:\n{}",
         writes.join("\n")
     );
+}
+
+/// Property suites run on the seeded runner in `tests/support/prop.rs`
+/// and compile in every build: the external property-test crate and
+/// the cargo feature that gated its suites are gone. Fails when either
+/// is named in the sources, a manifest, the docs, CI or the verify
+/// notes, or when a manifest declares a `[features]` table.
+#[test]
+fn one_runner() {
+    const GONE: [&str; 2] = ["proptest", "proptest-tests"];
+    let mut trees = TREE.to_vec();
+    trees.extend(["Cargo.toml", ".github", ".claude"]);
+    assert_none(
+        "the external property-test crate or its feature is back",
+        hits(&trees, |line| GONE.iter().any(|name| line.contains(name))),
+    );
+    let features: Vec<String> = hits(&["Cargo.toml", "crates"], |line| {
+        line.trim() == "[features]"
+    })
+    .into_iter()
+    .filter(|h| {
+        h.split(':')
+            .next()
+            .is_some_and(|rel| rel.ends_with("Cargo.toml"))
+    })
+    .collect();
+    assert_none("a manifest declares cargo features", features);
 }
 
 /// What the round's size target counts: every line of every

@@ -9,22 +9,36 @@
 //! programmer-specified partitions of the data, even though the
 //! partitions can be arbitrary" (§1).
 //!
-//! Gated behind the `proptest-tests` cargo feature: proptest is not
-//! part of the offline dependency set, so the default `cargo test`
-//! skips this file (see the workspace Cargo.toml for how to restore
-//! the dev-dependency).
+//! Every random program runs under each SPMD-family strategy (SPMD,
+//! shared-log, hybrid), each compiled program twice from fresh stores
+//! so the second run reuses the shards' parked images, and under the
+//! implicit executor with and without memoization. Cases come from the
+//! seeded runner in `tests/support/prop.rs`; a failure names its seed.
 
-#![cfg(feature = "proptest-tests")]
+#[path = "support/prop.rs"]
+mod prop;
 
-use control_replication::cr::{control_replicate, CrOptions, SyncMode};
+use control_replication::cr::{
+    control_replicate, replicate_ranges, CrOptions, HybridProgram, Segment, SpmdProgram, SyncMode,
+};
 use control_replication::geometry::{Domain, DynPoint};
 use control_replication::ir::{
     expr::c, interp, Privilege, Program, ProgramBuilder, RegionArg, RegionParam, Store, TaskDecl,
 };
-use control_replication::region::{ops, FieldSpace, FieldType, ReductionOp, RegionId};
-use control_replication::runtime::{run, Compiled, RunOptions};
-use proptest::prelude::*;
+use control_replication::region::{
+    ops, FieldSpace, FieldType, ReductionOp, RegionForest, RegionId,
+};
+use control_replication::runtime::{
+    execute_implicit, run, Compiled, ImplicitOptions, MemoCache, RunOptions,
+};
+use prop::Gen;
 use std::sync::Arc;
+
+/// Random programs drawn.
+const CASES: u64 = 24;
+
+/// Seeds of past failures, replayed first.
+const REGRESSIONS: &[u64] = &[];
 
 /// Parameters of a random program.
 #[derive(Debug, Clone)]
@@ -45,35 +59,22 @@ struct Params {
     skip_disjoint: bool,
 }
 
-fn arb_params() -> impl Strategy<Value = Params> {
-    (
-        16u64..80,
-        2usize..7,
-        1u64..4,
-        1i64..12,
-        0i64..32,
-        1i64..9,
-        0i64..16,
-        1usize..7,
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(
-            |(n, parts, steps, h_mul, h_off, s_mul, s_off, shards, bs, op, sd)| Params {
-                n,
-                parts,
-                steps,
-                h_mul,
-                h_off,
-                s_mul,
-                s_off,
-                shards,
-                barrier_sync: bs,
-                optimize_placement: op,
-                skip_disjoint: sd,
-            },
-        )
+impl Params {
+    fn draw(g: &mut Gen) -> Params {
+        Params {
+            n: g.range(16u64..80),
+            parts: g.range(2usize..7),
+            steps: g.range(1u64..4),
+            h_mul: g.range(1i64..12),
+            h_off: g.range(0i64..32),
+            s_mul: g.range(1i64..9),
+            s_off: g.range(0i64..16),
+            shards: g.range(1usize..7),
+            barrier_sync: g.bool(),
+            optimize_placement: g.bool(),
+            skip_disjoint: g.bool(),
+        }
+    }
 }
 
 /// Builds the random program: two region trees A and B.
@@ -209,65 +210,125 @@ fn regent_region_field(
     prog.forest.fields(r).lookup(name).unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        ..ProptestConfig::default()
-    })]
+/// A program built from `p` with its initial values, in a fresh store.
+fn fresh(p: &Params) -> (Program, Store) {
+    let prog = build(p);
+    let mut store = Store::new(&prog);
+    init(&prog, &mut store);
+    (prog, store)
+}
 
-    #[test]
-    fn cr_matches_sequential_on_random_programs(p in arb_params()) {
-        // Sequential reference.
-        let prog = build(&p);
-        let mut seq = Store::new(&prog);
-        init(&prog, &mut seq);
-        let (seq_env, _) = interp::run(&prog, &mut seq);
-
-        // Control replicated.
-        let prog2 = build(&p);
-        let mut crs = Store::new(&prog2);
-        init(&prog2, &mut crs);
-        let mut opts = CrOptions::new(p.shards);
-        opts.sync = if p.barrier_sync { SyncMode::Barrier } else { SyncMode::PointToPoint };
-        opts.optimize_placement = p.optimize_placement;
-        opts.skip_disjoint_pairs = p.skip_disjoint;
-        let spmd = control_replicate(prog2, &opts).expect("transform must succeed");
-        let result = run(Compiled::Spmd(&spmd), &mut crs, &RunOptions::default());
-        prop_assert_eq!(seq_env.clone(), result.env);
-
-        // The implicitly parallel executor must agree as well (it
-        // serializes reductions, so it is bit-identical to sequential).
-        let prog3 = build(&p);
-        let mut imp = Store::new(&prog3);
-        init(&prog3, &mut imp);
-        let (imp_env, _) = control_replication::runtime::execute_implicit(
-            &prog3,
-            &mut imp,
-            control_replication::runtime::ImplicitOptions::with_workers(
-                1 + (p.shards % 3),
-            ),
-        );
-        prop_assert_eq!(seq_env, imp_env);
-
-        for root in [RegionId(0), RegionId(1)] {
-            let a = seq.instance(&prog, root);
-            let b = crs.instance_in(&spmd.forest, root);
-            let c_imp = imp.instance(&prog3, root);
-            let fields = prog.forest.fields(root);
-            for (fid, def) in fields.iter() {
-                for q in prog.forest.domain(root).iter() {
-                    let x = a.read_f64(fid, q);
-                    let y = b.read_f64(fid, q);
-                    let scale = x.abs().max(y.abs()).max(1.0);
-                    prop_assert!(
-                        (x - y).abs() <= 1e-12 * scale,
-                        "{:?}.{} at {:?}: seq={} cr={} ({:?})",
-                        root, def.name, q, x, y, p
-                    );
-                    // Implicit executor: bit-identical.
-                    prop_assert_eq!(x, c_imp.read_f64(fid, q));
-                }
+/// Every field of both roots of `got` against the sequential `seq`,
+/// within `tol` relative to the larger magnitude (0: bit for bit).
+fn agrees(what: &str, seq: (&Program, &Store), got: (&RegionForest, &Store), tol: f64) {
+    let (prog, seq) = seq;
+    for root in [RegionId(0), RegionId(1)] {
+        let a = seq.instance(prog, root);
+        let b = got.1.instance_in(got.0, root);
+        for (fid, def) in prog.forest.fields(root).iter() {
+            for q in prog.forest.domain(root).iter() {
+                let (x, y) = (a.read_f64(fid, q), b.read_f64(fid, q));
+                let scale = x.abs().max(y.abs()).max(1.0);
+                assert!(
+                    (x - y).abs() <= tol * scale,
+                    "{what}: {root:?}.{} at {q:?}: seq={x} got={y}",
+                    def.name
+                );
             }
         }
     }
+}
+
+/// The replicated programs of a compiled one: the whole program, or
+/// the hybrid's replicated segments.
+fn replicated(compiled: &Compiled<SpmdProgram, HybridProgram>) -> Vec<&SpmdProgram> {
+    match compiled {
+        Compiled::Spmd(spmd) | Compiled::Log(spmd) => vec![spmd],
+        Compiled::Hybrid(hybrid) => hybrid
+            .segments
+            .iter()
+            .filter_map(|s| match s {
+                Segment::Replicated(spmd) => Some(spmd),
+                Segment::Sequential(_) => None,
+            })
+            .collect(),
+    }
+}
+
+#[test]
+fn cr_matches_sequential_on_random_programs() {
+    prop::check(
+        "cr_matches_sequential_on_random_programs",
+        CASES,
+        REGRESSIONS,
+        Params::draw,
+        |p| {
+            // Sequential reference.
+            let (prog, mut seq) = fresh(p);
+            let (seq_env, _) = interp::run(&prog, &mut seq);
+            let reference = (&prog, &seq);
+
+            // Control replicated, under each control source: SPMD
+            // reductions may reassociate (1e-12); the scalar environment
+            // is exact.
+            let mut opts = CrOptions::new(p.shards);
+            opts.sync = if p.barrier_sync {
+                SyncMode::Barrier
+            } else {
+                SyncMode::PointToPoint
+            };
+            opts.optimize_placement = p.optimize_placement;
+            opts.skip_disjoint_pairs = p.skip_disjoint;
+            let compile = |prog| control_replicate(prog, &opts).expect("transform must succeed");
+            let strategies: [(&str, Compiled<SpmdProgram, HybridProgram>); 3] = [
+                ("spmd", Compiled::Spmd(compile(build(p)))),
+                ("log", Compiled::Log(compile(build(p)))),
+                (
+                    "hybrid",
+                    Compiled::Hybrid(
+                        replicate_ranges(build(p), &opts).expect("transform must succeed"),
+                    ),
+                ),
+            ];
+            for (name, compiled) in &strategies {
+                let forest = match compiled {
+                    Compiled::Spmd(spmd) | Compiled::Log(spmd) => &spmd.forest,
+                    Compiled::Hybrid(hybrid) => &hybrid.base.forest,
+                };
+                // Twice, from fresh stores: the second run refills the
+                // images the first one parked.
+                for pass in ["first", "reused"] {
+                    let (_, mut store) = fresh(p);
+                    let result = run(compiled.as_ref(), &mut store, &RunOptions::default());
+                    let what = format!("{name} ({pass} run)");
+                    assert_eq!(seq_env, result.env, "{what}: env");
+                    agrees(&what, reference, (forest, &store), 1e-12);
+                }
+                for spmd in replicated(compiled) {
+                    assert_eq!(
+                        spmd.idle_images(),
+                        spmd.num_shards,
+                        "{name}: one image a shard"
+                    );
+                }
+            }
+
+            // The implicitly parallel executor must agree as well, with
+            // and without memoization (it serializes reductions, so it
+            // is bit-identical to sequential).
+            let workers = 1 + (p.shards % 3);
+            for (name, opts) in [
+                ("implicit", ImplicitOptions::with_workers(workers)),
+                (
+                    "memo",
+                    ImplicitOptions::with_workers(workers).with_memo(MemoCache::shared()),
+                ),
+            ] {
+                let (prog, mut store) = fresh(p);
+                let (env, _) = execute_implicit(&prog, &mut store, opts);
+                assert_eq!(seq_env, env, "{name}: env");
+                agrees(name, reference, (&prog.forest, &store), 0.0);
+            }
+        },
+    );
 }
