@@ -17,7 +17,7 @@ use regent_cr::{control_replicate, CrOptions, ForestOracle, SpmdProgram};
 use regent_ir::{Program, Store};
 use regent_region::FieldType;
 use regent_runtime::{run, Compiled, FaultPlan, ResilienceOptions, RunOptions, RunResult};
-use regent_trace::{integrity_summary, validate, Tracer};
+use regent_trace::{integrity_summary, validate, CorruptSite, EventKind, Tracer};
 
 /// Runs `mk`'s program fault-free and under corruption (traced),
 /// asserts bit-identical results and a coherent, Spy-certified trace,
@@ -226,5 +226,140 @@ fn pennant_survives_corruption() {
     };
     for seed in [33, 5] {
         assert_survives_corruption(mk, 3, seed, 0.15);
+    }
+}
+
+/// What a corrupted run fixes by its keys alone: per-shard
+/// `[injected, detected, repaired, escalated]`, and an FNV-1a digest
+/// over the shard tracks (in shard order) of every exchange identity —
+/// `(site, id, sub)` of each `CorruptDetected` / `CorruptRepaired` and
+/// `(copy, pair, seq)` of each `CopyIssue` / `CopyApply`.
+type ExchangeGolden = (Vec<[u64; 4]>, u64);
+
+fn exchange_golden(mk: impl Fn() -> (Program, Store), ns: usize, seed: u64) -> ExchangeGolden {
+    let (prog, mut store) = mk();
+    let spmd = control_replicate(prog, &CrOptions::new(ns)).unwrap();
+    let opts = ResilienceOptions {
+        checkpoint_interval: 2,
+        plan: FaultPlan::new(seed).with_corrupt_rate(0.05),
+        ..Default::default()
+    };
+    let tracer = Tracer::enabled();
+    let res = run(
+        Compiled::Spmd(&spmd),
+        &mut store,
+        &RunOptions::traced(&tracer).with_resilience(opts),
+    );
+    let counts = res
+        .per_shard
+        .iter()
+        .map(|s| {
+            [
+                s.corruptions_injected,
+                s.corruptions_detected,
+                s.corruptions_repaired,
+                s.corruptions_escalated,
+            ]
+        })
+        .collect();
+    let trace = tracer.take();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |word: u64| {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let site_code = |site: CorruptSite| match site {
+        CorruptSite::Exchange => 1,
+        CorruptSite::Resident => 2,
+        CorruptSite::Collective => 3,
+    };
+    for shard in 0..ns {
+        let track = trace
+            .track(&format!("shard-{shard}"))
+            .expect("every shard records a track");
+        mix(shard as u64);
+        for e in &track.events {
+            let (tag, a, b, c) = match e.kind {
+                EventKind::CorruptDetected { site, id, sub, .. } => (1, site_code(site), id, sub),
+                EventKind::CorruptRepaired { site, id, sub, .. } => (2, site_code(site), id, sub),
+                EventKind::CopyIssue {
+                    copy, pair, seq, ..
+                } => (3, copy, pair, seq),
+                EventKind::CopyApply {
+                    copy, pair, seq, ..
+                } => (4, copy, pair, seq),
+                _ => continue,
+            };
+            for w in [tag, a, b, c] {
+                mix(u64::from(w));
+            }
+        }
+    }
+    (counts, h)
+}
+
+/// The exchange's corruption keys and trace identities, pinned: under a
+/// fixed plan (explicit, so a process-wide fault smoke does not replace
+/// it), which payloads are corrupted and which `seq` every copy issue
+/// and apply carries depend only on the copy, pair and occurrence
+/// numbers the exchange derives. A change to how those are counted
+/// moves these constants.
+#[test]
+fn exchange_keys_and_identities_are_pinned() {
+    // Escalates a resident corruption in all three cases, so epochs
+    // replayed after a rollback are among the pinned copies.
+    const SEED: u64 = 32;
+    let stencil = || {
+        let cfg = stencil::StencilConfig {
+            n: 40,
+            ntx: 4,
+            nty: 2,
+            radius: 2,
+            steps: 5,
+        };
+        let (prog, h) = stencil::stencil_program(cfg);
+        let mut store = Store::new(&prog);
+        stencil::init_stencil(&prog, &mut store, &h);
+        (prog, store)
+    };
+    let circuit = || {
+        let cfg = circuit::CircuitConfig {
+            pieces: 6,
+            nodes_per_piece: 30,
+            wires_per_piece: 90,
+            cross_fraction: 0.12,
+            steps: 4,
+            substeps: 3,
+            seed: 42,
+        };
+        let g = circuit::generate_graph(&cfg);
+        let (prog, h) = circuit::circuit_program(cfg, &g);
+        let mut store = Store::new(&prog);
+        circuit::init_circuit(&prog, &mut store, &h, &g);
+        (prog, store)
+    };
+    let cases: [(&str, ExchangeGolden, ExchangeGolden); 3] = [
+        (
+            "stencil/2",
+            exchange_golden(stencil, 2, SEED),
+            (vec![[2, 4, 3, 1], [4, 2, 1, 1]], 12_803_298_317_407_869_636),
+        ),
+        (
+            "stencil/3",
+            exchange_golden(stencil, 3, SEED),
+            (
+                vec![[2, 3, 2, 1], [3, 5, 4, 0], [5, 2, 1, 1]],
+                15_913_550_676_361_332_156,
+            ),
+        ),
+        (
+            "circuit/2",
+            exchange_golden(circuit, 2, SEED),
+            (vec![[2, 6, 6, 0], [7, 3, 2, 1]], 13_289_395_176_061_506_439),
+        ),
+    ];
+    for (name, got, want) in cases {
+        assert_eq!(got, want, "{name}: exchange keys or identities moved");
     }
 }
