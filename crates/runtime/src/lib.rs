@@ -13,9 +13,10 @@
 //!   shard on resident, pinned member threads) and, with live failover, inside one membership-shrinking
 //!   loop ([`failover`]).
 //! * [`spmd_exec`] — the per-shard engine every strategy drives:
-//!   distributed per-shard instances, consumer-applied copy messages as
-//!   point-to-point synchronization (§3.4), and the integrity layer's
-//!   seals and framed exchanges.
+//!   distributed per-shard instances and the integrity layer's seals;
+//!   its copy statements run through `exchange` — consumer-applied copy
+//!   messages as point-to-point synchronization (§3.4), framed and
+//!   verified under the integrity layer.
 //! * `resilience` — the epoch-boundary protocol that engine runs
 //!   through: one `Checkpoint` per shard and boundary serves in-run
 //!   rollback, the supervisor's [`Rescue`] offer, a retry's resume and
@@ -67,6 +68,7 @@
 pub mod cancel;
 pub mod collective;
 pub mod config;
+mod exchange;
 pub mod failover;
 pub mod hybrid_exec;
 pub mod implicit;

@@ -195,7 +195,8 @@ pub enum Timer {
     TaskRunNs,
     /// Dependence-analysis time per task (implicit executor).
     DepAnalysisNs,
-    /// Producer-side copy time (extract + send).
+    /// Producer-side copy time per pair (extract and stage; the
+    /// statement's sends follow its last pair, untimed).
     CopyIssueNs,
     /// Consumer-side copy time (blocking receive + apply).
     CopyWaitNs,

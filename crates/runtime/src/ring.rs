@@ -1,6 +1,6 @@
 //! Lock-free shard data plane: bounded SPSC rings with batched
 //! publication — the one transport the executors exchange
-//! [`crate::spmd_exec`] copy messages over — and core pinning.
+//! copy messages (`crate::exchange`) over — and core pinning.
 //!
 //! The SPMD executors connect every ordered shard pair with exactly one
 //! producer and one consumer, so the transport is a single-producer

@@ -1,7 +1,7 @@
 //! The per-shard execution engine for control-replicated programs.
 //!
-//! Each shard of the [`SpmdProgram`] runs on its own OS thread (spawned
-//! by the shard-team driver, `crate::team`) with its
+//! Each shard of the [`SpmdProgram`] runs on a resident, pinned member
+//! of the process-wide team (`crate::team`) with its
 //! own *distributed-memory* storage: one instance per owned subregion
 //! per use, plus reduction temporaries (§3, §4.3). Shards communicate
 //! only through copy messages and the scalar collective — there is no
@@ -15,14 +15,8 @@
 //! key — launches, copies, re-seals, checkpoints and rollbacks index the
 //! image by the slot numbers the exchange schedule fixed.
 //!
-//! Synchronization follows the consumer-applied protocol of §3.4:
-//! copies "are issued by the producer of the data", and the consumer
-//! blocks on the matching receive at its own copy point. The receive
-//! doubles as the point-to-point synchronization — write-after-read is
-//! satisfied because the consumer only applies data between its own
-//! statements, read-after-write because it cannot proceed until the
-//! data arrives. The naive global-barrier mode (Fig. 4c) adds
-//! [`ShardBarrier`] waits around every copy.
+//! Copy statements run through `crate::exchange`, the consumer-applied
+//! copy protocol of §3.4 and its integrity framing.
 //!
 //! With an enabled [`Tracer`] ([`crate::RunOptions::tracer`]) every shard
 //! records its runs, accesses, copy issues/applies, and collective
@@ -33,117 +27,29 @@
 //! Checkpoint–restart, rescue and the integrity layer's epoch-boundary
 //! sweep run through `crate::resilience`, whose boundary protocol
 //! borrows this engine; the integrity work done per statement — seals
-//! after launches, copies and temporary resets, framed exchanges and
-//! collectives — stays here, with the statements.
+//! after launches and temporary resets, framed collectives — stays
+//! here, with the statements.
 
 use crate::collective::{DynamicCollective, FramedScalar, ShardBarrier};
+use crate::exchange::{CopyMsg, Outbound};
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
-use crate::plan::{ExchangeSchedule, PairPlan};
+use crate::plan::ExchangeSchedule;
 use crate::pool::ChunkPool;
 use crate::resilience::{boundary, Resilience, ResilienceOptions};
-use crate::ring::{RingReceiver, RingSender, SendError};
+use crate::ring::{RingReceiver, RingSender};
 use crate::run::{RunCtx, RunResult};
 use crate::team::run_team;
 use regent_cr::spmd::block_range;
-use regent_cr::{
-    CopyId, CopySource, CopyStmt, ShardImage, ShardLayout, SpmdLaunch, SpmdProgram, SpmdStmt,
-    TempId,
-};
-use regent_fault::{message_key, DeathCause, PeerDeath};
+use regent_cr::{ShardImage, ShardLayout, SpmdLaunch, SpmdProgram, SpmdStmt, TempId};
+use regent_fault::message_key;
 use regent_ir::{ArgSlot, Privilege, Store, TaskCtx};
-use regent_region::checksum::StripedFnv;
-use regent_region::{ColumnData, FieldId, Instance, ReductionOp};
+use regent_region::{FieldId, Instance, ReductionOp};
 use regent_trace::{fields_mask, CorruptSite, EventKind, TraceBuf, Tracer};
-use std::collections::HashMap;
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// [`message_key`] domain tag for exchange payload corruption ("EXCH").
-const EXCHANGE_TAG: u64 = 0x4558_4348;
 /// [`message_key`] domain tag for collective frame corruption ("COLL").
 const COLLECTIVE_TAG: u64 = 0x434F_4C4C;
-
-/// One field's payload within a copy message, in the canonical element
-/// order of the pair's intersection domain.
-#[derive(Clone, Debug)]
-pub(crate) enum Chunk {
-    F64(Vec<f64>),
-    I64(Vec<i64>),
-}
-
-/// A copy message from a producer shard to a consumer shard. Under the
-/// integrity protocol the payload is framed: `checksum` covers the
-/// *intended* chunks, so a frame corrupted in flight fails verification
-/// on receipt, and `attempt` numbers the retransmissions of one logical
-/// payload.
-pub(crate) struct CopyMsg {
-    copy: CopyId,
-    pair_seq: u32,
-    /// Retransmission number of this frame (0 = first transmission).
-    attempt: u32,
-    /// FNV-1a checksum of the uncorrupted payload; 0 (never verified)
-    /// when the integrity layer is off.
-    checksum: u64,
-    chunks: Vec<Chunk>,
-}
-
-/// Checksum of a copy payload, computed in place over the borrowed
-/// chunk slices: each chunk contributes a length header (complemented
-/// for i64 so the two column kinds can never alias) followed by its
-/// raw element bits. Uses the 4-lane [`StripedFnv`] — frame hashing
-/// runs once on the producer and once on the consumer of every
-/// message, and the striped lanes auto-vectorize here, measuring
-/// faster in situ than the scalar FNV chain they replaced.
-fn chunks_checksum(chunks: &[Chunk]) -> u64 {
-    let mut h = StripedFnv::new();
-    for ch in chunks {
-        match ch {
-            Chunk::F64(v) => {
-                h.mix(v.len() as u64);
-                h.mix_f64s(v);
-            }
-            Chunk::I64(v) => {
-                h.mix(!(v.len() as u64));
-                h.mix_i64s(v);
-            }
-        }
-    }
-    h.finish()
-}
-
-/// Flips one entropy-selected bit in a copy payload — the in-flight
-/// corruption the receive-side checksum must catch. Returns `false`
-/// for an empty payload (nothing to corrupt).
-fn corrupt_chunks(chunks: &mut [Chunk], entropy: u64) -> bool {
-    let total: usize = chunks
-        .iter()
-        .map(|c| match c {
-            Chunk::F64(v) => v.len(),
-            Chunk::I64(v) => v.len(),
-        })
-        .sum();
-    if total == 0 {
-        return false;
-    }
-    let mut slot = (entropy % total as u64) as usize;
-    let bit = (entropy >> 40) % 64;
-    for ch in chunks {
-        let len = match ch {
-            Chunk::F64(v) => v.len(),
-            Chunk::I64(v) => v.len(),
-        };
-        if slot < len {
-            match ch {
-                Chunk::F64(v) => v[slot] = f64::from_bits(v[slot].to_bits() ^ (1u64 << bit)),
-                Chunk::I64(v) => v[slot] = (v[slot] as u64 ^ (1u64 << bit)) as i64,
-            }
-            return true;
-        }
-        slot -= len;
-    }
-    unreachable!("slot selection within total payload length")
-}
 
 /// Per-shard execution statistics.
 ///
@@ -258,7 +164,7 @@ pub(crate) struct ShardExec<'a> {
     pub(crate) barrier: &'a ShardBarrier,
     /// How long a receive from a peer may stall before the peer is
     /// blamed as hung.
-    hang_timeout: Duration,
+    pub(crate) hang_timeout: Duration,
     pub(crate) stats: ShardStats,
     /// Event recorder for this shard's track.
     pub(crate) tb: TraceBuf,
@@ -271,9 +177,11 @@ pub(crate) struct ShardExec<'a> {
     pub(crate) launch_seq: u32,
     /// Current loop nesting depth (0 ⇒ outermost, a timestep loop).
     pub(crate) loop_depth: u32,
-    /// Dynamic occurrence counters per (copy id, pair index), matching
-    /// producer and consumer counts by replicated control flow.
-    pub(crate) copy_occurrence: HashMap<(u32, u32), u32>,
+    /// Executions of each copy statement so far, by copy id: the
+    /// occurrence number that keys a payload's corruption decisions and
+    /// matches a `CopyIssue` to its `CopyApply`. Like the other trace
+    /// identities, deliberately not rolled back on restore.
+    pub(crate) copy_runs: Vec<u32>,
     /// Dynamic collective sequence number — the replicated identity
     /// that keys per-contribution corruption decisions. Like the trace
     /// identities, deliberately not rolled back on restore.
@@ -300,12 +208,12 @@ pub(crate) struct ShardExec<'a> {
     /// Per-statement scratch, cleared and reused so the steady state
     /// allocates nothing per launch or copy (never read across
     /// statements).
-    scratch: Scratch<'a>,
+    pub(crate) scratch: Scratch<'a>,
 }
 
 /// See [`ShardExec::scratch`].
 #[derive(Default)]
-struct Scratch<'a> {
+pub(crate) struct Scratch<'a> {
     /// A launch's evaluated scalar arguments.
     scalar_args: Vec<f64>,
     /// One point task's bound arguments; emptied as soon as the kernel
@@ -316,19 +224,10 @@ struct Scratch<'a> {
     reseal: Vec<(usize, &'a [FieldId])>,
     /// Destination instances (slots) a copy statement applied into,
     /// re-sealed once after its last pair.
-    applied: Vec<u32>,
-    /// A copy statement's outbound payloads under the integrity
-    /// protocol, staged so one bracket checksums them all.
-    outbox: Vec<Outbound>,
-}
-
-/// One staged outbound payload (see [`Scratch::outbox`]).
-struct Outbound {
-    pair_seq: u32,
-    occurrence: u32,
-    dst: usize,
-    checksum: u64,
-    chunks: Vec<Chunk>,
+    pub(crate) applied: Vec<u32>,
+    /// A copy statement's outbound payloads, staged so one bracket
+    /// checksums them all under the integrity protocol.
+    pub(crate) outbox: Vec<Outbound>,
 }
 
 impl<'a> ShardExec<'a> {
@@ -375,7 +274,7 @@ impl<'a> ShardExec<'a> {
             mx,
             launch_seq: 0,
             loop_depth: 0,
-            copy_occurrence: HashMap::new(),
+            copy_runs: Vec::new(),
             collective_seq: 0,
             epoch: 0,
             replay_until: 0,
@@ -706,351 +605,6 @@ impl<'a> ShardExec<'a> {
         }
     }
 
-    fn run_copy(&mut self, c: &CopyStmt) {
-        if self.useful_work() {
-            self.stats.copies_executed += 1;
-        }
-        // Same-shard pairs read their source at apply time, which is
-        // only equivalent to reading it at issue time because no pair
-        // of this statement writes an instance another pair reads.
-        assert!(
-            c.src != CopySource::Use(c.dst),
-            "copy {} has the same use as source and destination",
-            c.id.0
-        );
-        let ix = c.intersection.0 as usize;
-        let pairs: &[PairPlan] = &self.schedule.pairs[ix];
-        let layout = self.layout;
-        let traced = self.tb.is_enabled();
-        let integrity = self.integrity_on();
-        let copy_fields_mask = if traced {
-            fields_mask(c.fields.iter().map(|f| f.0))
-        } else {
-            0
-        };
-        // Producer phase (§3.4: copies are issued by the producer).
-        for &seq in &layout.produces[ix] {
-            let (seq, p) = (seq as usize, &pairs[seq as usize]);
-            let t0 = self.tb.now();
-            let m0 = self.mx.start();
-            // A pair that stays on this shard has nothing to stage: the
-            // consumer phase moves it instance to instance.
-            let chunks = (p.dst_owner != self.shard).then(|| {
-                extract(
-                    &mut self.pool,
-                    &self.data.insts[p.src_slot as usize],
-                    &c.fields,
-                    &p.src_offsets,
-                )
-            });
-            // The occurrence number is part of the corruption key, so
-            // it must advance whenever the integrity layer is on, not
-            // just when tracing.
-            let occurrence = if traced || integrity {
-                self.occurrence(c.id.0, seq as u32, true)
-            } else {
-                0
-            };
-            if traced {
-                self.tb.span_since(
-                    t0,
-                    EventKind::CopyIssue {
-                        copy: c.id.0,
-                        pair: seq as u32,
-                        seq: occurrence,
-                        elements: p.src_offsets.len() as u64,
-                        dst_shard: p.dst_owner as u32,
-                    },
-                );
-            }
-            if let Some(chunks) = chunks {
-                // Work counters count logical messages, not integrity
-                // retransmissions (those are visible through the
-                // corruption counters instead).
-                if self.useful_work() {
-                    self.stats.messages_sent += 1;
-                    self.stats.elements_sent += p.src_offsets.len() as u64;
-                }
-                if integrity {
-                    self.scratch.outbox.push(Outbound {
-                        pair_seq: seq as u32,
-                        occurrence,
-                        dst: p.dst_owner,
-                        checksum: 0,
-                        chunks,
-                    });
-                } else {
-                    let stalled = push_frame(
-                        &mut self.tx[p.dst_owner],
-                        CopyMsg {
-                            copy: c.id,
-                            pair_seq: seq as u32,
-                            attempt: 0,
-                            checksum: 0,
-                            chunks,
-                        },
-                        self.shard,
-                        p.dst_owner,
-                        c.id.0,
-                        seq as u32,
-                    );
-                    if stalled {
-                        self.mx.incr(Counter::RingStalls);
-                    }
-                }
-            }
-            self.mx.incr(Counter::CopiesIssued);
-            self.mx.record_since(m0, Timer::CopyIssueNs);
-        }
-        if !self.scratch.outbox.is_empty() {
-            // The statement's frames are checksummed under one bracket.
-            let m0 = self.mx.start();
-            for out in &mut self.scratch.outbox {
-                out.checksum = chunks_checksum(&out.chunks);
-            }
-            self.mx.record_since(m0, Timer::IntegrityNs);
-            let mut outbox = std::mem::take(&mut self.scratch.outbox);
-            for out in outbox.drain(..) {
-                self.send_framed(c.id, out);
-            }
-            self.scratch.outbox = outbox;
-        }
-        // Publish every batched frame before blocking in the consumer
-        // phase: a peer must never wait on a written-but-unpublished
-        // slot (this is the data plane's deadlock-freedom invariant).
-        for tx in &mut self.tx {
-            tx.flush();
-        }
-        // Consumer phase: apply in the global deterministic order (the
-        // receive is the point-to-point synchronization).
-        for &seq in &layout.consumes[ix] {
-            let (seq, p) = (seq as usize, &pairs[seq as usize]);
-            let t0 = self.tb.now();
-            let m0 = self.mx.start();
-            let chunks = if p.src_owner == self.shard {
-                None
-            } else {
-                // Under the integrity protocol a logical payload may
-                // arrive as several frames: the producer's corruption
-                // predicate is pure and shared, so it proactively
-                // retransmits after every frame it knows arrives
-                // corrupted — keep receiving until one verifies.
-                let mut bad_attempts = 0u32;
-                let msg = loop {
-                    let msg = match self.rx[p.src_owner].recv_timeout(self.hang_timeout) {
-                        Ok(m) => m,
-                        Err(RecvTimeoutError::Timeout) => {
-                            // The producer stopped making progress:
-                            // blame *it* (not us) on the death board so
-                            // the failover driver evicts the hung
-                            // shard, not the waiter that noticed.
-                            if let Some(board) =
-                                self.resilience.as_ref().and_then(|r| r.board.as_ref())
-                            {
-                                board.record(PeerDeath {
-                                    shard: p.src_owner as u32,
-                                    cause: DeathCause::Hung,
-                                });
-                            }
-                            panic!(
-                                "likely deadlock: shard {} waited {:?} on copy {} pair {} from shard {}",
-                                self.shard,
-                                self.hang_timeout,
-                                c.id.0,
-                                seq,
-                                p.src_owner
-                            )
-                        }
-                        Err(RecvTimeoutError::Disconnected) => panic!(
-                            "copy channel closed: producer shard {} died before sending copy {} pair {} to shard {}",
-                            p.src_owner, c.id.0, seq, self.shard
-                        ),
-                    };
-                    debug_assert_eq!(msg.copy, c.id, "copy protocol out of sync");
-                    debug_assert_eq!(msg.pair_seq, seq as u32, "pair order out of sync");
-                    let frame_ok = if integrity {
-                        let m0 = self.mx.start();
-                        let ok = chunks_checksum(&msg.chunks) == msg.checksum;
-                        self.mx.record_since(m0, Timer::IntegrityNs);
-                        ok
-                    } else {
-                        true
-                    };
-                    if frame_ok {
-                        // The sender's frame numbering and our
-                        // detection count advance in lockstep (shared
-                        // pure predicate).
-                        debug_assert!(
-                            !integrity || msg.attempt == bad_attempts,
-                            "retransmission numbering out of sync"
-                        );
-                        break msg;
-                    }
-                    // Checksum mismatch: the frame was corrupted in
-                    // flight. Count the detection and wait for the
-                    // retransmission.
-                    bad_attempts += 1;
-                    self.stats.corruptions_detected += 1;
-                    self.tb.instant(EventKind::CorruptDetected {
-                        site: CorruptSite::Exchange,
-                        id: c.id.0,
-                        sub: seq as u32,
-                        epoch: self.epoch,
-                    });
-                    recycle_chunks(&mut self.pool, msg.chunks);
-                };
-                if bad_attempts > 0 {
-                    self.stats.corruptions_repaired += 1;
-                    self.mx.add(Counter::Retransmits, u64::from(bad_attempts));
-                    self.tb.instant(EventKind::CorruptRepaired {
-                        site: CorruptSite::Exchange,
-                        id: c.id.0,
-                        sub: seq as u32,
-                        attempts: bad_attempts,
-                    });
-                }
-                Some(msg.chunks)
-            };
-            match chunks {
-                Some(chunks) => {
-                    let dst = &mut self.data.insts[p.dst_slot as usize];
-                    apply(dst, &c.fields, &p.dst_offsets, &chunks, c.reduction);
-                    // The drained payload feeds the freelist the
-                    // producer side draws from — steady state
-                    // allocates nothing.
-                    recycle_chunks(&mut self.pool, chunks);
-                }
-                None => {
-                    // Source and destination are instances of different
-                    // uses (asserted above), so the slots differ.
-                    let [src, dst] = self
-                        .data
-                        .insts
-                        .get_disjoint_mut([p.src_slot as usize, p.dst_slot as usize])
-                        .expect("a same-shard pair copies between two instances");
-                    apply_local(src, dst, &c.fields, p, c.reduction);
-                }
-            }
-            if integrity {
-                self.scratch.applied.push(p.dst_slot);
-            }
-            self.mx.incr(Counter::CopiesApplied);
-            self.mx.record_since(m0, Timer::CopyWaitNs);
-            if traced {
-                let occurrence = self.occurrence(c.id.0, seq as u32, false);
-                // The span covers the blocking receive, so copy stalls
-                // are visible in profiles.
-                self.tb.span_since(
-                    t0,
-                    EventKind::CopyApply {
-                        copy: c.id.0,
-                        pair: seq as u32,
-                        seq: occurrence,
-                        region: layout.slots[p.dst_slot as usize].region.0,
-                        inst: inst_id(self.shard, p.dst_slot as usize),
-                        fields: copy_fields_mask,
-                        reduce: c.reduction.is_some(),
-                    },
-                );
-            }
-        }
-        if !self.scratch.applied.is_empty() {
-            // The applied data is verified; the written columns become
-            // authoritative again. Seals are only read at epoch
-            // boundaries, so each destination is rehashed once, after
-            // the statement's last pair, however many pairs wrote it.
-            self.scratch.applied.sort_unstable();
-            self.scratch.applied.dedup();
-            let sealed = (self.scratch.applied.len() * c.fields.len()) as u64;
-            let m0 = self.mx.start();
-            for slot in self.scratch.applied.drain(..) {
-                self.data.insts[slot as usize].seal_fields(&c.fields);
-            }
-            self.mx.record_since(m0, Timer::IntegrityNs);
-            self.mx.add(Counter::ColumnSeals, sealed);
-        }
-    }
-
-    /// Sends one logical exchange payload under the integrity
-    /// protocol: checksum-framed, with every corrupted transmission
-    /// the fault plan schedules sent ahead of the clean one
-    /// (sender-proactive retransmission — the corruption predicate is
-    /// pure and shared, so no acknowledgement channel exists; the
-    /// consumer receives until a frame verifies).
-    fn send_framed(&mut self, copy: CopyId, out: Outbound) {
-        let Outbound {
-            pair_seq: seq,
-            occurrence,
-            dst,
-            checksum,
-            chunks,
-        } = out;
-        let r = self
-            .resilience
-            .as_ref()
-            .expect("integrity layer active without resilience state");
-        let key = message_key(EXCHANGE_TAG, copy.0 as u64, seq as u64, occurrence as u64);
-        let max_attempts = r.retry_max;
-        let plan = &r.plan;
-        let mut injected = 0u64;
-        let mut attempt = 0u32;
-        loop {
-            let bad = plan.payload_corruption(key, attempt).and_then(|entropy| {
-                let mut bad = chunks.clone();
-                corrupt_chunks(&mut bad, entropy).then_some(bad)
-            });
-            let Some(bad) = bad else {
-                let stalled = push_frame(
-                    &mut self.tx[dst],
-                    CopyMsg {
-                        copy,
-                        pair_seq: seq,
-                        attempt,
-                        checksum,
-                        chunks,
-                    },
-                    self.shard,
-                    dst,
-                    copy.0,
-                    seq,
-                );
-                if stalled {
-                    self.mx.incr(Counter::RingStalls);
-                }
-                break;
-            };
-            assert!(
-                attempt + 1 < max_attempts,
-                "unrecoverable exchange corruption: shard {} would produce {} corrupted \
-                 transmissions in a row for copy {} pair {} (retry budget exhausted)",
-                self.shard,
-                max_attempts,
-                copy.0,
-                seq
-            );
-            injected += 1;
-            let stalled = push_frame(
-                &mut self.tx[dst],
-                CopyMsg {
-                    copy,
-                    pair_seq: seq,
-                    attempt,
-                    checksum,
-                    chunks: bad,
-                },
-                self.shard,
-                dst,
-                copy.0,
-                seq,
-            );
-            if stalled {
-                self.mx.incr(Counter::RingStalls);
-            }
-            attempt += 1;
-        }
-        self.stats.corruptions_injected += injected;
-    }
-
     /// Publishes the shard's buffer-pool counters into the metrics
     /// registry. Called once at shard shutdown — the pool is shard
     /// private, so flushing totals is cheaper than per-take increments.
@@ -1065,155 +619,10 @@ impl<'a> ShardExec<'a> {
     pub(crate) fn useful_work(&self) -> bool {
         self.epoch >= self.replay_until
     }
-
-    /// Next dynamic occurrence number of a (copy, pair) on one side.
-    /// Producer and consumer sides count independently but identically
-    /// (replicated control flow), which is what matches a `CopyIssue`
-    /// to its `CopyApply` across shard logs.
-    fn occurrence(&mut self, copy: u32, pair: u32, is_src: bool) -> u32 {
-        let k = (copy, pair ^ (u32::from(is_src) << 31));
-        let e = self.copy_occurrence.entry(k).or_insert(0);
-        let v = *e;
-        *e += 1;
-        v
-    }
 }
 
 /// Identity of a shard's physical instance in trace events (their
 /// `inst` field): the shard and the instance's slot in its image.
-fn inst_id(shard: usize, slot: usize) -> u64 {
+pub(crate) fn inst_id(shard: usize, slot: usize) -> u64 {
     ((shard as u64) << 32) | slot as u64
-}
-
-/// Extracts field payloads at precomputed offsets (canonical element
-/// order of the pair's intersection). Buffers come from the shard's
-/// [`ChunkPool`] so steady-state exchanges never hit the allocator.
-fn extract(
-    pool: &mut ChunkPool,
-    inst: &Instance,
-    fields: &[FieldId],
-    offsets: &[u32],
-) -> Vec<Chunk> {
-    fields
-        .iter()
-        .map(|&f| match inst.column(f) {
-            ColumnData::F64(col) => {
-                let mut v = pool.take_f64(offsets.len());
-                v.extend(offsets.iter().map(|&o| col[o as usize]));
-                Chunk::F64(v)
-            }
-            ColumnData::I64(col) => {
-                let mut v = pool.take_i64(offsets.len());
-                v.extend(offsets.iter().map(|&o| col[o as usize]));
-                Chunk::I64(v)
-            }
-        })
-        .collect()
-}
-
-/// Returns a frame's payload buffers to the pool. Consumers recycle
-/// what producers drew; symmetric halo traffic keeps both sides fed.
-fn recycle_chunks(pool: &mut ChunkPool, chunks: Vec<Chunk>) {
-    for chunk in chunks {
-        match chunk {
-            Chunk::F64(v) => pool.put_f64(v),
-            Chunk::I64(v) => pool.put_i64(v),
-        }
-    }
-}
-
-/// Pushes one exchange frame without publishing (the caller flushes
-/// once per statement). Translates transport errors into the exact
-/// diagnostics the resilience suite pins: a dead consumer unwinds the
-/// producer, a ring that stays full past the hang timeout is reported
-/// as a likely deadlock. Returns whether the push had to wait.
-fn push_frame(
-    tx: &mut RingSender<CopyMsg>,
-    msg: CopyMsg,
-    shard: usize,
-    dst: usize,
-    copy: u32,
-    seq: u32,
-) -> bool {
-    match tx.push(msg) {
-        Ok(stalled) => stalled,
-        Err(SendError::Closed(_)) => panic!(
-            "copy channel closed: consumer shard {dst} died before receiving copy {copy} pair {seq} from shard {shard}"
-        ),
-        Err(SendError::Full(_)) => panic!(
-            "likely deadlock: shard {shard} ring to shard {dst} stayed full for {:?} sending copy {copy} pair {seq}",
-            tx.timeout
-        ),
-    }
-}
-
-/// Applies field payloads at precomputed offsets, either overwriting
-/// or folding (§4.3 reduction copies).
-fn apply(
-    inst: &mut Instance,
-    fields: &[FieldId],
-    offsets: &[u32],
-    chunks: &[Chunk],
-    reduction: Option<ReductionOp>,
-) {
-    for (&f, chunk) in fields.iter().zip(chunks) {
-        match chunk {
-            Chunk::F64(vals) => {
-                let fold = reduction.map(|op| move |a, b| op.fold(a, b));
-                scatter(inst.f64_col_mut(f), offsets, vals.iter().copied(), fold)
-            }
-            Chunk::I64(vals) => {
-                let fold = reduction.map(|op| move |a, b| op.fold_i64(a, b));
-                scatter(inst.i64_col_mut(f), offsets, vals.iter().copied(), fold)
-            }
-        }
-    }
-}
-
-/// A same-shard pair: gathers from `src` and scatters into `dst` in one
-/// pass over the pair's offset tables, in the same element order and
-/// with the same per-element fold a staged payload would have seen.
-fn apply_local(
-    src: &Instance,
-    dst: &mut Instance,
-    fields: &[FieldId],
-    pair: &PairPlan,
-    reduction: Option<ReductionOp>,
-) {
-    let gather = pair.src_offsets.iter().map(|&o| o as usize);
-    for &f in fields {
-        match src.column(f) {
-            ColumnData::F64(from) => {
-                let fold = reduction.map(|op| move |a, b| op.fold(a, b));
-                let vals = gather.clone().map(|o| from[o]);
-                scatter(dst.f64_col_mut(f), &pair.dst_offsets, vals, fold)
-            }
-            ColumnData::I64(from) => {
-                let fold = reduction.map(|op| move |a, b| op.fold_i64(a, b));
-                let vals = gather.clone().map(|o| from[o]);
-                scatter(dst.i64_col_mut(f), &pair.dst_offsets, vals, fold)
-            }
-        }
-    }
-}
-
-/// Writes `vals` to `col` at `offsets`, through `fold` when given.
-fn scatter<T: Copy>(
-    col: &mut [T],
-    offsets: &[u32],
-    vals: impl Iterator<Item = T>,
-    fold: Option<impl Fn(T, T) -> T>,
-) {
-    match fold {
-        None => {
-            for (&o, v) in offsets.iter().zip(vals) {
-                col[o as usize] = v;
-            }
-        }
-        Some(fold) => {
-            for (&o, v) in offsets.iter().zip(vals) {
-                col[o as usize] = fold(col[o as usize], v);
-            }
-        }
-    }
 }

@@ -42,12 +42,13 @@
 //! timers.
 
 use crate::collective::{DynamicCollective, ShardBarrier};
+use crate::exchange::CopyMsg;
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
 use crate::plan::schedule_for_run;
 use crate::resilience::{retry_budget, DeathBoard};
 use crate::ring;
 use crate::run::{RunCtx, RunResult};
-use crate::spmd_exec::{CopyMsg, ShardExec, ShardStats};
+use crate::spmd_exec::{ShardExec, ShardStats};
 use crate::wait::Waiters;
 use regent_cr::{ShardImage, SpmdProgram};
 use regent_fault::{DeathCause, PeerDeath};
@@ -102,7 +103,7 @@ pub(crate) fn run_team(
     // Exchange mesh: senders[src][dst] paired with receivers[dst][src],
     // each ring as large as the schedule says one copy statement needs.
     // A plan that can corrupt a payload makes one logical message up to
-    // the retry budget's worth of frames (`ShardExec::send_framed`).
+    // the retry budget's worth of frames (`ShardExec::send`).
     let transmissions = match resilience {
         Some(o) if o.plan.corrupt_rate > 0.0 => retry_budget() as usize,
         _ => 1,

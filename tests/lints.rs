@@ -133,7 +133,7 @@ fn surface() {
         hits(&["crates/machine/src"], |l| l.contains("pub fn simulate_")),
     );
 
-    const DELETED: [&str; 44] = [
+    const DELETED: [&str; 47] = [
         "execute_spmd",
         "execute_spmd_with_env",
         "execute_spmd_with_env_traced",
@@ -178,6 +178,9 @@ fn surface() {
         "RetryBackoff",
         "with_budget_and_transient",
         "QueueWait",
+        "copy_occurrence",
+        "send_framed",
+        "push_frame",
     ];
     let deleted = |line: &str| {
         words(line).any(|w| {
@@ -211,6 +214,7 @@ fn no_polling() {
         "wait",
         "ring",
         "collective",
+        "exchange",
         "log_exec",
         "launch_log",
         "team",
@@ -254,7 +258,14 @@ fn one_team() {
 /// the files that run shards.
 #[test]
 fn mapped_once() {
-    let shards = ["spmd_exec", "resilience", "team", "log_exec", "hybrid_exec"];
+    let shards = [
+        "spmd_exec",
+        "exchange",
+        "resilience",
+        "team",
+        "log_exec",
+        "hybrid_exec",
+    ];
     assert_none(
         "an executor builds or hashes instances again",
         runtime_hits(&shards, |line| {
@@ -310,6 +321,7 @@ fn one_plane() {
         "ring",
         "team",
         "spmd_exec",
+        "exchange",
         "log_exec",
         "hybrid_exec",
         "implicit",
@@ -357,6 +369,7 @@ fn env_at_the_edge() {
     let below = [
         "team",
         "spmd_exec",
+        "exchange",
         "resilience",
         "log_exec",
         "hybrid_exec",
