@@ -294,32 +294,25 @@ impl ShardExec<'_> {
     /// dead consumer unwinds the producer, and a ring that stays full
     /// past the hang timeout is reported as a likely deadlock.
     fn send(&mut self, copy: CopyId, occurrence: u32, mut out: Outbound) {
-        let seq = out.pair_seq;
-        let mut attempt = 0u32;
-        loop {
-            let corrupted = self
-                .resilience
-                .as_ref()
-                .filter(|r| r.integrity)
-                .and_then(|r| {
-                    let key =
-                        message_key(EXCHANGE_TAG, copy.0 as u64, seq as u64, occurrence as u64);
-                    let entropy = r.plan.payload_corruption(key, attempt)?;
-                    let mut bad = out.chunks.clone();
-                    corrupt_chunks(&mut bad, entropy).then(|| {
-                        assert!(
-                            attempt + 1 < r.retry_max,
-                            "unrecoverable exchange corruption: shard {} would produce {} \
-                             corrupted transmissions in a row for copy {} pair {} \
-                             (retry budget exhausted)",
-                            self.shard,
-                            r.retry_max,
-                            copy.0,
-                            seq
-                        );
-                        bad
-                    })
-                });
+        let (shard, dst, seq) = (self.shard, out.dst, out.pair_seq);
+        let framed = self.resilience.as_ref().filter(|r| r.integrity);
+        for attempt in 0u32.. {
+            let corrupted = framed.and_then(|r| {
+                let key = message_key(EXCHANGE_TAG, copy.0 as u64, seq as u64, occurrence as u64);
+                let entropy = r.plan.payload_corruption(key, attempt)?;
+                let mut bad = out.chunks.clone();
+                corrupt_chunks(&mut bad, entropy).then(|| {
+                    assert!(
+                        attempt + 1 < r.retry_max,
+                        "unrecoverable exchange corruption: shard {shard} would produce {} \
+                         corrupted transmissions in a row for copy {} pair {seq} \
+                         (retry budget exhausted)",
+                        r.retry_max,
+                        copy.0
+                    );
+                    bad
+                })
+            });
             let clean = corrupted.is_none();
             let msg = CopyMsg {
                 copy,
@@ -328,7 +321,6 @@ impl ShardExec<'_> {
                 checksum: out.checksum,
                 chunks: corrupted.unwrap_or_else(|| std::mem::take(&mut out.chunks)),
             };
-            let (shard, dst) = (self.shard, out.dst);
             match self.tx[dst].push(msg) {
                 Ok(false) => {}
                 Ok(true) => self.mx.incr(Counter::RingStalls),
@@ -345,7 +337,6 @@ impl ShardExec<'_> {
                 return;
             }
             self.stats.corruptions_injected += 1;
-            attempt += 1;
         }
     }
 
