@@ -17,8 +17,8 @@ use regent_geometry::DynPoint;
 use regent_ir::{Program, Store, TaskId};
 use regent_region::{FieldType, RegionForest};
 use regent_runtime::{
-    execute_implicit, metrics, panic_message, run, run_failover, Counter, FailoverOptions,
-    FaultPlan, ImplicitOptions, Mapper, ResilienceOptions, RunOptions,
+    execute_implicit, metrics, panic_message, run, run_failover, Counter, DefaultMapper,
+    FailoverOptions, FaultPlan, ImplicitOptions, Mapper, ResilienceOptions, RunOptions,
 };
 use std::collections::{BTreeSet, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -368,6 +368,61 @@ fn an_implicit_run_unwinds_past_a_bad_mapper() {
     assert!(msg.contains("mapper chose worker 2 of 2"), "{msg}");
 
     assert_eq!(implicit(None), first);
+}
+
+/// Routes every point task to one worker.
+struct OnWorker(usize);
+
+impl Mapper for OnWorker {
+    fn map_task(&self, _task: TaskId, _point: DynPoint, _num_workers: usize) -> usize {
+        self.0
+    }
+}
+
+/// A kernel that panics on worker 0 and one that panics on worker 1
+/// each fail their implicit run, naming the worker, and the next
+/// implicit run is bit-identical to one before them.
+#[test]
+fn an_implicit_run_after_a_panicking_worker_is_bit_identical() {
+    let _turn = turn();
+    quiet_expected_panics();
+    let armed = Arc::new(AtomicBool::new(false));
+    let mut prog = mk_stencil().0;
+    let flag = Arc::clone(&armed);
+    hook_kernels(
+        &mut prog,
+        Arc::new(move || {
+            if flag.load(Ordering::SeqCst) {
+                panic!("kernel bug: armed for the implicit team test");
+            }
+        }),
+    );
+    let implicit = |mapper: Arc<dyn Mapper>| {
+        let (_, mut store) = mk_stencil();
+        let opts = ImplicitOptions {
+            mapper,
+            ..ImplicitOptions::with_workers(2)
+        };
+        let (env, _) = execute_implicit(&prog, &mut store, opts);
+        contents((&prog.forest, &store), &env)
+    };
+    let first = implicit(Arc::new(DefaultMapper));
+    for w in 0..2 {
+        armed.store(true, Ordering::SeqCst);
+        let err = catch_unwind(AssertUnwindSafe(|| implicit(Arc::new(OnWorker(w)))))
+            .expect_err("the armed kernel fails its run");
+        let msg = panic_message(err.as_ref());
+        assert!(
+            msg.starts_with(&format!("worker {w} panicked: kernel bug")),
+            "{msg}"
+        );
+        armed.store(false, Ordering::SeqCst);
+        assert_eq!(
+            implicit(Arc::new(DefaultMapper)),
+            first,
+            "the run after worker {w}'s panic"
+        );
+    }
 }
 
 /// Members outlive runs: after the first of 100 sequential runs, no run

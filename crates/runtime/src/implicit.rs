@@ -72,6 +72,7 @@ use regent_ir::{
 use regent_region::{Disjointness, Instance, RegionForest, RegionId};
 use regent_trace::{fields_mask, EventKind, PrivCode, TraceBuf, Tracer};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -243,12 +244,14 @@ impl<'p> Pool<'p> {
             .flatten()
     }
 
-    /// Ends every worker's wait for more jobs.
+    /// Ends every worker's wait for more jobs, and the control thread's
+    /// wait for the pool to drain.
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
         for q in &self.ready {
             q.waiters.wake();
         }
+        self.drained.wake();
     }
 
     fn complete_one(&self) {
@@ -264,22 +267,36 @@ impl<'p> Pool<'p> {
         self.outstanding.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Blocks until every issued job has run. A pool that a failed
+    /// worker closed never drains: the control thread stops with
+    /// [`WorkerFailed`], and the run reports the worker's panic.
     fn wait_drained(&self) {
         let drained = self.drained.wait(self.hang_timeout, || {
-            (self.outstanding.load(Ordering::Acquire) == 0).then_some(())
+            if self.outstanding.load(Ordering::Acquire) == 0 {
+                Some(true)
+            } else {
+                self.closed.load(Ordering::Acquire).then_some(false)
+            }
         });
-        if drained.is_none() {
-            panic!(
+        match drained {
+            Some(true) => {}
+            // No panic hook runs: the worker's panic already reported.
+            Some(false) => resume_unwind(Box::new(WorkerFailed)),
+            None => panic!(
                 "likely deadlock: control thread waited {:?} for the worker pool to drain ({} tasks still outstanding)",
                 self.hang_timeout,
                 self.outstanding.load(Ordering::Acquire)
-            );
+            ),
         }
     }
 }
 
+/// The control thread's unwind when a worker's panic closed the pool.
+struct WorkerFailed;
+
 /// Closes the pool when dropped, so the workers' jobs end whether the
-/// control thread returns or unwinds.
+/// control thread returns or unwinds, and a worker that unwinds stops
+/// the control thread.
 struct CloseOnDrop<'a, 'p>(&'a Pool<'p>);
 
 impl Drop for CloseOnDrop<'_, '_> {
@@ -783,6 +800,7 @@ pub fn execute_implicit(
         .map(|w| {
             let tracer = Arc::clone(&opts.tracer);
             Box::new(move || {
+                let _close = CloseOnDrop(pool_ref);
                 let mut tb = tracer.buffer(&format!("worker-{w}"));
                 let mut mx = metrics::global().handle(&format!("worker-{w}"));
                 while let Some(job) = pool_ref.next(w) {
@@ -791,32 +809,37 @@ pub fn execute_implicit(
             }) as TeamJob<'_>
         })
         .collect();
-    let ((), joined) = on_members(workers, || {
-        // Closing the pool on the way out — also when the control
-        // thread unwinds — is what ends the workers' waits.
-        let _close = CloseOnDrop(&pool);
-        let mut window = Window::new(&program.forest);
-        let route = Route {
-            mapper: Arc::clone(&opts.mapper),
-            num_workers: opts.num_workers,
-        };
-        exec_stmts(
-            program,
-            &program.body,
-            &mut env,
-            &inst_ptrs,
-            &pool,
-            &route,
-            &mut window,
-            &mut ctl,
-        );
-        memo_end_epoch(&mut ctl);
-        pool.wait_drained();
-        ctl.drained();
+    let (control, joined) = on_members(workers, || {
+        catch_unwind(AssertUnwindSafe(|| {
+            // Closing the pool on the way out — also when the control
+            // thread unwinds — is what ends the workers' waits.
+            let _close = CloseOnDrop(&pool);
+            let mut window = Window::new(&program.forest);
+            let route = Route {
+                mapper: Arc::clone(&opts.mapper),
+                num_workers: opts.num_workers,
+            };
+            exec_stmts(
+                program,
+                &program.body,
+                &mut env,
+                &inst_ptrs,
+                &pool,
+                &route,
+                &mut window,
+                &mut ctl,
+            );
+            memo_end_epoch(&mut ctl);
+            pool.wait_drained();
+            ctl.drained();
+        }))
     });
     joined.record(&mut ctl.mx);
     if let Some((w, msg)) = joined.failures.first() {
         panic!("worker {w} panicked: {msg}");
+    }
+    if let Err(payload) = control {
+        resume_unwind(payload);
     }
 
     ctl.tb.flush();
