@@ -27,13 +27,15 @@ use common::{
 };
 use regent_apps::stencil;
 use regent_cr::shard_layouts;
-use regent_ir::{Program, Store};
+use regent_geometry::DynPoint;
+use regent_ir::{Program, Stmt, Store};
 use regent_runtime::{
     classify_failure, flight, panic_message, run, run_failover, CancelToken, DeathCause, Failover,
     FailoverOptions, FailureClass, FaultPlan, Rescue, ResilienceOptions, RunOptions, RunResult,
     FAILOVER_EXHAUSTED_PREFIX,
 };
 use regent_trace::{failover_summary, EventKind, Tracer};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -495,19 +497,33 @@ fn mk_fig_failover() -> (Program, Store) {
 /// layouts, so the count is fixed by the partitioning: 16 at every kill
 /// epoch and every shard count.
 fn assert_rebuilds_16_instances(ns: usize, kill_epoch: u64) {
+    let plan = FaultPlan::new(42).kill_shard(1, kill_epoch);
+    assert_rebuilds_16_instances_of(&mk_fig_failover, ns, plan, &|| {});
+}
+
+/// [`assert_rebuilds_16_instances`] for the program `mk` makes under
+/// `plan`, which kills shard 1, with `arm` called between the
+/// undisturbed run and the failover.
+fn assert_rebuilds_16_instances_of(
+    mk: &dyn Fn() -> (Program, Store),
+    ns: usize,
+    plan: FaultPlan,
+    arm: &dyn Fn(),
+) {
     install_quiet_hook();
-    let label = format!("{ns} shards, shard 1 killed at epoch {kill_epoch}");
-    let (prog_a, mut store_a) = mk_fig_failover();
+    let label = format!("{ns} shards, plan {:?}", plan.events);
+    let (prog_a, mut store_a) = mk();
     let roots = prog_a.root_regions();
     let a = Strategy::Spmd.compile(prog_a, ns);
     let plain = run(a.as_ref(), &mut store_a, &RunOptions::default());
 
-    let (prog_b, mut store_b) = mk_fig_failover();
+    arm();
+    let (prog_b, mut store_b) = mk();
     let mut b = Strategy::Spmd.compile(prog_b, ns);
     let tracer = Tracer::enabled();
     let opts = RunOptions::traced(&tracer).with_resilience(ResilienceOptions {
         checkpoint_interval: 2,
-        plan: FaultPlan::new(42).kill_shard(1, kill_epoch),
+        plan,
         ..Default::default()
     });
     let r = run_failover(b.as_mut(), &mut store_b, &opts, &FailoverOptions::default());
@@ -554,6 +570,47 @@ fn failover_rebuilds_16_instances_on_4_shards() {
 #[test]
 fn failover_rebuilds_16_instances_on_8_shards() {
     assert_rebuilds_16_instances(8, 2);
+}
+
+/// A survivor that lags must not change what a kill rebuilds.
+/// fig_failover's run on 8 shards gets one launch of `increment_in`
+/// before its loop, and shard 0 (tile (0, 0), beside the victim, shard
+/// 1 on tile (0, 1)) sleeps 300 ms in it once armed, before its first
+/// boundary; the plan then stalls shard 0 for 300 ms at epoch 1 and
+/// kills shard 1 at epoch 2. While shard 0 lags, the shards far from it
+/// run ahead: they offer epoch 2 before it has offered epoch 0, then
+/// epoch 4 before it has offered epoch 2. A shard holds one pending
+/// offer, so both cuts tore, nothing committed, and a kill that fired
+/// at once left the retry nothing to rebuild from ("instances rebuilt,
+/// left: 0"). A kill that waits at its boundary for its cut to commit
+/// holds every shard there, and rebuilds all 16.
+#[test]
+fn failover_rebuilds_16_instances_beside_a_lagging_survivor() {
+    let armed = Arc::new(AtomicBool::new(false));
+    let lagging = DynPoint::new(&[0, 0]);
+    let mk = || {
+        let (mut prog, store) = mk_fig_failover();
+        let task = prog
+            .tasks
+            .iter_mut()
+            .find(|t| t.name == "increment_in")
+            .expect("fig_failover's Stencil increments its input");
+        let (kernel, armed) = (Arc::clone(&task.kernel), Arc::clone(&armed));
+        task.kernel = Arc::new(move |ctx| {
+            if ctx.launch_point == lagging && armed.swap(false, Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            kernel(ctx)
+        });
+        let Stmt::For { body, .. } = &prog.body[0] else {
+            panic!("fig_failover's Stencil is one loop");
+        };
+        let increment = body[1].clone();
+        prog.body.insert(0, increment);
+        (prog, store)
+    };
+    let plan = FaultPlan::new(42).kill_shard(1, 2).stall_shard(0, 1, 300);
+    assert_rebuilds_16_instances_of(&mk, 8, plan, &|| armed.store(true, Ordering::SeqCst));
 }
 
 /// Runs Stencil under `strategy` undisturbed, then twice under `opts`

@@ -5,7 +5,9 @@
 //! panics mid-issue — and then runs the same program again: the scalar
 //! environment and every root field must equal the first run's bit for
 //! bit. The concurrent case also checks that two runs in flight at once
-//! run on disjoint threads, each pinned to one CPU.
+//! run on disjoint threads, each pinned to one CPU, and the implicit
+//! cases that the control thread, which is worker 0, is pinned beside
+//! the members for its run only.
 //!
 //! The tests of this binary take turns: they count process-wide team
 //! members, and the concurrency case must not meet a third run.
@@ -18,7 +20,7 @@ use regent_ir::{Program, Store, TaskId};
 use regent_region::{FieldType, RegionForest};
 use regent_runtime::{
     execute_implicit, metrics, panic_message, run, run_failover, Counter, DefaultMapper,
-    FailoverOptions, FaultPlan, ImplicitOptions, Mapper, ResilienceOptions, RunOptions,
+    FailoverOptions, FaultPlan, ImplicitOptions, Mapper, ResilienceOptions, RunOptions, Timer,
 };
 use std::collections::{BTreeSet, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -357,15 +359,18 @@ fn an_implicit_run_unwinds_past_a_bad_mapper() {
             issued: AtomicUsize::new(0),
             good: 20,
         });
+        let before = cpus_allowed();
         let r = catch_unwind(AssertUnwindSafe(|| implicit(Some(bad))));
-        tx.send(r.map_err(|e| panic_message(e.as_ref())).err()).ok();
+        let msg = r.map_err(|e| panic_message(e.as_ref())).err();
+        tx.send((msg, before, cpus_allowed())).ok();
     });
-    let msg = rx
+    let (msg, before, after) = rx
         .recv_timeout(Duration::from_secs(60))
-        .expect("the implicit run hung instead of unwinding")
-        .expect("the out-of-range mapper must fail its run");
+        .expect("the implicit run hung instead of unwinding");
+    let msg = msg.expect("the out-of-range mapper must fail its run");
     worker.join().expect("the failure was caught");
     assert!(msg.contains("mapper chose worker 2 of 2"), "{msg}");
+    assert_eq!(after, before, "the unwind left the control thread pinned");
 
     assert_eq!(implicit(None), first);
 }
@@ -421,6 +426,97 @@ fn an_implicit_run_after_a_panicking_worker_is_bit_identical() {
             implicit(Arc::new(DefaultMapper)),
             first,
             "the run after worker {w}'s panic"
+        );
+    }
+}
+
+type CpusOf = (ThreadId, Option<String>);
+
+/// The implicit control thread is worker 0, pinned beside worker 1's
+/// member for the run only: each worker's kernels see exactly one
+/// allowed CPU, the two differ, and the caller's own CPU list is the
+/// same before and after the run.
+#[test]
+fn implicit_workers_run_on_two_cpus_and_the_caller_gets_its_mask_back() {
+    let _turn = turn();
+    let Some(before) = cpus_allowed() else {
+        return; // no /proc to read the lists from
+    };
+    let mut prog = mk_stencil().0;
+    // Each kernel's thread, with the CPUs it was allowed.
+    let seen: Arc<Mutex<Vec<CpusOf>>> = Arc::default();
+    let record = Arc::clone(&seen);
+    hook_kernels(
+        &mut prog,
+        Arc::new(move || {
+            let me = (std::thread::current().id(), cpus_allowed());
+            let mut seen = record.lock().unwrap();
+            if !seen.contains(&me) {
+                seen.push(me);
+            }
+        }),
+    );
+    let (_, mut store) = mk_stencil();
+    execute_implicit(&prog, &mut store, ImplicitOptions::with_workers(2));
+    assert_eq!(
+        cpus_allowed(),
+        Some(before.clone()),
+        "the caller's CPU list"
+    );
+
+    let seen = seen.lock().unwrap();
+    let control = std::thread::current().id();
+    let cpu_of = |on_control: bool| -> Vec<usize> {
+        seen.iter()
+            .filter(|(t, _)| (*t == control) == on_control)
+            .map(|(_, cpus)| {
+                let cpus = cpus.as_deref().expect("a kernel's CPU list");
+                cpus.parse()
+                    .unwrap_or_else(|_| panic!("a worker may run on CPUs {cpus}"))
+            })
+            .collect()
+    };
+    let (w0, w1) = (cpu_of(true), cpu_of(false));
+    assert_eq!(
+        (w0.len(), w1.len()),
+        (1, 1),
+        "one thread and one CPU a worker"
+    );
+    let two_cpus = before.contains(['-', ',']);
+    if two_cpus {
+        assert_ne!(w0, w1, "worker 0 and worker 1 share a CPU");
+    }
+}
+
+/// A W-worker implicit run posts W − 1 jobs to members: one wake-up
+/// sample each, none at W = 1, and no member spawned after the first
+/// run at a width.
+#[test]
+fn an_implicit_run_takes_one_member_fewer_than_its_workers() {
+    let _turn = turn();
+    if !metrics::global().is_enabled() {
+        return; // nothing is counted
+    }
+    let wakes = || metrics::global().aggregate().timer(Timer::TeamWakeNs).count;
+    let implicit = |workers: usize| {
+        let (prog, mut store) = mk_stencil();
+        execute_implicit(&prog, &mut store, ImplicitOptions::with_workers(workers));
+    };
+    for workers in [1, 2, 3] {
+        implicit(workers);
+        let (w0, spawned) = (wakes(), members_spawned());
+        for _ in 0..5 {
+            implicit(workers);
+        }
+        assert_eq!(
+            wakes() - w0,
+            5 * (workers as u64 - 1),
+            "{workers} workers: member wake-ups"
+        );
+        assert_eq!(
+            members_spawned(),
+            spawned,
+            "{workers} workers: a rerun spawned a member"
         );
     }
 }

@@ -62,12 +62,12 @@ use crate::config;
 use crate::mapper::{DefaultMapper, Mapper};
 use crate::memo::{self, EpochTemplate, MemoCache};
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
-use crate::team::{on_members, TeamJob};
+use crate::team::{on_members, panic_message, TeamJob};
 use crate::wait::Waiters;
 use regent_geometry::DynPoint;
 use regent_ir::{
     interp::resolve_arg, ArgSlot, IndexLaunch, Privilege, Program, RegionArg, RegionParam, Stmt,
-    Store, TaskCtx, TaskId,
+    Store, TaskCtx, TaskDecl, TaskId,
 };
 use regent_region::{Disjointness, Instance, RegionForest, RegionId};
 use regent_trace::{fields_mask, EventKind, PrivCode, TraceBuf, Tracer};
@@ -178,7 +178,9 @@ struct ReadyQueue<'p> {
     /// `jobs.len()`, stored under the lock after every change, so the
     /// worker polls an empty queue without taking the lock.
     len: AtomicUsize,
-    /// The worker, when it has parked on an empty queue.
+    /// The worker, when it has parked on an empty queue. Queue 0's is
+    /// the control thread's one wait set: it is worker 0, and the last
+    /// job to finish wakes it too.
     waiters: Waiters,
 }
 
@@ -187,10 +189,8 @@ struct Pool<'p> {
     ready: Vec<ReadyQueue<'p>>,
     /// Jobs issued and not yet run: the drain waits for zero.
     outstanding: AtomicUsize,
-    /// The control thread, when it has parked in a drain.
-    drained: Waiters,
-    /// Set when the control thread is done issuing (or unwinding):
-    /// workers exit instead of waiting for more.
+    /// Set when the control thread is done issuing (or unwinding), or a
+    /// worker unwound: workers exit instead of waiting for more.
     closed: AtomicBool,
     hang_timeout: Duration,
 }
@@ -200,7 +200,6 @@ impl<'p> Pool<'p> {
         Pool {
             ready: (0..workers).map(|_| ReadyQueue::default()).collect(),
             outstanding: AtomicUsize::new(0),
-            drained: Waiters::default(),
             closed: AtomicBool::new(false),
             hang_timeout,
         }
@@ -219,46 +218,52 @@ impl<'p> Pool<'p> {
         q.waiters.wake();
     }
 
-    /// Blocks until `worker` has a job, or returns `None` once the pool
-    /// is closed. A worker waits with no deadline: the control thread's
-    /// drain is what times out, and closing the pool (which unwinding
-    /// does too) is what ends an idle worker.
-    fn next(&self, worker: usize) -> Option<Arc<Job<'p>>> {
+    /// `worker`'s oldest ready job, without waiting.
+    fn pop(&self, worker: usize) -> Option<Arc<Job<'p>>> {
         let q = &self.ready[worker];
-        q.waiters
+        if q.len.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let mut jobs = q
+            .jobs
+            .lock()
+            .expect("no thread panics holding a ready queue");
+        let job = jobs.pop_front();
+        q.len.store(jobs.len(), Ordering::Release);
+        job
+    }
+
+    /// Blocks until `worker` (a member, not worker 0) has a job, or
+    /// returns `None` once the pool is closed. A member waits with no
+    /// deadline: the control thread's drain is what times out, and
+    /// closing the pool (which unwinding does too) is what ends an idle
+    /// member.
+    fn next(&self, worker: usize) -> Option<Arc<Job<'p>>> {
+        self.ready[worker]
+            .waiters
             .wait(Duration::MAX, || {
                 if self.closed.load(Ordering::Acquire) {
                     return Some(None);
                 }
-                if q.len.load(Ordering::Acquire) == 0 {
-                    return None;
-                }
-                let mut jobs = q
-                    .jobs
-                    .lock()
-                    .expect("no thread panics holding a ready queue");
-                let job = jobs.pop_front();
-                q.len.store(jobs.len(), Ordering::Release);
-                job.map(Some)
+                self.pop(worker).map(Some)
             })
             .flatten()
     }
 
-    /// Ends every worker's wait for more jobs, and the control thread's
-    /// wait for the pool to drain.
+    /// Ends every worker's wait for more jobs, the control thread's
+    /// drain included.
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
         for q in &self.ready {
             q.waiters.wake();
         }
-        self.drained.wake();
     }
 
     fn complete_one(&self) {
         // Release: the drain's Acquire load of zero then sees everything
         // the finished kernels wrote.
         if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.drained.wake();
+            self.ready[0].waiters.wake();
         }
     }
 
@@ -267,21 +272,25 @@ impl<'p> Pool<'p> {
         self.outstanding.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Blocks until every issued job has run. A pool that a failed
-    /// worker closed never drains: the control thread stops with
-    /// [`WorkerFailed`], and the run reports the worker's panic.
-    fn wait_drained(&self) {
-        let drained = self.drained.wait(self.hang_timeout, || {
-            if self.outstanding.load(Ordering::Acquire) == 0 {
-                Some(true)
-            } else {
-                self.closed.load(Ordering::Acquire).then_some(false)
+    /// The control thread's wait in a drain: worker 0's next ready job,
+    /// or `None` once every issued job has run. The hang timeout bounds
+    /// this wait, not the jobs the control thread runs between two
+    /// waits. A pool that a failed worker closed never drains: the
+    /// control thread stops with [`WorkerFailed`], and the run reports
+    /// the worker's panic.
+    fn next_own_or_drained(&self) -> Option<Arc<Job<'p>>> {
+        let got = self.ready[0].waiters.wait(self.hang_timeout, || {
+            if self.outstanding.load(Ordering::Acquire) == 0 || self.closed.load(Ordering::Acquire)
+            {
+                return Some(None);
             }
+            self.pop(0).map(Some)
         });
-        match drained {
-            Some(true) => {}
+        match got {
+            Some(Some(job)) => Some(job),
+            Some(None) if self.outstanding.load(Ordering::Acquire) == 0 => None,
             // No panic hook runs: the worker's panic already reported.
-            Some(false) => resume_unwind(Box::new(WorkerFailed)),
+            Some(None) => resume_unwind(Box::new(WorkerFailed)),
             None => panic!(
                 "likely deadlock: control thread waited {:?} for the worker pool to drain ({} tasks still outstanding)",
                 self.hang_timeout,
@@ -294,8 +303,8 @@ impl<'p> Pool<'p> {
 /// The control thread's unwind when a worker's panic closed the pool.
 struct WorkerFailed;
 
-/// Closes the pool when dropped, so the workers' jobs end whether the
-/// control thread returns or unwinds, and a worker that unwinds stops
+/// Closes the pool when dropped, so the members' jobs end whether the
+/// control thread returns or unwinds, and a member that unwinds stops
 /// the control thread.
 struct CloseOnDrop<'a, 'p>(&'a Pool<'p>);
 
@@ -307,7 +316,7 @@ impl Drop for CloseOnDrop<'_, '_> {
 
 fn run_job<'p>(
     job: &Job<'p>,
-    tasks: &[regent_ir::TaskDecl],
+    tasks: &[TaskDecl],
     pool: &Pool<'p>,
     tb: &mut TraceBuf,
     mx: &mut MetricsHandle,
@@ -560,13 +569,48 @@ struct Ctl<'p> {
     launch_seq: u32,
     loop_depth: u32,
     memo: Option<MemoRt<'p>>,
+    w0: Worker0,
 }
 
-impl Ctl<'_> {
-    /// Emits the drain marker after the pool quiesced (a full barrier
-    /// in the happens-before graph).
-    fn drained(&mut self) {
+/// Worker 0, which the control thread is: the trace buffer and metrics
+/// of its kernels, and the panic of one that failed.
+struct Worker0 {
+    tb: TraceBuf,
+    mx: MetricsHandle,
+    failure: Option<String>,
+}
+
+impl<'p> Ctl<'p> {
+    /// Runs worker 0's jobs that are ready now, without waiting.
+    fn run_ready(&mut self, pool: &Pool<'p>, tasks: &[TaskDecl]) {
+        while let Some(job) = pool.pop(0) {
+            self.run_own(&job, pool, tasks);
+        }
+    }
+
+    /// Waits until every issued job has run, running worker 0's as they
+    /// become ready, then emits the drain marker (a full barrier in the
+    /// happens-before graph).
+    fn drain(&mut self, pool: &Pool<'p>, tasks: &[TaskDecl]) {
+        while let Some(job) = pool.next_own_or_drained() {
+            self.run_own(&job, pool, tasks);
+        }
         self.tb.instant(EventKind::Drain);
+    }
+
+    /// Runs one of worker 0's jobs. A kernel that panics closes the
+    /// pool and stops the control thread; the run reports it as worker
+    /// 0's panic once the members have returned.
+    fn run_own(&mut self, job: &Job<'p>, pool: &Pool<'p>, tasks: &[TaskDecl]) {
+        let w0 = &mut self.w0;
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            run_job(job, tasks, pool, &mut w0.tb, &mut w0.mx)
+        }));
+        if let Err(e) = ran {
+            w0.failure = Some(panic_message(&*e));
+            pool.close();
+            resume_unwind(Box::new(WorkerFailed));
+        }
     }
 }
 
@@ -650,8 +694,7 @@ fn memo_begin_epoch<'p>(
         // this epoch happens-before everything inside it. The
         // template's intra-epoch edges then cover every ordering the
         // epoch needs, so no cross-epoch analysis is required.
-        pool.wait_drained();
-        ctl.drained();
+        ctl.drain(pool, &program.tasks);
         window.clear();
     }
     let m = ctl.memo.as_mut().unwrap();
@@ -791,12 +834,17 @@ pub fn execute_implicit(
             cache: Arc::clone(c),
             epoch: None,
         }),
+        w0: Worker0 {
+            tb: opts.tracer.buffer("worker-0"),
+            mx: metrics::global().handle("worker-0"),
+            failure: None,
+        },
     };
 
-    // The workers run on resident members; this thread stays the
-    // control thread.
+    // Workers 1 … W−1 run on resident members; this thread is the
+    // control thread and worker 0, pinned beside them.
     let (pool_ref, tasks) = (&pool, &program.tasks);
-    let workers: Vec<TeamJob<'_>> = (0..opts.num_workers)
+    let members: Vec<TeamJob<'_>> = (1..opts.num_workers)
         .map(|w| {
             let tracer = Arc::clone(&opts.tracer);
             Box::new(move || {
@@ -809,10 +857,10 @@ pub fn execute_implicit(
             }) as TeamJob<'_>
         })
         .collect();
-    let (control, joined) = on_members(workers, || {
+    let (control, joined) = on_members(members, true, || {
         catch_unwind(AssertUnwindSafe(|| {
             // Closing the pool on the way out — also when the control
-            // thread unwinds — is what ends the workers' waits.
+            // thread unwinds — is what ends the members' waits.
             let _close = CloseOnDrop(&pool);
             let mut window = Window::new(&program.forest);
             let route = Route {
@@ -830,18 +878,23 @@ pub fn execute_implicit(
                 &mut ctl,
             );
             memo_end_epoch(&mut ctl);
-            pool.wait_drained();
-            ctl.drained();
+            ctl.drain(&pool, tasks);
         }))
     });
     joined.record(&mut ctl.mx);
-    if let Some((w, msg)) = joined.failures.first() {
+    // Worker 0's panic first, then the members' in worker order.
+    let failed = ctl.w0.failure.take().map(|msg| (0, msg)).or_else(|| {
+        let (slot, msg) = joined.failures.into_iter().next()?;
+        Some((slot + 1, msg))
+    });
+    if let Some((w, msg)) = failed {
         panic!("worker {w} panicked: {msg}");
     }
     if let Err(payload) = control {
         resume_unwind(payload);
     }
 
+    ctl.w0.tb.flush();
     ctl.tb.flush();
     let stats = ctl.stats;
     // Dropping `ctl` merges the control thread's metrics into the
@@ -895,11 +948,11 @@ fn exec_stmts<'p>(
                     launch_jobs.push(job);
                 }
                 window.retire_covered(program, il, launch_seq);
+                ctl.run_ready(pool, &program.tasks);
                 if let Some((var, op)) = il.reduce_result {
                     // Scalar reduction: wait for the launch, fold returns
                     // in launch order (§4.4).
-                    pool.wait_drained();
-                    ctl.drained();
+                    ctl.drain(pool, &program.tasks);
                     let mut acc: Option<f64> = None;
                     for j in &launch_jobs {
                         let v = j
@@ -933,9 +986,9 @@ fn exec_stmts<'p>(
                     window,
                     ctl,
                 );
+                ctl.run_ready(pool, &program.tasks);
                 if let Some(var) = sl.result {
-                    pool.wait_drained();
-                    ctl.drained();
+                    ctl.drain(pool, &program.tasks);
                     env[var.0 as usize] = job.ret.lock().unwrap().unwrap_or_else(|| {
                         panic!("task {} returned no value", program.task(sl.task).name)
                     });

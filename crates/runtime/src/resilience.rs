@@ -84,10 +84,12 @@ use crate::cancel::CancelToken;
 use crate::metrics::{Counter, Timer};
 use crate::pool::clone_insts_into;
 use crate::spmd_exec::ShardExec;
+use crate::wait::Waiters;
 use regent_fault::{DeathCause, FaultPlan, PeerDeath, RetryPolicy, SHARD_LOSS_PREFIX};
 use regent_region::Instance;
 use regent_trace::{CorruptSite, EventKind};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Configuration of a resilient SPMD run: a deterministic fault plan
 /// plus the checkpoint cadence. The plan's shard crashes, kills and
@@ -233,17 +235,26 @@ impl Checkpoint {
 /// recomputing from scratch — in-run rollback handles faults the run
 /// survives, the rescue slot handles faults it does not.
 ///
-/// Torn offers (shards at different epochs when the run died) simply
-/// never commit; the retry then starts from scratch, which is always
+/// Each shard holds one pending offer, so a shard that offers a later
+/// cut before a lagging peer has offered the earlier one tears the
+/// earlier cut: it never commits. A scheduled kill therefore waits for
+/// the cut its boundary stands on ([`RescueSlot::await_commit`]); a
+/// retry still starts from an older cut, or from scratch, when a shard
+/// dies before offering (see DESIGN, "Failover"), which is always
 /// correct because execution is deterministic.
 pub(crate) struct RescueSlot {
     inner: Mutex<RescueInner>,
+    /// Shards waiting at a kill boundary for their cut to commit.
+    waiters: Waiters,
 }
 
 struct RescueInner {
     pending: Vec<Option<Checkpoint>>,
     /// One part per shard, all at the same boundary.
     committed: Option<Arc<[Checkpoint]>>,
+    /// A shard of the running team unwound: a cut it has not offered
+    /// never commits.
+    torn: bool,
 }
 
 impl std::fmt::Debug for RescueSlot {
@@ -270,12 +281,17 @@ impl RescueSlot {
             inner: Mutex::new(RescueInner {
                 pending: vec![None; num_shards],
                 committed,
+                torn: false,
             }),
+            waiters: Waiters::default(),
         }
     }
 
+    /// The slot's state. Only a refused offer panics holding it, before
+    /// changing anything, and a panic guard tears the slot while its
+    /// thread unwinds, so a poisoned lock is recovered.
     fn lock(&self) -> std::sync::MutexGuard<'_, RescueInner> {
-        self.inner.lock().expect("rescue slot poisoned")
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The membership this slot collects offers from.
@@ -304,7 +320,31 @@ impl RescueSlot {
         {
             let parts = g.pending.iter_mut().map(|p| p.take().expect("complete"));
             g.committed = Some(parts.collect());
+            drop(g);
+            self.waiters.wake();
         }
+    }
+
+    /// Starts a team on this slot: no shard of it has unwound yet.
+    pub(crate) fn open(&self) {
+        self.lock().torn = false;
+    }
+
+    /// A shard of the running team unwound (its panic guard calls
+    /// this): ends every [`RescueSlot::await_commit`].
+    pub(crate) fn tear(&self) {
+        self.lock().torn = true;
+        self.waiters.wake();
+    }
+
+    /// Blocks until the cut `at` has committed, a shard of the team has
+    /// unwound, or `timeout` has run out.
+    fn await_commit(&self, at: (u64, u64, u64), timeout: Duration) {
+        self.waiters.wait(timeout, || {
+            let g = self.lock();
+            let committed = g.committed.as_ref().is_some_and(|c| c[0].at() == at);
+            (committed || g.torn).then_some(())
+        });
     }
 }
 
@@ -523,15 +563,20 @@ impl Resilience {
         if self.due(first, epoch) && self.snapshot.as_ref().is_none_or(|s| s.epoch != epoch) {
             self.checkpoint(x, token);
         }
-        // Injected shard kill: fires *after* the checkpoint and rescue
-        // offer (so the kill-epoch checkpoint can commit) and *before*
-        // the survivable crash schedule. Every shard advances the
-        // cursor (the schedule is replicated); only the victim dies.
-        // The survivors then unwind through the poison cascade, and the
-        // failover driver reconstructs the victim's state at N-1.
+        // Injected shard kill: fires *after* the cut this boundary
+        // stands on (the checkpoint just offered, or the last one) has
+        // committed, and *before* the survivable crash schedule. Every
+        // shard advances the cursor (the schedule is replicated) and
+        // waits for the commit, so none can tear the cut by offering a
+        // later one; only the victim dies. The survivors then unwind
+        // through the poison cascade, and the failover driver
+        // reconstructs the victim's state at N-1 from that cut.
         if let Some(&(e, victim)) = self.kills.get(self.kill_cursor) {
             if e == epoch {
                 self.kill_cursor += 1;
+                if let (Some(slot), Some(cut)) = (&self.rescue, &self.snapshot) {
+                    slot.await_commit(cut.at(), x.hang_timeout);
+                }
                 if victim as usize == x.shard {
                     let death = PeerDeath {
                         shard: victim,

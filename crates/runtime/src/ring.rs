@@ -364,16 +364,40 @@ pub fn ring_with_timeout<T: Send>(
 /// is a no-op returning `false`. Implemented as raw syscalls: the
 /// workspace links no libc crate.
 pub(crate) fn pin_thread_to_core(k: usize) -> bool {
+    pin(k).is_some()
+}
+
+/// [`pin_thread_to_core`] for as long as the returned guard lives:
+/// dropping it gives the calling thread back the affinity mask it had
+/// before, whether its scope returns or unwinds.
+pub(crate) fn pin_scoped(k: usize) -> Pinned {
+    Pinned { before: pin(k) }
+}
+
+/// A thread pinned by [`pin_scoped`], and the mask it had before.
+pub(crate) struct Pinned {
+    before: Option<[u64; 16]>,
+}
+
+impl Drop for Pinned {
+    fn drop(&mut self) {
+        if let Some(mut mask) = self.before {
+            affinity_syscall(true, &mut mask);
+        }
+    }
+}
+
+/// Pins the calling thread to the `k`-th CPU of its mask; returns the
+/// mask it had before, or `None` when either affinity call failed.
+fn pin(k: usize) -> Option<[u64; 16]> {
     let mut mask = [0u64; 16]; // 1024-CPU mask
     if affinity_syscall(false, &mut mask) <= 0 {
-        return false;
+        return None;
     }
-    let Some(cpu) = nth_cpu(&mask, k) else {
-        return false;
-    };
+    let cpu = nth_cpu(&mask, k)?;
     let mut one = [0u64; 16];
     one[cpu / 64] = 1u64 << (cpu % 64);
-    affinity_syscall(true, &mut one) == 0
+    (affinity_syscall(true, &mut one) == 0).then_some(mask)
 }
 
 /// The CPU at position `k`, modulo their number, among the CPUs set in

@@ -45,7 +45,7 @@ use crate::collective::{DynamicCollective, ShardBarrier};
 use crate::exchange::CopyMsg;
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
 use crate::plan::schedule_for_run;
-use crate::resilience::{retry_budget, DeathBoard};
+use crate::resilience::{retry_budget, DeathBoard, RescueSlot};
 use crate::ring;
 use crate::run::{RunCtx, RunResult};
 use crate::spmd_exec::{ShardExec, ShardStats};
@@ -130,6 +130,9 @@ pub(crate) fn run_team(
     // if new offers land while shards are starting.
     let rescue = slot.and_then(|i| Some(resilience?.rescue.as_ref()?.slot(i, ns)));
     let resume = rescue.as_ref().and_then(|s| s.committed());
+    if let Some(s) = &rescue {
+        s.open();
+    }
 
     let mut results: Vec<Option<(Vec<f64>, ShardStats, ShardImage)>> =
         (0..ns).map(|_| None).collect();
@@ -153,6 +156,7 @@ pub(crate) fn run_team(
                 collective,
                 shard: shard as u32,
                 board: resilience.and_then(|o| o.board.clone()),
+                rescue: rescue.clone(),
             };
             let mut exec = ShardExec::new(
                 spmd,
@@ -186,13 +190,14 @@ pub(crate) fn run_team(
                 collective,
                 shard: u32::MAX,
                 board: None,
+                rescue: None,
             };
             f()
         }));
         name
     });
     // The caller parks until every job has finished, failed ones too.
-    let ((), joined) = on_members(jobs, || ());
+    let ((), joined) = on_members(jobs, false, || ());
     let mut mx = metrics::global().handle("team");
     joined.record(&mut mx);
 
@@ -266,18 +271,24 @@ pub(crate) fn run_team(
 /// as the root cause — but only when the board is still empty, so a
 /// kill or hang recorded before the cascade is never displaced by a
 /// secondary unwind — and forwards the root cause into the poison so
-/// waiters unwind with blame.
+/// waiters unwind with blame. With a rescue slot, it also tears the
+/// slot, so that no shard waits at a kill boundary for a cut the
+/// unwinding shard will not offer.
 struct PanicGuard<'a> {
     barrier: &'a ShardBarrier,
     collective: &'a DynamicCollective,
     /// The unwinding job's shard id (used only for self-blame).
     shard: u32,
     board: Option<Arc<DeathBoard>>,
+    rescue: Option<Arc<RescueSlot>>,
 }
 
 impl Drop for PanicGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
+            if let Some(slot) = &self.rescue {
+                slot.tear();
+            }
             match &self.board {
                 Some(board) => {
                     if board.is_empty() {
@@ -506,9 +517,22 @@ fn take_members(n: usize) -> (Vec<Arc<Member>>, u64) {
 /// that panics unwinds out of here, also only after every job has
 /// finished — so a caller whose jobs wait on it must release them as
 /// it unwinds (the implicit executor closes its pool in a guard).
-pub(crate) fn on_members<R>(jobs: Vec<TeamJob<'_>>, caller: impl FnOnce() -> R) -> (R, Joined) {
+///
+/// With `pin_caller`, this thread runs `caller` pinned to the CPU
+/// position after its highest member's (0 with none), which is the one
+/// position the members leave free when they are the lowest ones, and
+/// gets its own mask back when `caller` returns or unwinds.
+pub(crate) fn on_members<R>(
+    jobs: Vec<TeamJob<'_>>,
+    pin_caller: bool,
+    caller: impl FnOnce() -> R,
+) -> (R, Joined) {
     let n = jobs.len();
     let (taken, spawned) = take_members(n);
+    // Pinned only now: a member spawned above inherits this thread's
+    // mask, and must choose its CPU from the whole of it.
+    let beside = taken.iter().map(|m| m.index + 1).max().unwrap_or(0);
+    let pinned = pin_caller.then(|| ring::pin_scoped(beside));
     let latch = Arc::new(Latch {
         running: AtomicUsize::new(0),
         waiters: Waiters::default(),
@@ -541,6 +565,7 @@ pub(crate) fn on_members<R>(jobs: Vec<TeamJob<'_>>, caller: impl FnOnce() -> R) 
         });
     }
     let r = caller();
+    drop(pinned);
     drop(borrowed);
     let join_ns = (latch.epoch.elapsed().as_nanos() as u64)
         .saturating_sub(latch.done_ns.load(Ordering::Relaxed));

@@ -2,12 +2,12 @@
 //! drain, gives up after the hang timeout it was built with, with its
 //! "likely deadlock" diagnostic — parked or not.
 
-use regent_geometry::Domain;
-use regent_ir::{ProgramBuilder, RegionParam, Store, TaskDecl};
+use regent_geometry::{Domain, DynPoint};
+use regent_ir::{ProgramBuilder, RegionParam, Store, TaskDecl, TaskId};
 use regent_region::{FieldSpace, FieldType, ReductionOp};
 use regent_runtime::{
-    execute_implicit, ring_with_timeout, DynamicCollective, ImplicitOptions, LaunchLog, SendError,
-    ShardBarrier,
+    execute_implicit, ring_with_timeout, DynamicCollective, ImplicitOptions, LaunchLog, Mapper,
+    SendError, ShardBarrier,
 };
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
@@ -84,9 +84,19 @@ fn waits_give_up_at_the_hang_timeout() {
     );
 }
 
-/// A kernel that blocks past the hang timeout: the control thread's
-/// drain gives up at the timeout, and the run unwinds once the kernel
-/// returns (the worker pool is joined, not abandoned).
+/// Every task on worker 1, a member: worker 0 is the control thread,
+/// whose drain would run the task itself instead of waiting for it.
+struct OnWorker1;
+
+impl Mapper for OnWorker1 {
+    fn map_task(&self, _task: TaskId, _point: DynPoint, _num_workers: usize) -> usize {
+        1
+    }
+}
+
+/// A kernel that blocks past the hang timeout on a member: the control
+/// thread's drain gives up at the timeout, and the run unwinds once the
+/// kernel returns (the worker pool is joined, not abandoned).
 #[test]
 fn the_implicit_drain_gives_up_at_the_hang_timeout() {
     let mut b = ProgramBuilder::new();
@@ -106,6 +116,7 @@ fn the_implicit_drain_gives_up_at_the_hang_timeout() {
     let mut store = Store::new(&prog);
     let opts = ImplicitOptions {
         hang_timeout: Duration::from_millis(200),
+        mapper: Arc::new(OnWorker1),
         ..ImplicitOptions::with_workers(2)
     };
     let msg = deadlock_text("implicit drain", || {

@@ -11,13 +11,13 @@
 //! (`wait_deadline.rs`): the hang timeout is cached on first use.
 
 use regent_fault::{splitmix64, DeathCause, PeerDeath};
-use regent_geometry::Domain;
-use regent_ir::{ProgramBuilder, RegionParam, Store, TaskDecl};
+use regent_geometry::{Domain, DynPoint};
+use regent_ir::{ProgramBuilder, RegionParam, Store, TaskDecl, TaskId};
 use regent_region::{FieldSpace, FieldType, ReductionOp};
 use regent_runtime::metrics::thread_cpu_ns;
 use regent_runtime::{
-    execute_implicit, ring, DynamicCollective, ImplicitOptions, RingReceiver, RingSender,
-    ShardBarrier, TaskKindMapper,
+    execute_implicit, ring, DynamicCollective, ImplicitOptions, Mapper, RingReceiver, RingSender,
+    ShardBarrier,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
@@ -319,11 +319,21 @@ fn blocked_waits_use_no_cpu() {
     );
 }
 
-/// (d) for the implicit executor's pool: while one worker runs a 200 ms
-/// kernel, the other worker (idle) and the control thread (draining)
-/// together spend under 20 ms of CPU. The second worker's only task
-/// reads what the long one writes, so it runs last and reports what its
-/// thread spent waiting.
+/// Task `t` on worker `t + 1`: nothing on worker 0, which is the
+/// control thread.
+struct PastWorker0;
+
+impl Mapper for PastWorker0 {
+    fn map_task(&self, task: TaskId, _point: DynPoint, _num_workers: usize) -> usize {
+        task.0 as usize + 1
+    }
+}
+
+/// (d) for the implicit executor's pool: while worker 1 runs a 200 ms
+/// kernel, worker 2 (idle) and the control thread (worker 0, draining
+/// with nothing of its own to run) together spend under 20 ms of CPU.
+/// Worker 2's only task reads what the long one writes, so it runs last
+/// and reports what its thread spent waiting.
 #[test]
 fn an_idle_worker_and_a_draining_control_thread_use_no_cpu() {
     let _serial = serial();
@@ -344,7 +354,7 @@ fn an_idle_worker_and_a_draining_control_thread_use_no_cpu() {
             cost_per_element: 1.0,
         })
     };
-    // `TaskKindMapper` puts task 0 on worker 0 and task 1 on worker 1.
+    // `PastWorker0` puts task 0 on worker 1 and task 1 on worker 2.
     let long = task(
         "long",
         RegionParam::read_write(&[x]),
@@ -360,8 +370,8 @@ fn an_idle_worker_and_a_draining_control_thread_use_no_cpu() {
     let prog = b.build();
     let mut store = Store::new(&prog);
     let opts = ImplicitOptions {
-        mapper: Arc::new(TaskKindMapper),
-        ..ImplicitOptions::with_workers(2)
+        mapper: Arc::new(PastWorker0),
+        ..ImplicitOptions::with_workers(3)
     };
     let c0 = thread_cpu_ns();
     execute_implicit(&prog, &mut store, opts);
