@@ -23,11 +23,16 @@
 //! would conflict with the retired record also conflicts with the
 //! dominating one, and the happens-before graph is transitive.
 //!
-//! The calling thread is the control thread; the workers are resident
-//! team members (`team.rs`), taken for the run and returned after it.
-//! Each worker has a ready queue; a worker with nothing to run, and the
-//! control thread waiting for the pool to drain, block in the runtime's
-//! one wait primitive (`wait.rs`: spin briefly, then park).
+//! The calling thread is the control thread and also worker 0; workers
+//! 1 … W−1 are resident team members (`team.rs`), taken for the run and
+//! returned after it. For the run, the control thread is pinned to the
+//! CPU its members leave free, so W workers and the control thread
+//! share W CPUs without one of them waiting for another's CPU. Each
+//! worker has a ready queue. The control thread runs queue 0's ready
+//! jobs after each launch, and in a drain it runs them as they become
+//! ready; a member with nothing to run, and the control thread in a
+//! drain with nothing to run, block in the runtime's one wait primitive
+//! (`wait.rs`: spin briefly, then park).
 //!
 //! This is precisely the architecture whose *per-task control overhead*
 //! grows with the machine: the control thread does O(N) analysis work
@@ -80,7 +85,9 @@ use std::time::Duration;
 /// Options for the implicit executor.
 #[derive(Clone)]
 pub struct ImplicitOptions {
-    /// Worker threads executing ready tasks.
+    /// Workers executing ready tasks: the control thread is worker 0,
+    /// and each of the others runs on a resident team member, so a run
+    /// takes `num_workers − 1` members (none at 1).
     pub num_workers: usize,
     /// The mapping policy assigning point tasks to workers (§4.2).
     pub mapper: Arc<dyn Mapper>,
@@ -91,8 +98,9 @@ pub struct ImplicitOptions {
     /// ([`MemoCache::shared`]) across executions to replay from the
     /// very first epoch of a re-run.
     pub memo: Option<Arc<Mutex<MemoCache>>>,
-    /// How long the control thread waits for the worker pool to drain
-    /// before it panics with a "likely deadlock" diagnostic.
+    /// How long the control thread waits in a drain, with none of
+    /// worker 0's jobs ready, before it panics with a "likely deadlock"
+    /// diagnostic. A kernel it runs as worker 0 is not bounded by it.
     pub hang_timeout: Duration,
 }
 

@@ -240,8 +240,9 @@ impl Checkpoint {
 /// earlier cut: it never commits. A scheduled kill therefore waits for
 /// the cut its boundary stands on ([`RescueSlot::await_commit`]); a
 /// retry still starts from an older cut, or from scratch, when a shard
-/// dies before offering (see DESIGN, "Failover"), which is always
-/// correct because execution is deterministic.
+/// dies before offering (DESIGN, "A kill fires after its cut
+/// commits"), which is always correct because execution is
+/// deterministic.
 pub(crate) struct RescueSlot {
     inner: Mutex<RescueInner>,
     /// Shards waiting at a kill boundary for their cut to commit.

@@ -31,12 +31,16 @@
 //! only when too few are idle (concurrent runs, or more shards than any
 //! earlier run). SPMD, hybrid segments, the log (its sequencer
 //! included), guarded runs and failover attempts take their shards from
-//! the members, and the implicit executor its workers; a failover
-//! shrink is just a run that takes one member fewer. A job runs under
-//! `catch_unwind`, so a killed shard, a panicking kernel or a hang
-//! timeout leaves its member reusable, and the failure is reported to
-//! the run only after every job it posted has finished — the
-//! invariant `std::thread::scope` keeps, kept here by a drop guard.
+//! the members, and the implicit executor its workers 1 … W−1; a
+//! failover shrink is just a run that takes one member fewer. The
+//! caller of an SPMD-family run parks until the join. The implicit
+//! executor's caller is its control thread and worker 0, and runs
+//! pinned to the CPU position after its highest member's until its
+//! control flow returns or unwinds (the only pin that is undone). A
+//! job runs under `catch_unwind`, so a killed shard, a panicking kernel
+//! or a hang timeout leaves its member reusable, and the failure is
+//! reported to the run only after every job it posted has finished —
+//! the invariant `std::thread::scope` keeps, kept here by a drop guard.
 //! What a run still pays for its threads is a wake-up per member and
 //! one completion signal: the `team_wake_ns` and `team_join_ns`
 //! timers.
