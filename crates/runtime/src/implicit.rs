@@ -141,7 +141,10 @@ pub struct ImplicitStats {
     /// — the dynamic-analysis work that makes single-control-thread
     /// execution stop scaling (§1).
     pub dependence_checks: u64,
-    /// Dependence edges recorded.
+    /// Dependence edges found: one per predecessor that analysis or a
+    /// memo replay orders a task after, whether or not it had finished
+    /// by then — the `DepEdge` events a traced run records, so a
+    /// function of the program, not of the schedule.
     pub dependence_edges: u64,
     /// Peak size of the analysis window, in records (one per region
     /// access of a task that a later task may still have to follow).
@@ -1162,7 +1165,6 @@ fn issue_task<'p>(
                 // counterpart of DepAnalysis in blame reports.
                 let replay_start = ctl.tb.now();
                 let preds = t.edges[ep.cursor].clone();
-                let mut n_deps = 0usize;
                 for &p in &preds {
                     let prev_job = &ep.jobs[p as usize];
                     ctl.tb.instant(EventKind::DepEdge {
@@ -1175,9 +1177,9 @@ fn issue_task<'p>(
                     if !prev_job.done.load(Ordering::SeqCst) {
                         job.remaining.fetch_add(1, Ordering::SeqCst);
                         deps.push(Arc::clone(&job));
-                        n_deps += 1;
                     }
                 }
+                ctl.stats.dependence_edges += preds.len() as u64;
                 ep.edges.push(preds);
                 ep.cursor += 1;
                 ep.replayed += 1;
@@ -1185,7 +1187,6 @@ fn issue_task<'p>(
                     .span_since(replay_start, EventKind::MemoReplay { launch, pos });
                 ctl.stats.memo_replayed_tasks += 1;
                 ctl.mx.incr(Counter::MemoReplayedTasks);
-                ctl.stats.dependence_edges += n_deps as u64;
                 replayed = true;
             } else {
                 // Divergence: this epoch stopped matching the predicted
@@ -1212,9 +1213,10 @@ fn issue_task<'p>(
         let analysis_start = ctl.tb.now();
         let analysis_m0 = ctl.mx.start();
         let mut checks = 0u64;
-        let mut n_deps = 0usize;
         let mut epoch_preds: Vec<u32> = Vec::new();
-        for prev_job in window.analyse(forest, &accesses, &mut checks) {
+        let preds = window.analyse(forest, &accesses, &mut checks);
+        ctl.stats.dependence_edges += preds.len() as u64;
+        for prev_job in preds {
             // The edge is recorded even when the predecessor already
             // finished: its completion happened-before this launch, so
             // the ordering is real either way (the trace validator
@@ -1236,7 +1238,6 @@ fn issue_task<'p>(
             if !prev_job.done.load(Ordering::SeqCst) {
                 job.remaining.fetch_add(1, Ordering::SeqCst);
                 deps.push(Arc::clone(&job));
-                n_deps += 1;
             }
         }
         ctl.stats.dependence_checks += checks;
@@ -1250,7 +1251,6 @@ fn issue_task<'p>(
         );
         ctl.mx.record_since(analysis_m0, Timer::DepAnalysisNs);
         ctl.mx.add(Counter::DepChecks, checks);
-        ctl.stats.dependence_edges += n_deps as u64;
         if sig.is_some() {
             let ep = ctl.memo.as_mut().unwrap().epoch.as_mut().unwrap();
             ep.edges.push(epoch_preds);
@@ -1381,23 +1381,91 @@ mod tests {
             tracer: tracer.clone(),
             ..ImplicitOptions::with_workers(2)
         };
-        execute_implicit(&prog, &mut store, opts);
-        let edges = tracer
-            .take()
+        let (_, stats) = execute_implicit(&prog, &mut store, opts);
+        let edges: Vec<(u32, u32)> = dep_edges(&tracer.take())
+            .into_iter()
+            .map(|(from, to)| (from.0, to.0))
+            .collect();
+        assert_eq!(stats.dependence_edges, edges.len() as u64);
+        let f0 = store.instance(&prog, region).f64_col(FieldId(0)).to_vec();
+        (edges, f0)
+    }
+
+    /// The `DepEdge` events of `trace`, as `((launch, pos), (launch,
+    /// pos))` pairs in recording order.
+    fn dep_edges(trace: &regent_trace::Trace) -> Vec<((u32, u32), (u32, u32))> {
+        trace
             .tracks
             .iter()
             .flat_map(|t| &t.events)
             .filter_map(|e| match e.kind {
                 EventKind::DepEdge {
                     from_launch,
+                    from_pos,
                     to_launch,
-                    ..
-                } => Some((from_launch, to_launch)),
+                    to_pos,
+                } => Some(((from_launch, from_pos), (to_launch, to_pos))),
                 _ => None,
             })
-            .collect();
-        let f0 = store.instance(&prog, region).f64_col(FieldId(0)).to_vec();
-        (edges, f0)
+            .collect()
+    }
+
+    #[test]
+    fn the_edge_count_is_the_recorded_edges_analysed_or_replayed() {
+        // Each step reduces into the four blocks of a region and then
+        // reads the whole of it, so every step orders after the one
+        // before. Step 0 is analysed, and with memoization the later
+        // steps replay its template.
+        let mut b = ProgramBuilder::new();
+        let fs = FieldSpace::of(&[("x", FieldType::F64)]);
+        let x = fs.lookup("x").unwrap();
+        let r = b.forest.create_region(Domain::range(8), fs);
+        let p = regent_region::ops::block(&mut b.forest, r, 4);
+        let add = b.task(TaskDecl {
+            name: "add".into(),
+            params: vec![RegionParam::reduce(ReductionOp::Add, &[x])],
+            num_scalar_args: 0,
+            returns_value: false,
+            kernel: Arc::new(move |ctx| {
+                let dom = ctx.domain(0).clone();
+                for q in dom.iter() {
+                    ctx.reduce_f64(0, x, q, 0.5);
+                }
+            }),
+            cost_per_element: 1.0,
+        });
+        let read = b.task(TaskDecl {
+            name: "read".into(),
+            params: vec![RegionParam::read(&[x])],
+            num_scalar_args: 0,
+            returns_value: false,
+            kernel: Arc::new(|_| {}),
+            cost_per_element: 1.0,
+        });
+        let steps = b.for_loop(regent_ir::ScalarExpr::Const(5.0));
+        b.index_launch(add, 4, vec![RegionArg::Part(p)]);
+        b.call(read, vec![r]);
+        b.end(steps);
+        let prog = b.build();
+        for memo in [false, true] {
+            let tracer = Tracer::enabled();
+            let mut opts = ImplicitOptions {
+                tracer: tracer.clone(),
+                ..ImplicitOptions::with_workers(2)
+            };
+            if memo {
+                opts = opts.with_memo(MemoCache::shared());
+            }
+            let (_, stats) = execute_implicit(&prog, &mut Store::new(&prog), opts);
+            let edges = dep_edges(&tracer.take());
+            // Four edges into each read. Analysed, each later add also
+            // follows the read and the add on its block a step before;
+            // replayed, the fence before a step orders those instead.
+            let want = if memo { 4 * 5 } else { 4 + 12 * 4 };
+            assert_eq!(edges.len(), want, "memo {memo}");
+            assert_eq!(stats.dependence_edges, edges.len() as u64, "memo {memo}");
+            assert_eq!(stats.memo_hits > 0, memo);
+        }
     }
 
     fn f(id: u32) -> [FieldId; 1] {
