@@ -433,6 +433,8 @@ struct Window<'p> {
     /// [`launch_covers`] of every index launch issued so far, by
     /// statement (the program does not move or change during a run).
     covers: HashMap<*const IndexLaunch, Vec<Access>>,
+    /// The last analysis's predecessors; one buffer for the run.
+    preds: Vec<Arc<Job<'p>>>,
 }
 
 /// The regions an index launch overwrites as a whole, as the accesses
@@ -478,6 +480,7 @@ impl<'p> Window<'p> {
             len: 0,
             analyses: 0,
             covers: HashMap::new(),
+            preds: Vec::new(),
         }
     }
 
@@ -540,10 +543,11 @@ impl<'p> Window<'p> {
         forest: &RegionForest,
         accesses: &[Access],
         checks: &mut u64,
-    ) -> Vec<Arc<Job<'p>>> {
+    ) -> &[Arc<Job<'p>>] {
         self.analyses += 1;
         let stamp = self.analyses;
-        let mut preds: Vec<Arc<Job<'p>>> = Vec::new();
+        let preds = &mut self.preds;
+        preds.clear();
         for next in accesses {
             for &s in forest.aliases(next.region) {
                 let bucket = &mut self.by_region[s.0 as usize];
@@ -825,12 +829,12 @@ pub fn execute_implicit(
     assert!(opts.num_workers > 0);
     let mut env: Vec<f64> = program.scalars.iter().map(|s| s.init).collect();
 
-    // Cache raw pointers to every root instance (the map is not
-    // mutated while workers run).
-    let roots = program.root_regions();
-    let mut inst_ptrs: HashMap<RegionId, *mut Instance> = HashMap::new();
-    for r in roots {
-        inst_ptrs.insert(r, store.instance_mut(program, r) as *mut Instance);
+    // Cache raw pointers to every root instance, by root region id (the
+    // store is not touched by anyone else while workers run).
+    let mut inst_ptrs: Vec<*mut Instance> =
+        vec![std::ptr::null_mut(); program.forest.num_regions()];
+    for r in program.root_regions() {
+        inst_ptrs[r.0 as usize] = store.instance_mut(program, r) as *mut Instance;
     }
 
     let pool = Pool::new(opts.num_workers, opts.hang_timeout);
@@ -926,7 +930,7 @@ fn exec_stmts<'p>(
     program: &'p Program,
     stmts: &'p [Stmt],
     env: &mut Vec<f64>,
-    inst_ptrs: &HashMap<RegionId, *mut Instance>,
+    inst_ptrs: &[*mut Instance],
     pool: &Pool<'p>,
     route: &Route,
     window: &mut Window<'p>,
@@ -1053,6 +1057,22 @@ fn exec_stmts<'p>(
     }
 }
 
+/// Makes `job` wait for `prev` unless `prev` has already finished. A
+/// finished predecessor is seen without its lock: `run_job` sets `done`
+/// after the kernel, so an `Acquire` load of `true` also orders the
+/// kernel's writes before `job`'s. Otherwise `done` is read again under
+/// the lock `run_job` sets it under.
+fn register_edge<'p>(prev: &Job<'p>, job: &Arc<Job<'p>>) {
+    if prev.done.load(Ordering::Acquire) {
+        return;
+    }
+    let mut deps = prev.dependents.lock().unwrap();
+    if !prev.done.load(Ordering::SeqCst) {
+        job.remaining.fetch_add(1, Ordering::SeqCst);
+        deps.push(Arc::clone(job));
+    }
+}
+
 /// Issues one point task: dependence analysis against the window, then
 /// submission (deferred-execution style — the control thread never
 /// blocks on the task itself).
@@ -1064,7 +1084,7 @@ fn issue_task<'p>(
     scalars: Vec<f64>,
     point: DynPoint,
     (launch, pos): (u32, u32),
-    inst_ptrs: &HashMap<RegionId, *mut Instance>,
+    inst_ptrs: &[*mut Instance],
     pool: &Pool<'p>,
     route: &Route,
     window: &mut Window<'p>,
@@ -1093,7 +1113,7 @@ fn issue_task<'p>(
                     forest.domain(r),
                     p.privilege,
                     &p.fields,
-                    inst_ptrs[&forest.root_of(r)],
+                    inst_ptrs[forest.root_of(r).0 as usize],
                 )
             }
         })
@@ -1173,11 +1193,7 @@ fn issue_task<'p>(
                         to_launch: launch,
                         to_pos: pos,
                     });
-                    let mut deps = prev_job.dependents.lock().unwrap();
-                    if !prev_job.done.load(Ordering::SeqCst) {
-                        job.remaining.fetch_add(1, Ordering::SeqCst);
-                        deps.push(Arc::clone(&job));
-                    }
+                    register_edge(prev_job, &job);
                 }
                 ctl.stats.dependence_edges += preds.len() as u64;
                 ep.edges.push(preds);
@@ -1229,16 +1245,11 @@ fn issue_task<'p>(
             });
             // Intra-epoch conflicts feed the template being captured.
             if let Some(ep) = ctl.memo.as_ref().and_then(|m| m.epoch.as_ref()) {
-                if let Some(&idx) = ep.index_of.get(&(Arc::as_ptr(&prev_job) as usize)) {
+                if let Some(&idx) = ep.index_of.get(&(Arc::as_ptr(prev_job) as usize)) {
                     epoch_preds.push(idx);
                 }
             }
-            // Register the edge unless the predecessor already finished.
-            let mut deps = prev_job.dependents.lock().unwrap();
-            if !prev_job.done.load(Ordering::SeqCst) {
-                job.remaining.fetch_add(1, Ordering::SeqCst);
-                deps.push(Arc::clone(&job));
-            }
+            register_edge(prev_job, &job);
         }
         ctl.stats.dependence_checks += checks;
         ctl.tb.span_since(
