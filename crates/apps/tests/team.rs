@@ -325,7 +325,7 @@ struct OutOfRange {
 }
 
 impl Mapper for OutOfRange {
-    fn map_task(&self, _task: TaskId, _point: DynPoint, num_workers: usize) -> usize {
+    fn map_task(&self, _: TaskId, _: DynPoint, _: usize, _: usize, num_workers: usize) -> usize {
         let n = self.issued.fetch_add(1, Ordering::SeqCst);
         if n < self.good {
             n % num_workers
@@ -379,7 +379,7 @@ fn an_implicit_run_unwinds_past_a_bad_mapper() {
 struct OnWorker(usize);
 
 impl Mapper for OnWorker {
-    fn map_task(&self, _task: TaskId, _point: DynPoint, _num_workers: usize) -> usize {
+    fn map_task(&self, _: TaskId, _: DynPoint, _: usize, _: usize, _: usize) -> usize {
         self.0
     }
 }

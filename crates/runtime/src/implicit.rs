@@ -28,11 +28,15 @@
 //! returned after it. For the run, the control thread is pinned to the
 //! CPU its members leave free, so W workers and the control thread
 //! share W CPUs without one of them waiting for another's CPU. Each
-//! worker has a ready queue. The control thread runs queue 0's ready
-//! jobs after each launch, and in a drain it runs them as they become
-//! ready; a member with nothing to run, and the control thread in a
-//! drain with nothing to run, block in the runtime's one wait primitive
-//! (`wait.rs`: spin briefly, then park).
+//! worker has a ready queue, and the [`Mapper`] picks the queue; the
+//! default places each launch in blocks, worker W−1−s running the points
+//! SPMD shard s owns, so worker 0 gets the last block. The control
+//! thread runs queue 0's ready jobs after each launch, and in a drain it
+//! runs them as they become ready; a member with nothing to run, and the
+//! control thread in a drain with nothing to run, block in the runtime's
+//! one wait primitive (`wait.rs`: spin briefly, then park). Worker 0's
+//! kernel runs are traced on the control thread's track, in program
+//! order with its analysis.
 //!
 //! This is precisely the architecture whose *per-task control overhead*
 //! grows with the machine: the control thread does O(N) analysis work
@@ -105,7 +109,7 @@ pub struct ImplicitOptions {
 }
 
 impl ImplicitOptions {
-    /// `num_workers` workers with the default round-robin mapper,
+    /// `num_workers` workers with the default (block) mapper,
     /// tracing off, memoization off, and the process's hang timeout
     /// ([`config::process`]).
     pub fn with_workers(num_workers: usize) -> Self {
@@ -587,10 +591,11 @@ struct Ctl<'p> {
     w0: Worker0,
 }
 
-/// Worker 0, which the control thread is: the trace buffer and metrics
-/// of its kernels, and the panic of one that failed.
+/// Worker 0, which the control thread is: the metrics of its kernels,
+/// and the panic of one that failed. Its kernel runs are recorded on the
+/// control thread's trace buffer, so the trace keeps them in program
+/// order with the analysis the same thread does between them.
 struct Worker0 {
-    tb: TraceBuf,
     mx: MetricsHandle,
     failure: Option<String>,
 }
@@ -617,9 +622,9 @@ impl<'p> Ctl<'p> {
     /// pool and stops the control thread; the run reports it as worker
     /// 0's panic once the members have returned.
     fn run_own(&mut self, job: &Job<'p>, pool: &Pool<'p>, tasks: &[TaskDecl]) {
-        let w0 = &mut self.w0;
+        let (tb, w0) = (&mut self.tb, &mut self.w0);
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            run_job(job, tasks, pool, &mut w0.tb, &mut w0.mx)
+            run_job(job, tasks, pool, tb, &mut w0.mx)
         }));
         if let Err(e) = ran {
             w0.failure = Some(panic_message(&*e));
@@ -850,7 +855,6 @@ pub fn execute_implicit(
             epoch: None,
         }),
         w0: Worker0 {
-            tb: opts.tracer.buffer("worker-0"),
             mx: metrics::global().handle("worker-0"),
             failure: None,
         },
@@ -909,7 +913,6 @@ pub fn execute_implicit(
         resume_unwind(payload);
     }
 
-    ctl.w0.tb.flush();
     ctl.tb.flush();
     let stats = ctl.stats;
     // Dropping `ctl` merges the control thread's metrics into the
@@ -923,6 +926,22 @@ pub fn execute_implicit(
 struct Route {
     mapper: Arc<dyn Mapper>,
     num_workers: usize,
+}
+
+impl Route {
+    /// The mapper's worker for the point at `pos` of a launch over `len`
+    /// points.
+    fn worker(&self, task: TaskId, point: DynPoint, pos: usize, len: usize) -> usize {
+        let worker = self
+            .mapper
+            .map_task(task, point, pos, len, self.num_workers);
+        assert!(
+            worker < self.num_workers,
+            "mapper chose worker {worker} of {}",
+            self.num_workers
+        );
+        worker
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -944,6 +963,7 @@ fn exec_stmts<'p>(
                 let launch_seq = ctl.launch_seq;
                 ctl.launch_seq += 1;
                 let mut launch_jobs: Vec<Arc<Job<'p>>> = Vec::new();
+                let len = il.launch_domain.len();
                 for (pos, &i) in il.launch_domain.iter().enumerate() {
                     let regions: Vec<RegionId> =
                         il.args.iter().map(|a| resolve_arg(program, a, i)).collect();
@@ -954,9 +974,9 @@ fn exec_stmts<'p>(
                         scalar_args.clone(),
                         i,
                         (launch_seq, pos as u32),
+                        route.worker(il.task, i, pos, len),
                         inst_ptrs,
                         pool,
-                        route,
                         window,
                         ctl,
                     );
@@ -995,9 +1015,9 @@ fn exec_stmts<'p>(
                     scalar_args,
                     DynPoint::from(0),
                     (launch_seq, 0),
+                    route.worker(sl.task, DynPoint::from(0), 0, 1),
                     inst_ptrs,
                     pool,
-                    route,
                     window,
                     ctl,
                 );
@@ -1084,9 +1104,9 @@ fn issue_task<'p>(
     scalars: Vec<f64>,
     point: DynPoint,
     (launch, pos): (u32, u32),
+    worker: usize,
     inst_ptrs: &[*mut Instance],
     pool: &Pool<'p>,
-    route: &Route,
     window: &mut Window<'p>,
     ctl: &mut Ctl<'p>,
 ) -> Arc<Job<'p>> {
@@ -1142,12 +1162,6 @@ fn issue_task<'p>(
     // `remaining` starts at 1: a sentinel held by the control thread
     // while edges are being added, preventing a predecessor that
     // completes mid-analysis from submitting the job twice.
-    let worker = route.mapper.map_task(task, point, route.num_workers);
-    assert!(
-        worker < route.num_workers,
-        "mapper chose worker {worker} of {}",
-        route.num_workers
-    );
     let job = Arc::new(Job {
         task,
         slots: Mutex::new(slots),
@@ -1419,6 +1433,61 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn a_reduce_chain_crosses_workers_once_per_block() {
+        // Every point of one launch reduces into the whole region, so
+        // the points run one after another, point k after point k − 1.
+        // Placed in blocks, only the first point of each block follows
+        // a point on another worker.
+        const N: u64 = 10;
+        let mut b = ProgramBuilder::new();
+        let fs = FieldSpace::of(&[("x", FieldType::F64)]);
+        let x = fs.lookup("x").unwrap();
+        let r = b.forest.create_region(Domain::range(4), fs);
+        let add = b.task(TaskDecl {
+            name: "add".into(),
+            params: vec![RegionParam::reduce(ReductionOp::Add, &[x])],
+            num_scalar_args: 0,
+            returns_value: false,
+            kernel: Arc::new(move |ctx| {
+                let dom = ctx.domain(0).clone();
+                for q in dom.iter() {
+                    ctx.reduce_f64(0, x, q, 0.1);
+                }
+            }),
+            cost_per_element: 1.0,
+        });
+        b.index_launch(add, N, vec![RegionArg::Region(r)]);
+        let prog = b.build();
+        for workers in 1..=4 {
+            let tracer = Tracer::enabled();
+            let opts = ImplicitOptions {
+                tracer: tracer.clone(),
+                ..ImplicitOptions::with_workers(workers)
+            };
+            execute_implicit(&prog, &mut Store::new(&prog), opts);
+            let trace = tracer.take();
+            // The worker that ran each point: the control thread is
+            // worker 0 and records its runs on its own track.
+            let mut ran_on = HashMap::new();
+            for t in &trace.tracks {
+                for e in &t.events {
+                    if let EventKind::TaskRun { launch, pos, .. } = e.kind {
+                        ran_on.insert((launch, pos), t.name.replace("control", "worker-0"));
+                    }
+                }
+            }
+            assert_eq!(ran_on.len(), N as usize);
+            let edges = dep_edges(&trace);
+            assert_eq!(edges.len(), N as usize - 1, "{workers} workers");
+            let crossing = edges
+                .iter()
+                .filter(|(from, to)| ran_on[from] != ran_on[to])
+                .count();
+            assert_eq!(crossing, workers - 1, "{workers} workers");
+        }
     }
 
     #[test]

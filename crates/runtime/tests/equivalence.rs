@@ -566,6 +566,25 @@ fn hierarchical_tree_prunes_copies() {
     );
 }
 
+/// The checkerboard: points dealt out by the parity of their coordinate
+/// sum, so every neighbour of a point in a 1-D or 2-D launch runs on
+/// another worker — the most cross-worker edges a mapping can make.
+struct CheckerboardMapper;
+
+impl regent_runtime::Mapper for CheckerboardMapper {
+    fn map_task(
+        &self,
+        _: regent_ir::TaskId,
+        point: DynPoint,
+        _: usize,
+        _: usize,
+        num_workers: usize,
+    ) -> usize {
+        let sum: i64 = point.coords().iter().sum();
+        sum.rem_euclid(num_workers as i64) as usize
+    }
+}
+
 #[test]
 fn mapping_is_agnostic_to_results() {
     // §4.2: "The techniques described in this paper are agnostic to
@@ -581,6 +600,7 @@ fn mapping_is_agnostic_to_results() {
         std::sync::Arc::new(DefaultMapper),
         std::sync::Arc::new(SingleWorkerMapper),
         std::sync::Arc::new(TaskKindMapper),
+        std::sync::Arc::new(CheckerboardMapper),
     ];
     for mapper in mappers {
         let (prog2, init2) = reduction_program(32, 96, 8, 4);

@@ -89,7 +89,7 @@ fn waits_give_up_at_the_hang_timeout() {
 struct OnWorker1;
 
 impl Mapper for OnWorker1 {
-    fn map_task(&self, _task: TaskId, _point: DynPoint, _num_workers: usize) -> usize {
+    fn map_task(&self, _: TaskId, _: DynPoint, _: usize, _: usize, _: usize) -> usize {
         1
     }
 }

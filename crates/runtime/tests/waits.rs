@@ -324,7 +324,7 @@ fn blocked_waits_use_no_cpu() {
 struct PastWorker0;
 
 impl Mapper for PastWorker0 {
-    fn map_task(&self, task: TaskId, _point: DynPoint, _num_workers: usize) -> usize {
+    fn map_task(&self, task: TaskId, _: DynPoint, _: usize, _: usize, _: usize) -> usize {
         task.0 as usize + 1
     }
 }

@@ -305,8 +305,8 @@ pub fn blame_report(trace: &Trace) -> Result<BlameReport, String> {
 /// Max/mean shard busy time and the idle-gap distribution — the
 /// load-imbalance companion to the blame table.
 pub struct ImbalanceReport {
-    /// Tracks measured (shard/worker tracks when present, else every
-    /// track with at least one span).
+    /// Tracks measured (shard/worker tracks and tracks that run tasks
+    /// when present, else every track with at least one span).
     pub tracks: usize,
     /// Busiest track's total span time, nanoseconds.
     pub max_busy_ns: u64,
@@ -347,13 +347,22 @@ fn log2_bucket(ns: u64) -> usize {
 }
 
 /// Computes the load-imbalance report for `trace`. Shard and worker
-/// tracks (`shard-*` / `worker-*`) are measured when present;
-/// otherwise every track carrying at least one span counts.
+/// tracks (`shard-*` / `worker-*`) and every track that runs a task are
+/// measured when present; otherwise every track carrying at least one
+/// span counts. The implicit control thread is worker 0 and records its
+/// kernel runs on its own track: there its analysis and memo replay
+/// spans are control work, not a worker's, and do not count as busy.
 pub fn imbalance_report(trace: &Trace) -> ImbalanceReport {
     let executor_tracks: Vec<&Track> = trace
         .tracks
         .iter()
-        .filter(|t| t.name.starts_with("shard-") || t.name.starts_with("worker-"))
+        .filter(|t| {
+            t.name.starts_with("shard-")
+                || t.name.starts_with("worker-")
+                || t.events
+                    .iter()
+                    .any(|e| matches!(e.kind, EventKind::TaskRun { .. }))
+        })
         .collect();
     let tracks: Vec<&Track> = if executor_tracks.is_empty() {
         trace
@@ -368,16 +377,16 @@ pub fn imbalance_report(trace: &Trace) -> ImbalanceReport {
     let mut sum_busy = 0u64;
     let mut idle_hist = [0u64; IDLE_BUCKETS];
     for t in &tracks {
-        let busy: u64 = t.events.iter().map(|e| e.dur).sum();
+        let work = || {
+            t.events.iter().filter(|e| {
+                e.dur > 0 && !matches!(classify(&e.kind), Phase::DepAnalysis | Phase::MemoReplay)
+            })
+        };
+        let busy: u64 = work().map(|e| e.dur).sum();
         max_busy_ns = max_busy_ns.max(busy);
         sum_busy += busy;
         // Idle gaps between consecutive spans, in timestamp order.
-        let mut spans: Vec<(u64, u64)> = t
-            .events
-            .iter()
-            .filter(|e| e.dur > 0)
-            .map(|e| (e.ts, e.ts + e.dur))
-            .collect();
+        let mut spans: Vec<(u64, u64)> = work().map(|e| (e.ts, e.ts + e.dur)).collect();
         spans.sort_unstable();
         let mut frontier: Option<u64> = None;
         for (start, end) in spans {
@@ -689,6 +698,57 @@ mod tests {
             assert_eq!(per_track_sum, r.critical_path_ns);
             assert_eq!(per_epoch_sum, r.critical_path_ns);
         }
+    }
+
+    #[test]
+    fn one_thread_that_analyses_and_runs_is_one_timeline() {
+        // The implicit control thread is worker 0: it analyses launch 0
+        // and runs it, then launch 1, then analyses launch 2, whose one
+        // point runs on worker 1.
+        let analysis = |l| EventKind::DepAnalysis {
+            launch: l,
+            pos: 0,
+            checks: 1,
+        };
+        let control = vec![
+            ev(0, 0, launch(0, 0)),
+            ev(0, 10, analysis(0)),
+            ev(10, 30, run(0, 0)),
+            ev(40, 0, launch(1, 0)),
+            ev(40, 10, analysis(1)),
+            ev(50, 30, run(1, 0)),
+            ev(80, 0, launch(2, 0)),
+            ev(80, 5, analysis(2)),
+            ev(85, 0, EventKind::Drain),
+        ];
+        let worker1 = vec![ev(85, 40, run(2, 0))];
+        let trace = trace_of(vec![
+            ("control", control.clone()),
+            ("worker-1", worker1.clone()),
+        ]);
+        let r = blame_report(&trace).unwrap();
+        // Both analyses and both runs of the control thread lie on one
+        // path, which ends in worker 1's run.
+        assert_eq!(r.critical_path_ns, 10 + 30 + 10 + 30 + 40);
+        assert_eq!(r.total.get(Phase::DepAnalysis), 20);
+        assert_eq!(r.total.get(Phase::Exec), 100);
+        assert_eq!(r.total.total(), r.critical_path_ns);
+        // The control thread counts as worker 0, busy for its runs only.
+        let imb = imbalance_report(&trace);
+        assert_eq!(imb.tracks, 2);
+        assert_eq!(imb.max_busy_ns, 60);
+        assert!((imb.mean_busy_ns - 50.0).abs() < 1e-9);
+        // The same runs on a track of their own lose the program order
+        // with the analysis: the path no longer holds all five spans.
+        let (analysis_only, runs): (Vec<Event>, Vec<Event>) = control
+            .into_iter()
+            .partition(|e| !matches!(e.kind, EventKind::TaskRun { .. }));
+        let split = trace_of(vec![
+            ("control", analysis_only),
+            ("worker-0", runs),
+            ("worker-1", worker1),
+        ]);
+        assert!(blame_report(&split).unwrap().critical_path_ns < 120);
     }
 
     #[test]
