@@ -22,8 +22,7 @@
 #![warn(missing_docs)]
 
 use regent_machine::{
-    parse_corrupt_spec, simulate, FaultPlan, FaultStats, MachineConfig, Model, MpiVariant,
-    ScalingSeries, SimOptions, TimestepSpec,
+    simulate, MachineConfig, Model, MpiVariant, ScalingSeries, SimOptions, TimestepSpec,
 };
 use regent_trace::{
     export_chrome, mean_step_cost, merge_into_file, sim_control_cost_per_step, BenchEntry, Trace,
@@ -70,16 +69,6 @@ pub struct FigureRunner {
     /// When set, record the simulated schedules and write a Chrome
     /// `trace_event` JSON file here.
     pub trace_path: Option<String>,
-    /// When set, every simulated execution runs under this fault plan
-    /// (`--faults <seed>,<rate>`: seeded message loss at the given
-    /// rate), so the figures show degraded-network behavior.
-    pub faults: Option<FaultPlan>,
-    /// When set (`--corrupt <seed>,<rate>`), copy payloads are silently
-    /// bit-flipped at the given rate; receivers detect the checksum
-    /// mismatch and repair by retransmission. Composes with `faults`
-    /// (the corruption rate folds into the loss plan) and prints a
-    /// per-model corruption summary after the figure.
-    pub corrupt: Option<(u64, f64)>,
     /// When set (`--memo`), add a "Regent (w/o CR, memo)" series: the
     /// implicit model with epoch-trace memoization (full analysis on
     /// step 0 only, replay after), as the ablation between a naive
@@ -104,8 +93,6 @@ impl Default for FigureRunner {
             steps: 5,
             machine_mod: |_| {},
             trace_path: None,
-            faults: None,
-            corrupt: None,
             memo: false,
             log: false,
             json: None,
@@ -157,10 +144,6 @@ impl FigureRunner {
                     .map(|(label, _)| ScalingSeries::new(label)),
             )
             .collect();
-        let plan = self.plan();
-        // Aggregated fault outcome per model, for the corruption
-        // summary printed under `--corrupt`.
-        let mut faults = vec![FaultStats::default(); models.len()];
         for nodes in regent_machine::node_counts_to(self.max_nodes) {
             let mut machine = MachineConfig::piz_daint(nodes);
             (self.machine_mod)(&mut machine);
@@ -169,41 +152,17 @@ impl FigureRunner {
             // references are never traced.
             let run = |model: Model, track: Option<&str>| {
                 let mut tb = track.map(|t| tracer.buffer(&format!("{t}/n{nodes}")));
-                let mut opts = SimOptions {
-                    plan: Some(&plan),
-                    resilience: None,
-                    trace: tb.as_mut(),
-                };
+                let mut opts = SimOptions { trace: tb.as_mut() };
                 simulate(model, &machine, &spec, self.steps, &mut opts)
             };
-            for (i, &&(model, _, track, ..)) in models.iter().enumerate() {
-                let r = run(model, Some(track));
-                faults[i].merge(&r.faults);
-                series[i].push(nodes, r);
+            for (&&(model, _, track, ..), s) in models.iter().zip(&mut series) {
+                s.push(nodes, run(model, Some(track)));
             }
             for ((_, mk), s) in mpi_variants.iter().zip(&mut series[models.len()..]) {
                 s.push(nodes, run(Model::Mpi(mk(&machine)), None));
             }
         }
         regent_machine::trace_series(&series, &tracer);
-        if let Some((seed, rate)) = self.corrupt {
-            // The summary covers the paper's two series, CR and implicit.
-            println!("--- corruption summary (seed {seed}, rate {rate}) ---");
-            for (&&(_, label, ..), f) in models.iter().zip(&faults).take(2) {
-                println!(
-                    "{label:>20}: injected {} detected {} repaired {} escalated {}",
-                    f.corruptions_injected,
-                    f.corruptions_detected,
-                    f.corruptions_repaired,
-                    f.corruptions_escalated,
-                );
-                assert_eq!(
-                    f.corruptions_injected, f.corruptions_detected,
-                    "every injected corruption must be caught by a checksum"
-                );
-            }
-            println!();
-        }
         (series, tracer.take())
     }
 
@@ -247,21 +206,6 @@ impl FigureRunner {
         let n =
             merge_into_file(path, entries).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("bench artifact: {n} entries -> {path}");
-    }
-
-    /// The effective fault plan: the `--faults` loss plan (if any) with
-    /// the `--corrupt` rate folded in. With only `--corrupt`, a
-    /// crash/loss-free plan seeded from the corruption seed.
-    pub fn plan(&self) -> FaultPlan {
-        let base = match (&self.faults, self.corrupt) {
-            (Some(p), _) => p.clone(),
-            (None, Some((seed, _))) => FaultPlan::new(seed),
-            (None, None) => FaultPlan::default(),
-        };
-        match self.corrupt {
-            Some((_, rate)) => base.with_corrupt_rate(rate),
-            None => base,
-        }
     }
 }
 
@@ -355,13 +299,9 @@ pub fn run_figure(
 
 /// Shared CLI handling: `--max-nodes N`, `--steps S` (at least 1),
 /// `--trace <path>` (write a Chrome trace of the simulated schedules),
-/// `--faults <seed>,<rate>` (run every model under seeded message loss
-/// at the given rate), `--corrupt <seed>,<rate>` (silent payload
-/// corruption detected by checksums and repaired by retransmission,
-/// with a summary printed after the figure), `--memo` (add the
-/// memoized-implicit ablation series), `--log` (add the shared-log
-/// control-replication series), and `--json <path>` (write/merge
-/// machine-readable bench entries).
+/// `--memo` (add the memoized-implicit ablation series), `--log` (add
+/// the shared-log control-replication series), and `--json <path>`
+/// (write/merge machine-readable bench entries).
 pub fn parse_args() -> FigureRunner {
     let mut runner = FigureRunner::default();
     let args: Vec<String> = std::env::args().collect();
@@ -393,24 +333,6 @@ pub fn parse_args() -> FigureRunner {
             }
             "--json" => {
                 runner.json = Some(args.get(i + 1).expect("--json <path>").clone());
-                i += 2;
-            }
-            "--faults" => {
-                let spec = args.get(i + 1).expect("--faults <seed>,<rate>");
-                let (seed, rate) = spec
-                    .split_once(',')
-                    .expect("--faults <seed>,<rate> (e.g. --faults 42,0.01)");
-                runner.faults = Some(FaultPlan::from_seed_rate(
-                    seed.trim().parse().expect("fault seed must be an integer"),
-                    rate.trim().parse().expect("fault rate must be a float"),
-                ));
-                i += 2;
-            }
-            "--corrupt" => {
-                let spec = args.get(i + 1).expect("--corrupt <seed>,<rate>");
-                runner.corrupt = Some(parse_corrupt_spec(spec).unwrap_or_else(|| {
-                    panic!("--corrupt <seed>,<rate> with rate in [0,1] (got {spec:?})")
-                }));
                 i += 2;
             }
             other => panic!("unknown argument {other}"),
@@ -501,43 +423,6 @@ mod tests {
         let entries = runner.bench_entries("stencil", &trace);
         assert!(entries.iter().any(|e| e.executor == "log"));
         assert!(control_cost_table(&trace, 32).contains("log ctl µs/step"));
-    }
-
-    #[test]
-    fn corruption_flag_repairs_and_reports() {
-        let runner = FigureRunner {
-            max_nodes: 16,
-            steps: 3,
-            corrupt: Some((11, 0.05)),
-            ..Default::default()
-        };
-        let plan = runner.plan();
-        assert_eq!(plan.corrupt_rate, 0.05);
-        assert_eq!(plan.loss_rate, 0.0, "corrupt alone adds no loss");
-        // The sweep completes (the summary's injected==detected assert
-        // runs inside) and corruption slows the figure down slightly.
-        let series = runner.run(stencil_spec, &[]);
-        let clean = FigureRunner {
-            max_nodes: 16,
-            steps: 3,
-            ..Default::default()
-        }
-        .run(stencil_spec, &[]);
-        let eff = series[0].efficiency_at(16).unwrap();
-        let clean_eff = clean[0].efficiency_at(16).unwrap();
-        assert!(
-            eff <= clean_eff + 1e-9,
-            "repair retransmits cannot speed the run up: {eff} vs {clean_eff}"
-        );
-        // Composed with a loss plan, both rates survive.
-        let both = FigureRunner {
-            faults: Some(FaultPlan::from_seed_rate(7, 0.01)),
-            corrupt: Some((11, 0.05)),
-            ..Default::default()
-        }
-        .plan();
-        assert_eq!(both.loss_rate, 0.01);
-        assert_eq!(both.corrupt_rate, 0.05);
     }
 
     #[test]

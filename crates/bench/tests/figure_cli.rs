@@ -38,6 +38,14 @@ fn a_flag_without_its_value_is_rejected() {
     rejected(&["--steps", "2", "--max-nodes"], "--max-nodes");
 }
 
+/// The simulator is fault-free: a script still passing the deleted
+/// fault flags fails and names the flag.
+#[test]
+fn deleted_fault_flags_are_rejected() {
+    rejected(&["--max-nodes", "4", "--faults", "42,0.01"], "--faults");
+    rejected(&["--max-nodes", "4", "--corrupt", "11,0.05"], "--corrupt");
+}
+
 /// `regent-prof` run on `args` must exit with status 2 and one line of
 /// stderr that names `flag` and the usage, and print nothing else.
 fn prof_rejected(args: &[&str], flag: &str) {

@@ -36,9 +36,8 @@ use std::collections::BTreeSet;
 /// contiguous block split ([`crate::spmd::block_range`]) — so shrinking
 /// the membership is purely a relabeling plus a re-derivation: survivor
 /// `s` keeps its identity as `new_id(s)`, and every color's new owner
-/// follows from the block split at `new_shards`. The DES crash model
-/// and the real executors' live failover share this plan so simulated
-/// and real recovery redistribute state the same way.
+/// follows from the block split at `new_shards`. The executors' live
+/// failover redistributes state by this plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MembershipRemap {
     /// Shards before the loss.

@@ -1,34 +1,33 @@
 //! # regent-fault
 //!
-//! Deterministic, seeded fault plans shared by the machine simulator
-//! (`regent-machine`) and the real SPMD executor (`regent-runtime`).
+//! Deterministic, seeded fault plans for the real SPMD executor
+//! (`regent-runtime`), the classification of its failures, and the
+//! workspace's one seeded stream.
 //!
 //! The paper's SPMD shards coordinate purely through point-to-point
 //! synchronization (§3.4), so a single failed shard stalls every peer.
 //! This crate provides the *model* of what can fail — it decides
-//! nothing about recovery, which lives with each consumer:
+//! nothing about recovery, which lives in the executor:
 //!
-//! * **Scheduled events** ([`FaultEvent`]) — a shard crash at a given
-//!   epoch (real executor: an outermost-loop iteration; simulator: a
-//!   time step), or a transient node slowdown window in virtual time.
-//! * **Probabilistic message faults** — per-copy loss, duplication,
-//!   and delay decided by a pure hash of `(seed, message key,
-//!   attempt)`, so the same plan produces the same fault sequence on
-//!   every run regardless of thread or event interleaving.
-//! * **[`RetryPolicy`]** — per-copy timeout with exponential backoff,
-//!   the recovery half of the message-loss model.
+//! * **Scheduled events** ([`FaultEvent`]) — a shard crash, kill or
+//!   stall at a given epoch (an outermost-loop iteration).
 //! * **Silent data corruption** — seeded bit-flip injection into
 //!   resident instance buffers and in-flight exchange payloads
 //!   ([`FaultPlan::with_corrupt_rate`]), decided by pure hashes of the
 //!   message / epoch identity so that injection, detection, and repair
 //!   are reproducible and every SPMD shard reaches the same rollback
 //!   decision without communicating.
-//! * **[`FaultStats`]** — what actually happened (losses, retries,
-//!   crashes, corruptions, replayed epochs), accumulated by the
-//!   consumers and surfaced in `SimResult` / bench output.
+//! * **Failure classification** ([`classify_failure`]) — what a
+//!   supervisor makes of a failed run's diagnostic, and the structured
+//!   record of a shard's death ([`PeerDeath`]).
 //! * **[`SplitMix64`]** — the workspace's one seeded stream, on the
 //!   same mix as the fault hashes: Circuit's random graphs and the
 //!   test suites' random inputs are drawn from it.
+//!
+//! It is a leaf crate, with no dependencies, because the crates below
+//! the executor (`regent-geometry`, `regent-region`, `regent-machine`,
+//! `regent-apps`) draw their seeded streams from it without depending
+//! on the executor.
 //!
 //! Determinism is the whole point: the test suites assert that a run
 //! under an active fault plan is reproducible (same seed ⇒ same
@@ -40,14 +39,13 @@
 /// One scheduled (non-probabilistic) fault.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultEvent {
-    /// A shard (real executor) or node (simulator) crashes at the start
-    /// of the given epoch / time step, losing all state since the last
-    /// checkpoint.
+    /// A shard crashes at the start of the given epoch, losing all
+    /// state since the last checkpoint.
     ShardCrash {
-        /// The shard or node that dies.
+        /// The shard that dies.
         shard: u32,
-        /// Zero-based epoch (outermost-loop iteration / time step) at
-        /// whose start the crash is injected.
+        /// Zero-based epoch (outermost-loop iteration) at whose start
+        /// the crash is injected.
         epoch: u64,
     },
     /// A shard thread is *killed* at the given epoch boundary: unlike
@@ -79,83 +77,16 @@ pub enum FaultEvent {
         /// the attempt cannot outlive it.
         ms: u64,
     },
-    /// A node serves work `factor`× slower during `[start, start +
-    /// duration)` of virtual time (simulator only).
-    Slowdown {
-        /// The affected node.
-        node: u32,
-        /// Window start, virtual seconds.
-        start: f64,
-        /// Window length, virtual seconds.
-        duration: f64,
-        /// Multiplier on service time (> 1 slows the node down).
-        factor: f64,
-    },
 }
 
-/// What the fault plan decides for one delivery attempt of a message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MessageFate {
-    /// Delivered normally.
-    Deliver,
-    /// Lost in flight: the sender times out and retransmits.
-    Lose,
-    /// Delivered twice; the duplicate wastes bandwidth and must be
-    /// deduplicated by the receiver.
-    Duplicate,
-    /// Delivered after an extra in-flight delay.
-    Delay,
-}
-
-/// Timeout-and-retransmit policy for lost copies.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Time the sender waits for an acknowledgement before the first
-    /// retransmit, seconds.
-    pub timeout: f64,
-    /// Backoff multiplier applied per failed attempt (attempt `k`
-    /// waits `timeout × multiplier^k`).
-    pub backoff: f64,
-    /// Attempts after which the delivery is forced through (the model
-    /// must make progress; a real transport would escalate to a node
-    /// failure instead).
-    pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            timeout: 100.0e-6,
-            backoff: 2.0,
-            max_attempts: 10,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff delay before retransmitting after failed attempt
-    /// `attempt` (zero-based).
-    pub fn backoff_delay(&self, attempt: u32) -> f64 {
-        self.timeout * self.backoff.powi(attempt.min(self.max_attempts) as i32)
-    }
-}
-
-/// A deterministic fault plan: scheduled events plus seeded
-/// probabilistic message faults.
+/// A deterministic fault plan: scheduled events plus a seeded
+/// corruption rate.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed for every probabilistic decision.
     pub seed: u64,
-    /// Scheduled crash / slowdown events.
+    /// Scheduled crash / kill / stall events.
     pub events: Vec<FaultEvent>,
-    /// Probability a message attempt is lost in flight.
-    pub loss_rate: f64,
-    /// Probability a delivered message is duplicated.
-    pub dup_rate: f64,
-    /// Probability a delivered message is delayed by [`FaultPlan::delay_s`].
-    pub delay_rate: f64,
-    /// Extra in-flight delay applied to delayed messages, seconds.
-    pub delay_s: f64,
     /// Probability of a silent bit flip: per delivery attempt for
     /// exchange payloads ([`FaultPlan::payload_corruption`]), per epoch
     /// for resident instances ([`FaultPlan::resident_corruption`]).
@@ -171,7 +102,7 @@ impl FaultPlan {
         }
     }
 
-    /// Adds a shard/node crash at the start of `epoch`.
+    /// Adds a shard crash at the start of `epoch`.
     pub fn crash_shard(mut self, shard: u32, epoch: u64) -> Self {
         self.events.push(FaultEvent::ShardCrash { shard, epoch });
         self
@@ -192,46 +123,10 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a transient slowdown window on `node`.
-    pub fn slow_node(mut self, node: u32, start: f64, duration: f64, factor: f64) -> Self {
-        self.events.push(FaultEvent::Slowdown {
-            node,
-            start,
-            duration,
-            factor,
-        });
-        self
-    }
-
-    /// Sets the message loss rate.
-    pub fn with_loss_rate(mut self, rate: f64) -> Self {
-        self.loss_rate = rate;
-        self
-    }
-
-    /// Sets the message duplication rate.
-    pub fn with_dup_rate(mut self, rate: f64) -> Self {
-        self.dup_rate = rate;
-        self
-    }
-
-    /// Sets the message delay rate and the per-message extra delay.
-    pub fn with_delay(mut self, rate: f64, delay_s: f64) -> Self {
-        self.delay_rate = rate;
-        self.delay_s = delay_s;
-        self
-    }
-
     /// Sets the silent-data-corruption rate.
     pub fn with_corrupt_rate(mut self, rate: f64) -> Self {
         self.corrupt_rate = rate;
         self
-    }
-
-    /// The `--faults <seed>,<rate>` plan of the figure binaries:
-    /// message loss at `rate` with everything else clean.
-    pub fn from_seed_rate(seed: u64, rate: f64) -> Self {
-        FaultPlan::new(seed).with_loss_rate(rate)
     }
 
     /// A seeded single-shard crash for a machine of `num_shards`
@@ -257,15 +152,6 @@ impl FaultPlan {
         let shard = (h1 % num_shards.max(1) as u64) as u32;
         let epoch = 1 + h2 % max_epoch.max(1);
         FaultPlan::new(seed).kill_shard(shard, epoch)
-    }
-
-    /// True when the plan can do anything at all.
-    pub fn is_active(&self) -> bool {
-        !self.events.is_empty()
-            || self.loss_rate > 0.0
-            || self.dup_rate > 0.0
-            || self.delay_rate > 0.0
-            || self.corrupt_rate > 0.0
     }
 
     /// True when the plan schedules at least one crash.
@@ -320,55 +206,12 @@ impl FaultPlan {
         v
     }
 
-    /// Combined slowdown factor for work starting at virtual time `t`
-    /// on `node` (1.0 when no window applies; overlapping windows
-    /// multiply).
-    pub fn slowdown_factor(&self, node: u32, t: f64) -> f64 {
-        let mut f = 1.0;
-        for e in &self.events {
-            if let FaultEvent::Slowdown {
-                node: n,
-                start,
-                duration,
-                factor,
-            } = *e
-            {
-                if n == node && t >= start && t < start + duration {
-                    f *= factor;
-                }
-            }
-        }
-        f
-    }
-
-    /// Decides the fate of delivery attempt `attempt` of the message
-    /// identified by `key`. Pure function of `(seed, key, attempt)` —
-    /// identical across runs and independent of scheduling order.
-    pub fn message_fate(&self, key: u64, attempt: u32) -> MessageFate {
-        if self.loss_rate == 0.0 && self.dup_rate == 0.0 && self.delay_rate == 0.0 {
-            return MessageFate::Deliver;
-        }
-        let h = splitmix64(self.seed ^ splitmix64(key ^ ((attempt as u64) << 48)));
-        let u = unit_f64(h);
-        if u < self.loss_rate {
-            MessageFate::Lose
-        } else if u < self.loss_rate + self.dup_rate {
-            MessageFate::Duplicate
-        } else if u < self.loss_rate + self.dup_rate + self.delay_rate {
-            MessageFate::Delay
-        } else {
-            MessageFate::Deliver
-        }
-    }
-
     /// Decides whether delivery attempt `attempt` of the exchange
     /// payload identified by `key` (see [`message_key`]) suffers a
     /// silent bit flip in flight. Returns the flip entropy when it
     /// does. Pure function of `(seed, key, attempt)`: sender and
     /// receiver — and a replayed epoch after rollback — all see the
-    /// same corruption stream. Salted separately from
-    /// [`FaultPlan::message_fate`] so corruption and loss decisions for
-    /// the same attempt are independent.
+    /// same corruption stream.
     pub fn payload_corruption(&self, key: u64, attempt: u32) -> Option<u64> {
         if self.corrupt_rate <= 0.0 {
             return None;
@@ -414,7 +257,7 @@ pub fn parse_seed(s: &str) -> Option<u64> {
     s.trim().parse().ok()
 }
 
-/// Parses a `REGENT_CORRUPT` / `--corrupt` spec: `<seed>,<rate>` where
+/// Parses a `REGENT_CORRUPT` spec: `<seed>,<rate>` where
 /// `seed` is an unsigned integer and `rate` a probability in
 /// `[0.0, 1.0]`. Rejects (returns `None`) on a missing comma, empty or
 /// malformed components, non-finite rates, and rates outside `[0, 1]`.
@@ -425,65 +268,13 @@ pub fn parse_corrupt_spec(s: &str) -> Option<(u64, f64)> {
     (rate.is_finite() && (0.0..=1.0).contains(&rate)).then_some((seed, rate))
 }
 
-/// Stable identity of a simulated or real message, for
-/// [`FaultPlan::message_fate`]. Built from scheduling-order-independent
-/// coordinates (kind/node/step/occurrence, or copy/pair/occurrence) so
-/// that permuting construction order does not re-roll the dice.
+/// Stable identity of a message, for [`FaultPlan::payload_corruption`]
+/// (and the simulator's same-time event order). Built from
+/// scheduling-order-independent coordinates (copy/pair/occurrence, or
+/// kind/node/step/occurrence) so that permuting construction order does
+/// not re-roll the dice.
 pub fn message_key(a: u64, b: u64, c: u64, d: u64) -> u64 {
     splitmix64(a ^ splitmix64(b ^ splitmix64(c ^ splitmix64(d))))
-}
-
-/// What a fault-injected run actually experienced.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FaultStats {
-    /// Message attempts lost in flight (each triggers a retransmit).
-    pub messages_lost: u64,
-    /// Messages delivered twice.
-    pub messages_duplicated: u64,
-    /// Messages delivered late.
-    pub messages_delayed: u64,
-    /// Retransmissions performed.
-    pub retries: u64,
-    /// Deliveries forced through after exhausting
-    /// [`RetryPolicy::max_attempts`].
-    pub forced_deliveries: u64,
-    /// Total backoff time spent waiting for retransmits, seconds.
-    pub total_backoff_s: f64,
-    /// Crashes injected.
-    pub crashes: u64,
-    /// Silent bit flips injected (payload or resident).
-    pub corruptions_injected: u64,
-    /// Checksum mismatches detected at a verification point.
-    pub corruptions_detected: u64,
-    /// Corruptions repaired locally (payload retransmit).
-    pub corruptions_repaired: u64,
-    /// Corruptions escalated to coordinated checkpoint rollback
-    /// (resident) or reported as a failed run (retry exhaustion).
-    pub corruptions_escalated: u64,
-    /// Epochs / time steps re-executed during recovery.
-    pub epochs_replayed: u64,
-    /// Time spent in recovery (detection + state re-distribution),
-    /// seconds of virtual time (simulator only).
-    pub recovery_time_s: f64,
-}
-
-impl FaultStats {
-    /// Accumulates another record into this one.
-    pub fn merge(&mut self, o: &FaultStats) {
-        self.messages_lost += o.messages_lost;
-        self.messages_duplicated += o.messages_duplicated;
-        self.messages_delayed += o.messages_delayed;
-        self.retries += o.retries;
-        self.forced_deliveries += o.forced_deliveries;
-        self.total_backoff_s += o.total_backoff_s;
-        self.crashes += o.crashes;
-        self.corruptions_injected += o.corruptions_injected;
-        self.corruptions_detected += o.corruptions_detected;
-        self.corruptions_repaired += o.corruptions_repaired;
-        self.corruptions_escalated += o.corruptions_escalated;
-        self.epochs_replayed += o.epochs_replayed;
-        self.recovery_time_s += o.recovery_time_s;
-    }
 }
 
 /// The Weyl increment of [`splitmix64`] and [`SplitMix64`].
@@ -714,7 +505,7 @@ mod tests {
             .kill_shard(2, 1);
         assert_eq!(p.kill_schedule(), vec![(2, 1), (0, 9), (3, 9)]);
         assert_eq!(p.crash_schedule(), vec![(1, 2)]);
-        assert!(p.has_crashes() && p.is_active());
+        assert!(p.has_crashes());
         assert!(FaultPlan::new(0)
             .crash_shard(1, 2)
             .kill_schedule()
@@ -764,68 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn message_fate_is_deterministic() {
-        let p = FaultPlan::new(7).with_loss_rate(0.3).with_dup_rate(0.1);
-        for key in 0..200u64 {
-            for attempt in 0..4 {
-                assert_eq!(
-                    p.message_fate(key, attempt),
-                    p.message_fate(key, attempt),
-                    "key {key} attempt {attempt}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn loss_rate_is_roughly_honored() {
-        let p = FaultPlan::new(42).with_loss_rate(0.25);
-        let n = 20_000;
-        let lost = (0..n)
-            .filter(|&k| p.message_fate(k, 0) == MessageFate::Lose)
-            .count();
-        let frac = lost as f64 / n as f64;
-        assert!((frac - 0.25).abs() < 0.02, "observed loss rate {frac}");
-    }
-
-    #[test]
-    fn different_seeds_different_fates() {
-        let a = FaultPlan::new(1).with_loss_rate(0.5);
-        let b = FaultPlan::new(2).with_loss_rate(0.5);
-        let diff = (0..1000u64)
-            .filter(|&k| a.message_fate(k, 0) != b.message_fate(k, 0))
-            .count();
-        assert!(diff > 200, "seeds barely changed the plan: {diff}");
-    }
-
-    #[test]
-    fn attempts_reroll() {
-        // A lost first attempt must not doom every retry: with 50%
-        // loss, some messages lost at attempt 0 succeed at attempt 1.
-        let p = FaultPlan::new(3).with_loss_rate(0.5);
-        let recovered = (0..1000u64)
-            .filter(|&k| {
-                p.message_fate(k, 0) == MessageFate::Lose
-                    && p.message_fate(k, 1) == MessageFate::Deliver
-            })
-            .count();
-        assert!(recovered > 50, "retries never recover: {recovered}");
-    }
-
-    #[test]
-    fn slowdown_windows() {
-        let p = FaultPlan::new(0).slow_node(2, 1.0, 2.0, 3.0);
-        assert_eq!(p.slowdown_factor(2, 0.5), 1.0);
-        assert_eq!(p.slowdown_factor(2, 1.0), 3.0);
-        assert_eq!(p.slowdown_factor(2, 2.9), 3.0);
-        assert_eq!(p.slowdown_factor(2, 3.0), 1.0);
-        assert_eq!(p.slowdown_factor(1, 1.5), 1.0);
-        // Overlapping windows compound.
-        let p = p.slow_node(2, 0.0, 10.0, 2.0);
-        assert_eq!(p.slowdown_factor(2, 1.5), 6.0);
-    }
-
-    #[test]
     fn crash_schedule_sorted() {
         let p = FaultPlan::new(0)
             .crash_shard(3, 9)
@@ -833,7 +562,6 @@ mod tests {
             .crash_shard(0, 9);
         assert_eq!(p.crash_schedule(), vec![(1, 2), (0, 9), (3, 9)]);
         assert!(p.has_crashes());
-        assert!(p.is_active());
     }
 
     #[test]
@@ -854,26 +582,18 @@ mod tests {
     }
 
     #[test]
-    fn retry_backoff_grows() {
-        let r = RetryPolicy::default();
-        assert!(r.backoff_delay(1) > r.backoff_delay(0));
-        assert_eq!(r.backoff_delay(0), r.timeout);
-        assert_eq!(r.backoff_delay(2), r.timeout * 4.0);
-    }
-
-    #[test]
     fn empty_plan_is_inert() {
         let p = FaultPlan::new(99);
-        assert!(!p.is_active());
-        assert_eq!(p.message_fate(123, 0), MessageFate::Deliver);
-        assert_eq!(p.slowdown_factor(0, 5.0), 1.0);
         assert!(p.crash_schedule().is_empty());
+        assert!(p.kill_schedule().is_empty() && p.stall_schedule().is_empty());
+        assert_eq!(p.payload_corruption(123, 0), None);
+        assert_eq!(p.resident_corruption(5, 3), None);
     }
 
     /// Satellite: golden determinism. The seeded streams are pure
     /// integer arithmetic and must produce byte-identical schedules on
     /// every platform; these committed values catch any drift in the
-    /// SplitMix64 mixing or the fate thresholds.
+    /// SplitMix64 mixing.
     #[test]
     fn golden_crash_schedules() {
         let golden: &[(u64, u32, u64)] = &[
@@ -892,24 +612,6 @@ mod tests {
                 "seeded_crash({seed}, 4, 4) drifted"
             );
         }
-    }
-
-    #[test]
-    fn golden_message_fates() {
-        use MessageFate::{Delay, Deliver, Duplicate, Lose};
-        let p = FaultPlan::new(7)
-            .with_loss_rate(0.3)
-            .with_dup_rate(0.2)
-            .with_delay(0.1, 1e-6);
-        let fates: Vec<MessageFate> = (0..8u64)
-            .flat_map(|k| (0..2u32).map(move |a| (k, a)))
-            .map(|(k, a)| p.message_fate(message_key(1, k, a as u64, 0), a))
-            .collect();
-        let golden = vec![
-            Deliver, Deliver, Duplicate, Duplicate, Deliver, Lose, Deliver, Delay, Duplicate,
-            Delay, Deliver, Deliver, Delay, Deliver, Lose, Duplicate,
-        ];
-        assert_eq!(fates, golden, "seeded fate stream drifted");
     }
 
     #[test]
@@ -950,9 +652,6 @@ mod tests {
         }
         assert!((400..600).contains(&hit), "rate not honored: {hit}");
         assert!(recovered > 100, "retransmits never come back clean");
-        // Corruption is independent of the loss fate for the same key.
-        let q = p.clone().with_loss_rate(0.5);
-        assert_eq!(p.payload_corruption(77, 0), q.payload_corruption(77, 0));
     }
 
     #[test]
@@ -970,7 +669,6 @@ mod tests {
         let clean = FaultPlan::new(9);
         assert_eq!(clean.resident_corruption(5, 3), None);
         assert_eq!(clean.payload_corruption(5, 0), None);
-        assert!(p.is_active(), "corrupt rate alone activates the plan");
     }
 
     /// Satellite: env-spec parsing must fall back cleanly, never panic.
@@ -1005,26 +703,6 @@ mod tests {
         assert_eq!(sched.len(), 1);
         assert_eq!(sched[0].0, 0, "zero shards clamps to shard 0");
         assert!(sched[0].1 >= 1);
-    }
-
-    #[test]
-    fn stats_merge() {
-        let mut a = FaultStats {
-            messages_lost: 1,
-            retries: 2,
-            crashes: 1,
-            epochs_replayed: 3,
-            ..FaultStats::default()
-        };
-        let b = FaultStats {
-            messages_lost: 4,
-            total_backoff_s: 0.5,
-            ..FaultStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.messages_lost, 5);
-        assert_eq!(a.retries, 2);
-        assert_eq!(a.total_backoff_s, 0.5);
     }
 
     #[test]

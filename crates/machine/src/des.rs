@@ -17,7 +17,6 @@
 //! trace nanoseconds 1:1e9, so the Chrome exporter renders simulated
 //! timelines exactly like real ones.
 
-use regent_fault::{FaultPlan, FaultStats, MessageFate, RetryPolicy};
 use regent_trace::{EventKind as TraceEventKind, SimKind, TraceBuf, Tracer};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -59,15 +58,13 @@ pub struct Sim {
     resources: Vec<Resource>,
     /// Trace tags parallel to `tasks`: (kind, node, step).
     meta: Vec<(SimKind, u32, u32)>,
-    /// Stable per-task message keys, parallel to `tasks` — a pure
-    /// function of the task's `(kind, node, step)` tag plus its
-    /// occurrence number within that tag, so fault decisions do not
+    /// Stable per-task keys, parallel to `tasks` — a pure function of
+    /// the task's `(kind, node, step)` tag plus its occurrence number
+    /// within that tag, so the order of same-time events does not
     /// depend on construction order.
     keys: Vec<u64>,
     /// Occurrence counters behind `keys`.
     occurrence: HashMap<(u8, u32, u32), u64>,
-    /// Active fault plan, if any.
-    faults: Option<(FaultPlan, RetryPolicy)>,
 }
 
 /// Results of a simulation run.
@@ -79,15 +76,6 @@ pub struct SimResult {
     pub finish_times: Vec<f64>,
     /// Total busy time per resource, seconds (for utilization studies).
     pub busy_time: Vec<f64>,
-    /// What the fault plan actually did (all-zero without one).
-    pub faults: FaultStats,
-    /// True when the run completed only because some message was
-    /// forced through after exhausting [`RetryPolicy::max_attempts`]
-    /// (persistent loss) or delivered corrupt with the retry budget
-    /// spent. The makespan is still well-defined — the retry loop is
-    /// bounded, so even a 100% loss or corruption rate terminates —
-    /// but a real transport would have reported the run failed.
-    pub failed: bool,
 }
 
 #[derive(PartialEq)]
@@ -144,20 +132,7 @@ impl Sim {
             meta: Vec::new(),
             keys: Vec::new(),
             occurrence: HashMap::new(),
-            faults: None,
         }
-    }
-
-    /// Arms a fault plan: slowdown windows stretch service times,
-    /// and `Copy`-tagged tasks are subject to seeded loss (timeout +
-    /// exponential-backoff retransmit under `retry`), duplication,
-    /// delay, and — when the plan has a
-    /// [`corrupt rate`](FaultPlan::with_corrupt_rate) — silent payload
-    /// corruption detected by the receiver's checksum and repaired by
-    /// retransmission under the same bounded attempt budget. Without
-    /// this call the simulation is perfectly reliable.
-    pub fn set_faults(&mut self, plan: FaultPlan, retry: RetryPolicy) {
-        self.faults = Some((plan, retry));
     }
 
     /// Adds a resource with `servers` parallel servers.
@@ -197,15 +172,15 @@ impl Sim {
     }
 
     /// Tags a task with its model-level meaning for tracing, and keys
-    /// it for fault decisions.
+    /// it for same-time event ordering.
     pub fn tag(&mut self, t: SimTaskId, kind: SimKind, node: u32, step: u32) {
         self.meta[t.0 as usize] = (kind, node, step);
         self.keys[t.0 as usize] = self.stable_key(kind, node, step);
     }
 
-    /// Message key from a tag plus its occurrence count within that
-    /// tag: the k-th Copy on (node, step) gets the same key no matter
-    /// in which order the workload builder created the tasks.
+    /// Order key from a tag plus its occurrence count within that tag:
+    /// the k-th Copy on (node, step) gets the same key no matter in
+    /// which order the workload builder created the tasks.
     fn stable_key(&mut self, kind: SimKind, node: u32, step: u32) -> u64 {
         let occ = self
             .occurrence
@@ -243,12 +218,6 @@ impl Sim {
     /// into `tb` (virtual seconds × 1e9 → trace nanoseconds).
     pub fn run_traced(mut self, tb: &mut TraceBuf) -> SimResult {
         let n = self.tasks.len();
-        let faults = self.faults.take();
-        let mut fstats = FaultStats::default();
-        let mut attempts: Vec<u32> = vec![0; n];
-        // Per-task count of corrupt deliveries so far, to credit one
-        // `corruptions_repaired` when a clean copy finally lands.
-        let mut corrupt_tries: Vec<u32> = vec![0; n];
         let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
         let mut seq = 0u64;
         // Stable same-time ordering: tagged tasks order by their tag
@@ -309,7 +278,7 @@ impl Sim {
                     let r = self.tasks[tid.0 as usize].resource;
                     if free[r.0 as usize] > 0 {
                         free[r.0 as usize] -= 1;
-                        let d = effective_duration(&self.tasks, &self.meta, &faults, tid, now);
+                        let d = self.tasks[tid.0 as usize].duration;
                         busy_time[r.0 as usize] += d;
                         record_service(tb, &self.meta, tid, now, d);
                         push(&mut heap, &mut seq, now + d, EventKind::ServerDone(r, tid));
@@ -321,86 +290,15 @@ impl Sim {
                     // Free the server (possibly starting the next queued
                     // task), then schedule completion after the delay.
                     if let Some(next) = queues[r.0 as usize].pop_front() {
-                        let d = effective_duration(&self.tasks, &self.meta, &faults, next, now);
+                        let d = self.tasks[next.0 as usize].duration;
                         busy_time[r.0 as usize] += d;
                         record_service(tb, &self.meta, next, now, d);
                         push(&mut heap, &mut seq, now + d, EventKind::ServerDone(r, next));
                     } else {
                         free[r.0 as usize] += 1;
                     }
-                    // Decide the delivery fate of Copy-tagged tasks
-                    // under the fault plan: a lost message re-queues on
-                    // its resource after a backoff (retransmission pays
-                    // the NIC again), a duplicate charges the NIC a
-                    // second serialization, a delayed one completes
-                    // late.
-                    let mut delay = self.tasks[tid.0 as usize].completion_delay;
-                    if let Some((plan, retry)) = &faults {
-                        if self.meta[tid.0 as usize].0 == SimKind::Copy {
-                            let att = attempts[tid.0 as usize];
-                            match plan.message_fate(self.keys[tid.0 as usize], att) {
-                                MessageFate::Lose if att < retry.max_attempts => {
-                                    let backoff = retry.backoff_delay(att);
-                                    fstats.messages_lost += 1;
-                                    fstats.retries += 1;
-                                    fstats.total_backoff_s += backoff;
-                                    attempts[tid.0 as usize] = att + 1;
-                                    push(&mut heap, &mut seq, now + backoff, EventKind::Ready(tid));
-                                    continue;
-                                }
-                                MessageFate::Lose => {
-                                    // Out of retries: force the message
-                                    // through so the run terminates (a
-                                    // real transport would escalate).
-                                    fstats.forced_deliveries += 1;
-                                }
-                                MessageFate::Duplicate => {
-                                    fstats.messages_duplicated += 1;
-                                    busy_time[r.0 as usize] += self.tasks[tid.0 as usize].duration;
-                                }
-                                MessageFate::Delay => {
-                                    fstats.messages_delayed += 1;
-                                    delay += plan.delay_s;
-                                }
-                                MessageFate::Deliver => {}
-                            }
-                            // Independently of the transport fate, the
-                            // payload of a delivered message may arrive
-                            // bit-flipped; the receiver detects the
-                            // checksum mismatch and asks for a
-                            // retransmission. Corrupt retransmits share
-                            // the loss retries' attempt budget (so a
-                            // 100% corruption rate still terminates) but
-                            // are counted separately — they are repairs,
-                            // not losses.
-                            if plan
-                                .payload_corruption(self.keys[tid.0 as usize], att)
-                                .is_some()
-                            {
-                                fstats.corruptions_injected += 1;
-                                fstats.corruptions_detected += 1;
-                                if att < retry.max_attempts {
-                                    let backoff = retry.backoff_delay(att);
-                                    fstats.total_backoff_s += backoff;
-                                    attempts[tid.0 as usize] = att + 1;
-                                    corrupt_tries[tid.0 as usize] += 1;
-                                    push(&mut heap, &mut seq, now + backoff, EventKind::Ready(tid));
-                                    continue;
-                                }
-                                // Out of retries: accept the corrupted
-                                // payload so the run terminates, and
-                                // escalate — the result reports failure.
-                                fstats.corruptions_escalated += 1;
-                            } else if corrupt_tries[tid.0 as usize] > 0 {
-                                fstats.corruptions_repaired += 1;
-                            }
-                        }
-                    }
-                    if delay == 0.0 {
-                        push(&mut heap, &mut seq, now, EventKind::Complete(tid));
-                    } else {
-                        push(&mut heap, &mut seq, now + delay, EventKind::Complete(tid));
-                    }
+                    let delay = self.tasks[tid.0 as usize].completion_delay;
+                    push(&mut heap, &mut seq, now + delay, EventKind::Complete(tid));
                 }
                 EventKind::Complete(tid) => {
                     finish[tid.0 as usize] = now;
@@ -420,30 +318,11 @@ impl Sim {
             completed, n,
             "simulation deadlocked: dependence graph is cyclic"
         );
-        let failed = fstats.forced_deliveries > 0 || fstats.corruptions_escalated > 0;
         SimResult {
             makespan,
             finish_times: finish,
             busy_time,
-            faults: fstats,
-            failed,
         }
-    }
-}
-
-/// How long `tid` occupies its resource starting at `now`: the base duration
-/// stretched by any slowdown window covering the node at that moment.
-fn effective_duration(
-    tasks: &[SimTask],
-    meta: &[(SimKind, u32, u32)],
-    faults: &Option<(FaultPlan, RetryPolicy)>,
-    tid: SimTaskId,
-    now: f64,
-) -> f64 {
-    let d = tasks[tid.0 as usize].duration;
-    match faults {
-        Some((plan, _)) => d * plan.slowdown_factor(meta[tid.0 as usize].1, now),
-        None => d,
     }
 }
 
@@ -592,146 +471,6 @@ mod tests {
             }
             ref k => panic!("unexpected event {k:?}"),
         }
-    }
-
-    #[test]
-    fn slowdown_window_stretches_service() {
-        let build = || {
-            let mut sim = Sim::new();
-            let r = sim.add_resource(1);
-            let a = sim.add_task(r, 1.0);
-            let b = sim.add_task(r, 1.0);
-            sim.add_dep(a, b);
-            sim.tag(a, SimKind::Compute, 2, 0);
-            sim.tag(b, SimKind::Compute, 2, 1);
-            (sim, a, b)
-        };
-        // Fault-free: back-to-back unit tasks.
-        let (sim, _, _) = build();
-        assert_eq!(sim.run().makespan, 2.0);
-        // Node 2 is 3× slower during [0.5, 1.5): task a starts at 0
-        // (outside the window, unaffected — windows apply at service
-        // start), b starts at 1.0 inside it and takes 3s.
-        let (mut sim, a, b) = build();
-        sim.set_faults(
-            FaultPlan::new(1).slow_node(2, 0.5, 1.0, 3.0),
-            RetryPolicy::default(),
-        );
-        let res = sim.run();
-        assert_eq!(res.finish_times[a.0 as usize], 1.0);
-        assert_eq!(res.finish_times[b.0 as usize], 4.0);
-    }
-
-    #[test]
-    fn lost_copies_retry_and_complete() {
-        let mut sim = Sim::new();
-        let nic = sim.add_resource(1);
-        let core = sim.add_resource(1);
-        let mut copies = Vec::new();
-        for i in 0..50 {
-            let c = sim.add_task_delayed(nic, 1e-6, 1e-6);
-            sim.tag(c, SimKind::Copy, 0, i);
-            let w = sim.add_task(core, 1e-6);
-            sim.add_dep(c, w);
-            copies.push(c);
-        }
-        sim.set_faults(
-            FaultPlan::new(7).with_loss_rate(0.4),
-            RetryPolicy::default(),
-        );
-        let res = sim.run();
-        assert!(res.faults.messages_lost > 5, "{:?}", res.faults);
-        assert_eq!(res.faults.retries, res.faults.messages_lost);
-        assert!(res.faults.total_backoff_s > 0.0);
-        // Every copy completed despite losses, and retransmissions
-        // made the run strictly slower than the fault-free one.
-        assert!(res.finish_times.iter().all(|t| !t.is_nan()));
-        assert!(!res.failed, "no retry budget exhausted at rate 0.4");
-    }
-
-    #[test]
-    fn total_loss_terminates_bounded_and_reports_failure() {
-        // Loss rate 1.0: every transmission is lost. The retry loop
-        // must stop at `max_attempts` per message and force the
-        // delivery — reporting a failed run — instead of livelocking.
-        let retry = RetryPolicy::default();
-        let mut sim = Sim::new();
-        let nic = sim.add_resource(1);
-        for i in 0..4 {
-            let c = sim.add_task(nic, 1e-6);
-            sim.tag(c, SimKind::Copy, 0, i);
-        }
-        sim.set_faults(FaultPlan::new(3).with_loss_rate(1.0), retry);
-        let res = sim.run();
-        assert!(res.failed, "exhausted retries must mark the run failed");
-        assert_eq!(res.faults.forced_deliveries, 4);
-        assert_eq!(res.faults.retries, 4 * retry.max_attempts as u64);
-        assert_eq!(res.faults.retries, res.faults.messages_lost);
-        assert!(res.finish_times.iter().all(|t| !t.is_nan()));
-        assert!(res.makespan.is_finite());
-    }
-
-    #[test]
-    fn corrupt_copies_retransmit_and_repair() {
-        let build = |rate: f64| {
-            let mut sim = Sim::new();
-            let nic = sim.add_resource(2);
-            for i in 0..60 {
-                let c = sim.add_task_delayed(nic, 1e-6, 1e-6);
-                sim.tag(c, SimKind::Copy, 0, i);
-            }
-            sim.set_faults(
-                FaultPlan::new(9).with_corrupt_rate(rate),
-                RetryPolicy::default(),
-            );
-            sim.run()
-        };
-        let res = build(0.3);
-        assert!(res.faults.corruptions_injected > 5, "{:?}", res.faults);
-        assert_eq!(
-            res.faults.corruptions_injected,
-            res.faults.corruptions_detected
-        );
-        assert_eq!(
-            res.faults.corruptions_escalated, 0,
-            "rate 0.3 never exhausts the retry budget"
-        );
-        assert!(res.faults.corruptions_repaired > 0);
-        // Corruption retransmits never masquerade as losses.
-        assert_eq!(res.faults.messages_lost, 0);
-        assert_eq!(res.faults.retries, 0);
-        assert!(!res.failed);
-        // Rate 1.0: every attempt is corrupt; each copy burns its
-        // budget, escalates, and the run reports failure — bounded.
-        let res = build(1.0);
-        assert!(res.failed);
-        assert_eq!(res.faults.corruptions_escalated, 60);
-        assert_eq!(res.faults.corruptions_repaired, 0);
-        assert!(res.finish_times.iter().all(|t| !t.is_nan()));
-    }
-
-    #[test]
-    fn delayed_and_duplicated_copies() {
-        let build = |plan: Option<FaultPlan>| {
-            let mut sim = Sim::new();
-            let nic = sim.add_resource(4);
-            for i in 0..100 {
-                let c = sim.add_task_delayed(nic, 1e-6, 1e-6);
-                sim.tag(c, SimKind::Copy, 0, i);
-            }
-            if let Some(p) = plan {
-                sim.set_faults(p, RetryPolicy::default());
-            }
-            sim.run()
-        };
-        let clean = build(None);
-        let delayed = build(Some(FaultPlan::new(5).with_delay(0.5, 1e-3)));
-        assert!(delayed.faults.messages_delayed > 10);
-        assert!(delayed.makespan > clean.makespan);
-        let duped = build(Some(FaultPlan::new(5).with_dup_rate(0.5)));
-        assert!(duped.faults.messages_duplicated > 10);
-        // Duplicates charge the NIC a second serialization.
-        assert!(duped.busy_time[0] > clean.busy_time[0]);
     }
 
     #[test]

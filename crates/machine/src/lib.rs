@@ -16,6 +16,10 @@
 //!   what cost, and what the collective gates.
 //! * [`metrics`] — weak-scaling series/efficiency reporting.
 //!
+//! Simulated runs are fault-free, as the paper's §5 measures them; the
+//! real executor's resilience is measured on the executor itself
+//! (`fig_failover`).
+//!
 //! The engine (`Sim::run_traced`) and every scenario
 //! ([`SimOptions::trace`]) can record the simulated schedule as
 //! `SimTask` spans into a `regent-trace` buffer (virtual seconds × 1e9
@@ -30,11 +34,6 @@ pub mod model;
 pub mod scenario;
 
 pub use des::{Resource, ResourceId, Sim, SimResult, SimTask, SimTaskId};
-pub use metrics::{
-    format_resilience_table, format_table, node_counts_to, trace_series, ScalePoint, ScalingSeries,
-};
+pub use metrics::{format_table, node_counts_to, trace_series, ScalePoint, ScalingSeries};
 pub use model::{CopyEdge, MachineConfig, PhaseSpec, TimestepSpec};
-pub use regent_fault::{parse_corrupt_spec, FaultPlan, FaultStats, RetryPolicy};
-pub use scenario::{
-    sim_bench_entry, simulate, Model, MpiVariant, ResilienceSpec, ScenarioResult, SimOptions,
-};
+pub use scenario::{sim_bench_entry, simulate, Model, MpiVariant, ScenarioResult, SimOptions};

@@ -8,11 +8,8 @@ use crate::scenario::ScenarioResult;
 pub struct ScalePoint {
     /// Node count.
     pub nodes: usize,
-    /// Throughput per node (elements/s/node), all executed work.
+    /// Throughput per node (elements/s/node).
     pub throughput_per_node: f64,
-    /// Goodput per node (elements/s/node), useful work only — equal to
-    /// throughput in fault-free runs.
-    pub goodput_per_node: f64,
 }
 
 /// A named weak-scaling series (one line of a figure).
@@ -38,7 +35,6 @@ impl ScalingSeries {
         self.points.push(ScalePoint {
             nodes,
             throughput_per_node: r.throughput_per_node,
-            goodput_per_node: r.goodput_per_node,
         });
     }
 
@@ -93,51 +89,6 @@ pub fn format_table(series: &[ScalingSeries]) -> String {
     out
 }
 
-/// Renders resilience sweep rows — one labelled [`ScenarioResult`] per
-/// configuration — as an aligned text table: makespan, goodput,
-/// overhead relative to `baseline_makespan` (the fault-free run), and
-/// the fault/recovery counters. The `fig_resilience` bench prints
-/// these as its data.
-pub fn format_resilience_table(
-    rows: &[(String, ScenarioResult)],
-    baseline_makespan: f64,
-) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:>28}  {:>12}  {:>12}  {:>9}  {:>7}  {:>7}  {:>6}  {:>7}  {:>12}",
-        "config",
-        "makespan ms",
-        "goodput/node",
-        "ovhd %",
-        "crashes",
-        "replays",
-        "lost",
-        "retries",
-        "recovery ms"
-    )
-    .unwrap();
-    for (label, r) in rows {
-        let overhead = (r.makespan / baseline_makespan - 1.0) * 100.0;
-        writeln!(
-            out,
-            "{:>28}  {:>12.3}  {:>12.3e}  {:>9.1}  {:>7}  {:>7}  {:>6}  {:>7}  {:>12.3}",
-            label,
-            r.makespan * 1e3,
-            r.goodput_per_node,
-            overhead,
-            r.faults.crashes,
-            r.faults.epochs_replayed,
-            r.faults.messages_lost,
-            r.faults.retries,
-            r.faults.recovery_time_s * 1e3
-        )
-        .unwrap();
-    }
-    out
-}
-
 /// Records scaling series into a trace as `Counter` events: one track
 /// per series (named `series/<label>`), timestamped by node count so
 /// the Chrome counter plot reads as throughput-per-node vs. machine
@@ -173,9 +124,7 @@ mod tests {
         ScenarioResult {
             makespan: 1.0,
             throughput_per_node: throughput,
-            goodput_per_node: throughput,
             graph_size: 0,
-            faults: Default::default(),
         }
     }
 
@@ -195,18 +144,5 @@ mod tests {
         let t = format_table(&[s]);
         assert!(t.contains("nodes"));
         assert!(t.contains('1'));
-    }
-
-    #[test]
-    fn resilience_table_formatting() {
-        let mut r = result(100.0);
-        r.makespan = 1.2;
-        r.goodput_per_node = 90.0;
-        r.faults.crashes = 1;
-        r.faults.epochs_replayed = 3;
-        let t = format_resilience_table(&[("k=2 crash".into(), r)], 1.0);
-        assert!(t.contains("config"));
-        assert!(t.contains("k=2 crash"));
-        assert!(t.contains("20.0")); // 20% overhead
     }
 }

@@ -316,8 +316,9 @@ impl DynamicCollective {
     /// the framed payload for each delivery attempt (the fault injector
     /// may corrupt individual attempts); the frame is verified *before*
     /// acceptance into the fold and re-produced on mismatch, up to
-    /// `max_attempts`. Returns the fold result, the generation, and the
-    /// number of corrupted attempts absorbed.
+    /// `max_attempts` (the executor passes the integrity protocol's
+    /// `resilience::MAX_ATTEMPTS`). Returns the fold result, the
+    /// generation, and the number of corrupted attempts absorbed.
     ///
     /// # Panics
     /// When `max_attempts` consecutive frames fail verification — at

@@ -164,7 +164,6 @@ fn renumber_plan(
                         ms,
                     })
             }
-            other => Some(other),
         })
         .collect();
     renumbered

@@ -111,7 +111,7 @@ pub use ring::{
 };
 
 pub use regent_fault::{
-    classify_failure, DeathCause, FailureClass, FaultPlan, PeerDeath, RetryPolicy, CANCEL_PREFIX,
+    classify_failure, DeathCause, FailureClass, FaultPlan, PeerDeath, CANCEL_PREFIX,
     FAILOVER_EXHAUSTED_PREFIX, SHARD_LOSS_PREFIX, TRANSIENT_PREFIX,
 };
 pub use resilience::{DeathBoard, Rescue, ResilienceOptions};

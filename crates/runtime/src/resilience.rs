@@ -65,7 +65,7 @@
 //!   seeded (`FaultPlan::payload_corruption`), the producer *knows*
 //!   which transmissions arrive corrupted and proactively retransmits
 //!   — no acknowledgement channel is needed. Retransmissions are
-//!   bounded by [`RetryPolicy::max_attempts`]; exhaustion is
+//!   bounded by [`MAX_ATTEMPTS`]; exhaustion is
 //!   unrecoverable and fail-stops the run.
 //! * **Resident instances** — no peer holds a redundant copy of a
 //!   shard's owned data, so the checkpoint is the redundancy: a seal
@@ -85,16 +85,15 @@ use crate::metrics::{Counter, Timer};
 use crate::pool::clone_insts_into;
 use crate::spmd_exec::ShardExec;
 use crate::wait::Waiters;
-use regent_fault::{DeathCause, FaultPlan, PeerDeath, RetryPolicy, SHARD_LOSS_PREFIX};
+use regent_fault::{DeathCause, FaultPlan, PeerDeath, SHARD_LOSS_PREFIX};
 use regent_region::Instance;
 use regent_trace::{CorruptSite, EventKind};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Configuration of a resilient SPMD run: a deterministic fault plan
-/// plus the checkpoint cadence. The plan's shard crashes, kills and
-/// stalls and its corruption rate apply to the real executor; loss and
-/// slowdown are machine-model concerns.
+/// plus the checkpoint cadence: the plan's shard crashes, kills and
+/// stalls and its corruption rate.
 #[derive(Clone, Debug, Default)]
 pub struct ResilienceOptions {
     /// Take a checkpoint every `checkpoint_interval` epochs (0 ⇒ only
@@ -185,12 +184,10 @@ impl DeathBoard {
 }
 
 /// Transmissions one logical exchange payload or collective frame may
-/// take under the integrity protocol ([`RetryPolicy::max_attempts`]):
-/// what a producer stops at, and what the team driver sizes the
-/// exchange rings for when the fault plan can corrupt a payload.
-pub(crate) fn retry_budget() -> u32 {
-    RetryPolicy::default().max_attempts
-}
+/// take under the integrity protocol: what a producer stops at, and
+/// what the team driver sizes the exchange rings for when the fault
+/// plan can corrupt a payload.
+pub(crate) const MAX_ATTEMPTS: u32 = 10;
 
 /// One shard's cut at an epoch boundary: everything it must restore to
 /// replay deterministically from there. Trace identities and statistics
@@ -447,7 +444,7 @@ pub(crate) struct Resilience {
     pub(crate) plan: FaultPlan,
     /// Whether seals, framing, and verification sweeps are active.
     pub(crate) integrity: bool,
-    /// Retransmission budget per logical payload ([`retry_budget`]).
+    /// Retransmission budget per logical payload ([`MAX_ATTEMPTS`]).
     pub(crate) retry_max: u32,
     /// Epochs below this already had their scheduled resident
     /// corruption handled — keeps the event from re-firing during the
@@ -513,7 +510,7 @@ impl Resilience {
             snapshot: None,
             plan: plan.clone(),
             integrity: opts.integrity || plan.corrupt_rate > 0.0,
-            retry_max: retry_budget(),
+            retry_max: MAX_ATTEMPTS,
             corrupt_handled: 0,
             cancel: opts.cancel.clone(),
             rescue: None,

@@ -49,7 +49,7 @@ use crate::collective::{DynamicCollective, ShardBarrier};
 use crate::exchange::CopyMsg;
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
 use crate::plan::schedule_for_run;
-use crate::resilience::{retry_budget, DeathBoard, RescueSlot};
+use crate::resilience::{DeathBoard, RescueSlot, MAX_ATTEMPTS};
 use crate::ring;
 use crate::run::{RunCtx, RunResult};
 use crate::spmd_exec::{ShardExec, ShardStats};
@@ -109,7 +109,7 @@ pub(crate) fn run_team(
     // A plan that can corrupt a payload makes one logical message up to
     // the retry budget's worth of frames (`ShardExec::send`).
     let transmissions = match resilience {
-        Some(o) if o.plan.corrupt_rate > 0.0 => retry_budget() as usize,
+        Some(o) if o.plan.corrupt_rate > 0.0 => MAX_ATTEMPTS as usize,
         _ => 1,
     };
     let (senders, receivers) = ring::copy_mesh::<CopyMsg>(

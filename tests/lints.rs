@@ -106,7 +106,8 @@ fn assert_none(what: &str, found: Vec<String>) {
 /// The SPMD family has two entry points (`run`, `run_failover`) and the
 /// DES one (`simulate`). Fails when an executor or scenario ladder grows
 /// back, or when a deleted name — a retired executor, result type,
-/// checkpoint type or per-model DES builder — survives anywhere. The four
+/// checkpoint type, per-model DES builder or a piece of the simulator's
+/// deleted fault model — survives anywhere. The four
 /// `execute_*_traced` forwarders are the benchmark adapter's surface
 /// and nothing inside the workspace may call them.
 #[test]
@@ -133,7 +134,7 @@ fn surface() {
         hits(&["crates/machine/src"], |l| l.contains("pub fn simulate_")),
     );
 
-    const DELETED: [&str; 47] = [
+    const DELETED: [&str; 56] = [
         "execute_spmd",
         "execute_spmd_with_env",
         "execute_spmd_with_env_traced",
@@ -181,6 +182,15 @@ fn surface() {
         "copy_occurrence",
         "send_framed",
         "push_frame",
+        "ResilienceSpec",
+        "MessageFate",
+        "message_fate",
+        "RetryPolicy",
+        "set_faults",
+        "slowdown_factor",
+        "from_seed_rate",
+        "format_resilience_table",
+        "goodput_per_node",
     ];
     let deleted = |line: &str| {
         words(line).any(|w| {
