@@ -304,7 +304,6 @@ fn wide_statement_completes() {
         checkpoint_interval: 2,
         plan: FaultPlan::new(3).with_corrupt_rate(0.2),
         integrity: true,
-        ..Default::default()
     };
     for strategy in Strategy::ALL {
         for resilience in [None, Some(&corrupting)] {

@@ -9,8 +9,7 @@
 //! past `max_failovers` must quarantine cleanly, not hang), the
 //! shared-log strategy's from-scratch failover, the hybrid per-segment
 //! checkpoint remap, a retry that resumes from the committed checkpoint
-//! and then rolls back to it, a passed deadline cancelling at the first
-//! boundary, the death/membership pair a shrink leaves on the flight
+//! and then rolls back to it, the death/membership pair a shrink leaves on the flight
 //! recorder, what epoch a membership change records, how many
 //! instances a failover rebuilds (16 for fig_failover's Stencil at
 //! every kill epoch and shard count),
@@ -30,19 +29,18 @@ use regent_cr::shard_layouts;
 use regent_geometry::DynPoint;
 use regent_ir::{Program, Stmt, Store};
 use regent_runtime::{
-    classify_failure, flight, panic_message, run, run_failover, CancelToken, DeathCause, Failover,
-    FailoverOptions, FailureClass, FaultPlan, Rescue, ResilienceOptions, RunOptions, RunResult,
-    FAILOVER_EXHAUSTED_PREFIX,
+    flight, run, run_failover, DeathCause, Failover, FailoverOptions, FaultPlan, ResilienceOptions,
+    RunOptions, RunResult, FAILOVER_EXHAUSTED_PREFIX, SHARD_LOSS_PREFIX,
 };
 use regent_trace::{failover_summary, EventKind, Tracer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Swallows the default stderr report for panics that are failover
-/// control flow here (shard losses, poison cascades, the expected
-/// budget fail-stop) so test output stays readable. Genuine assertion
-/// failures still report normally.
+/// control flow here (shard losses, hang timeouts, the expected budget
+/// fail-stop, sealed rings) so test output stays readable. Genuine
+/// assertion failures still report normally.
 fn install_quiet_hook() {
     static HOOK: std::sync::OnceLock<()> = std::sync::OnceLock::new();
     HOOK.get_or_init(|| {
@@ -54,7 +52,8 @@ fn install_quiet_hook() {
                 .map(String::as_str)
                 .or_else(|| info.payload().downcast_ref::<&str>().copied())
                 .is_some_and(|m| {
-                    classify_failure(m) != FailureClass::Permanent
+                    m.contains(SHARD_LOSS_PREFIX)
+                        || m.contains("likely deadlock")
                         || m.starts_with(FAILOVER_EXHAUSTED_PREFIX)
                         || m.starts_with("copy channel closed")
                 });
@@ -250,39 +249,26 @@ fn unrecovered_loss_surfaces_its_root_cause() {
     // Shard 1 is killed with nothing to fail over; its neighbours die
     // in their halo exchanges ("copy channel closed: ... shard 1
     // died"), shard 0 first in scan order. Under every strategy the
-    // run must surface the kill itself — the message a supervisor
-    // classifies as transient and retries — not a victim's unwind,
-    // which reads as a permanent defect.
+    // run must surface the kill itself, not a victim's unwind.
     for strategy in Strategy::ALL {
         let msg = stencil_diagnostic(strategy, FaultPlan::new(1).kill_shard(1, 2), None);
-        assert!(
-            msg.starts_with("shard 1 panicked: shard lost"),
-            "{strategy:?}: {msg}"
-        );
-        assert_eq!(
-            classify_failure(&msg),
-            FailureClass::Transient,
-            "{strategy:?}: {msg}"
-        );
+        let root = format!("shard 1 panicked: {SHARD_LOSS_PREFIX}: shard 1 killed at epoch 2");
+        assert!(msg.starts_with(&root), "{strategy:?}: {msg}");
     }
 }
 
 #[test]
 fn budget_exhausted_fails_permanently_not_hangs() {
     // Two losses against the default budget of one: the second loss
-    // must fail-stop with the structured exhaustion diagnostic — a
-    // clean permanent failure the supervisor quarantines, never a hang.
+    // must fail-stop with the structured exhaustion diagnostic, which
+    // wraps the loss it could not survive — never a hang.
     let plan = FaultPlan::new(5).kill_shard(0, 1).kill_shard(1, 3);
     let msg = stencil_diagnostic(Strategy::Spmd, plan, Some(&FailoverOptions::default()));
     assert!(
         msg.starts_with(FAILOVER_EXHAUSTED_PREFIX),
         "unexpected diagnostic: {msg}"
     );
-    assert_eq!(
-        classify_failure(&msg),
-        FailureClass::Permanent,
-        "exhaustion must quarantine, not retry"
-    );
+    assert!(msg.contains(SHARD_LOSS_PREFIX), "{msg}");
 }
 
 #[test]
@@ -299,40 +285,6 @@ fn membership_floor_fails_permanently() {
         Some(&fo),
     );
     assert!(msg.starts_with(FAILOVER_EXHAUSTED_PREFIX), "{msg}");
-}
-
-/// A supervised run whose deadline has already passed stops at its
-/// first epoch boundary: every shard checks the token there, so SPMD and
-/// hybrid unwind long before the hang timeout, with a diagnostic that
-/// classifies as a cancellation — neither retried nor quarantined.
-#[test]
-fn passed_deadline_cancels_at_the_first_boundary() {
-    install_quiet_hook();
-    for strategy in [Strategy::Spmd, Strategy::Hybrid] {
-        let (prog, mut store) = mk_stencil();
-        let compiled = strategy.compile(prog, 3);
-        let opts = RunOptions::default().with_resilience(ResilienceOptions {
-            cancel: Some(CancelToken::with_deadline(Duration::ZERO)),
-            ..Default::default()
-        });
-        let t0 = Instant::now();
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run(compiled.as_ref(), &mut store, &opts)
-        }))
-        .expect_err("a passed deadline must cancel the run");
-        let elapsed = t0.elapsed();
-        let msg = panic_message(payload.as_ref());
-        assert_eq!(
-            classify_failure(&msg),
-            FailureClass::Cancelled,
-            "{strategy:?}: {msg}"
-        );
-        assert!(msg.contains("deadline"), "{strategy:?}: {msg}");
-        assert!(
-            elapsed < opts.hang_timeout / 10,
-            "{strategy:?}: cancelling took {elapsed:?}"
-        );
-    }
 }
 
 #[test]
@@ -613,98 +565,94 @@ fn failover_rebuilds_16_instances_beside_a_lagging_survivor() {
     assert_rebuilds_16_instances_of(&mk, 8, plan, &|| armed.store(true, Ordering::SeqCst));
 }
 
-/// Runs Stencil under `strategy` undisturbed, then twice under `opts`
-/// (which must hold a rescue and a plan whose kill fails the first
-/// attempt), and returns the undisturbed run, the epoch the first
-/// attempt committed, and the second attempt — after checking that it
-/// is bit-identical to the undisturbed run.
+/// Runs Stencil at 3 shards under `strategy` undisturbed, then through
+/// [`run_failover`] with checkpoints every `interval` epochs under
+/// `plan`, whose kill fails the first attempt. Checks that the
+/// survivors' run is bit-identical to the undisturbed one, certifies
+/// its trace, and checks that it fast-forwarded past the committed
+/// epochs; returns the epoch the membership change resumed from and
+/// the survivors' run.
 fn resume_after_a_killed_attempt(
     strategy: Strategy,
-    opts: &RunOptions,
-) -> (RunResult, u64, RunResult) {
-    let rescue = opts
-        .resilience
-        .as_ref()
-        .and_then(|r| r.rescue.clone())
-        .expect("a supervised run");
+    interval: u64,
+    plan: FaultPlan,
+) -> (u64, RunResult) {
+    install_quiet_hook();
     let (prog_a, mut store_a) = mk_stencil();
     let roots = prog_a.root_regions();
     let a = strategy.compile(prog_a, 3);
     let plain = run(a.as_ref(), &mut store_a, &RunOptions::default());
-    {
-        let (prog, mut store) = mk_stencil();
-        let compiled = strategy.compile(prog, 3);
-        assert!(
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run(compiled.as_ref(), &mut store, opts)
-            }))
-            .is_err(),
-            "{strategy:?}: the injected kill must fail attempt 1"
-        );
-    }
-    let resume_epoch = rescue
-        .checkpoint_epoch()
-        .expect("attempt 1 committed no checkpoint");
 
-    // Attempt 2: fresh program and store (sequential segments are not
-    // idempotent against a flushed store), same plan — the resume
-    // fast-forward skips the already-fired kill.
     let (prog_b, mut store_b) = mk_stencil();
-    let b = strategy.compile(prog_b, 3);
-    let r2 = run(b.as_ref(), &mut store_b, opts);
+    let mut b = strategy.compile(prog_b, 3);
+    let tracer = Tracer::enabled();
+    let opts = RunOptions::traced(&tracer).with_resilience(ResilienceOptions {
+        checkpoint_interval: interval,
+        plan,
+        ..Default::default()
+    });
+    let r = run_failover(b.as_mut(), &mut store_b, &opts, &FailoverOptions::default());
+    let trace = tracer.take();
+    assert_eq!(r.attempts, 2, "{strategy:?}: the kill must fail attempt 1");
+    assert_eq!(r.final_shards, 2, "{strategy:?}");
 
-    assert_eq!(plain.env, r2.env, "scalar env diverged across resume");
+    assert_eq!(plain.env, r.run.env, "scalar env diverged across resume");
     let (here_a, here_b) = ((forest(&a), &store_a), (forest(&b), &store_b));
     compare_roots("undisturbed vs resumed", &roots, here_a, here_b, 0.0);
+    certify(
+        &format!("{strategy:?}: resumed trace"),
+        trace_forest(&b),
+        &trace,
+    );
     assert!(
-        r2.stats.tasks_executed < plain.stats.tasks_executed,
+        r.run.stats.tasks_executed < plain.stats.tasks_executed,
         "{strategy:?}: attempt 2 must fast-forward past committed epochs ({} vs {} tasks)",
-        r2.stats.tasks_executed,
+        r.run.stats.tasks_executed,
         plain.stats.tasks_executed
     );
-    (plain, resume_epoch, r2)
+    let resumed: Vec<u64> = trace
+        .tracks
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter_map(|e| match e.kind {
+            EventKind::MembershipChange { epoch, .. } => Some(epoch),
+            _ => None,
+        })
+        .collect();
+    let [resume_epoch] = resumed[..] else {
+        panic!("{strategy:?}: one membership change expected, got {resumed:?}");
+    };
+    (resume_epoch, r.run)
 }
 
 #[test]
 fn rescue_resumes_across_attempts() {
-    install_quiet_hook();
-    // Cross-attempt resume in the *supervisor's* classic retry path: a
-    // failed attempt leaves its committed per-segment checkpoints in
-    // the `Rescue`, and the retry fast-forwards from them instead of
-    // re-executing from scratch.
+    // A failed attempt leaves its committed per-segment checkpoints in
+    // the failover loop's rescue, and the retry at N-1 fast-forwards
+    // from them instead of re-executing from scratch.
     for strategy in [Strategy::Spmd, Strategy::Hybrid] {
         // The kill fires at epoch 2, after that boundary's checkpoint
         // was offered, so the epoch-2 checkpoint commits before the
         // attempt dies.
-        let opts = RunOptions::default().with_resilience(ResilienceOptions {
-            checkpoint_interval: 1,
-            plan: FaultPlan::new(13).kill_shard(1, 2),
-            rescue: Some(Arc::new(Rescue::new())),
-            ..Default::default()
-        });
-        let (_, resume_epoch, _) = resume_after_a_killed_attempt(strategy, &opts);
+        let plan = FaultPlan::new(13).kill_shard(1, 2);
+        let (resume_epoch, _) = resume_after_a_killed_attempt(strategy, 1, plan);
         assert!(resume_epoch >= 2, "epoch-2 snapshot must have committed");
     }
 }
 
 #[test]
 fn resume_then_rollback_is_bit_identical() {
-    install_quiet_hook();
     // A resumed attempt keeps the committed part it installed as its
     // rollback target. Checkpoints every 2 epochs: attempt 1 commits
-    // epoch 2 and dies there; attempt 2 resumes at epoch 2, whose
-    // checkpoint is then already live, and its crash at epoch 3 rolls
-    // every shard back to the installed part. Its one checkpoint of its
-    // own is epoch 4's.
+    // epoch 2 and dies there; attempt 2 resumes at N-1 at epoch 2,
+    // whose checkpoint is then already live, and its crash at epoch 3
+    // rolls every shard back to the installed part. Its one checkpoint
+    // of its own is epoch 4's.
     for strategy in [Strategy::Spmd, Strategy::Hybrid] {
-        let opts = RunOptions::default().with_resilience(ResilienceOptions {
-            checkpoint_interval: 2,
-            plan: FaultPlan::new(13).kill_shard(1, 2).crash_shard(0, 3),
-            rescue: Some(Arc::new(Rescue::new())),
-            ..Default::default()
-        });
-        let (_, resume_epoch, r2) = resume_after_a_killed_attempt(strategy, &opts);
+        let plan = FaultPlan::new(13).kill_shard(1, 2).crash_shard(0, 3);
+        let (resume_epoch, r2) = resume_after_a_killed_attempt(strategy, 2, plan);
         assert_eq!(resume_epoch, 2, "{strategy:?}");
+        assert_eq!(r2.per_shard.len(), 2, "{strategy:?}");
         for (shard, s) in r2.per_shard.iter().enumerate() {
             assert_eq!(s.restores, 1, "{strategy:?}: shard {shard}");
             assert_eq!(s.epochs_replayed, 1, "{strategy:?}: shard {shard}");

@@ -143,7 +143,6 @@ fn nothing_of_a_guarded_run_survives_into_the_next() {
                 checkpoint_interval: 2,
                 plan: FaultPlan::new(11).with_corrupt_rate(0.05),
                 integrity: true,
-                ..Default::default()
             };
             let (_, mut second) = compiled(mk, strategy, 3, false);
             let opts = RunOptions::default().with_resilience(guarded);
@@ -246,7 +245,6 @@ fn refill_then_a_plain_run_is_bit_identical() {
                 checkpoint_interval: 4,
                 plan: FaultPlan::new(2).crash_shard(1, 2),
                 integrity: true,
-                ..Default::default()
             });
             let r1 = run(one.as_ref(), &mut first, &guarded);
             assert_eq!(
@@ -411,7 +409,6 @@ fn circuit_ghost_sets_are_laid_out_over_their_span() {
                 checkpoint_interval: 2,
                 plan: FaultPlan::new(3).with_corrupt_rate(0.2),
                 integrity: true,
-                ..Default::default()
             });
             let (_, mut third) = compiled(mk_circuit_sparse, strategy, 2, false);
             let r = run(one.as_ref(), &mut third, &guarded);
@@ -566,7 +563,6 @@ fn stencil_halos_are_laid_out_over_their_bounding_box() {
                 checkpoint_interval: 2,
                 plan: FaultPlan::new(3).with_corrupt_rate(0.2),
                 integrity: true,
-                ..Default::default()
             });
             let (_, mut third) = compiled(mk_stencil_fine, strategy, 2, false);
             let r = run(one.as_ref(), &mut third, &guarded);

@@ -4,8 +4,8 @@
 //! exactly what it leaves running alone: a trace that Spy-certifies
 //! against its own forest, blames its own critical path and holds as
 //! many tasks and conflicting pairs, and a bit-identical store and
-//! scalar environment. The panicking run fails on its own, as a
-//! permanent defect.
+//! scalar environment. The panicking run fails on its own, with its
+//! kernel's panic as the root cause.
 
 mod common;
 
@@ -13,10 +13,7 @@ use common::{forest, mk_circuit, mk_pennant, mk_stencil, trace_forest, Strategy}
 use regent_cr::ForestOracle;
 use regent_ir::{Program, Store};
 use regent_region::{FieldType, RegionForest, RegionId};
-use regent_runtime::{
-    classify_failure, execute_implicit, panic_message, run, FailureClass, ImplicitOptions,
-    RunOptions,
-};
+use regent_runtime::{execute_implicit, panic_message, run, ImplicitOptions, RunOptions};
 use regent_trace::{blame_report, validate, Trace, Tracer};
 use std::sync::Arc;
 
@@ -152,13 +149,14 @@ fn solo_and_beside_bomb() -> (Vec<Fingerprint>, Vec<Fingerprint>, String) {
     (solo, together, bomb)
 }
 
-/// The panicking run fails on its own as a permanent defect, and every
-/// run beside it leaves the store and environment of its solo run.
+/// The panicking run fails on its own, reporting its kernel's panic as
+/// the root cause, and every run beside it leaves the store and
+/// environment of its solo run.
 #[test]
 fn panicking_run_leaves_neighbours_bit_identical() {
     let (solo, together, bomb) = solo_and_beside_bomb();
-    assert!(bomb.contains("kernel bug: boom"), "{bomb}");
-    assert_eq!(classify_failure(&bomb), FailureClass::Permanent, "{bomb}");
+    assert!(bomb.starts_with("shard "), "{bomb}");
+    assert!(bomb.contains("panicked: kernel bug: boom"), "{bomb}");
     for ((label, ..), (a, b)) in CASES.iter().zip(solo.iter().zip(&together)) {
         assert!(
             a.contents == b.contents,

@@ -3,10 +3,10 @@
 //! the scalar environment *bit-identical* to the fault-free log run,
 //! and the Spy validator must certify the recovered trace (replayed
 //! work gets fresh trace identities, so the happens-before graph stays
-//! sound). Also covers the supervisor-facing transient path: a log job
-//! killed by an injected transient fault is retried *from scratch*
-//! (the sequencer cannot re-derive skipped scalar feedback, so log
-//! jobs carry no rescue slot), and the retry is bit-identical too.
+//! sound). Also covers a plain log run failed by a shard kill and
+//! retried *from scratch* (the sequencer cannot re-derive skipped
+//! scalar feedback, so log runs carry no rescue slot): the retry is
+//! bit-identical too.
 
 mod common;
 
@@ -15,10 +15,7 @@ use common::{
     mk_stencil, Strategy::Log,
 };
 use regent_cr::{control_replicate, CrOptions};
-use regent_runtime::{
-    classify_failure, run, CancelToken, Compiled, FailureClass, FaultPlan, ResilienceOptions,
-    RunOptions,
-};
+use regent_runtime::{run, Compiled, FaultPlan, ResilienceOptions, RunOptions, SHARD_LOSS_PREFIX};
 use regent_trace::Tracer;
 
 #[test]
@@ -70,7 +67,6 @@ fn refill_recovers_under_the_log() {
                 checkpoint_interval: 4,
                 plan: FaultPlan::new(epoch).crash_shard(2, epoch),
                 integrity: true,
-                ..Default::default()
             };
             let res = assert_refill_recovers(Log, mk, 3, tol, &opts);
             assert_eq!(res.per_shard[0].epochs_replayed, epoch);
@@ -94,12 +90,10 @@ fn stencil_log_seeded_plans_recover() {
 
 #[test]
 fn log_transient_fault_then_scratch_retry_bit_identical() {
-    // A transient fault (injected through the cancel token's epoch
-    // hook — a supervisor's mechanism) kills the whole log
-    // run with a TRANSIENT-classified unwind; the retry starts from
-    // scratch and must be bit-identical to the fault-free run. This is
-    // exactly the supervisor's retry path for log jobs, which carry no
-    // rescue slot.
+    // A shard kill fails the whole plain log run with a shard-loss
+    // unwind; the retry starts from scratch and must be bit-identical
+    // to the fault-free run. Log runs carry no rescue slot, so this is
+    // also what `run_failover` does for the log, at one shard fewer.
     let (prog_a, mut store_a) = mk_stencil();
     let roots = prog_a.root_regions();
     let spmd_a = control_replicate(prog_a, &CrOptions::new(3)).unwrap();
@@ -109,7 +103,7 @@ fn log_transient_fault_then_scratch_retry_bit_identical() {
     let spmd_b = control_replicate(prog_b, &CrOptions::new(3)).unwrap();
     let opts = ResilienceOptions {
         checkpoint_interval: 2,
-        cancel: Some(CancelToken::with_transient_at(2)),
+        plan: FaultPlan::new(3).kill_shard(1, 2),
         ..Default::default()
     };
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -119,15 +113,14 @@ fn log_transient_fault_then_scratch_retry_bit_identical() {
             &RunOptions::default().with_resilience(opts.clone()),
         );
     }))
-    .expect_err("the injected transient must kill the run");
+    .expect_err("the injected kill must fail the run");
     let msg = err
         .downcast_ref::<String>()
         .cloned()
         .unwrap_or_else(|| "opaque".to_string());
-    assert_eq!(
-        classify_failure(&msg),
-        FailureClass::Transient,
-        "unexpected failure class for: {msg}"
+    assert!(
+        msg.starts_with(&format!("shard 1 panicked: {SHARD_LOSS_PREFIX}")),
+        "unexpected diagnostic: {msg}"
     );
 
     // Scratch retry (fresh program, store, and clean options), traced

@@ -38,7 +38,6 @@ fn refill_recovers_stencil_and_circuit() {
                     checkpoint_interval: 4,
                     plan: FaultPlan::new(epoch).crash_shard(1, epoch),
                     integrity,
-                    ..Default::default()
                 };
                 let res = assert_refill_recovers(Spmd, mk, 3, tol, &opts);
                 assert_eq!(

@@ -75,7 +75,6 @@ fn every_path_equals_the_reference_bit_for_bit() {
                 checkpoint_interval: 2,
                 plan: FaultPlan::new(3).with_corrupt_rate(0.2),
                 integrity: true,
-                ..Default::default()
             });
             let r = run(compiled.as_ref(), &mut store, &guarded);
             let st = &r.stats;

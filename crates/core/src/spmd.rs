@@ -398,7 +398,7 @@ impl SpmdProgram {
 
 /// The `[start, end)` slice of `len` items that block-distribution
 /// assigns to `shard` out of `num_shards` (remainder spread over the
-/// leading shards, matching `Rect::block_split`).
+/// leading shards, matching `DynRect::block_split`).
 pub fn block_range(len: usize, num_shards: usize, shard: usize) -> (usize, usize) {
     let base = len / num_shards;
     let rem = len % num_shards;

@@ -1,7 +1,7 @@
 //! # regent-fault
 //!
 //! Deterministic, seeded fault plans for the real SPMD executor
-//! (`regent-runtime`), the classification of its failures, and the
+//! (`regent-runtime`), the record of a shard's death, and the
 //! workspace's one seeded stream.
 //!
 //! The paper's SPMD shards coordinate purely through point-to-point
@@ -17,9 +17,9 @@
 //!   message / epoch identity so that injection, detection, and repair
 //!   are reproducible and every SPMD shard reaches the same rollback
 //!   decision without communicating.
-//! * **Failure classification** ([`classify_failure`]) — what a
-//!   supervisor makes of a failed run's diagnostic, and the structured
-//!   record of a shard's death ([`PeerDeath`]).
+//! * **Shard deaths** — the structured record of a shard leaving the
+//!   membership ([`PeerDeath`]) and the diagnostic prefixes of a shard
+//!   loss and of failover giving up.
 //! * **[`SplitMix64`]** — the workspace's one seeded stream, on the
 //!   same mix as the fault hashes: Circuit's random graphs and the
 //!   test suites' random inputs are drawn from it.
@@ -354,8 +354,7 @@ pub enum DeathCause {
         /// The epoch boundary at which the kill fired.
         epoch: u64,
     },
-    /// The shard thread panicked (application or runtime defect, or an
-    /// injected transient).
+    /// The shard thread panicked (an application or runtime defect).
     Panicked,
     /// A peer blamed this shard for a hang: it failed to produce an
     /// expected message within the hang timeout.
@@ -388,113 +387,18 @@ impl std::fmt::Display for PeerDeath {
 
 /// Diagnostic prefix of a shard-loss unwind: a shard left the
 /// membership (injected kill or unrecoverable thread death) and the
-/// attempt cannot finish at full membership. [`classify_failure`] maps
-/// it to [`FailureClass::Transient`] — a failover-capable supervisor
-/// recovers in place on N−1 shards; a plain one retries from scratch.
+/// attempt cannot finish at full membership. `run_failover` recovers
+/// in place on N−1 shards; a plain run fails with it.
 pub const SHARD_LOSS_PREFIX: &str = "shard lost";
 
 /// Diagnostic prefix emitted when live failover gives up: the run lost
 /// more shards than its `max_failovers` budget allows (or membership hit
-/// the floor). Classified [`FailureClass::Permanent`] — retrying the
-/// same plan would lose the same shards again.
+/// the floor). Retrying the same plan would lose the same shards again.
 pub const FAILOVER_EXHAUSTED_PREFIX: &str = "failover budget exhausted";
-
-/// Diagnostic prefix of a cooperative cancellation unwind (deadline
-/// exhaustion or explicit supervisor cancel). The cancellation token
-/// panics with this prefix; [`classify_failure`] maps it back to
-/// [`FailureClass::Cancelled`].
-pub const CANCEL_PREFIX: &str = "job cancelled";
-
-/// Diagnostic prefix of an injected transient fault — a deterministic,
-/// seeded "machine hiccup" a supervisor should retry through rather
-/// than surface.
-pub const TRANSIENT_PREFIX: &str = "injected transient fault";
-
-/// Supervisor-level classification of a failed executor run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailureClass {
-    /// The job was cooperatively cancelled (deadline budget exhausted
-    /// or an explicit supervisor cancel): terminal, do not retry, not a
-    /// defect.
-    Cancelled,
-    /// A transient environmental fault (injected transient, likely
-    /// deadlock under load): retry with backoff is warranted.
-    Transient,
-    /// Anything else — an application or runtime defect. Retrying
-    /// cannot help; the job must be quarantined.
-    Permanent,
-}
-
-/// Classifies a panic diagnostic captured from an executor run (the
-/// aggregated shard-failure message). Matching is substring-based
-/// because the executors wrap the root cause ("shard 3 panicked:
-/// ...").
-///
-/// * [`FAILOVER_EXHAUSTED_PREFIX`] → [`FailureClass::Permanent`]
-///   (checked first: the exhausted message wraps the underlying
-///   shard-loss diagnostic, which alone would read as transient)
-/// * [`CANCEL_PREFIX`] → [`FailureClass::Cancelled`]
-/// * [`TRANSIENT_PREFIX`], [`SHARD_LOSS_PREFIX`], or a
-///   `"likely deadlock"` hang-timeout diagnostic →
-///   [`FailureClass::Transient`]
-/// * everything else → [`FailureClass::Permanent`]
-pub fn classify_failure(msg: &str) -> FailureClass {
-    if msg.contains(FAILOVER_EXHAUSTED_PREFIX) {
-        FailureClass::Permanent
-    } else if msg.contains(CANCEL_PREFIX) {
-        FailureClass::Cancelled
-    } else if msg.contains(TRANSIENT_PREFIX)
-        || msg.contains(SHARD_LOSS_PREFIX)
-        || msg.contains("likely deadlock")
-    {
-        FailureClass::Transient
-    } else {
-        FailureClass::Permanent
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn failure_classification() {
-        assert_eq!(
-            classify_failure("shard 2 panicked: job cancelled: deadline budget exhausted"),
-            FailureClass::Cancelled
-        );
-        assert_eq!(
-            classify_failure("shard 0 panicked: injected transient fault: shard 0 unavailable"),
-            FailureClass::Transient
-        );
-        assert_eq!(
-            classify_failure("likely deadlock: shard 1 waited 30s on copy 0 pair 2"),
-            FailureClass::Transient
-        );
-        assert_eq!(
-            classify_failure("index out of bounds: the len is 4"),
-            FailureClass::Permanent
-        );
-    }
-
-    #[test]
-    fn failover_classification() {
-        // Shard loss is transient: a failover-capable supervisor
-        // recovers in place, a plain one retries.
-        assert_eq!(
-            classify_failure("shard 1 panicked: shard lost: shard 1 killed at epoch 2"),
-            FailureClass::Transient
-        );
-        // Exhausted failover budget is permanent even though the
-        // wrapped message carries the transient shard-loss marker.
-        assert_eq!(
-            classify_failure(
-                "failover budget exhausted after 2 membership changes: \
-                 shard lost: shard 0 killed at epoch 3"
-            ),
-            FailureClass::Permanent
-        );
-    }
 
     #[test]
     fn kill_schedule_sorted_and_separate_from_crashes() {
@@ -547,11 +451,6 @@ mod tests {
             cause: DeathCause::Hung,
         };
         assert_eq!(d.to_string(), "shard 1 hung past the timeout");
-        // The standard unwind wrapping stays transient end to end.
-        assert_eq!(
-            classify_failure(&format!("{SHARD_LOSS_PREFIX}: {d}")),
-            FailureClass::Transient
-        );
     }
 
     #[test]

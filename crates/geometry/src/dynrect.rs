@@ -1,13 +1,10 @@
 //! Dynamically-dimensioned points and rectangles.
 //!
 //! The compiler and runtime layers handle regions of mixed dimensionality
-//! (1-D unstructured meshes, 2-D grids, 3-D grids) uniformly, so alongside
-//! the const-generic [`Point`]/[`Rect`] types we
-//! provide erased equivalents with the dimension stored at runtime
-//! (capped at [`MAX_DIM`], like Legion's `Domain`).
+//! (1-D unstructured meshes, 2-D grids, 3-D grids) uniformly, so points
+//! and rectangles carry their dimension at runtime (capped at
+//! [`MAX_DIM`], like Legion's `Domain`).
 
-use crate::point::Point;
-use crate::rect::Rect;
 use std::fmt;
 
 /// Maximum supported dimensionality.
@@ -67,23 +64,6 @@ impl DynPoint {
     pub fn coord(&self, d: usize) -> i64 {
         debug_assert!(d < self.dim());
         self.coords[d]
-    }
-
-    /// Converts to a static-dimension point.
-    ///
-    /// # Panics
-    /// If `D` does not match the runtime dimension.
-    pub fn to_static<const D: usize>(&self) -> Point<D> {
-        assert_eq!(D, self.dim(), "dimension mismatch");
-        let mut out = [0i64; D];
-        out.copy_from_slice(&self.coords[..D]);
-        Point(out)
-    }
-}
-
-impl<const D: usize> From<Point<D>> for DynPoint {
-    fn from(p: Point<D>) -> Self {
-        DynPoint::new(&p.0)
     }
 }
 
@@ -304,8 +284,9 @@ impl DynRect {
         out
     }
 
-    /// Row-major linearization of `p` relative to `lo` (see
-    /// [`Rect::linearize`]).
+    /// Row-major linearization of `p` relative to `lo`: a bijection
+    /// between the rectangle's points and `0..volume()`, used to address
+    /// physical instance storage; `None` when `p` lies outside.
     #[inline]
     pub fn linearize(&self, p: DynPoint) -> Option<u64> {
         if !self.contains(p) {
@@ -339,8 +320,12 @@ impl DynRect {
         (0..vol).map(move |i| self.delinearize(i).unwrap())
     }
 
-    /// Splits into `parts` blocks along `dim` (see
-    /// [`Rect::block_split`]).
+    /// Splits the rectangle into `parts` contiguous blocks along
+    /// dimension `dim`, distributing the remainder one element at a time
+    /// to the leading blocks (the block-distribution rule of Regent's
+    /// `block` partition operator). Always returns exactly `parts`
+    /// rectangles; trailing ones are empty when there are fewer elements
+    /// than parts.
     pub fn block_split(&self, parts: usize, dim: usize) -> Vec<DynRect> {
         assert!(dim < self.dim());
         assert!(parts > 0);
@@ -368,7 +353,8 @@ impl DynRect {
         out
     }
 
-    /// Grows the rectangle by `radius` in every direction.
+    /// Grows the rectangle by `radius` in every direction (the halo
+    /// expansion of stencil ghost regions).
     pub fn grow(&self, radius: i64) -> DynRect {
         if self.is_empty() {
             return *self;
@@ -379,24 +365,6 @@ impl DynRect {
             out.hi[d] += radius;
         }
         out.normalized()
-    }
-
-    /// Converts to a static-dimension rectangle.
-    ///
-    /// # Panics
-    /// If `D` does not match the runtime dimension.
-    pub fn to_static<const D: usize>(&self) -> Rect<D> {
-        Rect::new(self.lo().to_static(), self.hi().to_static())
-    }
-}
-
-impl<const D: usize> From<Rect<D>> for DynRect {
-    fn from(r: Rect<D>) -> Self {
-        if r.is_empty() {
-            DynRect::empty(D)
-        } else {
-            DynRect::new(r.lo.into(), r.hi.into())
-        }
     }
 }
 
@@ -414,13 +382,20 @@ impl fmt::Debug for DynRect {
 mod tests {
     use super::*;
 
+    fn rect(lo: &[i64], hi: &[i64]) -> DynRect {
+        DynRect::new(DynPoint::new(lo), DynPoint::new(hi))
+    }
+
     #[test]
-    fn roundtrip_static() {
-        let r = Rect::new(Point([1, 2]), Point([3, 4]));
-        let d: DynRect = r.into();
-        assert_eq!(d.dim(), 2);
-        assert_eq!(d.volume(), r.volume());
-        assert_eq!(d.to_static::<2>(), r);
+    fn volume_and_empty() {
+        let r = rect(&[0, 0], &[3, 1]);
+        assert_eq!(r.dim(), 2);
+        assert_eq!(r.volume(), 8);
+        assert!(!r.is_empty());
+        assert!(DynRect::empty(2).is_empty());
+        assert_eq!(DynRect::empty(2).volume(), 0);
+        // Inverted bounds are empty too.
+        assert!(rect(&[5], &[2]).is_empty());
     }
 
     #[test]
@@ -429,6 +404,29 @@ mod tests {
         let b = DynRect::empty(1);
         assert_eq!(a, b);
         assert!(a.is_empty());
+    }
+
+    #[test]
+    fn contains_and_overlap() {
+        let a = DynRect::span(0, 9);
+        let b = DynRect::span(5, 14);
+        assert!(a.overlaps(&b));
+        assert_eq!(a.intersection(&b), DynRect::span(5, 9));
+        assert!(a.contains(DynPoint::from(9)));
+        assert!(!a.contains(DynPoint::from(10)));
+        assert!(a.contains_rect(&DynRect::span(2, 9)));
+        let c = DynRect::span(20, 30);
+        assert!(!a.overlaps(&c));
+        assert!(a.intersection(&c).is_empty());
+    }
+
+    #[test]
+    fn union_bbox_identity() {
+        let a = DynRect::span(0, 3);
+        let empty = DynRect::empty(1);
+        assert_eq!(a.union_bbox(&empty), a);
+        assert_eq!(empty.union_bbox(&a), a);
+        assert_eq!(a.union_bbox(&DynRect::span(10, 12)), DynRect::span(0, 12));
     }
 
     #[test]
@@ -450,8 +448,8 @@ mod tests {
 
     #[test]
     fn subtract_2d_cover() {
-        let a: DynRect = Rect::new(Point([0, 0]), Point([9, 9])).into();
-        let b: DynRect = Rect::new(Point([3, 3]), Point([6, 6])).into();
+        let a = rect(&[0, 0], &[9, 9]);
+        let b = rect(&[3, 3], &[6, 6]);
         let parts = a.subtract(&b);
         // Pieces are disjoint and tile a \ b.
         let vol: u64 = parts.iter().map(DynRect::volume).sum();
@@ -466,22 +464,65 @@ mod tests {
 
     #[test]
     fn linearize_roundtrip() {
-        let r: DynRect = Rect::new(Point([2, -1, 0]), Point([4, 1, 2])).into();
+        let r = rect(&[2, -1, 0], &[4, 1, 2]);
         for i in 0..r.volume() {
             let p = r.delinearize(i).unwrap();
             assert_eq!(r.linearize(p), Some(i));
         }
         assert_eq!(r.iter().count() as u64, r.volume());
+        assert_eq!(DynRect::empty(3).iter().count(), 0);
     }
 
     #[test]
-    fn block_split_matches_static() {
-        let r = Rect::span(0, 99);
-        let d: DynRect = r.into();
-        let s = r.block_split(7, 0);
-        let ds = d.block_split(7, 0);
-        for (a, b) in s.iter().zip(&ds) {
-            assert_eq!(DynRect::from(*a), *b);
+    fn iter_matches_linearize() {
+        let r = rect(&[1, 2], &[3, 4]);
+        let pts: Vec<_> = r.iter().collect();
+        assert_eq!(pts.len(), 9);
+        // Row-major: the last coordinate varies fastest.
+        assert_eq!(pts[1], DynPoint::new(&[1, 3]));
+        assert_eq!(pts[3], DynPoint::new(&[2, 2]));
+        for (i, p) in pts.iter().enumerate() {
+            assert_eq!(r.linearize(*p), Some(i as u64));
         }
+        // First point is lo, last is hi.
+        assert_eq!(pts[0], r.lo());
+        assert_eq!(pts[8], r.hi());
+    }
+
+    #[test]
+    fn block_split_even_and_remainder() {
+        let parts = DynRect::span(0, 99).block_split(7, 0);
+        let sizes: Vec<u64> = parts.iter().map(DynRect::volume).collect();
+        assert_eq!(sizes, [15, 15, 14, 14, 14, 14, 14]);
+        assert_eq!(parts[0], DynRect::span(0, 14));
+        assert_eq!(parts[1], DynRect::span(15, 29));
+        assert_eq!(parts[6], DynRect::span(86, 99));
+        // Splitting into more parts than elements yields empties.
+        let tiny = DynRect::span(0, 1).block_split(4, 0);
+        assert_eq!(
+            tiny,
+            [
+                DynRect::span(0, 0),
+                DynRect::span(1, 1),
+                DynRect::empty(1),
+                DynRect::empty(1)
+            ]
+        );
+    }
+
+    #[test]
+    fn block_split_2d() {
+        let r = rect(&[0, 0], &[9, 9]);
+        let rows = r.block_split(2, 0);
+        assert_eq!(rows, [rect(&[0, 0], &[4, 9]), rect(&[5, 0], &[9, 9])]);
+        let cols = r.block_split(2, 1);
+        assert_eq!(cols, [rect(&[0, 0], &[9, 4]), rect(&[0, 5], &[9, 9])]);
+    }
+
+    #[test]
+    fn grow_halo() {
+        let r = rect(&[2, 2], &[5, 5]);
+        assert_eq!(r.grow(2), rect(&[0, 0], &[7, 7]));
+        assert!(DynRect::empty(2).grow(3).is_empty());
     }
 }

@@ -12,20 +12,16 @@
 //! optimization (§3.3) computes exact intersections between them. All of
 //! that set algebra lives here.
 //!
-//! Two parallel type families are provided:
-//! * const-generic [`Point<D>`]/[`Rect<D>`] for dimension-static
-//!   application kernels, and
-//! * dimension-erased [`DynPoint`]/[`DynRect`]/[`Domain`] for the
-//!   compiler and runtime layers which handle mixed dimensionality.
+//! One point/rectangle family serves every layer: [`DynPoint`] and
+//! [`DynRect`] carry their dimension (1..=[`MAX_DIM`]) at runtime, so
+//! the compiler, the region layer and the executors handle 1-D
+//! unstructured meshes and 2-D/3-D grids alike, and [`Domain`] is a
+//! disjoint union of [`DynRect`]s.
 
 #![warn(missing_docs)]
 
 pub mod domain;
 pub mod dynrect;
-pub mod point;
-pub mod rect;
 
 pub use domain::Domain;
 pub use dynrect::{DynPoint, DynRect, MAX_DIM};
-pub use point::{Point, Point1, Point2, Point3};
-pub use rect::{Rect, Rect1, Rect2, Rect3};

@@ -51,7 +51,6 @@ impl Smoke {
             checkpoint_interval: 2,
             plan: plan.with_corrupt_rate(self.corrupt.map_or(0.0, |(_, rate)| rate)),
             integrity: self.corrupt.is_some(),
-            ..ResilienceOptions::default()
         }
     }
 }

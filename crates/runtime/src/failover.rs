@@ -15,7 +15,7 @@
 //!    rings), so every survivor unwinds promptly — blocked waiters see
 //!    the poison, blocked receivers see `Disconnected`, and a
 //!    stalled-but-alive peer is caught by the bounded `recv_timeout`,
-//!    which blames the *producer* on the shared [`DeathBoard`].
+//!    which blames the *producer* on the attempt's `DeathBoard`.
 //! 2. **Agreement.** Control flow is replicated, so no election is
 //!    needed: the failover loop catches the attempt's unwind, reads
 //!    the board's first entry as the root cause, and the last
@@ -59,20 +59,16 @@
 //!
 //! [`FailoverOptions::max_failovers`] bounds the membership changes
 //! (default 1); a loss beyond the budget (or below one
-//! shard) fail-stops with [`FAILOVER_EXHAUSTED_PREFIX`], which
-//! [`regent_fault::classify_failure`] maps to a permanent failure.
+//! shard) fail-stops with [`FAILOVER_EXHAUSTED_PREFIX`].
 
 use crate::metrics::{self, flight, Counter, Timer};
 use crate::plan::InstKey;
-use crate::resilience::{Checkpoint, DeathBoard, RescueSlot};
+use crate::resilience::{Checkpoint, DeathBoard, Rescue, RescueSlot};
 use crate::run::{run_ctx, Compiled, RunCtx, RunOptions, RunResult};
 use crate::team::panic_message;
 use regent_cr::hybrid::{HybridProgram, Segment};
 use regent_cr::{shard_layouts, MembershipRemap, ShardLayout, SlotInfo, SpmdProgram};
-use regent_fault::{
-    classify_failure, DeathCause, FailureClass, FaultEvent, FaultPlan, PeerDeath,
-    FAILOVER_EXHAUSTED_PREFIX,
-};
+use regent_fault::{DeathCause, FaultEvent, FaultPlan, PeerDeath, FAILOVER_EXHAUSTED_PREFIX};
 use regent_ir::Store;
 use regent_region::Instance;
 use regent_trace::{EventKind, Tracer};
@@ -244,19 +240,17 @@ struct CaughtLoss {
 }
 
 /// Classifies a caught attempt panic. Failures with no identified
-/// victim (driver bugs, defects outside any shard) and cooperative
-/// cancellations propagate unchanged — failover must never swallow a
-/// supervisor's cancel or retry a run that did not lose a shard.
+/// victim (driver bugs, defects outside any shard) propagate unchanged
+/// — failover must never retry a run that did not lose a shard.
 fn catch_loss(
     board: &DeathBoard,
     payload: Box<dyn std::any::Any + Send>,
 ) -> Result<CaughtLoss, Box<dyn std::any::Any + Send>> {
-    let msg = panic_message(&*payload);
-    if matches!(classify_failure(&msg), FailureClass::Cancelled) {
-        return Err(payload);
-    }
     match board.first() {
-        Some(death) => Ok(CaughtLoss { death, msg }),
+        Some(death) => Ok(CaughtLoss {
+            death,
+            msg: panic_message(&*payload),
+        }),
         None => Err(payload),
     }
 }
@@ -356,16 +350,11 @@ pub fn run_failover(
     opts: &RunOptions,
     fo: &FailoverOptions,
 ) -> Failover {
-    let board = Arc::new(DeathBoard::new());
+    let board = Arc::new(DeathBoard::default());
     let mut res = opts.resilience.clone().unwrap_or_default();
-    res.board = Some(Arc::clone(&board));
-    let rescue = match compiled {
-        // No resume path: offering snapshots into a slot nobody can
-        // resume from would be pure checkpoint overhead.
-        Compiled::Log(_) => None,
-        _ => Some(res.rescue.take().unwrap_or_default()),
-    };
-    res.rescue = rescue.clone();
+    // No resume path for the log: offering snapshots into a slot nobody
+    // can resume from would be pure checkpoint overhead.
+    let rescue = (!matches!(compiled, Compiled::Log(_))).then(Rescue::default);
     let base = opts.ctx();
     let mut membership = compiled
         .replicated_mut()
@@ -390,6 +379,8 @@ pub fn run_failover(
         let ctx = RunCtx {
             tracer: &inner,
             resilience: Some(&res),
+            rescue: rescue.as_ref(),
+            board: Some(&board),
             ..base
         };
         let payload =

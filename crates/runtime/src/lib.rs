@@ -19,8 +19,8 @@
 //!   verified under the integrity layer.
 //! * `resilience` — the epoch-boundary protocol that engine runs
 //!   through: one `Checkpoint` per shard and boundary serves in-run
-//!   rollback, the supervisor's [`Rescue`] offer, a retry's resume and
-//!   the failover remap; plus the integrity sweep and the injected
+//!   rollback, the offer into [`run_failover`]'s rescue, the next
+//!   attempt's resume and the failover remap; plus the integrity sweep and the injected
 //!   kills, stalls and crashes of [`ResilienceOptions`].
 //! * [`hybrid_exec`] — range-local control replication (§2.2): a loop
 //!   over segments, each replicated one a team run.
@@ -65,7 +65,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cancel;
 pub mod collective;
 pub mod config;
 mod exchange;
@@ -86,7 +85,6 @@ pub mod spmd_exec;
 mod team;
 mod wait;
 
-pub use cancel::CancelToken;
 pub use collective::{DynamicCollective, FramedScalar, ShardBarrier};
 pub use config::{EnvConfig, Smoke};
 pub use failover::{run_failover, Failover, FailoverOptions};
@@ -111,9 +109,8 @@ pub use ring::{
 };
 
 pub use regent_fault::{
-    classify_failure, DeathCause, FailureClass, FaultPlan, PeerDeath, CANCEL_PREFIX,
-    FAILOVER_EXHAUSTED_PREFIX, SHARD_LOSS_PREFIX, TRANSIENT_PREFIX,
+    DeathCause, FaultPlan, PeerDeath, FAILOVER_EXHAUSTED_PREFIX, SHARD_LOSS_PREFIX,
 };
-pub use resilience::{DeathBoard, Rescue, ResilienceOptions};
+pub use resilience::ResilienceOptions;
 pub use spmd_exec::ShardStats;
 pub use team::panic_message;

@@ -22,7 +22,7 @@
 //! recovered trace like any other.
 //!
 //! One [`Checkpoint`] is the cut, whatever it is used for: the shard's
-//! live rollback target, its offer into the supervisor's rescue slot,
+//! live rollback target, its offer into `run_failover`'s rescue slot,
 //! one part of a committed cross-attempt set, and the input and output
 //! of the failover remap. Its instances sit behind an `Arc`, so the
 //! offer shares the copy the boundary just took and a resumed run keeps
@@ -80,7 +80,6 @@
 //! validator's unrepaired-corruption check. Recovered results remain
 //! bit-identical to a fault-free run.
 
-use crate::cancel::CancelToken;
 use crate::metrics::{Counter, Timer};
 use crate::pool::clone_insts_into;
 use crate::spmd_exec::ShardExec;
@@ -109,52 +108,29 @@ pub struct ResilienceOptions {
     /// measure the layer's fault-free overhead. A nonzero corruption
     /// rate enables integrity regardless of this flag.
     pub integrity: bool,
-    /// Cooperative cancellation token for supervised runs, checked by
-    /// every shard at every epoch boundary (deadline budgets, explicit
-    /// supervisor cancels, injected transient faults). `None` for
-    /// unsupervised runs.
-    pub cancel: Option<CancelToken>,
-    /// Supervisor-provided cross-attempt checkpoints: boundary
-    /// checkpoints are offered into the run's slot (one per replicated
-    /// segment), and a fresh run with a committed checkpoint
-    /// fast-forwards to it instead of starting from scratch — this is
-    /// what makes a retried job resume from the last checkpoint. The
-    /// shared-log strategy has no resumable slot (its sequencer cannot
-    /// re-derive skipped `AllReduce` feedback), so log runs neither
-    /// offer nor resume: they retry from scratch.
-    pub rescue: Option<Arc<Rescue>>,
-    /// Shared death board for failover-aware runs: the first thread to
-    /// die records a structured [`PeerDeath`] here, so the failover
-    /// driver learns *which* shard was lost and *why* without parsing
-    /// panic strings. `None` for plain runs.
-    pub board: Option<Arc<DeathBoard>>,
 }
 
-/// A shared record of shard deaths within one executor attempt. The
-/// failover driver reads it after catching the attempt's panic to learn
-/// the root cause without parsing diagnostics: kill and hang causes are
-/// recorded *before* the poison cascade starts, and a panicking shard's
-/// panic guard (`crate::team`) records itself only when the board is
-/// still empty — so the first entry is always the root cause, never a
-/// secondary unwind.
+/// A shared record of shard deaths within one executor attempt, which
+/// `run_failover` attaches to every attempt it runs. It reads the board
+/// after catching the attempt's panic to learn the root cause without
+/// parsing diagnostics: kill and hang causes are recorded *before* the
+/// poison cascade starts, and a panicking shard's panic guard
+/// (`crate::team`) records itself only when the board is still empty —
+/// so the first entry is always the root cause, never a secondary
+/// unwind.
 #[derive(Debug, Default)]
-pub struct DeathBoard {
+pub(crate) struct DeathBoard {
     deaths: Mutex<Vec<PeerDeath>>,
 }
 
 impl DeathBoard {
-    /// An empty board.
-    pub fn new() -> DeathBoard {
-        DeathBoard::default()
-    }
-
     fn deaths(&self) -> std::sync::MutexGuard<'_, Vec<PeerDeath>> {
         self.deaths.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Records a death. At most one entry per shard is kept (a shard
     /// dies once; later reports for the same shard are echoes).
-    pub fn record(&self, death: PeerDeath) {
+    pub(crate) fn record(&self, death: PeerDeath) {
         let mut g = self.deaths();
         if g.iter().all(|d| d.shard != death.shard) {
             g.push(death);
@@ -163,22 +139,17 @@ impl DeathBoard {
 
     /// The first recorded death — the root cause of the attempt's
     /// failure.
-    pub fn first(&self) -> Option<PeerDeath> {
+    pub(crate) fn first(&self) -> Option<PeerDeath> {
         self.deaths().first().copied()
     }
 
     /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.deaths().is_empty()
     }
 
-    /// All recorded deaths, in recording order.
-    pub fn snapshot(&self) -> Vec<PeerDeath> {
-        self.deaths().clone()
-    }
-
     /// Clears the board for the next attempt.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.deaths().clear();
     }
 }
@@ -226,9 +197,9 @@ impl Checkpoint {
 /// One replicated segment's slot of a [`Rescue`]: carries checkpoints
 /// *across executor invocations*. Each shard offers its epoch-boundary
 /// checkpoint into the slot, and once every shard has offered the same
-/// `(epoch, token, loop_seq)` the set commits atomically. A later run
-/// handed the same slot (a retry after a transient failure)
-/// fast-forwards every shard to the committed set instead of
+/// `(epoch, token, loop_seq)` the set commits atomically. A later
+/// attempt whose slot holds a committed set (`run_failover` pre-seeds
+/// it with the remap of the failed attempt's last one) fast-forwards every shard to the committed set instead of
 /// recomputing from scratch — in-run rollback handles faults the run
 /// survives, the rescue slot handles faults it does not.
 ///
@@ -348,23 +319,18 @@ impl RescueSlot {
 
 /// Cross-attempt checkpoints of one job: one slot (`RescueSlot`) per
 /// replicated segment, keyed by segment index (a whole-program SPMD run
-/// is segment 0). A supervisor hands the same `Rescue` to every retry
-/// of a job through [`ResilienceOptions::rescue`], so each replicated
-/// segment resumes from its own last committed checkpoint instead of
-/// recomputing from scratch. (Sequential segments of a hybrid program
-/// re-run through the interpreter; they are cheap and deterministic, so
-/// re-deriving their scalars is free of risk.)
+/// is segment 0). `run_failover` hands the same `Rescue` to every
+/// attempt of a run, so each replicated segment resumes from its own
+/// last committed checkpoint instead of recomputing from scratch.
+/// (Sequential segments of a hybrid program re-run through the
+/// interpreter; they are cheap and deterministic, so re-deriving their
+/// scalars is free of risk.)
 #[derive(Debug, Default)]
-pub struct Rescue {
+pub(crate) struct Rescue {
     slots: Mutex<Vec<Option<Arc<RescueSlot>>>>,
 }
 
 impl Rescue {
-    /// An empty rescue container.
-    pub fn new() -> Rescue {
-        Rescue::default()
-    }
-
     fn slots(&self) -> std::sync::MutexGuard<'_, Vec<Option<Arc<RescueSlot>>>> {
         self.slots.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -402,17 +368,6 @@ impl Rescue {
     pub(crate) fn committed(&self, idx: usize) -> Option<Arc<[Checkpoint]>> {
         self.slots().get(idx)?.as_ref()?.committed()
     }
-
-    /// Highest committed checkpoint epoch across all segments — what a
-    /// retry will resume from, and a cheap "has anything committed"
-    /// probe for tests and supervisors.
-    pub fn checkpoint_epoch(&self) -> Option<u64> {
-        self.slots()
-            .iter()
-            .flatten()
-            .filter_map(|s| Some(s.committed()?[0].epoch))
-            .max()
-    }
 }
 
 /// Per-shard checkpoint–restart and integrity state for a resilient
@@ -434,7 +389,8 @@ pub(crate) struct Resilience {
     /// consumers detect the hang and blame it on the death board.
     stalls: Vec<(u64, u32, u64)>,
     stall_cursor: usize,
-    /// Shared death board for failover-aware runs.
+    /// The death board of a `run_failover` attempt; set by the team
+    /// driver from the run's context, like `rescue`.
     pub(crate) board: Option<Arc<DeathBoard>>,
     interval: u64,
     /// The live rollback target.
@@ -450,11 +406,9 @@ pub(crate) struct Resilience {
     /// corruption handled — keeps the event from re-firing during the
     /// very replay it triggered.
     corrupt_handled: u64,
-    /// Cooperative cancellation token, checked at every boundary.
-    cancel: Option<CancelToken>,
     /// Cross-attempt checkpoint slot boundary checkpoints are offered
-    /// into; resolved from [`ResilienceOptions::rescue`] by the team
-    /// driver, like `resume`.
+    /// into; resolved from the run's `Rescue` by the team driver, like
+    /// `resume`.
     pub(crate) rescue: Option<Arc<RescueSlot>>,
     /// Committed set this run fast-forwards to at the first boundary of
     /// its matching outermost loop; taken from the rescue slot on the
@@ -464,7 +418,7 @@ pub(crate) struct Resilience {
 }
 
 /// Epoch boundary of a run, called at the top of every outermost-loop
-/// iteration: the cancellation check, a rescue resume, the integrity
+/// iteration: a rescue resume, the integrity
 /// sweep, a checkpoint when one is due, and the scheduled kill, stall
 /// and crash. `first` marks the first boundary of an outermost loop
 /// (forces a fresh checkpoint so a rollback never crosses loop
@@ -505,14 +459,13 @@ impl Resilience {
                 .map(|(s, e, ms)| (e, s, ms))
                 .collect(),
             stall_cursor: 0,
-            board: opts.board.clone(),
+            board: None,
             interval: opts.checkpoint_interval,
             snapshot: None,
             plan: plan.clone(),
             integrity: opts.integrity || plan.corrupt_rate > 0.0,
             retry_max: MAX_ATTEMPTS,
             corrupt_handled: 0,
-            cancel: opts.cancel.clone(),
             rescue: None,
             resume: None,
         }
@@ -527,15 +480,6 @@ impl Resilience {
     /// See [`boundary`]; `x.resilience` is this state, taken out for the
     /// call.
     fn boundary(&mut self, x: &mut ShardExec<'_>, first: bool, token: u64) -> Option<u64> {
-        // Cooperative cancellation: supervised jobs stop at epoch
-        // boundaries (never mid-exchange), unwinding with a structured
-        // diagnostic the supervisor classifies. Every shard fires at
-        // the same replicated epoch for deterministic causes; the
-        // wall-clock deadline may fire on one shard first, whose
-        // PanicGuard then poisons the rest.
-        if let Some(tok) = &self.cancel {
-            tok.check_boundary(x.shard, x.epoch);
-        }
         // Cross-attempt rescue resume: at the first boundary of the
         // outermost loop the committed checkpoint belongs to, install
         // its state and fast-forward to its iteration. The decision was
@@ -836,7 +780,7 @@ mod tests {
 
     #[test]
     fn rescue_slot_follows_the_membership() {
-        let rescue = Rescue::new();
+        let rescue = Rescue::default();
         let three = rescue.slot(0, 3);
         assert!(
             Arc::ptr_eq(&three, &rescue.slot(0, 3)),

@@ -8,7 +8,7 @@ use crate::config::{self, Smoke};
 use crate::hybrid_exec::{run_hybrid, HybridRunResult};
 use crate::log_exec::{run_log, LogStats};
 use crate::plan::SetupStats;
-use crate::resilience::ResilienceOptions;
+use crate::resilience::{DeathBoard, Rescue, ResilienceOptions};
 use crate::spmd_exec::{run_spmd, ShardStats};
 use regent_cr::hybrid::HybridProgram;
 use regent_cr::SpmdProgram;
@@ -72,8 +72,8 @@ pub struct RunOptions {
     /// Initial scalar environment; `None` starts every scalar at its
     /// declared initial value.
     pub initial_env: Option<Vec<f64>>,
-    /// Fault plan, checkpoint cadence, integrity layer, cancellation
-    /// and cross-attempt rescue; `None` for a plain run.
+    /// Fault plan, checkpoint cadence and integrity layer; `None` for a
+    /// plain run.
     pub resilience: Option<ResilienceOptions>,
     /// How long a blocking wait of this run's team may stall before it
     /// panics with a "likely deadlock" diagnostic.
@@ -114,6 +114,8 @@ impl RunOptions {
             resilience: self.resilience.as_ref(),
             hang_timeout: self.hang_timeout,
             smoke: config::process().smoke.as_ref(),
+            rescue: None,
+            board: None,
         }
     }
 }
@@ -129,6 +131,13 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) hang_timeout: Duration,
     /// The CI fault smoke a run without `resilience` is upgraded by.
     pub(crate) smoke: Option<&'a Smoke>,
+    /// The cross-attempt checkpoints a `run_failover` attempt offers
+    /// into and resumes from; `None` for a plain run and for the log,
+    /// which cannot resume.
+    pub(crate) rescue: Option<&'a Rescue>,
+    /// The death board a `run_failover` attempt records its root cause
+    /// on; `None` for a plain run.
+    pub(crate) board: Option<&'a Arc<DeathBoard>>,
 }
 
 impl RunCtx<'_> {

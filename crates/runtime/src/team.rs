@@ -81,8 +81,8 @@ fn secondary(msg: &str) -> bool {
 ///
 /// `body` is the strategy's per-shard control source; `aux` is its
 /// auxiliary job, named for failure reports, run on one more member
-/// beside the shards. `slot` names the rescue slot of
-/// `ctx.resilience` this team offers checkpoints into and resumes from
+/// beside the shards. `slot` names the slot of `ctx.rescue` this team
+/// offers checkpoints into and resumes from
 /// (`None` for a control source that cannot resume mid-program).
 pub(crate) fn run_team(
     spmd: &SpmdProgram,
@@ -132,7 +132,7 @@ pub(crate) fn run_team(
     // Resolve the rescue slot and its committed checkpoint once, on the
     // driver thread, so every shard makes the same resume decision even
     // if new offers land while shards are starting.
-    let rescue = slot.and_then(|i| Some(resilience?.rescue.as_ref()?.slot(i, ns)));
+    let rescue = slot.and_then(|i| Some(ctx.rescue?.slot(i, ns)));
     let resume = rescue.as_ref().and_then(|s| s.committed());
     if let Some(s) = &rescue {
         s.open();
@@ -159,7 +159,7 @@ pub(crate) fn run_team(
                 barrier,
                 collective,
                 shard: shard as u32,
-                board: resilience.and_then(|o| o.board.clone()),
+                board: ctx.board.cloned(),
                 rescue: rescue.clone(),
             };
             let mut exec = ShardExec::new(
@@ -175,6 +175,7 @@ pub(crate) fn run_team(
                 ctx.hang_timeout,
             );
             if let Some(r) = exec.resilience.as_mut() {
+                r.board = ctx.board.cloned();
                 r.rescue = rescue;
                 r.resume = resume;
             }
@@ -205,7 +206,7 @@ pub(crate) fn run_team(
     let mut mx = metrics::global().handle("team");
     joined.record(&mut mx);
 
-    // Report the root cause — the message a supervisor classifies:
+    // Report the root cause — the message the caller sees:
     // failures are scanned in shard order, so prefer the first one that
     // is not a secondary unwind.
     let failures: Vec<(String, String)> = joined

@@ -545,7 +545,6 @@ fn integrity_at_rate_zero_is_pure_overhead() {
         checkpoint_interval: 2,
         plan: FaultPlan::new(5),
         integrity: true,
-        ..Default::default()
     };
     let (_, res) = assert_recovery_bit_identical(|| stencil_program(48, 6, 6), 3, &opts);
     assert_eq!(res.stats.corruptions_injected, 0);

@@ -106,8 +106,9 @@ fn assert_none(what: &str, found: Vec<String>) {
 /// The SPMD family has two entry points (`run`, `run_failover`) and the
 /// DES one (`simulate`). Fails when an executor or scenario ladder grows
 /// back, or when a deleted name — a retired executor, result type,
-/// checkpoint type, per-model DES builder or a piece of the simulator's
-/// deleted fault model — survives anywhere. The four
+/// checkpoint type, per-model DES builder, a piece of the simulator's
+/// deleted fault model, the job supervisor's cancellation and failure
+/// classes, or the const-generic geometry family — survives anywhere. The four
 /// `execute_*_traced` forwarders are the benchmark adapter's surface
 /// and nothing inside the workspace may call them.
 #[test]
@@ -134,7 +135,7 @@ fn surface() {
         hits(&["crates/machine/src"], |l| l.contains("pub fn simulate_")),
     );
 
-    const DELETED: [&str; 56] = [
+    const DELETED: [&str; 72] = [
         "execute_spmd",
         "execute_spmd_with_env",
         "execute_spmd_with_env_traced",
@@ -191,6 +192,22 @@ fn surface() {
         "from_seed_rate",
         "format_resilience_table",
         "goodput_per_node",
+        "CancelToken",
+        "classify_failure",
+        "FailureClass",
+        "CANCEL_PREFIX",
+        "TRANSIENT_PREFIX",
+        "with_deadline",
+        "with_transient_at",
+        "checkpoint_epoch",
+        "to_static",
+        "RectIter",
+        "Point1",
+        "Point2",
+        "Point3",
+        "Rect1",
+        "Rect2",
+        "Rect3",
     ];
     let deleted = |line: &str| {
         words(line).any(|w| {
