@@ -387,9 +387,21 @@ mod tests {
     }
 
     #[test]
+    fn roundtrip_static() {
+        // Fixed-size bounds go in and come back out unchanged.
+        let (lo, hi) = ([1, 2], [3, 4]);
+        let r = rect(&lo, &hi);
+        assert_eq!(r.dim(), 2);
+        assert_eq!(r.volume(), 9);
+        assert_eq!(r.lo().coords(), lo);
+        assert_eq!(r.hi().coords(), hi);
+        assert_eq!(r.lo().padded(), [1, 2, 0]);
+        assert_eq!(DynRect::new(r.lo(), r.hi()), r);
+    }
+
+    #[test]
     fn volume_and_empty() {
         let r = rect(&[0, 0], &[3, 1]);
-        assert_eq!(r.dim(), 2);
         assert_eq!(r.volume(), 8);
         assert!(!r.is_empty());
         assert!(DynRect::empty(2).is_empty());
@@ -470,7 +482,12 @@ mod tests {
             assert_eq!(r.linearize(p), Some(i));
         }
         assert_eq!(r.iter().count() as u64, r.volume());
+    }
+
+    #[test]
+    fn iter_empty() {
         assert_eq!(DynRect::empty(3).iter().count(), 0);
+        assert_eq!(DynRect::span(4, 1).iter().count(), 0);
     }
 
     #[test]
@@ -490,13 +507,32 @@ mod tests {
     }
 
     #[test]
-    fn block_split_even_and_remainder() {
+    fn block_split_matches_static() {
+        // The split against a hand-computed table: the first
+        // `100 % 7` blocks take one extra element.
         let parts = DynRect::span(0, 99).block_split(7, 0);
         let sizes: Vec<u64> = parts.iter().map(DynRect::volume).collect();
         assert_eq!(sizes, [15, 15, 14, 14, 14, 14, 14]);
         assert_eq!(parts[0], DynRect::span(0, 14));
         assert_eq!(parts[1], DynRect::span(15, 29));
         assert_eq!(parts[6], DynRect::span(86, 99));
+    }
+
+    #[test]
+    fn block_split_even_and_remainder() {
+        let r = DynRect::span(0, 9);
+        let parts = r.block_split(3, 0);
+        assert_eq!(
+            parts,
+            [
+                DynRect::span(0, 3),
+                DynRect::span(4, 6),
+                DynRect::span(7, 9)
+            ]
+        );
+        // Blocks tile the original exactly.
+        let total: u64 = parts.iter().map(DynRect::volume).sum();
+        assert_eq!(total, r.volume());
         // Splitting into more parts than elements yields empties.
         let tiny = DynRect::span(0, 1).block_split(4, 0);
         assert_eq!(
