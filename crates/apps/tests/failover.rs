@@ -9,8 +9,8 @@
 //! past `max_failovers` must quarantine cleanly, not hang), the
 //! shared-log strategy's from-scratch failover, the hybrid per-segment
 //! checkpoint remap, a retry that resumes from the committed checkpoint
-//! and then rolls back to it, the death/membership pair a shrink leaves on the flight
-//! recorder, what epoch a membership change records, how many
+//! and then rolls back to it, the death/membership pair a shrink leaves on the caller's
+//! `failover` track, what epoch a membership change records, how many
 //! instances a failover rebuilds (16 for fig_failover's Stencil at
 //! every kill epoch and shard count),
 //! hang-detection failover (a stalled shard is blamed and evicted under
@@ -29,7 +29,7 @@ use regent_cr::shard_layouts;
 use regent_geometry::DynPoint;
 use regent_ir::{Program, Stmt, Store};
 use regent_runtime::{
-    flight, run, run_failover, DeathCause, Failover, FailoverOptions, FaultPlan, ResilienceOptions,
+    run, run_failover, DeathCause, Failover, FailoverOptions, FaultPlan, ResilienceOptions,
     RunOptions, RunResult, FAILOVER_EXHAUSTED_PREFIX, SHARD_LOSS_PREFIX,
 };
 use regent_trace::{failover_summary, EventKind, Tracer};
@@ -207,10 +207,7 @@ fn pennant_failover_sweep() {
 
 #[test]
 fn double_failure_within_budget_shrinks_twice() {
-    let fo = FailoverOptions {
-        max_failovers: 2,
-        min_shards: 1,
-    };
+    let fo = FailoverOptions { max_failovers: 2 };
     let (r, _) = assert_fails_over(
         Strategy::Spmd,
         &mk_stencil,
@@ -222,12 +219,17 @@ fn double_failure_within_budget_shrinks_twice() {
     assert_eq!(r.final_shards, 1, "3 shards minus two losses");
 }
 
-/// The diagnostic a stencil run at 3 shards under `plan` dies with:
+/// The diagnostic a stencil run at `ns` shards under `plan` dies with:
 /// through [`run_failover`] when `fo` is given, plain [`run`] otherwise.
-fn stencil_diagnostic(strategy: Strategy, plan: FaultPlan, fo: Option<&FailoverOptions>) -> String {
+fn stencil_diagnostic(
+    strategy: Strategy,
+    ns: usize,
+    plan: FaultPlan,
+    fo: Option<&FailoverOptions>,
+) -> String {
     install_quiet_hook();
     let (prog, mut store) = mk_stencil();
-    let mut compiled = strategy.compile(prog, 3);
+    let mut compiled = strategy.compile(prog, ns);
     let opts = RunOptions::default().with_resilience(ResilienceOptions {
         checkpoint_interval: 2,
         plan,
@@ -251,7 +253,7 @@ fn unrecovered_loss_surfaces_its_root_cause() {
     // died"), shard 0 first in scan order. Under every strategy the
     // run must surface the kill itself, not a victim's unwind.
     for strategy in Strategy::ALL {
-        let msg = stencil_diagnostic(strategy, FaultPlan::new(1).kill_shard(1, 2), None);
+        let msg = stencil_diagnostic(strategy, 3, FaultPlan::new(1).kill_shard(1, 2), None);
         let root = format!("shard 1 panicked: {SHARD_LOSS_PREFIX}: shard 1 killed at epoch 2");
         assert!(msg.starts_with(&root), "{strategy:?}: {msg}");
     }
@@ -263,7 +265,7 @@ fn budget_exhausted_fails_permanently_not_hangs() {
     // must fail-stop with the structured exhaustion diagnostic, which
     // wraps the loss it could not survive — never a hang.
     let plan = FaultPlan::new(5).kill_shard(0, 1).kill_shard(1, 3);
-    let msg = stencil_diagnostic(Strategy::Spmd, plan, Some(&FailoverOptions::default()));
+    let msg = stencil_diagnostic(Strategy::Spmd, 3, plan, Some(&FailoverOptions::default()));
     assert!(
         msg.starts_with(FAILOVER_EXHAUSTED_PREFIX),
         "unexpected diagnostic: {msg}"
@@ -273,18 +275,18 @@ fn budget_exhausted_fails_permanently_not_hangs() {
 
 #[test]
 fn membership_floor_fails_permanently() {
-    // A loss that would shrink below min_shards is refused even with
-    // budget left.
-    let fo = FailoverOptions {
-        max_failovers: 4,
-        min_shards: 3,
-    };
+    // A loss at one shard leaves no survivor to shrink onto: it
+    // fail-stops even with budget left.
+    let fo = FailoverOptions { max_failovers: 4 };
     let msg = stencil_diagnostic(
         Strategy::Spmd,
-        FaultPlan::new(5).kill_shard(2, 2),
+        1,
+        FaultPlan::new(5).kill_shard(0, 2),
         Some(&fo),
     );
     assert!(msg.starts_with(FAILOVER_EXHAUSTED_PREFIX), "{msg}");
+    assert!(msg.contains("at 1 shards"), "{msg}");
+    assert!(msg.contains(SHARD_LOSS_PREFIX), "{msg}");
 }
 
 #[test]
@@ -373,21 +375,16 @@ fn membership_change_names_the_resume_epoch() {
     }
 }
 
-/// A committed shrink leaves its post-mortem on the flight recorder,
-/// untraced: the process-global black box holds the victim's
-/// `PeerDeath` and, after it, the `MembershipChange` that evicted it.
-/// Other tests of this binary fail over concurrently, so the pair is
-/// found by its fields, not by position.
+/// A committed shrink leaves its record on the caller's `failover`
+/// track: the victim's `PeerDeath` and, after it, the
+/// `MembershipChange` that evicted it.
 #[test]
-fn failover_leaves_death_then_membership_on_the_flight_recorder() {
+fn failover_leaves_death_then_membership_on_the_failover_track() {
     install_quiet_hook();
-    let recorder = flight();
-    if !recorder.is_enabled() {
-        return; // REGENT_METRICS_OFF: the recorder is off by design.
-    }
     let (prog, mut store) = mk_stencil();
     let mut compiled = Strategy::Spmd.compile(prog, 4);
-    let opts = RunOptions::default().with_resilience(ResilienceOptions {
+    let tracer = Tracer::enabled();
+    let opts = RunOptions::traced(&tracer).with_resilience(ResilienceOptions {
         checkpoint_interval: 2,
         plan: FaultPlan::new(23).kill_shard(3, 3),
         ..Default::default()
@@ -400,19 +397,20 @@ fn failover_leaves_death_then_membership_on_the_flight_recorder() {
     );
     assert_eq!(r.final_shards, 3);
 
-    let snapshot = recorder.snapshot();
-    let events: Vec<EventKind> = snapshot
-        .tracks
+    let trace = tracer.take();
+    let events: Vec<EventKind> = trace
+        .track("failover")
+        .expect("a recovered traced run has a failover track")
+        .events
         .iter()
-        .filter(|t| t.name == "failover")
-        .flat_map(|t| t.events.iter().map(|e| e.kind))
+        .map(|e| e.kind)
         .collect();
     let death = events
         .iter()
         .position(
             |k| matches!(*k, EventKind::PeerDeath { shard, epoch, .. } if (shard, epoch) == (3, 3)),
         )
-        .expect("no PeerDeath for shard 3 at epoch 3 on the flight recorder");
+        .expect("no PeerDeath for shard 3 at epoch 3 on the failover track");
     assert!(
         events[death..].iter().any(|k| matches!(
             *k,

@@ -23,10 +23,8 @@ use regent_cr::{control_replicate, CrOptions, SyncMode};
 use regent_ir::Store;
 use regent_region::intersect::{shallow_intersections_naive, shallow_intersections_of};
 use regent_region::{ops, Color, Domain, FieldSpace, RegionForest};
-use regent_runtime::{
-    execute_implicit, metrics, run, Compiled, ImplicitOptions, MemoCache, RunOptions,
-};
-use regent_trace::{blame_report, memo_summary, merge_into_file, BenchEntry, Tracer};
+use regent_runtime::{execute_implicit, run, Compiled, ImplicitOptions, MemoCache, RunOptions};
+use regent_trace::{memo_summary, Tracer};
 use std::time::Instant;
 
 fn ablation_intersections() {
@@ -101,23 +99,7 @@ fn ablation_copies() {
     println!();
 }
 
-/// Builds a machine-readable entry from one real (wall-clock) ablation
-/// run: blame from its trace, metrics from the global registry
-/// accumulated since the last `reset()`.
-fn real_entry(app: &str, size: &str, shards: u32, executor: &str, wall_ns: u64) -> BenchEntry {
-    BenchEntry {
-        app: app.to_string(),
-        size: size.to_string(),
-        shards,
-        executor: executor.to_string(),
-        wall_ns,
-        critical_path_ns: 0,
-        blame: regent_trace::Blame::default(),
-        metrics: metrics::global().snapshot_flat(),
-    }
-}
-
-fn ablation_sync(entries: &mut Vec<BenchEntry>) {
+fn ablation_sync() {
     println!("--- Ablation 4: point-to-point vs global-barrier sync (real execution) ---");
     let cfg = stencil::StencilConfig {
         n: 256,
@@ -126,9 +108,9 @@ fn ablation_sync(entries: &mut Vec<BenchEntry>) {
         radius: 2,
         steps: 10,
     };
-    for (label, executor, mode) in [
-        ("point-to-point", "spmd-p2p", SyncMode::PointToPoint),
-        ("barrier", "spmd-barrier", SyncMode::Barrier),
+    for (label, mode) in [
+        ("point-to-point", SyncMode::PointToPoint),
+        ("barrier", SyncMode::Barrier),
     ] {
         let (prog, h) = stencil::stencil_program(cfg);
         let mut store = Store::new(&prog);
@@ -136,31 +118,13 @@ fn ablation_sync(entries: &mut Vec<BenchEntry>) {
         let mut o = CrOptions::new(8);
         o.sync = mode;
         let spmd = control_replicate(prog, &o).unwrap();
-        metrics::global().reset();
-        let tracer = Tracer::enabled();
         let t0 = Instant::now();
-        let r = run(
-            Compiled::Spmd(&spmd),
-            &mut store,
-            &RunOptions::traced(&tracer),
-        );
+        let r = run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default());
         let dt = t0.elapsed().as_secs_f64() * 1e3;
         println!(
             "  {label:<16} {dt:>8.1} ms  ({} msgs, {} elements)",
             r.stats.messages_sent, r.stats.elements_sent
         );
-        let mut e = real_entry(
-            "stencil-sync",
-            "n256",
-            8,
-            executor,
-            t0.elapsed().as_nanos() as u64,
-        );
-        if let Ok(rep) = blame_report(&tracer.take()) {
-            e.critical_path_ns = rep.critical_path_ns;
-            e.blame = rep.total;
-        }
-        entries.push(e);
     }
     println!();
 }
@@ -233,7 +197,7 @@ fn ablation_hierarchy() {
     println!();
 }
 
-fn ablation_memo(entries: &mut Vec<BenchEntry>) {
+fn ablation_memo() {
     println!("--- Ablation 6: epoch-trace memoization (real implicit execution) ---");
     let cfg = stencil::StencilConfig {
         n: 256,
@@ -254,7 +218,6 @@ fn ablation_memo(entries: &mut Vec<BenchEntry>) {
         if memoized {
             opts = opts.with_memo(MemoCache::shared());
         }
-        metrics::global().reset();
         let t0 = Instant::now();
         let (_, stats) = execute_implicit(&prog, &mut store, opts);
         let dt = t0.elapsed().as_secs_f64() * 1e3;
@@ -268,28 +231,11 @@ fn ablation_memo(entries: &mut Vec<BenchEntry>) {
             summary.steady_state_analysis_ns / 1e3,
             summary.steady_state_hit_rate() * 100.0
         );
-        let executor = if memoized {
-            "implicit-memo"
-        } else {
-            "implicit"
-        };
-        let mut e = real_entry(
-            "stencil-memo",
-            "n256",
-            8,
-            executor,
-            t0.elapsed().as_nanos() as u64,
-        );
-        if let Ok(rep) = blame_report(&trace) {
-            e.critical_path_ns = rep.critical_path_ns;
-            e.blame = rep.total;
-        }
-        entries.push(e);
     }
     println!();
 }
 
-fn ablation_log(entries: &mut Vec<BenchEntry>) {
+fn ablation_log() {
     println!("--- Ablation 7: shared-log executor vs plain SPMD (real execution) ---");
     let cfg = stencil::StencilConfig {
         n: 256,
@@ -298,24 +244,17 @@ fn ablation_log(entries: &mut Vec<BenchEntry>) {
         radius: 2,
         steps: 10,
     };
-    for (label, executor) in [("spmd", "spmd"), ("log", "log")] {
+    for log in [false, true] {
         let (prog, h) = stencil::stencil_program(cfg);
         let mut store = Store::new(&prog);
         stencil::init_stencil(&prog, &mut store, &h);
         let spmd = control_replicate(prog, &CrOptions::new(8)).unwrap();
-        metrics::global().reset();
-        let tracer = Tracer::enabled();
         let t0 = Instant::now();
-        let mut e = real_entry("stencil-log", "n256", 8, executor, 0);
-        let trace = if executor == "log" {
-            let r = run(
-                Compiled::Log(&spmd),
-                &mut store,
-                &RunOptions::traced(&tracer),
-            );
+        if log {
+            let r = run(Compiled::Log(&spmd), &mut store, &RunOptions::default());
             let dt = t0.elapsed().as_secs_f64() * 1e3;
             println!(
-                "  {label:<6} {dt:>8.1} ms  {} appends, {} combines -> {} batches \
+                "  log    {dt:>8.1} ms  {} appends, {} combines -> {} batches \
                  ({} replicas, max cursor lag {})",
                 r.log.appended_records,
                 r.log.combines,
@@ -323,54 +262,26 @@ fn ablation_log(entries: &mut Vec<BenchEntry>) {
                 r.log.replicas,
                 r.log.max_cursor_lag
             );
-            tracer.take()
         } else {
-            let r = run(
-                Compiled::Spmd(&spmd),
-                &mut store,
-                &RunOptions::traced(&tracer),
-            );
+            let r = run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default());
             let dt = t0.elapsed().as_secs_f64() * 1e3;
             println!(
-                "  {label:<6} {dt:>8.1} ms  ({} msgs, {} elements)",
+                "  spmd   {dt:>8.1} ms  ({} msgs, {} elements)",
                 r.stats.messages_sent, r.stats.elements_sent
             );
-            tracer.take()
-        };
-        e.wall_ns = t0.elapsed().as_nanos() as u64;
-        e.metrics = metrics::global().snapshot_flat();
-        if let Ok(rep) = blame_report(&trace) {
-            e.critical_path_ns = rep.critical_path_ns;
-            e.blame = rep.total;
         }
-        entries.push(e);
     }
     println!();
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut json: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                json = Some(args.get(i + 1).expect("--json <path>").clone());
-                i += 2;
-            }
-            other => panic!("unknown argument {other} (ablations accepts only --json <path>)"),
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        panic!("unknown argument {arg} (ablations takes no arguments)");
     }
-    let mut entries = Vec::new();
     ablation_intersections();
     ablation_copies();
-    ablation_sync(&mut entries);
+    ablation_sync();
     ablation_hierarchy();
-    ablation_memo(&mut entries);
-    ablation_log(&mut entries);
-    if let Some(path) = json {
-        let n =
-            merge_into_file(&path, entries).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("bench artifact: {n} entries -> {path}");
-    }
+    ablation_memo();
+    ablation_log();
 }

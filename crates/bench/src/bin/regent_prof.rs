@@ -1,8 +1,7 @@
 //! `regent-prof` — the post-mortem profiler for trace files.
 //!
 //! Loads a trace file — written by `--trace` (real executor runs or
-//! simulated schedules alike) or a flight-recorder dump, both one
-//! Chrome `trace_event` document whose
+//! simulated schedules alike), one Chrome `trace_event` document whose
 //! `regentTracks` sidecar it reads — and prints, in order: the
 //! per-track utilization profile, the critical-path blame table
 //! (per-phase, per-track, per-epoch), the load-imbalance report, and

@@ -91,12 +91,6 @@ impl MembershipRemap {
     pub fn new_owner(&self, len: usize, pos: usize) -> usize {
         owner_of(len, self.new_shards, pos)
     }
-
-    /// The *old* owner (an old shard id) of position `pos` under the
-    /// pre-loss membership — where the data to redistribute lives.
-    pub fn old_owner(&self, len: usize, pos: usize) -> usize {
-        owner_of(len, self.old_shards, pos)
-    }
 }
 
 /// Result of the placement passes.

@@ -227,36 +227,6 @@ pub struct CrStats {
     pub barriers: usize,
 }
 
-impl CrStats {
-    /// Records the transform's statistics as `Counter` events on a
-    /// `cr-stats` track, so compile-time decisions (copies inserted and
-    /// removed, pairs proven disjoint) land in the same trace file as
-    /// the execution they shaped.
-    pub fn emit_trace(&self, tracer: &std::sync::Arc<regent_trace::Tracer>) {
-        let mut tb = tracer.buffer("cr-stats");
-        let counters: [(&'static str, usize); 7] = [
-            ("copies_inserted", self.copies_inserted),
-            ("reduction_copies_inserted", self.reduction_copies_inserted),
-            ("copies_removed_redundant", self.copies_removed_redundant),
-            ("copies_removed_dead", self.copies_removed_dead),
-            ("pairs_proven_disjoint", self.pairs_proven_disjoint),
-            ("scalar_collectives", self.scalar_collectives),
-            ("barriers", self.barriers),
-        ];
-        for (i, (name, v)) in counters.into_iter().enumerate() {
-            tb.push(
-                i as u64,
-                0,
-                regent_trace::EventKind::Counter {
-                    name,
-                    value: v as f64,
-                },
-            );
-        }
-        tb.flush();
-    }
-}
-
 /// A [`regent_trace::OverlapOracle`] backed by the real region forest:
 /// two regions may alias only when they belong to the same tree and
 /// their domains actually intersect. This is what lets the Spy
@@ -359,16 +329,6 @@ impl SpmdProgram {
             self.num_shards,
             pos,
         )
-    }
-
-    /// The shard owning color `c` of launch domain `d`, or `None` when
-    /// the color is not in the domain.
-    pub fn owner_of_color(&self, d: DomainId, c: Color) -> Option<usize> {
-        let domain = &self.launch_domains[d.0 as usize];
-        domain
-            .iter()
-            .position(|&x| x == c)
-            .map(|pos| self.owner_of_pos(d, pos))
     }
 
     /// Total number of copy statements in the body.

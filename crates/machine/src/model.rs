@@ -87,12 +87,6 @@ impl MachineConfig {
         }
     }
 
-    /// Time to move `bytes` across the network once on the wire
-    /// (excluding NIC serialization modeled separately).
-    pub fn transfer_time(&self, bytes: f64) -> f64 {
-        self.network_latency + bytes / self.network_bandwidth
-    }
-
     /// Latency of a tree-based collective over `participants` ranks.
     pub fn collective_latency(&self, participants: usize) -> f64 {
         let stages = (participants.max(1) as f64).log2().ceil();
@@ -165,7 +159,6 @@ mod tests {
     #[test]
     fn transfer_and_collective_scale() {
         let m = MachineConfig::piz_daint(64);
-        assert!(m.transfer_time(1e6) > m.transfer_time(1e3));
         assert!(m.collective_latency(1024) > m.collective_latency(2));
         assert_eq!(m.regent_compute_cores(), 11);
         let mut m2 = m.clone();

@@ -118,11 +118,6 @@ impl FieldSpace {
     pub fn ids(&self) -> impl Iterator<Item = FieldId> {
         (0..self.fields.len() as u32).map(FieldId)
     }
-
-    /// Total bytes per element across all fields.
-    pub fn bytes_per_element(&self) -> u64 {
-        self.fields.iter().map(|f| f.ty.size_bytes()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +134,6 @@ mod tests {
         assert_eq!(fs.lookup("charge"), None);
         assert_eq!(fs.def(b).ty, FieldType::I64);
         assert_eq!(fs.len(), 2);
-        assert_eq!(fs.bytes_per_element(), 16);
     }
 
     #[test]

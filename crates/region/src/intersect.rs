@@ -12,12 +12,14 @@
 //!    neighbors-per-region patterns of scalable scientific codes it is
 //!    O(N log N).
 //! 2. **Complete intersections** compute the exact overlapping element
-//!    sets for the known-intersecting pairs only. After sharding, each
-//!    shard performs this for its own pairs (O(M²) where M is the number
-//!    of non-empty intersections owned by the shard).
+//!    sets for the known-intersecting pairs only ([`Domain::intersect`]
+//!    on each pair [`shallow_pairs`] reports, as the exchange schedule
+//!    does). After sharding, each shard performs this for its own pairs
+//!    (O(M²) where M is the number of non-empty intersections owned by
+//!    the shard).
 
 use crate::bvh::{Bvh, TaggedRect};
-use crate::forest::{Color, PartitionId, RegionForest};
+use crate::forest::Color;
 use crate::interval::{Interval, IntervalTree};
 use regent_geometry::Domain;
 
@@ -30,39 +32,6 @@ pub struct OverlapPair {
     pub src: Color,
     /// Color of the destination subregion.
     pub dst: Color,
-}
-
-/// A complete intersection: the exact shared element set of a pair.
-#[derive(Clone, Debug)]
-pub struct CompleteIntersection {
-    /// The pair of subregion colors.
-    pub pair: OverlapPair,
-    /// The exact set of shared elements (non-empty).
-    pub elements: Domain,
-}
-
-/// Shallow intersection of two partitions: every `(src, dst)` color pair
-/// whose subregions share at least one element.
-///
-/// Because domains are stored as exact disjoint rectangle unions, a
-/// rectangle-level hit is an element-level hit — there are no false
-/// positives to filter.
-pub fn shallow_intersections(
-    forest: &RegionForest,
-    src: PartitionId,
-    dst: PartitionId,
-) -> Vec<OverlapPair> {
-    let src_children: Vec<(Color, Domain)> = forest
-        .partition(src)
-        .iter()
-        .map(|(c, r)| (c, forest.domain(r).clone()))
-        .collect();
-    let dst_children: Vec<(Color, Domain)> = forest
-        .partition(dst)
-        .iter()
-        .map(|(c, r)| (c, forest.domain(r).clone()))
-        .collect();
-    shallow_intersections_of(&src_children, &dst_children)
 }
 
 /// Shallow intersection over explicit `(color, domain)` lists (the form
@@ -155,29 +124,11 @@ pub fn shallow_intersections_naive(
     out
 }
 
-/// Complete intersections for a set of known-overlapping pairs.
-pub fn complete_intersections(
-    forest: &RegionForest,
-    src: PartitionId,
-    dst: PartitionId,
-    pairs: &[OverlapPair],
-) -> Vec<CompleteIntersection> {
-    pairs
-        .iter()
-        .map(|&pair| {
-            let s = forest.domain(forest.subregion(src, pair.src));
-            let d = forest.domain(forest.subregion(dst, pair.dst));
-            let elements = s.intersect(d);
-            debug_assert!(!elements.is_empty(), "shallow pass reported a false pair");
-            CompleteIntersection { pair, elements }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::field::FieldSpace;
+    use crate::forest::{PartitionId, RegionForest};
     use crate::ops;
     use regent_geometry::DynPoint;
 
@@ -218,19 +169,20 @@ mod tests {
     #[test]
     fn complete_gives_exact_elements() {
         let (f, pb, qb) = halo_setup(40, 4);
-        let pairs = shallow_intersections(&f, pb, qb);
-        let complete = complete_intersections(&f, pb, qb, &pairs);
-        for ci in &complete {
-            let s = f.domain(f.subregion(pb, ci.pair.src));
-            let d = f.domain(f.subregion(qb, ci.pair.dst));
-            assert!(ci.elements.is_subset_of(s));
-            assert!(ci.elements.is_subset_of(d));
-            assert!(!ci.elements.is_empty());
-        }
-        // Cross-block halo pairs exchange exactly one element each
-        // (radius-1 halo): src block i, dst ghost j with i != j.
-        for ci in complete.iter().filter(|c| c.pair.src != c.pair.dst) {
-            assert_eq!(ci.elements.volume(), 1);
+        let src: Vec<&Domain> = f.partition(pb).iter().map(|(_, r)| f.domain(r)).collect();
+        let dst: Vec<&Domain> = f.partition(qb).iter().map(|(_, r)| f.domain(r)).collect();
+        let pairs = shallow_pairs(&src, &dst);
+        assert!(!pairs.is_empty());
+        for &(i, j) in &pairs {
+            let elements = src[i].intersect(dst[j]);
+            assert!(elements.is_subset_of(src[i]));
+            assert!(elements.is_subset_of(dst[j]));
+            assert!(!elements.is_empty(), "shallow pass reported a false pair");
+            // Cross-block halo pairs exchange exactly one element each
+            // (radius-1 halo): src block i, dst ghost j with i != j.
+            if i != j {
+                assert_eq!(elements.volume(), 1);
+            }
         }
     }
 

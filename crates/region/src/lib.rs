@@ -41,7 +41,7 @@ pub use hierarchy::{private_ghost_split, PrivateGhost};
 pub use instance::{
     copy_fields, reduce_fields, ColumnData, CopyRuns, DomainIndexer, Instance, ReductionOp,
 };
-pub use intersect::{CompleteIntersection, OverlapPair};
+pub use intersect::OverlapPair;
 pub use view::{Element, FieldView, Read, ReadWrite, Readable, Reduce, Row, Rows, Run};
 
 // Re-export the geometric vocabulary for downstream convenience.

@@ -7,8 +7,8 @@
 //! process. `process` is consulted only where a top-level object is
 //! *constructed* — the defaults of [`RunOptions`](crate::RunOptions) and
 //! [`ImplicitOptions`](crate::ImplicitOptions), the untimed constructors
-//! of the ring, the barrier and the collective, the telemetry
-//! singletons, and the load in `RunOptions::ctx` that hands the CI
+//! of the ring, the barrier and the collective, the metrics registry,
+//! and the load in `RunOptions::ctx` that hands the CI
 //! smoke to the team driver; everything below takes values. Setting a
 //! variable after the first use therefore has no effect: pass the
 //! field.
@@ -65,11 +65,8 @@ pub struct EnvConfig {
     pub smoke: Option<Smoke>,
     /// `REGENT_METRICS`: file the registry is written to after a run.
     pub metrics_file: Option<PathBuf>,
-    /// `REGENT_METRICS_OFF` is *not* on: registry and flight recorder
-    /// both record.
+    /// `REGENT_METRICS_OFF` is *not* on: the metrics registry records.
     pub telemetry: bool,
-    /// `REGENT_FLIGHT_DIR`: where the flight recorder dumps.
-    pub flight_dir: Option<PathBuf>,
 }
 
 impl EnvConfig {
@@ -91,7 +88,6 @@ impl EnvConfig {
             }),
             metrics_file: path("REGENT_METRICS"),
             telemetry: !on("REGENT_METRICS_OFF"),
-            flight_dir: path("REGENT_FLIGHT_DIR"),
         }
     }
 }
@@ -120,7 +116,7 @@ mod tests {
         assert_eq!(c.hang_timeout, Duration::from_secs(30));
         assert!(c.telemetry);
         assert_eq!(c.smoke, None);
-        assert_eq!((&c.metrics_file, &c.flight_dir), (&None, &None));
+        assert_eq!(c.metrics_file, None);
     }
 
     /// The boolean grammar.
@@ -201,18 +197,12 @@ mod tests {
         let c = parse(&[
             ("REGENT_HANG_TIMEOUT_MS", " 200 "),
             ("REGENT_METRICS", "m.json"),
-            ("REGENT_FLIGHT_DIR", "dumps"),
         ]);
         assert_eq!(c.hang_timeout, Duration::from_millis(200));
         assert_eq!(c.metrics_file, Some(PathBuf::from("m.json")));
-        assert_eq!(c.flight_dir, Some(PathBuf::from("dumps")));
 
         // Malformed numbers and empty paths are the defaults.
-        let c = parse(&[
-            ("REGENT_HANG_TIMEOUT_MS", "soon"),
-            ("REGENT_METRICS", ""),
-            ("REGENT_FLIGHT_DIR", ""),
-        ]);
+        let c = parse(&[("REGENT_HANG_TIMEOUT_MS", "soon"), ("REGENT_METRICS", "")]);
         assert_eq!(c, parse(&[]));
     }
 }

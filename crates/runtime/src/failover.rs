@@ -58,10 +58,12 @@
 //! shrunken membership.
 //!
 //! [`FailoverOptions::max_failovers`] bounds the membership changes
-//! (default 1); a loss beyond the budget (or below one
-//! shard) fail-stops with [`FAILOVER_EXHAUSTED_PREFIX`].
+//! (default 1); a loss beyond the budget, or at one shard (no survivor
+//! to shrink onto, [`MembershipRemap::shrink`]), fail-stops with
+//! [`FAILOVER_EXHAUSTED_PREFIX`]. The run's tracer, the returned
+//! [`Failover`] and that diagnostic are the whole record of its losses.
 
-use crate::metrics::{self, flight, Counter, Timer};
+use crate::metrics::{self, Counter, Timer};
 use crate::plan::InstKey;
 use crate::resilience::{Checkpoint, DeathBoard, Rescue, RescueSlot};
 use crate::run::{run_ctx, Compiled, RunCtx, RunOptions, RunResult};
@@ -80,18 +82,15 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug)]
 pub struct FailoverOptions {
     /// Maximum membership changes (shard losses survived) before the
-    /// run fail-stops with [`FAILOVER_EXHAUSTED_PREFIX`].
+    /// run fail-stops with [`FAILOVER_EXHAUSTED_PREFIX`]; it is what
+    /// stops a deterministic kernel panic from being retried on every
+    /// shrink.
     pub max_failovers: u32,
-    /// Smallest membership the run may shrink to.
-    pub min_shards: usize,
 }
 
 impl Default for FailoverOptions {
     fn default() -> FailoverOptions {
-        FailoverOptions {
-            max_failovers: 1,
-            min_shards: 1,
-        }
+        FailoverOptions { max_failovers: 1 }
     }
 }
 
@@ -256,54 +255,22 @@ fn catch_loss(
 }
 
 /// Plans the membership shrink for a caught loss, or fail-stops when
-/// the loss budget (or the membership floor) is exhausted. `losses` is
-/// the count *including* this loss.
+/// the loss budget is exhausted or no survivor is left to shrink onto.
+/// `losses` is the count *including* this loss.
 fn plan_shrink(
     loss: &CaughtLoss,
     num_shards: usize,
     fo: &FailoverOptions,
     losses: u32,
 ) -> MembershipRemap {
-    let remap = MembershipRemap::shrink(num_shards, loss.death.shard);
-    let viable = remap.is_some_and(|r| r.new_shards >= fo.min_shards.max(1));
-    if losses > fo.max_failovers || !viable {
-        // The fail-stop black box: dump the flight ring *before* the
-        // unwind. Only a Mark is noted for this final loss — its
-        // PeerDeath is deliberately NOT (the pair is noted only once a
-        // shrink commits), so the dumped failover record stays
-        // coherent (deaths == membership changes) and certifiable.
-        flight().note(
-            "flight",
-            EventKind::Mark {
-                name: "failover_exhausted",
-            },
-        );
-        flight().dump("failover-exhausted", Some(&metrics::global().to_json()));
-        panic!(
+    match MembershipRemap::shrink(num_shards, loss.death.shard) {
+        Some(remap) if losses <= fo.max_failovers => remap,
+        _ => panic!(
             "{FAILOVER_EXHAUSTED_PREFIX}: cannot survive loss {losses} ({}) with budget {} and \
-             membership floor {} at {num_shards} shards: {}",
-            loss.death,
-            fo.max_failovers,
-            fo.min_shards.max(1),
-            loss.msg
-        );
+             membership floor 1 at {num_shards} shards: {}",
+            loss.death, fo.max_failovers, loss.msg
+        ),
     }
-    remap.expect("viability checked above")
-}
-
-/// Notes a committed shrink's `PeerDeath`/`MembershipChange` pair on
-/// the flight recorder and dumps the black box (`REGENT_FLIGHT_DIR`).
-/// Called only after [`plan_shrink`] commits, so flight dumps always
-/// pair deaths with membership changes — the coherence the profiler's
-/// certification demands.
-fn note_failover_flight(death: EventKind, membership: EventKind) {
-    let f = flight();
-    if !f.is_enabled() {
-        return;
-    }
-    f.note("failover", death);
-    f.note("failover", membership);
-    f.dump("failover", Some(&metrics::global().to_json()));
 }
 
 impl Compiled<&mut SpmdProgram, &mut HybridProgram> {
@@ -405,12 +372,11 @@ pub fn run_failover(
         deaths.push(loss.death);
         let remap = plan_shrink(&loss, membership, fo, deaths.len() as u32);
         let (code, kill_epoch) = cause_code(loss.death.cause);
-        let death_event = EventKind::PeerDeath {
+        fb.instant(EventKind::PeerDeath {
             shard: loss.death.shard,
             cause: code,
             epoch: kill_epoch,
-        };
-        fb.instant(death_event);
+        });
         membership = remap.new_shards;
         // Agreement: each segment's last committed checkpoint (a
         // consistent cut every shard offered identically) is its resume
@@ -447,14 +413,12 @@ pub fn run_failover(
             };
             rescue.replace_slot(idx, slot);
         }
-        let membership_event = EventKind::MembershipChange {
+        fb.instant(EventKind::MembershipChange {
             from_shards: remap.old_shards as u32,
             to_shards: remap.new_shards as u32,
             dead_shard: loss.death.shard,
             epoch: resume_epoch,
-        };
-        fb.instant(membership_event);
-        note_failover_flight(death_event, membership_event);
+        });
         let fired = match loss.death.cause {
             DeathCause::Killed { epoch } => Some((loss.death.shard, epoch)),
             _ => None,

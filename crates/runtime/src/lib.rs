@@ -49,8 +49,8 @@
 //!   the team's resident members.
 //! * [`config`] — the process environment: every `REGENT_*` variable
 //!   is parsed once, there, into a typed [`EnvConfig`] that supplies
-//!   the defaults of the options structs and configures the telemetry
-//!   singletons; no executor reads the environment.
+//!   the defaults of the options structs and configures the metrics
+//!   registry; no executor reads the environment.
 //!
 //! Every executor is tested to produce results bit-identical to the
 //! sequential reference interpreter in `regent-ir`.
@@ -94,7 +94,7 @@ pub use launch_log::{Batch, LaunchLog, LogCursor};
 pub use log_exec::LogStats;
 pub use mapper::{DefaultMapper, Mapper, SingleWorkerMapper, TaskKindMapper};
 pub use memo::{epoch_key, launch_sig, EpochTemplate, MemoCache, MemoStats};
-pub use metrics::{flight, Counter, Hist, MetricsHandle, MetricsRegistry, Timer};
+pub use metrics::{Counter, Hist, MetricsHandle, MetricsRegistry, Timer};
 pub use plan::{
     build_exchange_plan, ExchangePlan, ExchangeSchedule, InstKey, PairPlan, SetupStats,
 };

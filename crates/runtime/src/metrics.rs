@@ -9,15 +9,13 @@
 //! [`MetricsHandle`] (no locks on the hot path); handles merge into the
 //! process-global [`MetricsRegistry`] when dropped, and the executors
 //! export it at shutdown: with `REGENT_METRICS=<path>` in the process
-//! environment the aggregated registry is written to `<path>` as JSON
-//! (the document flight dumps attach too). `REGENT_METRICS_OFF`
-//! disables collection entirely (the A/B switch the overhead
-//! measurement in EXPERIMENTS.md uses). Both are fixed when [`global`]
-//! first runs ([`crate::config::process`]).
+//! environment the aggregated registry is written to `<path>` as JSON.
+//! `REGENT_METRICS_OFF` disables collection entirely (the A/B switch
+//! the overhead measurement in EXPERIMENTS.md uses). Both are fixed
+//! when [`global`] first runs ([`crate::config::process`]).
 
 use crate::config;
 use regent_trace::json::escape_into;
-use regent_trace::FlightRecorder;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -502,16 +500,6 @@ pub fn global() -> &'static MetricsRegistry {
     })
 }
 
-/// The global flight recorder (`regent_trace::flight`): recording
-/// unless the process turned telemetry off, dumping into the process's
-/// flight directory.
-pub fn flight() -> &'static FlightRecorder {
-    regent_trace::flight::global(|| {
-        let env = config::process();
-        (env.telemetry, env.flight_dir.clone())
-    })
-}
-
 impl MetricsRegistry {
     /// Is collection on?
     pub fn is_enabled(&self) -> bool {
@@ -569,28 +557,6 @@ impl MetricsRegistry {
     /// Clears all recorded state (tests and A/B measurements).
     pub fn reset(&self) {
         self.store.lock().unwrap().clear();
-    }
-
-    /// Flat `(name, value)` pairs of the aggregate — nonzero counters
-    /// plus count/mean per nonempty histogram — the metrics snapshot
-    /// embedded in bench artifacts.
-    pub fn snapshot_flat(&self) -> Vec<(String, f64)> {
-        let total = self.aggregate();
-        let mut out = Vec::new();
-        for c in Counter::ALL {
-            let v = total.get(c);
-            if v > 0 {
-                out.push((c.name().to_string(), v as f64));
-            }
-        }
-        for t in Timer::ALL {
-            let h = total.timer(t);
-            if h.count > 0 {
-                out.push((format!("{}_count", t.name()), h.count as f64));
-                out.push((format!("{}_mean", t.name()), h.mean_ns()));
-            }
-        }
-        out
     }
 
     /// Serializes the registry as JSON:
@@ -790,8 +756,6 @@ mod tests {
                 .as_num(),
             Some(2.0)
         );
-        let flat = registry.snapshot_flat();
-        assert!(flat.iter().any(|(n, v)| n == "launches" && *v == 2.0));
         registry.reset();
         assert!(registry.aggregate().is_empty());
     }

@@ -69,9 +69,6 @@ pub struct RunOptions {
     /// sequencer on `log-seq`, the hybrid segment loop on `hybrid`.
     /// [`Tracer::disabled`] makes recording free.
     pub tracer: Arc<Tracer>,
-    /// Initial scalar environment; `None` starts every scalar at its
-    /// declared initial value.
-    pub initial_env: Option<Vec<f64>>,
     /// Fault plan, checkpoint cadence and integrity layer; `None` for a
     /// plain run.
     pub resilience: Option<ResilienceOptions>,
@@ -85,7 +82,6 @@ impl Default for RunOptions {
         let env = config::process();
         RunOptions {
             tracer: Tracer::disabled(),
-            initial_env: None,
             resilience: None,
             hang_timeout: env.hang_timeout,
         }
@@ -110,7 +106,7 @@ impl RunOptions {
     pub(crate) fn ctx(&self) -> RunCtx<'_> {
         RunCtx {
             tracer: &self.tracer,
-            initial_env: self.initial_env.as_deref(),
+            initial_env: None,
             resilience: self.resilience.as_ref(),
             hang_timeout: self.hang_timeout,
             smoke: config::process().smoke.as_ref(),
@@ -126,6 +122,8 @@ impl RunOptions {
 #[derive(Clone, Copy)]
 pub(crate) struct RunCtx<'a> {
     pub(crate) tracer: &'a Arc<Tracer>,
+    /// The scalar environment a hybrid segment starts from; `None`
+    /// starts every scalar at its declared initial value.
     pub(crate) initial_env: Option<&'a [f64]>,
     pub(crate) resilience: Option<&'a ResilienceOptions>,
     pub(crate) hang_timeout: Duration,

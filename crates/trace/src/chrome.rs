@@ -8,8 +8,8 @@
 //! track becomes one thread (`tid`) named via `thread_name` metadata.
 //! Beside it, under `regentTracks`, sits the sidecar
 //! [`crate::serial`] writes and [`crate::import_trace`] reads back, so
-//! every trace file the system writes — `--trace` or a flight-recorder
-//! dump — is both Perfetto-loadable and certifiable by `regent-prof`.
+//! every trace file the system writes (`--trace`) is both
+//! Perfetto-loadable and certifiable by `regent-prof`.
 
 use crate::event::{Event, EventKind};
 use crate::json::escape_into;

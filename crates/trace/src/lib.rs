@@ -25,8 +25,8 @@
 //! * [`serial`] — the sidecar's wire form, derived from the
 //!   [`event`] table, and [`import_trace`], which reads a trace file
 //!   back for the `regent-prof` CLI; [`export_chrome`] embeds the
-//!   sidecar, so every trace file (`--trace`, flight dumps)
-//!   is both Perfetto-loadable and re-analyzable.
+//!   sidecar, so every trace file (`--trace`) is both
+//!   Perfetto-loadable and re-analyzable.
 //! * [`artifact`] — the machine-readable bench-result schema the
 //!   figure binaries' `--json` merges into.
 //!
@@ -50,7 +50,6 @@ pub mod ascii;
 pub mod chrome;
 pub mod critical;
 pub mod event;
-pub mod flight;
 pub mod graph;
 pub mod json;
 pub mod prof;
@@ -66,7 +65,6 @@ pub use critical::{
     blame_report, classify, imbalance_report, sim_blame, Blame, BlameReport, ImbalanceReport, Phase,
 };
 pub use event::{fields_mask, CorruptSite, Event, EventKind, PrivCode, SimKind};
-pub use flight::FlightRecorder;
 pub use graph::{build_graph, EventGraph};
 pub use prof::{
     control_cost_per_step, failover_summary, integrity_summary, mean_step_cost, memo_summary,

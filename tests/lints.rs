@@ -108,7 +108,8 @@ fn assert_none(what: &str, found: Vec<String>) {
 /// back, or when a deleted name — a retired executor, result type,
 /// checkpoint type, per-model DES builder, a piece of the simulator's
 /// deleted fault model, the job supervisor's cancellation and failure
-/// classes, or the const-generic geometry family — survives anywhere. The four
+/// classes, the const-generic geometry family, the flight recorder, or
+/// an option or method nothing set or called — survives anywhere. The four
 /// `execute_*_traced` forwarders are the benchmark adapter's surface
 /// and nothing inside the workspace may call them.
 #[test]
@@ -135,7 +136,7 @@ fn surface() {
         hits(&["crates/machine/src"], |l| l.contains("pub fn simulate_")),
     );
 
-    const DELETED: [&str; 72] = [
+    const DELETED: [&str; 83] = [
         "execute_spmd",
         "execute_spmd_with_env",
         "execute_spmd_with_env_traced",
@@ -208,6 +209,17 @@ fn surface() {
         "Rect1",
         "Rect2",
         "Rect3",
+        "FlightRecorder",
+        "note_failover_flight",
+        "flightEvicted",
+        "min_shards",
+        "emit_trace",
+        "owner_of_color",
+        "old_owner",
+        "complete_intersections",
+        "CompleteIntersection",
+        "snapshot_flat",
+        "real_entry",
     ];
     let deleted = |line: &str| {
         words(line).any(|w| {
@@ -420,12 +432,13 @@ fn env_at_the_edge() {
         .collect(),
     );
 
-    const GONE: [&str; 28] = [
+    const GONE: [&str; 29] = [
         "REGENT_KILL_SEED",
         "REGENT_FAILOVER_MAX",
         "REGENT_LOG_REPLICAS",
         "REGENT_LOG_BATCH",
         "REGENT_FLIGHT_EVENTS",
+        "REGENT_FLIGHT_DIR",
         "REGENT_SLO_P99_MS",
         "REGENT_SLO_SHED_PCT",
         "REGENT_SERVE_DEADLINE_MS",
