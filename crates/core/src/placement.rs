@@ -22,7 +22,7 @@
 //! the same placement through LICM, §3.3: "the shallow intersections
 //! were all lifted up to the beginning of the program execution").
 
-use crate::spmd::{owner_of, CopySource, SpmdArg, SpmdStmt, TempId, UseDecl};
+use crate::spmd::{CopySource, SpmdArg, SpmdStmt, TempId, UseDecl};
 use regent_ir::{Privilege, TaskDecl};
 use std::collections::BTreeSet;
 
@@ -83,13 +83,6 @@ impl MembershipRemap {
             Ordering::Equal => None,
             Ordering::Greater => Some(old_shard - 1),
         }
-    }
-
-    /// The *new* owner (a new shard id) of position `pos` in a launch
-    /// domain of `len` colors, under the shrunken membership's block
-    /// split.
-    pub fn new_owner(&self, len: usize, pos: usize) -> usize {
-        owner_of(len, self.new_shards, pos)
     }
 }
 
@@ -428,7 +421,7 @@ fn eliminate_dead(body: &mut Vec<SpmdStmt>, uses: &[UseDecl], tasks: &[TaskDecl]
 #[cfg(test)]
 mod membership_tests {
     use super::MembershipRemap;
-    use crate::spmd::block_range;
+    use crate::spmd::{block_range, owner_of};
 
     #[test]
     fn shrink_rejects_degenerate_memberships() {
@@ -468,7 +461,7 @@ mod membership_tests {
                         let (lo, hi) = block_range(len, m.new_shards, s);
                         for (c, n) in owners.iter_mut().enumerate().take(hi).skip(lo) {
                             *n += 1;
-                            assert_eq!(m.new_owner(len, c), s);
+                            assert_eq!(owner_of(len, m.new_shards, c), s);
                         }
                     }
                     assert!(owners.iter().all(|&n| n == 1), "colors must partition");

@@ -30,14 +30,6 @@ pub enum FieldType {
     I64,
 }
 
-impl FieldType {
-    /// Size of one element of this type in bytes (used by the
-    /// communication model to convert element counts to wire bytes).
-    pub fn size_bytes(self) -> u64 {
-        8
-    }
-}
-
 /// Definition of a single field.
 #[derive(Clone, Debug)]
 pub struct FieldDef {

@@ -592,9 +592,10 @@ struct Shape {
 /// column's bit contents, taken at a quiescent point (task completion,
 /// copy application). Any mutation through the public API invalidates
 /// the seal; the integrity layer re-seals at its write-completion
-/// points and verifies seals at epoch boundaries to detect silent data
-/// corruption. Unsealed instances (`seal_value() == None`) verify
-/// trivially, so the checksum machinery costs nothing unless enabled.
+/// points whenever a check can read the seal, and verifies seals at
+/// epoch boundaries to detect silent data corruption. Unsealed columns
+/// verify trivially, so the checksum machinery costs nothing unless
+/// enabled, and a sweep must first check that every column is sealed.
 #[derive(Clone, Debug)]
 pub struct Instance {
     /// The covered domain and its point→offset indexer: fixed at
@@ -757,8 +758,10 @@ impl Instance {
     }
 
     /// Seals the instance: records every column's checksum as the
-    /// expected content hash. Called at write-completion points (task
-    /// finish, copy apply) by the integrity layer.
+    /// expected content hash. The integrity layer seals a whole
+    /// instance after a fill; its write-completion points (task
+    /// finish, copy apply) re-seal the columns they wrote, through
+    /// [`Instance::seal_fields`], when a check can read the seal.
     pub fn seal(&mut self) {
         for (s, col) in self.seals.iter_mut().zip(&self.columns) {
             *s = Some(Self::column_checksum(col));
@@ -781,7 +784,7 @@ impl Instance {
     /// when **every** column is sealed, `None` when any column is
     /// unsealed — either the integrity layer is off or a write
     /// invalidated a column and its re-seal point has not been
-    /// reached yet.
+    /// reached yet, or skipped its re-seal because no check reads it.
     pub fn seal_value(&self) -> Option<u64> {
         let mut h = StripedFnv::new();
         for s in &self.seals {

@@ -161,6 +161,7 @@ impl ShardExec<'_> {
         let layout = self.layout;
         let traced = self.tb.is_enabled();
         let integrity = self.integrity_on();
+        let reseal = self.reseals();
         let copy_fields_mask = if traced {
             fields_mask(c.fields.iter().map(|f| f.0))
         } else {
@@ -248,7 +249,7 @@ impl ShardExec<'_> {
                 // side draws from — steady state allocates nothing.
                 recycle_chunks(&mut self.pool, chunks);
             }
-            if integrity {
+            if reseal {
                 self.scratch.applied.push(p.dst_slot);
             }
             self.mx.incr(Counter::CopiesApplied);
@@ -274,7 +275,8 @@ impl ShardExec<'_> {
             // The applied data is verified; the written columns become
             // authoritative again. Seals are only read at epoch
             // boundaries, so each destination is rehashed once, after
-            // the statement's last pair, however many pairs wrote it.
+            // the statement's last pair, however many pairs wrote it —
+            // and not at all in an epoch whose seals no check reads.
             self.scratch.applied.sort_unstable();
             self.scratch.applied.dedup();
             let sealed = (self.scratch.applied.len() * c.fields.len()) as u64;

@@ -89,7 +89,8 @@ pub enum Counter {
     ScheduleBuilds,
     /// Instance columns rehashed at a write-completion point (launch
     /// completion, the end of a copy statement, reduction-temp reset)
-    /// by the integrity layer.
+    /// by the integrity layer. A write point whose seal no check can
+    /// read skips the rehash and counts nothing here.
     ColumnSeals,
     /// Shard images built: once per shard per compiled program (and
     /// again after a shard-count change, or when two runs of one

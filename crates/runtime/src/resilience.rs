@@ -47,14 +47,21 @@
 //! With [`ResilienceOptions::integrity`] (or any nonzero
 //! `FaultPlan::corrupt_rate`) the executor becomes end-to-end
 //! checksummed. Every physical instance carries an FNV-1a *seal*,
-//! established after allocation and re-established at each point where
-//! the protocol makes its contents authoritative: task completion (for
-//! every argument held with a mutating privilege), copy application,
-//! and reduction-temp reset. Every exchange payload travels as a
-//! checksummed frame and every collective contribution as a
-//! [`FramedScalar`](crate::FramedScalar); both are verified *on
-//! receipt*, before the data can contaminate the fold or the
-//! destination instance.
+//! established after the fill and re-established where the protocol
+//! makes its contents authoritative — task completion (for every
+//! argument held with a mutating privilege), copy application, and
+//! reduction-temp reset — whenever a check can read that seal. Seals
+//! are read only at boundaries that sweep, checkpoint or inject, so
+//! the SPMD executor skips a write point's re-seal in an epoch of its
+//! last outermost loop, with a flat body, unless the loop may go on
+//! into a boundary that reads seals (`Resilience::reads_seals`): the
+//! next iteration re-runs the same writes, and the one before each
+//! such boundary re-seals everything. A sweep fail-stops on an
+//! unsealed column, which would otherwise verify trivially. Every
+//! exchange payload travels as a checksummed frame and every
+//! collective contribution as a [`FramedScalar`](crate::FramedScalar);
+//! both are verified *on receipt*, before the data can contaminate the
+//! fold or the destination instance.
 //!
 //! Repair is localized when redundancy exists and escalates when it
 //! does not:
@@ -84,6 +91,7 @@ use crate::metrics::{Counter, Timer};
 use crate::pool::clone_insts_into;
 use crate::spmd_exec::ShardExec;
 use crate::wait::Waiters;
+use regent_cr::SlotInfo;
 use regent_fault::{DeathCause, FaultPlan, PeerDeath, SHARD_LOSS_PREFIX};
 use regent_region::Instance;
 use regent_trace::{CorruptSite, EventKind};
@@ -477,6 +485,14 @@ impl Resilience {
         first || (self.interval > 0 && epoch.is_multiple_of(self.interval))
     }
 
+    /// Whether the boundary of `epoch`, past the first of its loop,
+    /// reads seals: it sweeps and checkpoints, or the plan injects
+    /// resident corruption there. The plan's predicate is pure, so a
+    /// replay of the epoch before it re-seals as the first pass did.
+    pub(crate) fn reads_seals(&self, epoch: u64, num_shards: usize) -> bool {
+        self.due(false, epoch) || self.plan.resident_corruption(epoch, num_shards).is_some()
+    }
+
     /// See [`boundary`]; `x.resilience` is this state, taken out for the
     /// call.
     fn boundary(&mut self, x: &mut ShardExec<'_>, first: bool, token: u64) -> Option<u64> {
@@ -595,6 +611,7 @@ impl Resilience {
         // predicate), so the rollback needs no recovery messages.
         self.corrupt_handled = epoch + 1;
         if victim as usize == x.shard {
+            sweep(x.shard, &x.data.insts, &x.layout.slots);
             let injected = inject_resident(&mut x.data.insts, entropy);
             let detected = x.data.insts.iter().filter(|i| !i.verify_seal()).count();
             assert_eq!(
@@ -747,21 +764,35 @@ impl Resilience {
     }
 }
 
-/// Verifies every resident instance seal, panicking on a mismatch the
-/// fault plan did not predict — that is genuine memory corruption or a
-/// missed re-seal, and either must fail-stop.
+/// Verifies every resident instance seal, panicking on an unsealed
+/// column or on a mismatch the fault plan did not predict — that is
+/// genuine memory corruption or a missed re-seal, and either must
+/// fail-stop.
 fn verify_clean(x: &mut ShardExec<'_>) {
     let m0 = x.mx.start();
-    for (inst, info) in x.data.insts.iter().zip(&x.layout.slots) {
+    sweep(x.shard, &x.data.insts, &x.layout.slots);
+    x.mx.record_since(m0, Timer::IntegrityNs);
+}
+
+/// The sweep of [`verify_clean`] over `insts`, laid out by `slots`.
+/// An unsealed column verifies trivially, so a sweep that met one
+/// would pass whatever the column holds: it fail-stops on that first
+/// (a write point skipped a re-seal this boundary reads).
+fn sweep(shard: usize, insts: &[Instance], slots: &[SlotInfo]) {
+    for (inst, info) in insts.iter().zip(slots) {
+        assert!(
+            inst.seal_value().is_some(),
+            "shard {shard}: instance {:?} holds an unsealed column at a boundary \
+             that reads its seals (missed re-seal)",
+            info.key
+        );
         assert!(
             inst.verify_seal(),
-            "shard {}: instance {:?} failed seal verification with no corruption \
+            "shard {shard}: instance {:?} failed seal verification with no corruption \
              scheduled (memory fault or missed re-seal)",
-            x.shard,
             info.key
         );
     }
-    x.mx.record_since(m0, Timer::IntegrityNs);
 }
 
 /// Flips one bit in one entropy-selected resident instance without
@@ -792,6 +823,33 @@ mod tests {
         assert_eq!(two.num_shards(), 2);
         assert!(!Arc::ptr_eq(&three, &two));
         assert!(Arc::ptr_eq(&two, &rescue.slot(0, 2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "holds an unsealed column")]
+    fn a_sweep_over_an_unsealed_column_panics() {
+        use regent_cr::InstKey;
+        use regent_region::{Domain, FieldId, FieldSpace, FieldType, RegionId};
+        let fields = FieldSpace::of(&[("x", FieldType::F64), ("n", FieldType::I64)]);
+        let mut insts: Vec<Instance> = (3..5)
+            .map(|n| Instance::new(Domain::range(n), &fields))
+            .collect();
+        let slots: Vec<SlotInfo> = (0..insts.len() as u32)
+            .map(|s| SlotInfo {
+                key: InstKey::UseWhole(0, s),
+                region: RegionId(0),
+            })
+            .collect();
+        insts.iter_mut().for_each(Instance::seal);
+        sweep(0, &insts, &slots);
+        // Unsealed as a skipped re-seal leaves it: the contents are
+        // untouched, so only the seal check can fail.
+        insts[1].unseal_fields(&[FieldId(1)]);
+        assert!(
+            insts[1].verify_seal(),
+            "an unsealed column verifies trivially"
+        );
+        sweep(0, &insts, &slots);
     }
 
     fn live(r: &Resilience) -> &Arc<Vec<Instance>> {

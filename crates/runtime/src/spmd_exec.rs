@@ -28,7 +28,10 @@
 //! sweep run through `crate::resilience`, whose boundary protocol
 //! borrows this engine; the integrity work done per statement — seals
 //! after launches and temporary resets, framed collectives — stays
-//! here, with the statements.
+//! here, with the statements. A write point re-seals only when a check
+//! can read that seal: replicated control flow fixes the loop body, so
+//! `run_loop` decides once per epoch whether any can
+//! (`ShardExec::elide_seals`).
 
 use crate::collective::{DynamicCollective, FramedScalar, ShardBarrier};
 use crate::exchange::{CopyMsg, Outbound};
@@ -177,6 +180,12 @@ pub(crate) struct ShardExec<'a> {
     pub(crate) launch_seq: u32,
     /// Current loop nesting depth (0 ⇒ outermost, a timestep loop).
     pub(crate) loop_depth: u32,
+    /// Write points skip their re-seal in this epoch: no check can read
+    /// a seal taken now before the next iteration retakes it. Decided
+    /// once per outermost iteration, right after its boundary
+    /// (`run_loop`); false outside outermost loops and under the
+    /// shared-log executor, which never enters `run_loop`.
+    pub(crate) elide_seals: bool,
     /// Executions of each copy statement so far, by copy id: the
     /// occurrence number that keys a payload's corruption decisions and
     /// matches a `CopyIssue` to its `CopyApply`. Like the other trace
@@ -274,6 +283,7 @@ impl<'a> ShardExec<'a> {
             mx,
             launch_seq: 0,
             loop_depth: 0,
+            elide_seals: false,
             copy_runs: Vec::new(),
             collective_seq: 0,
             epoch: 0,
@@ -355,10 +365,10 @@ impl<'a> ShardExec<'a> {
             }
             SpmdStmt::For { count, body } => {
                 let n = count.eval(&self.env).max(0.0) as u64;
-                self.run_loop(body, |_, it| it < n);
+                self.run_loop(s, body, Some(n), |_, it| it < n);
             }
             SpmdStmt::While { cond, body } => {
-                self.run_loop(body, |env, _| cond.eval(env) != 0.0);
+                self.run_loop(s, body, None, |env, _| cond.eval(env) != 0.0);
             }
             SpmdStmt::If {
                 cond,
@@ -385,15 +395,41 @@ impl<'a> ShardExec<'a> {
         }
     }
 
-    /// Runs `body` while `more(env, it)` holds. An outermost loop's
+    /// Runs `body`, the body of loop statement `stmt`, while
+    /// `more(env, it)` holds; `trips` is a `For`'s trip count (`None`
+    /// for a `While`, which may always go on). An outermost loop's
     /// iterations are epochs: each opens with the resilience boundary,
-    /// which may resume or roll back to another iteration, and closes by
-    /// advancing the epoch counter.
-    fn run_loop(&mut self, body: &[SpmdStmt], more: impl Fn(&[f64], u64) -> bool) {
+    /// which may resume or roll back to another iteration, then decides
+    /// whether its write points re-seal, and closes by advancing the
+    /// epoch counter.
+    ///
+    /// A seal taken in an epoch is read only if the next boundary
+    /// sweeps or injects, or a later loop's boundaries do. A flat body
+    /// re-runs every write of this epoch in the next one, and no later
+    /// loop runs after the program's last one, so there the re-seals
+    /// are skipped unless the loop may go on into a boundary that reads
+    /// seals. Rollbacks and resumes restore seals from their cut, and
+    /// never read the live ones.
+    fn run_loop(
+        &mut self,
+        stmt: &SpmdStmt,
+        body: &[SpmdStmt],
+        trips: Option<u64>,
+        more: impl Fn(&[f64], u64) -> bool,
+    ) {
         let outer = self.loop_depth == 0;
         if outer {
             self.outer_loop_seq += 1;
         }
+        let elidable = outer
+            && self.integrity_on()
+            && body.iter().all(|s| {
+                !matches!(
+                    s,
+                    SpmdStmt::For { .. } | SpmdStmt::While { .. } | SpmdStmt::If { .. }
+                )
+            })
+            && last_outer_loop(&self.spmd.body).is_some_and(|l| std::ptr::eq(l, stmt));
         let mut it = 0u64;
         while more(&self.env, it) {
             if outer {
@@ -402,6 +438,11 @@ impl<'a> ShardExec<'a> {
                     continue;
                 }
                 self.tb.instant(EventKind::StepBegin { step: it });
+                let goes_on = trips.is_none_or(|n| it + 1 < n);
+                let (next, shards) = (self.epoch + 1, self.spmd.num_shards);
+                let read_next = goes_on
+                    && (self.resilience.as_ref()).is_some_and(|r| r.reads_seals(next, shards));
+                self.elide_seals = elidable && !read_next;
             }
             self.loop_depth += 1;
             self.run_stmts(body);
@@ -410,6 +451,9 @@ impl<'a> ShardExec<'a> {
                 self.epoch += 1;
             }
             it += 1;
+        }
+        if outer {
+            self.elide_seals = false;
         }
     }
 
@@ -421,7 +465,7 @@ impl<'a> ShardExec<'a> {
                 inst.fill_field(f, decl.op);
             }
         }
-        if self.integrity_on() {
+        if self.reseals() {
             let m0 = self.mx.start();
             let sealed = (slots.len() * decl.fields.len()) as u64;
             for inst in &mut self.data.insts[slots] {
@@ -436,6 +480,13 @@ impl<'a> ShardExec<'a> {
     /// active for this run.
     pub(crate) fn integrity_on(&self) -> bool {
         self.resilience.as_ref().is_some_and(|r| r.integrity)
+    }
+
+    /// Whether write points re-seal what they wrote: the integrity
+    /// layer is on and a check may read this epoch's seals
+    /// ([`ShardExec::elide_seals`]).
+    pub(crate) fn reseals(&self) -> bool {
+        !self.elide_seals && self.integrity_on()
     }
 
     /// Collective participation under the integrity protocol: this
@@ -508,7 +559,7 @@ impl<'a> ShardExec<'a> {
         // launch domain — the cross-shard `pos` identity.
         let domain_len = spmd.launch_domains[l.domain.0 as usize].len();
         let (block_start, _) = block_range(domain_len, spmd.num_shards, self.shard);
-        let integrity = self.integrity_on();
+        let reseal = self.reseals();
         // Instances held with a mutating privilege: the written fields
         // are re-sealed once the launch completes (task completion
         // makes their contents the new checksummed truth). Only the
@@ -525,7 +576,7 @@ impl<'a> ShardExec<'a> {
                 let slot = self.layout.arg_slot(a, local_idx);
                 let info = &self.layout.slots[slot];
                 let domain = spmd.forest.domain(info.region);
-                if integrity && !matches!(param.privilege, Privilege::Read) {
+                if reseal && !matches!(param.privilege, Privilege::Read) {
                     // An instance reached through two arguments is
                     // listed once per distinct field list (disjoint, or
                     // the launch would alias a write).
@@ -619,6 +670,22 @@ impl<'a> ShardExec<'a> {
     pub(crate) fn useful_work(&self) -> bool {
         self.epoch >= self.replay_until
     }
+}
+
+/// The outermost loop no other can run after: the last `For` or
+/// `While` of `stmts` in program order, looking into `If` branches but
+/// not into loops. Top-level statements run once, so only a loop later
+/// in that order can run after it.
+fn last_outer_loop(stmts: &[SpmdStmt]) -> Option<&SpmdStmt> {
+    stmts.iter().rev().find_map(|s| match s {
+        SpmdStmt::For { .. } | SpmdStmt::While { .. } => Some(s),
+        SpmdStmt::If {
+            then_body,
+            else_body,
+            ..
+        } => last_outer_loop(else_body).or_else(|| last_outer_loop(then_body)),
+        _ => None,
+    })
 }
 
 /// Identity of a shard's physical instance in trace events (their

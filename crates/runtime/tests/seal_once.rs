@@ -1,8 +1,9 @@
 //! The integrity layer re-seals what a copy statement wrote once per
 //! destination instance, after the statement's last pair — not once
-//! per pair. Counted through the always-on metrics registry, which is
+//! per pair — and only in an epoch whose seals a check can read.
+//! Counted through the always-on metrics registry, which is
 //! process-global: this binary holds the one test that reads it, and it
-//! counts what its run adds rather than clearing the registry.
+//! counts what its runs add rather than clearing the registry.
 
 use regent_cr::{control_replicate, CrOptions};
 use regent_geometry::{Domain, DynPoint};
@@ -77,21 +78,36 @@ fn a_copy_statement_hashes_each_destination_column_once() {
     let spmd = control_replicate(prog, &CrOptions::new(2)).unwrap();
 
     // The registry is process-global and never cleared: count what
-    // this run adds to it.
+    // each run adds to it.
     let registry = metrics::global();
-    let before = registry.aggregate();
-    let guarded = ResilienceOptions {
-        integrity: true,
-        ..Default::default()
+    let mut guarded = |checkpoint_interval| {
+        let before = registry.aggregate();
+        let opts = ResilienceOptions {
+            checkpoint_interval,
+            integrity: true,
+            ..Default::default()
+        };
+        let res = run(
+            Compiled::Spmd(&spmd),
+            &mut store,
+            &RunOptions::default().with_resilience(opts),
+        );
+        (res, before, registry.aggregate())
     };
-    let res = run(
-        Compiled::Spmd(&spmd),
-        &mut store,
-        &RunOptions::default().with_resilience(guarded),
-    );
-    let after = registry.aggregate();
-    let added = |c: Counter| after.get(c) - before.get(c);
 
+    // At interval 0 only the loop's first boundary sweeps, so no seal
+    // taken at a write point is ever read: every epoch skips them.
+    let (_, before, after) = guarded(0);
+    assert_eq!(
+        after.get(Counter::ColumnSeals) - before.get(Counter::ColumnSeals),
+        0,
+        "a write point re-sealed with no sweep to read it"
+    );
+
+    // At interval 1 every boundary sweeps: the first two epochs re-seal
+    // for the sweeps of epochs 1 and 2, the last one has none to feed.
+    let (res, before, after) = guarded(1);
+    let added = |c: Counter| after.get(c) - before.get(c);
     let copies = res.stats.copies_executed / 2; // each shard counts each statement
     let pairs_applied = added(Counter::CopiesApplied);
     assert!(
@@ -99,13 +115,15 @@ fn a_copy_statement_hashes_each_destination_column_once() {
         "every halo instance takes two pairs per statement \
          ({pairs_applied} applied over {copies} statements)"
     );
-    // Per step: `sweep` re-seals y and `commit` re-seals x on each of
-    // the PARTS blocks, and each copy statement re-seals x on each of
-    // the PARTS halo instances — once each, though two pairs wrote it.
-    let launches = 2 * PARTS as u64 * STEPS;
+    // Per sealing step: `sweep` re-seals y and `commit` re-seals x on
+    // each of the PARTS blocks, and each copy statement re-seals x on
+    // each of the PARTS halo instances — once each, though two pairs
+    // wrote it.
+    let sealing_steps = STEPS - 1;
+    let per_step = 2 * PARTS as u64 + PARTS as u64 * copies / STEPS;
     assert_eq!(
         added(Counter::ColumnSeals),
-        launches + PARTS as u64 * copies,
+        sealing_steps * per_step,
         "{copies} copy statements, {pairs_applied} pairs applied"
     );
     // One integrity bracket per launch and per copy statement's

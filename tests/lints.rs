@@ -136,7 +136,7 @@ fn surface() {
         hits(&["crates/machine/src"], |l| l.contains("pub fn simulate_")),
     );
 
-    const DELETED: [&str; 83] = [
+    const DELETED: [&str; 85] = [
         "execute_spmd",
         "execute_spmd_with_env",
         "execute_spmd_with_env_traced",
@@ -220,6 +220,8 @@ fn surface() {
         "CompleteIntersection",
         "snapshot_flat",
         "real_entry",
+        "new_owner",
+        "size_bytes",
     ];
     let deleted = |line: &str| {
         words(line).any(|w| {
