@@ -572,3 +572,62 @@ fn stencil_halos_are_laid_out_over_their_bounding_box() {
         }
     }
 }
+
+/// A flush writes back only the columns a run can have changed.
+/// Circuit's wire use declares `in`, `out`, `cond`, `ind` and `current`,
+/// but only `calc_new_currents` writes it, through `current`: a scribble
+/// over an instance's `cond` column never reaches the store, while one
+/// over `current` does, on exactly the instance's elements.
+#[test]
+fn a_flush_writes_back_only_the_columns_a_run_can_change() {
+    let (prog, store) = mk_circuit_sparse();
+    let (_, mut target) = mk_circuit_sparse();
+    let spmd = regent_cr::control_replicate(prog, &regent_cr::CrOptions::new(2)).unwrap();
+    let (schedule, _) = spmd.schedule();
+    let layout = &schedule.layouts[0];
+    let mut image = ShardImage::build(&spmd, layout);
+    image.fill(&spmd, layout, &store);
+    let mut wire_root = None;
+    let mut scribbled = Vec::new();
+    for (inst, info) in image.insts.iter_mut().zip(&layout.slots) {
+        let fields = spmd.forest.fields(info.region);
+        let (Some(current), Some(cond)) = (fields.lookup("current"), fields.lookup("cond")) else {
+            continue;
+        };
+        assert!(matches!(info.key, InstKey::UsePart(..)));
+        wire_root = Some((spmd.forest.root_of(info.region), current, cond));
+        for v in inst.f64_col_mut(cond) {
+            *v = -1.0;
+        }
+        for (k, v) in inst.f64_col_mut(current).iter_mut().enumerate() {
+            *v = 7.0 + k as f64;
+        }
+        scribbled.extend(inst.domain().iter().map(|p| (p, inst.read_f64(current, p))));
+    }
+    let (root, current, cond) = wire_root.expect("shard 0 holds wire instances");
+    assert!(!scribbled.is_empty());
+    image.flush(&spmd, layout, &mut target);
+    let (before, after) = (
+        store.instance_in(&spmd.forest, root),
+        target.instance_in(&spmd.forest, root),
+    );
+    assert!(
+        column_bits(after.column(cond)) == column_bits(before.column(cond)),
+        "a column no statement writes was flushed"
+    );
+    for &(p, v) in &scribbled {
+        assert_eq!(after.read_f64(current, p).to_bits(), v.to_bits(), "{p:?}");
+    }
+    let held: HashSet<i64> = scribbled.iter().map(|(p, _)| p.coord(0)).collect();
+    for p in before
+        .domain()
+        .iter()
+        .filter(|p| !held.contains(&p.coord(0)))
+    {
+        assert_eq!(
+            after.read_f64(current, p).to_bits(),
+            before.read_f64(current, p).to_bits(),
+            "{p:?} is not shard 0's"
+        );
+    }
+}

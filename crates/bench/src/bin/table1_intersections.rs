@@ -14,25 +14,35 @@
 //! milliseconds; complete times are small and (for the per-shard
 //! phase) scale-independent. The last timing column is not in the
 //! paper's table: it is the inspector's extra step of turning element
-//! sets into gather/scatter offsets, which grows with the elements
-//! exchanged rather than with the pieces.
+//! sets into the storage runs the executors copy, which grows with the
+//! rows exchanged rather than with the pieces. Beside the pair count
+//! stand the run count and the bytes the run lists take (12 a run).
 
 use regent_apps::{circuit, miniaero, pennant, stencil};
 use regent_cr::{control_replicate, CrOptions};
 use regent_runtime::build_exchange_plan;
+use std::mem::size_of_val;
 
 fn measure(name: &str, pieces: usize, build: impl FnOnce() -> regent_ir::Program) {
     let prog = build();
     let spmd = control_replicate(prog, &CrOptions::new(pieces)).expect("CR failed");
     let plan = build_exchange_plan(&spmd);
+    let run_bytes: usize = plan
+        .pairs
+        .iter()
+        .flatten()
+        .map(|p| size_of_val(p.runs.runs()))
+        .sum();
     println!(
-        "{:<10} {:>6}  {:>12.1}  {:>12.1}  {:>12.1}  {:>8}",
+        "{:<10} {:>6}  {:>12.1}  {:>12.1}  {:>12.1}  {:>8}  {:>9}  {:>9.2}",
         name,
         pieces,
         plan.setup.shallow_seconds * 1e3,
         plan.setup.complete_seconds * 1e3,
-        plan.setup.offsets_seconds * 1e3,
-        plan.setup.num_pairs
+        plan.setup.runs_seconds * 1e3,
+        plan.setup.num_pairs,
+        plan.setup.num_runs,
+        run_bytes as f64 / 1e6
     );
 }
 
@@ -47,8 +57,8 @@ fn main() {
         scales
     };
     println!(
-        "{:<10} {:>6}  {:>12}  {:>12}  {:>12}  {:>8}",
-        "App", "Nodes", "Shallow (ms)", "Complete (ms)", "Offsets (ms)", "Pairs"
+        "{:<10} {:>6}  {:>12}  {:>12}  {:>12}  {:>8}  {:>9}  {:>9}",
+        "App", "Nodes", "Shallow (ms)", "Complete (ms)", "Runs (ms)", "Pairs", "Runs", "Run MB"
     );
     for &n in &scales {
         measure("Circuit", n, || {

@@ -19,7 +19,8 @@
 //! * [`ShardImage`] — the instances themselves, indexed by slot, each
 //!   storing only the columns its use or temporary declares, plus the
 //!   memoized [`CopyRuns`] that fill a use instance from the root store
-//!   and flush it back.
+//!   and flush it back, and which columns the flush writes: those a run
+//!   can have changed.
 //! * the program's pool ([`SpmdProgram::take_image`] /
 //!   [`SpmdProgram::put_image`]) — where it keeps its images between
 //!   runs (take-or-build).
@@ -29,8 +30,8 @@
 //! column of every instance over its whole domain.
 
 use crate::schedule::InstKey;
-use crate::spmd::{DomainId, SpmdArg, SpmdProgram, TempId, UseBase};
-use regent_ir::Store;
+use crate::spmd::{DomainId, SpmdArg, SpmdProgram, SpmdStmt, TempId, UseBase};
+use regent_ir::{Privilege, Store};
 use regent_region::{Color, CopyRuns, DomainIndexer, FieldId, Instance, ReductionOp, RegionId};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -69,6 +70,9 @@ pub struct ShardLayout {
     /// Per intersection, the indices of the pairs this shard produces
     /// (into `ExchangeSchedule::pairs[i]`, ascending).
     pub produces: Vec<Vec<u32>>,
+    /// Per intersection, the pairs of `produces` another shard
+    /// consumes: the ones that leave this shard as a message.
+    pub sends: Vec<Vec<u32>>,
     /// Per intersection, the indices of the pairs this shard consumes.
     pub consumes: Vec<Vec<u32>>,
 }
@@ -182,6 +186,50 @@ fn declared<'a>(spmd: &'a SpmdProgram, key: &InstKey) -> Declared<'a> {
     }
 }
 
+/// Per use, the fields a run can change in its instances: those some
+/// launch holds with a mutating privilege through the use, and those
+/// some copy statement writes into it. Every other column of a use
+/// instance holds what the fill put there until the run ends.
+fn written_fields(spmd: &SpmdProgram) -> Vec<Vec<FieldId>> {
+    fn add(set: &mut Vec<FieldId>, fields: &[FieldId]) {
+        for &f in fields {
+            if !set.contains(&f) {
+                set.push(f);
+            }
+        }
+    }
+    fn walk(spmd: &SpmdProgram, stmts: &[SpmdStmt], out: &mut [Vec<FieldId>]) {
+        for s in stmts {
+            match s {
+                SpmdStmt::Launch(l) => {
+                    let params = &spmd.task(l.task).params;
+                    for (a, param) in l.args.iter().zip(params) {
+                        if let SpmdArg::Use(u) = *a {
+                            if !matches!(param.privilege, Privilege::Read) {
+                                add(&mut out[u], &param.fields);
+                            }
+                        }
+                    }
+                }
+                SpmdStmt::Copy(c) => add(&mut out[c.dst], &c.fields),
+                SpmdStmt::For { body, .. } | SpmdStmt::While { body, .. } => walk(spmd, body, out),
+                SpmdStmt::If {
+                    then_body,
+                    else_body,
+                    ..
+                } => {
+                    walk(spmd, then_body, out);
+                    walk(spmd, else_body, out);
+                }
+                _ => {}
+            }
+        }
+    }
+    let mut out = vec![Vec::new(); spmd.uses.len()];
+    walk(spmd, &spmd.body, &mut out);
+    out
+}
+
 /// One shard's instances, indexed by the slots of its [`ShardLayout`].
 #[derive(Debug)]
 pub struct ShardImage {
@@ -190,6 +238,9 @@ pub struct ShardImage {
     /// Per use slot (they lead the layout): the storage runs that
     /// mirror the instance's whole domain from its tree's root instance.
     fills: Vec<CopyRuns>,
+    /// The slots [`ShardImage::flush`] writes back, each with the
+    /// declared columns a run can have changed, in declaration order.
+    flushes: Vec<(usize, Vec<FieldId>)>,
 }
 
 impl ShardImage {
@@ -207,6 +258,8 @@ impl ShardImage {
         let mut first_over: HashMap<RegionId, usize> = HashMap::new();
         let mut insts: Vec<Instance> = Vec::with_capacity(layout.slots.len());
         let mut fills = Vec::new();
+        let written = written_fields(spmd);
+        let mut flushes = Vec::new();
         for (slot, info) in layout.slots.iter().enumerate() {
             let domain = forest.domain(info.region);
             let decl = declared(spmd, &info.key);
@@ -225,9 +278,23 @@ impl ShardImage {
                     .or_insert_with(|| DomainIndexer::new(forest.domain(root)));
                 fills.push(CopyRuns::new(root_ix, inst.indexer(), domain));
             }
+            if let InstKey::UsePart(u, _) = info.key {
+                let (decl, written) = (&spmd.uses[u as usize], &written[u as usize]);
+                let fields: Vec<FieldId> = (decl.fields.iter())
+                    .copied()
+                    .filter(|f| written.contains(f))
+                    .collect();
+                if decl.writes && !fields.is_empty() {
+                    flushes.push((slot, fields));
+                }
+            }
             insts.push(inst);
         }
-        ShardImage { insts, fills }
+        ShardImage {
+            insts,
+            fills,
+            flushes,
+        }
     }
 
     /// Starts a run: every use instance mirrors `store` over its whole
@@ -241,7 +308,7 @@ impl ShardImage {
             match decl.temp_op {
                 None => {
                     let root = store.instance_in(&spmd.forest, info.region);
-                    self.fills[slot].copy(root, inst, decl.fields);
+                    self.fills[slot].copy(root, inst, decl.fields, None);
                 }
                 Some(op) => {
                     for &f in decl.fields {
@@ -253,18 +320,18 @@ impl ShardImage {
     }
 
     /// Finishes a run (§3.1 finalization): every instance of a written
-    /// partition use goes back into `store`. All instances covering an
-    /// element agree at this point, so the order is immaterial.
+    /// partition use goes back into `store`, in the columns some launch
+    /// holds with a mutating privilege through the use or some copy
+    /// statement writes into. Every other declared column still equals
+    /// the fill — nothing else writes a use instance, and a rollback or
+    /// resume restores a copy of these same instances — and nothing
+    /// writes the store while the shards run, so flushing it would store
+    /// what the store already holds. All instances covering an element
+    /// agree at this point, so the order is immaterial.
     pub fn flush(&self, spmd: &SpmdProgram, layout: &ShardLayout, store: &mut Store) {
-        for (slot, info) in layout.slots.iter().enumerate() {
-            let InstKey::UsePart(u, _) = info.key else {
-                continue;
-            };
-            let decl = &spmd.uses[u as usize];
-            if decl.writes {
-                let root = store.instance_mut_in(&spmd.forest, info.region);
-                self.fills[slot].copy_back(&self.insts[slot], root, &decl.fields);
-            }
+        for (slot, fields) in &self.flushes {
+            let root = store.instance_mut_in(&spmd.forest, layout.slots[*slot].region);
+            self.fills[*slot].copy_back(&self.insts[*slot], root, fields);
         }
     }
 }

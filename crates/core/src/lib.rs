@@ -16,7 +16,7 @@
 //! * [`spmd`] — the SPMD target form, including the intersection
 //!   declarations evaluated dynamically at startup (§3.3).
 //! * [`schedule`] — that evaluation: the exchange pairs and their
-//!   gather/scatter offsets, memoized per compiled program.
+//!   storage runs, memoized per compiled program.
 //! * [`image`] — a shard's instances, mapped once per compiled program:
 //!   the slot layout, the instances kept between runs, and the run
 //!   lists that fill them from the store and flush them back.

@@ -8,7 +8,12 @@
 //! *complete* pass computes the exact shared element sets for the
 //! surviving pairs only. Both phases are timed — these are the numbers
 //! Table 1 reports. A third step, timed on its own, turns each pair's
-//! element set into gather and scatter offsets.
+//! element set into its storage runs: the [`CopyRuns`] from the source
+//! instance's layout to the destination's, one `(src, dst, len)` triple
+//! per stretch that is contiguous on both sides, in canonical element
+//! order. An executor moves a pair a run at once — instance to instance
+//! on one shard, gathered into a payload and scattered out of it across
+//! two — so a pair costs per run, not per element.
 //!
 //! This is the *inspector* of an inspector–executor scheme: everything
 //! here depends only on the region forest, the launch domains and the
@@ -27,9 +32,8 @@ use crate::image::{shard_layouts, ShardLayout};
 use crate::spmd::{block_range, CopySource, DomainId, SpmdArg, SpmdProgram, UseBase};
 use regent_geometry::Domain;
 use regent_region::intersect::shallow_pairs;
-use regent_region::{Color, DomainIndexer, PartitionId, RegionId};
+use regent_region::{Color, CopyRuns, DomainIndexer, PartitionId, RegionId};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Identifies one physical instance held by some shard.
@@ -63,14 +67,13 @@ pub struct PairPlan {
     pub dst_slot: u32,
     /// Exact elements exchanged (non-empty).
     pub elements: Domain,
-    /// Storage offsets of `elements`, in canonical element order, in
-    /// the source instance. An instance lays its domain out through a
-    /// [`DomainIndexer`], which is a function of the domain alone, so
-    /// the offsets hold for every instance ever allocated for
-    /// `src_key` — on any shard, in any run.
-    pub src_offsets: Arc<[u32]>,
-    /// Storage offsets of `elements` in the destination instance.
-    pub dst_offsets: Arc<[u32]>,
+    /// The storage runs of `elements` from the source instance to the
+    /// destination, in canonical element order. An instance lays its
+    /// domain out through a [`DomainIndexer`], which is a function of
+    /// the domain alone, so the runs hold for every pair of instances
+    /// ever allocated for `src_key` and `dst_key` — on any shard, in
+    /// any run.
+    pub runs: CopyRuns,
     /// Global ordering key: position of the source child in its launch
     /// domain (applying pairs in this order reproduces the sequential
     /// fold order for reductions).
@@ -84,12 +87,14 @@ pub struct SetupStats {
     pub shallow_seconds: f64,
     /// Wall time of the complete (exact-elements) phase, seconds.
     pub complete_seconds: f64,
-    /// Wall time of turning the element sets into gather/scatter
-    /// offset tables, seconds. Not one of the paper's two phases: it is
-    /// the part of the inspector the executor needs beyond Table 1.
-    pub offsets_seconds: f64,
+    /// Wall time of turning the element sets into storage runs,
+    /// seconds. Not one of the paper's two phases: it is the part of
+    /// the inspector the executor needs beyond Table 1.
+    pub runs_seconds: f64,
     /// Total surviving pairs across all intersection declarations.
     pub num_pairs: usize,
+    /// Total storage runs across all pairs.
+    pub num_runs: usize,
     /// Total elements across all pair element sets.
     pub total_elements: u64,
 }
@@ -100,14 +105,15 @@ impl SetupStats {
     pub fn merge(&mut self, o: &SetupStats) {
         self.shallow_seconds += o.shallow_seconds;
         self.complete_seconds += o.complete_seconds;
-        self.offsets_seconds += o.offsets_seconds;
+        self.runs_seconds += o.runs_seconds;
         self.num_pairs += o.num_pairs;
+        self.num_runs += o.num_runs;
         self.total_elements += o.total_elements;
     }
 }
 
 /// The evaluated exchange schedule: per-intersection pair lists,
-/// globally ordered, each pair with its gather/scatter offsets.
+/// globally ordered, each pair with its storage runs.
 /// Immutable once built; shards, runs and executors share one copy.
 pub struct ExchangeSchedule {
     /// The shard count the owners in `pairs` were computed for.
@@ -290,13 +296,12 @@ pub fn build_exchange_plan(spmd: &SpmdProgram) -> ExchangeSchedule {
         let mut list: Vec<PairPlan> = Vec::with_capacity(complete.len());
         for (i, j, elements) in complete {
             let (s, d) = (&src[i], &dst[j]);
-            let mut offsets = |c: &ShapeChild| -> Arc<[u32]> {
+            for c in [s, d] {
                 indexers
                     .entry(c.region)
-                    .or_insert_with(|| DomainIndexer::new(c.domain))
-                    .offsets_of(&elements)
-                    .into()
-            };
+                    .or_insert_with(|| DomainIndexer::new(c.domain));
+            }
+            let runs = CopyRuns::new(&indexers[&s.region], &indexers[&d.region], &elements);
             list.push(PairPlan {
                 src_owner: s.owner,
                 dst_owner: d.owner,
@@ -304,8 +309,7 @@ pub fn build_exchange_plan(spmd: &SpmdProgram) -> ExchangeSchedule {
                 dst_key: d.key,
                 src_slot: layouts[s.owner].arg_slot(&s.arg, s.local) as u32,
                 dst_slot: layouts[d.owner].arg_slot(&d.arg, d.local) as u32,
-                src_offsets: offsets(s),
-                dst_offsets: offsets(d),
+                runs,
                 elements,
                 order: s.order,
             });
@@ -314,13 +318,15 @@ pub fn build_exchange_plan(spmd: &SpmdProgram) -> ExchangeSchedule {
         // key — this is the order consumers apply data in, which
         // reproduces sequential fold order for reductions.
         list.sort_by_key(|a| (a.order, a.dst_key));
-        setup.offsets_seconds += t2.elapsed().as_secs_f64();
+        setup.runs_seconds += t2.elapsed().as_secs_f64();
         setup.num_pairs += list.len();
-        setup.total_elements += list.iter().map(|p| p.src_offsets.len() as u64).sum::<u64>();
+        setup.num_runs += list.iter().map(|p| p.runs.runs().len()).sum::<usize>();
+        setup.total_elements += list.iter().map(|p| p.runs.volume() as u64).sum::<u64>();
         // Each shard's share of the list, so it never scans the rest.
         let ix = pairs.len();
         for layout in &mut layouts {
             layout.produces.push(Vec::new());
+            layout.sends.push(Vec::new());
             layout.consumes.push(Vec::new());
         }
         let mut frames: HashMap<(usize, usize), usize> = HashMap::new();
@@ -328,6 +334,7 @@ pub fn build_exchange_plan(spmd: &SpmdProgram) -> ExchangeSchedule {
             layouts[p.src_owner].produces[ix].push(seq as u32);
             layouts[p.dst_owner].consumes[ix].push(seq as u32);
             if p.src_owner != p.dst_owner {
+                layouts[p.src_owner].sends[ix].push(seq as u32);
                 *frames.entry((p.src_owner, p.dst_owner)).or_default() += 1;
             }
         }

@@ -6,8 +6,8 @@
 //! storage and the compiler inserts explicit copies). Both
 //! implementations use this type: the sequential interpreter allocates
 //! one instance per region-tree root, while the SPMD runtime allocates
-//! one instance per subregion per shard and moves data with
-//! [`copy_fields`] / [`reduce_fields`].
+//! one instance per subregion per shard and moves data over the storage
+//! runs of [`CopyRuns`].
 
 use crate::checksum::StripedFnv;
 use crate::field::{FieldId, FieldSpace, FieldType};
@@ -444,26 +444,6 @@ impl DomainIndexer {
                 c[last] += len as i64;
             }
         }
-    }
-
-    /// The storage offsets of `elements` in canonical order — the
-    /// gather/scatter table of an exchange pair, equal to mapping
-    /// [`DomainIndexer::offset_of`] over `elements.iter()`.
-    ///
-    /// # Panics
-    /// If `elements` is not a subset of the indexed domain, or the
-    /// layout stores more than `u32::MAX` slots.
-    pub fn offsets_of(&self, elements: &Domain) -> Vec<u32> {
-        assert!(
-            self.slots <= u64::from(u32::MAX),
-            "layout of {} slots exceeds 32-bit offsets",
-            self.slots
-        );
-        let mut out = Vec::with_capacity(elements.volume() as usize);
-        self.for_each_run(elements, |off, len| {
-            out.extend(off as u32..(off + len) as u32)
-        });
-        out
     }
 
     /// Iterates `(point, offset)` pairs in storage order.
@@ -1037,20 +1017,35 @@ impl Instance {
     }
 }
 
+/// Runs of at most this many elements are copied element by element
+/// rather than through `memcpy`: below it the call costs more than the
+/// elements it moves, and a sparse ghost set is mostly such runs.
+const SHORT_RUN: usize = 8;
+
 /// The storage runs `(src offset, dst offset, len)` that cover a set of
 /// elements in a source and a destination instance, in canonical
 /// element order: each side's runs from
 /// [`DomainIndexer::for_each_run`], split wherever either side breaks
 /// and joined again wherever both continue.
 ///
+/// This is the one way data moves between instances: an exchange pair
+/// copies or folds instance to instance ([`CopyRuns::copy`]), or
+/// through a payload in canonical element order ([`CopyRuns::gather`]
+/// on the producer, [`CopyRuns::scatter`] on the consumer), and a shard
+/// image fills from and flushes to the root store ([`CopyRuns::copy`],
+/// [`CopyRuns::copy_back`]). Every path moves a run at once — inline
+/// when it is short, by `memcpy` otherwise.
+///
 /// An instance's layout is a function of its domain alone, so a run
 /// list holds for every pair of instances over the two domains it was
 /// computed for — a caller that copies the same elements between the
-/// same shapes again and again (a shard image filled from the store at
-/// every run) computes it once.
+/// same shapes again and again (an exchange pair at every execution of
+/// its copy statement, a shard image at every run) computes it once.
 #[derive(Clone, Debug, Default)]
 pub struct CopyRuns {
-    runs: Vec<(usize, usize, usize)>,
+    runs: Vec<(u32, u32, u32)>,
+    /// Elements covered: the sum of the run lengths.
+    volume: usize,
 }
 
 impl CopyRuns {
@@ -1058,13 +1053,21 @@ impl CopyRuns {
     /// laid out by `dst`.
     ///
     /// # Panics
-    /// If `elements` is not a subset of both indexed domains.
+    /// If `elements` is not a subset of both indexed domains, or either
+    /// layout stores more than `u32::MAX` slots.
     pub fn new(src: &DomainIndexer, dst: &DomainIndexer, elements: &Domain) -> Self {
+        for ix in [src, dst] {
+            assert!(
+                ix.slots <= u64::from(u32::MAX),
+                "layout of {} slots exceeds 32-bit offsets",
+                ix.slots
+            );
+        }
         let mut src_runs = Vec::new();
         src.for_each_run(elements, |off, len| src_runs.push((off, len)));
         let mut src_runs = src_runs.into_iter();
         let (mut s_off, mut s_len) = (0u64, 0u64);
-        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+        let mut runs: Vec<(u32, u32, u32)> = Vec::new();
         dst.for_each_run(elements, |mut d_off, mut d_len| {
             while d_len > 0 {
                 if s_len == 0 {
@@ -1073,7 +1076,7 @@ impl CopyRuns {
                         .expect("both sides cover the same number of elements");
                 }
                 let n = d_len.min(s_len);
-                let (so, do_, n_) = (s_off as usize, d_off as usize, n as usize);
+                let (so, do_, n_) = (s_off as u32, d_off as u32, n as u32);
                 match runs.last_mut() {
                     Some((ps, pd, pn)) if *ps + *pn == so && *pd + *pn == do_ => *pn += n_,
                     _ => runs.push((so, do_, n_)),
@@ -1084,87 +1087,135 @@ impl CopyRuns {
                 d_len -= n;
             }
         });
-        CopyRuns { runs }
+        runs.shrink_to_fit();
+        let volume = runs.iter().map(|&(_, _, n)| n as usize).sum();
+        CopyRuns { runs, volume }
     }
 
-    /// Copies `fields` over the runs from `src` to `dst`
-    /// ([`copy_fields`] with the run list already in hand).
+    /// The runs, `(src offset, dst offset, len)` in canonical element
+    /// order.
+    pub fn runs(&self) -> &[(u32, u32, u32)] {
+        &self.runs
+    }
+
+    /// Number of elements the runs cover.
+    pub fn volume(&self) -> usize {
+        self.volume
+    }
+
+    /// Copies `fields` over the runs from `src` to `dst`, or folds them
+    /// into `dst` with `op` when one is given (a reduction copy, §4.3).
     ///
     /// # Panics
     /// If the instances are not laid out as the indexers the runs were
     /// computed for (a run leaves a column), or a field's type differs
     /// between them.
-    pub fn copy(&self, src: &Instance, dst: &mut Instance, fields: &[FieldId]) {
-        self.apply(src, dst, fields, false)
+    pub fn copy(
+        &self,
+        src: &Instance,
+        dst: &mut Instance,
+        fields: &[FieldId],
+        op: Option<ReductionOp>,
+    ) {
+        self.apply(src, dst, fields, false, op)
     }
 
     /// The same runs the other way: copies `fields` from an instance
     /// laid out as the *destination* side into one laid out as the
     /// *source* side.
     pub fn copy_back(&self, dst_side: &Instance, src_side: &mut Instance, fields: &[FieldId]) {
-        self.apply(dst_side, src_side, fields, true)
+        self.apply(dst_side, src_side, fields, true, None)
     }
 
-    fn apply(&self, from: &Instance, to: &mut Instance, fields: &[FieldId], back: bool) {
-        fn move_runs<T: Copy>(
-            runs: &[(usize, usize, usize)],
+    /// Appends the elements of `col`, a column laid out as the source
+    /// side, to `out` in canonical element order: a copy payload.
+    pub fn gather<T: Element>(&self, col: &[T], out: &mut Vec<T>) {
+        let Some(&(first, _, _)) = self.runs.first() else {
+            return;
+        };
+        // Sized first (with any value of the column), then written a run
+        // at a time: appending element by element costs a capacity
+        // check each.
+        let start = out.len();
+        out.resize(start + self.volume, col[first as usize]);
+        let mut at = start;
+        for &(s, _, n) in &self.runs {
+            move_run(out, at, col, s as usize, n as usize, None);
+            at += n as usize;
+        }
+    }
+
+    /// Writes a payload gathered in canonical element order into `col`,
+    /// a column laid out as the destination side, folding with `op`
+    /// when one is given.
+    ///
+    /// # Panics
+    /// If `vals` does not hold one value per element of the runs.
+    pub fn scatter<T: Element>(&self, vals: &[T], col: &mut [T], op: Option<ReductionOp>) {
+        assert_eq!(vals.len(), self.volume, "payload length");
+        let mut at = 0;
+        for &(_, d, n) in &self.runs {
+            move_run(col, d as usize, vals, at, n as usize, op);
+            at += n as usize;
+        }
+    }
+
+    fn apply(
+        &self,
+        from: &Instance,
+        to: &mut Instance,
+        fields: &[FieldId],
+        back: bool,
+        op: Option<ReductionOp>,
+    ) {
+        fn move_runs<T: Element>(
+            runs: &[(u32, u32, u32)],
             from: &[T],
             to: &mut [T],
             back: bool,
+            op: Option<ReductionOp>,
         ) {
             for &(s, d, n) in runs {
                 let (f, t) = if back { (d, s) } else { (s, d) };
-                to[t..t + n].copy_from_slice(&from[f..f + n]);
+                move_run(to, t as usize, from, f as usize, n as usize, op);
             }
         }
         for &f in fields {
             to.seals[f.0 as usize] = None;
             match (&from.columns[f.0 as usize], &mut to.columns[f.0 as usize]) {
-                (ColumnData::F64(s), ColumnData::F64(d)) => move_runs(&self.runs, s, d, back),
-                (ColumnData::I64(s), ColumnData::I64(d)) => move_runs(&self.runs, s, d, back),
+                (ColumnData::F64(s), ColumnData::F64(d)) => move_runs(&self.runs, s, d, back, op),
+                (ColumnData::I64(s), ColumnData::I64(d)) => move_runs(&self.runs, s, d, back, op),
                 _ => panic!("field {f:?} type mismatch between instances"),
             }
         }
     }
 }
 
-/// Copies the values of `fields` for every element of `elements` from
-/// `src` to `dst` (the region assignment `dst ← src` of §3.1, restricted
-/// to a precomputed intersection per §3.3).
-///
-/// `elements` must be a subset of both instance domains.
-pub fn copy_fields(src: &Instance, dst: &mut Instance, fields: &[FieldId], elements: &Domain) {
-    CopyRuns::new(src.indexer(), dst.indexer(), elements).copy(src, dst, fields)
-}
-
-/// Reduction copy (§4.3): folds the values of `fields` from `src` into
-/// `dst` with `op` over `elements`.
-pub fn reduce_fields(
-    src: &Instance,
-    dst: &mut Instance,
-    fields: &[FieldId],
-    elements: &Domain,
-    op: ReductionOp,
+/// Moves one run of `n` elements, `to[t..t + n] ← from[f..f + n]`, or
+/// folds it in with `op`. A short overwrite ([`SHORT_RUN`]) goes
+/// element by element, indexing the whole destination column: the
+/// per-element bounds check, never taken, keeps the compiler from
+/// turning the loop back into a `memcpy` call.
+#[inline(always)]
+fn move_run<T: Element>(
+    to: &mut [T],
+    t: usize,
+    from: &[T],
+    f: usize,
+    n: usize,
+    op: Option<ReductionOp>,
 ) {
-    let runs = CopyRuns::new(src.indexer(), dst.indexer(), elements).runs;
-    for &f in fields {
-        dst.seals[f.0 as usize] = None;
-        match (&src.columns[f.0 as usize], &mut dst.columns[f.0 as usize]) {
-            (ColumnData::F64(s), ColumnData::F64(d)) => {
-                for &(so, do_, n) in &runs {
-                    for (d, &s) in d[do_..do_ + n].iter_mut().zip(&s[so..so + n]) {
-                        *d = op.fold(*d, s);
-                    }
-                }
+    match op {
+        None if n <= SHORT_RUN => {
+            for (k, &v) in from[f..f + n].iter().enumerate() {
+                to[t + k] = v;
             }
-            (ColumnData::I64(s), ColumnData::I64(d)) => {
-                for &(so, do_, n) in &runs {
-                    for (d, &s) in d[do_..do_ + n].iter_mut().zip(&s[so..so + n]) {
-                        *d = op.fold_i64(*d, s);
-                    }
-                }
+        }
+        None => to[t..t + n].copy_from_slice(&from[f..f + n]),
+        Some(op) => {
+            for (a, &b) in to[t..t + n].iter_mut().zip(&from[f..f + n]) {
+                *a = T::fold(op, *a, b);
             }
-            _ => panic!("field {f:?} type mismatch between instances"),
         }
     }
 }
@@ -1256,7 +1307,7 @@ mod tests {
             src.write_f64(x, p, p.coord(0) as f64 * 10.0);
         }
         let inter = src_dom.intersect(&dst_dom);
-        copy_fields(&src, &mut dst, &[x], &inter);
+        CopyRuns::new(src.indexer(), dst.indexer(), &inter).copy(&src, &mut dst, &[x], None);
         assert_eq!(dst.read_f64(x, DynPoint::from(4)), 40.0);
         assert_eq!(dst.read_f64(x, DynPoint::from(5)), 50.0);
         assert_eq!(dst.read_f64(x, DynPoint::from(9)), 0.0, "outside untouched");
@@ -1273,7 +1324,12 @@ mod tests {
         tmp.reduce_f64(q, DynPoint::from(1), ReductionOp::Add, 2.0);
         let mut main = Instance::new(dom.clone(), &fields);
         main.write_f64(q, DynPoint::from(1), 1.0);
-        reduce_fields(&tmp, &mut main, &[q], &dom, ReductionOp::Add);
+        CopyRuns::new(tmp.indexer(), main.indexer(), &dom).copy(
+            &tmp,
+            &mut main,
+            &[q],
+            Some(ReductionOp::Add),
+        );
         assert_eq!(main.read_f64(q, DynPoint::from(1)), 8.0);
         assert_eq!(main.read_f64(q, DynPoint::from(0)), 0.0);
     }
@@ -1316,10 +1372,11 @@ mod tests {
         assert_eq!(inst.seal_value(), None);
         inst.seal();
         let other = Instance::new(Domain::range(8), &fields);
-        copy_fields(&other, &mut inst, &[x], &Domain::range(8));
+        let runs = CopyRuns::new(other.indexer(), inst.indexer(), &Domain::range(8));
+        runs.copy(&other, &mut inst, &[x], None);
         assert_eq!(inst.seal_value(), None);
         inst.seal();
-        reduce_fields(&other, &mut inst, &[x], &Domain::range(8), ReductionOp::Add);
+        runs.copy(&other, &mut inst, &[x], Some(ReductionOp::Add));
         assert_eq!(inst.seal_value(), None);
         // Bind-time invalidation: `unseal_fields` drops the named seals
         // once, and the view stores that follow touch none.

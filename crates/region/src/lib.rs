@@ -38,9 +38,7 @@ pub use checksum::{striped_fnv, StripedFnv};
 pub use field::{FieldDef, FieldId, FieldSpace, FieldType};
 pub use forest::{Color, Disjointness, PartitionId, RegionForest, RegionId};
 pub use hierarchy::{private_ghost_split, PrivateGhost};
-pub use instance::{
-    copy_fields, reduce_fields, ColumnData, CopyRuns, DomainIndexer, Instance, ReductionOp,
-};
+pub use instance::{ColumnData, CopyRuns, DomainIndexer, Instance, ReductionOp};
 pub use intersect::OverlapPair;
 pub use view::{Element, FieldView, Read, ReadWrite, Readable, Reduce, Row, Rows, Run};
 

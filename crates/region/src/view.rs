@@ -56,6 +56,9 @@ pub trait Element: Copy + 'static {
     /// reference to the elements is formed.
     #[doc(hidden)]
     fn raw_column(col: &ColumnData) -> Option<(*const Self, usize)>;
+
+    /// Folds `rhs` into `lhs` with `op`.
+    fn fold(op: ReductionOp, lhs: Self, rhs: Self) -> Self;
 }
 
 impl Element for f64 {
@@ -67,6 +70,11 @@ impl Element for f64 {
             ColumnData::I64(_) => None,
         }
     }
+
+    #[inline]
+    fn fold(op: ReductionOp, lhs: f64, rhs: f64) -> f64 {
+        op.fold(lhs, rhs)
+    }
 }
 
 impl Element for i64 {
@@ -77,6 +85,11 @@ impl Element for i64 {
             ColumnData::I64(v) => Some((v.as_ptr(), v.len())),
             ColumnData::F64(_) => None,
         }
+    }
+
+    #[inline]
+    fn fold(op: ReductionOp, lhs: i64, rhs: i64) -> i64 {
+        op.fold_i64(lhs, rhs)
     }
 }
 

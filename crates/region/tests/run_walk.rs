@@ -1,16 +1,15 @@
 //! The run-wise paths of the data plane against their per-point
-//! definitions, on seeded random inputs: `DomainIndexer::offsets_of`
-//! must equal mapping `offset_of` over the elements,
-//! `copy_fields` / `reduce_fields` (which walk rectangle runs) must
-//! leave exactly what a point-by-point read/write loop leaves, and a
-//! memoized `CopyRuns` must copy what `copy_fields` copies — into
-//! instances it was not computed from, in both directions.
+//! definitions, on seeded random inputs: a `CopyRuns` list, expanded
+//! element by element, must equal mapping `offset_of` over the elements
+//! on both sides; its copy, fold, gather and scatter must leave exactly
+//! what a point-by-point read/write loop leaves; and a memoized run list
+//! must copy what that loop copies — into instances it was not computed
+//! from, in both directions.
 
 use regent_fault::SplitMix64;
 use regent_geometry::{Domain, DynPoint, DynRect};
 use regent_region::{
-    copy_fields, reduce_fields, CopyRuns, DomainIndexer, FieldId, FieldSpace, FieldType, Instance,
-    ReductionOp,
+    CopyRuns, DomainIndexer, FieldId, FieldSpace, FieldType, Instance, ReductionOp,
 };
 
 /// A sparse 1-D id set: each id of `[0, span)` kept with probability
@@ -55,23 +54,35 @@ fn cases() -> Vec<(Domain, Domain)> {
     out
 }
 
+/// The offsets of `elements` in `ix`, one per element in canonical
+/// order, by `offset_of`.
+fn per_point(ix: &DomainIndexer, elements: &Domain) -> Vec<u32> {
+    elements
+        .iter()
+        .map(|p| ix.offset_of(p).expect("element of a subset") as u32)
+        .collect()
+}
+
+/// A run list expanded element by element: its `(src, dst)` offsets.
+fn expand(runs: &CopyRuns) -> (Vec<u32>, Vec<u32>) {
+    runs.runs()
+        .iter()
+        .flat_map(|&(s, d, n)| (0..n).map(move |k| (s + k, d + k)))
+        .unzip()
+}
+
 #[test]
-fn offsets_of_equals_per_point_offset_of() {
+fn copy_runs_expand_to_per_point_offset_of() {
     let mut nonempty = 0;
     for (a, b) in cases() {
         let elements = a.intersect(&b);
-        for dom in [&a, &b] {
-            let ix = DomainIndexer::new(dom);
-            let per_point: Vec<u32> = elements
-                .iter()
-                .map(|p| ix.offset_of(p).expect("element of a subset") as u32)
-                .collect();
-            assert_eq!(
-                ix.offsets_of(&elements),
-                per_point,
-                "{elements:?} in {dom:?}"
-            );
-        }
+        let (ia, ib) = (DomainIndexer::new(&a), DomainIndexer::new(&b));
+        let runs = CopyRuns::new(&ia, &ib, &elements);
+        let (src, dst) = expand(&runs);
+        assert_eq!(src, per_point(&ia, &elements), "{elements:?} in {a:?}");
+        assert_eq!(dst, per_point(&ib, &elements), "{elements:?} in {b:?}");
+        assert_eq!(runs.volume() as u64, elements.volume());
+        assert!(runs.runs().iter().all(|&(_, _, n)| n > 0), "empty run");
         nonempty += usize::from(!elements.is_empty());
     }
     assert!(nonempty > 60, "the cases must mostly overlap: {nonempty}");
@@ -84,13 +95,13 @@ fn rect(lo: [i64; 2], hi: [i64; 2]) -> DynRect {
 /// The runs of `elements` in `ix`, checked against per-point
 /// `offset_of`.
 fn runs_of(ix: &DomainIndexer, elements: &Domain) -> Vec<(u64, u64)> {
-    let per_point: Vec<u32> = elements
-        .iter()
-        .map(|p| ix.offset_of(p).unwrap() as u32)
-        .collect();
-    assert_eq!(ix.offsets_of(elements), per_point);
     let mut runs = Vec::new();
     ix.for_each_run(elements, |off, len| runs.push((off, len)));
+    let walked: Vec<u32> = runs
+        .iter()
+        .flat_map(|&(off, len)| off as u32..(off + len) as u32)
+        .collect();
+    assert_eq!(walked, per_point(ix, elements));
     runs
 }
 
@@ -129,9 +140,9 @@ fn a_row_of_a_bounding_box_layout_is_one_run() {
 
 #[test]
 #[should_panic(expected = "outside the indexed domain")]
-fn offsets_of_rejects_elements_outside_the_domain() {
+fn copy_runs_reject_elements_outside_the_domain() {
     let ix = DomainIndexer::new(&Domain::from_ids([1, 2, 3, 7]));
-    ix.offsets_of(&Domain::from_ids([3, 4]));
+    CopyRuns::new(&ix, &ix, &Domain::from_ids([3, 4]));
 }
 
 fn fields() -> (FieldSpace, FieldId, FieldId) {
@@ -165,16 +176,25 @@ fn run_wise_copy_equals_per_point_copy() {
             expected.write_f64(v, p, src.read_f64(v, p));
             expected.write_i64(k, p, src.read_i64(k, p));
         }
+        let runs = CopyRuns::new(src.indexer(), before.indexer(), &elements);
         let mut got = before.clone();
-        copy_fields(&src, &mut got, &[v, k], &elements);
+        runs.copy(&src, &mut got, &[v, k], None);
         assert_eq!(got.column(v), expected.column(v), "{elements:?}");
         assert_eq!(got.column(k), expected.column(k), "{elements:?}");
 
         // One field only: the other column is left alone.
         let mut got = before.clone();
-        copy_fields(&src, &mut got, &[k], &elements);
+        runs.copy(&src, &mut got, &[k], None);
         assert_eq!(got.column(v), before.column(v));
         assert_eq!(got.column(k), expected.column(k));
+
+        // Through a payload: gathered in canonical order, scattered back.
+        let mut got = before.clone();
+        let mut payload = Vec::new();
+        runs.gather(src.f64_col(v), &mut payload);
+        assert_eq!(payload.len(), runs.volume());
+        runs.scatter(&payload, got.f64_col_mut(v), None);
+        assert_eq!(got.column(v), expected.column(v), "{elements:?}");
     }
 }
 
@@ -199,8 +219,9 @@ fn run_wise_reduce_equals_per_point_fold() {
             let folded = op.fold_i64(expected.read_i64(k, p), src.read_i64(k, p));
             expected.write_i64(k, p, folded);
         }
-        let mut got = before;
-        reduce_fields(&src, &mut got, &[v, k], &elements, op);
+        let runs = CopyRuns::new(src.indexer(), before.indexer(), &elements);
+        let mut got = before.clone();
+        runs.copy(&src, &mut got, &[v, k], Some(op));
         assert_eq!(
             got.column(v),
             expected.column(v),
@@ -211,16 +232,34 @@ fn run_wise_reduce_equals_per_point_fold() {
             expected.column(k),
             "{op:?} over {elements:?}"
         );
+
+        // Through a payload, folded on scatter.
+        let mut got = before;
+        let mut payload = Vec::new();
+        runs.gather(src.i64_col(k), &mut payload);
+        runs.scatter(&payload, got.i64_col_mut(k), Some(op));
+        assert_eq!(
+            got.column(k),
+            expected.column(k),
+            "{op:?} over {elements:?}"
+        );
+    }
+}
+
+/// `dst ← src` over `elements` in field `k`, point by point.
+fn copied_by_points(src: &Instance, dst: &mut Instance, k: FieldId, elements: &Domain) {
+    for p in elements.iter() {
+        dst.write_i64(k, p, src.read_i64(k, p));
     }
 }
 
 /// What a shard image does at every run: the run list of a whole
 /// subregion, computed once from the two layouts, then applied to
 /// *other* instances over the same two domains — root to subregion
-/// (fill) and back (flush) — must move exactly what `copy_fields`
-/// moves. The subregion instance stores one field only.
+/// (fill) and back (flush) — must move exactly what a point-by-point
+/// loop moves. The subregion instance stores one field only.
 #[test]
-fn memoized_runs_copy_what_copy_fields_copies_both_ways() {
+fn memoized_runs_copy_what_a_point_loop_copies_both_ways() {
     let (fs, v, k) = fields();
     let mut rng = SplitMix64::new(0x1a9e_5eed);
     let mut multi_run = 0;
@@ -238,16 +277,16 @@ fn memoized_runs_copy_what_copy_fields_copies_both_ways() {
             // Fill: root → subregion instance.
             let root = filled(&root_dom, &fs, v, k, &mut rng);
             let mut expected = Instance::new(sub_dom.clone(), &fs);
-            copy_fields(&root, &mut expected, &[k], &sub_dom);
+            copied_by_points(&root, &mut expected, k, &sub_dom);
             let mut got = Instance::with_fields(sub_dom.clone(), &fs, &[k]);
-            runs.copy(&root, &mut got, &[k]);
+            runs.copy(&root, &mut got, &[k], None);
             assert_eq!(got.column(k), expected.column(k), "fill {sub_dom:?}");
             assert!(got.column(v).is_empty());
 
             // Flush: subregion instance → another root.
             let before = filled(&root_dom, &fs, v, k, &mut rng);
             let mut expected = before.clone();
-            copy_fields(&got, &mut expected, &[k], &sub_dom);
+            copied_by_points(&got, &mut expected, k, &sub_dom);
             let mut back = before.clone();
             runs.copy_back(&got, &mut back, &[k]);
             assert_eq!(back.column(k), expected.column(k), "flush {sub_dom:?}");

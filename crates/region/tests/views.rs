@@ -16,8 +16,8 @@
 use regent_fault::SplitMix64;
 use regent_geometry::{Domain, DynPoint, DynRect};
 use regent_region::{
-    DomainIndexer, FieldId, FieldSpace, FieldType, FieldView, Instance, Read, ReadWrite, Reduce,
-    ReductionOp, Rows, Run,
+    CopyRuns, DomainIndexer, FieldId, FieldSpace, FieldType, FieldView, Instance, Read, ReadWrite,
+    Reduce, ReductionOp, Rows, Run,
 };
 use std::collections::HashSet;
 
@@ -421,7 +421,14 @@ fn sparse_offsets_are_distinct_and_only_on_members() {
                 .iter()
                 .map(|p| ix.offset_of(p).unwrap() as u32)
                 .collect();
-            assert_eq!(ix.offsets_of(elements), per_point, "{ratio}");
+            let runs = CopyRuns::new(&ix, &ix, elements);
+            let expanded: Vec<u32> = (runs.runs().iter())
+                .flat_map(|&(s, d, n)| {
+                    assert_eq!(s, d, "{ratio}: one layout on both sides");
+                    s..s + n
+                })
+                .collect();
+            assert_eq!(expanded, per_point, "{ratio}");
             let mut walked = Vec::new();
             ix.for_each_run(elements, |off, len| {
                 assert!(len > 0, "{ratio}: empty run");
@@ -674,7 +681,14 @@ fn crosses_index_what_per_point_lookups_index() {
                 .iter()
                 .map(|p| ix.offset_of(p).unwrap() as u32)
                 .collect();
-            assert_eq!(ix.offsets_of(elements), per_point, "{name}");
+            let runs = CopyRuns::new(ix, ix, elements);
+            let expanded: Vec<u32> = (runs.runs().iter())
+                .flat_map(|&(s, d, n)| {
+                    assert_eq!(s, d, "{name}: one layout on both sides");
+                    s..s + n
+                })
+                .collect();
+            assert_eq!(expanded, per_point, "{name}");
             let mut walked = Vec::new();
             ix.for_each_run(elements, |off, len| {
                 assert!(len > 0, "{name}: empty run");

@@ -11,11 +11,22 @@
 //! [`crate::ShardBarrier`] waits around every copy.
 //!
 //! [`ShardExec::run_copy`] runs in three phases: the producer phase
-//! extracts every remote pair's payload into the statement's outbox and
+//! gathers every remote pair's payload into the statement's outbox and
 //! sends each through [`ShardExec::send`]; a flush publishes them; the
 //! consumer phase applies every pair this shard consumes, in the
-//! schedule's order, taking remote payloads from [`ShardExec::recv`]
-//! and moving same-shard pairs instance to instance.
+//! schedule's order, scattering remote payloads from
+//! [`ShardExec::recv`] and moving same-shard pairs instance to
+//! instance. Every one of those moves goes a storage run at a time,
+//! over the pair's [`CopyRuns`] from the schedule.
+//!
+//! A statement costs its data, not its pair count, in bookkeeping: each
+//! phase is one `CopyIssueNs` / `CopyWaitNs` bracket and one bulk add
+//! to `CopiesIssued` / `CopiesApplied`, and an untraced producer phase
+//! visits only the pairs it sends ([`ShardLayout::sends`]). A traced
+//! run visits every pair it produces, to give each its `CopyIssue`
+//! span, and every `CopyApply` span still covers its pair's receive.
+//!
+//! [`ShardLayout::sends`]: regent_cr::ShardLayout::sends
 //!
 //! Under the integrity protocol every payload is a checksummed frame.
 //! The checksum covers the *intended* chunks and is computed for the
@@ -38,7 +49,7 @@ use crate::spmd_exec::{inst_id, ShardExec};
 use regent_cr::{CopyId, CopySource, CopyStmt};
 use regent_fault::{message_key, DeathCause, PeerDeath};
 use regent_region::checksum::StripedFnv;
-use regent_region::{ColumnData, FieldId, Instance, ReductionOp};
+use regent_region::{ColumnData, CopyRuns, FieldId, Instance, ReductionOp};
 use regent_trace::{fields_mask, CorruptSite, EventKind};
 use std::sync::mpsc::RecvTimeoutError;
 
@@ -169,20 +180,23 @@ impl ShardExec<'_> {
         };
         // Producer phase (§3.4: copies are issued by the producer). A
         // pair that stays on this shard has nothing to stage: the
-        // consumer phase moves it instance to instance.
-        for &seq in &layout.produces[ix] {
+        // consumer phase moves it instance to instance. So an untraced
+        // run visits only the pairs it sends; a traced one visits every
+        // pair it produces, to give each its `CopyIssue` span.
+        let produced = &layout.produces[ix];
+        let m0 = self.mx.start();
+        for &seq in if traced { produced } else { &layout.sends[ix] } {
             let p = &pairs[seq as usize];
             let t0 = self.tb.now();
-            let m0 = self.mx.start();
             if p.dst_owner != self.shard {
                 let src = &self.data.insts[p.src_slot as usize];
-                let chunks = extract(&mut self.pool, src, &c.fields, &p.src_offsets);
+                let chunks = gather(&mut self.pool, src, &c.fields, &p.runs);
                 // Work counters count logical messages, not integrity
                 // retransmissions (those are visible through the
                 // corruption counters instead).
                 if self.useful_work() {
                     self.stats.messages_sent += 1;
-                    self.stats.elements_sent += p.src_offsets.len() as u64;
+                    self.stats.elements_sent += p.runs.volume() as u64;
                 }
                 self.scratch.outbox.push(Outbound {
                     pair_seq: seq,
@@ -198,14 +212,14 @@ impl ShardExec<'_> {
                         copy: c.id.0,
                         pair: seq,
                         seq: occurrence,
-                        elements: p.src_offsets.len() as u64,
+                        elements: p.runs.volume() as u64,
                         dst_shard: p.dst_owner as u32,
                     },
                 );
             }
-            self.mx.incr(Counter::CopiesIssued);
-            self.mx.record_since(m0, Timer::CopyIssueNs);
         }
+        self.mx.add(Counter::CopiesIssued, produced.len() as u64);
+        self.mx.record_since(m0, Timer::CopyIssueNs);
         if integrity && !self.scratch.outbox.is_empty() {
             // The statement's frames are checksummed under one bracket.
             let m0 = self.mx.start();
@@ -227,10 +241,11 @@ impl ShardExec<'_> {
         }
         // Consumer phase: apply in the global deterministic order (the
         // receive is the point-to-point synchronization).
-        for &seq in &layout.consumes[ix] {
+        let consumed = &layout.consumes[ix];
+        let m0 = self.mx.start();
+        for &seq in consumed {
             let p = &pairs[seq as usize];
             let t0 = self.tb.now();
-            let m0 = self.mx.start();
             if p.src_owner == self.shard {
                 // Source and destination are instances of different
                 // uses (asserted above), so the slots differ.
@@ -239,12 +254,11 @@ impl ShardExec<'_> {
                     .insts
                     .get_disjoint_mut([p.src_slot as usize, p.dst_slot as usize])
                     .expect("a same-shard pair copies between two instances");
-                let offsets = (&p.src_offsets[..], &p.dst_offsets[..]);
-                apply_local(src, dst, &c.fields, offsets, c.reduction);
+                p.runs.copy(src, dst, &c.fields, c.reduction);
             } else {
                 let chunks = self.recv(c.id, seq, p.src_owner);
                 let dst = &mut self.data.insts[p.dst_slot as usize];
-                apply(dst, &c.fields, &p.dst_offsets, &chunks, c.reduction);
+                scatter(dst, &c.fields, &p.runs, &chunks, c.reduction);
                 // The drained payload feeds the freelist the producer
                 // side draws from — steady state allocates nothing.
                 recycle_chunks(&mut self.pool, chunks);
@@ -252,8 +266,6 @@ impl ShardExec<'_> {
             if reseal {
                 self.scratch.applied.push(p.dst_slot);
             }
-            self.mx.incr(Counter::CopiesApplied);
-            self.mx.record_since(m0, Timer::CopyWaitNs);
             if traced {
                 // The span covers the blocking receive, so copy stalls
                 // are visible in profiles.
@@ -271,6 +283,8 @@ impl ShardExec<'_> {
                 );
             }
         }
+        self.mx.add(Counter::CopiesApplied, consumed.len() as u64);
+        self.mx.record_since(m0, Timer::CopyWaitNs);
         if !self.scratch.applied.is_empty() {
             // The applied data is verified; the written columns become
             // authoritative again. Seals are only read at epoch
@@ -418,26 +432,27 @@ impl ShardExec<'_> {
     }
 }
 
-/// Extracts field payloads at precomputed offsets (canonical element
-/// order of the pair's intersection). Buffers come from the shard's
-/// [`ChunkPool`] so steady-state exchanges never hit the allocator.
-fn extract(
+/// Gathers a pair's payload from its source instance: one chunk per
+/// field, in the canonical element order of the pair's intersection.
+/// Buffers come from the shard's [`ChunkPool`] so steady-state
+/// exchanges never hit the allocator.
+fn gather(
     pool: &mut ChunkPool,
     inst: &Instance,
     fields: &[FieldId],
-    offsets: &[u32],
+    runs: &CopyRuns,
 ) -> Vec<Chunk> {
     fields
         .iter()
         .map(|&f| match inst.column(f) {
             ColumnData::F64(col) => {
-                let mut v = pool.take_f64(offsets.len());
-                v.extend(offsets.iter().map(|&o| col[o as usize]));
+                let mut v = pool.take_f64(runs.volume());
+                runs.gather(col, &mut v);
                 Chunk::F64(v)
             }
             ColumnData::I64(col) => {
-                let mut v = pool.take_i64(offsets.len());
-                v.extend(offsets.iter().map(|&o| col[o as usize]));
+                let mut v = pool.take_i64(runs.volume());
+                runs.gather(col, &mut v);
                 Chunk::I64(v)
             }
         })
@@ -455,74 +470,19 @@ fn recycle_chunks(pool: &mut ChunkPool, chunks: Vec<Chunk>) {
     }
 }
 
-/// Applies field payloads at precomputed offsets, either overwriting
-/// or folding (§4.3 reduction copies).
-fn apply(
+/// Scatters a received payload into the pair's destination instance,
+/// overwriting or folding (§4.3 reduction copies).
+fn scatter(
     inst: &mut Instance,
     fields: &[FieldId],
-    offsets: &[u32],
+    runs: &CopyRuns,
     chunks: &[Chunk],
     reduction: Option<ReductionOp>,
 ) {
     for (&f, chunk) in fields.iter().zip(chunks) {
         match chunk {
-            Chunk::F64(vals) => {
-                let fold = reduction.map(|op| move |a, b| op.fold(a, b));
-                scatter(inst.f64_col_mut(f), offsets, vals.iter().copied(), fold)
-            }
-            Chunk::I64(vals) => {
-                let fold = reduction.map(|op| move |a, b| op.fold_i64(a, b));
-                scatter(inst.i64_col_mut(f), offsets, vals.iter().copied(), fold)
-            }
-        }
-    }
-}
-
-/// A same-shard pair: gathers from `src` at `(from, to).0` and scatters
-/// into `dst` at `.1` in one pass over the pair's offset tables, in the
-/// same element order and with the same per-element fold a staged
-/// payload would have seen.
-fn apply_local(
-    src: &Instance,
-    dst: &mut Instance,
-    fields: &[FieldId],
-    (from, to): (&[u32], &[u32]),
-    reduction: Option<ReductionOp>,
-) {
-    let gather = from.iter().map(|&o| o as usize);
-    for &f in fields {
-        match src.column(f) {
-            ColumnData::F64(col) => {
-                let fold = reduction.map(|op| move |a, b| op.fold(a, b));
-                let vals = gather.clone().map(|o| col[o]);
-                scatter(dst.f64_col_mut(f), to, vals, fold)
-            }
-            ColumnData::I64(col) => {
-                let fold = reduction.map(|op| move |a, b| op.fold_i64(a, b));
-                let vals = gather.clone().map(|o| col[o]);
-                scatter(dst.i64_col_mut(f), to, vals, fold)
-            }
-        }
-    }
-}
-
-/// Writes `vals` to `col` at `offsets`, through `fold` when given.
-fn scatter<T: Copy>(
-    col: &mut [T],
-    offsets: &[u32],
-    vals: impl Iterator<Item = T>,
-    fold: Option<impl Fn(T, T) -> T>,
-) {
-    match fold {
-        None => {
-            for (&o, v) in offsets.iter().zip(vals) {
-                col[o as usize] = v;
-            }
-        }
-        Some(fold) => {
-            for (&o, v) in offsets.iter().zip(vals) {
-                col[o as usize] = fold(col[o as usize], v);
-            }
+            Chunk::F64(vals) => runs.scatter(vals, inst.f64_col_mut(f), reduction),
+            Chunk::I64(vals) => runs.scatter(vals, inst.i64_col_mut(f), reduction),
         }
     }
 }
@@ -577,16 +537,19 @@ mod tests {
         let space = FieldSpace::of(&[("x", FieldType::F64), ("n", FieldType::I64)]);
         let fields = [FieldId(0), FieldId(1)];
         let mut src = Instance::new(Domain::range(8), &space);
-        let mut dst = Instance::new(Domain::range(6), &space);
+        // Laid out over its span 1..=9: ids 1, 3, 5, 7 sit at 0, 2, 4, 6.
+        let mut dst = Instance::new(Domain::from_ids([1, 3, 5, 7, 8, 9]), &space);
         for k in 0..8 {
             src.f64_col_mut(fields[0])[k] = 0.75 * k as f64 - 2.0;
             src.i64_col_mut(fields[1])[k] = 3 * k as i64 - 7;
         }
-        for k in 0..6 {
+        for k in 0..9 {
             dst.f64_col_mut(fields[0])[k] = 1.25 - k as f64;
             dst.i64_col_mut(fields[1])[k] = 5 - k as i64;
         }
-        let (from, to): (&[u32], &[u32]) = (&[1, 3, 5, 7], &[0, 2, 4, 5]);
+        let elements = Domain::from_ids([1, 3, 5, 7]);
+        let runs = CopyRuns::new(src.indexer(), dst.indexer(), &elements);
+        assert_eq!(runs.runs(), [(1, 0, 1), (3, 2, 1), (5, 4, 1), (7, 6, 1)]);
         let ops = [
             None,
             Some(ReductionOp::Add),
@@ -597,10 +560,10 @@ mod tests {
         let mut pool = ChunkPool::new();
         for op in ops {
             let mut local = dst.clone();
-            apply_local(&src, &mut local, &fields, (from, to), op);
+            runs.copy(&src, &mut local, &fields, op);
             let mut staged = dst.clone();
-            let chunks = extract(&mut pool, &src, &fields, from);
-            apply(&mut staged, &fields, to, &chunks, op);
+            let chunks = gather(&mut pool, &src, &fields, &runs);
+            scatter(&mut staged, &fields, &runs, &chunks, op);
             recycle_chunks(&mut pool, chunks);
             let bits = |i: &Instance| -> Vec<u64> {
                 i.f64_col(fields[0]).iter().map(|v| v.to_bits()).collect()
@@ -615,8 +578,9 @@ mod tests {
         }
         // An overwrite lands the gathered values unchanged.
         let mut local = dst.clone();
-        apply_local(&src, &mut local, &fields, (from, to), None);
+        runs.copy(&src, &mut local, &fields, None);
         assert_eq!(local.f64_col(fields[0])[2], src.f64_col(fields[0])[3]);
-        assert_eq!(local.i64_col(fields[1])[5], src.i64_col(fields[1])[7]);
+        assert_eq!(local.i64_col(fields[1])[6], src.i64_col(fields[1])[7]);
+        assert_eq!(local.i64_col(fields[1])[7], dst.i64_col(fields[1])[7]);
     }
 }

@@ -29,9 +29,13 @@ pub enum Counter {
     Launches,
     /// Point-task kernels executed.
     TaskRuns,
-    /// Copy messages extracted and sent (producer side).
+    /// Exchange pairs produced (producer side): one per pair a copy
+    /// statement's producer phase visits, whether it leaves the shard as
+    /// a message or stays for the consumer phase to move locally. Added
+    /// once per statement.
     CopiesIssued,
-    /// Copy messages received and applied (consumer side).
+    /// Exchange pairs applied (consumer side), received or local. Added
+    /// once per statement.
     CopiesApplied,
     /// Barrier waits entered.
     BarrierWaits,
@@ -194,10 +198,12 @@ pub enum Timer {
     TaskRunNs,
     /// Dependence-analysis time per task (implicit executor).
     DepAnalysisNs,
-    /// Producer-side copy time per pair (extract and stage; the
-    /// statement's sends follow its last pair, untimed).
+    /// Producer-side copy time, one sample per copy statement per
+    /// shard: the producer phase's gathers and staging (its sends follow,
+    /// untimed).
     CopyIssueNs,
-    /// Consumer-side copy time (blocking receive + apply).
+    /// Consumer-side copy time, one sample per copy statement per shard:
+    /// the consumer phase's blocking receives and applies.
     CopyWaitNs,
     /// Time blocked at a barrier.
     BarrierWaitNs,
@@ -222,7 +228,7 @@ pub enum Timer {
     /// the survivors from the last committed checkpoint.
     FailoverReconstructNs,
     /// Time building an exchange schedule (the §3.3 inspector:
-    /// intersections plus gather/scatter offsets), per build.
+    /// intersections plus storage runs), per build.
     ScheduleBuildNs,
     /// Time filling a shard's image from the store at the start of a
     /// run (seals dropped, declared columns copied in, temporaries

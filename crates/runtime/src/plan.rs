@@ -1,5 +1,5 @@
 //! The runtime's view of the exchange schedule (§3.3). The schedule
-//! itself — pairs, element sets, gather/scatter offsets — is built and
+//! itself — pairs, element sets, storage runs — is built and
 //! memoized by `regent_cr::schedule`; this module re-exports its types
 //! and gives every SPMD-family executor one way to obtain it that also
 //! accounts for what the run paid.

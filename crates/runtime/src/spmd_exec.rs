@@ -142,8 +142,8 @@ pub(crate) fn run_spmd(
 /// identically under both strategies.
 pub(crate) struct ShardExec<'a> {
     pub(crate) spmd: &'a SpmdProgram,
-    /// The program's exchange schedule (pairs plus gather/scatter
-    /// offsets), shared read-only with every other shard and run.
+    /// The program's exchange schedule (pairs plus their storage
+    /// runs), shared read-only with every other shard and run.
     pub(crate) schedule: &'a ExchangeSchedule,
     /// This shard's slice of the schedule: its instance slots and the
     /// pairs it produces and consumes.

@@ -1,8 +1,9 @@
 //! Tests of the exchange-schedule evaluation (§3.3): pair ownership,
 //! ordering, element exactness, the scale-invariance property the
 //! paper relies on (O(1) intersections per region for halo patterns),
-//! the per-pair frame bound that sizes the exchange rings, and the
-//! memoization contract — built once per program and shard count,
+//! the per-pair frame bound that sizes the exchange rings, each pair's
+//! storage runs against the per-element offset tables they replace, and
+//! the memoization contract — built once per program and shard count,
 //! replayed by every later run.
 
 use regent_cr::{control_replicate, CrOptions, SpmdProgram};
@@ -10,8 +11,9 @@ use regent_geometry::{Domain, DynPoint};
 use regent_ir::{
     expr::c, KernelFn, Program, ProgramBuilder, RegionArg, RegionParam, Store, TaskDecl,
 };
-use regent_region::{ops, FieldId, FieldSpace, FieldType};
+use regent_region::{ops, DomainIndexer, FieldId, FieldSpace, FieldType, RegionId};
 use regent_runtime::{build_exchange_plan, metrics, run, Compiled, Counter, InstKey, RunOptions};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// `out[p] ← out[p]/2 + (sum of `halo` over p-1, p, p+1 where held)/4 + 1`
@@ -428,9 +430,110 @@ fn changing_num_shards_rebuilds_the_schedule() {
             (want.src_owner, want.dst_owner, want.src_key, want.dst_key)
         );
         assert_eq!(got.elements, want.elements);
-        assert_eq!(got.src_offsets, want.src_offsets);
-        assert_eq!(got.dst_offsets, want.dst_offsets);
+        assert_eq!(got.runs.runs(), want.runs.runs());
     }
     assert_eq!(at2.setup.num_pairs, fresh_plan.setup.num_pairs);
     assert_eq!(run_digest(&fresh, fresh_store), narrow);
+}
+
+/// Stencil at the benchmark's size, `ntx` × `nty` tiles, one step.
+fn stencil_shape(ntx: usize, nty: usize) -> Program {
+    let cfg = regent_apps::stencil::StencilConfig {
+        n: 128,
+        ntx,
+        nty,
+        radius: 2,
+        steps: 1,
+    };
+    regent_apps::stencil::stencil_program(cfg).0
+}
+
+/// Builds one program.
+type Build = fn() -> Program;
+
+/// The benchmark's four workload shapes (`benchmark/src/workloads.rs`),
+/// one step each: Stencil as two big tiles and as 8×8 small ones, the
+/// sparse Circuit graph, and PENNANT.
+fn workload_shapes() -> [(&'static str, Build); 4] {
+    use regent_apps::{circuit, pennant};
+    [
+        ("stencil_bulk", || stencil_shape(2, 1)),
+        ("stencil_fine", || stencil_shape(8, 8)),
+        ("circuit_sparse", || {
+            let cfg = circuit::CircuitConfig {
+                pieces: 8,
+                nodes_per_piece: 500,
+                wires_per_piece: 2000,
+                cross_fraction: 0.3,
+                steps: 1,
+                substeps: 1,
+                seed: 1,
+            };
+            let g = circuit::generate_graph(&cfg);
+            circuit::circuit_program(cfg, &g).0
+        }),
+        ("pennant_dt", || {
+            let cfg = pennant::PennantConfig {
+                nzx: 48,
+                nzy: 24,
+                pieces: 8,
+                tstop: 1e-3,
+                dtmax: 1e-3,
+            };
+            let mesh = pennant::build_mesh(&cfg);
+            pennant::pennant_program(cfg, &mesh).0
+        }),
+    ]
+}
+
+/// A pair's storage runs, expanded element by element, are the two
+/// offset tables the schedule stored before it stored runs: the
+/// storage offset of every exchanged element, in canonical element
+/// order, in the source and in the destination instance, each computed
+/// here point by point from `elements` and the instance's indexer. So
+/// payloads carry their elements in the same order as before, and frame
+/// checksums and fold order are unchanged. Two big Stencil tiles move
+/// each same-shard pair as one run.
+#[test]
+fn runs_expand_to_the_offset_tables() {
+    for (label, build) in workload_shapes() {
+        for shards in [2, 4] {
+            let spmd = control_replicate(build(), &CrOptions::new(shards)).unwrap();
+            let plan = build_exchange_plan(&spmd);
+            let mut indexers: HashMap<RegionId, DomainIndexer> = HashMap::new();
+            let mut table = |owner: usize, slot: u32, elements: &Domain| -> Vec<u32> {
+                let region = plan.layouts[owner].slots[slot as usize].region;
+                let ix = indexers
+                    .entry(region)
+                    .or_insert_with(|| DomainIndexer::new(spmd.forest.domain(region)));
+                elements
+                    .iter()
+                    .map(|e| ix.offset_of(e).expect("an exchanged element") as u32)
+                    .collect()
+            };
+            let (mut pairs, mut runs, mut bulk_local) = (0, 0, 0);
+            for p in plan.pairs.iter().flatten() {
+                let (src, dst): (Vec<u32>, Vec<u32>) = (p.runs.runs().iter())
+                    .flat_map(|&(s, d, n)| (0..n).map(move |k| (s + k, d + k)))
+                    .unzip();
+                let at = format!(
+                    "{label} at {shards} shards, {:?} → {:?}",
+                    p.src_key, p.dst_key
+                );
+                assert_eq!(src, table(p.src_owner, p.src_slot, &p.elements), "{at}");
+                assert_eq!(dst, table(p.dst_owner, p.dst_slot, &p.elements), "{at}");
+                assert_eq!(p.runs.volume() as u64, p.elements.volume(), "{at}");
+                if label == "stencil_bulk" && p.src_owner == p.dst_owner {
+                    assert_eq!(p.runs.runs().len(), 1, "{at}: {:?}", p.runs.runs());
+                    bulk_local += 1;
+                }
+                pairs += 1;
+                runs += p.runs.runs().len();
+            }
+            assert_eq!(plan.setup.num_pairs, pairs, "{label}");
+            assert_eq!(plan.setup.num_runs, runs, "{label}");
+            assert!(runs >= pairs, "{label}");
+            assert_eq!(bulk_local > 0, label == "stencil_bulk", "{label}");
+        }
+    }
 }

@@ -136,7 +136,7 @@ fn surface() {
         hits(&["crates/machine/src"], |l| l.contains("pub fn simulate_")),
     );
 
-    const DELETED: [&str; 85] = [
+    const DELETED: [&str; 91] = [
         "execute_spmd",
         "execute_spmd_with_env",
         "execute_spmd_with_env_traced",
@@ -222,6 +222,12 @@ fn surface() {
         "real_entry",
         "new_owner",
         "size_bytes",
+        "offsets_of",
+        "copy_fields",
+        "reduce_fields",
+        "src_offsets",
+        "dst_offsets",
+        "offsets_seconds",
     ];
     let deleted = |line: &str| {
         words(line).any(|w| {
