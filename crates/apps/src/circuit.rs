@@ -194,7 +194,6 @@ pub fn circuit_program(cfg: CircuitConfig, graph: &CircuitGraph) -> (Program, Ci
                 }
             }
         }),
-        cost_per_element: 3.0 + 2.0 * substeps as f64,
     });
     let distribute = b.task(TaskDecl {
         name: "distribute_charge".into(),
@@ -222,7 +221,6 @@ pub fn circuit_program(cfg: CircuitConfig, graph: &CircuitGraph) -> (Program, Ci
                 }
             }
         }),
-        cost_per_element: 2.0,
     });
     let update = b.task(TaskDecl {
         name: "update_voltages".into(),
@@ -241,7 +239,6 @@ pub fn circuit_program(cfg: CircuitConfig, graph: &CircuitGraph) -> (Program, Ci
                 }
             }
         }),
-        cost_per_element: 2.0,
     });
 
     let dt = b.scalar("dt", 1e-2);

@@ -249,7 +249,6 @@ pub fn miniaero_program(cfg: MiniAeroConfig, mesh: &AeroMesh) -> (Program, AeroH
                 }
             }
         }),
-        cost_per_element: 20.0,
     });
     let dt = cfg.dt;
     // Snapshot task: u₀ = u at the start of each RK step.
@@ -276,7 +275,6 @@ pub fn miniaero_program(cfg: MiniAeroConfig, mesh: &AeroMesh) -> (Program, AeroH
                 }
             }
         }),
-        cost_per_element: 5.0,
     });
     // Stage task: u = u₀ + α·dt·R(u), residual cleared. The stage
     // coefficient α arrives as a scalar argument.
@@ -308,7 +306,6 @@ pub fn miniaero_program(cfg: MiniAeroConfig, mesh: &AeroMesh) -> (Program, AeroH
                 }
             }
         }),
-        cost_per_element: 8.0,
     });
 
     let l = b.for_loop(c(cfg.steps as f64));

@@ -213,7 +213,6 @@ pub fn pennant_program(cfg: PennantConfig, mesh: &PennantMesh) -> (Program, Penn
                 }
             }
         }),
-        cost_per_element: 15.0,
     });
 
     // 2. Corner force scatter.
@@ -260,7 +259,6 @@ pub fn pennant_program(cfg: PennantConfig, mesh: &PennantMesh) -> (Program, Penn
                 }
             }
         }),
-        cost_per_element: 20.0,
     });
 
     // 3. Point kinematics.
@@ -295,7 +293,6 @@ pub fn pennant_program(cfg: PennantConfig, mesh: &PennantMesh) -> (Program, Penn
                 }
             }
         }),
-        cost_per_element: 10.0,
     });
 
     // 4. CFL estimate per zone.
@@ -321,7 +318,6 @@ pub fn pennant_program(cfg: PennantConfig, mesh: &PennantMesh) -> (Program, Penn
             }
             ctx.set_return(dt);
         }),
-        cost_per_element: 8.0,
     });
 
     let t = b.scalar("t", 0.0);

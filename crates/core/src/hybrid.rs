@@ -126,7 +126,6 @@ mod tests {
             num_scalar_args: 0,
             returns_value: false,
             kernel: Arc::new(|_| {}),
-            cost_per_element: 1.0,
         });
         let l = b.for_loop(c(2.0));
         b.index_launch(t, 4, vec![RegionArg::Part(p)]);
@@ -154,7 +153,6 @@ mod tests {
             num_scalar_args: 0,
             returns_value: false,
             kernel: Arc::new(|_| {}),
-            cost_per_element: 1.0,
         });
         b.call(t, vec![r]);
         let hybrid = replicate_ranges(b.build(), &CrOptions::new(2)).unwrap();

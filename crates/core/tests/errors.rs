@@ -15,7 +15,6 @@ fn noop(params: Vec<RegionParam>) -> TaskDecl {
         num_scalar_args: 0,
         returns_value: false,
         kernel: Arc::new(|_| {}),
-        cost_per_element: 1.0,
     }
 }
 

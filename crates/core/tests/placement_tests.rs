@@ -19,7 +19,6 @@ fn task(params: Vec<RegionParam>) -> TaskDecl {
         num_scalar_args: 0,
         returns_value: false,
         kernel: Arc::new(|_| {}),
-        cost_per_element: 1.0,
     }
 }
 

@@ -319,7 +319,6 @@ mod tests {
                     ctx.write_f64(0, x, pt, v * 2.0);
                 }
             }),
-            cost_per_element: 1.0,
         });
         let l = b.for_loop(c(steps));
         b.index_launch(t, parts as u64, vec![crate::program::RegionArg::Part(p)]);
@@ -367,7 +366,6 @@ mod tests {
                 }
                 ctx.set_return(m);
             }),
-            cost_per_element: 1.0,
         });
         let dt = b.scalar("dt", 0.0);
         b.index_launch_full(
@@ -415,7 +413,6 @@ mod tests {
                     ctx.reduce_f64(1, q, DynPoint::from(n), 1.0);
                 }
             }),
-            cost_per_element: 1.0,
         });
         b.index_launch(
             t,
@@ -470,7 +467,6 @@ mod tests {
                     ctx.write_f64(0, x, pt, v);
                 }
             }),
-            cost_per_element: 1.0,
         });
         b.index_launch_full(
             t,
@@ -550,7 +546,6 @@ mod branch_tests {
                 }
                 ctx.set_return(acc * scale);
             }),
-            cost_per_element: 1.0,
         });
         let out = b.scalar("out", 0.0);
         b.call_full(sum, vec![r], vec![c(2.0)], Some(out));

@@ -120,7 +120,6 @@ mod tests {
             num_scalar_args: 0,
             returns_value: false,
             kernel: Arc::new(|_| {}),
-            cost_per_element: 1.0,
         });
         (b, p, t)
     }

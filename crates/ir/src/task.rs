@@ -98,8 +98,7 @@ impl RegionParam {
 /// not consider the code inside of a task" property of §2.1.
 pub type KernelFn = Arc<dyn Fn(&mut TaskCtx<'_>) + Send + Sync>;
 
-/// A task declaration: name, privileges, kernel, and a cost hint for
-/// the machine simulator.
+/// A task declaration: name, privileges and kernel.
 #[derive(Clone)]
 pub struct TaskDecl {
     /// Human-readable task name.
@@ -113,10 +112,6 @@ pub struct TaskDecl {
     pub returns_value: bool,
     /// The task body.
     pub kernel: KernelFn,
-    /// Simulated compute cost per element of the first region argument,
-    /// in arbitrary work units (the machine model multiplies by its
-    /// per-unit time). Defaults to 1.0.
-    pub cost_per_element: f64,
 }
 
 impl fmt::Debug for TaskDecl {
@@ -126,7 +121,6 @@ impl fmt::Debug for TaskDecl {
             .field("params", &self.params)
             .field("num_scalar_args", &self.num_scalar_args)
             .field("returns_value", &self.returns_value)
-            .field("cost_per_element", &self.cost_per_element)
             .finish_non_exhaustive()
     }
 }

@@ -281,7 +281,7 @@ impl<'a, T: Element, A: Copy> FieldView<'a, T, A> {
             end[self.dim - 1] += len as i64 - 1;
             self.check_domain(end);
         }
-        self.column.slice(off, len)
+        self.column.sub(off, len)
     }
 }
 
@@ -393,8 +393,13 @@ impl<'a, T: Element, A: Copy> Row<'a, T, A> {
         self.cells.is_empty()
     }
 
+    /// Elements `off .. off + len` as a row of their own, with the same
+    /// access: a window of a row bound once, without another lookup.
+    ///
+    /// # Panics
+    /// If the window leaves the row.
     #[inline]
-    fn slice(&self, off: usize, len: usize) -> Row<'a, T, A> {
+    pub fn sub(&self, off: usize, len: usize) -> Row<'a, T, A> {
         Row {
             cells: &self.cells[off..off + len],
             access: self.access,

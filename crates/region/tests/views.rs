@@ -185,6 +185,12 @@ fn rows_visit_each_element_once_in_canonical_order() {
                 assert_eq!(row.get(e), seen as f64, "{name}: row {run:?} element {e}");
                 seen += 1;
             }
+            // A window of the row is the row's own elements, reindexed.
+            let off = run.len / 3;
+            let window = row.sub(off, run.len - off);
+            for e in 0..window.len() {
+                assert_eq!(window.get(e), row.get(off + e), "{name}: window of {run:?}");
+            }
         }
         assert_eq!(seen, dom.volume(), "{name}: every element exactly once");
     }
@@ -571,6 +577,18 @@ fn a_row_into_a_corner_hole_panics() {
     let inst = Instance::new(stencil_halo(16, 31, 2), &fs);
     // Row 14 is the upper arm, columns 16..=31; column 32 is a corner.
     inst.view::<f64>(a).row2(14, 16, 17);
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn a_window_past_the_row_panics() {
+    let (fs, a, ..) = fields();
+    let inst = Instance::new(Domain::range(8), &fs);
+    let run = Run {
+        start: DynPoint::new(&[0]),
+        len: 8,
+    };
+    inst.view::<f64>(a).row(run).sub(4, 5);
 }
 
 #[test]

@@ -1395,7 +1395,6 @@ mod tests {
                         }
                     }
                 }),
-                cost_per_element: 1.0,
             });
             b.call(task, vec![regions[*at]]);
         }
@@ -1457,7 +1456,6 @@ mod tests {
                     ctx.reduce_f64(0, x, q, 0.1);
                 }
             }),
-            cost_per_element: 1.0,
         });
         b.index_launch(add, N, vec![RegionArg::Region(r)]);
         let prog = b.build();
@@ -1512,7 +1510,6 @@ mod tests {
                     ctx.reduce_f64(0, x, q, 0.5);
                 }
             }),
-            cost_per_element: 1.0,
         });
         let read = b.task(TaskDecl {
             name: "read".into(),
@@ -1520,7 +1517,6 @@ mod tests {
             num_scalar_args: 0,
             returns_value: false,
             kernel: Arc::new(|_| {}),
-            cost_per_element: 1.0,
         });
         let steps = b.for_loop(regent_ir::ScalarExpr::Const(5.0));
         b.index_launch(add, 4, vec![RegionArg::Part(p)]);

@@ -25,7 +25,7 @@ use std::time::Instant;
 /// Monotonic event counters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Counter {
-    /// Task launches issued (control thread or shard).
+    /// Point tasks launched (control thread or shard).
     Launches,
     /// Point-task kernels executed.
     TaskRuns,
@@ -194,7 +194,10 @@ impl Counter {
 /// Latency histograms (all in nanoseconds).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Timer {
-    /// Kernel execution time per point task.
+    /// Kernel execution time: one sample per point task in the
+    /// implicit executor; one sample per launch per shard in the SPMD
+    /// family, over the shard's whole point loop (argument binding
+    /// included).
     TaskRunNs,
     /// Dependence-analysis time per task (implicit executor).
     DepAnalysisNs,

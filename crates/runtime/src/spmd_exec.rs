@@ -567,6 +567,10 @@ impl<'a> ShardExec<'a> {
         // still-valid seals.
         self.scratch.reseal.clear();
         let mut reduced: Option<f64> = None;
+        // One `TaskRunNs` sample for the shard's whole point loop, not
+        // one per point: two clock reads per point are a visible share
+        // of a fine-grained launch's kernels.
+        let m0 = self.mx.start();
         for (local_idx, &c) in owned.iter().enumerate() {
             let pos = (block_start + local_idx) as u32;
             // Resolve argument instances and domains: the layout
@@ -610,15 +614,11 @@ impl<'a> ShardExec<'a> {
                 pos,
                 task: l.task.0,
             });
-            self.mx.incr(Counter::Launches);
             let mut ctx = TaskCtx::new(&self.scratch.slots, &self.scratch.scalar_args, c);
             let t0 = self.tb.now();
-            let m0 = self.mx.start();
             (decl.kernel)(&mut ctx);
             let returned = ctx.return_value;
             self.scratch.slots.clear();
-            self.mx.incr(Counter::TaskRuns);
-            self.mx.record_since(m0, Timer::TaskRunNs);
             self.tb.span_since(
                 t0,
                 EventKind::TaskRun {
@@ -638,6 +638,9 @@ impl<'a> ShardExec<'a> {
                 });
             }
         }
+        self.mx.add(Counter::Launches, owned.len() as u64);
+        self.mx.add(Counter::TaskRuns, owned.len() as u64);
+        self.mx.record_since(m0, Timer::TaskRunNs);
         if !self.scratch.reseal.is_empty() {
             let m0 = self.mx.start();
             let mut sealed = 0;

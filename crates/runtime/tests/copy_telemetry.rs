@@ -1,11 +1,14 @@
 //! The always-on registry times a copy statement once per phase, not
-//! once per pair: on each shard, each execution of a copy statement
-//! adds one `CopyIssueNs` sample (its producer phase) and one
-//! `CopyWaitNs` sample (its consumer phase), however many pairs it
-//! moves, while `CopiesIssued` / `CopiesApplied` still count every pair
-//! produced and consumed. Counted through the process-global registry,
-//! so this binary holds the one test that reads it, and it counts what
-//! its runs add rather than clearing the registry.
+//! once per pair, and a launch once per shard, not once per point: on
+//! each shard, each execution of a copy statement adds one
+//! `CopyIssueNs` sample (its producer phase) and one `CopyWaitNs` sample
+//! (its consumer phase), however many pairs it moves, and each launch
+//! adds one `TaskRunNs` sample, however many points it runs, while
+//! `CopiesIssued` / `CopiesApplied` still count every pair produced and
+//! consumed and `Launches` / `TaskRuns` every point. Counted through the
+//! process-global registry, so this binary holds the one test that
+//! reads it, and it counts what its runs add rather than clearing the
+//! registry.
 
 use regent_apps::stencil;
 use regent_cr::{control_replicate, CopyId, CrOptions, IntersectId, SpmdStmt};
@@ -70,8 +73,9 @@ fn copy_timers_take_one_sample_per_statement_phase() {
     let mut copies = HashMap::new();
     copy_intersections(&spmd.body, &mut copies);
     let (schedule, _) = spmd.schedule();
-    let (mut issued, mut applied) = (0u64, 0u64);
+    let (mut issued, mut applied, mut points) = (0u64, 0u64, 0u64);
     let mut executions: HashSet<(usize, u32, u32)> = HashSet::new();
+    let mut launches: HashSet<(usize, u32)> = HashSet::new();
     for shard in 0..SHARDS {
         let track = trace.track(&format!("shard-{shard}")).unwrap();
         for e in &track.events {
@@ -83,6 +87,10 @@ fn copy_timers_take_one_sample_per_statement_phase() {
                 EventKind::CopyApply { copy, seq, .. } => {
                     applied += 1;
                     executions.insert((shard, copy, seq));
+                }
+                EventKind::TaskRun { launch, .. } => {
+                    points += 1;
+                    launches.insert((shard, launch));
                 }
                 _ => {}
             }
@@ -106,11 +114,19 @@ fn copy_timers_take_one_sample_per_statement_phase() {
         "several pairs per statement and shard: {pairs_per_run} pairs, {statements} statements"
     );
 
-    // The same program untraced: the counters still count pairs, the
-    // timers one sample per statement phase per shard.
+    // Two launches a step, each running points on every shard.
+    let launches = launches.len() as u64;
+    assert_eq!(launches, 2 * cfg.steps * SHARDS as u64);
+    assert_eq!(points, traced.stats.tasks_executed);
+    assert!(points > 2 * launches, "several points per launch and shard");
+
+    // The same program untraced: the counters still count pairs and
+    // points, the timers one sample per statement phase or launch per
+    // shard.
     let untraced = run(Compiled::Spmd(&spmd), &mut store, &RunOptions::default());
     let after = registry.aggregate();
     assert_eq!(untraced.stats.copies_executed, statements);
+    assert_eq!(untraced.stats.tasks_executed, points);
     for (from, to, what) in [
         (&before, &traced_added, "traced"),
         (&traced_added, &after, "untraced"),
@@ -121,5 +137,8 @@ fn copy_timers_take_one_sample_per_statement_phase() {
         assert_eq!(added(Counter::CopiesApplied), pairs_per_run, "{what}");
         assert_eq!(samples(Timer::CopyIssueNs), statements, "{what}");
         assert_eq!(samples(Timer::CopyWaitNs), statements, "{what}");
+        assert_eq!(added(Counter::Launches), points, "{what}");
+        assert_eq!(added(Counter::TaskRuns), points, "{what}");
+        assert_eq!(samples(Timer::TaskRunNs), launches, "{what}");
     }
 }

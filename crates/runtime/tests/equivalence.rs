@@ -118,7 +118,6 @@ fn fig2_program(n: u64, parts: usize, steps: u64) -> ProgramFactory {
                 ctx.write_f64(0, fb, p, 2.0 * v + 1.0);
             }
         }),
-        cost_per_element: 1.0,
     });
     let tg = b.task(TaskDecl {
         name: "TG".into(),
@@ -132,7 +131,6 @@ fn fig2_program(n: u64, parts: usize, steps: u64) -> ProgramFactory {
                 ctx.write_f64(0, fa, p, v * 0.5 - 3.0);
             }
         }),
-        cost_per_element: 1.0,
     });
     let l = b.for_loop(c(steps as f64));
     b.index_launch(
@@ -235,7 +233,6 @@ fn reduction_program(nodes_n: u64, edges_n: u64, parts: usize, steps: u64) -> Pr
                 ctx.reduce_f64(1, q, DynPoint::from(n), w);
             }
         }),
-        cost_per_element: 1.0,
     });
     let update = b.task(TaskDecl {
         name: "update".into(),
@@ -251,7 +248,6 @@ fn reduction_program(nodes_n: u64, edges_n: u64, parts: usize, steps: u64) -> Pr
                 ctx.write_f64(0, q, p, 0.0); // clear accumulator
             }
         }),
-        cost_per_element: 1.0,
     });
     let l = b.for_loop(c(steps as f64));
     b.index_launch(
@@ -312,7 +308,6 @@ fn dt_program(n: u64, parts: usize) -> ProgramFactory {
             }
             ctx.set_return(local_min);
         }),
-        cost_per_element: 1.0,
     });
     let t = b.scalar("t", 0.0);
     let dt = b.scalar("dt", 0.25);
@@ -470,7 +465,6 @@ fn hierarchical_program(n: u64, parts: usize, steps: u64) -> ProgramFactory {
                 }
             }
         }),
-        cost_per_element: 1.0,
     });
     let commit = b.task(TaskDecl {
         name: "commit".into(),
@@ -491,7 +485,6 @@ fn hierarchical_program(n: u64, parts: usize, steps: u64) -> ProgramFactory {
                 }
             }
         }),
-        cost_per_element: 1.0,
     });
     let l = b.for_loop(c(steps as f64));
     b.index_launch(
@@ -643,7 +636,6 @@ fn conditional_program(n: u64, parts: usize, steps: u64) -> ProgramFactory {
             }
             ctx.set_return(mx);
         }),
-        cost_per_element: 1.0,
     });
     let damp = b.task(TaskDecl {
         name: "damp".into(),
@@ -657,7 +649,6 @@ fn conditional_program(n: u64, parts: usize, steps: u64) -> ProgramFactory {
                 ctx.write_f64(0, x, q, v * 0.25);
             }
         }),
-        cost_per_element: 1.0,
     });
     let peak = b.scalar("peak", 0.0);
     let hits = b.scalar("damp_count", 0.0);
@@ -734,7 +725,6 @@ fn zero_trip_loops_and_dynamic_counts() {
                     ctx.write_f64(0, x, pt, v + 1.0);
                 }
             }),
-            cost_per_element: 1.0,
         });
         let rd = b.task(TaskDecl {
             name: "rd".into(),
@@ -742,7 +732,6 @@ fn zero_trip_loops_and_dynamic_counts() {
             num_scalar_args: 0,
             returns_value: false,
             kernel: Arc::new(|_| {}),
-            cost_per_element: 1.0,
         });
         let n = b.scalar("n", count);
         let l = b.for_loop(var(n));

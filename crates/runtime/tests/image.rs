@@ -67,7 +67,6 @@ fn program(mode: &Arc<AtomicU8>) -> (SpmdProgram, Store) {
             }
             ctx.set_return(sum);
         }),
-        cost_per_element: 1.0,
     });
     let commit = b.task(TaskDecl {
         name: "commit".into(),
@@ -80,7 +79,6 @@ fn program(mode: &Arc<AtomicU8>) -> (SpmdProgram, Store) {
                 to.set1(pt.coord(0), from.get1(pt.coord(0)));
             }
         }),
-        cost_per_element: 1.0,
     });
     let it = b.scalar("it", 0.0);
     let acc = b.scalar("acc", 0.0);

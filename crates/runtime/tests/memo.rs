@@ -50,7 +50,6 @@ fn halo_program(n: u64, parts: usize, steps: u64) -> (Program, InitFn) {
                 ctx.write_f64(0, y, pt, 0.5 * v + 1.0);
             }
         }),
-        cost_per_element: 1.0,
     });
     let fold = b.task(TaskDecl {
         name: "fold".into(),
@@ -64,7 +63,6 @@ fn halo_program(n: u64, parts: usize, steps: u64) -> (Program, InitFn) {
                 ctx.write_f64(0, x, pt, v * 1.25 - 0.5);
             }
         }),
-        cost_per_element: 1.0,
     });
     let l = b.for_loop(c(steps as f64));
     b.index_launch(
@@ -109,7 +107,6 @@ fn phased_program(n: u64, parts: usize, steps: u64, flip_at: f64, grow: bool) ->
                 ctx.write_f64(0, x, pt, v * 1.01 + 0.125);
             }
         }),
-        cost_per_element: 1.0,
     });
     let damp = b.task(TaskDecl {
         name: "damp".into(),
@@ -123,7 +120,6 @@ fn phased_program(n: u64, parts: usize, steps: u64, flip_at: f64, grow: bool) ->
                 ctx.write_f64(0, x, pt, v * 0.75);
             }
         }),
-        cost_per_element: 1.0,
     });
     let i = b.scalar("i", 0.0);
     let launch = |task| {

@@ -57,7 +57,6 @@ fn ghost_program(n: u64, parts: usize, mut reach: impl FnMut(i64, &mut Vec<DynPo
         num_scalar_args: 0,
         returns_value: false,
         kernel: smooth(x, y),
-        cost_per_element: 1.0,
     });
     let rd = b.task(TaskDecl {
         name: "r".into(),
@@ -65,7 +64,6 @@ fn ghost_program(n: u64, parts: usize, mut reach: impl FnMut(i64, &mut Vec<DynPo
         num_scalar_args: 0,
         returns_value: false,
         kernel: smooth(y, x),
-        cost_per_element: 1.0,
     });
     let l = b.for_loop(c(2.0));
     b.index_launch(
@@ -295,7 +293,6 @@ fn hierarchical_tree_shrinks_the_plan() {
         num_scalar_args: 0,
         returns_value: false,
         kernel: Arc::new(|_| {}),
-        cost_per_element: 1.0,
     });
     let rd = b.task(TaskDecl {
         name: "r".into(),
@@ -307,7 +304,6 @@ fn hierarchical_tree_shrinks_the_plan() {
         num_scalar_args: 0,
         returns_value: false,
         kernel: Arc::new(|_| {}),
-        cost_per_element: 1.0,
     });
     let l = b.for_loop(c(2.0));
     b.index_launch(

@@ -53,7 +53,6 @@ fn stencil_shaped(n: u64, parts: usize, scale_first: bool, loops: &[u64]) -> (Pr
                 ctx.write_f64(0, y, pt, 0.5 * (l + rr) + 0.125);
             }
         }),
-        cost_per_element: 1.0,
     });
     let commit = b.task(TaskDecl {
         name: "commit".into(),
@@ -67,7 +66,6 @@ fn stencil_shaped(n: u64, parts: usize, scale_first: bool, loops: &[u64]) -> (Pr
                 ctx.write_f64(0, x, pt, v);
             }
         }),
-        cost_per_element: 1.0,
     });
     if scale_first {
         let scale = b.task(TaskDecl {
@@ -82,7 +80,6 @@ fn stencil_shaped(n: u64, parts: usize, scale_first: bool, loops: &[u64]) -> (Pr
                     ctx.write_f64(0, x, pt, 2.0 * v + 1.0);
                 }
             }),
-            cost_per_element: 1.0,
         });
         b.index_launch(scale, parts as u64, vec![RegionArg::Part(p)]);
     }
@@ -133,7 +130,6 @@ fn while_program(n: u64, parts: usize) -> (Program, InitFn) {
             }
             ctx.set_return(local_min);
         }),
-        cost_per_element: 1.0,
     });
     let t = b.scalar("t", 0.0);
     let dt = b.scalar("dt", 0.25);
@@ -380,7 +376,6 @@ fn panicking_shard_fails_fast_with_diagnostic() {
                 }
                 ctx.set_return(1.0);
             }),
-            cost_per_element: 1.0,
         });
         let commit = b.task(TaskDecl {
             name: "commit".into(),
@@ -394,7 +389,6 @@ fn panicking_shard_fails_fast_with_diagnostic() {
                     ctx.write_f64(0, x, pt, v);
                 }
             }),
-            cost_per_element: 1.0,
         });
         let it = b.scalar("it", 0.0);
         let acc = b.scalar("acc", 0.0);

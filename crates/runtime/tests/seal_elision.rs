@@ -62,7 +62,6 @@ fn program(shape: Shape) -> Program {
                 ctx.write_f64(0, y, pt, 0.5 * (l + rr) + 0.25);
             }
         }),
-        cost_per_element: 1.0,
     });
     let commit = b.task(TaskDecl {
         name: "commit".into(),
@@ -76,7 +75,6 @@ fn program(shape: Shape) -> Program {
                 ctx.write_f64(0, x, pt, v);
             }
         }),
-        cost_per_element: 1.0,
     });
     let body = [
         (sweep, vec![RegionArg::Part(p), RegionArg::Part(halo)]),

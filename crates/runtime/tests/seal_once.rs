@@ -44,7 +44,6 @@ fn a_copy_statement_hashes_each_destination_column_once() {
                 ctx.write_f64(0, y, pt, 0.5 * (l + rr));
             }
         }),
-        cost_per_element: 1.0,
     });
     let commit = b.task(TaskDecl {
         name: "commit".into(),
@@ -58,7 +57,6 @@ fn a_copy_statement_hashes_each_destination_column_once() {
                 ctx.write_f64(0, x, pt, v);
             }
         }),
-        cost_per_element: 1.0,
     });
     let l = b.for_loop(c(STEPS as f64));
     b.index_launch(

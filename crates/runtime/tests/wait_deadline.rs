@@ -109,7 +109,6 @@ fn the_implicit_drain_gives_up_at_the_hang_timeout() {
         num_scalar_args: 0,
         returns_value: false,
         kernel: Arc::new(|_| std::thread::sleep(Duration::from_millis(600))),
-        cost_per_element: 1.0,
     });
     b.call(nap, vec![r]);
     let prog = b.build();

@@ -351,7 +351,6 @@ fn an_idle_worker_and_a_draining_control_thread_use_no_cpu() {
             num_scalar_args: 0,
             returns_value: false,
             kernel,
-            cost_per_element: 1.0,
         })
     };
     // `PastWorker0` puts task 0 on worker 1 and task 1 on worker 2.

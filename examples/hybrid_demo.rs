@@ -41,7 +41,6 @@ fn build() -> (control_replication::ir::Program, regent_region::FieldId) {
                 ctx.write_f64(0, x, q, v * (1.0 - s) + s * (q.coord(0) % 17) as f64);
             }
         }),
-        cost_per_element: 2.0,
     });
     // A global pass no index launch can express: sorts nothing, but
     // computes a whole-region norm and rescales — inherently single.
@@ -64,7 +63,6 @@ fn build() -> (control_replication::ir::Program, regent_region::FieldId) {
             }
             ctx.set_return(norm);
         }),
-        cost_per_element: 3.0,
     });
     let rate = b.scalar("rate", 0.25);
     let norm = b.scalar("norm", 0.0);

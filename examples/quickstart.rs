@@ -116,7 +116,6 @@ fn build_program(
                 }
             }
         }),
-        cost_per_element: 1.0,
     });
     let tg = b.task(TaskDecl {
         name: "TG".into(),
@@ -135,7 +134,6 @@ fn build_program(
                 }
             }
         }),
-        cost_per_element: 1.0,
     });
     let l = b.for_loop(c(STEPS as f64));
     b.index_launch(tf, NT, vec![RegionArg::Part(pb), RegionArg::Part(pa)]);

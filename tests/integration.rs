@@ -40,7 +40,6 @@ fn ring_shift_program(n: u64, parts: u64, steps: u64) -> (Program, regent_region
                 ctx.write_f64(0, nxt, q, acc + q.coord(0) as f64);
             }
         }),
-        cost_per_element: 1.0,
     });
     let commit = b.task(TaskDecl {
         name: "commit".into(),
@@ -54,7 +53,6 @@ fn ring_shift_program(n: u64, parts: u64, steps: u64) -> (Program, regent_region
                 ctx.write_f64(0, cur, q, v);
             }
         }),
-        cost_per_element: 1.0,
     });
     let l = b.for_loop(c(steps as f64));
     b.index_launch(
@@ -127,7 +125,6 @@ fn mixed_program_ranges_detected() {
         num_scalar_args: 0,
         returns_value: false,
         kernel: Arc::new(|_| {}),
-        cost_per_element: 1.0,
     });
     let l = b.for_loop(c(2.0));
     b.index_launch(t, 4, vec![RegionArg::Part(p)]);
@@ -171,7 +168,6 @@ fn whole_region_read_argument_is_broadcast() {
                 ctx.write_f64(0, sum, q, acc);
             }
         }),
-        cost_per_element: 1.0,
     });
     let upd = b.task(TaskDecl {
         name: "update_x".into(),
@@ -186,7 +182,6 @@ fn whole_region_read_argument_is_broadcast() {
                 ctx.write_f64(0, x, q, v + 1e-3 * s);
             }
         }),
-        cost_per_element: 1.0,
     });
     let l = b.for_loop(c(3.0));
     b.index_launch(t, 4, vec![RegionArg::Part(p), RegionArg::Region(r)]);
@@ -230,7 +225,6 @@ fn whole_region_read_argument_is_broadcast() {
                     ctx.write_f64(0, sum, q, acc);
                 }
             }),
-            cost_per_element: 1.0,
         });
         let upd = b.task(TaskDecl {
             name: "update_x".into(),
@@ -245,7 +239,6 @@ fn whole_region_read_argument_is_broadcast() {
                     ctx.write_f64(0, x, q, v + 1e-3 * s);
                 }
             }),
-            cost_per_element: 1.0,
         });
         let l = b.for_loop(c(3.0));
         b.index_launch(t, 4, vec![RegionArg::Part(p), RegionArg::Region(r)]);
@@ -298,7 +291,6 @@ fn hybrid_range_local_replication_matches_sequential() {
                     ctx.write_f64(0, x, q, v * s + 1.0);
                 }
             }),
-            cost_per_element: 1.0,
         });
         let whole = b.task(TaskDecl {
             name: "whole_region_pass".into(),
@@ -318,7 +310,6 @@ fn hybrid_range_local_replication_matches_sequential() {
                 }
                 ctx.set_return(mx);
             }),
-            cost_per_element: 1.0,
         });
         let peak = b.scalar("peak", 0.0);
         // Replicable range 1.

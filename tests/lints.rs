@@ -136,7 +136,7 @@ fn surface() {
         hits(&["crates/machine/src"], |l| l.contains("pub fn simulate_")),
     );
 
-    const DELETED: [&str; 91] = [
+    const DELETED: [&str; 92] = [
         "execute_spmd",
         "execute_spmd_with_env",
         "execute_spmd_with_env_traced",
@@ -228,6 +228,7 @@ fn surface() {
         "src_offsets",
         "dst_offsets",
         "offsets_seconds",
+        "cost_per_element",
     ];
     let deleted = |line: &str| {
         words(line).any(|w| {

@@ -124,7 +124,6 @@ fn build(p: &Params) -> Program {
                 ctx.write_f64(0, fb, q, 0.5 * v + 0.25);
             }
         }),
-        cost_per_element: 1.0,
     });
     let tg = b.task(TaskDecl {
         name: "TG".into(),
@@ -138,7 +137,6 @@ fn build(p: &Params) -> Program {
                 ctx.write_f64(0, fa, q, 0.75 * v - 0.125);
             }
         }),
-        cost_per_element: 1.0,
     });
     let tr = b.task(TaskDecl {
         name: "TR".into(),
@@ -158,7 +156,6 @@ fn build(p: &Params) -> Program {
                 ctx.reduce_f64(1, facc, DynPoint::from(s(q.coord(0))), v * 0.125);
             }
         }),
-        cost_per_element: 1.0,
     });
     let tc = b.task(TaskDecl {
         name: "TC".into(),
@@ -174,7 +171,6 @@ fn build(p: &Params) -> Program {
                 ctx.write_f64(0, facc, q, 0.0);
             }
         }),
-        cost_per_element: 1.0,
     });
 
     let parts = p.parts as u64;
