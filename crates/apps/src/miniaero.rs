@@ -27,7 +27,7 @@ use regent_region::{ops, FieldSpace, FieldType, ReductionOp, RegionId};
 use std::sync::Arc;
 
 /// Gas constant γ for the ideal-gas EOS.
-pub const GAMMA: f64 = 1.4;
+pub(crate) const GAMMA: f64 = 1.4;
 
 /// Configuration of a MiniAero run.
 #[derive(Clone, Copy, Debug)]
@@ -120,7 +120,7 @@ fn pressure(u: [f64; 5]) -> f64 {
 
 /// Rusanov flux through a unit face with normal along `axis`
 /// (0 = x, 1 = y, 2 = z) between states `l` and `r`.
-pub fn rusanov_flux(l: [f64; 5], r: [f64; 5], axis: usize) -> [f64; 5] {
+pub(crate) fn rusanov_flux(l: [f64; 5], r: [f64; 5], axis: usize) -> [f64; 5] {
     let f = |u: [f64; 5]| -> [f64; 5] {
         let rho = u[0].max(1e-300);
         let vel = [u[1] / rho, u[2] / rho, u[3] / rho];
@@ -403,18 +403,6 @@ pub fn init_miniaero(
     });
 }
 
-/// Total mass/momentum/energy of the gas (conserved quantities).
-pub fn conserved_totals(program: &Program, store: &regent_ir::Store, h: &AeroHandles) -> [f64; 5] {
-    let inst = store.instance(program, h.cells);
-    let mut tot = [0.0; 5];
-    for p in program.forest.domain(h.cells).iter() {
-        for (k, t) in tot.iter_mut().enumerate() {
-            *t += inst.read_f64(h.state[k], p);
-        }
-    }
-    tot
-}
-
 /// Builds the machine-simulation spec for Fig. 7: 512k cells per node,
 /// slab decomposition, one RK4 step = 4 stages of flux + apply.
 pub fn miniaero_spec(nodes: usize, machine: &MachineConfig) -> TimestepSpec {
@@ -478,6 +466,18 @@ mod tests {
     use super::*;
     use regent_ir::{interp, Store};
 
+    /// Total mass/momentum/energy of the gas (conserved quantities).
+    fn totals(program: &Program, store: &Store, h: &AeroHandles) -> [f64; 5] {
+        let inst = store.instance(program, h.cells);
+        let mut tot = [0.0; 5];
+        for p in program.forest.domain(h.cells).iter() {
+            for (k, t) in tot.iter_mut().enumerate() {
+                *t += inst.read_f64(h.state[k], p);
+            }
+        }
+        tot
+    }
+
     #[test]
     fn mesh_face_counts() {
         let cfg = MiniAeroConfig::default();
@@ -500,9 +500,9 @@ mod tests {
         regent_ir::validate(&prog).unwrap();
         let mut store = Store::new(&prog);
         init_miniaero(&prog, &mut store, &h, &cfg, &mesh);
-        let before = conserved_totals(&prog, &store, &h);
+        let before = totals(&prog, &store, &h);
         interp::run(&prog, &mut store);
-        let after = conserved_totals(&prog, &store, &h);
+        let after = totals(&prog, &store, &h);
         // Interior fluxes cancel exactly; boundary faces don't exist
         // (no flux through the domain boundary) → exact conservation.
         for k in 0..5 {

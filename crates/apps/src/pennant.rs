@@ -29,7 +29,7 @@ use regent_region::{ops, FieldSpace, FieldType, ReductionOp, RegionId};
 use std::sync::Arc;
 
 /// EOS γ.
-pub const GAMMA: f64 = 5.0 / 3.0;
+pub(crate) const GAMMA: f64 = 5.0 / 3.0;
 
 /// Configuration of a PENNANT run.
 #[derive(Clone, Copy, Debug)]

@@ -58,7 +58,7 @@ pub struct StencilHandles {
 
 /// The PRK star-stencil weights for radius `r`: `w(±k) = 1/(2kr)` on
 /// each arm.
-pub fn star_weight(r: i64, k: i64) -> f64 {
+pub(crate) fn star_weight(r: i64, k: i64) -> f64 {
     1.0 / (2.0 * k as f64 * r as f64)
 }
 

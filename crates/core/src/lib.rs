@@ -40,7 +40,7 @@ pub use analysis::{
 pub use hybrid::{replicate_ranges, HybridProgram, Segment};
 pub use image::{shard_layouts, ShardImage, ShardLayout, SlotInfo};
 pub use placement::{MembershipRemap, PlacementStats};
-pub use replicate::{control_replicate, control_replicate_traced, CrOptions, SyncMode};
+pub use replicate::{control_replicate, CrOptions, SyncMode};
 pub use schedule::{
     build_exchange_plan, ExchangePlan, ExchangeSchedule, InstKey, PairPlan, SetupStats,
 };

@@ -370,7 +370,7 @@ pub fn control_replicate(program: Program, opts: &CrOptions) -> Result<SpmdProgr
 
 /// [`control_replicate`] recording one `Pass` span per compiler phase
 /// into `tb` — the CR pipeline's own compile-time profile.
-pub fn control_replicate_traced(
+pub(crate) fn control_replicate_traced(
     mut program: Program,
     opts: &CrOptions,
     tb: &mut TraceBuf,

@@ -69,7 +69,7 @@ pub struct UseDecl {
 impl UseDecl {
     /// Instances are materialized only for uses that are read or
     /// written directly; reduce-only uses exist purely as temp shapes.
-    pub fn needs_instances(&self) -> bool {
+    pub(crate) fn needs_instances(&self) -> bool {
         self.reads || self.writes
     }
 }
@@ -323,7 +323,7 @@ impl SpmdProgram {
     }
 
     /// The shard owning position `pos` of launch domain `d`.
-    pub fn owner_of_pos(&self, d: DomainId, pos: usize) -> usize {
+    pub(crate) fn owner_of_pos(&self, d: DomainId, pos: usize) -> usize {
         owner_of(
             self.launch_domains[d.0 as usize].len(),
             self.num_shards,

@@ -138,7 +138,7 @@ impl DynRect {
     }
 
     /// The 1-D interval `[0, n)`.
-    pub fn range(n: u64) -> Self {
+    pub(crate) fn range(n: u64) -> Self {
         DynRect::span(0, n as i64 - 1)
     }
 
@@ -195,7 +195,7 @@ impl DynRect {
 
     /// True when `p` lies inside (requires matching dimensions).
     #[inline]
-    pub fn contains(&self, p: DynPoint) -> bool {
+    pub(crate) fn contains(&self, p: DynPoint) -> bool {
         debug_assert_eq!(self.dim(), p.dim());
         (0..self.dim()).all(|d| self.lo[d] <= p.coords[d] && p.coords[d] <= self.hi[d])
     }
@@ -351,20 +351,6 @@ impl DynRect {
             out.push(r);
         }
         out
-    }
-
-    /// Grows the rectangle by `radius` in every direction (the halo
-    /// expansion of stencil ghost regions).
-    pub fn grow(&self, radius: i64) -> DynRect {
-        if self.is_empty() {
-            return *self;
-        }
-        let mut out = *self;
-        for d in 0..self.dim() {
-            out.lo[d] -= radius;
-            out.hi[d] += radius;
-        }
-        out.normalized()
     }
 }
 
@@ -553,12 +539,5 @@ mod tests {
         assert_eq!(rows, [rect(&[0, 0], &[4, 9]), rect(&[5, 0], &[9, 9])]);
         let cols = r.block_split(2, 1);
         assert_eq!(cols, [rect(&[0, 0], &[9, 4]), rect(&[0, 5], &[9, 9])]);
-    }
-
-    #[test]
-    fn grow_halo() {
-        let r = rect(&[2, 2], &[5, 5]);
-        assert_eq!(r.grow(2), rect(&[0, 0], &[7, 7]));
-        assert!(DynRect::empty(2).grow(3).is_empty());
     }
 }

@@ -21,7 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod domain;
-pub mod dynrect;
+pub(crate) mod dynrect;
 
 pub use domain::Domain;
 pub use dynrect::{DynPoint, DynRect, MAX_DIM};

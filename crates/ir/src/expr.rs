@@ -98,7 +98,7 @@ impl ScalarExpr {
     }
 
     /// The set of variables the expression reads.
-    pub fn vars(&self, out: &mut Vec<ScalarId>) {
+    pub(crate) fn vars(&self, out: &mut Vec<ScalarId>) {
         match self {
             ScalarExpr::Const(_) => {}
             ScalarExpr::Var(v) => out.push(*v),

@@ -29,7 +29,7 @@ impl Store {
 
     /// Allocates zero-initialized instances for every root region of a
     /// forest.
-    pub fn from_forest(forest: &regent_region::RegionForest) -> Self {
+    pub(crate) fn from_forest(forest: &regent_region::RegionForest) -> Self {
         let mut instances = HashMap::new();
         for i in 0..forest.num_regions() as u32 {
             let r = RegionId(i);
@@ -66,11 +66,6 @@ impl Store {
     ) -> &mut Instance {
         let root = forest.root_of(region);
         self.instances.get_mut(&root).unwrap()
-    }
-
-    /// Iterates `(root, instance)` pairs in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (RegionId, &Instance)> {
-        self.instances.iter().map(|(r, i)| (*r, i))
     }
 
     /// Fills an f64 field of a region from a function of the point
@@ -256,7 +251,7 @@ fn run_single_launch(
 /// Executes one point task against root-instance storage (the
 /// shared-memory implementation: every argument views its tree's root
 /// instance).
-pub fn execute_point_task(
+pub(crate) fn execute_point_task(
     program: &Program,
     store: &mut Store,
     task: crate::task::TaskId,

@@ -57,7 +57,7 @@ pub enum Projection {
 
 impl Projection {
     /// Applies the projection to a launch point.
-    pub fn apply(&self, i: Color) -> Color {
+    pub(crate) fn apply(&self, i: Color) -> Color {
         match self {
             Projection::AffineOffset { offset, modulus } => {
                 let mut v = i.coord(0) + offset;

@@ -204,7 +204,7 @@ unsafe impl Send for ArgSlot<'_> {}
 ///
 /// A kernel reaches its data by **binding each field once** —
 /// [`TaskCtx::f64`], [`TaskCtx::f64_mut`], [`TaskCtx::f64_reduce`],
-/// [`TaskCtx::i64`], [`TaskCtx::i64_mut`] — and indexing the returned
+/// [`TaskCtx::i64`] — and indexing the returned
 /// [`FieldView`] in its loops; [`TaskCtx::rows`] walks an argument's
 /// domain as unit-stride runs. Binding checks the privilege, that the
 /// field was declared and the column's type; the views check only that
@@ -231,11 +231,6 @@ impl<'a> TaskCtx<'a> {
             launch_point,
             return_value: None,
         }
-    }
-
-    /// Number of region arguments.
-    pub fn num_args(&self) -> usize {
-        self.slots.len()
     }
 
     /// The domain of region argument `arg` — the set of points the
@@ -316,11 +311,6 @@ impl<'a> TaskCtx<'a> {
         self.bind_write(arg, field)
     }
 
-    /// A read-write view of i64 field `field` of argument `arg`.
-    pub fn i64_mut(&self, arg: usize, field: FieldId) -> FieldView<'a, i64, ReadWrite> {
-        self.bind_write(arg, field)
-    }
-
     /// A fold-only view of f64 field `field` of argument `arg`, folding
     /// with the argument's declared reduction operator.
     ///
@@ -351,12 +341,6 @@ impl<'a> TaskCtx<'a> {
     #[inline]
     pub fn write_f64(&mut self, arg: usize, field: FieldId, p: DynPoint, v: f64) {
         self.f64_mut(arg, field).set(p, v)
-    }
-
-    /// Writes one i64 element ([`TaskCtx::i64_mut`], bound per access).
-    #[inline]
-    pub fn write_i64(&mut self, arg: usize, field: FieldId, p: DynPoint, v: i64) {
-        self.i64_mut(arg, field).set(p, v)
     }
 
     /// Folds `v` into one f64 element ([`TaskCtx::f64_reduce`], bound
@@ -543,7 +527,7 @@ mod tests {
                 }
                 Privilege::ReadWrite => {
                     ctx.f64_mut(0, x).set1(1, 2.0);
-                    ctx.i64_mut(0, n).set1(1, 3);
+                    ctx.bind_write::<i64>(0, n).set1(1, 3);
                 }
                 Privilege::Reduce(_) => ctx.f64_reduce(0, x).fold1(1, 2.0),
             }

@@ -199,7 +199,7 @@ impl Sim {
     }
 
     /// Number of tasks.
-    pub fn num_tasks(&self) -> usize {
+    pub(crate) fn num_tasks(&self) -> usize {
         self.tasks.len()
     }
 
@@ -216,7 +216,7 @@ impl Sim {
 
     /// [`Sim::run`] recording a `SimTask` span per service interval
     /// into `tb` (virtual seconds × 1e9 → trace nanoseconds).
-    pub fn run_traced(mut self, tb: &mut TraceBuf) -> SimResult {
+    pub(crate) fn run_traced(mut self, tb: &mut TraceBuf) -> SimResult {
         let n = self.tasks.len();
         let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
         let mut seq = 0u64;

@@ -4,7 +4,7 @@
 //! substitute for the paper's 1024-node Piz Daint runs (see the
 //! substitution table in DESIGN.md).
 //!
-//! * [`des`] — the event-driven engine (task DAGs over multi-server
+//! * `des` — the event-driven engine (task DAGs over multi-server
 //!   resources).
 //! * [`model`] — machine description (nodes, cores, network, runtime
 //!   cost parameters) and workload time-step specifications.
@@ -28,7 +28,7 @@
 
 #![warn(missing_docs)]
 
-pub mod des;
+pub(crate) mod des;
 pub mod metrics;
 pub mod model;
 pub mod scenario;

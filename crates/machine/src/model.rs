@@ -50,7 +50,7 @@ pub struct MachineConfig {
 
 /// Deterministic noise multiplier for a task identified by `key`:
 /// `1 + fraction × Exp(1)` via [`regent_fault::splitmix64`].
-pub fn noise_multiplier(fraction: f64, key: u64) -> f64 {
+pub(crate) fn noise_multiplier(fraction: f64, key: u64) -> f64 {
     if fraction == 0.0 {
         return 1.0;
     }
@@ -88,7 +88,7 @@ impl MachineConfig {
     }
 
     /// Latency of a tree-based collective over `participants` ranks.
-    pub fn collective_latency(&self, participants: usize) -> f64 {
+    pub(crate) fn collective_latency(&self, participants: usize) -> f64 {
         let stages = (participants.max(1) as f64).log2().ceil();
         2.0 * stages * (self.network_latency + self.message_overhead)
     }
@@ -142,16 +142,6 @@ pub struct TimestepSpec {
     pub phases: Vec<PhaseSpec>,
 }
 
-impl TimestepSpec {
-    /// Total point tasks per time step across the machine.
-    pub fn tasks_per_step(&self) -> u64 {
-        self.phases
-            .iter()
-            .map(|p| p.tasks_per_node as u64 * self.num_nodes as u64)
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,32 +154,5 @@ mod tests {
         let mut m2 = m.clone();
         m2.dedicate_runtime_core = false;
         assert_eq!(m2.regent_compute_cores(), 12);
-    }
-
-    #[test]
-    fn tasks_per_step_counts() {
-        let spec = TimestepSpec {
-            num_nodes: 4,
-            elements_per_node: 100,
-            phases: vec![
-                PhaseSpec {
-                    name: "a".into(),
-                    tasks_per_node: 3,
-                    task_compute_s: 1e-3,
-                    copies: vec![],
-                    collective: false,
-                    consumes_collective: false,
-                },
-                PhaseSpec {
-                    name: "b".into(),
-                    tasks_per_node: 2,
-                    task_compute_s: 1e-3,
-                    copies: vec![],
-                    collective: true,
-                    consumes_collective: false,
-                },
-            ],
-        };
-        assert_eq!(spec.tasks_per_step(), 20);
     }
 }

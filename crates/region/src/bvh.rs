@@ -9,7 +9,7 @@ use regent_geometry::DynRect;
 
 /// A rectangle tagged with a caller-supplied id.
 #[derive(Clone, Copy, Debug)]
-pub struct TaggedRect {
+pub(crate) struct TaggedRect {
     /// The rectangle (must be non-empty).
     pub rect: DynRect,
     /// Caller tag (e.g. subregion index).
@@ -31,28 +31,26 @@ enum BvhNode {
 ///
 /// Built by recursive median split along the longest axis of the current
 /// bounding box; leaves hold up to [`Bvh::LEAF_SIZE`] rectangles.
-pub struct Bvh {
+pub(crate) struct Bvh {
     root: Option<BvhNode>,
-    len: usize,
 }
 
 impl Bvh {
     /// Maximum number of rectangles stored in one leaf.
-    pub const LEAF_SIZE: usize = 8;
+    pub(crate) const LEAF_SIZE: usize = 8;
 
     /// Builds the hierarchy. Empty rectangles are rejected.
-    pub fn build(items: Vec<TaggedRect>) -> Self {
+    pub(crate) fn build(items: Vec<TaggedRect>) -> Self {
         assert!(
             items.iter().all(|t| !t.rect.is_empty()),
             "BVH items must be non-empty"
         );
-        let len = items.len();
         let root = if items.is_empty() {
             None
         } else {
             Some(Self::build_node(items))
         };
-        Bvh { root, len }
+        Bvh { root }
     }
 
     fn bbox_of(items: &[TaggedRect]) -> DynRect {
@@ -84,18 +82,8 @@ impl Bvh {
         }
     }
 
-    /// Number of stored rectangles.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the hierarchy is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Invokes `hit` for every stored rectangle overlapping `query`.
-    pub fn query(&self, query: &DynRect, mut hit: impl FnMut(&TaggedRect)) {
+    pub(crate) fn query(&self, query: &DynRect, mut hit: impl FnMut(&TaggedRect)) {
         if query.is_empty() {
             return;
         }
@@ -121,13 +109,6 @@ impl Bvh {
             }
         }
     }
-
-    /// Collects ids of all rectangles overlapping `query`.
-    pub fn query_ids(&self, query: &DynRect) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.query(query, |t| out.push(t.id));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -137,6 +118,13 @@ mod tests {
 
     fn rect2(x0: i64, y0: i64, x1: i64, y1: i64) -> DynRect {
         DynRect::new(DynPoint::new(&[x0, y0]), DynPoint::new(&[x1, y1]))
+    }
+
+    /// Ids of the stored rectangles overlapping `q`, in visit order.
+    fn hits(bvh: &Bvh, q: &DynRect) -> Vec<u32> {
+        let mut out = Vec::new();
+        bvh.query(q, |t| out.push(t.id));
+        out
     }
 
     #[test]
@@ -152,28 +140,27 @@ mod tests {
             }
         }
         let bvh = Bvh::build(items);
-        assert_eq!(bvh.len(), 16);
+        assert_eq!(hits(&bvh, &rect2(0, 0, 39, 39)).len(), 16);
         // Query overlapping exactly one tile.
-        assert_eq!(bvh.query_ids(&rect2(12, 12, 14, 14)), vec![5]);
+        assert_eq!(hits(&bvh, &rect2(12, 12, 14, 14)), vec![5]);
         // Query spanning a 2x2 block of tiles.
-        let mut ids = bvh.query_ids(&rect2(8, 8, 12, 12));
+        let mut ids = hits(&bvh, &rect2(8, 8, 12, 12));
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 4, 5]);
         // Query outside everything.
-        assert!(bvh.query_ids(&rect2(100, 100, 110, 110)).is_empty());
+        assert!(hits(&bvh, &rect2(100, 100, 110, 110)).is_empty());
     }
 
     #[test]
     fn empty_and_single() {
         let bvh = Bvh::build(vec![]);
-        assert!(bvh.is_empty());
-        assert!(bvh.query_ids(&rect2(0, 0, 5, 5)).is_empty());
+        assert!(hits(&bvh, &rect2(0, 0, 5, 5)).is_empty());
         let one = Bvh::build(vec![TaggedRect {
             rect: rect2(0, 0, 3, 3),
             id: 7,
         }]);
-        assert_eq!(one.query_ids(&rect2(3, 3, 9, 9)), vec![7]);
-        assert!(one.query_ids(&DynRect::empty(2)).is_empty());
+        assert_eq!(hits(&one, &rect2(3, 3, 9, 9)), vec![7]);
+        assert!(hits(&one, &DynRect::empty(2)).is_empty());
     }
 
     #[test]
@@ -202,7 +189,7 @@ mod tests {
             let x = (next() % 520) as i64;
             let y = (next() % 520) as i64;
             let q = rect2(x, y, x + (next() % 60) as i64, y + (next() % 60) as i64);
-            let mut got = bvh.query_ids(&q);
+            let mut got = hits(&bvh, &q);
             got.sort_unstable();
             let mut expect: Vec<u32> = items
                 .iter()

@@ -11,9 +11,9 @@
 //! is exactly the bit-identity the differential harness demands.
 
 /// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds one 64-bit word into a running FNV-1a hash: the step every
 /// lane of [`StripedFnv`] takes.
@@ -70,32 +70,6 @@ impl StripedFnv {
         let lane = (self.count % LANES as u64) as usize;
         self.lanes[lane] = fnv1a_mix(self.lanes[lane], word);
         self.count += 1;
-    }
-
-    /// Bulk-folds a `u64` slice, four independent lanes per iteration.
-    #[inline]
-    pub fn mix_words(&mut self, words: &[u64]) {
-        let mut i = 0;
-        // Align to a lane boundary so bulk and word-by-word mixing
-        // produce identical state.
-        while !self.count.is_multiple_of(LANES as u64) && i < words.len() {
-            self.mix(words[i]);
-            i += 1;
-        }
-        let rest = &words[i..];
-        let mut chunks = rest.chunks_exact(LANES);
-        let [mut l0, mut l1, mut l2, mut l3] = self.lanes;
-        for c in &mut chunks {
-            l0 = fnv1a_mix(l0, c[0]);
-            l1 = fnv1a_mix(l1, c[1]);
-            l2 = fnv1a_mix(l2, c[2]);
-            l3 = fnv1a_mix(l3, c[3]);
-        }
-        self.lanes = [l0, l1, l2, l3];
-        self.count += (rest.len() - chunks.remainder().len()) as u64;
-        for &w in chunks.remainder() {
-            self.mix(w);
-        }
     }
 
     /// Bulk-folds an `f64` slice by bit pattern.
@@ -200,15 +174,15 @@ mod tests {
 
         let bulk = {
             let mut h = StripedFnv::new();
-            h.mix_words(&words);
+            h.mix_i64s(&ints);
             h.finish()
         };
         assert_eq!(bulk, striped_fnv(words.iter().copied()));
         let split = {
             let mut h = StripedFnv::new();
             h.mix(words[0]);
-            h.mix_words(&words[1..7]);
-            h.mix_words(&words[7..]);
+            h.mix_i64s(&ints[1..7]);
+            h.mix_i64s(&ints[7..]);
             h.finish()
         };
         assert_eq!(bulk, split, "granularity changed the digest");
@@ -219,12 +193,6 @@ mod tests {
             h.finish()
         };
         assert_eq!(f_bulk, striped_fnv(floats.iter().map(|v| v.to_bits())));
-        let i_bulk = {
-            let mut h = StripedFnv::new();
-            h.mix_i64s(&ints);
-            h.finish()
-        };
-        assert_eq!(i_bulk, striped_fnv(ints.iter().map(|&v| v as u64)));
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl FieldSpace {
         self.fields.is_empty()
     }
 
-    /// The definition of `id`.
-    pub fn def(&self, id: FieldId) -> &FieldDef {
-        &self.fields[id.0 as usize]
-    }
-
     /// Finds a field by name.
     pub fn lookup(&self, name: &str) -> Option<FieldId> {
         self.fields
@@ -105,11 +100,6 @@ impl FieldSpace {
             .enumerate()
             .map(|(i, d)| (FieldId(i as u32), d))
     }
-
-    /// All field ids.
-    pub fn ids(&self) -> impl Iterator<Item = FieldId> {
-        (0..self.fields.len() as u32).map(FieldId)
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +114,10 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(fs.lookup("voltage"), Some(a));
         assert_eq!(fs.lookup("charge"), None);
-        assert_eq!(fs.def(b).ty, FieldType::I64);
+        assert_eq!(
+            fs.iter().nth(1).map(|(id, d)| (id, d.ty)),
+            Some((b, FieldType::I64))
+        );
         assert_eq!(fs.len(), 2);
     }
 
@@ -139,7 +132,6 @@ mod tests {
     #[test]
     fn of_constructor() {
         let fs = FieldSpace::of(&[("a", FieldType::F64), ("b", FieldType::I64)]);
-        assert_eq!(fs.ids().count(), 2);
         assert_eq!(fs.iter().count(), 2);
         assert!(!fs.is_empty());
     }

@@ -327,7 +327,7 @@ impl DomainIndexer {
     }
 
     /// Dimensionality of the indexed domain.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
@@ -550,7 +550,7 @@ impl ReductionOp {
     }
 
     /// Integer identity.
-    pub fn identity_i64(self) -> i64 {
+    pub(crate) fn identity_i64(self) -> i64 {
         match self {
             ReductionOp::Add => 0,
             ReductionOp::Mul => 1,
@@ -634,19 +634,6 @@ impl Instance {
             columns,
             seals,
         }
-    }
-
-    /// Allocates an instance with every F64 column set to `op`'s
-    /// identity — the temporary reduction instances of §4.3.
-    pub fn new_reduction(domain: Domain, fields: &FieldSpace, op: ReductionOp) -> Self {
-        let mut inst = Instance::new(domain, fields);
-        for col in &mut inst.columns {
-            match col {
-                ColumnData::F64(v) => v.fill(op.identity()),
-                ColumnData::I64(v) => v.fill(op.identity_i64()),
-            }
-        }
-        inst
     }
 
     /// The covered domain.
@@ -1318,7 +1305,8 @@ mod tests {
         let fields = FieldSpace::of(&[("q", FieldType::F64)]);
         let q = fields.lookup("q").unwrap();
         let dom = Domain::range(4);
-        let mut tmp = Instance::new_reduction(dom.clone(), &fields, ReductionOp::Add);
+        let mut tmp = Instance::new(dom.clone(), &fields);
+        tmp.fill_field(q, ReductionOp::Add);
         assert_eq!(tmp.read_f64(q, DynPoint::from(0)), 0.0);
         tmp.reduce_f64(q, DynPoint::from(1), ReductionOp::Add, 5.0);
         tmp.reduce_f64(q, DynPoint::from(1), ReductionOp::Add, 2.0);

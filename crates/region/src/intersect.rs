@@ -198,7 +198,13 @@ mod tests {
             .partition(tiles)
             .iter()
             .map(|(c, reg)| {
-                let g = f.domain(reg).bounds().grow(1).intersection(&rect);
+                let b = f.domain(reg).bounds();
+                let (lo, hi) = (b.lo(), b.hi());
+                let g = DynRect::new(
+                    DynPoint::new(&[lo.coord(0) - 1, lo.coord(1) - 1]),
+                    DynPoint::new(&[hi.coord(0) + 1, hi.coord(1) + 1]),
+                )
+                .intersection(&rect);
                 (c, Domain::from_rect(g))
             })
             .collect();

@@ -8,7 +8,7 @@
 
 /// An inclusive 1-D interval tagged with a caller-supplied id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Interval {
+pub(crate) struct Interval {
     /// Inclusive lower bound.
     pub lo: i64,
     /// Inclusive upper bound.
@@ -19,7 +19,7 @@ pub struct Interval {
 
 impl Interval {
     /// Creates an interval; empty intervals (`lo > hi`) are rejected.
-    pub fn new(lo: i64, hi: i64, id: u32) -> Self {
+    pub(crate) fn new(lo: i64, hi: i64, id: u32) -> Self {
         assert!(lo <= hi, "empty interval [{lo},{hi}]");
         Interval { lo, hi, id }
     }
@@ -38,7 +38,7 @@ impl Interval {
 /// subtree. Build is a sort plus one bottom-up pass, with two
 /// allocations in total; a query reporting `k` hits is O(log n + k)
 /// for the disjoint-per-subregion runs the shallow pass stores.
-pub struct IntervalTree {
+pub(crate) struct IntervalTree {
     /// Sorted by `lo`.
     intervals: Vec<Interval>,
     /// `max_hi[m]`: largest `hi` in the subtree rooted at `m`.
@@ -47,7 +47,7 @@ pub struct IntervalTree {
 
 impl IntervalTree {
     /// Builds the tree from a set of intervals.
-    pub fn build(mut intervals: Vec<Interval>) -> Self {
+    pub(crate) fn build(mut intervals: Vec<Interval>) -> Self {
         intervals.sort_unstable_by_key(|iv| iv.lo);
         let mut max_hi = vec![i64::MIN; intervals.len()];
         Self::augment(&intervals, &mut max_hi, 0, intervals.len());
@@ -66,18 +66,8 @@ impl IntervalTree {
         max_hi[m]
     }
 
-    /// Number of stored intervals.
-    pub fn len(&self) -> usize {
-        self.intervals.len()
-    }
-
-    /// True when the tree stores no intervals.
-    pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
-    }
-
     /// Invokes `hit` for every stored interval overlapping `[lo, hi]`.
-    pub fn query(&self, lo: i64, hi: i64, mut hit: impl FnMut(&Interval)) {
+    pub(crate) fn query(&self, lo: i64, hi: i64, mut hit: impl FnMut(&Interval)) {
         assert!(lo <= hi, "empty query interval");
         self.visit(0, self.intervals.len(), lo, hi, &mut hit);
     }
@@ -102,15 +92,6 @@ impl IntervalTree {
         }
         self.visit(m + 1, b, lo, hi, hit);
     }
-
-    /// Collects the ids of all intervals overlapping `[lo, hi]`
-    /// (may contain duplicates when one id was inserted with several
-    /// runs).
-    pub fn query_ids(&self, lo: i64, hi: i64) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.query(lo, hi, |iv| out.push(iv.id));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -127,6 +108,14 @@ mod tests {
         v
     }
 
+    /// Ids of the stored intervals overlapping `[lo, hi]`, in visit
+    /// order.
+    fn hits(t: &IntervalTree, lo: i64, hi: i64) -> Vec<u32> {
+        let mut out = Vec::new();
+        t.query(lo, hi, |iv| out.push(iv.id));
+        out
+    }
+
     #[test]
     fn basic_overlap() {
         let ivs = vec![
@@ -136,19 +125,18 @@ mod tests {
             Interval::new(20, 30, 3),
         ];
         let t = IntervalTree::build(ivs.clone());
-        assert_eq!(t.len(), 4);
-        let mut hits = t.query_ids(4, 5);
-        hits.sort_unstable();
-        assert_eq!(hits, vec![0, 1, 2]);
-        assert_eq!(t.query_ids(10, 19), Vec::<u32>::new());
-        assert_eq!(t.query_ids(25, 25), vec![3]);
+        assert_eq!(hits(&t, 0, 30).len(), 4);
+        let mut ids = hits(&t, 4, 5);
+        ids.sort_unstable();
+        assert_eq!(ids, vec![0, 1, 2]);
+        assert_eq!(hits(&t, 10, 19), Vec::<u32>::new());
+        assert_eq!(hits(&t, 25, 25), vec![3]);
     }
 
     #[test]
     fn empty_tree() {
         let t = IntervalTree::build(vec![]);
-        assert!(t.is_empty());
-        assert_eq!(t.query_ids(0, 100), Vec::<u32>::new());
+        assert_eq!(hits(&t, 0, 100), Vec::<u32>::new());
     }
 
     #[test]
@@ -157,9 +145,9 @@ mod tests {
             .map(|i| Interval::new(i * 2, i * 2, i as u32))
             .collect();
         let t = IntervalTree::build(ivs);
-        assert_eq!(t.query_ids(50, 50), vec![25]);
-        assert_eq!(t.query_ids(51, 51), Vec::<u32>::new());
-        let mut r = t.query_ids(10, 20);
+        assert_eq!(hits(&t, 50, 50), vec![25]);
+        assert_eq!(hits(&t, 51, 51), Vec::<u32>::new());
+        let mut r = hits(&t, 10, 20);
         r.sort_unstable();
         assert_eq!(r, vec![5, 6, 7, 8, 9, 10]);
     }
@@ -186,7 +174,7 @@ mod tests {
         for _ in 0..200 {
             let lo = (next() % 2200) as i64 - 1100;
             let len = (next() % 80) as i64;
-            let mut got = t.query_ids(lo, lo + len);
+            let mut got = hits(&t, lo, lo + len);
             got.sort_unstable();
             assert_eq!(got, naive(&ivs, lo, lo + len));
         }

@@ -16,21 +16,21 @@
 //! * [`hierarchy`] — the private/ghost hierarchical region trees of
 //!   §4.5.
 //! * [`intersect`] — dynamic shallow/complete region intersections
-//!   (§3.3), accelerated by an [`interval`] tree (unstructured) and a
-//!   [`bvh`] (structured).
+//!   (§3.3), accelerated by an `interval` tree (unstructured) and a
+//!   `bvh` (structured).
 //! * [`checksum`] — the striped FNV-1a hasher the integrity layer
 //!   seals instances and frames exchange payloads with.
 
 #![warn(missing_docs)]
 
-pub mod bvh;
+pub(crate) mod bvh;
 pub mod checksum;
 pub mod field;
 pub mod forest;
 pub mod hierarchy;
 pub mod instance;
 pub mod intersect;
-pub mod interval;
+pub(crate) mod interval;
 pub mod ops;
 pub mod view;
 

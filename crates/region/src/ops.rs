@@ -130,24 +130,6 @@ pub fn by_color(
     forest.create_partition(region, Disjointness::Disjoint, subdomains)
 }
 
-/// Partitions `region` by the values of an i64 field (Regent's
-/// *partition by field*): element `p` goes to the subregion colored by
-/// `instance[field][p]`. Values must lie in `colors`. Disjoint by
-/// construction — the canonical application-specific partitioning
-/// mechanism (§6: application-specific algorithms "are often more
-/// efficient and yield better results than generic algorithms").
-pub fn by_field(
-    forest: &mut RegionForest,
-    region: RegionId,
-    instance: &crate::instance::Instance,
-    field: crate::field::FieldId,
-    colors: &[Color],
-) -> PartitionId {
-    by_color(forest, region, colors, |p| {
-        DynPoint::from(instance.read_i64(field, p))
-    })
-}
-
 /// Image partition (Fig. 2 line 22): `image(target, source_partition, h)`
 /// creates a partition of `target` where subregion `i` holds
 /// `{ h(b) | b ∈ source_partition[i] }` clipped to `target`.
@@ -505,7 +487,9 @@ mod by_field_tests {
             inst.write_i64(piece, DynPoint::from(i), i / 4);
         }
         let colors: Vec<Color> = (0..3).map(DynPoint::from).collect();
-        let p = by_field(&mut f, r, &inst, piece, &colors);
+        let p = by_color(&mut f, r, &colors, |p| {
+            DynPoint::from(inst.read_i64(piece, p))
+        });
         assert_eq!(f.partition(p).disjointness, Disjointness::Disjoint);
         for c in 0..3i64 {
             let child = f.subregion_i(p, c);

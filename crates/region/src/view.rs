@@ -426,7 +426,7 @@ impl<T: Element> Row<'_, T, ReadWrite> {
 impl Row<'_, f64, Reduce> {
     /// Folds `v` into element `k` with the row's operator.
     #[inline(always)]
-    pub fn fold(&self, k: usize, v: f64) {
+    pub(crate) fn fold(&self, k: usize, v: f64) {
         let cell = &self.cells[k];
         cell.set(self.access.0.fold(cell.get(), v))
     }

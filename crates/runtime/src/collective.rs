@@ -39,7 +39,7 @@ use std::time::Duration;
 /// verifies the frame on acceptance into the collective, so a silently
 /// flipped contribution never reaches the fold.
 #[derive(Clone, Copy, Debug)]
-pub struct FramedScalar {
+pub(crate) struct FramedScalar {
     /// The contribution's `f64::to_bits` pattern.
     pub bits: u64,
     /// Checksum of `bits` at production time.
@@ -48,7 +48,7 @@ pub struct FramedScalar {
 
 impl FramedScalar {
     /// Frames `value` with a fresh checksum.
-    pub fn new(value: f64) -> Self {
+    pub(crate) fn new(value: f64) -> Self {
         let bits = value.to_bits();
         FramedScalar {
             bits,
@@ -57,12 +57,12 @@ impl FramedScalar {
     }
 
     /// True when the payload still matches its checksum.
-    pub fn verify(&self) -> bool {
+    pub(crate) fn verify(&self) -> bool {
         striped_fnv([self.bits]) == self.checksum
     }
 
     /// The carried scalar.
-    pub fn value(&self) -> f64 {
+    pub(crate) fn value(&self) -> f64 {
         f64::from_bits(self.bits)
     }
 }
@@ -153,7 +153,8 @@ impl Rendezvous {
         self.poisoned.load(Ordering::Acquire)
     }
 
-    fn poisoned_by(&self) -> Option<PeerDeath> {
+    /// The structured cause of poisoning, when one was recorded.
+    fn cause(&self) -> Option<PeerDeath> {
         *self.cause.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -249,20 +250,15 @@ impl DynamicCollective {
     /// Marks the collective dead — called when a participating shard
     /// panics so the survivors, parked ones included, unwind instead of
     /// waiting forever on a contribution that will never arrive.
-    pub fn poison(&self) {
+    pub(crate) fn poison(&self) {
         self.round.poison(None);
     }
 
-    /// Like [`DynamicCollective::poison`], recording the structured
+    /// Like `DynamicCollective::poison`, recording the structured
     /// root cause so survivors unwind with blame instead of a generic
     /// diagnostic. The first recorded cause wins.
     pub fn poison_with(&self, death: PeerDeath) {
         self.round.poison(Some(death));
-    }
-
-    /// The structured cause of poisoning, when one was recorded.
-    pub fn poisoned_by(&self) -> Option<PeerDeath> {
-        self.round.poisoned_by()
     }
 
     /// Contributes `value` for `shard` and blocks until every
@@ -274,11 +270,11 @@ impl DynamicCollective {
 
     /// Like [`DynamicCollective::reduce`], also returning the
     /// generation number this contribution belonged to.
-    pub fn reduce_counted(&self, shard: usize, value: f64, op: ReductionOp) -> (f64, u64) {
+    pub(crate) fn reduce_counted(&self, shard: usize, value: f64, op: ReductionOp) -> (f64, u64) {
         if self.round.is_poisoned() {
             panic!(
                 "dynamic collective poisoned: a participating shard died{} (shard {shard} unwinding)",
-                cause_suffix(&self.round.poisoned_by())
+                cause_suffix(&self.round.cause())
             );
         }
         let my_gen = self.round.generation();
@@ -301,7 +297,7 @@ impl DynamicCollective {
             Ok(()) => (f64::from_bits(self.result.load(Ordering::Relaxed)), my_gen),
             Err(Stuck::Poisoned) => panic!(
                 "dynamic collective poisoned: a participating shard died{} (shard {shard} unwinding at generation {my_gen})",
-                cause_suffix(&self.round.poisoned_by())
+                cause_suffix(&self.round.cause())
             ),
             Err(Stuck::TimedOut) => panic!(
                 "likely deadlock: shard {shard} waited {:?} on collective generation {my_gen} ({}/{} contributions arrived)",
@@ -324,7 +320,7 @@ impl DynamicCollective {
     /// When `max_attempts` consecutive frames fail verification — at
     /// that point the contribution is unrecoverable and the run must
     /// fail rather than fold a corrupted scalar.
-    pub fn reduce_framed(
+    pub(crate) fn reduce_framed(
         &self,
         shard: usize,
         op: ReductionOp,
@@ -377,19 +373,14 @@ impl ShardBarrier {
     /// panics so the survivors, parked ones included, unwind with a
     /// diagnostic instead of waiting forever for an arrival that will
     /// never come.
-    pub fn poison(&self) {
+    pub(crate) fn poison(&self) {
         self.round.poison(None);
     }
 
-    /// Like [`ShardBarrier::poison`], recording the structured root
+    /// Like `ShardBarrier::poison`, recording the structured root
     /// cause (first writer wins) so waiters unwind with blame.
     pub fn poison_with(&self, death: PeerDeath) {
         self.round.poison(Some(death));
-    }
-
-    /// The structured cause of poisoning, when one was recorded.
-    pub fn poisoned_by(&self) -> Option<PeerDeath> {
-        self.round.poisoned_by()
     }
 
     /// Blocks until all `n` participants have arrived.
@@ -399,11 +390,11 @@ impl ShardBarrier {
 
     /// Like [`ShardBarrier::wait`], returning the generation number
     /// this arrival belonged to.
-    pub fn wait_counted(&self) -> u64 {
+    pub(crate) fn wait_counted(&self) -> u64 {
         if self.round.is_poisoned() {
             panic!(
                 "shard barrier poisoned: a participating shard died{}",
-                cause_suffix(&self.round.poisoned_by())
+                cause_suffix(&self.round.cause())
             );
         }
         if self.round.n == 1 {
@@ -416,7 +407,7 @@ impl ShardBarrier {
             Ok(()) => my_gen,
             Err(Stuck::Poisoned) => panic!(
                 "shard barrier poisoned: a participating shard died{} (unwinding at generation {my_gen})",
-                cause_suffix(&self.round.poisoned_by())
+                cause_suffix(&self.round.cause())
             ),
             Err(Stuck::TimedOut) => panic!(
                 "likely deadlock: waited {:?} at barrier generation {my_gen} ({}/{} arrived)",
@@ -612,7 +603,7 @@ mod tests {
         let msg = panic_message(&*waiter.join().expect_err("waiter should unwind"));
         assert!(msg.contains("poisoned"), "diagnostic: {msg}");
         assert!(msg.contains("shard 1 killed at epoch 3"), "blame: {msg}");
-        assert_eq!(b.poisoned_by().unwrap().shard, 1);
+        assert_eq!(b.round.cause().unwrap().shard, 1);
 
         let c = Arc::new(DynamicCollective::new(2));
         let c2 = Arc::clone(&c);

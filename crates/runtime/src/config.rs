@@ -3,7 +3,7 @@
 //! A shard's inputs are fixed when it is launched (§3.5, §4.2), so
 //! nothing about *how* a team runs is looked up mid-flight: every
 //! `REGENT_*` variable is read here, by `EnvConfig::parse`, and
-//! [`process`] holds the real environment's parse for the life of the
+//! `process` holds the real environment's parse for the life of the
 //! process. `process` is consulted only where a top-level object is
 //! *constructed* — the defaults of [`RunOptions`](crate::RunOptions) and
 //! [`ImplicitOptions`](crate::ImplicitOptions), the untimed constructors
@@ -31,7 +31,7 @@ use std::time::Duration;
 /// bit-identical, so the whole test suite passes with either variable
 /// exported. At least one field is set.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Smoke {
+pub(crate) struct Smoke {
     /// `REGENT_FAULT_SEED`: seeds a single-shard crash.
     pub fault_seed: Option<u64>,
     /// `REGENT_CORRUPT=<seed>,<rate>`: arms corruption injection and
@@ -57,7 +57,7 @@ impl Smoke {
 
 /// Every `REGENT_*` variable, typed (README has the table).
 #[derive(Clone, Debug, PartialEq)]
-pub struct EnvConfig {
+pub(crate) struct EnvConfig {
     /// `REGENT_HANG_TIMEOUT_MS` (default 30 s): how long a blocking wait
     /// may stall before it panics with a "likely deadlock" diagnostic.
     pub hang_timeout: Duration,
@@ -93,7 +93,7 @@ impl EnvConfig {
 }
 
 /// The real environment, parsed on first use and fixed from then on.
-pub fn process() -> &'static EnvConfig {
+pub(crate) fn process() -> &'static EnvConfig {
     static PROCESS: OnceLock<EnvConfig> = OnceLock::new();
     PROCESS.get_or_init(|| EnvConfig::parse(|name| std::env::var(name).ok()))
 }

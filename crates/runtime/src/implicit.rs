@@ -111,7 +111,7 @@ pub struct ImplicitOptions {
 impl ImplicitOptions {
     /// `num_workers` workers with the default (block) mapper,
     /// tracing off, memoization off, and the process's hang timeout
-    /// ([`config::process`]).
+    /// (`config::process`).
     pub fn with_workers(num_workers: usize) -> Self {
         ImplicitOptions {
             num_workers,

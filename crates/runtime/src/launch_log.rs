@@ -143,7 +143,7 @@ impl<T> LaunchLog<T> {
     }
 
     /// Whether the log is sealed.
-    pub fn is_sealed(&self) -> bool {
+    pub(crate) fn is_sealed(&self) -> bool {
         self.sealed.load(Ordering::Acquire)
     }
 }
@@ -164,7 +164,7 @@ impl LogCursor {
 
     /// How many published batches this cursor has not consumed yet
     /// (lock-free: one atomic load).
-    pub fn lag<T>(&self, log: &LaunchLog<T>) -> usize {
+    pub(crate) fn lag<T>(&self, log: &LaunchLog<T>) -> usize {
         log.published().saturating_sub(self.next)
     }
 

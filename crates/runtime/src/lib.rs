@@ -47,8 +47,8 @@
 //!   (one ring per ordered shard pair, its capacity derived from the
 //!   exchange schedule), pooled payload buffers, and the pinning of
 //!   the team's resident members.
-//! * [`config`] — the process environment: every `REGENT_*` variable
-//!   is parsed once, there, into a typed [`EnvConfig`] that supplies
+//! * `config` — the process environment: every `REGENT_*` variable
+//!   is parsed once, there, into a typed `EnvConfig` that supplies
 //!   the defaults of the options structs and configures the metrics
 //!   registry; no executor reads the environment.
 //!
@@ -66,7 +66,7 @@
 #![warn(missing_docs)]
 
 pub mod collective;
-pub mod config;
+mod config;
 mod exchange;
 pub mod failover;
 pub mod hybrid_exec;
@@ -85,15 +85,14 @@ pub mod spmd_exec;
 mod team;
 mod wait;
 
-pub use collective::{DynamicCollective, FramedScalar, ShardBarrier};
-pub use config::{EnvConfig, Smoke};
+pub use collective::{DynamicCollective, ShardBarrier};
 pub use failover::{run_failover, Failover, FailoverOptions};
 pub use hybrid_exec::HybridRunResult;
 pub use implicit::{execute_implicit, ImplicitOptions, ImplicitStats};
 pub use launch_log::{Batch, LaunchLog, LogCursor};
 pub use log_exec::LogStats;
-pub use mapper::{DefaultMapper, Mapper, SingleWorkerMapper, TaskKindMapper};
-pub use memo::{epoch_key, launch_sig, EpochTemplate, MemoCache, MemoStats};
+pub use mapper::{DefaultMapper, Mapper};
+pub use memo::{EpochTemplate, MemoCache, MemoStats};
 pub use metrics::{Counter, Hist, MetricsHandle, MetricsRegistry, Timer};
 pub use plan::{
     build_exchange_plan, ExchangePlan, ExchangeSchedule, InstKey, PairPlan, SetupStats,
@@ -104,9 +103,7 @@ pub use run::{
     run, Compiled, RunOptions, RunResult,
 };
 
-pub use ring::{
-    copy_mesh, ring, ring_with_timeout, CachePadded, RingReceiver, RingSender, SendError,
-};
+pub use ring::{copy_mesh, ring, ring_with_timeout, RingReceiver, RingSender, SendError};
 
 pub use regent_fault::{
     DeathCause, FaultPlan, PeerDeath, FAILOVER_EXHAUSTED_PREFIX, SHARD_LOSS_PREFIX,

@@ -4,7 +4,7 @@
 //! program. Here the control program runs **once**, on a single
 //! *sequencer* thread, which unrolls the replicated control flow into
 //! an append-only, epoch-segmented [`LaunchLog`] of leaf-statement
-//! records (launches carry their [`launch_sig`] structural signature).
+//! records (launches carry their `launch_sig` structural signature).
 //! The sequencer publishes the records of each epoch segment as one
 //! batch ([`LaunchLog::publish`]); per-shard executor
 //! threads — spawned by the same shard-team driver as every other

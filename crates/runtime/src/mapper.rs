@@ -56,29 +56,6 @@ impl Mapper for DefaultMapper {
     }
 }
 
-/// An adversarial mapper that serializes everything onto one worker —
-/// pathological for performance, required to be harmless for
-/// correctness.
-#[derive(Default, Clone, Copy, Debug)]
-pub struct SingleWorkerMapper;
-
-impl Mapper for SingleWorkerMapper {
-    fn map_task(&self, _: TaskId, _: DynPoint, _: usize, _: usize, _: usize) -> usize {
-        0
-    }
-}
-
-/// A mapper keyed on the task id — all points of one task type land on
-/// the same worker (a "specialized processor" policy).
-#[derive(Default, Clone, Copy, Debug)]
-pub struct TaskKindMapper;
-
-impl Mapper for TaskKindMapper {
-    fn map_task(&self, task: TaskId, _: DynPoint, _: usize, _: usize, num_workers: usize) -> usize {
-        task.0 as usize % num_workers
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,20 +110,5 @@ mod tests {
                 assert!(hi - lo <= 1, "{len} on {workers}: {sizes:?}");
             }
         }
-    }
-
-    #[test]
-    fn single_worker_is_constant() {
-        let m = SingleWorkerMapper;
-        assert_eq!(placed(&m, &line(10), 8), vec![0; 10]);
-    }
-
-    #[test]
-    fn task_kind_groups_by_task() {
-        let m = TaskKindMapper;
-        let p = DynPoint::from(5);
-        assert_eq!(m.map_task(TaskId(0), p, 5, 8, 3), 0);
-        assert_eq!(m.map_task(TaskId(1), p, 5, 8, 3), 1);
-        assert_eq!(m.map_task(TaskId(4), p, 5, 8, 3), 1);
     }
 }

@@ -8,13 +8,13 @@
 //! at ~O(1) per task. This module reproduces that mechanism:
 //!
 //! * Every launch in an epoch (one outermost-loop iteration) is hashed
-//!   into a [`launch signature`](launch_sig) over its task id, launch
+//!   into a launch signature (`launch_sig`) over its task id, launch
 //!   point, and resolved region requirements/privileges — everything
 //!   the dependence analysis consumes, and nothing it does not (scalar
 //!   *values* are excluded: a changing `dt` does not perturb the
 //!   schedule).
 //! * At the epoch boundary the signature sequence folds into an
-//!   [`epoch key`](epoch_key). On first occurrence the executor runs
+//!   epoch key (`epoch_key`). On first occurrence the executor runs
 //!   full analysis and records the resulting intra-epoch conflict edges
 //!   as an [`EpochTemplate`] in a [`MemoCache`].
 //! * When the next epoch is predicted to match a cached template, the
@@ -54,7 +54,7 @@ fn mix(h: u64, v: u64) -> u64 {
 /// point, and every region requirement (region identity + privilege).
 /// Two launches with equal signatures are interchangeable inputs to the
 /// dependence analysis on an unchanged region forest.
-pub fn launch_sig(
+pub(crate) fn launch_sig(
     task: u32,
     point: &DynPoint,
     accesses: impl IntoIterator<Item = (RegionId, Privilege)>,
@@ -77,7 +77,7 @@ pub fn launch_sig(
 }
 
 /// Folds an epoch's launch-signature sequence into its cache key.
-pub fn epoch_key(sigs: &[u64]) -> u64 {
+pub(crate) fn epoch_key(sigs: &[u64]) -> u64 {
     let mut h = mix(FNV_OFFSET, sigs.len() as u64);
     for &s in sigs {
         h = mix(h, s);
@@ -92,7 +92,7 @@ pub fn epoch_key(sigs: &[u64]) -> u64 {
 /// epoch is ordered by the trace fence.
 #[derive(Clone, Debug)]
 pub struct EpochTemplate {
-    /// The epoch key ([`epoch_key`] of `launch_sigs`).
+    /// The epoch key (`epoch_key` of `launch_sigs`).
     pub key: u64,
     /// Per-launch structural signatures, in issue order.
     pub launch_sigs: Vec<u64>,
@@ -108,12 +108,12 @@ pub struct EpochTemplate {
 
 impl EpochTemplate {
     /// Point tasks the template covers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.launch_sigs.len()
     }
 
     /// True for a template over an empty epoch.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.launch_sigs.is_empty()
     }
 }
@@ -134,7 +134,7 @@ pub struct MemoStats {
     pub replayed_tasks: u64,
 }
 
-/// The epoch-template cache: keyed by [`epoch_key`], validated against
+/// The epoch-template cache: keyed by `epoch_key`, validated against
 /// the region forest's structural version, shareable across executions
 /// via [`MemoCache::shared`].
 #[derive(Debug, Default)]
@@ -152,7 +152,7 @@ pub struct MemoCache {
 
 impl MemoCache {
     /// An empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MemoCache::default()
     }
 
@@ -162,22 +162,12 @@ impl MemoCache {
         Arc::new(Mutex::new(MemoCache::new()))
     }
 
-    /// Number of cached templates.
-    pub fn len(&self) -> usize {
-        self.templates.len()
-    }
-
-    /// True when no templates are cached.
-    pub fn is_empty(&self) -> bool {
-        self.templates.is_empty()
-    }
-
     /// Validates the cache against the current forest version: on
     /// mismatch every template is dropped (their conflict edges were
     /// derived from a region tree that no longer exists) and the number
     /// of invalidated templates is returned; `0` means the cache is
     /// still valid.
-    pub fn validate_forest(&mut self, version: u64) -> usize {
+    pub(crate) fn validate_forest(&mut self, version: u64) -> usize {
         match self.forest_version {
             Some(v) if v == version => 0,
             Some(_) => {
@@ -198,14 +188,14 @@ impl MemoCache {
     }
 
     /// The template for `key`, if cached.
-    pub fn get(&self, key: u64) -> Option<&EpochTemplate> {
+    pub(crate) fn get(&self, key: u64) -> Option<&EpochTemplate> {
         self.templates.get(&key)
     }
 
     /// Stores a captured template (first occurrence wins: re-inserting
     /// an existing key is a no-op so replay-miss recaptures cannot
     /// clobber a template another epoch is predicted on).
-    pub fn insert(&mut self, template: EpochTemplate) -> bool {
+    pub(crate) fn insert(&mut self, template: EpochTemplate) -> bool {
         if self.templates.contains_key(&template.key) {
             return false;
         }
@@ -215,13 +205,13 @@ impl MemoCache {
 
     /// The replay prediction: the key of the most recently completed
     /// epoch, when a template for it exists.
-    pub fn predicted_template(&self) -> Option<&EpochTemplate> {
+    pub(crate) fn predicted_template(&self) -> Option<&EpochTemplate> {
         self.predicted.and_then(|k| self.templates.get(&k))
     }
 
     /// Records the key of a completed epoch as the prediction for the
     /// next.
-    pub fn set_predicted(&mut self, key: u64) {
+    pub(crate) fn set_predicted(&mut self, key: u64) {
         self.predicted = Some(key);
     }
 }
@@ -281,9 +271,9 @@ mod tests {
         c.set_predicted(1);
         assert!(c.predicted_template().is_some());
         assert_eq!(c.validate_forest(5), 0, "same version keeps templates");
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.templates.len(), 1);
         assert_eq!(c.validate_forest(6), 1, "version change drops the cache");
-        assert!(c.is_empty());
+        assert!(c.templates.is_empty());
         assert!(c.predicted_template().is_none());
         assert_eq!(c.stats.invalidations, 1);
         // Invalidating an already-empty cache is not an invalidation.

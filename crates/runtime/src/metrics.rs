@@ -12,7 +12,7 @@
 //! environment the aggregated registry is written to `<path>` as JSON.
 //! `REGENT_METRICS_OFF` disables collection entirely (the A/B switch
 //! the overhead measurement in EXPERIMENTS.md uses). Both are fixed
-//! when [`global`] first runs ([`crate::config::process`]).
+//! when [`global`] first runs (`crate::config::process`).
 
 use crate::config;
 use regent_trace::json::escape_into;
@@ -110,10 +110,10 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 32;
+    pub(crate) const COUNT: usize = 32;
 
     /// All counters, in declaration order.
-    pub const ALL: [Counter; Counter::COUNT] = [
+    pub(crate) const ALL: [Counter; Counter::COUNT] = [
         Counter::Launches,
         Counter::TaskRuns,
         Counter::CopiesIssued,
@@ -149,7 +149,7 @@ impl Counter {
     ];
 
     /// Stable snake_case name (used in exports).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Counter::Launches => "launches",
             Counter::TaskRuns => "task_runs",
@@ -251,10 +251,10 @@ pub enum Timer {
 
 impl Timer {
     /// Number of timers.
-    pub const COUNT: usize = 18;
+    pub(crate) const COUNT: usize = 18;
 
     /// All timers, in declaration order.
-    pub const ALL: [Timer; Timer::COUNT] = [
+    pub(crate) const ALL: [Timer; Timer::COUNT] = [
         Timer::TaskRunNs,
         Timer::DepAnalysisNs,
         Timer::CopyIssueNs,
@@ -276,7 +276,7 @@ impl Timer {
     ];
 
     /// Stable snake_case name (used in exports).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Timer::TaskRunNs => "task_run_ns",
             Timer::DepAnalysisNs => "dep_analysis_ns",
@@ -306,7 +306,7 @@ impl Timer {
 
 /// Number of log2 buckets per histogram (covers single nanoseconds up
 /// to ~9 simulated minutes per sample).
-pub const HIST_BUCKETS: usize = 40;
+pub(crate) const HIST_BUCKETS: usize = 40;
 
 /// A log2-bucket latency histogram: bucket `i` counts samples in
 /// `[2^i, 2^(i+1))` nanoseconds (bucket 0 also absorbs 0 ns samples).
@@ -334,7 +334,7 @@ impl Default for Hist {
 
 impl Hist {
     /// Records one sample.
-    pub fn record(&mut self, ns: u64) {
+    pub(crate) fn record(&mut self, ns: u64) {
         let b = if ns == 0 {
             0
         } else {
@@ -346,30 +346,21 @@ impl Hist {
     }
 
     /// Componentwise accumulation.
-    pub fn merge(&mut self, other: &Hist) {
+    pub(crate) fn merge(&mut self, other: &Hist) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
         self.count += other.count;
         self.sum_ns += other.sum_ns;
     }
-
-    /// Mean sample, nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
 }
 
 /// One shard's (or thread's) complete metric state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricSet {
-    /// Counter values, indexed by [`Counter::ALL`] order.
+    /// Counter values, indexed by `Counter::ALL` order.
     pub counters: [u64; Counter::COUNT],
-    /// Histograms, indexed by [`Timer::ALL`] order.
+    /// Histograms, indexed by `Timer::ALL` order.
     pub timers: [Hist; Timer::COUNT],
 }
 
@@ -394,7 +385,7 @@ impl MetricSet {
     }
 
     /// Componentwise accumulation.
-    pub fn merge(&mut self, other: &MetricSet) {
+    pub(crate) fn merge(&mut self, other: &MetricSet) {
         for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
             *a += b;
         }
@@ -404,7 +395,7 @@ impl MetricSet {
     }
 
     /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.counters.iter().all(|&c| c == 0) && self.timers.iter().all(|t| t.count == 0)
     }
 }
@@ -531,7 +522,7 @@ impl MetricsRegistry {
 
     /// A private recording handle for one thread, merged back under
     /// `label` when dropped.
-    pub fn handle(&'static self, label: &str) -> MetricsHandle {
+    pub(crate) fn handle(&'static self, label: &str) -> MetricsHandle {
         MetricsHandle {
             enabled: self.enabled,
             label: label.to_string(),
@@ -550,7 +541,7 @@ impl MetricsRegistry {
     }
 
     /// Per-label snapshots, label-sorted.
-    pub fn per_label(&self) -> Vec<(String, MetricSet)> {
+    pub(crate) fn per_label(&self) -> Vec<(String, MetricSet)> {
         let store = self.store.lock().unwrap();
         store.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
@@ -571,7 +562,7 @@ impl MetricsRegistry {
 
     /// Serializes the registry as JSON:
     /// `{"metricsSchema":1,"labels":{…},"total":{…}}`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         fn write_set(out: &mut String, set: &MetricSet) {
             out.push_str("{\"counters\":{");
             let mut first = true;
@@ -648,18 +639,13 @@ pub struct MetricsHandle {
 }
 
 impl MetricsHandle {
-    /// Is this handle recording?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Increments `c` by one.
-    pub fn incr(&mut self, c: Counter) {
+    pub(crate) fn incr(&mut self, c: Counter) {
         self.add(c, 1);
     }
 
     /// Increments `c` by `by`.
-    pub fn add(&mut self, c: Counter, by: u64) {
+    pub(crate) fn add(&mut self, c: Counter, by: u64) {
         if self.enabled && by > 0 {
             self.set.counters[c.index()] += by;
         }
@@ -667,7 +653,7 @@ impl MetricsHandle {
 
     /// An opaque start stamp for [`MetricsHandle::record_since`]
     /// (0 — no clock read — when disabled).
-    pub fn start(&self) -> u64 {
+    pub(crate) fn start(&self) -> u64 {
         if self.enabled {
             self.epoch.elapsed().as_nanos() as u64
         } else {
@@ -677,7 +663,7 @@ impl MetricsHandle {
 
     /// Records the elapsed time since `t0` (from
     /// [`MetricsHandle::start`]) into `t`.
-    pub fn record_since(&mut self, t0: u64, t: Timer) {
+    pub(crate) fn record_since(&mut self, t0: u64, t: Timer) {
         if self.enabled {
             let now = self.epoch.elapsed().as_nanos() as u64;
             self.set.timers[t.index()].record(now.saturating_sub(t0));
@@ -685,7 +671,7 @@ impl MetricsHandle {
     }
 
     /// Records an externally measured duration into `t`.
-    pub fn record_ns(&mut self, t: Timer, ns: u64) {
+    pub(crate) fn record_ns(&mut self, t: Timer, ns: u64) {
         if self.enabled {
             self.set.timers[t.index()].record(ns);
         }
@@ -727,7 +713,6 @@ mod tests {
         assert_eq!(h.buckets[0], 2);
         assert_eq!(h.buckets[9], 1);
         assert_eq!(h.buckets[10], 1);
-        assert_eq!(h.mean_ns(), 512.0);
         let mut g = Hist::default();
         g.merge(&h);
         g.merge(&h);

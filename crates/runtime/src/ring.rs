@@ -8,7 +8,7 @@
 //!
 //! * **Layout** — a power-of-two slot array indexed by free-running
 //!   `head` (consumer) and `tail` (producer) counters, each on its own
-//!   cache line ([`CachePadded`]) so producer and consumer never
+//!   cache line (`CachePadded`) so producer and consumer never
 //!   false-share. Wrap-around is a mask, full/empty are counter
 //!   differences (`tail - head == capacity` / `tail == head`), and the
 //!   counters never overflow in practice (a `usize` of messages).
@@ -74,7 +74,7 @@ use crate::wait::Waiters;
 /// the ring.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-pub struct CachePadded<T>(pub T);
+pub(crate) struct CachePadded<T>(pub T);
 
 impl<T> std::ops::Deref for CachePadded<T> {
     type Target = T;

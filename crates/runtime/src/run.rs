@@ -60,7 +60,7 @@ impl<S, H> Compiled<S, H> {
 /// Options of one SPMD-family run. `RunOptions::default()` is a plain
 /// run: tracing off, declared initial scalars, no resilience (unless
 /// `REGENT_FAULT_SEED` / `REGENT_CORRUPT` arm the CI smoke upgrade),
-/// and the process's hang timeout ([`config::process`]) — a run that
+/// and the process's hang timeout (`config::process`) — a run that
 /// wants another sets the field. Shards always run on the team's
 /// resident members, each pinned to one CPU.
 #[derive(Clone)]

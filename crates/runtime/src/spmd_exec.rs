@@ -96,7 +96,7 @@ pub struct ShardStats {
 
 impl ShardStats {
     /// Accumulates another stats record into this one.
-    pub fn merge(&mut self, o: &ShardStats) {
+    pub(crate) fn merge(&mut self, o: &ShardStats) {
         self.tasks_executed += o.tasks_executed;
         self.copies_executed += o.copies_executed;
         self.messages_sent += o.messages_sent;

@@ -559,6 +559,33 @@ fn hierarchical_tree_prunes_copies() {
     );
 }
 
+/// Serializes everything onto one worker — pathological for
+/// performance, required to be harmless for correctness.
+struct SingleWorkerMapper;
+
+impl regent_runtime::Mapper for SingleWorkerMapper {
+    fn map_task(&self, _: regent_ir::TaskId, _: DynPoint, _: usize, _: usize, _: usize) -> usize {
+        0
+    }
+}
+
+/// Keyed on the task id: all points of one task type land on the same
+/// worker (a "specialized processor" policy).
+struct TaskKindMapper;
+
+impl regent_runtime::Mapper for TaskKindMapper {
+    fn map_task(
+        &self,
+        task: regent_ir::TaskId,
+        _: DynPoint,
+        _: usize,
+        _: usize,
+        num_workers: usize,
+    ) -> usize {
+        task.0 as usize % num_workers
+    }
+}
+
 /// The checkerboard: points dealt out by the parity of their coordinate
 /// sum, so every neighbour of a point in a 1-D or 2-D launch runs on
 /// another worker — the most cross-worker edges a mapping can make.
@@ -583,7 +610,7 @@ fn mapping_is_agnostic_to_results() {
     // §4.2: "The techniques described in this paper are agnostic to
     // the mapping used" — adversarial mappers change scheduling, never
     // results.
-    use regent_runtime::{DefaultMapper, SingleWorkerMapper, TaskKindMapper};
+    use regent_runtime::DefaultMapper;
     let (prog, init) = reduction_program(32, 96, 8, 4);
     let mut sref = Store::new(&prog);
     init(&prog, &mut sref);
@@ -609,6 +636,29 @@ fn mapping_is_agnostic_to_results() {
             compare_roots(&prog, &sref, &prog2.forest, &s2, root, 4);
         }
     }
+}
+
+#[test]
+fn single_worker_is_constant() {
+    use regent_runtime::Mapper;
+    let m = SingleWorkerMapper;
+    for pos in 0..10 {
+        assert_eq!(
+            m.map_task(regent_ir::TaskId(0), DynPoint::from(pos as i64), pos, 10, 8),
+            0
+        );
+    }
+}
+
+#[test]
+fn task_kind_groups_by_task() {
+    use regent_ir::TaskId;
+    use regent_runtime::Mapper;
+    let m = TaskKindMapper;
+    let p = DynPoint::from(5);
+    assert_eq!(m.map_task(TaskId(0), p, 5, 8, 3), 0);
+    assert_eq!(m.map_task(TaskId(1), p, 5, 8, 3), 1);
+    assert_eq!(m.map_task(TaskId(4), p, 5, 8, 3), 1);
 }
 
 /// Conditional control flow driven by a reduced scalar: the If branch

@@ -1,7 +1,7 @@
 //! Critical-path blame attribution: *where the bound on end-to-end
 //! runtime actually went*.
 //!
-//! [`crate::graph::EventGraph::critical_path`] finds the longest
+//! `crate::graph::EventGraph::critical_path` finds the longest
 //! duration-weighted dependence chain through a trace. This module
 //! decomposes that chain into phases — dependence analysis, copies,
 //! barrier/collective waits, kernel execution, memo replay — per track
@@ -30,7 +30,7 @@ use std::fmt::Write as _;
 
 /// Number of log2 buckets in an idle-gap histogram (covers up to
 /// 2^39 ns ≈ 9 minutes per gap).
-pub const IDLE_BUCKETS: usize = 40;
+pub(crate) const IDLE_BUCKETS: usize = 40;
 
 /// The phases critical-path time is attributed to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -56,7 +56,7 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases (length of a [`Blame`] vector).
-    pub const COUNT: usize = 8;
+    pub(crate) const COUNT: usize = 8;
 
     /// All phases, in display order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -85,7 +85,7 @@ impl Phase {
     }
 
     /// Index into a [`Blame`] vector.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 }
@@ -94,7 +94,7 @@ impl Phase {
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct Blame {
     /// Nanoseconds attributed to each phase, indexed by
-    /// [`Phase::index`].
+    /// `Phase::index`.
     pub ns: [u64; Phase::COUNT],
 }
 
@@ -115,7 +115,7 @@ impl Blame {
     }
 
     /// Componentwise accumulation.
-    pub fn merge(&mut self, other: &Blame) {
+    pub(crate) fn merge(&mut self, other: &Blame) {
         for (a, b) in self.ns.iter_mut().zip(other.ns.iter()) {
             *a += b;
         }
@@ -213,7 +213,7 @@ pub fn classify(kind: &EventKind) -> Phase {
 /// zero-duration `BarrierLeave`/`CollectiveLeave` is moved back to its
 /// matching same-track arrive's timestamp and widened to cover the gap
 /// (see module docs).
-pub fn enrich_waits(trace: &Trace) -> Trace {
+pub(crate) fn enrich_waits(trace: &Trace) -> Trace {
     let tracks = trace
         .tracks
         .iter()

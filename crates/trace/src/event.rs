@@ -39,12 +39,12 @@ pub enum PrivCode {
 
 impl PrivCode {
     /// Does this privilege modify the region?
-    pub fn mutates(self) -> bool {
+    pub(crate) fn mutates(self) -> bool {
         !matches!(self, PrivCode::Read)
     }
 
     /// Can two accesses with these privileges run unordered (§2.1)?
-    pub fn compatible(self, other: PrivCode) -> bool {
+    pub(crate) fn compatible(self, other: PrivCode) -> bool {
         match (self, other) {
             (PrivCode::Read, PrivCode::Read) => true,
             (PrivCode::Reduce(a), PrivCode::Reduce(b)) => a == b,

@@ -68,14 +68,9 @@ impl EventGraph {
         self.reach[a as usize][w] & (1u64 << (b % 64)) != 0
     }
 
-    /// Direct successors of `a`.
-    pub fn successors(&self, a: u32) -> &[u32] {
-        &self.succ[a as usize]
-    }
-
     /// Longest duration-weighted path through the graph: total
     /// nanoseconds and the node sequence, source to sink.
-    pub fn critical_path(&self) -> (u64, Vec<u32>) {
+    pub(crate) fn critical_path(&self) -> (u64, Vec<u32>) {
         let n = self.nodes.len();
         if n == 0 {
             return (0, Vec::new());

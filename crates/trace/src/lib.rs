@@ -17,7 +17,7 @@
 //! * [`chrome`] — the one trace file format: a hand-rolled (no serde)
 //!   Chrome `trace_event` document, loadable in `chrome://tracing` /
 //!   Perfetto, carrying the lossless `regentTracks` sidecar; plus an
-//!   [`ascii`] timeline for terminals. [`json`] is the matching
+//!   `ascii` timeline for terminals. [`json`] is the matching
 //!   minimal parser used to round-trip-check exports.
 //! * [`critical`] — critical-path *blame* attribution: decomposes the
 //!   longest dependence chain by phase (analysis / copy / waits /
@@ -46,7 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
-pub mod ascii;
+pub(crate) mod ascii;
 pub mod chrome;
 pub mod critical;
 pub mod event;
@@ -67,10 +67,10 @@ pub use critical::{
 pub use event::{fields_mask, CorruptSite, Event, EventKind, PrivCode, SimKind};
 pub use graph::{build_graph, EventGraph};
 pub use prof::{
-    control_cost_per_step, failover_summary, integrity_summary, mean_step_cost, memo_summary,
-    sim_control_cost_per_step, FailoverSummary, IntegritySummary, MemoSummary, ProfReport,
+    failover_summary, integrity_summary, mean_step_cost, memo_summary, sim_control_cost_per_step,
+    FailoverSummary, IntegritySummary, MemoSummary, ProfReport,
 };
 pub use ring::Ring;
 pub use serial::import_trace;
-pub use spy::{validate, AllOverlap, OverlapOracle, SpyReport, Violation};
+pub use spy::{validate, OverlapOracle, SpyReport, Violation};
 pub use tracer::{Trace, TraceBuf, Tracer, Track};

@@ -7,7 +7,7 @@
 //! its own tasks (O(1) per timestep). Two extractors surface that from
 //! traces:
 //!
-//! * [`control_cost_per_step`] — for *executor* traces: sums
+//! * `control_cost_per_step` — for *executor* traces: sums
 //!   [`crate::EventKind::DepAnalysis`] span time between consecutive
 //!   [`crate::EventKind::StepBegin`] markers on one track;
 //! * [`sim_control_cost_per_step`] — for *simulator* traces: sums
@@ -159,7 +159,7 @@ impl ProfReport {
 /// grouped by its [`crate::EventKind::StepBegin`] markers. Span time
 /// before the first marker is attributed to step 0's predecessor and
 /// dropped. Returns `(step, cost_ns)` pairs in step order.
-pub fn control_cost_per_step(trace: &Trace, track: &str) -> Vec<(u64, u64)> {
+pub(crate) fn control_cost_per_step(trace: &Trace, track: &str) -> Vec<(u64, u64)> {
     let Some(t) = trace.track(track) else {
         return Vec::new();
     };
@@ -249,7 +249,7 @@ impl MemoSummary {
 
 /// Summarizes epoch-trace memoization on one executor track: counts the
 /// memo events and splits the per-step analysis cost (from
-/// [`control_cost_per_step`]) into the first epoch vs the steady state.
+/// `control_cost_per_step`) into the first epoch vs the steady state.
 pub fn memo_summary(trace: &Trace, track: &str) -> MemoSummary {
     let mut s = MemoSummary::default();
     if let Some(t) = trace.track(track) {

@@ -18,7 +18,7 @@ pub struct Ring<T> {
 
 impl<T> Ring<T> {
     /// Creates a ring holding at most `cap` elements (`cap > 0`).
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         assert!(cap > 0, "ring capacity must be positive");
         Ring {
             buf: Vec::new(),
@@ -28,23 +28,13 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Number of elements currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no elements are held.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Elements overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Appends `v`, overwriting the oldest element when at capacity.
-    pub fn push(&mut self, v: T) {
+    pub(crate) fn push(&mut self, v: T) {
         if self.buf.len() < self.cap {
             self.buf.push(v);
         } else {
@@ -56,7 +46,7 @@ impl<T> Ring<T> {
 
     /// Removes and returns all elements in recording order (oldest
     /// first), resetting the ring (the drop counter survives).
-    pub fn drain_ordered(&mut self) -> Vec<T> {
+    pub(crate) fn drain_ordered(&mut self) -> Vec<T> {
         let head = self.head;
         self.head = 0;
         let mut v = std::mem::take(&mut self.buf);
@@ -75,10 +65,10 @@ mod tests {
         for i in 0..5 {
             r.push(i);
         }
-        assert_eq!(r.len(), 5);
+        assert_eq!(r.buf.len(), 5);
         assert_eq!(r.dropped(), 0);
         assert_eq!(r.drain_ordered(), vec![0, 1, 2, 3, 4]);
-        assert!(r.is_empty());
+        assert!(r.buf.is_empty());
     }
 
     #[test]

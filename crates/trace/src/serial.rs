@@ -24,7 +24,7 @@ pub(crate) type Obj = BTreeMap<String, Value>;
 /// Interns `s`, returning a `&'static str` with the same contents.
 /// Used when importing events whose schema carries static names
 /// (`Pass`, `Counter`, `Mark`); repeated names share one allocation.
-pub fn intern(s: &str) -> &'static str {
+pub(crate) fn intern(s: &str) -> &'static str {
     static POOL: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
     let pool = POOL.get_or_init(|| Mutex::new(BTreeMap::new()));
     let mut pool = pool.lock().unwrap();

@@ -31,17 +31,6 @@ pub trait OverlapOracle {
     fn overlaps(&self, a: u32, b: u32) -> bool;
 }
 
-/// Treats every region pair as overlapping. Only suitable for tests
-/// and traces whose accesses all target one region tree with no
-/// disjoint partitions.
-pub struct AllOverlap;
-
-impl OverlapOracle for AllOverlap {
-    fn overlaps(&self, _a: u32, _b: u32) -> bool {
-        true
-    }
-}
-
 /// One certified-failed dependence.
 #[derive(Debug)]
 pub struct Violation {
@@ -389,6 +378,16 @@ mod tests {
     use crate::event::Event;
     use crate::tracer::Track;
 
+    /// Treats every region pair as overlapping: the traces below touch
+    /// one region tree with no disjoint partitions.
+    struct EveryPair;
+
+    impl OverlapOracle for EveryPair {
+        fn overlaps(&self, _a: u32, _b: u32) -> bool {
+            true
+        }
+    }
+
     fn ev(ts: u64, dur: u64, kind: EventKind) -> Event {
         Event { ts, dur, kind }
     }
@@ -459,14 +458,14 @@ mod tests {
                 ev(3, 0, EventKind::CorruptEscalated { shard: 0, epoch: 1 }),
             ],
         )]);
-        assert!(validate(&good, &AllOverlap).unwrap().ok());
+        assert!(validate(&good, &EveryPair).unwrap().ok());
 
         // Detection with no repair: violation.
         let bad = trace_of(vec![(
             "shard-0",
             vec![ev(0, 0, det(CorruptSite::Exchange, 2, 1))],
         )]);
-        let r = validate(&bad, &AllOverlap).unwrap();
+        let r = validate(&bad, &EveryPair).unwrap();
         assert!(!r.ok());
         assert_eq!(r.violations[0].kind, "unrepaired-corruption");
 
@@ -489,7 +488,7 @@ mod tests {
                 ev(2, 0, EventKind::CorruptEscalated { shard: 0, epoch: 1 }),
             ],
         )]);
-        assert!(!validate(&wrong, &AllOverlap).unwrap().ok());
+        assert!(!validate(&wrong, &EveryPair).unwrap().ok());
     }
 
     #[test]
@@ -503,7 +502,7 @@ mod tests {
                 ev(5, 0, access(1, 0, 1, 10, 1, PrivCode::Read)),
             ],
         )]);
-        let r = validate(&trace, &AllOverlap).unwrap();
+        let r = validate(&trace, &EveryPair).unwrap();
         assert_eq!(r.pairs_checked, 1);
         assert_eq!(r.certified, 1);
         assert!(r.ok(), "{:?}", r.violations);
@@ -527,7 +526,7 @@ mod tests {
                 ],
             ),
         ]);
-        let r = validate(&trace, &AllOverlap).unwrap();
+        let r = validate(&trace, &EveryPair).unwrap();
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].kind, "unordered");
     }
@@ -568,7 +567,7 @@ mod tests {
                 ],
             ),
         ]);
-        let r = validate(&with_delivery, &AllOverlap).unwrap();
+        let r = validate(&with_delivery, &EveryPair).unwrap();
         assert!(r.ok(), "{:?}", r.violations);
         assert_eq!(r.certified, 1);
 
@@ -590,7 +589,7 @@ mod tests {
                 ],
             ),
         ]);
-        let r = validate(&without, &AllOverlap).unwrap();
+        let r = validate(&without, &EveryPair).unwrap();
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].kind, "missing-delivery");
     }
@@ -613,7 +612,7 @@ mod tests {
                 ],
             ),
         ]);
-        let r = validate(&trace, &AllOverlap).unwrap();
+        let r = validate(&trace, &EveryPair).unwrap();
         assert!(r.ok(), "{:?}", r.violations);
     }
 
@@ -645,7 +644,7 @@ mod tests {
             validate(&trace, oracle).unwrap()
         };
         // Disjoint field masks: never a pair.
-        let r = base(&AllOverlap, 0b01, 0b10);
+        let r = base(&EveryPair, 0b01, 0b10);
         assert_eq!(r.pairs_checked, 0);
         // Overlapping fields but provably disjoint regions: skipped.
         let r = base(&Disjoint, 0b1, 0b1);
@@ -671,13 +670,13 @@ mod tests {
                 },
             )],
         )]);
-        assert!(validate(&trace, &AllOverlap).is_err());
+        assert!(validate(&trace, &EveryPair).is_err());
         // Access without a run.
         let trace = trace_of(vec![(
             "w0",
             vec![ev(0, 0, access(0, 0, 1, 10, 1, PrivCode::Write))],
         )]);
-        assert!(validate(&trace, &AllOverlap).is_err());
+        assert!(validate(&trace, &EveryPair).is_err());
     }
 
     #[test]
@@ -691,9 +690,9 @@ mod tests {
                 ev(0, 0, access(0, 0, 1, 10, 1, PrivCode::Write)),
             ],
         )]);
-        assert!(validate(&trace, &AllOverlap).is_ok());
+        assert!(validate(&trace, &EveryPair).is_ok());
         trace.tracks[0].dropped = 1;
-        let err = validate(&trace, &AllOverlap).unwrap_err();
+        let err = validate(&trace, &EveryPair).unwrap_err();
         assert!(err.contains("incomplete"), "{err}");
     }
 }

@@ -8,7 +8,7 @@ use std::time::Instant;
 
 /// Default per-buffer event capacity (events beyond it wrap, dropping
 /// the oldest — see [`crate::ring::Ring`]).
-pub const DEFAULT_CAPACITY: usize = 1 << 18;
+pub(crate) const DEFAULT_CAPACITY: usize = 1 << 18;
 
 /// One flushed event stream: all events recorded by buffers sharing a
 /// name, in recording order per buffer.
@@ -41,7 +41,7 @@ impl Trace {
     }
 
     /// `[min ts, max ts+dur]` over all events, or `None` when empty.
-    pub fn time_bounds(&self) -> Option<(u64, u64)> {
+    pub(crate) fn time_bounds(&self) -> Option<(u64, u64)> {
         let mut bounds: Option<(u64, u64)> = None;
         for t in &self.tracks {
             for e in &t.events {
@@ -69,7 +69,7 @@ impl Tracer {
     }
 
     /// An enabled tracer whose buffers hold at most `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Arc<Tracer> {
+    pub(crate) fn with_capacity(capacity: usize) -> Arc<Tracer> {
         Arc::new(Tracer {
             enabled: true,
             capacity,
