@@ -12,7 +12,8 @@
 //! and then rolls back to it, the death/membership pair a shrink leaves on the caller's
 //! `failover` track, what epoch a membership change records, how many
 //! instances a failover rebuilds (16 for fig_failover's Stencil at
-//! every kill epoch and shard count),
+//! every kill epoch and shard count, and beside a lagging survivor after
+//! a kill or a kernel panic, resuming from the newest common cut),
 //! hang-detection failover (a stalled shard is blamed and evicted under
 //! a 500 ms `RunOptions::hang_timeout` while the other tests of this
 //! binary run concurrently at the default), and seeded chaos schedules (the soak variant is `#[ignore]`d for the dedicated
@@ -33,7 +34,7 @@ use regent_runtime::{
     RunOptions, RunResult, FAILOVER_EXHAUSTED_PREFIX, SHARD_LOSS_PREFIX,
 };
 use regent_trace::{failover_summary, EventKind, Tracer};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,6 +57,7 @@ fn install_quiet_hook() {
                         || m.contains("likely deadlock")
                         || m.starts_with(FAILOVER_EXHAUSTED_PREFIX)
                         || m.starts_with("copy channel closed")
+                        || m.contains(INJECTED_PANIC)
                 });
             if !expected {
                 prev(info);
@@ -452,14 +454,15 @@ fn assert_rebuilds_16_instances(ns: usize, kill_epoch: u64) {
 }
 
 /// [`assert_rebuilds_16_instances`] for the program `mk` makes under
-/// `plan`, which kills shard 1, with `arm` called between the
-/// undisturbed run and the failover.
+/// `plan`, with `arm` called between the undisturbed run and the
+/// failover, which must lose one shard. Returns the epoch the membership
+/// change resumed from.
 fn assert_rebuilds_16_instances_of(
     mk: &dyn Fn() -> (Program, Store),
     ns: usize,
     plan: FaultPlan,
     arm: &dyn Fn(),
-) {
+) -> u64 {
     install_quiet_hook();
     let label = format!("{ns} shards, plan {:?}", plan.events);
     let (prog_a, mut store_a) = mk();
@@ -482,7 +485,8 @@ fn assert_rebuilds_16_instances_of(
     let (here_a, here_b) = ((forest(&a), &store_a), (forest(&b), &store_b));
     compare_roots(&label, &roots, here_a, here_b, 0.0);
 
-    let summary = failover_summary(&tracer.take());
+    let trace = tracer.take();
+    let summary = failover_summary(&trace);
     assert!(summary.coherent(), "{label}: incoherent failover record");
     assert_eq!(summary.insts_rebuilt, 16, "{label}: instances rebuilt");
     let held: usize = shard_layouts(replicated(&b))
@@ -490,6 +494,12 @@ fn assert_rebuilds_16_instances_of(
         .map(|layout| layout.slots.len())
         .sum();
     assert_eq!(held, 16, "{label}: instances the survivors' layouts hold");
+    let events = trace.tracks.iter().flat_map(|t| &t.events);
+    let resumed = events.filter_map(|e| match e.kind {
+        EventKind::MembershipChange { epoch, .. } => Some(epoch),
+        _ => None,
+    });
+    resumed.max().expect("a failover changes the membership")
 }
 
 #[test]
@@ -522,33 +532,40 @@ fn failover_rebuilds_16_instances_on_8_shards() {
     assert_rebuilds_16_instances(8, 2);
 }
 
-/// A survivor that lags must not change what a kill rebuilds.
-/// fig_failover's run on 8 shards gets one launch of `increment_in`
-/// before its loop, and shard 0 (tile (0, 0), beside the victim, shard
-/// 1 on tile (0, 1)) sleeps 300 ms in it once armed, before its first
-/// boundary; the plan then stalls shard 0 for 300 ms at epoch 1 and
-/// kills shard 1 at epoch 2. While shard 0 lags, the shards far from it
-/// run ahead: they offer epoch 2 before it has offered epoch 0, then
-/// epoch 4 before it has offered epoch 2. A shard holds one pending
-/// offer, so both cuts tore, nothing committed, and a kill that fired
-/// at once left the retry nothing to rebuild from ("instances rebuilt,
-/// left: 0"). A kill that waits at its boundary for its cut to commit
-/// holds every shard there, and rebuilds all 16.
-#[test]
-fn failover_rebuilds_16_instances_beside_a_lagging_survivor() {
-    let armed = Arc::new(AtomicBool::new(false));
-    let lagging = DynPoint::new(&[0, 0]);
-    let mk = || {
+/// The message of [`lagging_fig_failover`]'s injected kernel panic.
+const INJECTED_PANIC: &str = "injected kernel panic";
+
+/// fig_failover's run with one more launch of `increment_in` before its
+/// loop. Its kernel sleeps 300 ms on tile (0, 0) (shard 0 on 8 shards)
+/// the first time it runs once `lag` is set, and panics on tile (0, 1)
+/// (shard 1) in the launch that takes `countdown` from 1 to 0.
+fn lagging_fig_failover(
+    lag: &Arc<AtomicBool>,
+    countdown: &Arc<AtomicU32>,
+) -> impl Fn() -> (Program, Store) {
+    let (lagging, victim) = (DynPoint::new(&[0, 0]), DynPoint::new(&[0, 1]));
+    let (lag, countdown) = (Arc::clone(lag), Arc::clone(countdown));
+    move || {
         let (mut prog, store) = mk_fig_failover();
         let task = prog
             .tasks
             .iter_mut()
             .find(|t| t.name == "increment_in")
             .expect("fig_failover's Stencil increments its input");
-        let (kernel, armed) = (Arc::clone(&task.kernel), Arc::clone(&armed));
+        let (kernel, lag, countdown) = (
+            Arc::clone(&task.kernel),
+            Arc::clone(&lag),
+            Arc::clone(&countdown),
+        );
         task.kernel = Arc::new(move |ctx| {
-            if ctx.launch_point == lagging && armed.swap(false, Ordering::SeqCst) {
+            if ctx.launch_point == lagging && lag.swap(false, Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(300));
+            }
+            let tick = |n: u32| n.checked_sub(1);
+            if ctx.launch_point == victim
+                && countdown.fetch_update(Ordering::SeqCst, Ordering::SeqCst, tick) == Ok(1)
+            {
+                panic!("{INJECTED_PANIC}");
             }
             kernel(ctx)
         });
@@ -558,9 +575,46 @@ fn failover_rebuilds_16_instances_beside_a_lagging_survivor() {
         let increment = body[1].clone();
         prog.body.insert(0, increment);
         (prog, store)
-    };
+    }
+}
+
+/// A survivor that lags must not change what a kill rebuilds. On 8
+/// shards, shard 0 (tile (0, 0), beside the victim, shard 1 on tile
+/// (0, 1)) sleeps 300 ms before its first boundary; the plan then stalls
+/// it for 300 ms at epoch 1 and kills shard 1 at epoch 2. While shard 0
+/// lags, the shards far from it run ahead: they offer epoch 2 before it
+/// has offered epoch 0, then epoch 4 before it has offered epoch 2. The
+/// rescue slot must keep each cut until shard 0 offers it, or the retry
+/// has nothing to rebuild from ("instances rebuilt, left: 0").
+#[test]
+fn failover_rebuilds_16_instances_beside_a_lagging_survivor() {
+    let lag = Arc::new(AtomicBool::new(false));
+    let never = Arc::new(AtomicU32::new(0));
+    let mk = lagging_fig_failover(&lag, &never);
     let plan = FaultPlan::new(42).kill_shard(1, 2).stall_shard(0, 1, 300);
-    assert_rebuilds_16_instances_of(&mk, 8, plan, &|| armed.store(true, Ordering::SeqCst));
+    assert_rebuilds_16_instances_of(&mk, 8, plan, &|| lag.store(true, Ordering::SeqCst));
+}
+
+/// The same lag, and a genuine panic instead of a scheduled kill: shard
+/// 1's kernel panics in its epoch-2 launch of `increment_in` (its
+/// fourth, after the one before the loop). A panic fires wherever the
+/// kernel runs, not at a boundary, and the far shards have run ahead by
+/// then; the retry must still resume from the newest cut every shard
+/// has offered, epoch 2, and rebuild all 16 instances.
+#[test]
+fn a_panic_beside_a_lagging_survivor_resumes_from_the_newest_common_cut() {
+    let lag = Arc::new(AtomicBool::new(false));
+    let countdown = Arc::new(AtomicU32::new(0));
+    let mk = lagging_fig_failover(&lag, &countdown);
+    let plan = FaultPlan::new(42).stall_shard(0, 1, 300);
+    let resumed = assert_rebuilds_16_instances_of(&mk, 8, plan, &|| {
+        lag.store(true, Ordering::SeqCst);
+        countdown.store(4, Ordering::SeqCst);
+    });
+    assert!(
+        resumed >= 2,
+        "resumed from epoch {resumed}, not the epoch-2 cut"
+    );
 }
 
 /// Runs Stencil at 3 shards under `strategy` undisturbed, then through

@@ -34,18 +34,13 @@ pub mod replicate;
 pub mod schedule;
 pub mod spmd;
 
-pub use analysis::{
-    bases_provably_disjoint, collect_accesses, find_replicable_ranges, CrError, ReplicableRange,
-};
+pub use analysis::{bases_provably_disjoint, collect_accesses, find_replicable_ranges};
 pub use hybrid::{replicate_ranges, HybridProgram, Segment};
 pub use image::{shard_layouts, ShardImage, ShardLayout, SlotInfo};
-pub use placement::{MembershipRemap, PlacementStats};
+pub use placement::MembershipRemap;
 pub use replicate::{control_replicate, CrOptions, SyncMode};
-pub use schedule::{
-    build_exchange_plan, ExchangePlan, ExchangeSchedule, InstKey, PairPlan, SetupStats,
-};
+pub use schedule::{build_exchange_plan, ExchangeSchedule, InstKey, SetupStats};
 pub use spmd::{
-    block_range, owner_of, CopyId, CopySource, CopyStmt, CrStats, DomainId, ForestOracle,
-    IntersectDecl, IntersectId, LaunchId, SpmdArg, SpmdLaunch, SpmdProgram, SpmdStmt, TempDecl,
-    TempId, UseBase, UseDecl,
+    block_range, owner_of, CopyId, CopySource, CopyStmt, DomainId, ForestOracle, IntersectId,
+    LaunchId, SpmdArg, SpmdLaunch, SpmdProgram, SpmdStmt, TempId, UseBase, UseDecl,
 };

@@ -25,12 +25,11 @@ pub mod program;
 pub mod task;
 pub mod validate;
 
-pub use expr::{BinOp, CmpOp, ScalarExpr, ScalarId};
-pub use interp::{InterpStats, Store};
+pub use expr::{ScalarExpr, ScalarId};
+pub use interp::Store;
 pub use normalize::normalize_projections;
 pub use program::{
-    IndexLaunch, LoopToken, Program, ProgramBuilder, Projection, RegionArg, ScalarDecl,
-    SingleLaunch, Stmt,
+    IndexLaunch, Program, ProgramBuilder, Projection, RegionArg, ScalarDecl, SingleLaunch, Stmt,
 };
 pub use task::{ArgSlot, KernelFn, Privilege, RegionParam, TaskCtx, TaskDecl, TaskId};
-pub use validate::{validate, ValidationError};
+pub use validate::validate;

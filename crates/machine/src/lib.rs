@@ -34,6 +34,6 @@ pub mod model;
 pub mod scenario;
 
 pub use des::{Resource, ResourceId, Sim, SimResult, SimTask, SimTaskId};
-pub use metrics::{format_table, node_counts_to, trace_series, ScalePoint, ScalingSeries};
+pub use metrics::{format_table, node_counts_to, trace_series, ScalingSeries};
 pub use model::{CopyEdge, MachineConfig, PhaseSpec, TimestepSpec};
-pub use scenario::{sim_bench_entry, simulate, Model, MpiVariant, ScenarioResult, SimOptions};
+pub use scenario::{sim_bench_entry, simulate, Model, MpiVariant, SimOptions};

@@ -83,7 +83,6 @@ pub fn sim_bench_entry(
         wall_ns,
         critical_path_ns,
         blame,
-        metrics: Vec::new(),
     })
 }
 

@@ -35,9 +35,9 @@ pub mod ops;
 pub mod view;
 
 pub use checksum::{striped_fnv, StripedFnv};
-pub use field::{FieldDef, FieldId, FieldSpace, FieldType};
+pub use field::{FieldId, FieldSpace, FieldType};
 pub use forest::{Color, Disjointness, PartitionId, RegionForest, RegionId};
-pub use hierarchy::{private_ghost_split, PrivateGhost};
+pub use hierarchy::private_ghost_split;
 pub use instance::{ColumnData, CopyRuns, DomainIndexer, Instance, ReductionOp};
 pub use intersect::OverlapPair;
 pub use view::{Element, FieldView, Read, ReadWrite, Readable, Reduce, Row, Rows, Run};

@@ -18,10 +18,11 @@
 //!    which blames the *producer* on the attempt's `DeathBoard`.
 //! 2. **Agreement.** Control flow is replicated, so no election is
 //!    needed: the failover loop catches the attempt's unwind, reads
-//!    the board's first entry as the root cause, and the last
-//!    *committed* checkpoint of each replicated segment's rescue slot —
-//!    by construction a consistent cut every shard offered identically
-//!    — is the agreed resume point.
+//!    the board's first entry as the root cause, and the *committed*
+//!    checkpoint of each replicated segment's rescue slot — the newest
+//!    cut every shard has offered, whichever failure ended the attempt
+//!    and however far a shard ran ahead of its slowest peer — is the
+//!    agreed resume point.
 //! 3. **Reconstruction.** The committed checkpoint holds every shard's
 //!    instances, including the victim's. `remap_resume_state`
 //!    redistributes them onto the shrunken membership: partition
@@ -378,12 +379,12 @@ pub fn run_failover(
             epoch: kill_epoch,
         });
         membership = remap.new_shards;
-        // Agreement: each segment's last committed checkpoint (a
-        // consistent cut every shard offered identically) is its resume
-        // point, remapped onto the survivors; a segment with none
-        // committed (the failed attempt never reached it, or the
-        // strategy has no slot) re-executes from scratch at the
-        // shrunken membership — still bit-identical, by determinism.
+        // Agreement: each segment's committed checkpoint (the newest
+        // cut every shard offered) is its resume point, remapped onto
+        // the survivors; a segment with none committed (a shard failed
+        // before every shard had offered a cut, or the strategy has no
+        // slot) re-executes from scratch at the shrunken membership —
+        // still bit-identical, by determinism.
         let mut resume_epoch = 0;
         for (idx, spmd) in compiled.replicated_mut().into_iter().enumerate() {
             let committed = rescue.as_ref().and_then(|r| r.committed(idx));

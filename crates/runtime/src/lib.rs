@@ -87,16 +87,12 @@ mod wait;
 
 pub use collective::{DynamicCollective, ShardBarrier};
 pub use failover::{run_failover, Failover, FailoverOptions};
-pub use hybrid_exec::HybridRunResult;
 pub use implicit::{execute_implicit, ImplicitOptions, ImplicitStats};
-pub use launch_log::{Batch, LaunchLog, LogCursor};
-pub use log_exec::LogStats;
+pub use launch_log::{LaunchLog, LogCursor};
 pub use mapper::{DefaultMapper, Mapper};
-pub use memo::{EpochTemplate, MemoCache, MemoStats};
-pub use metrics::{Counter, Hist, MetricsHandle, MetricsRegistry, Timer};
-pub use plan::{
-    build_exchange_plan, ExchangePlan, ExchangeSchedule, InstKey, PairPlan, SetupStats,
-};
+pub use memo::MemoCache;
+pub use metrics::{Counter, Timer};
+pub use plan::{build_exchange_plan, ExchangeSchedule, InstKey};
 pub use pool::ChunkPool;
 pub use run::{
     execute_hybrid_traced, execute_log_traced, execute_spmd_resilient_traced, execute_spmd_traced,
@@ -109,5 +105,4 @@ pub use regent_fault::{
     DeathCause, FaultPlan, PeerDeath, FAILOVER_EXHAUSTED_PREFIX, SHARD_LOSS_PREFIX,
 };
 pub use resilience::ResilienceOptions;
-pub use spmd_exec::ShardStats;
 pub use team::panic_message;

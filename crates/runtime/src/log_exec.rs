@@ -97,7 +97,7 @@ pub(crate) struct LogRecord<'a> {
 }
 
 /// Shared-log execution statistics, reported beside the per-shard
-/// [`crate::ShardStats`].
+/// [`crate::spmd_exec::ShardStats`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LogStats {
     /// Records the sequencer appended.

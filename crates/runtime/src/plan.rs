@@ -1,17 +1,17 @@
 //! The runtime's view of the exchange schedule (§3.3). The schedule
 //! itself — pairs, element sets, storage runs — is built and
-//! memoized by `regent_cr::schedule`; this module re-exports its types
-//! and gives every SPMD-family executor one way to obtain it that also
-//! accounts for what the run paid.
+//! memoized by `regent_cr::schedule`; this module re-exports the types
+//! the executors and their callers name, and gives every SPMD-family
+//! executor one way to obtain it that also accounts for what the run
+//! paid.
 
 use crate::metrics::{self, Counter, Timer};
+use regent_cr::schedule::SetupStats;
 use regent_cr::SpmdProgram;
 use std::sync::Arc;
 use std::time::Instant;
 
-pub use regent_cr::schedule::{
-    build_exchange_plan, ExchangePlan, ExchangeSchedule, InstKey, PairPlan, SetupStats,
-};
+pub use regent_cr::schedule::{build_exchange_plan, ExchangeSchedule, InstKey};
 
 /// The schedule a run of `spmd` executes, and the [`SetupStats`] that
 /// run reports: the sizes always, the inspector timings only when this

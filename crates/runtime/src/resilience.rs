@@ -90,13 +90,12 @@
 use crate::metrics::{Counter, Timer};
 use crate::pool::clone_insts_into;
 use crate::spmd_exec::ShardExec;
-use crate::wait::Waiters;
 use regent_cr::SlotInfo;
 use regent_fault::{DeathCause, FaultPlan, PeerDeath, SHARD_LOSS_PREFIX};
 use regent_region::Instance;
 use regent_trace::{CorruptSite, EventKind};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Configuration of a resilient SPMD run: a deterministic fault plan
 /// plus the checkpoint cadence: the plan's shard crashes, kills and
@@ -204,41 +203,38 @@ impl Checkpoint {
 
 /// One replicated segment's slot of a [`Rescue`]: carries checkpoints
 /// *across executor invocations*. Each shard offers its epoch-boundary
-/// checkpoint into the slot, and once every shard has offered the same
-/// `(epoch, token, loop_seq)` the set commits atomically. A later
-/// attempt whose slot holds a committed set (`run_failover` pre-seeds
-/// it with the remap of the failed attempt's last one) fast-forwards every shard to the committed set instead of
-/// recomputing from scratch — in-run rollback handles faults the run
-/// survives, the rescue slot handles faults it does not.
+/// checkpoints into the slot, and a cut commits atomically once every
+/// shard has offered it. A later attempt whose slot holds a committed
+/// set (`run_failover` pre-seeds it with the remap of the failed
+/// attempt's last one) fast-forwards every shard to the committed set
+/// instead of recomputing from scratch — in-run rollback handles faults
+/// the run survives, the rescue slot handles faults it does not.
 ///
-/// Each shard holds one pending offer, so a shard that offers a later
-/// cut before a lagging peer has offered the earlier one tears the
-/// earlier cut: it never commits. A scheduled kill therefore waits for
-/// the cut its boundary stands on ([`RescueSlot::await_commit`]); a
-/// retry still starts from an older cut, or from scratch, when a shard
-/// dies before offering (DESIGN, "A kill fires after its cut
-/// commits"), which is always correct because execution is
+/// One commit rule serves every failure (DESIGN, "One commit rule"):
+/// each shard's uncommitted offers wait in a queue ordered by cut, and
+/// an offer commits the newest cut every shard has offered — the
+/// slowest shard's newest — dropping every queued offer at or before
+/// it. A shard that runs ahead of a lagging peer therefore never tears
+/// the cut the peer has yet to offer, and no shard waits at a boundary.
+/// A retry starts from scratch only when a shard fails before every
+/// shard has offered any cut, which is correct because execution is
 /// deterministic.
 pub(crate) struct RescueSlot {
     inner: Mutex<RescueInner>,
-    /// Shards waiting at a kill boundary for their cut to commit.
-    waiters: Waiters,
 }
 
 struct RescueInner {
-    pending: Vec<Option<Checkpoint>>,
+    /// Each shard's uncommitted offers, oldest cut first.
+    queues: Vec<VecDeque<Checkpoint>>,
     /// One part per shard, all at the same boundary.
     committed: Option<Arc<[Checkpoint]>>,
-    /// A shard of the running team unwound: a cut it has not offered
-    /// never commits.
-    torn: bool,
 }
 
 impl std::fmt::Debug for RescueSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let g = self.lock();
         f.debug_struct("RescueSlot")
-            .field("shards", &g.pending.len())
+            .field("shards", &g.queues.len())
             .field("committed_epoch", &g.committed.as_ref().map(|c| c[0].epoch))
             .finish()
     }
@@ -256,24 +252,22 @@ impl RescueSlot {
         );
         RescueSlot {
             inner: Mutex::new(RescueInner {
-                pending: vec![None; num_shards],
+                queues: vec![VecDeque::new(); num_shards],
                 committed,
-                torn: false,
             }),
-            waiters: Waiters::default(),
         }
     }
 
-    /// The slot's state. Only a refused offer panics holding it, before
-    /// changing anything, and a panic guard tears the slot while its
-    /// thread unwinds, so a poisoned lock is recovered.
+    /// The slot's state. Only an offer that breaks replication (an
+    /// unknown shard, or shards offering different cuts) panics holding
+    /// it, and that fails the attempt, so a poisoned lock is recovered.
     fn lock(&self) -> std::sync::MutexGuard<'_, RescueInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The membership this slot collects offers from.
     fn num_shards(&self) -> usize {
-        self.lock().pending.len()
+        self.lock().queues.len()
     }
 
     /// The committed set a fresh attempt resumes from (left in place —
@@ -282,46 +276,30 @@ impl RescueSlot {
         self.lock().committed.clone()
     }
 
-    /// One shard's boundary offer; commits the set when every shard has
-    /// offered the same cut. Mixing offers from different attempts is
-    /// benign: state at a given epoch is bit-identical across attempts
-    /// by determinism.
+    /// One shard's boundary offer. Every shard offers the same cuts in
+    /// the same order (replicated control flow), so the slowest shard's
+    /// newest offer is the newest cut every shard has offered: that set
+    /// commits, and every offer at or before it leaves the queues.
     fn offer(&self, shard: usize, part: Checkpoint) {
         let mut g = self.lock();
-        assert!(shard < g.pending.len(), "rescue offer from unknown shard");
-        let at = part.at();
-        g.pending[shard] = Some(part);
-        if g.pending
-            .iter()
-            .all(|p| p.as_ref().is_some_and(|q| q.at() == at))
-        {
-            let parts = g.pending.iter_mut().map(|p| p.take().expect("complete"));
-            g.committed = Some(parts.collect());
-            drop(g);
-            self.waiters.wake();
-        }
-    }
-
-    /// Starts a team on this slot: no shard of it has unwound yet.
-    pub(crate) fn open(&self) {
-        self.lock().torn = false;
-    }
-
-    /// A shard of the running team unwound (its panic guard calls
-    /// this): ends every [`RescueSlot::await_commit`].
-    pub(crate) fn tear(&self) {
-        self.lock().torn = true;
-        self.waiters.wake();
-    }
-
-    /// Blocks until the cut `at` has committed, a shard of the team has
-    /// unwound, or `timeout` has run out.
-    fn await_commit(&self, at: (u64, u64, u64), timeout: Duration) {
-        self.waiters.wait(timeout, || {
-            let g = self.lock();
-            let committed = g.committed.as_ref().is_some_and(|c| c[0].at() == at);
-            (committed || g.torn).then_some(())
+        assert!(shard < g.queues.len(), "rescue offer from unknown shard");
+        let queue = &mut g.queues[shard];
+        debug_assert!(
+            queue.back().is_none_or(|last| last.at() < part.at()),
+            "shard {shard} offered cuts out of order"
+        );
+        queue.push_back(part);
+        let newest = |q: &VecDeque<Checkpoint>| q.back().map(Checkpoint::at);
+        let Some(cut) = g.queues.iter().map(newest).min().flatten() else {
+            return;
+        };
+        let parts = g.queues.iter_mut().map(|q| {
+            let upto = q.iter().take_while(|p| p.at() <= cut).count();
+            let part = q.drain(..upto).next_back();
+            part.filter(|p| p.at() == cut)
+                .expect("every shard offers the same cuts")
         });
+        g.committed = Some(parts.collect());
     }
 }
 
@@ -521,20 +499,15 @@ impl Resilience {
         if self.due(first, epoch) && self.snapshot.as_ref().is_none_or(|s| s.epoch != epoch) {
             self.checkpoint(x, token);
         }
-        // Injected shard kill: fires *after* the cut this boundary
-        // stands on (the checkpoint just offered, or the last one) has
-        // committed, and *before* the survivable crash schedule. Every
-        // shard advances the cursor (the schedule is replicated) and
-        // waits for the commit, so none can tear the cut by offering a
-        // later one; only the victim dies. The survivors then unwind
-        // through the poison cascade, and the failover driver
-        // reconstructs the victim's state at N-1 from that cut.
+        // Injected shard kill: fires after this boundary's checkpoint,
+        // if one was due, and before the survivable crash schedule. Every
+        // shard advances the cursor (the schedule is replicated); only
+        // the victim dies. The survivors then unwind through the poison
+        // cascade, and the failover driver reconstructs the victim's
+        // state at N-1 from the newest cut every shard offered.
         if let Some(&(e, victim)) = self.kills.get(self.kill_cursor) {
             if e == epoch {
                 self.kill_cursor += 1;
-                if let (Some(slot), Some(cut)) = (&self.rescue, &self.snapshot) {
-                    slot.await_commit(cut.at(), x.hang_timeout);
-                }
                 if victim as usize == x.shard {
                     let death = PeerDeath {
                         shard: victim,
@@ -856,6 +829,55 @@ mod tests {
         sweep(0, &insts, &slots);
     }
 
+    /// A cut of one shard: epoch, token and loop as an epoch-boundary
+    /// checkpoint of the first loop stores them.
+    fn cut(epoch: u64) -> Checkpoint {
+        Checkpoint {
+            epoch,
+            token: epoch,
+            loop_seq: 1,
+            ..Checkpoint::default()
+        }
+    }
+
+    fn queued(slot: &RescueSlot, shard: usize) -> Vec<u64> {
+        slot.lock().queues[shard].iter().map(|c| c.epoch).collect()
+    }
+
+    #[test]
+    fn an_offer_commits_the_newest_cut_every_shard_has_offered() {
+        let slot = RescueSlot::new(2, None);
+        // Shard 0 runs two checkpoint intervals ahead of shard 1.
+        for epoch in [0, 2, 4] {
+            slot.offer(0, cut(epoch));
+        }
+        assert!(slot.committed().is_none(), "shard 1 offered nothing");
+        assert_eq!(queued(&slot, 0), [0, 2, 4]);
+
+        let committed = |slot: &RescueSlot| -> Vec<(usize, u64)> {
+            let parts = slot.committed().expect("a cut committed");
+            parts.iter().map(|p| p.epoch).enumerate().collect()
+        };
+        slot.offer(1, cut(0));
+        assert_eq!(committed(&slot), [(0, 0), (1, 0)]);
+        assert_eq!(queued(&slot, 0), [2, 4]);
+        assert!(queued(&slot, 1).is_empty());
+
+        slot.offer(1, cut(2));
+        assert_eq!(committed(&slot), [(0, 2), (1, 2)]);
+        assert_eq!(queued(&slot, 0), [4]);
+        assert!(queued(&slot, 1).is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "offered cuts out of order")]
+    fn a_shard_offers_its_cuts_in_order() {
+        let slot = RescueSlot::new(2, None);
+        slot.offer(0, cut(2));
+        slot.offer(0, cut(0));
+    }
+
     fn live(r: &Resilience) -> &Arc<Vec<Instance>> {
         let snap = r.snapshot.as_ref().expect("a checkpoint was taken");
         snap.insts.as_ref().expect("the instances were copied")
@@ -877,7 +899,7 @@ mod tests {
         for epoch in 0..3 {
             r.save(0, (epoch, epoch, 1), &[1.0], Some(&image));
             let g = slot.lock();
-            let offered = g.pending[0].as_ref().expect("shard 0 offered");
+            let offered = g.queues[0].back().expect("shard 0 offered");
             let offered = offered
                 .insts
                 .as_ref()

@@ -7,10 +7,10 @@
 use crate::config::{self, Smoke};
 use crate::hybrid_exec::{run_hybrid, HybridRunResult};
 use crate::log_exec::{run_log, LogStats};
-use crate::plan::SetupStats;
 use crate::resilience::{DeathBoard, Rescue, ResilienceOptions};
 use crate::spmd_exec::{run_spmd, ShardStats};
 use regent_cr::hybrid::HybridProgram;
+use regent_cr::schedule::SetupStats;
 use regent_cr::SpmdProgram;
 use regent_ir::Store;
 use regent_trace::Tracer;

@@ -49,7 +49,7 @@ use crate::collective::{DynamicCollective, ShardBarrier};
 use crate::exchange::CopyMsg;
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
 use crate::plan::schedule_for_run;
-use crate::resilience::{DeathBoard, RescueSlot, MAX_ATTEMPTS};
+use crate::resilience::{DeathBoard, MAX_ATTEMPTS};
 use crate::ring;
 use crate::run::{RunCtx, RunResult};
 use crate::spmd_exec::{ShardExec, ShardStats};
@@ -134,9 +134,6 @@ pub(crate) fn run_team(
     // if new offers land while shards are starting.
     let rescue = slot.and_then(|i| Some(ctx.rescue?.slot(i, ns)));
     let resume = rescue.as_ref().and_then(|s| s.committed());
-    if let Some(s) = &rescue {
-        s.open();
-    }
 
     let mut results: Vec<Option<(Vec<f64>, ShardStats, ShardImage)>> =
         (0..ns).map(|_| None).collect();
@@ -160,7 +157,6 @@ pub(crate) fn run_team(
                 collective,
                 shard: shard as u32,
                 board: ctx.board.cloned(),
-                rescue: rescue.clone(),
             };
             let mut exec = ShardExec::new(
                 spmd,
@@ -195,7 +191,6 @@ pub(crate) fn run_team(
                 collective,
                 shard: u32::MAX,
                 board: None,
-                rescue: None,
             };
             f()
         }));
@@ -276,24 +271,18 @@ pub(crate) fn run_team(
 /// as the root cause — but only when the board is still empty, so a
 /// kill or hang recorded before the cascade is never displaced by a
 /// secondary unwind — and forwards the root cause into the poison so
-/// waiters unwind with blame. With a rescue slot, it also tears the
-/// slot, so that no shard waits at a kill boundary for a cut the
-/// unwinding shard will not offer.
+/// waiters unwind with blame.
 struct PanicGuard<'a> {
     barrier: &'a ShardBarrier,
     collective: &'a DynamicCollective,
     /// The unwinding job's shard id (used only for self-blame).
     shard: u32,
     board: Option<Arc<DeathBoard>>,
-    rescue: Option<Arc<RescueSlot>>,
 }
 
 impl Drop for PanicGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            if let Some(slot) = &self.rescue {
-                slot.tear();
-            }
             match &self.board {
                 Some(board) => {
                     if board.is_empty() {

@@ -6,8 +6,7 @@
 //! module is the only place that decides how: a consumer on an empty
 //! exchange ring, a producer on a full one, a barrier or collective
 //! participant ahead of its peers, a log cursor ahead of the sequencer,
-//! the sequencer waiting for scalar feedback, a shard at a kill
-//! boundary waiting for its cut to commit, and — in the implicit
+//! the sequencer waiting for scalar feedback, and — in the implicit
 //! executor — a member worker with an empty ready queue and the control
 //! thread (worker 0) draining with none of its own jobs ready all go
 //! through [`Waiters::wait`], and whoever makes such a condition true

@@ -3,8 +3,8 @@
 //!
 //! A document is `{"benchSchema":1,"entries":[…]}`; each entry is keyed
 //! by `(app, size, shards, executor)` and carries the measured wall
-//! time, the critical-path length, the per-phase blame vector
-//! ([`crate::critical`]), and a flat metrics snapshot.
+//! time, the critical-path length and the per-phase blame vector
+//! ([`crate::critical`]).
 //! [`merge_into_file`] lets several binaries accumulate into one file.
 //! The simulator's entries are deterministic: `BENCH_PR6.json` holds
 //! them, and `crates/bench/tests/sim_golden.rs` compares a fresh run
@@ -32,8 +32,6 @@ pub struct BenchEntry {
     pub critical_path_ns: u64,
     /// Per-phase critical-path blame.
     pub blame: Blame,
-    /// Flat metrics snapshot (name → value); empty for simulated runs.
-    pub metrics: Vec<(String, f64)>,
 }
 
 impl BenchEntry {
@@ -79,16 +77,6 @@ fn entries_to_json(entries: &[BenchEntry]) -> String {
             first = false;
             write!(out, "\"{}\":{}", p.name(), ns).unwrap();
         }
-        out.push_str("},\"metrics\":{");
-        for (i, (name, v)) in e.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(&mut out, name);
-            let v = if v.is_finite() { *v } else { 0.0 };
-            write!(out, "\":{v}").unwrap();
-        }
         out.push_str("}}");
     }
     out.push_str("\n]}\n");
@@ -120,15 +108,6 @@ fn parse_entry(v: &Value) -> Result<BenchEntry, String> {
             blame.add(phase, ns);
         }
     }
-    let mut metrics = Vec::new();
-    if let Some(m) = o.get("metrics").and_then(Value::as_obj) {
-        for (name, v) in m {
-            metrics.push((
-                name.clone(),
-                v.as_num().ok_or("metric value is not a number")?,
-            ));
-        }
-    }
     Ok(BenchEntry {
         app: str_field("app")?,
         size: str_field("size")?,
@@ -137,7 +116,6 @@ fn parse_entry(v: &Value) -> Result<BenchEntry, String> {
         wall_ns: num_field("wall_ns")?,
         critical_path_ns: num_field("critical_path_ns")?,
         blame,
-        metrics,
     })
 }
 
@@ -200,7 +178,6 @@ mod tests {
             wall_ns: wall,
             critical_path_ns: wall * 3 / 4,
             blame,
-            metrics: vec![("launches".into(), 128.0)],
         }
     }
 

@@ -62,15 +62,15 @@ pub use artifact::{merge_into_file, parse_entries, BenchEntry};
 pub use ascii::ascii_timeline;
 pub use chrome::export_chrome;
 pub use critical::{
-    blame_report, classify, imbalance_report, sim_blame, Blame, BlameReport, ImbalanceReport, Phase,
+    blame_report, classify, imbalance_report, sim_blame, Blame, BlameReport, Phase,
 };
 pub use event::{fields_mask, CorruptSite, Event, EventKind, PrivCode, SimKind};
-pub use graph::{build_graph, EventGraph};
+pub use graph::build_graph;
 pub use prof::{
     failover_summary, integrity_summary, mean_step_cost, memo_summary, sim_control_cost_per_step,
-    FailoverSummary, IntegritySummary, MemoSummary, ProfReport,
+    ProfReport,
 };
 pub use ring::Ring;
 pub use serial::import_trace;
-pub use spy::{validate, OverlapOracle, SpyReport, Violation};
+pub use spy::{validate, OverlapOracle, SpyReport};
 pub use tracer::{Trace, TraceBuf, Tracer, Track};
